@@ -1,0 +1,140 @@
+// Golden model-cost fixture: the full Metrics struct and a distance
+// checksum of every public algorithm family at toy size, two algorithm
+// seeds, cold and warm, pinned in testdata/model_costs.golden and asserted
+// on all four engines. The engine differential tests prove the engines
+// equal to each other; this file proves them equal to what the tree
+// produced when the fixture was generated, so an engine or machine change
+// that claims to leave the model costs alone (rounds, messages, bits,
+// loads) is checked against a record that does not depend on the twins.
+package hybrid_test
+
+import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+
+	hybrid "repro"
+)
+
+// goldenRun executes one algorithm on nw and returns its Metrics and the
+// distances (or the estimate) it produced, flattened in a canonical order.
+type goldenRun func(nw *hybrid.Network) (hybrid.Metrics, []int64, error)
+
+func goldenAPSP(nw *hybrid.Network) (hybrid.Metrics, []int64, error) {
+	res, err := nw.APSP()
+	if err != nil {
+		return hybrid.Metrics{}, nil, err
+	}
+	var flat []int64
+	for _, row := range res.Dist {
+		flat = append(flat, row...)
+	}
+	return res.Metrics, flat, nil
+}
+
+func goldenKSSP(sources []int, spec hybrid.KSSPSpec) goldenRun {
+	return func(nw *hybrid.Network) (hybrid.Metrics, []int64, error) {
+		res, err := nw.KSSP(sources, spec)
+		if err != nil {
+			return hybrid.Metrics{}, nil, err
+		}
+		var flat []int64
+		for _, byNode := range res.Dist {
+			srcs := make([]int, 0, len(byNode))
+			for s := range byNode {
+				srcs = append(srcs, s)
+			}
+			sort.Ints(srcs)
+			for _, s := range srcs {
+				flat = append(flat, int64(s), byNode[s])
+			}
+		}
+		return res.Metrics, flat, nil
+	}
+}
+
+func goldenSSSP(nw *hybrid.Network) (hybrid.Metrics, []int64, error) {
+	res, err := nw.SSSP(3)
+	if err != nil {
+		return hybrid.Metrics{}, nil, err
+	}
+	return res.Metrics, res.Dist, nil
+}
+
+func goldenDiameter(nw *hybrid.Network) (hybrid.Metrics, []int64, error) {
+	res, err := nw.Diameter(hybrid.DiamCor52(0.5))
+	if err != nil {
+		return hybrid.Metrics{}, nil, err
+	}
+	return res.Metrics, []int64{res.Estimate}, nil
+}
+
+// goldenBody runs the whole matrix on one engine and renders it.
+func goldenBody(t *testing.T, eng hybrid.Engine) string {
+	t.Helper()
+	rng := rand.New(rand.NewSource(11))
+	weighted := hybrid.WithRandomWeights(hybrid.GridGraph(6, 6), 9, rng)
+	cases := []struct {
+		name string
+		g    *hybrid.Graph
+		run  goldenRun
+	}{
+		{"apsp/grid7x7", hybrid.GridGraph(7, 7), goldenAPSP},
+		{"apsp/geometric48", hybrid.GeometricGraph(48, 0.3, rng), goldenAPSP},
+		{"apsp/tree40", hybrid.RandomTreeGraph(40, rng), goldenAPSP},
+		{"kssp-realmm/sparse40", hybrid.WithRandomWeights(hybrid.SparseGraph(40, 1.2, rng), 100, rng),
+			goldenKSSP([]int{0, 7, 19, 33}, hybrid.KSSPRealMM(2))},
+		{"kssp-cor46/wgrid6x6", weighted, goldenKSSP([]int{1, 20}, hybrid.Cor46(0.5))},
+		{"sssp/wgrid6x6", weighted, goldenSSSP},
+		{"diameter-cor52/grid6x6", hybrid.GridGraph(6, 6), goldenDiameter},
+	}
+	var b strings.Builder
+	for _, c := range cases {
+		for _, seed := range []int64{1, 2} {
+			nw := hybrid.New(c.g, hybrid.WithSeed(seed), hybrid.WithEngine(eng))
+			for _, mode := range []string{"cold", "warm"} {
+				m, flat, err := c.run(nw)
+				if err != nil {
+					t.Fatalf("%s seed=%d %s on %s: %v", c.name, seed, mode, eng, err)
+				}
+				h := fnv.New64a()
+				var w [8]byte
+				for _, d := range flat {
+					binary.LittleEndian.PutUint64(w[:], uint64(d))
+					h.Write(w[:])
+				}
+				fmt.Fprintf(&b, "%s seed=%d %s sum=%016x metrics=%+v\n", c.name, seed, mode, h.Sum64(), m)
+			}
+		}
+	}
+	return b.String()
+}
+
+// TestGoldenModelCosts asserts the fixture on every engine. Regenerate
+// (from EngineStep) with: go test -run TestGoldenModelCosts -update .
+func TestGoldenModelCosts(t *testing.T) {
+	path := filepath.Join("testdata", "model_costs.golden")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(goldenBody(t, hybrid.EngineStep)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	for _, eng := range allEngines {
+		t.Run(eng.String(), func(t *testing.T) {
+			if got := goldenBody(t, eng); got != string(want) {
+				t.Errorf("model costs on %s diverged from %s (regenerate with -update only if the protocol changed on purpose):\ngot:\n%s\nwant:\n%s",
+					eng, path, got, want)
+			}
+		})
+	}
+}

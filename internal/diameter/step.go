@@ -33,7 +33,8 @@ func newDiamExploreMachine(env *sim.Env, rounds int, initial []interface{}) *dia
 	m.outbox = append(m.outbox, initial...)
 	m.outbox = append(m.outbox, hopWave{Source: env.ID(), Hops: 0})
 	m.loop = sim.Loop{
-		Rounds: rounds,
+		Rounds:   rounds,
+		NextSend: sim.Reactive,
 		Send: func(env *sim.Env, i int) {
 			for _, p := range m.outbox {
 				env.BroadcastLocal(p)

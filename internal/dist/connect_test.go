@@ -482,3 +482,77 @@ func TestResolveOptionsWindowAndRange(t *testing.T) {
 		t.Fatal("inverted protocol range accepted")
 	}
 }
+
+// TestRouterRoundGaps drives the router the way the step engine's
+// fast-forward does: round numbers ascend but skip (no RouteRound is issued
+// for a round in which every node slept). Workers are pure per-round
+// functions, so nothing may depend on the numbers being consecutive: a
+// fault keyed on a round that is never routed neither fires nor wedges the
+// window, empty rounds on either side of a gap are still deferred and
+// drained by Flush, and a kill in the middle of a gapped window replays it
+// byte-identically.
+func TestRouterRoundGaps(t *testing.T) {
+	batch := func(f0 int64) [][]sim.GlobalMsg {
+		return [][]sim.GlobalMsg{
+			{{Src: 5, Dst: 1, Kind: 1, F0: f0}, {Src: 6, Dst: 0, Kind: 1, F0: f0 + 1}},
+			{{Src: 0, Dst: 7, Kind: 1, F0: f0 + 2}, {Src: 3, Dst: 7, Kind: 2, F0: f0 + 3}},
+		}
+	}
+	empty := [][]sim.GlobalMsg{nil, nil}
+	seq := []struct {
+		round int
+		out   [][]sim.GlobalMsg
+	}{
+		{1, batch(10)}, {2, empty}, {40, empty}, {41, batch(20)}, {97, empty},
+		{300, empty}, {301, empty}, {5000, batch(30)}, {5001, empty}, {9000, empty},
+	}
+	type result struct {
+		Streams [][]sim.GlobalMsg
+		Stats   sim.DistRoundStats
+	}
+	route := func(faults *Faults) []result {
+		t.Helper()
+		r, err := New(sim.DistRouterConfig{
+			N: 8, LogN: 3, Workers: 2, ShardSize: 4,
+			Opts: &Options{Window: 3, Faults: faults, FrameTimeout: 300 * time.Millisecond, Retries: 4},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		var results []result
+		for _, s := range seq {
+			streams, st, err := r.RouteRound(s.round, s.out)
+			if err != nil {
+				t.Fatalf("round %d: %v", s.round, err)
+			}
+			res := result{Stats: st}
+			for _, stream := range streams {
+				res.Streams = append(res.Streams, append([]sim.GlobalMsg(nil), stream...))
+			}
+			results = append(results, res)
+		}
+		if len(r.deferred) == 0 {
+			t.Fatal("the empty tail rounds were not deferred; Flush has nothing to prove")
+		}
+		if err := r.Flush(); err != nil {
+			t.Fatalf("flush: %v", err)
+		}
+		if len(r.deferred) != 0 {
+			t.Fatal("flush left a deferred backlog")
+		}
+		return results
+	}
+
+	clean := route(NewFaults())
+	// Rounds 20, 96 and 4000 are never routed; round 5000 is, with the
+	// deferred empty rounds 300 and 301 still in flight before it.
+	faults := NewFaults().DropFrames(1, 20, 5).KillWorker(1, 96).DelayFrame(0, 4000, time.Hour).KillWorker(0, 5000)
+	faulty := route(faults)
+	if !reflect.DeepEqual(clean, faulty) {
+		t.Fatalf("gapped sequence diverged under faults:\nclean  %+v\nfaulty %+v", clean, faulty)
+	}
+	if st := faults.Stats(); st.Killed != 1 || st.Dropped != 0 || st.Delayed != 0 || st.Respawns < 1 {
+		t.Fatalf("fault stats %+v, want exactly the round-5000 kill (and its respawn) to have fired", st)
+	}
+}

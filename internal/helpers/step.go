@@ -86,7 +86,8 @@ func newWFloodMachine(env *sim.Env, inW bool, ruler int, rounds int) *wFloodMach
 		w.bufs[0] = append(w.bufs[0], wRec{ID: env.ID(), Ruler: ruler})
 	}
 	w.loop = sim.Loop{
-		Rounds: rounds,
+		Rounds:   rounds,
+		NextSend: sim.Reactive,
 		Send: func(env *sim.Env, i int) {
 			if len(w.bufs[i&1]) > 0 {
 				env.BroadcastLocal(&w.bufs[i&1])
@@ -134,7 +135,8 @@ func newColdProg(env *sim.Env, m *Machine, inW bool, mu int, p Params) sim.StepP
 				improved = true
 			}
 			return &sim.Loop{
-				Rounds: beta,
+				Rounds:   beta,
+				NextSend: sim.Reactive, // a wave goes out only after an improvement arrived
 				Send: func(env *sim.Env, i int) {
 					if improved {
 						waveBuf[i&1] = clusterWave{Ruler: bestRuler, Dist: bestDist}
@@ -161,7 +163,8 @@ func newColdProg(env *sim.Env, m *Machine, inW bool, mu int, p Params) sim.StepP
 			known.Put(uint64(env.ID()), inW)
 			bufs[0] = append(bufs[0], memberRec{ID: env.ID(), Ruler: bestRuler, InW: inW})
 			return &sim.Loop{
-				Rounds: 2 * beta,
+				Rounds:   2 * beta,
+				NextSend: sim.Reactive,
 				Send: func(env *sim.Env, i int) {
 					if len(bufs[i&1]) > 0 {
 						env.BroadcastLocal(&bufs[i&1])

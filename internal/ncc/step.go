@@ -1,6 +1,8 @@
 package ncc
 
 import (
+	"math"
+
 	"repro/internal/flatmap"
 	"repro/internal/sim"
 )
@@ -22,33 +24,48 @@ type AggregateMachine struct {
 	op   AggOp
 	logN int
 	n    int
+	id   int
 }
 
 // NewAggregateMachine builds the collective aggregation machine; all nodes
 // must start it in the same round with the same op.
 func NewAggregateMachine(env *sim.Env, value int64, op AggOp) *AggregateMachine {
-	m := &AggregateMachine{Out: value, op: op, logN: sim.Log2Ceil(env.N()), n: env.N()}
-	m.loop = sim.Loop{Rounds: 2 * m.logN, Send: m.send, Recv: m.recv}
+	m := &AggregateMachine{Out: value, op: op, logN: sim.Log2Ceil(env.N()), n: env.N(), id: env.ID()}
+	m.loop = sim.Loop{Rounds: 2 * m.logN, Send: m.send, Recv: m.recv, NextSend: m.nextSend}
 	return m
 }
 
 // Step implements sim.StepProgram.
 func (m *AggregateMachine) Step(env *sim.Env) bool { return m.loop.Step(env) }
 
-func (m *AggregateMachine) send(env *sim.Env, i int) {
+// target is the binomial-tree schedule: where this node sends in iteration i
+// (up the tree in the first logN iterations, down in the rest), if it does.
+func (m *AggregateMachine) target(i int) (dst int, kind sim.Kind, ok bool) {
+	id := m.id
 	if i < m.logN {
-		b := i
-		stride, half := 1<<(b+1), 1<<b
-		if env.ID()%stride == half {
-			env.SendGlobal(env.ID()-half, kindAggUp, m.Out, 0, 0, 0)
-		}
-		return
+		stride, half := 1<<(i+1), 1<<i
+		return id - half, kindAggUp, id%stride == half
 	}
 	b := 2*m.logN - 1 - i
 	stride, half := 1<<(b+1), 1<<b
-	if env.ID()%stride == 0 && env.ID()+half < m.n {
-		env.SendGlobal(env.ID()+half, kindAggDown, m.Out, 0, 0, 0)
+	return id + half, kindAggDown, id%stride == 0 && id+half < m.n
+}
+
+func (m *AggregateMachine) send(env *sim.Env, i int) {
+	if dst, kind, ok := m.target(i); ok {
+		env.SendGlobal(dst, kind, m.Out, 0, 0, 0)
 	}
+}
+
+// nextSend is the loop's schedule: the node's next slot in the tree. What
+// it sends there is whatever arrived until then, and arrivals wake it.
+func (m *AggregateMachine) nextSend(i int) int {
+	for ; i < 2*m.logN; i++ {
+		if _, _, ok := m.target(i); ok {
+			break
+		}
+	}
+	return i
 }
 
 func (m *AggregateMachine) recv(env *sim.Env, in sim.Inbox, i int) {
@@ -81,8 +98,8 @@ type BroadcastWordsMachine struct {
 	msgs          int
 	roundsPerStep int
 	budget        int
+	off           int // this node's offset from the source, mod n
 	have          bool
-	sendIdx       int
 }
 
 // NewBroadcastWordsMachine builds the collective broadcast machine; all
@@ -95,6 +112,7 @@ func NewBroadcastWordsMachine(env *sim.Env, source int, words []int64, maxWords 
 		budget:   env.GlobalCap(),
 		Out:      make([]int64, maxWords),
 	}
+	m.off = ((env.ID()-source)%m.n + m.n) % m.n
 	if env.ID() == source {
 		copy(m.Out, words)
 		m.have = true
@@ -104,37 +122,56 @@ func NewBroadcastWordsMachine(env *sim.Env, source int, words []int64, maxWords 
 	if m.roundsPerStep == 0 {
 		m.roundsPerStep = 1
 	}
-	m.loop = sim.Loop{Rounds: sim.Log2Ceil(m.n) * m.roundsPerStep, Send: m.send, Recv: m.recv}
+	m.loop = sim.Loop{Rounds: sim.Log2Ceil(m.n) * m.roundsPerStep, Send: m.send, Recv: m.recv, NextSend: m.nextSend}
 	return m
 }
 
 // Step implements sim.StepProgram.
 func (m *BroadcastWordsMachine) Step(env *sim.Env) bool { return m.loop.Step(env) }
 
-func (m *BroadcastWordsMachine) offset(id int) int { return ((id-m.source)%m.n + m.n) % m.n }
+// forwards reports whether this node, holding the vector, passes it on in
+// doubling step b: the first 2^b offsets do, each to the offset 2^b further.
+func (m *BroadcastWordsMachine) forwards(b int) bool {
+	half := 1 << b
+	return m.off < half && m.off+half < m.n
+}
 
 func (m *BroadcastWordsMachine) send(env *sim.Env, i int) {
 	b := i / m.roundsPerStep
-	if i%m.roundsPerStep == 0 {
-		m.sendIdx = 0
+	if !m.have || !m.forwards(b) {
+		return
 	}
-	partnerOff := m.offset(env.ID()) + (1 << b)
-	if m.have && m.offset(env.ID()) < (1<<b) && partnerOff < m.n {
-		dst := (m.source + partnerOff) % m.n
-		for s := 0; s < m.budget && m.sendIdx < m.msgs; s++ {
-			j := m.sendIdx * 3
-			var w0, w1, w2 int64
-			w0 = m.Out[j]
-			if j+1 < m.maxWords {
-				w1 = m.Out[j+1]
-			}
-			if j+2 < m.maxWords {
-				w2 = m.Out[j+2]
-			}
-			env.SendGlobal(dst, kindBcastWord, w0, w1, w2, int64(m.sendIdx))
-			m.sendIdx++
+	dst := (m.source + m.off + (1 << b)) % m.n
+	// A step's messages go out budget per round; the round within the step
+	// says which (no counter, so that rounds slept through cost nothing).
+	first := i % m.roundsPerStep * m.budget
+	for idx := first; idx < first+m.budget && idx < m.msgs; idx++ {
+		j := idx * 3
+		var w0, w1, w2 int64
+		w0 = m.Out[j]
+		if j+1 < m.maxWords {
+			w1 = m.Out[j+1]
+		}
+		if j+2 < m.maxWords {
+			w2 = m.Out[j+2]
+		}
+		env.SendGlobal(dst, kindBcastWord, w0, w1, w2, int64(idx))
+	}
+}
+
+// nextSend is the loop's schedule: a node that holds the vector forwards it
+// in every round of the doubling steps forwards names, and one that does
+// not waits for it to arrive.
+func (m *BroadcastWordsMachine) nextSend(i int) int {
+	if !m.have {
+		return math.MaxInt
+	}
+	for b := i / m.roundsPerStep; 1<<b < m.n; b++ {
+		if m.forwards(b) {
+			return max(i, b*m.roundsPerStep)
 		}
 	}
+	return math.MaxInt
 }
 
 func (m *BroadcastWordsMachine) recv(env *sim.Env, in sim.Inbox, i int) {
@@ -213,7 +250,8 @@ func NewDisseminateMachine(env *sim.Env, mine []Token, k, ell int, params Dissem
 		// Phase 1: balancing.
 		func(env *sim.Env) sim.StepProgram {
 			return &sim.Loop{
-				Rounds: balanceRounds,
+				Rounds:   balanceRounds,
+				NextSend: sim.Pending(func() bool { return idx < len(mine) }),
 				Send: func(env *sim.Env, i int) {
 					for s := 0; s < budget && idx < len(mine); s++ {
 						t := mine[idx]
@@ -236,8 +274,12 @@ func NewDisseminateMachine(env *sim.Env, mine []Token, k, ell int, params Dissem
 			for i, t := range held {
 				jobs[i] = replicateJob{t: t, left: copies}
 			}
+			copiesLeft := len(held) * copies
 			return &sim.Loop{
 				Rounds: replicateRounds,
+				// The schedule is sized for the worst-case load heldBound; a
+				// node is through once its own copies are out.
+				NextSend: sim.Pending(func() bool { return copiesLeft > 0 }),
 				Send: func(env *sim.Env, i int) {
 					for s := 0; s < budget; s++ {
 						scanned := 0
@@ -253,6 +295,7 @@ func NewDisseminateMachine(env *sim.Env, mine []Token, k, ell int, params Dissem
 						}
 						j := &jobs[ji%len(jobs)]
 						j.left--
+						copiesLeft--
 						ji++
 						env.SendGlobal(env.Rand().Intn(n), kindReplicate, j.t.A, j.t.B, j.t.C, 0)
 					}
@@ -273,7 +316,8 @@ func NewDisseminateMachine(env *sim.Env, mine []Token, k, ell int, params Dissem
 			}
 			bufs[0] = tokensOf(&known)
 			return &sim.Loop{
-				Rounds: r,
+				Rounds:   r,
+				NextSend: sim.Reactive,
 				Send: func(env *sim.Env, i int) {
 					if len(bufs[i&1]) > 0 {
 						env.BroadcastLocal(&bufs[i&1])

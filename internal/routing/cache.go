@@ -91,7 +91,7 @@ func keyOf(p Params, kS, kR int, pS, pR float64, muS, muR int) sessionKey {
 
 // familySnap is one node's cached view of one helper family. The maps and
 // slices are shared read-only between the entry and every Session bound
-// from it; only the per-Route items scratch is allocated fresh per bind.
+// from it; the per-Route flood scratch is each bound Session's own.
 type familySnap struct {
 	res        helpers.Result
 	helperSets map[int][]int
@@ -179,8 +179,8 @@ func (e *sessionEntry) bind(env *sim.Env, muS, muR int, p Params) *Session {
 	return &Session{
 		env:    env,
 		params: p,
-		famS:   family{res: e.famS[id].res, mu: muS, helperSets: e.famS[id].helperSets, myOwners: e.famS[id].myOwners, items: map[int][]Token{}},
-		famR:   family{res: e.famR[id].res, mu: muR, helperSets: e.famR[id].helperSets, myOwners: e.famR[id].myOwners, items: map[int][]Token{}},
+		famS:   family{res: e.famS[id].res, mu: muS, helperSets: e.famS[id].helperSets, myOwners: e.famS[id].myOwners},
+		famR:   family{res: e.famR[id].res, mu: muR, helperSets: e.famR[id].helperSets, myOwners: e.famR[id].myOwners},
 		hash:   e.hash[id],
 	}
 }

@@ -178,14 +178,16 @@ type deliveredBatch struct {
 }
 
 // family bundles one helper family (Algorithm 1 output) with its
-// cluster-local directory and the per-owner batch directory of the
-// current spread call (reused across Route calls).
+// cluster-local directory and the scratch of the current spread call: the
+// per-owner batch directory and the flood's rotated delta buffers, reset
+// (not reallocated) per Route.
 type family struct {
 	res        helpers.Result
 	mu         int
 	helperSets map[int][]int
 	myOwners   []int // owners whose helper set contains this node, sorted
-	items      map[int][]Token
+	items      flatmap.Map[[]Token]
+	spreadBufs [2]tokenBatches
 }
 
 // Session holds the token-independent state of the protocol: the helper
@@ -208,6 +210,13 @@ type Session struct {
 	// instance from pinning its peak capacity for the session lifetime.
 	inter      flatmap.Map[int64]
 	replyQueue []reply
+
+	// Scratch of the final collection flood (see collectMachine), reset per
+	// Route like inter: the injector dedup set, the rotated delta buffers,
+	// and the tokens addressed to this node, gathered in arrival order.
+	collectSeen flatmap.Set
+	collectBufs [2]deliveredBatches
+	collected   []Token
 }
 
 // reply is one queued intermediate-to-receiver-helper answer.
@@ -265,8 +274,8 @@ func buildSession(env *sim.Env, inS, inR bool, muS, muR int, p Params) *Session 
 	s := &Session{
 		env:    env,
 		params: p,
-		famS:   family{res: resS, mu: muS, items: map[int][]Token{}},
-		famR:   family{res: resR, mu: muR, items: map[int][]Token{}},
+		famS:   family{res: resS, mu: muS},
+		famR:   family{res: resR, mu: muR},
 		hash:   bitrand.FromSeed(seed, n),
 	}
 	s.famS.helperSets = announceHelpers(env, resS, muS)
@@ -415,24 +424,14 @@ func (s *Session) Route(send []Token, expect []Label) []Token {
 
 // announceHelpers floods (w, helper) pairs within clusters for 2β rounds so
 // that all cluster members agree on each H_w. It returns the helper
-// directory of this node's cluster (w -> sorted helper IDs). Dedup is by
-// the packed pair (w, helper), both below 2^31.
+// directory of this node's cluster (w -> sorted helper IDs).
 func announceHelpers(env *sim.Env, res helpers.Result, mu int) map[int][]int {
 	n := env.N()
 	beta := 2 * mu * sim.Log2Ceil(n)
-	pair := func(w, helper int) uint64 { return uint64(w)<<32 | uint64(uint32(helper)) }
 	var known flatmap.Set
-	sets := map[int][]int{}
-	record := func(w, helper int) bool {
-		if known.Add(pair(w, helper)) {
-			sets[w] = append(sets[w], helper)
-			return true
-		}
-		return false
-	}
 	var delta helperAnnounces
 	for _, w := range res.Helps {
-		record(w, env.ID())
+		known.Add(announcePair(w, env.ID()))
 		delta = append(delta, helperAnnounce{Ruler: res.Ruler, W: w, Helper: env.ID()})
 	}
 	for step := 0; step < 2*beta; step++ {
@@ -447,18 +446,37 @@ func announceHelpers(env *sim.Env, res helpers.Result, mu int) map[int][]int {
 				continue
 			}
 			for _, a := range anns {
-				if a.Ruler != res.Ruler {
-					continue
-				}
-				if record(a.W, a.Helper) {
+				if a.Ruler == res.Ruler && known.Add(announcePair(a.W, a.Helper)) {
 					next = append(next, a)
 				}
 			}
 		}
 		delta = next
 	}
-	for w := range sets {
-		sort.Ints(sets[w])
+	return helperSetsOf(&known)
+}
+
+// announcePair packs one (w, helper) announcement, both IDs below 2^31, as
+// the dedup key of the helper-membership flood.
+func announcePair(w, helper int) uint64 { return uint64(w)<<32 | uint64(uint32(helper)) }
+
+// helperSetsOf turns the flood's final pair set into the helper directory:
+// the pairs sort by (w, helper), so every H_w is one ascending run.
+func helperSetsOf(known *flatmap.Set) map[int][]int {
+	pairs := known.AppendSortedKeys(make([]uint64, 0, known.Len()))
+	sets := map[int][]int{}
+	for lo := 0; lo < len(pairs); {
+		w := pairs[lo] >> 32
+		hi := lo + 1
+		for hi < len(pairs) && pairs[hi]>>32 == w {
+			hi++
+		}
+		hs := make([]int, hi-lo)
+		for j := range hs {
+			hs[j] = int(uint32(pairs[lo+j]))
+		}
+		sets[int(w)] = hs
+		lo = hi
 	}
 	return sets
 }
@@ -475,10 +493,10 @@ func (f *family) spread(env *sim.Env, myItems []Token) []Token {
 	beta := 2 * f.mu * sim.Log2Ceil(n)
 	me := env.ID()
 
-	clear(f.items)
+	f.items.Reset()
 	var delta tokenBatches
 	if len(myItems) > 0 {
-		f.items[me] = myItems
+		f.items.Put(uint64(me), myItems)
 		delta = append(delta, tokenBatch{Ruler: f.res.Ruler, Owner: me, Items: myItems})
 	}
 	for step := 0; step < 2*beta; step++ {
@@ -493,27 +511,28 @@ func (f *family) spread(env *sim.Env, myItems []Token) []Token {
 				continue
 			}
 			for _, tb := range tbs {
-				if tb.Ruler != f.res.Ruler {
+				if tb.Ruler != f.res.Ruler || f.items.Has(uint64(tb.Owner)) {
 					continue
 				}
-				if _, seen := f.items[tb.Owner]; seen {
-					continue
-				}
-				f.items[tb.Owner] = tb.Items
+				f.items.Put(uint64(tb.Owner), tb.Items)
 				next = append(next, tb)
 			}
 		}
 		delta = next
 	}
+	return f.myShare(me)
+}
 
-	// Pick my share: for every owner I help, take items by rank. Batches
-	// are canonical already (the owner floods its canonicalTokens output),
-	// so rank selection reads them directly.
+// myShare picks, after a spread flood, the items node me is responsible
+// for: for every owner it helps, the items at its rank in the sorted helper
+// set. Batches are canonical already (the owner floods its canonicalTokens
+// output), so rank selection reads them directly.
+func (f *family) myShare(me int) []Token {
 	var mine []Token
 	for _, w := range f.myOwners {
 		hs := f.helperSets[w]
 		rank := sort.SearchInts(hs, me)
-		toks := f.items[w]
+		toks, _ := f.items.Get(uint64(w))
 		for j := rank; j < len(toks); j += len(hs) {
 			mine = append(mine, toks[j])
 		}

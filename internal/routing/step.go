@@ -2,7 +2,6 @@ package routing
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/bitrand"
 	"repro/internal/flatmap"
@@ -115,8 +114,8 @@ func newBuildSessionProg(env *sim.Env, m *SessionMachine, inS, inR bool, muS, mu
 			for i, w := range bw.Out {
 				seed[i] = uint64(w)
 			}
-			s.famS = family{res: helpS.Res, mu: muS, items: map[int][]Token{}}
-			s.famR = family{res: helpR.Res, mu: muR, items: map[int][]Token{}}
+			s.famS = family{res: helpS.Res, mu: muS}
+			s.famR = family{res: helpR.Res, mu: muR}
 			s.hash = bitrand.FromSeed(seed, n)
 		}),
 		func(env *sim.Env) sim.StepProgram {
@@ -167,7 +166,6 @@ func NewRouteMachine(s *Session, send []Token, expect []Label) *RouteMachine {
 	var myTokenJobs, myLabelJobs []Token
 	var gotTokens []Token
 	var replyQueue []reply
-	var coll *collectMachine
 	ji, li, rq := 0, 0, 0
 
 	// answerSend and answerRecv are shared by the request loop and the
@@ -217,7 +215,8 @@ func NewRouteMachine(s *Session, send []Token, expect []Label) *RouteMachine {
 		func(env *sim.Env) sim.StepProgram {
 			inter.Reset()
 			return &sim.Loop{
-				Rounds: ceilDiv(int(aggSend.Out), budget),
+				Rounds:   ceilDiv(int(aggSend.Out), budget),
+				NextSend: sim.Pending(func() bool { return ji < len(myTokenJobs) }),
 				Send: func(env *sim.Env, i int) {
 					for c := 0; c < budget && ji < len(myTokenJobs); c++ {
 						t := myTokenJobs[ji]
@@ -247,7 +246,8 @@ func NewRouteMachine(s *Session, send []Token, expect []Label) *RouteMachine {
 		func(env *sim.Env) sim.StepProgram {
 			replyQueue = s.replyQueue[:0]
 			return &sim.Loop{
-				Rounds: ceilDiv(int(aggReq.Out), budget) + ceilDiv(int(aggHeld.Out), budget) + 1,
+				Rounds:   ceilDiv(int(aggReq.Out), budget) + ceilDiv(int(aggHeld.Out), budget) + 1,
+				NextSend: sim.Pending(func() bool { return li < len(myLabelJobs) || rq < len(replyQueue) }),
 				Send: func(env *sim.Env, i int) {
 					sent := 0
 					for ; sent < budget && li < len(myLabelJobs); sent++ {
@@ -287,9 +287,10 @@ func NewRouteMachine(s *Session, send []Token, expect []Label) *RouteMachine {
 						return nil
 					}
 					return &sim.Loop{
-						Rounds: ceilDiv(left, budget),
-						Send:   func(env *sim.Env, i int) { answerSend(env, 0) },
-						Recv:   func(env *sim.Env, in sim.Inbox, i int) { answerRecv(in) },
+						Rounds:   ceilDiv(left, budget),
+						NextSend: sim.Pending(func() bool { return rq < len(replyQueue) }),
+						Send:     func(env *sim.Env, i int) { answerSend(env, 0) },
+						Recv:     func(env *sim.Env, in sim.Inbox, i int) { answerRecv(in) },
 					}
 				}
 				agg = ncc.NewAggregateMachine(env, int64(len(replyQueue)-rq), ncc.AggMax)
@@ -300,10 +301,9 @@ func NewRouteMachine(s *Session, send []Token, expect []Label) *RouteMachine {
 		// Algorithm 4).
 		func(env *sim.Env) sim.StepProgram {
 			s.replyQueue = replyQueue
-			coll = newCollectMachine(env, s, gotTokens)
-			return coll
+			return newCollectMachine(env, s, gotTokens)
 		},
-		sim.Finish(func(env *sim.Env) { m.Out = canonicalTokens(coll.out) }),
+		sim.Finish(func(env *sim.Env) { m.Out = canonicalTokens(s.collected) }),
 	)
 	return m
 }
@@ -333,68 +333,63 @@ func NewRouteProgram(env *sim.Env, spec Spec, params Params, done func([]Token))
 // announceMachine is the step form of announceHelpers: 2β rounds of
 // cluster-local flooding of (w, helper) pairs so all cluster members agree
 // on each H_w.
+//
+// The three cluster floods of this file share one memory discipline (see
+// ARCHITECTURE.md, "Memory discipline"): the delta a node forwards rotates
+// through two buffers — bufs[i&1] is broadcast, by pointer, at loop
+// iteration i and rewritten no earlier than iteration i+2, after every
+// neighbor read it — and the dedup set is a flat table. spread's and
+// collect's scratch lives in the Session and is reset, not reallocated, per
+// Route, so the rounds of a flood allocate nothing once the session has
+// routed an instance of the same shape.
 type announceMachine struct {
 	// Sets is the helper directory of this node's cluster (w -> sorted
 	// helper IDs); valid once Step returned true.
 	Sets map[int][]int
 
 	loop  sim.Loop
-	ruler int
-	known flatmap.Set
-	delta helperAnnounces
+	known flatmap.Set // packed (w, helper) pairs
+	bufs  [2]helperAnnounces
 }
 
 func newAnnounceMachine(env *sim.Env, res helpers.Result, mu int) *announceMachine {
 	beta := 2 * mu * sim.Log2Ceil(env.N())
-	a := &announceMachine{Sets: map[int][]int{}, ruler: res.Ruler}
+	a := &announceMachine{}
 	for _, w := range res.Helps {
-		a.record(w, env.ID())
-		a.delta = append(a.delta, helperAnnounce{Ruler: res.Ruler, W: w, Helper: env.ID()})
+		a.known.Add(announcePair(w, env.ID()))
+		a.bufs[0] = append(a.bufs[0], helperAnnounce{Ruler: res.Ruler, W: w, Helper: env.ID()})
 	}
 	a.loop = sim.Loop{
-		Rounds: 2 * beta,
+		Rounds:   2 * beta,
+		NextSend: sim.Reactive,
 		Send: func(env *sim.Env, i int) {
-			if len(a.delta) > 0 {
-				env.BroadcastLocal(a.delta)
+			if len(a.bufs[i&1]) > 0 {
+				env.BroadcastLocal(&a.bufs[i&1])
 			}
 		},
 		Recv: func(env *sim.Env, in sim.Inbox, i int) {
-			var next helperAnnounces
+			next := a.bufs[(i+1)&1][:0]
 			for _, lm := range in.Local {
-				anns, ok := lm.Payload.(helperAnnounces)
+				anns, ok := lm.Payload.(*helperAnnounces)
 				if !ok {
 					continue
 				}
-				for _, an := range anns {
-					if an.Ruler != a.ruler {
-						continue
-					}
-					if a.record(an.W, an.Helper) {
+				for _, an := range *anns {
+					if an.Ruler == res.Ruler && a.known.Add(announcePair(an.W, an.Helper)) {
 						next = append(next, an)
 					}
 				}
 			}
-			a.delta = next
+			a.bufs[(i+1)&1] = next
 		},
 	}
 	return a
 }
 
-// record registers one (w, helper) pair, reporting whether it was new.
-func (a *announceMachine) record(w, helper int) bool {
-	if a.known.Add(uint64(w)<<32 | uint64(uint32(helper))) {
-		a.Sets[w] = append(a.Sets[w], helper)
-		return true
-	}
-	return false
-}
-
 // Step implements sim.StepProgram.
 func (a *announceMachine) Step(env *sim.Env) bool {
 	if a.loop.Step(env) {
-		for w := range a.Sets {
-			sort.Ints(a.Sets[w])
-		}
+		a.Sets = helperSetsOf(&a.known)
 		return true
 	}
 	return false
@@ -408,46 +403,45 @@ type spreadMachine struct {
 	// (canonical); valid once Step returned true.
 	Jobs []Token
 
-	loop  sim.Loop
-	f     *family
-	delta tokenBatches
+	loop sim.Loop
+	f    *family
 }
 
 func newSpreadMachine(env *sim.Env, f *family, myItems []Token) *spreadMachine {
 	beta := 2 * f.mu * sim.Log2Ceil(env.N())
 	me := env.ID()
 	sp := &spreadMachine{f: f}
-	clear(f.items)
+	bufs := &f.spreadBufs
+	bufs[0], bufs[1] = bufs[0][:0], bufs[1][:0]
+	f.items.Reset()
 	if len(myItems) > 0 {
-		f.items[me] = myItems
-		sp.delta = append(sp.delta, tokenBatch{Ruler: f.res.Ruler, Owner: me, Items: myItems})
+		f.items.Put(uint64(me), myItems)
+		bufs[0] = append(bufs[0], tokenBatch{Ruler: f.res.Ruler, Owner: me, Items: myItems})
 	}
 	sp.loop = sim.Loop{
-		Rounds: 2 * beta,
+		Rounds:   2 * beta,
+		NextSend: sim.Reactive,
 		Send: func(env *sim.Env, i int) {
-			if len(sp.delta) > 0 {
-				env.BroadcastLocal(sp.delta)
+			if len(bufs[i&1]) > 0 {
+				env.BroadcastLocal(&bufs[i&1])
 			}
 		},
 		Recv: func(env *sim.Env, in sim.Inbox, i int) {
-			var next tokenBatches
+			next := bufs[(i+1)&1][:0]
 			for _, lm := range in.Local {
-				tbs, ok := lm.Payload.(tokenBatches)
+				tbs, ok := lm.Payload.(*tokenBatches)
 				if !ok {
 					continue
 				}
-				for _, tb := range tbs {
-					if tb.Ruler != f.res.Ruler {
+				for _, tb := range *tbs {
+					if tb.Ruler != f.res.Ruler || f.items.Has(uint64(tb.Owner)) {
 						continue
 					}
-					if _, seen := f.items[tb.Owner]; seen {
-						continue
-					}
-					f.items[tb.Owner] = tb.Items
+					f.items.Put(uint64(tb.Owner), tb.Items)
 					next = append(next, tb)
 				}
 			}
-			sp.delta = next
+			bufs[(i+1)&1] = next
 		},
 	}
 	return sp
@@ -458,77 +452,61 @@ func (sp *spreadMachine) Step(env *sim.Env) bool {
 	if !sp.loop.Step(env) {
 		return false
 	}
-	// Pick my share: for every owner I help, take items by rank (identical
-	// to family.spread's epilogue).
-	me := env.ID()
-	var mine []Token
-	for _, w := range sp.f.myOwners {
-		hs := sp.f.helperSets[w]
-		rank := sort.SearchInts(hs, me)
-		toks := sp.f.items[w]
-		for j := rank; j < len(toks); j += len(hs) {
-			mine = append(mine, toks[j])
-		}
-	}
-	sp.Jobs = canonicalTokens(mine)
+	sp.Jobs = sp.f.myShare(env.ID())
 	return true
 }
 
 // collectMachine is the step form of Session.collect: flood each helper's
-// answered-token batch through the receiver clusters for 2β rounds.
+// answered-token batch through the receiver clusters for 2β rounds. The
+// tokens addressed to this node gather, in arrival order, in s.collected.
 type collectMachine struct {
-	out []Token
-
-	loop  sim.Loop
-	seen  map[int]bool
-	delta deliveredBatches
+	loop sim.Loop
 }
 
 func newCollectMachine(env *sim.Env, s *Session, gotTokens []Token) *collectMachine {
 	beta := 2 * s.famR.mu * sim.Log2Ceil(env.N())
 	me := env.ID()
-	c := &collectMachine{seen: map[int]bool{}}
 	ruler := s.famR.res.Ruler
-	if len(gotTokens) > 0 {
-		c.seen[me] = true
-		c.delta = append(c.delta, deliveredBatch{Ruler: ruler, Injector: me, Items: gotTokens})
-		for _, t := range gotTokens {
+	c := &collectMachine{}
+	bufs, seen := &s.collectBufs, &s.collectSeen
+	bufs[0], bufs[1] = bufs[0][:0], bufs[1][:0]
+	seen.Reset()
+	s.collected = s.collected[:0]
+	keep := func(items []Token) {
+		for _, t := range items {
 			if t.R == me {
-				c.out = append(c.out, t)
+				s.collected = append(s.collected, t)
 			}
 		}
 	}
+	if len(gotTokens) > 0 {
+		seen.Add(uint64(me))
+		bufs[0] = append(bufs[0], deliveredBatch{Ruler: ruler, Injector: me, Items: gotTokens})
+		keep(gotTokens)
+	}
 	c.loop = sim.Loop{
-		Rounds: 2 * beta,
+		Rounds:   2 * beta,
+		NextSend: sim.Reactive,
 		Send: func(env *sim.Env, i int) {
-			if len(c.delta) > 0 {
-				env.BroadcastLocal(c.delta)
+			if len(bufs[i&1]) > 0 {
+				env.BroadcastLocal(&bufs[i&1])
 			}
 		},
 		Recv: func(env *sim.Env, in sim.Inbox, i int) {
-			var next deliveredBatches
+			next := bufs[(i+1)&1][:0]
 			for _, lm := range in.Local {
-				dbs, ok := lm.Payload.(deliveredBatches)
+				dbs, ok := lm.Payload.(*deliveredBatches)
 				if !ok {
 					continue
 				}
-				for _, db := range dbs {
-					if db.Ruler != ruler {
-						continue
-					}
-					if c.seen[db.Injector] {
-						continue
-					}
-					c.seen[db.Injector] = true
-					next = append(next, db)
-					for _, t := range db.Items {
-						if t.R == me {
-							c.out = append(c.out, t)
-						}
+				for _, db := range *dbs {
+					if db.Ruler == ruler && seen.Add(uint64(db.Injector)) {
+						next = append(next, db)
+						keep(db.Items)
 					}
 				}
 			}
-			c.delta = next
+			bufs[(i+1)&1] = next
 		},
 	}
 	return c

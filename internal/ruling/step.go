@@ -31,6 +31,10 @@ func NewMachine(env *sim.Env, mu int) *Machine {
 		Rounds: sim.Log2Ceil(env.N()) * m.alpha,
 		Send:   m.send,
 		Recv:   m.recv,
+		// Between messages a node acts only at bit-stage boundaries: the
+		// stage's first Send, preceded by the previous stage's verdict in
+		// Recv (which runs on an empty inbox too).
+		NextSend: func(i int) int { return (i + m.alpha - 1) / m.alpha * m.alpha },
 	}
 	return m
 }

@@ -128,6 +128,7 @@ func (e *engine) deliverDist() int {
 	gen := e.generation & 1
 	finished := 0
 	maxSend := 0
+	e.woke = false
 
 	// Pass 1 (runShard's reset loop, over all nodes at once): recycle the
 	// inbox buffers of the generation about to be delivered, count newly
@@ -168,6 +169,9 @@ func (e *engine) deliverDist() int {
 			for _, out := range env.outLocalSh[k] {
 				dst := e.envs[out.to]
 				dst.inLocalBuf[gen] = append(dst.inLocalBuf[gen], LocalMsg{From: s, Payload: out.payload})
+				if dst.wake != 0 {
+					dst.wake, e.woke = 0, true
+				}
 				e.metrics.LocalMsgs++
 				e.metrics.LocalBits += payloadWords(out.payload) * int64(e.logN)
 			}
@@ -200,6 +204,9 @@ func (e *engine) deliverDist() int {
 			}
 			env := e.envs[m.Dst]
 			env.inGlobalBuf[gen] = append(env.inGlobalBuf[gen], m)
+			if env.wake != 0 {
+				env.wake, e.woke = 0, true
+			}
 			delivered++
 		}
 	}

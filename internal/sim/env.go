@@ -62,6 +62,7 @@ func (env *Env) SendLocal(to int, payload interface{}) {
 // area: the destination shard's bucket (sharded) or the flat outbox
 // (legacy).
 func (env *Env) stageLocal(to int, payload interface{}) {
+	env.staged++
 	if env.eng.sharded {
 		k := env.eng.shardOf(to)
 		env.eng.dirty[k][env.id] = true
@@ -90,6 +91,7 @@ func (env *Env) SendGlobal(dst int, kind Kind, f0, f1, f2, f3 int64) {
 			env.id, env.eng.sendCap, env.round))
 	}
 	env.globalSentThisRound++
+	env.staged++
 	m := GlobalMsg{Src: env.id, Dst: dst, Kind: kind, F0: f0, F1: f1, F2: f2, F3: f3}
 	if env.eng.sharded {
 		k := env.eng.shardOf(dst)
@@ -145,6 +147,23 @@ func (env *Env) Step() Inbox {
 // are owned by the node until its next round, exactly like Step's return
 // value, and must not be retained across rounds.
 func (env *Env) Incoming() Inbox { return env.curInbox }
+
+// SleepUntil declares, from inside a StepProgram's Step call, that the
+// machine has nothing to do before the given round (in Round's numbering)
+// unless a message arrives for the node first: the step engine then skips
+// the node in its round loop until that round or the first round whose
+// inbox is non-empty, whichever comes first, and fast-forwards over rounds
+// in which every unfinished node sleeps (see "Sleeping nodes" in step.go).
+// Only the declaration made by the node's latest Step call counts. The
+// goroutine engines, and Programs adapted onto the step engine, ignore it
+// and keep calling the machine every round — so a machine must behave
+// identically whether or not the calls it declared unnecessary happen.
+// Machines built from Loop never call this directly; Loop.NextSend does.
+func (env *Env) SleepUntil(round int) {
+	if env.eng.stepMode && env.adapter == nil {
+		env.wake = round
+	}
+}
 
 // StepIdle advances the node r rounds without sending anything, discarding
 // anything received. Used to keep phase-aligned nodes in lockstep while a

@@ -44,11 +44,14 @@ type shardTask struct {
 	batch bool
 }
 
-// shardResult is one worker's metric delta for one round. Merging the
-// results is commutative (sums and maxes), so the aggregate Metrics do not
-// depend on worker scheduling.
+// shardResult is one worker's metric delta for one round (or, for a step
+// task, only minWake). Merging the results is commutative (sums, maxes, a
+// min and an or), so the aggregate Metrics do not depend on worker
+// scheduling.
 type shardResult struct {
 	finished   int
+	woke       bool // a message reached a sleeping node (see Env.SleepUntil)
+	minWake    int  // step tasks: earliest round any stepped-over node needs a call
 	localMsgs  int64
 	localBits  int64
 	globalMsgs int64
@@ -123,11 +126,9 @@ func (e *engine) initSharded() {
 				for t := range e.workCh {
 					switch {
 					case t.step && t.batch:
-						e.stepBatches()
-						e.resCh <- shardResult{}
+						e.resCh <- shardResult{minWake: e.stepBatches()}
 					case t.step:
-						e.stepShard(t.k)
-						e.resCh <- shardResult{}
+						e.resCh <- shardResult{minWake: e.stepShard(t.k)}
 					default:
 						e.resCh <- e.runShard(t.k)
 					}
@@ -161,6 +162,7 @@ func (e *engine) deliverSharded() int {
 		for k := 0; k < e.nShards; k++ {
 			r := <-e.resCh
 			total.finished += r.finished
+			total.woke = total.woke || r.woke
 			total.localMsgs += r.localMsgs
 			total.localBits += r.localBits
 			total.globalMsgs += r.globalMsgs
@@ -179,6 +181,7 @@ func (e *engine) deliverSharded() int {
 			}
 		}
 	}
+	e.woke = total.woke
 	e.metrics.LocalMsgs += total.localMsgs
 	e.metrics.LocalBits += total.localBits
 	e.metrics.GlobalMsgs += total.globalMsgs
@@ -243,6 +246,9 @@ func (e *engine) runShard(k int) shardResult {
 		for _, out := range env.outLocalSh[k] {
 			dst := e.envs[out.to]
 			dst.inLocalBuf[gen] = append(dst.inLocalBuf[gen], LocalMsg{From: s, Payload: out.payload})
+			if dst.wake != 0 {
+				dst.wake, r.woke = 0, true
+			}
 			r.localMsgs++
 			r.localBits += payloadWords(out.payload) * int64(e.logN)
 		}
@@ -250,6 +256,9 @@ func (e *engine) runShard(k int) shardResult {
 		for _, gm := range env.outGlobalSh[k] {
 			dst := e.envs[gm.Dst]
 			dst.inGlobalBuf[gen] = append(dst.inGlobalBuf[gen], gm)
+			if dst.wake != 0 {
+				dst.wake, r.woke = 0, true
+			}
 			e.recvCount[gm.Dst]++
 			r.globalMsgs++
 			r.globalBits += e.msgBits

@@ -300,10 +300,14 @@ var errAbort = errors.New("sim: run aborted")
 // ErrTooManyRounds is wrapped in the Run error when MaxRounds is hit.
 var ErrTooManyRounds = errors.New("sim: exceeded MaxRounds")
 
-// roundBoundary runs the engine-independent per-round instrumentation: the
-// progress hook and the cooperative cancellation check. Every engine calls
-// it exactly once per completed round barrier, after delivery.
+// roundBoundary runs the engine-independent per-round checks: the MaxRounds
+// guard, the progress hook and the cooperative cancellation check. Every
+// engine calls it exactly once per completed round barrier, after delivery
+// (the step engine also once per round it fast-forwards over).
 func (e *engine) roundBoundary() {
+	if e.generation >= e.cfg.MaxRounds {
+		e.fail(fmt.Errorf("%w (%d)", ErrTooManyRounds, e.cfg.MaxRounds))
+	}
 	if e.cfg.OnRound != nil {
 		e.cfg.OnRound(e.generation)
 	}
@@ -352,6 +356,7 @@ type engine struct {
 	progs      []StepProgram
 	adGroups   []*adapterGroup // per-shard adapter multiplexers, nil entries for all-native shards
 	stepActive int             // unfinished nodes in the current step run
+	woke       bool            // the last delivery reached a sleeping node
 	stepBatch  int             // resolved work-stealing batch width, 0 = whole-shard tasks
 	stepCursor atomic.Int64    // next node to claim in a batched step generation
 
@@ -387,11 +392,17 @@ type Env struct {
 
 	// Step-engine state: the inbox of the round being executed (set by the
 	// engine before each StepProgram.Step call, or by DriveProgram under the
-	// goroutine engines) and the adapter handle when this node runs a legacy
-	// Program on the step engine (see step.go).
+	// goroutine engines), the adapter handle when this node runs a legacy
+	// Program on the step engine, and the round before which the round loop
+	// does not call the node's machine unless a message arrives for it
+	// (SleepUntil; 0 when awake). See step.go.
 	curInbox Inbox
 	adapter  *programAdapter
+	wake     int
 
+	// staged counts every message this node ever staged, local and global;
+	// Loop's sleep-contract check compares it across one Step call.
+	staged              int
 	globalSentThisRound int
 	countedFinished     bool
 	sharedSeq           map[string]int
@@ -525,9 +536,6 @@ func (e *engine) coordinate() {
 			finishedNow = e.deliver()
 		}
 		active -= finishedNow
-		if e.generation >= e.cfg.MaxRounds {
-			e.fail(fmt.Errorf("%w (%d)", ErrTooManyRounds, e.cfg.MaxRounds))
-		}
 		e.roundBoundary()
 		if active == 0 {
 			// Release any stragglers (none should exist) and stop.

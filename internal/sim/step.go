@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -50,6 +51,34 @@ import (
 // programs' behavior exactly — a finishing phase only reads its last inbox,
 // a starting phase only sends, so both share one round segment the same way
 // sequential calls share a round between two Env.Step calls.
+//
+// # Sleeping nodes
+//
+// Every flood of the paper runs for its worst-case length because a node
+// cannot see global quiescence; the simulator can. A machine may declare,
+// with Env.SleepUntil, the first round in which it would do anything if no
+// message reached it earlier. The round loop then skips the node with one
+// compare per round until that round or until delivery puts a message in
+// its inbox, whichever comes first, and when a round ends with every
+// unfinished node asleep the loop fast-forwards: it jumps the round counter
+// to the earliest wake-up round, still ticking Config.OnRound and checking
+// MaxRounds and Ctx once per skipped round, and issuing no delivery (under
+// EngineDist: no RouteRound) for them. Rounds, messages, bits and loads —
+// every field of Metrics — are what they would be without sleeping.
+//
+// The declaration is a promise about the machine, not a request to the
+// engine: in every call it declares unnecessary, the machine would have read
+// an empty inbox, staged nothing and changed no state that a later call
+// depends on. The goroutine engines ignore SleepUntil and make those calls
+// anyway, which is what keeps them an oracle for it (Loop checks the
+// promise there). Only the declaration of a node's latest Step call counts,
+// so a machine that steps several sub-machines side by side in one Step
+// call must not let them sleep — one sub-machine's declaration would put
+// the others to sleep with it. Sequential composition (Chain, Sequence) is
+// safe: a finishing machine declares nothing.
+//
+// Loop.NextSend is the one place the repository's machines declare their
+// schedule; a machine that does not opt in is called every round.
 //
 // # Compatibility across engines
 //
@@ -166,17 +195,58 @@ func Finish(f func(env *Env)) func(env *Env) StepProgram {
 // round that just ended (skipped before the first round), then Send for the
 // next; the machine finishes — mid-segment, after its last Recv — once Send
 // has run Rounds times. Either callback may be nil. A Loop is single-use.
+//
+// NextSend, if set, is the loop's schedule (see "Sleeping nodes" above):
+// called after Send(i-1) with i >= 1, it returns the first iteration j >= i
+// in which the loop does anything if no message arrives before — Send(j)
+// stages a message, or Recv(j-1) acts on an empty inbox — and Rounds or
+// more if there is none. The loop sleeps until iteration j; woken earlier by
+// a message it runs Recv on it and Send for the iteration the round number
+// says it is in, and asks again. Recv and Send are not called for the
+// iterations slept through, so neither may count its calls. A nil Send
+// implies "none" (the loop only listens); a non-nil Send without NextSend is
+// called every iteration. On engines that call the machine every round
+// regardless, an iteration that was declared idle, found an empty inbox and
+// staged a message anyway fails the run.
 type Loop struct {
-	Rounds int
-	Send   func(env *Env, i int)
-	Recv   func(env *Env, in Inbox, i int)
-	i      int
+	Rounds   int
+	Send     func(env *Env, i int)
+	Recv     func(env *Env, in Inbox, i int)
+	NextSend func(i int) int
+
+	i     int // the iteration whose Send runs next
+	start int // the round in which iteration 0 ran
+	idle  int // the iteration NextSend declared the loop idle until
+}
+
+// Reactive is the NextSend of a delta flood: whatever its first Send put
+// out, from then on it stages something only in answer to a message.
+func Reactive(int) int { return math.MaxInt }
+
+// Pending is the NextSend of a paced sender: while more reports queued
+// work the next Send puts some of it out, and an empty queue refills only
+// when a message arrives.
+func Pending(more func() bool) func(int) int {
+	return func(i int) int {
+		if more() {
+			return i
+		}
+		return math.MaxInt
+	}
 }
 
 // Step implements StepProgram.
 func (l *Loop) Step(env *Env) bool {
+	in := env.Incoming()
+	if l.i == 0 {
+		l.start = env.Round()
+	} else {
+		l.i = env.Round() - l.start // past l.i only after a sleep
+	}
+	declaredIdle := l.i < l.idle && len(in.Local) == 0 && len(in.Global) == 0
+	staged := env.staged
 	if l.i > 0 && l.Recv != nil {
-		l.Recv(env, env.Incoming(), l.i-1)
+		l.Recv(env, in, l.i-1)
 	}
 	if l.i >= l.Rounds {
 		return true
@@ -184,7 +254,22 @@ func (l *Loop) Step(env *Env) bool {
 	if l.Send != nil {
 		l.Send(env, l.i)
 	}
+	if declaredIdle && env.staged != staged {
+		env.violate(fmt.Errorf("sim: node %d sent in loop iteration %d after declaring idle until %d",
+			env.id, l.i, l.idle))
+	}
 	l.i++
+	switch {
+	case l.Send == nil:
+		l.idle = l.Rounds
+	case l.NextSend != nil:
+		l.idle = min(l.NextSend(l.i), l.Rounds)
+	default:
+		return false
+	}
+	if l.idle > l.i {
+		env.SleepUntil(l.start + l.idle)
+	}
 	return false
 }
 
@@ -421,7 +506,7 @@ func RunStep(g *graph.Graph, cfg Config, factory StepFactory) (Metrics, error) {
 // Unlike coordinate() there is nothing to wake or park — the loop iterates.
 func (e *engine) runStepLoop(factory StepFactory) {
 	e.stepInit(factory)
-	for !e.stepAdvance() {
+	for !e.stepAdvance(math.MaxInt) {
 	}
 }
 
@@ -437,21 +522,50 @@ func (e *engine) stepInit(factory StepFactory) {
 }
 
 // stepAdvance executes one iteration of the step loop — one round segment
-// for every unfinished node plus delivery — and reports whether the run is
-// over (every node done, or aborted). It is the unit Stepper.Advance
-// exposes; runStepLoop is nothing but stepInit plus stepAdvance-until-true.
-func (e *engine) stepAdvance() bool {
-	e.stepGeneration()
+// for every unfinished node that is awake, delivery, and, if that leaves
+// every unfinished node asleep, a fast-forward to the earliest wake-up round
+// (but not past round limit) — and reports whether the run is over (every
+// node done, or aborted). It is the unit Stepper.Advance exposes;
+// runStepLoop is nothing but stepInit plus stepAdvance-until-true.
+func (e *engine) stepAdvance(limit int) bool {
+	minWake := e.stepGeneration()
 	e.stepActive -= e.deliverRound()
-	if e.generation >= e.cfg.MaxRounds {
-		e.fail(fmt.Errorf("%w (%d)", ErrTooManyRounds, e.cfg.MaxRounds))
-	}
 	e.roundBoundary()
+	if e.stepActive > 0 && !e.woke {
+		e.fastForward(min(minWake, limit))
+	}
 	if e.aborted.Load() {
 		e.releaseAdapters()
 		return true
 	}
 	return e.stepActive == 0
+}
+
+// fastForward skips the rounds before round `to` in which, every unfinished
+// node being asleep and nothing being in flight, no machine would be called
+// and no message delivered: per skipped round it does what an idle
+// stepAdvance would have left behind — the round counted, OnRound ticked,
+// MaxRounds and Ctx checked — and nothing else. Both inbox parities are
+// emptied first: delivery recycles only the parity of the round it
+// delivers, so a sleeper woken an odd number of rounds later would
+// otherwise read the buffer of the round before the skip.
+func (e *engine) fastForward(to int) {
+	if to <= e.generation {
+		return
+	}
+	for _, env := range e.envs {
+		for p := range env.inLocalBuf {
+			env.inLocalBuf[p] = env.inLocalBuf[p][:0]
+			env.inGlobalBuf[p] = env.inGlobalBuf[p][:0]
+		}
+	}
+	for e.generation < to && !e.aborted.Load() {
+		// The sleepers sat through the segment of round e.generation: it
+		// counts toward Metrics.Rounds like a segment that was executed.
+		e.metrics.Rounds = e.generation
+		e.generation++
+		e.roundBoundary()
+	}
 }
 
 // Stepper exposes the EngineStep main loop one delivered round at a time,
@@ -483,11 +597,12 @@ func NewStepper(g *graph.Graph, cfg Config, factory StepFactory) (*Stepper, erro
 	return &Stepper{eng: eng}, nil
 }
 
-// Advance runs up to `rounds` engine iterations and reports whether the
-// run completed (all nodes done or the run aborted).
+// Advance runs up to `rounds` rounds — executed or fast-forwarded over, a
+// round is a round — and reports whether the run completed (all nodes done
+// or the run aborted).
 func (s *Stepper) Advance(rounds int) bool {
-	for i := 0; i < rounds && !s.done; i++ {
-		s.done = s.eng.stepAdvance()
+	for to := s.eng.generation + rounds; !s.done && s.eng.generation < to; {
+		s.done = s.eng.stepAdvance(to)
 	}
 	return s.done
 }
@@ -496,7 +611,7 @@ func (s *Stepper) Advance(rounds int) bool {
 // the collected metrics with the engines' shared error contract.
 func (s *Stepper) Finish() (Metrics, error) {
 	for !s.done {
-		s.done = s.eng.stepAdvance()
+		s.done = s.eng.stepAdvance(math.MaxInt)
 	}
 	s.eng.stopSharded()
 	return s.eng.results()
@@ -516,51 +631,51 @@ func (e *engine) buildProg(factory StepFactory, env *Env) (sp StepProgram) {
 	return factory(env)
 }
 
-// stepGeneration advances every unfinished node by one round segment,
-// shard-parallel when the worker pool exists. With StepBatch resolved and
-// no adapter groups in play, the workers instead drain the node range in
-// work-stealing batches, which rebalances rounds whose active nodes
-// cluster inside few shards. (Adapter groups pin their members to the
-// shard's wake protocol, so batching is skipped when any exist.)
-func (e *engine) stepGeneration() {
+// stepGeneration advances every unfinished node that is awake by one round
+// segment, shard-parallel when the worker pool exists, and returns the
+// earliest round in which any unfinished node needs its next call (at most
+// the next round unless every one of them sleeps; MaxInt if none is left).
+// With StepBatch resolved and no adapter groups in play, the workers instead
+// drain the node range in work-stealing batches, which rebalances rounds
+// whose active nodes cluster inside few shards. (Adapter groups pin their
+// members to the shard's wake protocol, so batching is skipped when any
+// exist.)
+func (e *engine) stepGeneration() (minWake int) {
 	if e.nShards == 1 {
-		e.stepShard(0)
-		return
+		return e.stepShard(0)
 	}
-	if e.stepBatch > 0 && e.adGroups == nil {
+	task := shardTask{step: true, batch: e.stepBatch > 0 && e.adGroups == nil}
+	if task.batch {
 		e.stepCursor.Store(0)
-		for k := 0; k < e.nShards; k++ {
-			e.workCh <- shardTask{step: true, batch: true}
-		}
-		for k := 0; k < e.nShards; k++ {
-			<-e.resCh
-		}
-		return
 	}
 	for k := 0; k < e.nShards; k++ {
-		e.workCh <- shardTask{k: k, step: true}
+		task.k = k
+		e.workCh <- task
 	}
+	minWake = math.MaxInt
 	for k := 0; k < e.nShards; k++ {
-		<-e.resCh
+		minWake = min(minWake, (<-e.resCh).minWake)
 	}
+	return minWake
 }
 
 // stepBatches is one worker's share of a batched step generation: claim
 // stepBatch-wide node ranges off the shared cursor until the range is
 // drained. Node state and staging buckets are per-sender, so any worker
 // may step any node; delivery stays shard-partitioned.
-func (e *engine) stepBatches() {
+func (e *engine) stepBatches() (minWake int) {
 	gen := e.generation
+	minWake = math.MaxInt
 	for {
 		hi := int(e.stepCursor.Add(int64(e.stepBatch)))
 		lo := hi - e.stepBatch
 		if lo >= e.n {
-			return
+			return minWake
 		}
 		if hi > e.n {
 			hi = e.n
 		}
-		e.stepRange(lo, hi, gen)
+		minWake = min(minWake, e.stepRange(lo, hi, gen))
 	}
 }
 
@@ -571,7 +686,7 @@ func (e *engine) stepBatches() {
 // argument as runShard). The shard's adapted programs, if any, are woken
 // first and run concurrently while the native machines are stepped inline;
 // the worker then waits for the group before returning.
-func (e *engine) stepShard(k int) {
+func (e *engine) stepShard(k int) (minWake int) {
 	lo := k * e.shardSize
 	hi := lo + e.shardSize
 	if hi > e.n {
@@ -611,17 +726,22 @@ func (e *engine) stepShard(k int) {
 			}
 		}
 	}
-	e.stepRange(lo, hi, gen)
+	minWake = e.stepRange(lo, hi, gen)
 	if g != nil {
 		<-g.done
+		return 0 // adapted programs never sleep
 	}
+	return minWake
 }
 
-// stepRange advances the native machines of nodes [lo, hi) by one round
-// segment; it is the inner loop shared by whole-shard and batched
+// stepRange advances the native machines of nodes [lo, hi) that are awake
+// by one round segment and returns the earliest round any unfinished one of
+// them needs its next call in (its SleepUntil declaration, or 0 for "the
+// next round"); it is the inner loop shared by whole-shard and batched
 // stepping.
-func (e *engine) stepRange(lo, hi, gen int) {
+func (e *engine) stepRange(lo, hi, gen int) (minWake int) {
 	p := gen & 1
+	minWake = math.MaxInt
 	for v := lo; v < hi; v++ {
 		env := e.envs[v]
 		// Group members are skipped before their finished flag is read:
@@ -632,14 +752,22 @@ func (e *engine) stepRange(lo, hi, gen int) {
 		if env.finished {
 			continue
 		}
-		env.round = gen
-		if gen > 0 {
-			env.curInbox = Inbox{Local: env.inLocalBuf[p], Global: env.inGlobalBuf[p]}
-		} else {
-			env.curInbox = Inbox{}
+		if env.wake <= gen {
+			env.wake = 0
+			env.round = gen
+			if gen > 0 {
+				env.curInbox = Inbox{Local: env.inLocalBuf[p], Global: env.inGlobalBuf[p]}
+			} else {
+				env.curInbox = Inbox{}
+			}
+			e.stepNode(env, v)
+			if env.finished {
+				continue
+			}
 		}
-		e.stepNode(env, v)
+		minWake = min(minWake, env.wake)
 	}
+	return minWake
 }
 
 // stepNode runs one machine call under the engines' shared panic contract.

@@ -53,7 +53,7 @@ func NewExploreMachine(env *sim.Env, isSource bool, rounds int) *ExploreMachine 
 		m.Hops[env.ID()] = 0
 		m.bufs[0] = append(m.bufs[0], distUpdate{Source: env.ID(), Dist: 0, Hops: 0})
 	}
-	m.loop = sim.Loop{Rounds: rounds, Send: m.send, Recv: m.recv}
+	m.loop = sim.Loop{Rounds: rounds, Send: m.send, Recv: m.recv, NextSend: sim.Reactive}
 	return m
 }
 
@@ -121,7 +121,7 @@ func NewFloodVectorsMachine(env *sim.Env, mine []int64, radius int) *FloodVector
 		m.Known.Put(uint64(env.ID()), mine)
 		m.bufs[0] = append(m.bufs[0], floodVec{Origin: env.ID(), TTL: radius, Values: mine})
 	}
-	m.loop = sim.Loop{Rounds: radius, Send: m.send, Recv: m.recv}
+	m.loop = sim.Loop{Rounds: radius, Send: m.send, Recv: m.recv, NextSend: sim.Reactive}
 	return m
 }
 
