@@ -26,17 +26,26 @@ import (
 // distances (or the estimate) it produced, flattened in a canonical order.
 type goldenRun func(nw *hybrid.Network) (hybrid.Metrics, []int64, error)
 
-func goldenAPSP(nw *hybrid.Network) (hybrid.Metrics, []int64, error) {
-	res, err := nw.APSP()
-	if err != nil {
-		return hybrid.Metrics{}, nil, err
+// goldenMatrix adapts the three APSP entry points.
+func goldenMatrix(apsp func(nw *hybrid.Network) (*hybrid.APSPResult, error)) goldenRun {
+	return func(nw *hybrid.Network) (hybrid.Metrics, []int64, error) {
+		res, err := apsp(nw)
+		if err != nil {
+			return hybrid.Metrics{}, nil, err
+		}
+		var flat []int64
+		for _, row := range res.Dist {
+			flat = append(flat, row...)
+		}
+		return res.Metrics, flat, nil
 	}
-	var flat []int64
-	for _, row := range res.Dist {
-		flat = append(flat, row...)
-	}
-	return res.Metrics, flat, nil
 }
+
+var (
+	goldenAPSP         = goldenMatrix((*hybrid.Network).APSP)
+	goldenAPSPBaseline = goldenMatrix((*hybrid.Network).APSPBaseline)
+	goldenAPSPLocal    = goldenMatrix(func(nw *hybrid.Network) (*hybrid.APSPResult, error) { return nw.APSPLocalOnly(12) })
+)
 
 func goldenKSSP(sources []int, spec hybrid.KSSPSpec) goldenRun {
 	return func(nw *hybrid.Network) (hybrid.Metrics, []int64, error) {
@@ -67,12 +76,51 @@ func goldenSSSP(nw *hybrid.Network) (hybrid.Metrics, []int64, error) {
 	return res.Metrics, res.Dist, nil
 }
 
-func goldenDiameter(nw *hybrid.Network) (hybrid.Metrics, []int64, error) {
-	res, err := nw.Diameter(hybrid.DiamCor52(0.5))
+func goldenDiameter(diam func(nw *hybrid.Network) (*hybrid.DiameterResult, error)) goldenRun {
+	return func(nw *hybrid.Network) (hybrid.Metrics, []int64, error) {
+		res, err := diam(nw)
+		if err != nil {
+			return hybrid.Metrics{}, nil, err
+		}
+		return res.Metrics, []int64{res.Estimate}, nil
+	}
+}
+
+func goldenDiameterSpec(spec hybrid.DiameterSpec) goldenRun {
+	return goldenDiameter(func(nw *hybrid.Network) (*hybrid.DiameterResult, error) { return nw.Diameter(spec) })
+}
+
+// goldenRouting routes one token from every node v to (5v+1) mod n with
+// every third node also receiving a second one: S = R = V, so the session
+// and both helper families span the whole graph.
+func goldenRouting(nw *hybrid.Network) (hybrid.Metrics, []int64, error) {
+	n := nw.N()
+	specs := make([]hybrid.RoutingSpec, n)
+	for v := range specs {
+		specs[v] = hybrid.RoutingSpec{InS: true, InR: true, KS: 2, KR: 4, PS: 1, PR: 1}
+	}
+	send := func(s, r int, i, val int64) {
+		l := hybrid.RoutingLabel{S: s, R: r, I: i}
+		specs[s].Send = append(specs[s].Send, hybrid.RoutingToken{Label: l, Value: val})
+		specs[r].Expect = append(specs[r].Expect, l)
+	}
+	for v := 0; v < n; v++ {
+		send(v, (5*v+1)%n, 0, int64(1000+v))
+		if v%3 == 0 {
+			send(v, (v+n/2)%n, 1, int64(-v))
+		}
+	}
+	out, m, err := nw.TokenRouting(specs)
 	if err != nil {
 		return hybrid.Metrics{}, nil, err
 	}
-	return res.Metrics, []int64{res.Estimate}, nil
+	var flat []int64
+	for _, toks := range out {
+		for _, tok := range toks {
+			flat = append(flat, int64(tok.S), int64(tok.R), tok.I, tok.Value)
+		}
+	}
+	return m, flat, nil
 }
 
 // goldenBody runs the whole matrix on one engine and renders it.
@@ -92,7 +140,17 @@ func goldenBody(t *testing.T, eng hybrid.Engine) string {
 			goldenKSSP([]int{0, 7, 19, 33}, hybrid.KSSPRealMM(2))},
 		{"kssp-cor46/wgrid6x6", weighted, goldenKSSP([]int{1, 20}, hybrid.Cor46(0.5))},
 		{"sssp/wgrid6x6", weighted, goldenSSSP},
-		{"diameter-cor52/grid6x6", hybrid.GridGraph(6, 6), goldenDiameter},
+		{"diameter-cor52/grid6x6", hybrid.GridGraph(6, 6), goldenDiameterSpec(hybrid.DiamCor52(0.5))},
+		// Appended when the blocking twins were deleted, recorded from them
+		// (EngineLegacy ran the blocking forms then); the rows above are older.
+		{"apsp-baseline/grid6x6", hybrid.GridGraph(6, 6), goldenAPSPBaseline},
+		{"apsp-local/grid6x6", hybrid.GridGraph(6, 6), goldenAPSPLocal},
+		{"kssp-cor47/wgrid6x6", weighted, goldenKSSP([]int{0, 17, 35}, hybrid.Cor47(0.5))},
+		{"kssp-cor48/wgrid6x6", weighted, goldenKSSP([]int{4, 30}, hybrid.Cor48(0.5))},
+		{"diameter-cor53/grid6x6", hybrid.GridGraph(6, 6), goldenDiameterSpec(hybrid.DiamCor53(0.5))},
+		{"diameter-realmm/grid5x5", hybrid.GridGraph(5, 5), goldenDiameterSpec(hybrid.DiamRealMM(2))},
+		{"wdiameter/wgrid6x6", weighted, goldenDiameter((*hybrid.Network).WeightedDiameterApprox)},
+		{"routing/grid6x6", hybrid.GridGraph(6, 6), goldenRouting},
 	}
 	var b strings.Builder
 	for _, c := range cases {

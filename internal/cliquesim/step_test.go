@@ -8,10 +8,9 @@ import (
 	"repro/internal/graph"
 	"repro/internal/routing"
 	"repro/internal/sim"
+	"repro/internal/simtest"
 	"repro/internal/skeleton"
 )
-
-var stepEngines = []sim.Engine{sim.EngineLegacy, sim.EngineSharded, sim.EngineStep}
 
 // distill reduces a Result to comparable content: the shared index space
 // and each member's final diameter answer (the factory below runs MM with
@@ -31,29 +30,41 @@ func distill(results []Result) ([][]int, []int64) {
 	return members, diams
 }
 
-// TestSimulateMachineMatches proves the step form of the CLIQUE simulation
-// (one SessionMachine, then a RouteMachine per simulated round) byte-
-// identical to Simulate on every engine, with real messages (semiring MM).
+// words flattens what distill compares for the pinned hash.
+func (r Result) words() []int64 {
+	w := simtest.Ints(r.Members)
+	diam := int64(-1)
+	if dn, ok := r.Node.(clique.DiameterNode); ok {
+		diam = dn.Diameter()
+	}
+	return append(w, int64(r.Index), diam)
+}
+
+// TestSimulateMachineMatches holds the machine form of the CLIQUE
+// simulation (one SessionMachine, then a RouteMachine per simulated round)
+// to the trace of the blocking Simulate it replaced, on every engine, with
+// real messages (semiring MM): every member must end with the skeleton's
+// diameter.
 func TestSimulateMachineMatches(t *testing.T) {
 	g := graph.Grid(6, 6)
 	sp := skeleton.Params{X: 0.6}
 	n := g.N()
-
-	want := make([]Result, n)
-	factory := SharedFactory(func(q int, _ []int) clique.Algorithm { return clique.NewMM(q, true) })
-	wantM, err := sim.Run(g, sim.Config{Seed: 29, Engine: sim.EngineLegacy}, func(env *sim.Env) {
-		skel := skeleton.Compute(env, sp, false)
-		want[env.ID()] = Simulate(env, skel, sp.SampleProb(n), factory, routing.Params{})
-	})
-	if err != nil {
-		t.Fatal(err)
+	pin := simtest.Pin{Metrics: sim.Metrics{Rounds: 20450, GlobalMsgs: 36446, GlobalBits: 1895192, LocalMsgs: 123138, LocalBits: 61607304, MaxGlobalSend: 6, MaxGlobalRecv: 15}, Sum: 0x1b1e3e61d7ec7444}
+	newFactory := func() Factory {
+		return SharedFactory(func(q int, _ []int) clique.Algorithm { return clique.NewMM(q, true) })
 	}
-	wantMembers, wantDiams := distill(want)
 
-	for _, eng := range stepEngines {
+	factory := newFactory()
+	simtest.Blocking(t, "simulate", g, 29, pin, func(env *sim.Env, emit func(...int64)) {
+		skel := skeleton.Compute(env, sp, false)
+		emit(Simulate(env, skel, sp.SampleProb(n), factory, routing.Params{}).words()...)
+	})
+
+	for _, eng := range simtest.Engines {
+		factory := newFactory()
+		skels := make([]skeleton.Result, n)
 		got := make([]Result, n)
-		factory := SharedFactory(func(q int, _ []int) clique.Algorithm { return clique.NewMM(q, true) })
-		gotM, err := sim.RunStep(g, sim.Config{Seed: 29, Engine: eng}, func(env *sim.Env) sim.StepProgram {
+		simtest.Run(t, "simulate", g, eng, 29, pin, func(env *sim.Env, emit func(...int64)) sim.StepProgram {
 			id := env.ID()
 			var skelM *skeleton.ComputeMachine
 			return sim.Sequence(
@@ -62,23 +73,25 @@ func TestSimulateMachineMatches(t *testing.T) {
 					return skelM
 				},
 				func(env *sim.Env) sim.StepProgram {
+					skels[id] = skelM.Res
 					return NewSimulateMachine(env, skelM.Res, sp.SampleProb(n), factory,
-						routing.Params{}, func(r Result) { got[id] = r })
+						routing.Params{}, func(r Result) {
+							got[id] = r
+							emit(r.words()...)
+						})
 				},
 			)
 		})
+		s, _, err := skeleton.Build(skels)
 		if err != nil {
-			t.Fatalf("engine=%s: %v", eng, err)
+			t.Fatal(err)
 		}
-		gotMembers, gotDiams := distill(got)
-		if !reflect.DeepEqual(wantMembers, gotMembers) {
-			t.Errorf("engine=%s: member lists differ", eng)
-		}
-		if !reflect.DeepEqual(wantDiams, gotDiams) {
-			t.Errorf("engine=%s: simulated diameters differ", eng)
-		}
-		if wantM != gotM {
-			t.Errorf("engine=%s: metrics differ: %+v vs %+v", eng, wantM, gotM)
+		want := graph.WeightedDiameter(s)
+		_, diams := distill(got)
+		for v, d := range diams {
+			if skels[v].InSkeleton && d != want {
+				t.Errorf("%s: member %d simulated diameter %d, skeleton diameter %d", eng, v, d, want)
+			}
 		}
 	}
 }

@@ -2,85 +2,68 @@ package diameter
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/kssp"
 	"repro/internal/sim"
+	"repro/internal/simtest"
 )
 
-var stepEngines = []sim.Engine{sim.EngineLegacy, sim.EngineSharded, sim.EngineStep}
-
-// diffDiameter runs Compute as oracle and the step machine on every
-// engine, requiring byte-identical estimates and Metrics.
-func diffDiameter(t *testing.T, g *graph.Graph, spec AlgSpec, seed int64) {
+// pinnedDiameter holds a diameter machine to the trace of the blocking form
+// it replaced (oracle), on every engine: every node's estimate, hashed, and
+// the common estimate within [d, bound·d] of the true diameter d.
+func pinnedDiameter(t *testing.T, g *graph.Graph, seed int64, pin simtest.Pin, d int64, bound float64,
+	oracle func(*sim.Env) int64,
+	machine func(*sim.Env, func(int64)) sim.StepProgram) {
 	t.Helper()
-	n := g.N()
-	want := make([]int64, n)
-	wantM, err := sim.Run(g, sim.Config{Seed: seed, Engine: sim.EngineLegacy}, func(env *sim.Env) {
-		want[env.ID()] = Compute(env, spec, Params{})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, eng := range stepEngines {
-		got := make([]int64, n)
-		gotM, err := sim.RunStep(g, sim.Config{Seed: seed, Engine: eng}, func(env *sim.Env) sim.StepProgram {
-			id := env.ID()
-			return NewComputeMachine(env, spec, Params{}, func(d int64) { got[id] = d })
+	simtest.Blocking(t, "diameter", g, seed, pin, func(env *sim.Env, emit func(...int64)) { emit(oracle(env)) })
+	var est int64
+	simtest.Machines(t, "diameter", g, seed, pin, func(env *sim.Env, emit func(...int64)) sim.StepProgram {
+		id := env.ID()
+		return machine(env, func(e int64) {
+			if id == 0 {
+				est = e
+			}
+			emit(e)
 		})
-		if err != nil {
-			t.Fatalf("engine=%s: %v", eng, err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("engine=%s: estimates differ", eng)
-		}
-		if wantM != gotM {
-			t.Errorf("engine=%s: metrics differ: %+v vs %+v", eng, wantM, gotM)
-		}
+	})
+	if est < d || float64(est) > bound*float64(d) {
+		t.Errorf("estimate %d outside [%d, %g·%d]", est, d, bound, d)
 	}
+}
+
+func pinnedHopDiameter(t *testing.T, g *graph.Graph, spec AlgSpec, seed int64, bound float64, pin simtest.Pin) {
+	t.Helper()
+	pinnedDiameter(t, g, seed, pin, graph.HopDiameter(g), bound,
+		func(env *sim.Env) int64 { return Compute(env, spec, Params{}) },
+		func(env *sim.Env, done func(int64)) sim.StepProgram {
+			return NewComputeMachine(env, spec, Params{}, done)
+		})
 }
 
 // TestComputeMachineMatchesOracle covers the declared-cost oracle path
-// (Corollary 5.2).
+// (Corollary 5.2: 3/2+ε, plus the 2/η exploration slack).
 func TestComputeMachineMatchesOracle(t *testing.T) {
-	diffDiameter(t, graph.Grid(6, 6), Corollary52(0.5, 0), 43)
+	pinnedHopDiameter(t, graph.Grid(6, 6), Corollary52(0.5, 0), 43, 3,
+		simtest.Pin{Metrics: sim.Metrics{Rounds: 1378, GlobalMsgs: 1313, GlobalBits: 68276, LocalMsgs: 10314, LocalBits: 363396, MaxGlobalSend: 6, MaxGlobalRecv: 6}, Sum: 0x4dc5d298fe5428a5})
 }
 
 // TestComputeMachineMatchesRealMM covers the real-message exact skeleton
-// diameter (δ = 1/3).
+// diameter (δ = 1/3: 1+2/η at η = 2).
 func TestComputeMachineMatchesRealMM(t *testing.T) {
-	diffDiameter(t, graph.Cycle(30), RealMM(2), 47)
+	pinnedHopDiameter(t, graph.Cycle(30), RealMM(2), 47, 2,
+		simtest.Pin{Metrics: sim.Metrics{Rounds: 1747, GlobalMsgs: 2282, GlobalBits: 104972, LocalMsgs: 5042, LocalBits: 123470, MaxGlobalSend: 5, MaxGlobalRecv: 5}, Sum: 0xfc0c753f685d8f65})
 }
 
-// TestWeightedApproxMachineMatches proves the weighted factor-2 machine
-// byte-identical to WeightedApprox on every engine.
+// TestWeightedApproxMachineMatches covers the weighted factor-2 estimate.
 func TestWeightedApproxMachineMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := graph.WithRandomWeights(graph.Grid(5, 5), 5, rng)
-	n := g.N()
-	want := make([]int64, n)
-	wantM, err := sim.Run(g, sim.Config{Seed: 53, Engine: sim.EngineLegacy}, func(env *sim.Env) {
-		want[env.ID()] = WeightedApprox(env, kssp.Corollary49(), kssp.Params{})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, eng := range stepEngines {
-		got := make([]int64, n)
-		gotM, err := sim.RunStep(g, sim.Config{Seed: 53, Engine: eng}, func(env *sim.Env) sim.StepProgram {
-			id := env.ID()
-			return NewWeightedApproxMachine(env, kssp.Corollary49(), kssp.Params{}, func(d int64) { got[id] = d })
+	pin := simtest.Pin{Metrics: sim.Metrics{Rounds: 1101, GlobalMsgs: 730, GlobalBits: 33580, LocalMsgs: 3982, LocalBits: 141655, MaxGlobalSend: 5, MaxGlobalRecv: 5}, Sum: 0x899e3a5e10cae7fa}
+	pinnedDiameter(t, g, 53, pin, graph.WeightedDiameter(g), 2,
+		func(env *sim.Env) int64 { return WeightedApprox(env, kssp.Corollary49(), kssp.Params{}) },
+		func(env *sim.Env, done func(int64)) sim.StepProgram {
+			return NewWeightedApproxMachine(env, kssp.Corollary49(), kssp.Params{}, done)
 		})
-		if err != nil {
-			t.Fatalf("engine=%s: %v", eng, err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("engine=%s: estimates differ", eng)
-		}
-		if wantM != gotM {
-			t.Errorf("engine=%s: metrics differ: %+v vs %+v", eng, wantM, gotM)
-		}
-	}
 }

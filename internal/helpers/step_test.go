@@ -2,15 +2,24 @@ package helpers
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/sim"
+	"repro/internal/simtest"
 )
 
-// TestMachineMatchesCompute proves the Algorithm 1 step machine
-// byte-identical to the goroutine form on every engine.
+// words flattens a Result for the pinned hash.
+func (r Result) words() []int64 {
+	w := []int64{int64(r.Ruler), int64(r.RulerDist), simtest.Bool(r.InW), int64(r.Mu)}
+	w = append(w, simtest.Ints(r.Members)...)
+	w = append(w, simtest.Ints(r.WMembers)...)
+	return append(w, simtest.Ints(r.Helps)...)
+}
+
+// TestMachineMatchesCompute holds the Algorithm 1 machine to the trace of
+// the blocking Compute it replaced, on every engine — uncached, populating
+// a cluster cache, and bound from it — and checks the family it builds.
 func TestMachineMatchesCompute(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := graph.SparseConnected(60, 1.2, rng)
@@ -18,32 +27,46 @@ func TestMachineMatchesCompute(t *testing.T) {
 	for i := range inW {
 		inW[i] = rng.Float64() < 0.25
 	}
-	mu := 3
-
-	want := make([]Result, g.N())
-	wantM, err := sim.Run(g, sim.Config{Seed: 9, Engine: sim.EngineLegacy}, func(env *sim.Env) {
-		want[env.ID()] = Compute(env, inW[env.ID()], mu, Params{})
-	})
-	if err != nil {
-		t.Fatal(err)
+	const mu = 3
+	pins := map[string]simtest.Pin{
+		"uncached":   {Metrics: sim.Metrics{Rounds: 144, LocalMsgs: 3189, LocalBits: 196608}, Sum: 0xca7d4d8d5fd620d0},
+		"cache miss": {Metrics: sim.Metrics{Rounds: 156, GlobalMsgs: 118, GlobalBits: 6136, LocalMsgs: 3189, LocalBits: 196608, MaxGlobalSend: 1, MaxGlobalRecv: 1}, Sum: 0xca7d4d8d5fd620d0},
+		"cache hit":  {Metrics: sim.Metrics{Rounds: 84, GlobalMsgs: 118, GlobalBits: 6136, LocalMsgs: 1082, LocalBits: 64512, MaxGlobalSend: 1, MaxGlobalRecv: 1}, Sum: 0xca7d4d8d5fd620d0},
 	}
-	for _, eng := range []sim.Engine{sim.EngineLegacy, sim.EngineSharded, sim.EngineStep} {
-		got := make([]Result, g.N())
-		gotM, err := sim.RunStep(g, sim.Config{Seed: 9, Engine: eng}, func(env *sim.Env) sim.StepProgram {
-			m := NewMachine(env, inW[env.ID()], mu, Params{})
+
+	blocking := func(p Params) func(env *sim.Env, emit func(...int64)) {
+		return func(env *sim.Env, emit func(...int64)) {
+			emit(Compute(env, inW[env.ID()], mu, p).words()...)
+		}
+	}
+	simtest.Blocking(t, "uncached", g, 9, pins["uncached"], blocking(Params{}))
+	cached := Params{Clusters: NewClusterCache()}
+	simtest.Blocking(t, "cache miss", g, 9, pins["cache miss"], blocking(cached))
+	simtest.Blocking(t, "cache hit", g, 9, pins["cache hit"], blocking(cached))
+
+	results := make([]Result, g.N())
+	machine := func(p Params) simtest.Factory {
+		return func(env *sim.Env, emit func(...int64)) sim.StepProgram {
+			m := NewMachine(env, inW[env.ID()], mu, p)
 			return sim.Sequence(
 				func(*sim.Env) sim.StepProgram { return m },
-				sim.Finish(func(env *sim.Env) { got[env.ID()] = m.Res }),
+				sim.Finish(func(env *sim.Env) {
+					results[env.ID()] = m.Res
+					emit(m.Res.words()...)
+				}),
 			)
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("engine=%s: results differ", eng)
+	}
+	for _, eng := range simtest.Engines {
+		simtest.Run(t, "uncached", g, eng, 9, pins["uncached"], machine(Params{}))
+		cached := Params{Clusters: NewClusterCache()}
+		simtest.Run(t, "cache miss", g, eng, 9, pins["cache miss"], machine(cached))
+		simtest.Run(t, "cache hit", g, eng, 9, pins["cache hit"], machine(cached))
+		if err := ClusterCheck(g, results, mu); err != nil {
+			t.Errorf("%s: %v", eng, err)
 		}
-		if wantM != gotM {
-			t.Errorf("engine=%s: metrics differ: %+v vs %+v", eng, wantM, gotM)
+		if err := CheckFamily(g, results, mu, 6, 6); err != nil {
+			t.Errorf("%s: %v", eng, err)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/sim"
+	"repro/internal/simtest"
 )
 
 func TestAggregateOps(t *testing.T) {
@@ -365,16 +366,16 @@ func TestPipelinedBroadcastMultiplePerNode(t *testing.T) {
 	n := g.N()
 	const ell = 3
 	out := make([][]Token, n)
-	_, err := sim.Run(g, sim.Config{Seed: 33}, func(env *sim.Env) {
+	// The trace recorded from the blocking form, before a machine existed.
+	pin := simtest.Pin{Metrics: sim.Metrics{Rounds: 34, GlobalMsgs: 270, GlobalBits: 10800, MaxGlobalSend: 4, MaxGlobalRecv: 2}, Sum: 0xd9b37df2780b8b25}
+	simtest.Blocking(t, "pipelined", g, 33, pin, func(env *sim.Env, emit func(...int64)) {
 		mine := make([]Token, ell)
 		for j := range mine {
 			mine[j] = Token{A: int64(env.ID()), B: int64(j), C: 1}
 		}
 		out[env.ID()] = PipelinedBroadcast(env, mine, ell)
+		emit(tokenWords(out[env.ID()])...)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for v := 0; v < n; v++ {
 		if len(out[v]) != n*ell {
 			t.Fatalf("node %d knows %d tokens, want %d", v, len(out[v]), n*ell)

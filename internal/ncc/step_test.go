@@ -1,93 +1,72 @@
 package ncc
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/sim"
+	"repro/internal/simtest"
 )
 
-var stepEngines = []sim.Engine{sim.EngineLegacy, sim.EngineSharded, sim.EngineStep}
+// The tests of this file hold each machine to the trace of the blocking
+// collective it replaced (Metrics and every node's output), on every engine.
 
-// TestAggregateMachineMatches proves the aggregation machine byte-identical
-// to Aggregate on every engine.
+// tokenWords flattens a token list for the pinned hash.
+func tokenWords(ts []Token) []int64 {
+	w := []int64{int64(len(ts))}
+	for _, t := range ts {
+		w = append(w, t.A, t.B, t.C)
+	}
+	return w
+}
+
+// finishing runs m and then hands out() to emit.
+func finishing(m sim.StepProgram, emit func(...int64), out func() []int64) sim.StepProgram {
+	return sim.Sequence(
+		func(*sim.Env) sim.StepProgram { return m },
+		sim.Finish(func(*sim.Env) { emit(out()...) }),
+	)
+}
+
 func TestAggregateMachineMatches(t *testing.T) {
 	g := graph.Grid(5, 7)
-	for _, op := range []AggOp{AggMax, AggMin, AggSum} {
-		want := make([]int64, g.N())
-		wantM, err := sim.Run(g, sim.Config{Seed: 5, Engine: sim.EngineLegacy}, func(env *sim.Env) {
-			want[env.ID()] = Aggregate(env, int64(env.ID()*3%17), op)
+	pins := map[string]simtest.Pin{
+		"max": {Metrics: sim.Metrics{Rounds: 12, GlobalMsgs: 68, GlobalBits: 3536, MaxGlobalSend: 1, MaxGlobalRecv: 1}, Sum: 0x4e92febbd4cf1074},
+		"min": {Metrics: sim.Metrics{Rounds: 12, GlobalMsgs: 68, GlobalBits: 3536, MaxGlobalSend: 1, MaxGlobalRecv: 1}, Sum: 0x512a635d898f2a64},
+		"sum": {Metrics: sim.Metrics{Rounds: 12, GlobalMsgs: 68, GlobalBits: 3536, MaxGlobalSend: 1, MaxGlobalRecv: 1}, Sum: 0x6c29da99443f1b83},
+	}
+	for name, op := range map[string]AggOp{"max": AggMax, "min": AggMin, "sum": AggSum} {
+		value := func(id int) int64 { return int64(id * 3 % 17) }
+		simtest.Blocking(t, name, g, 5, pins[name], func(env *sim.Env, emit func(...int64)) {
+			emit(Aggregate(env, value(env.ID()), op))
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, eng := range stepEngines {
-			got := make([]int64, g.N())
-			gotM, err := sim.RunStep(g, sim.Config{Seed: 5, Engine: eng}, func(env *sim.Env) sim.StepProgram {
-				m := NewAggregateMachine(env, int64(env.ID()*3%17), op)
-				return sim.Sequence(
-					func(*sim.Env) sim.StepProgram { return m },
-					sim.Finish(func(env *sim.Env) { got[env.ID()] = m.Out }),
-				)
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(want, got) {
-				t.Errorf("op=%v engine=%s: results differ", op, eng)
-			}
-			if wantM != gotM {
-				t.Errorf("op=%v engine=%s: metrics differ: %+v vs %+v", op, eng, wantM, gotM)
-			}
-		}
+		simtest.Machines(t, name, g, 5, pins[name], func(env *sim.Env, emit func(...int64)) sim.StepProgram {
+			m := NewAggregateMachine(env, value(env.ID()), op)
+			return finishing(m, emit, func() []int64 { return []int64{m.Out} })
+		})
 	}
 }
 
-// TestBroadcastWordsMachineMatches proves the broadcast machine
-// byte-identical to BroadcastWords on every engine.
 func TestBroadcastWordsMachineMatches(t *testing.T) {
 	g := graph.Path(19)
 	words := []int64{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5}
 	const maxWords = 12
-	want := make([][]int64, g.N())
-	wantM, err := sim.Run(g, sim.Config{Seed: 6, Engine: sim.EngineLegacy}, func(env *sim.Env) {
-		var w []int64
-		if env.ID() == 2 {
-			w = words
+	pin := simtest.Pin{Metrics: sim.Metrics{Rounds: 5, GlobalMsgs: 72, GlobalBits: 3312, MaxGlobalSend: 4, MaxGlobalRecv: 4}, Sum: 0x208b2c038cf73d45}
+	mine := func(id int) []int64 {
+		if id == 2 {
+			return words
 		}
-		want[env.ID()] = BroadcastWords(env, 2, w, maxWords)
+		return nil
+	}
+	simtest.Blocking(t, "broadcast", g, 6, pin, func(env *sim.Env, emit func(...int64)) {
+		emit(BroadcastWords(env, 2, mine(env.ID()), maxWords)...)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, eng := range stepEngines {
-		got := make([][]int64, g.N())
-		gotM, err := sim.RunStep(g, sim.Config{Seed: 6, Engine: eng}, func(env *sim.Env) sim.StepProgram {
-			var w []int64
-			if env.ID() == 2 {
-				w = words
-			}
-			m := NewBroadcastWordsMachine(env, 2, w, maxWords)
-			return sim.Sequence(
-				func(*sim.Env) sim.StepProgram { return m },
-				sim.Finish(func(env *sim.Env) { got[env.ID()] = m.Out }),
-			)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("engine=%s: word vectors differ", eng)
-		}
-		if wantM != gotM {
-			t.Errorf("engine=%s: metrics differ: %+v vs %+v", eng, wantM, gotM)
-		}
-	}
+	simtest.Machines(t, "broadcast", g, 6, pin, func(env *sim.Env, emit func(...int64)) sim.StepProgram {
+		m := NewBroadcastWordsMachine(env, 2, mine(env.ID()), maxWords)
+		return finishing(m, emit, func() []int64 { return m.Out })
+	})
 }
 
-// TestDisseminateMachineMatches proves the dissemination machine
-// byte-identical to Disseminate on every engine.
 func TestDisseminateMachineMatches(t *testing.T) {
 	g := graph.Grid(6, 6)
 	mineOf := func(id int) []Token {
@@ -97,30 +76,12 @@ func TestDisseminateMachineMatches(t *testing.T) {
 		return []Token{{A: int64(id), B: int64(id * 2), C: 7}, {A: int64(id), B: int64(id*2 + 1), C: 8}}
 	}
 	k, ell := 2*(g.N()/5+1), 2
-	want := make([][]Token, g.N())
-	wantM, err := sim.Run(g, sim.Config{Seed: 7, Engine: sim.EngineLegacy}, func(env *sim.Env) {
-		want[env.ID()] = Disseminate(env, mineOf(env.ID()), k, ell, DisseminateParams{})
+	pin := simtest.Pin{Metrics: sim.Metrics{Rounds: 313, GlobalMsgs: 592, GlobalBits: 30784, LocalMsgs: 256, LocalBits: 34560, MaxGlobalSend: 6, MaxGlobalRecv: 6}, Sum: 0x5fa5d2afd91bb3a5}
+	simtest.Blocking(t, "disseminate", g, 7, pin, func(env *sim.Env, emit func(...int64)) {
+		emit(tokenWords(Disseminate(env, mineOf(env.ID()), k, ell, DisseminateParams{}))...)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, eng := range stepEngines {
-		got := make([][]Token, g.N())
-		gotM, err := sim.RunStep(g, sim.Config{Seed: 7, Engine: eng}, func(env *sim.Env) sim.StepProgram {
-			m := NewDisseminateMachine(env, mineOf(env.ID()), k, ell, DisseminateParams{})
-			return sim.Sequence(
-				func(*sim.Env) sim.StepProgram { return m },
-				sim.Finish(func(env *sim.Env) { got[env.ID()] = m.Out }),
-			)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("engine=%s: token sets differ", eng)
-		}
-		if wantM != gotM {
-			t.Errorf("engine=%s: metrics differ: %+v vs %+v", eng, wantM, gotM)
-		}
-	}
+	simtest.Machines(t, "disseminate", g, 7, pin, func(env *sim.Env, emit func(...int64)) sim.StepProgram {
+		m := NewDisseminateMachine(env, mineOf(env.ID()), k, ell, DisseminateParams{})
+		return finishing(m, emit, func() []int64 { return tokenWords(m.Out) })
+	})
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/helpers"
 	"repro/internal/sim"
+	"repro/internal/simtest"
 )
 
 // routePipeline runs one full routing instance through Pipeline (so the
@@ -38,7 +39,7 @@ func TestSessionCacheReuseAcrossRuns(t *testing.T) {
 	base, baseM := routePipeline(t, g, specs, sim.EngineLegacy, Params{})
 	agreeRounds := 2 * sim.Log2Ceil(n)
 
-	for _, eng := range stepEngines {
+	for _, eng := range simtest.Engines {
 		cache := NewSessionCache()
 		p := Params{Cache: cache}
 		first, firstM := routePipeline(t, g, specs, eng, p)
@@ -184,7 +185,7 @@ func TestSessionCacheSnapshotRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, eng := range stepEngines {
+	for _, eng := range simtest.Engines {
 		restoredClusters := helpers.NewClusterCache()
 		if err := restoredClusters.Restore(clusterSnap, n); err != nil {
 			t.Fatal(err)

@@ -2,14 +2,12 @@ package routing
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/sim"
+	"repro/internal/simtest"
 )
-
-var stepEngines = []sim.Engine{sim.EngineLegacy, sim.EngineSharded, sim.EngineStep}
 
 // buildStepInstance constructs a small everyone-sends routing instance.
 func buildStepInstance(n int) []Spec {
@@ -38,8 +36,20 @@ func buildStepInstance(n int) []Spec {
 	return specs
 }
 
-// TestRouteProgramMatchesRoute proves the step form of the full routing
-// protocol byte-identical to Route on every engine.
+// tokenWords flattens a token list for the pinned hash.
+func tokenWords(ts []Token) []int64 {
+	w := []int64{int64(len(ts))}
+	for _, t := range ts {
+		w = append(w, int64(t.S), int64(t.R), t.I, t.Value)
+	}
+	return w
+}
+
+// TestRouteProgramMatchesRoute holds the machine form of the protocol to the
+// trace of the blocking Route it replaced, on every engine: session and
+// route without a cache, populating a session cache, bound from it, and two
+// instances routed over one session (the scratch a Session keeps between
+// Route calls is reset, not reallocated).
 func TestRouteProgramMatchesRoute(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	g := graph.SparseConnected(40, 1.3, rng)
@@ -47,28 +57,83 @@ func TestRouteProgramMatchesRoute(t *testing.T) {
 	if err := Validate(specs); err != nil {
 		t.Fatal(err)
 	}
+	pins := map[string]simtest.Pin{
+		"uncached":      {Metrics: sim.Metrics{Rounds: 275, GlobalMsgs: 666, GlobalBits: 34632, LocalMsgs: 6487, LocalBits: 602958, MaxGlobalSend: 6, MaxGlobalRecv: 6}, Sum: 0x27037dde48667d7d},
+		"cache miss":    {Metrics: sim.Metrics{Rounds: 287, GlobalMsgs: 744, GlobalBits: 38688, LocalMsgs: 6487, LocalBits: 602958, MaxGlobalSend: 6, MaxGlobalRecv: 6}, Sum: 0x27037dde48667d7d},
+		"cache hit":     {Metrics: sim.Metrics{Rounds: 137, GlobalMsgs: 510, GlobalBits: 26520, LocalMsgs: 1871, LocalBits: 227508, MaxGlobalSend: 6, MaxGlobalRecv: 5}, Sum: 0x27037dde48667d7d},
+		"session reuse": {Metrics: sim.Metrics{Rounds: 400, GlobalMsgs: 1098, GlobalBits: 57096, LocalMsgs: 8358, LocalBits: 830466, MaxGlobalSend: 6, MaxGlobalRecv: 6}, Sum: 0xa33e56f9cc33b92},
+	}
+	// The second instance over the shared session: the same pairs, other
+	// values.
+	again := func(id int) []Token {
+		send := append([]Token(nil), specs[id].Send...)
+		for i := range send {
+			send[i].Value += 1000
+		}
+		return send
+	}
 
-	want := make([][]Token, g.N())
-	wantM, err := sim.Run(g, sim.Config{Seed: 12, Engine: sim.EngineLegacy}, func(env *sim.Env) {
-		want[env.ID()] = Route(env, specs[env.ID()], Params{})
+	blocking := func(p Params) func(env *sim.Env, emit func(...int64)) {
+		return func(env *sim.Env, emit func(...int64)) {
+			emit(tokenWords(Route(env, specs[env.ID()], p))...)
+		}
+	}
+	simtest.Blocking(t, "uncached", g, 12, pins["uncached"], blocking(Params{}))
+	cached := Params{Cache: NewSessionCache()}
+	simtest.Blocking(t, "cache miss", g, 12, pins["cache miss"], blocking(cached))
+	simtest.Blocking(t, "cache hit", g, 12, pins["cache hit"], blocking(cached))
+	simtest.Blocking(t, "session reuse", g, 12, pins["session reuse"], func(env *sim.Env, emit func(...int64)) {
+		spec := specs[env.ID()]
+		s := NewSession(env, spec.InS, spec.InR, spec.KS, spec.KR, spec.PS, spec.PR, Params{})
+		emit(tokenWords(s.Route(spec.Send, spec.Expect))...)
+		emit(tokenWords(s.Route(again(env.ID()), spec.Expect))...)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, eng := range stepEngines {
-		got := make([][]Token, g.N())
-		gotM, err := sim.RunStep(g, sim.Config{Seed: 12, Engine: eng}, func(env *sim.Env) sim.StepProgram {
+
+	got := make([][]Token, g.N())
+	machine := func(p Params) simtest.Factory {
+		return func(env *sim.Env, emit func(...int64)) sim.StepProgram {
 			id := env.ID()
-			return NewRouteProgram(env, specs[id], Params{}, func(toks []Token) { got[id] = toks })
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("engine=%s: routed tokens differ", eng)
-		}
-		if wantM != gotM {
-			t.Errorf("engine=%s: metrics differ: %+v vs %+v", eng, wantM, gotM)
+			return NewRouteProgram(env, specs[id], p, func(toks []Token) {
+				got[id] = toks
+				emit(tokenWords(toks)...)
+			})
 		}
 	}
+	for _, eng := range simtest.Engines {
+		simtest.Run(t, "uncached", g, eng, 12, pins["uncached"], machine(Params{}))
+		cached := Params{Cache: NewSessionCache()}
+		simtest.Run(t, "cache miss", g, eng, 12, pins["cache miss"], machine(cached))
+		simtest.Run(t, "cache hit", g, eng, 12, pins["cache hit"], machine(cached))
+		for v, spec := range specs {
+			if len(got[v]) != len(spec.Expect) {
+				t.Errorf("%s: node %d received %d tokens, expects %d", eng, v, len(got[v]), len(spec.Expect))
+			}
+			for _, tok := range got[v] {
+				if tok.R != v || tok.Value != int64(tok.S*7) {
+					t.Errorf("%s: node %d received %+v", eng, v, tok)
+				}
+			}
+		}
+	}
+	simtest.Machines(t, "session reuse", g, 12, pins["session reuse"], func(env *sim.Env, emit func(...int64)) sim.StepProgram {
+		spec := specs[env.ID()]
+		var sm *SessionMachine
+		var rm *RouteMachine
+		return sim.Sequence(
+			func(env *sim.Env) sim.StepProgram {
+				sm = NewSessionMachine(env, spec.InS, spec.InR, spec.KS, spec.KR, spec.PS, spec.PR, Params{})
+				return sm
+			},
+			func(env *sim.Env) sim.StepProgram {
+				rm = NewRouteMachine(sm.Out, spec.Send, spec.Expect)
+				return rm
+			},
+			func(env *sim.Env) sim.StepProgram {
+				emit(tokenWords(rm.Out)...)
+				rm = NewRouteMachine(sm.Out, again(env.ID()), spec.Expect)
+				return rm
+			},
+			sim.Finish(func(*sim.Env) { emit(tokenWords(rm.Out)...) }),
+		)
+	})
 }

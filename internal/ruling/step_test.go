@@ -1,47 +1,47 @@
 package ruling
 
 import (
-	"reflect"
+	"fmt"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/sim"
+	"repro/internal/simtest"
 )
 
-// TestMachineMatchesCompute proves the step machine byte-identical to the
-// goroutine form on every engine: same membership, same Metrics.
+// TestMachineMatchesCompute holds the machine to the trace of the blocking
+// Compute it replaced, on every engine: same membership, same Metrics, and
+// the membership is a valid ruling set.
 func TestMachineMatchesCompute(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"grid": graph.Grid(5, 6),
 		"path": graph.Path(23),
 	}
+	pins := map[string]simtest.Pin{
+		"grid mu=1": {Metrics: sim.Metrics{Rounds: 10, LocalMsgs: 298, LocalBits: 1490}, Sum: 0x25a5dcd1bf073ce5},
+		"grid mu=3": {Metrics: sim.Metrics{Rounds: 30, LocalMsgs: 458, LocalBits: 2290}, Sum: 0x622a5778680cf6c4},
+		"path mu=1": {Metrics: sim.Metrics{Rounds: 10, LocalMsgs: 134, LocalBits: 670}, Sum: 0x4f763d0764ecace4},
+		"path mu=3": {Metrics: sim.Metrics{Rounds: 30, LocalMsgs: 191, LocalBits: 955}, Sum: 0x523b6583f9fcf705},
+	}
 	for name, g := range graphs {
 		for _, mu := range []int{1, 3} {
-			want := make([]bool, g.N())
-			wantM, err := sim.Run(g, sim.Config{Seed: 11, Engine: sim.EngineLegacy}, func(env *sim.Env) {
-				want[env.ID()] = Compute(env, mu)
+			name := fmt.Sprintf("%s mu=%d", name, mu)
+			simtest.Blocking(t, name, g, 11, pins[name], func(env *sim.Env, emit func(...int64)) {
+				emit(simtest.Bool(Compute(env, mu)))
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, eng := range []sim.Engine{sim.EngineLegacy, sim.EngineSharded, sim.EngineStep} {
-				got := make([]bool, g.N())
-				gotM, err := sim.RunStep(g, sim.Config{Seed: 11, Engine: eng}, func(env *sim.Env) sim.StepProgram {
-					m := NewMachine(env, mu)
-					return sim.Sequence(
-						func(*sim.Env) sim.StepProgram { return m },
-						sim.Finish(func(env *sim.Env) { got[env.ID()] = m.InSet }),
-					)
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(want, got) {
-					t.Errorf("%s mu=%d engine=%s: memberships differ", name, mu, eng)
-				}
-				if wantM != gotM {
-					t.Errorf("%s mu=%d engine=%s: metrics differ: %+v vs %+v", name, mu, eng, wantM, gotM)
-				}
+			inSet := make([]bool, g.N())
+			simtest.Machines(t, name, g, 11, pins[name], func(env *sim.Env, emit func(...int64)) sim.StepProgram {
+				m := NewMachine(env, mu)
+				return sim.Sequence(
+					func(*sim.Env) sim.StepProgram { return m },
+					sim.Finish(func(env *sim.Env) {
+						inSet[env.ID()] = m.InSet
+						emit(simtest.Bool(m.InSet))
+					}),
+				)
+			})
+			if err := Check(g, inSet, 2*mu+1, 2*mu*sim.Log2Ceil(g.N())); err != nil {
+				t.Errorf("%s: %v", name, err)
 			}
 		}
 	}

@@ -2,58 +2,61 @@ package skeleton
 
 import (
 	"math/rand"
-	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/sim"
+	"repro/internal/simtest"
 )
 
-var stepEngines = []sim.Engine{sim.EngineLegacy, sim.EngineSharded, sim.EngineStep}
+// The tests of this file hold each machine to the trace of the blocking
+// collective it replaced (Metrics and every node's output), on every engine.
 
-// TestExploreMachineMatches proves the exploration machine byte-identical
-// to LimitedExplore on every engine.
+// words flattens a Result for the pinned hash, Near in ascending ID order.
+func (r Result) words() []int64 {
+	ids := make([]int, 0, len(r.Near))
+	for u := range r.Near {
+		ids = append(ids, u)
+	}
+	sort.Ints(ids)
+	w := []int64{simtest.Bool(r.InSkeleton), int64(r.H), int64(len(ids))}
+	for _, u := range ids {
+		w = append(w, int64(u), r.Near[u], int64(r.NearHops[u]))
+	}
+	return w
+}
+
+// finishing runs m and then hands out() to emit.
+func finishing(m sim.StepProgram, emit func(...int64), out func() []int64) sim.StepProgram {
+	return sim.Sequence(
+		func(*sim.Env) sim.StepProgram { return m },
+		sim.Finish(func(*sim.Env) { emit(out()...) }),
+	)
+}
+
 func TestExploreMachineMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	g := graph.WithRandomWeights(graph.Grid(6, 6), 5, rng)
 	isSource := func(id int) bool { return id%4 == 0 }
 	const rounds = 7
-
-	type res struct {
-		near []int64
-		hops []int
+	pin := simtest.Pin{Metrics: sim.Metrics{Rounds: 7, LocalMsgs: 646, LocalBits: 18144}, Sum: 0xf7393c5ab64249ed}
+	exploreWords := func(near []int64, hops []int) []int64 {
+		w := append([]int64(nil), near...)
+		for _, h := range hops {
+			w = append(w, int64(h))
+		}
+		return w
 	}
-	want := make([]res, g.N())
-	wantM, err := sim.Run(g, sim.Config{Seed: 13, Engine: sim.EngineLegacy}, func(env *sim.Env) {
-		n, h := LimitedExplore(env, isSource(env.ID()), rounds)
-		want[env.ID()] = res{n, h}
+	simtest.Blocking(t, "explore", g, 13, pin, func(env *sim.Env, emit func(...int64)) {
+		emit(exploreWords(LimitedExplore(env, isSource(env.ID()), rounds))...)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, eng := range stepEngines {
-		got := make([]res, g.N())
-		gotM, err := sim.RunStep(g, sim.Config{Seed: 13, Engine: eng}, func(env *sim.Env) sim.StepProgram {
-			m := NewExploreMachine(env, isSource(env.ID()), rounds)
-			return sim.Sequence(
-				func(*sim.Env) sim.StepProgram { return m },
-				sim.Finish(func(env *sim.Env) { got[env.ID()] = res{m.Near, m.Hops} }),
-			)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("engine=%s: exploration results differ", eng)
-		}
-		if wantM != gotM {
-			t.Errorf("engine=%s: metrics differ: %+v vs %+v", eng, wantM, gotM)
-		}
-	}
+	simtest.Machines(t, "explore", g, 13, pin, func(env *sim.Env, emit func(...int64)) sim.StepProgram {
+		m := NewExploreMachine(env, isSource(env.ID()), rounds)
+		return finishing(m, emit, func() []int64 { return exploreWords(m.Near, m.Hops) })
+	})
 }
 
-// TestFloodVectorsMachineMatches proves the vector-flood machine
-// byte-identical to FloodVectors on every engine.
 func TestFloodVectorsMachineMatches(t *testing.T) {
 	g := graph.Grid(5, 5)
 	mineOf := func(id, n int) []int64 {
@@ -67,74 +70,85 @@ func TestFloodVectorsMachineMatches(t *testing.T) {
 		return v
 	}
 	const radius = 4
-	want := make([]map[int][]int64, g.N())
-	wantM, err := sim.Run(g, sim.Config{Seed: 14, Engine: sim.EngineLegacy}, func(env *sim.Env) {
-		want[env.ID()] = labelsToMap(FloodVectors(env, mineOf(env.ID(), env.N()), radius))
+	pin := simtest.Pin{Metrics: sim.Metrics{Rounds: 4, LocalMsgs: 224, LocalBits: 57240}, Sum: 0x6b15523765496004}
+	labelWords := func(l *Labels) []int64 {
+		var w []int64
+		for _, k := range l.AppendSortedKeys(nil) {
+			v, _ := l.Get(k)
+			w = append(append(w, int64(k)), v...)
+		}
+		return w
+	}
+	simtest.Blocking(t, "flood", g, 14, pin, func(env *sim.Env, emit func(...int64)) {
+		emit(labelWords(FloodVectors(env, mineOf(env.ID(), env.N()), radius))...)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, eng := range stepEngines {
-		got := make([]map[int][]int64, g.N())
-		gotM, err := sim.RunStep(g, sim.Config{Seed: 14, Engine: eng}, func(env *sim.Env) sim.StepProgram {
-			m := NewFloodVectorsMachine(env, mineOf(env.ID(), env.N()), radius)
-			return sim.Sequence(
-				func(*sim.Env) sim.StepProgram { return m },
-				sim.Finish(func(env *sim.Env) { got[env.ID()] = labelsToMap(&m.Known) }),
-			)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("engine=%s: flood results differ", eng)
-		}
-		if wantM != gotM {
-			t.Errorf("engine=%s: metrics differ: %+v vs %+v", eng, wantM, gotM)
-		}
-	}
+	simtest.Machines(t, "flood", g, 14, pin, func(env *sim.Env, emit func(...int64)) sim.StepProgram {
+		m := NewFloodVectorsMachine(env, mineOf(env.ID(), env.N()), radius)
+		return finishing(m, emit, func() []int64 { return labelWords(&m.Known) })
+	})
 }
 
-// labelsToMap drains a flood result into a plain map for DeepEqual
-// comparison across the two execution forms.
-func labelsToMap(l *Labels) map[int][]int64 {
-	out := map[int][]int64{}
-	for _, k := range l.AppendSortedKeys(nil) {
-		v, _ := l.Get(k)
-		out[int(k)] = v
-	}
-	return out
-}
-
-// TestComputeMachineMatches proves the Algorithm 6 machine byte-identical
-// to Compute on every engine (including the membership sampling).
+// TestComputeMachineMatches covers Algorithm 6 including the membership
+// sampling — uncached, populating a result cache, and bound from it — and
+// Algorithm 7 on the skeleton it builds.
 func TestComputeMachineMatches(t *testing.T) {
 	g := graph.Path(40)
-	p := Params{X: 0.5}
-	want := make([]Result, g.N())
-	wantM, err := sim.Run(g, sim.Config{Seed: 15, Engine: sim.EngineLegacy}, func(env *sim.Env) {
-		want[env.ID()] = Compute(env, p, env.ID() == 0)
-	})
-	if err != nil {
-		t.Fatal(err)
+	pins := map[string]simtest.Pin{
+		"uncached":   {Metrics: sim.Metrics{Rounds: 387, GlobalMsgs: 246, GlobalBits: 12792, LocalMsgs: 912, LocalBits: 22464, MaxGlobalSend: 6, MaxGlobalRecv: 5}, Sum: 0xa2ee772423a6e725},
+		"cache miss": {Metrics: sim.Metrics{Rounds: 399, GlobalMsgs: 324, GlobalBits: 16848, LocalMsgs: 912, LocalBits: 22464, MaxGlobalSend: 6, MaxGlobalRecv: 5}, Sum: 0xa2ee772423a6e725},
+		"cache hit":  {Metrics: sim.Metrics{Rounds: 359, GlobalMsgs: 324, GlobalBits: 16848, LocalMsgs: 174, LocalBits: 8424, MaxGlobalSend: 6, MaxGlobalRecv: 5}, Sum: 0xa2ee772423a6e725},
 	}
-	for _, eng := range stepEngines {
-		got := make([]Result, g.N())
-		gotM, err := sim.RunStep(g, sim.Config{Seed: 15, Engine: eng}, func(env *sim.Env) sim.StepProgram {
-			m := NewComputeMachine(env, p, env.ID() == 0)
+	isSource := func(id int) bool { return id%7 == 3 }
+	repWords := func(reps []RepInfo) []int64 {
+		w := []int64{int64(len(reps))}
+		for _, r := range reps {
+			w = append(w, int64(r.Source), int64(r.Rep), r.Dist)
+		}
+		return w
+	}
+
+	blocking := func(p Params) func(env *sim.Env, emit func(...int64)) {
+		return func(env *sim.Env, emit func(...int64)) {
+			skel := Compute(env, p, env.ID() == 0)
+			emit(skel.words()...)
+			emit(repWords(ComputeRepresentatives(env, skel, isSource(env.ID()), 6))...)
+		}
+	}
+	simtest.Blocking(t, "uncached", g, 15, pins["uncached"], blocking(Params{X: 0.5}))
+	cached := Params{X: 0.5, Cache: NewResultCache()}
+	simtest.Blocking(t, "cache miss", g, 15, pins["cache miss"], blocking(cached))
+	simtest.Blocking(t, "cache hit", g, 15, pins["cache hit"], blocking(cached))
+
+	results := make([]Result, g.N())
+	machine := func(p Params) simtest.Factory {
+		return func(env *sim.Env, emit func(...int64)) sim.StepProgram {
+			var skelM *ComputeMachine
+			var repsM *RepresentativesMachine
 			return sim.Sequence(
-				func(*sim.Env) sim.StepProgram { return m },
-				sim.Finish(func(env *sim.Env) { got[env.ID()] = m.Res }),
+				func(env *sim.Env) sim.StepProgram {
+					skelM = NewComputeMachine(env, p, env.ID() == 0)
+					return skelM
+				},
+				func(env *sim.Env) sim.StepProgram {
+					results[env.ID()] = skelM.Res
+					emit(skelM.Res.words()...)
+					repsM = NewRepresentativesMachine(env, skelM.Res, isSource(env.ID()), 6)
+					return repsM
+				},
+				sim.Finish(func(*sim.Env) { emit(repWords(repsM.Out)...) }),
 			)
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("engine=%s: skeleton results differ", eng)
+	}
+	for _, eng := range simtest.Engines {
+		simtest.Run(t, "uncached", g, eng, 15, pins["uncached"], machine(Params{X: 0.5}))
+		cached := Params{X: 0.5, Cache: NewResultCache()}
+		simtest.Run(t, "cache miss", g, eng, 15, pins["cache miss"], machine(cached))
+		simtest.Run(t, "cache hit", g, eng, 15, pins["cache hit"], machine(cached))
+		if err := CheckCoverage(results); err != nil {
+			t.Errorf("%s: %v", eng, err)
 		}
-		if wantM != gotM {
-			t.Errorf("engine=%s: metrics differ: %+v vs %+v", eng, wantM, gotM)
+		if err := CheckDistancePreservation(g, results); err != nil {
+			t.Errorf("%s: %v", eng, err)
 		}
 	}
 }

@@ -1,51 +1,45 @@
 package sssp
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/sim"
+	"repro/internal/simtest"
 )
 
-// TestLocalMachinesMatch proves the LOCAL baseline step machines
-// byte-identical to Local and LocalAll on every engine.
+// TestLocalMachinesMatch holds the LOCAL baseline machines to the trace of
+// the blocking Local and LocalAll they replaced, on every engine; with
+// rounds = n-1 >= SPD both are exact.
 func TestLocalMachinesMatch(t *testing.T) {
 	g := graph.Path(25)
 	const rounds = 24
 	isSource := func(id int) bool { return id == 3 }
+	pin := simtest.Pin{Metrics: sim.Metrics{Rounds: 48, LocalMsgs: 96, LocalBits: 1440}, Sum: 0x7b64e5f79a2437f}
 
-	wantOne := make([]int64, g.N())
-	wantAll := make([][]int64, g.N())
-	wantM, err := sim.Run(g, sim.Config{Seed: 19, Engine: sim.EngineLegacy}, func(env *sim.Env) {
-		wantOne[env.ID()] = Local(env, isSource(env.ID()), rounds)
-		wantAll[env.ID()] = LocalAll(env, isSource(env.ID()), rounds)
+	simtest.Blocking(t, "local", g, 19, pin, func(env *sim.Env, emit func(...int64)) {
+		emit(Local(env, isSource(env.ID()), rounds))
+		emit(LocalAll(env, isSource(env.ID()), rounds)...)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, eng := range []sim.Engine{sim.EngineLegacy, sim.EngineSharded, sim.EngineStep} {
-		gotOne := make([]int64, g.N())
-		gotAll := make([][]int64, g.N())
-		gotM, err := sim.RunStep(g, sim.Config{Seed: 19, Engine: eng}, func(env *sim.Env) sim.StepProgram {
-			id := env.ID()
-			return sim.Sequence(
-				func(env *sim.Env) sim.StepProgram {
-					return NewLocalMachine(env, isSource(id), rounds, func(d int64) { gotOne[id] = d })
-				},
-				func(env *sim.Env) sim.StepProgram {
-					return NewLocalAllMachine(env, isSource(id), rounds, func(v []int64) { gotAll[id] = v })
-				},
-			)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(wantOne, gotOne) || !reflect.DeepEqual(wantAll, gotAll) {
-			t.Errorf("engine=%s: results differ", eng)
-		}
-		if wantM != gotM {
-			t.Errorf("engine=%s: metrics differ: %+v vs %+v", eng, wantM, gotM)
+	gotOne := make([]int64, g.N())
+	simtest.Machines(t, "local", g, 19, pin, func(env *sim.Env, emit func(...int64)) sim.StepProgram {
+		id := env.ID()
+		return sim.Sequence(
+			func(env *sim.Env) sim.StepProgram {
+				return NewLocalMachine(env, isSource(id), rounds, func(d int64) {
+					gotOne[id] = d
+					emit(d)
+				})
+			},
+			func(env *sim.Env) sim.StepProgram {
+				return NewLocalAllMachine(env, isSource(id), rounds, func(v []int64) { emit(v...) })
+			},
+		)
+	})
+	want := graph.Dijkstra(g, 3)
+	for v, d := range gotOne {
+		if d != want[v] {
+			t.Errorf("node %d: distance %d, want %d", v, d, want[v])
 		}
 	}
 }
