@@ -118,12 +118,12 @@ func BenchmarkA4HashIndependence(b *testing.B) {
 	runExperiment(b, "A4", experiments.A4HashIndependence)
 }
 
-// BenchmarkEngineAPSP compares the three round engines on grid-graph APSP
-// (Theorem 1.1) across sizes, on both unweighted grids and weighted grids
-// (WithRandomWeights; the Corollary 4.6/4.8 weighted regime's local
-// topology). All engines produce byte-identical results (engines_test.go);
-// what this measures is pure engine wall-clock — EngineStep runs the
-// step-native APSP machine, the others the goroutine form. Sizes above
+// BenchmarkEngineAPSP compares the step engine with the legacy reference on
+// grid-graph APSP (Theorem 1.1) across sizes, on both unweighted grids and
+// weighted grids (WithRandomWeights; the Corollary 4.6/4.8 weighted
+// regime's local topology). Both run the same machines and produce
+// byte-identical results (engines_test.go); what this measures is pure
+// engine wall-clock. (cmd/bench is the committed benchmark.) Sizes above
 // 1024 are opt-in via HYBRID_BENCH_XL=1 (pass -timeout 0: the n=16384
 // instance runs for a long time; see also cmd/hybridsim for one-off XL
 // runs).
@@ -138,7 +138,7 @@ func BenchmarkEngineAPSP(b *testing.B) {
 			if weighted {
 				graphName = "wgrid"
 			}
-			for _, eng := range []hybrid.Engine{hybrid.EngineLegacy, hybrid.EngineSharded, hybrid.EngineStep} {
+			for _, eng := range []hybrid.Engine{hybrid.EngineLegacy, hybrid.EngineStep} {
 				b.Run(fmt.Sprintf("graph=%s/n=%d/engine=%s", graphName, n, eng), func(b *testing.B) {
 					if n > 1024 && os.Getenv("HYBRID_BENCH_XL") == "" {
 						b.Skip("set HYBRID_BENCH_XL=1 (and -timeout 0) for sizes above 1024")
@@ -163,9 +163,9 @@ func BenchmarkEngineAPSP(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineTokenRouting compares the engines on an all-nodes token
+// BenchmarkEngineTokenRouting compares the two engines on an all-nodes token
 // routing instance (Theorem 2.2), a workload with dense per-round
-// messaging: the regime the sharded engine's preallocated inboxes and
+// messaging: the regime the step engine's preallocated inboxes and
 // per-shard staging are built for. (internal/sim's engine benchmarks
 // isolate the raw delivery gap.)
 func BenchmarkEngineTokenRouting(b *testing.B) {
@@ -186,7 +186,7 @@ func BenchmarkEngineTokenRouting(b *testing.B) {
 			PR:     1,
 		}
 	}
-	for _, eng := range []hybrid.Engine{hybrid.EngineLegacy, hybrid.EngineSharded, hybrid.EngineStep} {
+	for _, eng := range []hybrid.Engine{hybrid.EngineLegacy, hybrid.EngineStep} {
 		b.Run(fmt.Sprintf("engine=%s", eng), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_, _, err := hybrid.New(g, hybrid.WithSeed(benchSeed), hybrid.WithEngine(eng)).TokenRouting(specs)
@@ -236,7 +236,7 @@ func BenchmarkFacadeAPSPRepeated(b *testing.B) {
 	g := hybrid.GridGraph(10, 10)
 	var first, second int
 	for i := 0; i < b.N; i++ {
-		net := hybrid.New(g, hybrid.WithSeed(benchSeed), hybrid.WithEngine(hybrid.EngineStep))
+		net := hybrid.New(g, hybrid.WithSeed(benchSeed))
 		r1, err := net.APSP()
 		if err != nil {
 			b.Fatal(err)

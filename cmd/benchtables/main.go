@@ -6,8 +6,8 @@
 //
 //	benchtables [-quick] [-xl] [-seed N] [-only E3,E7] [-engine step]
 //
-// -xl extends the scaling tables (E3, E6) to n ∈ {1024, 4096} on the
-// goroutine-free step engine; see the README for expected runtimes.
+// -xl extends the scaling tables (E3, E6) to n ∈ {1024, 4096}; see the
+// README for expected runtimes.
 package main
 
 import (
@@ -27,16 +27,11 @@ func main() {
 	seed := flag.Int64("seed", 20200615, "root random seed")
 	only := flag.String("only", "", "comma-separated experiment IDs to run (default all)")
 	ablations := flag.Bool("ablations", false, "also run the A1-A4 design-choice ablations")
-	engine := flag.String("engine", "", "round engine: sharded (default) | step | legacy; -xl defaults to step")
+	engine := flag.String("engine", "step", "round engine: step | legacy")
 	flag.Parse()
 
 	cfg := experiments.Config{Seed: *seed, Quick: *quick, XL: *xl}
-	if *engine == "" && *xl {
-		*engine = "step" // the goroutine-free engine is what makes XL affordable
-	}
 	switch *engine {
-	case "", "sharded":
-		cfg.Engine = sim.EngineSharded
 	case "step":
 		cfg.Engine = sim.EngineStep
 	case "legacy":

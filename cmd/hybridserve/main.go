@@ -58,7 +58,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready cha
 	n := fs.Int("n", 1024, "number of nodes")
 	seed := fs.Int64("seed", 1, "random seed")
 	maxW := fs.Int64("maxw", 1, "max edge weight (1 = unweighted)")
-	engine := fs.String("engine", "step", "round engine: sharded|step|legacy|dist")
+	engine := fs.String("engine", "step", "round engine: step|legacy|dist")
 	workers := fs.Int("workers", 0, "dist engine worker-process count (0 = default)")
 	distConnect := fs.String("dist-connect", "", "comma-separated pre-started worker addresses for the dist engine (connect mode)")
 	distWindow := fs.Int("dist-window", 0, "dist engine round-pipelining window (0 = lockstep)")
@@ -89,8 +89,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready cha
 
 	var eng hybrid.Engine
 	switch *engine {
-	case "sharded":
-		eng = hybrid.EngineSharded
 	case "step":
 		eng = hybrid.EngineStep
 	case "legacy":

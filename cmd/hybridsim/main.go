@@ -51,7 +51,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	eps := fs.Float64("eps", 0.5, "epsilon for approximation variants")
 	seed := fs.Int64("seed", 1, "random seed")
 	maxW := fs.Int64("maxw", 1, "max edge weight (1 = unweighted)")
-	engine := fs.String("engine", "sharded", "round engine: sharded|step|legacy|dist")
+	engine := fs.String("engine", "step", "round engine: step|legacy|dist")
 	workers := fs.Int("workers", 0, "dist engine worker-process count (0 = default)")
 	distConnect := fs.String("dist-connect", "", "comma-separated pre-started worker addresses for the dist engine (connect mode, e.g. tcp:10.0.0.7:9000,tcp:10.0.0.8:9000)")
 	distWindow := fs.Int("dist-window", 0, "dist engine round-pipelining window (0 = lockstep)")
@@ -78,8 +78,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	var eng hybrid.Engine
 	switch *engine {
-	case "sharded":
-		eng = hybrid.EngineSharded
 	case "step":
 		eng = hybrid.EngineStep
 	case "legacy":

@@ -1,12 +1,10 @@
-// Differential tests between the four round engines: for fixed seeds, the
-// legacy goroutine-per-node engine, the sharded v2 engine, the
-// goroutine-free step engine, and the multi-process distributed engine
-// must produce byte-identical distances, diameter estimates, round counts,
-// and cost metrics on every algorithm of the public API. The legacy engine
-// is the oracle; any divergence is an engine (or step-port, or wire
-// protocol) bug by definition. On EngineStep, APSP and TokenRouting
-// exercise the step-native machines; SSSP, KSSP and Diameter exercise the
-// goroutine-backed adapter. EngineDist additionally routes every global
+// Differential tests between the three round engines: for fixed seeds, the
+// legacy goroutine-per-node engine, the goroutine-free step engine, and the
+// multi-process distributed engine must produce byte-identical distances,
+// diameter estimates, round counts, and cost metrics on every algorithm of
+// the public API. The legacy engine is the oracle — it calls every machine
+// in every round — so any divergence is an engine, sleep-schedule or wire
+// protocol bug by definition. EngineDist additionally routes every global
 // message through worker OS processes (see internal/dist).
 package hybrid_test
 
@@ -19,7 +17,7 @@ import (
 )
 
 // allEngines is the engine matrix every differential test sweeps.
-var allEngines = []hybrid.Engine{hybrid.EngineLegacy, hybrid.EngineSharded, hybrid.EngineStep, hybrid.EngineDist}
+var allEngines = []hybrid.Engine{hybrid.EngineLegacy, hybrid.EngineStep, hybrid.EngineDist}
 
 // engineSuite returns the small graph suite the differential tests run on:
 // a grid, a random sparse graph, a path (worst case for flooding), and a
@@ -189,7 +187,7 @@ func TestEnginesAgreeTokenRouting(t *testing.T) {
 
 // TestEnginesAgreeKSSPRealMM covers the real-message CLIQUE simulation
 // path at facade level: every simulated round routes actual tokens through
-// a RouteMachine on EngineStep, and all engines must stay byte-identical.
+// a RouteMachine, and all engines must stay byte-identical.
 func TestEnginesAgreeKSSPRealMM(t *testing.T) {
 	g := hybrid.GridGraph(5, 5)
 	sources := []int{0, 24}

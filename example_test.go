@@ -7,8 +7,8 @@ import (
 	hybrid "repro"
 )
 
-// Engines change wall-clock speed only: for a fixed seed, the goroutine
-// engines and the goroutine-free step engine (fastest on large inputs)
+// Engines change wall-clock speed only: for a fixed seed, the goroutine-free
+// step engine (the default) and the goroutine-per-node reference engine
 // produce byte-identical results and Metrics. See ARCHITECTURE.md for the
 // engine guide.
 func ExampleWithEngine() {
@@ -17,12 +17,12 @@ func ExampleWithEngine() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sharded, err := hybrid.New(g, hybrid.WithSeed(1), hybrid.WithEngine(hybrid.EngineSharded)).APSP()
+	legacy, err := hybrid.New(g, hybrid.WithSeed(1), hybrid.WithEngine(hybrid.EngineLegacy)).APSP()
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("corner to corner:", step.Dist[0][35])
-	fmt.Println("identical metrics:", step.Metrics == sharded.Metrics)
+	fmt.Println("identical metrics:", step.Metrics == legacy.Metrics)
 	// Output:
 	// corner to corner: 10
 	// identical metrics: true

@@ -51,10 +51,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		est := make([]int64, gm.G.N())
-		m, err := sim.Run(gm.G, sim.Config{Seed: 5, Cut: gm.AliceCut()}, func(env *sim.Env) {
-			est[env.ID()] = diameter.Compute(env, diameter.Corollary52(0.5, 0), diameter.Params{})
-		})
+		est, m, err := sim.RunPipeline(gm.G, sim.Config{Seed: 5, Cut: gm.AliceCut()},
+			diameter.Pipeline(diameter.Corollary52(0.5, 0), diameter.Params{}))
 		if err != nil {
 			log.Fatal(err)
 		}

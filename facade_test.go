@@ -4,20 +4,22 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
 	hybrid "repro"
-	"repro/internal/sim"
 )
 
-// TestFacadeStepNative asserts that every facade algorithm is step-native
-// on EngineStep: none of them may fall back to the goroutine-backed
-// adapter (sim.AdapterBuilds counts adapter constructions process-wide).
-// A regression here means an algorithm lost its machine form and silently
-// gave up the step engine's barrier win.
+// TestFacadeStepNative asserts that a Network built with no engine option
+// runs every facade algorithm on the goroutine-free step engine: while a run
+// is in flight the process has the goroutines it had before it (the legacy
+// engine would add one per node).
 func TestFacadeStepNative(t *testing.T) {
 	g := hybrid.GridGraph(6, 6)
-	net := hybrid.New(g, hybrid.WithSeed(1), hybrid.WithEngine(hybrid.EngineStep))
+	during := 0
+	net := hybrid.New(g, hybrid.WithSeed(1), hybrid.WithProgress(func(int) {
+		during = max(during, runtime.NumGoroutine())
+	}))
 	specs := make([]hybrid.RoutingSpec, g.N())
 	for v := range specs {
 		next := (v + 1) % g.N()
@@ -43,12 +45,13 @@ func TestFacadeStepNative(t *testing.T) {
 		{"TokenRouting", func() error { _, _, err := net.TokenRouting(specs); return err }},
 	}
 	for _, c := range calls {
-		before := sim.AdapterBuilds()
+		before := runtime.NumGoroutine()
+		during = 0
 		if err := c.run(); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if after := sim.AdapterBuilds(); after != before {
-			t.Errorf("%s: fell back to the goroutine adapter (%d adapter builds)", c.name, after-before)
+		if during == 0 || during > before+g.N()/2 {
+			t.Errorf("%s: %d goroutines during the run, %d before it: not the step engine", c.name, during, before)
 		}
 	}
 }
@@ -155,66 +158,6 @@ func TestRoutingSessionReuseAcrossCalls(t *testing.T) {
 			t.Errorf("%s: cached round counts diverge across engines: (%d,%d) vs (%d,%d)",
 				eng, first.Metrics.Rounds, second.Metrics.Rounds, wantFirst, wantSecond)
 		}
-	}
-}
-
-// TestDeprecatedShimsMatchSpecValues proves every old enum+eps call
-// produces byte-identical results to its spec-value replacement.
-func TestDeprecatedShimsMatchSpecValues(t *testing.T) {
-	g := hybrid.GridGraph(6, 6)
-	sources := []int{0, 21, 35}
-	ksspPairs := []struct {
-		variant hybrid.KSSPVariant
-		eps     float64
-		spec    hybrid.KSSPSpec
-	}{
-		{hybrid.VariantCor46, 0.5, hybrid.Cor46(0.5)},
-		{hybrid.VariantCor47, 0.25, hybrid.Cor47(0.25)},
-		{hybrid.VariantCor48, 0.5, hybrid.Cor48(0.5)},
-		{hybrid.VariantRealMM, 0.5, hybrid.KSSPRealMM(2)},
-		{hybrid.VariantCor46, 0, hybrid.Cor46(0)}, // old eps<=0 defaulting
-	}
-	for _, p := range ksspPairs {
-		old, err := hybrid.New(g, hybrid.WithSeed(7)).KSSPByVariant(sources, p.variant, p.eps)
-		if err != nil {
-			t.Fatalf("variant %d: %v", p.variant, err)
-		}
-		neu, err := hybrid.New(g, hybrid.WithSeed(7)).KSSP(sources, p.spec)
-		if err != nil {
-			t.Fatalf("%s: %v", p.spec.Name(), err)
-		}
-		if !reflect.DeepEqual(old.Dist, neu.Dist) || old.Metrics != neu.Metrics {
-			t.Errorf("variant %d and %s diverge", p.variant, p.spec.Name())
-		}
-		if old.Algorithm != neu.Algorithm {
-			t.Errorf("shim result tagged %q, spec value %q", old.Algorithm, neu.Algorithm)
-		}
-	}
-
-	diamPairs := []struct {
-		variant hybrid.DiameterVariant
-		eps     float64
-		spec    hybrid.DiameterSpec
-	}{
-		{hybrid.DiameterCor52, 0.5, hybrid.DiamCor52(0.5)},
-		{hybrid.DiameterCor53, 0.25, hybrid.DiamCor53(0.25)},
-		{hybrid.DiameterRealMM, 0.5, hybrid.DiamRealMM(2)},
-	}
-	for _, p := range diamPairs {
-		old, err := hybrid.New(g, hybrid.WithSeed(9)).DiameterByVariant(p.variant, p.eps)
-		if err != nil {
-			t.Fatalf("variant %d: %v", p.variant, err)
-		}
-		neu, err := hybrid.New(g, hybrid.WithSeed(9)).Diameter(p.spec)
-		if err != nil {
-			t.Fatalf("%s: %v", p.spec.Name(), err)
-		}
-		if old.Estimate != neu.Estimate || old.Metrics != neu.Metrics {
-			t.Errorf("variant %d and %s diverge", p.variant, p.spec.Name())
-		}
-	}
-	if _, err := hybrid.New(g).DiameterByVariant(hybrid.DiameterVariant(42), 0.5); err == nil {
-		t.Error("unknown diameter variant accepted")
 	}
 }
 

@@ -1,11 +1,11 @@
 // Golden model-cost fixture: the full Metrics struct and a distance
 // checksum of every public algorithm family at toy size, two algorithm
 // seeds, cold and warm, pinned in testdata/model_costs.golden and asserted
-// on all four engines. The engine differential tests prove the engines
-// equal to each other; this file proves them equal to what the tree
-// produced when the fixture was generated, so an engine or machine change
-// that claims to leave the model costs alone (rounds, messages, bits,
-// loads) is checked against a record that does not depend on the twins.
+// on every engine. The engine differential tests prove the engines equal to
+// each other; this file proves them equal to what the tree produced when
+// the fixture was generated, so an engine or machine change that claims to
+// leave the model costs alone (rounds, messages, bits, loads) is checked
+// against a record that does not depend on the code under test.
 package hybrid_test
 
 import (
@@ -141,8 +141,9 @@ func goldenBody(t *testing.T, eng hybrid.Engine) string {
 		{"kssp-cor46/wgrid6x6", weighted, goldenKSSP([]int{1, 20}, hybrid.Cor46(0.5))},
 		{"sssp/wgrid6x6", weighted, goldenSSSP},
 		{"diameter-cor52/grid6x6", hybrid.GridGraph(6, 6), goldenDiameterSpec(hybrid.DiamCor52(0.5))},
-		// Appended when the blocking twins were deleted, recorded from them
-		// (EngineLegacy ran the blocking forms then); the rows above are older.
+		// Appended when the algorithms' blocking forms were deleted, recorded
+		// from them (EngineLegacy ran the blocking forms then); the rows above
+		// are older.
 		{"apsp-baseline/grid6x6", hybrid.GridGraph(6, 6), goldenAPSPBaseline},
 		{"apsp-local/grid6x6", hybrid.GridGraph(6, 6), goldenAPSPLocal},
 		{"kssp-cor47/wgrid6x6", weighted, goldenKSSP([]int{0, 17, 35}, hybrid.Cor47(0.5))},

@@ -9,16 +9,17 @@
 // O(log n) messages of O(log n) bits per round to arbitrary nodes. The
 // package runs real message-passing node programs under a synchronous
 // round barrier and reports the paper's cost measures: rounds, global
-// messages, per-round load. Four interchangeable round engines execute
-// the programs (WithEngine); every algorithm is exported as a pipeline
-// implementing both execution forms (see sim.Pipeline), so all of them run
-// step-native on the goroutine-free step engine — all engines produce
-// byte-identical results and Metrics for a fixed seed, including the
-// multi-process distributed engine (EngineDist), which routes every
-// global message through per-shard worker OS processes over a checksummed
-// wire protocol.
-// ARCHITECTURE.md documents the engine designs, the pipeline contract, and
-// when to pick which engine.
+// messages, per-round load. Every algorithm is written once, as a resumable
+// state machine per node (sim.StepProgram), and three interchangeable round
+// engines execute the machines (WithEngine): the goroutine-free step engine
+// a Network uses unless told otherwise, the goroutine-per-node legacy engine
+// kept as the reference the others are tested against, and the
+// multi-process distributed engine (EngineDist), which routes every global
+// message through per-shard worker OS processes over a checksummed wire
+// protocol. All engines produce byte-identical results and Metrics for a
+// fixed seed.
+// ARCHITECTURE.md documents the machine form, the engine designs, and when
+// to pick which engine.
 //
 // Results implemented (all exact/approximation guarantees are verified by
 // the test suite against sequential ground truth):
@@ -83,28 +84,23 @@ type Metrics = sim.Metrics
 type Engine = sim.Engine
 
 const (
-	// EngineSharded is the default engine (sim v2): per-shard message
-	// staging, worker-pool delivery, preallocated and reused inboxes.
-	EngineSharded = sim.EngineSharded
-	// EngineLegacy is the original goroutine-per-node engine with a single
-	// delivery coordinator. It is slower but maximally simple, and is kept
-	// as a differential-testing oracle: for any fixed seed all engines
-	// produce byte-identical results and Metrics.
-	EngineLegacy = sim.EngineLegacy
-	// EngineStep is the goroutine-free engine (sim v3): each node runs as
+	// EngineStep is the default engine: goroutine-free, each node runs as
 	// an explicit resumable state machine and the round loop itself is the
-	// barrier, removing the scheduler wake/park cost that dominates large
-	// runs. Every facade algorithm runs step-native machines on it (the
-	// pipeline contract requires both execution forms), making it the
-	// fastest engine on large inputs. See ARCHITECTURE.md for the design
-	// and measured numbers.
+	// barrier; message staging is sharded and delivery runs on a worker
+	// pool with preallocated, reused inboxes. See ARCHITECTURE.md for the
+	// design and measured numbers.
 	EngineStep = sim.EngineStep
-	// EngineDist is the multi-process distributed engine (sim v4): node
-	// programs step in the coordinator, but every global-mode message is
-	// routed through its destination shard's worker OS process over the
+	// EngineLegacy is the reference engine: one goroutine per node blocking
+	// at a barrier and a single delivery coordinator. It is slower but
+	// maximally simple, and is kept as the differential-testing oracle: for
+	// any fixed seed all engines produce byte-identical results and Metrics.
+	EngineLegacy = sim.EngineLegacy
+	// EngineDist is the multi-process distributed engine: node machines
+	// step in the coordinator, but every global-mode message is routed
+	// through its destination shard's worker OS process over the
 	// internal/dist wire protocol (unix sockets by default) with
 	// per-frame checksums, timeouts, bounded retries, heartbeats, and
-	// kill/respawn/replay. It is the slowest engine — every round pays
+	// kill/respawn/replay. It is slower than EngineStep — every round pays
 	// real serialization and socket round trips — and exists as the
 	// message-passing deployment shape of the HYBRID model, validated
 	// byte-identical against the in-process engines. Configure with
@@ -139,10 +135,10 @@ func WithSeed(seed int64) Option {
 	return func(nw *Network) { nw.cfg.Seed = seed }
 }
 
-// WithEngine selects the round engine (default EngineSharded). Engines
-// change wall-clock speed only: results and Metrics are engine-independent
-// for a fixed seed. EngineStep is the fastest on large inputs (no
-// goroutine barrier); see ARCHITECTURE.md for the measured tradeoffs.
+// WithEngine selects the round engine (default EngineStep). Engines change
+// wall-clock speed and deployment shape only: results and Metrics are
+// engine-independent for a fixed seed. See ARCHITECTURE.md for the measured
+// tradeoffs.
 func WithEngine(e Engine) Option {
 	return func(nw *Network) { nw.cfg.Engine = e }
 }
@@ -153,7 +149,7 @@ func WithGlobalSendFactor(factor int) Option {
 	return func(nw *Network) { nw.cfg.GlobalSendFactor = factor }
 }
 
-// WithShards overrides the parallel engines' shard count (default:
+// WithShards overrides the step engine's shard count (default:
 // autotuned from the CPU count and graph size). Results are independent of
 // the value; it exists for tuning and determinism tests.
 func WithShards(s int) Option {
@@ -289,11 +285,9 @@ func New(g *graph.Graph, opts ...Option) *Network {
 // N returns the number of nodes.
 func (nw *Network) N() int { return nw.g.N() }
 
-// run executes one algorithm pipeline under the network's configuration,
-// dispatching on the engine: step-native machines on EngineStep, the
-// blocking closures on the goroutine engines. It is the single execution
-// path behind every facade entry point. (A package-level function because
-// Go methods cannot be generic.)
+// run executes one algorithm pipeline under the network's configuration. It
+// is the single execution path behind every facade entry point. (A
+// package-level function because Go methods cannot be generic.)
 func run[T any](nw *Network, p sim.Pipeline[T]) ([]T, Metrics, error) {
 	return sim.RunPipeline(nw.g, nw.cfg, p)
 }

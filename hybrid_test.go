@@ -102,11 +102,11 @@ func TestFacadeKSSPVariants(t *testing.T) {
 
 func TestFacadeKSSPUnknownVariant(t *testing.T) {
 	net := hybrid.New(hybrid.PathGraph(4))
-	if _, err := net.KSSPByVariant([]int{0}, hybrid.KSSPVariant(99), 0.5); err == nil {
-		t.Fatal("expected error for unknown variant")
-	}
 	if _, err := net.KSSP([]int{0}, hybrid.KSSPSpec{}); err == nil {
-		t.Fatal("expected error for zero-value spec")
+		t.Fatal("expected error for zero-value k-SSP spec")
+	}
+	if _, err := net.Diameter(hybrid.DiameterSpec{}); err == nil {
+		t.Fatal("expected error for zero-value diameter spec")
 	}
 }
 

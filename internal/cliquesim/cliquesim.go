@@ -46,7 +46,7 @@ func SharedFactory(f Factory) Factory {
 	}
 }
 
-// Result is what one node knows after Simulate.
+// Result is what one node knows after the simulation.
 type Result struct {
 	// Members lists the skeleton node IDs, sorted; clique index i is
 	// Members[i]. Known by every node (public knowledge).
@@ -59,62 +59,96 @@ type Result struct {
 	Alg clique.Algorithm
 }
 
-// Simulate runs the CLIQUE algorithm produced by factory on the skeleton
-// members, collectively. skel is this node's skeleton view (from
-// skeleton.Compute); sampleProb the sampling probability (it determines the
-// helper parameter µ = min(sqrt(k), 1/p) of the routing session); rparams
-// tunes the routing sessions (and carries the optional session cache).
-func Simulate(env *sim.Env, skel skeleton.Result, sampleProb float64, factory Factory, rparams routing.Params) Result {
-	// Establish the shared index space: count members exactly, then make
-	// the member list public knowledge (Corollary 4.1's dissemination run).
-	inS := int64(0)
-	if skel.InSkeleton {
-		inS = 1
-	}
-	count := int(ncc.Aggregate(env, inS, ncc.AggSum))
-	var mine []ncc.Token
-	if skel.InSkeleton {
-		mine = append(mine, ncc.Token{A: int64(env.ID())})
-	}
-	memberTokens := ncc.Disseminate(env, mine, count, 1, ncc.DisseminateParams{})
-	members, index := membersFromTokens(env.ID(), memberTokens)
-	q := len(members)
+// NewSimulateMachine runs the CLIQUE algorithm produced by factory on the
+// skeleton members, collectively (Algorithm 8, see sim.StepProgram). skel is
+// this node's skeleton view (from skeleton.ComputeMachine); sampleProb the
+// sampling probability (it determines the helper parameter µ =
+// min(sqrt(k), 1/p) of the routing session); rparams tunes the routing
+// sessions (and carries the optional session cache). Its core is the
+// RouteMachine-per-simulated-round driver: one SessionMachine computes the
+// helper families once, then every CLIQUE round chains a fresh RouteMachine
+// over the shared session. done receives the node's Result when the machine
+// finishes.
+func NewSimulateMachine(env *sim.Env, skel skeleton.Result, sampleProb float64, factory Factory, rparams routing.Params, done func(Result)) sim.StepProgram {
+	var agg *ncc.AggregateMachine
+	var diss *ncc.DisseminateMachine
+	var sessM *routing.SessionMachine
+	var res Result
+	var alg clique.Algorithm
+	var members []int
+	q, index := 0, -1
 
-	res := Result{Members: members, Index: index}
-	if q == 0 {
-		return res
-	}
-	alg := factory(q, members)
-	res.Alg = alg
-
-	// Routing session: senders = receivers = skeleton members; each CLIQUE
-	// round moves at most q messages = 2q tokens per member in each
-	// direction.
-	session := routing.NewSession(env, skel.InSkeleton, skel.InSkeleton,
-		2*q, 2*q, sampleProb, sampleProb, rparams)
-
-	// Build this member's CLIQUE input: its incident skeleton edges
-	// translated to clique indices.
-	if index >= 0 {
-		res.Node = alg.NewNode(index, cliqueAdjacency(env.ID(), skel, members))
-	}
-
-	// Algorithm 8: simulate each CLIQUE round with one routing instance.
-	rounds := alg.Rounds()
-	for r := 0; r < rounds; r++ {
-		send, expect, selfIn := roundInstance(env.ID(), alg, res.Node, members, q, index, r)
-		got := session.Route(send, expect)
-		if index >= 0 {
-			res.Node.Recv(r, assemble(got, members, selfIn))
-		}
-	}
-	return res
+	return sim.Sequence(
+		// Establish the shared index space: exact count, then public
+		// member list (Corollary 4.1's dissemination run).
+		func(env *sim.Env) sim.StepProgram {
+			inS := int64(0)
+			if skel.InSkeleton {
+				inS = 1
+			}
+			agg = ncc.NewAggregateMachine(env, inS, ncc.AggSum)
+			return agg
+		},
+		func(env *sim.Env) sim.StepProgram {
+			var mine []ncc.Token
+			if skel.InSkeleton {
+				mine = append(mine, ncc.Token{A: int64(env.ID())})
+			}
+			diss = ncc.NewDisseminateMachine(env, mine, int(agg.Out), 1, ncc.DisseminateParams{})
+			return diss
+		},
+		// The routing session: senders = receivers = skeleton members; each
+		// CLIQUE round moves at most q messages = 2q tokens per member in
+		// each direction. (The factory runs first.)
+		func(env *sim.Env) sim.StepProgram {
+			members, index = membersFromTokens(env.ID(), diss.Out)
+			q = len(members)
+			res = Result{Members: members, Index: index}
+			if q == 0 {
+				return nil
+			}
+			alg = factory(q, members)
+			res.Alg = alg
+			sessM = routing.NewSessionMachine(env, skel.InSkeleton, skel.InSkeleton,
+				2*q, 2*q, sampleProb, sampleProb, rparams)
+			return sessM
+		},
+		// Algorithm 8: one RouteMachine per CLIQUE round over the session.
+		func(env *sim.Env) sim.StepProgram {
+			if q == 0 {
+				return nil
+			}
+			// This member's CLIQUE input: its incident skeleton edges
+			// translated to clique indices.
+			if index >= 0 {
+				res.Node = alg.NewNode(index, cliqueAdjacency(env.ID(), skel, members))
+			}
+			rounds := alg.Rounds()
+			r := 0
+			var routeM *routing.RouteMachine
+			var selfIn []clique.Incoming
+			return sim.Chain(func(env *sim.Env) sim.StepProgram {
+				if routeM != nil && index >= 0 {
+					res.Node.Recv(r-1, assemble(routeM.Out, members, selfIn))
+				}
+				if r >= rounds {
+					return nil
+				}
+				var send []routing.Token
+				var expect []routing.Label
+				send, expect, selfIn = roundInstance(env.ID(), alg, res.Node, members, q, index, r)
+				routeM = routing.NewRouteMachine(sessM.Out, send, expect)
+				r++
+				return routeM
+			})
+		},
+		sim.Finish(func(env *sim.Env) { done(res) }),
+	)
 }
 
 // membersFromTokens decodes the disseminated member list into the sorted
 // shared index space and locates this node's clique index (-1 if not a
-// member) — the local tail of the dissemination run, shared with the step
-// form.
+// member) — the local tail of the dissemination run.
 func membersFromTokens(me int, memberTokens []ncc.Token) ([]int, int) {
 	members := make([]int, 0, len(memberTokens))
 	for _, t := range memberTokens {
@@ -147,9 +181,8 @@ func cliqueAdjacency(me int, skel skeleton.Result, members []int) []graph.Neighb
 
 // roundInstance builds one node's routing instance for CLIQUE round r from
 // the public schedule: the tokens to send (self-addressed ones filtered
-// into selfIn, skipping the network), and the labels to expect. Pure and
-// shared between Simulate and the step form; non-members send and expect
-// nothing but still serve as helpers.
+// into selfIn, skipping the network), and the labels to expect. Pure;
+// non-members send and expect nothing but still serve as helpers.
 func roundInstance(me int, alg clique.Algorithm, node clique.Node, members []int, q, index, r int) (send []routing.Token, expect []routing.Label, selfIn []clique.Incoming) {
 	if index >= 0 {
 		slots := alg.Schedule(r, index)

@@ -11,16 +11,35 @@ import (
 	"repro/internal/skeleton"
 )
 
+// simulation is the machine every test of this package runs: skeleton
+// construction, then the CLIQUE simulation on it. done receives both
+// results.
+func simulation(env *sim.Env, sp skeleton.Params, factory Factory, rp routing.Params, done func(skeleton.Result, Result)) sim.StepProgram {
+	var skelM *skeleton.ComputeMachine
+	return sim.Sequence(
+		func(env *sim.Env) sim.StepProgram {
+			skelM = skeleton.NewComputeMachine(env, sp, false)
+			return skelM
+		},
+		func(env *sim.Env) sim.StepProgram {
+			skel := skelM.Res
+			return NewSimulateMachine(env, skel, sp.SampleProb(env.N()), factory, rp,
+				func(r Result) { done(skel, r) })
+		},
+	)
+}
+
 // runSim executes skeleton construction + CLIQUE simulation on g.
 func runSim(t *testing.T, g *graph.Graph, sp skeleton.Params, factory Factory, seed int64) ([]Result, []skeleton.Result, sim.Metrics) {
 	t.Helper()
 	n := g.N()
 	results := make([]Result, n)
 	skels := make([]skeleton.Result, n)
-	m, err := sim.Run(g, sim.Config{Seed: seed}, func(env *sim.Env) {
-		skel := skeleton.Compute(env, sp, false)
-		skels[env.ID()] = skel
-		results[env.ID()] = Simulate(env, skel, sp.SampleProb(env.N()), factory, routing.Params{})
+	m, err := sim.RunStep(g, sim.Config{Seed: seed}, func(env *sim.Env) sim.StepProgram {
+		id := env.ID()
+		return simulation(env, sp, factory, routing.Params{}, func(skel skeleton.Result, r Result) {
+			skels[id], results[id] = skel, r
+		})
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -40,10 +40,10 @@ func (r Result) words() []int64 {
 	return append(w, int64(r.Index), diam)
 }
 
-// TestSimulateMachineMatches holds the machine form of the CLIQUE
-// simulation (one SessionMachine, then a RouteMachine per simulated round)
-// to the trace of the blocking Simulate it replaced, on every engine, with
-// real messages (semiring MM): every member must end with the skeleton's
+// TestSimulateMachineMatches holds the CLIQUE simulation (one
+// SessionMachine, then a RouteMachine per simulated round), on every engine,
+// to the trace recorded from the blocking Simulate it replaced, with real
+// messages (semiring MM): every member must end with the skeleton's
 // diameter.
 func TestSimulateMachineMatches(t *testing.T) {
 	g := graph.Grid(6, 6)
@@ -54,33 +54,16 @@ func TestSimulateMachineMatches(t *testing.T) {
 		return SharedFactory(func(q int, _ []int) clique.Algorithm { return clique.NewMM(q, true) })
 	}
 
-	factory := newFactory()
-	simtest.Blocking(t, "simulate", g, 29, pin, func(env *sim.Env, emit func(...int64)) {
-		skel := skeleton.Compute(env, sp, false)
-		emit(Simulate(env, skel, sp.SampleProb(n), factory, routing.Params{}).words()...)
-	})
-
 	for _, eng := range simtest.Engines {
 		factory := newFactory()
 		skels := make([]skeleton.Result, n)
 		got := make([]Result, n)
 		simtest.Run(t, "simulate", g, eng, 29, pin, func(env *sim.Env, emit func(...int64)) sim.StepProgram {
 			id := env.ID()
-			var skelM *skeleton.ComputeMachine
-			return sim.Sequence(
-				func(env *sim.Env) sim.StepProgram {
-					skelM = skeleton.NewComputeMachine(env, sp, false)
-					return skelM
-				},
-				func(env *sim.Env) sim.StepProgram {
-					skels[id] = skelM.Res
-					return NewSimulateMachine(env, skelM.Res, sp.SampleProb(n), factory,
-						routing.Params{}, func(r Result) {
-							got[id] = r
-							emit(r.words()...)
-						})
-				},
-			)
+			return simulation(env, sp, factory, routing.Params{}, func(skel skeleton.Result, r Result) {
+				skels[id], got[id] = skel, r
+				emit(r.words()...)
+			})
 		})
 		s, _, err := skeleton.Build(skels)
 		if err != nil {
@@ -108,19 +91,9 @@ func TestSimulateMachineSessionCache(t *testing.T) {
 	run := func() ([]Result, sim.Metrics) {
 		got := make([]Result, n)
 		factory := SharedFactory(func(q int, _ []int) clique.Algorithm { return clique.NewMM(q, true) })
-		m, err := sim.RunStep(g, sim.Config{Seed: 29, Engine: sim.EngineStep}, func(env *sim.Env) sim.StepProgram {
+		m, err := sim.RunStep(g, sim.Config{Seed: 29}, func(env *sim.Env) sim.StepProgram {
 			id := env.ID()
-			var skelM *skeleton.ComputeMachine
-			return sim.Sequence(
-				func(env *sim.Env) sim.StepProgram {
-					skelM = skeleton.NewComputeMachine(env, sp, false)
-					return skelM
-				},
-				func(env *sim.Env) sim.StepProgram {
-					return NewSimulateMachine(env, skelM.Res, sp.SampleProb(n), factory,
-						routing.Params{Cache: cache}, func(r Result) { got[id] = r })
-				},
-			)
+			return simulation(env, sp, factory, routing.Params{Cache: cache}, func(_ skeleton.Result, r Result) { got[id] = r })
 		})
 		if err != nil {
 			t.Fatal(err)

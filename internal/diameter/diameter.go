@@ -60,9 +60,7 @@ type diamFlood struct {
 	TTL   int
 }
 
-// hopWave is the all-sources BFS payload of the h_v measurement (shared by
-// the goroutine and step forms of the exploration, so both send
-// message-for-message identical floods).
+// hopWave is the all-sources BFS payload of the h_v measurement.
 type hopWave struct {
 	Source int
 	Hops   int
@@ -117,77 +115,123 @@ func estimate(hHat, dSGlobal int64, h, etaRounds int) int64 {
 	return dSGlobal + 2*int64(h)
 }
 
-// Compute runs Algorithm 9 collectively and returns this node's diameter
-// estimate D~ with D <= D~ <= (α + 2/η + β/T_B)·D w.h.p. on unweighted
-// graphs (Theorem 5.1).
-func Compute(env *sim.Env, spec AlgSpec, params Params) int64 {
-	n := env.N()
-	sp, h, etaRounds := spec.plan(params, n)
+// diamExploreMachine runs `rounds` rounds of local flooding that both
+// measures the largest hop distance seen (h_v, via an all-sources BFS wave)
+// and spreads the skeleton's diameter estimate with a TTL. MyDS (the best
+// D~(S) heard) and Hv are valid once Step returned true.
+type diamExploreMachine struct {
+	MyDS int64
+	Hv   int
 
-	// Skeleton and CLIQUE simulation: skeleton members learn D~(S).
-	skel := skeleton.Compute(env, sp, false)
-	simRes := cliquesim.Simulate(env, skel, sp.SampleProb(n), cliqueFactory(env, spec), params.Routing)
-	dS := skeletonDiameter(simRes)
-
-	// Local exploration for ηh+1 rounds: flood D~(S) (every node has a
-	// skeleton node within h <= ηh hops w.h.p.) and measure h_v, the
-	// largest hop distance seen in the (ηh+1)-neighborhood. Both ride the
-	// same exploration: the all-sources wave yields hop distances, and the
-	// skeleton nodes' D~(S) flood is piggybacked with a TTL.
-	rounds := etaRounds + 1
-	var diamMsgs []interface{}
-	if dS >= 0 {
-		diamMsgs = append(diamMsgs, diamFlood{Value: dS, TTL: rounds})
-	}
-	myDS, hv := exploreWithDiameter(env, rounds, diamMsgs)
-
-	// ĥ = max_v h_v via the Lemma B.2 aggregation, and the final rule of
-	// Equation (3). D~(S) is also aggregated (max) so that nodes that
-	// missed the flood (coverage failure) still answer consistently.
-	hHat := ncc.Aggregate(env, int64(hv), ncc.AggMax)
-	dSGlobal := ncc.Aggregate(env, myDS, ncc.AggMax)
-	return estimate(hHat, dSGlobal, h, etaRounds)
+	loop   sim.Loop
+	seen   map[int]int
+	outbox []interface{}
 }
 
-// exploreWithDiameter runs `rounds` rounds of local flooding that both
-// measures the largest hop distance seen (via an all-sources BFS wave) and
-// spreads the skeleton's diameter estimate. Returns (best D~(S) heard, h_v).
-func exploreWithDiameter(env *sim.Env, rounds int, initial []interface{}) (int64, int) {
-	seen := map[int]int{env.ID(): 0}
-	hv := 0
-	myDS := int64(-1)
-	var outbox []interface{}
-	outbox = append(outbox, initial...)
-	outbox = append(outbox, hopWave{Source: env.ID(), Hops: 0})
-	for step := 0; step < rounds; step++ {
-		for _, p := range outbox {
-			env.BroadcastLocal(p)
-		}
-		in := env.Step()
-		outbox = outbox[:0]
-		var next []interface{}
-		for _, lm := range in.Local {
-			switch m := lm.Payload.(type) {
-			case hopWave:
-				if _, ok := seen[m.Source]; !ok {
-					seen[m.Source] = m.Hops + 1
-					if m.Hops+1 > hv {
-						hv = m.Hops + 1
+func newDiamExploreMachine(env *sim.Env, rounds int, initial []interface{}) *diamExploreMachine {
+	m := &diamExploreMachine{MyDS: -1, seen: map[int]int{env.ID(): 0}}
+	m.outbox = append(m.outbox, initial...)
+	m.outbox = append(m.outbox, hopWave{Source: env.ID(), Hops: 0})
+	m.loop = sim.Loop{
+		Rounds:   rounds,
+		NextSend: sim.Reactive,
+		Send: func(env *sim.Env, i int) {
+			for _, p := range m.outbox {
+				env.BroadcastLocal(p)
+			}
+		},
+		Recv: func(env *sim.Env, in sim.Inbox, i int) {
+			var next []interface{}
+			for _, lm := range in.Local {
+				switch msg := lm.Payload.(type) {
+				case hopWave:
+					if _, ok := m.seen[msg.Source]; !ok {
+						m.seen[msg.Source] = msg.Hops + 1
+						if msg.Hops+1 > m.Hv {
+							m.Hv = msg.Hops + 1
+						}
+						next = append(next, hopWave{Source: msg.Source, Hops: msg.Hops + 1})
 					}
-					next = append(next, hopWave{Source: m.Source, Hops: m.Hops + 1})
-				}
-			case diamFlood:
-				if m.Value > myDS {
-					myDS = m.Value
-					if m.TTL > 1 {
-						next = append(next, diamFlood{Value: m.Value, TTL: m.TTL - 1})
+				case diamFlood:
+					if msg.Value > m.MyDS {
+						m.MyDS = msg.Value
+						if msg.TTL > 1 {
+							next = append(next, diamFlood{Value: msg.Value, TTL: msg.TTL - 1})
+						}
 					}
 				}
 			}
-		}
-		outbox = next
+			m.outbox = next
+		},
 	}
-	return myDS, hv
+	return m
+}
+
+// Step implements sim.StepProgram.
+func (m *diamExploreMachine) Step(env *sim.Env) bool { return m.loop.Step(env) }
+
+// NewComputeMachine runs Algorithm 9 collectively (see sim.StepProgram).
+// done receives this node's diameter estimate D~ with
+// D <= D~ <= (α + 2/η + β/T_B)·D w.h.p. on unweighted graphs (Theorem 5.1)
+// when the machine finishes.
+func NewComputeMachine(env *sim.Env, spec AlgSpec, params Params, done func(int64)) sim.StepProgram {
+	n := env.N()
+	sp, h, etaRounds := spec.plan(params, n)
+
+	var skelM *skeleton.ComputeMachine
+	var simRes cliquesim.Result
+	var explore *diamExploreMachine
+	var aggH, aggDS *ncc.AggregateMachine
+
+	return sim.Sequence(
+		// Skeleton and CLIQUE simulation: members learn D~(S).
+		func(env *sim.Env) sim.StepProgram {
+			skelM = skeleton.NewComputeMachine(env, sp, false)
+			return skelM
+		},
+		func(env *sim.Env) sim.StepProgram {
+			return cliquesim.NewSimulateMachine(env, skelM.Res, sp.SampleProb(n),
+				cliqueFactory(env, spec), params.Routing,
+				func(r cliquesim.Result) { simRes = r })
+		},
+		// Local exploration for ηh+1 rounds: flood D~(S) (every node has a
+		// skeleton node within h <= ηh hops w.h.p.) and measure h_v, the
+		// largest hop distance seen in the (ηh+1)-neighborhood. Both ride
+		// the same exploration: the all-sources wave yields hop distances,
+		// and the skeleton nodes' D~(S) flood is piggybacked with a TTL.
+		func(env *sim.Env) sim.StepProgram {
+			rounds := etaRounds + 1
+			var diamMsgs []interface{}
+			if dS := skeletonDiameter(simRes); dS >= 0 {
+				diamMsgs = append(diamMsgs, diamFlood{Value: dS, TTL: rounds})
+			}
+			explore = newDiamExploreMachine(env, rounds, diamMsgs)
+			return explore
+		},
+		// ĥ = max_v h_v via the Lemma B.2 aggregation, and the final rule of
+		// Equation (3). D~(S) is also aggregated (max) so that nodes that
+		// missed the flood (coverage failure) still answer consistently.
+		func(env *sim.Env) sim.StepProgram {
+			aggH = ncc.NewAggregateMachine(env, int64(explore.Hv), ncc.AggMax)
+			return aggH
+		},
+		func(env *sim.Env) sim.StepProgram {
+			aggDS = ncc.NewAggregateMachine(env, explore.MyDS, ncc.AggMax)
+			return aggDS
+		},
+		sim.Finish(func(env *sim.Env) {
+			done(estimate(aggH.Out, aggDS.Out, h, etaRounds))
+		}),
+	)
+}
+
+// Pipeline returns Algorithm 9 as a sim.Pipeline; the per-node result is
+// the node's diameter estimate (all nodes agree on consistent runs, which
+// the facade checks).
+func Pipeline(spec AlgSpec, params Params) sim.Pipeline[int64] {
+	return func(env *sim.Env, done func(int64)) sim.StepProgram {
+		return NewComputeMachine(env, spec, params, done)
+	}
 }
 
 // Corollary52 returns the spec reproducing the (3/2+ε)-approximation in

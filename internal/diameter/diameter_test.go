@@ -10,10 +10,7 @@ import (
 
 func runDiameter(t *testing.T, g *graph.Graph, spec AlgSpec, params Params, seed int64) ([]int64, sim.Metrics) {
 	t.Helper()
-	out := make([]int64, g.N())
-	m, err := sim.Run(g, sim.Config{Seed: seed}, func(env *sim.Env) {
-		out[env.ID()] = Compute(env, spec, params)
-	})
+	out, m, err := sim.RunPipeline(g, sim.Config{Seed: seed}, Pipeline(spec, params))
 	if err != nil {
 		t.Fatal(err)
 	}

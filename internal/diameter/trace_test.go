@@ -10,14 +10,11 @@ import (
 	"repro/internal/simtest"
 )
 
-// pinnedDiameter holds a diameter machine to the trace of the blocking form
-// it replaced (oracle), on every engine: every node's estimate, hashed, and
-// the common estimate within [d, bound·d] of the true diameter d.
-func pinnedDiameter(t *testing.T, g *graph.Graph, seed int64, pin simtest.Pin, d int64, bound float64,
-	oracle func(*sim.Env) int64,
-	machine func(*sim.Env, func(int64)) sim.StepProgram) {
+// pinnedDiameter holds a diameter machine, on every engine, to the trace
+// recorded from the blocking form it replaced: every node's estimate,
+// hashed, and the common estimate within [d, bound·d] of the true diameter d.
+func pinnedDiameter(t *testing.T, g *graph.Graph, seed int64, pin simtest.Pin, d int64, bound float64, machine sim.Pipeline[int64]) {
 	t.Helper()
-	simtest.Blocking(t, "diameter", g, seed, pin, func(env *sim.Env, emit func(...int64)) { emit(oracle(env)) })
 	var est int64
 	simtest.Machines(t, "diameter", g, seed, pin, func(env *sim.Env, emit func(...int64)) sim.StepProgram {
 		id := env.ID()
@@ -35,11 +32,7 @@ func pinnedDiameter(t *testing.T, g *graph.Graph, seed int64, pin simtest.Pin, d
 
 func pinnedHopDiameter(t *testing.T, g *graph.Graph, spec AlgSpec, seed int64, bound float64, pin simtest.Pin) {
 	t.Helper()
-	pinnedDiameter(t, g, seed, pin, graph.HopDiameter(g), bound,
-		func(env *sim.Env) int64 { return Compute(env, spec, Params{}) },
-		func(env *sim.Env, done func(int64)) sim.StepProgram {
-			return NewComputeMachine(env, spec, Params{}, done)
-		})
+	pinnedDiameter(t, g, seed, pin, graph.HopDiameter(g), bound, Pipeline(spec, Params{}))
 }
 
 // TestComputeMachineMatchesOracle covers the declared-cost oracle path
@@ -61,9 +54,5 @@ func TestWeightedApproxMachineMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := graph.WithRandomWeights(graph.Grid(5, 5), 5, rng)
 	pin := simtest.Pin{Metrics: sim.Metrics{Rounds: 1101, GlobalMsgs: 730, GlobalBits: 33580, LocalMsgs: 3982, LocalBits: 141655, MaxGlobalSend: 5, MaxGlobalRecv: 5}, Sum: 0x899e3a5e10cae7fa}
-	pinnedDiameter(t, g, 53, pin, graph.WeightedDiameter(g), 2,
-		func(env *sim.Env) int64 { return WeightedApprox(env, kssp.Corollary49(), kssp.Params{}) },
-		func(env *sim.Env, done func(int64)) sim.StepProgram {
-			return NewWeightedApproxMachine(env, kssp.Corollary49(), kssp.Params{}, done)
-		})
+	pinnedDiameter(t, g, 53, pin, graph.WeightedDiameter(g), 2, WeightedApproxPipeline(kssp.Corollary49(), kssp.Params{}))
 }

@@ -22,10 +22,7 @@ func TestWeightedApproxFactorTwo(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			out := make([]int64, tt.g.N())
-			_, err := sim.Run(tt.g, sim.Config{Seed: 7}, func(env *sim.Env) {
-				out[env.ID()] = WeightedApprox(env, kssp.Corollary49(), kssp.Params{})
-			})
+			out, _, err := sim.RunPipeline(tt.g, sim.Config{Seed: 7}, WeightedApproxPipeline(kssp.Corollary49(), kssp.Params{}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -52,10 +49,7 @@ func TestWeightedApproxTightOnStar(t *testing.T) {
 	// eccentricity from a leaf gives between D and 2D regardless of which
 	// node is the SSSP source (we use node 0 = center here).
 	g := graph.Star(20)
-	out := make([]int64, g.N())
-	_, err := sim.Run(g, sim.Config{Seed: 9}, func(env *sim.Env) {
-		out[env.ID()] = WeightedApprox(env, kssp.Corollary49(), kssp.Params{})
-	})
+	out, _, err := sim.RunPipeline(g, sim.Config{Seed: 9}, WeightedApproxPipeline(kssp.Corollary49(), kssp.Params{}))
 	if err != nil {
 		t.Fatal(err)
 	}

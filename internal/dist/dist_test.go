@@ -15,39 +15,43 @@ import (
 // chatter is the same deliberately messy differential workload the sim
 // package uses: random local and global traffic, uneven finishing times,
 // and an accumulator sensitive to inbox order and content.
-func chatter(out []int64) sim.Program {
-	return func(env *sim.Env) {
+func chatter(out []int64) sim.StepFactory {
+	return func(env *sim.Env) sim.StepProgram {
 		rounds := 6 + env.ID()%5
 		acc := int64(env.ID())
-		for r := 0; r < rounds; r++ {
-			for _, nb := range env.Neighbors() {
-				if env.Rand().Intn(2) == 0 {
-					env.SendLocal(nb.To, int64(env.ID()*1000+r))
+		return &sim.Loop{
+			Rounds: rounds,
+			Send: func(env *sim.Env, r int) {
+				for _, nb := range env.Neighbors() {
+					if env.Rand().Intn(2) == 0 {
+						env.SendLocal(nb.To, int64(env.ID()*1000+r))
+					}
 				}
-			}
-			sends := env.Rand().Intn(env.GlobalCap() + 1)
-			for s := 0; s < sends; s++ {
-				env.SendGlobal(env.Rand().Intn(env.N()), sim.Kind(r), int64(env.ID()), int64(r), int64(s), 7)
-			}
-			in := env.Step()
-			for _, lm := range in.Local {
-				acc = acc*31 + int64(lm.From)
-				if v, ok := lm.Payload.(int64); ok {
-					acc = acc*31 + v
+				sends := env.Rand().Intn(env.GlobalCap() + 1)
+				for s := 0; s < sends; s++ {
+					env.SendGlobal(env.Rand().Intn(env.N()), sim.Kind(r), int64(env.ID()), int64(r), int64(s), 7)
 				}
-			}
-			for _, gm := range in.Global {
-				acc = acc*31 + int64(gm.Src)*8191 + gm.F1*13 + gm.F2
-			}
+			},
+			Recv: func(env *sim.Env, in sim.Inbox, r int) {
+				for _, lm := range in.Local {
+					acc = acc*31 + int64(lm.From)
+					if v, ok := lm.Payload.(int64); ok {
+						acc = acc*31 + v
+					}
+				}
+				for _, gm := range in.Global {
+					acc = acc*31 + int64(gm.Src)*8191 + gm.F1*13 + gm.F2
+				}
+				out[env.ID()] = acc
+			},
 		}
-		out[env.ID()] = acc
 	}
 }
 
 func runChatter(t *testing.T, g *graph.Graph, cfg sim.Config) ([]int64, sim.Metrics) {
 	t.Helper()
 	out := make([]int64, g.N())
-	m, err := sim.Run(g, cfg, chatter(out))
+	m, err := sim.RunStep(g, cfg, chatter(out))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +117,7 @@ func TestDistRetryExhaustion(t *testing.T) {
 	faults := NewFaults().DropFrames(0, 2, 10)
 	opts := &Options{Faults: faults, FrameTimeout: 50 * time.Millisecond, Retries: 3}
 	out := make([]int64, g.N())
-	_, err := sim.Run(g, sim.Config{
+	_, err := sim.RunStep(g, sim.Config{
 		Seed: 3, Engine: sim.EngineDist, DistWorkers: 1, DistOpts: opts,
 	}, chatter(out))
 	if err == nil {
@@ -171,15 +175,16 @@ func TestDistTCPTransport(t *testing.T) {
 // engines (lowest violating node wins, same message text).
 func TestDistStrictRecvViolation(t *testing.T) {
 	g := graph.Path(24)
-	flood := func(env *sim.Env) {
-		if env.ID() != 5 && env.ID() != 20 {
-			env.SendGlobal(5, 0, 0, 0, 0, 0)
-			env.SendGlobal(20, 0, 0, 0, 0, 0)
-		}
-		env.Step()
+	flood := func(*sim.Env) sim.StepProgram {
+		return &sim.Loop{Rounds: 1, Send: func(env *sim.Env, _ int) {
+			if env.ID() != 5 && env.ID() != 20 {
+				env.SendGlobal(5, 0, 0, 0, 0, 0)
+				env.SendGlobal(20, 0, 0, 0, 0, 0)
+			}
+		}}
 	}
-	_, stepErr := sim.Run(g, sim.Config{StrictRecvFactor: 1, Engine: sim.EngineStep}, flood)
-	_, distErr := sim.Run(g, sim.Config{StrictRecvFactor: 1, Engine: sim.EngineDist, DistWorkers: 3}, flood)
+	_, stepErr := sim.RunStep(g, sim.Config{StrictRecvFactor: 1, Engine: sim.EngineStep}, flood)
+	_, distErr := sim.RunStep(g, sim.Config{StrictRecvFactor: 1, Engine: sim.EngineDist, DistWorkers: 3}, flood)
 	if stepErr == nil || distErr == nil {
 		t.Fatalf("want violations from both engines, got step=%v dist=%v", stepErr, distErr)
 	}
@@ -422,7 +427,7 @@ func TestDistRespawnBudgetExhausted(t *testing.T) {
 	}
 	opts := &Options{Faults: faults, FrameTimeout: 50 * time.Millisecond, Retries: 8, MaxRespawns: 2}
 	out := make([]int64, g.N())
-	_, err := sim.Run(g, sim.Config{
+	_, err := sim.RunStep(g, sim.Config{
 		Seed: 3, Engine: sim.EngineDist, DistWorkers: 1, DistOpts: opts,
 	}, chatter(out))
 	if err == nil {
@@ -465,7 +470,7 @@ func TestDistRespawnBudgetUnlimited(t *testing.T) {
 func TestDistRunDeadline(t *testing.T) {
 	g := graph.Path(10)
 	out := make([]int64, g.N())
-	_, err := sim.Run(g, sim.Config{
+	_, err := sim.RunStep(g, sim.Config{
 		Seed: 5, Engine: sim.EngineDist, DistWorkers: 1,
 		DistOpts: &Options{RunTimeout: time.Nanosecond},
 	}, chatter(out))

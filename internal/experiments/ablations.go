@@ -38,10 +38,7 @@ func A1HelperQBoost(cfg Config) Table {
 	}
 	const mu = 4
 	for _, boost := range []int{1, 2, 3} {
-		results := make([]helpers.Result, n)
-		_, err := sim.Run(g, sim.Config{Seed: cfg.Seed}, func(env *sim.Env) {
-			results[env.ID()] = helpers.Compute(env, inW[env.ID()], mu, helpers.Params{QBoost: boost})
-		})
+		results, _, err := sim.RunPipeline(g, sim.Config{Seed: cfg.Seed}, helperFamily(inW, mu, helpers.Params{QBoost: boost}))
 		if err != nil {
 			t.Failf("boost=%d: %v", boost, err)
 			continue
@@ -104,10 +101,7 @@ func A2GlobalSendFactor(cfg Config) Table {
 	want := graph.APSP(g)
 	base := 0
 	for _, factor := range []int{1, 2, 4} {
-		out := make([][]int64, n)
-		m, err := sim.Run(g, sim.Config{Seed: cfg.Seed, GlobalSendFactor: factor}, func(env *sim.Env) {
-			out[env.ID()] = hybridapsp.Compute(env, hybridapsp.Params{})
-		})
+		out, m, err := sim.RunPipeline(g, sim.Config{Seed: cfg.Seed, GlobalSendFactor: factor}, hybridapsp.Pipeline(hybridapsp.Params{}))
 		if err != nil {
 			t.Failf("factor=%d: %v", factor, err)
 			continue
@@ -164,9 +158,9 @@ func A3SkeletonHFactor(cfg Config) Table {
 		for _, seed := range seeds {
 			g := graph.Path(n) // paths are the coverage worst case
 			sp := skeleton.Params{X: 0.5, HFactor: xi}
-			results := make([]skeleton.Result, n)
-			m, err := sim.Run(g, sim.Config{Seed: seed}, func(env *sim.Env) {
-				results[env.ID()] = skeleton.Compute(env, sp, false)
+			results, m, err := sim.RunPipeline(g, sim.Config{Seed: seed}, func(env *sim.Env, done func(skeleton.Result)) sim.StepProgram {
+				sm := skeleton.NewComputeMachine(env, sp, false)
+				return sim.Then(sm, func(*sim.Env) { done(sm.Res) })
 			})
 			if err != nil {
 				t.Failf("xi=%.0f seed=%d: %v", xi, seed, err)
@@ -226,10 +220,7 @@ func A4HashIndependence(cfg Config) Table {
 	g := graph.SparseConnected(n, 1.2, rng)
 	specs, _, _, _ := buildRoutingInstance(n, 0.25, 0.25, 6, rng)
 	for _, factor := range []int{1, 3, 6} {
-		got := make([][]routing.Token, n)
-		m, err := sim.Run(g, sim.Config{Seed: cfg.Seed}, func(env *sim.Env) {
-			got[env.ID()] = routing.Route(env, specs[env.ID()], routing.Params{HashKFactor: factor})
-		})
+		got, m, err := sim.RunPipeline(g, sim.Config{Seed: cfg.Seed}, routing.Pipeline(specs, routing.Params{HashKFactor: factor}))
 		if err != nil {
 			t.Failf("factor=%d: %v", factor, err)
 			continue

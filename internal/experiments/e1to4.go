@@ -100,10 +100,7 @@ func buildRoutingInstance(n int, pS, pR float64, tokensPerSender int, rng *rand.
 
 func runRouting(g *graph.Graph, specs []routing.Spec, seed int64) (int, bool) {
 	n := g.N()
-	got := make([][]routing.Token, n)
-	m, err := sim.Run(g, sim.Config{Seed: seed}, func(env *sim.Env) {
-		got[env.ID()] = routing.Route(env, specs[env.ID()], routing.Params{})
-	})
+	got, m, err := sim.RunPipeline(g, sim.Config{Seed: seed}, routing.Pipeline(specs, routing.Params{}))
 	if err != nil {
 		return 0, false
 	}
@@ -140,10 +137,7 @@ func E2HelperSets(cfg Config) Table {
 			if mu < 1 {
 				mu = 1
 			}
-			results := make([]helpers.Result, n)
-			_, err := sim.Run(g, sim.Config{Seed: cfg.Seed}, func(env *sim.Env) {
-				results[env.ID()] = helpers.Compute(env, inW[env.ID()], mu, helpers.Params{})
-			})
+			results, _, err := sim.RunPipeline(g, sim.Config{Seed: cfg.Seed}, helperFamily(inW, mu, helpers.Params{}))
 			if err != nil {
 				t.Failf("n=%d p=%.1f: %v", n, p, err)
 				continue
@@ -160,6 +154,14 @@ func E2HelperSets(cfg Config) Table {
 	}
 	t.Notef("properties: (1) |H_w| >= mu, (2) helpers within O~(mu) hops, (3) each node helps O~(1) sets")
 	return t
+}
+
+// helperFamily is Algorithm 1 as a sim.Pipeline yielding the node's Result.
+func helperFamily(inW []bool, mu int, p helpers.Params) sim.Pipeline[helpers.Result] {
+	return func(env *sim.Env, done func(helpers.Result)) sim.StepProgram {
+		m := helpers.NewMachine(env, inW[env.ID()], mu, p)
+		return sim.Then(m, func(*sim.Env) { done(m.Res) })
+	}
 }
 
 func helperStats(g *graph.Graph, results []helpers.Result, mu int) (int, float64, float64) {
@@ -264,8 +266,8 @@ func E3APSP(cfg Config) Table {
 	return t
 }
 
-// runAPSPVariant executes one APSP machine on cfg.Engine (step-native on
-// EngineStep, driven goroutines otherwise) and checks exactness.
+// runAPSPVariant executes one APSP machine on cfg.Engine and checks
+// exactness.
 func runAPSPVariant(g *graph.Graph, cfg Config, want [][]int64,
 	mf func(*sim.Env, func([]int64)) sim.StepProgram) (int, bool) {
 	n := g.N()
@@ -322,17 +324,24 @@ func E4CliqueSim(cfg Config) Table {
 func runCliqueSimulation(n int, sp skeleton.Params, ta float64, seed int64, qOut *int) (int, error) {
 	rng := rand.New(rand.NewSource(seed + int64(n)))
 	g := graph.SparseConnected(n, 1.2, rng)
-	qs := make([]int, n)
-	m, err := sim.Run(g, sim.Config{Seed: seed}, func(env *sim.Env) {
-		skel := skeleton.Compute(env, sp, false)
+	qs, m, err := sim.RunPipeline(g, sim.Config{Seed: seed}, func(env *sim.Env, done func(int)) sim.StepProgram {
 		factory := func(q int, members []int) clique.Algorithm {
 			v := env.SharedOnce("e4.alg", func() interface{} {
 				return clique.NewOracle(q, nil, clique.CostModel{Delta: 0, Eta: ta}, clique.Quality{Alpha: 1}, false)
 			})
 			return v.(clique.Algorithm)
 		}
-		res := cliquesim.Simulate(env, skel, sp.SampleProb(env.N()), factory, routing.Params{})
-		qs[env.ID()] = len(res.Members)
+		var skelM *skeleton.ComputeMachine
+		return sim.Sequence(
+			func(env *sim.Env) sim.StepProgram {
+				skelM = skeleton.NewComputeMachine(env, sp, false)
+				return skelM
+			},
+			func(env *sim.Env) sim.StepProgram {
+				return cliquesim.NewSimulateMachine(env, skelM.Res, sp.SampleProb(env.N()), factory, routing.Params{},
+					func(res cliquesim.Result) { done(len(res.Members)) })
+			},
+		)
 	})
 	if err != nil {
 		return 0, err

@@ -126,17 +126,16 @@ func runKSSPVariant(g *graph.Graph, sources []int, spec kssp.AlgSpec, seed int64
 	for _, s := range sources {
 		isSource[s] = true
 	}
-	out := make([]map[int]int64, n)
-	m, err := sim.Run(g, sim.Config{Seed: seed}, func(env *sim.Env) {
-		res := kssp.Compute(env, isSource[env.ID()], len(sources), spec, kssp.Params{})
-		mp := make(map[int]int64, len(res))
-		for _, sd := range res {
-			mp[sd.Source] = sd.Dist
-		}
-		out[env.ID()] = mp
-	})
+	res, m, err := sim.RunPipeline(g, sim.Config{Seed: seed}, kssp.Pipeline(isSource, len(sources), spec, kssp.Params{}))
 	if err != nil {
 		return 0, 0, err
+	}
+	out := make([]map[int]int64, n)
+	for v := range res {
+		out[v] = make(map[int]int64, len(res[v]))
+		for _, sd := range res[v] {
+			out[v][sd.Source] = sd.Dist
+		}
 	}
 	worst := 1.0
 	for _, s := range sources {
@@ -206,20 +205,14 @@ func E6SSSP(cfg Config) Table {
 
 func runSSSPTheorem(g *graph.Graph, src int, cfg Config, want []int64) (int, bool) {
 	n := g.N()
-	out := make([]int64, n)
-	m, err := sim.Run(g, sim.Config{Seed: cfg.Seed, Engine: cfg.Engine}, func(env *sim.Env) {
-		res := kssp.Compute(env, env.ID() == src, 1, kssp.Corollary49(), kssp.Params{})
-		for _, sd := range res {
-			if sd.Source == src {
-				out[env.ID()] = sd.Dist
-			}
-		}
-	})
+	isSource := make([]bool, n)
+	isSource[src] = true
+	out, m, err := sim.RunPipeline(g, sim.Config{Seed: cfg.Seed, Engine: cfg.Engine}, kssp.Pipeline(isSource, 1, kssp.Corollary49(), kssp.Params{}))
 	if err != nil {
 		return 0, false
 	}
 	for v := 0; v < n; v++ {
-		if out[v] != want[v] {
+		if len(out[v]) != 1 || out[v][0].Source != src || out[v][0].Dist != want[v] {
 			return m.Rounds, false
 		}
 	}
@@ -229,9 +222,6 @@ func runSSSPTheorem(g *graph.Graph, src int, cfg Config, want []int64) (int, boo
 func runSSSPLocal(g *graph.Graph, src, rounds int, cfg Config, want []int64, t *Table) int {
 	n := g.N()
 	out := make([]int64, n)
-	// The LOCAL baseline runs its step machine so the XL sweeps get the
-	// goroutine-free engine; on the goroutine engines it is driven, with
-	// byte-identical results either way.
 	m, err := sim.RunStep(g, sim.Config{Seed: cfg.Seed, Engine: cfg.Engine}, func(env *sim.Env) sim.StepProgram {
 		id := env.ID()
 		return sssp.NewLocalMachine(env, id == src, rounds, func(d int64) { out[id] = d })
@@ -301,10 +291,7 @@ func E7Diameter(cfg Config) Table {
 }
 
 func runDiameterVariant(g *graph.Graph, spec diameter.AlgSpec, seed int64) (int64, int, error) {
-	out := make([]int64, g.N())
-	m, err := sim.Run(g, sim.Config{Seed: seed}, func(env *sim.Env) {
-		out[env.ID()] = diameter.Compute(env, spec, diameter.Params{})
-	})
+	out, m, err := sim.RunPipeline(g, sim.Config{Seed: seed}, diameter.Pipeline(spec, diameter.Params{}))
 	if err != nil {
 		return 0, 0, err
 	}
@@ -372,9 +359,9 @@ func E8KSSPLowerBound(cfg Config) Table {
 	}
 	f, err := lowerbound.BuildFig1(lowerbound.Fig1Params{K: k, L: l, PathLen: 2 * k}, inS1)
 	if err == nil {
-		m, runErr := sim.Run(f.G, sim.Config{Seed: cfg.Seed, Cut: f.AliceCut()}, func(env *sim.Env) {
-			kssp.Compute(env, env.ID() == f.Sources[0], 1, kssp.Corollary49(), kssp.Params{})
-		})
+		isSource := make([]bool, f.G.N())
+		isSource[f.Sources[0]] = true
+		_, m, runErr := sim.RunPipeline(f.G, sim.Config{Seed: cfg.Seed, Cut: f.AliceCut()}, kssp.Pipeline(isSource, 1, kssp.Corollary49(), kssp.Params{}))
 		if runErr == nil {
 			t.Notef("instrumented SSSP run on Fig.1 (k=%d): %d global bits crossed the b-side cut in %d rounds",
 				k, m.CutGlobalBits, m.Rounds)

@@ -65,9 +65,7 @@ func E9DiameterLowerBound(cfg Config) Table {
 	a, b := lowerbound.RandomInstance(p.Bits(), 0.3, false, rng)
 	gm, err := lowerbound.BuildGamma(p, a, b)
 	if err == nil {
-		m, runErr := sim.Run(gm.G, sim.Config{Seed: cfg.Seed, Cut: gm.AliceCut()}, func(env *sim.Env) {
-			diameter.Compute(env, diameter.Corollary52(0.5, 0), diameter.Params{})
-		})
+		_, m, runErr := sim.RunPipeline(gm.G, sim.Config{Seed: cfg.Seed, Cut: gm.AliceCut()}, diameter.Pipeline(diameter.Corollary52(0.5, 0), diameter.Params{}))
 		if runErr == nil {
 			t.Notef("instrumented diameter run on Gamma (k=%d, l=%d, n=%d): %d global bits crossed the Alice/Bob cut; k^2 = %d bits of DISJ input",
 				k, l, gm.G.N(), m.CutGlobalBits, k*k)
@@ -95,9 +93,7 @@ func E10RecvLoad(cfg Config) Table {
 	for _, n := range sizes {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(n)))
 		g := graph.SparseConnected(n, 1.2, rng)
-		m, err := sim.Run(g, sim.Config{Seed: cfg.Seed}, func(env *sim.Env) {
-			hybridapsp.Compute(env, hybridapsp.Params{})
-		})
+		_, m, err := sim.RunPipeline(g, sim.Config{Seed: cfg.Seed}, hybridapsp.Pipeline(hybridapsp.Params{}))
 		if err != nil {
 			t.Failf("n=%d: %v", n, err)
 			continue
@@ -164,23 +160,24 @@ func E11ModeComparison(cfg Config) Table {
 func runNCCOnlyAPSP(g *graph.Graph, seed int64, want [][]int64) (int, bool) {
 	n := g.N()
 	ell := g.MaxDegree() // each node owns its incident edges u < v plus slack
-	out := make([][]int64, n)
-	m, err := sim.Run(g, sim.Config{Seed: seed}, func(env *sim.Env) {
+	out, m, err := sim.RunPipeline(g, sim.Config{Seed: seed}, func(env *sim.Env, done func([]int64)) sim.StepProgram {
 		var mine []ncc.Token
 		for _, nb := range env.Neighbors() {
 			if env.ID() < nb.To {
 				mine = append(mine, ncc.Token{A: int64(env.ID()), B: int64(nb.To), C: nb.W})
 			}
 		}
-		all := ncc.PipelinedBroadcast(env, mine, ell)
-		// Local computation from the fully replicated edge list.
-		gg := graph.New(env.N())
-		for _, tok := range all {
-			if !gg.HasEdge(int(tok.A), int(tok.B)) {
-				gg.MustAddEdge(int(tok.A), int(tok.B), tok.C)
+		bc := ncc.NewPipelinedBroadcastMachine(env, mine, ell)
+		return sim.Then(bc, func(env *sim.Env) {
+			// Local computation from the fully replicated edge list.
+			gg := graph.New(env.N())
+			for _, tok := range bc.Out {
+				if !gg.HasEdge(int(tok.A), int(tok.B)) {
+					gg.MustAddEdge(int(tok.A), int(tok.B), tok.C)
+				}
 			}
-		}
-		out[env.ID()] = graph.Dijkstra(gg, env.ID())
+			done(graph.Dijkstra(gg, env.ID()))
+		})
 	})
 	if err != nil {
 		return 0, false

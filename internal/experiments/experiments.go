@@ -19,13 +19,12 @@ type Config struct {
 	Seed int64
 	// Quick restricts sweeps to the smallest sizes (used by -short runs).
 	Quick bool
-	// XL extends the scaling tables (E3, E6) to n ∈ {1024, 4096} — the
-	// sizes the step engine made affordable. Ignored when Quick is set.
+	// XL extends the scaling tables (E3, E6) to n ∈ {1024, 4096}. Ignored
+	// when Quick is set.
 	// Expect minutes, not seconds; see the README's experiments section.
 	XL bool
 	// Engine selects the round engine the experiments run on (default
-	// EngineSharded). Results are engine-independent; XL sweeps want
-	// EngineStep.
+	// EngineStep). Results are engine-independent.
 	Engine sim.Engine
 }
 

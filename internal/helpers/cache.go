@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/flatmap"
-	"repro/internal/ncc"
 	"repro/internal/persist"
 	"repro/internal/sim"
 )
@@ -159,32 +158,13 @@ func (e *clusterEntry) bind(id int) (ruler, dist int, members []int) {
 	return ruler, int(e.dist[id]), members
 }
 
-// compute is the cached construction path (goroutine form): the collective
-// hit/miss agreement, then either the structural shortcut — cached ruler
-// assignment and member directory, a 2β-round W-membership flood, fresh
-// helper sampling — or the full Algorithm 1 build that re-populates the
-// cache.
-func (c *ClusterCache) compute(env *sim.Env, inW bool, mu int, p Params) Result {
-	entry := c.lookup(mu)
-	hit := ncc.Aggregate(env, entry.mismatch(env.ID()), ncc.AggMax) == 0
-	c.traceEvent(env, mu, hit)
-	if hit {
-		ruler, dist, members := entry.bind(env.ID())
-		wm := floodW(env, inW, ruler, 2*clusterBeta(env.N(), mu))
-		return finishFromCluster(env, p, mu, ruler, dist, members, wm, inW)
-	}
-	res := computeCold(env, inW, mu, p)
-	c.shared(env, mu).store(env.ID(), res)
-	return res
-}
-
 // clusterBeta is the β = 2µ·ceil(log2 n) phase length of Algorithm 1.
 func clusterBeta(n, mu int) int { return 2 * mu * sim.Log2Ceil(n) }
 
 // finishFromCluster assembles a Result from the cached structure, a
 // freshly flooded W membership, and fresh helper sampling — the tail of
-// the structural-hit path, shared by both execution forms. It produces
-// exactly what computeCold would: the cached phases are deterministic, so
+// the structural-hit path. It produces exactly what the cold construction
+// would: the cached phases are deterministic, so
 // their output is the same, and sampleHelps draws the same randomness.
 func finishFromCluster(env *sim.Env, p Params, mu, ruler, dist int, members, wMembers []int, inW bool) Result {
 	res := Result{
@@ -214,34 +194,51 @@ type wRecs []wRec
 // ID, like a member record.
 func (r wRecs) PayloadWords() int64 { return 2 * int64(len(r)) }
 
-// floodW floods W membership inside clusters for `rounds` rounds and
-// returns the sorted W members of this node's cluster. It is the
-// structural-hit replacement of phase 3: only W nodes inject records (the
-// member list itself is cached), propagation is the same
+// wFloodMachine floods W membership inside clusters for `rounds` rounds;
+// afterwards WMembers is the sorted W members of this node's cluster. It is
+// the structural-hit replacement of phase 3: only W nodes inject records
+// (the member list itself is cached), propagation is the same
 // own-cluster-only forwarding over the same subgraph for the same 2β
 // rounds, so it reaches exactly the nodes the member flood would and the
 // resulting WMembers list is byte-identical to the cold one. Dedup and
 // delta staging follow the member flood's allocation discipline: a flat
-// set plus rotated delta buffers (see skeleton.LimitedExplore).
-func floodW(env *sim.Env, inW bool, ruler int, rounds int) []int {
-	var seen flatmap.Set
-	var bufs [2]wRecs
-	if inW {
-		seen.Add(uint64(env.ID()))
-		bufs[0] = append(bufs[0], wRec{ID: env.ID(), Ruler: ruler})
-	}
-	for step := 0; step < rounds; step++ {
-		if len(bufs[step&1]) > 0 {
-			env.BroadcastLocal(&bufs[step&1])
-		}
-		in := env.Step()
-		bufs[(step+1)&1] = collectW(env, in, ruler, &seen, bufs[(step+1)&1][:0])
-	}
-	return sortedSetKeys(&seen)
+// set plus rotated delta buffers (see skeleton.ExploreMachine).
+type wFloodMachine struct {
+	seen flatmap.Set
+	bufs [2]wRecs
+	loop sim.Loop
 }
 
+func newWFloodMachine(env *sim.Env, inW bool, ruler int, rounds int) *wFloodMachine {
+	w := &wFloodMachine{}
+	if inW {
+		w.seen.Add(uint64(env.ID()))
+		w.bufs[0] = append(w.bufs[0], wRec{ID: env.ID(), Ruler: ruler})
+	}
+	w.loop = sim.Loop{
+		Rounds:   rounds,
+		NextSend: sim.Reactive,
+		Send: func(env *sim.Env, i int) {
+			if len(w.bufs[i&1]) > 0 {
+				env.BroadcastLocal(&w.bufs[i&1])
+			}
+		},
+		Recv: func(env *sim.Env, in sim.Inbox, i int) {
+			w.bufs[(i+1)&1] = collectW(env, in, ruler, &w.seen, w.bufs[(i+1)&1][:0])
+		},
+	}
+	return w
+}
+
+// Step implements sim.StepProgram.
+func (w *wFloodMachine) Step(env *sim.Env) bool { return w.loop.Step(env) }
+
+// WMembers returns the sorted W members of this node's cluster; valid once
+// Step returned true.
+func (w *wFloodMachine) WMembers() []int { return sortedSetKeys(&w.seen) }
+
 // collectW folds one round's arrivals into seen and returns the fresh
-// records to forward, staged into next (shared by both execution forms).
+// records to forward, staged into next.
 func collectW(env *sim.Env, in sim.Inbox, ruler int, seen *flatmap.Set, next wRecs) wRecs {
 	for _, lm := range in.Local {
 		recs, ok := lm.Payload.(*wRecs)

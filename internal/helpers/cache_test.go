@@ -10,25 +10,13 @@ import (
 	"repro/internal/sim"
 )
 
-var cacheEngines = []sim.Engine{sim.EngineLegacy, sim.EngineSharded, sim.EngineStep}
+var cacheEngines = []sim.Engine{sim.EngineLegacy, sim.EngineStep}
 
-// computePipeline runs Compute collectively through both execution forms
-// (selected by the engine) and returns the per-node results and metrics.
+// computePipeline runs Algorithm 1 collectively on eng and returns the
+// per-node results and metrics.
 func computePipeline(t *testing.T, g *graph.Graph, inW []bool, mu int, p Params, eng sim.Engine, seed int64) ([]Result, sim.Metrics) {
 	t.Helper()
-	pipe := sim.Pipeline[Result]{
-		Run: func(env *sim.Env) Result {
-			return Compute(env, inW[env.ID()], mu, p)
-		},
-		Machine: func(env *sim.Env, done func(Result)) sim.StepProgram {
-			m := NewMachine(env, inW[env.ID()], mu, p)
-			return sim.Sequence(
-				func(env *sim.Env) sim.StepProgram { return m },
-				sim.Finish(func(env *sim.Env) { done(m.Res) }),
-			)
-		},
-	}
-	out, m, err := sim.RunPipeline(g, sim.Config{Seed: seed, Engine: eng}, pipe)
+	out, m, err := sim.RunPipeline(g, sim.Config{Seed: seed, Engine: eng}, family(inW, mu, p))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,6 +24,7 @@ import (
 
 	"repro/internal/flatmap"
 	"repro/internal/graph"
+	"repro/internal/ncc"
 	"repro/internal/ruling"
 	"repro/internal/sim"
 )
@@ -34,6 +35,10 @@ type clusterWave struct {
 	Dist  int
 }
 
+// PayloadWords implements sim.WordSized: a cluster wave carries a ruler ID
+// and a hop distance.
+func (clusterWave) PayloadWords() int64 { return 2 }
+
 // memberRec announces one cluster member during intra-cluster flooding.
 type memberRec struct {
 	ID    int
@@ -41,7 +46,15 @@ type memberRec struct {
 	InW   bool
 }
 
-// Result is what one node knows after Compute finishes.
+// memberRecs is the local-mode payload of the intra-cluster member flood: a
+// batch of member records.
+type memberRecs []memberRec
+
+// PayloadWords implements sim.WordSized: each record is an ID and a ruler
+// ID (the InW bit rides along for free).
+func (r memberRecs) PayloadWords() int64 { return 2 * int64(len(r)) }
+
+// Result is what one node knows after Machine finishes.
 type Result struct {
 	// Ruler is the ID of this node's cluster ruler; RulerDist its hop
 	// distance.
@@ -80,9 +93,9 @@ func (p Params) withDefaults() Params {
 	return p
 }
 
-// Rounds returns the exact round count of Compute for given n and µ:
-// the ruling set plus β rounds of cluster formation plus 2β rounds of
-// member flooding, β = 2µ⌈log n⌉ (matching Algorithm 1's loop bounds).
+// Rounds returns the exact round count of an uncached Machine for given n
+// and µ: the ruling set plus β rounds of cluster formation plus 2β rounds
+// of member flooding, β = 2µ⌈log n⌉ (matching Algorithm 1's loop bounds).
 func Rounds(n, mu int) int {
 	if mu < 1 {
 		mu = 1
@@ -91,103 +104,172 @@ func Rounds(n, mu int) int {
 	return ruling.Rounds(n, mu) + beta + 2*beta
 }
 
-// Compute runs Algorithm 1 collectively. All nodes must call it in the same
-// round with the same µ and params; without a cluster cache it takes exactly
-// Rounds(n, µ) rounds and uses only the local network. With Params.Clusters
-// set it additionally runs the 2·ceil(log2 n)-round collective agreement
-// first, and a hit replaces the first two thirds of the construction with
-// the cached structure (see ClusterCache).
-func Compute(env *sim.Env, inW bool, mu int, params Params) Result {
+// Machine is Algorithm 1 as a collective machine (sim.StepProgram), built
+// from the ruling-set machine and two flood loops. After it finishes, Res
+// holds the node's helper-family view.
+type Machine struct {
+	// Res is this node's Algorithm 1 output; valid once Step returned true.
+	Res Result
+
+	prog sim.StepProgram
+}
+
+// NewMachine builds the collective Algorithm 1 machine; all nodes must
+// start it in the same round with the same µ and params. Without a cluster
+// cache it takes exactly Rounds(n, µ) rounds and uses only the local
+// network. With params.Clusters set it is the cluster-cached construction:
+// the 2·ceil(log2 n)-round collective agreement first, then either the
+// structural shortcut (cached ruler assignment and member directory, the
+// 2β-round W flood, fresh helper sampling) or the full build re-populating
+// the cache (see ClusterCache).
+func NewMachine(env *sim.Env, inW bool, mu int, params Params) *Machine {
 	p := params.withDefaults()
 	if mu < 1 {
 		mu = 1
 	}
-	if p.Clusters != nil {
-		return p.Clusters.compute(env, inW, mu, p)
+	m := &Machine{}
+	if p.Clusters == nil {
+		m.prog = newColdProg(env, m, inW, mu, p)
+		return m
 	}
-	return computeCold(env, inW, mu, p)
+	entry := p.Clusters.lookup(mu)
+	inner := &Machine{}
+	var agg *ncc.AggregateMachine
+	var wf *wFloodMachine
+	var ruler, dist int
+	var members []int
+	m.prog = sim.Sequence(
+		func(env *sim.Env) sim.StepProgram {
+			agg = ncc.NewAggregateMachine(env, entry.mismatch(env.ID()), ncc.AggMax)
+			return agg
+		},
+		func(env *sim.Env) sim.StepProgram {
+			hit := agg.Out == 0
+			p.Clusters.traceEvent(env, mu, hit)
+			if hit {
+				ruler, dist, members = entry.bind(env.ID())
+				wf = newWFloodMachine(env, inW, ruler, 2*clusterBeta(env.N(), mu))
+				return wf
+			}
+			inner.prog = newColdProg(env, inner, inW, mu, p)
+			return inner
+		},
+		sim.Finish(func(env *sim.Env) {
+			if agg.Out == 0 {
+				m.Res = finishFromCluster(env, p, mu, ruler, dist, members, wf.WMembers(), inW)
+				return
+			}
+			m.Res = inner.Res
+			p.Clusters.shared(env, mu).store(env.ID(), inner.Res)
+		}),
+	)
+	return m
 }
 
-// computeCold is the uncached Algorithm 1 construction: the ruling set,
-// cluster formation, member flooding, and helper sampling.
-func computeCold(env *sim.Env, inW bool, mu int, p Params) Result {
+// newColdProg is the uncached Algorithm 1 construction — the ruling set,
+// cluster formation, member flooding, and helper sampling — writing the
+// finished result to m.Res.
+func newColdProg(env *sim.Env, m *Machine, inW bool, mu int, p Params) sim.StepProgram {
 	n := env.N()
 	beta := 2 * mu * sim.Log2Ceil(n)
 
-	isRuler := ruling.Compute(env, mu)
-
-	// Phase 2: cluster formation. Rulers start waves; every node tracks the
+	var rule *ruling.Machine
+	// Phase 2, cluster formation: rulers start waves; every node tracks the
 	// lexicographically smallest (dist, rulerID) it has heard and forwards
-	// improvements. β rounds reach every node (domination radius).
+	// improvements. β rounds reach every node (domination radius). Waves
+	// broadcast as pointers into a rotated pair so the hot loop stages no
+	// fresh interface payloads; the slot sent at round r is not rewritten
+	// before r+2 (see the delta-buffer comment on skeleton.ExploreMachine
+	// for the ownership argument).
 	bestDist, bestRuler := n+1, -1
-	if isRuler {
-		bestDist, bestRuler = 0, env.ID()
-	}
-	improved := isRuler
-	// Waves broadcast as pointers into a rotated pair so the hot loop
-	// stages no fresh interface payloads; the slot sent at round r is not
-	// rewritten before r+2 (see the delta-buffer comment in
-	// skeleton.LimitedExplore for the ownership argument).
+	improved := false
 	var waveBuf [2]clusterWave
-	for step := 0; step < beta; step++ {
-		if improved {
-			waveBuf[step&1] = clusterWave{Ruler: bestRuler, Dist: bestDist}
-			env.BroadcastLocal(&waveBuf[step&1])
-			improved = false
-		}
-		in := env.Step()
-		for _, lm := range in.Local {
-			w, ok := lm.Payload.(*clusterWave)
-			if !ok {
-				continue
-			}
-			d := w.Dist + 1
-			if d < bestDist || (d == bestDist && w.Ruler < bestRuler) {
-				bestDist, bestRuler = d, w.Ruler
-				improved = true
-			}
-		}
-	}
-
 	// Phase 3: learn all members of the own cluster. Nodes flood records of
 	// their own cluster for 2β rounds (intra-cluster diameter bound). The
 	// dedup directory is a flat map (ID -> InW) and the delta buffers
 	// rotate, so steady-state flood rounds allocate nothing.
 	var known flatmap.Map[bool]
-	known.Put(uint64(env.ID()), inW)
 	var bufs [2]memberRecs
-	bufs[0] = append(bufs[0], memberRec{ID: env.ID(), Ruler: bestRuler, InW: inW})
-	for step := 0; step < 2*beta; step++ {
-		if len(bufs[step&1]) > 0 {
-			env.BroadcastLocal(&bufs[step&1])
-		}
-		in := env.Step()
-		next := bufs[(step+1)&1][:0]
-		for _, lm := range in.Local {
-			recs, ok := lm.Payload.(*memberRecs)
-			if !ok {
-				continue
-			}
-			for _, r := range *recs {
-				if r.Ruler != bestRuler {
-					continue // other cluster, not ours to track or forward
-				}
-				if !known.Has(uint64(r.ID)) {
-					known.Put(uint64(r.ID), r.InW)
-					next = append(next, r)
-				}
-			}
-		}
-		bufs[(step+1)&1] = next
-	}
 
-	res := memberResult(bestRuler, bestDist, inW, mu, &known)
-	res.Helps = sampleHelps(env, p, mu, len(res.Members), res.WMembers)
-	return res
+	return sim.Sequence(
+		func(env *sim.Env) sim.StepProgram {
+			rule = ruling.NewMachine(env, mu)
+			return rule
+		},
+		func(env *sim.Env) sim.StepProgram {
+			if rule.InSet {
+				bestDist, bestRuler = 0, env.ID()
+				improved = true
+			}
+			return &sim.Loop{
+				Rounds:   beta,
+				NextSend: sim.Reactive, // a wave goes out only after an improvement arrived
+				Send: func(env *sim.Env, i int) {
+					if improved {
+						waveBuf[i&1] = clusterWave{Ruler: bestRuler, Dist: bestDist}
+						env.BroadcastLocal(&waveBuf[i&1])
+						improved = false
+					}
+				},
+				Recv: func(env *sim.Env, in sim.Inbox, i int) {
+					for _, lm := range in.Local {
+						w, ok := lm.Payload.(*clusterWave)
+						if !ok {
+							continue
+						}
+						d := w.Dist + 1
+						if d < bestDist || (d == bestDist && w.Ruler < bestRuler) {
+							bestDist, bestRuler = d, w.Ruler
+							improved = true
+						}
+					}
+				},
+			}
+		},
+		func(env *sim.Env) sim.StepProgram {
+			known.Put(uint64(env.ID()), inW)
+			bufs[0] = append(bufs[0], memberRec{ID: env.ID(), Ruler: bestRuler, InW: inW})
+			return &sim.Loop{
+				Rounds:   2 * beta,
+				NextSend: sim.Reactive,
+				Send: func(env *sim.Env, i int) {
+					if len(bufs[i&1]) > 0 {
+						env.BroadcastLocal(&bufs[i&1])
+					}
+				},
+				Recv: func(env *sim.Env, in sim.Inbox, i int) {
+					next := bufs[(i+1)&1][:0]
+					for _, lm := range in.Local {
+						recs, ok := lm.Payload.(*memberRecs)
+						if !ok {
+							continue
+						}
+						for _, r := range *recs {
+							if r.Ruler != bestRuler {
+								continue // other cluster, not ours to track or forward
+							}
+							if !known.Has(uint64(r.ID)) {
+								known.Put(uint64(r.ID), r.InW)
+								next = append(next, r)
+							}
+						}
+					}
+					bufs[(i+1)&1] = next
+				},
+			}
+		},
+		sim.Finish(func(env *sim.Env) {
+			res := memberResult(bestRuler, bestDist, inW, mu, &known)
+			res.Helps = sampleHelps(env, p, mu, len(res.Members), res.WMembers)
+			m.Res = res
+		}),
+	)
 }
 
-// memberResult drains the member directory into a Result (shared by the
-// goroutine and step forms of the cold construction). The sorted drain
+// Step implements sim.StepProgram.
+func (m *Machine) Step(env *sim.Env) bool { return m.prog.Step(env) }
+
+// memberResult drains the member directory into a Result. The sorted drain
 // yields Members and WMembers in ascending ID order directly.
 func memberResult(ruler, dist int, inW bool, mu int, known *flatmap.Map[bool]) Result {
 	res := Result{
@@ -211,10 +293,9 @@ func memberResult(ruler, dist int, inW bool, mu int, known *flatmap.Map[bool]) R
 // set deterministically: that guarantees H_w is never empty even when the
 // w.h.p. sampling bound fails at small n, costs each node at most one
 // extra membership, and keeps properties (1)-(3) intact (hop(w,w) = 0).
-// Shared by the cold and cluster-cached paths of both execution forms; it
-// consumes exactly one random draw per non-self W member below the
-// saturation bound, so the rand-stream position after Compute is identical
-// whichever path ran.
+// Shared by the cold and cluster-cached paths; it consumes exactly one
+// random draw per non-self W member below the saturation bound, so the
+// rand-stream position after the machine is identical whichever path ran.
 func sampleHelps(env *sim.Env, p Params, mu, clusterSize int, wMembers []int) []int {
 	num := p.QBoost * 2 * mu
 	var helps []int

@@ -8,21 +8,26 @@ import (
 	"repro/internal/sim"
 )
 
-// runCompute executes Algorithm 1 on g with W sampled at probability p.
+// family is Algorithm 1 as a sim.Pipeline yielding Res.
+func family(inW []bool, mu int, p Params) sim.Pipeline[Result] {
+	return func(env *sim.Env, done func(Result)) sim.StepProgram {
+		m := NewMachine(env, inW[env.ID()], mu, p)
+		return sim.Then(m, func(*sim.Env) { done(m.Res) })
+	}
+}
+
+// runCompute executes Algorithm 1 on g for the given W.
 func runCompute(t *testing.T, g *graph.Graph, inW []bool, mu int, seed int64) []Result {
 	t.Helper()
-	results := make([]Result, g.N())
-	m, err := sim.Run(g, sim.Config{Seed: seed}, func(env *sim.Env) {
-		results[env.ID()] = Compute(env, inW[env.ID()], mu, Params{})
-	})
+	results, m, err := sim.RunPipeline(g, sim.Config{Seed: seed}, family(inW, mu, Params{}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := Rounds(g.N(), mu); m.Rounds != want {
-		t.Fatalf("Compute took %d rounds, want exactly %d", m.Rounds, want)
+		t.Fatalf("Algorithm 1 took %d rounds, want exactly %d", m.Rounds, want)
 	}
 	if m.GlobalMsgs != 0 {
-		t.Fatalf("Compute used %d global messages; Algorithm 1 is local-only", m.GlobalMsgs)
+		t.Fatalf("Algorithm 1 used %d global messages; it is local-only", m.GlobalMsgs)
 	}
 	return results
 }

@@ -17,9 +17,10 @@ func (r Result) words() []int64 {
 	return append(w, simtest.Ints(r.Helps)...)
 }
 
-// TestMachineMatchesCompute holds the Algorithm 1 machine to the trace of
-// the blocking Compute it replaced, on every engine — uncached, populating
-// a cluster cache, and bound from it — and checks the family it builds.
+// TestMachineMatchesCompute holds the Algorithm 1 machine, on every engine,
+// to the trace recorded from the blocking Compute it replaced — uncached,
+// populating a cluster cache, and bound from it — and checks the family it
+// builds.
 func TestMachineMatchesCompute(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := graph.SparseConnected(60, 1.2, rng)
@@ -34,27 +35,14 @@ func TestMachineMatchesCompute(t *testing.T) {
 		"cache hit":  {Metrics: sim.Metrics{Rounds: 84, GlobalMsgs: 118, GlobalBits: 6136, LocalMsgs: 1082, LocalBits: 64512, MaxGlobalSend: 1, MaxGlobalRecv: 1}, Sum: 0xca7d4d8d5fd620d0},
 	}
 
-	blocking := func(p Params) func(env *sim.Env, emit func(...int64)) {
-		return func(env *sim.Env, emit func(...int64)) {
-			emit(Compute(env, inW[env.ID()], mu, p).words()...)
-		}
-	}
-	simtest.Blocking(t, "uncached", g, 9, pins["uncached"], blocking(Params{}))
-	cached := Params{Clusters: NewClusterCache()}
-	simtest.Blocking(t, "cache miss", g, 9, pins["cache miss"], blocking(cached))
-	simtest.Blocking(t, "cache hit", g, 9, pins["cache hit"], blocking(cached))
-
 	results := make([]Result, g.N())
 	machine := func(p Params) simtest.Factory {
 		return func(env *sim.Env, emit func(...int64)) sim.StepProgram {
 			m := NewMachine(env, inW[env.ID()], mu, p)
-			return sim.Sequence(
-				func(*sim.Env) sim.StepProgram { return m },
-				sim.Finish(func(env *sim.Env) {
-					results[env.ID()] = m.Res
-					emit(m.Res.words()...)
-				}),
-			)
+			return sim.Then(m, func(env *sim.Env) {
+				results[env.ID()] = m.Res
+				emit(m.Res.words()...)
+			})
 		}
 	}
 	for _, eng := range simtest.Engines {

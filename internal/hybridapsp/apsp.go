@@ -60,87 +60,129 @@ func (p Params) skeletonParams() skeleton.Params {
 	return skeleton.Params{X: x, HFactor: p.HFactor, Cache: p.SkeletonCache}
 }
 
-// Compute runs the Theorem 1.1 algorithm collectively and returns this
-// node's exact distances to every node (graph.Inf for unreachable).
-func Compute(env *sim.Env, params Params) []int64 {
+// NewComputeMachine runs the Theorem 1.1 algorithm collectively (see
+// sim.StepProgram), composed from the skeleton/ncc/routing machines. done
+// receives this node's exact distances to every node (graph.Inf for
+// unreachable) when the machine finishes.
+func NewComputeMachine(env *sim.Env, params Params, done func([]int64)) sim.StepProgram {
 	sp := params.skeletonParams()
 	n := env.N()
 	h := sp.H(n)
 
-	// Phase 1: skeleton + the all-sources exploration for close pairs.
-	skel := skeleton.Compute(env, sp, false)
-	local, _ := skeleton.LimitedExplore(env, true, h)
-
-	// Phase 2: make E_S public knowledge, solve APSP on S locally.
-	members, dS := publishSkeleton(env, skel, params.Dissemination)
-	rank := make(map[int]int, len(members))
-	for i, id := range members {
-		rank[id] = i
-	}
-
-	// d(v, s) for every skeleton node s, and the connector realizing it.
-	distToSkel := make([]int64, len(members))
-	for i := range members {
-		distToSkel[i] = bestViaSkeleton(skel, rank, dS, i)
-	}
-
-	// Phase 3: token routing — every node sends d(v, s) to each s ∈ V_S.
-	send := make([]routing.Token, 0, len(members))
-	for i, s := range members {
-		send = append(send, routing.Token{
-			Label: routing.Label{S: env.ID(), R: s, I: 0},
-			Value: distToSkel[i],
-		})
-	}
+	var skelM *skeleton.ComputeMachine
+	var exploreM *skeleton.ExploreMachine
+	var pub *publishMachine
+	var sessM *routing.SessionMachine
+	var routeM *routing.RouteMachine
+	var floodM *skeleton.FloodVectorsMachine
+	var skel skeleton.Result
+	var local []int64
+	var members []int
+	var dS [][]int64
+	var send []routing.Token
 	var expect []routing.Label
-	if skel.InSkeleton {
-		expect = make([]routing.Label, 0, n)
-		for v := 0; v < n; v++ {
-			expect = append(expect, routing.Label{S: v, R: env.ID(), I: 0})
-		}
-	}
-	session := routing.NewSession(env, true, skel.InSkeleton,
-		len(members), n, 1.0, sp.SampleProb(n), params.Routing)
-	got := session.Route(send, expect)
 
-	// Phase 4: skeleton nodes flood their distance vectors to radius h.
-	var mine []int64
-	if skel.InSkeleton && len(got) > 0 {
-		mine = make([]int64, n)
-		for v := range mine {
-			mine[v] = -1
-		}
-		for _, t := range got {
-			mine[t.S] = t.Value
-		}
-	}
-	labels := skeleton.FloodVectors(env, mine, h)
-
-	// Final combine: local estimate vs routes through nearby skeletons. The
-	// dense exploration vector already holds Inf for unreached nodes, so it
-	// doubles as the output accumulator.
-	out := local
-	for s, ds := range skel.Near {
-		vec, ok := labels.Get(uint64(s))
-		if !ok {
-			continue
-		}
-		for v := 0; v < n; v++ {
-			if dv := vec[v]; dv >= 0 {
-				if cand := satAdd(ds, dv); cand < out[v] {
-					out[v] = cand
+	return sim.Sequence(
+		// Phase 1: skeleton + the all-sources exploration for close pairs.
+		func(env *sim.Env) sim.StepProgram {
+			skelM = skeleton.NewComputeMachine(env, sp, false)
+			return skelM
+		},
+		func(env *sim.Env) sim.StepProgram {
+			skel = skelM.Res
+			exploreM = skeleton.NewExploreMachine(env, true, h)
+			return exploreM
+		},
+		// Phase 2: make E_S public knowledge, solve APSP on S locally.
+		func(env *sim.Env) sim.StepProgram {
+			local = exploreM.Near
+			pub = newPublishMachine(env, skel, params.Dissemination)
+			return pub
+		},
+		// Phase 3: token routing — every node sends d(v, s), the best route
+		// via a nearby skeleton node, to each s ∈ V_S.
+		func(env *sim.Env) sim.StepProgram {
+			members, dS = pub.Members, pub.DS
+			rank := make(map[int]int, len(members))
+			for i, id := range members {
+				rank[id] = i
+			}
+			send = make([]routing.Token, 0, len(members))
+			for i, s := range members {
+				send = append(send, routing.Token{
+					Label: routing.Label{S: env.ID(), R: s, I: 0},
+					Value: bestViaSkeleton(skel, rank, dS, i),
+				})
+			}
+			if skel.InSkeleton {
+				expect = make([]routing.Label, 0, n)
+				for v := 0; v < n; v++ {
+					expect = append(expect, routing.Label{S: v, R: env.ID(), I: 0})
 				}
 			}
-		}
-	}
-	return out
+			sessM = routing.NewSessionMachine(env, true, skel.InSkeleton,
+				len(members), n, 1.0, sp.SampleProb(n), params.Routing)
+			return sessM
+		},
+		func(env *sim.Env) sim.StepProgram {
+			routeM = routing.NewRouteMachine(sessM.Out, send, expect)
+			return routeM
+		},
+		// Phase 4: skeleton nodes flood their distance vectors to radius h.
+		func(env *sim.Env) sim.StepProgram {
+			got := routeM.Out
+			var mine []int64
+			if skel.InSkeleton && len(got) > 0 {
+				mine = make([]int64, n)
+				for v := range mine {
+					mine[v] = -1
+				}
+				for _, t := range got {
+					mine[t.S] = t.Value
+				}
+			}
+			floodM = skeleton.NewFloodVectorsMachine(env, mine, h)
+			return floodM
+		},
+		// Final combine: local estimate vs routes through nearby skeletons.
+		// The dense exploration vector already holds Inf for unreached
+		// nodes, so it doubles as the output accumulator.
+		sim.Finish(func(env *sim.Env) {
+			labels := &floodM.Known
+			out := local
+			for s, ds := range skel.Near {
+				vec, ok := labels.Get(uint64(s))
+				if !ok {
+					continue
+				}
+				for v := 0; v < n; v++ {
+					if dv := vec[v]; dv >= 0 {
+						if cand := satAdd(ds, dv); cand < out[v] {
+							out[v] = cand
+						}
+					}
+				}
+			}
+			done(out)
+		}),
+	)
 }
 
-// publishSkeleton makes V_S and E_S public knowledge (token dissemination)
-// and returns the sorted member list plus the all-pairs distance matrix of
-// the skeleton graph, computed locally by every node (indices = member
-// ranks).
-func publishSkeleton(env *sim.Env, skel skeleton.Result, dp ncc.DisseminateParams) ([]int, [][]int64) {
+// publishMachine makes V_S and E_S public knowledge (token dissemination
+// sized by two aggregations of the edge counts) and locally solves APSP on
+// the skeleton graph.
+type publishMachine struct {
+	// Members is the sorted skeleton member list and DS its all-pairs
+	// distance matrix (indices = member ranks); valid once Step returned
+	// true.
+	Members []int
+	DS      [][]int64
+
+	prog sim.StepProgram
+}
+
+func newPublishMachine(env *sim.Env, skel skeleton.Result, dp ncc.DisseminateParams) *publishMachine {
+	pm := &publishMachine{}
 	// Edge tokens: the smaller-ID endpoint owns the edge so the published
 	// estimate is consistent everywhere (the two endpoints' sandwich
 	// estimates may differ; either is valid, one must be chosen). A
@@ -156,15 +198,35 @@ func publishSkeleton(env *sim.Env, skel skeleton.Result, dp ncc.DisseminateParam
 		}
 		myEdges = len(mine)
 	}
-	maxEdges := int(ncc.Aggregate(env, int64(myEdges), ncc.AggMax))
-	totalEdges := int(ncc.Aggregate(env, int64(myEdges), ncc.AggSum))
-	all := ncc.Disseminate(env, mine, totalEdges, maxEdges, dp)
-	return skeletonAPSPFromTokens(all)
+	var aggMax, aggSum *ncc.AggregateMachine
+	var diss *ncc.DisseminateMachine
+	pm.prog = sim.Sequence(
+		func(env *sim.Env) sim.StepProgram {
+			aggMax = ncc.NewAggregateMachine(env, int64(myEdges), ncc.AggMax)
+			return aggMax
+		},
+		func(env *sim.Env) sim.StepProgram {
+			aggSum = ncc.NewAggregateMachine(env, int64(myEdges), ncc.AggSum)
+			return aggSum
+		},
+		func(env *sim.Env) sim.StepProgram {
+			diss = ncc.NewDisseminateMachine(env, mine, int(aggSum.Out), int(aggMax.Out), dp)
+			return diss
+		},
+		sim.Finish(func(env *sim.Env) {
+			pm.Members, pm.DS = skeletonAPSPFromTokens(diss.Out)
+		}),
+	)
+	return pm
 }
+
+// Step implements sim.StepProgram.
+func (pm *publishMachine) Step(env *sim.Env) bool { return pm.prog.Step(env) }
 
 // skeletonAPSPFromTokens rebuilds the skeleton graph from the disseminated
 // edge tokens and solves APSP on it locally — the local tail of
-// publishSkeleton, shared with the step form (publishMachine).
+// publishMachine: the sorted member list plus the all-pairs distance matrix
+// of the skeleton graph (indices = member ranks).
 func skeletonAPSPFromTokens(all []ncc.Token) ([]int, [][]int64) {
 	memberSet := map[int]bool{}
 	for _, t := range all {
@@ -213,13 +275,13 @@ func satAdd(a, b int64) int64 {
 	return a + b
 }
 
-// BaselineCompute runs the O~(n^(2/3)) APSP of [3] (the algorithm
+// NewBaselineComputeMachine runs the O~(n^(2/3)) APSP of [3] (the algorithm
 // Theorem 1.1 improves on): identical skeleton machinery at x = n^(2/3)
 // (sampling exponent 1/3), but instead of token routing, ALL limited
 // distance labels dd(v, s) for (s, v) ∈ V_S × V are broadcast with token
 // dissemination — Θ(n²/x) tokens, hence Θ~(n/sqrt(x)) rounds, optimized at
 // x = n^(2/3).
-func BaselineCompute(env *sim.Env, params Params) []int64 {
+func NewBaselineComputeMachine(env *sim.Env, params Params, done func([]int64)) sim.StepProgram {
 	if params.X <= 0 || params.X >= 1 {
 		params.X = 1.0 / 3.0
 	}
@@ -227,65 +289,127 @@ func BaselineCompute(env *sim.Env, params Params) []int64 {
 	n := env.N()
 	h := sp.H(n)
 
-	skel := skeleton.Compute(env, sp, false)
-	local, _ := skeleton.LimitedExplore(env, true, h)
-	members, dS := publishSkeleton(env, skel, params.Dissemination)
-	rank := make(map[int]int, len(members))
-	for i, id := range members {
-		rank[id] = i
-	}
+	var skelM *skeleton.ComputeMachine
+	var exploreM *skeleton.ExploreMachine
+	var pub *publishMachine
+	var aggMax, aggSum *ncc.AggregateMachine
+	var diss *ncc.DisseminateMachine
+	var skel skeleton.Result
+	var local []int64
+	var mine []ncc.Token
 
-	// Broadcast every dd(v, s) label — the [3] bottleneck step.
-	mine := make([]ncc.Token, 0, len(skel.Near))
-	for s, d := range skel.Near {
-		mine = append(mine, ncc.Token{A: int64(s), B: int64(env.ID()), C: d})
-	}
-	myCount := len(mine)
-	maxCount := int(ncc.Aggregate(env, int64(myCount), ncc.AggMax))
-	totalCount := int(ncc.Aggregate(env, int64(myCount), ncc.AggSum))
-	all := ncc.Disseminate(env, mine, totalCount, maxCount, params.Dissemination)
-
-	// Labels: dd(v, s) as a dense (skeleton rank, node) matrix, -1 = absent.
-	lab := make([]int64, len(members)*n)
-	for i := range lab {
-		lab[i] = -1
-	}
-	for _, t := range all {
-		if i, ok := rank[int(t.A)]; ok {
-			lab[i*n+int(t.B)] = t.C
-		}
-	}
-
-	// min over s1 near me, s2 near v of dd(me,s1)+d_S(s1,s2)+dd(v,s2); the
-	// dense exploration vector doubles as the accumulator.
-	out := local
-	for s1, d1 := range skel.Near {
-		i, ok := rank[s1]
-		if !ok {
-			continue
-		}
-		for j := range members {
-			row := lab[j*n : (j+1)*n]
-			base := satAdd(d1, dS[i][j])
-			if base >= graph.Inf {
-				continue
+	return sim.Sequence(
+		func(env *sim.Env) sim.StepProgram {
+			skelM = skeleton.NewComputeMachine(env, sp, false)
+			return skelM
+		},
+		func(env *sim.Env) sim.StepProgram {
+			skel = skelM.Res
+			exploreM = skeleton.NewExploreMachine(env, true, h)
+			return exploreM
+		},
+		func(env *sim.Env) sim.StepProgram {
+			local = exploreM.Near
+			pub = newPublishMachine(env, skel, params.Dissemination)
+			return pub
+		},
+		// Broadcast every dd(v, s) label — the [3] bottleneck step.
+		func(env *sim.Env) sim.StepProgram {
+			mine = make([]ncc.Token, 0, len(skel.Near))
+			for s, d := range skel.Near {
+				mine = append(mine, ncc.Token{A: int64(s), B: int64(env.ID()), C: d})
 			}
-			for v := 0; v < n; v++ {
-				if dv := row[v]; dv >= 0 {
-					if cand := satAdd(base, dv); cand < out[v] {
-						out[v] = cand
+			aggMax = ncc.NewAggregateMachine(env, int64(len(mine)), ncc.AggMax)
+			return aggMax
+		},
+		func(env *sim.Env) sim.StepProgram {
+			aggSum = ncc.NewAggregateMachine(env, int64(len(mine)), ncc.AggSum)
+			return aggSum
+		},
+		func(env *sim.Env) sim.StepProgram {
+			diss = ncc.NewDisseminateMachine(env, mine, int(aggSum.Out), int(aggMax.Out), params.Dissemination)
+			return diss
+		},
+		sim.Finish(func(env *sim.Env) {
+			members, dS := pub.Members, pub.DS
+			rank := make(map[int]int, len(members))
+			for i, id := range members {
+				rank[id] = i
+			}
+			// Labels: dd(v, s) as a dense (skeleton rank, node) matrix, -1 =
+			// absent.
+			lab := make([]int64, len(members)*n)
+			for i := range lab {
+				lab[i] = -1
+			}
+			for _, t := range diss.Out {
+				if i, ok := rank[int(t.A)]; ok {
+					lab[i*n+int(t.B)] = t.C
+				}
+			}
+			// min over s1 near me, s2 near v of dd(me,s1)+d_S(s1,s2)+dd(v,s2);
+			// the dense exploration vector doubles as the accumulator.
+			out := local
+			for s1, d1 := range skel.Near {
+				i, ok := rank[s1]
+				if !ok {
+					continue
+				}
+				for j := range members {
+					row := lab[j*n : (j+1)*n]
+					base := satAdd(d1, dS[i][j])
+					if base >= graph.Inf {
+						continue
+					}
+					for v := 0; v < n; v++ {
+						if dv := row[v]; dv >= 0 {
+							if cand := satAdd(base, dv); cand < out[v] {
+								out[v] = cand
+							}
+						}
 					}
 				}
 			}
-		}
-	}
-	return out
+			done(out)
+		}),
+	)
 }
 
-// LocalCompute is the pure-LOCAL baseline: rounds of whole-graph flooding.
-// In the LOCAL model Θ(D) rounds are necessary and sufficient for APSP
-// (paper §1); rounds must be at least the hop diameter for exact results.
-func LocalCompute(env *sim.Env, rounds int) []int64 {
-	local, _ := skeleton.LimitedExplore(env, true, rounds)
-	return local // dense, with graph.Inf marking unreached nodes
+// NewLocalComputeMachine is the pure-LOCAL baseline: rounds of whole-graph
+// flooding. In the LOCAL model Θ(D) rounds are necessary and sufficient for
+// APSP (paper §1); rounds must be at least the hop diameter for exact
+// results. done receives the dense vector, graph.Inf marking unreached
+// nodes.
+func NewLocalComputeMachine(env *sim.Env, rounds int, done func([]int64)) sim.StepProgram {
+	var exploreM *skeleton.ExploreMachine
+	return sim.Sequence(
+		func(env *sim.Env) sim.StepProgram {
+			exploreM = skeleton.NewExploreMachine(env, true, rounds)
+			return exploreM
+		},
+		sim.Finish(func(env *sim.Env) { done(exploreM.Near) }),
+	)
+}
+
+// Pipeline returns the Theorem 1.1 exact APSP as a sim.Pipeline; the
+// per-node result is the node's dense distance vector.
+func Pipeline(params Params) sim.Pipeline[[]int64] {
+	return func(env *sim.Env, done func([]int64)) sim.StepProgram {
+		return NewComputeMachine(env, params, done)
+	}
+}
+
+// BaselinePipeline returns the O~(n^(2/3)) APSP of [3] as a sim.Pipeline.
+func BaselinePipeline(params Params) sim.Pipeline[[]int64] {
+	return func(env *sim.Env, done func([]int64)) sim.StepProgram {
+		return NewBaselineComputeMachine(env, params, done)
+	}
+}
+
+// LocalPipeline returns the Θ(D) pure-LOCAL flooding baseline as a
+// sim.Pipeline.
+func LocalPipeline(rounds int) sim.Pipeline[[]int64] {
+	return func(env *sim.Env, done func([]int64)) sim.StepProgram {
+		return NewLocalComputeMachine(env, rounds, done)
+	}
 }

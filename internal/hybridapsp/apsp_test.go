@@ -9,13 +9,10 @@ import (
 )
 
 // runAPSP executes an APSP variant on g and checks exactness everywhere.
-func runAPSP(t *testing.T, g *graph.Graph, f func(env *sim.Env) []int64, seed int64) sim.Metrics {
+func runAPSP(t *testing.T, g *graph.Graph, variant sim.Pipeline[[]int64], seed int64) sim.Metrics {
 	t.Helper()
 	n := g.N()
-	out := make([][]int64, n)
-	m, err := sim.Run(g, sim.Config{Seed: seed}, func(env *sim.Env) {
-		out[env.ID()] = f(env)
-	})
+	out, m, err := sim.RunPipeline(g, sim.Config{Seed: seed}, variant)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,9 +44,7 @@ func TestTheorem11Exact(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			runAPSP(t, tt.g, func(env *sim.Env) []int64 {
-				return Compute(env, Params{})
-			}, 7)
+			runAPSP(t, tt.g, Pipeline(Params{}), 7)
 		})
 	}
 }
@@ -66,9 +61,7 @@ func TestBaselineExact(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			runAPSP(t, tt.g, func(env *sim.Env) []int64 {
-				return BaselineCompute(env, Params{})
-			}, 11)
+			runAPSP(t, tt.g, BaselinePipeline(Params{}), 11)
 		})
 	}
 }
@@ -76,9 +69,7 @@ func TestBaselineExact(t *testing.T) {
 func TestLocalBaselineExact(t *testing.T) {
 	g := graph.Grid(6, 6)
 	d := int(graph.HopDiameter(g))
-	runAPSP(t, g, func(env *sim.Env) []int64 {
-		return LocalCompute(env, d)
-	}, 13)
+	runAPSP(t, g, LocalPipeline(d), 13)
 }
 
 func TestLocalBaselineNeedsDiameterRounds(t *testing.T) {
@@ -86,10 +77,7 @@ func TestLocalBaselineNeedsDiameterRounds(t *testing.T) {
 	// the Θ(D) lower bound of §1 in action.
 	g := graph.Path(30)
 	n := g.N()
-	out := make([][]int64, n)
-	_, err := sim.Run(g, sim.Config{Seed: 17}, func(env *sim.Env) {
-		out[env.ID()] = LocalCompute(env, 5)
-	})
+	out, _, err := sim.RunPipeline(g, sim.Config{Seed: 17}, LocalPipeline(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,9 +99,7 @@ func TestTheorem11SqrtScaling(t *testing.T) {
 	rounds := map[int]int{}
 	for _, n := range []int{96, 384} {
 		g := graph.Path(n)
-		m := runAPSP(t, g, func(env *sim.Env) []int64 {
-			return Compute(env, Params{})
-		}, 19)
+		m := runAPSP(t, g, Pipeline(Params{}), 19)
 		rounds[n] = m.Rounds
 		logN := float64(sim.Log2Ceil(n))
 		bound := 8 * sqrtF(n) * logN * logN
@@ -138,8 +124,8 @@ func sqrtF(n int) float64 {
 
 func TestDeterministicAPSP(t *testing.T) {
 	g := graph.Grid(6, 6)
-	m1 := runAPSP(t, g, func(env *sim.Env) []int64 { return Compute(env, Params{}) }, 23)
-	m2 := runAPSP(t, g, func(env *sim.Env) []int64 { return Compute(env, Params{}) }, 23)
+	m1 := runAPSP(t, g, Pipeline(Params{}), 23)
+	m2 := runAPSP(t, g, Pipeline(Params{}), 23)
 	if m1.Rounds != m2.Rounds || m1.GlobalMsgs != m2.GlobalMsgs {
 		t.Fatalf("identical runs diverged: %+v vs %+v", m1, m2)
 	}
@@ -147,7 +133,7 @@ func TestDeterministicAPSP(t *testing.T) {
 
 func TestRecvLoadLemmaD2(t *testing.T) {
 	g := graph.Grid(9, 9)
-	m := runAPSP(t, g, func(env *sim.Env) []int64 { return Compute(env, Params{}) }, 29)
+	m := runAPSP(t, g, Pipeline(Params{}), 29)
 	logN := sim.Log2Ceil(g.N())
 	if m.MaxGlobalRecv > 10*logN {
 		t.Fatalf("max global receive load %d exceeds 10 log n = %d", m.MaxGlobalRecv, 10*logN)

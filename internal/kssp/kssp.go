@@ -121,30 +121,63 @@ func cliqueFactory(env *sim.Env, spec AlgSpec, reps []skeleton.RepInfo) cliquesi
 	}
 }
 
-// Compute runs Algorithm 5 collectively. isSource marks this node as one of
-// the sources; kBound is a globally known upper bound on the number of
-// sources. It returns this node's estimates, sorted by source ID.
-func Compute(env *sim.Env, isSource bool, kBound int, spec AlgSpec, params Params) []SourceDist {
+// NewComputeMachine runs Algorithm 5 collectively (see sim.StepProgram):
+// skeleton, representatives, CLIQUE simulation, ηh exploration, label
+// flood, Equation (1). isSource marks this node as one of the sources;
+// kBound is a globally known upper bound on the number of sources. done
+// receives this node's estimates, sorted by source ID, when the machine
+// finishes.
+func NewComputeMachine(env *sim.Env, isSource bool, kBound int, spec AlgSpec, params Params, done func([]SourceDist)) sim.StepProgram {
 	n := env.N()
 	sp, h, etaRounds := spec.plan(params, n)
 
-	// Skeleton; single sources are summoned into it (Algorithm 6, γ = 0).
-	skel := skeleton.Compute(env, sp, isSource && spec.SingleSource)
+	var skelM *skeleton.ComputeMachine
+	var repsM *skeleton.RepresentativesMachine
+	var exploreM *skeleton.ExploreMachine
+	var floodM *skeleton.FloodVectorsMachine
+	var simRes cliquesim.Result
 
-	// Representatives (Algorithm 7): public triples (source, rep, d_h).
-	reps := skeleton.ComputeRepresentatives(env, skel, isSource, kBound)
+	return sim.Sequence(
+		// Skeleton; single sources are summoned into it (Algorithm 6, γ=0).
+		func(env *sim.Env) sim.StepProgram {
+			skelM = skeleton.NewComputeMachine(env, sp, isSource && spec.SingleSource)
+			return skelM
+		},
+		// Representatives (Algorithm 7): public triples (source, rep, d_h).
+		func(env *sim.Env) sim.StepProgram {
+			repsM = skeleton.NewRepresentativesMachine(env, skelM.Res, isSource, kBound)
+			return repsM
+		},
+		// CLIQUE simulation on the skeleton (Algorithm 8 / Corollary 4.1).
+		func(env *sim.Env) sim.StepProgram {
+			return cliquesim.NewSimulateMachine(env, skelM.Res, sp.SampleProb(n),
+				cliqueFactory(env, spec, repsM.Out), params.Routing,
+				func(r cliquesim.Result) { simRes = r })
+		},
+		// Local exploration to depth ηh with the sources as origins gives
+		// the exact first term of Equation (1) for close pairs.
+		func(env *sim.Env) sim.StepProgram {
+			exploreM = skeleton.NewExploreMachine(env, isSource, etaRounds)
+			return exploreM
+		},
+		// Skeleton nodes flood their simulated estimates to radius h.
+		func(env *sim.Env) sim.StepProgram {
+			floodM = skeleton.NewFloodVectorsMachine(env, simVector(simRes, repsM.Out), h)
+			return floodM
+		},
+		sim.Finish(func(env *sim.Env) {
+			done(combineEstimates(skelM.Res, repsM.Out, simRes, exploreM.Near, &floodM.Known))
+		}),
+	)
+}
 
-	// CLIQUE simulation on the skeleton (Algorithm 8 / Corollary 4.1).
-	simRes := cliquesim.Simulate(env, skel, sp.SampleProb(n), cliqueFactory(env, spec, reps), params.Routing)
-
-	// Local exploration to depth ηh with the sources as origins gives the
-	// exact first term of Equation (1) for close pairs.
-	local, _ := skeleton.LimitedExplore(env, isSource, etaRounds)
-
-	// Skeleton nodes flood their simulated estimates to radius h.
-	labels := skeleton.FloodVectors(env, simVector(simRes, reps), h)
-
-	return combineEstimates(skel, reps, simRes, local, labels)
+// Pipeline returns Algorithm 5 as a sim.Pipeline: isSource[v] marks the
+// sources, kBound is the globally known bound on their number, and the
+// per-node result is the node's estimates sorted by source ID.
+func Pipeline(isSource []bool, kBound int, spec AlgSpec, params Params) sim.Pipeline[[]SourceDist] {
+	return func(env *sim.Env, done func([]SourceDist)) sim.StepProgram {
+		return NewComputeMachine(env, isSource[env.ID()], kBound, spec, params, done)
+	}
 }
 
 // simVector extracts this node's simulated estimates d~(u, rep(s)) as the

@@ -17,17 +17,16 @@ func runKSSP(t *testing.T, g *graph.Graph, sources []int, spec AlgSpec, params P
 	for _, s := range sources {
 		isSource[s] = true
 	}
-	out := make([]map[int]int64, n)
-	m, err := sim.Run(g, sim.Config{Seed: seed}, func(env *sim.Env) {
-		res := Compute(env, isSource[env.ID()], len(sources), spec, params)
-		mp := make(map[int]int64, len(res))
-		for _, sd := range res {
-			mp[sd.Source] = sd.Dist
-		}
-		out[env.ID()] = mp
-	})
+	res, m, err := sim.RunPipeline(g, sim.Config{Seed: seed}, Pipeline(isSource, len(sources), spec, params))
 	if err != nil {
 		t.Fatal(err)
+	}
+	out := make([]map[int]int64, n)
+	for v := range res {
+		out[v] = make(map[int]int64, len(res[v]))
+		for _, sd := range res[v] {
+			out[v][sd.Source] = sd.Dist
+		}
 	}
 	return out, m
 }
@@ -220,16 +219,11 @@ func TestSourceDistOutputSorted(t *testing.T) {
 	for _, s := range sources {
 		isSource[s] = true
 	}
-	var out []SourceDist
-	_, err := sim.Run(g, sim.Config{Seed: 47}, func(env *sim.Env) {
-		res := Compute(env, isSource[env.ID()], len(sources), Corollary46(0.5, 0), Params{})
-		if env.ID() == 0 {
-			out = res
-		}
-	})
+	res, _, err := sim.RunPipeline(g, sim.Config{Seed: 47}, Pipeline(isSource, len(sources), Corollary46(0.5, 0), Params{}))
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := res[0]
 	if len(out) != len(sources) {
 		t.Fatalf("got %d entries, want %d", len(out), len(sources))
 	}

@@ -8,9 +8,9 @@ import (
 	"repro/internal/simtest"
 )
 
-// pinnedKSSP holds the Algorithm 5 machine to the trace of the blocking
-// Compute it replaced, on every engine, and every estimate to at least the
-// true distance (and at most factor times it).
+// pinnedKSSP holds the Algorithm 5 machine, on every engine, to the trace
+// recorded from the blocking Compute it replaced, and every estimate to at
+// least the true distance (and at most factor times it).
 func pinnedKSSP(t *testing.T, g *graph.Graph, sources []int, spec AlgSpec, seed int64, factor int64, pin simtest.Pin) {
 	t.Helper()
 	n := g.N()
@@ -25,9 +25,6 @@ func pinnedKSSP(t *testing.T, g *graph.Graph, sources []int, spec AlgSpec, seed 
 		}
 		return w
 	}
-	simtest.Blocking(t, "kssp", g, seed, pin, func(env *sim.Env, emit func(...int64)) {
-		emit(words(Compute(env, isSource[env.ID()], len(sources), spec, Params{}))...)
-	})
 	got := make([][]SourceDist, n)
 	simtest.Machines(t, "kssp", g, seed, pin, func(env *sim.Env, emit func(...int64)) sim.StepProgram {
 		id := env.ID()

@@ -12,12 +12,14 @@
 //     protocol — k tokens, at most ell per node, become known to every node
 //     in O~(sqrt(k) + ell) rounds using both communication modes.
 //
-// All three are collective: every node's program must call them in the same
-// round, and they return after a deterministic number of rounds computed
-// from parameters every node knows (n, k, ell), so lockstep is preserved.
+// All three are collective machines (sim.StepProgram): every node must
+// start them in the same round, and they finish after a deterministic number
+// of rounds computed from parameters every node knows (n, k, ell), so
+// lockstep is preserved.
 package ncc
 
 import (
+	"math"
 	"sort"
 
 	"repro/internal/flatmap"
@@ -63,111 +65,190 @@ func (op AggOp) combine(a, b int64) int64 {
 	}
 }
 
-// Aggregate computes op over every node's value and returns the result to
-// all nodes. It is a collective operation taking exactly 2*ceil(log2 n)
-// rounds: a binomial-tree convergecast to node 0 followed by a binomial-tree
-// downcast (the NCC aggregation scheme of [2], Lemma B.2).
-func Aggregate(env *sim.Env, value int64, op AggOp) int64 {
-	n := env.N()
-	logN := sim.Log2Ceil(n)
-	acc := value
+// AggregateMachine computes op over every node's value and announces the
+// result to all nodes. It takes exactly 2*ceil(log2 n) rounds: a
+// binomial-tree convergecast to node 0 followed by a binomial-tree downcast
+// (the NCC aggregation scheme of [2], Lemma B.2).
+type AggregateMachine struct {
+	// Out is the aggregate, announced at every node; valid once Step
+	// returned true.
+	Out int64
 
-	// Convergecast: in step b, node i with i mod 2^(b+1) == 2^b sends its
-	// accumulator to i - 2^b. Receivers fold.
-	for b := 0; b < logN; b++ {
-		stride := 1 << (b + 1)
-		half := 1 << b
-		if env.ID()%stride == half {
-			env.SendGlobal(env.ID()-half, kindAggUp, acc, 0, 0, 0)
-		}
-		in := env.Step()
-		for _, m := range in.Global {
-			if m.Kind == kindAggUp {
-				acc = op.combine(acc, m.F0)
-			}
-		}
-	}
-	// Downcast: node 0 now holds the result; reverse the tree.
-	for b := logN - 1; b >= 0; b-- {
-		stride := 1 << (b + 1)
-		half := 1 << b
-		if env.ID()%stride == 0 && env.ID()+half < n {
-			env.SendGlobal(env.ID()+half, kindAggDown, acc, 0, 0, 0)
-		}
-		in := env.Step()
-		for _, m := range in.Global {
-			if m.Kind == kindAggDown {
-				acc = m.F0
-			}
-		}
-	}
-	return acc
+	loop sim.Loop
+	op   AggOp
+	logN int
+	n    int
+	id   int
 }
 
-// BroadcastWords announces the source node's word vector to every node via
-// binomial doubling over the global network. All nodes must pass the same
-// source and the same maxWords (an upper bound on len(words) known to
-// everyone, e.g. the O(log n) seed length of Lemma 2.3); the source's slice
-// is padded to maxWords with zeros. The operation takes
-// ceil(log2 n) * ceil(ceil(maxWords/3)/cap) rounds.
-func BroadcastWords(env *sim.Env, source int, words []int64, maxWords int) []int64 {
-	n := env.N()
-	logN := sim.Log2Ceil(n)
-	budget := env.GlobalCap()
+// NewAggregateMachine builds the collective aggregation machine; all nodes
+// must start it in the same round with the same op.
+func NewAggregateMachine(env *sim.Env, value int64, op AggOp) *AggregateMachine {
+	m := &AggregateMachine{Out: value, op: op, logN: sim.Log2Ceil(env.N()), n: env.N(), id: env.ID()}
+	m.loop = sim.Loop{Rounds: 2 * m.logN, Send: m.send, Recv: m.recv, NextSend: m.nextSend}
+	return m
+}
 
-	buf := make([]int64, maxWords)
-	have := false
-	if env.ID() == source {
-		copy(buf, words)
-		have = true
+// Step implements sim.StepProgram.
+func (m *AggregateMachine) Step(env *sim.Env) bool { return m.loop.Step(env) }
+
+// target is the binomial-tree schedule: where this node sends in iteration i,
+// if it does. Convergecast: in step b, node i with i mod 2^(b+1) == 2^b sends
+// its accumulator to i - 2^b and receivers fold; node 0 then holds the
+// result and the downcast reverses the tree.
+func (m *AggregateMachine) target(i int) (dst int, kind sim.Kind, ok bool) {
+	id := m.id
+	if i < m.logN {
+		stride, half := 1<<(i+1), 1<<i
+		return id - half, kindAggUp, id%stride == half
 	}
-	msgs := (maxWords + 2) / 3 // 3 words per message, field 3 is the index
-	roundsPerStep := (msgs + budget - 1) / budget
-	if roundsPerStep == 0 {
-		roundsPerStep = 1
+	b := 2*m.logN - 1 - i
+	stride, half := 1<<(b+1), 1<<b
+	return id + half, kindAggDown, id%stride == 0 && id+half < m.n
+}
+
+func (m *AggregateMachine) send(env *sim.Env, i int) {
+	if dst, kind, ok := m.target(i); ok {
+		env.SendGlobal(dst, kind, m.Out, 0, 0, 0)
 	}
+}
 
-	offset := func(id int) int { return ((id-source)%n + n) % n }
-
-	for b := 0; b < logN; b++ {
-		// Nodes with offset < 2^b are informed; each sends to offset+2^b.
-		partnerOff := offset(env.ID()) + (1 << b)
-		sendIdx := 0
-		for r := 0; r < roundsPerStep; r++ {
-			if have && offset(env.ID()) < (1<<b) && partnerOff < n {
-				dst := (source + partnerOff) % n
-				for s := 0; s < budget && sendIdx < msgs; s++ {
-					i := sendIdx * 3
-					var w0, w1, w2 int64
-					w0 = buf[i]
-					if i+1 < maxWords {
-						w1 = buf[i+1]
-					}
-					if i+2 < maxWords {
-						w2 = buf[i+2]
-					}
-					env.SendGlobal(dst, kindBcastWord, w0, w1, w2, int64(sendIdx))
-					sendIdx++
-				}
-			}
-			in := env.Step()
-			for _, m := range in.Global {
-				if m.Kind != kindBcastWord {
-					continue
-				}
-				i := int(m.F3) * 3
-				buf[i] = m.F0
-				if i+1 < maxWords {
-					buf[i+1] = m.F1
-				}
-				if i+2 < maxWords {
-					buf[i+2] = m.F2
-				}
-				have = true
-			}
+// nextSend is the loop's schedule: the node's next slot in the tree. What
+// it sends there is whatever arrived until then, and arrivals wake it.
+func (m *AggregateMachine) nextSend(i int) int {
+	for ; i < 2*m.logN; i++ {
+		if _, _, ok := m.target(i); ok {
+			break
 		}
 	}
-	return buf
+	return i
+}
+
+func (m *AggregateMachine) recv(env *sim.Env, in sim.Inbox, i int) {
+	if i < m.logN {
+		for _, gm := range in.Global {
+			if gm.Kind == kindAggUp {
+				m.Out = m.op.combine(m.Out, gm.F0)
+			}
+		}
+		return
+	}
+	for _, gm := range in.Global {
+		if gm.Kind == kindAggDown {
+			m.Out = gm.F0
+		}
+	}
+}
+
+// BroadcastWordsMachine announces the source node's word vector to every
+// node via binomial doubling over the global network. The source's slice is
+// padded to maxWords with zeros. The operation takes
+// ceil(log2 n) * ceil(ceil(maxWords/3)/cap) rounds.
+type BroadcastWordsMachine struct {
+	// Out is the padded word vector; valid once Step returned true (only
+	// then is it guaranteed complete).
+	Out []int64
+
+	loop          sim.Loop
+	n             int
+	source        int
+	maxWords      int
+	msgs          int
+	roundsPerStep int
+	budget        int
+	off           int // this node's offset from the source, mod n
+	have          bool
+}
+
+// NewBroadcastWordsMachine builds the collective broadcast machine; all
+// nodes must start it in the same round with the same source and the same
+// maxWords (an upper bound on len(words) known to everyone, e.g. the
+// O(log n) seed length of Lemma 2.3).
+func NewBroadcastWordsMachine(env *sim.Env, source int, words []int64, maxWords int) *BroadcastWordsMachine {
+	m := &BroadcastWordsMachine{
+		n:        env.N(),
+		source:   source,
+		maxWords: maxWords,
+		budget:   env.GlobalCap(),
+		Out:      make([]int64, maxWords),
+	}
+	m.off = ((env.ID()-source)%m.n + m.n) % m.n
+	if env.ID() == source {
+		copy(m.Out, words)
+		m.have = true
+	}
+	m.msgs = (maxWords + 2) / 3 // 3 words per message, field 3 is the index
+	m.roundsPerStep = (m.msgs + m.budget - 1) / m.budget
+	if m.roundsPerStep == 0 {
+		m.roundsPerStep = 1
+	}
+	m.loop = sim.Loop{Rounds: sim.Log2Ceil(m.n) * m.roundsPerStep, Send: m.send, Recv: m.recv, NextSend: m.nextSend}
+	return m
+}
+
+// Step implements sim.StepProgram.
+func (m *BroadcastWordsMachine) Step(env *sim.Env) bool { return m.loop.Step(env) }
+
+// forwards reports whether this node, holding the vector, passes it on in
+// doubling step b: the first 2^b offsets do, each to the offset 2^b further.
+func (m *BroadcastWordsMachine) forwards(b int) bool {
+	half := 1 << b
+	return m.off < half && m.off+half < m.n
+}
+
+func (m *BroadcastWordsMachine) send(env *sim.Env, i int) {
+	b := i / m.roundsPerStep
+	if !m.have || !m.forwards(b) {
+		return
+	}
+	dst := (m.source + m.off + (1 << b)) % m.n
+	// A step's messages go out budget per round; the round within the step
+	// says which (no counter, so that rounds slept through cost nothing).
+	first := i % m.roundsPerStep * m.budget
+	for idx := first; idx < first+m.budget && idx < m.msgs; idx++ {
+		j := idx * 3
+		var w0, w1, w2 int64
+		w0 = m.Out[j]
+		if j+1 < m.maxWords {
+			w1 = m.Out[j+1]
+		}
+		if j+2 < m.maxWords {
+			w2 = m.Out[j+2]
+		}
+		env.SendGlobal(dst, kindBcastWord, w0, w1, w2, int64(idx))
+	}
+}
+
+// nextSend is the loop's schedule: a node that holds the vector forwards it
+// in every round of the doubling steps forwards names, and one that does
+// not waits for it to arrive.
+func (m *BroadcastWordsMachine) nextSend(i int) int {
+	if !m.have {
+		return math.MaxInt
+	}
+	for b := i / m.roundsPerStep; 1<<b < m.n; b++ {
+		if m.forwards(b) {
+			return max(i, b*m.roundsPerStep)
+		}
+	}
+	return math.MaxInt
+}
+
+func (m *BroadcastWordsMachine) recv(env *sim.Env, in sim.Inbox, i int) {
+	for _, gm := range in.Global {
+		if gm.Kind != kindBcastWord {
+			continue
+		}
+		j := int(gm.F3) * 3
+		m.Out[j] = gm.F0
+		if j+1 < m.maxWords {
+			m.Out[j+1] = gm.F1
+		}
+		if j+2 < m.maxWords {
+			m.Out[j+2] = gm.F2
+		}
+		m.have = true
+	}
 }
 
 // Token is one O(log n)-bit token of the dissemination problem: three
@@ -198,11 +279,9 @@ func (p DisseminateParams) withDefaults() DisseminateParams {
 	return p
 }
 
-// Disseminate implements the token dissemination protocol of [3]
-// (Lemma B.1): all k tokens become known to every node. mine holds this
-// node's initial tokens; k and ell are globally known upper bounds on the
-// total token count and the per-node count. The protocol is collective and
-// takes a deterministic O~(sqrt(k) + ell) number of rounds:
+// DisseminateMachine implements the token dissemination protocol of [3]
+// (Lemma B.1): all k tokens become known to every node. The protocol takes
+// a deterministic O~(sqrt(k) + ell) number of rounds:
 //
 //  1. Balancing: every node sends each of its tokens to a uniformly random
 //     node, paced at the cap — ceil(ell/cap) rounds. Afterwards each node
@@ -215,122 +294,175 @@ func (p DisseminateParams) withDefaults() DisseminateParams {
 //     to every node.
 //
 // With r = Theta(sqrt(k)) the total is O~(ell + k/r + r) = O~(sqrt(k)+ell).
-func Disseminate(env *sim.Env, mine []Token, k, ell int, params DisseminateParams) []Token {
+type DisseminateMachine struct {
+	// Out is the sorted known-token set; valid once Step returned true.
+	Out []Token
+
+	prog sim.StepProgram
+}
+
+// replicateJob is one held token of phase 2 and the copies still to place.
+type replicateJob struct {
+	t    Token
+	left int
+}
+
+// NewDisseminateMachine builds the collective dissemination machine; all
+// nodes must start it in the same round with the same k, ell and params.
+// mine holds this node's initial tokens; k and ell are globally known upper
+// bounds on the total token count and the per-node count.
+func NewDisseminateMachine(env *sim.Env, mine []Token, k, ell int, params DisseminateParams) *DisseminateMachine {
 	p := params.withDefaults()
 	n := env.N()
 	logN := sim.Log2Ceil(n)
 	budget := env.GlobalCap()
+	m := &DisseminateMachine{}
 	var known flatmap.TripleSet
 	for _, t := range mine {
 		known.Add(flatmap.Triple(t))
 	}
 	if k <= 0 {
-		return tokensOf(&known)
+		m.Out = tokensOf(&known)
+		m.prog = sim.Sequence()
+		return m
 	}
 
-	// Deterministic schedule, identical at every node.
+	// The deterministic schedule, identical at every node.
 	r := isqrt(k)
 	if min := 2 * logN * p.FloodSlack; r < min {
 		r = min
 	}
-	m := (p.ReplicationFactor*n*logN + r - 1) / r
-	if m > n {
-		m = n
+	copies := (p.ReplicationFactor*n*logN + r - 1) / r
+	if copies > n {
+		copies = n
 	}
 	heldBound := 2*((k+n-1)/n) + 8*logN
 	balanceRounds := (ell + budget - 1) / budget
-	replicateRounds := (heldBound*m + budget - 1) / budget
+	replicateRounds := (heldBound*copies + budget - 1) / budget
 
-	// Phase 1: balancing.
 	held := make([]Token, 0, heldBound)
 	idx := 0
-	for round := 0; round < balanceRounds; round++ {
-		for s := 0; s < budget && idx < len(mine); s++ {
-			t := mine[idx]
-			idx++
-			env.SendGlobal(env.Rand().Intn(n), kindBalance, t.A, t.B, t.C, 0)
-		}
-		in := env.Step()
-		for _, gm := range in.Global {
-			if gm.Kind == kindBalance {
-				held = append(held, Token{gm.F0, gm.F1, gm.F2})
-			}
-		}
-	}
-
-	// Phase 2: replication. Each held token goes to m random nodes. Jobs
-	// beyond the schedule (a node holding more than heldBound, which is a
-	// low-probability event) are truncated; round-robin over tokens keeps
-	// the truncation proportional.
-	type job struct {
-		t    Token
-		left int
-	}
-	jobs := make([]job, len(held))
-	for i, t := range held {
-		jobs[i] = job{t: t, left: m}
-	}
+	var jobs []replicateJob
 	ji := 0
-	for round := 0; round < replicateRounds; round++ {
-		for s := 0; s < budget; s++ {
-			// Advance to the next job with sends left.
-			scanned := 0
-			for len(jobs) > 0 && scanned < len(jobs) {
-				if jobs[ji%len(jobs)].left > 0 {
-					break
-				}
-				ji++
-				scanned++
-			}
-			if len(jobs) == 0 || scanned == len(jobs) {
-				break
-			}
-			j := &jobs[ji%len(jobs)]
-			j.left--
-			ji++
-			env.SendGlobal(env.Rand().Intn(n), kindReplicate, j.t.A, j.t.B, j.t.C, 0)
-		}
-		in := env.Step()
-		for _, gm := range in.Global {
-			if gm.Kind == kindReplicate {
-				known.Add(flatmap.Triple{A: gm.F0, B: gm.F1, C: gm.F2})
-			}
-		}
-	}
-	// Tokens this node held also count as known.
-	for _, j := range jobs {
-		known.Add(flatmap.Triple(j.t))
-	}
-
-	// Phase 3: delta flooding over the local network for r rounds. The two
-	// delta buffers rotate (see skeleton.LimitedExplore for the ownership
-	// argument), so a staged batch is rewritten only after every reader has
-	// taken the next barrier and steady-state flood rounds are
+	// Phase 3 delta buffers. They rotate (see skeleton.ExploreMachine for the
+	// ownership argument), so a staged batch is rewritten only after every
+	// reader has taken the next barrier and steady-state flood rounds are
 	// allocation-free.
 	var bufs [2]tokenBatch
-	bufs[0] = tokensOf(&known)
-	for round := 0; round < r; round++ {
-		if len(bufs[round&1]) > 0 {
-			env.BroadcastLocal(&bufs[round&1])
-		}
-		in := env.Step()
-		next := bufs[(round+1)&1][:0]
-		for _, lm := range in.Local {
-			ts, ok := lm.Payload.(*tokenBatch)
-			if !ok {
-				continue
+
+	m.prog = sim.Sequence(
+		// Phase 1: balancing.
+		func(env *sim.Env) sim.StepProgram {
+			return &sim.Loop{
+				Rounds:   balanceRounds,
+				NextSend: sim.Pending(func() bool { return idx < len(mine) }),
+				Send: func(env *sim.Env, i int) {
+					for s := 0; s < budget && idx < len(mine); s++ {
+						t := mine[idx]
+						idx++
+						env.SendGlobal(env.Rand().Intn(n), kindBalance, t.A, t.B, t.C, 0)
+					}
+				},
+				Recv: func(env *sim.Env, in sim.Inbox, i int) {
+					for _, gm := range in.Global {
+						if gm.Kind == kindBalance {
+							held = append(held, Token{gm.F0, gm.F1, gm.F2})
+						}
+					}
+				},
 			}
-			for _, t := range *ts {
-				if !known.Has(flatmap.Triple(t)) {
-					known.Add(flatmap.Triple(t))
-					next = append(next, t)
-				}
+		},
+		// Phase 2: replication. Each held token goes to `copies` random
+		// nodes. Jobs beyond the schedule (a node holding more than
+		// heldBound, which is a low-probability event) are truncated;
+		// round-robin over tokens keeps the truncation proportional.
+		func(env *sim.Env) sim.StepProgram {
+			jobs = make([]replicateJob, len(held))
+			for i, t := range held {
+				jobs[i] = replicateJob{t: t, left: copies}
 			}
-		}
-		bufs[(round+1)&1] = next
-	}
-	return tokensOf(&known)
+			copiesLeft := len(held) * copies
+			return &sim.Loop{
+				Rounds: replicateRounds,
+				// The schedule is sized for the worst-case load heldBound; a
+				// node is through once its own copies are out.
+				NextSend: sim.Pending(func() bool { return copiesLeft > 0 }),
+				Send: func(env *sim.Env, i int) {
+					for s := 0; s < budget; s++ {
+						scanned := 0
+						for len(jobs) > 0 && scanned < len(jobs) {
+							if jobs[ji%len(jobs)].left > 0 {
+								break
+							}
+							ji++
+							scanned++
+						}
+						if len(jobs) == 0 || scanned == len(jobs) {
+							break
+						}
+						j := &jobs[ji%len(jobs)]
+						j.left--
+						copiesLeft--
+						ji++
+						env.SendGlobal(env.Rand().Intn(n), kindReplicate, j.t.A, j.t.B, j.t.C, 0)
+					}
+				},
+				Recv: func(env *sim.Env, in sim.Inbox, i int) {
+					for _, gm := range in.Global {
+						if gm.Kind == kindReplicate {
+							known.Add(flatmap.Triple{A: gm.F0, B: gm.F1, C: gm.F2})
+						}
+					}
+				},
+			}
+		},
+		// Phase 3: delta flooding over the local network. Tokens this node
+		// held also count as known.
+		func(env *sim.Env) sim.StepProgram {
+			for _, j := range jobs {
+				known.Add(flatmap.Triple(j.t))
+			}
+			bufs[0] = tokensOf(&known)
+			return &sim.Loop{
+				Rounds:   r,
+				NextSend: sim.Reactive,
+				Send: func(env *sim.Env, i int) {
+					if len(bufs[i&1]) > 0 {
+						env.BroadcastLocal(&bufs[i&1])
+					}
+				},
+				Recv: func(env *sim.Env, in sim.Inbox, i int) {
+					next := bufs[(i+1)&1][:0]
+					for _, lm := range in.Local {
+						ts, ok := lm.Payload.(*tokenBatch)
+						if !ok {
+							continue
+						}
+						for _, t := range *ts {
+							if !known.Has(flatmap.Triple(t)) {
+								known.Add(flatmap.Triple(t))
+								next = append(next, t)
+							}
+						}
+					}
+					bufs[(i+1)&1] = next
+				},
+			}
+		},
+		sim.Finish(func(env *sim.Env) { m.Out = tokensOf(&known) }),
+	)
+	return m
 }
+
+// Step implements sim.StepProgram.
+func (m *DisseminateMachine) Step(env *sim.Env) bool { return m.prog.Step(env) }
+
+// tokenBatch is the local-mode payload of the dissemination flood: a batch
+// of tokens.
+type tokenBatch []Token
+
+// PayloadWords implements sim.WordSized: each token is three words.
+func (b tokenBatch) PayloadWords() int64 { return 3 * int64(len(b)) }
 
 // tokensOf returns the sorted token set for deterministic output.
 func tokensOf(set *flatmap.TripleSet) []Token {

@@ -11,6 +11,40 @@ import (
 	"repro/internal/simtest"
 )
 
+// The primitives as sim.Pipelines yielding their result field.
+
+func aggregate(value func(id int) int64, op AggOp) sim.Pipeline[int64] {
+	return func(env *sim.Env, done func(int64)) sim.StepProgram {
+		m := NewAggregateMachine(env, value(env.ID()), op)
+		return sim.Then(m, func(*sim.Env) { done(m.Out) })
+	}
+}
+
+func broadcastWords(source int, words []int64, maxWords int) sim.Pipeline[[]int64] {
+	return func(env *sim.Env, done func([]int64)) sim.StepProgram {
+		var w []int64
+		if env.ID() == source {
+			w = words
+		}
+		m := NewBroadcastWordsMachine(env, source, w, maxWords)
+		return sim.Then(m, func(*sim.Env) { done(m.Out) })
+	}
+}
+
+func disseminate(mine func(id int) []Token, k, ell int) sim.Pipeline[[]Token] {
+	return func(env *sim.Env, done func([]Token)) sim.StepProgram {
+		m := NewDisseminateMachine(env, mine(env.ID()), k, ell, DisseminateParams{})
+		return sim.Then(m, func(*sim.Env) { done(m.Out) })
+	}
+}
+
+func pipelinedBroadcast(mine func(id int) []Token, ell int) sim.Pipeline[[]Token] {
+	return func(env *sim.Env, done func([]Token)) sim.StepProgram {
+		m := NewPipelinedBroadcastMachine(env, mine(env.ID()), ell)
+		return sim.Then(m, func(*sim.Env) { done(m.Out) })
+	}
+}
+
 func TestAggregateOps(t *testing.T) {
 	tests := []struct {
 		name string
@@ -29,10 +63,7 @@ func TestAggregateOps(t *testing.T) {
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			g := graph.Path(tt.n)
-			got := make([]int64, tt.n)
-			_, err := sim.Run(g, sim.Config{Seed: 1}, func(env *sim.Env) {
-				got[env.ID()] = Aggregate(env, tt.val(env.ID()), tt.op)
-			})
+			got, _, err := sim.RunPipeline(g, sim.Config{Seed: 1}, aggregate(tt.val, tt.op))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -47,9 +78,7 @@ func TestAggregateOps(t *testing.T) {
 
 func TestAggregateRoundsLogarithmic(t *testing.T) {
 	g := graph.Path(100)
-	m, err := sim.Run(g, sim.Config{Seed: 1}, func(env *sim.Env) {
-		Aggregate(env, int64(env.ID()), AggMax)
-	})
+	_, m, err := sim.RunPipeline(g, sim.Config{Seed: 1}, aggregate(func(id int) int64 { return int64(id) }, AggMax))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,9 +90,7 @@ func TestAggregateRoundsLogarithmic(t *testing.T) {
 
 func TestAggregateUsesOnlyGlobalMode(t *testing.T) {
 	g := graph.Path(32)
-	m, err := sim.Run(g, sim.Config{Seed: 1}, func(env *sim.Env) {
-		Aggregate(env, 1, AggSum)
-	})
+	_, m, err := sim.RunPipeline(g, sim.Config{Seed: 1}, aggregate(func(int) int64 { return 1 }, AggSum))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,14 +116,7 @@ func TestBroadcastWords(t *testing.T) {
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			g := graph.Path(tt.n)
-			got := make([][]int64, tt.n)
-			_, err := sim.Run(g, sim.Config{Seed: 2}, func(env *sim.Env) {
-				var w []int64
-				if env.ID() == tt.source {
-					w = tt.words
-				}
-				got[env.ID()] = BroadcastWords(env, tt.source, w, tt.maxWords)
-			})
+			got, _, err := sim.RunPipeline(g, sim.Config{Seed: 2}, broadcastWords(tt.source, tt.words, tt.maxWords))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -129,9 +149,7 @@ func TestBroadcastWordsSeedCost(t *testing.T) {
 	const n = 256
 	g := graph.Path(n)
 	logN := sim.Log2Ceil(n)
-	m, err := sim.Run(g, sim.Config{Seed: 3}, func(env *sim.Env) {
-		BroadcastWords(env, 0, seq(logN), logN)
-	})
+	_, m, err := sim.RunPipeline(g, sim.Config{Seed: 3}, broadcastWords(0, seq(logN), logN))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,10 +160,7 @@ func TestBroadcastWordsSeedCost(t *testing.T) {
 
 func disseminateOnce(t *testing.T, g *graph.Graph, tokensPerNode func(id int) []Token, k, ell int, seed int64) ([][]Token, sim.Metrics) {
 	t.Helper()
-	out := make([][]Token, g.N())
-	m, err := sim.Run(g, sim.Config{Seed: seed}, func(env *sim.Env) {
-		out[env.ID()] = Disseminate(env, tokensPerNode(env.ID()), k, ell, DisseminateParams{})
-	})
+	out, m, err := sim.RunPipeline(g, sim.Config{Seed: seed}, disseminate(tokensPerNode, k, ell))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,10 +317,7 @@ func TestQuickAggregateMatchesSequential(t *testing.T) {
 			want = op.combine(want, v)
 		}
 		g := graph.Path(n)
-		got := make([]int64, n)
-		_, err := sim.Run(g, sim.Config{Seed: seed}, func(env *sim.Env) {
-			got[env.ID()] = Aggregate(env, vals[env.ID()], op)
-		})
+		got, _, err := sim.RunPipeline(g, sim.Config{Seed: seed}, aggregate(func(id int) int64 { return vals[id] }, op))
 		if err != nil {
 			return false
 		}
@@ -336,14 +348,12 @@ func TestPipelinedBroadcastNCCOnly(t *testing.T) {
 	// rounds — the global-only baseline of E11.
 	g := graph.Path(24)
 	n := g.N()
-	out := make([][]Token, n)
-	m, err := sim.Run(g, sim.Config{Seed: 31}, func(env *sim.Env) {
-		var mine []Token
-		if env.ID()%3 == 0 {
-			mine = []Token{{A: int64(env.ID()), B: 7, C: 9}}
+	out, m, err := sim.RunPipeline(g, sim.Config{Seed: 31}, pipelinedBroadcast(func(id int) []Token {
+		if id%3 != 0 {
+			return nil
 		}
-		out[env.ID()] = PipelinedBroadcast(env, mine, 1)
-	})
+		return []Token{{A: int64(id), B: 7, C: 9}}
+	}, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,13 +378,16 @@ func TestPipelinedBroadcastMultiplePerNode(t *testing.T) {
 	out := make([][]Token, n)
 	// The trace recorded from the blocking form, before a machine existed.
 	pin := simtest.Pin{Metrics: sim.Metrics{Rounds: 34, GlobalMsgs: 270, GlobalBits: 10800, MaxGlobalSend: 4, MaxGlobalRecv: 2}, Sum: 0xd9b37df2780b8b25}
-	simtest.Blocking(t, "pipelined", g, 33, pin, func(env *sim.Env, emit func(...int64)) {
+	simtest.Machines(t, "pipelined", g, 33, pin, func(env *sim.Env, emit func(...int64)) sim.StepProgram {
 		mine := make([]Token, ell)
 		for j := range mine {
 			mine[j] = Token{A: int64(env.ID()), B: int64(j), C: 1}
 		}
-		out[env.ID()] = PipelinedBroadcast(env, mine, ell)
-		emit(tokenWords(out[env.ID()])...)
+		m := NewPipelinedBroadcastMachine(env, mine, ell)
+		return sim.Then(m, func(env *sim.Env) {
+			out[env.ID()] = m.Out
+			emit(tokenWords(m.Out)...)
+		})
 	})
 	for v := 0; v < n; v++ {
 		if len(out[v]) != n*ell {
@@ -396,10 +409,7 @@ func TestDisseminateMisdeclaredK(t *testing.T) {
 		return nil
 	}
 	for _, declared := range []int{4, 8, 32} { // true k = 8
-		out := make([][]Token, n)
-		_, err := sim.Run(g, sim.Config{Seed: int64(declared)}, func(env *sim.Env) {
-			out[env.ID()] = Disseminate(env, mk(env.ID()), declared, 1, DisseminateParams{})
-		})
+		out, _, err := sim.RunPipeline(g, sim.Config{Seed: int64(declared)}, disseminate(mk, declared, 1))
 		if err != nil {
 			t.Fatalf("declared k=%d: %v", declared, err)
 		}

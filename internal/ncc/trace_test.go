@@ -8,8 +8,9 @@ import (
 	"repro/internal/simtest"
 )
 
-// The tests of this file hold each machine to the trace of the blocking
-// collective it replaced (Metrics and every node's output), on every engine.
+// The tests of this file hold each machine, on every engine, to the trace
+// recorded from the blocking collective it replaced: Metrics and every node's
+// output.
 
 // tokenWords flattens a token list for the pinned hash.
 func tokenWords(ts []Token) []int64 {
@@ -18,14 +19,6 @@ func tokenWords(ts []Token) []int64 {
 		w = append(w, t.A, t.B, t.C)
 	}
 	return w
-}
-
-// finishing runs m and then hands out() to emit.
-func finishing(m sim.StepProgram, emit func(...int64), out func() []int64) sim.StepProgram {
-	return sim.Sequence(
-		func(*sim.Env) sim.StepProgram { return m },
-		sim.Finish(func(*sim.Env) { emit(out()...) }),
-	)
 }
 
 func TestAggregateMachineMatches(t *testing.T) {
@@ -37,12 +30,9 @@ func TestAggregateMachineMatches(t *testing.T) {
 	}
 	for name, op := range map[string]AggOp{"max": AggMax, "min": AggMin, "sum": AggSum} {
 		value := func(id int) int64 { return int64(id * 3 % 17) }
-		simtest.Blocking(t, name, g, 5, pins[name], func(env *sim.Env, emit func(...int64)) {
-			emit(Aggregate(env, value(env.ID()), op))
-		})
 		simtest.Machines(t, name, g, 5, pins[name], func(env *sim.Env, emit func(...int64)) sim.StepProgram {
 			m := NewAggregateMachine(env, value(env.ID()), op)
-			return finishing(m, emit, func() []int64 { return []int64{m.Out} })
+			return sim.Then(m, func(*sim.Env) { emit(m.Out) })
 		})
 	}
 }
@@ -58,12 +48,9 @@ func TestBroadcastWordsMachineMatches(t *testing.T) {
 		}
 		return nil
 	}
-	simtest.Blocking(t, "broadcast", g, 6, pin, func(env *sim.Env, emit func(...int64)) {
-		emit(BroadcastWords(env, 2, mine(env.ID()), maxWords)...)
-	})
 	simtest.Machines(t, "broadcast", g, 6, pin, func(env *sim.Env, emit func(...int64)) sim.StepProgram {
 		m := NewBroadcastWordsMachine(env, 2, mine(env.ID()), maxWords)
-		return finishing(m, emit, func() []int64 { return m.Out })
+		return sim.Then(m, func(*sim.Env) { emit(m.Out...) })
 	})
 }
 
@@ -77,11 +64,8 @@ func TestDisseminateMachineMatches(t *testing.T) {
 	}
 	k, ell := 2*(g.N()/5+1), 2
 	pin := simtest.Pin{Metrics: sim.Metrics{Rounds: 313, GlobalMsgs: 592, GlobalBits: 30784, LocalMsgs: 256, LocalBits: 34560, MaxGlobalSend: 6, MaxGlobalRecv: 6}, Sum: 0x5fa5d2afd91bb3a5}
-	simtest.Blocking(t, "disseminate", g, 7, pin, func(env *sim.Env, emit func(...int64)) {
-		emit(tokenWords(Disseminate(env, mineOf(env.ID()), k, ell, DisseminateParams{}))...)
-	})
 	simtest.Machines(t, "disseminate", g, 7, pin, func(env *sim.Env, emit func(...int64)) sim.StepProgram {
 		m := NewDisseminateMachine(env, mineOf(env.ID()), k, ell, DisseminateParams{})
-		return finishing(m, emit, func() []int64 { return tokenWords(m.Out) })
+		return sim.Then(m, func(*sim.Env) { emit(tokenWords(m.Out)...) })
 	})
 }

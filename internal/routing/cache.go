@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/bitrand"
 	"repro/internal/helpers"
-	"repro/internal/ncc"
 	"repro/internal/persist"
 	"repro/internal/sim"
 )
@@ -171,7 +170,7 @@ func (e *sessionEntry) store(id int, inS, inR bool, s *Session) {
 }
 
 // bind constructs a ready Session from this node's cached slot, consuming
-// zero rounds. The Route-call scratch (per-owner item maps, intermediate
+// zero rounds. The per-instance scratch (per-owner item maps, intermediate
 // store, reply queue) starts fresh; everything token-independent is
 // shared.
 func (e *sessionEntry) bind(env *sim.Env, muS, muR int, p Params) *Session {
@@ -183,21 +182,6 @@ func (e *sessionEntry) bind(env *sim.Env, muS, muR int, p Params) *Session {
 		famR:   family{res: e.famR[id].res, mu: muR, helperSets: e.famR[id].helperSets, myOwners: e.famR[id].myOwners},
 		hash:   e.hash[id],
 	}
-}
-
-// session is the cached construction path (goroutine form): the collective
-// hit/miss agreement, then either a zero-round bind or a full rebuild that
-// re-populates the cache.
-func (c *SessionCache) session(env *sim.Env, inS, inR bool, key sessionKey, muS, muR int, p Params) *Session {
-	entry := c.lookup(key)
-	hit := ncc.Aggregate(env, entry.mismatch(env.ID(), inS, inR), ncc.AggMax) == 0
-	c.traceEvent(env, key, hit)
-	if hit {
-		return entry.bind(env, muS, muR, p)
-	}
-	s := buildSession(env, inS, inR, muS, muR, p)
-	c.shared(env, key).store(env.ID(), inS, inR, s)
-	return s
 }
 
 // CacheSnapshot is the serializable image of a SessionCache, produced by

@@ -12,8 +12,7 @@ import (
 	"repro/internal/simtest"
 )
 
-// routePipeline runs one full routing instance through Pipeline (so the
-// goroutine and machine forms share one call path) and returns the
+// routePipeline runs one full routing instance on eng and returns the
 // delivered tokens and metrics.
 func routePipeline(t *testing.T, g *graph.Graph, specs []Spec, eng sim.Engine, p Params) ([][]Token, sim.Metrics) {
 	t.Helper()

@@ -10,12 +10,9 @@ import (
 	"repro/internal/sim"
 )
 
-// Step-machine forms of the token routing protocol (see sim.StepProgram):
-// SessionMachine ports NewSession, RouteMachine ports Session.Route, and
-// NewRouteProgram composes the two like the package-level Route. Each is a
-// faithful port of its goroutine twin — identical messages, randomness
-// order, and round count — sharing the Session/family state, the hash, and
-// the pure helpers with the goroutine form.
+// The token routing protocol as collective machines (see sim.StepProgram):
+// SessionMachine computes the token-independent Session, RouteMachine routes
+// one instance over it, and NewRouteProgram composes the two.
 
 // SessionMachine computes a routing Session without blocking: Algorithm 1
 // twice, the hash-seed broadcast, and the cluster-local helper
@@ -29,11 +26,12 @@ type SessionMachine struct {
 }
 
 // NewSessionMachine builds the collective session machine; all nodes must
-// start it in the same round and agree on kS, kR, pS, pR and params,
-// exactly like NewSession. With params.Cache set it is the step form of
-// the cached construction: the collective agreement aggregation, then
-// either a zero-round bind or the full build (re-populating the cache) —
-// the same rounds, messages, and branch as the goroutine form.
+// start it in the same round and agree on kS, kR, pS, pR and params. With
+// params.Cache set it is the cached construction: the collective agreement
+// aggregation, then either a zero-round bind or the full build
+// (re-populating the cache). The protocol's label keys (Label.pack) are
+// injective only for node IDs below 2^14, so larger networks are rejected
+// (the panic surfaces as a run error).
 func NewSessionMachine(env *sim.Env, inS, inR bool, kS, kR int, pS, pR float64, params Params) *SessionMachine {
 	p := params.withDefaults()
 	n := env.N()
@@ -75,8 +73,9 @@ func NewSessionMachine(env *sim.Env, inS, inR bool, kS, kR int, pS, pR float64, 
 	return m
 }
 
-// newBuildSessionProg is the uncached session-construction machine,
-// writing the finished session to m.Out (the step twin of buildSession).
+// newBuildSessionProg is the uncached session construction — Algorithm 1
+// twice, the hash-seed broadcast, and the cluster-local helper announcements
+// — writing the finished session to m.Out.
 func newBuildSessionProg(env *sim.Env, m *SessionMachine, inS, inR bool, muS, muR int, p Params) sim.StepProgram {
 	n := env.N()
 	logN := sim.Log2Ceil(n)
@@ -97,8 +96,9 @@ func newBuildSessionProg(env *sim.Env, m *SessionMachine, inS, inR bool, muS, mu
 			return helpR
 		},
 		func(env *sim.Env) sim.StepProgram {
-			// Node 0 draws the seed; everyone gets it via binomial broadcast
-			// (Lemma 2.3).
+			// Shared hash function. Node 0 draws the seed; everyone gets it
+			// via a binomial broadcast (Lemma 2.3: O(log^2 n) bits in O~(1)
+			// rounds).
 			var seedWords []int64
 			if env.ID() == 0 {
 				h := bitrand.NewKWiseHash(kHash, n, env.Rand())
@@ -118,6 +118,8 @@ func newBuildSessionProg(env *sim.Env, m *SessionMachine, inS, inR bool, muS, mu
 			s.famR = family{res: helpR.Res, mu: muR}
 			s.hash = bitrand.FromSeed(seed, n)
 		}),
+		// Algorithm 3, first loop: cluster-local flooding of helper
+		// memberships, separately per family.
 		func(env *sim.Env) sim.StepProgram {
 			annS = newAnnounceMachine(env, s.famS.res, muS)
 			return annS
@@ -152,8 +154,9 @@ type RouteMachine struct {
 }
 
 // NewRouteMachine builds the collective routing machine over s; every node
-// must start it in the same round with consistent instance inputs, exactly
-// like Session.Route.
+// must start it in the same round with consistent instance inputs. Out is
+// the node's expect set with values filled in when the instance is
+// consistent.
 func NewRouteMachine(s *Session, send []Token, expect []Label) *RouteMachine {
 	env := s.env
 	budget := env.GlobalCap()
@@ -234,7 +237,8 @@ func NewRouteMachine(s *Session, send []Token, expect []Label) *RouteMachine {
 			}
 		},
 		// Algorithm 4: receiver-helpers request their labels; intermediates
-		// answer, pacing replies at the cap.
+		// answer, pacing replies at the cap. Drain time is bounded by the
+		// max number of tokens parked at one intermediate.
 		func(env *sim.Env) sim.StepProgram {
 			aggReq = ncc.NewAggregateMachine(env, int64(len(myLabelJobs)), ncc.AggMax)
 			return aggReq
@@ -255,6 +259,7 @@ func NewRouteMachine(s *Session, send []Token, expect []Label) *RouteMachine {
 						li++
 						env.SendGlobal(hash.Hash(l.pack()), kindRequest, int64(l.S), int64(l.R), l.I, 0)
 					}
+					// Remaining budget answers queued requests.
 					answerSend(env, sent)
 				},
 				Recv: func(env *sim.Env, in sim.Inbox, i int) {
@@ -275,8 +280,9 @@ func NewRouteMachine(s *Session, send []Token, expect []Label) *RouteMachine {
 				},
 			}
 		},
-		// Flush any replies still queued: aggregate the remaining max and
-		// drain in bursts until it reaches zero.
+		// Flush any replies still queued (possible when requests bunched up
+		// in the final rounds): aggregate the remaining max and drain in
+		// bursts until it reaches zero.
 		func(env *sim.Env) sim.StepProgram {
 			var agg *ncc.AggregateMachine
 			return sim.Chain(func(env *sim.Env) sim.StepProgram {
@@ -311,9 +317,10 @@ func NewRouteMachine(s *Session, send []Token, expect []Label) *RouteMachine {
 // Step implements sim.StepProgram.
 func (m *RouteMachine) Step(env *sim.Env) bool { return m.prog.Step(env) }
 
-// NewRouteProgram is the step form of the package-level Route: session
+// NewRouteProgram runs the full token routing protocol (Theorem 2.2): session
 // construction followed by one routing instance, handing the received
-// tokens to done.
+// tokens (sorted) to done. Every node must start it in the same round with
+// consistent global fields in spec.
 func NewRouteProgram(env *sim.Env, spec Spec, params Params, done func([]Token)) sim.StepProgram {
 	var sm *SessionMachine
 	var rm *RouteMachine
@@ -330,17 +337,25 @@ func NewRouteProgram(env *sim.Env, spec Spec, params Params, done func([]Token))
 	)
 }
 
-// announceMachine is the step form of announceHelpers: 2β rounds of
-// cluster-local flooding of (w, helper) pairs so all cluster members agree
-// on each H_w.
+// Pipeline returns the Theorem 2.2 protocol as a sim.Pipeline: specs[v] is
+// node v's view of the instance, and the per-node result is the node's
+// received tokens.
+func Pipeline(specs []Spec, params Params) sim.Pipeline[[]Token] {
+	return func(env *sim.Env, done func([]Token)) sim.StepProgram {
+		return NewRouteProgram(env, specs[env.ID()], params, done)
+	}
+}
+
+// announceMachine floods helper memberships within clusters for 2β rounds so
+// that all cluster members agree on each H_w.
 //
 // The three cluster floods of this file share one memory discipline (see
 // ARCHITECTURE.md, "Memory discipline"): the delta a node forwards rotates
 // through two buffers — bufs[i&1] is broadcast, by pointer, at loop
 // iteration i and rewritten no earlier than iteration i+2, after every
-// neighbor read it — and the dedup set is a flat table. spread's and
+// neighbor read it — and the dedup directory is a flat table. spread's and
 // collect's scratch lives in the Session and is reset, not reallocated, per
-// Route, so the rounds of a flood allocate nothing once the session has
+// RouteMachine, so the rounds of a flood allocate nothing once the session has
 // routed an instance of the same shape.
 type announceMachine struct {
 	// Sets is the helper directory of this node's cluster (w -> sorted
@@ -348,16 +363,16 @@ type announceMachine struct {
 	Sets map[int][]int
 
 	loop  sim.Loop
-	known flatmap.Set // packed (w, helper) pairs
-	bufs  [2]helperAnnounces
+	known flatmap.Map[[]int] // helper -> the owners it helps
+	bufs  [2]helperBatches
 }
 
 func newAnnounceMachine(env *sim.Env, res helpers.Result, mu int) *announceMachine {
 	beta := 2 * mu * sim.Log2Ceil(env.N())
 	a := &announceMachine{}
-	for _, w := range res.Helps {
-		a.known.Add(announcePair(w, env.ID()))
-		a.bufs[0] = append(a.bufs[0], helperAnnounce{Ruler: res.Ruler, W: w, Helper: env.ID()})
+	if len(res.Helps) > 0 {
+		a.known.Put(uint64(env.ID()), res.Helps)
+		a.bufs[0] = append(a.bufs[0], helperBatch{Ruler: res.Ruler, Helper: env.ID(), Owners: res.Helps})
 	}
 	a.loop = sim.Loop{
 		Rounds:   2 * beta,
@@ -370,13 +385,14 @@ func newAnnounceMachine(env *sim.Env, res helpers.Result, mu int) *announceMachi
 		Recv: func(env *sim.Env, in sim.Inbox, i int) {
 			next := a.bufs[(i+1)&1][:0]
 			for _, lm := range in.Local {
-				anns, ok := lm.Payload.(*helperAnnounces)
+				hbs, ok := lm.Payload.(*helperBatches)
 				if !ok {
 					continue
 				}
-				for _, an := range *anns {
-					if an.Ruler == res.Ruler && a.known.Add(announcePair(an.W, an.Helper)) {
-						next = append(next, an)
+				for _, hb := range *hbs {
+					if hb.Ruler == res.Ruler && !a.known.Has(uint64(hb.Helper)) {
+						a.known.Put(uint64(hb.Helper), hb.Owners)
+						next = append(next, hb)
 					}
 				}
 			}
@@ -388,16 +404,26 @@ func newAnnounceMachine(env *sim.Env, res helpers.Result, mu int) *announceMachi
 
 // Step implements sim.StepProgram.
 func (a *announceMachine) Step(env *sim.Env) bool {
-	if a.loop.Step(env) {
-		a.Sets = helperSetsOf(&a.known)
-		return true
+	if !a.loop.Step(env) {
+		return false
 	}
-	return false
+	// Helpers come out in ascending ID order, so every H_w is built sorted.
+	a.Sets = map[int][]int{}
+	for _, h := range a.known.AppendSortedKeys(nil) {
+		owners, _ := a.known.Get(h)
+		for _, w := range owners {
+			a.Sets[w] = append(a.Sets[w], int(h))
+		}
+	}
+	return true
 }
 
-// spreadMachine is the step form of family.spread: flood each owner's item
-// batch through its cluster for 2β rounds, then pick this helper's share by
-// rank.
+// spreadMachine floods each owner's item batch through its cluster for 2β
+// rounds; every helper then picks the share assigned to it by rank (item j
+// goes to helper j mod |H_w|), which both the owner and all helpers compute
+// identically from the sorted helper set. myItems must be canonical (sorted,
+// deduplicated) and is shared with the cluster, so the caller must not
+// mutate it afterwards.
 type spreadMachine struct {
 	// Jobs holds the items this node is responsible for as a helper
 	// (canonical); valid once Step returned true.
@@ -456,9 +482,9 @@ func (sp *spreadMachine) Step(env *sim.Env) bool {
 	return true
 }
 
-// collectMachine is the step form of Session.collect: flood each helper's
-// answered-token batch through the receiver clusters for 2β rounds. The
-// tokens addressed to this node gather, in arrival order, in s.collected.
+// collectMachine floods each helper's answered-token batch through the
+// receiver clusters for 2β rounds (final loop of Algorithm 4). The tokens
+// addressed to this node gather, in arrival order, in s.collected.
 type collectMachine struct {
 	loop sim.Loop
 }
@@ -515,12 +541,18 @@ func newCollectMachine(env *sim.Env, s *Session, gotTokens []Token) *collectMach
 // Step implements sim.StepProgram.
 func (c *collectMachine) Step(env *sim.Env) bool { return c.loop.Step(env) }
 
-// helperAnnounces is the local-mode payload of the helper-membership flood.
-type helperAnnounces []helperAnnounce
+// helperBatches is the local-mode payload of the helper-membership flood.
+type helperBatches []helperBatch
 
-// PayloadWords implements sim.WordSized: each announcement is a ruler, an
-// owner, and a helper ID.
-func (h helperAnnounces) PayloadWords() int64 { return 3 * int64(len(h)) }
+// PayloadWords implements sim.WordSized: a batch is charged as the
+// (ruler, owner, helper) announcements it stands for, three words each.
+func (h helperBatches) PayloadWords() int64 {
+	words := int64(0)
+	for _, hb := range h {
+		words += 3 * int64(len(hb.Owners))
+	}
+	return words
+}
 
 // tokenBatches is the local-mode payload of the Routing-Preparation flood.
 type tokenBatches []tokenBatch

@@ -34,7 +34,6 @@ import (
 	"repro/internal/bitrand"
 	"repro/internal/flatmap"
 	"repro/internal/helpers"
-	"repro/internal/ncc"
 	"repro/internal/sim"
 )
 
@@ -60,10 +59,10 @@ type Token struct {
 
 // pack encodes a label as a field element for hashing and as the exact key
 // of the intermediate token store, staying below the Mersenne prime
-// 2^61-1. Injectivity requires IDs < 2^14 (checked by NewSession) and
+// 2^61-1. Injectivity requires IDs < 2^14 (checked by NewSessionMachine) and
 // I < 2^30 (checked here; clique.Slot caps tags at 2^29, so the CLIQUE
 // simulation's I = 2·tag+1 always fits). Out-of-range indices panic,
-// surfacing as a run error via sim.Run, rather than silently aliasing.
+// surfacing as a run error, rather than silently aliasing.
 func (l Label) pack() uint64 {
 	if uint64(l.I) >= 1<<30 {
 		panic(fmt.Errorf("routing: token index %d exceeds the 2^30 label-key limit", l.I))
@@ -114,8 +113,8 @@ func (p Params) withDefaults() Params {
 }
 
 // derivedMus resolves the helper-family sizes µ_S and µ_R from the
-// instance parameters, honoring the overrides (shared by every session
-// construction path, goroutine and machine, cached and not).
+// instance parameters, honoring the overrides (shared by the cached and
+// uncached session construction).
 func derivedMus(p Params, kS, kR int, pS, pR float64) (muS, muR int) {
 	muS = p.MuS
 	if muS <= 0 {
@@ -143,13 +142,20 @@ func mu(k int, prob float64) int {
 	return v
 }
 
-// helperAnnounce floods helper-set membership inside clusters so that every
-// sender (and every helper of it) learns the full, identically-ordered
-// helper set.
-type helperAnnounce struct {
+// helperBatch carries one helper's complete membership — the owners w whose
+// H_w it joined — through its cluster, so that every sender (and every
+// helper of it) learns the full, identically-ordered helper set. A helper's
+// (w, helper) announcements enter the flood together at the helper and
+// spread by first-arrival forwarding, so they provably travel in lockstep;
+// flooding them as one immutable shared batch is message-for-message
+// identical to flooding the pairs individually, but a node dedups and stores
+// one slice header per helper instead of one key per pair — per-node pair
+// sets were the largest live structure of an APSP run. Owners must never be
+// mutated by a receiver.
+type helperBatch struct {
 	Ruler  int
-	W      int
 	Helper int
+	Owners []int
 }
 
 // tokenBatch carries one owner's complete item batch (its tokens, or its
@@ -180,7 +186,7 @@ type deliveredBatch struct {
 // family bundles one helper family (Algorithm 1 output) with its
 // cluster-local directory and the scratch of the current spread call: the
 // per-owner batch directory and the flood's rotated delta buffers, reset
-// (not reallocated) per Route.
+// (not reallocated) per RouteMachine.
 type family struct {
 	res        helpers.Result
 	mu         int
@@ -190,9 +196,9 @@ type family struct {
 	spreadBufs [2]tokenBatches
 }
 
-// Session holds the token-independent state of the protocol: the helper
-// families, the cluster-local helper directories, and the shared hash
-// function. Algorithm 8 (the CLIQUE simulation) runs one routing instance
+// Session holds the token-independent state of the protocol, computed by a
+// SessionMachine: the helper families, the cluster-local helper directories,
+// and the shared hash function. Algorithm 8 (the CLIQUE simulation) runs one routing instance
 // per simulated round over the same sender/receiver sets; reusing the
 // session re-uses Algorithm 1's output, which the paper's cost accounting
 // permits (helper sets depend only on S, R and µ, not on the tokens).
@@ -206,13 +212,13 @@ type Session struct {
 	// inter parks tokens at this node in its intermediate role, keyed by
 	// Label.pack() — injective under the package invariants (IDs < 2^14,
 	// I < 2^30; see Label.pack and clique.Slot's tag contract). Reused
-	// across Route calls; flatmap's shrink-on-reset policy keeps one giant
+	// across RouteMachines; flatmap's shrink-on-reset policy keeps one giant
 	// instance from pinning its peak capacity for the session lifetime.
 	inter      flatmap.Map[int64]
 	replyQueue []reply
 
 	// Scratch of the final collection flood (see collectMachine), reset per
-	// Route like inter: the injector dedup set, the rotated delta buffers,
+	// RouteMachine like inter: the injector dedup set, the rotated delta buffers,
 	// and the tokens addressed to this node, gathered in arrival order.
 	collectSeen flatmap.Set
 	collectBufs [2]deliveredBatches
@@ -223,304 +229,6 @@ type Session struct {
 type reply struct {
 	to  int
 	tok Token
-}
-
-// NewSession computes helper families for the given sender/receiver
-// membership and broadcasts the hash seed. Collective; all nodes must agree
-// on kS, kR, pS, pR and params. The protocol's label keys (Label.pack)
-// are injective only for node IDs below 2^14, so larger networks are
-// rejected (the panic surfaces as a run error via sim.Run).
-func NewSession(env *sim.Env, inS, inR bool, kS, kR int, pS, pR float64, params Params) *Session {
-	p := params.withDefaults()
-	n := env.N()
-	if n > 1<<14 {
-		panic(fmt.Errorf("routing: n = %d exceeds the 2^14 node-ID limit of the label keying (Label.pack)", n))
-	}
-	muS, muR := derivedMus(p, kS, kR, pS, pR)
-	if p.Cache != nil {
-		return p.Cache.session(env, inS, inR, keyOf(p, kS, kR, pS, pR, muS, muR), muS, muR, p)
-	}
-	return buildSession(env, inS, inR, muS, muR, p)
-}
-
-// buildSession is the uncached session construction: Algorithm 1 twice,
-// the hash-seed broadcast, and the cluster-local helper announcements.
-func buildSession(env *sim.Env, inS, inR bool, muS, muR int, p Params) *Session {
-	n := env.N()
-	logN := sim.Log2Ceil(n)
-
-	// Helper families for senders and receivers (Algorithm 1 twice).
-	resS := helpers.Compute(env, inS, muS, p.Helpers)
-	resR := helpers.Compute(env, inR, muR, p.Helpers)
-
-	// Shared hash function. Node 0 draws the seed; everyone gets it via a
-	// binomial broadcast (Lemma 2.3: O(log^2 n) bits in O~(1) rounds).
-	kHash := p.HashKFactor * logN
-	var seedWords []int64
-	if env.ID() == 0 {
-		h := bitrand.NewKWiseHash(kHash, n, env.Rand())
-		for _, c := range h.Seed() {
-			seedWords = append(seedWords, int64(c))
-		}
-	}
-	words := ncc.BroadcastWords(env, 0, seedWords, kHash)
-	seed := make([]uint64, len(words))
-	for i, w := range words {
-		seed[i] = uint64(w)
-	}
-
-	// Algorithm 3, first loop: cluster-local flooding of helper
-	// memberships, separately per family.
-	s := &Session{
-		env:    env,
-		params: p,
-		famS:   family{res: resS, mu: muS},
-		famR:   family{res: resR, mu: muR},
-		hash:   bitrand.FromSeed(seed, n),
-	}
-	s.famS.helperSets = announceHelpers(env, resS, muS)
-	s.famR.helperSets = announceHelpers(env, resR, muR)
-	s.famS.myOwners = helpersOf(env.ID(), s.famS.helperSets)
-	s.famR.myOwners = helpersOf(env.ID(), s.famR.helperSets)
-	return s
-}
-
-// Route runs the full token routing protocol collectively. Every node must
-// call it in the same round with consistent global fields. It returns the
-// tokens this node received (sorted), which is the node's Expect set with
-// values filled in when the instance is consistent.
-func Route(env *sim.Env, spec Spec, params Params) []Token {
-	s := NewSession(env, spec.InS, spec.InR, spec.KS, spec.KR, spec.PS, spec.PR, params)
-	return s.Route(spec.Send, spec.Expect)
-}
-
-// Pipeline returns the Theorem 2.2 protocol as a sim.Pipeline: specs[v] is
-// node v's view of the instance, and the per-node result is the node's
-// received tokens. The machine form is NewRouteProgram, so the pipeline is
-// step-native on every engine.
-func Pipeline(specs []Spec, params Params) sim.Pipeline[[]Token] {
-	return sim.Pipeline[[]Token]{
-		Run: func(env *sim.Env) []Token {
-			return Route(env, specs[env.ID()], params)
-		},
-		Machine: func(env *sim.Env, done func([]Token)) sim.StepProgram {
-			return NewRouteProgram(env, specs[env.ID()], params, done)
-		},
-	}
-}
-
-// Route runs one routing instance over the session's helper families:
-// Algorithm 3's token spreading followed by Algorithm 4's hash-routed
-// forwarding and the final cluster-local collection.
-func (s *Session) Route(send []Token, expect []Label) []Token {
-	env := s.env
-	budget := env.GlobalCap()
-	hash := s.hash
-
-	// Algorithm 3, second loop: flood tokens and expected labels to the
-	// clusters; helpers pick their balanced share by rank.
-	sendTokens := canonicalTokens(send)
-	myTokenJobs := s.famS.spread(env, sendTokens)
-	expectTokens := make([]Token, len(expect))
-	for i, l := range expect {
-		expectTokens[i] = Token{Label: l}
-	}
-	expectTokens = canonicalTokens(expectTokens)
-	myLabelJobs := s.famR.spread(env, expectTokens)
-
-	// Algorithm 4: forward tokens to intermediates. The phase length is the
-	// exact global maximum load, aggregated in O(log n) rounds.
-	maxSend := int(ncc.Aggregate(env, int64(len(myTokenJobs)), ncc.AggMax))
-	fwdRounds := ceilDiv(maxSend, budget)
-	inter := &s.inter
-	inter.Reset()
-	ji := 0
-	for round := 0; round < fwdRounds; round++ {
-		for s := 0; s < budget && ji < len(myTokenJobs); s++ {
-			t := myTokenJobs[ji]
-			ji++
-			env.SendGlobal(hash.Hash(t.pack()), kindToken, int64(t.S), int64(t.R), t.I, t.Value)
-		}
-		in := env.Step()
-		for _, gm := range in.Global {
-			if gm.Kind == kindToken {
-				inter.Put(Label{S: int(gm.F0), R: int(gm.F1), I: gm.F2}.pack(), gm.F3)
-			}
-		}
-	}
-
-	// Algorithm 4: receiver-helpers request their labels; the
-	// intermediates answer, pacing replies at the cap. Drain time is
-	// bounded by the max number of tokens parked at one intermediate.
-	maxReq := int(ncc.Aggregate(env, int64(len(myLabelJobs)), ncc.AggMax))
-	maxHeld := int(ncc.Aggregate(env, int64(inter.Len()), ncc.AggMax))
-	reqRounds := ceilDiv(maxReq, budget) + ceilDiv(maxHeld, budget) + 1
-
-	var gotTokens []Token
-	replyQueue := s.replyQueue[:0]
-	rq := 0 // head of the reply queue
-	li := 0
-	for round := 0; round < reqRounds; round++ {
-		sent := 0
-		for ; sent < budget && li < len(myLabelJobs); sent++ {
-			l := myLabelJobs[li].Label
-			li++
-			env.SendGlobal(hash.Hash(l.pack()), kindRequest, int64(l.S), int64(l.R), l.I, 0)
-		}
-		// Remaining budget answers queued requests.
-		for ; sent < budget && rq < len(replyQueue); sent++ {
-			r := replyQueue[rq]
-			rq++
-			env.SendGlobal(r.to, kindAnswer, int64(r.tok.S), int64(r.tok.R), r.tok.I, r.tok.Value)
-		}
-		in := env.Step()
-		for _, gm := range in.Global {
-			switch gm.Kind {
-			case kindRequest:
-				l := Label{S: int(gm.F0), R: int(gm.F1), I: gm.F2}
-				if v, ok := inter.Get(l.pack()); ok {
-					replyQueue = append(replyQueue, reply{to: gm.Src, tok: Token{Label: l, Value: v}})
-				}
-			case kindAnswer:
-				gotTokens = append(gotTokens, Token{
-					Label: Label{S: int(gm.F0), R: int(gm.F1), I: gm.F2},
-					Value: gm.F3,
-				})
-			}
-		}
-	}
-	// Flush any replies still queued (possible when requests bunched up in
-	// the final rounds): drain with a short aggregated extension.
-	for {
-		left := int(ncc.Aggregate(env, int64(len(replyQueue)-rq), ncc.AggMax))
-		if left == 0 {
-			break
-		}
-		for i := 0; i < ceilDiv(left, budget); i++ {
-			sent := 0
-			for ; sent < budget && rq < len(replyQueue); sent++ {
-				r := replyQueue[rq]
-				rq++
-				env.SendGlobal(r.to, kindAnswer, int64(r.tok.S), int64(r.tok.R), r.tok.I, r.tok.Value)
-			}
-			in := env.Step()
-			for _, gm := range in.Global {
-				if gm.Kind == kindAnswer {
-					gotTokens = append(gotTokens, Token{
-						Label: Label{S: int(gm.F0), R: int(gm.F1), I: gm.F2},
-						Value: gm.F3,
-					})
-				}
-			}
-		}
-	}
-	s.replyQueue = replyQueue
-
-	// Receivers collect tokens from their helpers via cluster-local
-	// flooding (final loop of Algorithm 4).
-	collected := s.collect(env, gotTokens)
-	return canonicalTokens(collected)
-}
-
-// announceHelpers floods (w, helper) pairs within clusters for 2β rounds so
-// that all cluster members agree on each H_w. It returns the helper
-// directory of this node's cluster (w -> sorted helper IDs).
-func announceHelpers(env *sim.Env, res helpers.Result, mu int) map[int][]int {
-	n := env.N()
-	beta := 2 * mu * sim.Log2Ceil(n)
-	var known flatmap.Set
-	var delta helperAnnounces
-	for _, w := range res.Helps {
-		known.Add(announcePair(w, env.ID()))
-		delta = append(delta, helperAnnounce{Ruler: res.Ruler, W: w, Helper: env.ID()})
-	}
-	for step := 0; step < 2*beta; step++ {
-		if len(delta) > 0 {
-			env.BroadcastLocal(delta)
-		}
-		in := env.Step()
-		var next helperAnnounces
-		for _, lm := range in.Local {
-			anns, ok := lm.Payload.(helperAnnounces)
-			if !ok {
-				continue
-			}
-			for _, a := range anns {
-				if a.Ruler == res.Ruler && known.Add(announcePair(a.W, a.Helper)) {
-					next = append(next, a)
-				}
-			}
-		}
-		delta = next
-	}
-	return helperSetsOf(&known)
-}
-
-// announcePair packs one (w, helper) announcement, both IDs below 2^31, as
-// the dedup key of the helper-membership flood.
-func announcePair(w, helper int) uint64 { return uint64(w)<<32 | uint64(uint32(helper)) }
-
-// helperSetsOf turns the flood's final pair set into the helper directory:
-// the pairs sort by (w, helper), so every H_w is one ascending run.
-func helperSetsOf(known *flatmap.Set) map[int][]int {
-	pairs := known.AppendSortedKeys(make([]uint64, 0, known.Len()))
-	sets := map[int][]int{}
-	for lo := 0; lo < len(pairs); {
-		w := pairs[lo] >> 32
-		hi := lo + 1
-		for hi < len(pairs) && pairs[hi]>>32 == w {
-			hi++
-		}
-		hs := make([]int, hi-lo)
-		for j := range hs {
-			hs[j] = int(uint32(pairs[lo+j]))
-		}
-		sets[int(w)] = hs
-		lo = hi
-	}
-	return sets
-}
-
-// spread floods each owner's item batch through its cluster for 2β rounds;
-// every helper picks the share assigned to it by rank (item j goes to
-// helper j mod |H_w|), which both the owner and all helpers compute
-// identically from the sorted helper set. It returns the items THIS node
-// is responsible for as a helper. myItems must be canonical (sorted,
-// deduplicated) and is shared with the cluster, so the caller must not
-// mutate it afterwards.
-func (f *family) spread(env *sim.Env, myItems []Token) []Token {
-	n := env.N()
-	beta := 2 * f.mu * sim.Log2Ceil(n)
-	me := env.ID()
-
-	f.items.Reset()
-	var delta tokenBatches
-	if len(myItems) > 0 {
-		f.items.Put(uint64(me), myItems)
-		delta = append(delta, tokenBatch{Ruler: f.res.Ruler, Owner: me, Items: myItems})
-	}
-	for step := 0; step < 2*beta; step++ {
-		if len(delta) > 0 {
-			env.BroadcastLocal(delta)
-		}
-		in := env.Step()
-		var next tokenBatches
-		for _, lm := range in.Local {
-			tbs, ok := lm.Payload.(tokenBatches)
-			if !ok {
-				continue
-			}
-			for _, tb := range tbs {
-				if tb.Ruler != f.res.Ruler || f.items.Has(uint64(tb.Owner)) {
-					continue
-				}
-				f.items.Put(uint64(tb.Owner), tb.Items)
-				next = append(next, tb)
-			}
-		}
-		delta = next
-	}
-	return f.myShare(me)
 }
 
 // myShare picks, after a spread flood, the items node me is responsible
@@ -550,57 +258,6 @@ func helpersOf(id int, helperSets map[int][]int) []int {
 		}
 	}
 	sort.Ints(out)
-	return out
-}
-
-// collect floods each helper's answered-token batch through the receiver
-// clusters for 2β rounds; each receiver keeps the tokens addressed to it
-// (final loop of Algorithm 4).
-func (s *Session) collect(env *sim.Env, gotTokens []Token) []Token {
-	n := env.N()
-	beta := 2 * s.famR.mu * sim.Log2Ceil(n)
-	me := env.ID()
-	seen := map[int]bool{}
-	var delta deliveredBatches
-	var out []Token
-	if len(gotTokens) > 0 {
-		seen[me] = true
-		delta = append(delta, deliveredBatch{Ruler: s.famR.res.Ruler, Injector: me, Items: gotTokens})
-		for _, t := range gotTokens {
-			if t.R == me {
-				out = append(out, t)
-			}
-		}
-	}
-	for step := 0; step < 2*beta; step++ {
-		if len(delta) > 0 {
-			env.BroadcastLocal(delta)
-		}
-		in := env.Step()
-		var next deliveredBatches
-		for _, lm := range in.Local {
-			dbs, ok := lm.Payload.(deliveredBatches)
-			if !ok {
-				continue
-			}
-			for _, db := range dbs {
-				if db.Ruler != s.famR.res.Ruler {
-					continue
-				}
-				if seen[db.Injector] {
-					continue
-				}
-				seen[db.Injector] = true
-				next = append(next, db)
-				for _, t := range db.Items {
-					if t.R == me {
-						out = append(out, t)
-					}
-				}
-			}
-		}
-		delta = next
-	}
 	return out
 }
 

@@ -66,18 +66,15 @@ func buildInstance(n int, pS, pR float64, tokensPerSender int, seed int64) []Spe
 	return specs
 }
 
-// runRouting executes Route on g for the given instance and verifies full
-// delivery.
+// runRouting executes the protocol on g for the given instance and verifies
+// full delivery.
 func runRouting(t *testing.T, g *graph.Graph, specs []Spec, seed int64) sim.Metrics {
 	t.Helper()
 	if err := Validate(specs); err != nil {
 		t.Fatalf("bad instance: %v", err)
 	}
 	n := g.N()
-	got := make([][]Token, n)
-	m, err := sim.Run(g, sim.Config{Seed: seed}, func(env *sim.Env) {
-		got[env.ID()] = Route(env, specs[env.ID()], Params{})
-	})
+	got, m, err := sim.RunPipeline(g, sim.Config{Seed: seed}, Pipeline(specs, Params{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,10 +332,7 @@ func TestQuickRoutingAlwaysDelivers(t *testing.T) {
 		if err := Validate(specs); err != nil {
 			return false
 		}
-		got := make([][]Token, n)
-		_, err := sim.Run(g, sim.Config{Seed: seed}, func(env *sim.Env) {
-			got[env.ID()] = Route(env, specs[env.ID()], Params{})
-		})
+		got, _, err := sim.RunPipeline(g, sim.Config{Seed: seed}, Pipeline(specs, Params{}))
 		if err != nil {
 			return false
 		}
@@ -373,10 +367,7 @@ func TestRouteInconsistentInstanceDegradesGracefully(t *testing.T) {
 	specs[victim].Expect = append(specs[victim].Expect, orphan)
 	specs[victim].KR++
 
-	got := make([][]Token, n)
-	_, err := sim.Run(g, sim.Config{Seed: 101}, func(env *sim.Env) {
-		got[env.ID()] = Route(env, specs[env.ID()], Params{})
-	})
+	got, _, err := sim.RunPipeline(g, sim.Config{Seed: 101}, Pipeline(specs, Params{}))
 	if err != nil {
 		t.Fatal(err)
 	}

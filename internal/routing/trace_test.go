@@ -45,11 +45,11 @@ func tokenWords(ts []Token) []int64 {
 	return w
 }
 
-// TestRouteProgramMatchesRoute holds the machine form of the protocol to the
-// trace of the blocking Route it replaced, on every engine: session and
-// route without a cache, populating a session cache, bound from it, and two
-// instances routed over one session (the scratch a Session keeps between
-// Route calls is reset, not reallocated).
+// TestRouteProgramMatchesRoute holds the protocol's machines, on every
+// engine, to the trace recorded from the blocking Route they replaced:
+// session and route without a cache, populating a session cache, bound from
+// it, and two instances routed over one session (the scratch a Session keeps
+// between instances is reset, not reallocated).
 func TestRouteProgramMatchesRoute(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	g := graph.SparseConnected(40, 1.3, rng)
@@ -72,22 +72,6 @@ func TestRouteProgramMatchesRoute(t *testing.T) {
 		}
 		return send
 	}
-
-	blocking := func(p Params) func(env *sim.Env, emit func(...int64)) {
-		return func(env *sim.Env, emit func(...int64)) {
-			emit(tokenWords(Route(env, specs[env.ID()], p))...)
-		}
-	}
-	simtest.Blocking(t, "uncached", g, 12, pins["uncached"], blocking(Params{}))
-	cached := Params{Cache: NewSessionCache()}
-	simtest.Blocking(t, "cache miss", g, 12, pins["cache miss"], blocking(cached))
-	simtest.Blocking(t, "cache hit", g, 12, pins["cache hit"], blocking(cached))
-	simtest.Blocking(t, "session reuse", g, 12, pins["session reuse"], func(env *sim.Env, emit func(...int64)) {
-		spec := specs[env.ID()]
-		s := NewSession(env, spec.InS, spec.InR, spec.KS, spec.KR, spec.PS, spec.PR, Params{})
-		emit(tokenWords(s.Route(spec.Send, spec.Expect))...)
-		emit(tokenWords(s.Route(again(env.ID()), spec.Expect))...)
-	})
 
 	got := make([][]Token, g.N())
 	machine := func(p Params) simtest.Factory {

@@ -26,52 +26,88 @@ type waveMsg struct {
 	TTL int
 }
 
-// Compute runs the collective ruling-set protocol and reports whether this
-// node ends up in the ruling set. All nodes must call it in the same round;
-// it takes exactly ceil(log2 n) * 2µ rounds. The result is a
-// (2µ+1, 2µ⌈log n⌉)-ruling set of G (Lemma 2.1).
-func Compute(env *sim.Env, mu int) bool {
+// PayloadWords implements sim.WordSized: a wave message is one word.
+func (waveMsg) PayloadWords() int64 { return 1 }
+
+// Machine is the collective ruling-set protocol (see sim.StepProgram). After
+// it finishes, InSet reports whether this node ended up in the ruling set,
+// which is a (2µ+1, 2µ⌈log n⌉)-ruling set of G (Lemma 2.1).
+type Machine struct {
+	// InSet reports ruling-set membership; valid once Step returned true.
+	InSet bool
+
+	loop      sim.Loop
+	alpha     int
+	candidate bool
+	heard     bool
+	seen      bool
+}
+
+// NewMachine builds the collective ruling-set machine; all nodes must start
+// it in the same round with the same µ. It takes exactly Rounds(n, mu)
+// rounds.
+func NewMachine(env *sim.Env, mu int) *Machine {
 	if mu < 1 {
 		mu = 1
 	}
-	logN := sim.Log2Ceil(env.N())
-	alpha := 2 * mu // drop distance; survivors end up >= alpha+1 apart
+	m := &Machine{alpha: 2 * mu, candidate: true}
+	m.loop = sim.Loop{
+		Rounds: sim.Log2Ceil(env.N()) * m.alpha,
+		Send:   m.send,
+		Recv:   m.recv,
+		// Between messages a node acts only at bit-stage boundaries: the
+		// stage's first Send, preceded by the previous stage's verdict in
+		// Recv (which runs on an empty inbox too).
+		NextSend: func(i int) int { return (i + m.alpha - 1) / m.alpha * m.alpha },
+	}
+	return m
+}
 
-	candidate := true
-	for bit := 0; bit < logN; bit++ {
-		myBit := (env.ID() >> bit) & 1
-		// Zero-bit candidates start a wave of radius alpha; one-bit
-		// candidates that hear it drop out. Every node forwards the wave
-		// (whether candidate or not) so distances are true hop distances.
-		heard := false
-		seen := false // this node already forwarded the wave
-		for step := 0; step < alpha; step++ {
-			if step == 0 && candidate && myBit == 0 {
-				env.BroadcastLocal(waveMsg{TTL: alpha - 1})
-				seen = true
+// Step implements sim.StepProgram.
+func (m *Machine) Step(env *sim.Env) bool {
+	if m.loop.Step(env) {
+		m.InSet = m.candidate
+		return true
+	}
+	return false
+}
+
+// send starts a bit-stage's elimination wave: at the first round of bit b,
+// zero-bit candidates announce themselves with TTL alpha-1; one-bit
+// candidates that hear it drop out. Every node forwards the wave (whether
+// candidate or not) so distances are true hop distances.
+func (m *Machine) send(env *sim.Env, i int) {
+	bit, step := i/m.alpha, i%m.alpha
+	if step == 0 && m.candidate && (env.ID()>>bit)&1 == 0 {
+		env.BroadcastLocal(waveMsg{TTL: m.alpha - 1})
+		m.seen = true
+	}
+}
+
+// recv forwards the wave once, with the largest remaining TTL
+// (re-forwarding can only shrink TTL, so once suffices), and, at a bit-stage
+// boundary, drops one-bit candidates that heard it.
+func (m *Machine) recv(env *sim.Env, in sim.Inbox, i int) {
+	best := -1
+	for _, lm := range in.Local {
+		if w, ok := lm.Payload.(waveMsg); ok {
+			m.heard = true
+			if w.TTL > best {
+				best = w.TTL
 			}
-			in := env.Step()
-			best := -1
-			for _, lm := range in.Local {
-				if w, ok := lm.Payload.(waveMsg); ok {
-					heard = true
-					if w.TTL > best {
-						best = w.TTL
-					}
-				}
-			}
-			if best > 0 && !seen {
-				// Forward once with the largest remaining TTL; re-forwarding
-				// can only shrink TTL, so once suffices.
-				env.BroadcastLocal(waveMsg{TTL: best - 1})
-				seen = true
-			}
-		}
-		if candidate && myBit == 1 && heard {
-			candidate = false
 		}
 	}
-	return candidate
+	if best > 0 && !m.seen {
+		env.BroadcastLocal(waveMsg{TTL: best - 1})
+		m.seen = true
+	}
+	if i%m.alpha == m.alpha-1 {
+		bit := i / m.alpha
+		if m.candidate && (env.ID()>>bit)&1 == 1 && m.heard {
+			m.candidate = false
+		}
+		m.heard, m.seen = false, false
+	}
 }
 
 // Check verifies the (alpha, beta)-ruling set properties of rulers on g
@@ -137,7 +173,7 @@ func Check(g *graph.Graph, rulers []bool, alpha, beta int) error {
 	return nil
 }
 
-// Rounds returns the exact number of rounds Compute takes for the given n
+// Rounds returns the exact number of rounds Machine takes for the given n
 // and mu, so callers composing phases can pre-compute schedules.
 func Rounds(n, mu int) int {
 	if mu < 1 {

@@ -9,17 +9,22 @@ import (
 	"repro/internal/sim"
 )
 
+// membership is the protocol as a sim.Pipeline yielding InSet.
+func membership(mu int) sim.Pipeline[bool] {
+	return func(env *sim.Env, done func(bool)) sim.StepProgram {
+		m := NewMachine(env, mu)
+		return sim.Then(m, func(*sim.Env) { done(m.InSet) })
+	}
+}
+
 func computeRulers(t *testing.T, g *graph.Graph, mu int) []bool {
 	t.Helper()
-	rulers := make([]bool, g.N())
-	m, err := sim.Run(g, sim.Config{Seed: 1}, func(env *sim.Env) {
-		rulers[env.ID()] = Compute(env, mu)
-	})
+	rulers, m, err := sim.RunPipeline(g, sim.Config{Seed: 1}, membership(mu))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := Rounds(g.N(), mu); m.Rounds != want {
-		t.Fatalf("Compute took %d rounds, want exactly %d", m.Rounds, want)
+		t.Fatalf("the machine took %d rounds, want exactly %d", m.Rounds, want)
 	}
 	if m.GlobalMsgs != 0 {
 		t.Fatalf("ruling set used %d global messages; Lemma 2.1 is local-only", m.GlobalMsgs)
@@ -77,10 +82,7 @@ func TestCompleteGraphSingleRuler(t *testing.T) {
 
 func TestMuClamping(t *testing.T) {
 	g := graph.Path(8)
-	rulers := make([]bool, g.N())
-	_, err := sim.Run(g, sim.Config{Seed: 1}, func(env *sim.Env) {
-		rulers[env.ID()] = Compute(env, 0) // clamped to 1
-	})
+	rulers, _, err := sim.RunPipeline(g, sim.Config{Seed: 1}, membership(0)) // clamped to 1
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,10 +152,7 @@ func TestQuickRulingSetAlwaysValid(t *testing.T) {
 		mu := 1 + int(muRaw%3)
 		rng := rand.New(rand.NewSource(seed))
 		g := graph.SparseConnected(n, 0.5, rng)
-		rulers := make([]bool, n)
-		_, err := sim.Run(g, sim.Config{Seed: seed}, func(env *sim.Env) {
-			rulers[env.ID()] = Compute(env, mu)
-		})
+		rulers, _, err := sim.RunPipeline(g, sim.Config{Seed: seed}, membership(mu))
 		if err != nil {
 			return false
 		}

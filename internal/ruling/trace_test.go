@@ -9,9 +9,9 @@ import (
 	"repro/internal/simtest"
 )
 
-// TestMachineMatchesCompute holds the machine to the trace of the blocking
-// Compute it replaced, on every engine: same membership, same Metrics, and
-// the membership is a valid ruling set.
+// TestMachineMatchesCompute holds the machine, on every engine, to the trace
+// recorded from the blocking Compute it replaced: same membership, same
+// Metrics, and the membership is a valid ruling set.
 func TestMachineMatchesCompute(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"grid": graph.Grid(5, 6),
@@ -26,19 +26,13 @@ func TestMachineMatchesCompute(t *testing.T) {
 	for name, g := range graphs {
 		for _, mu := range []int{1, 3} {
 			name := fmt.Sprintf("%s mu=%d", name, mu)
-			simtest.Blocking(t, name, g, 11, pins[name], func(env *sim.Env, emit func(...int64)) {
-				emit(simtest.Bool(Compute(env, mu)))
-			})
 			inSet := make([]bool, g.N())
 			simtest.Machines(t, name, g, 11, pins[name], func(env *sim.Env, emit func(...int64)) sim.StepProgram {
 				m := NewMachine(env, mu)
-				return sim.Sequence(
-					func(*sim.Env) sim.StepProgram { return m },
-					sim.Finish(func(env *sim.Env) {
-						inSet[env.ID()] = m.InSet
-						emit(simtest.Bool(m.InSet))
-					}),
-				)
+				return sim.Then(m, func(env *sim.Env) {
+					inSet[env.ID()] = m.InSet
+					emit(simtest.Bool(m.InSet))
+				})
 			})
 			if err := Check(g, inSet, 2*mu+1, 2*mu*sim.Log2Ceil(g.N())); err != nil {
 				t.Errorf("%s: %v", name, err)

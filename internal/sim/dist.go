@@ -15,8 +15,8 @@ import (
 // the engine contract) and compute the shard's receive accounting, and
 // the coordinator folds the returned streams back into the same inbox
 // buffers and Metrics fields the in-process engines use. Byte-identity
-// with EngineLegacy/EngineSharded/EngineStep follows because the sorted
-// stream the worker returns is exactly the order runShard delivers in.
+// with EngineLegacy/EngineStep follows because the sorted stream the worker
+// returns is exactly the order runShard delivers in.
 //
 // The router implementation lives in repro/internal/dist and registers
 // itself here via RegisterDistRouter, keeping this package free of any

@@ -10,7 +10,9 @@ import (
 // chatterProgram is a deliberately messy workload for engine-equivalence
 // tests: per-node random local and global traffic, uneven finishing times,
 // and an accumulator that is sensitive to both inbox ordering and content.
-func chatterProgram(out []int64) Program {
+// It is written in the blocking form only the legacy engine executes;
+// stepChatter (step_test.go) is the same workload as a machine.
+func chatterProgram(out []int64) program {
 	return func(env *Env) {
 		rounds := 6 + env.ID()%5
 		acc := int64(env.ID())
@@ -24,7 +26,7 @@ func chatterProgram(out []int64) Program {
 			for s := 0; s < sends; s++ {
 				env.SendGlobal(env.Rand().Intn(env.N()), Kind(r), int64(env.ID()), int64(r), int64(s), 7)
 			}
-			in := env.Step()
+			in := env.barrier()
 			for _, lm := range in.Local {
 				acc = acc*31 + int64(lm.From)
 				if v, ok := lm.Payload.(int64); ok {
@@ -39,10 +41,11 @@ func chatterProgram(out []int64) Program {
 	}
 }
 
+// runChatter runs the chatter machine under cfg.
 func runChatter(t *testing.T, g *graph.Graph, cfg Config) ([]int64, Metrics) {
 	t.Helper()
 	out := make([]int64, g.N())
-	m, err := Run(g, cfg, chatterProgram(out))
+	m, err := RunStep(g, cfg, func(env *Env) StepProgram { return newStepChatter(env, out) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,8 +53,8 @@ func runChatter(t *testing.T, g *graph.Graph, cfg Config) ([]int64, Metrics) {
 }
 
 // TestEnginesAgree is the core differential test: for several topologies
-// and seeds, the legacy and sharded engines must produce byte-identical
-// per-node results and Metrics.
+// and seeds, the step engine must produce per-node results and Metrics
+// byte-identical to the legacy reference.
 func TestEnginesAgree(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"grid":     graph.Grid(6, 7),
@@ -61,55 +64,56 @@ func TestEnginesAgree(t *testing.T) {
 	for name, g := range graphs {
 		for seed := int64(1); seed <= 3; seed++ {
 			legacyOut, legacyM := runChatter(t, g, Config{Seed: seed, Engine: EngineLegacy})
-			for _, eng := range []Engine{EngineSharded, EngineStep} {
-				out, m := runChatter(t, g, Config{Seed: seed, Engine: eng})
-				if !reflect.DeepEqual(legacyOut, out) {
-					t.Fatalf("%s seed %d: per-node results differ between legacy and %s", name, seed, eng)
-				}
-				if legacyM != m {
-					t.Fatalf("%s seed %d: metrics differ: legacy %+v %s %+v", name, seed, legacyM, eng, m)
-				}
+			out, m := runChatter(t, g, Config{Seed: seed, Engine: EngineStep})
+			if !reflect.DeepEqual(legacyOut, out) {
+				t.Fatalf("%s seed %d: per-node results differ between legacy and step", name, seed)
+			}
+			if legacyM != m {
+				t.Fatalf("%s seed %d: metrics differ: legacy %+v step %+v", name, seed, legacyM, m)
 			}
 		}
 	}
 }
 
-// TestShardCountInvariance: the sharded engine's results must not depend on
-// the shard count (delivery order is (sender ID, send order) by
-// construction, whatever the sharding).
+// TestShardCountInvariance: results must not depend on the shard count
+// (delivery order is (sender ID, send order) by construction, whatever the
+// sharding) — on a topology whose local traffic crosses every shard boundary
+// and on one where it crosses only adjacent ones. TestStepShardCountInvariance
+// covers the grid.
 func TestShardCountInvariance(t *testing.T) {
-	g := graph.Grid(5, 8)
-	baseOut, baseM := runChatter(t, g, Config{Seed: 11, Shards: 1})
-	for _, shards := range []int{2, 3, 7, 16, 40, 1000} {
-		out, m := runChatter(t, g, Config{Seed: 11, Shards: shards})
-		if !reflect.DeepEqual(baseOut, out) {
-			t.Fatalf("shards=%d: results differ from shards=1", shards)
-		}
-		if m != baseM {
-			t.Fatalf("shards=%d: metrics differ: %+v vs %+v", shards, m, baseM)
+	for name, g := range map[string]*graph.Graph{"complete": graph.Complete(40), "path": graph.Path(40)} {
+		baseOut, baseM := runChatter(t, g, Config{Seed: 11, Shards: 1})
+		for _, shards := range []int{2, 3, 7, 16, 40, 1000} {
+			out, m := runChatter(t, g, Config{Seed: 11, Shards: shards})
+			if !reflect.DeepEqual(baseOut, out) {
+				t.Fatalf("%s shards=%d: results differ from shards=1", name, shards)
+			}
+			if m != baseM {
+				t.Fatalf("%s shards=%d: metrics differ: %+v vs %+v", name, shards, m, baseM)
+			}
 		}
 	}
 }
 
-// TestShardedInboxReuseSafe: the inbox returned by Step is valid until the
-// next Step call even though the sharded engine recycles buffers. A program
-// that reads its inbox as late as legally possible must see intact data.
+// TestShardedInboxReuseSafe: the inbox Incoming returns is the node's for
+// the whole round segment even though delivery recycles buffers. A machine
+// that reads its inbox as late as legally possible — after staging its own
+// sends — must see intact data.
 func TestShardedInboxReuseSafe(t *testing.T) {
 	g := graph.Path(8)
 	sums := make([]int64, g.N())
-	_, err := Run(g, Config{Seed: 4}, func(env *Env) {
-		var held Inbox
-		for r := 0; r < 20; r++ {
-			// Read the PREVIOUS round's inbox only now, just before Step.
-			for _, gm := range held.Global {
+	_, err := RunStep(g, Config{Seed: 4}, func(*Env) StepProgram {
+		r := 0
+		return StepFunc(func(env *Env) bool {
+			if r < 20 {
+				env.SendGlobal((env.ID()+1)%env.N(), 0, int64(r), 0, 0, 0)
+			}
+			for _, gm := range env.Incoming().Global {
 				sums[env.ID()] += gm.F0
 			}
-			env.SendGlobal((env.ID()+1)%env.N(), 0, int64(r), 0, 0, 0)
-			held = env.Step()
-		}
-		for _, gm := range held.Global {
-			sums[env.ID()] += gm.F0
-		}
+			r++
+			return r > 20
+		})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -123,19 +127,18 @@ func TestShardedInboxReuseSafe(t *testing.T) {
 }
 
 // TestShardedViolationsDeterministic: when several nodes exceed the strict
-// receive cap in the same round, the sharded engine must report the
-// lowest-ID violator regardless of worker scheduling.
+// receive cap in the same round, the engine must report the lowest-ID
+// violator regardless of shard count and worker scheduling.
 func TestShardedViolationsDeterministic(t *testing.T) {
 	g := graph.Path(64)
 	for _, shards := range []int{1, 4, 16} {
-		_, err := Run(g, Config{StrictRecvFactor: 1, Shards: shards}, func(env *Env) {
+		_, err := RunStep(g, Config{StrictRecvFactor: 1, Shards: shards}, oneRound(func(env *Env) {
 			// Everyone floods both node 5 and node 50.
 			if env.ID() != 5 && env.ID() != 50 {
 				env.SendGlobal(5, 0, 0, 0, 0, 0)
 				env.SendGlobal(50, 0, 0, 0, 0, 0)
 			}
-			env.Step()
-		})
+		}, nil))
 		if err == nil {
 			t.Fatalf("shards=%d: want strict-recv violation", shards)
 		}
@@ -146,38 +149,16 @@ func TestShardedViolationsDeterministic(t *testing.T) {
 	}
 }
 
-// TestEngineString pins the flag/benchmark labels.
+// TestEngineString pins the flag/benchmark labels, and that a value outside
+// the set is an error to run, not an alias of some engine.
 func TestEngineString(t *testing.T) {
-	if EngineSharded.String() != "sharded" || EngineLegacy.String() != "legacy" || EngineStep.String() != "step" {
-		t.Fatalf("engine names changed: %q / %q / %q", EngineSharded, EngineLegacy, EngineStep)
+	if EngineStep.String() != "step" || EngineLegacy.String() != "legacy" || EngineDist.String() != "dist" {
+		t.Fatalf("engine names changed: %q / %q / %q", EngineStep, EngineLegacy, EngineDist)
+	}
+	if Engine(0) != EngineStep {
+		t.Fatal("the zero Engine is not EngineStep")
+	}
+	if _, err := RunStep(graph.Path(2), Config{Engine: Engine(3)}, func(*Env) StepProgram { return idle(1) }); err == nil {
+		t.Fatal("an Engine outside the set ran")
 	}
 }
-
-func benchEngineRounds(b *testing.B, eng Engine, traffic bool) {
-	g := graph.Grid(32, 32)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, err := Run(g, Config{Engine: eng}, func(env *Env) {
-			for r := 0; r < 200; r++ {
-				if traffic {
-					env.BroadcastLocal(r)
-					env.SendGlobal((env.ID()+r)%env.N(), 0, 1, 2, 3, 4)
-				}
-				env.Step()
-			}
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// The barrier benchmarks isolate the round-boundary cost (no messages);
-// the traffic benchmarks add a broadcast plus one global message per node
-// per round, the regime where the sharded engine's reused inboxes and
-// bucketed delivery separate from the legacy coordinator.
-func BenchmarkEngineBarrierSharded(b *testing.B) { benchEngineRounds(b, EngineSharded, false) }
-func BenchmarkEngineBarrierLegacy(b *testing.B)  { benchEngineRounds(b, EngineLegacy, false) }
-func BenchmarkEngineTrafficSharded(b *testing.B) { benchEngineRounds(b, EngineSharded, true) }
-func BenchmarkEngineTrafficLegacy(b *testing.B)  { benchEngineRounds(b, EngineLegacy, true) }

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 
 	"repro/internal/bitrand"
 	"repro/internal/graph"
@@ -25,9 +24,9 @@ func (env *Env) GlobalCap() int { return env.eng.sendCap }
 // Round returns the number of rounds this node has completed so far.
 func (env *Env) Round() int { return env.round }
 
-// Graph returns the local communication graph G. Programs may read
+// Graph returns the local communication graph G. Machines may read
 // arbitrary topology local to themselves; by LOCAL-model convention a node
-// knows its incident edges (and only those) at start, which programs should
+// knows its incident edges (and only those) at start, which machines should
 // respect by only inspecting their own neighborhood.
 func (env *Env) Graph() *graph.Graph { return env.eng.g }
 
@@ -59,11 +58,10 @@ func (env *Env) SendLocal(to int, payload interface{}) {
 }
 
 // stageLocal appends one local message to the engine-appropriate staging
-// area: the destination shard's bucket (sharded) or the flat outbox
-// (legacy).
+// area: the destination shard's bucket (step) or the flat outbox (legacy).
 func (env *Env) stageLocal(to int, payload interface{}) {
 	env.staged++
-	if env.eng.sharded {
+	if env.eng.stepMode {
 		k := env.eng.shardOf(to)
 		env.eng.dirty[k][env.id] = true
 		env.outLocalSh[k] = append(env.outLocalSh[k], localOut{to: to, payload: payload})
@@ -93,7 +91,7 @@ func (env *Env) SendGlobal(dst int, kind Kind, f0, f1, f2, f3 int64) {
 	env.globalSentThisRound++
 	env.staged++
 	m := GlobalMsg{Src: env.id, Dst: dst, Kind: kind, F0: f0, F1: f1, F2: f2, F3: f3}
-	if env.eng.sharded {
+	if env.eng.stepMode {
 		k := env.eng.shardOf(dst)
 		env.eng.dirty[k][env.id] = true
 		env.outGlobalSh[k] = append(env.outGlobalSh[k], m)
@@ -106,46 +104,11 @@ func (env *Env) SendGlobal(dst int, kind Kind, f0, f1, f2, f3 int64) {
 // the current round.
 func (env *Env) GlobalBudget() int { return env.eng.sendCap - env.globalSentThisRound }
 
-// Step ends the node's round: all staged messages are handed to the engine,
-// and the call blocks until every node has ended the round. It returns the
-// inbox of messages delivered for the next round. The returned slices are
-// owned by the caller until the next Step call; the sharded and step
-// engines reuse them afterwards, so programs must not retain them across
-// Steps. Under the step engine the call is legal only from a Program
-// running through the goroutine-backed adapter — StepPrograms read
-// Incoming() instead and never block.
-func (env *Env) Step() Inbox {
-	if a := env.adapter; a != nil {
-		return a.await(env)
-	}
-	if env.eng.stepMode {
-		panic(fmt.Errorf("sim: node %d called Env.Step from a StepProgram; use Incoming", env.id))
-	}
-	if env.eng.aborted.Load() {
-		panic(errAbort)
-	}
-	rel := env.eng.currentRelease()
-	env.arrive()
-	<-rel
-	if env.eng.aborted.Load() {
-		panic(errAbort)
-	}
-	env.round++
-	if env.eng.sharded {
-		p := env.round & 1
-		return Inbox{Local: env.inLocalBuf[p], Global: env.inGlobalBuf[p]}
-	}
-	in := Inbox{Local: env.inLocal, Global: env.inGlobal}
-	env.inLocal = nil
-	env.inGlobal = nil
-	return in
-}
-
 // Incoming returns the inbox delivered for the round currently being
-// executed: what a Program would have gotten from its last Env.Step call.
-// It is the read side of the StepProgram contract (see step.go); the slices
-// are owned by the node until its next round, exactly like Step's return
-// value, and must not be retained across rounds.
+// executed (empty in a node's first round). It is the read side of the
+// StepProgram contract (see step.go); the slices are owned by the node
+// until its next round and must not be retained across rounds — the step
+// engine reuses them.
 func (env *Env) Incoming() Inbox { return env.curInbox }
 
 // SleepUntil declares, from inside a StepProgram's Step call, that the
@@ -155,22 +118,13 @@ func (env *Env) Incoming() Inbox { return env.curInbox }
 // inbox is non-empty, whichever comes first, and fast-forwards over rounds
 // in which every unfinished node sleeps (see "Sleeping nodes" in step.go).
 // Only the declaration made by the node's latest Step call counts. The
-// goroutine engines, and Programs adapted onto the step engine, ignore it
-// and keep calling the machine every round — so a machine must behave
-// identically whether or not the calls it declared unnecessary happen.
-// Machines built from Loop never call this directly; Loop.NextSend does.
+// legacy engine ignores it and keeps calling the machine every round — so a
+// machine must behave identically whether or not the calls it declared
+// unnecessary happen. Machines built from Loop never call this directly;
+// Loop.NextSend does.
 func (env *Env) SleepUntil(round int) {
-	if env.eng.stepMode && env.adapter == nil {
+	if env.eng.stepMode {
 		env.wake = round
-	}
-}
-
-// StepIdle advances the node r rounds without sending anything, discarding
-// anything received. Used to keep phase-aligned nodes in lockstep while a
-// subset works.
-func (env *Env) StepIdle(r int) {
-	for i := 0; i < r; i++ {
-		env.Step()
 	}
 }
 
@@ -179,9 +133,9 @@ func (env *Env) StepIdle(r int) {
 // fn evaluated exactly once across the whole run. It models the fact that
 // all nodes run identical deterministic code on identical public knowledge
 // and would therefore construct identical objects — and it is load-bearing
-// for components that must pool state across the process's node goroutines
-// (the declared-cost CLIQUE oracle). fn runs under a global lock and must
-// not call Step or touch node-local state. Nodes must call SharedOnce for a
+// for components that must pool state across the run's nodes (the
+// declared-cost CLIQUE oracle). fn runs under a global lock and must not
+// touch node-local state. Nodes must call SharedOnce for a
 // given prefix in the same collective order.
 func (env *Env) SharedOnce(prefix string, fn func() interface{}) interface{} {
 	if env.sharedSeq == nil {
@@ -204,15 +158,8 @@ func (env *Env) SharedOnce(prefix string, fn func() interface{}) interface{} {
 	return v
 }
 
-// violate reports a model violation and unwinds this node's goroutine.
+// violate reports a model violation and unwinds this node's Step call.
 func (env *Env) violate(err error) {
 	env.eng.fail(err)
 	panic(errAbort)
-}
-
-// arrive signals the barrier; the last arriver wakes the coordinator.
-func (env *Env) arrive() {
-	if atomic.AddInt32(&env.eng.remaining, -1) == 0 {
-		env.eng.ready <- struct{}{}
-	}
 }

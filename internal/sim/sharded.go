@@ -5,9 +5,8 @@ import (
 	"runtime"
 )
 
-// The sharded engine ("sim v2") keeps the node programs exactly as they are
-// — blocking goroutines multiplexed by the Go scheduler — and reworks
-// everything the engine itself does per round:
+// This file is the step engine's staging and delivery, everything the
+// engine itself does per round besides calling the machines:
 //
 //   - The node set is split into contiguous shards. Every sender stages its
 //     outgoing messages into per-destination-shard buckets at send time, so
@@ -23,16 +22,16 @@ import (
 //     that is independent of completion order.
 //   - Inboxes are preallocated and double-buffered: the buffer delivered at
 //     round r is reused at round r+2, so steady-state rounds allocate
-//     nothing. (Step's contract — the returned slices are owned by the
-//     caller until the next Step call — grants one round of ownership; the
-//     double buffer leaves an extra round of slack.)
+//     nothing. (Incoming's contract — the slices are the node's until its
+//     next round segment — grants one round of ownership; the double buffer
+//     leaves an extra round of slack.)
 //   - Senders that staged nothing for a shard are skipped via a dirty flag,
 //     so sparse rounds (the common case in delta-style flooding protocols)
 //     cost O(n) flag reads instead of O(n) slice scans per shard.
 //
-// The legacy engine (legacy deliver in sim.go) is kept verbatim as a
-// differential-testing oracle: for any program and seed, both engines must
-// produce byte-identical results and Metrics. engines_test.go enforces this.
+// The legacy engine's deliver (legacy.go) is the reference: for any machine
+// and seed, both must produce byte-identical results and Metrics.
+// engines_test.go enforces this.
 
 // shardTask is one unit of worker-pool work: deliver shard k (the default),
 // advance the state machines of shard k's nodes by one round (step), or
@@ -69,13 +68,13 @@ type shardResult struct {
 // and delivery work it takes over (measured on the grid APSP workload).
 const minShardNodes = 64
 
-// initSharded sizes the shards and preallocates the per-env staging state.
-// Shards <= 0 autotunes: one shard per available CPU, capped so every
+// initSharded switches the engine to step mode: it sizes the shards and
+// preallocates the per-env staging state. Shards <= 0 autotunes: one shard per available CPU, capped so every
 // shard keeps at least minShardNodes nodes. The shard count never changes
 // results (the differential tests pin shard-count invariance), only the
 // parallel grain.
 func (e *engine) initSharded() {
-	e.sharded = true
+	e.stepMode = true
 	s := e.cfg.Shards
 	if e.distMode {
 		// One worker process per shard: under EngineDist the shard count IS
@@ -147,7 +146,7 @@ func (e *engine) stopSharded() {
 
 func (e *engine) shardOf(v int) int { return v / e.shardSize }
 
-// deliverSharded is the v2 round boundary: fan the shards out to the
+// deliverSharded is the in-process round boundary: fan the shards out to the
 // workers, merge their metric deltas, and return how many nodes finished.
 func (e *engine) deliverSharded() int {
 	e.generation++

@@ -7,53 +7,51 @@
 //   - Global mode (NCC): in each round, every node may send O(log n)
 //     messages of O(log n) bits each to arbitrary nodes.
 //
-// A node algorithm is written in one of two interchangeable execution
-// models. A Program is a blocking function: a call to Env.Step ends the
-// node's round and blocks until every other node has ended the round too,
-// at which point the engine delivers all staged messages. A StepProgram is
-// an explicit resumable state machine: one Step call runs exactly one
-// round segment (read Env.Incoming, stage sends, report done), and nothing
-// ever blocks. Either model runs on every engine — see step.go for the
-// contract and the adapters — and the number of barrier generations is
-// exactly the round complexity the paper's theorems are stated in.
+// A node algorithm is a StepProgram, an explicit resumable state machine:
+// one Step call runs exactly one round segment (read Env.Incoming, stage
+// sends, report done) and nothing ever blocks. The paper's "in every round:
+// send, then receive" loops are Loop values and its phase-after-phase
+// composition is Sequence; see step.go for the contract. The number of
+// rounds a run takes is exactly the round complexity the paper's theorems
+// are stated in.
 //
 // # Engines
 //
 // Three interchangeable round engines implement the barrier and delivery;
-// Config.Engine selects one.
+// Config.Engine selects one, and the zero value is EngineStep.
 //
-// EngineSharded (the default, "sim v2") runs each Program as a goroutine
-// and splits the node set into contiguous shards, at most GOMAXPROCS of
-// them. Senders stage outgoing messages into per-destination-shard buckets
-// as they send, and at the round boundary a persistent worker pool drains
-// the buckets shard by shard — each worker owns the inboxes, receive
-// counters, and metric deltas of exactly one shard, so delivery is
-// lock-free and scales with cores. Inboxes are preallocated and
-// double-buffered so steady-state rounds allocate nothing, and senders
-// that staged nothing are skipped via dirty flags (sparse rounds are the
-// common case in delta-style flooding). See sharded.go.
+// EngineStep runs the machines with no per-node goroutine: the engine's
+// round loop iterates them in shard-parallel batches and then delivers — the
+// loop IS the barrier, so rounds cost zero scheduler wake/park cycles. The
+// node set is split into contiguous shards, at most GOMAXPROCS of them;
+// senders stage outgoing messages into per-destination-shard buckets as
+// they send, and a persistent worker pool drains the buckets shard by
+// shard, each worker owning the inboxes, receive counters and metric deltas
+// of exactly one shard. Inboxes are preallocated and double-buffered so
+// steady-state rounds allocate nothing, senders that staged nothing are
+// skipped via dirty flags, and nodes that declared themselves idle are not
+// called at all. See step.go and sharded.go.
 //
-// EngineStep ("sim v3") runs each node as a StepProgram with no per-node
-// goroutine: the engine's round loop iterates the machines in
-// shard-parallel batches and then runs the sharded delivery path — the
-// loop IS the barrier, so rounds cost zero scheduler wake/park cycles.
-// Programs without a step port run on it through a goroutine-backed
-// adapter. See step.go and RunStep.
+// EngineDist is EngineStep with global-mode delivery routed through worker
+// OS processes. See dist.go.
 //
-// EngineLegacy is the original engine: a single coordinator goroutine
-// drains every node's flat outbox in node-ID order with freshly allocated
-// inboxes each round. It is retained as the differential-testing oracle.
+// EngineLegacy is the reference implementation of the round-barrier
+// contract: one goroutine per node driving the node's machine and blocking
+// at a barrier between round segments, and a single coordinator that drains
+// every node's flat outbox in node-ID order into freshly allocated inboxes.
+// It calls every machine in every round, whatever the machine declared, so
+// it is what the differential tests, the golden fixture and Loop's
+// sleep-contract check hold the other two against. See legacy.go.
 //
 // # Determinism
 //
 // All engines are deterministic and agree bit for bit: a destination's
-// inbox is ordered by (sender ID, send order) regardless of engine, shard
-// count, or execution model, per-node and public randomness derive only
-// from Config.Seed, and the engines' metric merges are commutative
-// sum/max folds, so for a fixed seed every engine produces identical
-// message sequences, results, and Metrics. engines_test.go, step_test.go,
-// and the top-level differential tests enforce this property across the
-// engine × execution-model matrix.
+// inbox is ordered by (sender ID, send order) regardless of engine or shard
+// count, per-node and public randomness derive only from Config.Seed, and
+// the engines' metric merges are commutative sum/max folds, so for a fixed
+// seed every engine produces identical message sequences, results, and
+// Metrics. engines_test.go, step_test.go, and the top-level differential
+// tests enforce this property.
 //
 // # Model enforcement
 //
@@ -125,29 +123,22 @@ type Inbox struct {
 	Global []GlobalMsg
 }
 
-// Program is the algorithm executed by every node. Implementations switch on
-// env.ID() when nodes play different roles. Programs communicate results by
-// writing to captured per-node output slots.
-type Program func(env *Env)
-
 // Engine selects the round-engine implementation. See the package comment.
 type Engine int
 
 const (
-	// EngineSharded is the default engine: per-shard staging buckets,
-	// worker-pool delivery, reused double-buffered inboxes. Node programs
-	// are goroutines synchronized at the round barrier.
-	EngineSharded Engine = iota
-	// EngineLegacy is the original goroutine-per-node engine with a single
-	// delivery coordinator, kept as a differential-testing oracle.
-	EngineLegacy
 	// EngineStep runs each node as an explicit resumable state machine
 	// (StepProgram) with no per-node goroutine: the engine's round loop IS
-	// the barrier, so rounds cost zero scheduler wake/park cycles. Legacy
-	// Programs run on it through a goroutine-backed adapter; step-native
-	// programs run on the goroutine engines through DriveProgram. See
-	// step.go and RunStep.
-	EngineStep
+	// the barrier, so rounds cost zero scheduler wake/park cycles. It is the
+	// zero value: what a caller who selects nothing gets. See step.go.
+	EngineStep Engine = iota
+	// EngineLegacy is the reference implementation of the round-barrier
+	// contract: one goroutine per node blocking at a barrier, a single
+	// coordinator delivering with freshly allocated inboxes. It drives the
+	// same machines and calls every one of them every round, which is what
+	// the differential tests, the golden fixture and Loop's sleep-contract
+	// check compare the step engine against. See legacy.go.
+	EngineLegacy
 	// EngineDist is the step engine with global-mode delivery routed
 	// through per-shard worker OS processes over a wire protocol (unix
 	// sockets by default). Node execution and local-mode delivery stay in
@@ -162,14 +153,14 @@ const (
 // String names the engine for flags and benchmark labels.
 func (e Engine) String() string {
 	switch e {
-	case EngineLegacy:
-		return "legacy"
 	case EngineStep:
 		return "step"
+	case EngineLegacy:
+		return "legacy"
 	case EngineDist:
 		return "dist"
 	default:
-		return "sharded"
+		return fmt.Sprintf("Engine(%d)", int(e))
 	}
 }
 
@@ -178,12 +169,12 @@ type Config struct {
 	// Seed roots all randomness (per-node streams and public randomness).
 	Seed int64
 
-	// Engine selects the round engine (default EngineSharded). Both
+	// Engine selects the round engine; the zero value is EngineStep. All
 	// engines produce identical results and Metrics for identical seeds.
 	Engine Engine
 
-	// Shards overrides the sharded engine's shard count. Zero (the
-	// default) autotunes: one shard per available CPU, capped so every
+	// Shards overrides the step engine's shard count. Zero (the default)
+	// autotunes: one shard per available CPU, capped so every
 	// shard keeps enough nodes to amortize the per-round fan-out (see
 	// initSharded). Results are independent of the value; it exists for
 	// tuning and for determinism tests across shard counts.
@@ -328,10 +319,6 @@ type engine struct {
 
 	envs []*Env
 
-	release   atomic.Value // chan struct{}; swapped at each round boundary
-	remaining int32
-	ready     chan struct{} // signaled when remaining hits zero
-
 	aborted atomic.Bool
 	errMu   sync.Mutex
 	err     error
@@ -342,23 +329,25 @@ type engine struct {
 	generation int
 	metrics    Metrics
 
-	// Sharded-engine state (nil/zero under EngineLegacy); see sharded.go.
-	sharded   bool
-	nShards   int
-	shardSize int
-	recvCount []int
-	dirty     [][]bool // [shard][sender]: sender staged something for shard
-	workCh    chan shardTask
-	resCh     chan shardResult
+	// Legacy-engine barrier state (see legacy.go).
+	release   atomic.Value // chan struct{}; swapped at each round boundary
+	remaining int32
+	ready     chan struct{} // signaled when remaining hits zero
 
-	// Step-engine state (nil unless EngineStep); see step.go.
+	// Step-engine state (zero under EngineLegacy): the sharded delivery of
+	// sharded.go and the round loop of step.go.
 	stepMode   bool
+	nShards    int
+	shardSize  int
+	recvCount  []int
+	dirty      [][]bool // [shard][sender]: sender staged something for shard
+	workCh     chan shardTask
+	resCh      chan shardResult
 	progs      []StepProgram
-	adGroups   []*adapterGroup // per-shard adapter multiplexers, nil entries for all-native shards
-	stepActive int             // unfinished nodes in the current step run
-	woke       bool            // the last delivery reached a sleeping node
-	stepBatch  int             // resolved work-stealing batch width, 0 = whole-shard tasks
-	stepCursor atomic.Int64    // next node to claim in a batched step generation
+	stepActive int          // unfinished nodes in the current step run
+	woke       bool         // the last delivery reached a sleeping node
+	stepBatch  int          // resolved work-stealing batch width, 0 = whole-shard tasks
+	stepCursor atomic.Int64 // next node to claim in a batched step generation
 
 	// Distributed-engine state (nil unless EngineDist); see dist.go.
 	distMode   bool
@@ -367,7 +356,7 @@ type engine struct {
 }
 
 // Env is a node's handle to the engine. All methods must be called only
-// from that node's Program goroutine.
+// from inside the node's own Step call (or its StepFactory).
 type Env struct {
 	eng *engine
 	id  int
@@ -383,21 +372,18 @@ type Env struct {
 	inLocal  []LocalMsg
 	inGlobal []GlobalMsg
 
-	// Sharded-engine staging: per-destination-shard buckets and
+	// Step-engine staging: per-destination-shard buckets and
 	// double-buffered reused inboxes (see sharded.go).
 	outLocalSh  [][]localOut
 	outGlobalSh [][]GlobalMsg
 	inLocalBuf  [2][]LocalMsg
 	inGlobalBuf [2][]GlobalMsg
 
-	// Step-engine state: the inbox of the round being executed (set by the
-	// engine before each StepProgram.Step call, or by DriveProgram under the
-	// goroutine engines), the adapter handle when this node runs a legacy
-	// Program on the step engine, and the round before which the round loop
-	// does not call the node's machine unless a message arrives for it
-	// (SleepUntil; 0 when awake). See step.go.
+	// curInbox is the inbox of the round being executed, set by the engine
+	// before each StepProgram.Step call; wake is the round before which the
+	// step loop does not call the node's machine unless a message arrives
+	// for it (SleepUntil; 0 when awake). See step.go.
 	curInbox Inbox
-	adapter  *programAdapter
 	wake     int
 
 	// staged counts every message this node ever staged, local and global;
@@ -454,50 +440,6 @@ func newEngine(g *graph.Graph, cfg Config) (*engine, error) {
 	return eng, nil
 }
 
-// Run executes program on every node of g under cfg and returns the
-// collected metrics. It returns an error if any node violated the model
-// (illegal local destination, global send cap exceeded), if the run hit
-// MaxRounds, or if a program panicked. Under EngineStep the program runs
-// through the goroutine-backed adapter (see step.go); results and Metrics
-// are identical on every engine for a fixed seed.
-func Run(g *graph.Graph, cfg Config, program Program) (Metrics, error) {
-	if cfg.Engine == EngineStep || cfg.Engine == EngineDist {
-		return RunStep(g, cfg, AdaptProgram(program))
-	}
-	eng, err := newEngine(g, cfg)
-	if eng == nil {
-		return Metrics{}, err
-	}
-	n := eng.n
-	if cfg.Engine != EngineLegacy {
-		eng.initSharded()
-		defer eng.stopSharded()
-	}
-
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		env := eng.envs[i]
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					if r != errAbort { //nolint:errorlint // sentinel identity check
-						eng.fail(fmt.Errorf("sim: node %d panicked: %v", env.id, r))
-					}
-				}
-				env.finished = true
-				env.arrive()
-			}()
-			program(env)
-		}()
-	}
-
-	eng.coordinate()
-	wg.Wait()
-	return eng.results()
-}
-
 // results computes the final Metrics and error after all nodes stopped.
 // Round complexity = the maximum number of completed round barriers over
 // all nodes (the final finishing generation is not a communication round).
@@ -521,95 +463,4 @@ func (e *engine) fail(err error) {
 	}
 	e.errMu.Unlock()
 	e.aborted.Store(true)
-}
-
-// coordinate runs the barrier loop: wait for all active nodes, deliver
-// messages, advance the round.
-func (e *engine) coordinate() {
-	active := e.n
-	for {
-		<-e.ready
-		var finishedNow int
-		if e.sharded {
-			finishedNow = e.deliverSharded()
-		} else {
-			finishedNow = e.deliver()
-		}
-		active -= finishedNow
-		e.roundBoundary()
-		if active == 0 {
-			// Release any stragglers (none should exist) and stop.
-			e.swapRelease()
-			return
-		}
-		atomic.StoreInt32(&e.remaining, int32(active))
-		e.swapRelease()
-	}
-}
-
-// swapRelease installs a new release channel and closes the old one, waking
-// every node blocked in Step. A node always loads its release channel
-// BEFORE arriving at the barrier, and the swap happens only after every
-// node has arrived, so no node can observe the new channel for the round
-// it is finishing.
-func (e *engine) swapRelease() {
-	old := e.release.Load().(chan struct{})
-	e.release.Store(make(chan struct{}))
-	close(old)
-}
-
-func (e *engine) currentRelease() chan struct{} {
-	return e.release.Load().(chan struct{})
-}
-
-// deliver moves every staged outbox into the destination inboxes, updates
-// metrics, and returns how many nodes finished during this round.
-func (e *engine) deliver() int {
-	e.generation++
-	finished := 0
-	recvCount := make([]int, e.n)
-
-	for _, env := range e.envs {
-		if env.globalSentThisRound > e.metrics.MaxGlobalSend {
-			e.metrics.MaxGlobalSend = env.globalSentThisRound
-		}
-		env.globalSentThisRound = 0
-
-		for _, out := range env.outLocal {
-			dst := e.envs[out.to]
-			dst.inLocal = append(dst.inLocal, LocalMsg{From: env.id, Payload: out.payload})
-			e.metrics.LocalMsgs++
-			e.metrics.LocalBits += payloadWords(out.payload) * int64(e.logN)
-		}
-		env.outLocal = env.outLocal[:0]
-
-		for _, m := range env.outGlobal {
-			dst := e.envs[m.Dst]
-			dst.inGlobal = append(dst.inGlobal, m)
-			recvCount[m.Dst]++
-			e.metrics.GlobalMsgs++
-			e.metrics.GlobalBits += e.msgBits
-			if e.cfg.Cut != nil && e.cfg.Cut[m.Src] != e.cfg.Cut[m.Dst] {
-				e.metrics.CutGlobalMsgs++
-				e.metrics.CutGlobalBits += e.msgBits
-			}
-		}
-		env.outGlobal = env.outGlobal[:0]
-
-		if env.finished && !env.countedFinished {
-			env.countedFinished = true
-			finished++
-		}
-	}
-
-	for dst, c := range recvCount {
-		if c > e.metrics.MaxGlobalRecv {
-			e.metrics.MaxGlobalRecv = c
-		}
-		if f := e.cfg.StrictRecvFactor; f > 0 && c > f*e.logN {
-			e.fail(fmt.Errorf("sim: node %d received %d global messages in generation %d, cap %d",
-				dst, c, e.generation, f*e.logN))
-		}
-	}
-	return finished
 }

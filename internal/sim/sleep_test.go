@@ -119,7 +119,7 @@ func sleepMix(env *Env, out []int64, sleepy bool) StepProgram {
 
 // TestSleepingChangesNothing: results, every Metrics field and the OnRound
 // sequence are equal with and without sleeping, at every shard and batch
-// setting, and equal to what the goroutine engines produce from the same
+// setting, and equal to what the legacy engine produces from the same
 // machines (where the sleep-contract check runs on every call).
 func TestSleepingChangesNothing(t *testing.T) {
 	g := graph.Grid(6, 7)
@@ -149,7 +149,6 @@ func TestSleepingChangesNothing(t *testing.T) {
 		{Engine: EngineStep, Shards: 4},
 		{Engine: EngineStep, Shards: 3, StepBatch: 5},
 		{Engine: EngineStep, Shards: 4, StepBatch: -1},
-		{Engine: EngineSharded},
 		{Engine: EngineLegacy},
 	} {
 		out, m, ticks := run(cfg, true)
@@ -370,22 +369,15 @@ func lyingLoop(env *Env) StepProgram {
 
 // TestSleepContractChecked: a Loop whose NextSend promised silence and whose
 // Send then staged a message on an empty inbox fails the run by name on the
-// engines that call every machine every round. (The step engine believes
-// the declaration — it never makes the call — which is exactly the silent
-// divergence the check exists to catch.)
+// legacy engine, which calls every machine every round. (The step engine
+// believes the declaration — it never makes the call — which is exactly the
+// silent divergence the check exists to catch.)
 func TestSleepContractChecked(t *testing.T) {
 	g := graph.Path(4)
-	for _, eng := range []Engine{EngineLegacy, EngineSharded} {
-		_, err := RunStep(g, Config{Engine: eng}, lyingLoop)
-		want := "sim: node 2 sent in loop iteration 4 after declaring idle until 9"
-		if err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("%s: lying Loop ended with %v, want %q", eng, err, want)
-		}
-	}
-	// Adapted onto the step engine the machine is driven every round too.
-	_, err := Run(g, Config{Engine: EngineStep}, AsProgram(lyingLoop))
-	if err == nil || !strings.Contains(err.Error(), "after declaring idle until 9") {
-		t.Errorf("adapted: lying Loop ended with %v", err)
+	_, err := RunStep(g, Config{Engine: EngineLegacy}, lyingLoop)
+	want := "sim: node 2 sent in loop iteration 4 after declaring idle until 9"
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("lying Loop ended with %v, want %q", err, want)
 	}
 	// A message that arrives voids the declaration: answering it is legal.
 	_, err = RunStep(g, Config{Engine: EngineLegacy}, func(env *Env) StepProgram {

@@ -4,17 +4,17 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
 )
 
-// stepChatter is a native StepProgram version of chatterProgram: same
-// messages, same randomness, same uneven finishing times, same accumulator.
-// It exists so the engine matrix is tested with a step-native workload, not
-// only through the goroutine adapter.
+// stepChatter is chatterProgram as a machine: same messages, same
+// randomness, same uneven finishing times, same accumulator.
 type stepChatter struct {
 	out    []int64
 	rounds int
@@ -57,24 +57,22 @@ func (c *stepChatter) Step(env *Env) bool {
 	return false
 }
 
-// TestStepNativeAgrees runs the native step chatter on all three engines
-// (DriveProgram on the goroutine engines, the bare loop on EngineStep) and
-// against the goroutine chatterProgram as oracle: four executions, one
-// answer.
+// TestStepNativeAgrees holds the chatter machine, on both in-process
+// engines, to the blocking chatterProgram on the legacy engine: three
+// executions, one answer. It is the one place the two forms of a whole
+// workload still meet.
 func TestStepNativeAgrees(t *testing.T) {
 	g := graph.Grid(6, 7)
 	for seed := int64(1); seed <= 3; seed++ {
-		oracleOut, oracleM := runChatter(t, g, Config{Seed: seed, Engine: EngineLegacy})
-		for _, eng := range []Engine{EngineLegacy, EngineSharded, EngineStep} {
-			out := make([]int64, g.N())
-			m, err := RunStep(g, Config{Seed: seed, Engine: eng}, func(env *Env) StepProgram {
-				return newStepChatter(env, out)
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+		oracleOut := make([]int64, g.N())
+		oracleM, err := runLegacy(g, Config{Seed: seed}, chatterProgram(oracleOut))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, eng := range []Engine{EngineLegacy, EngineStep} {
+			out, m := runChatter(t, g, Config{Seed: seed, Engine: eng})
 			if !reflect.DeepEqual(oracleOut, out) {
-				t.Fatalf("seed %d engine %s: step-native results differ from goroutine oracle", seed, eng)
+				t.Fatalf("seed %d engine %s: machine results differ from the blocking oracle", seed, eng)
 			}
 			if oracleM != m {
 				t.Fatalf("seed %d engine %s: metrics differ: %+v vs %+v", seed, eng, oracleM, m)
@@ -83,8 +81,9 @@ func TestStepNativeAgrees(t *testing.T) {
 	}
 }
 
-// TestStepShardCountInvariance: like TestShardCountInvariance, for the step
-// engine's shard-parallel batches.
+// TestStepShardCountInvariance: the step loop's shard-parallel batches must
+// not change results or Metrics (TestShardCountInvariance covers two more
+// topologies).
 func TestStepShardCountInvariance(t *testing.T) {
 	g := graph.Grid(5, 8)
 	base := make([]int64, g.N())
@@ -181,26 +180,26 @@ func TestLoopSemantics(t *testing.T) {
 }
 
 // TestSequenceMidSegmentHandoff: two chained loops must behave exactly like
-// the goroutine program that calls the two collective phases back to back —
-// the second phase's first sends share a round with the first phase's last
-// receive.
+// the blocking program that runs the two "send; barrier; receive" loops back
+// to back — the second phase's first sends share a round with the first
+// phase's last receive.
 func TestSequenceMidSegmentHandoff(t *testing.T) {
 	g := graph.Path(6)
 	oracle := make([]int, g.N())
-	oracleM, err := Run(g, Config{Seed: 2, Engine: EngineLegacy}, func(env *Env) {
+	oracleM, err := runLegacy(g, Config{Seed: 2}, func(env *Env) {
 		got := 0
 		for i := 0; i < 2; i++ { // phase A: flood own ID right for 2 rounds
 			if env.ID()+1 < env.N() {
 				env.SendLocal(env.ID()+1, int64(env.ID()))
 			}
-			in := env.Step()
+			in := env.barrier()
 			got += len(in.Local)
 		}
 		for i := 0; i < 2; i++ { // phase B: flood left
 			if env.ID() > 0 {
 				env.SendLocal(env.ID()-1, int64(env.ID()))
 			}
-			in := env.Step()
+			in := env.barrier()
 			got += len(in.Local)
 		}
 		oracle[env.ID()] = got
@@ -208,7 +207,7 @@ func TestSequenceMidSegmentHandoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, eng := range []Engine{EngineLegacy, EngineSharded, EngineStep} {
+	for _, eng := range []Engine{EngineLegacy, EngineStep} {
 		out := make([]int, g.N())
 		m, err := RunStep(g, Config{Seed: 2, Engine: eng}, func(env *Env) StepProgram {
 			got := 0
@@ -244,36 +243,24 @@ func TestSequenceMidSegmentHandoff(t *testing.T) {
 	}
 }
 
-// TestStepProgramMustNotCallEnvStep: calling the blocking Env.Step from a
-// native machine is a programming error the engine reports, not a hang.
+// TestStepProgramMustNotCallEnvStep: the legacy engine's blocking barrier,
+// reached from a machine on the step engine (only code of this package
+// could), is a programming error the engine reports, not a hang.
 func TestStepProgramMustNotCallEnvStep(t *testing.T) {
 	g := graph.Path(2)
 	_, err := RunStep(g, Config{Seed: 1, Engine: EngineStep}, func(env *Env) StepProgram {
 		return StepFunc(func(env *Env) bool {
-			env.Step()
+			env.barrier()
 			return true
 		})
 	})
 	if err == nil || !strings.Contains(err.Error(), "use Incoming") {
-		t.Fatalf("err = %v, want Env.Step rejection", err)
+		t.Fatalf("err = %v, want barrier rejection", err)
 	}
 }
 
-// TestAdapterMaxRounds: a never-finishing adapted Program must hit the
-// MaxRounds guard on the step engine and unwind its goroutines cleanly.
-func TestAdapterMaxRounds(t *testing.T) {
-	g := graph.Path(4)
-	_, err := Run(g, Config{Seed: 1, Engine: EngineStep, MaxRounds: 50}, func(env *Env) {
-		for {
-			env.Step()
-		}
-	})
-	if !errors.Is(err, ErrTooManyRounds) {
-		t.Fatalf("err = %v, want ErrTooManyRounds", err)
-	}
-}
-
-// TestStepNativeMaxRounds: same guard for a never-finishing native machine.
+// TestStepNativeMaxRounds: the MaxRounds guard stops a never-finishing
+// machine.
 func TestStepNativeMaxRounds(t *testing.T) {
 	g := graph.Path(4)
 	_, err := RunStep(g, Config{Seed: 1, Engine: EngineStep, MaxRounds: 50}, func(env *Env) StepProgram {
@@ -319,16 +306,16 @@ func TestStepEnginePanicCaptured(t *testing.T) {
 }
 
 // TestStepUnevenFinish: nodes finishing at different rounds must still
-// produce the goroutine engines' round accounting (a finisher's last sends
+// produce the blocking program's round accounting (a finisher's last sends
 // are delivered; Metrics.Rounds is the max over nodes).
 func TestStepUnevenFinish(t *testing.T) {
 	g := graph.Complete(9)
 	oracle := make([]int64, g.N())
-	oracleM, err := Run(g, Config{Seed: 3, Engine: EngineLegacy}, func(env *Env) {
+	oracleM, err := runLegacy(g, Config{Seed: 3}, func(env *Env) {
 		total := int64(0)
 		for r := 0; r <= env.ID(); r++ {
 			env.BroadcastLocal(int64(env.ID()))
-			in := env.Step()
+			in := env.barrier()
 			for _, lm := range in.Local {
 				total += lm.Payload.(int64)
 			}
@@ -338,7 +325,7 @@ func TestStepUnevenFinish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, eng := range []Engine{EngineSharded, EngineStep} {
+	for _, eng := range []Engine{EngineLegacy, EngineStep} {
 		out := make([]int64, g.N())
 		m, err := RunStep(g, Config{Seed: 3, Engine: eng}, func(env *Env) StepProgram {
 			total := int64(0)
@@ -373,14 +360,13 @@ func TestStepUnevenFinish(t *testing.T) {
 func TestLocalBitsAccounting(t *testing.T) {
 	g := graph.Path(4)
 	logN := int64(Log2Ceil(g.N()))
-	for _, eng := range []Engine{EngineLegacy, EngineSharded, EngineStep} {
-		m, err := Run(g, Config{Seed: 1, Engine: eng}, func(env *Env) {
+	for _, eng := range []Engine{EngineLegacy, EngineStep} {
+		m, err := RunStep(g, Config{Seed: 1, Engine: eng}, oneRound(func(env *Env) {
 			if env.ID() == 1 {
 				env.SendLocal(0, fourWordPayload{}) // 4 words
 				env.SendLocal(2, "opaque")          // default: 1 word
 			}
-			env.Step()
-		})
+		}, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -419,121 +405,76 @@ func benchStepEngineRounds(b *testing.B, eng Engine, traffic bool) {
 	}
 }
 
-// The step-native engine benchmarks measure the same workloads as
-// benchEngineRounds with no goroutines at all: the gap to
-// BenchmarkEngineBarrierSharded is the scheduler wake/park cost the step
-// engine deletes.
-func BenchmarkEngineBarrierStep(b *testing.B) { benchStepEngineRounds(b, EngineStep, false) }
-func BenchmarkEngineTrafficStep(b *testing.B) { benchStepEngineRounds(b, EngineStep, true) }
+// The barrier benchmarks isolate the round-boundary cost (no messages); the
+// traffic benchmarks add a broadcast plus one global message per node per
+// round. The gap between the two engines is the scheduler wake/park cost the
+// step engine deletes, plus, with traffic, reused inboxes and bucketed
+// delivery against the legacy coordinator.
+func BenchmarkEngineBarrierStep(b *testing.B)   { benchStepEngineRounds(b, EngineStep, false) }
+func BenchmarkEngineTrafficStep(b *testing.B)   { benchStepEngineRounds(b, EngineStep, true) }
+func BenchmarkEngineBarrierLegacy(b *testing.B) { benchStepEngineRounds(b, EngineLegacy, false) }
+func BenchmarkEngineTrafficLegacy(b *testing.B) { benchStepEngineRounds(b, EngineLegacy, true) }
 
-// TestAdapterGroupMixedNodes runs the chatter workload with half the nodes
-// adapted legacy Programs (driven by the per-shard adapter multiplexer)
-// and half native step machines, across several shard counts, against the
-// legacy engine as oracle. It pins the multiplexer's byte-identity on the
-// hardest layout: adapted and native nodes interleaved inside one shard.
-func TestAdapterGroupMixedNodes(t *testing.T) {
-	g := graph.Grid(9, 9)
-	oracle, oracleM := runChatter(t, g, Config{Seed: 42, Engine: EngineLegacy})
-	for _, shards := range []int{1, 3, 16} {
-		out := make([]int64, g.N())
-		adapted := AdaptProgram(chatterProgram(out))
-		m, err := RunStep(g, Config{Seed: 42, Engine: EngineStep, Shards: shards}, func(env *Env) StepProgram {
-			if env.ID()%2 == 0 {
-				return adapted(env)
+// TestFinishedPhasesAreCollectable: what a finished phase owned must not stay
+// reachable through the composite while a later phase runs — through the
+// thunks a Sequence was built from, or through the closure of a finished
+// Chain that a composite machine still points to (the shape of a machine that
+// keeps its sub-program in a field and is read by its successor). A blocking
+// program frees a phase's state by returning from it; a machine has to drop
+// its references.
+func TestFinishedPhasesAreCollectable(t *testing.T) {
+	g := graph.Path(4)
+	for _, composite := range []string{"Sequence", "Chain"} {
+		var collected atomic.Int32
+		checked := false
+		_, err := RunStep(g, Config{Shards: 1}, func(env *Env) StepProgram {
+			owned := &struct{ buf []byte }{make([]byte, 1<<20)}
+			runtime.SetFinalizer(owned, func(*struct{ buf []byte }) { collected.Add(1) })
+			first := func(*Env) StepProgram {
+				return &Loop{Rounds: 2, Send: func(env *Env, i int) { owned.buf[i]++ }}
 			}
-			return newStepChatter(env, out)
+			later := func(*Env) StepProgram {
+				return &Loop{Rounds: 3, Recv: func(env *Env, _ Inbox, i int) {
+					if env.ID() != env.N()-1 {
+						return
+					}
+					// The last node's only Recv of this loop: every node's
+					// first phase ended three rounds ago.
+					checked = true
+					for wait := 0; collected.Load() < int32(env.N()) && wait < 2000; wait++ {
+						runtime.GC()
+						time.Sleep(time.Millisecond)
+					}
+				}}
+			}
+			if composite == "Sequence" {
+				return Sequence(first, later)
+			}
+			var sub StepProgram
+			return Sequence(
+				func(*Env) StepProgram {
+					ran := false
+					sub = Chain(func(env *Env) StepProgram {
+						if ran {
+							return nil
+						}
+						ran = true
+						return first(env)
+					})
+					return sub
+				},
+				later,
+				Finish(func(*Env) { runtime.KeepAlive(sub) }),
+			)
 		})
 		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(oracle, out) {
-			t.Errorf("shards=%d: mixed adapted/native results diverge from legacy oracle", shards)
+		if !checked {
+			t.Fatalf("%s: the later phase never looked", composite)
 		}
-		if oracleM != m {
-			t.Errorf("shards=%d: metrics diverge: legacy %+v step %+v", shards, oracleM, m)
+		if got := collected.Load(); got != int32(g.N()) {
+			t.Errorf("%s: %d of %d finished first phases were collected while the second ran", composite, got, g.N())
 		}
-	}
-}
-
-// TestAdapterGroupPanic pins the multiplexer's abort path: a panicking
-// adapted program must surface as a run error and unwind every parked
-// member of every group without deadlocking.
-func TestAdapterGroupPanic(t *testing.T) {
-	g := graph.Grid(6, 6)
-	_, err := Run(g, Config{Engine: EngineStep, Shards: 4}, func(env *Env) {
-		for r := 0; ; r++ {
-			if env.ID() == 13 && r == 3 {
-				panic("boom")
-			}
-			env.Step()
-		}
-	})
-	if err == nil || !strings.Contains(err.Error(), "node 13 panicked") {
-		t.Fatalf("err = %v, want node 13 panic", err)
-	}
-}
-
-// benchAdaptedEngineRounds measures legacy Programs under EngineStep. The
-// default path goes through the per-shard adapter multiplexer (one
-// broadcast wake per shard per round); perNode forces the pre-multiplexer
-// per-node channel protocol by nesting the adapter inside a composite
-// machine, so the pair isolates the multiplexer's win.
-func benchAdaptedEngineRounds(b *testing.B, perNode, traffic bool) {
-	g := graph.Grid(32, 32)
-	b.ReportAllocs()
-	program := func(env *Env) {
-		for r := 0; r < 200; r++ {
-			if traffic {
-				env.BroadcastLocal(r)
-				env.SendGlobal((env.ID()+r)%env.N(), 0, 1, 2, 3, 4)
-			}
-			env.Step()
-		}
-	}
-	factory := AdaptProgram(program)
-	if perNode {
-		inner := factory
-		factory = func(env *Env) StepProgram {
-			return Sequence(func(env *Env) StepProgram { return inner(env) })
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := RunStep(g, Config{Engine: EngineStep}, factory); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkEngineBarrierAdapted(b *testing.B) { benchAdaptedEngineRounds(b, false, false) }
-func BenchmarkEngineTrafficAdapted(b *testing.B) { benchAdaptedEngineRounds(b, false, true) }
-func BenchmarkEngineBarrierAdapterPerNode(b *testing.B) {
-	benchAdaptedEngineRounds(b, true, false)
-}
-func BenchmarkEngineTrafficAdapterPerNode(b *testing.B) {
-	benchAdaptedEngineRounds(b, true, true)
-}
-
-// TestNestedAdapterAbortReleases pins the abort path for adapters nested
-// inside composite machines (the per-node protocol): an aborting run must
-// wake every parked nested program so its goroutine unwinds, instead of
-// leaking it parked in Env.Step forever.
-func TestNestedAdapterAbortReleases(t *testing.T) {
-	g := graph.Grid(4, 4)
-	var unwound atomic.Int32
-	inner := AdaptProgram(func(env *Env) {
-		defer unwound.Add(1)
-		for {
-			env.Step() // never finishes; only the abort unwinds it
-		}
-	})
-	_, err := RunStep(g, Config{Engine: EngineStep, MaxRounds: 20}, func(env *Env) StepProgram {
-		return Sequence(func(env *Env) StepProgram { return inner(env) })
-	})
-	if !errors.Is(err, ErrTooManyRounds) {
-		t.Fatalf("err = %v, want ErrTooManyRounds", err)
-	}
-	if got := unwound.Load(); got != int32(g.N()) {
-		t.Fatalf("%d of %d nested adapted programs unwound after abort", got, g.N())
 	}
 }

@@ -17,7 +17,7 @@ import (
 )
 
 // Engines lists every engine a pinned trace is asserted on.
-var Engines = []sim.Engine{sim.EngineStep, sim.EngineLegacy, sim.EngineSharded, sim.EngineDist}
+var Engines = []sim.Engine{sim.EngineStep, sim.EngineLegacy, sim.EngineDist}
 
 // Pin is the frozen outcome of one protocol run: Metrics, and the FNV-1a
 // hash of every node's output words, node by node with a length prefix.
@@ -49,19 +49,6 @@ func Run(t *testing.T, name string, g *graph.Graph, eng sim.Engine, seed int64, 
 		return factory(env, func(words ...int64) { out[id] = append(out[id], words...) })
 	})
 	check(t, name+" on "+eng.String(), pin, m, err, out)
-}
-
-// Blocking runs a blocking program on EngineLegacy against the same pin: it
-// is how the pins were recorded, and goes when the blocking forms go.
-func Blocking(t *testing.T, name string, g *graph.Graph, seed int64, pin Pin,
-	program func(env *sim.Env, emit func(words ...int64))) {
-	t.Helper()
-	out := make([][]int64, g.N())
-	m, err := sim.Run(g, sim.Config{Seed: seed, Engine: sim.EngineLegacy}, func(env *sim.Env) {
-		id := env.ID()
-		program(env, func(words ...int64) { out[id] = append(out[id], words...) })
-	})
-	check(t, name+" blocking", pin, m, err, out)
 }
 
 func check(t *testing.T, name string, pin Pin, m sim.Metrics, err error, out [][]int64) {

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/ncc"
 	"repro/internal/persist"
 	"repro/internal/sim"
 )
@@ -28,7 +27,7 @@ import (
 // changes results — only the number of construction rounds.
 //
 // The cached path always consumes the membership draw from the node's
-// random stream before consulting the cache (see Compute), so the per-node
+// random stream before consulting the cache (see NewComputeMachine), so the per-node
 // stream position after skeleton construction is identical on hits and
 // misses. That keeps every later phase that draws randomness — helper
 // sampling, dissemination destinations — byte-identical between warm and
@@ -63,7 +62,7 @@ func (c *ResultCache) SetTrace(fn func(event string)) { c.trace = fn }
 
 // cacheKey is the globally known identity of a skeleton construction: the
 // resolved sampling probability and exploration depth, which together fully
-// determine Compute's behavior for a fixed graph and seed. (X, HFactor and
+// determine ComputeMachine's behavior for a fixed graph and seed. (X, HFactor and
 // MaxH only act through these two values.)
 type cacheKey struct {
 	prob float64
@@ -158,22 +157,6 @@ func (c *ResultCache) traceEvent(env *sim.Env, key cacheKey, hit bool) {
 		verdict = "hit"
 	}
 	c.trace(fmt.Sprintf("skeleton h=%d p=%.4g: %s", key.h, key.prob, verdict))
-}
-
-// compute is the cached construction path (goroutine form): the collective
-// hit/miss agreement, then either a zero-round bind or a full exploration
-// that re-populates the cache. inSkel is the membership this node just
-// sampled (the draw happens in Compute, before the cache is consulted).
-func (c *ResultCache) compute(env *sim.Env, key cacheKey, force, inSkel bool, h int) Result {
-	entry := c.lookup(key)
-	hit := ncc.Aggregate(env, entry.mismatch(env.ID(), force, inSkel), ncc.AggMax) == 0
-	c.traceEvent(env, key, hit)
-	if hit {
-		return entry.bind(env.ID())
-	}
-	res := exploreResult(env, inSkel, h)
-	c.shared(env, key).store(env.ID(), force, res)
-	return res
 }
 
 // CacheSnapshot is the serializable image of a ResultCache, produced by

@@ -10,26 +10,14 @@ import (
 	"repro/internal/sim"
 )
 
-var cacheEngines = []sim.Engine{sim.EngineLegacy, sim.EngineSharded, sim.EngineStep}
+var cacheEngines = []sim.Engine{sim.EngineLegacy, sim.EngineStep}
 
-// computePipeline runs skeleton.Compute collectively through both execution
-// forms (selected by the engine) and returns the per-node results and
-// metrics.
+// computePipeline runs Algorithm 6 collectively on eng and returns the
+// per-node results and metrics.
 func computePipeline(t *testing.T, g *graph.Graph, p Params, force []bool, eng sim.Engine, seed int64) ([]Result, sim.Metrics) {
 	t.Helper()
-	pipe := sim.Pipeline[Result]{
-		Run: func(env *sim.Env) Result {
-			return Compute(env, p, force != nil && force[env.ID()])
-		},
-		Machine: func(env *sim.Env, done func(Result)) sim.StepProgram {
-			m := NewComputeMachine(env, p, force != nil && force[env.ID()])
-			return sim.Sequence(
-				func(env *sim.Env) sim.StepProgram { return m },
-				sim.Finish(func(env *sim.Env) { done(m.Res) }),
-			)
-		},
-	}
-	out, m, err := sim.RunPipeline(g, sim.Config{Seed: seed, Engine: eng}, pipe)
+	forced := func(id int) bool { return force != nil && force[id] }
+	out, m, err := sim.RunPipeline(g, sim.Config{Seed: seed, Engine: eng}, construction(p, forced))
 	if err != nil {
 		t.Fatal(err)
 	}

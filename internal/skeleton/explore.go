@@ -9,79 +9,110 @@ import (
 	"repro/internal/sim"
 )
 
-// LimitedExplore runs `rounds` rounds of multi-source synchronous
+// ExploreMachine runs `rounds` rounds of multi-source synchronous
 // Bellman-Ford over the local network: every node with isSource starts a
 // wave, and afterwards every node holds, for each source within `rounds`
 // hops, an estimate dd with d <= dd <= d_rounds (see Result.Near for why
-// the sandwich suffices). It returns dense per-source vectors indexed by
-// node ID: near[u] is the estimate (graph.Inf if u was not heard) and
-// hops[u] the hop distance at which u was first heard (-1 if never).
-// Collective; takes exactly `rounds` rounds.
+// the sandwich suffices), as dense per-source vectors indexed by node ID.
 //
 // This is the local-exploration subroutine shared by Algorithm 6
 // (sources = skeleton nodes) and the APSP/k-SSP algorithms' "learn
-// G up to depth ηh" steps (sources = all nodes, paper Fact 4.2).
-func LimitedExplore(env *sim.Env, isSource bool, rounds int) ([]int64, []int) {
-	n := env.N()
-	near := make([]int64, n)
-	hops := make([]int, n)
-	pending := make([]int32, n) // index into next, -1 = no update staged
-	for i := 0; i < n; i++ {
-		near[i] = graph.Inf
-		hops[i] = -1
-		pending[i] = -1
-	}
-	// The delta buffers rotate: the buffer broadcast at round r is read by
-	// neighbors while they process round r and is not written again before
-	// round r+2, when every reader has long taken the r+1 barrier — the
-	// same ownership window as the engines' double-buffered inboxes. The
+// G up to depth ηh" steps (sources = all nodes, paper Fact 4.2). At
+// n = 16384 it alone accounts for most rounds of the APSP pipeline.
+type ExploreMachine struct {
+	// Near[u] is the distance estimate for source u (graph.Inf if unheard);
+	// Hops[u] the hop distance at which u was first heard (-1 if never).
+	// Valid once Step returned true.
+	Near []int64
+	Hops []int
+
+	loop    sim.Loop
+	pending []int32 // index into the delta being built, -1 = no update staged
+	// The delta buffers rotate: bufs[i&1] is broadcast at loop index i, read
+	// by neighbors while they process round i, and not written again before
+	// round i+2, when every reader has long taken the i+1 barrier — the
+	// same ownership window as the engine's double-buffered inboxes. The
 	// rotation is what makes steady-state rounds allocation-free: after the
 	// wave's peak, both buffers hold enough capacity for every later round.
-	var bufs [2]distUpdates
-	if isSource {
-		near[env.ID()] = 0
-		hops[env.ID()] = 0
-		bufs[0] = append(bufs[0], distUpdate{Source: env.ID(), Dist: 0, Hops: 0})
+	bufs [2]distUpdates
+}
+
+// NewExploreMachine builds the collective exploration machine; all nodes
+// must start it in the same round with the same round count. It takes
+// exactly `rounds` rounds.
+func NewExploreMachine(env *sim.Env, isSource bool, rounds int) *ExploreMachine {
+	n := env.N()
+	m := &ExploreMachine{
+		Near:    make([]int64, n),
+		Hops:    make([]int, n),
+		pending: make([]int32, n),
 	}
-	for step := 0; step < rounds; step++ {
-		if len(bufs[step&1]) > 0 {
-			env.BroadcastLocal(&bufs[step&1])
+	for i := 0; i < n; i++ {
+		m.Near[i] = graph.Inf
+		m.Hops[i] = -1
+		m.pending[i] = -1
+	}
+	if isSource {
+		m.Near[env.ID()] = 0
+		m.Hops[env.ID()] = 0
+		m.bufs[0] = append(m.bufs[0], distUpdate{Source: env.ID(), Dist: 0, Hops: 0})
+	}
+	m.loop = sim.Loop{Rounds: rounds, Send: m.send, Recv: m.recv, NextSend: sim.Reactive}
+	return m
+}
+
+// Step implements sim.StepProgram.
+func (m *ExploreMachine) Step(env *sim.Env) bool { return m.loop.Step(env) }
+
+func (m *ExploreMachine) send(env *sim.Env, i int) {
+	if len(m.bufs[i&1]) > 0 {
+		env.BroadcastLocal(&m.bufs[i&1])
+	}
+}
+
+func (m *ExploreMachine) recv(env *sim.Env, in sim.Inbox, i int) {
+	// Rebuild the buffer the NEXT send will broadcast; the one sent last
+	// round is still being read by neighbors this round (see bufs).
+	next := m.bufs[(i+1)&1][:0]
+	for _, lm := range in.Local {
+		ups, ok := lm.Payload.(*distUpdates)
+		if !ok {
+			continue
 		}
-		in := env.Step()
-		next := bufs[(step+1)&1][:0]
-		for _, lm := range in.Local {
-			ups, ok := lm.Payload.(*distUpdates)
-			if !ok {
-				continue
-			}
-			w, _ := env.Graph().Weight(env.ID(), lm.From)
-			for _, up := range *ups {
-				nd := up.Dist + w
-				if nd < near[up.Source] {
-					near[up.Source] = nd
-					if hops[up.Source] < 0 {
-						hops[up.Source] = up.Hops + 1
-					}
-					u := distUpdate{Source: up.Source, Dist: nd, Hops: up.Hops + 1}
-					if i := pending[up.Source]; i >= 0 {
-						next[i] = u
-					} else {
-						pending[up.Source] = int32(len(next))
-						next = append(next, u)
-					}
+		w, _ := env.Graph().Weight(env.ID(), lm.From)
+		for _, up := range *ups {
+			nd := up.Dist + w
+			if nd < m.Near[up.Source] {
+				m.Near[up.Source] = nd
+				if m.Hops[up.Source] < 0 {
+					m.Hops[up.Source] = up.Hops + 1
+				}
+				u := distUpdate{Source: up.Source, Dist: nd, Hops: up.Hops + 1}
+				if j := m.pending[up.Source]; j >= 0 {
+					next[j] = u
+				} else {
+					m.pending[up.Source] = int32(len(next))
+					next = append(next, u)
 				}
 			}
 		}
-		for _, up := range next {
-			pending[up.Source] = -1
-		}
-		slices.SortFunc(next, func(a, b distUpdate) int { return cmp.Compare(a.Source, b.Source) })
-		bufs[(step+1)&1] = next
 	}
-	return near, hops
+	for _, up := range next {
+		m.pending[up.Source] = -1
+	}
+	slices.SortFunc(next, func(a, b distUpdate) int { return cmp.Compare(a.Source, b.Source) })
+	m.bufs[(i+1)&1] = next
 }
 
-// floodVec is the local-mode payload of FloodVectors: one origin's label
+// distUpdates is the local-mode payload of the Bellman-Ford wave: a batch
+// of distance updates.
+type distUpdates []distUpdate
+
+// PayloadWords implements sim.WordSized: each update carries a source ID, a
+// distance, and a hop count.
+func (d distUpdates) PayloadWords() int64 { return 3 * int64(len(d)) }
+
+// floodVec is the local-mode payload of FloodVectorsMachine: one origin's label
 // vector travelling with a remaining TTL. Values is shared by every node
 // that hears it and must never be mutated.
 type floodVec struct {
@@ -90,16 +121,15 @@ type floodVec struct {
 	Values []int64
 }
 
-// Labels is the result of FloodVectors: the heard label vectors keyed by
+// Labels is the result of FloodVectorsMachine: the heard label vectors keyed by
 // origin node ID. It is a flat open-addressed map so the flood's per-round
 // dedup inserts stop allocating once the table is warm.
 type Labels = flatmap.Map[[]int64]
 
-// FloodVectors floods this node's label vector (`mine`, nil unless this
-// node is an origin) to the given radius: the vector travels `radius` hops
-// from its origin with first-arrival forwarding. It returns every vector
-// this node heard, keyed by origin (including its own). Collective; takes
-// exactly `radius` rounds.
+// FloodVectorsMachine floods this node's label vector (nil unless this node
+// is an origin) to the given radius: the vector travels `radius` hops from
+// its origin with first-arrival forwarding. Afterwards Known holds every
+// vector this node heard, keyed by origin (including its own).
 //
 // A vector is the dense form of the paper's label set
 // 〈value, ID(origin), subject〉 for a fixed origin: Values[subject] is the
@@ -111,35 +141,69 @@ type Labels = flatmap.Map[[]int64]
 // node that hears it, which turns the per-node Θ(|origins|·|subjects|)
 // storage and hashing of the record form into a per-run cost. Callers must
 // treat received vectors as immutable.
-func FloodVectors(env *sim.Env, mine []int64, radius int) *Labels {
-	known := &Labels{}
-	var bufs [2]floodVecs
+type FloodVectorsMachine struct {
+	// Known maps each heard origin to its (shared, immutable) vector; valid
+	// once Step returned true.
+	Known Labels
+
+	loop sim.Loop
+	bufs [2]floodVecs // rotated like ExploreMachine's delta buffers
+}
+
+// NewFloodVectorsMachine builds the collective flood machine; all nodes
+// must start it in the same round with the same radius. mine is this node's
+// vector (nil unless an origin). It takes exactly `radius` rounds.
+func NewFloodVectorsMachine(env *sim.Env, mine []int64, radius int) *FloodVectorsMachine {
+	m := &FloodVectorsMachine{}
 	if mine != nil {
-		known.Put(uint64(env.ID()), mine)
-		bufs[0] = append(bufs[0], floodVec{Origin: env.ID(), TTL: radius, Values: mine})
+		m.Known.Put(uint64(env.ID()), mine)
+		m.bufs[0] = append(m.bufs[0], floodVec{Origin: env.ID(), TTL: radius, Values: mine})
 	}
-	for step := 0; step < radius; step++ {
-		if len(bufs[step&1]) > 0 {
-			env.BroadcastLocal(&bufs[step&1])
+	m.loop = sim.Loop{Rounds: radius, Send: m.send, Recv: m.recv, NextSend: sim.Reactive}
+	return m
+}
+
+// Step implements sim.StepProgram.
+func (m *FloodVectorsMachine) Step(env *sim.Env) bool { return m.loop.Step(env) }
+
+func (m *FloodVectorsMachine) send(env *sim.Env, i int) {
+	if len(m.bufs[i&1]) > 0 {
+		env.BroadcastLocal(&m.bufs[i&1])
+	}
+}
+
+func (m *FloodVectorsMachine) recv(env *sim.Env, in sim.Inbox, i int) {
+	next := m.bufs[(i+1)&1][:0]
+	for _, lm := range in.Local {
+		vecs, ok := lm.Payload.(*floodVecs)
+		if !ok {
+			continue
 		}
-		in := env.Step()
-		next := bufs[(step+1)&1][:0]
-		for _, lm := range in.Local {
-			vecs, ok := lm.Payload.(*floodVecs)
-			if !ok {
+		for _, fv := range *vecs {
+			if m.Known.Has(uint64(fv.Origin)) {
 				continue
 			}
-			for _, fv := range *vecs {
-				if known.Has(uint64(fv.Origin)) {
-					continue
-				}
-				known.Put(uint64(fv.Origin), fv.Values)
-				if fv.TTL > 1 {
-					next = append(next, floodVec{Origin: fv.Origin, TTL: fv.TTL - 1, Values: fv.Values})
-				}
+			m.Known.Put(uint64(fv.Origin), fv.Values)
+			if fv.TTL > 1 {
+				next = append(next, floodVec{Origin: fv.Origin, TTL: fv.TTL - 1, Values: fv.Values})
 			}
 		}
-		bufs[(step+1)&1] = next
 	}
-	return known
+	m.bufs[(i+1)&1] = next
+}
+
+// floodVecs is the local-mode payload of FloodVectors: a batch of label
+// vectors. The vectors are shared across the whole flood, but every local
+// transmission carries their full contents, so the wire charge counts them
+// in full.
+type floodVecs []floodVec
+
+// PayloadWords implements sim.WordSized: each vector is its origin, TTL,
+// and one word per subject.
+func (f floodVecs) PayloadWords() int64 {
+	words := int64(0)
+	for _, fv := range f {
+		words += 2 + int64(len(fv.Values))
+	}
+	return words
 }

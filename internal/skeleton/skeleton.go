@@ -77,7 +77,7 @@ func (p Params) SampleProb(n int) float64 {
 	return math.Pow(float64(n), x-1)
 }
 
-// Result is one node's view after Compute.
+// Result is one node's view after ComputeMachine.
 type Result struct {
 	// InSkeleton reports membership in V_S.
 	InSkeleton bool
@@ -123,32 +123,84 @@ type distUpdate struct {
 	Hops   int
 }
 
-// Compute runs Algorithm 6 collectively: sample V_S (forceInclude adds this
-// node deterministically, used for γ = 0 single sources), then explore for
-// exactly H rounds of weighted Bellman-Ford so every node learns d_h to all
-// skeleton nodes within h hops. Takes exactly Params.H(n) rounds, or
-// 2·ceil(log2 n) agreement rounds on a Params.Cache hit. The membership
-// draw is consumed from the node's random stream before the cache is
-// consulted, so the stream position after Compute is hit/miss independent.
-func Compute(env *sim.Env, p Params, forceInclude bool) Result {
+// ComputeMachine is Algorithm 6 as a collective machine: sample V_S
+// (forceInclude adds this node deterministically, used for γ = 0 single
+// sources), then explore for exactly H rounds of weighted Bellman-Ford so
+// every node learns d_h to all skeleton nodes within h hops.
+type ComputeMachine struct {
+	// Res is this node's skeleton view; valid once Step returned true.
+	Res Result
+
+	prog sim.StepProgram
+}
+
+// NewComputeMachine builds the collective Algorithm 6 machine; all nodes
+// must start it in the same round with the same params. It takes exactly
+// Params.H(n) rounds. With p.Cache set it is the cached construction: the
+// 2·ceil(log2 n)-round collective agreement, then either a zero-round bind
+// or the full exploration (re-populating the cache). Membership is sampled
+// at construction, before the cache is consulted, so the node's random
+// stream position afterwards is hit/miss independent.
+func NewComputeMachine(env *sim.Env, p Params, forceInclude bool) *ComputeMachine {
 	n := env.N()
 	h := p.H(n)
 	inS := forceInclude || env.Rand().Float64() < p.SampleProb(n)
-	if p.Cache != nil {
-		return p.Cache.compute(env, keyOf(p, n), forceInclude, inS, h)
+	m := &ComputeMachine{}
+	if p.Cache == nil {
+		m.prog = newExploreResultProg(env, m, inS, h)
+		return m
 	}
-	return exploreResult(env, inS, h)
+	key := keyOf(p, n)
+	entry := p.Cache.lookup(key)
+	inner := &ComputeMachine{}
+	var agg *ncc.AggregateMachine
+	m.prog = sim.Sequence(
+		func(env *sim.Env) sim.StepProgram {
+			agg = ncc.NewAggregateMachine(env, entry.mismatch(env.ID(), forceInclude, inS), ncc.AggMax)
+			return agg
+		},
+		func(env *sim.Env) sim.StepProgram {
+			p.Cache.traceEvent(env, key, agg.Out == 0)
+			if agg.Out == 0 {
+				return nil
+			}
+			inner.prog = newExploreResultProg(env, inner, inS, h)
+			return inner
+		},
+		sim.Finish(func(env *sim.Env) {
+			if agg.Out == 0 {
+				m.Res = entry.bind(env.ID())
+				return
+			}
+			p.Cache.shared(env, key).store(env.ID(), forceInclude, inner.Res)
+			m.Res = inner.Res
+		}),
+	)
+	return m
 }
 
-// exploreResult is the uncached construction tail shared by the goroutine
-// and step forms: the h-round exploration plus the dense-to-map conversion.
-func exploreResult(env *sim.Env, inS bool, h int) Result {
-	near, hops := LimitedExplore(env, inS, h)
-	return resultFromVectors(env.N(), inS, h, near, hops)
+// newExploreResultProg is the uncached construction: the h-round
+// exploration plus the dense-to-map conversion, writing the finished result
+// to m.Res.
+func newExploreResultProg(env *sim.Env, m *ComputeMachine, inS bool, h int) sim.StepProgram {
+	n := env.N()
+	var explore *ExploreMachine
+	return sim.Sequence(
+		func(env *sim.Env) sim.StepProgram {
+			explore = NewExploreMachine(env, inS, h)
+			return explore
+		},
+		sim.Finish(func(env *sim.Env) {
+			m.Res = resultFromVectors(n, inS, h, explore.Near, explore.Hops)
+		}),
+	)
 }
+
+// Step implements sim.StepProgram.
+func (m *ComputeMachine) Step(env *sim.Env) bool { return m.prog.Step(env) }
 
 // resultFromVectors converts the dense exploration vectors into a Result
-// (the pure local tail of Algorithm 6, shared by both execution forms).
+// (the pure local tail of Algorithm 6).
 func resultFromVectors(n int, inS bool, h int, near []int64, hops []int) Result {
 	nearMap := make(map[int]int64)
 	hopsMap := make(map[int]int)
@@ -174,24 +226,47 @@ type RepInfo struct {
 	Dist   int64
 }
 
-// ComputeRepresentatives runs Algorithm 7 collectively: every source tags
-// its d_h-closest skeleton node (itself, if it is one) and all triples are
-// made public knowledge via token dissemination (O~(sqrt(k)) rounds for k
-// sources). kBound is a globally known upper bound on the number of
-// sources. Sources with no skeleton node within h hops (possible only when
-// the w.h.p. event of Lemma C.1 fails) publish Rep = -1.
-func ComputeRepresentatives(env *sim.Env, skel Result, isSource bool, kBound int) []RepInfo {
+// RepresentativesMachine is Algorithm 7 as a collective machine: every
+// source tags its d_h-closest skeleton node (itself, if it is one) and all
+// triples are made public knowledge via token dissemination (O~(sqrt(k))
+// rounds for k sources). Sources with no skeleton node within h hops
+// (possible only when the w.h.p. event of Lemma C.1 fails) publish Rep = -1.
+type RepresentativesMachine struct {
+	// Out is the public (source, rep, d_h) list, sorted by source; valid
+	// once Step returned true.
+	Out []RepInfo
+
+	prog sim.StepProgram
+}
+
+// NewRepresentativesMachine builds the collective Algorithm 7 machine; all
+// nodes must start it in the same round with the same kBound, a globally
+// known upper bound on the number of sources.
+func NewRepresentativesMachine(env *sim.Env, skel Result, isSource bool, kBound int) *RepresentativesMachine {
+	m := &RepresentativesMachine{}
 	var mine []ncc.Token
 	if isSource {
 		rep, dist := closestSkeleton(env.ID(), skel)
 		mine = append(mine, ncc.Token{A: int64(env.ID()), B: int64(rep), C: dist})
 	}
-	all := ncc.Disseminate(env, mine, kBound, 1, ncc.DisseminateParams{})
-	return repsFromTokens(all)
+	var diss *ncc.DisseminateMachine
+	m.prog = sim.Sequence(
+		func(env *sim.Env) sim.StepProgram {
+			diss = ncc.NewDisseminateMachine(env, mine, kBound, 1, ncc.DisseminateParams{})
+			return diss
+		},
+		sim.Finish(func(env *sim.Env) {
+			m.Out = repsFromTokens(diss.Out)
+		}),
+	)
+	return m
 }
 
+// Step implements sim.StepProgram.
+func (m *RepresentativesMachine) Step(env *sim.Env) bool { return m.prog.Step(env) }
+
 // repsFromTokens decodes and sorts the disseminated representative triples
-// (the local tail of Algorithm 7, shared with the step form).
+// (the local tail of Algorithm 7).
 func repsFromTokens(all []ncc.Token) []RepInfo {
 	out := make([]RepInfo, 0, len(all))
 	for _, t := range all {

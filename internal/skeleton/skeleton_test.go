@@ -8,17 +8,23 @@ import (
 	"repro/internal/sim"
 )
 
+// construction is Algorithm 6 as a sim.Pipeline yielding Res; force marks
+// the nodes included deterministically (nil: none).
+func construction(p Params, force func(id int) bool) sim.Pipeline[Result] {
+	return func(env *sim.Env, done func(Result)) sim.StepProgram {
+		m := NewComputeMachine(env, p, force != nil && force(env.ID()))
+		return sim.Then(m, func(*sim.Env) { done(m.Res) })
+	}
+}
+
 func runSkeleton(t *testing.T, g *graph.Graph, p Params, seed int64) []Result {
 	t.Helper()
-	results := make([]Result, g.N())
-	m, err := sim.Run(g, sim.Config{Seed: seed}, func(env *sim.Env) {
-		results[env.ID()] = Compute(env, p, false)
-	})
+	results, m, err := sim.RunPipeline(g, sim.Config{Seed: seed}, construction(p, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Rounds != p.H(g.N()) {
-		t.Fatalf("Compute took %d rounds, want exactly h = %d", m.Rounds, p.H(g.N()))
+		t.Fatalf("Algorithm 6 took %d rounds, want exactly h = %d", m.Rounds, p.H(g.N()))
 	}
 	if m.GlobalMsgs != 0 {
 		t.Fatalf("skeleton construction used %d global messages; Algorithm 6 is local-only", m.GlobalMsgs)
@@ -95,10 +101,7 @@ func TestSkeletonSizeConcentration(t *testing.T) {
 
 func TestForceInclude(t *testing.T) {
 	g := graph.Path(40)
-	results := make([]Result, g.N())
-	_, err := sim.Run(g, sim.Config{Seed: 5}, func(env *sim.Env) {
-		results[env.ID()] = Compute(env, Params{X: 0.3}, env.ID() == 17)
-	})
+	results, _, err := sim.RunPipeline(g, sim.Config{Seed: 5}, construction(Params{X: 0.3}, func(id int) bool { return id == 17 }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,9 +187,19 @@ func TestRepresentatives(t *testing.T) {
 
 	skels := make([]Result, n)
 	repsAt := make([][]RepInfo, n)
-	_, err := sim.Run(g, sim.Config{Seed: 19}, func(env *sim.Env) {
-		skels[env.ID()] = Compute(env, Params{X: 2.0 / 3.0}, false)
-		repsAt[env.ID()] = ComputeRepresentatives(env, skels[env.ID()], isSource[env.ID()], len(sources))
+	_, err := sim.RunStep(g, sim.Config{Seed: 19}, func(env *sim.Env) sim.StepProgram {
+		id := env.ID()
+		var repsM *RepresentativesMachine
+		return sim.Sequence(
+			func(env *sim.Env) sim.StepProgram {
+				return construction(Params{X: 2.0 / 3.0}, nil)(env, func(r Result) { skels[id] = r })
+			},
+			func(env *sim.Env) sim.StepProgram {
+				repsM = NewRepresentativesMachine(env, skels[id], isSource[id], len(sources))
+				return repsM
+			},
+			sim.Finish(func(*sim.Env) { repsAt[id] = repsM.Out }),
+		)
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -10,8 +10,9 @@ import (
 	"repro/internal/simtest"
 )
 
-// The tests of this file hold each machine to the trace of the blocking
-// collective it replaced (Metrics and every node's output), on every engine.
+// The tests of this file hold each machine, on every engine, to the trace
+// recorded from the blocking collective it replaced: Metrics and every node's
+// output.
 
 // words flattens a Result for the pinned hash, Near in ascending ID order.
 func (r Result) words() []int64 {
@@ -27,14 +28,6 @@ func (r Result) words() []int64 {
 	return w
 }
 
-// finishing runs m and then hands out() to emit.
-func finishing(m sim.StepProgram, emit func(...int64), out func() []int64) sim.StepProgram {
-	return sim.Sequence(
-		func(*sim.Env) sim.StepProgram { return m },
-		sim.Finish(func(*sim.Env) { emit(out()...) }),
-	)
-}
-
 func TestExploreMachineMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	g := graph.WithRandomWeights(graph.Grid(6, 6), 5, rng)
@@ -48,12 +41,9 @@ func TestExploreMachineMatches(t *testing.T) {
 		}
 		return w
 	}
-	simtest.Blocking(t, "explore", g, 13, pin, func(env *sim.Env, emit func(...int64)) {
-		emit(exploreWords(LimitedExplore(env, isSource(env.ID()), rounds))...)
-	})
 	simtest.Machines(t, "explore", g, 13, pin, func(env *sim.Env, emit func(...int64)) sim.StepProgram {
 		m := NewExploreMachine(env, isSource(env.ID()), rounds)
-		return finishing(m, emit, func() []int64 { return exploreWords(m.Near, m.Hops) })
+		return sim.Then(m, func(*sim.Env) { emit(exploreWords(m.Near, m.Hops)...) })
 	})
 }
 
@@ -79,12 +69,9 @@ func TestFloodVectorsMachineMatches(t *testing.T) {
 		}
 		return w
 	}
-	simtest.Blocking(t, "flood", g, 14, pin, func(env *sim.Env, emit func(...int64)) {
-		emit(labelWords(FloodVectors(env, mineOf(env.ID(), env.N()), radius))...)
-	})
 	simtest.Machines(t, "flood", g, 14, pin, func(env *sim.Env, emit func(...int64)) sim.StepProgram {
 		m := NewFloodVectorsMachine(env, mineOf(env.ID(), env.N()), radius)
-		return finishing(m, emit, func() []int64 { return labelWords(&m.Known) })
+		return sim.Then(m, func(*sim.Env) { emit(labelWords(&m.Known)...) })
 	})
 }
 
@@ -106,18 +93,6 @@ func TestComputeMachineMatches(t *testing.T) {
 		}
 		return w
 	}
-
-	blocking := func(p Params) func(env *sim.Env, emit func(...int64)) {
-		return func(env *sim.Env, emit func(...int64)) {
-			skel := Compute(env, p, env.ID() == 0)
-			emit(skel.words()...)
-			emit(repWords(ComputeRepresentatives(env, skel, isSource(env.ID()), 6))...)
-		}
-	}
-	simtest.Blocking(t, "uncached", g, 15, pins["uncached"], blocking(Params{X: 0.5}))
-	cached := Params{X: 0.5, Cache: NewResultCache()}
-	simtest.Blocking(t, "cache miss", g, 15, pins["cache miss"], blocking(cached))
-	simtest.Blocking(t, "cache hit", g, 15, pins["cache hit"], blocking(cached))
 
 	results := make([]Result, g.N())
 	machine := func(p Params) simtest.Factory {

@@ -16,27 +16,42 @@ import (
 	"repro/internal/skeleton"
 )
 
-// Local runs `rounds` rounds of LOCAL-mode Bellman-Ford from the source and
-// returns this node's distance estimate (graph.Inf if unreached). Exact
-// when rounds >= SPD(G). Collective.
-func Local(env *sim.Env, isSource bool, rounds int) int64 {
-	near, _ := skeleton.LimitedExplore(env, isSource, rounds)
-	if isSource {
-		return 0
-	}
-	best := graph.Inf
-	for _, d := range near {
-		if d < best {
-			best = d
-		}
-	}
-	return best
+// NewLocalMachine runs `rounds` rounds of LOCAL-mode Bellman-Ford from the
+// source; done receives this node's distance estimate (graph.Inf if
+// unreached). Exact when rounds >= SPD(G). Collective.
+func NewLocalMachine(env *sim.Env, isSource bool, rounds int, done func(int64)) sim.StepProgram {
+	var explore *skeleton.ExploreMachine
+	return sim.Sequence(
+		func(env *sim.Env) sim.StepProgram {
+			explore = skeleton.NewExploreMachine(env, isSource, rounds)
+			return explore
+		},
+		sim.Finish(func(env *sim.Env) {
+			if isSource {
+				done(0)
+				return
+			}
+			best := graph.Inf
+			for _, d := range explore.Near {
+				if d < best {
+					best = d
+				}
+			}
+			done(best)
+		}),
+	)
 }
 
-// LocalAll is the k-source variant: sourceIDs must be globally known; the
-// returned dense vector holds the estimate per source node (graph.Inf for
-// sources out of reach, and for non-sources).
-func LocalAll(env *sim.Env, isSource bool, rounds int) []int64 {
-	near, _ := skeleton.LimitedExplore(env, isSource, rounds)
-	return near
+// NewLocalAllMachine is the k-source variant: done receives the dense vector
+// holding the estimate per source node (graph.Inf for sources out of reach,
+// and for non-sources).
+func NewLocalAllMachine(env *sim.Env, isSource bool, rounds int, done func([]int64)) sim.StepProgram {
+	var explore *skeleton.ExploreMachine
+	return sim.Sequence(
+		func(env *sim.Env) sim.StepProgram {
+			explore = skeleton.NewExploreMachine(env, isSource, rounds)
+			return explore
+		},
+		sim.Finish(func(env *sim.Env) { done(explore.Near) }),
+	)
 }

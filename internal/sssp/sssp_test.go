@@ -10,9 +10,8 @@ import (
 
 func runLocal(t *testing.T, g *graph.Graph, src, rounds int, seed int64) ([]int64, sim.Metrics) {
 	t.Helper()
-	out := make([]int64, g.N())
-	m, err := sim.Run(g, sim.Config{Seed: seed}, func(env *sim.Env) {
-		out[env.ID()] = Local(env, env.ID() == src, rounds)
+	out, m, err := sim.RunPipeline(g, sim.Config{Seed: seed}, func(env *sim.Env, done func(int64)) sim.StepProgram {
+		return NewLocalMachine(env, env.ID() == src, rounds, done)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -72,9 +71,8 @@ func TestLocalSourceIsZero(t *testing.T) {
 func TestLocalAllMultiSource(t *testing.T) {
 	g := graph.Grid(5, 5)
 	sources := map[int]bool{0: true, 24: true}
-	out := make([][]int64, g.N())
-	_, err := sim.Run(g, sim.Config{Seed: 9}, func(env *sim.Env) {
-		out[env.ID()] = LocalAll(env, sources[env.ID()], 8)
+	out, _, err := sim.RunPipeline(g, sim.Config{Seed: 9}, func(env *sim.Env, done func([]int64)) sim.StepProgram {
+		return NewLocalAllMachine(env, sources[env.ID()], 8, done)
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -8,19 +8,15 @@ import (
 	"repro/internal/simtest"
 )
 
-// TestLocalMachinesMatch holds the LOCAL baseline machines to the trace of
-// the blocking Local and LocalAll they replaced, on every engine; with
-// rounds = n-1 >= SPD both are exact.
+// TestLocalMachinesMatch holds the LOCAL baseline machines, on every engine,
+// to the trace recorded from the blocking Local and LocalAll they replaced;
+// with rounds = n-1 >= SPD both are exact.
 func TestLocalMachinesMatch(t *testing.T) {
 	g := graph.Path(25)
 	const rounds = 24
 	isSource := func(id int) bool { return id == 3 }
 	pin := simtest.Pin{Metrics: sim.Metrics{Rounds: 48, LocalMsgs: 96, LocalBits: 1440}, Sum: 0x7b64e5f79a2437f}
 
-	simtest.Blocking(t, "local", g, 19, pin, func(env *sim.Env, emit func(...int64)) {
-		emit(Local(env, isSource(env.ID()), rounds))
-		emit(LocalAll(env, isSource(env.ID()), rounds)...)
-	})
 	gotOne := make([]int64, g.N())
 	simtest.Machines(t, "local", g, 19, pin, func(env *sim.Env, emit func(...int64)) sim.StepProgram {
 		id := env.ID()

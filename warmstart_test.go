@@ -422,8 +422,8 @@ func TestLoadCacheNoFileIsCold(t *testing.T) {
 
 // BenchmarkSnapshotSaveLoad measures the on-disk codec round trip over a
 // populated warm-start cache (10x10 grid APSP), reporting the total cache
-// file size alongside the save and load wall times — the package-level
-// twin of cmd/benchwarm's end-to-end JSON record.
+// file size alongside the save and load wall times (cmd/bench's
+// persist.* probes take the same numbers at n = 1024).
 func BenchmarkSnapshotSaveLoad(b *testing.B) {
 	g := hybrid.GridGraph(10, 10)
 	dir := b.TempDir()
