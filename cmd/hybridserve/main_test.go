@@ -307,6 +307,13 @@ func TestRunServeBadFlags(t *testing.T) {
 			t.Errorf("args %v exited 0", args)
 		}
 	}
+	// The removed goroutine-sharded engine is an error by name, not an alias
+	// of another engine.
+	var stdout, stderr syncBuffer
+	code := run(context.Background(), []string{"-engine", "sharded"}, &stdout, &stderr, nil)
+	if code == 0 || !strings.Contains(stderr.String(), `unknown engine "sharded"`) {
+		t.Errorf("-engine sharded: exit %d, stderr %q", code, stderr.String())
+	}
 }
 
 // TestRunServeListenFailure pins the bind-error exit.

@@ -8,7 +8,7 @@
 //	hybridsim -graph path -n 200 -algo sssp -source 0
 //	hybridsim -graph sparse -n 144 -algo diameter -variant cor53
 //	hybridsim -graph geometric -n 150 -algo kssp -k 5 -variant cor46
-//	hybridsim -graph grid -n 1024 -algo apsp -engine step -cache-dir .hybcache
+//	hybridsim -graph grid -n 1024 -algo apsp -cache-dir .hybcache
 //
 // With -cache-dir the run warm-starts from (and re-saves) the persistent
 // warm-start cache: a second invocation with the same graph, seed, and

@@ -232,6 +232,12 @@ func TestRunBadFlags(t *testing.T) {
 			t.Errorf("args %v exited 0", args)
 		}
 	}
+	// The removed goroutine-sharded engine is an error by name, not an alias
+	// of another engine.
+	code, _, stderr := runCLI("-engine", "sharded")
+	if code == 0 || !strings.Contains(stderr, `unknown engine "sharded"`) {
+		t.Errorf("-engine sharded: exit %d, stderr %q", code, stderr)
+	}
 }
 
 // TestRunDistConnectCLI runs the full CLI in connect mode against

@@ -181,6 +181,7 @@ func NewComputeMachine(env *sim.Env, spec AlgSpec, params Params, done func(int6
 	var skelM *skeleton.ComputeMachine
 	var simRes cliquesim.Result
 	var explore *diamExploreMachine
+	var myDS int64
 	var aggH, aggDS *ncc.AggregateMachine
 
 	return sim.Sequence(
@@ -212,11 +213,12 @@ func NewComputeMachine(env *sim.Env, spec AlgSpec, params Params, done func(int6
 		// Equation (3). D~(S) is also aggregated (max) so that nodes that
 		// missed the flood (coverage failure) still answer consistently.
 		func(env *sim.Env) sim.StepProgram {
+			myDS = explore.MyDS
 			aggH = ncc.NewAggregateMachine(env, int64(explore.Hv), ncc.AggMax)
 			return aggH
 		},
 		func(env *sim.Env) sim.StepProgram {
-			aggDS = ncc.NewAggregateMachine(env, explore.MyDS, ncc.AggMax)
+			aggDS = ncc.NewAggregateMachine(env, myDS, ncc.AggMax)
 			return aggDS
 		},
 		sim.Finish(func(env *sim.Env) {

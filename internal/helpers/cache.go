@@ -60,7 +60,7 @@ func NewClusterCache() *ClusterCache {
 func (c *ClusterCache) SetTrace(fn func(event string)) { c.trace = fn }
 
 // traceEvent records one collective agreement outcome (node 0 only, so the
-// trace is a single global sequence shared by all execution forms).
+// trace is a single global sequence).
 func (c *ClusterCache) traceEvent(env *sim.Env, mu int, hit bool) {
 	if c.trace == nil || env.ID() != 0 {
 		return

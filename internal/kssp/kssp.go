@@ -136,6 +136,7 @@ func NewComputeMachine(env *sim.Env, isSource bool, kBound int, spec AlgSpec, pa
 	var exploreM *skeleton.ExploreMachine
 	var floodM *skeleton.FloodVectorsMachine
 	var simRes cliquesim.Result
+	var local []int64
 
 	return sim.Sequence(
 		// Skeleton; single sources are summoned into it (Algorithm 6, γ=0).
@@ -162,11 +163,12 @@ func NewComputeMachine(env *sim.Env, isSource bool, kBound int, spec AlgSpec, pa
 		},
 		// Skeleton nodes flood their simulated estimates to radius h.
 		func(env *sim.Env) sim.StepProgram {
+			local = exploreM.Near // all the flood's successor needs of the exploration
 			floodM = skeleton.NewFloodVectorsMachine(env, simVector(simRes, repsM.Out), h)
 			return floodM
 		},
 		sim.Finish(func(env *sim.Env) {
-			done(combineEstimates(skelM.Res, repsM.Out, simRes, exploreM.Near, &floodM.Known))
+			done(combineEstimates(skelM.Res, repsM.Out, simRes, local, &floodM.Known))
 		}),
 	)
 }

@@ -1,14 +1,14 @@
 // Package ncc implements the global-communication primitives the paper
 // imports from prior work, as collective operations on the sim runtime:
 //
-//   - Aggregate (Lemma B.2, from Augustine et al. [2]): compute an
+//   - AggregateMachine (Lemma B.2, from Augustine et al. [2]): compute an
 //     aggregate-distributive function (min/max/sum) of per-node values and
 //     announce the result to all nodes in O(log n) rounds using only the
 //     global network.
-//   - BroadcastWords (used by Lemma 2.3): a designated source announces an
+//   - BroadcastWordsMachine (used by Lemma 2.3): a designated source announces an
 //     O(log^2 n)-bit value (e.g. the hash-function seed) to all nodes in
 //     O~(1) rounds via binomial doubling on the global network.
-//   - Disseminate (Lemma B.1, Theorem 2.1 of [3]): the token dissemination
+//   - DisseminateMachine (Lemma B.1, Theorem 2.1 of [3]): the token dissemination
 //     protocol — k tokens, at most ell per node, become known to every node
 //     in O~(sqrt(k) + ell) rounds using both communication modes.
 //

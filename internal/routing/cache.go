@@ -58,7 +58,7 @@ func NewSessionCache() *SessionCache {
 func (c *SessionCache) SetTrace(fn func(event string)) { c.trace = fn }
 
 // traceEvent records one collective agreement outcome (node 0 only, so the
-// trace is a single global sequence shared by all execution forms).
+// trace is a single global sequence).
 func (c *SessionCache) traceEvent(env *sim.Env, key sessionKey, hit bool) {
 	if c.trace == nil || env.ID() != 0 {
 		return

@@ -407,9 +407,22 @@ func (a *announceMachine) Step(env *sim.Env) bool {
 	if !a.loop.Step(env) {
 		return false
 	}
-	// Helpers come out in ascending ID order, so every H_w is built sorted.
-	a.Sets = map[int][]int{}
-	for _, h := range a.known.AppendSortedKeys(nil) {
+	// Helpers come out in ascending ID order, so every H_w is built sorted;
+	// a counting pass first sizes each H_w exactly, because the directory
+	// lives as long as the session (and the session cache).
+	helpers := a.known.AppendSortedKeys(nil)
+	size := map[int]int{}
+	for _, h := range helpers {
+		owners, _ := a.known.Get(h)
+		for _, w := range owners {
+			size[w]++
+		}
+	}
+	a.Sets = make(map[int][]int, len(size))
+	for w, k := range size {
+		a.Sets[w] = make([]int, 0, k)
+	}
+	for _, h := range helpers {
 		owners, _ := a.known.Get(h)
 		for _, w := range owners {
 			a.Sets[w] = append(a.Sets[w], int(h))

@@ -10,14 +10,14 @@ import (
 
 // A StepProgram is a resumable state machine: one Step call runs one round
 // segment — read Env.Incoming, stage sends, report done — and never
-// blocks. RunStep executes it natively on the goroutine-free EngineStep
-// and through DriveProgram on the goroutine engines, with byte-identical
-// results either way. Here every node floods a token wave down a path with
-// a three-round sim.Loop.
+// blocks. RunStep executes it on the goroutine-free EngineStep (the default)
+// or, one goroutine per node, on the reference EngineLegacy, with
+// byte-identical results either way. Here every node floods a token wave
+// down a path with a three-round sim.Loop.
 func ExampleRunStep() {
 	g := graph.Path(5)
 	dist := make([]int, g.N())
-	m, err := sim.RunStep(g, sim.Config{Seed: 1, Engine: sim.EngineStep}, func(env *sim.Env) sim.StepProgram {
+	m, err := sim.RunStep(g, sim.Config{Seed: 1}, func(env *sim.Env) sim.StepProgram {
 		reached := env.ID() == 0 // node 0 starts the wave
 		hop := -1
 		if reached {

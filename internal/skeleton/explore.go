@@ -192,7 +192,7 @@ func (m *FloodVectorsMachine) recv(env *sim.Env, in sim.Inbox, i int) {
 	m.bufs[(i+1)&1] = next
 }
 
-// floodVecs is the local-mode payload of FloodVectors: a batch of label
+// floodVecs is the local-mode payload of FloodVectorsMachine: a batch of label
 // vectors. The vectors are shared across the whole flood, but every local
 // transmission carries their full contents, so the wire charge counts them
 // in full.
