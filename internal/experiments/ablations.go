@@ -38,7 +38,7 @@ func A1HelperQBoost(cfg Config) Table {
 	}
 	const mu = 4
 	for _, boost := range []int{1, 2, 3} {
-		results, _, err := sim.RunPipeline(g, sim.Config{Seed: cfg.Seed}, helperFamily(inW, mu, helpers.Params{QBoost: boost}))
+		results, _, err := sim.RunPipeline(g, sim.Config{Seed: cfg.Seed}, helpers.Pipeline(inW, mu, helpers.Params{QBoost: boost}))
 		if err != nil {
 			t.Failf("boost=%d: %v", boost, err)
 			continue
@@ -158,10 +158,7 @@ func A3SkeletonHFactor(cfg Config) Table {
 		for _, seed := range seeds {
 			g := graph.Path(n) // paths are the coverage worst case
 			sp := skeleton.Params{X: 0.5, HFactor: xi}
-			results, m, err := sim.RunPipeline(g, sim.Config{Seed: seed}, func(env *sim.Env, done func(skeleton.Result)) sim.StepProgram {
-				sm := skeleton.NewComputeMachine(env, sp, false)
-				return sim.Then(sm, func(*sim.Env) { done(sm.Res) })
-			})
+			results, m, err := sim.RunPipeline(g, sim.Config{Seed: seed}, skeleton.Pipeline(sp, nil))
 			if err != nil {
 				t.Failf("xi=%.0f seed=%d: %v", xi, seed, err)
 				continue

@@ -137,7 +137,7 @@ func E2HelperSets(cfg Config) Table {
 			if mu < 1 {
 				mu = 1
 			}
-			results, _, err := sim.RunPipeline(g, sim.Config{Seed: cfg.Seed}, helperFamily(inW, mu, helpers.Params{}))
+			results, _, err := sim.RunPipeline(g, sim.Config{Seed: cfg.Seed}, helpers.Pipeline(inW, mu, helpers.Params{}))
 			if err != nil {
 				t.Failf("n=%d p=%.1f: %v", n, p, err)
 				continue
@@ -154,14 +154,6 @@ func E2HelperSets(cfg Config) Table {
 	}
 	t.Notef("properties: (1) |H_w| >= mu, (2) helpers within O~(mu) hops, (3) each node helps O~(1) sets")
 	return t
-}
-
-// helperFamily is Algorithm 1 as a sim.Pipeline yielding the node's Result.
-func helperFamily(inW []bool, mu int, p helpers.Params) sim.Pipeline[helpers.Result] {
-	return func(env *sim.Env, done func(helpers.Result)) sim.StepProgram {
-		m := helpers.NewMachine(env, inW[env.ID()], mu, p)
-		return sim.Then(m, func(*sim.Env) { done(m.Res) })
-	}
 }
 
 func helperStats(g *graph.Graph, results []helpers.Result, mu int) (int, float64, float64) {

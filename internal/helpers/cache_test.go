@@ -16,7 +16,7 @@ var cacheEngines = []sim.Engine{sim.EngineLegacy, sim.EngineStep}
 // per-node results and metrics.
 func computePipeline(t *testing.T, g *graph.Graph, inW []bool, mu int, p Params, eng sim.Engine, seed int64) ([]Result, sim.Metrics) {
 	t.Helper()
-	out, m, err := sim.RunPipeline(g, sim.Config{Seed: seed, Engine: eng}, family(inW, mu, p))
+	out, m, err := sim.RunPipeline(g, sim.Config{Seed: seed, Engine: eng}, Pipeline(inW, mu, p))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -269,6 +269,15 @@ func newColdProg(env *sim.Env, m *Machine, inW bool, mu int, p Params) sim.StepP
 // Step implements sim.StepProgram.
 func (m *Machine) Step(env *sim.Env) bool { return m.prog.Step(env) }
 
+// Pipeline returns Algorithm 1 as a sim.Pipeline: inW[v] marks the members
+// of W, and the per-node result is the node's Result.
+func Pipeline(inW []bool, mu int, params Params) sim.Pipeline[Result] {
+	return func(env *sim.Env, done func(Result)) sim.StepProgram {
+		m := NewMachine(env, inW[env.ID()], mu, params)
+		return sim.Then(m, func(*sim.Env) { done(m.Res) })
+	}
+}
+
 // memberResult drains the member directory into a Result. The sorted drain
 // yields Members and WMembers in ascending ID order directly.
 func memberResult(ruler, dist int, inW bool, mu int, known *flatmap.Map[bool]) Result {

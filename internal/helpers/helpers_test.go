@@ -8,18 +8,10 @@ import (
 	"repro/internal/sim"
 )
 
-// family is Algorithm 1 as a sim.Pipeline yielding Res.
-func family(inW []bool, mu int, p Params) sim.Pipeline[Result] {
-	return func(env *sim.Env, done func(Result)) sim.StepProgram {
-		m := NewMachine(env, inW[env.ID()], mu, p)
-		return sim.Then(m, func(*sim.Env) { done(m.Res) })
-	}
-}
-
 // runCompute executes Algorithm 1 on g for the given W.
 func runCompute(t *testing.T, g *graph.Graph, inW []bool, mu int, seed int64) []Result {
 	t.Helper()
-	results, m, err := sim.RunPipeline(g, sim.Config{Seed: seed}, family(inW, mu, Params{}))
+	results, m, err := sim.RunPipeline(g, sim.Config{Seed: seed}, Pipeline(inW, mu, Params{}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -381,14 +381,8 @@ func NewBaselineComputeMachine(env *sim.Env, params Params, done func([]int64)) 
 // results. done receives the dense vector, graph.Inf marking unreached
 // nodes.
 func NewLocalComputeMachine(env *sim.Env, rounds int, done func([]int64)) sim.StepProgram {
-	var exploreM *skeleton.ExploreMachine
-	return sim.Sequence(
-		func(env *sim.Env) sim.StepProgram {
-			exploreM = skeleton.NewExploreMachine(env, true, rounds)
-			return exploreM
-		},
-		sim.Finish(func(env *sim.Env) { done(exploreM.Near) }),
-	)
+	exploreM := skeleton.NewExploreMachine(env, true, rounds)
+	return sim.Then(exploreM, func(*sim.Env) { done(exploreM.Near) })
 }
 
 // Pipeline returns the Theorem 1.1 exact APSP as a sim.Pipeline; the

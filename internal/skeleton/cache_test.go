@@ -17,7 +17,7 @@ var cacheEngines = []sim.Engine{sim.EngineLegacy, sim.EngineStep}
 func computePipeline(t *testing.T, g *graph.Graph, p Params, force []bool, eng sim.Engine, seed int64) ([]Result, sim.Metrics) {
 	t.Helper()
 	forced := func(id int) bool { return force != nil && force[id] }
-	out, m, err := sim.RunPipeline(g, sim.Config{Seed: seed, Engine: eng}, construction(p, forced))
+	out, m, err := sim.RunPipeline(g, sim.Config{Seed: seed, Engine: eng}, Pipeline(p, forced))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -199,6 +199,16 @@ func newExploreResultProg(env *sim.Env, m *ComputeMachine, inS bool, h int) sim.
 // Step implements sim.StepProgram.
 func (m *ComputeMachine) Step(env *sim.Env) bool { return m.prog.Step(env) }
 
+// Pipeline returns Algorithm 6 as a sim.Pipeline; force marks the nodes
+// included deterministically (nil: none), and the per-node result is the
+// node's Result.
+func Pipeline(p Params, force func(id int) bool) sim.Pipeline[Result] {
+	return func(env *sim.Env, done func(Result)) sim.StepProgram {
+		m := NewComputeMachine(env, p, force != nil && force(env.ID()))
+		return sim.Then(m, func(*sim.Env) { done(m.Res) })
+	}
+}
+
 // resultFromVectors converts the dense exploration vectors into a Result
 // (the pure local tail of Algorithm 6).
 func resultFromVectors(n int, inS bool, h int, near []int64, hops []int) Result {

@@ -8,18 +8,9 @@ import (
 	"repro/internal/sim"
 )
 
-// construction is Algorithm 6 as a sim.Pipeline yielding Res; force marks
-// the nodes included deterministically (nil: none).
-func construction(p Params, force func(id int) bool) sim.Pipeline[Result] {
-	return func(env *sim.Env, done func(Result)) sim.StepProgram {
-		m := NewComputeMachine(env, p, force != nil && force(env.ID()))
-		return sim.Then(m, func(*sim.Env) { done(m.Res) })
-	}
-}
-
 func runSkeleton(t *testing.T, g *graph.Graph, p Params, seed int64) []Result {
 	t.Helper()
-	results, m, err := sim.RunPipeline(g, sim.Config{Seed: seed}, construction(p, nil))
+	results, m, err := sim.RunPipeline(g, sim.Config{Seed: seed}, Pipeline(p, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +92,7 @@ func TestSkeletonSizeConcentration(t *testing.T) {
 
 func TestForceInclude(t *testing.T) {
 	g := graph.Path(40)
-	results, _, err := sim.RunPipeline(g, sim.Config{Seed: 5}, construction(Params{X: 0.3}, func(id int) bool { return id == 17 }))
+	results, _, err := sim.RunPipeline(g, sim.Config{Seed: 5}, Pipeline(Params{X: 0.3}, func(id int) bool { return id == 17 }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +183,7 @@ func TestRepresentatives(t *testing.T) {
 		var repsM *RepresentativesMachine
 		return sim.Sequence(
 			func(env *sim.Env) sim.StepProgram {
-				return construction(Params{X: 2.0 / 3.0}, nil)(env, func(r Result) { skels[id] = r })
+				return Pipeline(Params{X: 2.0 / 3.0}, nil)(env, func(r Result) { skels[id] = r })
 			},
 			func(env *sim.Env) sim.StepProgram {
 				repsM = NewRepresentativesMachine(env, skels[id], isSource[id], len(sources))

@@ -20,38 +20,26 @@ import (
 // source; done receives this node's distance estimate (graph.Inf if
 // unreached). Exact when rounds >= SPD(G). Collective.
 func NewLocalMachine(env *sim.Env, isSource bool, rounds int, done func(int64)) sim.StepProgram {
-	var explore *skeleton.ExploreMachine
-	return sim.Sequence(
-		func(env *sim.Env) sim.StepProgram {
-			explore = skeleton.NewExploreMachine(env, isSource, rounds)
-			return explore
-		},
-		sim.Finish(func(env *sim.Env) {
-			if isSource {
-				done(0)
-				return
+	explore := skeleton.NewExploreMachine(env, isSource, rounds)
+	return sim.Then(explore, func(*sim.Env) {
+		if isSource {
+			done(0)
+			return
+		}
+		best := graph.Inf
+		for _, d := range explore.Near {
+			if d < best {
+				best = d
 			}
-			best := graph.Inf
-			for _, d := range explore.Near {
-				if d < best {
-					best = d
-				}
-			}
-			done(best)
-		}),
-	)
+		}
+		done(best)
+	})
 }
 
 // NewLocalAllMachine is the k-source variant: done receives the dense vector
 // holding the estimate per source node (graph.Inf for sources out of reach,
 // and for non-sources).
 func NewLocalAllMachine(env *sim.Env, isSource bool, rounds int, done func([]int64)) sim.StepProgram {
-	var explore *skeleton.ExploreMachine
-	return sim.Sequence(
-		func(env *sim.Env) sim.StepProgram {
-			explore = skeleton.NewExploreMachine(env, isSource, rounds)
-			return explore
-		},
-		sim.Finish(func(env *sim.Env) { done(explore.Near) }),
-	)
+	explore := skeleton.NewExploreMachine(env, isSource, rounds)
+	return sim.Then(explore, func(*sim.Env) { done(explore.Near) })
 }
