@@ -123,6 +123,18 @@ func goldenRouting(nw *hybrid.Network) (hybrid.Metrics, []int64, error) {
 	return m, flat, nil
 }
 
+// goldenRow renders one fixture line: the case, seed and cache mode, a
+// checksum of the flattened output, and the full Metrics.
+func goldenRow(name string, seed int64, mode string, m hybrid.Metrics, flat []int64) string {
+	h := fnv.New64a()
+	var w [8]byte
+	for _, d := range flat {
+		binary.LittleEndian.PutUint64(w[:], uint64(d))
+		h.Write(w[:])
+	}
+	return fmt.Sprintf("%s seed=%d %s sum=%016x metrics=%+v\n", name, seed, mode, h.Sum64(), m)
+}
+
 // goldenBody runs the whole matrix on one engine and renders it.
 func goldenBody(t *testing.T, eng hybrid.Engine) string {
 	t.Helper()
@@ -162,13 +174,7 @@ func goldenBody(t *testing.T, eng hybrid.Engine) string {
 				if err != nil {
 					t.Fatalf("%s seed=%d %s on %s: %v", c.name, seed, mode, eng, err)
 				}
-				h := fnv.New64a()
-				var w [8]byte
-				for _, d := range flat {
-					binary.LittleEndian.PutUint64(w[:], uint64(d))
-					h.Write(w[:])
-				}
-				fmt.Fprintf(&b, "%s seed=%d %s sum=%016x metrics=%+v\n", c.name, seed, mode, h.Sum64(), m)
+				b.WriteString(goldenRow(c.name, seed, mode, m, flat))
 			}
 		}
 	}

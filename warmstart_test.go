@@ -7,6 +7,7 @@
 package hybrid_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"flag"
@@ -418,6 +419,94 @@ func TestLoadCacheNoFileIsCold(t *testing.T) {
 	if p := bare.CachePath(); p != "" {
 		t.Errorf("CachePath without WithCacheDir = %q, want empty", p)
 	}
+}
+
+// TestParentCacheFilesLoad is the on-disk compatibility gate. The two files
+// under testdata/warmcache were written by SaveCache after one cold APSP on
+// the 7x7 grid (seed 1) at the commit before the three caches moved onto
+// internal/warm — the instance whose warm row testdata/model_costs.golden
+// already pins. They must still load as a full warm start, the run they warm
+// must cost that golden row on every engine, and SaveCache must still write
+// the same bytes, so files cross the refactor in both directions.
+// Regenerate (only with a cacheFormatVersion bump) with:
+// go test -run TestParentCacheFilesLoad -update .
+func TestParentCacheFilesLoad(t *testing.T) {
+	g := hybrid.GridGraph(7, 7)
+	frozen := filepath.Join("testdata", "warmcache")
+	coldSave := func(dir string) {
+		t.Helper()
+		nw := hybrid.New(g, hybrid.WithSeed(1), hybrid.WithCacheDir(dir))
+		if _, err := nw.APSP(); err != nil {
+			t.Fatal(err)
+		}
+		if err := nw.SaveCache(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if *updateGolden {
+		if err := os.RemoveAll(frozen); err != nil {
+			t.Fatal(err)
+		}
+		coldSave(frozen)
+	}
+	files, err := os.ReadDir(frozen)
+	if err != nil || len(files) != 2 {
+		t.Fatalf("want the structural and the seed file in %s, found %d (%v); regenerate with -update", frozen, len(files), err)
+	}
+	want := map[string][]byte{}
+	for _, f := range files {
+		if want[f.Name()], err = os.ReadFile(filepath.Join(frozen, f.Name())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sameAsFrozen := func(what, dir string) {
+		t.Helper()
+		for name, frozenBytes := range want {
+			got, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			if !bytes.Equal(got, frozenBytes) {
+				t.Errorf("%s: %s differs from the frozen file (%d vs %d bytes)", what, name, len(got), len(frozenBytes))
+			}
+		}
+	}
+	golden, err := os.ReadFile(filepath.Join("testdata", "model_costs.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eng := range allEngines {
+		dir := t.TempDir()
+		for name, data := range want {
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		nw := hybrid.New(g, hybrid.WithSeed(1), hybrid.WithEngine(eng), hybrid.WithCacheDir(dir))
+		status, err := nw.LoadCache()
+		if err != nil {
+			t.Fatalf("%s: load: %v", eng, err)
+		}
+		if !status.Structural || !status.Seed {
+			t.Fatalf("%s: LoadCache restored %+v from the frozen files, want both sections", eng, status)
+		}
+		m, flat, err := goldenAPSP(nw)
+		if err != nil {
+			t.Fatalf("%s: %v", eng, err)
+		}
+		if row := goldenRow("apsp/grid7x7", 1, "warm", m, flat); !strings.Contains(string(golden), row) {
+			t.Errorf("%s: the run warmed from the frozen files is not the golden warm row:\n%s", eng, row)
+		}
+		// Restore then Snapshot loses nothing: the restored caches, after
+		// three guard hits, save back to the bytes they were loaded from.
+		if err := nw.SaveCache(); err != nil {
+			t.Fatalf("%s: %v", eng, err)
+		}
+		sameAsFrozen(eng.String()+" re-save", dir)
+	}
+	fresh := t.TempDir()
+	coldSave(fresh)
+	sameAsFrozen("cold save", fresh)
 }
 
 // BenchmarkSnapshotSaveLoad measures the on-disk codec round trip over a
