@@ -8,6 +8,7 @@ import (
 	"repro/internal/flatmap"
 	"repro/internal/persist"
 	"repro/internal/sim"
+	"repro/internal/warm"
 )
 
 // ClusterCache caches the seed-independent structure of Algorithm 1 across
@@ -22,54 +23,24 @@ import (
 // the W membership of its cluster (a 2β-round flood) and re-sample helper
 // memberships.
 //
-// Correctness is collective, exactly like routing.SessionCache: the cached
-// path first runs one global max-aggregation (2·ceil(log2 n) rounds,
-// Lemma B.2) in which each node reports whether its slot is populated.
-// Only a unanimous yes binds the cached structure; any gap rebuilds from
-// scratch (re-populating the cache). Every node therefore takes the same
-// branch on every engine. Phases 1-3 of Algorithm 1 consume no randomness,
-// so skipping them leaves every node's rand-stream position unchanged —
-// the helper sampling that follows draws identically on both paths, and
-// results are byte-identical hit or miss.
+// There is no per-seed state for warm.Guard's collective agreement to
+// compare, so a populated slot is the whole check. Phases 1-3 of Algorithm
+// 1 consume no randomness, so skipping them leaves every node's rand-stream
+// position unchanged — the helper sampling that follows draws identically
+// on both paths, and results are byte-identical hit or miss.
 //
 // Bound member slices are shared between the cache and every Result bound
 // from it; callers must treat Result.Members of a cache-bound Result as
 // immutable (every algorithm in this repository only reads it).
 type ClusterCache struct {
-	lock    sync.Mutex
-	entries map[int]*clusterEntry // keyed by µ
-	order   []int                 // insertion order, for deterministic FIFO eviction
-	trace   func(event string)
+	*warm.Store[int, clusterEntry] // keyed by µ
 }
-
-// maxClusterEntries bounds the cache. Eviction is FIFO on insertion order —
-// deterministic, so repeated seeded runs keep identical hit/miss sequences
-// and therefore identical round counts.
-const maxClusterEntries = 16
 
 // NewClusterCache returns an empty cache, ready to be shared by any number
 // of sequential runs over the same graph.
 func NewClusterCache() *ClusterCache {
-	return &ClusterCache{entries: map[int]*clusterEntry{}}
-}
-
-// SetTrace installs a cache-event hook: fn is invoked (at node 0 only) with
-// one line per collective agreement, saying whether the run bound the
-// cached structure or rebuilt. The sequence is engine-independent; the
-// golden round-trace test pins it.
-func (c *ClusterCache) SetTrace(fn func(event string)) { c.trace = fn }
-
-// traceEvent records one collective agreement outcome (node 0 only, so the
-// trace is a single global sequence).
-func (c *ClusterCache) traceEvent(env *sim.Env, mu int, hit bool) {
-	if c.trace == nil || env.ID() != 0 {
-		return
-	}
-	verdict := "rebuild"
-	if hit {
-		verdict = "hit"
-	}
-	c.trace(fmt.Sprintf("clusters µ=%d: %s", mu, verdict))
+	label := func(mu int) string { return fmt.Sprintf("clusters µ=%d", mu) }
+	return &ClusterCache{warm.NewStore(label, newClusterEntry)}
 }
 
 // clusterEntry holds one µ's cached structure. The per-node slots (ruler,
@@ -92,46 +63,6 @@ func newClusterEntry(n int) *clusterEntry {
 		dist:    make([]int32, n),
 		members: map[int][]int{},
 	}
-}
-
-func (c *ClusterCache) lookup(mu int) *clusterEntry {
-	c.lock.Lock()
-	defer c.lock.Unlock()
-	return c.entries[mu]
-}
-
-// shared returns the run-shared entry being (re)populated for µ, creating
-// it and installing it into the cache exactly once per run (env.SharedOnce
-// guarantees all nodes of the run store into the same object; its per-call
-// sequence numbering keeps repeated constructions within one run distinct).
-func (c *ClusterCache) shared(env *sim.Env, mu int) *clusterEntry {
-	v := env.SharedOnce("helpers.ClusterCache", func() interface{} {
-		e := newClusterEntry(env.N())
-		c.lock.Lock()
-		if _, exists := c.entries[mu]; !exists {
-			if len(c.order) >= maxClusterEntries {
-				oldest := c.order[0]
-				c.order = c.order[1:]
-				delete(c.entries, oldest)
-			}
-			c.order = append(c.order, mu)
-		}
-		c.entries[mu] = e
-		c.lock.Unlock()
-		return e
-	})
-	return v.(*clusterEntry)
-}
-
-// mismatch reports whether this node's slot of entry is unpopulated (1) or
-// ready (0); a nil entry always mismatches. There is no per-seed state to
-// compare — the structure is seed-independent — so population is the whole
-// check. The value feeds the collective max-aggregation.
-func (e *clusterEntry) mismatch(id int) int64 {
-	if e == nil || !e.filled[id] {
-		return 1
-	}
-	return 0
 }
 
 // store records one node's freshly built structure into its slot, sharing
@@ -160,24 +91,6 @@ func (e *clusterEntry) bind(id int) (ruler, dist int, members []int) {
 
 // clusterBeta is the β = 2µ·ceil(log2 n) phase length of Algorithm 1.
 func clusterBeta(n, mu int) int { return 2 * mu * sim.Log2Ceil(n) }
-
-// finishFromCluster assembles a Result from the cached structure, a
-// freshly flooded W membership, and fresh helper sampling — the tail of
-// the structural-hit path. It produces exactly what the cold construction
-// would: the cached phases are deterministic, so
-// their output is the same, and sampleHelps draws the same randomness.
-func finishFromCluster(env *sim.Env, p Params, mu, ruler, dist int, members, wMembers []int, inW bool) Result {
-	res := Result{
-		Ruler:     ruler,
-		RulerDist: dist,
-		Members:   members,
-		WMembers:  wMembers,
-		InW:       inW,
-		Mu:        mu,
-	}
-	res.Helps = sampleHelps(env, p, mu, len(members), wMembers)
-	return res
-}
 
 // wRec announces one W member during the structural-hit flood. It carries
 // the ruler so receivers can constrain propagation to their own cluster,
@@ -271,13 +184,6 @@ func sortedSetKeys(set *flatmap.Set) []int {
 	return out
 }
 
-// Len reports the number of cached entries (for tests and diagnostics).
-func (c *ClusterCache) Len() int {
-	c.lock.Lock()
-	defer c.lock.Unlock()
-	return len(c.entries)
-}
-
 // ClusterSnapshot is the serializable image of a ClusterCache — the
 // seed-independent "structural section" of the on-disk warm-start cache.
 // Entries preserve insertion order so a restored cache keeps the same
@@ -305,11 +211,8 @@ type ClusterEntrySnapshot struct {
 // packed member vectors are fresh copies; the snapshot is safe to
 // serialize at any point between runs.
 func (c *ClusterCache) Snapshot() ClusterSnapshot {
-	c.lock.Lock()
-	defer c.lock.Unlock()
-	snap := ClusterSnapshot{Entries: make([]ClusterEntrySnapshot, 0, len(c.order))}
-	for _, mu := range c.order {
-		e := c.entries[mu]
+	snap := ClusterSnapshot{Entries: make([]ClusterEntrySnapshot, 0, c.Len())}
+	for mu, e := range c.Each {
 		es := ClusterEntrySnapshot{
 			Mu:     mu,
 			Filled: e.filled,
@@ -377,10 +280,7 @@ func (c *ClusterCache) Restore(snap ClusterSnapshot, n int) error {
 		entries[es.Mu] = e
 		order = append(order, es.Mu)
 	}
-	c.lock.Lock()
-	c.entries = entries
-	c.order = order
-	c.lock.Unlock()
+	c.Replace(order, entries)
 	return nil
 }
 
@@ -390,16 +290,10 @@ func (c *ClusterCache) Restore(snap ClusterSnapshot, n int) error {
 // slot, or the directory is missing — a dangling reference. The members
 // slice is shared with the cache and must not be mutated.
 func (c *ClusterCache) Structure(mu, id int) (ruler, dist int, members []int, ok bool) {
-	e := c.lookup(mu)
+	e := c.Lookup(mu)
 	if e == nil || id < 0 || id >= len(e.filled) || !e.filled[id] {
 		return 0, 0, nil, false
 	}
-	r := int(e.ruler[id])
-	e.dirLock.Lock()
-	m, found := e.members[r]
-	e.dirLock.Unlock()
-	if !found {
-		return 0, 0, nil, false
-	}
-	return r, int(e.dist[id]), m, true
+	ruler, dist, members = e.bind(id)
+	return ruler, dist, members, members != nil
 }

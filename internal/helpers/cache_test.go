@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/sim"
+	"repro/internal/warm"
 )
 
 var cacheEngines = []sim.Engine{sim.EngineLegacy, sim.EngineStep}
@@ -137,18 +138,18 @@ func TestClusterCacheSnapshotRestore(t *testing.T) {
 }
 
 // TestClusterCacheEviction pins the FIFO bound: distinct µ keys beyond
-// maxClusterEntries evict the oldest entry, and a re-keyed construction
+// warm.MaxEntries evict the oldest entry, and a re-keyed construction
 // after eviction rebuilds rather than binding stale state.
 func TestClusterCacheEviction(t *testing.T) {
 	g := graph.Grid(5, 5)
 	n := g.N()
 	inW := sampleW(n, 0.4, 3)
 	cache := NewClusterCache()
-	for mu := 1; mu <= maxClusterEntries+2; mu++ {
+	for mu := 1; mu <= warm.MaxEntries+2; mu++ {
 		computePipeline(t, g, inW, mu, Params{Clusters: cache}, sim.EngineLegacy, 11)
 	}
-	if got := cache.Len(); got > maxClusterEntries {
-		t.Fatalf("cache holds %d entries, cap %d", got, maxClusterEntries)
+	if got := cache.Len(); got > warm.MaxEntries {
+		t.Fatalf("cache holds %d entries, cap %d", got, warm.MaxEntries)
 	}
 	// µ=1 was evicted: rerunning it must rebuild (uncached + agreement).
 	_, baseM := computePipeline(t, g, inW, 1, Params{}, sim.EngineLegacy, 11)

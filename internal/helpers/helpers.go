@@ -24,7 +24,6 @@ import (
 
 	"repro/internal/flatmap"
 	"repro/internal/graph"
-	"repro/internal/ncc"
 	"repro/internal/ruling"
 	"repro/internal/sim"
 )
@@ -117,11 +116,10 @@ type Machine struct {
 // NewMachine builds the collective Algorithm 1 machine; all nodes must
 // start it in the same round with the same µ and params. Without a cluster
 // cache it takes exactly Rounds(n, µ) rounds and uses only the local
-// network. With params.Clusters set it is the cluster-cached construction:
-// the 2·ceil(log2 n)-round collective agreement first, then either the
-// structural shortcut (cached ruler assignment and member directory, the
-// 2β-round W flood, fresh helper sampling) or the full build re-populating
-// the cache (see ClusterCache).
+// network. With params.Clusters set it is the cluster-cached construction
+// (warm.Guard): a hit is the structural shortcut (cached ruler assignment
+// and member directory, the 2β-round W flood, fresh helper sampling), a miss
+// the full build (see ClusterCache).
 func NewMachine(env *sim.Env, inW bool, mu int, params Params) *Machine {
 	p := params.withDefaults()
 	if mu < 1 {
@@ -132,36 +130,20 @@ func NewMachine(env *sim.Env, inW bool, mu int, params Params) *Machine {
 		m.prog = newColdProg(env, m, inW, mu, p)
 		return m
 	}
-	entry := p.Clusters.lookup(mu)
-	inner := &Machine{}
-	var agg *ncc.AggregateMachine
-	var wf *wFloodMachine
-	var ruler, dist int
-	var members []int
-	m.prog = sim.Sequence(
-		func(env *sim.Env) sim.StepProgram {
-			agg = ncc.NewAggregateMachine(env, entry.mismatch(env.ID()), ncc.AggMax)
-			return agg
+	m.prog = p.Clusters.Guard(mu,
+		func(e *clusterEntry) bool { return !e.filled[env.ID()] },
+		func(env *sim.Env, e *clusterEntry) sim.StepProgram {
+			ruler, dist, members := e.bind(env.ID())
+			wf := newWFloodMachine(env, inW, ruler, 2*clusterBeta(env.N(), mu))
+			// The cached phases are deterministic and sampleHelps draws the
+			// same randomness, so this is exactly the cold result.
+			return sim.Then(wf, func(env *sim.Env) {
+				m.Res = Result{Ruler: ruler, RulerDist: dist, Members: members, WMembers: wf.WMembers(), InW: inW, Mu: mu}
+				m.Res.Helps = sampleHelps(env, p, mu, len(members), m.Res.WMembers)
+			})
 		},
-		func(env *sim.Env) sim.StepProgram {
-			hit := agg.Out == 0
-			p.Clusters.traceEvent(env, mu, hit)
-			if hit {
-				ruler, dist, members = entry.bind(env.ID())
-				wf = newWFloodMachine(env, inW, ruler, 2*clusterBeta(env.N(), mu))
-				return wf
-			}
-			inner.prog = newColdProg(env, inner, inW, mu, p)
-			return inner
-		},
-		sim.Finish(func(env *sim.Env) {
-			if agg.Out == 0 {
-				m.Res = finishFromCluster(env, p, mu, ruler, dist, members, wf.WMembers(), inW)
-				return
-			}
-			m.Res = inner.Res
-			p.Clusters.shared(env, mu).store(env.ID(), inner.Res)
-		}),
+		func(env *sim.Env) sim.StepProgram { return newColdProg(env, m, inW, mu, p) },
+		func(env *sim.Env, e *clusterEntry) { e.store(env.ID(), m.Res) },
 	)
 	return m
 }

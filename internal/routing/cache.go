@@ -3,89 +3,53 @@ package routing
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/bitrand"
 	"repro/internal/helpers"
 	"repro/internal/persist"
 	"repro/internal/sim"
+	"repro/internal/warm"
 )
 
 // SessionCache caches the token-independent session state — the helper
 // families of Algorithm 1, the cluster-local helper directories, and the
-// shared intermediate-choosing hash — across session constructions. The
-// paper's cost accounting already reuses Algorithm 1's output across the
-// routing instances of one CLIQUE simulation (helper sets depend only on
-// S, R and µ, not on the tokens); the cache extends the same argument
-// across *runs*: when the same sender/receiver sets recur — repeated
-// facade calls on one Network, experiment sweeps, the per-phase sessions
-// of a pipeline — the setup rounds are paid once.
-//
-// Correctness is collective: an entry records every node's (inS, inR)
-// membership at creation, and a cached construction first runs one global
-// max-aggregation (2·ceil(log2 n) rounds, Lemma B.2) in which each node
-// reports whether its own slot still matches. Only a unanimous match binds
-// the cached state; any mismatch rebuilds the session from scratch (and
-// re-caches it). Every node therefore takes the same branch, round counts
-// stay globally consistent on every engine, and the cache never changes
-// results — only the number of setup rounds. Runs of the owning Network
-// must not overlap (they never do; engines run one barrier loop at a
-// time).
+// shared intermediate-choosing hash — across session constructions: when
+// the same sender/receiver sets recur (repeated facade calls on one
+// Network, experiment sweeps, the per-phase sessions of a pipeline) the
+// setup rounds are paid once. An entry records every node's (inS, inR)
+// membership at creation, which is what warm.Guard's collective agreement
+// compares; a hit binds in zero rounds.
 type SessionCache struct {
-	mu      sync.Mutex
-	entries map[sessionKey]*sessionEntry
-	order   []sessionKey // insertion order, for deterministic FIFO eviction
-	trace   func(event string)
+	*warm.Store[SessionKeySnapshot, sessionEntry]
 }
-
-// maxSessionEntries bounds the cache: one entry holds O(n·µ) helper
-// directories, and a parameter sweep that never repeats a key would
-// otherwise grow without bound. Eviction is FIFO on insertion order —
-// deterministic, so repeated runs with the same seed keep identical
-// hit/miss sequences and therefore identical round counts.
-const maxSessionEntries = 16
 
 // NewSessionCache returns an empty cache, ready to be shared by any number
 // of sequential runs over the same node set.
 func NewSessionCache() *SessionCache {
-	return &SessionCache{entries: map[sessionKey]*sessionEntry{}}
+	return &SessionCache{warm.NewStore(SessionKeySnapshot.label, newSessionEntry)}
 }
 
-// SetTrace installs a cache-event hook: fn is invoked (at node 0 only) with
-// one line per collective agreement, saying whether the run bound the
-// cached session or rebuilt. The sequence is engine-independent; the golden
-// round-trace test pins it.
-func (c *SessionCache) SetTrace(fn func(event string)) { c.trace = fn }
-
-// traceEvent records one collective agreement outcome (node 0 only, so the
-// trace is a single global sequence).
-func (c *SessionCache) traceEvent(env *sim.Env, key sessionKey, hit bool) {
-	if c.trace == nil || env.ID() != 0 {
-		return
-	}
-	verdict := "rebuild"
-	if hit {
-		verdict = "hit"
-	}
-	c.trace(fmt.Sprintf("session kS=%d kR=%d µS=%d µR=%d: %s", key.kS, key.kR, key.muS, key.muR, verdict))
+// SessionKeySnapshot is the globally known part of a session's identity,
+// in memory and on disk. The per-node membership bits are checked
+// separately (collectively) because no single node knows the full S and R
+// sets.
+type SessionKeySnapshot struct {
+	KS, KR      int
+	PS, PR      float64
+	MuS, MuR    int
+	HashKFactor int
+	QBoost      int
 }
 
-// sessionKey is the globally known part of a session's identity. The
-// per-node membership bits are checked separately (collectively) because
-// no single node knows the full S and R sets.
-type sessionKey struct {
-	kS, kR      int
-	pS, pR      float64
-	muS, muR    int
-	hashKFactor int
-	qBoost      int
+func keyOf(p Params, kS, kR int, pS, pR float64, muS, muR int) SessionKeySnapshot {
+	return SessionKeySnapshot{
+		KS: kS, KR: kR, PS: pS, PR: pR, MuS: muS, MuR: muR,
+		HashKFactor: p.HashKFactor, QBoost: p.Helpers.QBoost,
+	}
 }
 
-func keyOf(p Params, kS, kR int, pS, pR float64, muS, muR int) sessionKey {
-	return sessionKey{
-		kS: kS, kR: kR, pS: pS, pR: pR, muS: muS, muR: muR,
-		hashKFactor: p.HashKFactor, qBoost: p.Helpers.QBoost,
-	}
+func (key SessionKeySnapshot) label() string {
+	return fmt.Sprintf("session kS=%d kR=%d µS=%d µR=%d", key.KS, key.KR, key.MuS, key.MuR)
 }
 
 // familySnap is one node's cached view of one helper family. The maps and
@@ -97,10 +61,7 @@ type familySnap struct {
 	myOwners   []int
 }
 
-// sessionEntry holds the cached per-node session state. Each node only
-// ever reads and writes its own index, so slot access needs no lock: the
-// engines' round barriers (within a run) and Run's return (across runs)
-// order every write before every later read.
+// sessionEntry holds the cached per-node session state, one slot per node.
 type sessionEntry struct {
 	filled []bool
 	inS    []bool
@@ -121,43 +82,10 @@ func newSessionEntry(n int) *sessionEntry {
 	}
 }
 
-func (c *SessionCache) lookup(key sessionKey) *sessionEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.entries[key]
-}
-
-// shared returns the run-shared entry being (re)populated for key,
-// creating it and installing it into the cache exactly once per run:
-// env.SharedOnce guarantees all nodes of the run store into the same
-// object, replacing any stale entry atomically under the cache lock.
-func (c *SessionCache) shared(env *sim.Env, key sessionKey) *sessionEntry {
-	v := env.SharedOnce("routing.SessionCache", func() interface{} {
-		e := newSessionEntry(env.N())
-		c.mu.Lock()
-		if _, exists := c.entries[key]; !exists {
-			if len(c.order) >= maxSessionEntries {
-				oldest := c.order[0]
-				c.order = c.order[1:]
-				delete(c.entries, oldest)
-			}
-			c.order = append(c.order, key)
-		}
-		c.entries[key] = e
-		c.mu.Unlock()
-		return e
-	})
-	return v.(*sessionEntry)
-}
-
-// mismatch reports whether this node's slot of entry fails to match its
-// current membership (1) or matches (0); a nil or unfilled entry always
-// mismatches. The value feeds the collective max-aggregation.
-func (e *sessionEntry) mismatch(id int, inS, inR bool) int64 {
-	if e == nil || !e.filled[id] || e.inS[id] != inS || e.inR[id] != inR {
-		return 1
-	}
-	return 0
+// stale reports whether this node's slot is unfilled or was recorded under
+// a different membership.
+func (e *sessionEntry) stale(id int, inS, inR bool) bool {
+	return !e.filled[id] || e.inS[id] != inS || e.inR[id] != inR
 }
 
 // store records one node's freshly built session state into its slot.
@@ -201,16 +129,6 @@ func (e *sessionEntry) bind(env *sim.Env, muS, muR int, p Params) *Session {
 // structure by the cluster size (~244 MB at n=4096).
 type CacheSnapshot struct {
 	Entries []SessionEntrySnapshot
-}
-
-// SessionKeySnapshot is the exported mirror of a session's globally known
-// identity (the in-memory sessionKey).
-type SessionKeySnapshot struct {
-	KS, KR      int
-	PS, PR      float64
-	MuS, MuR    int
-	HashKFactor int
-	QBoost      int
 }
 
 // FamilySnapshot is one helper family of one cached session, deduplicated
@@ -259,24 +177,12 @@ type SessionEntrySnapshot struct {
 // copies, but bool slices are shared with the cache; callers must
 // serialize the snapshot before the cache is used again.
 func (c *SessionCache) Snapshot(clusters *helpers.ClusterCache) (CacheSnapshot, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	snap := CacheSnapshot{Entries: make([]SessionEntrySnapshot, 0, len(c.order))}
-	for _, key := range c.order {
-		e := c.entries[key]
+	snap := CacheSnapshot{Entries: make([]SessionEntrySnapshot, 0, c.Len())}
+	for key, e := range c.Each {
 		if !snapshotResolvable(e, key, clusters) {
 			continue
 		}
-		es := SessionEntrySnapshot{
-			Key: SessionKeySnapshot{
-				KS: key.kS, KR: key.kR, PS: key.pS, PR: key.pR,
-				MuS: key.muS, MuR: key.muR,
-				HashKFactor: key.hashKFactor, QBoost: key.qBoost,
-			},
-			Filled: e.filled,
-			InS:    e.inS,
-			InR:    e.inR,
-		}
+		es := SessionEntrySnapshot{Key: key, Filled: e.filled, InS: e.inS, InR: e.inR}
 		for id := range e.filled {
 			if e.filled[id] {
 				if e.hash[id] == nil {
@@ -298,7 +204,7 @@ func (c *SessionCache) Snapshot(clusters *helpers.ClusterCache) (CacheSnapshot, 
 // slot is populated, and the structural ruler agrees with the one the
 // session was built under (both are deterministic, so a disagreement
 // means the structural entry is not this session's).
-func snapshotResolvable(e *sessionEntry, key sessionKey, clusters *helpers.ClusterCache) bool {
+func snapshotResolvable(e *sessionEntry, key SessionKeySnapshot, clusters *helpers.ClusterCache) bool {
 	if clusters == nil {
 		return false
 	}
@@ -309,7 +215,7 @@ func snapshotResolvable(e *sessionEntry, key sessionKey, clusters *helpers.Clust
 		for _, fam := range []struct {
 			mu    int
 			ruler int
-		}{{key.muS, e.famS[id].res.Ruler}, {key.muR, e.famR[id].res.Ruler}} {
+		}{{key.MuS, e.famS[id].res.Ruler}, {key.MuR, e.famR[id].res.Ruler}} {
 			ruler, _, _, ok := clusters.Structure(fam.mu, id)
 			if !ok || ruler != fam.ruler {
 				return false
@@ -422,19 +328,14 @@ func (c *SessionCache) Restore(snap CacheSnapshot, n int, clusters *helpers.Clus
 	if clusters == nil && len(snap.Entries) > 0 {
 		return fmt.Errorf("routing: cache snapshot needs a structural cluster cache to resolve against")
 	}
-	entries := map[sessionKey]*sessionEntry{}
-	order := make([]sessionKey, 0, len(snap.Entries))
+	entries := map[SessionKeySnapshot]*sessionEntry{}
+	order := make([]SessionKeySnapshot, 0, len(snap.Entries))
 	for i, es := range snap.Entries {
 		if len(es.Filled) != n || len(es.InS) != n || len(es.InR) != n ||
 			len(es.FamS.Helps) != n || len(es.FamR.Helps) != n {
 			return fmt.Errorf("routing: cache snapshot entry %d sized for %d nodes, want %d", i, len(es.Filled), n)
 		}
-		key := sessionKey{
-			kS: es.Key.KS, kR: es.Key.KR, pS: es.Key.PS, pR: es.Key.PR,
-			muS: es.Key.MuS, muR: es.Key.MuR,
-			hashKFactor: es.Key.HashKFactor, qBoost: es.Key.QBoost,
-		}
-		if _, dup := entries[key]; dup {
+		if _, dup := entries[es.Key]; dup {
 			return fmt.Errorf("routing: cache snapshot has duplicate entry for kS=%d kR=%d", es.Key.KS, es.Key.KR)
 		}
 		dirsS, err := decodeFamily(es.FamS, n)
@@ -470,13 +371,10 @@ func (c *SessionCache) Restore(snap CacheSnapshot, n int, clusters *helpers.Clus
 			e.inS[id], e.inR[id] = es.InS[id], es.InR[id]
 			e.filled[id] = true
 		}
-		entries[key] = e
-		order = append(order, key)
+		entries[es.Key] = e
+		order = append(order, es.Key)
 	}
-	c.mu.Lock()
-	c.entries = entries
-	c.order = order
-	c.mu.Unlock()
+	c.Replace(order, entries)
 	return nil
 }
 
@@ -509,11 +407,4 @@ func restoreFamily(clusters *helpers.ClusterCache, mu, id int, dirs map[int]*fam
 		Mu:        mu,
 	}
 	return familySnap{res: res, helperSets: dir.helperSets, myOwners: helpersOf(id, dir.helperSets)}, nil
-}
-
-// Len reports the number of cached entries (for tests and diagnostics).
-func (c *SessionCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
 }

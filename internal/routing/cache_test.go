@@ -10,6 +10,7 @@ import (
 	"repro/internal/helpers"
 	"repro/internal/sim"
 	"repro/internal/simtest"
+	"repro/internal/warm"
 )
 
 // routePipeline runs one full routing instance on eng and returns the
@@ -106,7 +107,7 @@ func TestSessionCacheMembershipMismatchRebuilds(t *testing.T) {
 }
 
 // TestSessionCacheEviction pins the FIFO bound: distinct keys beyond
-// maxSessionEntries evict the oldest entry (routing still correct), and a
+// warm.MaxEntries evict the oldest entry (routing still correct), and a
 // re-keyed construction after eviction rebuilds rather than binding stale
 // state.
 func TestSessionCacheEviction(t *testing.T) {
@@ -116,7 +117,7 @@ func TestSessionCacheEviction(t *testing.T) {
 	cache := NewSessionCache()
 
 	// Distinct HashKFactor values produce distinct keys.
-	for hk := 1; hk <= maxSessionEntries+2; hk++ {
+	for hk := 1; hk <= warm.MaxEntries+2; hk++ {
 		p := Params{Cache: cache, HashKFactor: hk}
 		out, _ := routePipeline(t, g, specs, sim.EngineLegacy, p)
 		for v := range specs {
@@ -125,8 +126,8 @@ func TestSessionCacheEviction(t *testing.T) {
 			}
 		}
 	}
-	if got := len(cache.entries); got > maxSessionEntries {
-		t.Fatalf("cache holds %d entries, cap %d", got, maxSessionEntries)
+	if got := cache.Len(); got > warm.MaxEntries {
+		t.Fatalf("cache holds %d entries, cap %d", got, warm.MaxEntries)
 	}
 	// The first key was evicted: rerunning it must rebuild (uncached
 	// rounds + agreement), not bind stale state, and still deliver.

@@ -27,9 +27,8 @@ type SessionMachine struct {
 
 // NewSessionMachine builds the collective session machine; all nodes must
 // start it in the same round and agree on kS, kR, pS, pR and params. With
-// params.Cache set it is the cached construction: the collective agreement
-// aggregation, then either a zero-round bind or the full build
-// (re-populating the cache). The protocol's label keys (Label.pack) are
+// params.Cache set it is the cached construction (warm.Guard): a hit binds
+// in zero rounds, a miss is the full build. The protocol's label keys (Label.pack) are
 // injective only for node IDs below 2^14, so larger networks are rejected
 // (the panic surfaces as a run error).
 func NewSessionMachine(env *sim.Env, inS, inR bool, kS, kR int, pS, pR float64, params Params) *SessionMachine {
@@ -44,31 +43,14 @@ func NewSessionMachine(env *sim.Env, inS, inR bool, kS, kR int, pS, pR float64, 
 		m.prog = newBuildSessionProg(env, m, inS, inR, muS, muR, p)
 		return m
 	}
-	key := keyOf(p, kS, kR, pS, pR, muS, muR)
-	entry := p.Cache.lookup(key)
-	var agg *ncc.AggregateMachine
-	inner := &SessionMachine{}
-	m.prog = sim.Sequence(
-		func(env *sim.Env) sim.StepProgram {
-			agg = ncc.NewAggregateMachine(env, entry.mismatch(env.ID(), inS, inR), ncc.AggMax)
-			return agg
+	m.prog = p.Cache.Guard(keyOf(p, kS, kR, pS, pR, muS, muR),
+		func(e *sessionEntry) bool { return e.stale(env.ID(), inS, inR) },
+		func(env *sim.Env, e *sessionEntry) sim.StepProgram {
+			m.Out = e.bind(env, muS, muR, p)
+			return nil
 		},
-		func(env *sim.Env) sim.StepProgram {
-			p.Cache.traceEvent(env, key, agg.Out == 0)
-			if agg.Out == 0 {
-				return nil
-			}
-			inner.prog = newBuildSessionProg(env, inner, inS, inR, muS, muR, p)
-			return inner
-		},
-		sim.Finish(func(env *sim.Env) {
-			if agg.Out == 0 {
-				m.Out = entry.bind(env, muS, muR, p)
-				return
-			}
-			p.Cache.shared(env, key).store(env.ID(), inS, inR, inner.Out)
-			m.Out = inner.Out
-		}),
+		func(env *sim.Env) sim.StepProgram { return newBuildSessionProg(env, m, inS, inR, muS, muR, p) },
+		func(env *sim.Env, e *sessionEntry) { e.store(env.ID(), inS, inR, m.Out) },
 	)
 	return m
 }

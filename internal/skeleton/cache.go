@@ -3,10 +3,9 @@ package skeleton
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/persist"
-	"repro/internal/sim"
+	"repro/internal/warm"
 )
 
 // ResultCache caches per-node skeleton construction results (Algorithm 6)
@@ -15,16 +14,11 @@ import (
 // per-node random streams (which derive only from Config.Seed) and the
 // exploration is deterministic flooding. When the same instance recurs —
 // repeated facade calls on one Network, a warm-started CLI run — the h
-// exploration rounds can be replaced by one collective agreement.
-//
-// Correctness is collective, exactly like routing.SessionCache: an entry
-// records every node's forceInclude bit and sampled membership at creation,
-// and the cached path first runs one global max-aggregation
-// (2·ceil(log2 n) rounds, Lemma B.2) in which each node reports whether its
-// own slot still matches. Only a unanimous match binds the cached results;
-// any mismatch rebuilds the skeleton from scratch (and re-caches it). Every
-// node therefore takes the same branch on every engine, and the cache never
-// changes results — only the number of construction rounds.
+// exploration rounds are replaced by warm.Guard's collective agreement and
+// a zero-round bind. An entry records every node's forceInclude bit and
+// sampled membership at creation, which is what the agreement compares, so
+// a cache recorded under a different seed (or a stale file renamed into
+// place) degrades to a rebuild, never to wrong results.
 //
 // The cached path always consumes the membership draw from the node's
 // random stream before consulting the cache (see NewComputeMachine), so the per-node
@@ -37,28 +31,14 @@ import (
 // cache-bound Result as immutable (every algorithm in this repository only
 // reads them).
 type ResultCache struct {
-	mu      sync.Mutex
-	entries map[cacheKey]*cacheEntry
-	order   []cacheKey // insertion order, for deterministic FIFO eviction
-	trace   func(event string)
+	*warm.Store[cacheKey, cacheEntry]
 }
-
-// maxResultEntries bounds the cache: one entry holds every node's Near /
-// NearHops maps. Eviction is FIFO on insertion order — deterministic, so
-// repeated seeded runs keep identical hit/miss sequences and therefore
-// identical round counts.
-const maxResultEntries = 16
 
 // NewResultCache returns an empty cache, ready to be shared by any number
 // of sequential runs over the same graph and seed.
 func NewResultCache() *ResultCache {
-	return &ResultCache{entries: map[cacheKey]*cacheEntry{}}
+	return &ResultCache{warm.NewStore(cacheKey.label, newCacheEntry)}
 }
-
-// SetTrace installs a cache-event hook: fn is invoked (at node 0 only) with
-// one line per collective agreement, saying whether the run hit or rebuilt.
-// The sequence is engine-independent; the golden round-trace test pins it.
-func (c *ResultCache) SetTrace(fn func(event string)) { c.trace = fn }
 
 // cacheKey is the globally known identity of a skeleton construction: the
 // resolved sampling probability and exploration depth, which together fully
@@ -73,10 +53,9 @@ func keyOf(p Params, n int) cacheKey {
 	return cacheKey{prob: p.SampleProb(n), h: p.H(n)}
 }
 
-// cacheEntry holds the cached per-node results. Each node only ever reads
-// and writes its own index, so slot access needs no lock: the engines'
-// round barriers (within a run) and the run's return (across runs) order
-// every write before every later read.
+func (key cacheKey) label() string { return fmt.Sprintf("skeleton h=%d p=%.4g", key.h, key.prob) }
+
+// cacheEntry holds the cached per-node results, one slot per node.
 type cacheEntry struct {
 	filled []bool
 	force  []bool
@@ -93,45 +72,10 @@ func newCacheEntry(n int) *cacheEntry {
 	}
 }
 
-func (c *ResultCache) lookup(key cacheKey) *cacheEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.entries[key]
-}
-
-// shared returns the run-shared entry being (re)populated for key, creating
-// it and installing it into the cache exactly once per run (env.SharedOnce
-// guarantees all nodes of the run store into the same object).
-func (c *ResultCache) shared(env *sim.Env, key cacheKey) *cacheEntry {
-	v := env.SharedOnce("skeleton.ResultCache", func() interface{} {
-		e := newCacheEntry(env.N())
-		c.mu.Lock()
-		if _, exists := c.entries[key]; !exists {
-			if len(c.order) >= maxResultEntries {
-				oldest := c.order[0]
-				c.order = c.order[1:]
-				delete(c.entries, oldest)
-			}
-			c.order = append(c.order, key)
-		}
-		c.entries[key] = e
-		c.mu.Unlock()
-		return e
-	})
-	return v.(*cacheEntry)
-}
-
-// mismatch reports whether this node's slot of entry fails to match its
-// current membership draw (1) or matches (0); a nil or unfilled entry
-// always mismatches. The value feeds the collective max-aggregation. The
-// freshly sampled membership is part of the check, so a cache recorded
-// under a different seed (or a stale file renamed into place) degrades to a
-// rebuild, never to wrong results.
-func (e *cacheEntry) mismatch(id int, force, inSkel bool) int64 {
-	if e == nil || !e.filled[id] || e.force[id] != force || e.inSkel[id] != inSkel {
-		return 1
-	}
-	return 0
+// stale reports whether this node's slot is unfilled or was recorded under
+// a different forceInclude bit or membership draw.
+func (e *cacheEntry) stale(id int, force, inSkel bool) bool {
+	return !e.filled[id] || e.force[id] != force || e.inSkel[id] != inSkel
 }
 
 // store records one node's freshly built result into its slot.
@@ -140,23 +84,6 @@ func (e *cacheEntry) store(id int, force bool, res Result) {
 	e.inSkel[id] = res.InSkeleton
 	e.res[id] = res
 	e.filled[id] = true
-}
-
-// bind returns this node's cached result, consuming zero rounds. The maps
-// are shared with the cache and must not be mutated.
-func (e *cacheEntry) bind(id int) Result { return e.res[id] }
-
-// traceEvent records one collective agreement outcome (node 0 only, so the
-// trace is a single global sequence).
-func (c *ResultCache) traceEvent(env *sim.Env, key cacheKey, hit bool) {
-	if c.trace == nil || env.ID() != 0 {
-		return
-	}
-	verdict := "rebuild"
-	if hit {
-		verdict = "hit"
-	}
-	c.trace(fmt.Sprintf("skeleton h=%d p=%.4g: %s", key.h, key.prob, verdict))
 }
 
 // CacheSnapshot is the serializable image of a ResultCache, produced by
@@ -192,11 +119,8 @@ type CacheEntrySnapshot struct {
 // cache; callers must serialize the snapshot before the cache is used
 // again.
 func (c *ResultCache) Snapshot() (CacheSnapshot, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	snap := CacheSnapshot{Entries: make([]CacheEntrySnapshot, 0, len(c.order))}
-	for _, key := range c.order {
-		e := c.entries[key]
+	snap := CacheSnapshot{Entries: make([]CacheEntrySnapshot, 0, c.Len())}
+	for key, e := range c.Each {
 		n := len(e.filled)
 		es := CacheEntrySnapshot{
 			Prob:      key.prob,
@@ -293,16 +217,6 @@ func (c *ResultCache) Restore(snap CacheSnapshot, n int) error {
 		entries[key] = e
 		order = append(order, key)
 	}
-	c.mu.Lock()
-	c.entries = entries
-	c.order = order
-	c.mu.Unlock()
+	c.Replace(order, entries)
 	return nil
-}
-
-// Len reports the number of cached entries (for tests and diagnostics).
-func (c *ResultCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/sim"
+	"repro/internal/warm"
 )
 
 var cacheEngines = []sim.Engine{sim.EngineLegacy, sim.EngineStep}
@@ -143,21 +144,21 @@ func TestResultCacheSnapshotRestore(t *testing.T) {
 }
 
 // TestResultCacheEviction pins the FIFO bound: distinct keys beyond
-// maxResultEntries evict the oldest entry, and a re-keyed construction
+// warm.MaxEntries evict the oldest entry, and a re-keyed construction
 // after eviction rebuilds rather than binding stale state.
 func TestResultCacheEviction(t *testing.T) {
 	g := graph.Grid(5, 5)
 	n := g.N()
 	cache := NewResultCache()
 	// Distinct MaxH values below the natural h produce distinct keys.
-	for h := 1; h <= maxResultEntries+2; h++ {
+	for h := 1; h <= warm.MaxEntries+2; h++ {
 		out, _ := computePipeline(t, g, Params{X: 0.5, MaxH: h, Cache: cache}, nil, sim.EngineLegacy, 11)
 		if len(out) != n {
 			t.Fatalf("h=%d: %d results", h, len(out))
 		}
 	}
-	if got := cache.Len(); got > maxResultEntries {
-		t.Fatalf("cache holds %d entries, cap %d", got, maxResultEntries)
+	if got := cache.Len(); got > warm.MaxEntries {
+		t.Fatalf("cache holds %d entries, cap %d", got, warm.MaxEntries)
 	}
 	// The first key was evicted: rerunning it must rebuild, not bind.
 	_, baseM := computePipeline(t, g, Params{X: 0.5, MaxH: 1}, nil, sim.EngineLegacy, 11)

@@ -136,9 +136,9 @@ type ComputeMachine struct {
 
 // NewComputeMachine builds the collective Algorithm 6 machine; all nodes
 // must start it in the same round with the same params. It takes exactly
-// Params.H(n) rounds. With p.Cache set it is the cached construction: the
-// 2·ceil(log2 n)-round collective agreement, then either a zero-round bind
-// or the full exploration (re-populating the cache). Membership is sampled
+// Params.H(n) rounds. With p.Cache set it is the cached construction
+// (warm.Guard): a hit binds the cached result in zero rounds, a miss is the
+// full exploration. Membership is sampled
 // at construction, before the cache is consulted, so the node's random
 // stream position afterwards is hit/miss independent.
 func NewComputeMachine(env *sim.Env, p Params, forceInclude bool) *ComputeMachine {
@@ -150,31 +150,14 @@ func NewComputeMachine(env *sim.Env, p Params, forceInclude bool) *ComputeMachin
 		m.prog = newExploreResultProg(env, m, inS, h)
 		return m
 	}
-	key := keyOf(p, n)
-	entry := p.Cache.lookup(key)
-	inner := &ComputeMachine{}
-	var agg *ncc.AggregateMachine
-	m.prog = sim.Sequence(
-		func(env *sim.Env) sim.StepProgram {
-			agg = ncc.NewAggregateMachine(env, entry.mismatch(env.ID(), forceInclude, inS), ncc.AggMax)
-			return agg
+	m.prog = p.Cache.Guard(keyOf(p, n),
+		func(e *cacheEntry) bool { return e.stale(env.ID(), forceInclude, inS) },
+		func(env *sim.Env, e *cacheEntry) sim.StepProgram {
+			m.Res = e.res[env.ID()] // shared with the cache: must not be mutated
+			return nil
 		},
-		func(env *sim.Env) sim.StepProgram {
-			p.Cache.traceEvent(env, key, agg.Out == 0)
-			if agg.Out == 0 {
-				return nil
-			}
-			inner.prog = newExploreResultProg(env, inner, inS, h)
-			return inner
-		},
-		sim.Finish(func(env *sim.Env) {
-			if agg.Out == 0 {
-				m.Res = entry.bind(env.ID())
-				return
-			}
-			p.Cache.shared(env, key).store(env.ID(), forceInclude, inner.Res)
-			m.Res = inner.Res
-		}),
+		func(env *sim.Env) sim.StepProgram { return newExploreResultProg(env, m, inS, h) },
+		func(env *sim.Env, e *cacheEntry) { e.store(env.ID(), forceInclude, m.Res) },
 	)
 	return m
 }
