@@ -12,32 +12,26 @@
 //
 // The listener starts before the APSP build, so /healthz answers 503
 // ("starting") until the tables are published and 200 afterwards — poll
-// it to know when the service is queryable. With -bench the program
-// instead replays a deterministic zipfian query stream against itself at
-// the -bench-levels concurrency levels, writes the latency/throughput
-// report to -bench-out (BENCH_serve.json), and exits.
+// it to know when the service is queryable. Its load benchmark is cmd/bench's
+// serve_zipf_1024 workload.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
 	hybrid "repro"
+	"repro/cmd/internal/netflags"
 	"repro/internal/serve"
-	"repro/internal/serve/replay"
 )
 
 func main() {
@@ -54,15 +48,7 @@ func main() {
 func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	fs := flag.NewFlagSet("hybridserve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	graphKind := fs.String("graph", "grid", "graph: grid|path|cycle|tree|sparse|geometric|barbell")
-	n := fs.Int("n", 1024, "number of nodes")
-	seed := fs.Int64("seed", 1, "random seed")
-	maxW := fs.Int64("maxw", 1, "max edge weight (1 = unweighted)")
-	engine := fs.String("engine", "step", "round engine: step|legacy|dist")
-	workers := fs.Int("workers", 0, "dist engine worker-process count (0 = default)")
-	distConnect := fs.String("dist-connect", "", "comma-separated pre-started worker addresses for the dist engine (connect mode)")
-	distWindow := fs.Int("dist-window", 0, "dist engine round-pipelining window (0 = lockstep)")
-	cacheDir := fs.String("cache-dir", "", "warm-start cache directory (load before the build, save after)")
+	nf := netflags.Register(fs, 1024)
 	addr := fs.String("addr", ":8080", "HTTP listen address (use 127.0.0.1:0 for an ephemeral port)")
 	maxInflight := fs.Int("max-inflight", 256, "max concurrently served query requests before shedding 429s (0 = unlimited)")
 	requestTimeout := fs.Duration("request-timeout", 10*time.Second, "per-request deadline on query endpoints, 503 past it (0 = none)")
@@ -70,11 +56,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready cha
 	readTimeout := fs.Duration("read-timeout", 30*time.Second, "time limit for reading a whole request (0 = none)")
 	writeTimeout := fs.Duration("write-timeout", 30*time.Second, "time limit for writing a response; raise it if reloads of very large graphs exceed it (0 = none)")
 	idleTimeout := fs.Duration("idle-timeout", 120*time.Second, "keep-alive connection idle timeout (0 = none)")
-	bench := fs.Bool("bench", false, "replay a query load against the server, write the report, and exit")
-	benchQueries := fs.Int("bench-queries", 40000, "queries replayed at EACH concurrency level")
-	benchLevels := fs.String("bench-levels", "1,4,16", "comma-separated concurrency levels to sweep")
-	benchOut := fs.String("bench-out", "BENCH_serve.json", "benchmark report output path")
-	zipfS := fs.Float64("zipf-s", 1.2, "zipf skew of the replayed source distribution (> 1)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -87,56 +68,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready cha
 		return 1
 	}
 
-	var eng hybrid.Engine
-	switch *engine {
-	case "step":
-		eng = hybrid.EngineStep
-	case "legacy":
-		eng = hybrid.EngineLegacy
-	case "dist":
-		eng = hybrid.EngineDist
-	default:
-		return fatalf("unknown engine %q", *engine)
+	_, opts, err := nf.Options()
+	if err != nil {
+		return fatalf("%v", err)
 	}
-	if (*distConnect != "" || *distWindow > 0 || *workers > 0) && eng != hybrid.EngineDist {
-		return fatalf("-workers, -dist-connect and -dist-window require -engine dist")
-	}
-
-	rng := rand.New(rand.NewSource(*seed))
-	var g *hybrid.Graph
-	switch *graphKind {
-	case "grid":
-		side := 1
-		for side*side < *n {
-			side++
-		}
-		g = hybrid.GridGraph(side, side)
-	case "path":
-		g = hybrid.PathGraph(*n)
-	case "cycle":
-		g = hybrid.CycleGraph(*n)
-	case "tree":
-		g = hybrid.RandomTreeGraph(*n, rng)
-	case "sparse":
-		g = hybrid.SparseGraph(*n, 1.2, rng)
-	case "geometric":
-		g = hybrid.GeometricGraph(*n, 0.15, rng)
-	case "barbell":
-		g = hybrid.BarbellGraph(*n/3, *n/3)
-	default:
-		return fatalf("unknown graph kind %q", *graphKind)
-	}
-	if *maxW > 1 {
-		g = hybrid.WithRandomWeights(g, *maxW, rng)
-	}
-
-	var levels []int
-	for _, part := range strings.Split(*benchLevels, ",") {
-		c, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || c <= 0 {
-			return fatalf("bad -bench-levels entry %q", part)
-		}
-		levels = append(levels, c)
+	g, _, err := nf.BuildGraph()
+	if err != nil {
+		return fatalf("%v", err)
 	}
 
 	// Accept connections before computing: /healthz reports "starting"
@@ -172,33 +110,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready cha
 		<-serveErr // always http.ErrServerClosed after Shutdown
 	}
 
-	opts := []hybrid.Option{hybrid.WithSeed(*seed), hybrid.WithEngine(eng), hybrid.WithContext(ctx)}
-	if *workers > 0 {
-		opts = append(opts, hybrid.WithWorkers(*workers))
-	}
-	if *distConnect != "" {
-		opts = append(opts, hybrid.WithDistConnect(strings.Split(*distConnect, ",")...))
-	}
-	if *distWindow > 0 {
-		opts = append(opts, hybrid.WithDistWindow(*distWindow))
-	}
-	if *cacheDir != "" {
-		opts = append(opts, hybrid.WithCacheDir(*cacheDir))
-	}
-	net_ := hybrid.New(g, opts...)
-	var cacheStatus hybrid.CacheLoadStatus
-	if *cacheDir != "" {
-		status, err := net_.LoadCache()
-		cacheStatus = status
-		switch {
-		case err != nil:
-			fmt.Fprintf(stderr, "warning: %v (building cold)\n", err)
-		case status.Seed:
-			fmt.Fprintf(stderr, "warm start: loaded structural+seed sections from %s\n", *cacheDir)
-		case status.Structural:
-			fmt.Fprintf(stderr, "warm start: loaded structural section only (cross-seed) from %s\n", *cacheDir)
-		}
-	}
+	net_ := hybrid.New(g, append(opts, hybrid.WithContext(ctx))...)
+	cacheStatus := nf.LoadCache(net_, stderr)
 
 	// build runs one full APSP + table derivation under the same graph and
 	// engine configuration; the initial publish and every reload (SIGHUP or
@@ -212,9 +125,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready cha
 		next := res.NextHops(g)
 		buildMS := float64(time.Since(buildStart).Microseconds()) / 1000
 		return serve.NewTables(g, res.Dist, next, serve.BuildInfo{
-			Graph:          *graphKind,
-			Seed:           *seed,
-			Engine:         *engine,
+			Graph:          nf.Graph,
+			Seed:           nf.Seed,
+			Engine:         nf.Engine,
 			Rounds:         res.Metrics.Rounds,
 			WarmStructural: cacheStatus.Structural,
 			WarmSeed:       cacheStatus.Seed,
@@ -233,30 +146,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready cha
 	srv.Publish(tables)
 	srv.SetRebuild(build)
 	fmt.Fprintf(stdout, "serving %s n=%d m=%d: apsp built in %d rounds (%.0f ms), warm structural=%v seed=%v\n",
-		*graphKind, g.N(), g.M(), tables.Info.Rounds, tables.Info.BuildMS, cacheStatus.Structural, cacheStatus.Seed)
+		nf.Graph, g.N(), g.M(), tables.Info.Rounds, tables.Info.BuildMS, cacheStatus.Structural, cacheStatus.Seed)
 
-	if *cacheDir != "" {
+	if nf.CacheDir != "" {
 		if err := net_.SaveCache(); err != nil {
 			fmt.Fprintf(stderr, "warning: saving warm-start cache: %v\n", err)
 		} else {
-			fmt.Fprintf(stderr, "saved warm-start cache to %s\n", *cacheDir)
+			fmt.Fprintf(stderr, "saved warm-start cache to %s\n", nf.CacheDir)
 		}
-	}
-
-	if *bench {
-		code := runBench(stdout, stderr, tables, "http://"+ln.Addr().String(), replay.Config{
-			N:       g.N(),
-			Queries: *benchQueries,
-			Levels:  levels,
-			Seed:    *seed,
-			ZipfS:   *zipfS,
-			// One route walk per four lookups: routes dominate response
-			// size, lookups dominate count — roughly an IP control/data
-			// plane mix.
-			RouteEvery: 4,
-		}, *benchOut)
-		shutdown()
-		return code
 	}
 
 	// SIGHUP is the conventional daemon reload trigger; it shares the
@@ -281,45 +178,4 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready cha
 			}
 		}
 	}
-}
-
-// runBench replays the configured load against baseURL and writes the
-// report JSON to outPath.
-func runBench(stdout, stderr io.Writer, tables *serve.Tables, baseURL string, cfg replay.Config, outPath string) int {
-	cfg.BaseURL = baseURL
-	results, err := replay.Run(cfg)
-	if err != nil {
-		fmt.Fprintf(stderr, "replay: %v\n", err)
-		return 1
-	}
-	rep := replay.Report{
-		Graph:          tables.Info.Graph,
-		N:              tables.Info.N,
-		Seed:           tables.Info.Seed,
-		Engine:         tables.Info.Engine,
-		WarmStructural: tables.Info.WarmStructural,
-		WarmSeed:       tables.Info.WarmSeed,
-		APSPRounds:     tables.Info.Rounds,
-		BuildMS:        tables.Info.BuildMS,
-		ReplaySeed:     cfg.Seed,
-		ZipfS:          cfg.ZipfS,
-		TotalQueries:   cfg.Queries * len(cfg.Levels),
-		Levels:         results,
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fmt.Fprintf(stderr, "marshal report: %v\n", err)
-		return 1
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(outPath, data, 0o644); err != nil {
-		fmt.Fprintf(stderr, "write report: %v\n", err)
-		return 1
-	}
-	fmt.Fprintf(stdout, "%s", data)
-	for _, lr := range results {
-		fmt.Fprintf(stderr, "bench c=%d: %d queries in %.0f ms (%.0f qps), p50=%.0fµs p95=%.0fµs p99=%.0fµs\n",
-			lr.Concurrency, lr.Queries, lr.WallMS, lr.QPS, lr.P50us, lr.P95us, lr.P99us)
-	}
-	return 0
 }

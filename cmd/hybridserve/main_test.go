@@ -13,7 +13,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -22,7 +21,6 @@ import (
 	"time"
 
 	"repro/internal/serve"
-	"repro/internal/serve/replay"
 )
 
 // syncBuffer guards a bytes.Buffer: run writes from its own goroutine
@@ -217,86 +215,11 @@ func TestRunServeCancelDuringBuild(t *testing.T) {
 	}
 }
 
-// TestRunServeBenchMode drives -bench end to end: the run replays the
-// load against itself, writes a parseable report with every configured
-// level, and exits 0 without needing a cancel.
-func TestRunServeBenchMode(t *testing.T) {
-	dir := t.TempDir()
-	out := filepath.Join(dir, "BENCH_serve.json")
-	var stdout, stderr syncBuffer
-	code := run(context.Background(), []string{
-		"-graph", "grid", "-n", "49", "-seed", "42", "-addr", "127.0.0.1:0",
-		"-bench", "-bench-queries", "600", "-bench-levels", "1,2,4", "-bench-out", out,
-	}, &stdout, &stderr, nil)
-	if code != 0 {
-		t.Fatalf("bench run exited %d, stderr:\n%s", code, stderr.String())
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep replay.Report
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("report does not parse: %v", err)
-	}
-	if rep.Graph != "grid" || rep.N != 49 || rep.TotalQueries != 1800 || len(rep.Levels) != 3 {
-		t.Errorf("report identity %+v", rep)
-	}
-	for i, want := range []int{1, 2, 4} {
-		lr := rep.Levels[i]
-		if lr.Concurrency != want || lr.Queries != 600 || lr.Errors != 0 || lr.QPS <= 0 {
-			t.Errorf("level %d malformed: %+v", i, lr)
-		}
-	}
-	if !strings.Contains(stderr.String(), "bench c=4:") {
-		t.Errorf("no bench summary on stderr:\n%s", stderr.String())
-	}
-}
-
-// TestRunServeBenchDeterministicCounts replays the same bench twice: all
-// aggregate counts in the emitted reports must match exactly.
-func TestRunServeBenchDeterministicCounts(t *testing.T) {
-	runOnce := func(out string) replay.Report {
-		var stdout, stderr syncBuffer
-		code := run(context.Background(), []string{
-			"-graph", "grid", "-n", "49", "-seed", "42", "-addr", "127.0.0.1:0",
-			"-bench", "-bench-queries", "500", "-bench-levels", "1,2", "-bench-out", out,
-		}, &stdout, &stderr, nil)
-		if code != 0 {
-			t.Fatalf("bench run exited %d, stderr:\n%s", code, stderr.String())
-		}
-		data, err := os.ReadFile(out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var rep replay.Report
-		if err := json.Unmarshal(data, &rep); err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	dir := t.TempDir()
-	a := runOnce(filepath.Join(dir, "a.json"))
-	b := runOnce(filepath.Join(dir, "b.json"))
-	if a.APSPRounds != b.APSPRounds || a.TotalQueries != b.TotalQueries {
-		t.Errorf("build/total counts differ: %+v vs %+v", a, b)
-	}
-	for i := range a.Levels {
-		la, lb := a.Levels[i], b.Levels[i]
-		if la.DistanceQueries != lb.DistanceQueries || la.RouteQueries != lb.RouteQueries ||
-			la.Unreachable != lb.Unreachable || la.Queries != lb.Queries {
-			t.Errorf("level %d aggregate counts differ: %+v vs %+v", i, la, lb)
-		}
-	}
-}
-
 // TestRunServeBadFlags pins the error exits.
 func TestRunServeBadFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-graph", "torus"},
 		{"-engine", "warp"},
-		{"-bench-levels", "1,zero"},
-		{"-bench-levels", "0"},
 		{"-not-a-flag"},
 		{"-dist-connect", "tcp:127.0.0.1:1"}, // requires -engine dist
 		{"-engine", "step", "-dist-window", "2"},
@@ -307,12 +230,24 @@ func TestRunServeBadFlags(t *testing.T) {
 			t.Errorf("args %v exited 0", args)
 		}
 	}
-	// The removed goroutine-sharded engine is an error by name, not an alias
-	// of another engine.
-	var stdout, stderr syncBuffer
-	code := run(context.Background(), []string{"-engine", "sharded"}, &stdout, &stderr, nil)
-	if code == 0 || !strings.Contains(stderr.String(), `unknown engine "sharded"`) {
-		t.Errorf("-engine sharded: exit %d, stderr %q", code, stderr.String())
+	for _, c := range []struct {
+		args []string
+		code int
+		want string
+	}{
+		// The removed goroutine-sharded engine is an error by name, not an
+		// alias of another engine.
+		{[]string{"-engine", "sharded"}, 1, `unknown engine "sharded"`},
+		// A dist flag on another engine is rejected, not silently ignored
+		// (the same message as hybridsim's).
+		{[]string{"-workers", "4", "-engine", "step"}, 1, "-workers, -dist-connect and -dist-window require -engine dist"},
+		// The load benchmark moved to cmd/bench (serve_zipf_1024).
+		{[]string{"-bench"}, 2, "flag provided but not defined: -bench"},
+	} {
+		var stdout, stderr syncBuffer
+		if code := run(context.Background(), c.args, &stdout, &stderr, nil); code != c.code || !strings.Contains(stderr.String(), c.want) {
+			t.Errorf("args %v: exit %d, stderr %q; want exit %d mentioning %q", c.args, code, stderr.String(), c.code, c.want)
+		}
 	}
 }
 

@@ -24,12 +24,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"path/filepath"
-	"strings"
 
 	hybrid "repro"
+	"repro/cmd/internal/netflags"
 )
 
 func main() {
@@ -42,21 +41,13 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("hybridsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	graphKind := fs.String("graph", "grid", "graph: grid|path|cycle|tree|sparse|geometric|barbell")
-	n := fs.Int("n", 100, "number of nodes")
+	nf := netflags.Register(fs, 100)
 	algo := fs.String("algo", "apsp", "algorithm: apsp|apsp-baseline|sssp|kssp|diameter")
 	variant := fs.String("variant", "cor52", "variant for kssp (cor46|cor47|cor48|mm) / diameter (cor52|cor53|mm)")
 	source := fs.Int("source", 0, "source node for sssp")
 	k := fs.Int("k", 3, "number of sources for kssp")
 	eps := fs.Float64("eps", 0.5, "epsilon for approximation variants")
-	seed := fs.Int64("seed", 1, "random seed")
-	maxW := fs.Int64("maxw", 1, "max edge weight (1 = unweighted)")
-	engine := fs.String("engine", "step", "round engine: step|legacy|dist")
-	workers := fs.Int("workers", 0, "dist engine worker-process count (0 = default)")
-	distConnect := fs.String("dist-connect", "", "comma-separated pre-started worker addresses for the dist engine (connect mode, e.g. tcp:10.0.0.7:9000,tcp:10.0.0.8:9000)")
-	distWindow := fs.Int("dist-window", 0, "dist engine round-pipelining window (0 = lockstep)")
 	verify := fs.Bool("verify", true, "check results against sequential ground truth")
-	cacheDir := fs.String("cache-dir", "", "directory for the persistent warm-start cache (load before the run, save after)")
 	timeout := fs.Duration("timeout", 0, "abort the run after this wall-clock duration (0 = no limit)")
 	progress := fs.Int("progress", 0, "print a live round ticker to stderr every n rounds (0 = off)")
 	if err := fs.Parse(args); err != nil {
@@ -76,64 +67,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	var eng hybrid.Engine
-	switch *engine {
-	case "step":
-		eng = hybrid.EngineStep
-	case "legacy":
-		eng = hybrid.EngineLegacy
-	case "dist":
-		eng = hybrid.EngineDist
-	default:
-		return fatalf("unknown engine %q", *engine)
+	eng, opts, err := nf.Options()
+	if err != nil {
+		return fatalf("%v", err)
 	}
-
-	rng := rand.New(rand.NewSource(*seed))
-	var g *hybrid.Graph
-	switch *graphKind {
-	case "grid":
-		side := 1
-		for side*side < *n {
-			side++
-		}
-		g = hybrid.GridGraph(side, side)
-	case "path":
-		g = hybrid.PathGraph(*n)
-	case "cycle":
-		g = hybrid.CycleGraph(*n)
-	case "tree":
-		g = hybrid.RandomTreeGraph(*n, rng)
-	case "sparse":
-		g = hybrid.SparseGraph(*n, 1.2, rng)
-	case "geometric":
-		g = hybrid.GeometricGraph(*n, 0.15, rng)
-	case "barbell":
-		g = hybrid.BarbellGraph(*n/3, *n/3)
-	default:
-		return fatalf("unknown graph kind %q", *graphKind)
-	}
-	if *maxW > 1 {
-		g = hybrid.WithRandomWeights(g, *maxW, rng)
+	g, rng, err := nf.BuildGraph()
+	if err != nil {
+		return fatalf("%v", err)
 	}
 	fmt.Fprintf(stdout, "graph: %s, n=%d, m=%d, hop diameter=%d, engine=%s\n",
-		*graphKind, g.N(), g.M(), hybrid.HopDiameter(g), eng)
+		nf.Graph, g.N(), g.M(), hybrid.HopDiameter(g), eng)
 
-	opts := []hybrid.Option{hybrid.WithSeed(*seed), hybrid.WithEngine(eng)}
-	if *workers > 0 {
-		opts = append(opts, hybrid.WithWorkers(*workers))
-	}
-	if *distConnect != "" {
-		if eng != hybrid.EngineDist {
-			return fatalf("-dist-connect requires -engine dist")
-		}
-		opts = append(opts, hybrid.WithDistConnect(strings.Split(*distConnect, ",")...))
-	}
-	if *distWindow > 0 {
-		if eng != hybrid.EngineDist {
-			return fatalf("-dist-window requires -engine dist")
-		}
-		opts = append(opts, hybrid.WithDistWindow(*distWindow))
-	}
 	if *timeout > 0 {
 		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 		defer cancel()
@@ -147,24 +91,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}))
 	}
-	if *cacheDir != "" {
-		opts = append(opts, hybrid.WithCacheDir(*cacheDir))
-	}
 
 	net := hybrid.New(g, opts...)
-	var cacheStatus hybrid.CacheLoadStatus
-	if *cacheDir != "" {
-		status, err := net.LoadCache()
-		cacheStatus = status
-		switch {
-		case err != nil:
-			fmt.Fprintf(stderr, "warning: %v (starting cold)\n", err)
-		case status.Seed:
-			fmt.Fprintf(stderr, "warm start: loaded structural+seed sections from %s\n", *cacheDir)
-		case status.Structural:
-			fmt.Fprintf(stderr, "warm start: loaded structural section only (cross-seed) from %s\n", *cacheDir)
-		}
-	}
+	cacheStatus := nf.LoadCache(net, stderr)
 
 	check := func(err error) int {
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
@@ -262,7 +191,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fatalf("unknown algorithm %q", *algo)
 	}
 
-	if *cacheDir != "" {
+	if nf.CacheDir != "" {
 		if err := net.SaveCache(); err != nil {
 			// No summary on a failed save: the on-disk set may be stale or
 			// half-written, and a healthy-looking report would lie.

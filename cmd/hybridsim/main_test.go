@@ -238,6 +238,12 @@ func TestRunBadFlags(t *testing.T) {
 	if code == 0 || !strings.Contains(stderr, `unknown engine "sharded"`) {
 		t.Errorf("-engine sharded: exit %d, stderr %q", code, stderr)
 	}
+	// A dist flag on another engine is rejected, not silently ignored (the
+	// same message as hybridserve's).
+	code, _, stderr = runCLI("-workers", "4", "-engine", "step")
+	if code == 0 || !strings.Contains(stderr, "-workers, -dist-connect and -dist-window require -engine dist") {
+		t.Errorf("-workers 4 -engine step: exit %d, stderr %q", code, stderr)
+	}
 }
 
 // TestRunDistConnectCLI runs the full CLI in connect mode against

@@ -59,13 +59,11 @@ func checkEnginesAgree(t *testing.T, seed int64, graphKind, size, algo uint8, we
 	g, label := randomInstance(seed, graphKind, size, weighted)
 	rng := rand.New(rand.NewSource(seed ^ 0x5eed))
 
-	// Parallel-grain draws: shard count (0 = autotune), step-batch width
-	// (0 = whole-shard, -1 = autotune, >0 = work-stealing batches), and
-	// dist worker-process count. Results must be independent of all three,
+	// Parallel-grain draws: shard count (0 = autotune), dist worker-process
+	// count and pipelining window. Results must be independent of all three,
 	// so the harness draws them per instance and holds every engine to the
 	// legacy oracle regardless.
 	shards := []int{0, 1, 2, 3, 7, 16}[rng.Intn(6)]
-	stepBatch := []int{0, -1, 1, 5, 64}[rng.Intn(5)]
 	workers := []int{1, 2, 3}[rng.Intn(3)]
 	window := []int{1, 2, 4}[rng.Intn(3)]
 
@@ -89,8 +87,7 @@ func checkEnginesAgree(t *testing.T, seed int64, graphKind, size, algo uint8, we
 	}
 	runOn := func(eng hybrid.Engine) outcome {
 		net := hybrid.New(g, hybrid.WithSeed(seed), hybrid.WithEngine(eng),
-			hybrid.WithShards(shards), hybrid.WithStepBatch(stepBatch),
-			hybrid.WithWorkers(workers), hybrid.WithDistWindow(window))
+			hybrid.WithShards(shards), hybrid.WithWorkers(workers), hybrid.WithDistWindow(window))
 		switch algo % 5 {
 		case 0:
 			res, err := net.APSP()

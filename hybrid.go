@@ -156,13 +156,6 @@ func WithShards(s int) Option {
 	return func(nw *Network) { nw.cfg.Shards = s }
 }
 
-// WithStepBatch sets the step engine's work-stealing batch width (0 =
-// whole-shard tasks, the default; negative = autotuned). Results are
-// independent of the value; see sim.Config.StepBatch.
-func WithStepBatch(b int) Option {
-	return func(nw *Network) { nw.cfg.StepBatch = b }
-}
-
 // WithWorkers sets EngineDist's worker-process count (default
 // sim.DefaultDistWorkers); the distributed engine runs one shard per
 // worker. Results are independent of the value. Other engines ignore it.

@@ -34,13 +34,11 @@ import (
 // engines_test.go enforces this.
 
 // shardTask is one unit of worker-pool work: deliver shard k (the default),
-// advance the state machines of shard k's nodes by one round (step), or
-// join the work-stealing batch pool of a step generation (step+batch); see
+// or advance the state machines of shard k's nodes by one round (step); see
 // step.go.
 type shardTask struct {
-	k     int
-	step  bool
-	batch bool
+	k    int
+	step bool
 }
 
 // shardResult is one worker's metric delta for one round (or, for a step
@@ -104,15 +102,6 @@ func (e *engine) initSharded() {
 	for k := range e.dirty {
 		e.dirty[k] = make([]bool, e.n)
 	}
-	e.stepBatch = e.cfg.StepBatch
-	if e.stepBatch < 0 {
-		// Autotune: batches of a quarter shard amortize the cursor
-		// contention while leaving enough batches to rebalance skew.
-		e.stepBatch = e.shardSize / 4
-		if e.stepBatch < 32 {
-			e.stepBatch = 32
-		}
-	}
 	for _, env := range e.envs {
 		env.outLocalSh = make([][]localOut, e.nShards)
 		env.outGlobalSh = make([][]GlobalMsg, e.nShards)
@@ -123,12 +112,9 @@ func (e *engine) initSharded() {
 		for w := 0; w < e.nShards; w++ {
 			go func() {
 				for t := range e.workCh {
-					switch {
-					case t.step && t.batch:
-						e.resCh <- shardResult{minWake: e.stepBatches()}
-					case t.step:
+					if t.step {
 						e.resCh <- shardResult{minWake: e.stepShard(t.k)}
-					default:
+					} else {
 						e.resCh <- e.runShard(t.k)
 					}
 				}

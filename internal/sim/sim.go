@@ -180,18 +180,6 @@ type Config struct {
 	// tuning and for determinism tests across shard counts.
 	Shards int
 
-	// StepBatch controls how the step engine distributes a round's machine
-	// calls across the worker pool when more than one shard is active.
-	// Zero (the default) assigns each worker its whole shard; a positive
-	// value switches to work-stealing batches of that many nodes, which
-	// rebalances rounds whose active nodes cluster in few shards; a
-	// negative value autotunes the batch width from the shard size.
-	// Results are independent of the value (senders stage into per-shard
-	// buckets and delivery drains them in ascending sender ID regardless
-	// of who stepped the sender); the randomized differential tests draw
-	// it alongside Shards to enforce that.
-	StepBatch int
-
 	// DistWorkers sets how many worker processes EngineDist spawns; the
 	// distributed engine runs one shard per worker, so this replaces the
 	// Shards autotune under EngineDist (Shards is ignored there). Zero or
@@ -344,10 +332,8 @@ type engine struct {
 	workCh     chan shardTask
 	resCh      chan shardResult
 	progs      []StepProgram
-	stepActive int          // unfinished nodes in the current step run
-	woke       bool         // the last delivery reached a sleeping node
-	stepBatch  int          // resolved work-stealing batch width, 0 = whole-shard tasks
-	stepCursor atomic.Int64 // next node to claim in a batched step generation
+	stepActive int  // unfinished nodes in the current step run
+	woke       bool // the last delivery reached a sleeping node
 
 	// Distributed-engine state (nil unless EngineDist); see dist.go.
 	distMode   bool

@@ -118,7 +118,7 @@ func sleepMix(env *Env, out []int64, sleepy bool) StepProgram {
 }
 
 // TestSleepingChangesNothing: results, every Metrics field and the OnRound
-// sequence are equal with and without sleeping, at every shard and batch
+// sequence are equal with and without sleeping, at every shard
 // setting, and equal to what the legacy engine produces from the same
 // machines (where the sleep-contract check runs on every call).
 func TestSleepingChangesNothing(t *testing.T) {
@@ -147,8 +147,7 @@ func TestSleepingChangesNothing(t *testing.T) {
 	for _, cfg := range []Config{
 		{Engine: EngineStep, Shards: 1},
 		{Engine: EngineStep, Shards: 4},
-		{Engine: EngineStep, Shards: 3, StepBatch: 5},
-		{Engine: EngineStep, Shards: 4, StepBatch: -1},
+		{Engine: EngineStep, Shards: 3},
 		{Engine: EngineLegacy},
 	} {
 		out, m, ticks := run(cfg, true)

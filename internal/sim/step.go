@@ -435,20 +435,12 @@ func (e *engine) buildProg(factory StepFactory, env *Env) (sp StepProgram) {
 // segment, shard-parallel when the worker pool exists, and returns the
 // earliest round in which any unfinished node needs its next call (at most
 // the next round unless every one of them sleeps; MaxInt if none is left).
-// With StepBatch resolved, the workers instead drain the node range in
-// work-stealing batches, which rebalances rounds whose active nodes cluster
-// inside few shards.
 func (e *engine) stepGeneration() (minWake int) {
 	if e.nShards == 1 {
 		return e.stepShard(0)
 	}
-	task := shardTask{step: true, batch: e.stepBatch > 0}
-	if task.batch {
-		e.stepCursor.Store(0)
-	}
 	for k := 0; k < e.nShards; k++ {
-		task.k = k
-		e.workCh <- task
+		e.workCh <- shardTask{k: k, step: true}
 	}
 	minWake = math.MaxInt
 	for k := 0; k < e.nShards; k++ {
@@ -457,45 +449,19 @@ func (e *engine) stepGeneration() (minWake int) {
 	return minWake
 }
 
-// stepBatches is one worker's share of a batched step generation: claim
-// stepBatch-wide node ranges off the shared cursor until the range is
-// drained. Node state and staging buckets are per-sender, so any worker
-// may step any node; delivery stays shard-partitioned.
-func (e *engine) stepBatches() (minWake int) {
-	gen := e.generation
-	minWake = math.MaxInt
-	for {
-		hi := int(e.stepCursor.Add(int64(e.stepBatch)))
-		lo := hi - e.stepBatch
-		if lo >= e.n {
-			return minWake
-		}
-		if hi > e.n {
-			hi = e.n
-		}
-		minWake = min(minWake, e.stepRange(lo, hi, gen))
-	}
-}
-
-// stepShard runs one round segment for the nodes of shard k: install each
-// node's inbox for the generation being executed and call its machine.
+// stepShard runs one round segment for the nodes of shard k that are awake:
+// install each node's inbox for the generation being executed and call its
+// machine. It returns the earliest round any unfinished one of them needs
+// its next call in (its SleepUntil declaration, or 0 for "the next round").
 // Workers touch disjoint node state, and sends stage into per-sender
 // buckets, so concurrent shards need no locks (the same disjointness
 // argument as runShard).
 func (e *engine) stepShard(k int) (minWake int) {
 	lo := k * e.shardSize
-	return e.stepRange(lo, min(lo+e.shardSize, e.n), e.generation)
-}
-
-// stepRange advances the machines of nodes [lo, hi) that are awake by one
-// round segment and returns the earliest round any unfinished one of
-// them needs its next call in (its SleepUntil declaration, or 0 for "the
-// next round"); it is the inner loop shared by whole-shard and batched
-// stepping.
-func (e *engine) stepRange(lo, hi, gen int) (minWake int) {
+	gen := e.generation
 	p := gen & 1
 	minWake = math.MaxInt
-	for v := lo; v < hi; v++ {
+	for v := lo; v < min(lo+e.shardSize, e.n); v++ {
 		env := e.envs[v]
 		if env.finished {
 			continue

@@ -110,38 +110,6 @@ func TestStepShardCountInvariance(t *testing.T) {
 	}
 }
 
-// TestStepBatchInvariance pins that the step engine's work-stealing batch
-// width never changes results or Metrics: any worker may step any node, so
-// batched generations must match the whole-shard baseline bit for bit,
-// including the autotuned width (-1).
-func TestStepBatchInvariance(t *testing.T) {
-	g := graph.Grid(5, 8)
-	base := make([]int64, g.N())
-	baseM, err := RunStep(g, Config{Seed: 11, Engine: EngineStep, Shards: 1}, func(env *Env) StepProgram {
-		return newStepChatter(env, base)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{2, 4, 7} {
-		for _, batch := range []int{-1, 1, 3, 64} {
-			out := make([]int64, g.N())
-			m, err := RunStep(g, Config{Seed: 11, Engine: EngineStep, Shards: shards, StepBatch: batch}, func(env *Env) StepProgram {
-				return newStepChatter(env, out)
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(base, out) {
-				t.Fatalf("shards=%d batch=%d: results differ from serial baseline", shards, batch)
-			}
-			if m != baseM {
-				t.Fatalf("shards=%d batch=%d: metrics differ: %+v vs %+v", shards, batch, m, baseM)
-			}
-		}
-	}
-}
-
 // TestLoopSemantics pins the Loop contract: Recv for round i-1 before Send
 // for round i, exactly Rounds round barriers, mid-segment finish.
 func TestLoopSemantics(t *testing.T) {
