@@ -68,7 +68,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready cha
 		return 1
 	}
 
-	_, opts, err := nf.Options()
+	opts, err := nf.Options()
 	if err != nil {
 		return fatalf("%v", err)
 	}

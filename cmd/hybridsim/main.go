@@ -67,7 +67,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	eng, opts, err := nf.Options()
+	opts, err := nf.Options()
 	if err != nil {
 		return fatalf("%v", err)
 	}
@@ -76,7 +76,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fatalf("%v", err)
 	}
 	fmt.Fprintf(stdout, "graph: %s, n=%d, m=%d, hop diameter=%d, engine=%s\n",
-		nf.Graph, g.N(), g.M(), hybrid.HopDiameter(g), eng)
+		nf.Graph, g.N(), g.M(), hybrid.HopDiameter(g), nf.Engine)
 
 	if *timeout > 0 {
 		ctx, cancel := context.WithTimeout(context.Background(), *timeout)

@@ -42,17 +42,16 @@ func Register(fs *flag.FlagSet, defaultN int) *Flags {
 	return f
 }
 
-// Options parses -engine and returns it with the options the shared flags
-// select. The dist engine's flags are rejected on any other engine rather
-// than silently ignored.
-func (f *Flags) Options() (hybrid.Engine, []hybrid.Option, error) {
+// Options returns the options the shared flags select. The dist engine's
+// flags are rejected on any other engine rather than silently ignored.
+func (f *Flags) Options() ([]hybrid.Option, error) {
 	engines := map[string]hybrid.Engine{"step": hybrid.EngineStep, "legacy": hybrid.EngineLegacy, "dist": hybrid.EngineDist}
 	eng, ok := engines[f.Engine]
 	if !ok {
-		return 0, nil, fmt.Errorf("unknown engine %q", f.Engine)
+		return nil, fmt.Errorf("unknown engine %q", f.Engine)
 	}
 	if (f.Workers > 0 || f.DistConnect != "" || f.DistWindow > 0) && eng != hybrid.EngineDist {
-		return 0, nil, fmt.Errorf("-workers, -dist-connect and -dist-window require -engine dist")
+		return nil, fmt.Errorf("-workers, -dist-connect and -dist-window require -engine dist")
 	}
 	opts := []hybrid.Option{hybrid.WithSeed(f.Seed), hybrid.WithEngine(eng)}
 	if f.Workers > 0 {
@@ -67,7 +66,7 @@ func (f *Flags) Options() (hybrid.Engine, []hybrid.Option, error) {
 	if f.CacheDir != "" {
 		opts = append(opts, hybrid.WithCacheDir(f.CacheDir))
 	}
-	return eng, opts, nil
+	return opts, nil
 }
 
 // BuildGraph generates the graph -graph, -n and -maxw describe from a

@@ -51,9 +51,12 @@ func TestDocsLinksResolve(t *testing.T) {
 // harnesses, by a test file.
 func TestEveryInternalPackageIsImported(t *testing.T) {
 	harness := map[string]bool{"internal/simtest": true, "internal/chaos": true}
-	packages := map[string]bool{}    // directories under internal/ holding Go files
+	packages := map[string]bool{} // directories under internal/ holding Go files
 	imported := map[string]bool{}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if d != nil && d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir // .git, and the build cache a benchmark run leaves in .bench_build
+		}
 		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
 			return err
 		}

@@ -458,10 +458,11 @@ func (e *engine) stepGeneration() (minWake int) {
 // argument as runShard).
 func (e *engine) stepShard(k int) (minWake int) {
 	lo := k * e.shardSize
+	hi := min(lo+e.shardSize, e.n)
 	gen := e.generation
 	p := gen & 1
 	minWake = math.MaxInt
-	for v := lo; v < min(lo+e.shardSize, e.n); v++ {
+	for v := lo; v < hi; v++ {
 		env := e.envs[v]
 		if env.finished {
 			continue
