@@ -173,7 +173,7 @@ func (e *engine) deliverDist() int {
 					dst.wake, e.woke = 0, true
 				}
 				e.metrics.LocalMsgs++
-				e.metrics.LocalBits += payloadWords(out.payload) * int64(e.logN)
+				e.metrics.LocalBits += out.words * int64(e.logN)
 			}
 			env.outLocalSh[k] = env.outLocalSh[k][:0]
 			e.distReqs[k] = append(e.distReqs[k], env.outGlobalSh[k]...)

@@ -54,26 +54,29 @@ func (env *Env) SendLocal(to int, payload interface{}) {
 	if !env.eng.g.HasEdge(env.id, to) {
 		env.violate(fmt.Errorf("sim: node %d sent local message to non-neighbor %d", env.id, to))
 	}
-	env.stageLocal(to, payload)
+	env.stageLocal(localOut{to: to, words: payloadWords(payload), payload: payload})
 }
 
 // stageLocal appends one local message to the engine-appropriate staging
 // area: the destination shard's bucket (step) or the flat outbox (legacy).
-func (env *Env) stageLocal(to int, payload interface{}) {
+func (env *Env) stageLocal(out localOut) {
 	env.staged++
 	if env.eng.stepMode {
-		k := env.eng.shardOf(to)
+		k := env.eng.shardOf(out.to)
 		env.eng.dirty[k][env.id] = true
-		env.outLocalSh[k] = append(env.outLocalSh[k], localOut{to: to, payload: payload})
+		env.outLocalSh[k] = append(env.outLocalSh[k], out)
 		return
 	}
-	env.outLocal = append(env.outLocal, localOut{to: to, payload: payload})
+	env.outLocal = append(env.outLocal, out)
 }
 
-// BroadcastLocal stages the payload to every neighbor in G.
+// BroadcastLocal stages the payload to every neighbor in G; its word charge
+// is computed once for the whole broadcast.
 func (env *Env) BroadcastLocal(payload interface{}) {
+	out := localOut{words: payloadWords(payload), payload: payload}
 	for _, nb := range env.Neighbors() {
-		env.stageLocal(nb.To, payload)
+		out.to = nb.To
+		env.stageLocal(out)
 	}
 }
 

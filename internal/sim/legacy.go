@@ -141,7 +141,7 @@ func (e *engine) deliver() int {
 			dst := e.envs[out.to]
 			dst.inLocal = append(dst.inLocal, LocalMsg{From: env.id, Payload: out.payload})
 			e.metrics.LocalMsgs++
-			e.metrics.LocalBits += payloadWords(out.payload) * int64(e.logN)
+			e.metrics.LocalBits += out.words * int64(e.logN)
 		}
 		env.outLocal = env.outLocal[:0]
 

@@ -235,7 +235,7 @@ func (e *engine) runShard(k int) shardResult {
 				dst.wake, r.woke = 0, true
 			}
 			r.localMsgs++
-			r.localBits += payloadWords(out.payload) * int64(e.logN)
+			r.localBits += out.words * int64(e.logN)
 		}
 		env.outLocalSh[k] = env.outLocalSh[k][:0]
 		for _, gm := range env.outGlobalSh[k] {

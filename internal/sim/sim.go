@@ -101,8 +101,10 @@ type LocalMsg struct {
 // accounting in Metrics.LocalBits: PayloadWords reports the payload's size
 // in O(log n)-bit words (the unit all of the paper's bandwidth statements
 // use). Payloads that do not implement it are charged one word. The method
-// must be cheap and must not mutate the payload: every engine calls it once
-// per delivered message on the delivery path.
+// must not mutate the payload. It is called once per SendLocal or
+// BroadcastLocal, when the payload is staged; every delivered copy is charged
+// that value, so a payload must not change between staging and delivery
+// (the rotation rule of package flood guarantees more than that).
 type WordSized interface {
 	PayloadWords() int64
 }
@@ -380,8 +382,11 @@ type Env struct {
 	sharedSeq           map[string]int
 }
 
+// localOut is one staged local message; words is payloadWords(payload),
+// taken at staging.
 type localOut struct {
 	to      int
+	words   int64
 	payload interface{}
 }
 
