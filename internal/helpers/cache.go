@@ -5,7 +5,7 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/flatmap"
+	"repro/internal/flood"
 	"repro/internal/persist"
 	"repro/internal/sim"
 	"repro/internal/warm"
@@ -92,96 +92,20 @@ func (e *clusterEntry) bind(id int) (ruler, dist int, members []int) {
 // clusterBeta is the β = 2µ·ceil(log2 n) phase length of Algorithm 1.
 func clusterBeta(n, mu int) int { return 2 * mu * sim.Log2Ceil(n) }
 
-// wRec announces one W member during the structural-hit flood. It carries
-// the ruler so receivers can constrain propagation to their own cluster,
-// exactly like the member flood it replaces.
-type wRec struct {
-	ID    int
-	Ruler int
-}
-
-// wRecs is the local-mode payload of the W-membership flood.
-type wRecs []wRec
-
-// PayloadWords implements sim.WordSized: each record is an ID and a ruler
-// ID, like a member record.
-func (r wRecs) PayloadWords() int64 { return 2 * int64(len(r)) }
-
-// wFloodMachine floods W membership inside clusters for `rounds` rounds;
-// afterwards WMembers is the sorted W members of this node's cluster. It is
-// the structural-hit replacement of phase 3: only W nodes inject records
+// newWFlood floods W membership inside clusters for `rounds` rounds;
+// afterwards its origins are the sorted W members of this node's cluster. It
+// is the structural-hit replacement of phase 3: only W nodes inject records
 // (the member list itself is cached), propagation is the same
-// own-cluster-only forwarding over the same subgraph for the same 2β
-// rounds, so it reaches exactly the nodes the member flood would and the
-// resulting WMembers list is byte-identical to the cold one. Dedup and
-// delta staging follow the member flood's allocation discipline: a flat
-// set plus rotated delta buffers (see skeleton.ExploreMachine).
-type wFloodMachine struct {
-	seen flatmap.Set
-	bufs [2]wRecs
-	loop sim.Loop
-}
-
-func newWFloodMachine(env *sim.Env, inW bool, ruler int, rounds int) *wFloodMachine {
-	w := &wFloodMachine{}
+// own-cluster-only forwarding over the same subgraph for the same 2β rounds,
+// so it reaches exactly the nodes the member flood would and the resulting
+// WMembers list is byte-identical to the cold one.
+func newWFlood(env *sim.Env, inW bool, ruler int, rounds int) *flood.State[struct{}] {
+	w := &flood.State[struct{}]{}
+	w.Start(env, ruler, rounds, recWords, nil)
 	if inW {
-		w.seen.Add(uint64(env.ID()))
-		w.bufs[0] = append(w.bufs[0], wRec{ID: env.ID(), Ruler: ruler})
-	}
-	w.loop = sim.Loop{
-		Rounds:   rounds,
-		NextSend: sim.Reactive,
-		Send: func(env *sim.Env, i int) {
-			if len(w.bufs[i&1]) > 0 {
-				env.BroadcastLocal(&w.bufs[i&1])
-			}
-		},
-		Recv: func(env *sim.Env, in sim.Inbox, i int) {
-			w.bufs[(i+1)&1] = collectW(env, in, ruler, &w.seen, w.bufs[(i+1)&1][:0])
-		},
+		w.Inject(env.ID(), struct{}{})
 	}
 	return w
-}
-
-// Step implements sim.StepProgram.
-func (w *wFloodMachine) Step(env *sim.Env) bool { return w.loop.Step(env) }
-
-// WMembers returns the sorted W members of this node's cluster; valid once
-// Step returned true.
-func (w *wFloodMachine) WMembers() []int { return sortedSetKeys(&w.seen) }
-
-// collectW folds one round's arrivals into seen and returns the fresh
-// records to forward, staged into next.
-func collectW(env *sim.Env, in sim.Inbox, ruler int, seen *flatmap.Set, next wRecs) wRecs {
-	for _, lm := range in.Local {
-		recs, ok := lm.Payload.(*wRecs)
-		if !ok {
-			continue
-		}
-		for _, r := range *recs {
-			if r.Ruler != ruler {
-				continue // other cluster, not ours to track or forward
-			}
-			if !seen.Has(uint64(r.ID)) {
-				seen.Add(uint64(r.ID))
-				next = append(next, r)
-			}
-		}
-	}
-	return next
-}
-
-// sortedSetKeys drains a flat set of node IDs in ascending order.
-func sortedSetKeys(set *flatmap.Set) []int {
-	if set.Len() == 0 {
-		return nil
-	}
-	keys := set.AppendSortedKeys(nil)
-	out := make([]int, len(keys))
-	for i, k := range keys {
-		out[i] = int(k)
-	}
-	return out
 }
 
 // ClusterSnapshot is the serializable image of a ClusterCache — the

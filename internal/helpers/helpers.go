@@ -21,8 +21,9 @@ package helpers
 
 import (
 	"fmt"
+	"sort"
 
-	"repro/internal/flatmap"
+	"repro/internal/flood"
 	"repro/internal/graph"
 	"repro/internal/ruling"
 	"repro/internal/sim"
@@ -37,21 +38,6 @@ type clusterWave struct {
 // PayloadWords implements sim.WordSized: a cluster wave carries a ruler ID
 // and a hop distance.
 func (clusterWave) PayloadWords() int64 { return 2 }
-
-// memberRec announces one cluster member during intra-cluster flooding.
-type memberRec struct {
-	ID    int
-	Ruler int
-	InW   bool
-}
-
-// memberRecs is the local-mode payload of the intra-cluster member flood: a
-// batch of member records.
-type memberRecs []memberRec
-
-// PayloadWords implements sim.WordSized: each record is an ID and a ruler
-// ID (the InW bit rides along for free).
-func (r memberRecs) PayloadWords() int64 { return 2 * int64(len(r)) }
 
 // Result is what one node knows after Machine finishes.
 type Result struct {
@@ -134,11 +120,11 @@ func NewMachine(env *sim.Env, inW bool, mu int, params Params) *Machine {
 		func(e *clusterEntry) bool { return !e.filled[env.ID()] },
 		func(env *sim.Env, e *clusterEntry) sim.StepProgram {
 			ruler, dist, members := e.bind(env.ID())
-			wf := newWFloodMachine(env, inW, ruler, 2*clusterBeta(env.N(), mu))
+			wf := newWFlood(env, inW, ruler, 2*clusterBeta(env.N(), mu))
 			// The cached phases are deterministic and sampleHelps draws the
 			// same randomness, so this is exactly the cold result.
 			return sim.Then(wf, func(env *sim.Env) {
-				m.Res = Result{Ruler: ruler, RulerDist: dist, Members: members, WMembers: wf.WMembers(), InW: inW, Mu: mu}
+				m.Res = Result{Ruler: ruler, RulerDist: dist, Members: members, WMembers: wf.AppendOrigins(nil), InW: inW, Mu: mu}
 				m.Res.Helps = sampleHelps(env, p, mu, len(members), m.Res.WMembers)
 			})
 		},
@@ -167,11 +153,11 @@ func newColdProg(env *sim.Env, m *Machine, inW bool, mu int, p Params) sim.StepP
 	improved := false
 	var waveBuf [2]clusterWave
 	// Phase 3: learn all members of the own cluster. Nodes flood records of
-	// their own cluster for 2β rounds (intra-cluster diameter bound). The
-	// dedup directory is a flat map (ID -> InW) and the delta buffers
-	// rotate, so steady-state flood rounds allocate nothing.
-	var known flatmap.Map[bool]
-	var bufs [2]memberRecs
+	// their own cluster for 2β rounds (intra-cluster diameter bound). A record
+	// is the member's ID, its ruler (the flood's scope) and, for free, its
+	// InW bit.
+	var members flood.State[bool]
+	var wMembers []int
 
 	return sim.Sequence(
 		func(env *sim.Env) sim.StepProgram {
@@ -209,41 +195,18 @@ func newColdProg(env *sim.Env, m *Machine, inW bool, mu int, p Params) sim.StepP
 			}
 		},
 		func(env *sim.Env) sim.StepProgram {
-			known.Put(uint64(env.ID()), inW)
-			bufs[0] = append(bufs[0], memberRec{ID: env.ID(), Ruler: bestRuler, InW: inW})
-			return &sim.Loop{
-				Rounds:   2 * beta,
-				NextSend: sim.Reactive,
-				Send: func(env *sim.Env, i int) {
-					if len(bufs[i&1]) > 0 {
-						env.BroadcastLocal(&bufs[i&1])
-					}
-				},
-				Recv: func(env *sim.Env, in sim.Inbox, i int) {
-					next := bufs[(i+1)&1][:0]
-					for _, lm := range in.Local {
-						recs, ok := lm.Payload.(*memberRecs)
-						if !ok {
-							continue
-						}
-						for _, r := range *recs {
-							if r.Ruler != bestRuler {
-								continue // other cluster, not ours to track or forward
-							}
-							if !known.Has(uint64(r.ID)) {
-								known.Put(uint64(r.ID), r.InW)
-								next = append(next, r)
-							}
-						}
-					}
-					bufs[(i+1)&1] = next
-				},
-			}
+			members.Start(env, bestRuler, 2*beta, recWords, func(id int, w bool) {
+				if w {
+					wMembers = append(wMembers, id)
+				}
+			})
+			members.Inject(env.ID(), inW)
+			return &members
 		},
 		sim.Finish(func(env *sim.Env) {
-			res := memberResult(bestRuler, bestDist, inW, mu, &known)
-			res.Helps = sampleHelps(env, p, mu, len(res.Members), res.WMembers)
-			m.Res = res
+			sort.Ints(wMembers)
+			m.Res = Result{Ruler: bestRuler, RulerDist: bestDist, Members: members.AppendOrigins(nil), WMembers: wMembers, InW: inW, Mu: mu}
+			m.Res.Helps = sampleHelps(env, p, mu, len(m.Res.Members), wMembers)
 		}),
 	)
 }
@@ -260,24 +223,8 @@ func Pipeline(inW []bool, mu int, params Params) sim.Pipeline[Result] {
 	}
 }
 
-// memberResult drains the member directory into a Result. The sorted drain
-// yields Members and WMembers in ascending ID order directly.
-func memberResult(ruler, dist int, inW bool, mu int, known *flatmap.Map[bool]) Result {
-	res := Result{
-		Ruler:     ruler,
-		RulerDist: dist,
-		InW:       inW,
-		Mu:        mu,
-	}
-	for _, k := range known.AppendSortedKeys(nil) {
-		id := int(k)
-		res.Members = append(res.Members, id)
-		if w, _ := known.Get(k); w {
-			res.WMembers = append(res.WMembers, id)
-		}
-	}
-	return res
-}
+// recWords charges one member or W record: an ID and a ruler ID.
+func recWords[P any](P) int64 { return 2 }
 
 // sampleHelps runs phase 4 of Algorithm 1: sample helper memberships with
 // q = min(QBoost*2µ/|C|, 1). Every w ∈ W additionally joins its own helper

@@ -1,10 +1,12 @@
 package routing
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/bitrand"
-	"repro/internal/flatmap"
+	"repro/internal/flood"
 	"repro/internal/helpers"
 	"repro/internal/ncc"
 	"repro/internal/sim"
@@ -146,7 +148,6 @@ func NewRouteMachine(s *Session, send []Token, expect []Label) *RouteMachine {
 	inter := &s.inter
 
 	m := &RouteMachine{}
-	var spreadS, spreadR *spreadMachine
 	var aggSend, aggReq, aggHeld *ncc.AggregateMachine
 	var myTokenJobs, myLabelJobs []Token
 	var gotTokens []Token
@@ -178,22 +179,20 @@ func NewRouteMachine(s *Session, send []Token, expect []Label) *RouteMachine {
 		// Algorithm 3, second loop: flood tokens and expected labels to the
 		// clusters; helpers pick their balanced share by rank.
 		func(env *sim.Env) sim.StepProgram {
-			spreadS = newSpreadMachine(env, &s.famS, canonicalTokens(send))
-			return spreadS
+			return startSpread(env, &s.famS, canonicalTokens(send))
 		},
 		func(env *sim.Env) sim.StepProgram {
-			myTokenJobs = spreadS.Jobs
+			myTokenJobs = s.famS.myShare(env.ID())
 			expectTokens := make([]Token, len(expect))
 			for i, l := range expect {
 				expectTokens[i] = Token{Label: l}
 			}
-			spreadR = newSpreadMachine(env, &s.famR, canonicalTokens(expectTokens))
-			return spreadR
+			return startSpread(env, &s.famR, canonicalTokens(expectTokens))
 		},
 		// Algorithm 4: forward tokens to intermediates; the phase length is
 		// the exact global maximum load.
 		func(env *sim.Env) sim.StepProgram {
-			myLabelJobs = spreadR.Jobs
+			myLabelJobs = s.famR.myShare(env.ID())
 			aggSend = ncc.NewAggregateMachine(env, int64(len(myTokenJobs)), ncc.AggMax)
 			return aggSend
 		},
@@ -289,7 +288,7 @@ func NewRouteMachine(s *Session, send []Token, expect []Label) *RouteMachine {
 		// Algorithm 4).
 		func(env *sim.Env) sim.StepProgram {
 			s.replyQueue = replyQueue
-			return newCollectMachine(env, s, gotTokens)
+			return startCollect(env, s, gotTokens, len(expect) > 0)
 		},
 		sim.Finish(func(env *sim.Env) { m.Out = canonicalTokens(s.collected) }),
 	)
@@ -328,75 +327,58 @@ func Pipeline(specs []Spec, params Params) sim.Pipeline[[]Token] {
 	}
 }
 
-// announceMachine floods helper memberships within clusters for 2β rounds so
-// that all cluster members agree on each H_w.
-//
-// The three cluster floods of this file share one memory discipline (see
-// ARCHITECTURE.md, "Memory discipline"): the delta a node forwards rotates
-// through two buffers — bufs[i&1] is broadcast, by pointer, at loop
-// iteration i and rewritten no earlier than iteration i+2, after every
-// neighbor read it — and the dedup directory is a flat table. spread's and
-// collect's scratch lives in the Session and is reset, not reallocated, per
-// RouteMachine, so the rounds of a flood allocate nothing once the session has
-// routed an instance of the same shape.
+// The three cluster floods of this file are instantiations of flood.State
+// (which owns the rotated delta buffers, the dedup bitset and their memory
+// discipline; see ARCHITECTURE.md, "Memory discipline"), 2β rounds each,
+// β = 2µ⌈log n⌉, scoped to the node's cluster. spread's and collect's state
+// lives in the Session and is reset, not reallocated, per RouteMachine, so
+// the rounds of a flood allocate nothing once the session has routed an
+// instance of the same shape.
+func floodRounds(env *sim.Env, mu int) int { return 4 * mu * sim.Log2Ceil(env.N()) }
+
+// announceMachine floods helper memberships within clusters so that all
+// cluster members agree on each H_w. A helper's record is its complete
+// membership — the owners w whose H_w it joined: its (w, helper)
+// announcements enter the flood together at the helper and spread by
+// first-arrival forwarding, so they provably travel in lockstep, and flooding
+// them as one shared slice is message-for-message identical to flooding the
+// pairs individually, charged as the (ruler, owner, helper) triples it stands
+// for — but a node stores one slice header per helper instead of one key per
+// pair (per-node pair sets were the largest live structure of an APSP run).
 type announceMachine struct {
 	// Sets is the helper directory of this node's cluster (w -> sorted
 	// helper IDs); valid once Step returned true.
 	Sets map[int][]int
 
-	loop  sim.Loop
-	known flatmap.Map[[]int] // helper -> the owners it helps
-	bufs  [2]helperBatches
+	flood flood.State[[]int]
+	heard []flood.Rec[[]int] // helper -> the owners it helps
 }
 
 func newAnnounceMachine(env *sim.Env, res helpers.Result, mu int) *announceMachine {
-	beta := 2 * mu * sim.Log2Ceil(env.N())
 	a := &announceMachine{}
+	a.flood.Start(env, res.Ruler, floodRounds(env, mu),
+		func(owners []int) int64 { return 3 * int64(len(owners)) },
+		func(helper int, owners []int) {
+			a.heard = append(a.heard, flood.Rec[[]int]{Origin: helper, Val: owners})
+		})
 	if len(res.Helps) > 0 {
-		a.known.Put(uint64(env.ID()), res.Helps)
-		a.bufs[0] = append(a.bufs[0], helperBatch{Ruler: res.Ruler, Helper: env.ID(), Owners: res.Helps})
-	}
-	a.loop = sim.Loop{
-		Rounds:   2 * beta,
-		NextSend: sim.Reactive,
-		Send: func(env *sim.Env, i int) {
-			if len(a.bufs[i&1]) > 0 {
-				env.BroadcastLocal(&a.bufs[i&1])
-			}
-		},
-		Recv: func(env *sim.Env, in sim.Inbox, i int) {
-			next := a.bufs[(i+1)&1][:0]
-			for _, lm := range in.Local {
-				hbs, ok := lm.Payload.(*helperBatches)
-				if !ok {
-					continue
-				}
-				for _, hb := range *hbs {
-					if hb.Ruler == res.Ruler && !a.known.Has(uint64(hb.Helper)) {
-						a.known.Put(uint64(hb.Helper), hb.Owners)
-						next = append(next, hb)
-					}
-				}
-			}
-			a.bufs[(i+1)&1] = next
-		},
+		a.flood.Inject(env.ID(), res.Helps)
 	}
 	return a
 }
 
 // Step implements sim.StepProgram.
 func (a *announceMachine) Step(env *sim.Env) bool {
-	if !a.loop.Step(env) {
+	if !a.flood.Step(env) {
 		return false
 	}
-	// Helpers come out in ascending ID order, so every H_w is built sorted;
-	// a counting pass first sizes each H_w exactly, because the directory
-	// lives as long as the session (and the session cache).
-	helpers := a.known.AppendSortedKeys(nil)
+	// Helpers are visited in ascending ID order, so every H_w is built
+	// sorted; a counting pass first sizes each H_w exactly, because the
+	// directory lives as long as the session (and the session cache).
+	slices.SortFunc(a.heard, func(x, y flood.Rec[[]int]) int { return cmp.Compare(x.Origin, y.Origin) })
 	size := map[int]int{}
-	for _, h := range helpers {
-		owners, _ := a.known.Get(h)
-		for _, w := range owners {
+	for _, h := range a.heard {
+		for _, w := range h.Val {
 			size[w]++
 		}
 	}
@@ -404,173 +386,60 @@ func (a *announceMachine) Step(env *sim.Env) bool {
 	for w, k := range size {
 		a.Sets[w] = make([]int, 0, k)
 	}
-	for _, h := range helpers {
-		owners, _ := a.known.Get(h)
-		for _, w := range owners {
-			a.Sets[w] = append(a.Sets[w], int(h))
+	for _, h := range a.heard {
+		for _, w := range h.Val {
+			a.Sets[w] = append(a.Sets[w], h.Origin)
 		}
 	}
 	return true
 }
 
-// spreadMachine floods each owner's item batch through its cluster for 2β
-// rounds; every helper then picks the share assigned to it by rank (item j
-// goes to helper j mod |H_w|), which both the owner and all helpers compute
-// identically from the sorted helper set. myItems must be canonical (sorted,
-// deduplicated) and is shared with the cluster, so the caller must not
-// mutate it afterwards.
-type spreadMachine struct {
-	// Jobs holds the items this node is responsible for as a helper
-	// (canonical); valid once Step returned true.
-	Jobs []Token
+// batchWords charges one owner's (or injector's) token batch: its ruler and
+// origin plus four words per item (label and value).
+func batchWords(items []Token) int64 { return 2 + 4*int64(len(items)) }
 
-	loop sim.Loop
-	f    *family
-}
-
-func newSpreadMachine(env *sim.Env, f *family, myItems []Token) *spreadMachine {
-	beta := 2 * f.mu * sim.Log2Ceil(env.N())
-	me := env.ID()
-	sp := &spreadMachine{f: f}
-	bufs := &f.spreadBufs
-	bufs[0], bufs[1] = bufs[0][:0], bufs[1][:0]
+// startSpread floods each owner's item batch (its tokens, or its expected
+// labels with Value ignored) through its cluster; afterwards f.myShare picks
+// the items this node is responsible for as a helper. An owner's items enter
+// the flood together and travel in lockstep, so one shared batch per owner is
+// message-for-message identical to flooding the records individually.
+// myItems must be canonical (sorted, deduplicated) and is shared with the
+// cluster, so the caller must not mutate it afterwards.
+func startSpread(env *sim.Env, f *family, myItems []Token) sim.StepProgram {
 	f.items.Reset()
+	f.spread.Start(env, f.res.Ruler, floodRounds(env, f.mu), batchWords,
+		func(owner int, items []Token) { f.items.Put(uint64(owner), items) })
 	if len(myItems) > 0 {
-		f.items.Put(uint64(me), myItems)
-		bufs[0] = append(bufs[0], tokenBatch{Ruler: f.res.Ruler, Owner: me, Items: myItems})
+		f.spread.Inject(env.ID(), myItems)
 	}
-	sp.loop = sim.Loop{
-		Rounds:   2 * beta,
-		NextSend: sim.Reactive,
-		Send: func(env *sim.Env, i int) {
-			if len(bufs[i&1]) > 0 {
-				env.BroadcastLocal(&bufs[i&1])
-			}
-		},
-		Recv: func(env *sim.Env, in sim.Inbox, i int) {
-			next := bufs[(i+1)&1][:0]
-			for _, lm := range in.Local {
-				tbs, ok := lm.Payload.(*tokenBatches)
-				if !ok {
-					continue
-				}
-				for _, tb := range *tbs {
-					if tb.Ruler != f.res.Ruler || f.items.Has(uint64(tb.Owner)) {
-						continue
-					}
-					f.items.Put(uint64(tb.Owner), tb.Items)
-					next = append(next, tb)
-				}
-			}
-			bufs[(i+1)&1] = next
-		},
-	}
-	return sp
+	return &f.spread
 }
 
-// Step implements sim.StepProgram.
-func (sp *spreadMachine) Step(env *sim.Env) bool {
-	if !sp.loop.Step(env) {
-		return false
-	}
-	sp.Jobs = sp.f.myShare(env.ID())
-	return true
-}
-
-// collectMachine floods each helper's answered-token batch through the
-// receiver clusters for 2β rounds (final loop of Algorithm 4). The tokens
-// addressed to this node gather, in arrival order, in s.collected.
-type collectMachine struct {
-	loop sim.Loop
-}
-
-func newCollectMachine(env *sim.Env, s *Session, gotTokens []Token) *collectMachine {
-	beta := 2 * s.famR.mu * sim.Log2Ceil(env.N())
+// startCollect floods each receiver-helper's answered-token batch through
+// the receiver clusters (final loop of Algorithm 4). Helpers hold disjoint
+// label sets and inject exactly once, so per-injector dedup is equivalent to
+// per-label dedup. The tokens addressed to this node gather, in arrival
+// order, in s.collected — at a node that expects any: a token is answered
+// only because some node listed its label, and a consistent instance lists
+// it at its receiver, so a node that expects nothing forwards batches without
+// looking inside (the receiver-only rule; an inconsistent instance that
+// addresses a token to such a node loses it there).
+func startCollect(env *sim.Env, s *Session, gotTokens []Token, expecting bool) sim.StepProgram {
 	me := env.ID()
-	ruler := s.famR.res.Ruler
-	c := &collectMachine{}
-	bufs, seen := &s.collectBufs, &s.collectSeen
-	bufs[0], bufs[1] = bufs[0][:0], bufs[1][:0]
-	seen.Reset()
 	s.collected = s.collected[:0]
-	keep := func(items []Token) {
-		for _, t := range items {
-			if t.R == me {
-				s.collected = append(s.collected, t)
+	var keep func(int, []Token)
+	if expecting {
+		keep = func(_ int, items []Token) {
+			for _, t := range items {
+				if t.R == me {
+					s.collected = append(s.collected, t)
+				}
 			}
 		}
 	}
+	s.collect.Start(env, s.famR.res.Ruler, floodRounds(env, s.famR.mu), batchWords, keep)
 	if len(gotTokens) > 0 {
-		seen.Add(uint64(me))
-		bufs[0] = append(bufs[0], deliveredBatch{Ruler: ruler, Injector: me, Items: gotTokens})
-		keep(gotTokens)
+		s.collect.Inject(me, gotTokens)
 	}
-	c.loop = sim.Loop{
-		Rounds:   2 * beta,
-		NextSend: sim.Reactive,
-		Send: func(env *sim.Env, i int) {
-			if len(bufs[i&1]) > 0 {
-				env.BroadcastLocal(&bufs[i&1])
-			}
-		},
-		Recv: func(env *sim.Env, in sim.Inbox, i int) {
-			next := bufs[(i+1)&1][:0]
-			for _, lm := range in.Local {
-				dbs, ok := lm.Payload.(*deliveredBatches)
-				if !ok {
-					continue
-				}
-				for _, db := range *dbs {
-					if db.Ruler == ruler && seen.Add(uint64(db.Injector)) {
-						next = append(next, db)
-						keep(db.Items)
-					}
-				}
-			}
-			bufs[(i+1)&1] = next
-		},
-	}
-	return c
-}
-
-// Step implements sim.StepProgram.
-func (c *collectMachine) Step(env *sim.Env) bool { return c.loop.Step(env) }
-
-// helperBatches is the local-mode payload of the helper-membership flood.
-type helperBatches []helperBatch
-
-// PayloadWords implements sim.WordSized: a batch is charged as the
-// (ruler, owner, helper) announcements it stands for, three words each.
-func (h helperBatches) PayloadWords() int64 {
-	words := int64(0)
-	for _, hb := range h {
-		words += 3 * int64(len(hb.Owners))
-	}
-	return words
-}
-
-// tokenBatches is the local-mode payload of the Routing-Preparation flood.
-type tokenBatches []tokenBatch
-
-// PayloadWords implements sim.WordSized: each batch is its ruler and owner
-// plus four words per item (label and value).
-func (t tokenBatches) PayloadWords() int64 {
-	words := int64(0)
-	for _, tb := range t {
-		words += 2 + 4*int64(len(tb.Items))
-	}
-	return words
-}
-
-// deliveredBatches is the local-mode payload of the final collection flood.
-type deliveredBatches []deliveredBatch
-
-// PayloadWords implements sim.WordSized: each batch is its ruler and
-// injector plus four words per token.
-func (d deliveredBatches) PayloadWords() int64 {
-	words := int64(0)
-	for _, db := range d {
-		words += 2 + 4*int64(len(db.Items))
-	}
-	return words
+	return &s.collect
 }

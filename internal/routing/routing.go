@@ -27,12 +27,15 @@
 package routing
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/bitrand"
 	"repro/internal/flatmap"
+	"repro/internal/flood"
 	"repro/internal/helpers"
 	"repro/internal/sim"
 )
@@ -142,58 +145,17 @@ func mu(k int, prob float64) int {
 	return v
 }
 
-// helperBatch carries one helper's complete membership — the owners w whose
-// H_w it joined — through its cluster, so that every sender (and every
-// helper of it) learns the full, identically-ordered helper set. A helper's
-// (w, helper) announcements enter the flood together at the helper and
-// spread by first-arrival forwarding, so they provably travel in lockstep;
-// flooding them as one immutable shared batch is message-for-message
-// identical to flooding the pairs individually, but a node dedups and stores
-// one slice header per helper instead of one key per pair — per-node pair
-// sets were the largest live structure of an APSP run. Owners must never be
-// mutated by a receiver.
-type helperBatch struct {
-	Ruler  int
-	Helper int
-	Owners []int
-}
-
-// tokenBatch carries one owner's complete item batch (its tokens, or its
-// expected labels with Value ignored) through its cluster during
-// Routing-Preparation. An owner's items enter the flood together at the
-// owner and spread by first-arrival forwarding, so they provably travel in
-// lockstep; flooding them as one immutable shared batch is
-// message-for-message identical to flooding the records individually, but
-// needs one dedup check and one stored slice header per (node, owner)
-// instead of per record. Items must never be mutated by a receiver.
-type tokenBatch struct {
-	Ruler int
-	Owner int // the sender or receiver the items belong to
-	Items []Token
-}
-
-// deliveredBatch carries one receiver-helper's answered tokens back
-// through the cluster. Helpers hold disjoint label sets (labels are
-// partitioned among a receiver's helpers by rank), and a helper injects
-// its batch exactly once, so per-injector dedup is equivalent to
-// per-label dedup.
-type deliveredBatch struct {
-	Ruler    int
-	Injector int
-	Items    []Token
-}
-
 // family bundles one helper family (Algorithm 1 output) with its
 // cluster-local directory and the scratch of the current spread call: the
-// per-owner batch directory and the flood's rotated delta buffers, reset
-// (not reallocated) per RouteMachine.
+// per-owner batch directory and the flood state, reset (not reallocated) per
+// RouteMachine.
 type family struct {
 	res        helpers.Result
 	mu         int
 	helperSets map[int][]int
 	myOwners   []int // owners whose helper set contains this node, sorted
 	items      flatmap.Map[[]Token]
-	spreadBufs [2]tokenBatches
+	spread     flood.State[[]Token]
 }
 
 // Session holds the token-independent state of the protocol, computed by a
@@ -217,12 +179,11 @@ type Session struct {
 	inter      flatmap.Map[int64]
 	replyQueue []reply
 
-	// Scratch of the final collection flood (see collectMachine), reset per
-	// RouteMachine like inter: the injector dedup set, the rotated delta buffers,
-	// and the tokens addressed to this node, gathered in arrival order.
-	collectSeen flatmap.Set
-	collectBufs [2]deliveredBatches
-	collected   []Token
+	// Scratch of the final collection flood (see startCollect), reset per
+	// RouteMachine like inter: the flood state and the tokens addressed to
+	// this node, gathered in arrival order.
+	collect   flood.State[[]Token]
+	collected []Token
 }
 
 // reply is one queued intermediate-to-receiver-helper answer.
@@ -264,15 +225,14 @@ func helpersOf(id int, helperSets map[int][]int) []int {
 // canonicalTokens sorts tokens by (S, R, I) and drops duplicates.
 func canonicalTokens(ts []Token) []Token {
 	out := append([]Token(nil), ts...)
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.S != b.S {
-			return a.S < b.S
+	slices.SortFunc(out, func(a, b Token) int {
+		if c := cmp.Compare(a.S, b.S); c != 0 {
+			return c
 		}
-		if a.R != b.R {
-			return a.R < b.R
+		if c := cmp.Compare(a.R, b.R); c != 0 {
+			return c
 		}
-		return a.I < b.I
+		return cmp.Compare(a.I, b.I)
 	})
 	dedup := out[:0]
 	for i, t := range out {

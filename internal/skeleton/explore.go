@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"repro/internal/flatmap"
+	"repro/internal/flood"
 	"repro/internal/graph"
 	"repro/internal/sim"
 )
@@ -112,18 +113,9 @@ type distUpdates []distUpdate
 // distance, and a hop count.
 func (d distUpdates) PayloadWords() int64 { return 3 * int64(len(d)) }
 
-// floodVec is the local-mode payload of FloodVectorsMachine: one origin's label
-// vector travelling with a remaining TTL. Values is shared by every node
-// that hears it and must never be mutated.
-type floodVec struct {
-	Origin int
-	TTL    int
-	Values []int64
-}
-
 // Labels is the result of FloodVectorsMachine: the heard label vectors keyed by
-// origin node ID. It is a flat open-addressed map so the flood's per-round
-// dedup inserts stop allocating once the table is warm.
+// origin node ID, a flat open-addressed map written once per first arrival
+// (first-arrival dedup is the flood kernel's, see package flood).
 type Labels = flatmap.Map[[]int64]
 
 // FloodVectorsMachine floods this node's label vector (nil unless this node
@@ -146,64 +138,26 @@ type FloodVectorsMachine struct {
 	// once Step returned true.
 	Known Labels
 
-	loop sim.Loop
-	bufs [2]floodVecs // rotated like ExploreMachine's delta buffers
+	flood flood.State[[]int64]
 }
 
 // NewFloodVectorsMachine builds the collective flood machine; all nodes
 // must start it in the same round with the same radius. mine is this node's
-// vector (nil unless an origin). It takes exactly `radius` rounds.
+// vector (nil unless an origin). It takes exactly `radius` rounds: the flood
+// kernel's round count is the TTL a vector would carry, so none is stored.
 func NewFloodVectorsMachine(env *sim.Env, mine []int64, radius int) *FloodVectorsMachine {
 	m := &FloodVectorsMachine{}
+	// The vectors are shared across the whole flood, but every local
+	// transmission carries their full contents, so the wire charge counts
+	// them in full: origin, TTL, and one word per subject.
+	m.flood.Start(env, 0, radius,
+		func(values []int64) int64 { return 2 + int64(len(values)) },
+		func(origin int, values []int64) { m.Known.Put(uint64(origin), values) })
 	if mine != nil {
-		m.Known.Put(uint64(env.ID()), mine)
-		m.bufs[0] = append(m.bufs[0], floodVec{Origin: env.ID(), TTL: radius, Values: mine})
+		m.flood.Inject(env.ID(), mine)
 	}
-	m.loop = sim.Loop{Rounds: radius, Send: m.send, Recv: m.recv, NextSend: sim.Reactive}
 	return m
 }
 
 // Step implements sim.StepProgram.
-func (m *FloodVectorsMachine) Step(env *sim.Env) bool { return m.loop.Step(env) }
-
-func (m *FloodVectorsMachine) send(env *sim.Env, i int) {
-	if len(m.bufs[i&1]) > 0 {
-		env.BroadcastLocal(&m.bufs[i&1])
-	}
-}
-
-func (m *FloodVectorsMachine) recv(env *sim.Env, in sim.Inbox, i int) {
-	next := m.bufs[(i+1)&1][:0]
-	for _, lm := range in.Local {
-		vecs, ok := lm.Payload.(*floodVecs)
-		if !ok {
-			continue
-		}
-		for _, fv := range *vecs {
-			if m.Known.Has(uint64(fv.Origin)) {
-				continue
-			}
-			m.Known.Put(uint64(fv.Origin), fv.Values)
-			if fv.TTL > 1 {
-				next = append(next, floodVec{Origin: fv.Origin, TTL: fv.TTL - 1, Values: fv.Values})
-			}
-		}
-	}
-	m.bufs[(i+1)&1] = next
-}
-
-// floodVecs is the local-mode payload of FloodVectorsMachine: a batch of label
-// vectors. The vectors are shared across the whole flood, but every local
-// transmission carries their full contents, so the wire charge counts them
-// in full.
-type floodVecs []floodVec
-
-// PayloadWords implements sim.WordSized: each vector is its origin, TTL,
-// and one word per subject.
-func (f floodVecs) PayloadWords() int64 {
-	words := int64(0)
-	for _, fv := range f {
-		words += 2 + int64(len(fv.Values))
-	}
-	return words
-}
+func (m *FloodVectorsMachine) Step(env *sim.Env) bool { return m.flood.Step(env) }
