@@ -16,6 +16,8 @@
 package cliquesim
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 
@@ -231,19 +233,16 @@ func roundInstance(me int, alg clique.Algorithm, node clique.Node, members []int
 }
 
 // assemble pairs the two word-tokens of each message back into
-// clique.Incoming values, sorted by (Src, Tag).
+// clique.Incoming values, sorted by (Src, Tag). A sender's clique index is its
+// position in the sorted member list.
 func assemble(got []routing.Token, members []int, selfIn []clique.Incoming) []clique.Incoming {
-	rank := make(map[int]int, len(members))
-	for i, id := range members {
-		rank[id] = i
-	}
 	type key struct {
 		src int
 		tag int64
 	}
 	vals := map[key]*clique.Value{}
 	for _, t := range got {
-		src, ok := rank[t.S]
+		src, ok := slices.BinarySearch(members, t.S)
 		if !ok {
 			continue
 		}
@@ -264,11 +263,11 @@ func assemble(got []routing.Token, members []int, selfIn []clique.Incoming) []cl
 		in = append(in, clique.Incoming{Src: k.src, Tag: k.tag, Val: *v})
 	}
 	in = append(in, selfIn...)
-	sort.Slice(in, func(x, y int) bool {
-		if in[x].Src != in[y].Src {
-			return in[x].Src < in[y].Src
+	slices.SortFunc(in, func(a, b clique.Incoming) int {
+		if c := cmp.Compare(a.Src, b.Src); c != 0 {
+			return c
 		}
-		return in[x].Tag < in[y].Tag
+		return cmp.Compare(a.Tag, b.Tag)
 	})
 	return in
 }

@@ -19,8 +19,9 @@
 package ncc
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/flatmap"
 	"repro/internal/sim"
@@ -470,14 +471,14 @@ func tokensOf(set *flatmap.TripleSet) []Token {
 	for _, tr := range set.AppendAll(nil) {
 		out = append(out, Token(tr))
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
+	slices.SortFunc(out, func(a, b Token) int {
+		if c := cmp.Compare(a.A, b.A); c != 0 {
+			return c
 		}
-		if out[i].B != out[j].B {
-			return out[i].B < out[j].B
+		if c := cmp.Compare(a.B, b.B); c != 0 {
+			return c
 		}
-		return out[i].C < out[j].C
+		return cmp.Compare(a.C, b.C)
 	})
 	return out
 }
