@@ -17,11 +17,11 @@ func (r Result) words() []int64 {
 	return append(w, simtest.Ints(r.Helps)...)
 }
 
-// TestMachineMatchesCompute holds the Algorithm 1 machine, on every engine,
-// to the trace recorded from the blocking Compute it replaced — uncached,
+// TestMachineMatchesPin holds the Algorithm 1 machine, on every engine,
+// to the trace pinned from the blocking Compute it replaced — uncached,
 // populating a cluster cache, and bound from it — and checks the family it
 // builds.
-func TestMachineMatchesCompute(t *testing.T) {
+func TestMachineMatchesPin(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := graph.SparseConnected(60, 1.2, rng)
 	inW := make([]bool, g.N())

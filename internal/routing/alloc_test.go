@@ -12,10 +12,11 @@ import (
 // cluster floods (the routing counterpart of hybridapsp's
 // TestSteadyStateRoundZeroAlloc): once a Session has routed an instance
 // twice, the rounds inside the third Route's spread and collect floods
-// allocate nothing — the delta buffers rotate, the dedup tables and the
-// collected-token storage are the session's and are reset, not
-// reallocated. A per-round map, a delta slice grown from nil or a payload
-// boxed by value would show up here as a nonzero count.
+// allocate nothing — the flood states (flood.State: rotated delta buffers,
+// dedup bitset), the batch directories and the collected-token storage are
+// the session's and are reset, not reallocated. A per-round map, a delta
+// slice grown from nil or a payload boxed by value would show up here as a
+// nonzero count.
 //
 // The measured windows are the first rounds of each flood, when the waves
 // are travelling; the quiet tail behind them is fast-forwarded and could

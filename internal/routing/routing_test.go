@@ -387,3 +387,58 @@ func TestRouteInconsistentInstanceDegradesGracefully(t *testing.T) {
 		}
 	}
 }
+
+// TestRouteMisaddressedLabel writes down the boundary of collect's
+// receiver-only rule (see startCollect) on the one kind of instance where it
+// shows: node v lists a label whose R is another node u ("expect wrong
+// address" to Validate). v's helpers request the token, it is answered and
+// floods through the cluster — a 3x3 grid with µ = 2 is a single cluster —
+// but v never takes it (its R is not v), and u takes it exactly if u looks at
+// the batches passing by, which it does iff it expects anything itself.
+func TestRouteMisaddressedLabel(t *testing.T) {
+	g := graph.Grid(3, 3)
+	const s, s2, u, v = 0, 1, 4, 8
+	stray := Token{Label: Label{S: s, R: u, I: 0}, Value: 42}
+	own := Token{Label: Label{S: s2, R: u, I: 0}, Value: 7}
+	for _, tc := range []struct {
+		name    string
+		uExpect []Label
+		uGets   []Token
+	}{
+		{"u expects nothing", nil, nil},
+		{"u expects another label", []Label{own.Label}, []Token{stray, own}},
+	} {
+		specs := make([]Spec, g.N())
+		for i := range specs {
+			specs[i] = Spec{KS: 1, KR: 1, PS: 1, PR: 1}
+		}
+		specs[s].InS, specs[s].Send = true, []Token{stray}
+		specs[v].InR, specs[v].Expect = true, []Label{stray.Label}
+		if tc.uExpect != nil {
+			specs[s2].InS, specs[s2].Send = true, []Token{own}
+			specs[u].InR, specs[u].Expect = true, tc.uExpect
+		}
+		if Validate(specs) == nil {
+			t.Fatalf("%s: Validate accepts the instance; it no longer tests the boundary", tc.name)
+		}
+		got, _, err := sim.RunPipeline(g, sim.Config{Seed: 3}, Pipeline(specs, Params{MuS: 2, MuR: 2}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for w := range got {
+			var want []Token
+			if w == u {
+				want = tc.uGets
+			}
+			if len(got[w]) != len(want) {
+				t.Errorf("%s: node %d received %v, want %v", tc.name, w, got[w], want)
+				continue
+			}
+			for i := range want {
+				if got[w][i] != want[i] {
+					t.Errorf("%s: node %d received %v, want %v", tc.name, w, got[w], want)
+				}
+			}
+		}
+	}
+}

@@ -45,12 +45,12 @@ func tokenWords(ts []Token) []int64 {
 	return w
 }
 
-// TestRouteProgramMatchesRoute holds the protocol's machines, on every
-// engine, to the trace recorded from the blocking Route they replaced:
+// TestRouteProgramMatchesPin holds the protocol's machines, on every
+// engine, to the trace pinned from the blocking Route they replaced:
 // session and route without a cache, populating a session cache, bound from
 // it, and two instances routed over one session (the scratch a Session keeps
 // between instances is reset, not reallocated).
-func TestRouteProgramMatchesRoute(t *testing.T) {
+func TestRouteProgramMatchesPin(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	g := graph.SparseConnected(40, 1.3, rng)
 	specs := buildStepInstance(g.N())
