@@ -51,7 +51,8 @@ func SharedFactory(f Factory) Factory {
 // Result is what one node knows after the simulation.
 type Result struct {
 	// Members lists the skeleton node IDs, sorted; clique index i is
-	// Members[i]. Known by every node (public knowledge).
+	// Members[i]. Known by every node (public knowledge), and one copy
+	// serves them all: read-only.
 	Members []int
 	// Index is this node's clique index, -1 if not a skeleton node.
 	Index int
@@ -103,7 +104,10 @@ func NewSimulateMachine(env *sim.Env, skel skeleton.Result, sampleProb float64, 
 		// CLIQUE round moves at most q messages = 2q tokens per member in
 		// each direction. (The factory runs first.)
 		func(env *sim.Env) sim.StepProgram {
-			members, index = membersFromTokens(env.ID(), diss.Out)
+			members = ncc.Derived(env, membersKey{}, diss.Out, membersFromTokens)
+			if i, ok := slices.BinarySearch(members, env.ID()); ok {
+				index = i
+			}
 			q = len(members)
 			res = Result{Members: members, Index: index}
 			if q == 0 {
@@ -148,22 +152,18 @@ func NewSimulateMachine(env *sim.Env, skel skeleton.Result, sampleProb float64, 
 	)
 }
 
+// membersKey is the sim.Agreed slot of the decoded member list.
+type membersKey struct{}
+
 // membersFromTokens decodes the disseminated member list into the sorted
-// shared index space and locates this node's clique index (-1 if not a
-// member) — the local tail of the dissemination run.
-func membersFromTokens(me int, memberTokens []ncc.Token) ([]int, int) {
+// shared index space — the local tail of the dissemination run.
+func membersFromTokens(memberTokens []ncc.Token) []int {
 	members := make([]int, 0, len(memberTokens))
 	for _, t := range memberTokens {
 		members = append(members, int(t.A))
 	}
 	sort.Ints(members)
-	index := -1
-	for i, id := range members {
-		if id == me {
-			index = i
-		}
-	}
-	return members, index
+	return members
 }
 
 // cliqueAdjacency translates a member's incident skeleton edges into

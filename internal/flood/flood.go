@@ -109,6 +109,24 @@ func (s *State[P]) AppendOrigins(dst []int) []int {
 	return dst
 }
 
+// OriginsAre reports whether the origins heard so far are exactly ids, a list
+// of distinct node IDs — that is, whether AppendOrigins would return ids.
+func (s *State[P]) OriginsAre(ids []int) bool {
+	heard := 0
+	for _, word := range s.seen {
+		heard += bits.OnesCount64(word)
+	}
+	if heard != len(ids) {
+		return false
+	}
+	for _, id := range ids {
+		if id < 0 || id>>6 >= len(s.seen) || s.seen[id>>6]&(1<<(id&63)) == 0 {
+			return false
+		}
+	}
+	return true
+}
+
 func (s *State[P]) buf(i int) *delta[P] { return &s.bufs[(s.base+i)&1] }
 
 func (s *State[P]) reset(d *delta[P]) { d.scope, d.words, d.recs = s.scope, 0, d.recs[:0] }

@@ -21,6 +21,7 @@ package helpers
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/flood"
@@ -45,9 +46,10 @@ type Result struct {
 	// distance.
 	Ruler     int
 	RulerDist int
-	// Members lists all nodes of this cluster, sorted by ID.
-	Members []int
-	// WMembers lists the W-nodes of this cluster, sorted by ID.
+	// Members lists all nodes of this cluster, sorted by ID; WMembers its
+	// W-nodes. The cluster's members share one copy of each (sim.Agreed
+	// on the flood that taught them): read-only.
+	Members  []int
 	WMembers []int
 	// Helps lists the w ∈ W whose helper set H_w this node joined, sorted.
 	Helps []int
@@ -124,8 +126,9 @@ func NewMachine(env *sim.Env, inW bool, mu int, params Params) *Machine {
 			// The cached phases are deterministic and sampleHelps draws the
 			// same randomness, so this is exactly the cold result.
 			return sim.Then(wf, func(env *sim.Env) {
-				m.Res = Result{Ruler: ruler, RulerDist: dist, Members: members, WMembers: wf.AppendOrigins(nil), InW: inW, Mu: mu}
-				m.Res.Helps = sampleHelps(env, p, mu, len(members), m.Res.WMembers)
+				wMembers := sim.Agreed(env, listKey{mu, ruler, true}, wf.OriginsAre, func() []int { return wf.AppendOrigins(nil) })
+				m.Res = Result{Ruler: ruler, RulerDist: dist, Members: members, WMembers: wMembers, InW: inW, Mu: mu}
+				m.Res.Helps = sampleHelps(env, p, mu, len(members), wMembers)
 			})
 		},
 		func(env *sim.Env) sim.StepProgram { return newColdProg(env, m, inW, mu, p) },
@@ -204,9 +207,12 @@ func newColdProg(env *sim.Env, m *Machine, inW bool, mu int, p Params) sim.StepP
 			return &members
 		},
 		sim.Finish(func(env *sim.Env) {
-			sort.Ints(wMembers)
-			m.Res = Result{Ruler: bestRuler, RulerDist: bestDist, Members: members.AppendOrigins(nil), WMembers: wMembers, InW: inW, Mu: mu}
-			m.Res.Helps = sampleHelps(env, p, mu, len(m.Res.Members), wMembers)
+			wMembers = sim.Agreed(env, listKey{mu, bestRuler, true},
+				func(l []int) bool { return sortedListOf(l, wMembers) },
+				func() []int { sort.Ints(wMembers); return wMembers })
+			all := sim.Agreed(env, listKey{mu, bestRuler, false}, members.OriginsAre, func() []int { return members.AppendOrigins(nil) })
+			m.Res = Result{Ruler: bestRuler, RulerDist: bestDist, Members: all, WMembers: wMembers, InW: inW, Mu: mu}
+			m.Res.Helps = sampleHelps(env, p, mu, len(all), wMembers)
 		}),
 	)
 }
@@ -221,6 +227,30 @@ func Pipeline(inW []bool, mu int, params Params) sim.Pipeline[Result] {
 		m := NewMachine(env, inW[env.ID()], mu, params)
 		return sim.Then(m, func(*sim.Env) { done(m.Res) })
 	}
+}
+
+// listKey is the sim.Agreed slot of a cluster's sorted member list (w false)
+// or W-member list: for a fixed graph the clustering is a function of µ, so
+// (µ, ruler) names the cluster. Which W the list is of, the slot does not say:
+// a held list is a node's iff it is exactly the IDs that node's flood heard.
+type listKey struct {
+	mu, ruler int
+	w         bool
+}
+
+// sortedListOf reports whether sorted, an ascending list of distinct IDs, lists
+// exactly ids, distinct IDs in any order (here: arrival order): it does iff it
+// is as long and holds each of them.
+func sortedListOf(sorted, ids []int) bool {
+	if len(sorted) != len(ids) {
+		return false
+	}
+	for _, id := range ids {
+		if _, ok := slices.BinarySearch(sorted, id); !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // recWords charges one member or W record: an ID and a ruler ID.

@@ -2,10 +2,12 @@ package helpers
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/sim"
+	"repro/internal/simtest"
 )
 
 // runCompute executes Algorithm 1 on g for the given W.
@@ -189,6 +191,69 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 		for i := range a[v].Helps {
 			if a[v].Helps[i] != b[v].Helps[i] {
 				t.Fatalf("node %d helper list differs between identical runs", v)
+			}
+		}
+	}
+}
+
+// TestAgreedClusterListsFollowTheFlood: two families built in one run over the
+// same clustering (same µ) but different W present the same member flood and
+// different W floods under the same cluster key. Every node must get its own
+// family's W members, cold and on a cluster-cache hit, and a cluster's members
+// share one member list and one W list.
+func TestAgreedClusterListsFollowTheFlood(t *testing.T) {
+	g := graph.Grid(12, 12)
+	n := g.N()
+	inW := [2]func(id int) bool{
+		func(id int) bool { return id%2 == 0 },
+		func(id int) bool { return id%3 == 0 },
+	}
+	for _, eng := range simtest.Engines {
+		params := Params{Clusters: NewClusterCache()}
+		for _, run := range []string{"cache miss", "cache hit", "uncached"} {
+			if run == "uncached" {
+				params = Params{}
+			}
+			var res [2][]Result
+			res[0], res[1] = make([]Result, n), make([]Result, n)
+			_, err := sim.RunStep(g, sim.Config{Seed: 6, Engine: eng, Shards: 1}, func(env *sim.Env) sim.StepProgram {
+				id := env.ID()
+				var m *Machine
+				build := func(i int) func(*sim.Env) sim.StepProgram {
+					return func(env *sim.Env) sim.StepProgram {
+						m = NewMachine(env, inW[i](id), 1, params)
+						return m
+					}
+				}
+				return sim.Sequence(
+					build(0), sim.Finish(func(*sim.Env) { res[0][id] = m.Res }),
+					build(1), sim.Finish(func(*sim.Env) { res[1][id] = m.Res }),
+				)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ClusterCheck(g, res[1], 1); err != nil {
+				t.Fatalf("%s, %s: %v", eng, run, err)
+			}
+			for i := range res {
+				for id, r := range res[i] {
+					var want []int
+					for _, v := range r.Members {
+						if inW[i](v) {
+							want = append(want, v)
+						}
+					}
+					if !slices.Equal(r.WMembers, want) {
+						t.Fatalf("%s, %s: family %d node %d: W members %v, want %v", eng, run, i, id, r.WMembers, want)
+					}
+					// One shard steps the nodes one after the other, so each
+					// list is made once per cluster.
+					ruler := res[i][r.Ruler]
+					if eng == sim.EngineStep && (&r.Members[0] != &ruler.Members[0] || len(want) > 0 && &r.WMembers[0] != &ruler.WMembers[0]) {
+						t.Errorf("%s: family %d node %d: its cluster lists are copies of its ruler's", run, i, id)
+					}
+				}
 			}
 		}
 	}

@@ -26,6 +26,7 @@
 package hybridapsp
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -77,8 +78,6 @@ func NewComputeMachine(env *sim.Env, params Params, done func([]int64)) sim.Step
 	var floodM *skeleton.FloodVectorsMachine
 	var skel skeleton.Result
 	var local []int64
-	var members []int
-	var dS [][]int64
 	var send []routing.Token
 	var expect []routing.Label
 
@@ -102,16 +101,12 @@ func NewComputeMachine(env *sim.Env, params Params, done func([]int64)) sim.Step
 		// Phase 3: token routing — every node sends d(v, s), the best route
 		// via a nearby skeleton node, to each s ∈ V_S.
 		func(env *sim.Env) sim.StepProgram {
-			members, dS = pub.Members, pub.DS
-			rank := make(map[int]int, len(members))
-			for i, id := range members {
-				rank[id] = i
-			}
+			members := pub.Members
 			send = make([]routing.Token, 0, len(members))
 			for i, s := range members {
 				send = append(send, routing.Token{
 					Label: routing.Label{S: env.ID(), R: s, I: 0},
-					Value: bestViaSkeleton(skel, rank, dS, i),
+					Value: bestViaSkeleton(skel, pub.Rank, pub.DS, i),
 				})
 			}
 			if skel.InSkeleton {
@@ -172,14 +167,29 @@ func NewComputeMachine(env *sim.Env, params Params, done func([]int64)) sim.Step
 // sized by two aggregations of the edge counts) and locally solves APSP on
 // the skeleton graph.
 type publishMachine struct {
-	// Members is the sorted skeleton member list and DS its all-pairs
-	// distance matrix (indices = member ranks); valid once Step returned
+	// The node's view of the published skeleton; valid once Step returned
 	// true.
-	Members []int
-	DS      [][]int64
+	*skeletonAPSP
 
 	prog sim.StepProgram
 }
+
+// skeletonAPSP is what a node derives from the disseminated edge tokens:
+// Members is the sorted skeleton member list, Rank its inverse, and DS the
+// all-pairs distance matrix of the skeleton graph (indices = member ranks).
+// One copy serves every node that received the same tokens, so it is
+// read-only.
+type skeletonAPSP struct {
+	Members []int
+	Rank    map[int]int
+	DS      [][]int64
+}
+
+// The sim.Agreed slots of this package.
+type (
+	skeletonAPSPKey struct{}
+	labelMatrixKey  struct{}
+)
 
 func newPublishMachine(env *sim.Env, skel skeleton.Result, dp ncc.DisseminateParams) *publishMachine {
 	pm := &publishMachine{}
@@ -214,7 +224,7 @@ func newPublishMachine(env *sim.Env, skel skeleton.Result, dp ncc.DisseminatePar
 			return diss
 		},
 		sim.Finish(func(env *sim.Env) {
-			pm.Members, pm.DS = skeletonAPSPFromTokens(diss.Out)
+			pm.skeletonAPSP = ncc.Derived(env, skeletonAPSPKey{}, diss.Out, skeletonAPSPFromTokens)
 		}),
 	)
 	return pm
@@ -225,9 +235,8 @@ func (pm *publishMachine) Step(env *sim.Env) bool { return pm.prog.Step(env) }
 
 // skeletonAPSPFromTokens rebuilds the skeleton graph from the disseminated
 // edge tokens and solves APSP on it locally — the local tail of
-// publishMachine: the sorted member list plus the all-pairs distance matrix
-// of the skeleton graph (indices = member ranks).
-func skeletonAPSPFromTokens(all []ncc.Token) ([]int, [][]int64) {
+// publishMachine.
+func skeletonAPSPFromTokens(all []ncc.Token) *skeletonAPSP {
 	memberSet := map[int]bool{}
 	for _, t := range all {
 		memberSet[int(t.A)] = true
@@ -250,7 +259,7 @@ func skeletonAPSPFromTokens(all []ncc.Token) ([]int, [][]int64) {
 			s.MustAddEdge(u, v, t.C)
 		}
 	}
-	return members, graph.APSP(s)
+	return &skeletonAPSP{Members: members, Rank: rank, DS: graph.APSP(s)}
 }
 
 // bestViaSkeleton returns min over nearby skeleton s1 of dd(v,s1)+d_S(s1,s).
@@ -331,22 +340,12 @@ func NewBaselineComputeMachine(env *sim.Env, params Params, done func([]int64)) 
 			return diss
 		},
 		sim.Finish(func(env *sim.Env) {
-			members, dS := pub.Members, pub.DS
-			rank := make(map[int]int, len(members))
-			for i, id := range members {
-				rank[id] = i
-			}
-			// Labels: dd(v, s) as a dense (skeleton rank, node) matrix, -1 =
-			// absent.
-			lab := make([]int64, len(members)*n)
-			for i := range lab {
-				lab[i] = -1
-			}
-			for _, t := range diss.Out {
-				if i, ok := rank[int(t.A)]; ok {
-					lab[i*n+int(t.B)] = t.C
-				}
-			}
+			members, rank, dS := pub.Members, pub.Rank, pub.DS
+			lab := sim.Agreed(env, labelMatrixKey{},
+				func(m *labelMatrix) bool {
+					return slices.Equal(m.members, members) && ncc.SameTokens(m.tokens, diss.Out)
+				},
+				func() *labelMatrix { return newLabelMatrix(pub.skeletonAPSP, diss.Out, n) }).lab
 			// min over s1 near me, s2 near v of dd(me,s1)+d_S(s1,s2)+dd(v,s2);
 			// the dense exploration vector doubles as the accumulator.
 			out := local
@@ -373,6 +372,29 @@ func NewBaselineComputeMachine(env *sim.Env, params Params, done func([]int64)) 
 			done(out)
 		}),
 	)
+}
+
+// labelMatrix is the [3] baseline's view of the disseminated labels: dd(v, s)
+// as a dense (skeleton rank, node) matrix, -1 = absent — with the two inputs
+// it was built from, the member list that ranks its rows and the label
+// tokens. Read-only: one copy serves every node that holds the same two.
+type labelMatrix struct {
+	members []int
+	tokens  []ncc.Token
+	lab     []int64
+}
+
+func newLabelMatrix(skel *skeletonAPSP, tokens []ncc.Token, n int) *labelMatrix {
+	lab := make([]int64, len(skel.Members)*n)
+	for i := range lab {
+		lab[i] = -1
+	}
+	for _, t := range tokens {
+		if i, ok := skel.Rank[int(t.A)]; ok {
+			lab[i*n+int(t.B)] = t.C
+		}
+	}
+	return &labelMatrix{members: skel.Members, tokens: tokens, lab: lab}
 }
 
 // NewLocalComputeMachine is the pure-LOCAL baseline: rounds of whole-graph

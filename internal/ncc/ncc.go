@@ -296,10 +296,13 @@ func (p DisseminateParams) withDefaults() DisseminateParams {
 //
 // With r = Theta(sqrt(k)) the total is O~(ell + k/r + r) = O~(sqrt(k)+ell).
 type DisseminateMachine struct {
-	// Out is the sorted known-token set; valid once Step returned true.
+	// Out is the sorted known-token set; valid once Step returned true. It
+	// is shared by every node that ended up knowing the same set (see
+	// agreedTokens) and must not be written to.
 	Out []Token
 
-	prog sim.StepProgram
+	known flatmap.TripleSet
+	prog  sim.StepProgram
 }
 
 // replicateJob is one held token of phase 2 and the copies still to place.
@@ -318,12 +321,12 @@ func NewDisseminateMachine(env *sim.Env, mine []Token, k, ell int, params Dissem
 	logN := sim.Log2Ceil(n)
 	budget := env.GlobalCap()
 	m := &DisseminateMachine{}
-	var known flatmap.TripleSet
+	known := &m.known
 	for _, t := range mine {
 		known.Add(flatmap.Triple(t))
 	}
 	if k <= 0 {
-		m.Out = tokensOf(&known)
+		m.Out = tokensOf(known)
 		m.prog = sim.Sequence()
 		return m
 	}
@@ -423,7 +426,7 @@ func NewDisseminateMachine(env *sim.Env, mine []Token, k, ell int, params Dissem
 			for _, j := range jobs {
 				known.Add(flatmap.Triple(j.t))
 			}
-			bufs[0] = tokensOf(&known)
+			bufs[0] = tokensOf(known)
 			return &sim.Loop{
 				Rounds:   r,
 				NextSend: sim.Reactive,
@@ -450,7 +453,7 @@ func NewDisseminateMachine(env *sim.Env, mine []Token, k, ell int, params Dissem
 				},
 			}
 		},
-		sim.Finish(func(env *sim.Env) { m.Out = tokensOf(&known) }),
+		sim.Finish(func(env *sim.Env) { m.Out = agreedTokens(env, known) }),
 	)
 	return m
 }
@@ -467,9 +470,10 @@ func (b tokenBatch) PayloadWords() int64 { return 3 * int64(len(b)) }
 
 // tokensOf returns the sorted token set for deterministic output.
 func tokensOf(set *flatmap.TripleSet) []Token {
-	out := make([]Token, 0, set.Len())
-	for _, tr := range set.AppendAll(nil) {
-		out = append(out, Token(tr))
+	trs := set.AppendAll(make([]flatmap.Triple, 0, set.Len()))
+	out := make([]Token, len(trs))
+	for i, tr := range trs {
+		out[i] = Token(tr)
 	}
 	slices.SortFunc(out, func(a, b Token) int {
 		if c := cmp.Compare(a.A, b.A); c != 0 {
@@ -481,6 +485,56 @@ func tokensOf(set *flatmap.TripleSet) []Token {
 		return cmp.Compare(a.C, b.C)
 	})
 	return out
+}
+
+// outKey is the sim.Agreed slot of a finished dissemination's output.
+type outKey struct{}
+
+// agreedTokens is tokensOf for a set the protocol has made public knowledge:
+// every node that knows the same set gets the same slice, sorted once. A list
+// of distinct tokens is this node's set iff it is as long and the node knows
+// each of them, so a node that missed a token (the guarantee is w.h.p.) sorts
+// its own.
+func agreedTokens(env *sim.Env, known *flatmap.TripleSet) []Token {
+	return sim.Agreed(env, outKey{}, func(out []Token) bool {
+		if len(out) != known.Len() {
+			return false
+		}
+		for _, t := range out {
+			if !known.Has(flatmap.Triple(t)) {
+				return false
+			}
+		}
+		return true
+	}, func() []Token { return tokensOf(known) })
+}
+
+// SameTokens reports whether two token lists are equal. Lists that share
+// their storage, as the Out of an agreed dissemination does across nodes, are
+// recognised without being read.
+func SameTokens(a, b []Token) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	return len(a) == 0 || &a[0] == &b[0] || slices.Equal(a, b)
+}
+
+// derived is a value computed from a disseminated token list, with that list.
+type derived[T any] struct {
+	from []Token
+	val  T
+}
+
+// Derived returns build(tokens) — what a node computes locally from a
+// disseminated token list: a decoded member list, APSP on the published
+// skeleton graph — computed once for all the nodes whose list is the same
+// (sim.Agreed under key, which must be the caller's own type). The result is
+// shared and must not be written to; build must be a pure function of its
+// argument.
+func Derived[T any](env *sim.Env, key any, tokens []Token, build func([]Token) T) T {
+	return sim.Agreed(env, key,
+		func(d derived[T]) bool { return SameTokens(d.from, tokens) },
+		func() derived[T] { return derived[T]{tokens, build(tokens)} }).val
 }
 
 // isqrt returns ceil(sqrt(x)) for x >= 0.

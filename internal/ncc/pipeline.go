@@ -23,6 +23,7 @@ import (
 // O~(sqrt(k)) by roughly sqrt(k) — the HYBRID advantage E11 measures.
 type PipelinedBroadcastMachine struct {
 	// Out is the sorted known-token set; valid once Step returned true.
+	// Shared like DisseminateMachine.Out.
 	Out []Token
 
 	loop     sim.Loop
@@ -52,7 +53,7 @@ func NewPipelinedBroadcastMachine(env *sim.Env, mine []Token, ell int) *Pipeline
 // Step implements sim.StepProgram.
 func (m *PipelinedBroadcastMachine) Step(env *sim.Env) bool {
 	if m.loop.Step(env) {
-		m.Out = tokensOf(&m.known)
+		m.Out = agreedTokens(env, &m.known)
 		return true
 	}
 	return false

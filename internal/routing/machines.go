@@ -347,15 +347,45 @@ func floodRounds(env *sim.Env, mu int) int { return 4 * mu * sim.Log2Ceil(env.N(
 // pair (per-node pair sets were the largest live structure of an APSP run).
 type announceMachine struct {
 	// Sets is the helper directory of this node's cluster (w -> sorted
-	// helper IDs); valid once Step returned true.
+	// helper IDs); valid once Step returned true. The cluster's members
+	// share one copy: read-only.
 	Sets map[int][]int
 
+	key   directoryKey
 	flood flood.State[[]int]
-	heard []flood.Rec[[]int] // helper -> the owners it helps
+	heard []flood.Rec[[]int] // helper -> the owners it helps; dropped once Sets is bound
+}
+
+// directoryKey is the sim.Agreed slot of a cluster's helper directory: for a
+// fixed graph the clustering is a function of µ, so (µ, ruler) names the
+// cluster. The slot says nothing about which session's, or which family's,
+// helpers were announced in it; the announcements themselves do.
+type directoryKey struct{ mu, ruler int }
+
+// directory is a cluster's helper directory with the announcements it was
+// built from, by ascending helper ID; slot finds a helper's in O(1), so that
+// checking a directory costs a member far less than building one.
+type directory struct {
+	heard []flood.Rec[[]int]
+	slot  []int32 // slot[helper-heard[0].Origin]-1 indexes heard; 0 = no announcement
+	sets  map[int][]int
+}
+
+// owners returns the owner list helper announced, if it did.
+func (d *directory) owners(helper int) ([]int, bool) {
+	if len(d.heard) == 0 {
+		return nil, false
+	}
+	off := helper - d.heard[0].Origin
+	if off < 0 || off >= len(d.slot) || d.slot[off] == 0 {
+		return nil, false
+	}
+	return d.heard[d.slot[off]-1].Val, true
 }
 
 func newAnnounceMachine(env *sim.Env, res helpers.Result, mu int) *announceMachine {
-	a := &announceMachine{}
+	// Only members of the cluster announce in it.
+	a := &announceMachine{key: directoryKey{mu, res.Ruler}, heard: make([]flood.Rec[[]int], 0, len(res.Members))}
 	a.flood.Start(env, res.Ruler, floodRounds(env, mu),
 		func(owners []int) int64 { return 3 * int64(len(owners)) },
 		func(helper int, owners []int) {
@@ -372,9 +402,32 @@ func (a *announceMachine) Step(env *sim.Env) bool {
 	if !a.flood.Step(env) {
 		return false
 	}
-	// Helpers are visited in ascending ID order, so every H_w is built
-	// sorted; a counting pass first sizes each H_w exactly, because the
-	// directory lives as long as the session (and the session cache).
+	a.Sets = sim.Agreed(env, a.key, a.heardExactly, a.buildDirectory).sets
+	a.heard = nil
+	return true
+}
+
+// heardExactly reports whether d was built from the announcements this node
+// heard: as many helpers, and of each helper this node heard, the same owner
+// list. The helper set alone would not do — two sessions of one run can have
+// the same helpers announce different owners in the same cluster.
+func (a *announceMachine) heardExactly(d *directory) bool {
+	if len(d.heard) != len(a.heard) {
+		return false
+	}
+	for _, h := range a.heard {
+		if owners, ok := d.owners(h.Origin); !ok || !slices.Equal(owners, h.Val) {
+			return false
+		}
+	}
+	return true
+}
+
+// buildDirectory inverts the announcements this node heard. Helpers are
+// visited in ascending ID order, so every H_w is built sorted; a counting pass
+// first sizes each H_w exactly, because the directory lives as long as the
+// session (and the session cache).
+func (a *announceMachine) buildDirectory() *directory {
 	slices.SortFunc(a.heard, func(x, y flood.Rec[[]int]) int { return cmp.Compare(x.Origin, y.Origin) })
 	size := map[int]int{}
 	for _, h := range a.heard {
@@ -382,16 +435,23 @@ func (a *announceMachine) Step(env *sim.Env) bool {
 			size[w]++
 		}
 	}
-	a.Sets = make(map[int][]int, len(size))
+	sets := make(map[int][]int, len(size))
 	for w, k := range size {
-		a.Sets[w] = make([]int, 0, k)
+		sets[w] = make([]int, 0, k)
 	}
 	for _, h := range a.heard {
 		for _, w := range h.Val {
-			a.Sets[w] = append(a.Sets[w], h.Origin)
+			sets[w] = append(sets[w], h.Origin)
 		}
 	}
-	return true
+	d := &directory{heard: a.heard, sets: sets}
+	if k := len(a.heard); k > 0 {
+		d.slot = make([]int32, a.heard[k-1].Origin-a.heard[0].Origin+1)
+		for i, h := range a.heard {
+			d.slot[h.Origin-a.heard[0].Origin] = int32(i + 1)
+		}
+	}
+	return d
 }
 
 // batchWords charges one owner's (or injector's) token batch: its ruler and

@@ -2,11 +2,14 @@ package routing
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/graph"
+	"repro/internal/helpers"
 	"repro/internal/sim"
+	"repro/internal/simtest"
 )
 
 // buildInstance creates a consistent random token-routing instance:
@@ -437,6 +440,70 @@ func TestRouteMisaddressedLabel(t *testing.T) {
 			for i := range want {
 				if got[w][i] != want[i] {
 					t.Errorf("%s: node %d received %v, want %v", tc.name, w, got[w], want)
+				}
+			}
+		}
+	}
+}
+
+// TestAgreedDirectoryComparesOwners: two sessions in one run, over the same
+// clustering (same µ for all four families) and with helper sampling saturated,
+// so that in every cluster the same nodes — all of its members — announce each
+// time, but announce different owners: the W members of that family. A
+// directory agreed on the helper set alone would be the previous family's;
+// every node must end up with exactly its own family's owners, each helped by
+// the whole cluster.
+func TestAgreedDirectoryComparesOwners(t *testing.T) {
+	g := graph.Grid(12, 12) // nine clusters at µ = 1
+	n := g.N()
+	inW := [2][2]func(id int) bool{
+		{func(id int) bool { return id%2 == 0 }, func(id int) bool { return id%3 == 0 }},
+		{func(id int) bool { return id%3 == 1 }, func(id int) bool { return id%2 == 1 }},
+	}
+	params := Params{MuS: 1, MuR: 1, Helpers: helpers.Params{QBoost: n}}
+	for _, eng := range simtest.Engines {
+		var sessions [2][]*Session
+		for i := range sessions {
+			sessions[i] = make([]*Session, n)
+		}
+		_, err := sim.RunStep(g, sim.Config{Seed: 4, Engine: eng, Shards: 1}, func(env *sim.Env) sim.StepProgram {
+			id := env.ID()
+			var sm *SessionMachine
+			build := func(i int) func(*sim.Env) sim.StepProgram {
+				return func(env *sim.Env) sim.StepProgram {
+					sm = NewSessionMachine(env, inW[i][0](id), inW[i][1](id), 4, 4, 1, 1, params)
+					return sm
+				}
+			}
+			return sim.Sequence(
+				build(0),
+				sim.Finish(func(*sim.Env) { sessions[0][id] = sm.Out }),
+				build(1),
+				sim.Finish(func(*sim.Env) { sessions[1][id] = sm.Out }),
+			)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		families := func(s *Session) []*family { return []*family{&s.famS, &s.famR} }
+		for i := range sessions {
+			for id, s := range sessions[i] {
+				for j, f := range families(s) {
+					want := map[int][]int{}
+					for _, w := range f.res.Members {
+						if inW[i][j](w) {
+							want[w] = f.res.Members
+						}
+					}
+					if !reflect.DeepEqual(f.helperSets, want) {
+						t.Fatalf("%s: session %d family %d node %d: directory %v, want every W member of the cluster helped by all of %v", eng, i, j, id, f.helperSets, f.res.Members)
+					}
+					// One shard steps the nodes one after the other, so a
+					// cluster's directory is built exactly once.
+					rulers := families(sessions[i][f.res.Ruler])[j].helperSets
+					if eng == sim.EngineStep && reflect.ValueOf(f.helperSets).Pointer() != reflect.ValueOf(rulers).Pointer() {
+						t.Errorf("session %d family %d node %d: its directory is a copy of its ruler's", i, j, id)
+					}
 				}
 			}
 		}

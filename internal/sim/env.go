@@ -161,6 +161,45 @@ func (env *Env) SharedOnce(prefix string, fn func() interface{}) interface{} {
 	return v
 }
 
+// Agreed returns a value that this node derives locally from knowledge the
+// protocol has made identical at many nodes — a disseminated token list, the
+// member list of a cluster — built once for all the nodes that hold the same
+// knowledge instead of once per node. Local computation is free in HYBRID;
+// this keeps the simulator from paying for it n times.
+//
+// The run keeps one slot per key, holding the value built last. same must
+// compare the caller's complete input with the input the held value was built
+// from (which the value therefore carries, or determines) — never a digest of
+// it, never "same key, same value": if it accepts, the caller gets the held
+// value, otherwise build runs on the caller's own input and its result
+// replaces the slot. A node whose knowledge differs (a w.h.p. miss, an
+// inconsistent instance, a later session under the same key) thus gets
+// exactly what it would have computed alone, and the program's outputs are
+// those of the program with every call replaced by build(). The slot is read
+// and written under the engine's lock, but same and build run outside it, so
+// nodes stepped concurrently neither serialise nor wait: each may build once
+// before the first result lands. Returned values are shared and must never
+// be written to. key must be comparable; use an unexported type, as with
+// context keys. SharedOnce stays for state that must be one object (pooled
+// across the nodes), not merely equal.
+func Agreed[T any](env *Env, key any, same func(T) bool, build func() T) T {
+	e := env.eng
+	e.sharedMu.Lock()
+	held, ok := e.agreed[key].(T)
+	e.sharedMu.Unlock()
+	if ok && same(held) {
+		return held
+	}
+	v := build()
+	e.sharedMu.Lock()
+	if e.agreed == nil {
+		e.agreed = map[any]any{}
+	}
+	e.agreed[key] = v
+	e.sharedMu.Unlock()
+	return v
+}
+
 // violate reports a model violation and unwinds this node's Step call.
 func (env *Env) violate(err error) {
 	env.eng.fail(err)

@@ -315,6 +315,7 @@ type engine struct {
 
 	sharedMu sync.Mutex
 	shared   map[string]interface{}
+	agreed   map[any]any // Agreed's slots: the value built last, per key
 
 	generation int
 	metrics    Metrics

@@ -226,7 +226,8 @@ type RepInfo struct {
 // (possible only when the w.h.p. event of Lemma C.1 fails) publish Rep = -1.
 type RepresentativesMachine struct {
 	// Out is the public (source, rep, d_h) list, sorted by source; valid
-	// once Step returned true.
+	// once Step returned true. One copy serves every node that received
+	// the same tokens: read-only.
 	Out []RepInfo
 
 	prog sim.StepProgram
@@ -249,7 +250,7 @@ func NewRepresentativesMachine(env *sim.Env, skel Result, isSource bool, kBound 
 			return diss
 		},
 		sim.Finish(func(env *sim.Env) {
-			m.Out = repsFromTokens(diss.Out)
+			m.Out = ncc.Derived(env, repsKey{}, diss.Out, repsFromTokens)
 		}),
 	)
 	return m
@@ -257,6 +258,9 @@ func NewRepresentativesMachine(env *sim.Env, skel Result, isSource bool, kBound 
 
 // Step implements sim.StepProgram.
 func (m *RepresentativesMachine) Step(env *sim.Env) bool { return m.prog.Step(env) }
+
+// repsKey is the sim.Agreed slot of the decoded representative list.
+type repsKey struct{}
 
 // repsFromTokens decodes and sorts the disseminated representative triples
 // (the local tail of Algorithm 7).
