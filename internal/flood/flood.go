@@ -109,8 +109,9 @@ func (s *State[P]) AppendOrigins(dst []int) []int {
 	return dst
 }
 
-// OriginsAre reports whether the origins heard so far are exactly ids, a list
-// of distinct node IDs — that is, whether AppendOrigins would return ids.
+// OriginsAre reports whether the origins heard so far are exactly ids, an
+// ascending list of distinct node IDs — that is, whether AppendOrigins would
+// return ids.
 func (s *State[P]) OriginsAre(ids []int) bool {
 	heard := 0
 	for _, word := range s.seen {

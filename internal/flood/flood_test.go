@@ -232,9 +232,13 @@ func TestFloodMatchesMapReference(t *testing.T) {
 }
 
 // TestAppendOrigins checks the ascending drain of the dedup bitset across
-// word boundaries.
+// word boundaries, and that OriginsAre accepts that list and no other.
 func TestAppendOrigins(t *testing.T) {
 	var got []int
+	lists := map[bool][][]int{
+		true:  {{0, 63, 64, 127, 128, 199}},
+		false: {nil, {0, 63, 64, 127, 128}, {0, 63, 64, 127, 128, 198}, {0, 63, 64, 127, 128, 199, 200}, {-1, 0, 63, 64, 127, 128}},
+	}
 	_, err := sim.RunStep(graph.Path(200), sim.Config{}, func(env *sim.Env) sim.StepProgram {
 		st := &State[struct{}]{}
 		st.Start(env, 0, 0, func(struct{}) int64 { return 1 }, nil)
@@ -243,6 +247,13 @@ func TestAppendOrigins(t *testing.T) {
 				st.Inject(o, struct{}{})
 			}
 			got = st.AppendOrigins([]int{-1})
+			for want, ls := range lists {
+				for _, l := range ls {
+					if st.OriginsAre(l) != want {
+						t.Errorf("OriginsAre(%v) = %v", l, !want)
+					}
+				}
+			}
 		}
 		return st
 	})

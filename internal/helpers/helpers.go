@@ -126,7 +126,7 @@ func NewMachine(env *sim.Env, inW bool, mu int, params Params) *Machine {
 			// The cached phases are deterministic and sampleHelps draws the
 			// same randomness, so this is exactly the cold result.
 			return sim.Then(wf, func(env *sim.Env) {
-				wMembers := sim.Agreed(env, listKey{mu, ruler, true}, wf.OriginsAre, func() []int { return wf.AppendOrigins(nil) })
+				wMembers := agreedOrigins(env, listKey{mu, ruler, true}, wf)
 				m.Res = Result{Ruler: ruler, RulerDist: dist, Members: members, WMembers: wMembers, InW: inW, Mu: mu}
 				m.Res.Helps = sampleHelps(env, p, mu, len(members), wMembers)
 			})
@@ -210,7 +210,7 @@ func newColdProg(env *sim.Env, m *Machine, inW bool, mu int, p Params) sim.StepP
 			wMembers = sim.Agreed(env, listKey{mu, bestRuler, true},
 				func(l []int) bool { return sortedListOf(l, wMembers) },
 				func() []int { sort.Ints(wMembers); return wMembers })
-			all := sim.Agreed(env, listKey{mu, bestRuler, false}, members.OriginsAre, func() []int { return members.AppendOrigins(nil) })
+			all := agreedOrigins(env, listKey{mu, bestRuler, false}, &members)
 			m.Res = Result{Ruler: bestRuler, RulerDist: bestDist, Members: all, WMembers: wMembers, InW: inW, Mu: mu}
 			m.Res.Helps = sampleHelps(env, p, mu, len(all), wMembers)
 		}),
@@ -236,6 +236,12 @@ func Pipeline(inW []bool, mu int, params Params) sim.Pipeline[Result] {
 type listKey struct {
 	mu, ruler int
 	w         bool
+}
+
+// agreedOrigins lists the origins f heard, in ascending order: one list for all
+// the nodes whose flood heard exactly the same ones.
+func agreedOrigins[P any](env *sim.Env, key listKey, f *flood.State[P]) []int {
+	return sim.Agreed(env, key, f.OriginsAre, func() []int { return f.AppendOrigins(nil) })
 }
 
 // sortedListOf reports whether sorted, an ascending list of distinct IDs, lists
