@@ -124,3 +124,37 @@ func TestAgreedDerivedFollowsTheTokens(t *testing.T) {
 		t.Error("nodes 0 and 2 presented equal lists and got separate values")
 	}
 }
+
+// TestAgreedOutputsMatchPin freezes, node by node and on every engine, what
+// the two token collectives hand out where the nodes do not all end up knowing
+// the same set — literals recorded before a node's known set became a bitset
+// over the instance's token table, so that neither side of the comparison is
+// the code under test: the forced-disagreement dissemination above, and a
+// pipelined broadcast in which nodes fill between none and all of their slots
+// and several hold equal tokens.
+func TestAgreedOutputsMatchPin(t *testing.T) {
+	const held = 30
+	dissPin := simtest.Pin{Metrics: sim.Metrics{Rounds: 1076, GlobalMsgs: 903, GlobalBits: 52374, LocalMsgs: 575, LocalBits: 50379, MaxGlobalSend: 7, MaxGlobalRecv: 3}, Sum: 0x9d1638e9376f4ba8}
+	simtest.Machines(t, "disseminate with misses", graph.Path(128), 2, dissPin, func(env *sim.Env, emit func(...int64)) sim.StepProgram {
+		var mine []Token
+		if env.ID() == 0 {
+			for i := 0; i < held; i++ {
+				mine = append(mine, Token{A: 0, B: int64(i + 1), C: int64(i)})
+			}
+		}
+		m := NewDisseminateMachine(env, mine, held, 1, DisseminateParams{})
+		return sim.Then(m, func(*sim.Env) { emit(tokenWords(m.Out)...) })
+	})
+
+	const ell = 3
+	pipePin := simtest.Pin{Metrics: sim.Metrics{Rounds: 37, GlobalMsgs: 180, GlobalBits: 7200, MaxGlobalSend: 4, MaxGlobalRecv: 2}, Sum: 0xfaf8017c997d0c94}
+	simtest.Machines(t, "pipelined with duplicates", graph.Cycle(11), 6, pipePin, func(env *sim.Env, emit func(...int64)) sim.StepProgram {
+		id := env.ID()
+		mine := make([]Token, id%(ell+2)) // 0..ell+1 tokens: the last one is dropped
+		for j := range mine {
+			mine[j] = Token{A: int64(id % 4), B: int64(j), C: -1}
+		}
+		m := NewPipelinedBroadcastMachine(env, mine, ell)
+		return sim.Then(m, func(*sim.Env) { emit(tokenWords(m.Out)...) })
+	})
+}

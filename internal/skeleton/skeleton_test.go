@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/sim"
+	"repro/internal/simtest"
 )
 
 func runSkeleton(t *testing.T, g *graph.Graph, p Params, seed int64) []Result {
@@ -239,6 +240,65 @@ func TestSkeletonDeterminism(t *testing.T) {
 	for v := range a {
 		if a[v].InSkeleton != b[v].InSkeleton || len(a[v].Near) != len(b[v].Near) {
 			t.Fatalf("node %d skeleton state differs between identical runs", v)
+		}
+	}
+}
+
+// TestExploreMergesSameRoundImprovements: when one source reaches a node over
+// two neighbours in the same round, the node keeps the lighter estimate and
+// forwards that one alone, whichever arrived first. The diamonds force both
+// arrival orders at node 3 (the heavier estimate first: two improvements in
+// one round; the lighter first: one); the weighted grid has such meetings at
+// most nodes. Checked against sequential hop-limited Bellman-Ford and BFS, on
+// every engine and for every source.
+func TestExploreMergesSameRoundImprovements(t *testing.T) {
+	diamond := func(w01, w02 int64) *graph.Graph {
+		g := graph.New(5)
+		for _, e := range [][3]int64{{0, 1, w01}, {0, 2, w02}, {1, 3, 1}, {2, 3, 1}, {3, 4, 2}} {
+			if err := g.AddEdge(int(e[0]), int(e[1]), e[2]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return g
+	}
+	tests := []struct {
+		name   string
+		g      *graph.Graph
+		rounds int
+	}{
+		{"diamond heavier first", diamond(5, 1), 3},
+		{"diamond lighter first", diamond(1, 5), 3},
+		{"weighted grid", graph.WithRandomWeights(graph.Grid(6, 5), 9, rand.New(rand.NewSource(4))), 6},
+	}
+	for _, tc := range tests {
+		n := tc.g.N()
+		for _, eng := range simtest.Engines {
+			near, hops := make([][]int64, n), make([][]int64, n)
+			_, err := sim.RunStep(tc.g, sim.Config{Seed: 1, Engine: eng}, func(env *sim.Env) sim.StepProgram {
+				m := NewExploreMachine(env, true, tc.rounds)
+				return sim.Then(m, func(env *sim.Env) {
+					near[env.ID()] = m.Near
+					for _, h := range m.Hops {
+						hops[env.ID()] = append(hops[env.ID()], int64(h))
+					}
+				})
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for s := 0; s < n; s++ {
+				want, bfs := graph.LimitedDistance(tc.g, s, tc.rounds), graph.BFS(tc.g, s)
+				for v := 0; v < n; v++ {
+					wantHops := bfs[v]
+					if wantHops > int64(tc.rounds) {
+						wantHops = -1
+					}
+					if near[v][s] != want[v] || hops[v][s] != wantHops {
+						t.Fatalf("%s on %s: node %d has source %d at (%d, %d hops), want (%d, %d hops)",
+							tc.name, eng, v, s, near[v][s], hops[v][s], want[v], wantHops)
+					}
+				}
+			}
 		}
 	}
 }
