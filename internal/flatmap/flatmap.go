@@ -14,10 +14,9 @@
 // The engines' byte-identity discipline forbids any iteration order that
 // depends on Go's randomized map seeds. These containers have no such
 // randomness: probe positions are a pure function of the key, so the table
-// layout — and therefore AppendKeys/AppendAll order — is a deterministic
-// function of the insertion history. Callers that need a canonical order
-// independent of history sort the drained keys (AppendSortedKeys); callers
-// that only dedup or look up need no order at all.
+// layout is a deterministic function of the insertion history. Callers that
+// need a canonical order independent of history sort the drained keys
+// (AppendSortedKeys); callers that only dedup or look up need no order at all.
 //
 // # Shrink on reset
 //
@@ -385,119 +384,4 @@ func (m *Map[V]) reinsertKV(v uint64, val V) {
 	m.keys[i] = v
 	m.vals[i] = val
 	m.used++
-}
-
-// Triple is a 3-word composite key: ncc tokens are (A, B, C) int64
-// triples whose fields hold arbitrary distances, so they cannot be packed
-// into one uint64 the way routing labels can.
-type Triple struct{ A, B, C int64 }
-
-// TripleSet is a linear-probe set of Triples with the same grow/shrink
-// policy as Set. There is no free sentinel in the key space, so occupancy
-// is tracked in a parallel byte array. The zero value is ready for use.
-type TripleSet struct {
-	keys []Triple
-	occ  []uint8
-	used int
-}
-
-func hashTriple(t Triple) uint64 {
-	h := Hash(uint64(t.A))
-	h = Hash(h ^ uint64(t.B))
-	return Hash(h ^ uint64(t.C))
-}
-
-// Reset empties the set in place, keeping capacity unless the shrink
-// policy fires.
-func (s *TripleSet) Reset() {
-	if size := shrunkSize(s.used, len(s.keys)); size > 0 {
-		s.keys = make([]Triple, size)
-		s.occ = make([]uint8, size)
-		s.used = 0
-		return
-	}
-	if s.used > 0 {
-		clear(s.keys)
-		clear(s.occ)
-		s.used = 0
-	}
-}
-
-// Len reports the number of live triples.
-func (s *TripleSet) Len() int { return s.used }
-
-// Cap reports the current table capacity (for tests and diagnostics).
-func (s *TripleSet) Cap() int { return len(s.keys) }
-
-// Add inserts t and reports whether it was absent.
-func (s *TripleSet) Add(t Triple) bool {
-	if s.used*4 >= len(s.keys)*3 {
-		s.grow()
-	}
-	mask := uint64(len(s.keys) - 1)
-	i := hashTriple(t) & mask
-	for s.occ[i] != 0 {
-		if s.keys[i] == t {
-			return false
-		}
-		i = (i + 1) & mask
-	}
-	s.keys[i] = t
-	s.occ[i] = 1
-	s.used++
-	return true
-}
-
-// Has reports whether t is present.
-func (s *TripleSet) Has(t Triple) bool {
-	if s.used == 0 {
-		return false
-	}
-	mask := uint64(len(s.keys) - 1)
-	i := hashTriple(t) & mask
-	for s.occ[i] != 0 {
-		if s.keys[i] == t {
-			return true
-		}
-		i = (i + 1) & mask
-	}
-	return false
-}
-
-// AppendAll appends the live triples to dst in table order — a
-// deterministic function of the insertion history (see the package
-// comment) — and returns the extended slice. Callers that need a
-// canonical order sort the result.
-func (s *TripleSet) AppendAll(dst []Triple) []Triple {
-	for i, o := range s.occ {
-		if o != 0 {
-			dst = append(dst, s.keys[i])
-		}
-	}
-	return dst
-}
-
-func (s *TripleSet) grow() {
-	oldK, oldO := s.keys, s.occ
-	size := minTableSize
-	if len(oldK) > 0 {
-		size = len(oldK) * 2
-	}
-	s.keys = make([]Triple, size)
-	s.occ = make([]uint8, size)
-	s.used = 0
-	mask := uint64(size - 1)
-	for i, o := range oldO {
-		if o == 0 {
-			continue
-		}
-		t := oldK[i]
-		j := hashTriple(t) & mask
-		for s.occ[j] != 0 {
-			j = (j + 1) & mask
-		}
-		s.keys[j] = t
-		s.occ[j] = 1
-		s.used++
-	}
 }

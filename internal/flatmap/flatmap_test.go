@@ -93,22 +93,6 @@ func TestHashTableShrinkOnReset(t *testing.T) {
 	if len(m.keys) != len(m.vals) {
 		t.Errorf("keys and vals diverged: %d vs %d", len(m.keys), len(m.vals))
 	}
-
-	// TripleSet obeys the same policy.
-	var ts TripleSet
-	for i := int64(0); i < big; i++ {
-		ts.Add(Triple{A: i, B: -i, C: i * 7})
-	}
-	peakT := ts.Cap()
-	ts.Reset()
-	ts.Add(Triple{A: 1})
-	ts.Reset()
-	if ts.Cap() >= peakT {
-		t.Errorf("triple set reset after a small fill kept capacity %d (peak %d)", ts.Cap(), peakT)
-	}
-	if len(ts.keys) != len(ts.occ) {
-		t.Errorf("triple keys and occupancy diverged: %d vs %d", len(ts.keys), len(ts.occ))
-	}
 }
 
 // keyGen draws keys from a few adversarial distributions: dense small
@@ -241,48 +225,6 @@ func TestMapMatchesMapOracle(t *testing.T) {
 	}
 }
 
-// TestTripleSetMatchesMapOracle covers the 3-word-key set (no packing
-// possible, parallel occupancy array) through grow and shrink transitions.
-func TestTripleSetMatchesMapOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(3000))
-	var s TripleSet
-	oracle := map[Triple]bool{}
-	for op := 0; op < 30000; op++ {
-		t3 := Triple{
-			A: int64(rng.Intn(64)),
-			B: int64(rng.Intn(64)) - 32,
-			C: rng.Int63n(1 << 40),
-		}
-		switch rng.Intn(8) {
-		case 0, 1, 2, 3, 4:
-			if got, want := s.Add(t3), !oracle[t3]; got != want {
-				t.Fatalf("op %d: Add(%v) = %v, oracle %v", op, t3, got, want)
-			}
-			oracle[t3] = true
-		case 5, 6:
-			if got, want := s.Has(t3), oracle[t3]; got != want {
-				t.Fatalf("op %d: Has(%v) = %v, oracle %v", op, t3, got, want)
-			}
-		default:
-			if rng.Intn(60) == 0 {
-				if s.Len() != len(oracle) {
-					t.Fatalf("op %d: len %d, oracle %d", op, s.Len(), len(oracle))
-				}
-				for _, k := range s.AppendAll(nil) {
-					if !oracle[k] {
-						t.Fatalf("op %d: drained %v not in oracle", op, k)
-					}
-				}
-				s.Reset()
-				oracle = map[Triple]bool{}
-			}
-		}
-	}
-	if s.Len() != len(oracle) {
-		t.Fatalf("final len %d, oracle %d", s.Len(), len(oracle))
-	}
-}
-
 // TestDrainOrderDeterministic pins the determinism contract the engines
 // rely on: two tables fed the same insertion history drain identically,
 // and the sorted drain is canonical regardless of history.
@@ -341,11 +283,6 @@ func TestZeroValueContainers(t *testing.T) {
 	if v, ok := m.Get(9); ok || v != nil {
 		t.Fatal("Reset did not clear slice values")
 	}
-	var ts TripleSet
-	if ts.Has(Triple{}) || ts.Len() != 0 {
-		t.Fatal("zero TripleSet not empty-safe")
-	}
-	ts.Reset()
 }
 
 // FuzzFlatmap feeds an opcode tape to Set and Map side by side with

@@ -41,7 +41,7 @@ func TestAgreedDisseminateSharesOut(t *testing.T) {
 		ms := runDisseminate(t, g, sim.Config{Seed: 5, Shards: shards}, mine, k, 1)
 		copies := map[*Token]bool{}
 		for id, m := range ms {
-			if len(m.Out) != k || !slices.Equal(m.Out, tokensOf(&m.known)) {
+			if len(m.Out) != k || !slices.Equal(m.Out, m.known.sorted()) {
 				t.Fatalf("%d shards: node %d: Out is not its own sorted set (%d of %d tokens)", shards, id, len(m.Out), k)
 			}
 			copies[&m.Out[0]] = true
@@ -76,8 +76,8 @@ func TestAgreedDisseminateMissesGetTheirOwn(t *testing.T) {
 		ms := runDisseminate(t, g, sim.Config{Seed: 2, Engine: eng}, mine, held, 1)
 		lengths := map[int]bool{}
 		for id, m := range ms {
-			if !slices.Equal(m.Out, tokensOf(&m.known)) {
-				t.Fatalf("%s: node %d: Out %v is not its own set %v", eng, id, m.Out, tokensOf(&m.known))
+			if !slices.Equal(m.Out, m.known.sorted()) {
+				t.Fatalf("%s: node %d: Out %v is not its own set %v", eng, id, m.Out, m.known.sorted())
 			}
 			lengths[len(m.Out)] = true
 		}

@@ -19,11 +19,9 @@
 package ncc
 
 import (
-	"cmp"
 	"math"
 	"slices"
 
-	"repro/internal/flatmap"
 	"repro/internal/sim"
 )
 
@@ -301,7 +299,7 @@ type DisseminateMachine struct {
 	// agreedTokens) and must not be written to.
 	Out []Token
 
-	known flatmap.TripleSet
+	known tokenSet // over the instance's table, see tokenTable
 	prog  sim.StepProgram
 }
 
@@ -320,13 +318,13 @@ func NewDisseminateMachine(env *sim.Env, mine []Token, k, ell int, params Dissem
 	n := env.N()
 	logN := sim.Log2Ceil(n)
 	budget := env.GlobalCap()
-	m := &DisseminateMachine{}
+	m := &DisseminateMachine{known: tokenSet{tab: tableOf(env), bits: make([]uint64, (max(k, 0)+63)/64)}}
 	known := &m.known
 	for _, t := range mine {
-		known.Add(flatmap.Triple(t))
+		known.add(t)
 	}
 	if k <= 0 {
-		m.Out = tokensOf(known)
+		m.Out = known.sorted()
 		m.prog = sim.Sequence()
 		return m
 	}
@@ -351,7 +349,8 @@ func NewDisseminateMachine(env *sim.Env, mine []Token, k, ell int, params Dissem
 	// Phase 3 delta buffers. They rotate (see skeleton.ExploreMachine for the
 	// ownership argument), so a staged batch is rewritten only after every
 	// reader has taken the next barrier and steady-state flood rounds are
-	// allocation-free.
+	// allocation-free. A batch names its tokens by table index, so the flood
+	// costs a bit test per token heard and never touches the table.
 	var bufs [2]tokenBatch
 
 	m.prog = sim.Sequence(
@@ -414,7 +413,7 @@ func NewDisseminateMachine(env *sim.Env, mine []Token, k, ell int, params Dissem
 				Recv: func(env *sim.Env, in sim.Inbox, i int) {
 					for _, gm := range in.Global {
 						if gm.Kind == kindReplicate {
-							known.Add(flatmap.Triple{A: gm.F0, B: gm.F1, C: gm.F2})
+							known.add(Token{A: gm.F0, B: gm.F1, C: gm.F2})
 						}
 					}
 				},
@@ -424,9 +423,9 @@ func NewDisseminateMachine(env *sim.Env, mine []Token, k, ell int, params Dissem
 		// held also count as known.
 		func(env *sim.Env) sim.StepProgram {
 			for _, j := range jobs {
-				known.Add(flatmap.Triple(j.t))
+				known.add(j.t)
 			}
-			bufs[0] = tokensOf(known)
+			bufs[0] = known.appendIndices(nil)
 			return &sim.Loop{
 				Rounds:   r,
 				NextSend: sim.Reactive,
@@ -442,10 +441,9 @@ func NewDisseminateMachine(env *sim.Env, mine []Token, k, ell int, params Dissem
 						if !ok {
 							continue
 						}
-						for _, t := range *ts {
-							if !known.Has(flatmap.Triple(t)) {
-								known.Add(flatmap.Triple(t))
-								next = append(next, t)
+						for _, i := range *ts {
+							if known.learn(i) {
+								next = append(next, i)
 							}
 						}
 					}
@@ -462,51 +460,30 @@ func NewDisseminateMachine(env *sim.Env, mine []Token, k, ell int, params Dissem
 func (m *DisseminateMachine) Step(env *sim.Env) bool { return m.prog.Step(env) }
 
 // tokenBatch is the local-mode payload of the dissemination flood: a batch
-// of tokens.
-type tokenBatch []Token
+// of tokens, each named by its index in the instance's table.
+type tokenBatch []int32
 
 // PayloadWords implements sim.WordSized: each token is three words.
 func (b tokenBatch) PayloadWords() int64 { return 3 * int64(len(b)) }
 
-// tokensOf returns the sorted token set for deterministic output.
-func tokensOf(set *flatmap.TripleSet) []Token {
-	trs := set.AppendAll(make([]flatmap.Triple, 0, set.Len()))
-	out := make([]Token, len(trs))
-	for i, tr := range trs {
-		out[i] = Token(tr)
-	}
-	slices.SortFunc(out, func(a, b Token) int {
-		if c := cmp.Compare(a.A, b.A); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.B, b.B); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.C, b.C)
-	})
-	return out
+// agreedOut is a finished collective's sorted output with the knowledge it
+// was sorted from.
+type agreedOut struct {
+	from tokenSet
+	out  []Token
 }
 
-// outKey is the sim.Agreed slot of a finished dissemination's output.
+// outKey is the sim.Agreed slot of a finished collective's output.
 type outKey struct{}
 
-// agreedTokens is tokensOf for a set the protocol has made public knowledge:
-// every node that knows the same set gets the same slice, sorted once. A list
-// of distinct tokens is this node's set iff it is as long and the node knows
-// each of them, so a node that missed a token (the guarantee is w.h.p.) sorts
-// its own.
-func agreedTokens(env *sim.Env, known *flatmap.TripleSet) []Token {
-	return sim.Agreed(env, outKey{}, func(out []Token) bool {
-		if len(out) != known.Len() {
-			return false
-		}
-		for _, t := range out {
-			if !known.Has(flatmap.Triple(t)) {
-				return false
-			}
-		}
-		return true
-	}, func() []Token { return tokensOf(known) })
+// agreedTokens is known.sorted() for a set the protocol has made public
+// knowledge: every node that knows the same set — the same table, the same
+// bits — gets the same slice, sorted once; a node that missed a token (the
+// guarantee is w.h.p.) sorts its own. known must not change afterwards.
+func agreedTokens(env *sim.Env, known *tokenSet) []Token {
+	return sim.Agreed(env, outKey{},
+		func(a agreedOut) bool { return a.from.sameAs(known) },
+		func() agreedOut { return agreedOut{*known, known.sorted()} }).out
 }
 
 // SameTokens reports whether two token lists are equal. Lists that share

@@ -31,7 +31,7 @@ type PipelinedBroadcastMachine struct {
 	id, ell  int
 	slots    int
 	own      int                // how many of its ell slots this node fills
-	known    flatmap.TripleSet  // every token heard
+	known    tokenSet           // every token heard
 	haveSlot flatmap.Map[Token] // slot -> its token, where this node knows it
 }
 
@@ -41,10 +41,11 @@ type PipelinedBroadcastMachine struct {
 func NewPipelinedBroadcastMachine(env *sim.Env, mine []Token, ell int) *PipelinedBroadcastMachine {
 	n := env.N()
 	m := &PipelinedBroadcastMachine{n: n, logN: sim.Log2Ceil(n), id: env.ID(), ell: ell, slots: n * ell}
+	m.known.tab = tableOf(env)
 	m.own = min(len(mine), ell)
 	for j, t := range mine[:m.own] {
 		m.haveSlot.Put(uint64(m.id*ell+j), t)
-		m.known.Add(flatmap.Triple(t))
+		m.known.add(t)
 	}
 	m.loop = sim.Loop{Rounds: m.slots + m.logN, Send: m.send, Recv: m.recv, NextSend: m.nextSend}
 	return m
@@ -111,6 +112,6 @@ func (m *PipelinedBroadcastMachine) recv(env *sim.Env, in sim.Inbox, r int) {
 		}
 		tok := Token{A: gm.F0, B: gm.F1, C: gm.F2}
 		m.haveSlot.Put(uint64(gm.F3), tok)
-		m.known.Add(flatmap.Triple(tok))
+		m.known.add(tok)
 	}
 }

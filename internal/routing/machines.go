@@ -1,9 +1,7 @@
 package routing
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"repro/internal/bitrand"
 	"repro/internal/flood"
@@ -343,8 +341,10 @@ func floodRounds(env *sim.Env, mu int) int { return 4 * mu * sim.Log2Ceil(env.N(
 // first-arrival forwarding, so they provably travel in lockstep, and flooding
 // them as one shared slice is message-for-message identical to flooding the
 // pairs individually, charged as the (ruler, owner, helper) triples it stands
-// for — but a node stores one slice header per helper instead of one key per
-// pair (per-node pair sets were the largest live structure of an APSP run).
+// for. What a node heard is not stored a second time: the records live once,
+// in the flood's announceTable, the flood itself carries only each record's
+// length — all a forwarder needs to charge it — and its first-arrival bitset
+// says which records this node may read.
 type announceMachine struct {
 	// Sets is the helper directory of this node's cluster (w -> sorted
 	// helper IDs); valid once Step returned true. The cluster's members
@@ -352,47 +352,45 @@ type announceMachine struct {
 	Sets map[int][]int
 
 	key   directoryKey
-	flood flood.State[[]int]
-	heard []flood.Rec[[]int] // helper -> the owners it helps; dropped once Sets is bound
+	tab   *announceTable
+	flood flood.State[int] // helper -> how many owners it announced
 }
+
+// announceTable is the pooled record table of one announce flood (of all its
+// clusters): owners[h] is the owner list helper h injected. Only h writes
+// owners[h], once, before the flood's first round; a node reads it only at the
+// helpers it heard, and hearing one takes a message sent after the write, so
+// the round barrier orders the two and the table needs no lock. Every flood of
+// a run has its own table (sim.Env.SharedOnce), so a record of one session is
+// never read as another's.
+type announceTable struct{ owners [][]int }
 
 // directoryKey is the sim.Agreed slot of a cluster's helper directory: for a
 // fixed graph the clustering is a function of µ, so (µ, ruler) names the
 // cluster. The slot says nothing about which session's, or which family's,
-// helpers were announced in it; the announcements themselves do.
+// helpers were announced in it; the table the directory was read from does.
 type directoryKey struct{ mu, ruler int }
 
-// directory is a cluster's helper directory with the announcements it was
-// built from, by ascending helper ID; slot finds a helper's in O(1), so that
-// checking a directory costs a member far less than building one.
+// directory is a cluster's helper directory with what it was built from: the
+// helpers heard, ascending, and the table their records were read from.
 type directory struct {
-	heard []flood.Rec[[]int]
-	slot  []int32 // slot[helper-heard[0].Origin]-1 indexes heard; 0 = no announcement
-	sets  map[int][]int
-}
-
-// owners returns the owner list helper announced, if it did.
-func (d *directory) owners(helper int) ([]int, bool) {
-	if len(d.heard) == 0 {
-		return nil, false
-	}
-	off := helper - d.heard[0].Origin
-	if off < 0 || off >= len(d.slot) || d.slot[off] == 0 {
-		return nil, false
-	}
-	return d.heard[d.slot[off]-1].Val, true
+	tab     *announceTable
+	helpers []int
+	sets    map[int][]int
 }
 
 func newAnnounceMachine(env *sim.Env, res helpers.Result, mu int) *announceMachine {
-	// Only members of the cluster announce in it.
-	a := &announceMachine{key: directoryKey{mu, res.Ruler}, heard: make([]flood.Rec[[]int], 0, len(res.Members))}
+	n := env.N()
+	a := &announceMachine{key: directoryKey{mu, res.Ruler}}
+	a.tab = env.SharedOnce("routing.announceTable", func() interface{} {
+		return &announceTable{owners: make([][]int, n)}
+	}).(*announceTable)
 	a.flood.Start(env, res.Ruler, floodRounds(env, mu),
-		func(owners []int) int64 { return 3 * int64(len(owners)) },
-		func(helper int, owners []int) {
-			a.heard = append(a.heard, flood.Rec[[]int]{Origin: helper, Val: owners})
-		})
+		func(owners int) int64 { return 3 * int64(owners) }, nil)
+	// Only members of the cluster announce in it.
 	if len(res.Helps) > 0 {
-		a.flood.Inject(env.ID(), res.Helps)
+		a.tab.owners[env.ID()] = res.Helps
+		a.flood.Inject(env.ID(), len(res.Helps))
 	}
 	return a
 }
@@ -403,35 +401,27 @@ func (a *announceMachine) Step(env *sim.Env) bool {
 		return false
 	}
 	a.Sets = sim.Agreed(env, a.key, a.heardExactly, a.buildDirectory).sets
-	a.heard = nil
 	return true
 }
 
 // heardExactly reports whether d was built from the announcements this node
-// heard: as many helpers, and of each helper this node heard, the same owner
-// list. The helper set alone would not do — two sessions of one run can have
-// the same helpers announce different owners in the same cluster.
+// heard: the records of the same flood, and of exactly the same helpers. The
+// helper set alone would not do — two sessions of one run can have the same
+// helpers announce different owners in the same cluster — but they do so in
+// two floods, hence two tables, and a table's records never change.
 func (a *announceMachine) heardExactly(d *directory) bool {
-	if len(d.heard) != len(a.heard) {
-		return false
-	}
-	for _, h := range a.heard {
-		if owners, ok := d.owners(h.Origin); !ok || !slices.Equal(owners, h.Val) {
-			return false
-		}
-	}
-	return true
+	return d.tab == a.tab && a.flood.OriginsAre(d.helpers)
 }
 
-// buildDirectory inverts the announcements this node heard. Helpers are
-// visited in ascending ID order, so every H_w is built sorted; a counting pass
-// first sizes each H_w exactly, because the directory lives as long as the
-// session (and the session cache).
+// buildDirectory inverts the announcements this node heard, reading the table
+// at those helpers only. Helpers are visited in ascending ID order, so every
+// H_w is built sorted; a counting pass first sizes each H_w exactly, because
+// the directory lives as long as the session (and the session cache).
 func (a *announceMachine) buildDirectory() *directory {
-	slices.SortFunc(a.heard, func(x, y flood.Rec[[]int]) int { return cmp.Compare(x.Origin, y.Origin) })
+	heard := a.flood.AppendOrigins(nil)
 	size := map[int]int{}
-	for _, h := range a.heard {
-		for _, w := range h.Val {
+	for _, h := range heard {
+		for _, w := range a.tab.owners[h] {
 			size[w]++
 		}
 	}
@@ -439,19 +429,12 @@ func (a *announceMachine) buildDirectory() *directory {
 	for w, k := range size {
 		sets[w] = make([]int, 0, k)
 	}
-	for _, h := range a.heard {
-		for _, w := range h.Val {
-			sets[w] = append(sets[w], h.Origin)
+	for _, h := range heard {
+		for _, w := range a.tab.owners[h] {
+			sets[w] = append(sets[w], h)
 		}
 	}
-	d := &directory{heard: a.heard, sets: sets}
-	if k := len(a.heard); k > 0 {
-		d.slot = make([]int32, a.heard[k-1].Origin-a.heard[0].Origin+1)
-		for i, h := range a.heard {
-			d.slot[h.Origin-a.heard[0].Origin] = int32(i + 1)
-		}
-	}
-	return d
+	return &directory{tab: a.tab, helpers: heard, sets: sets}
 }
 
 // batchWords charges one owner's (or injector's) token batch: its ruler and

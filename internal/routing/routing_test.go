@@ -509,3 +509,48 @@ func TestAgreedDirectoryComparesOwners(t *testing.T) {
 		}
 	}
 }
+
+// TestAnnounceTableReadOnlyWhereHeard cuts an announce flood below its
+// cluster's diameter: the "cluster" is a whole 64-path, and µ = 1 floods for
+// 4⌈log n⌉ = 24 rounds. Every node announces, so the flood's table holds all 64
+// records, but a node's directory must list exactly the helpers within 24 hops
+// of it — the table read at the node's own first-arrival bits and nowhere else
+// — although all 64 nodes present the same sim.Agreed key and keep being
+// offered a neighbour's directory built from one helper more or less.
+func TestAnnounceTableReadOnlyWhereHeard(t *testing.T) {
+	g := graph.Path(64)
+	n := g.N()
+	members := make([]int, n)
+	for i := range members {
+		members[i] = i
+	}
+	helps := func(id int) []int { return []int{id % 5, 5 + id%3} } // ascending owners
+	const radius = 24
+	for _, eng := range simtest.Engines {
+		got := make([]map[int][]int, n)
+		_, err := sim.RunStep(g, sim.Config{Seed: 1, Engine: eng}, func(env *sim.Env) sim.StepProgram {
+			if r := floodRounds(env, 1); r != radius {
+				t.Errorf("flood runs %d rounds, the test assumes %d", r, radius)
+			}
+			a := newAnnounceMachine(env, helpers.Result{Ruler: 0, Members: members, Helps: helps(env.ID())}, 1)
+			return sim.Then(a, func(env *sim.Env) { got[env.ID()] = a.Sets })
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := 0; v < n; v++ {
+			want := map[int][]int{}
+			for h := max(v-radius, 0); h <= min(v+radius, n-1); h++ {
+				for _, w := range helps(h) {
+					want[w] = append(want[w], h)
+				}
+			}
+			if !reflect.DeepEqual(got[v], want) {
+				t.Fatalf("%s: node %d: directory %v, want the helpers within %d hops only: %v", eng, v, got[v], radius, want)
+			}
+		}
+		if reflect.DeepEqual(got[0], got[n/2]) {
+			t.Fatalf("%s: the end of the path and its middle heard different helpers and hold equal directories", eng)
+		}
+	}
+}

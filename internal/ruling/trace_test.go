@@ -9,10 +9,10 @@ import (
 	"repro/internal/simtest"
 )
 
-// TestMachineMatchesCompute holds the machine, on every engine, to the trace
+// TestMachineMatchesPin holds the machine, on every engine, to the trace
 // recorded from the blocking Compute it replaced: same membership, same
 // Metrics, and the membership is a valid ruling set.
-func TestMachineMatchesCompute(t *testing.T) {
+func TestMachineMatchesPin(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"grid": graph.Grid(5, 6),
 		"path": graph.Path(23),

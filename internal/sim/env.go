@@ -131,15 +131,33 @@ func (env *Env) SleepUntil(round int) {
 	}
 }
 
-// SharedOnce returns a run-scoped shared value: the i-th call with a given
+// SharedOnce returns a run-scoped pooled object: the i-th call with a given
 // prefix (counted per node) resolves to the same object at every node, with
-// fn evaluated exactly once across the whole run. It models the fact that
-// all nodes run identical deterministic code on identical public knowledge
-// and would therefore construct identical objects — and it is load-bearing
-// for components that must pool state across the run's nodes (the
-// declared-cost CLIQUE oracle). fn runs under a global lock and must not
-// touch node-local state. Nodes must call SharedOnce for a
-// given prefix in the same collective order.
+// fn evaluated exactly once across the whole run. fn runs under a global lock
+// and must not touch node-local state; nodes must call SharedOnce for a given
+// prefix in the same collective order.
+//
+// The run has two sharing primitives because there are two needs. Agreed
+// (below) shares an immutable value that every node could have built alone
+// from knowledge the protocol made equal, behind a check of the caller's whole
+// input; a node whose input differs gets its own. SharedOnce is for state that
+// must be one mutable object for the instance's nodes — there is no input to
+// compare, the nodes contribute to it — and it is unchecked, so the pooling
+// must not let a node see what it has not been told. Its callers, and what
+// keeps each of them honest:
+//
+//   - the pooled tables of a collective instance, ncc's token table (one per
+//     DisseminateMachine / PipelinedBroadcastMachine run) and routing's
+//     announce table (one per announce flood): append-only, entries immutable
+//     once written, written under the table's own lock or into the writer's
+//     own slot, and read by a node only at the indices set in its own bitset
+//     — which it sets on presenting the full entry or on a message from a
+//     neighbour that holds it. The i-th-call rule is what gives two instances
+//     of one run two tables;
+//   - the declared-cost CLIQUE oracles (kssp.alg, diameter.alg, experiments'
+//     e4.alg): one algorithm object whose per-node handles pool their inputs,
+//     the cost being declared rather than simulated;
+//   - warm.Store's per-run entry, which every node stores its own slot into.
 func (env *Env) SharedOnce(prefix string, fn func() interface{}) interface{} {
 	if env.sharedSeq == nil {
 		env.sharedSeq = map[string]int{}
@@ -180,8 +198,8 @@ func (env *Env) SharedOnce(prefix string, fn func() interface{}) interface{} {
 // nodes stepped concurrently neither serialise nor wait: each may build once
 // before the first result lands. Returned values are shared and must never
 // be written to. key must be comparable; use an unexported type, as with
-// context keys. SharedOnce stays for state that must be one object (pooled
-// across the nodes), not merely equal.
+// context keys. State that must be one object, not merely equal, is
+// SharedOnce's (see there).
 func Agreed[T any](env *Env, key any, same func(T) bool, build func() T) T {
 	e := env.eng
 	e.sharedMu.Lock()

@@ -25,10 +25,9 @@ type ExploreMachine struct {
 	// Hops[u] the hop distance at which u was first heard (-1 if never).
 	// Valid once Step returned true.
 	Near []int64
-	Hops []int
+	Hops []int32
 
-	loop    sim.Loop
-	pending []int32 // index into the delta being built, -1 = no update staged
+	loop sim.Loop
 	// The delta buffers rotate: bufs[i&1] is broadcast at loop index i, read
 	// by neighbors while they process round i, and not written again before
 	// round i+2, when every reader has long taken the i+1 barrier — the
@@ -44,14 +43,12 @@ type ExploreMachine struct {
 func NewExploreMachine(env *sim.Env, isSource bool, rounds int) *ExploreMachine {
 	n := env.N()
 	m := &ExploreMachine{
-		Near:    make([]int64, n),
-		Hops:    make([]int, n),
-		pending: make([]int32, n),
+		Near: make([]int64, n),
+		Hops: make([]int32, n),
 	}
 	for i := 0; i < n; i++ {
 		m.Near[i] = graph.Inf
 		m.Hops[i] = -1
-		m.pending[i] = -1
 	}
 	if isSource {
 		m.Near[env.ID()] = 0
@@ -86,22 +83,22 @@ func (m *ExploreMachine) recv(env *sim.Env, in sim.Inbox, i int) {
 			if nd < m.Near[up.Source] {
 				m.Near[up.Source] = nd
 				if m.Hops[up.Source] < 0 {
-					m.Hops[up.Source] = up.Hops + 1
+					m.Hops[up.Source] = int32(up.Hops + 1)
 				}
-				u := distUpdate{Source: up.Source, Dist: nd, Hops: up.Hops + 1}
-				if j := m.pending[up.Source]; j >= 0 {
-					next[j] = u
-				} else {
-					m.pending[up.Source] = int32(len(next))
-					next = append(next, u)
-				}
+				next = append(next, distUpdate{Source: up.Source, Dist: nd, Hops: up.Hops + 1})
 			}
 		}
 	}
-	for _, up := range next {
-		m.pending[up.Source] = -1
-	}
-	slices.SortFunc(next, func(a, b distUpdate) int { return cmp.Compare(a.Source, b.Source) })
+	// A source improved more than once this round staged one update per
+	// improvement, each strictly lighter than the one before: forward the
+	// lightest, which is the estimate Near kept.
+	slices.SortFunc(next, func(a, b distUpdate) int {
+		if c := cmp.Compare(a.Source, b.Source); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Dist, b.Dist)
+	})
+	next = slices.CompactFunc(next, func(a, b distUpdate) bool { return a.Source == b.Source })
 	m.bufs[(i+1)&1] = next
 }
 

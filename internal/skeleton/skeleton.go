@@ -194,13 +194,13 @@ func Pipeline(p Params, force func(id int) bool) sim.Pipeline[Result] {
 
 // resultFromVectors converts the dense exploration vectors into a Result
 // (the pure local tail of Algorithm 6).
-func resultFromVectors(n int, inS bool, h int, near []int64, hops []int) Result {
+func resultFromVectors(n int, inS bool, h int, near []int64, hops []int32) Result {
 	nearMap := make(map[int]int64)
 	hopsMap := make(map[int]int)
 	for u := 0; u < n; u++ {
 		if near[u] < graph.Inf {
 			nearMap[u] = near[u]
-			hopsMap[u] = hops[u]
+			hopsMap[u] = int(hops[u])
 		}
 	}
 	return Result{

@@ -34,7 +34,7 @@ func TestExploreMachineMatches(t *testing.T) {
 	isSource := func(id int) bool { return id%4 == 0 }
 	const rounds = 7
 	pin := simtest.Pin{Metrics: sim.Metrics{Rounds: 7, LocalMsgs: 646, LocalBits: 18144}, Sum: 0xf7393c5ab64249ed}
-	exploreWords := func(near []int64, hops []int) []int64 {
+	exploreWords := func(near []int64, hops []int32) []int64 {
 		w := append([]int64(nil), near...)
 		for _, h := range hops {
 			w = append(w, int64(h))
