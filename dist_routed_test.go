@@ -1,0 +1,131 @@
+// What EngineDist hands its router, frozen: a recording sim.DistRouter takes
+// the place of the process-spawning one and hashes every (round, shard,
+// batch) of the rounds that carry a message, in call order. The engine may
+// change which rounds it routes at all — a round with no global message has
+// nothing for a worker to do — but never what a routed round carries, nor
+// the Metrics that come out.
+//
+// Two hashes, because APSP's batches are not reproducible word for word:
+// hybridapsp's publish phase lists a skeleton node's edge tokens in map
+// order, so which token rides to which random balancing destination — and
+// from there what each node replicates — differs from process to process,
+// while rounds, senders, destinations, kinds, Metrics and distances do not.
+// Heads covers (round, shard, batch length, Src, Dst, Kind) and is pinned for
+// both runs; Full adds the payload words and is pinned where it repeats.
+package hybrid_test
+
+import (
+	"encoding/binary"
+	"hash"
+	"hash/fnv"
+	"math/rand"
+	"sort"
+	"testing"
+
+	hybrid "repro"
+	"repro/internal/dist"
+	"repro/internal/sim"
+)
+
+// recordingRouter is the worker contract in-process: per shard, a stable
+// sort by destination and the receive accounting.
+type recordingRouter struct {
+	heads, full hash.Hash64
+	routed      int // calls carrying at least one message
+	empty       int // calls whose batches were all empty
+}
+
+// put hashes header words; payload words go to the full hash only.
+func (r *recordingRouter) put(payload bool, vs ...int64) {
+	var w [8]byte
+	for _, v := range vs {
+		binary.LittleEndian.PutUint64(w[:], uint64(v))
+		r.full.Write(w[:])
+		if !payload {
+			r.heads.Write(w[:])
+		}
+	}
+}
+
+func (r *recordingRouter) RouteRound(round int, outgoing [][]sim.GlobalMsg) ([][]sim.GlobalMsg, sim.DistRoundStats, error) {
+	stats := sim.DistRoundStats{ViolDst: -1}
+	for _, batch := range outgoing {
+		stats.GlobalMsgs += int64(len(batch))
+	}
+	if stats.GlobalMsgs == 0 {
+		r.empty++
+		return make([][]sim.GlobalMsg, len(outgoing)), stats, nil
+	}
+	r.routed++
+	r.put(false, int64(round))
+	streams := make([][]sim.GlobalMsg, len(outgoing))
+	recv := make(map[int]int)
+	for k, batch := range outgoing {
+		r.put(false, int64(k), int64(len(batch)))
+		for _, m := range batch {
+			r.put(false, int64(m.Src), int64(m.Dst), int64(m.Kind))
+			r.put(true, m.F0, m.F1, m.F2, m.F3)
+			if recv[m.Dst]++; recv[m.Dst] > stats.MaxRecv {
+				stats.MaxRecv = recv[m.Dst]
+			}
+		}
+		streams[k] = append([]sim.GlobalMsg(nil), batch...)
+		sort.SliceStable(streams[k], func(i, j int) bool { return streams[k][i].Dst < streams[k][j].Dst })
+	}
+	return streams, stats, nil
+}
+
+func (r *recordingRouter) Close() error { return nil }
+
+// routedPin is the frozen outcome of one recorded run; Full == 0 pins the
+// headers only.
+type routedPin struct {
+	Metrics     hybrid.Metrics
+	Routed      int
+	Heads, Full uint64
+}
+
+// TestDistRoutedTrafficPin holds one APSP and one k-SSP run on EngineDist to
+// the routed traffic recorded before the engine stopped routing empty rounds.
+func TestDistRoutedTrafficPin(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	sparse := hybrid.WithRandomWeights(hybrid.SparseGraph(40, 1.3, rng), 9, rng)
+	cases := []struct {
+		name string
+		g    *hybrid.Graph
+		run  func(nw *hybrid.Network) (hybrid.Metrics, error)
+		pin  routedPin
+	}{
+		{"apsp grid 6x6", hybrid.GridGraph(6, 6), func(nw *hybrid.Network) (hybrid.Metrics, error) {
+			res, err := nw.APSP()
+			if err != nil {
+				return hybrid.Metrics{}, err
+			}
+			return res.Metrics, nil
+		}, routedPin{Metrics: hybrid.Metrics{Rounds: 1371, GlobalMsgs: 2335, GlobalBits: 121420, LocalMsgs: 9020, LocalBits: 2232768, MaxGlobalSend: 6, MaxGlobalRecv: 10}, Routed: 152, Heads: 0x603e962e6402834a}},
+		{"kssp sparse 40", sparse, func(nw *hybrid.Network) (hybrid.Metrics, error) {
+			res, err := nw.KSSP([]int{3, 17, 31}, hybrid.Cor47(0.5))
+			if err != nil {
+				return hybrid.Metrics{}, err
+			}
+			return res.Metrics, nil
+		}, routedPin{Metrics: hybrid.Metrics{Rounds: 1742, GlobalMsgs: 1822, GlobalBits: 94744, LocalMsgs: 6931, LocalBits: 1178550, MaxGlobalSend: 6, MaxGlobalRecv: 6}, Routed: 185, Heads: 0xf428c8f6b51c1e98, Full: 0x42a2645ac98f579b}},
+	}
+	defer sim.RegisterDistRouter(func(cfg sim.DistRouterConfig) (sim.DistRouter, error) { return dist.New(cfg) })
+	for _, c := range cases {
+		rec := &recordingRouter{heads: fnv.New64a(), full: fnv.New64a()}
+		sim.RegisterDistRouter(func(sim.DistRouterConfig) (sim.DistRouter, error) { return rec, nil })
+		m, err := c.run(hybrid.New(c.g, hybrid.WithSeed(42), hybrid.WithEngine(hybrid.EngineDist), hybrid.WithWorkers(2)))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		got := routedPin{Metrics: m, Routed: rec.routed, Heads: rec.heads.Sum64(), Full: rec.full.Sum64()}
+		if c.pin.Full == 0 {
+			got.Full = 0
+		}
+		if got != c.pin {
+			t.Errorf("%s: routed traffic diverged from the pinned one:\n got %#v\nwant %#v", c.name, got, c.pin)
+		}
+		t.Logf("%s: %d routed rounds of %d, %d with every batch empty", c.name, rec.routed, m.Rounds, rec.empty)
+	}
+}
