@@ -215,15 +215,13 @@ func TestRunServeCancelDuringBuild(t *testing.T) {
 	}
 }
 
-// TestRunServeBadFlags pins the error exits.
+// TestRunServeBadFlags pins the error exits; what the shared graph and
+// engine flags reject is netflags' table, here one row each shows the
+// rejection becomes an exit code.
 func TestRunServeBadFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-graph", "torus"},
-		{"-engine", "warp"},
 		{"-not-a-flag"},
-		{"-dist-connect", "tcp:127.0.0.1:1"}, // requires -engine dist
-		{"-engine", "step", "-dist-window", "2"},
-		{"-engine", "legacy", "-workers", "2"},
 	} {
 		var stdout, stderr syncBuffer
 		if code := run(context.Background(), args, &stdout, &stderr, nil); code == 0 {
@@ -238,9 +236,6 @@ func TestRunServeBadFlags(t *testing.T) {
 		// The removed goroutine-sharded engine is an error by name, not an
 		// alias of another engine.
 		{[]string{"-engine", "sharded"}, 1, `unknown engine "sharded"`},
-		// A dist flag on another engine is rejected, not silently ignored
-		// (the same message as hybridsim's).
-		{[]string{"-workers", "4", "-engine", "step"}, 1, "-workers, -dist-connect and -dist-window require -engine dist"},
 		// The load benchmark moved to cmd/bench (serve_zipf_1024).
 		{[]string{"-bench"}, 2, "flag provided but not defined: -bench"},
 	} {

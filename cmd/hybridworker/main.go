@@ -1,25 +1,14 @@
-// hybridworker runs one distributed-engine worker process by hand, in
-// either of EngineDist's two topologies (see internal/dist):
+// hybridworker runs one resident distributed-engine worker (see
+// internal/dist): it binds a socket, prints the dialable address as
+// "HYBRID_DIST_LISTENING <addr>" on stdout, and accepts coordinators one
+// after another until killed. This is what runs on remote machines, with
+// the coordinator started later under WithDistConnect / -dist-connect
+// pointing at it. -shard is optional: an unpinned worker serves whichever
+// shard slot the coordinator dialed it for.
 //
-// Dial mode (-addr) is the spawn-mode shape: the worker dials a running
-// coordinator, announces the shard it serves, and serves staged rounds
-// until the coordinator shuts it down.
+// A single-box EngineDist run does not need this binary — a coordinator
+// without -dist-connect re-execs itself as its workers.
 //
-// Listen mode (-listen) is the connect-mode shape: the worker binds a
-// socket, prints the dialable address as "HYBRID_DIST_LISTENING <addr>"
-// on stdout, and accepts coordinators one after another until killed —
-// this is what runs on remote machines, with the coordinator started
-// later under WithDistConnect / -dist-connect pointing at it. -shard is
-// optional here: an unpinned worker serves whichever shard slot the
-// coordinator dialed it for.
-//
-// EngineDist does not normally need this binary — coordinators re-exec
-// themselves as workers — but a standalone worker is the deployment
-// shape for crossing machine boundaries and is handy for debugging the
-// protocol.
-//
-//	hybridworker -addr unix:/tmp/coord.sock -shard 0
-//	hybridworker -addr tcp:10.0.0.7:4242 -shard 3
 //	hybridworker -listen tcp::9000
 //	hybridworker -listen tcp:10.0.0.7:9000 -shard 1
 package main
@@ -43,51 +32,35 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("hybridworker", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	addr := fs.String("addr", "", "coordinator address with transport prefix (unix:/path or tcp:host:port)")
-	listen := fs.String("listen", "", "listen spec with transport prefix (tcp::9000, tcp:host:port, unix:/path); accepts coordinators instead of dialing one")
-	shard := fs.Int("shard", -1, "shard id this worker serves (>= 0; optional with -listen)")
+	listen := fs.String("listen", "", "listen spec with transport prefix (tcp::9000, tcp:host:port, unix:/path)")
+	shard := fs.Int("shard", wire.AnyShard, "shard id this worker is pinned to (default: whichever the coordinator dials it for)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	switch {
-	case *addr != "" && *listen != "":
-		fmt.Fprintln(stderr, "hybridworker: -addr and -listen are mutually exclusive")
-		fs.Usage()
-		return 2
-	case *listen != "":
-		sh := *shard
-		if sh < 0 {
-			sh = wire.AnyShard
-		}
-		lw, err := dist.StartListenWorker(*listen, sh)
-		if err != nil {
-			fmt.Fprintf(stderr, "hybridworker: %v\n", err)
-			return 1
-		}
-		// A resident listener is what runs on remote machines, so it gets
-		// the daemon contract: SIGTERM/SIGINT close the listener and Serve
-		// returns nil — exit 0, not a kill.
-		sigCh := make(chan os.Signal, 1)
-		signal.Notify(sigCh, syscall.SIGTERM, syscall.SIGINT)
-		defer signal.Stop(sigCh)
-		go func() {
-			if sig, ok := <-sigCh; ok {
-				fmt.Fprintf(stderr, "hybridworker: %v: shutting down\n", sig)
-				lw.Close()
-			}
-		}()
-		fmt.Fprintf(stdout, "HYBRID_DIST_LISTENING %s\n", lw.Addr())
-		if err := lw.Serve(); err != nil {
-			fmt.Fprintf(stderr, "hybridworker: %v\n", err)
-			return 1
-		}
-		return 0
-	case *addr == "" || *shard < 0:
-		fmt.Fprintln(stderr, "hybridworker: -addr and -shard are required (or use -listen)")
+	if *listen == "" || *shard < wire.AnyShard {
+		fmt.Fprintln(stderr, "hybridworker: -listen is required, and -shard must not be negative")
 		fs.Usage()
 		return 2
 	}
-	if err := dist.RunWorker(*addr, *shard); err != nil {
+	lw, err := dist.StartListenWorker(*listen, *shard)
+	if err != nil {
+		fmt.Fprintf(stderr, "hybridworker: %v\n", err)
+		return 1
+	}
+	// A resident listener is what runs on remote machines, so it gets the
+	// daemon contract: SIGTERM/SIGINT close the listener and Serve returns
+	// nil — exit 0, not a kill.
+	sigCh := make(chan os.Signal, 1)
+	signal.Notify(sigCh, syscall.SIGTERM, syscall.SIGINT)
+	defer signal.Stop(sigCh)
+	go func() {
+		if sig, ok := <-sigCh; ok {
+			fmt.Fprintf(stderr, "hybridworker: %v: shutting down\n", sig)
+			lw.Close()
+		}
+	}()
+	fmt.Fprintln(stdout, dist.ListeningPrefix+lw.Addr())
+	if err := lw.Serve(); err != nil {
 		fmt.Fprintf(stderr, "hybridworker: %v\n", err)
 		return 1
 	}

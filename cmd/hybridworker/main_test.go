@@ -3,40 +3,29 @@ package main
 import (
 	"net"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"syscall"
 	"testing"
 	"time"
 
+	"repro/internal/dist"
 	"repro/internal/dist/wire"
 )
 
 func TestRunRejectsBadFlags(t *testing.T) {
 	cases := [][]string{
-		{},                                   // no addr
-		{"-addr", "unix:/x"},                 // no shard
-		{"-shard", "0"},                      // no addr
-		{"-addr", "unix:/x", "-shard", "-2"}, // negative shard
-		{"-bogus"},                           // unknown flag
-		{"-addr", "unix:/x", "-listen", "tcp::0", "-shard", "0"}, // both modes
+		{},                                    // no listen spec
+		{"-shard", "0"},                       // no listen spec
+		{"-listen", "tcp::0", "-shard", "-2"}, // negative shard
+		{"-bogus"},                            // unknown flag
+		{"-addr", "unix:/x", "-shard", "0"},   // the removed dial mode
 	}
 	for _, args := range cases {
 		var out, sb strings.Builder
 		if code := run(args, &out, &sb); code != 2 {
 			t.Fatalf("run(%v) = %d, want 2 (stderr: %s)", args, code, sb.String())
 		}
-	}
-}
-
-func TestRunDialFailure(t *testing.T) {
-	var out, sb strings.Builder
-	if code := run([]string{"-addr", "unix:/nonexistent/coord.sock", "-shard", "0"}, &out, &sb); code != 1 {
-		t.Fatalf("run = %d, want 1", code)
-	}
-	if !strings.Contains(sb.String(), "hybridworker:") {
-		t.Fatalf("stderr = %q", sb.String())
 	}
 }
 
@@ -47,57 +36,6 @@ func TestRunListenBadSpec(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "transport prefix") {
 		t.Fatalf("stderr = %q", sb.String())
-	}
-}
-
-// TestRunServesUntilShutdown drives the real binary entrypoint against an
-// in-test coordinator socket: the worker joins, answers a ping, and exits
-// 0 on Shutdown.
-func TestRunServesUntilShutdown(t *testing.T) {
-	dir := t.TempDir()
-	sock := filepath.Join(dir, "coord.sock")
-	ln, err := net.Listen("unix", sock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-
-	done := make(chan int, 1)
-	go func() {
-		done <- run([]string{"-addr", "unix:" + sock, "-shard", "2"}, os.Stdout, os.Stderr)
-	}()
-
-	conn, err := ln.Accept()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
-
-	join, err := wire.ReadFrame(conn)
-	if err != nil || join.Type != wire.FrameJoin || join.Shard != 2 {
-		t.Fatalf("join frame = %+v, %v", join, err)
-	}
-	hs, err := wire.DecodeHandshake(join.Payload)
-	if err != nil || hs.Min != wire.ProtoMin || hs.Max != wire.ProtoMax || hs.Shard != 2 {
-		t.Fatalf("join handshake = %+v, %v", hs, err)
-	}
-	if _, err := conn.Write(wire.AppendFrame(nil, wire.Frame{Type: wire.FrameHeartbeat, Shard: 2})); err != nil {
-		t.Fatal(err)
-	}
-	if pong, err := wire.ReadFrame(conn); err != nil || pong.Type != wire.FrameHeartbeat {
-		t.Fatalf("ping answered with %+v, %v", pong, err)
-	}
-	if _, err := conn.Write(wire.AppendFrame(nil, wire.Frame{Type: wire.FrameShutdown, Shard: 2})); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case code := <-done:
-		if code != 0 {
-			t.Fatalf("worker exited %d, want 0", code)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("worker did not exit after shutdown")
 	}
 }
 
@@ -113,11 +51,10 @@ func TestRunListenMode(t *testing.T) {
 	var addr string
 	select {
 	case line := <-out:
-		fields := strings.Fields(line)
-		if len(fields) != 2 || fields[0] != "HYBRID_DIST_LISTENING" {
+		var ok bool
+		if addr, ok = strings.CutPrefix(line, dist.ListeningPrefix); !ok {
 			t.Fatalf("announcement line = %q", line)
 		}
-		addr = fields[1]
 	case <-time.After(5 * time.Second):
 		t.Fatal("no listening announcement")
 	}
@@ -143,8 +80,14 @@ func TestRunListenMode(t *testing.T) {
 	if pong, err := wire.ReadFrame(conn); err != nil || pong.Type != wire.FrameHeartbeat {
 		t.Fatalf("ping answered with %+v, %v", pong, err)
 	}
-	// Dropping the connection must not kill the worker: it goes back to
-	// accepting, so a second coordinator can attach.
+	// A Shutdown frame ends the connection, not the resident worker: it
+	// goes back to accepting, so a second coordinator can attach.
+	if _, err := conn.Write(wire.AppendFrame(nil, wire.Frame{Type: wire.FrameShutdown})); err != nil {
+		t.Fatal(err)
+	}
+	if f, err := wire.ReadFrame(conn); err == nil {
+		t.Fatalf("connection still served after shutdown: got a %v frame", f.Type)
+	}
 	conn.Close()
 	conn2, err := net.DialTimeout("tcp", strings.TrimPrefix(addr, "tcp:"), 5*time.Second)
 	if err != nil {
@@ -171,7 +114,7 @@ func TestRunListenSIGTERM(t *testing.T) {
 
 	select {
 	case line := <-out:
-		if !strings.HasPrefix(line, "HYBRID_DIST_LISTENING ") {
+		if !strings.HasPrefix(line, dist.ListeningPrefix) {
 			t.Fatalf("announcement line = %q", line)
 		}
 	case <-time.After(5 * time.Second):

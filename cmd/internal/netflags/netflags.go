@@ -22,7 +22,6 @@ type Flags struct {
 	Engine      string
 	Workers     int
 	DistConnect string
-	DistWindow  int
 	CacheDir    string
 }
 
@@ -36,8 +35,7 @@ func Register(fs *flag.FlagSet, defaultN int) *Flags {
 	fs.Int64Var(&f.MaxW, "maxw", 1, "max edge weight (1 = unweighted)")
 	fs.StringVar(&f.Engine, "engine", "step", "round engine: step|legacy|dist")
 	fs.IntVar(&f.Workers, "workers", 0, "dist engine worker-process count (0 = default)")
-	fs.StringVar(&f.DistConnect, "dist-connect", "", "comma-separated pre-started worker addresses for the dist engine (connect mode, e.g. tcp:10.0.0.7:9000,tcp:10.0.0.8:9000)")
-	fs.IntVar(&f.DistWindow, "dist-window", 0, "dist engine round-pipelining window (0 = lockstep)")
+	fs.StringVar(&f.DistConnect, "dist-connect", "", "comma-separated pre-started worker addresses for the dist engine to dial, one per shard (e.g. tcp:10.0.0.7:9000,tcp:10.0.0.8:9000)")
 	fs.StringVar(&f.CacheDir, "cache-dir", "", "directory of the persistent warm-start cache (load before the run, save after)")
 	return f
 }
@@ -50,8 +48,8 @@ func (f *Flags) Options() ([]hybrid.Option, error) {
 	if !ok {
 		return nil, fmt.Errorf("unknown engine %q", f.Engine)
 	}
-	if (f.Workers > 0 || f.DistConnect != "" || f.DistWindow > 0) && eng != hybrid.EngineDist {
-		return nil, fmt.Errorf("-workers, -dist-connect and -dist-window require -engine dist")
+	if (f.Workers > 0 || f.DistConnect != "") && eng != hybrid.EngineDist {
+		return nil, fmt.Errorf("-workers and -dist-connect require -engine dist")
 	}
 	opts := []hybrid.Option{hybrid.WithSeed(f.Seed), hybrid.WithEngine(eng)}
 	if f.Workers > 0 {
@@ -59,9 +57,6 @@ func (f *Flags) Options() ([]hybrid.Option, error) {
 	}
 	if f.DistConnect != "" {
 		opts = append(opts, hybrid.WithDistConnect(strings.Split(f.DistConnect, ",")...))
-	}
-	if f.DistWindow > 0 {
-		opts = append(opts, hybrid.WithDistWindow(f.DistWindow))
 	}
 	if f.CacheDir != "" {
 		opts = append(opts, hybrid.WithCacheDir(f.CacheDir))

@@ -1,15 +1,17 @@
-// Connect-mode end-to-end tests: real pre-started worker OS processes in
-// listen mode on TCP loopback, a coordinator that dials them instead of
-// spawning anything, and the legacy engine as the correctness oracle —
-// the full cross-machine deployment shape, minus the machine boundary.
+// Connect-mode end-to-end tests: real pre-started resident worker OS
+// processes on TCP loopback, a coordinator that dials them instead of
+// starting its own, and the legacy engine as the correctness oracle — the
+// full cross-machine deployment shape, minus the machine boundary.
 package hybrid_test
 
 import (
 	"bufio"
+	"flag"
 	"fmt"
 	"os"
 	"os/exec"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -18,20 +20,37 @@ import (
 	"repro/internal/dist"
 )
 
-// startWorkerProc pre-starts one listen-mode worker OS process (a re-exec
-// of the test binary, hijacked by the internal/dist env hook) pinned to
-// the given shard, and returns its announced dialable address.
+// TestResidentWorkerProcess is not a test but what cmd/hybridworker's main
+// does, for startWorkerProc to re-execute the test binary as: given a listen
+// spec and a shard after "--", it announces the bound address and serves
+// coordinators until killed. Run as a test it has no arguments and returns.
+func TestResidentWorkerProcess(t *testing.T) {
+	args := flag.Args()
+	if len(args) != 2 {
+		return
+	}
+	shard, err := strconv.Atoi(args[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	lw, err := dist.StartListenWorker(args[0], shard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Println(dist.ListeningPrefix + lw.Addr())
+	t.Fatal(lw.Serve())
+}
+
+// startWorkerProc pre-starts one resident worker OS process (the test
+// binary re-executed as TestResidentWorkerProcess) pinned to the given
+// shard, and returns its announced dialable address.
 func startWorkerProc(t *testing.T, shard int) (string, *exec.Cmd) {
 	t.Helper()
 	exe, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmd := exec.Command(exe)
-	cmd.Env = append(os.Environ(),
-		"HYBRID_DIST_LISTEN=tcp:127.0.0.1:0",
-		fmt.Sprintf("HYBRID_DIST_SHARD=%d", shard),
-	)
+	cmd := exec.Command(exe, "-test.run=^TestResidentWorkerProcess$", "--", "tcp:127.0.0.1:0", strconv.Itoa(shard))
 	cmd.Stderr = os.Stderr
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
@@ -55,11 +74,11 @@ func startWorkerProc(t *testing.T, shard int) (string, *exec.Cmd) {
 	}()
 	select {
 	case line := <-lines:
-		fields := strings.Fields(line)
-		if len(fields) != 2 || fields[0] != "HYBRID_DIST_LISTENING" {
+		addr, ok := strings.CutPrefix(line, dist.ListeningPrefix)
+		if !ok {
 			t.Fatalf("worker %d announcement = %q", shard, line)
 		}
-		return fields[1], cmd
+		return addr, cmd
 	case <-time.After(10 * time.Second):
 		t.Fatalf("worker %d never announced its listen address", shard)
 		return "", nil
@@ -67,9 +86,8 @@ func startWorkerProc(t *testing.T, shard int) (string, *exec.Cmd) {
 }
 
 // TestDistConnectProcessWorkers runs an APSP through a coordinator
-// connected to two pre-started worker processes over TCP — pipelining
-// window above 1 — and requires byte-identical distances and Metrics
-// against the legacy oracle.
+// connected to two pre-started worker processes over TCP and requires
+// byte-identical distances and Metrics against the legacy oracle.
 func TestDistConnectProcessWorkers(t *testing.T) {
 	g := hybrid.GridGraph(6, 6)
 	oracle, err := hybrid.New(g, hybrid.WithSeed(42), hybrid.WithEngine(hybrid.EngineLegacy)).APSP()
@@ -80,7 +98,7 @@ func TestDistConnectProcessWorkers(t *testing.T) {
 	addr0, _ := startWorkerProc(t, 0)
 	addr1, _ := startWorkerProc(t, 1)
 	res, err := hybrid.New(g, hybrid.WithSeed(42), hybrid.WithEngine(hybrid.EngineDist),
-		hybrid.WithDistConnect(addr0, addr1), hybrid.WithDistWindow(3)).APSP()
+		hybrid.WithDistConnect(addr0, addr1)).APSP()
 	if err != nil {
 		t.Fatalf("connect-mode dist: %v", err)
 	}
@@ -95,7 +113,7 @@ func TestDistConnectProcessWorkers(t *testing.T) {
 // TestDistConnectRemoteKillRedial is the connect-mode kill-replay: the
 // KillWorker fault severs the connection to a remote worker process
 // mid-run. The process itself survives and keeps listening, so the
-// coordinator must re-dial it, replay the in-flight rounds, and finish
+// coordinator must re-dial it, replay the pending request, and finish
 // byte-identical to the oracle.
 func TestDistConnectRemoteKillRedial(t *testing.T) {
 	g := hybrid.GridGraph(6, 6)
@@ -109,8 +127,7 @@ func TestDistConnectRemoteKillRedial(t *testing.T) {
 	faults := dist.NewFaults().KillWorker(1, 12)
 	opts := dist.WithFaults(faults)
 	res, err := hybrid.New(g, hybrid.WithSeed(42), hybrid.WithEngine(hybrid.EngineDist),
-		hybrid.WithDistOptions(opts), hybrid.WithDistConnect(addr0, addr1),
-		hybrid.WithDistWindow(2)).APSP()
+		hybrid.WithDistOptions(opts), hybrid.WithDistConnect(addr0, addr1)).APSP()
 	if err != nil {
 		t.Fatalf("connect-mode dist with kill: %v", err)
 	}

@@ -59,13 +59,16 @@ func checkEnginesAgree(t *testing.T, seed int64, graphKind, size, algo uint8, we
 	g, label := randomInstance(seed, graphKind, size, weighted)
 	rng := rand.New(rand.NewSource(seed ^ 0x5eed))
 
-	// Parallel-grain draws: shard count (0 = autotune), dist worker-process
-	// count and pipelining window. Results must be independent of all three,
-	// so the harness draws them per instance and holds every engine to the
-	// legacy oracle regardless.
+	// Parallel-grain draws: shard count (0 = autotune) and dist
+	// worker-process count. Results must be independent of both, so the
+	// harness draws them per instance and holds every engine to the legacy
+	// oracle regardless.
 	shards := []int{0, 1, 2, 3, 7, 16}[rng.Intn(6)]
 	workers := []int{1, 2, 3}[rng.Intn(3)]
-	window := []int{1, 2, 4}[rng.Intn(3)]
+	// This draw used to pick the dist engine's pipelining window; it stays,
+	// discarded, so the committed seed corpus still names the same k-SSP
+	// sources below.
+	rng.Intn(3)
 
 	type outcome struct {
 		result  interface{}
@@ -87,7 +90,7 @@ func checkEnginesAgree(t *testing.T, seed int64, graphKind, size, algo uint8, we
 	}
 	runOn := func(eng hybrid.Engine) outcome {
 		net := hybrid.New(g, hybrid.WithSeed(seed), hybrid.WithEngine(eng),
-			hybrid.WithShards(shards), hybrid.WithWorkers(workers), hybrid.WithDistWindow(window))
+			hybrid.WithShards(shards), hybrid.WithWorkers(workers))
 		switch algo % 5 {
 		case 0:
 			res, err := net.APSP()

@@ -98,19 +98,21 @@ const (
 	// EngineDist is the multi-process distributed engine: node machines
 	// step in the coordinator, but every global-mode message is routed
 	// through its destination shard's worker OS process over the
-	// internal/dist wire protocol (unix sockets by default) with
-	// per-frame checksums, timeouts, bounded retries, heartbeats, and
-	// kill/respawn/replay. It is slower than EngineStep — every round pays
-	// real serialization and socket round trips — and exists as the
+	// internal/dist wire protocol (unix sockets to children it starts
+	// itself, or WithDistConnect addresses) with per-frame checksums,
+	// timeouts, bounded retries, heartbeats, and kill/respawn/replay. It is
+	// slower than EngineStep — every round that carries a global message
+	// pays real serialization and socket round trips — and exists as the
 	// message-passing deployment shape of the HYBRID model, validated
 	// byte-identical against the in-process engines. Configure with
-	// WithWorkers and WithDistOptions.
+	// WithWorkers, WithDistConnect and WithDistOptions.
 	EngineDist = sim.EngineDist
 )
 
-// DistOptions tunes EngineDist's transport and robustness envelope
-// (timeouts, retries, transport, heartbeats, fault injection); it is an
-// alias for the dist package's Options. Tests inject faults via
+// DistOptions tunes EngineDist's robustness envelope (frame timeout,
+// retries and backoff, heartbeats, respawn budget, run deadline, fault
+// injection) and names pre-started workers; it is an alias for the dist
+// package's Options. Tests inject faults via
 // WithDistOptions(dist.WithFaults(...)).
 type DistOptions = dist.Options
 
@@ -163,15 +165,15 @@ func WithWorkers(w int) Option {
 	return func(nw *Network) { nw.cfg.DistWorkers = w }
 }
 
-// WithDistOptions tunes EngineDist's transport/robustness envelope and
-// fault injection (nil: defaults). Other engines ignore it.
+// WithDistOptions tunes EngineDist's robustness envelope and fault
+// injection (nil: defaults). Other engines ignore it.
 func WithDistOptions(o *DistOptions) Option {
 	return func(nw *Network) { nw.cfg.DistOpts = o }
 }
 
-// WithDistConnect switches EngineDist to connect mode: instead of
-// spawning local worker processes the coordinator dials these
-// pre-started workers (scheme-prefixed addresses, e.g.
+// WithDistConnect names EngineDist's workers: instead of starting local
+// child processes the coordinator dials these pre-started workers
+// (scheme-prefixed addresses, e.g.
 // "tcp:10.0.0.7:9000"), one per shard in shard order — typically
 // `hybridworker -listen` processes on other machines. The worker count
 // follows the address count. Composes with WithDistOptions (the
@@ -185,23 +187,6 @@ func WithDistConnect(addrs ...string) Option {
 		o.Connect = append([]string(nil), addrs...)
 		nw.cfg.DistOpts = &o
 		nw.cfg.DistWorkers = len(addrs)
-	}
-}
-
-// WithDistWindow sets EngineDist's round-pipelining window: the
-// coordinator may have up to w rounds in flight per worker before a
-// reply must drain, hiding WAN round trips on barrier-only rounds
-// (default 1: lockstep; automatically clamped to 1 against workers that
-// only speak protocol v1). Results are independent of the value.
-// Composes with WithDistOptions and WithDistConnect.
-func WithDistWindow(w int) Option {
-	return func(nw *Network) {
-		var o DistOptions
-		if prev, ok := nw.cfg.DistOpts.(*DistOptions); ok && prev != nil {
-			o = *prev
-		}
-		o.Window = w
-		nw.cfg.DistOpts = &o
 	}
 }
 

@@ -2,6 +2,8 @@ package dist
 
 import (
 	"net"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -17,12 +19,12 @@ import (
 // startListenWorkers stands up n in-process listen-mode workers on TCP
 // loopback (the connect-mode topology, minus the machine boundary) and
 // returns their dialable addresses in shard order.
-func startListenWorkers(t *testing.T, n int, min, max int) ([]string, []*ListenWorker) {
+func startListenWorkers(t *testing.T, n int) ([]string, []*ListenWorker) {
 	t.Helper()
 	addrs := make([]string, n)
 	workers := make([]*ListenWorker, n)
 	for k := 0; k < n; k++ {
-		lw, err := startListenWorkerRange("tcp:127.0.0.1:0", k, min, max)
+		lw, err := StartListenWorker("tcp:127.0.0.1:0", k)
 		if err != nil {
 			t.Fatalf("listen worker %d: %v", k, err)
 		}
@@ -35,8 +37,8 @@ func startListenWorkers(t *testing.T, n int, min, max int) ([]string, []*ListenW
 }
 
 // TestDistConnectMatchesLegacy is the connect-mode differential: a
-// coordinator dialing pre-started TCP workers — with a pipelining window
-// above 1 — must be byte-identical to the legacy oracle.
+// coordinator dialing pre-started TCP workers must be byte-identical to the
+// legacy oracle.
 func TestDistConnectMatchesLegacy(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"grid": graph.Grid(6, 7),
@@ -45,18 +47,16 @@ func TestDistConnectMatchesLegacy(t *testing.T) {
 	for name, g := range graphs {
 		for seed := int64(1); seed <= 2; seed++ {
 			wantOut, wantM := runChatter(t, g, sim.Config{Seed: seed, Engine: sim.EngineLegacy})
-			for _, window := range []int{1, 3} {
-				addrs, _ := startListenWorkers(t, 2, wire.ProtoMin, wire.ProtoMax)
-				out, m := runChatter(t, g, sim.Config{
-					Seed: seed, Engine: sim.EngineDist, DistWorkers: 2,
-					DistOpts: &Options{Connect: addrs, Window: window},
-				})
-				if !reflect.DeepEqual(wantOut, out) {
-					t.Fatalf("%s seed %d window %d: connect-mode results differ from legacy", name, seed, window)
-				}
-				if wantM != m {
-					t.Fatalf("%s seed %d window %d: metrics differ:\nlegacy  %+v\nconnect %+v", name, seed, window, wantM, m)
-				}
+			addrs, _ := startListenWorkers(t, 2)
+			out, m := runChatter(t, g, sim.Config{
+				Seed: seed, Engine: sim.EngineDist, DistWorkers: 2,
+				DistOpts: &Options{Connect: addrs},
+			})
+			if !reflect.DeepEqual(wantOut, out) {
+				t.Fatalf("%s seed %d: connect-mode results differ from legacy", name, seed)
+			}
+			if wantM != m {
+				t.Fatalf("%s seed %d: metrics differ:\nlegacy  %+v\nconnect %+v", name, seed, wantM, m)
 			}
 		}
 	}
@@ -64,17 +64,17 @@ func TestDistConnectMatchesLegacy(t *testing.T) {
 
 // TestDistConnectKillRedialReplay kills the connection to a pre-started
 // worker mid-run. The coordinator must re-dial the same address, replay
-// the in-flight window, and finish byte-identical to the clean run —
+// the pending request, and finish byte-identical to the clean run —
 // the connect-mode analogue of kill/respawn/replay.
 func TestDistConnectKillRedialReplay(t *testing.T) {
 	g := graph.Grid(5, 6)
 	wantOut, wantM := runChatter(t, g, sim.Config{Seed: 17, Engine: sim.EngineLegacy})
 
-	addrs, _ := startListenWorkers(t, 2, wire.ProtoMin, wire.ProtoMax)
+	addrs, _ := startListenWorkers(t, 2)
 	faults := NewFaults().KillWorker(1, 4)
 	out, m := runChatter(t, g, sim.Config{
 		Seed: 17, Engine: sim.EngineDist, DistWorkers: 2,
-		DistOpts: &Options{Connect: addrs, Window: 2, Faults: faults},
+		DistOpts: &Options{Connect: addrs, Faults: faults},
 	})
 	if !reflect.DeepEqual(wantOut, out) {
 		t.Fatal("results differ from legacy after connect-mode kill + re-dial")
@@ -101,7 +101,7 @@ func TestDistConnectWorkerGoneAbort(t *testing.T) {
 			Retries:      2,
 		},
 	}
-	addrs, workers := startListenWorkers(t, 2, wire.ProtoMin, wire.ProtoMax)
+	addrs, workers := startListenWorkers(t, 2)
 	cfg.Opts.(*Options).Connect = addrs
 	r, err := New(cfg)
 	if err != nil {
@@ -142,116 +142,174 @@ func TestDistConnectAddressCountMismatch(t *testing.T) {
 	}
 }
 
-// TestDistHandshakeNegotiation pairs current and version-bumped peers
-// both ways: old worker with new coordinator, new worker with old
-// coordinator, and a truly incompatible pair.
+// scriptedWorker listens on TCP loopback and hands each coordinator that
+// dials to serve, one at a time — a stand-in for a worker this tree cannot
+// build: another build's protocol range, or a peer that breaks the handshake.
+func scriptedWorker(t *testing.T, serve func(conn net.Conn)) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			serve(conn)
+			conn.Close()
+		}
+	}()
+	return "tcp:" + ln.Addr().String()
+}
+
+// joinAs announces a worker speaking [min, max] pinned to shard, then runs
+// the production loop.
+func joinAs(min, max, shard int) func(net.Conn) {
+	return func(conn net.Conn) {
+		conn.Write(wire.AppendFrame(nil, wire.Frame{Type: wire.FrameJoin, Shard: shard,
+			Payload: wire.AppendHandshakeRange(nil, min, max, shard)}))
+		ServeConn(conn)
+	}
+}
+
+// dialAs is the coordinator half of the handshake as a build speaking
+// [min, max] would run it against this tree's worker: read the Join, settle
+// on a version, send the Hello at it, and return the worker's answer.
+func dialAs(t *testing.T, addr string, min, max int) (net.Conn, wire.Frame) {
+	t.Helper()
+	conn, err := dialAddr(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	hs, err := wire.DecodeHandshake(readFrame(t, conn).Payload)
+	if err != nil || hs.Min != wire.ProtoMin || hs.Max != wire.ProtoMax {
+		t.Fatalf("join handshake = %+v, %v", hs, err)
+	}
+	proto, err := wire.Negotiate(min, max, hs.Min, hs.Max)
+	if err != nil {
+		proto = min // a coordinator that presses on regardless
+	}
+	sendFrame(t, conn, wire.Frame{Type: wire.FrameHello,
+		Payload: wire.AppendHello(nil, wire.Hello{Proto: proto, N: 8, LogN: 3, Hi: 8})})
+	return conn, readFrame(t, conn)
+}
+
+// TestDistHandshakeNegotiation pairs this build (it speaks [1,1]) with
+// peers advertising other ranges, both ways: the parent commit's [1,2]
+// settles on 1 and runs, a disjoint range fails naming both.
 func TestDistHandshakeNegotiation(t *testing.T) {
 	g := graph.Grid(4, 5)
 	wantOut, wantM := runChatter(t, g, sim.Config{Seed: 5, Engine: sim.EngineLegacy})
 
 	t.Run("old worker, new coordinator", func(t *testing.T) {
-		// A v1-only worker forces the pair down to v1 and clamps the
-		// requested window to lockstep — and still matches the oracle.
-		addrs, _ := startListenWorkers(t, 2, wire.ProtoV1, wire.ProtoV1)
-		r, err := New(sim.DistRouterConfig{
-			N: g.N(), LogN: 5, Workers: 2, ShardSize: (g.N() + 1) / 2,
-			Opts: &Options{Connect: addrs, Window: 4},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.Window() != 1 {
-			t.Fatalf("window = %d against a v1 worker, want 1", r.Window())
-		}
-		r.Close()
-
-		addrs2, _ := startListenWorkers(t, 2, wire.ProtoV1, wire.ProtoV1)
+		addrs := []string{scriptedWorker(t, joinAs(1, 2, 0)), scriptedWorker(t, joinAs(1, 2, 1))}
 		out, m := runChatter(t, g, sim.Config{
 			Seed: 5, Engine: sim.EngineDist, DistWorkers: 2,
-			DistOpts: &Options{Connect: addrs2, Window: 4},
+			DistOpts: &Options{Connect: addrs},
 		})
 		if !reflect.DeepEqual(wantOut, out) || wantM != m {
-			t.Fatal("v1-worker pairing diverges from legacy")
+			t.Fatal("pairing with [1,2] workers diverges from legacy")
 		}
 	})
 
 	t.Run("new worker, old coordinator", func(t *testing.T) {
-		addrs, _ := startListenWorkers(t, 2, wire.ProtoMin, wire.ProtoMax)
-		out, m := runChatter(t, g, sim.Config{
-			Seed: 5, Engine: sim.EngineDist, DistWorkers: 2,
-			DistOpts: &Options{Connect: addrs, ProtoMin: wire.ProtoV1, ProtoMax: wire.ProtoV1},
-		})
-		if !reflect.DeepEqual(wantOut, out) || wantM != m {
-			t.Fatal("v1-coordinator pairing diverges from legacy")
+		addrs, _ := startListenWorkers(t, 1)
+		conn, ack := dialAs(t, addrs[0], 1, 2)
+		if ack.Type != wire.FrameHelloAck {
+			t.Fatalf("[1,2] coordinator's v1 hello answered with a %v frame %q", ack.Type, ack.Payload)
+		}
+		sendFrame(t, conn, wire.Frame{Type: wire.FrameRound, Round: 1,
+			Payload: wire.AppendMsgs(nil, []sim.GlobalMsg{{Src: 1, Dst: 2}})})
+		if reply := readFrame(t, conn); reply.Type != wire.FrameRoundReply || reply.Round != 1 {
+			t.Fatalf("round answered with %v round %d", reply.Type, reply.Round)
 		}
 	})
 
 	t.Run("incompatible pair", func(t *testing.T) {
-		// A worker from the future (speaks only v3+) against today's
+		// A worker that speaks only a later version against today's
 		// coordinator must fail with the range error, not garbage.
-		addrs, _ := startListenWorkers(t, 1, wire.ProtoMax+1, wire.ProtoMax+1)
 		_, err := New(sim.DistRouterConfig{
 			N: 8, LogN: 3, Workers: 1, ShardSize: 8,
-			Opts: &Options{Connect: addrs},
+			Opts: &Options{Connect: []string{scriptedWorker(t, joinAs(2, 2, 0))}},
 		})
-		if err == nil || !strings.Contains(err.Error(), "no common protocol version") {
-			t.Fatalf("err = %v, want version-range failure", err)
+		if err == nil || !strings.Contains(err.Error(), "no common protocol version: [1,1] vs [2,2]") {
+			t.Fatalf("err = %v, want version-range failure naming both ranges", err)
 		}
 	})
 
 	t.Run("incompatible pair, coordinator newer", func(t *testing.T) {
-		addrs, _ := startListenWorkers(t, 1, wire.ProtoMin, wire.ProtoMax)
-		_, err := New(sim.DistRouterConfig{
-			N: 8, LogN: 3, Workers: 1, ShardSize: 8,
-			Opts: &Options{Connect: addrs, ProtoMin: wire.ProtoMax + 1, ProtoMax: wire.ProtoMax + 1},
-		})
-		if err == nil || !strings.Contains(err.Error(), "no common protocol version") {
-			t.Fatalf("err = %v, want version-range failure", err)
+		addrs, _ := startListenWorkers(t, 1)
+		_, answer := dialAs(t, addrs[0], 2, 2)
+		if answer.Type != wire.FrameError || !strings.Contains(string(answer.Payload), "worker speaks [1,1]") {
+			t.Fatalf("version-2 hello answered with a %v frame %q", answer.Type, answer.Payload)
 		}
 	})
 }
 
-// TestRouterWindowDeferral drives the pipelining window at the router
-// level: empty rounds are begun immediately and their reply collection
-// deferred; a non-empty round (or Flush) drains the backlog; a dropped
-// frame on a deferred round is retried at drain time.
-func TestRouterWindowDeferral(t *testing.T) {
+// TestHandshakeErrors: a peer that breaks the handshake is refused with an
+// error that says what it sent.
+func TestHandshakeErrors(t *testing.T) {
+	join := func(shard int) wire.Frame {
+		return wire.Frame{Type: wire.FrameJoin, Payload: wire.AppendHandshakeRange(nil, wire.ProtoMin, wire.ProtoMax, shard)}
+	}
+	cases := []struct {
+		name          string
+		first, answer wire.Frame // the peer's first frame, and its answer to the Hello
+		want          string
+	}{
+		{"first frame of the wrong type", wire.Frame{Type: wire.FrameHeartbeat}, wire.Frame{},
+			"want a join announcement, got a heartbeat frame"},
+		{"pinned to another shard", join(3), wire.Frame{}, "pinned to shard 3, dialed as shard 0"},
+		{"hello answered with the wrong type", join(0), wire.Frame{Type: wire.FrameRoundReply},
+			"unexpected round-reply frame during handshake"},
+		{"hello acked as another shard", join(wire.AnyShard),
+			wire.Frame{Type: wire.FrameHelloAck, Payload: wire.AppendHandshake(nil, 5)},
+			"acked the hello as shard 5"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			addr := scriptedWorker(t, func(conn net.Conn) {
+				conn.Write(wire.AppendFrame(nil, c.first))
+				if _, err := wire.ReadFrame(conn); err == nil {
+					conn.Write(wire.AppendFrame(nil, c.answer))
+				}
+			})
+			_, err := New(sim.DistRouterConfig{N: 8, LogN: 3, Workers: 1, ShardSize: 8, Opts: &Options{Connect: []string{addr}}})
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("err = %v, want %q", err, c.want)
+			}
+		})
+	}
+}
+
+// TestRouterDropRetriedNotRespawned drives the router directly: a round of
+// empty batches makes a real trip, a dropped request is resent after the
+// frame timeout on the same connection (not answered with a respawn), and a
+// non-empty round comes back in worker-sorted delivery order.
+func TestRouterDropRetriedNotRespawned(t *testing.T) {
 	faults := NewFaults().DropFrames(0, 1, 1)
 	r, err := New(sim.DistRouterConfig{
 		N: 8, LogN: 3, Workers: 2, ShardSize: 4,
-		Opts: &Options{Window: 3, Faults: faults, FrameTimeout: 300 * time.Millisecond, Retries: 4},
+		Opts: &Options{Faults: faults, FrameTimeout: 300 * time.Millisecond, Retries: 4},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if r.Window() != 3 {
-		t.Fatalf("window = %d, want 3", r.Window())
-	}
 
-	empty := [][]sim.GlobalMsg{nil, nil}
 	for round := 0; round <= 2; round++ {
-		streams, st, err := r.RouteRound(round, empty)
+		streams, st, err := r.RouteRound(round, [][]sim.GlobalMsg{nil, nil})
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		if st.ViolDst != -1 || st.GlobalMsgs != 0 {
-			t.Fatalf("round %d: deferred stats %+v, want empty", round, st)
-		}
-		for k, s := range streams {
-			if len(s) != 0 {
-				t.Fatalf("round %d shard %d: deferred round returned %d msgs", round, k, len(s))
-			}
+		if st != (sim.DistRoundStats{ViolDst: -1}) || len(streams[0])+len(streams[1]) != 0 {
+			t.Fatalf("round %d: empty round returned %+v / %+v", round, streams, st)
 		}
 	}
-	// Rounds 0..2 shipped; with window 3 at most 2 awaited replies remain
-	// outstanding, so at least one drain already happened (and consumed
-	// the injected drop via the retry path).
-	if n := len(r.deferred); n > 2 {
-		t.Fatalf("deferred backlog %d exceeds window-1", n)
-	}
-
-	// A non-empty round forces the backlog to drain in order first.
 	batch := [][]sim.GlobalMsg{
 		{{Src: 5, Dst: 1, Kind: 1, F0: 10}, {Src: 6, Dst: 0, Kind: 1, F0: 11}},
 		{{Src: 0, Dst: 7, Kind: 1, F0: 12}},
@@ -259,9 +317,6 @@ func TestRouterWindowDeferral(t *testing.T) {
 	streams, st, err := r.RouteRound(3, batch)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(r.deferred) != 0 {
-		t.Fatalf("deferred backlog %d after non-empty round, want 0", len(r.deferred))
 	}
 	if st.GlobalMsgs != 3 || st.MaxRecv != 1 {
 		t.Fatalf("stats %+v, want 3 msgs, max recv 1", st)
@@ -274,19 +329,6 @@ func TestRouterWindowDeferral(t *testing.T) {
 	if len(streams[1]) != 1 || streams[1][0].Dst != 7 {
 		t.Fatalf("shard 1 stream %+v", streams[1])
 	}
-
-	// Tail empty rounds + Flush: the backlog drains and validates.
-	for round := 4; round <= 6; round++ {
-		if _, _, err := r.RouteRound(round, empty); err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-	}
-	if err := r.Flush(); err != nil {
-		t.Fatalf("flush: %v", err)
-	}
-	if len(r.deferred) != 0 {
-		t.Fatal("flush left a deferred backlog")
-	}
 	if got := faults.Stats().Dropped; got != 1 {
 		t.Fatalf("consumed %d injected drops, want 1", got)
 	}
@@ -295,25 +337,93 @@ func TestRouterWindowDeferral(t *testing.T) {
 	}
 }
 
-// TestDistPipelinedKillReplay kills a worker while a deferred window is
-// outstanding: the respawn must replay the whole in-flight window and
-// stay byte-identical end to end.
-func TestDistPipelinedKillReplay(t *testing.T) {
-	g := graph.Grid(5, 6)
-	wantOut, wantM := runChatter(t, g, sim.Config{Seed: 23, Engine: sim.EngineLegacy})
-	faults := NewFaults().KillWorker(0, 6)
-	out, m := runChatter(t, g, sim.Config{
-		Seed: 23, Engine: sim.EngineDist, DistWorkers: 2,
-		DistOpts: &Options{Window: 4, Faults: faults},
+// TestSpawnedChildrenLeaveNothingBehind: a child the coordinator started is
+// reaped, and its socket directory removed, when it is abandoned before
+// anyone dialed it, when a respawn replaces it, and at Close.
+func TestSpawnedChildrenLeaveNothingBehind(t *testing.T) {
+	gone := func(when string, w *worker) {
+		t.Helper()
+		select {
+		case <-w.exited:
+		default:
+			t.Fatalf("%s: child of shard %d (pid %d) not reaped", when, w.shard, w.cmd.Process.Pid)
+		}
+		if _, err := os.Stat(w.dir); !os.IsNotExist(err) {
+			t.Fatalf("%s: socket directory %s of shard %d left behind (%v)", when, w.dir, w.shard, err)
+		}
+	}
+
+	abandoned := &worker{shard: 0}
+	if err := abandoned.spawn(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(abandoned.dir, "worker.sock")); err != nil {
+		t.Fatalf("announced child has no socket: %v", err)
+	}
+	abandoned.stop()
+	gone("abandoned before the dial", abandoned)
+
+	r, err := New(sim.DistRouterConfig{
+		N: 8, LogN: 3, Workers: 2, ShardSize: 4,
+		Opts: WithFaults(NewFaults().KillWorker(1, 1)),
 	})
-	if !reflect.DeepEqual(wantOut, out) {
-		t.Fatal("pipelined kill+replay diverges from legacy")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if wantM != m {
-		t.Fatalf("pipelined kill+replay metrics differ:\nlegacy %+v\ndist   %+v", wantM, m)
+	defer r.Close()
+	first := []*worker{r.slots[0].w.Load(), r.slots[1].w.Load()}
+	if _, _, err := r.RouteRound(1, [][]sim.GlobalMsg{nil, {{Src: 1, Dst: 5}}}); err != nil {
+		t.Fatal(err)
 	}
-	if st := faults.Stats(); st.Killed != 1 || st.Respawns < 1 {
-		t.Fatalf("fault stats %+v, want 1 kill and >=1 respawn", st)
+	replacement := r.slots[1].w.Load()
+	if replacement == first[1] || r.Respawns() != 1 {
+		t.Fatalf("kill fault did not respawn shard 1 (respawns %d)", r.Respawns())
+	}
+	gone("after the respawn", first[1])
+	if _, err := os.Stat(replacement.dir); err != nil {
+		t.Fatalf("replacement's socket directory: %v", err)
+	}
+
+	r.Close()
+	gone("after Close", first[0])
+	gone("after Close", replacement)
+}
+
+// TestServeFirst is the life of a spawned child, in-process: it serves the
+// one coordinator that dials and then is gone, and gives up on its own when
+// nobody dials in time.
+func TestServeFirst(t *testing.T) {
+	sock := filepath.Join(t.TempDir(), "w.sock")
+	lw, err := StartListenWorker("unix:"+sock, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lw.serveFirst(50 * time.Millisecond); err == nil || !strings.Contains(err.Error(), "no coordinator dialed") {
+		t.Fatalf("undialed worker returned %v", err)
+	}
+	if _, err := os.Stat(sock); !os.IsNotExist(err) {
+		t.Fatalf("undialed worker left its socket behind (%v)", err)
+	}
+
+	if lw, err = StartListenWorker("unix:"+sock, 0); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- lw.serveFirst(5 * time.Second) }()
+	conn, err := dialAddr(lw.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if join := readFrame(t, conn); join.Type != wire.FrameJoin {
+		t.Fatalf("first frame is a %v", join.Type)
+	}
+	conn.Close()
+	if err := <-done; err != nil {
+		t.Fatalf("serveFirst after its one connection: %v", err)
+	}
+	if conn, err := dialAddr(lw.Addr()); err == nil {
+		conn.Close()
+		t.Fatal("a second coordinator could still dial")
 	}
 }
 
@@ -399,7 +509,7 @@ func TestBackoffDelayClamp(t *testing.T) {
 
 // pipeRouter builds a Router whose single slot speaks to an in-test
 // scripted peer over net.Pipe — the harness for Ping's frame handling.
-func pipeRouter(t *testing.T, pending []int) (*Router, net.Conn) {
+func pipeRouter(t *testing.T) (*Router, net.Conn) {
 	t.Helper()
 	opts, err := resolveOptions(&Options{FrameTimeout: time.Second})
 	if err != nil {
@@ -407,25 +517,19 @@ func pipeRouter(t *testing.T, pending []int) (*Router, net.Conn) {
 	}
 	local, remote := net.Pipe()
 	t.Cleanup(func() { local.Close(); remote.Close() })
-	w := &worker{shard: 0, proto: wire.ProtoV2, conn: local,
-		cr: &countReader{c: local}, gotReplies: make(map[int]wire.Frame)}
 	sl := &slot{}
-	w2 := w
-	sl.w.Store(w2)
-	for _, round := range pending {
-		sl.pending = append(sl.pending, pendingReq{round: round})
-	}
-	r := &Router{opts: opts, window: 4, slots: []*slot{sl}}
-	return r, remote
+	sl.w.Store(&worker{shard: 0, conn: local, cr: &countReader{c: local}})
+	return &Router{opts: opts, slots: []*slot{sl}}, remote
 }
 
 // TestPingRecordsLateReply is the regression test for Ping swallowing
-// frames: a round reply read during a ping must be parked for its
-// collect (not discarded), and a protocol-error frame must fail the ping
-// instead of being skipped.
+// frames: a round reply read during a ping — a stale duplicate, since round
+// trips hold the slot lock a ping needs — is skipped without desyncing the
+// stream, and a protocol-error frame must fail the ping instead of being
+// skipped.
 func TestPingRecordsLateReply(t *testing.T) {
-	t.Run("late reply parked", func(t *testing.T) {
-		r, remote := pipeRouter(t, []int{5})
+	t.Run("stale reply skipped", func(t *testing.T) {
+		r, remote := pipeRouter(t)
 		go func() {
 			wire.ReadFrame(remote) // the ping
 			remote.Write(wire.AppendFrame(nil, wire.Frame{Type: wire.FrameRoundReply, Round: 5,
@@ -435,28 +539,12 @@ func TestPingRecordsLateReply(t *testing.T) {
 		if err := r.Ping(0); err != nil {
 			t.Fatalf("ping: %v", err)
 		}
-		w := r.slots[0].w.Load()
-		if _, ok := w.gotReplies[5]; !ok {
-			t.Fatal("in-flight round reply read during ping was discarded")
-		}
-	})
-	t.Run("stale reply skipped", func(t *testing.T) {
-		r, remote := pipeRouter(t, nil) // nothing in flight: round 5 is stale
-		go func() {
-			wire.ReadFrame(remote)
-			remote.Write(wire.AppendFrame(nil, wire.Frame{Type: wire.FrameRoundReply, Round: 5,
-				Payload: wire.AppendReply(nil, nil, wire.RoundStats{ViolDst: -1})}))
-			remote.Write(wire.AppendFrame(nil, wire.Frame{Type: wire.FrameHeartbeat}))
-		}()
-		if err := r.Ping(0); err != nil {
-			t.Fatalf("ping: %v", err)
-		}
-		if len(r.slots[0].w.Load().gotReplies) != 0 {
-			t.Fatal("stale reply was recorded")
+		if r.LastHeartbeat(0).IsZero() {
+			t.Fatal("the heartbeat behind the stale reply was not recorded")
 		}
 	})
 	t.Run("protocol error rejected", func(t *testing.T) {
-		r, remote := pipeRouter(t, nil)
+		r, remote := pipeRouter(t)
 		go func() {
 			wire.ReadFrame(remote)
 			remote.Write(wire.AppendFrame(nil, wire.Frame{Type: wire.FrameError, Payload: []byte("boom")}))
@@ -468,29 +556,13 @@ func TestPingRecordsLateReply(t *testing.T) {
 	})
 }
 
-// TestResolveOptionsWindowAndRange pins the new option defaults.
-func TestResolveOptionsWindowAndRange(t *testing.T) {
-	o, err := resolveOptions(nil)
-	if err != nil || o.Window != 1 || o.ProtoMin != wire.ProtoMin || o.ProtoMax != wire.ProtoMax {
-		t.Fatalf("defaults: %+v, %v", o, err)
-	}
-	o, err = resolveOptions(&Options{Window: MaxWindow + 10})
-	if err != nil || o.Window != MaxWindow {
-		t.Fatalf("window clamp: %+v, %v", o, err)
-	}
-	if _, err := resolveOptions(&Options{ProtoMin: 3, ProtoMax: 2}); err == nil {
-		t.Fatal("inverted protocol range accepted")
-	}
-}
-
 // TestRouterRoundGaps drives the router the way the step engine's
 // fast-forward does: round numbers ascend but skip (no RouteRound is issued
 // for a round in which every node slept). Workers are pure per-round
 // functions, so nothing may depend on the numbers being consecutive: a
 // fault keyed on a round that is never routed neither fires nor wedges the
-// window, empty rounds on either side of a gap are still deferred and
-// drained by Flush, and a kill in the middle of a gapped window replays it
-// byte-identically.
+// router, empty rounds on either side of a gap still make their trip, and a
+// kill after a gap is replayed byte-identically.
 func TestRouterRoundGaps(t *testing.T) {
 	batch := func(f0 int64) [][]sim.GlobalMsg {
 		return [][]sim.GlobalMsg{
@@ -514,7 +586,7 @@ func TestRouterRoundGaps(t *testing.T) {
 		t.Helper()
 		r, err := New(sim.DistRouterConfig{
 			N: 8, LogN: 3, Workers: 2, ShardSize: 4,
-			Opts: &Options{Window: 3, Faults: faults, FrameTimeout: 300 * time.Millisecond, Retries: 4},
+			Opts: &Options{Faults: faults, FrameTimeout: 300 * time.Millisecond, Retries: 4},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -532,21 +604,11 @@ func TestRouterRoundGaps(t *testing.T) {
 			}
 			results = append(results, res)
 		}
-		if len(r.deferred) == 0 {
-			t.Fatal("the empty tail rounds were not deferred; Flush has nothing to prove")
-		}
-		if err := r.Flush(); err != nil {
-			t.Fatalf("flush: %v", err)
-		}
-		if len(r.deferred) != 0 {
-			t.Fatal("flush left a deferred backlog")
-		}
 		return results
 	}
 
 	clean := route(NewFaults())
-	// Rounds 20, 96 and 4000 are never routed; round 5000 is, with the
-	// deferred empty rounds 300 and 301 still in flight before it.
+	// Rounds 20, 96 and 4000 are never routed; round 5000 is.
 	faults := NewFaults().DropFrames(1, 20, 5).KillWorker(1, 96).DelayFrame(0, 4000, time.Hour).KillWorker(0, 5000)
 	faulty := route(faults)
 	if !reflect.DeepEqual(clean, faulty) {

@@ -1,34 +1,36 @@
 // Package dist is the multi-process distributed round engine behind
-// sim.EngineDist: a coordinator-side Router that runs one worker process
-// per shard, speaks the internal/dist/wire frame protocol to them (unix
-// sockets by default, TCP optionally), and routes each round's staged
-// global-message batches through the workers with per-frame timeouts,
-// bounded retry/backoff, heartbeats, and kill/respawn/replay — all of it
-// drivable from tests via the Faults injection hook.
+// sim.EngineDist: a coordinator-side Router that dials one worker per shard,
+// speaks the internal/dist/wire frame protocol to it, and routes each
+// round's staged global-message batches through the workers with per-frame
+// timeouts, bounded retry/backoff, heartbeats, and kill/respawn/replay — all
+// of it drivable from tests via the Faults injection hook.
 //
-// Workers come in two topologies. In spawn mode (the default) the Router
-// listens, spawns one local worker process per shard, and each worker
-// dials back in. In connect mode (Options.Connect) the direction
-// reverses: pre-started workers — typically cmd/hybridworker -listen on
-// other machines — accept, and the coordinator dials one address per
-// shard, re-dialing on connection loss instead of respawning. Either way
-// the Join/Hello handshake negotiates the highest protocol version both
-// sides speak (see wire.Negotiate), and Options.Window > 1 lets the
-// coordinator pipeline rounds over the WAN within a bounded window.
+// There is one way to reach a worker: the coordinator dials a listening
+// worker's scheme-prefixed address, reads its Join (the protocol range it
+// speaks and the shard it is pinned to, if any), and configures it with a
+// Hello. Options.Connect names pre-started workers — typically
+// cmd/hybridworker -listen on other machines. Without it the coordinator
+// starts its own: one child per shard, a re-exec of the current binary
+// hijacked before main by an env-var check (see worker.go), listening on a
+// private unix socket and serving that one connection — so any program that
+// can be a coordinator can be its own worker fleet. A lost connection is
+// healed the same way in both cases (a child is killed and restarted first):
+// dial again and replay the pending request.
 //
 // Importing this package registers the Router as the sim package's
 // DistRouter factory, which is what arms WithEngine(EngineDist) on the
-// facade. Spawned worker processes are re-execs of the current binary,
-// hijacked before main by an env-var check (see worker.go), so any
-// program that can be a coordinator can be its own worker fleet.
+// facade.
 package dist
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
 	"os"
 	"os/exec"
+	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,8 +45,8 @@ func init() {
 	})
 }
 
-// Options tunes the router's transport and robustness envelope. The zero
-// value of every field means its default.
+// Options tunes the router's robustness envelope and names pre-started
+// workers. The zero value of every field means its default.
 type Options struct {
 	// Faults is the test-driven fault-injection plan (nil: none).
 	Faults *Faults
@@ -56,40 +58,16 @@ type Options struct {
 	// Backoff is the base retry backoff, doubled per attempt up to
 	// maxBackoff (default 2ms).
 	Backoff time.Duration
-	// Transport selects "unix" (default) or "tcp" for spawn mode.
-	// Ignored in connect mode, where each Connect address carries its own
-	// transport prefix.
-	Transport string
 	// HeartbeatEvery is the worker liveness-beacon period (default 500ms;
 	// negative disables heartbeats).
 	HeartbeatEvery time.Duration
-	// WorkerBin overrides the spawned worker executable (default: the
-	// EnvWorkerBin variable, then the coordinator's own binary).
-	WorkerBin string
-	// Connect switches the router to connect mode: instead of spawning
-	// local workers it dials these pre-started worker addresses
-	// (scheme-prefixed, e.g. "tcp:10.0.0.7:9000"), one per shard in shard
-	// order. The length must equal the worker count. On connection loss
-	// the router re-dials the same address and replays the in-flight
-	// rounds; if the remote worker is gone the run aborts with a clear
+	// Connect names pre-started workers to dial instead of starting local
+	// children (scheme-prefixed, e.g. "tcp:10.0.0.7:9000"), one per shard in
+	// shard order. The length must equal the worker count. On connection
+	// loss the router re-dials the same address and replays the pending
+	// request; if the remote worker is gone the run aborts with a clear
 	// error instead of hanging.
 	Connect []string
-	// Bind sets the spawn-mode TCP listener's bind address (default
-	// "127.0.0.1:0"), so a coordinator no longer assumes loopback.
-	Bind string
-	// Window is the round-pipelining depth: the coordinator may have up
-	// to Window rounds in flight to each worker before a reply must
-	// drain, amortizing WAN round trips across barrier-only rounds
-	// (default 1: lockstep). Windows above 1 require both sides to
-	// negotiate wire.ProtoV2; against a v1-only peer the window clamps to
-	// 1. Clamped to [1, MaxWindow].
-	Window int
-	// ProtoMin and ProtoMax override the protocol version range this
-	// coordinator advertises in its handshakes (0: the build defaults
-	// wire.ProtoMin/wire.ProtoMax). Tests use them to pair current and
-	// version-bumped peers; operators can pin a version during a rolling
-	// upgrade.
-	ProtoMin, ProtoMax int
 	// MaxRespawns is the total respawn/re-dial budget across the whole
 	// run, all shards combined: past it the run aborts with a clear
 	// "worker flapping" error instead of respawning forever (default 8;
@@ -115,7 +93,6 @@ const (
 	defaultHeartbeatEvery = 500 * time.Millisecond
 	defaultMaxRespawns    = 8
 	handshakeTimeout      = 10 * time.Second
-	shutdownGrace         = 3 * time.Second
 
 	// maxBackoff caps the exponential retry backoff so a large Retries
 	// budget cannot shift the base into overflow (time.Duration is an
@@ -123,10 +100,6 @@ const (
 	// bits wraps negative, and time.Sleep treats negative as zero — a
 	// hot retry loop exactly when the system is already struggling).
 	maxBackoff = 2 * time.Second
-
-	// MaxWindow bounds Options.Window and with it the worker-side reply
-	// ring a coordinator may demand.
-	MaxWindow = 64
 )
 
 // backoffDelay is the bounded exponential backoff before resend attempt
@@ -156,10 +129,6 @@ func resolveOptions(v any) (Options, error) {
 		if t != nil {
 			o = *t
 		}
-	case Options:
-		o = t
-	case *Faults:
-		o.Faults = t
 	default:
 		return Options{}, fmt.Errorf("dist: unsupported DistOpts type %T (want *dist.Options)", v)
 	}
@@ -177,21 +146,6 @@ func resolveOptions(v any) (Options, error) {
 	}
 	if o.MaxRespawns == 0 {
 		o.MaxRespawns = defaultMaxRespawns
-	}
-	if o.Window < 1 {
-		o.Window = 1
-	}
-	if o.Window > MaxWindow {
-		o.Window = MaxWindow
-	}
-	if o.ProtoMin == 0 {
-		o.ProtoMin = wire.ProtoMin
-	}
-	if o.ProtoMax == 0 {
-		o.ProtoMax = wire.ProtoMax
-	}
-	if o.ProtoMin < 1 || o.ProtoMax < o.ProtoMin {
-		return Options{}, fmt.Errorf("dist: bad protocol range [%d,%d]", o.ProtoMin, o.ProtoMax)
 	}
 	return o, nil
 }
@@ -211,86 +165,56 @@ func (cr *countReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// worker is the coordinator's handle to one shard's worker connection —
-// a spawned local process (cmd != nil) or a dialed remote one (addr is
-// the re-dial address).
+// worker is the coordinator's handle to one shard's worker: the connection
+// dialed to addr and, when the coordinator started the worker itself, the
+// child process and the directory holding its socket.
 type worker struct {
 	shard    int
-	proto    int // negotiated protocol version
 	addr     string
-	cmd      *exec.Cmd
-	waitCh   chan error
 	conn     net.Conn
 	cr       *countReader
 	lastBeat atomic.Int64 // UnixNano of the last heartbeat seen
 
-	// gotReplies parks replies that arrived ahead of their CollectRound
-	// (a deeper-window round overtaking the awaited one, or a late reply
-	// read during Ping). Keyed by round; guarded by the owning slot's mu.
-	gotReplies map[int]wire.Frame
+	cmd    *exec.Cmd
+	exited chan struct{} // closed once cmd has been reaped
+	dir    string
 }
 
-// kill forcefully ends the worker process (if we spawned one) and its
-// connection.
-func (w *worker) kill() {
+// stop ends the worker: its connection and, for a child the coordinator
+// started, the process (reaped) and its socket directory. A dialed worker
+// just loses the connection and keeps listening for its next coordinator.
+// Idempotent and nil-safe.
+func (w *worker) stop() {
 	if w == nil {
 		return
-	}
-	if w.cmd != nil && w.cmd.Process != nil {
-		w.cmd.Process.Kill()
 	}
 	if w.conn != nil {
 		w.conn.Close()
 	}
-}
-
-// pendingReq is one in-flight round: the encoded request frame is kept
-// until the reply is collected so a respawned or re-dialed worker can
-// replay the whole window byte-identically.
-type pendingReq struct {
-	round int
-	req   []byte
+	if w.cmd != nil {
+		w.cmd.Process.Kill()
+		<-w.exited
+	}
+	if w.dir != "" {
+		os.RemoveAll(w.dir)
+	}
 }
 
 // slot is one shard's coordinator-side state. The worker handle is an
 // atomic pointer so lock-free readers (LastHeartbeat) never race the
-// respawn path, and mu serializes everything that touches the connection
-// or the in-flight window: round trips, pings, respawn + replay.
+// respawn path, and mu serializes everything that touches the connection:
+// round trips, pings, respawn + replay.
 type slot struct {
-	mu      sync.Mutex
-	w       atomic.Pointer[worker]
-	pending []pendingReq // begun rounds awaiting collection, ascending
-}
-
-// joined is an accepted-but-unclaimed worker connection plus its
-// negotiated protocol version.
-type joined struct {
-	conn  net.Conn
-	proto int
+	mu sync.Mutex
+	w  atomic.Pointer[worker]
 }
 
 // Router is the coordinator: it owns the worker connections and the
 // per-round request/reply exchange. It implements sim.DistRouter.
 type Router struct {
-	cfg  sim.DistRouterConfig
-	opts Options
-
-	ln    *listener // spawn mode only; nil in connect mode
+	cfg   sim.DistRouterConfig
+	opts  Options
 	slots []*slot
-
-	// window is the effective pipelining depth after version negotiation
-	// (clamped to 1 when any worker only speaks ProtoV1).
-	window int
-	// deferred holds the rounds begun but not yet collected under the
-	// pipelining window. Only the engine goroutine touches it (RouteRound
-	// and Flush are not concurrent with each other).
-	deferred []int
-
-	// pending holds accepted-but-unclaimed worker connections keyed by
-	// the shard their Join frame announced; concurrent respawns of
-	// different shards may be accepted in either order.
-	acceptMu  sync.Mutex
-	pendingMu map[int]joined
 
 	respawns atomic.Int64
 	closed   atomic.Bool
@@ -309,10 +233,8 @@ func (r *Router) deadlineExceeded() error {
 	return nil
 }
 
-// New builds a Router for cfg: in spawn mode it opens the listener,
-// spawns one worker process per shard, and completes the handshake with
-// each; in connect mode (Options.Connect) it dials the pre-started
-// workers instead.
+// New builds a Router for cfg and brings up one worker per shard: the
+// pre-started ones Options.Connect names, or children it starts itself.
 func New(cfg sim.DistRouterConfig) (*Router, error) {
 	if cfg.Workers <= 0 || cfg.ShardSize <= 0 {
 		return nil, fmt.Errorf("dist: bad router config (workers %d, shard size %d)", cfg.Workers, cfg.ShardSize)
@@ -325,188 +247,124 @@ func New(cfg sim.DistRouterConfig) (*Router, error) {
 		return nil, fmt.Errorf("dist: %d connect addresses for %d workers (one per shard required)",
 			len(opts.Connect), cfg.Workers)
 	}
-	r := &Router{
-		cfg:       cfg,
-		opts:      opts,
-		window:    opts.Window,
-		slots:     make([]*slot, cfg.Workers),
-		pendingMu: make(map[int]joined),
-	}
+	r := &Router{cfg: cfg, opts: opts, slots: make([]*slot, cfg.Workers)}
 	if opts.RunTimeout > 0 {
 		r.deadline = time.Now().Add(opts.RunTimeout)
 	}
 	for k := range r.slots {
 		r.slots[k] = &slot{}
 	}
-	if len(opts.Connect) == 0 {
-		ln, err := newListener(opts.Transport, opts.Bind)
-		if err != nil {
-			return nil, err
-		}
-		r.ln = ln
-	}
-	for k := 0; k < cfg.Workers; k++ {
+	for k := range r.slots {
 		w, err := r.startWorker(k)
 		if err != nil {
 			r.Close()
 			return nil, err
 		}
 		r.slots[k].w.Store(w)
-		if w.proto < wire.ProtoV2 {
-			// A v1 peer keeps a single-slot reply cache; pipelining past
-			// it would make retransmit replies non-cacheable, so the
-			// whole fleet falls back to lockstep.
-			r.window = 1
-		}
 	}
 	return r, nil
 }
 
-// startWorker brings up shard k's worker by the mode the options select.
+// startWorker brings shard k's worker up — first start, respawn and re-dial
+// alike: start a child unless Options.Connect names the worker's address,
+// then dial and handshake. Errors are immediate and explicit — a gone
+// worker must surface as a clean abort, never a hang.
 func (r *Router) startWorker(k int) (*worker, error) {
+	w := &worker{shard: k}
+	var err error
 	if len(r.opts.Connect) > 0 {
-		return r.dialWorker(k)
+		w.addr = r.opts.Connect[k]
+	} else {
+		err = w.spawn()
 	}
-	return r.spawnWorker(k)
-}
-
-// workerBin resolves the executable to spawn.
-func (r *Router) workerBin() (string, error) {
-	if r.opts.WorkerBin != "" {
-		return r.opts.WorkerBin, nil
+	if err == nil {
+		err = r.handshake(w)
 	}
-	if env := os.Getenv(EnvWorkerBin); env != "" {
-		return env, nil
-	}
-	return os.Executable()
-}
-
-// spawnWorker starts shard k's process, waits for it to join, and runs
-// the Hello handshake.
-func (r *Router) spawnWorker(k int) (*worker, error) {
-	bin, err := r.workerBin()
 	if err != nil {
-		return nil, fmt.Errorf("dist: resolving worker binary: %w", err)
+		w.stop()
+		return nil, err
+	}
+	return w, nil
+}
+
+// spawn starts shard w.shard's child: a re-exec of this binary that the
+// env hook in worker.go turns into a worker listening on a unix socket in a
+// directory of its own (so a killed child's leftover socket file cannot
+// trip its replacement), announcing the address on its stdout — a pipe,
+// never the coordinator's own stdout. On error the caller stops w, which
+// cleans up whatever was started.
+func (w *worker) spawn() error {
+	bin, err := os.Executable()
+	if err != nil {
+		return fmt.Errorf("dist: resolving worker binary: %w", err)
+	}
+	// A fresh short directory keeps the socket path well under the
+	// sun_path length limit regardless of TMPDIR.
+	if w.dir, err = os.MkdirTemp("", "hybriddist"); err != nil {
+		return fmt.Errorf("dist: socket dir: %w", err)
 	}
 	cmd := exec.Command(bin)
 	cmd.Env = append(os.Environ(),
-		fmt.Sprintf("%s=%s", envAddr, r.ln.addr),
-		fmt.Sprintf("%s=%d", envShard, k),
+		fmt.Sprintf("%s=unix:%s", envListen, filepath.Join(w.dir, "worker.sock")),
+		fmt.Sprintf("%s=%d", envShard, w.shard),
 	)
 	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		return nil, fmt.Errorf("dist: starting worker %d (%s): %w", k, bin, err)
+	stdout, err := cmd.StdoutPipe()
+	if err == nil {
+		err = cmd.Start()
 	}
-	waitCh := make(chan error, 1)
-	go func() { waitCh <- cmd.Wait() }()
-
-	conn, proto, err := r.acceptFor(k)
 	if err != nil {
-		cmd.Process.Kill()
-		<-waitCh
-		return nil, err
+		return fmt.Errorf("dist: starting worker %d (%s): %w", w.shard, bin, err)
 	}
-	w := &worker{shard: k, proto: proto, cmd: cmd, waitCh: waitCh,
-		conn: conn, cr: &countReader{c: conn}, gotReplies: make(map[int]wire.Frame)}
-	if err := r.handshake(w); err != nil {
-		w.kill()
-		<-waitCh
-		return nil, err
+	w.cmd, w.exited = cmd, make(chan struct{})
+	// A child that never announces is killed, which ends the read.
+	timer := time.AfterFunc(handshakeTimeout, func() { cmd.Process.Kill() })
+	line, err := bufio.NewReader(stdout).ReadString('\n')
+	timer.Stop()
+	go func() {
+		cmd.Wait()
+		close(w.exited)
+	}()
+	if err != nil {
+		return fmt.Errorf("dist: worker %d ended before announcing its address: %w", w.shard, err)
 	}
-	return w, nil
+	var ok bool
+	if w.addr, ok = strings.CutPrefix(strings.TrimSpace(line), ListeningPrefix); !ok {
+		return fmt.Errorf("dist: worker %d announced %q, want %q and an address", w.shard, line, ListeningPrefix)
+	}
+	return nil
 }
 
-// dialWorker connects to shard k's pre-started worker: dial the address,
-// read the worker's Join announcement, negotiate a protocol version, and
-// run the Hello handshake. Errors are immediate and explicit — a gone
-// worker must surface as a clean abort, never a hang.
-func (r *Router) dialWorker(k int) (*worker, error) {
-	addr := r.opts.Connect[k]
-	conn, err := dialAddr(addr)
+// handshake dials w.addr, reads the worker's Join announcement, negotiates
+// the protocol version, and configures the worker with the Hello.
+func (r *Router) handshake(w *worker) error {
+	conn, err := dialAddr(w.addr)
 	if err != nil {
-		return nil, fmt.Errorf("dist: connecting to worker %d at %s: %w", k, addr, err)
+		return fmt.Errorf("dist: connecting to worker %d at %s: %w", w.shard, w.addr, err)
 	}
+	w.conn, w.cr = conn, &countReader{c: conn}
 	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
-	f, err := wire.ReadFrame(conn)
-	conn.SetReadDeadline(time.Time{})
-	if err != nil || f.Type != wire.FrameJoin {
-		conn.Close()
-		return nil, fmt.Errorf("dist: worker %d at %s: bad join announcement: %v", k, addr, err)
+	defer conn.SetReadDeadline(time.Time{})
+
+	f, err := wire.ReadFrame(w.cr)
+	if err != nil {
+		return fmt.Errorf("dist: worker %d at %s: reading join announcement: %w", w.shard, w.addr, err)
+	}
+	if f.Type != wire.FrameJoin {
+		return fmt.Errorf("dist: worker %d at %s: want a join announcement, got a %v frame", w.shard, w.addr, f.Type)
 	}
 	hs, err := wire.DecodeHandshake(f.Payload)
 	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("dist: worker %d at %s: join handshake: %v", k, addr, err)
+		return fmt.Errorf("dist: worker %d at %s: join handshake: %v", w.shard, w.addr, err)
 	}
-	proto, err := wire.Negotiate(r.opts.ProtoMin, r.opts.ProtoMax, hs.Min, hs.Max)
+	proto, err := wire.Negotiate(wire.ProtoMin, wire.ProtoMax, hs.Min, hs.Max)
 	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("dist: worker %d at %s: %w", k, addr, err)
+		return fmt.Errorf("dist: worker %d at %s: %w", w.shard, w.addr, err)
 	}
-	if hs.Shard != wire.AnyShard && hs.Shard != k {
-		conn.Close()
-		return nil, fmt.Errorf("dist: worker at %s is pinned to shard %d, dialed as shard %d", addr, hs.Shard, k)
+	if hs.Shard != wire.AnyShard && hs.Shard != w.shard {
+		return fmt.Errorf("dist: worker at %s is pinned to shard %d, dialed as shard %d", w.addr, hs.Shard, w.shard)
 	}
-	w := &worker{shard: k, proto: proto, addr: addr,
-		conn: conn, cr: &countReader{c: conn}, gotReplies: make(map[int]wire.Frame)}
-	if err := r.handshake(w); err != nil {
-		w.kill()
-		return nil, err
-	}
-	return w, nil
-}
 
-// acceptFor accepts connections until shard k's Join arrives, parking
-// other shards' joins in the pending map for their own acceptFor calls.
-// It returns the connection and the protocol version negotiated from the
-// Join's advertised range.
-func (r *Router) acceptFor(k int) (net.Conn, int, error) {
-	r.acceptMu.Lock()
-	defer r.acceptMu.Unlock()
-	deadline := time.Now().Add(handshakeTimeout)
-	for {
-		if j, ok := r.pendingMu[k]; ok {
-			delete(r.pendingMu, k)
-			return j.conn, j.proto, nil
-		}
-		type deadliner interface{ SetDeadline(time.Time) error }
-		if d, ok := r.ln.ln.(deadliner); ok {
-			d.SetDeadline(deadline)
-		}
-		conn, err := r.ln.ln.Accept()
-		if err != nil {
-			return nil, 0, fmt.Errorf("dist: waiting for worker %d to join: %w", k, err)
-		}
-		conn.SetReadDeadline(deadline)
-		f, err := wire.ReadFrame(conn)
-		conn.SetReadDeadline(time.Time{})
-		if err != nil || f.Type != wire.FrameJoin {
-			conn.Close()
-			return nil, 0, fmt.Errorf("dist: bad join from worker connection: %v", err)
-		}
-		hs, err := wire.DecodeHandshake(f.Payload)
-		if err != nil || hs.Shard != f.Shard {
-			conn.Close()
-			return nil, 0, fmt.Errorf("dist: join handshake mismatch (shard %d/%d): %v", hs.Shard, f.Shard, err)
-		}
-		proto, err := wire.Negotiate(r.opts.ProtoMin, r.opts.ProtoMax, hs.Min, hs.Max)
-		if err != nil {
-			conn.Close()
-			return nil, 0, fmt.Errorf("dist: worker %d join: %w", hs.Shard, err)
-		}
-		if hs.Shard == k {
-			return conn, proto, nil
-		}
-		if old, ok := r.pendingMu[hs.Shard]; ok {
-			old.conn.Close()
-		}
-		r.pendingMu[hs.Shard] = joined{conn: conn, proto: proto}
-	}
-}
-
-// handshake sends the per-connection Hello at the negotiated version and
-// waits for the ack.
-func (r *Router) handshake(w *worker) error {
 	lo := w.shard * r.cfg.ShardSize
 	hi := lo + r.cfg.ShardSize
 	if hi > r.cfg.N {
@@ -516,24 +374,17 @@ func (r *Router) handshake(w *worker) error {
 	if beatMillis < 0 {
 		beatMillis = 0
 	}
-	window := 1
-	if w.proto >= wire.ProtoV2 {
-		window = r.opts.Window
-	}
-	hello := wire.Hello{
-		Proto: w.proto, N: r.cfg.N, LogN: r.cfg.LogN, Shard: w.shard,
-		Lo: lo, Hi: hi, StrictRecvFactor: r.cfg.StrictRecvFactor,
-		HeartbeatMillis: beatMillis, Window: window, Cut: r.cfg.Cut,
-	}
-	frame := wire.AppendFrame(nil, wire.Frame{
+	hello := wire.AppendFrame(nil, wire.Frame{
 		Type: wire.FrameHello, Shard: w.shard,
-		Payload: wire.AppendHello(nil, hello),
+		Payload: wire.AppendHello(nil, wire.Hello{
+			Proto: proto, N: r.cfg.N, LogN: r.cfg.LogN, Shard: w.shard,
+			Lo: lo, Hi: hi, StrictRecvFactor: r.cfg.StrictRecvFactor,
+			HeartbeatMillis: beatMillis, Cut: r.cfg.Cut,
+		}),
 	})
-	if _, err := w.conn.Write(frame); err != nil {
+	if _, err := conn.Write(hello); err != nil {
 		return fmt.Errorf("dist: sending hello to worker %d: %w", w.shard, err)
 	}
-	w.conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
-	defer w.conn.SetReadDeadline(time.Time{})
 	for {
 		f, err := wire.ReadFrame(w.cr)
 		if err != nil {
@@ -542,11 +393,13 @@ func (r *Router) handshake(w *worker) error {
 		switch f.Type {
 		case wire.FrameHeartbeat:
 			w.lastBeat.Store(time.Now().UnixNano())
-			continue
 		case wire.FrameHelloAck:
 			hs, err := wire.DecodeHandshake(f.Payload)
-			if err != nil || (hs.Shard != w.shard && hs.Shard != wire.AnyShard) {
-				return fmt.Errorf("dist: hello ack mismatch from worker %d: %v", w.shard, err)
+			if err != nil {
+				return fmt.Errorf("dist: hello ack from worker %d: %w", w.shard, err)
+			}
+			if hs.Shard != w.shard && hs.Shard != wire.AnyShard {
+				return fmt.Errorf("dist: worker %d acked the hello as shard %d", w.shard, hs.Shard)
 			}
 			return nil
 		case wire.FrameError:
@@ -557,23 +410,16 @@ func (r *Router) handshake(w *worker) error {
 	}
 }
 
-// respawnLocked replaces shard k's worker after a connection-level
-// failure — a fresh local process in spawn mode, a re-dial of the same
-// address in connect mode — and replays every in-flight round of the
-// window to it in order. Because workers are pure per-round functions,
-// the replay is byte-identical. The caller holds the slot's mu.
-func (r *Router) respawnLocked(sl *slot, k int) (*worker, error) {
+// respawnLocked replaces shard k's worker after a connection-level failure
+// and replays the pending request to it. Because workers are pure
+// per-round functions, the replay is byte-identical. The caller holds the
+// slot's mu.
+func (r *Router) respawnLocked(k int, req []byte) (*worker, error) {
+	sl := r.slots[k]
 	if max := int64(r.opts.MaxRespawns); max > 0 && r.respawns.Load() >= max {
 		return nil, fmt.Errorf("dist: worker %d: respawn budget (%d) exhausted (worker flapping)", k, r.opts.MaxRespawns)
 	}
-	old := sl.w.Load()
-	old.kill()
-	if old != nil && old.waitCh != nil {
-		select {
-		case <-old.waitCh:
-		case <-time.After(shutdownGrace):
-		}
-	}
+	sl.w.Load().stop()
 	r.respawns.Add(1)
 	r.opts.Faults.noteRespawn()
 	w, err := r.startWorker(k)
@@ -583,16 +429,9 @@ func (r *Router) respawnLocked(sl *slot, k int) (*worker, error) {
 		}
 		return nil, fmt.Errorf("dist: respawning worker %d: %w", k, err)
 	}
-	if w.proto < wire.ProtoV2 && r.window > 1 {
-		w.kill()
-		return nil, fmt.Errorf("dist: worker %d came back speaking protocol %d mid-run; window %d requires v%d",
-			k, w.proto, r.window, wire.ProtoV2)
-	}
 	sl.w.Store(w)
-	for _, p := range sl.pending {
-		if _, err := w.conn.Write(p.req); err != nil {
-			return nil, fmt.Errorf("dist: replaying round %d to worker %d: %w", p.round, k, err)
-		}
+	if _, err := w.conn.Write(req); err != nil {
+		return nil, fmt.Errorf("dist: replaying the pending request to worker %d: %w", k, err)
 	}
 	return w, nil
 }
@@ -600,10 +439,6 @@ func (r *Router) respawnLocked(sl *slot, k int) (*worker, error) {
 // Respawns reports how many workers the router has replaced (respawned or
 // re-dialed).
 func (r *Router) Respawns() int64 { return r.respawns.Load() }
-
-// Window reports the effective pipelining depth after version
-// negotiation.
-func (r *Router) Window() int { return r.window }
 
 // LastHeartbeat reports when shard's worker last beat (zero time: never).
 // Lock-free: safe to call while a faulted round is mid-respawn.
@@ -622,9 +457,8 @@ func (r *Router) LastHeartbeat(shard int) time.Time {
 // Ping sends a heartbeat to shard's worker and waits for any heartbeat
 // back within the frame timeout. It serializes with the shard's round
 // trips on the slot lock, so a ping can never interleave reads with a
-// reply wait. A round reply read here is parked for its CollectRound
-// (never discarded — dropping it would force a needless resend), and a
-// protocol-error frame fails the ping instead of being skipped.
+// reply wait — a round reply read here is the stale duplicate a retransmit
+// left behind, and is skipped. A protocol-error frame fails the ping.
 func (r *Router) Ping(shard int) error {
 	sl := r.slots[shard]
 	sl.mu.Lock()
@@ -637,8 +471,7 @@ func (r *Router) Ping(shard int) error {
 	if _, err := w.conn.Write(frame); err != nil {
 		return err
 	}
-	deadline := time.Now().Add(r.opts.FrameTimeout)
-	w.conn.SetReadDeadline(deadline)
+	w.conn.SetReadDeadline(time.Now().Add(r.opts.FrameTimeout))
 	defer w.conn.SetReadDeadline(time.Time{})
 	for {
 		f, err := wire.ReadFrame(w.cr)
@@ -650,9 +483,7 @@ func (r *Router) Ping(shard int) error {
 			w.lastBeat.Store(time.Now().UnixNano())
 			return nil
 		case wire.FrameRoundReply:
-			if roundPending(sl, f.Round) {
-				w.gotReplies[f.Round] = f
-			}
+			// Stale duplicate: skipped.
 		case wire.FrameError:
 			return fmt.Errorf("dist: worker %d reported during ping: %s", shard, f.Payload)
 		default:
@@ -661,30 +492,12 @@ func (r *Router) Ping(shard int) error {
 	}
 }
 
-// roundPending reports whether round is in the slot's in-flight window.
-func roundPending(sl *slot, round int) bool {
-	for _, p := range sl.pending {
-		if p.round == round {
-			return true
-		}
-	}
-	return false
-}
-
-// emptyStats is what a worker's reply to an empty round batch must carry.
-var emptyStats = wire.RoundStats{ViolDst: -1}
-
-// RouteRound implements sim.DistRouter: every shard's request batch goes
-// to its worker in parallel, and the sorted replies merge in shard order.
-//
-// Under a pipelining window (> 1), a round whose batches are all empty is
-// only *begun*: its requests ship immediately but reply collection is
-// deferred — the replies to an empty batch are deterministically empty,
-// so the round's result is returned without waiting. Deferred replies
-// drain when the window fills, when a non-empty round needs the stream
-// ordered again, or at Flush; a deferred reply that fails validation
-// aborts the run at that later point. Rounds must be routed in
-// ascending order (the engine's round loop guarantees this).
+// RouteRound implements sim.DistRouter: every shard's request batch makes
+// one round trip to its worker, all shards in parallel, and the sorted
+// replies merge in shard order. An empty batch still makes the trip; the
+// engine is what leaves a round with no global message unrouted. Rounds
+// must be routed in ascending order (the engine's round loop guarantees
+// this), not necessarily consecutive.
 func (r *Router) RouteRound(round int, outgoing [][]sim.GlobalMsg) ([][]sim.GlobalMsg, sim.DistRoundStats, error) {
 	if r.closed.Load() {
 		return nil, sim.DistRoundStats{}, errors.New("dist: router is closed")
@@ -692,157 +505,22 @@ func (r *Router) RouteRound(round int, outgoing [][]sim.GlobalMsg) ([][]sim.Glob
 	if err := r.deadlineExceeded(); err != nil {
 		return nil, sim.DistRoundStats{}, err
 	}
-	if len(outgoing) != len(r.slots) {
-		return nil, sim.DistRoundStats{}, fmt.Errorf("dist: %d request batches for %d workers", len(outgoing), len(r.slots))
-	}
-	empty := true
-	for _, out := range outgoing {
-		if len(out) > 0 {
-			empty = false
-			break
-		}
-	}
-	if r.window > 1 && empty {
-		if len(r.deferred) >= r.window-1 {
-			// Window full: drain the oldest deferred round to slide it.
-			if err := r.collectDeferredPrefix(1); err != nil {
-				return nil, sim.DistRoundStats{}, err
-			}
-		}
-		if err := r.beginAll(round, outgoing); err != nil {
-			return nil, sim.DistRoundStats{}, err
-		}
-		r.deferred = append(r.deferred, round)
-		results := make([][]sim.GlobalMsg, len(r.slots))
-		return results, sim.DistRoundStats{ViolDst: -1}, nil
-	}
-	if err := r.collectDeferredPrefix(len(r.deferred)); err != nil {
-		return nil, sim.DistRoundStats{}, err
-	}
-	if err := r.beginAll(round, outgoing); err != nil {
-		return nil, sim.DistRoundStats{}, err
-	}
-	return r.collectAll(round)
-}
-
-// Flush drains every deferred round of the pipelining window, validating
-// the parked replies. The engine calls it at the end of a run so a
-// worker failure on a deferred tail round still fails the run.
-func (r *Router) Flush() error {
-	if r.closed.Load() {
-		return nil
-	}
-	return r.collectDeferredPrefix(len(r.deferred))
-}
-
-// beginAll encodes round's request for every shard and ships it,
-// appending the round to each slot's in-flight window. Send failures go
-// through the respawn/re-dial + replay path immediately.
-func (r *Router) beginAll(round int, outgoing [][]sim.GlobalMsg) error {
-	errs := make([]error, len(r.slots))
-	var wg sync.WaitGroup
-	for k := range r.slots {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			errs[k] = r.beginShard(k, round, outgoing[k])
-		}(k)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
-}
-
-// beginShard stages and sends one shard's round request under the slot
-// lock. A dropped frame (fault injection) stays pending — the collect
-// path's timeout will resend it. A failed write respawns and replays.
-func (r *Router) beginShard(k, round int, out []sim.GlobalMsg) error {
-	sl := r.slots[k]
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	req := wire.AppendFrame(nil, wire.Frame{
-		Type:    wire.FrameRound,
-		Round:   round,
-		Shard:   k,
-		Payload: wire.AppendMsgs(nil, out),
-	})
-	sl.pending = append(sl.pending, pendingReq{round: round, req: req})
-	w := sl.w.Load()
-	act := r.opts.Faults.onSend(k, round)
-	if act.delay > 0 {
-		time.Sleep(act.delay)
-	}
-	if act.kill {
-		w.kill()
-	}
-	if act.drop {
-		return nil
-	}
-	if _, err := w.conn.Write(req); err != nil {
-		if _, rerr := r.respawnLocked(sl, k); rerr != nil {
-			return rerr
-		}
-	}
-	return nil
-}
-
-// collectDeferredPrefix drains the first n deferred rounds (oldest
-// first) across all shards, validating that every reply is the empty
-// reply an empty round must produce.
-func (r *Router) collectDeferredPrefix(n int) error {
-	if n == 0 {
-		return nil
-	}
-	rounds := append([]int(nil), r.deferred[:n]...)
-	r.deferred = r.deferred[n:]
-	errs := make([]error, len(r.slots))
-	var wg sync.WaitGroup
-	for k := range r.slots {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			sl := r.slots[k]
-			sl.mu.Lock()
-			defer sl.mu.Unlock()
-			for _, round := range rounds {
-				msgs, st, err := r.collectLocked(sl, k, round)
-				if err != nil {
-					errs[k] = err
-					return
-				}
-				if len(msgs) != 0 || st != emptyStats {
-					errs[k] = &protocolError{fmt.Sprintf(
-						"dist: worker %d: non-empty reply to empty round %d (%d msgs, %+v)", k, round, len(msgs), st)}
-					return
-				}
-			}
-		}(k)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
-}
-
-// collectAll awaits round's replies from every shard in parallel and
-// merges the per-shard stats.
-func (r *Router) collectAll(round int) ([][]sim.GlobalMsg, sim.DistRoundStats, error) {
 	nw := len(r.slots)
+	if len(outgoing) != nw {
+		return nil, sim.DistRoundStats{}, fmt.Errorf("dist: %d request batches for %d workers", len(outgoing), nw)
+	}
 	results := make([][]sim.GlobalMsg, nw)
 	stats := make([]wire.RoundStats, nw)
 	errs := make([]error, nw)
-	collect := func(k int) {
-		sl := r.slots[k]
-		sl.mu.Lock()
-		defer sl.mu.Unlock()
-		results[k], stats[k], errs[k] = r.collectLocked(sl, k, round)
-	}
 	if nw == 1 {
-		collect(0)
+		results[0], stats[0], errs[0] = r.roundTrip(0, round, outgoing[0])
 	} else {
 		var wg sync.WaitGroup
 		for k := 0; k < nw; k++ {
 			wg.Add(1)
 			go func(k int) {
 				defer wg.Done()
-				collect(k)
+				results[k], stats[k], errs[k] = r.roundTrip(k, round, outgoing[k])
 			}(k)
 		}
 		wg.Wait()
@@ -866,57 +544,58 @@ func (r *Router) collectAll(round int) ([][]sim.GlobalMsg, sim.DistRoundStats, e
 	return results, total, nil
 }
 
-// collectLocked awaits one shard's reply for the oldest in-flight round,
+// roundTrip sends shard k's request for round and awaits the reply,
 // surviving timeouts (resend) and connection loss (respawn or re-dial +
-// window replay) within the bounded attempt budget. The caller holds the
-// slot's mu, and round must be the head of the slot's window.
-func (r *Router) collectLocked(sl *slot, k, round int) ([]sim.GlobalMsg, wire.RoundStats, error) {
-	if len(sl.pending) == 0 || sl.pending[0].round != round {
-		return nil, wire.RoundStats{}, fmt.Errorf("dist: internal: collect of round %d but window head is %v",
-			round, sl.pending)
-	}
-	req := sl.pending[0].req
+// replay) within the bounded attempt budget. The encoded request is kept
+// until the reply is in, so every resend and replay is byte-identical.
+func (r *Router) roundTrip(k, round int, out []sim.GlobalMsg) ([]sim.GlobalMsg, wire.RoundStats, error) {
+	sl := r.slots[k]
+	sl.mu.Lock()
+	defer sl.mu.Unlock()
+	req := wire.AppendFrame(nil, wire.Frame{
+		Type:    wire.FrameRound,
+		Round:   round,
+		Shard:   k,
+		Payload: wire.AppendMsgs(nil, out),
+	})
+	w := sl.w.Load()
 	var lastErr error
 	for attempt := 1; attempt <= r.opts.Retries; attempt++ {
 		if err := r.deadlineExceeded(); err != nil {
 			return nil, wire.RoundStats{}, err
 		}
-		w := sl.w.Load()
 		if attempt > 1 {
 			time.Sleep(backoffDelay(r.opts.Backoff, attempt-1))
-			act := r.opts.Faults.onSend(k, round)
-			if act.delay > 0 {
-				time.Sleep(act.delay)
-			}
-			if act.kill {
-				w.kill()
-			}
-			if !act.drop {
-				if _, err := w.conn.Write(req); err != nil {
-					lastErr = err
-					var rerr error
-					if w, rerr = r.respawnLocked(sl, k); rerr != nil {
-						return nil, wire.RoundStats{}, rerr
-					}
-					continue
+		}
+		act := r.opts.Faults.onSend(k, round)
+		if act.delay > 0 {
+			time.Sleep(act.delay)
+		}
+		if act.kill {
+			w.stop()
+		}
+		// A dropped frame (fault injection) is simply not written: the
+		// reply wait times out and the next attempt resends it.
+		if !act.drop {
+			if _, err := w.conn.Write(req); err != nil {
+				if w, err = r.respawnLocked(k, req); err != nil {
+					return nil, wire.RoundStats{}, err
 				}
 			}
 		}
-		f, err := r.awaitReply(sl, w, round)
+		f, err := r.awaitReply(w, round)
 		if err == nil {
 			msgs, st, derr := wire.DecodeReply(f.Payload)
 			if derr != nil {
 				return nil, wire.RoundStats{}, fmt.Errorf("dist: worker %d round %d reply: %w", k, round, derr)
 			}
-			sl.pending = sl.pending[1:]
-			delete(w.gotReplies, round)
 			return msgs, st, nil
 		}
 		lastErr = err
 		if isTimeout(err) {
 			// Dropped or late: the next attempt resends the identical
-			// frame. A late reply that does arrive later is parked or
-			// skipped by awaitReply.
+			// frame. A late reply that does arrive later is skipped as
+			// stale by awaitReply.
 			continue
 		}
 		var perr *protocolError
@@ -924,10 +603,9 @@ func (r *Router) collectLocked(sl *slot, k, round int) ([]sim.GlobalMsg, wire.Ro
 			return nil, wire.RoundStats{}, err
 		}
 		// Connection-level failure (EOF from a killed worker, reset,
-		// desynced stream): replace the worker and replay the window.
-		var rerr error
-		if w, rerr = r.respawnLocked(sl, k); rerr != nil {
-			return nil, wire.RoundStats{}, rerr
+		// desynced stream): replace the worker and replay the request.
+		if w, err = r.respawnLocked(k, req); err != nil {
+			return nil, wire.RoundStats{}, err
 		}
 	}
 	return nil, wire.RoundStats{}, fmt.Errorf("dist: worker %d: round %d failed after %d attempts: %w",
@@ -943,16 +621,10 @@ func (e *protocolError) Error() string { return e.msg }
 // awaitReply reads frames until the reply for round arrives or the
 // attempt deadline passes. Heartbeats are recorded and skipped — they
 // deliberately do NOT extend the deadline, otherwise a lost request to a
-// healthy (still-beating) worker would never time out. A reply to a
-// deeper in-window round is parked for its own collect; a stale reply to
-// an already-collected round (a retransmit raced a late reply) is
-// skipped.
-func (r *Router) awaitReply(sl *slot, w *worker, round int) (wire.Frame, error) {
-	if f, ok := w.gotReplies[round]; ok {
-		return f, nil
-	}
-	deadline := time.Now().Add(r.opts.FrameTimeout)
-	w.conn.SetReadDeadline(deadline)
+// healthy (still-beating) worker would never time out. A stale reply to
+// an earlier round (a retransmit raced a late reply) is skipped.
+func (r *Router) awaitReply(w *worker, round int) (wire.Frame, error) {
+	w.conn.SetReadDeadline(time.Now().Add(r.opts.FrameTimeout))
 	defer w.conn.SetReadDeadline(time.Time{})
 	for {
 		before := w.cr.n
@@ -973,15 +645,10 @@ func (r *Router) awaitReply(sl *slot, w *worker, round int) (wire.Frame, error) 
 			if f.Round == round {
 				return f, nil
 			}
-			if roundPending(sl, f.Round) {
-				w.gotReplies[f.Round] = f
-				continue
+			if f.Round > round {
+				return wire.Frame{}, &protocolError{fmt.Sprintf(
+					"dist: worker %d replied for round %d, want %d", w.shard, f.Round, round)}
 			}
-			if f.Round < round {
-				continue // stale duplicate from a resend race
-			}
-			return wire.Frame{}, &protocolError{fmt.Sprintf(
-				"dist: worker %d replied for round %d, want %d", w.shard, f.Round, round)}
 		case wire.FrameError:
 			return wire.Frame{}, &protocolError{fmt.Sprintf(
 				"dist: worker %d reported: %s", w.shard, f.Payload)}
@@ -998,43 +665,21 @@ func isTimeout(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-// Close shuts the worker fleet down: polite Shutdown frames, then a
-// bounded wait, then force-kill (spawn mode; dialed workers just lose
-// the connection and keep listening for their next coordinator).
-// Idempotent.
+// Close shuts the worker fleet down: a Shutdown frame to each, then the
+// connection closed and any child the coordinator started killed and
+// reaped, its socket directory removed. Idempotent.
 func (r *Router) Close() error {
 	if r.closed.Swap(true) {
 		return nil
 	}
 	for _, sl := range r.slots {
 		w := sl.w.Load()
-		if w == nil || w.conn == nil {
+		if w == nil {
 			continue
 		}
 		w.conn.SetWriteDeadline(time.Now().Add(time.Second))
 		w.conn.Write(wire.AppendFrame(nil, wire.Frame{Type: wire.FrameShutdown, Shard: w.shard}))
-		w.conn.Close()
-	}
-	for _, sl := range r.slots {
-		w := sl.w.Load()
-		if w == nil || w.cmd == nil {
-			continue
-		}
-		select {
-		case <-w.waitCh:
-		case <-time.After(shutdownGrace):
-			w.cmd.Process.Kill()
-			<-w.waitCh
-		}
-	}
-	r.acceptMu.Lock()
-	for shard, j := range r.pendingMu {
-		j.conn.Close()
-		delete(r.pendingMu, shard)
-	}
-	r.acceptMu.Unlock()
-	if r.ln != nil {
-		r.ln.close()
+		w.stop()
 	}
 	return nil
 }

@@ -3,68 +3,23 @@ package dist
 import (
 	"fmt"
 	"net"
-	"os"
-	"path/filepath"
 	"strings"
 	"time"
 )
 
-// Transport abstraction: the coordinator listens, workers dial. Addresses
-// are scheme-prefixed strings ("unix:/path/sock", "tcp:127.0.0.1:4242")
-// so they survive a trip through a child process's environment. Unix
-// sockets are the default (same-box workers); TCP exists so the same
-// protocol can cross machines later and is exercised by tests today.
+// Addresses are scheme-prefixed strings ("unix:/path/sock",
+// "tcp:127.0.0.1:4242") so they survive a trip through a child process's
+// environment and a command line. Workers listen, coordinators dial: unix
+// sockets for the children a coordinator starts on its own box, TCP for
+// workers on other machines.
 
 const dialTimeout = 5 * time.Second
 
-// listener wraps a net.Listener with its dialable address and any
-// on-disk state to clean up.
-type listener struct {
-	ln   net.Listener
-	addr string
-	dir  string // unix socket directory, "" for tcp
-}
-
-// newListener opens the coordinator's accept socket for the named
-// transport ("unix", "" for the default, or "tcp"). bind overrides the
-// TCP bind address (default loopback with an ephemeral port) so a
-// coordinator expecting workers from other machines can bind a routable
-// interface, e.g. "0.0.0.0:9100".
-func newListener(transport, bind string) (*listener, error) {
-	switch transport {
-	case "", "unix":
-		// A fresh short directory keeps the socket path well under the
-		// sun_path length limit regardless of TMPDIR.
-		dir, err := os.MkdirTemp("", "hybriddist")
-		if err != nil {
-			return nil, fmt.Errorf("dist: socket dir: %w", err)
-		}
-		path := filepath.Join(dir, "coord.sock")
-		ln, err := net.Listen("unix", path)
-		if err != nil {
-			os.RemoveAll(dir)
-			return nil, fmt.Errorf("dist: listen unix: %w", err)
-		}
-		return &listener{ln: ln, addr: "unix:" + path, dir: dir}, nil
-	case "tcp":
-		if bind == "" {
-			bind = "127.0.0.1:0"
-		}
-		ln, err := net.Listen("tcp", bind)
-		if err != nil {
-			return nil, fmt.Errorf("dist: listen tcp %s: %w", bind, err)
-		}
-		return &listener{ln: ln, addr: advertiseTCP(ln)}, nil
-	default:
-		return nil, fmt.Errorf("dist: unknown transport %q (want unix or tcp)", transport)
-	}
-}
-
 // advertiseTCP turns a TCP listener's bound address into the
-// scheme-prefixed address handed to spawned (same-box) workers. A
-// wildcard bind ("0.0.0.0:9100", ":9100") is not dialable as written, so
-// it is rewritten to loopback — local children always can reach it there,
-// and remote workers use connect mode, which never consults this address.
+// scheme-prefixed address the worker announces. A wildcard bind
+// ("0.0.0.0:9100", ":9100") is not dialable as written, so it is announced
+// as loopback; a coordinator on another machine is given the worker's
+// routable address by its operator.
 func advertiseTCP(ln net.Listener) string {
 	if ta, ok := ln.Addr().(*net.TCPAddr); ok && (ta.IP == nil || ta.IP.IsUnspecified()) {
 		return fmt.Sprintf("tcp:127.0.0.1:%d", ta.Port)
@@ -96,17 +51,7 @@ func listenSpec(spec string) (net.Listener, string, error) {
 	}
 }
 
-// close shuts the socket and removes any socket directory.
-func (l *listener) close() {
-	if l.ln != nil {
-		l.ln.Close()
-	}
-	if l.dir != "" {
-		os.RemoveAll(l.dir)
-	}
-}
-
-// dialAddr connects a worker to a scheme-prefixed coordinator address.
+// dialAddr connects a coordinator to a scheme-prefixed worker address.
 func dialAddr(addr string) (net.Conn, error) {
 	switch {
 	case strings.HasPrefix(addr, "unix:"):

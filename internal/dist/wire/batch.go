@@ -155,11 +155,7 @@ func DecodeReply(data []byte) ([]sim.GlobalMsg, RoundStats, error) {
 // Hello is the coordinator's per-connection configuration handshake: the
 // static facts a worker needs to sort and validate every round of its
 // shard. HeartbeatMillis <= 0 disables the worker's liveness beacon.
-// Proto is the version negotiated from the Join's advertised range; it
-// selects the encoding: a ProtoV1 hello is the legacy 9-field form a
-// version-1 peer can parse, a ProtoV2 hello additionally carries Window,
-// the round-pipelining depth the worker must size its reply ring for
-// (<= 1 means lockstep).
+// Proto is the version negotiated from the Join's advertised range.
 type Hello struct {
 	Proto            int
 	N                int
@@ -168,14 +164,11 @@ type Hello struct {
 	Lo, Hi           int // the shard's node range [Lo, Hi)
 	StrictRecvFactor int // 0: no receive cap enforcement
 	HeartbeatMillis  int
-	Window           int    // pipelining window (ProtoV2+; <= 1: lockstep)
 	Cut              []bool // global-edge cut marks, nil when unused
 }
 
-// AppendHello appends the Hello payload: a fixed int section plus an
-// optional PackSorted section listing the true indices of Cut. The fixed
-// section has 9 values in the ProtoV1 form and 10 (Window inserted before
-// the cut marker) from ProtoV2 on.
+// AppendHello appends the Hello payload: a fixed section of 9 ints plus an
+// optional PackSorted section listing the true indices of Cut.
 func AppendHello(dst []byte, h Hello) []byte {
 	hasCut := int64(0)
 	if h.Cut != nil {
@@ -184,16 +177,8 @@ func AppendHello(dst []byte, h Hello) []byte {
 	ints := []int64{
 		int64(h.Proto), int64(h.N), int64(h.LogN), int64(h.Shard),
 		int64(h.Lo), int64(h.Hi), int64(h.StrictRecvFactor),
-		int64(h.HeartbeatMillis),
+		int64(h.HeartbeatMillis), hasCut,
 	}
-	if h.Proto >= ProtoV2 {
-		w := h.Window
-		if w < 1 {
-			w = 1
-		}
-		ints = append(ints, int64(w))
-	}
-	ints = append(ints, hasCut)
 	dst = appendSection(dst, persist.PackInt64s(ints))
 	if h.Cut != nil {
 		idx := make([]int, 0, len(h.Cut))
@@ -207,19 +192,17 @@ func AppendHello(dst []byte, h Hello) []byte {
 	return dst
 }
 
-// DecodeHello decodes a full Hello payload, accepting both the legacy
-// 9-value ProtoV1 form (Window defaults to 1) and the 10-value ProtoV2+
-// form.
+// DecodeHello decodes a full Hello payload.
 func DecodeHello(data []byte) (Hello, error) {
 	sec, pos, err := nextSection(data, 0)
 	if err != nil {
 		return Hello{}, err
 	}
 	vals, err := persist.UnpackInt64s(sec)
-	if err != nil || (len(vals) != 9 && len(vals) != 10) {
+	if err != nil || len(vals) != 9 {
 		return Hello{}, fmt.Errorf("%w: bad hello section", ErrMalformed)
 	}
-	for i, v := range vals[:len(vals)-1] {
+	for i, v := range vals[:8] {
 		if v < 0 || v > maxNodeID {
 			return Hello{}, fmt.Errorf("%w: hello field %d out of range (%d)", ErrMalformed, i, v)
 		}
@@ -227,18 +210,9 @@ func DecodeHello(data []byte) (Hello, error) {
 	h := Hello{
 		Proto: int(vals[0]), N: int(vals[1]), LogN: int(vals[2]), Shard: int(vals[3]),
 		Lo: int(vals[4]), Hi: int(vals[5]), StrictRecvFactor: int(vals[6]),
-		HeartbeatMillis: int(vals[7]), Window: 1,
+		HeartbeatMillis: int(vals[7]),
 	}
-	if len(vals) == 10 {
-		if h.Proto < ProtoV2 {
-			return Hello{}, fmt.Errorf("%w: windowed hello claims protocol %d", ErrMalformed, h.Proto)
-		}
-		if vals[8] < 1 {
-			return Hello{}, fmt.Errorf("%w: hello window %d", ErrMalformed, vals[8])
-		}
-		h.Window = int(vals[8])
-	}
-	if vals[len(vals)-1] != 0 {
+	if vals[8] != 0 {
 		sec, pos, err = nextSection(data, pos)
 		if err != nil {
 			return Hello{}, err
@@ -276,7 +250,7 @@ type Handshake struct {
 // AppendHandshake appends the legacy single-version Join / HelloAck
 // payload a version-1 peer emits: [ProtoV1, shard].
 func AppendHandshake(dst []byte, shard int) []byte {
-	return appendSection(dst, persist.PackInt64s([]int64{ProtoVersion, int64(shard)}))
+	return appendSection(dst, persist.PackInt64s([]int64{ProtoV1, int64(shard)}))
 }
 
 // AppendHandshakeRange appends the versioned Join / HelloAck payload:

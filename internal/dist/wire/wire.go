@@ -31,31 +31,20 @@ import (
 	"io"
 )
 
-// Protocol generations. A connection speaks exactly one version,
-// negotiated during the Join/Hello handshake: each peer advertises the
-// [min, max] range its build supports and the pair settles on the highest
-// version common to both ranges, so old and new builds keep interoperating
-// during a rolling upgrade and truly incompatible pairs fail with an
-// explicit range error instead of silent garbage.
-//
-//   - ProtoV1 is the original lockstep protocol: one round in flight per
-//     worker, a single-slot reply cache, 9-field Hello.
-//   - ProtoV2 adds round pipelining: the Hello carries the coordinator's
-//     send window, the worker keeps a reply ring keyed by round (so a
-//     retransmit of any in-window round is answered byte-stably), and the
-//     coordinator may ship round r+1 before round r's reply has drained.
+// The protocol version. A connection speaks exactly one, negotiated during
+// the Join/Hello handshake: each peer advertises the [min, max] range its
+// build supports and the pair settles on the highest version common to both
+// ranges, so a build that speaks more still interoperates with this one and
+// truly incompatible pairs fail with an explicit range error instead of
+// silent garbage. ProtoV1 is the lockstep protocol: one round in flight per
+// worker, a one-reply cache, 9-field Hello.
 const (
 	ProtoV1 = 1
-	ProtoV2 = 2
 
 	// ProtoMin and ProtoMax bound the versions this build speaks.
 	ProtoMin = ProtoV1
-	ProtoMax = ProtoV2
+	ProtoMax = ProtoV1
 )
-
-// ProtoVersion is the base protocol generation every build speaks; legacy
-// single-version handshake payloads carry it.
-const ProtoVersion = ProtoV1
 
 // Negotiate returns the highest protocol version inside both peers'
 // advertised [min, max] ranges, or an error naming both ranges when they
@@ -99,8 +88,8 @@ const flagCompressed = 0x01
 // FrameType tags a frame's protocol meaning.
 type FrameType uint8
 
-// The protocol's frame types. Join is the worker's first frame after
-// dialing (it routes the connection to a shard slot); Hello/HelloAck is
+// The protocol's frame types. Join is the worker's first frame on an
+// accepted connection (its protocol range and shard pinning); Hello/HelloAck is
 // the per-connection configuration handshake; Round/RoundReply carry one
 // round's staged message batches; Heartbeat is both the worker's periodic
 // liveness beacon and the coordinator's ping (a worker echoes one back);
@@ -115,6 +104,18 @@ const (
 	FrameShutdown
 	FrameError
 )
+
+var frameNames = [...]string{FrameJoin: "join", FrameHello: "hello", FrameHelloAck: "hello-ack",
+	FrameRound: "round", FrameRoundReply: "round-reply", FrameHeartbeat: "heartbeat",
+	FrameShutdown: "shutdown", FrameError: "error"}
+
+// String names the frame type for error messages.
+func (t FrameType) String() string {
+	if int(t) < len(frameNames) && frameNames[t] != "" {
+		return frameNames[t]
+	}
+	return fmt.Sprintf("type-%d", uint8(t))
+}
 
 // Frame is one decoded protocol frame. Payload is the decompressed body.
 type Frame struct {

@@ -215,51 +215,36 @@ func TestReplyRoundTrip(t *testing.T) {
 
 func TestHelloRoundTrip(t *testing.T) {
 	cases := []Hello{
-		// V1 hellos (9-int legacy layout; Window defaults to 1 on decode).
-		{Proto: ProtoV1, N: 100, LogN: 7, Shard: 2, Lo: 50, Hi: 75, StrictRecvFactor: 2, HeartbeatMillis: 500, Window: 1},
-		{Proto: ProtoV1, N: 4, LogN: 2, Shard: 0, Lo: 0, Hi: 4, Window: 1, Cut: []bool{true, false, false, true}},
-		// V2 hellos carry the pipelining window explicitly.
-		{Proto: ProtoV2, N: 100, LogN: 7, Shard: 2, Lo: 50, Hi: 75, StrictRecvFactor: 2, HeartbeatMillis: 500, Window: 8},
-		{Proto: ProtoV2, N: 4, LogN: 2, Shard: 0, Lo: 0, Hi: 4, Window: 1, Cut: []bool{true, false, false, true}},
+		{Proto: ProtoV1, N: 100, LogN: 7, Shard: 2, Lo: 50, Hi: 75, StrictRecvFactor: 2, HeartbeatMillis: 500},
+		{Proto: ProtoV1, N: 4, LogN: 2, Shard: 0, Lo: 0, Hi: 4, Cut: []bool{true, false, false, true}},
 	}
 	for i, h := range cases {
-		enc := AppendHello(nil, h)
-		got, err := DecodeHello(enc)
+		got, err := DecodeHello(AppendHello(nil, h))
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
 		if !reflect.DeepEqual(got, h) {
 			t.Fatalf("case %d: %+v != %+v", i, got, h)
 		}
-		// A v1 hello must keep the original 9-int layout so old builds
-		// can decode it; the window field only appears at v2.
-		if h.Proto == ProtoV1 && !reflect.DeepEqual(enc, AppendHello(nil, Hello{
-			Proto: h.Proto, N: h.N, LogN: h.LogN, Shard: h.Shard, Lo: h.Lo, Hi: h.Hi,
-			StrictRecvFactor: h.StrictRecvFactor, HeartbeatMillis: h.HeartbeatMillis, Cut: h.Cut,
-		})) {
-			t.Fatalf("case %d: v1 hello encoding not window-independent", i)
-		}
 	}
 	if _, err := DecodeHello([]byte{0xff}); !errors.Is(err, ErrMalformed) {
 		t.Fatal("garbage hello accepted")
 	}
-	// A 10-int (windowed) hello claiming protocol v1 is structural
-	// nonsense and must be rejected.
-	bad := appendSection(nil, persist.PackInt64s([]int64{ProtoV1, 8, 3, 0, 0, 8, 0, 0, 4, 0}))
-	if _, err := DecodeHello(bad); !errors.Is(err, ErrMalformed) {
-		t.Fatalf("windowed hello claiming v1 accepted: %v", err)
-	}
-	// A windowed hello with a zero window is likewise malformed.
-	bad = appendSection(nil, persist.PackInt64s([]int64{ProtoV2, 8, 3, 0, 0, 8, 0, 0, 0, 0}))
-	if _, err := DecodeHello(bad); !errors.Is(err, ErrMalformed) {
-		t.Fatalf("zero-window hello accepted: %v", err)
+	// The 10-int hello of the retired pipelining protocol (a peer that
+	// ignored the negotiated version) is malformed, not misread.
+	if _, err := DecodeHello(windowedHello); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("10-int hello accepted: %v", err)
 	}
 }
+
+// windowedHello is the hello payload of the retired version 2: a tenth int,
+// the pipelining window, before the cut marker.
+var windowedHello = appendSection(nil, persist.PackInt64s([]int64{2, 8, 3, 0, 0, 8, 0, 0, 4, 0}))
 
 func TestHandshakeRoundTrip(t *testing.T) {
 	// Legacy 2-value form: decodes as a single-version range.
 	hs, err := DecodeHandshake(AppendHandshake(nil, 5))
-	if err != nil || hs.Min != ProtoVersion || hs.Max != ProtoVersion || hs.Shard != 5 {
+	if err != nil || hs.Min != ProtoV1 || hs.Max != ProtoV1 || hs.Shard != 5 {
 		t.Fatalf("legacy handshake round trip: %+v %v", hs, err)
 	}
 	// Versioned 3-value form, including an unpinned (AnyShard) worker.
@@ -291,10 +276,10 @@ func TestNegotiate(t *testing.T) {
 		want                   int
 		wantErr                bool
 	}{
-		{1, 1, 1, 1, 1, false}, // same old build on both sides
-		{1, 2, 1, 2, 2, false}, // same new build: highest version wins
-		{1, 1, 1, 2, 1, false}, // old coordinator, new worker
-		{1, 2, 1, 1, 1, false}, // new coordinator, old worker
+		{1, 1, 1, 1, 1, false}, // this build on both sides
+		{1, 2, 1, 2, 2, false}, // highest common version wins
+		{1, 1, 1, 2, 1, false}, // this coordinator, a worker that speaks more
+		{1, 2, 1, 1, 1, false}, // and the reverse
 		{1, 2, 2, 3, 2, false}, // overlapping ranges
 		{1, 1, 2, 3, 0, true},  // disjoint: incompatible builds
 		{3, 4, 1, 2, 0, true},  // disjoint the other way
@@ -329,12 +314,9 @@ func FuzzDistWire(f *testing.F) {
 	}))
 	f.Add(AppendFrame(nil, Frame{
 		Type:    FrameHello,
-		Payload: AppendHello(nil, Hello{Proto: ProtoVersion, N: 8, LogN: 3, Hi: 8, Cut: []bool{true, false, true, false, true, false, true, false}}),
+		Payload: AppendHello(nil, Hello{Proto: ProtoV1, N: 8, LogN: 3, Hi: 8, Cut: []bool{true, false, true, false, true, false, true, false}}),
 	}))
-	f.Add(AppendFrame(nil, Frame{
-		Type:    FrameHello,
-		Payload: AppendHello(nil, Hello{Proto: ProtoV2, N: 8, LogN: 3, Hi: 8, Window: 4, Cut: []bool{true, false, true, false, true, false, true, false}}),
-	}))
+	f.Add(AppendFrame(nil, Frame{Type: FrameHello, Payload: windowedHello}))
 	f.Add([]byte{0xff, 0xff, 0xff, 0x03}) // huge length prefix, no body
 	f.Fuzz(func(t *testing.T, data []byte) {
 		frame, n, err := DecodeFrame(data)

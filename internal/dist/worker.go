@@ -16,63 +16,42 @@ import (
 	"repro/internal/sim"
 )
 
-// The worker side of the distributed engine. A worker process serves one
-// shard: each round it receives the shard's staged global messages (in
-// sender order), counting-sorts them into delivery order (per
-// destination: ascending sender ID, then send order — stable sort by
-// destination preserves exactly that), computes the shard's receive
-// accounting, and sends the sorted stream back. The worker is a pure
-// function of (Hello, round batch) plus a one-reply cache, which is what
-// makes kill/respawn/replay byte-identical: a respawned worker replays
-// the round from the retransmitted request and necessarily produces the
-// same bytes, and a duplicate request (retransmit after a lost reply) is
-// answered from the cache without recomputation.
+// The worker side of the distributed engine. A worker serves one shard:
+// each round it receives the shard's staged global messages (in sender
+// order), counting-sorts them into delivery order (per destination:
+// ascending sender ID, then send order — stable sort by destination
+// preserves exactly that), computes the shard's receive accounting, and
+// sends the sorted stream back. The worker is a pure function of (Hello,
+// round batch) plus a one-reply cache, which is what makes
+// kill/respawn/replay byte-identical: a respawned worker replays the round
+// from the retransmitted request and necessarily produces the same bytes,
+// and a duplicate request (retransmit after a lost reply) is answered from
+// the cache without recomputation.
 //
-// Workers are not a separate binary: spawnWorker re-execs the *current*
-// executable with HYBRID_DIST_ADDR/HYBRID_DIST_SHARD set, and the init
-// hook below hijacks any such process before main (or TestMain) runs. A
-// dedicated binary exists anyway (cmd/hybridworker) for running workers
-// by hand.
+// Workers listen and coordinators dial. A resident worker is
+// cmd/hybridworker -listen (StartListenWorker + Serve); the children a
+// coordinator starts for itself are not a separate binary: worker.spawn
+// re-execs the *current* executable with HYBRID_DIST_LISTEN set, and the
+// init hook below hijacks any such process before main (or TestMain) runs.
 
-// Environment variables of the re-exec handshake.
+// Environment variables of the re-exec handshake: the scheme-prefixed
+// listen spec, and the shard the child is pinned to.
 const (
-	envAddr  = "HYBRID_DIST_ADDR"
-	envShard = "HYBRID_DIST_SHARD"
-	// envListen hijacks the process into listen mode: the value is a
-	// scheme-prefixed listen spec and the worker prints the bound address
-	// as "HYBRID_DIST_LISTENING <addr>" on stdout, then accepts
-	// coordinators until killed. Tests use it to pre-start real worker
-	// processes for connect mode.
 	envListen = "HYBRID_DIST_LISTEN"
-	// EnvWorkerBin overrides the executable spawned for workers (defaults
-	// to the coordinator's own binary).
-	EnvWorkerBin = "HYBRID_DIST_WORKER_BIN"
+	envShard  = "HYBRID_DIST_SHARD"
 )
 
+// ListeningPrefix starts the line a worker process prints on stdout once
+// its socket is bound; the dialable address follows.
+const ListeningPrefix = "HYBRID_DIST_LISTENING "
+
+// init turns a process started with HYBRID_DIST_LISTEN into a coordinator's
+// child: it announces the bound address, serves the one coordinator that
+// dials, and exits — also when nobody dials within handshakeTimeout, so a
+// child never outlives the coordinator that started it.
 func init() {
-	if spec := os.Getenv(envListen); spec != "" {
-		shard := wire.AnyShard
-		if s := os.Getenv(envShard); s != "" {
-			var err error
-			if shard, err = strconv.Atoi(s); err != nil {
-				fmt.Fprintf(os.Stderr, "hybrid dist worker: bad %s: %v\n", envShard, err)
-				os.Exit(2)
-			}
-		}
-		lw, err := StartListenWorker(spec, shard)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hybrid dist worker: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("HYBRID_DIST_LISTENING %s\n", lw.Addr())
-		if err := lw.Serve(); err != nil {
-			fmt.Fprintf(os.Stderr, "hybrid dist worker: %v\n", err)
-			os.Exit(1)
-		}
-		os.Exit(0)
-	}
-	addr := os.Getenv(envAddr)
-	if addr == "" {
+	spec := os.Getenv(envListen)
+	if spec == "" {
 		return
 	}
 	shard, err := strconv.Atoi(os.Getenv(envShard))
@@ -80,49 +59,29 @@ func init() {
 		fmt.Fprintf(os.Stderr, "hybrid dist worker: bad %s: %v\n", envShard, err)
 		os.Exit(2)
 	}
-	if err := RunWorker(addr, shard); err != nil {
+	lw, err := StartListenWorker(spec, shard)
+	if err == nil {
+		fmt.Println(ListeningPrefix + lw.Addr())
+		err = lw.serveFirst(handshakeTimeout)
+	}
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "hybrid dist worker %d: %v\n", shard, err)
 		os.Exit(1)
 	}
 	os.Exit(0)
 }
 
-// RunWorker dials the coordinator, announces which shard this process
-// serves along with the protocol range this build speaks, and serves
-// rounds until shutdown or connection loss.
-func RunWorker(addr string, shard int) error {
-	if shard < 0 {
-		return fmt.Errorf("dist: negative shard %d", shard)
-	}
-	conn, err := dialAddr(addr)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	join := wire.AppendFrame(nil, wire.Frame{
-		Type:    wire.FrameJoin,
-		Shard:   shard,
-		Payload: wire.AppendHandshakeRange(nil, wire.ProtoMin, wire.ProtoMax, shard),
-	})
-	if _, err := conn.Write(join); err != nil {
-		return fmt.Errorf("dist: sending join: %w", err)
-	}
-	return ServeConn(conn)
-}
-
-// ListenWorker is a pre-started worker in connect mode: it listens for
-// coordinators instead of dialing one, serving them one at a time. Each
-// accepted connection is announced with a Join frame carrying the
-// worker's protocol range and shard pinning, then served with the normal
-// protocol loop; when a connection ends (shutdown, coordinator death,
-// kill fault) the worker goes back to accepting, which is what makes
-// coordinator-side re-dial recovery work.
+// ListenWorker is a worker waiting for coordinators, serving them one at a
+// time. Each accepted connection is announced with a Join frame carrying
+// the protocol range this build speaks and the worker's shard pinning, then
+// served with the normal protocol loop; when a connection ends (shutdown,
+// coordinator death, kill fault) a resident worker goes back to accepting,
+// which is what makes coordinator-side re-dial recovery work.
 type ListenWorker struct {
-	ln       net.Listener
-	addr     string
-	shard    int // wire.AnyShard when unpinned
-	min, max int // advertised protocol range
-	closed   atomic.Bool
+	ln     net.Listener
+	addr   string
+	shard  int // wire.AnyShard when unpinned
+	closed atomic.Bool
 }
 
 // StartListenWorker opens the listen socket for spec (e.g. "tcp::9000")
@@ -130,12 +89,6 @@ type ListenWorker struct {
 // shard; pass wire.AnyShard to let the coordinator assign it by which
 // address slot it dialed.
 func StartListenWorker(spec string, shard int) (*ListenWorker, error) {
-	return startListenWorkerRange(spec, shard, wire.ProtoMin, wire.ProtoMax)
-}
-
-// startListenWorkerRange is StartListenWorker with an explicit protocol
-// range, so tests can stand up version-bumped or legacy peers.
-func startListenWorkerRange(spec string, shard, min, max int) (*ListenWorker, error) {
 	if shard < wire.AnyShard {
 		return nil, fmt.Errorf("dist: bad shard %d", shard)
 	}
@@ -143,7 +96,7 @@ func startListenWorkerRange(spec string, shard, min, max int) (*ListenWorker, er
 	if err != nil {
 		return nil, err
 	}
-	return &ListenWorker{ln: ln, addr: addr, shard: shard, min: min, max: max}, nil
+	return &ListenWorker{ln: ln, addr: addr, shard: shard}, nil
 }
 
 // Addr is the bound, dialable scheme-prefixed address — pass it to
@@ -166,6 +119,21 @@ func (lw *ListenWorker) Serve() error {
 	}
 }
 
+// serveFirst serves the first coordinator to dial within wait and returns
+// when that connection ends.
+func (lw *ListenWorker) serveFirst(wait time.Duration) error {
+	if d, ok := lw.ln.(interface{ SetDeadline(time.Time) error }); ok {
+		d.SetDeadline(time.Now().Add(wait))
+	}
+	conn, err := lw.ln.Accept()
+	lw.Close()
+	if err != nil {
+		return fmt.Errorf("dist: no coordinator dialed: %w", err)
+	}
+	lw.serveOne(conn)
+	return nil
+}
+
 // serveOne announces and serves a single coordinator connection.
 func (lw *ListenWorker) serveOne(conn net.Conn) {
 	defer conn.Close()
@@ -176,13 +144,13 @@ func (lw *ListenWorker) serveOne(conn net.Conn) {
 	join := wire.AppendFrame(nil, wire.Frame{
 		Type:    wire.FrameJoin,
 		Shard:   frameShard,
-		Payload: wire.AppendHandshakeRange(nil, lw.min, lw.max, lw.shard),
+		Payload: wire.AppendHandshakeRange(nil, wire.ProtoMin, wire.ProtoMax, lw.shard),
 	})
 	if _, err := conn.Write(join); err != nil {
 		fmt.Fprintf(os.Stderr, "hybrid dist worker: sending join: %v\n", err)
 		return
 	}
-	if err := serveConnRange(conn, lw.min, lw.max); err != nil {
+	if err := ServeConn(conn); err != nil {
 		fmt.Fprintf(os.Stderr, "hybrid dist worker: %v\n", err)
 	}
 }
@@ -191,14 +159,6 @@ func (lw *ListenWorker) serveOne(conn net.Conn) {
 func (lw *ListenWorker) Close() error {
 	lw.closed.Store(true)
 	return lw.ln.Close()
-}
-
-// cachedReply is one slot of the worker's reply ring: the encoded frame
-// bytes of a served round, kept so a retransmit of any in-window round is
-// answered byte-identically without recomputation.
-type cachedReply struct {
-	round int
-	reply []byte
 }
 
 // workerState is the per-connection round-serving state, configured by
@@ -211,48 +171,17 @@ type workerState struct {
 	cut    []bool
 
 	counts []int // per-node receive counts, indexed by Dst-lo
-	// replies is the reply ring, sized to the coordinator's pipelining
-	// window: under ProtoV2 up to Window rounds may be in flight at once,
-	// and a lost reply to ANY of them can be retransmitted, so the cache
-	// must hold one reply per in-window round (the V1 protocol's single
-	// lastReply slot is the ring of size one).
-	replies []cachedReply
-	next    int // next ring slot to overwrite once full
-}
-
-// cached returns the ring entry for round, or nil.
-func (st *workerState) cached(round int) []byte {
-	for _, c := range st.replies {
-		if c.round == round && c.reply != nil {
-			return c.reply
-		}
-	}
-	return nil
-}
-
-// remember stores a served round's encoded reply in the ring.
-func (st *workerState) remember(round int, reply []byte) {
-	if len(st.replies) < cap(st.replies) || len(st.replies) == 0 {
-		st.replies = append(st.replies, cachedReply{round, reply})
-		return
-	}
-	st.replies[st.next] = cachedReply{round, reply}
-	st.next = (st.next + 1) % len(st.replies)
+	// The last round served and its encoded reply frame, kept so a
+	// retransmit is answered byte-identically without recomputation.
+	lastRound int
+	lastReply []byte
 }
 
 // ServeConn runs the worker protocol loop over one coordinator
 // connection until a Shutdown frame, EOF, or an unrecoverable error. It
 // is exported so tests can drive the exact production loop in-process
-// (over net.Pipe), where coverage and the race detector see it. The
-// build's full protocol range is accepted.
+// (over net.Pipe), where coverage and the race detector see it.
 func ServeConn(conn net.Conn) error {
-	return serveConnRange(conn, wire.ProtoMin, wire.ProtoMax)
-}
-
-// serveConnRange is ServeConn accepting only hellos whose negotiated
-// version falls in [min, max] — the knob tests use to emulate older or
-// newer worker builds.
-func serveConnRange(conn net.Conn, min, max int) error {
 	var (
 		writeMu  sync.Mutex
 		st       *workerState
@@ -291,23 +220,15 @@ func serveConnRange(conn net.Conn, min, max int) error {
 			if err != nil {
 				return err
 			}
-			if h.Proto < min || h.Proto > max {
+			if h.Proto < wire.ProtoMin || h.Proto > wire.ProtoMax {
 				send(wire.Frame{Type: wire.FrameError,
-					Payload: []byte(fmt.Sprintf("protocol version %d, worker speaks [%d,%d]", h.Proto, min, max))})
-				return fmt.Errorf("dist: protocol version mismatch: coordinator %d, worker [%d,%d]", h.Proto, min, max)
-			}
-			window := h.Window
-			if window < 1 {
-				window = 1
-			}
-			if window > MaxWindow {
-				window = MaxWindow
+					Payload: []byte(fmt.Sprintf("protocol version %d, worker speaks [%d,%d]", h.Proto, wire.ProtoMin, wire.ProtoMax))})
+				return fmt.Errorf("dist: protocol version mismatch: coordinator %d, worker [%d,%d]", h.Proto, wire.ProtoMin, wire.ProtoMax)
 			}
 			st = &workerState{
 				shard: h.Shard, lo: h.Lo, hi: h.Hi, logN: h.LogN,
 				strict: h.StrictRecvFactor, cut: h.Cut,
-				counts:  make([]int, h.Hi-h.Lo),
-				replies: make([]cachedReply, 0, window),
+				counts: make([]int, h.Hi-h.Lo),
 			}
 			if err := send(wire.Frame{Type: wire.FrameHelloAck, Shard: h.Shard,
 				Payload: wire.AppendHandshake(nil, h.Shard)}); err != nil {
@@ -326,12 +247,12 @@ func serveConnRange(conn net.Conn, min, max int) error {
 				}
 				continue
 			}
-			if cached := st.cached(f.Round); cached != nil {
-				// Duplicate of an in-window round already served: the
-				// coordinator's retry path resent after a lost or late
-				// reply. Answer from the ring — recomputing would be
-				// byte-identical, resending is cheaper.
-				if err := sendRaw(cached); err != nil {
+			if st.lastReply != nil && f.Round == st.lastRound {
+				// Duplicate of the round just served: the coordinator's
+				// retry path resent after a lost or late reply. Answer
+				// from the cache — recomputing would be byte-identical,
+				// resending is cheaper.
+				if err := sendRaw(st.lastReply); err != nil {
 					return err
 				}
 				continue
@@ -358,7 +279,7 @@ func serveConnRange(conn net.Conn, min, max int) error {
 				Shard:   st.shard,
 				Payload: wire.AppendReply(nil, sorted, stats),
 			})
-			st.remember(f.Round, reply)
+			st.lastRound, st.lastReply = f.Round, reply
 			if err := sendRaw(reply); err != nil {
 				return err
 			}

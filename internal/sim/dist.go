@@ -53,21 +53,14 @@ type DistRoundStats struct {
 // set. RouteRound takes the per-shard request batches (outgoing[k] holds
 // every message destined for shard k, in staging order: ascending sender
 // ID, then send order) and returns the per-shard delivery streams sorted
-// by destination. The router owns retries, respawns, and replay; an error
+// by destination. The engine routes only rounds that stage at least one
+// global message, in ascending round order. The router owns retries,
+// respawns, and replay; an error
 // means a shard could not be served within the robustness budget and
 // aborts the run. Close releases the workers; it must be idempotent.
 type DistRouter interface {
 	RouteRound(round int, outgoing [][]GlobalMsg) ([][]GlobalMsg, DistRoundStats, error)
 	Close() error
-}
-
-// DistFlusher is optionally implemented by routers that pipeline rounds:
-// Flush drains any reply collection the router deferred under its window
-// and reports the first failure. The engine calls it once after the round
-// loop, before Close, so a worker failure on a deferred tail round still
-// fails the run instead of vanishing into Close's ignored error.
-type DistFlusher interface {
-	Flush() error
 }
 
 var (
@@ -157,6 +150,7 @@ func (e *engine) deliverDist() int {
 
 	// Pass 2 (runShard's drain loop): deliver local messages in-process and
 	// collect each shard's global request batch in staging order.
+	staged := 0
 	for k := 0; k < e.nShards; k++ {
 		e.distReqs[k] = e.distReqs[k][:0]
 		dirty := e.dirty[k]
@@ -179,6 +173,14 @@ func (e *engine) deliverDist() int {
 			e.distReqs[k] = append(e.distReqs[k], env.outGlobalSh[k]...)
 			env.outGlobalSh[k] = env.outGlobalSh[k][:0]
 		}
+		staged += len(e.distReqs[k])
+	}
+	// A round that stages no global message has nothing for a worker to
+	// sort or count, so it is not routed — the rule fastForward applies to
+	// rounds in which every node sleeps. Metrics need nothing: an empty
+	// batch delivers nothing.
+	if staged == 0 {
+		return finished
 	}
 
 	streams, stats, err := e.distRouter.RouteRound(e.generation, e.distReqs)

@@ -298,13 +298,6 @@ func RunStep(g *graph.Graph, cfg Config, factory StepFactory) (Metrics, error) {
 		defer eng.distRouter.Close()
 	}
 	eng.runStepLoop(factory)
-	if eng.distMode {
-		if fl, ok := eng.distRouter.(DistFlusher); ok {
-			if err := fl.Flush(); err != nil {
-				eng.fail(err)
-			}
-		}
-	}
 	return eng.results()
 }
 
