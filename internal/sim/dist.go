@@ -150,7 +150,6 @@ func (e *engine) deliverDist() int {
 
 	// Pass 2 (runShard's drain loop): deliver local messages in-process and
 	// collect each shard's global request batch in staging order.
-	staged := 0
 	for k := 0; k < e.nShards; k++ {
 		e.distReqs[k] = e.distReqs[k][:0]
 		dirty := e.dirty[k]
@@ -173,13 +172,19 @@ func (e *engine) deliverDist() int {
 			e.distReqs[k] = append(e.distReqs[k], env.outGlobalSh[k]...)
 			env.outGlobalSh[k] = env.outGlobalSh[k][:0]
 		}
-		staged += len(e.distReqs[k])
 	}
 	// A round that stages no global message has nothing for a worker to
 	// sort or count, so it is not routed — the rule fastForward applies to
 	// rounds in which every node sleeps. Metrics need nothing: an empty
 	// batch delivers nothing.
-	if staged == 0 {
+	routed := false
+	for _, req := range e.distReqs {
+		if len(req) > 0 {
+			routed = true
+			break
+		}
+	}
+	if !routed {
 		return finished
 	}
 
