@@ -75,6 +75,51 @@ func TestFloodVectorsMachineMatches(t *testing.T) {
 	})
 }
 
+// TestComputeMachineMatchesShortH covers Algorithm 6 with h below the hop
+// diameter of a weighted grid, so nodes hear different skeleton sets (some
+// none at all): each node's Result, on every engine, with the d <= dd <= d_h
+// sandwich and the BFS hop layer checked against sequential ground truth.
+func TestComputeMachineMatchesShortH(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	g := graph.WithRandomWeights(graph.Grid(8, 8), 9, rng)
+	p := Params{X: 0.6, MaxH: 4}
+	h := p.H(g.N())
+	pin := simtest.Pin{Metrics: sim.Metrics{Rounds: 4, LocalMsgs: 604, LocalBits: 20340}, Sum: 0xd222b1c438b3cda0}
+	results := make([]Result, g.N())
+	simtest.Machines(t, "short h", g, 17, pin, func(env *sim.Env, emit func(...int64)) sim.StepProgram {
+		m := NewComputeMachine(env, p, false)
+		return sim.Then(m, func(env *sim.Env) {
+			results[env.ID()] = m.Res
+			emit(m.Res.words()...)
+		})
+	})
+	sizes := map[int]bool{}
+	for v, r := range results {
+		sizes[len(r.Near)] = true
+		trueD, limD, bfs := graph.Dijkstra(g, v), graph.LimitedDistance(g, v, h), graph.BFS(g, v)
+		within := 0
+		for u := range results {
+			if !results[u].InSkeleton || bfs[u] > int64(h) {
+				continue
+			}
+			within++
+			if _, ok := r.Near[u]; !ok {
+				t.Fatalf("node %d misses skeleton node %d at %d hops <= h = %d", v, u, bfs[u], h)
+			}
+			if d := r.Near[u]; d < trueD[u] || d > limD[u] || int64(r.NearHops[u]) != bfs[u] {
+				t.Fatalf("node %d has skeleton node %d at (%d, %d hops), want d %d <= dd <= d_h %d at %d hops",
+					v, u, d, r.NearHops[u], trueD[u], limD[u], bfs[u])
+			}
+		}
+		if len(r.Near) != within {
+			t.Fatalf("node %d heard %d skeleton nodes, %d are within h = %d hops", v, len(r.Near), within, h)
+		}
+	}
+	if len(sizes) < 3 {
+		t.Fatalf("every node heard about as many skeleton nodes (%d result sizes); the graph does not exercise h < hop diameter", len(sizes))
+	}
+}
+
 // TestComputeMachineMatches covers Algorithm 6 including the membership
 // sampling — uncached, populating a result cache, and bound from it — and
 // Algorithm 7 on the skeleton it builds.
