@@ -5,13 +5,13 @@
 // nothing for a worker to do — but never what a routed round carries, nor
 // the Metrics that come out.
 //
-// Two hashes, because APSP's batches are not reproducible word for word:
-// hybridapsp's publish phase lists a skeleton node's edge tokens in map
-// order, so which token rides to which random balancing destination — and
-// from there what each node replicates — differs from process to process,
-// while rounds, senders, destinations, kinds, Metrics and distances do not.
-// Heads covers (round, shard, batch length, Src, Dst, Kind) and is pinned for
-// both runs; Full adds the payload words and is pinned where it repeats.
+// Two hashes: Heads covers (round, shard, batch length, Src, Dst, Kind), Full
+// adds the payload words. Heads was pinned first because APSP's payloads did
+// not repeat from process to process: the skeleton result was a Go map, so a
+// node listed its edge tokens (hybridapsp's publish phase) and the [3]
+// baseline its label tokens in map order, and which token rode to which
+// random balancing destination changed with it. The result is now an
+// ID-sorted list, the tokens follow it, and both runs pin Full too.
 package hybrid_test
 
 import (
@@ -77,8 +77,7 @@ func (r *recordingRouter) RouteRound(round int, outgoing [][]sim.GlobalMsg) ([][
 
 func (r *recordingRouter) Close() error { return nil }
 
-// routedPin is the frozen outcome of one recorded run; Full == 0 pins the
-// headers only.
+// routedPin is the frozen outcome of one recorded run.
 type routedPin struct {
 	Metrics     hybrid.Metrics
 	Routed      int
@@ -103,7 +102,7 @@ func TestDistRoutedTrafficPin(t *testing.T) {
 				return hybrid.Metrics{}, err
 			}
 			return res.Metrics, nil
-		}, routedPin{Metrics: hybrid.Metrics{Rounds: 1371, GlobalMsgs: 2335, GlobalBits: 121420, LocalMsgs: 9020, LocalBits: 2232768, MaxGlobalSend: 6, MaxGlobalRecv: 10}, Routed: 152, Heads: 0x603e962e6402834a}},
+		}, routedPin{Metrics: hybrid.Metrics{Rounds: 1371, GlobalMsgs: 2335, GlobalBits: 121420, LocalMsgs: 9020, LocalBits: 2232768, MaxGlobalSend: 6, MaxGlobalRecv: 10}, Routed: 152, Heads: 0x603e962e6402834a, Full: 0x8068ebeb9a9171d}},
 		{"kssp sparse 40", sparse, func(nw *hybrid.Network) (hybrid.Metrics, error) {
 			res, err := nw.KSSP([]int{3, 17, 31}, hybrid.Cor47(0.5))
 			if err != nil {
@@ -120,11 +119,7 @@ func TestDistRoutedTrafficPin(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		got := routedPin{Metrics: m, Routed: rec.routed, Heads: rec.heads.Sum64(), Full: rec.full.Sum64()}
-		if c.pin.Full == 0 {
-			got.Full = 0
-		}
-		if got != c.pin {
+		if got := (routedPin{Metrics: m, Routed: rec.routed, Heads: rec.heads.Sum64(), Full: rec.full.Sum64()}); got != c.pin {
 			t.Errorf("%s: routed traffic diverged from the pinned one:\n got %#v\nwant %#v", c.name, got, c.pin)
 		}
 		if rec.empty != 0 {

@@ -713,10 +713,6 @@ func (nw *Network) SaveCache() error {
 	if err != nil {
 		return fmt.Errorf("hybrid: snapshotting sessions: %w", err)
 	}
-	skeletons, err := nw.skeletons.Snapshot()
-	if err != nil {
-		return fmt.Errorf("hybrid: snapshotting skeletons: %w", err)
-	}
 	sp := structPayload{
 		N:           nw.g.N(),
 		Fingerprint: nw.g.Fingerprint(),
@@ -730,7 +726,7 @@ func (nw *Network) SaveCache() error {
 		Seed:        nw.cfg.Seed,
 		Fingerprint: nw.g.Fingerprint(),
 		Sessions:    sessions,
-		Skeletons:   skeletons,
+		Skeletons:   nw.skeletons.Snapshot(),
 	}
 	return persist.SaveCompressed(nw.CachePath(), cacheFormatVersion, pl)
 }

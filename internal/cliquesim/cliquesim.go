@@ -167,15 +167,20 @@ func membersFromTokens(memberTokens []ncc.Token) []int {
 }
 
 // cliqueAdjacency translates a member's incident skeleton edges into
-// clique index space (its CLIQUE input).
+// clique index space (its CLIQUE input): a merge of the sorted member list
+// with the node's ID-sorted Near list.
 func cliqueAdjacency(me int, skel skeleton.Result, members []int) []graph.Neighbor {
 	adj := make([]graph.Neighbor, 0, len(skel.Near))
+	near := skel.Near
 	for i, id := range members {
-		if id == me {
-			continue
+		for len(near) > 0 && int(near[0].ID) < id {
+			near = near[1:]
 		}
-		if d, ok := skel.Near[id]; ok {
-			adj = append(adj, graph.Neighbor{To: i, W: d})
+		if len(near) == 0 {
+			break
+		}
+		if int(near[0].ID) == id && id != me {
+			adj = append(adj, graph.Neighbor{To: i, W: near[0].Dist})
 		}
 	}
 	return adj

@@ -10,7 +10,7 @@ import (
 	"repro/internal/kssp"
 	"repro/internal/lowerbound"
 	"repro/internal/sim"
-	"repro/internal/sssp"
+	"repro/internal/skeleton"
 )
 
 // E5KSSP reproduces Theorem 1.2: the three k-SSP parameterizations, with
@@ -219,12 +219,22 @@ func runSSSPTheorem(g *graph.Graph, src int, cfg Config, want []int64) (int, boo
 	return m.Rounds, true
 }
 
+// runSSSPLocal is the LOCAL-only baseline: `rounds` rounds of Bellman-Ford
+// from src over the local network, exact once rounds >= SPD(G). A node's
+// distance is the one estimate its sparse exploration holds, graph.Inf if
+// the wave never reached it.
 func runSSSPLocal(g *graph.Graph, src, rounds int, cfg Config, want []int64, t *Table) int {
 	n := g.N()
 	out := make([]int64, n)
 	m, err := sim.RunStep(g, sim.Config{Seed: cfg.Seed, Engine: cfg.Engine}, func(env *sim.Env) sim.StepProgram {
 		id := env.ID()
-		return sssp.NewLocalMachine(env, id == src, rounds, func(d int64) { out[id] = d })
+		explore := skeleton.NewSparseExploreMachine(env, id == src, rounds)
+		return sim.Then(explore, func(*sim.Env) {
+			out[id] = graph.Inf
+			if len(explore.Heard) > 0 {
+				out[id] = explore.Heard[0].Dist
+			}
+		})
 	})
 	if err != nil {
 		t.Failf("local SSSP: %v", err)

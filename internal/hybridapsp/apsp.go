@@ -145,14 +145,14 @@ func NewComputeMachine(env *sim.Env, params Params, done func([]int64)) sim.Step
 		sim.Finish(func(env *sim.Env) {
 			labels := &floodM.Known
 			out := local
-			for s, ds := range skel.Near {
-				vec, ok := labels.Get(uint64(s))
+			for _, s := range skel.Near {
+				vec, ok := labels.Get(uint64(s.ID))
 				if !ok {
 					continue
 				}
 				for v := 0; v < n; v++ {
 					if dv := vec[v]; dv >= 0 {
-						if cand := satAdd(ds, dv); cand < out[v] {
+						if cand := satAdd(s.Dist, dv); cand < out[v] {
 							out[v] = cand
 						}
 					}
@@ -197,13 +197,14 @@ func newPublishMachine(env *sim.Env, skel skeleton.Result, dp ncc.DisseminatePar
 	// estimate is consistent everywhere (the two endpoints' sandwich
 	// estimates may differ; either is valid, one must be chosen). A
 	// self-loop marker announces membership for isolated skeleton nodes.
+	// Near is in ID order, so the tokens are too.
 	var mine []ncc.Token
 	myEdges := 0
 	if skel.InSkeleton {
 		mine = append(mine, ncc.Token{A: int64(env.ID()), B: int64(env.ID()), C: 0}) // member marker
-		for s, d := range skel.Near {
-			if s > env.ID() {
-				mine = append(mine, ncc.Token{A: int64(env.ID()), B: int64(s), C: d})
+		for _, s := range skel.Near {
+			if int(s.ID) > env.ID() {
+				mine = append(mine, ncc.Token{A: int64(env.ID()), B: int64(s.ID), C: s.Dist})
 			}
 		}
 		myEdges = len(mine)
@@ -265,12 +266,12 @@ func skeletonAPSPFromTokens(all []ncc.Token) *skeletonAPSP {
 // bestViaSkeleton returns min over nearby skeleton s1 of dd(v,s1)+d_S(s1,s).
 func bestViaSkeleton(skel skeleton.Result, rank map[int]int, dS [][]int64, target int) int64 {
 	best := graph.Inf
-	for s1, d1 := range skel.Near {
-		i, ok := rank[s1]
+	for _, s1 := range skel.Near {
+		i, ok := rank[int(s1.ID)]
 		if !ok {
 			continue
 		}
-		if cand := satAdd(d1, dS[i][target]); cand < best {
+		if cand := satAdd(s1.Dist, dS[i][target]); cand < best {
 			best = cand
 		}
 	}
@@ -325,8 +326,8 @@ func NewBaselineComputeMachine(env *sim.Env, params Params, done func([]int64)) 
 		// Broadcast every dd(v, s) label — the [3] bottleneck step.
 		func(env *sim.Env) sim.StepProgram {
 			mine = make([]ncc.Token, 0, len(skel.Near))
-			for s, d := range skel.Near {
-				mine = append(mine, ncc.Token{A: int64(s), B: int64(env.ID()), C: d})
+			for _, s := range skel.Near {
+				mine = append(mine, ncc.Token{A: int64(s.ID), B: int64(env.ID()), C: s.Dist})
 			}
 			aggMax = ncc.NewAggregateMachine(env, int64(len(mine)), ncc.AggMax)
 			return aggMax
@@ -349,14 +350,14 @@ func NewBaselineComputeMachine(env *sim.Env, params Params, done func([]int64)) 
 			// min over s1 near me, s2 near v of dd(me,s1)+d_S(s1,s2)+dd(v,s2);
 			// the dense exploration vector doubles as the accumulator.
 			out := local
-			for s1, d1 := range skel.Near {
-				i, ok := rank[s1]
+			for _, s1 := range skel.Near {
+				i, ok := rank[int(s1.ID)]
 				if !ok {
 					continue
 				}
 				for j := range members {
 					row := lab[j*n : (j+1)*n]
-					base := satAdd(d1, dS[i][j])
+					base := satAdd(s1.Dist, dS[i][j])
 					if base >= graph.Inf {
 						continue
 					}

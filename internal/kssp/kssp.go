@@ -136,7 +136,7 @@ func NewComputeMachine(env *sim.Env, isSource bool, kBound int, spec AlgSpec, pa
 	var exploreM *skeleton.ExploreMachine
 	var floodM *skeleton.FloodVectorsMachine
 	var simRes cliquesim.Result
-	var local []int64
+	var local []skeleton.Heard
 
 	return sim.Sequence(
 		// Skeleton; single sources are summoned into it (Algorithm 6, γ=0).
@@ -158,12 +158,12 @@ func NewComputeMachine(env *sim.Env, isSource bool, kBound int, spec AlgSpec, pa
 		// Local exploration to depth ηh with the sources as origins gives
 		// the exact first term of Equation (1) for close pairs.
 		func(env *sim.Env) sim.StepProgram {
-			exploreM = skeleton.NewExploreMachine(env, isSource, etaRounds)
+			exploreM = skeleton.NewSparseExploreMachine(env, isSource, etaRounds)
 			return exploreM
 		},
 		// Skeleton nodes flood their simulated estimates to radius h.
 		func(env *sim.Env) sim.StepProgram {
-			local = exploreM.Near // all the flood's successor needs of the exploration
+			local = exploreM.Heard // all the flood's successor needs of the exploration
 			floodM = skeleton.NewFloodVectorsMachine(env, simVector(simRes, repsM.Out), h)
 			return floodM
 		},
@@ -231,21 +231,25 @@ func simVector(simRes cliquesim.Result, reps []skeleton.RepInfo) []int64 {
 }
 
 // combineEstimates applies Equation (1):
-// d~(v,s) = min(d_ηh(v,s), min_u d_h(v,u) + d~(u,r_s) + d_h(r_s,s)).
-func combineEstimates(skel skeleton.Result, reps []skeleton.RepInfo, simRes cliquesim.Result, local []int64, labels *skeleton.Labels) []SourceDist {
+// d~(v,s) = min(d_ηh(v,s), min_u d_h(v,u) + d~(u,r_s) + d_h(r_s,s)), where
+// local is the ηh exploration's ID-sorted list of the sources heard.
+func combineEstimates(skel skeleton.Result, reps []skeleton.RepInfo, simRes cliquesim.Result, local []skeleton.Heard, labels *skeleton.Labels) []SourceDist {
 	out := make([]SourceDist, 0, len(reps))
 	srcOrder := orderedSourceIndex(simRes, reps)
 	for _, ri := range reps {
-		best := local[ri.Source]
+		best := graph.Inf
+		if e, ok := skeleton.Find(local, ri.Source); ok {
+			best = e.Dist
+		}
 		oi, hasRep := srcOrder[ri.Source]
 		if hasRep {
-			for u, du := range skel.Near {
-				vec, ok := labels.Get(uint64(u))
+			for _, u := range skel.Near {
+				vec, ok := labels.Get(uint64(u.ID))
 				if !ok {
 					continue
 				}
 				if dv := vec[oi]; dv >= 0 {
-					if cand := satAdd(du, satAdd(dv, ri.Dist)); cand < best {
+					if cand := satAdd(u.Dist, satAdd(dv, ri.Dist)); cand < best {
 						best = cand
 					}
 				}

@@ -87,8 +87,9 @@ func TestComputeMachineMatchesShortEta(t *testing.T) {
 }
 
 // TestEtaExploreMachineMatches pins the ηh exploration as NewComputeMachine
-// runs it on shortEta (the sources as origins, etaRounds from plan): each
-// node's estimate per node ID, graph.Inf where unheard, checked against
+// runs it on shortEta (the sparse form, the sources as origins, etaRounds
+// from plan): each node's estimate per node ID, graph.Inf where unheard —
+// the dense vector the exploration was pinned as — checked against
 // sequential hop-limited Bellman-Ford.
 func TestEtaExploreMachineMatches(t *testing.T) {
 	g, sources, params := shortEta()
@@ -101,10 +102,17 @@ func TestEtaExploreMachineMatches(t *testing.T) {
 	pin := simtest.Pin{Metrics: sim.Metrics{Rounds: 3, LocalMsgs: 107, LocalBits: 1980}, Sum: 0xd8a3c50763120944}
 	got := make([][]int64, n)
 	simtest.Machines(t, "eta explore", g, 53, pin, func(env *sim.Env, emit func(...int64)) sim.StepProgram {
-		m := skeleton.NewExploreMachine(env, isSource[env.ID()], etaRounds)
+		m := skeleton.NewSparseExploreMachine(env, isSource[env.ID()], etaRounds)
 		return sim.Then(m, func(env *sim.Env) {
-			got[env.ID()] = m.Near
-			emit(m.Near...)
+			near := make([]int64, n)
+			for v := range near {
+				near[v] = graph.Inf
+			}
+			for _, e := range m.Heard {
+				near[e.ID] = e.Dist
+			}
+			got[env.ID()] = near
+			emit(near...)
 		})
 	})
 	for _, s := range sources {

@@ -2,7 +2,6 @@ package skeleton
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/persist"
 	"repro/internal/warm"
@@ -27,9 +26,8 @@ import (
 // sampling, dissemination destinations — byte-identical between warm and
 // cold runs.
 //
-// Bound results are shared: callers must treat Result.Near / NearHops of a
-// cache-bound Result as immutable (every algorithm in this repository only
-// reads them).
+// Bound results are shared: callers must treat Result.Near of a cache-bound
+// Result as immutable (every algorithm in this repository only reads it).
 type ResultCache struct {
 	*warm.Store[cacheKey, cacheEntry]
 }
@@ -90,19 +88,19 @@ func (e *cacheEntry) store(id int, force bool, res Result) {
 // Snapshot and consumed by Restore — part of the seed-dependent section of
 // the v2 on-disk warm-start cache. Entries preserve insertion order so a
 // restored cache keeps the same deterministic FIFO eviction sequence.
-// Per-node Near/NearHops maps are stored as packed vectors (sorted
-// delta-varint IDs plus varint distance and hop streams) instead of gob's
-// reflected maps — the skeleton results are the largest genuinely per-node
-// payload of the cache, and the packed form is both several times smaller
-// and far cheaper to encode.
+// Each node's Near list is stored as packed vectors (sorted delta-varint IDs
+// plus varint distance and hop streams) instead of gob's reflected structs —
+// the skeleton results are the largest genuinely per-node payload of the
+// cache, and the packed form is both several times smaller and far cheaper
+// to encode.
 type CacheSnapshot struct {
 	Entries []CacheEntrySnapshot
 }
 
 // CacheEntrySnapshot is one cached skeleton construction: its resolved key
-// and every node's packed slot. NearIDs[id] packs the sorted keys of the
-// node's Near map (persist.PackSorted); NearDists[id] and NearHops[id]
-// pack the aligned distance and hop values (persist.PackInt64s).
+// and every node's packed slot. NearIDs[id] packs the IDs of the node's
+// Near list (persist.PackSorted); NearDists[id] and NearHops[id] pack the
+// aligned distance and hop values (persist.PackInt64s).
 type CacheEntrySnapshot struct {
 	Prob      float64
 	H         int
@@ -118,7 +116,7 @@ type CacheEntrySnapshot struct {
 // packed vectors are fresh copies, but bool slices are shared with the
 // cache; callers must serialize the snapshot before the cache is used
 // again.
-func (c *ResultCache) Snapshot() (CacheSnapshot, error) {
+func (c *ResultCache) Snapshot() CacheSnapshot {
 	snap := CacheSnapshot{Entries: make([]CacheEntrySnapshot, 0, c.Len())}
 	for key, e := range c.Each {
 		n := len(e.filled)
@@ -136,21 +134,12 @@ func (c *ResultCache) Snapshot() (CacheSnapshot, error) {
 			if !e.filled[id] {
 				continue
 			}
-			res := e.res[id]
-			ids := make([]int, 0, len(res.Near))
-			for u := range res.Near {
-				ids = append(ids, u)
-			}
-			sort.Ints(ids)
-			dists := make([]int64, len(ids))
-			hops := make([]int64, len(ids))
-			for j, u := range ids {
-				dists[j] = res.Near[u]
-				hop, ok := res.NearHops[u]
-				if !ok {
-					return CacheSnapshot{}, fmt.Errorf("skeleton: snapshot: node %d has %d in Near but not NearHops", id, u)
-				}
-				hops[j] = int64(hop)
+			near := e.res[id].Near
+			ids := make([]int, len(near))
+			dists := make([]int64, len(near))
+			hops := make([]int64, len(near))
+			for j, u := range near {
+				ids[j], dists[j], hops[j] = int(u.ID), u.Dist, int64(u.Hops)
 			}
 			es.NearIDs[id] = persist.PackSorted(ids)
 			es.NearDists[id] = persist.PackInt64s(dists)
@@ -158,7 +147,7 @@ func (c *ResultCache) Snapshot() (CacheSnapshot, error) {
 		}
 		snap.Entries = append(snap.Entries, es)
 	}
-	return snap, nil
+	return snap
 }
 
 // Restore replaces the cache's contents with a snapshot recorded for an
@@ -206,13 +195,14 @@ func (c *ResultCache) Restore(snap CacheSnapshot, n int) error {
 				return fmt.Errorf("skeleton: cache snapshot entry %d node %d: %d IDs but %d/%d values",
 					i, id, len(ids), len(dists), len(hops))
 			}
-			near := make(map[int]int64, len(ids))
-			nearHops := make(map[int]int, len(ids))
+			near := make([]Heard, len(ids))
 			for j, u := range ids {
-				near[u] = dists[j]
-				nearHops[u] = int(hops[j])
+				if hops[j] < 0 || hops[j] > int64(es.H) {
+					return fmt.Errorf("skeleton: cache snapshot entry %d node %d: source %d at %d hops, h = %d", i, id, u, hops[j], es.H)
+				}
+				near[j] = Heard{Dist: dists[j], ID: int32(u), Hops: int32(hops[j])}
 			}
-			e.res[id] = Result{InSkeleton: es.InSkel[id], H: es.H, Near: near, NearHops: nearHops}
+			e.res[id] = Result{InSkeleton: es.InSkel[id], H: es.H, Near: near}
 		}
 		entries[key] = e
 		order = append(order, key)

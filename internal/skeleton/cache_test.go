@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/gob"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/persist"
 	"repro/internal/sim"
 	"repro/internal/warm"
 )
@@ -111,12 +113,8 @@ func TestResultCacheSnapshotRestore(t *testing.T) {
 	computePipeline(t, g, cached, nil, sim.EngineLegacy, 11) // populate
 	memOut, memM := computePipeline(t, g, cached, nil, sim.EngineLegacy, 11)
 
-	orig, err := cache.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(orig); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(cache.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	var snap CacheSnapshot
@@ -140,6 +138,21 @@ func TestResultCacheSnapshotRestore(t *testing.T) {
 
 	if err := NewResultCache().Restore(snap, n+1); err == nil {
 		t.Error("restoring a snapshot recorded for a different node count succeeded")
+	}
+
+	// A hop count beyond h is rejected, not truncated into the result.
+	bad := snap.Entries[0]
+	bad.NearHops = slices.Clone(bad.NearHops)
+	for id, packed := range bad.NearIDs {
+		if ids, _ := persist.UnpackSorted(packed); bad.Filled[id] && len(ids) > 0 {
+			hops := make([]int64, len(ids))
+			hops[0] = int64(bad.H) + 1
+			bad.NearHops[id] = persist.PackInt64s(hops)
+			break
+		}
+	}
+	if err := NewResultCache().Restore(CacheSnapshot{Entries: []CacheEntrySnapshot{bad}}, n); err == nil {
+		t.Error("restoring a snapshot with a hop count beyond h succeeded")
 	}
 }
 

@@ -14,18 +14,32 @@ import (
 // Bellman-Ford over the local network: every node with isSource starts a
 // wave, and afterwards every node holds, for each source within `rounds`
 // hops, an estimate dd with d <= dd <= d_rounds (see Result.Near for why
-// the sandwich suffices), as dense per-source vectors indexed by node ID.
+// the sandwich suffices) and the hop distance at which it first heard it.
 //
 // This is the local-exploration subroutine shared by Algorithm 6
 // (sources = skeleton nodes) and the APSP/k-SSP algorithms' "learn
 // G up to depth ηh" steps (sources = all nodes, paper Fact 4.2). At
 // n = 16384 it alone accounts for most rounds of the APSP pipeline.
+//
+// It comes in two forms that run the same relaxation loop and differ only
+// in where a source's state lives. The dense form (NewExploreMachine) keeps
+// per-source vectors indexed by node ID, for explorations whose sources are
+// every node. The sparse form (NewSparseExploreMachine) opens one Heard
+// slot per source on its first arrival, found through a source → slot map,
+// so a node holds O(sources heard) rather than O(n): Algorithm 6 samples
+// Θ(n^x) sources, k-SSP's ηh exploration has k.
 type ExploreMachine struct {
-	// Near[u] is the distance estimate for source u (graph.Inf if unheard);
-	// Hops[u] the hop distance at which u was first heard (-1 if never).
-	// Valid once Step returned true.
+	// Dense form. Near[u] is the distance estimate for source u (graph.Inf
+	// if unheard); Hops[u] the hop distance at which u was first heard (-1 if
+	// never). Valid once Step returned true.
 	Near []int64
 	Hops []int32
+	// Sparse form. Heard holds one entry per source heard, sorted by ID once
+	// Step returned true.
+	Heard []Heard
+
+	sparse bool
+	slot   flatmap.Map[int32] // source → index in Heard; sparse form, until the end
 
 	loop sim.Loop
 	// The delta buffers rotate: bufs[i&1] is broadcast at loop index i, read
@@ -37,8 +51,27 @@ type ExploreMachine struct {
 	bufs [2]distUpdates
 }
 
-// NewExploreMachine builds the collective exploration machine; all nodes
-// must start it in the same round with the same round count. It takes
+// Heard is what an exploration leaves at a node for one source it heard:
+// the source's ID, the distance estimate, and the hop distance of the first
+// arrival.
+type Heard struct {
+	Dist int64
+	ID   int32
+	Hops int32
+}
+
+// Find returns the entry of source u in an ID-sorted list (Result.Near, a
+// finished sparse exploration's Heard).
+func Find(near []Heard, u int) (Heard, bool) {
+	i, ok := slices.BinarySearchFunc(near, u, func(e Heard, u int) int { return cmp.Compare(int(e.ID), u) })
+	if !ok {
+		return Heard{}, false
+	}
+	return near[i], true
+}
+
+// NewExploreMachine builds the dense collective exploration machine; all
+// nodes must start it in the same round with the same round count. It takes
 // exactly `rounds` rounds.
 func NewExploreMachine(env *sim.Env, isSource bool, rounds int) *ExploreMachine {
 	n := env.N()
@@ -50,17 +83,59 @@ func NewExploreMachine(env *sim.Env, isSource bool, rounds int) *ExploreMachine 
 		m.Near[i] = graph.Inf
 		m.Hops[i] = -1
 	}
-	if isSource {
-		m.Near[env.ID()] = 0
-		m.Hops[env.ID()] = 0
-		m.bufs[0] = append(m.bufs[0], distUpdate{Source: env.ID(), Dist: 0, Hops: 0})
-	}
-	m.loop = sim.Loop{Rounds: rounds, Send: m.send, Recv: m.recv, NextSend: sim.Reactive}
+	m.start(env, isSource, rounds)
 	return m
 }
 
-// Step implements sim.StepProgram.
-func (m *ExploreMachine) Step(env *sim.Env) bool { return m.loop.Step(env) }
+// NewSparseExploreMachine builds the sparse form of the same exploration:
+// same messages and rounds, its result in Heard.
+func NewSparseExploreMachine(env *sim.Env, isSource bool, rounds int) *ExploreMachine {
+	m := &ExploreMachine{sparse: true}
+	m.start(env, isSource, rounds)
+	return m
+}
+
+func (m *ExploreMachine) start(env *sim.Env, isSource bool, rounds int) {
+	if isSource {
+		d, hop := m.entry(env.ID())
+		*d, *hop = 0, 0
+		m.bufs[0] = append(m.bufs[0], distUpdate{Source: env.ID(), Dist: 0})
+	}
+	m.loop = sim.Loop{Rounds: rounds, Send: m.send, Recv: m.recv, NextSend: sim.Reactive}
+}
+
+// entry returns where source u's estimate and first-arrival hop live.
+func (m *ExploreMachine) entry(u int) (*int64, *int32) {
+	if m.sparse {
+		return m.open(u)
+	}
+	return &m.Near[u], &m.Hops[u]
+}
+
+// open is the sparse form's entry: u's slot, opened unheard (graph.Inf, hop
+// -1, as the dense vectors start) on first arrival.
+func (m *ExploreMachine) open(u int) (*int64, *int32) {
+	s, ok := m.slot.Get(uint64(u))
+	if !ok {
+		s = int32(len(m.Heard))
+		m.slot.Put(uint64(u), s)
+		m.Heard = append(m.Heard, Heard{Dist: graph.Inf, ID: int32(u), Hops: -1})
+	}
+	return &m.Heard[s].Dist, &m.Heard[s].Hops
+}
+
+// Step implements sim.StepProgram. The sparse form sorts its slots by ID
+// when the exploration ends, and lets the slot map go.
+func (m *ExploreMachine) Step(env *sim.Env) bool {
+	if !m.loop.Step(env) {
+		return false
+	}
+	if m.sparse {
+		slices.SortFunc(m.Heard, func(a, b Heard) int { return cmp.Compare(a.ID, b.ID) })
+		m.slot = flatmap.Map[int32]{}
+	}
+	return true
+}
 
 func (m *ExploreMachine) send(env *sim.Env, i int) {
 	if len(m.bufs[i&1]) > 0 {
@@ -72,6 +147,10 @@ func (m *ExploreMachine) recv(env *sim.Env, in sim.Inbox, i int) {
 	// Rebuild the buffer the NEXT send will broadcast; the one sent last
 	// round is still being read by neighbors this round (see bufs).
 	next := m.bufs[(i+1)&1][:0]
+	// The wave is synchronous: an update staged in round j is sent in round
+	// j+1, so every update received in round i travelled exactly i+1 hops,
+	// and a source's first arrival is at its BFS layer.
+	hop := int32(i + 1)
 	for _, lm := range in.Local {
 		ups, ok := lm.Payload.(*distUpdates)
 		if !ok {
@@ -80,18 +159,18 @@ func (m *ExploreMachine) recv(env *sim.Env, in sim.Inbox, i int) {
 		w, _ := env.Graph().Weight(env.ID(), lm.From)
 		for _, up := range *ups {
 			nd := up.Dist + w
-			if nd < m.Near[up.Source] {
-				m.Near[up.Source] = nd
-				if m.Hops[up.Source] < 0 {
-					m.Hops[up.Source] = int32(up.Hops + 1)
+			if d, h := m.entry(up.Source); nd < *d {
+				*d = nd
+				if *h < 0 {
+					*h = hop
 				}
-				next = append(next, distUpdate{Source: up.Source, Dist: nd, Hops: up.Hops + 1})
+				next = append(next, distUpdate{Source: up.Source, Dist: nd})
 			}
 		}
 	}
 	// A source improved more than once this round staged one update per
 	// improvement, each strictly lighter than the one before: forward the
-	// lightest, which is the estimate Near kept.
+	// lightest, which is the estimate kept.
 	slices.SortFunc(next, func(a, b distUpdate) int {
 		if c := cmp.Compare(a.Source, b.Source); c != 0 {
 			return c
@@ -102,12 +181,20 @@ func (m *ExploreMachine) recv(env *sim.Env, in sim.Inbox, i int) {
 	m.bufs[(i+1)&1] = next
 }
 
+// distUpdate is one relaxation of the wave. The hop count the paper's
+// message carries is implicit in the round it arrives in (see recv), so the
+// record holds only the source and the distance.
+type distUpdate struct {
+	Source int
+	Dist   int64
+}
+
 // distUpdates is the local-mode payload of the Bellman-Ford wave: a batch
 // of distance updates.
 type distUpdates []distUpdate
 
-// PayloadWords implements sim.WordSized: each update carries a source ID, a
-// distance, and a hop count.
+// PayloadWords implements sim.WordSized: each update is charged as the
+// paper's message, a source ID, a distance, and a hop count.
 func (d distUpdates) PayloadWords() int64 { return 3 * int64(len(d)) }
 
 // Labels is the result of FloodVectorsMachine: the heard label vectors keyed by

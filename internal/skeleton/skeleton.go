@@ -83,44 +83,19 @@ type Result struct {
 	InSkeleton bool
 	// H is the exploration depth used.
 	H int
-	// Near maps each skeleton node u within H hops to a distance estimate
-	// dd(v, u) with d(v, u) <= dd(v, u) <= d_H(v, u): after r rounds of
-	// synchronous relaxation every node's estimate is at most the
-	// r-hop-limited distance (each improvement is re-broadcast the round it
-	// is found) and it is always the weight of a real path. Everywhere the
-	// paper uses d_h, this sandwich is sufficient: tight pairs satisfy
-	// d_h = d, so dd = d there, and elsewhere only d <= dd <= d_h is used.
-	// In the pure LOCAL model a node could learn its whole h-ball and get
-	// exact d_h; we trade that memory blow-up for the sandwich estimate.
-	// For a skeleton node the map includes itself with distance 0; the map
+	// Near lists each skeleton node u within H hops, sorted by ID, with a
+	// distance estimate dd(v, u) satisfying d(v, u) <= dd(v, u) <= d_H(v, u)
+	// and the hop distance (the BFS layer at which u was first heard):
+	// after r rounds of synchronous relaxation every node's estimate is at
+	// most the r-hop-limited distance (each improvement is re-broadcast the
+	// round it is found) and it is always the weight of a real path.
+	// Everywhere the paper uses d_h, this sandwich is sufficient: tight pairs
+	// satisfy d_h = d, so dd = d there, and elsewhere only d <= dd <= d_h is
+	// used. In the pure LOCAL model a node could learn its whole h-ball and
+	// get exact d_h; we trade that memory blow-up for the sandwich estimate.
+	// For a skeleton node the list includes itself with distance 0; the list
 	// restricted to other skeleton members defines its incident E_S edges.
-	Near map[int]int64
-	// NearHops maps each skeleton node within H hops to its hop distance
-	// (the BFS layer at which it was first heard).
-	NearHops map[int]int
-}
-
-// SkeletonNeighbors returns the incident skeleton edges of this node
-// (empty unless InSkeleton), sorted by neighbor ID.
-func (r Result) SkeletonNeighbors() []graph.Neighbor {
-	if !r.InSkeleton {
-		return nil
-	}
-	out := make([]graph.Neighbor, 0, len(r.Near))
-	for u, d := range r.Near {
-		if u != -1 {
-			out = append(out, graph.Neighbor{To: u, W: d})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].To < out[j].To })
-	return out
-}
-
-// distUpdate is the local-mode payload of the limited Bellman-Ford wave.
-type distUpdate struct {
-	Source int
-	Dist   int64
-	Hops   int
+	Near []Heard
 }
 
 // ComputeMachine is Algorithm 6 as a collective machine: sample V_S
@@ -162,19 +137,17 @@ func NewComputeMachine(env *sim.Env, p Params, forceInclude bool) *ComputeMachin
 	return m
 }
 
-// newExploreResultProg is the uncached construction: the h-round
-// exploration plus the dense-to-map conversion, writing the finished result
-// to m.Res.
+// newExploreResultProg is the uncached construction: the h-round sparse
+// exploration, whose ID-sorted slots become m.Res.Near.
 func newExploreResultProg(env *sim.Env, m *ComputeMachine, inS bool, h int) sim.StepProgram {
-	n := env.N()
 	var explore *ExploreMachine
 	return sim.Sequence(
 		func(env *sim.Env) sim.StepProgram {
-			explore = NewExploreMachine(env, inS, h)
+			explore = NewSparseExploreMachine(env, inS, h)
 			return explore
 		},
 		sim.Finish(func(env *sim.Env) {
-			m.Res = resultFromVectors(n, inS, h, explore.Near, explore.Hops)
+			m.Res = Result{InSkeleton: inS, H: h, Near: explore.Heard}
 		}),
 	)
 }
@@ -189,25 +162,6 @@ func Pipeline(p Params, force func(id int) bool) sim.Pipeline[Result] {
 	return func(env *sim.Env, done func(Result)) sim.StepProgram {
 		m := NewComputeMachine(env, p, force != nil && force(env.ID()))
 		return sim.Then(m, func(*sim.Env) { done(m.Res) })
-	}
-}
-
-// resultFromVectors converts the dense exploration vectors into a Result
-// (the pure local tail of Algorithm 6).
-func resultFromVectors(n int, inS bool, h int, near []int64, hops []int32) Result {
-	nearMap := make(map[int]int64)
-	hopsMap := make(map[int]int)
-	for u := 0; u < n; u++ {
-		if near[u] < graph.Inf {
-			nearMap[u] = near[u]
-			hopsMap[u] = int(hops[u])
-		}
-	}
-	return Result{
-		InSkeleton: inS,
-		H:          h,
-		Near:       nearMap,
-		NearHops:   hopsMap,
 	}
 }
 
@@ -280,14 +234,9 @@ func closestSkeleton(self int, skel Result) (int, int64) {
 		return self, 0
 	}
 	best, bestD := -1, graph.Inf
-	ids := make([]int, 0, len(skel.Near))
-	for u := range skel.Near {
-		ids = append(ids, u)
-	}
-	sort.Ints(ids)
-	for _, u := range ids {
-		if d := skel.Near[u]; d < bestD {
-			best, bestD = u, d
+	for _, e := range skel.Near { // ID order: the smallest ID wins a tie
+		if e.Dist < bestD {
+			best, bestD = int(e.ID), e.Dist
 		}
 	}
 	return best, bestD
@@ -309,8 +258,8 @@ func Build(results []Result) (*graph.Graph, []int, error) {
 	}
 	s := graph.New(len(ids))
 	for _, id := range ids {
-		r := results[id]
-		for u, d := range r.Near {
+		for _, e := range results[id].Near {
+			u, d := int(e.ID), e.Dist
 			if u == id {
 				continue
 			}
@@ -320,8 +269,8 @@ func Build(results []Result) (*graph.Graph, []int, error) {
 			}
 			if index[id] < j {
 				// Symmetry check: u must agree on the weight.
-				if du, ok2 := results[u].Near[id]; !ok2 || du != d {
-					return nil, nil, fmt.Errorf("skeleton: edge {%d,%d} asymmetric: %d vs %v", id, u, d, results[u].Near[id])
+				if du, ok2 := Find(results[u].Near, id); !ok2 || du.Dist != d {
+					return nil, nil, fmt.Errorf("skeleton: edge {%d,%d} asymmetric: %d vs %d (listed: %v)", id, u, d, du.Dist, ok2)
 				}
 				if err := s.AddEdge(index[id], j, d); err != nil {
 					return nil, nil, err

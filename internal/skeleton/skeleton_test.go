@@ -1,7 +1,10 @@
 package skeleton
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -114,7 +117,8 @@ func TestNearSandwich(t *testing.T) {
 		trueD := graph.Dijkstra(g, v)
 		limD := graph.LimitedDistance(g, v, h)
 		hops := graph.BFS(g, v)
-		for u, est := range r.Near {
+		for _, e := range r.Near {
+			u, est := e.ID, e.Dist
 			if est < trueD[u] {
 				t.Fatalf("node %d underestimates d(%d): %d < %d", v, u, est, trueD[u])
 			}
@@ -128,7 +132,7 @@ func TestNearSandwich(t *testing.T) {
 		// Completeness: every skeleton node within h hops must be in Near.
 		for u := 0; u < g.N(); u++ {
 			if results[u].InSkeleton && hops[u] <= int64(h) {
-				if _, ok := r.Near[u]; !ok {
+				if _, ok := Find(r.Near, u); !ok {
 					t.Fatalf("node %d missing skeleton %d at hop distance %d <= h", v, u, hops[u])
 				}
 			}
@@ -141,9 +145,9 @@ func TestNearHopsMatchBFS(t *testing.T) {
 	results := runSkeleton(t, g, Params{X: 0.5}, 31)
 	for v, r := range results {
 		hops := graph.BFS(g, v)
-		for u, hh := range r.NearHops {
-			if int64(hh) != hops[u] {
-				t.Fatalf("node %d records skeleton %d at %d hops, BFS says %d", v, u, hh, hops[u])
+		for _, e := range r.Near {
+			if int64(e.Hops) != hops[e.ID] {
+				t.Fatalf("node %d records skeleton %d at %d hops, BFS says %d", v, e.ID, e.Hops, hops[e.ID])
 			}
 		}
 	}
@@ -151,8 +155,8 @@ func TestNearHopsMatchBFS(t *testing.T) {
 
 func TestBuildRejectsInconsistent(t *testing.T) {
 	results := []Result{
-		{InSkeleton: true, H: 2, Near: map[int]int64{0: 0, 1: 5}},
-		{InSkeleton: true, H: 2, Near: map[int]int64{1: 0, 0: 7}}, // weight mismatch
+		{InSkeleton: true, H: 2, Near: []Heard{{ID: 0, Dist: 0}, {ID: 1, Dist: 5, Hops: 1}}},
+		{InSkeleton: true, H: 2, Near: []Heard{{ID: 0, Dist: 7, Hops: 1}, {ID: 1, Dist: 0}}}, // weight mismatch
 	}
 	if _, _, err := Build(results); err == nil {
 		t.Fatal("Build accepted asymmetric skeleton edges")
@@ -209,7 +213,7 @@ func TestRepresentatives(t *testing.T) {
 		}
 	}
 	// One triple per source; rep is a skeleton node (or the source itself);
-	// dist matches the source's Near map.
+	// dist matches the source's Near list.
 	reps := repsAt[0]
 	if len(reps) != len(sources) {
 		t.Fatalf("%d rep triples for %d sources", len(reps), len(sources))
@@ -227,8 +231,8 @@ func TestRepresentatives(t *testing.T) {
 		if skels[ri.Source].InSkeleton && ri.Rep != ri.Source {
 			t.Fatalf("skeleton source %d has rep %d, want itself", ri.Source, ri.Rep)
 		}
-		if d, ok := skels[ri.Source].Near[ri.Rep]; !ok || d != ri.Dist {
-			t.Fatalf("rep dist mismatch for source %d: published %d, local %v", ri.Source, ri.Dist, d)
+		if e, ok := Find(skels[ri.Source].Near, ri.Rep); !ok || e.Dist != ri.Dist {
+			t.Fatalf("rep dist mismatch for source %d: published %d, local %d (heard: %v)", ri.Source, ri.Dist, e.Dist, ok)
 		}
 	}
 }
@@ -238,7 +242,7 @@ func TestSkeletonDeterminism(t *testing.T) {
 	a := runSkeleton(t, g, Params{X: 0.5}, 41)
 	b := runSkeleton(t, g, Params{X: 0.5}, 41)
 	for v := range a {
-		if a[v].InSkeleton != b[v].InSkeleton || len(a[v].Near) != len(b[v].Near) {
+		if a[v].InSkeleton != b[v].InSkeleton || !slices.Equal(a[v].Near, b[v].Near) {
 			t.Fatalf("node %d skeleton state differs between identical runs", v)
 		}
 	}
@@ -298,6 +302,185 @@ func TestExploreMergesSameRoundImprovements(t *testing.T) {
 							tc.name, eng, v, s, near[v][s], hops[v][s], want[v], wantHops)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestSparseExploreMachineMatchesDense runs both forms of the exploration on
+// random weighted graphs with 1, k, n/8 and n sources, for a round count
+// below the hop diameter and one above it, on every engine: the sparse form,
+// densified, must hold the dense form's Near and Hops, at equal Metrics.
+func TestSparseExploreMachineMatchesDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	graphs := []*graph.Graph{
+		graph.WithRandomWeights(graph.SparseConnected(48, 1.3, rng), 9, rng),
+		graph.WithRandomWeights(graph.Grid(7, 6), 5, rng),
+	}
+	type outcome struct {
+		near [][]int64
+		hops [][]int32
+		m    sim.Metrics
+	}
+	run := func(g *graph.Graph, eng sim.Engine, isSource []bool, rounds int, sparse bool) outcome {
+		n := g.N()
+		o := outcome{near: make([][]int64, n), hops: make([][]int32, n)}
+		var err error
+		o.m, err = sim.RunStep(g, sim.Config{Seed: 3, Engine: eng}, func(env *sim.Env) sim.StepProgram {
+			id := env.ID()
+			if !sparse {
+				m := NewExploreMachine(env, isSource[id], rounds)
+				return sim.Then(m, func(*sim.Env) { o.near[id], o.hops[id] = m.Near, m.Hops })
+			}
+			m := NewSparseExploreMachine(env, isSource[id], rounds)
+			return sim.Then(m, func(*sim.Env) {
+				if !slices.IsSortedFunc(m.Heard, func(a, b Heard) int { return int(a.ID - b.ID) }) {
+					t.Errorf("node %d: Heard not sorted by ID", id)
+				}
+				o.near[id], o.hops[id] = densify(m.Heard, n)
+			})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return o
+	}
+	for gi, g := range graphs {
+		n := g.N()
+		diam := int(graph.HopDiameter(g))
+		for _, k := range []int{1, 5, n / 8, n} {
+			isSource := make([]bool, n)
+			for _, s := range rng.Perm(n)[:k] {
+				isSource[s] = true
+			}
+			for _, rounds := range []int{max(1, diam/3), diam + 2} {
+				for _, eng := range simtest.Engines {
+					name := fmt.Sprintf("graph %d, %d sources, %d rounds (hop diameter %d) on %s", gi, k, rounds, diam, eng)
+					dense, sparse := run(g, eng, isSource, rounds, false), run(g, eng, isSource, rounds, true)
+					if sparse.m != dense.m {
+						t.Errorf("%s: sparse Metrics %+v, dense %+v", name, sparse.m, dense.m)
+					}
+					for v := 0; v < n; v++ {
+						if !slices.Equal(sparse.near[v], dense.near[v]) || !slices.Equal(sparse.hops[v], dense.hops[v]) {
+							t.Fatalf("%s: node %d differs:\nsparse %v %v\ndense  %v %v", name, v,
+								sparse.near[v], sparse.hops[v], dense.near[v], dense.hops[v])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAlgorithm6StateSizedByHeard: Algorithm 6 alone on a 64x64 grid (about
+// 64 skeleton nodes, each heard everywhere) allocates less than 4 bytes per
+// node pair in total, engine included (its per-node random streams are
+// ~5 KB a node). Dense per-node vectors would be 12·n² bytes on their own;
+// the sparse slots are O(|V_S|) per node.
+func TestAlgorithm6StateSizedByHeard(t *testing.T) {
+	g := graph.Grid(64, 64)
+	n := g.N()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	m, err := sim.RunStep(g, sim.Config{Seed: 9}, func(env *sim.Env) sim.StepProgram {
+		return NewComputeMachine(env, Params{X: 0.5}, false)
+	})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Rounds != (Params{X: 0.5}).H(n) {
+		t.Fatalf("ran %d rounds, want h = %d", m.Rounds, (Params{X: 0.5}).H(n))
+	}
+	limit := uint64(4 * n * n)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= limit {
+		t.Errorf("Algorithm 6 on %d nodes allocated %d bytes, want < 4·n² = %d", n, got, limit)
+	} else {
+		t.Logf("Algorithm 6 on %d nodes allocated %d bytes (%.2f·n²)", n, got, float64(got)/float64(n*n))
+	}
+}
+
+// The tests below are the LOCAL-only SSSP baseline of the deleted
+// internal/sssp: a sparse exploration from one source (or a few), exact once
+// the round count reaches the shortest-path diameter SPD(G).
+
+func runLocal(t *testing.T, g *graph.Graph, src, rounds int, seed int64) ([]int64, sim.Metrics) {
+	t.Helper()
+	out, m, err := sim.RunPipeline(g, sim.Config{Seed: seed}, func(env *sim.Env, done func(int64)) sim.StepProgram {
+		e := NewSparseExploreMachine(env, env.ID() == src, rounds)
+		return sim.Then(e, func(*sim.Env) { done(singleSource(e)) })
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out, m
+}
+
+func TestLocalExactAfterSPDRounds(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	tests := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"path", graph.Path(40)},
+		{"weighted sparse", graph.WithRandomWeights(graph.SparseConnected(60, 1.2, rng), 9, rng)},
+		{"grid", graph.Grid(6, 7)},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			spd := graph.SPD(tt.g)
+			got, m := runLocal(t, tt.g, 0, spd, 3)
+			want := graph.Dijkstra(tt.g, 0)
+			for v := range got {
+				if got[v] != want[v] {
+					t.Fatalf("d(%d) = %d, want %d", v, got[v], want[v])
+				}
+			}
+			if m.Rounds != spd {
+				t.Fatalf("took %d rounds, want exactly SPD = %d", m.Rounds, spd)
+			}
+			if m.GlobalMsgs != 0 {
+				t.Fatalf("LOCAL baseline used %d global messages", m.GlobalMsgs)
+			}
+		})
+	}
+}
+
+func TestLocalIncompleteBeforeSPD(t *testing.T) {
+	g := graph.Path(30)
+	got, _ := runLocal(t, g, 0, 10, 5)
+	if got[29] != graph.Inf {
+		t.Fatalf("node 29 resolved to %d after 10 rounds; path needs 29", got[29])
+	}
+	if got[10] != 10 {
+		t.Fatalf("node 10 = %d, want 10", got[10])
+	}
+}
+
+func TestLocalSourceIsZero(t *testing.T) {
+	g := graph.Cycle(12)
+	got, _ := runLocal(t, g, 7, 6, 7)
+	if got[7] != 0 {
+		t.Fatalf("source distance = %d, want 0", got[7])
+	}
+}
+
+func TestLocalAllMultiSource(t *testing.T) {
+	g := graph.Grid(5, 5)
+	sources := map[int]bool{0: true, 24: true}
+	out, _, err := sim.RunPipeline(g, sim.Config{Seed: 9}, func(env *sim.Env, done func([]Heard)) sim.StepProgram {
+		e := NewSparseExploreMachine(env, sources[env.ID()], 8)
+		return sim.Then(e, func(*sim.Env) { done(e.Heard) })
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s := range sources {
+		d := graph.Dijkstra(g, s)
+		for v := 0; v < g.N(); v++ {
+			if e, ok := Find(out[v], s); !ok || e.Dist != d[v] {
+				t.Fatalf("node %d dist to %d = %d (heard: %v), want %d", v, s, e.Dist, ok, d[v])
 			}
 		}
 	}

@@ -2,7 +2,6 @@ package skeleton
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 
 	"repro/internal/graph"
@@ -16,18 +15,28 @@ import (
 
 // words flattens a Result for the pinned hash, Near in ascending ID order.
 func (r Result) words() []int64 {
-	ids := make([]int, 0, len(r.Near))
-	for u := range r.Near {
-		ids = append(ids, u)
-	}
-	sort.Ints(ids)
-	w := []int64{simtest.Bool(r.InSkeleton), int64(r.H), int64(len(ids))}
-	for _, u := range ids {
-		w = append(w, int64(u), r.Near[u], int64(r.NearHops[u]))
+	w := []int64{simtest.Bool(r.InSkeleton), int64(r.H), int64(len(r.Near))}
+	for _, u := range r.Near {
+		w = append(w, int64(u.ID), u.Dist, int64(u.Hops))
 	}
 	return w
 }
 
+// densify is a finished sparse exploration's Heard as the dense form's
+// Near/Hops vectors.
+func densify(heard []Heard, n int) ([]int64, []int32) {
+	near, hops := make([]int64, n), make([]int32, n)
+	for i := range near {
+		near[i], hops[i] = graph.Inf, -1
+	}
+	for _, e := range heard {
+		near[e.ID], hops[e.ID] = e.Dist, e.Hops
+	}
+	return near, hops
+}
+
+// TestExploreMachineMatches holds both forms of the exploration to the one
+// pin: the sparse form, densified, emits the dense form's words.
 func TestExploreMachineMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	g := graph.WithRandomWeights(graph.Grid(6, 6), 5, rng)
@@ -45,6 +54,59 @@ func TestExploreMachineMatches(t *testing.T) {
 		m := NewExploreMachine(env, isSource(env.ID()), rounds)
 		return sim.Then(m, func(*sim.Env) { emit(exploreWords(m.Near, m.Hops)...) })
 	})
+	simtest.Machines(t, "sparse explore", g, 13, pin, func(env *sim.Env, emit func(...int64)) sim.StepProgram {
+		m := NewSparseExploreMachine(env, isSource(env.ID()), rounds)
+		return sim.Then(m, func(env *sim.Env) { emit(exploreWords(densify(m.Heard, env.N()))...) })
+	})
+}
+
+// TestLocalMachinesMatch holds the LOCAL-only SSSP baseline (a sparse
+// exploration from one source, read as its one estimate) and its k-source
+// form (densified) to the trace recorded from the blocking Local and LocalAll
+// of the deleted internal/sssp, on every engine; with rounds = n-1 >= SPD
+// both are exact.
+func TestLocalMachinesMatch(t *testing.T) {
+	g := graph.Path(25)
+	const rounds = 24
+	isSource := func(id int) bool { return id == 3 }
+	pin := simtest.Pin{Metrics: sim.Metrics{Rounds: 48, LocalMsgs: 96, LocalBits: 1440}, Sum: 0x7b64e5f79a2437f}
+
+	gotOne := make([]int64, g.N())
+	simtest.Machines(t, "local", g, 19, pin, func(env *sim.Env, emit func(...int64)) sim.StepProgram {
+		id := env.ID()
+		var one, all *ExploreMachine
+		return sim.Sequence(
+			func(env *sim.Env) sim.StepProgram {
+				one = NewSparseExploreMachine(env, isSource(id), rounds)
+				return one
+			},
+			func(env *sim.Env) sim.StepProgram {
+				gotOne[id] = singleSource(one)
+				emit(gotOne[id])
+				all = NewSparseExploreMachine(env, isSource(id), rounds)
+				return all
+			},
+			sim.Finish(func(env *sim.Env) {
+				near, _ := densify(all.Heard, env.N())
+				emit(near...)
+			}),
+		)
+	})
+	want := graph.Dijkstra(g, 3)
+	for v, d := range gotOne {
+		if d != want[v] {
+			t.Errorf("node %d: distance %d, want %d", v, d, want[v])
+		}
+	}
+}
+
+// singleSource is a finished one-source sparse exploration's estimate,
+// graph.Inf if the wave never arrived.
+func singleSource(m *ExploreMachine) int64 {
+	if len(m.Heard) == 0 {
+		return graph.Inf
+	}
+	return m.Heard[0].Dist
 }
 
 func TestFloodVectorsMachineMatches(t *testing.T) {
@@ -103,12 +165,13 @@ func TestComputeMachineMatchesShortH(t *testing.T) {
 				continue
 			}
 			within++
-			if _, ok := r.Near[u]; !ok {
+			e, ok := Find(r.Near, u)
+			if !ok {
 				t.Fatalf("node %d misses skeleton node %d at %d hops <= h = %d", v, u, bfs[u], h)
 			}
-			if d := r.Near[u]; d < trueD[u] || d > limD[u] || int64(r.NearHops[u]) != bfs[u] {
+			if e.Dist < trueD[u] || e.Dist > limD[u] || int64(e.Hops) != bfs[u] {
 				t.Fatalf("node %d has skeleton node %d at (%d, %d hops), want d %d <= dd <= d_h %d at %d hops",
-					v, u, d, r.NearHops[u], trueD[u], limD[u], bfs[u])
+					v, u, e.Dist, e.Hops, trueD[u], limD[u], bfs[u])
 			}
 		}
 		if len(r.Near) != within {
