@@ -22,24 +22,32 @@ import (
 // n = 16384 it alone accounts for most rounds of the APSP pipeline.
 //
 // It comes in two forms that run the same relaxation loop and differ only
-// in where a source's state lives. The dense form (NewExploreMachine) keeps
-// per-source vectors indexed by node ID, for explorations whose sources are
-// every node. The sparse form (NewSparseExploreMachine) opens one Heard
-// slot per source on its first arrival, found through a source → slot map,
-// so a node holds O(sources heard) rather than O(n): Algorithm 6 samples
-// Θ(n^x) sources, k-SSP's ηh exploration has k.
+// in how a source finds its slot — the index of its estimate and
+// first-arrival hop. The dense form (NewExploreMachine) has one slot per
+// node, the source's ID, for explorations whose sources are every node. The
+// sparse form (NewSparseExploreMachine) opens a slot on a source's first
+// arrival and finds it again through a source → slot map, so a node holds
+// O(sources heard) rather than O(n): Algorithm 6 samples Θ(n^x) sources,
+// k-SSP's ηh exploration has k.
 type ExploreMachine struct {
 	// Dense form. Near[u] is the distance estimate for source u (graph.Inf
 	// if unheard); Hops[u] the hop distance at which u was first heard (-1 if
 	// never). Valid once Step returned true.
 	Near []int64
 	Hops []int32
-	// Sparse form. Heard holds one entry per source heard, sorted by ID once
-	// Step returned true.
+	// Sparse form. Heard holds one entry per source heard, sorted by ID.
+	// Valid once Step returned true.
 	Heard []Heard
 
+	// dist[s] and hop[s] are the estimate and first-arrival hop of the
+	// source in slot s: Near and Hops themselves in the dense form. The
+	// sparse form's slots are in first-arrival order, ids[s] their sources
+	// and slot the way back; all three go when Heard is made.
+	dist   []int64
+	hop    []int32
 	sparse bool
-	slot   flatmap.Map[int32] // source → index in Heard; sparse form, until the end
+	ids    []int32
+	slot   flatmap.Map[int32]
 
 	loop sim.Loop
 	// The delta buffers rotate: bufs[i&1] is broadcast at loop index i, read
@@ -83,6 +91,7 @@ func NewExploreMachine(env *sim.Env, isSource bool, rounds int) *ExploreMachine 
 		m.Near[i] = graph.Inf
 		m.Hops[i] = -1
 	}
+	m.dist, m.hop = m.Near, m.Hops
 	m.start(env, isSource, rounds)
 	return m
 }
@@ -97,42 +106,48 @@ func NewSparseExploreMachine(env *sim.Env, isSource bool, rounds int) *ExploreMa
 
 func (m *ExploreMachine) start(env *sim.Env, isSource bool, rounds int) {
 	if isSource {
-		d, hop := m.entry(env.ID())
-		*d, *hop = 0, 0
+		s := m.slotOf(env.ID())
+		m.dist[s], m.hop[s] = 0, 0
 		m.bufs[0] = append(m.bufs[0], distUpdate{Source: env.ID(), Dist: 0})
 	}
 	m.loop = sim.Loop{Rounds: rounds, Send: m.send, Recv: m.recv, NextSend: sim.Reactive}
 }
 
-// entry returns where source u's estimate and first-arrival hop live.
-func (m *ExploreMachine) entry(u int) (*int64, *int32) {
+// slotOf returns source u's slot.
+func (m *ExploreMachine) slotOf(u int) int {
 	if m.sparse {
 		return m.open(u)
 	}
-	return &m.Near[u], &m.Hops[u]
+	return u
 }
 
-// open is the sparse form's entry: u's slot, opened unheard (graph.Inf, hop
-// -1, as the dense vectors start) on first arrival.
-func (m *ExploreMachine) open(u int) (*int64, *int32) {
+// open is the sparse form's slotOf: u's slot, opened unheard (graph.Inf,
+// hop -1, as the dense vectors start) on first arrival.
+func (m *ExploreMachine) open(u int) int {
 	s, ok := m.slot.Get(uint64(u))
 	if !ok {
-		s = int32(len(m.Heard))
+		s = int32(len(m.ids))
 		m.slot.Put(uint64(u), s)
-		m.Heard = append(m.Heard, Heard{Dist: graph.Inf, ID: int32(u), Hops: -1})
+		m.ids = append(m.ids, int32(u))
+		m.dist = append(m.dist, graph.Inf)
+		m.hop = append(m.hop, -1)
 	}
-	return &m.Heard[s].Dist, &m.Heard[s].Hops
+	return int(s)
 }
 
-// Step implements sim.StepProgram. The sparse form sorts its slots by ID
-// when the exploration ends, and lets the slot map go.
+// Step implements sim.StepProgram. When the exploration ends, the sparse
+// form turns its slots into Heard, sorted by ID.
 func (m *ExploreMachine) Step(env *sim.Env) bool {
 	if !m.loop.Step(env) {
 		return false
 	}
 	if m.sparse {
+		m.Heard = make([]Heard, len(m.ids))
+		for s, u := range m.ids {
+			m.Heard[s] = Heard{Dist: m.dist[s], ID: u, Hops: m.hop[s]}
+		}
 		slices.SortFunc(m.Heard, func(a, b Heard) int { return cmp.Compare(a.ID, b.ID) })
-		m.slot = flatmap.Map[int32]{}
+		m.dist, m.hop, m.ids, m.slot = nil, nil, nil, flatmap.Map[int32]{}
 	}
 	return true
 }
@@ -159,10 +174,10 @@ func (m *ExploreMachine) recv(env *sim.Env, in sim.Inbox, i int) {
 		w, _ := env.Graph().Weight(env.ID(), lm.From)
 		for _, up := range *ups {
 			nd := up.Dist + w
-			if d, h := m.entry(up.Source); nd < *d {
-				*d = nd
-				if *h < 0 {
-					*h = hop
+			if s := m.slotOf(up.Source); nd < m.dist[s] {
+				m.dist[s] = nd
+				if m.hop[s] < 0 {
+					m.hop[s] = hop
 				}
 				next = append(next, distUpdate{Source: up.Source, Dist: nd})
 			}
