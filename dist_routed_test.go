@@ -11,7 +11,9 @@
 // node listed its edge tokens (hybridapsp's publish phase) and the [3]
 // baseline its label tokens in map order, and which token rode to which
 // random balancing destination changed with it. The result is now an
-// ID-sorted list, the tokens follow it, and both runs pin Full too.
+// ID-sorted list, the tokens follow it, and every run pins Full too: the
+// SSSP, Cor 5.2 diameter and [3] baseline runs added later repeated Full
+// from process to process and at -cpu 1,2,4 when they were recorded.
 package hybrid_test
 
 import (
@@ -87,6 +89,8 @@ type routedPin struct {
 // TestDistRoutedTrafficPin holds one APSP and one k-SSP run on EngineDist to
 // the routed traffic recorded before the engine stopped routing empty rounds
 // (175 and 113 of them on these two runs), and requires that it has stopped.
+// The SSSP, diameter and [3] baseline runs are held to traffic recorded
+// after that, so that no pipeline's messages can change unnoticed.
 func TestDistRoutedTrafficPin(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	sparse := hybrid.WithRandomWeights(hybrid.SparseGraph(40, 1.3, rng), 9, rng)
@@ -110,6 +114,27 @@ func TestDistRoutedTrafficPin(t *testing.T) {
 			}
 			return res.Metrics, nil
 		}, routedPin{Metrics: hybrid.Metrics{Rounds: 1742, GlobalMsgs: 1822, GlobalBits: 94744, LocalMsgs: 6931, LocalBits: 1178550, MaxGlobalSend: 6, MaxGlobalRecv: 6}, Routed: 185, Heads: 0xf428c8f6b51c1e98, Full: 0x42a2645ac98f579b}},
+		{"sssp sparse 40", sparse, func(nw *hybrid.Network) (hybrid.Metrics, error) {
+			res, err := nw.SSSP(3)
+			if err != nil {
+				return hybrid.Metrics{}, err
+			}
+			return res.Metrics, nil
+		}, routedPin{Metrics: hybrid.Metrics{Rounds: 2013, GlobalMsgs: 1617, GlobalBits: 84084, LocalMsgs: 6370, LocalBits: 1033698, MaxGlobalSend: 6, MaxGlobalRecv: 6}, Routed: 185, Heads: 0xe7506a5d69f09cdb, Full: 0x5382a864f179e92d}},
+		{"diameter cor52 grid 6x6", hybrid.GridGraph(6, 6), func(nw *hybrid.Network) (hybrid.Metrics, error) {
+			res, err := nw.Diameter(hybrid.DiamCor52(0.5))
+			if err != nil {
+				return hybrid.Metrics{}, err
+			}
+			return res.Metrics, nil
+		}, routedPin{Metrics: hybrid.Metrics{Rounds: 1354, GlobalMsgs: 1630, GlobalBits: 84760, LocalMsgs: 9059, LocalBits: 406092, MaxGlobalSend: 6, MaxGlobalRecv: 6}, Routed: 199, Heads: 0x1a5674bdbddaa64, Full: 0xb760aceca5aa49b3}},
+		{"apsp baseline grid 6x6", hybrid.GridGraph(6, 6), func(nw *hybrid.Network) (hybrid.Metrics, error) {
+			res, err := nw.APSPBaseline()
+			if err != nil {
+				return hybrid.Metrics{}, err
+			}
+			return res.Metrics, nil
+		}, routedPin{Metrics: hybrid.Metrics{Rounds: 760, GlobalMsgs: 6665, GlobalBits: 346580, LocalMsgs: 2142, LocalBits: 509760, MaxGlobalSend: 6, MaxGlobalRecv: 15}, Routed: 126, Heads: 0x657d15f7a68dea5c, Full: 0xa6609fe8f051cd9d}},
 	}
 	defer sim.RegisterDistRouter(func(cfg sim.DistRouterConfig) (sim.DistRouter, error) { return dist.New(cfg) })
 	for _, c := range cases {
