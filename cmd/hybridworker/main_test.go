@@ -41,7 +41,8 @@ func TestRunListenBadSpec(t *testing.T) {
 
 // TestRunListenMode starts the binary entrypoint in listen mode, dials it
 // as a coordinator would, and checks the Join announcement (unpinned
-// worker => AnyShard) plus a ping round trip over the served connection.
+// worker => AnyShard) plus a Hello answered with a HelloAck over the served
+// connection.
 func TestRunListenMode(t *testing.T) {
 	out := make(chan string, 1)
 	pr, pw := newPipeWriter(out)
@@ -70,15 +71,19 @@ func TestRunListenMode(t *testing.T) {
 	if err != nil || join.Type != wire.FrameJoin {
 		t.Fatalf("join frame = %+v, %v", join, err)
 	}
-	hs, err := wire.DecodeHandshake(join.Payload)
-	if err != nil || hs.Shard != wire.AnyShard || hs.Max != wire.ProtoMax {
-		t.Fatalf("join handshake = %+v, %v", hs, err)
+	if shard, err := wire.DecodeHandshake(join.Payload); err != nil || shard != wire.AnyShard {
+		t.Fatalf("join handshake = %d, %v", shard, err)
 	}
-	if _, err := conn.Write(wire.AppendFrame(nil, wire.Frame{Type: wire.FrameHeartbeat})); err != nil {
+	hello := wire.AppendHello(nil, wire.Hello{N: 8, LogN: 3, Shard: 1, Lo: 4, Hi: 8})
+	if _, err := conn.Write(wire.AppendFrame(nil, wire.Frame{Type: wire.FrameHello, Shard: 1, Payload: hello})); err != nil {
 		t.Fatal(err)
 	}
-	if pong, err := wire.ReadFrame(conn); err != nil || pong.Type != wire.FrameHeartbeat {
-		t.Fatalf("ping answered with %+v, %v", pong, err)
+	ack, err := wire.ReadFrame(conn)
+	if err != nil || ack.Type != wire.FrameHelloAck {
+		t.Fatalf("hello answered with %+v, %v", ack, err)
+	}
+	if shard, err := wire.DecodeHandshake(ack.Payload); err != nil || shard != 1 {
+		t.Fatalf("hello ack = shard %d, %v", shard, err)
 	}
 	// A Shutdown frame ends the connection, not the resident worker: it
 	// goes back to accepting, so a second coordinator can attach.

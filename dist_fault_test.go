@@ -1,11 +1,14 @@
 // Facade-level fault-injection tests for the distributed engine: a worker
 // killed mid-run must be respawned and replayed to a byte-identical result,
-// and injected frame drops must be absorbed by the retry path. Both are
-// exercised end to end — real worker OS processes, real unix sockets —
-// against the legacy engine as the correctness oracle.
+// injected frame drops must be absorbed by the retry path, and a round trip
+// lost for good must end by the run's context deadline. All are exercised
+// end to end — real worker OS processes, real unix sockets — against the
+// legacy engine as the correctness oracle.
 package hybrid_test
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -88,5 +91,46 @@ func TestDistFrameDropRetry(t *testing.T) {
 	}
 	if oracle.Metrics != res.Metrics {
 		t.Errorf("dropped-frame metrics differ: legacy %+v dist %+v", oracle.Metrics, res.Metrics)
+	}
+}
+
+// TestDistRoundTripHonoursContext: the run's context bounds a round trip,
+// not only the round boundary. Shard 0 loses every request of round 2; at
+// the default 3 s frame timeout the retry loop alone would take 12 s, but
+// the run ends by the context's 300 ms deadline with an error for which
+// errors.Is(err, context.DeadlineExceeded) holds. A far-off deadline leaves
+// a clean run identical to the legacy oracle.
+func TestDistRoundTripHonoursContext(t *testing.T) {
+	g := hybrid.PathGraph(30)
+	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	defer cancel()
+	faults := dist.NewFaults().DropFrames(0, 2, 100)
+	start := time.Now()
+	_, err := hybrid.New(g, hybrid.WithSeed(7), hybrid.WithEngine(hybrid.EngineDist), hybrid.WithWorkers(2),
+		hybrid.WithDistOptions(dist.WithFaults(faults)), hybrid.WithContext(ctx)).SSSP(0)
+	elapsed := time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want one wrapping context.DeadlineExceeded", err)
+	}
+	if elapsed > 1500*time.Millisecond {
+		t.Fatalf("run took %v past a 300ms deadline", elapsed)
+	}
+	if faults.Stats().Dropped == 0 {
+		t.Fatal("the run ended before the faulted round: nothing was lost in a round trip")
+	}
+
+	oracle, err := hybrid.New(g, hybrid.WithSeed(7), hybrid.WithEngine(hybrid.EngineLegacy)).SSSP(0)
+	if err != nil {
+		t.Fatalf("legacy: %v", err)
+	}
+	long, cancelLong := context.WithTimeout(context.Background(), 5*time.Minute)
+	defer cancelLong()
+	res, err := hybrid.New(g, hybrid.WithSeed(7), hybrid.WithEngine(hybrid.EngineDist), hybrid.WithWorkers(2),
+		hybrid.WithContext(long)).SSSP(0)
+	if err != nil {
+		t.Fatalf("dist under a far-off deadline: %v", err)
+	}
+	if !reflect.DeepEqual(oracle.Dist, res.Dist) || oracle.Metrics != res.Metrics {
+		t.Error("a far-off deadline perturbed a clean run")
 	}
 }

@@ -100,7 +100,7 @@ const (
 	// through its destination shard's worker OS process over the
 	// internal/dist wire protocol (unix sockets to children it starts
 	// itself, or WithDistConnect addresses) with per-frame checksums,
-	// timeouts, bounded retries, heartbeats, and kill/respawn/replay. It is
+	// timeouts, bounded retries, and kill/respawn/replay. It is
 	// slower than EngineStep — every round that carries a global message
 	// pays real serialization and socket round trips — and exists as the
 	// message-passing deployment shape of the HYBRID model, validated
@@ -109,11 +109,10 @@ const (
 	EngineDist = sim.EngineDist
 )
 
-// DistOptions tunes EngineDist's robustness envelope (frame timeout,
-// retries and backoff, heartbeats, respawn budget, run deadline, fault
-// injection) and names pre-started workers; it is an alias for the dist
-// package's Options. Tests inject faults via
-// WithDistOptions(dist.WithFaults(...)).
+// DistOptions sets EngineDist's frame timeout and fault injection and names
+// pre-started workers; it is an alias for the dist package's Options. The
+// retry, backoff and respawn budgets are fixed, and the run's deadline is
+// WithContext's. Tests inject faults via WithDistOptions(dist.WithFaults(...)).
 type DistOptions = dist.Options
 
 // Network wraps a local communication graph with run configuration and the
@@ -165,8 +164,8 @@ func WithWorkers(w int) Option {
 	return func(nw *Network) { nw.cfg.DistWorkers = w }
 }
 
-// WithDistOptions tunes EngineDist's robustness envelope and fault
-// injection (nil: defaults). Other engines ignore it.
+// WithDistOptions sets EngineDist's frame timeout and fault injection (nil:
+// defaults). Other engines ignore it.
 func WithDistOptions(o *DistOptions) Option {
 	return func(nw *Network) { nw.cfg.DistOpts = o }
 }
@@ -204,7 +203,9 @@ func WithCut(cut []bool) Option {
 // WithContext attaches a cancellation context to the network's runs: every
 // engine checks it at each round boundary and aborts cooperatively, so a
 // cancelled run returns promptly with an error for which
-// errors.Is(err, context.Canceled) (or DeadlineExceeded) holds.
+// errors.Is(err, context.Canceled) (or DeadlineExceeded) holds. EngineDist
+// also ends every wait of a round trip to its workers by the context's
+// deadline.
 func WithContext(ctx context.Context) Option {
 	return func(nw *Network) { nw.cfg.Ctx = ctx }
 }

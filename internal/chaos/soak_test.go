@@ -154,12 +154,13 @@ func soakOnce(t *testing.T, g *hybrid.Graph, oracle *hybrid.APSPResult, seed int
 	cacheDir := t.TempDir()
 
 	// Phase 1: initial build on the distributed engine under the plan's
-	// frame faults, with the hardening knobs engaged (respawn budget at
-	// its default, a generous run deadline that must NOT trip).
-	distOpts := dist.WithFaults(plan.Dist())
-	distOpts.RunTimeout = 2 * time.Minute
+	// frame faults, with the hardening engaged (the respawn budget, and a
+	// generous run deadline that bounds every round trip but must NOT trip).
+	buildCtx, cancelBuild := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancelBuild()
 	buildNet := hybrid.New(g, hybrid.WithSeed(42), hybrid.WithEngine(hybrid.EngineDist),
-		hybrid.WithWorkers(2), hybrid.WithDistOptions(distOpts), hybrid.WithCacheDir(cacheDir))
+		hybrid.WithWorkers(2), hybrid.WithDistOptions(dist.WithFaults(plan.Dist())),
+		hybrid.WithCacheDir(cacheDir), hybrid.WithContext(buildCtx))
 	res, err := buildNet.APSP()
 	if err != nil {
 		t.Fatalf("dist build under faults: %v", err)

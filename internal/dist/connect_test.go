@@ -1,18 +1,18 @@
 package dist
 
 import (
+	"encoding/binary"
 	"net"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/dist/wire"
 	"repro/internal/graph"
+	"repro/internal/persist"
 	"repro/internal/sim"
 )
 
@@ -98,7 +98,6 @@ func TestDistConnectWorkerGoneAbort(t *testing.T) {
 			Connect:      nil, // filled below
 			Faults:       NewFaults().KillWorker(1, 0),
 			FrameTimeout: 200 * time.Millisecond,
-			Retries:      2,
 		},
 	}
 	addrs, workers := startListenWorkers(t, 2)
@@ -144,7 +143,7 @@ func TestDistConnectAddressCountMismatch(t *testing.T) {
 
 // scriptedWorker listens on TCP loopback and hands each coordinator that
 // dials to serve, one at a time — a stand-in for a worker this tree cannot
-// build: another build's protocol range, or a peer that breaks the handshake.
+// build: another build's protocol version, or a peer that breaks the handshake.
 func scriptedWorker(t *testing.T, serve func(conn net.Conn)) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -165,88 +164,78 @@ func scriptedWorker(t *testing.T, serve func(conn net.Conn)) string {
 	return "tcp:" + ln.Addr().String()
 }
 
-// joinAs announces a worker speaking [min, max] pinned to shard, then runs
-// the production loop.
-func joinAs(min, max, shard int) func(net.Conn) {
+// section is a payload of one section holding vals: the layout of every
+// Join, HelloAck and Hello, whichever build wrote it.
+func section(vals ...int64) []byte {
+	sec := persist.PackInt64s(vals)
+	return append(binary.AppendUvarint(nil, uint64(len(sec))), sec...)
+}
+
+// helloAt is this build's Hello for a one-shard run on 8 nodes, sent at
+// version v.
+func helloAt(v int64) []byte { return section(v, 8, 3, 0, 0, 8, 0, 0) }
+
+// joinAs announces a worker with the given Join payload, then runs the
+// production loop.
+func joinAs(join []byte) func(net.Conn) {
 	return func(conn net.Conn) {
-		conn.Write(wire.AppendFrame(nil, wire.Frame{Type: wire.FrameJoin, Shard: shard,
-			Payload: wire.AppendHandshakeRange(nil, min, max, shard)}))
+		conn.Write(wire.AppendFrame(nil, wire.Frame{Type: wire.FrameJoin, Payload: join}))
 		ServeConn(conn)
 	}
 }
 
-// dialAs is the coordinator half of the handshake as a build speaking
-// [min, max] would run it against this tree's worker: read the Join, settle
-// on a version, send the Hello at it, and return the worker's answer.
-func dialAs(t *testing.T, addr string, min, max int) (net.Conn, wire.Frame) {
+// dialAs is the coordinator half of the handshake as another build would
+// run it against this tree's worker: read the Join, send hello, and return
+// the worker's answer.
+func dialAs(t *testing.T, addr string, hello []byte) wire.Frame {
 	t.Helper()
-	conn, err := dialAddr(addr)
+	conn, err := dialAddr(addr, time.Now().Add(5*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	hs, err := wire.DecodeHandshake(readFrame(t, conn).Payload)
-	if err != nil || hs.Min != wire.ProtoMin || hs.Max != wire.ProtoMax {
-		t.Fatalf("join handshake = %+v, %v", hs, err)
+	if shard, err := wire.DecodeHandshake(readFrame(t, conn).Payload); err != nil || shard != 0 {
+		t.Fatalf("join handshake = %d, %v", shard, err)
 	}
-	proto, err := wire.Negotiate(min, max, hs.Min, hs.Max)
-	if err != nil {
-		proto = min // a coordinator that presses on regardless
-	}
-	sendFrame(t, conn, wire.Frame{Type: wire.FrameHello,
-		Payload: wire.AppendHello(nil, wire.Hello{Proto: proto, N: 8, LogN: 3, Hi: 8})})
-	return conn, readFrame(t, conn)
+	sendFrame(t, conn, wire.Frame{Type: wire.FrameHello, Payload: hello})
+	return readFrame(t, conn)
 }
 
-// TestDistHandshakeNegotiation pairs this build (it speaks [1,1]) with
-// peers advertising other ranges, both ways: the parent commit's [1,2]
-// settles on 1 and runs, a disjoint range fails naming both.
+// TestDistHandshakeNegotiation pairs this build (it speaks version 3 only)
+// with peers at other versions, both ways: each side refuses the other with
+// an error naming both versions instead of running — the [1,2] range and
+// 9-int Hello of the builds before it included.
 func TestDistHandshakeNegotiation(t *testing.T) {
-	g := graph.Grid(4, 5)
-	wantOut, wantM := runChatter(t, g, sim.Config{Seed: 5, Engine: sim.EngineLegacy})
-
-	t.Run("old worker, new coordinator", func(t *testing.T) {
-		addrs := []string{scriptedWorker(t, joinAs(1, 2, 0)), scriptedWorker(t, joinAs(1, 2, 1))}
-		out, m := runChatter(t, g, sim.Config{
-			Seed: 5, Engine: sim.EngineDist, DistWorkers: 2,
-			DistOpts: &Options{Connect: addrs},
-		})
-		if !reflect.DeepEqual(wantOut, out) || wantM != m {
-			t.Fatal("pairing with [1,2] workers diverges from legacy")
-		}
-	})
-
-	t.Run("new worker, old coordinator", func(t *testing.T) {
-		addrs, _ := startListenWorkers(t, 1)
-		conn, ack := dialAs(t, addrs[0], 1, 2)
-		if ack.Type != wire.FrameHelloAck {
-			t.Fatalf("[1,2] coordinator's v1 hello answered with a %v frame %q", ack.Type, ack.Payload)
-		}
-		sendFrame(t, conn, wire.Frame{Type: wire.FrameRound, Round: 1,
-			Payload: wire.AppendMsgs(nil, []sim.GlobalMsg{{Src: 1, Dst: 2}})})
-		if reply := readFrame(t, conn); reply.Type != wire.FrameRoundReply || reply.Round != 1 {
-			t.Fatalf("round answered with %v round %d", reply.Type, reply.Round)
-		}
-	})
-
-	t.Run("incompatible pair", func(t *testing.T) {
-		// A worker that speaks only a later version against today's
-		// coordinator must fail with the range error, not garbage.
+	refused := func(t *testing.T, join []byte, want string) {
+		t.Helper()
 		_, err := New(sim.DistRouterConfig{
 			N: 8, LogN: 3, Workers: 1, ShardSize: 8,
-			Opts: &Options{Connect: []string{scriptedWorker(t, joinAs(2, 2, 0))}},
+			Opts: &Options{Connect: []string{scriptedWorker(t, joinAs(join))}},
 		})
-		if err == nil || !strings.Contains(err.Error(), "no common protocol version: [1,1] vs [2,2]") {
-			t.Fatalf("err = %v, want version-range failure naming both ranges", err)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("err = %v, want %q", err, want)
 		}
-	})
-
-	t.Run("incompatible pair, coordinator newer", func(t *testing.T) {
+	}
+	answered := func(t *testing.T, hello []byte, want string) {
+		t.Helper()
 		addrs, _ := startListenWorkers(t, 1)
-		_, answer := dialAs(t, addrs[0], 2, 2)
-		if answer.Type != wire.FrameError || !strings.Contains(string(answer.Payload), "worker speaks [1,1]") {
-			t.Fatalf("version-2 hello answered with a %v frame %q", answer.Type, answer.Payload)
+		answer := dialAs(t, addrs[0], hello)
+		if answer.Type != wire.FrameError || !strings.Contains(string(answer.Payload), want) {
+			t.Fatalf("hello answered with a %v frame %q, want an error containing %q", answer.Type, answer.Payload, want)
 		}
+	}
+
+	t.Run("old worker, new coordinator", func(t *testing.T) {
+		refused(t, section(1, 2, 0), "join handshake: wire: handshake at protocol version 1, this build speaks 3")
+	})
+	t.Run("new worker, old coordinator", func(t *testing.T) {
+		answered(t, section(1, 8, 3, 0, 0, 8, 0, 500, 0), "hello at protocol version 1, this build speaks 3")
+	})
+	t.Run("incompatible pair", func(t *testing.T) {
+		refused(t, section(wire.Version+1, 0), "handshake at protocol version 4, this build speaks 3")
+	})
+	t.Run("incompatible pair, coordinator newer", func(t *testing.T) {
+		answered(t, helloAt(wire.Version+1), "hello at protocol version 4, this build speaks 3")
 	})
 }
 
@@ -254,15 +243,15 @@ func TestDistHandshakeNegotiation(t *testing.T) {
 // error that says what it sent.
 func TestHandshakeErrors(t *testing.T) {
 	join := func(shard int) wire.Frame {
-		return wire.Frame{Type: wire.FrameJoin, Payload: wire.AppendHandshakeRange(nil, wire.ProtoMin, wire.ProtoMax, shard)}
+		return wire.Frame{Type: wire.FrameJoin, Payload: wire.AppendHandshake(nil, shard)}
 	}
 	cases := []struct {
 		name          string
 		first, answer wire.Frame // the peer's first frame, and its answer to the Hello
 		want          string
 	}{
-		{"first frame of the wrong type", wire.Frame{Type: wire.FrameHeartbeat}, wire.Frame{},
-			"want a join announcement, got a heartbeat frame"},
+		{"first frame of the wrong type", wire.Frame{Type: wire.FrameRound}, wire.Frame{},
+			"want a join announcement, got a round frame"},
 		{"pinned to another shard", join(3), wire.Frame{}, "pinned to shard 3, dialed as shard 0"},
 		{"hello answered with the wrong type", join(0), wire.Frame{Type: wire.FrameRoundReply},
 			"unexpected round-reply frame during handshake"},
@@ -288,13 +277,14 @@ func TestHandshakeErrors(t *testing.T) {
 
 // TestRouterDropRetriedNotRespawned drives the router directly: a round of
 // empty batches makes a real trip, a dropped request is resent after the
-// frame timeout on the same connection (not answered with a respawn), and a
-// non-empty round comes back in worker-sorted delivery order.
+// frame timeout on the same connection (not answered with a respawn), a
+// non-empty round comes back in worker-sorted delivery order, and a closed
+// router routes nothing.
 func TestRouterDropRetriedNotRespawned(t *testing.T) {
 	faults := NewFaults().DropFrames(0, 1, 1)
 	r, err := New(sim.DistRouterConfig{
 		N: 8, LogN: 3, Workers: 2, ShardSize: 4,
-		Opts: &Options{Faults: faults, FrameTimeout: 300 * time.Millisecond, Retries: 4},
+		Opts: &Options{Faults: faults, FrameTimeout: 300 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -335,6 +325,12 @@ func TestRouterDropRetriedNotRespawned(t *testing.T) {
 	if r.Respawns() != 0 {
 		t.Fatalf("respawns = %d, want 0 (drops must be retried, not respawned)", r.Respawns())
 	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := r.RouteRound(4, [][]sim.GlobalMsg{nil, nil}); err == nil {
+		t.Fatal("RouteRound after Close must fail")
+	}
 }
 
 // TestSpawnedChildrenLeaveNothingBehind: a child the coordinator started is
@@ -354,7 +350,7 @@ func TestSpawnedChildrenLeaveNothingBehind(t *testing.T) {
 	}
 
 	abandoned := &worker{shard: 0}
-	if err := abandoned.spawn(); err != nil {
+	if err := abandoned.spawn(time.Now().Add(handshakeTimeout)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(abandoned.dir, "worker.sock")); err != nil {
@@ -410,7 +406,7 @@ func TestServeFirst(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() { done <- lw.serveFirst(5 * time.Second) }()
-	conn, err := dialAddr(lw.Addr())
+	conn, err := dialAddr(lw.Addr(), time.Now().Add(5*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,67 +417,9 @@ func TestServeFirst(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("serveFirst after its one connection: %v", err)
 	}
-	if conn, err := dialAddr(lw.Addr()); err == nil {
+	if conn, err := dialAddr(lw.Addr(), time.Now().Add(5*time.Second)); err == nil {
 		conn.Close()
 		t.Fatal("a second coordinator could still dial")
-	}
-}
-
-// TestPingDuringFaultedRoundRace is the regression test for the
-// Router.workers data race: Ping and LastHeartbeat hammer the router from
-// another goroutine while a faulted round respawns workers. Run under
-// -race (the dist CI step does) this fails on the old unsynchronized
-// slot; the per-slot lock + atomic worker pointer make it clean.
-func TestPingDuringFaultedRoundRace(t *testing.T) {
-	faults := NewFaults().KillWorker(1, 1).KillWorker(0, 3)
-	r, err := New(sim.DistRouterConfig{
-		N: 8, LogN: 3, Workers: 2, ShardSize: 4,
-		Opts: &Options{Faults: faults, FrameTimeout: time.Second, HeartbeatEvery: 10 * time.Millisecond},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-
-	stop := make(chan struct{})
-	var pinged atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			for k := 0; k < 2; k++ {
-				if r.Ping(k) == nil {
-					pinged.Add(1)
-				}
-				r.LastHeartbeat(k)
-			}
-		}
-	}()
-
-	batch := func(round int) [][]sim.GlobalMsg {
-		return [][]sim.GlobalMsg{
-			{{Src: 1, Dst: 2, Kind: 1, F0: int64(round)}},
-			{{Src: 2, Dst: 5, Kind: 1, F0: int64(round)}},
-		}
-	}
-	for round := 0; round < 6; round++ {
-		if _, _, err := r.RouteRound(round, batch(round)); err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-	}
-	close(stop)
-	wg.Wait()
-	if r.Respawns() < 2 {
-		t.Fatalf("respawns = %d, want >= 2 (both kill faults must fire)", r.Respawns())
-	}
-	if pinged.Load() == 0 {
-		t.Fatal("pinger never succeeded — the concurrency the test exists for never happened")
 	}
 }
 
@@ -505,55 +443,6 @@ func TestBackoffDelayClamp(t *testing.T) {
 	if d := backoffDelay(time.Hour, 2); d != maxBackoff {
 		t.Fatalf("huge base not capped: %v", d)
 	}
-}
-
-// pipeRouter builds a Router whose single slot speaks to an in-test
-// scripted peer over net.Pipe — the harness for Ping's frame handling.
-func pipeRouter(t *testing.T) (*Router, net.Conn) {
-	t.Helper()
-	opts, err := resolveOptions(&Options{FrameTimeout: time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	local, remote := net.Pipe()
-	t.Cleanup(func() { local.Close(); remote.Close() })
-	sl := &slot{}
-	sl.w.Store(&worker{shard: 0, conn: local, cr: &countReader{c: local}})
-	return &Router{opts: opts, slots: []*slot{sl}}, remote
-}
-
-// TestPingRecordsLateReply is the regression test for Ping swallowing
-// frames: a round reply read during a ping — a stale duplicate, since round
-// trips hold the slot lock a ping needs — is skipped without desyncing the
-// stream, and a protocol-error frame must fail the ping instead of being
-// skipped.
-func TestPingRecordsLateReply(t *testing.T) {
-	t.Run("stale reply skipped", func(t *testing.T) {
-		r, remote := pipeRouter(t)
-		go func() {
-			wire.ReadFrame(remote) // the ping
-			remote.Write(wire.AppendFrame(nil, wire.Frame{Type: wire.FrameRoundReply, Round: 5,
-				Payload: wire.AppendReply(nil, nil, wire.RoundStats{ViolDst: -1})}))
-			remote.Write(wire.AppendFrame(nil, wire.Frame{Type: wire.FrameHeartbeat}))
-		}()
-		if err := r.Ping(0); err != nil {
-			t.Fatalf("ping: %v", err)
-		}
-		if r.LastHeartbeat(0).IsZero() {
-			t.Fatal("the heartbeat behind the stale reply was not recorded")
-		}
-	})
-	t.Run("protocol error rejected", func(t *testing.T) {
-		r, remote := pipeRouter(t)
-		go func() {
-			wire.ReadFrame(remote)
-			remote.Write(wire.AppendFrame(nil, wire.Frame{Type: wire.FrameError, Payload: []byte("boom")}))
-		}()
-		err := r.Ping(0)
-		if err == nil || !strings.Contains(err.Error(), "boom") {
-			t.Fatalf("ping err = %v, want the worker's protocol error", err)
-		}
-	})
 }
 
 // TestRouterRoundGaps drives the router the way the step engine's
@@ -586,7 +475,7 @@ func TestRouterRoundGaps(t *testing.T) {
 		t.Helper()
 		r, err := New(sim.DistRouterConfig{
 			N: 8, LogN: 3, Workers: 2, ShardSize: 4,
-			Opts: &Options{Faults: faults, FrameTimeout: 300 * time.Millisecond, Retries: 4},
+			Opts: &Options{Faults: faults, FrameTimeout: 300 * time.Millisecond},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -2,11 +2,13 @@
 // sim.EngineDist: a coordinator-side Router that dials one worker per shard,
 // speaks the internal/dist/wire frame protocol to it, and routes each
 // round's staged global-message batches through the workers with per-frame
-// timeouts, bounded retry/backoff, heartbeats, and kill/respawn/replay — all
-// of it drivable from tests via the Faults injection hook.
+// timeouts, bounded retry/backoff, and kill/respawn/replay — all of it
+// drivable from tests via the Faults injection hook. The run's context
+// (sim.DistRouterConfig.Ctx) bounds every wait inside a round trip, so a
+// cancelled or timed-out run is not held up by the retry loop.
 //
 // There is one way to reach a worker: the coordinator dials a listening
-// worker's scheme-prefixed address, reads its Join (the protocol range it
+// worker's scheme-prefixed address, reads its Join (the protocol version it
 // speaks and the shard it is pinned to, if any), and configures it with a
 // Hello. Options.Connect names pre-started workers — typically
 // cmd/hybridworker -listen on other machines. Without it the coordinator
@@ -24,6 +26,7 @@ package dist
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -45,22 +48,14 @@ func init() {
 	})
 }
 
-// Options tunes the router's robustness envelope and names pre-started
-// workers. The zero value of every field means its default.
+// Options names pre-started workers and carries the test-facing knobs.
+// The zero value of every field means its default.
 type Options struct {
 	// Faults is the test-driven fault-injection plan (nil: none).
 	Faults *Faults
-	// FrameTimeout bounds one reply wait per attempt (default 3s).
+	// FrameTimeout bounds one reply wait per attempt (default 3s); the
+	// run's context deadline, when earlier, ends the wait instead.
 	FrameTimeout time.Duration
-	// Retries is the total number of send attempts per round per worker
-	// before the run aborts (default 4).
-	Retries int
-	// Backoff is the base retry backoff, doubled per attempt up to
-	// maxBackoff (default 2ms).
-	Backoff time.Duration
-	// HeartbeatEvery is the worker liveness-beacon period (default 500ms;
-	// negative disables heartbeats).
-	HeartbeatEvery time.Duration
 	// Connect names pre-started workers to dial instead of starting local
 	// children (scheme-prefixed, e.g. "tcp:10.0.0.7:9000"), one per shard in
 	// shard order. The length must equal the worker count. On connection
@@ -68,18 +63,6 @@ type Options struct {
 	// request; if the remote worker is gone the run aborts with a clear
 	// error instead of hanging.
 	Connect []string
-	// MaxRespawns is the total respawn/re-dial budget across the whole
-	// run, all shards combined: past it the run aborts with a clear
-	// "worker flapping" error instead of respawning forever (default 8;
-	// negative: unlimited). It is a soft bound under concurrent failures —
-	// parallel shards may overshoot by one or two — but a flapping worker
-	// burns through it within a round or two either way.
-	MaxRespawns int
-	// RunTimeout is the overall wall-clock deadline for the run: past it
-	// every round trip aborts non-retryably (0: no deadline). It bounds
-	// the worst case of per-frame timeouts × retries × respawns stacking
-	// into an effectively hung run.
-	RunTimeout time.Duration
 }
 
 // WithFaults returns an Options carrying the given fault plan — the
@@ -87,18 +70,28 @@ type Options struct {
 func WithFaults(f *Faults) *Options { return &Options{Faults: f} }
 
 const (
-	defaultFrameTimeout   = 3 * time.Second
-	defaultRetries        = 4
-	defaultBackoff        = 2 * time.Millisecond
-	defaultHeartbeatEvery = 500 * time.Millisecond
-	defaultMaxRespawns    = 8
-	handshakeTimeout      = 10 * time.Second
+	defaultFrameTimeout = 3 * time.Second
+	handshakeTimeout    = 10 * time.Second
 
-	// maxBackoff caps the exponential retry backoff so a large Retries
-	// budget cannot shift the base into overflow (time.Duration is an
-	// int64 of nanoseconds: left-shifting a millisecond-scale base ~44
-	// bits wraps negative, and time.Sleep treats negative as zero — a
-	// hot retry loop exactly when the system is already struggling).
+	// retries is the number of send attempts per round per worker before
+	// the run aborts.
+	retries = 4
+	// backoff is the base retry backoff, doubled per attempt up to
+	// maxBackoff.
+	backoff = 2 * time.Millisecond
+	// maxRespawns is the respawn/re-dial budget across the whole run, all
+	// shards combined: past it the run aborts with a clear "worker
+	// flapping" error instead of respawning forever. It is a soft bound
+	// under concurrent failures — parallel shards may overshoot by one or
+	// two — but a flapping worker burns through it within a round or two
+	// either way.
+	maxRespawns = 8
+
+	// maxBackoff caps the exponential retry backoff so no attempt count
+	// can shift the base into overflow (time.Duration is an int64 of
+	// nanoseconds: left-shifting a millisecond-scale base ~44 bits wraps
+	// negative, and time.Sleep treats negative as zero — a hot retry loop
+	// exactly when the system is already struggling).
 	maxBackoff = 2 * time.Second
 )
 
@@ -135,18 +128,6 @@ func resolveOptions(v any) (Options, error) {
 	if o.FrameTimeout <= 0 {
 		o.FrameTimeout = defaultFrameTimeout
 	}
-	if o.Retries <= 0 {
-		o.Retries = defaultRetries
-	}
-	if o.Backoff <= 0 {
-		o.Backoff = defaultBackoff
-	}
-	if o.HeartbeatEvery == 0 {
-		o.HeartbeatEvery = defaultHeartbeatEvery
-	}
-	if o.MaxRespawns == 0 {
-		o.MaxRespawns = defaultMaxRespawns
-	}
 	return o, nil
 }
 
@@ -169,11 +150,10 @@ func (cr *countReader) Read(p []byte) (int, error) {
 // dialed to addr and, when the coordinator started the worker itself, the
 // child process and the directory holding its socket.
 type worker struct {
-	shard    int
-	addr     string
-	conn     net.Conn
-	cr       *countReader
-	lastBeat atomic.Int64 // UnixNano of the last heartbeat seen
+	shard int
+	addr  string
+	conn  net.Conn
+	cr    *countReader
 
 	cmd    *exec.Cmd
 	exited chan struct{} // closed once cmd has been reaped
@@ -201,9 +181,9 @@ func (w *worker) stop() {
 }
 
 // slot is one shard's coordinator-side state. The worker handle is an
-// atomic pointer so lock-free readers (LastHeartbeat) never race the
-// respawn path, and mu serializes everything that touches the connection:
-// round trips, pings, respawn + replay.
+// atomic pointer so Close, its lock-free reader, never races the respawn
+// path, and mu serializes everything that touches the connection: round
+// trips, respawn + replay.
 type slot struct {
 	mu sync.Mutex
 	w  atomic.Pointer[worker]
@@ -213,24 +193,35 @@ type slot struct {
 // per-round request/reply exchange. It implements sim.DistRouter.
 type Router struct {
 	cfg   sim.DistRouterConfig
+	ctx   context.Context
 	opts  Options
 	slots []*slot
 
 	respawns atomic.Int64
 	closed   atomic.Bool
-
-	// deadline is the absolute RunTimeout cutoff (zero: none), fixed at
-	// New so retries and respawns cannot stretch a run unboundedly.
-	deadline time.Time
 }
 
-// deadlineExceeded reports a non-retryable error once the run deadline
-// has passed.
-func (r *Router) deadlineExceeded() error {
-	if !r.deadline.IsZero() && time.Now().After(r.deadline) {
-		return fmt.Errorf("dist: run deadline (%v) exceeded", r.opts.RunTimeout)
+// deadline is the end of a wait of d: now + d, or the run context's
+// deadline when that comes first.
+func (r *Router) deadline(d time.Duration) time.Time {
+	t := time.Now().Add(d)
+	if end, ok := r.ctx.Deadline(); ok && end.Before(t) {
+		return end
 	}
-	return nil
+	return t
+}
+
+// sleep waits d, or until the run context's deadline when that comes first.
+func (r *Router) sleep(d time.Duration) { time.Sleep(time.Until(r.deadline(d))) }
+
+// ctxErr is the run context's error. A deadline counts once it has passed,
+// even before the context's own timer has marked it done: a read that timed
+// out at the deadline must not leave the next attempt a fresh one.
+func (r *Router) ctxErr() error {
+	if end, ok := r.ctx.Deadline(); ok && !time.Now().Before(end) {
+		return context.DeadlineExceeded
+	}
+	return r.ctx.Err()
 }
 
 // New builds a Router for cfg and brings up one worker per shard: the
@@ -247,9 +238,9 @@ func New(cfg sim.DistRouterConfig) (*Router, error) {
 		return nil, fmt.Errorf("dist: %d connect addresses for %d workers (one per shard required)",
 			len(opts.Connect), cfg.Workers)
 	}
-	r := &Router{cfg: cfg, opts: opts, slots: make([]*slot, cfg.Workers)}
-	if opts.RunTimeout > 0 {
-		r.deadline = time.Now().Add(opts.RunTimeout)
+	r := &Router{cfg: cfg, ctx: cfg.Ctx, opts: opts, slots: make([]*slot, cfg.Workers)}
+	if r.ctx == nil {
+		r.ctx = context.Background()
 	}
 	for k := range r.slots {
 		r.slots[k] = &slot{}
@@ -267,21 +258,27 @@ func New(cfg sim.DistRouterConfig) (*Router, error) {
 
 // startWorker brings shard k's worker up — first start, respawn and re-dial
 // alike: start a child unless Options.Connect names the worker's address,
-// then dial and handshake. Errors are immediate and explicit — a gone
-// worker must surface as a clean abort, never a hang.
+// then dial and handshake, all of it by one deadline (handshakeTimeout, or
+// the run context's deadline when that comes first). Errors are immediate
+// and explicit — a gone worker must surface as a clean abort, never a hang —
+// and wrap the context's error once the run has ended.
 func (r *Router) startWorker(k int) (*worker, error) {
 	w := &worker{shard: k}
+	deadline := r.deadline(handshakeTimeout)
 	var err error
 	if len(r.opts.Connect) > 0 {
 		w.addr = r.opts.Connect[k]
 	} else {
-		err = w.spawn()
+		err = w.spawn(deadline)
 	}
 	if err == nil {
-		err = r.handshake(w)
+		err = r.handshake(w, deadline)
 	}
 	if err != nil {
 		w.stop()
+		if cerr := r.ctxErr(); cerr != nil {
+			err = fmt.Errorf("%w: %w", err, cerr)
+		}
 		return nil, err
 	}
 	return w, nil
@@ -291,9 +288,10 @@ func (r *Router) startWorker(k int) (*worker, error) {
 // env hook in worker.go turns into a worker listening on a unix socket in a
 // directory of its own (so a killed child's leftover socket file cannot
 // trip its replacement), announcing the address on its stdout — a pipe,
-// never the coordinator's own stdout. On error the caller stops w, which
-// cleans up whatever was started.
-func (w *worker) spawn() error {
+// never the coordinator's own stdout. A child that has not announced by
+// deadline is killed. On error the caller stops w, which cleans up whatever
+// was started.
+func (w *worker) spawn(deadline time.Time) error {
 	bin, err := os.Executable()
 	if err != nil {
 		return fmt.Errorf("dist: resolving worker binary: %w", err)
@@ -318,7 +316,7 @@ func (w *worker) spawn() error {
 	}
 	w.cmd, w.exited = cmd, make(chan struct{})
 	// A child that never announces is killed, which ends the read.
-	timer := time.AfterFunc(handshakeTimeout, func() { cmd.Process.Kill() })
+	timer := time.AfterFunc(time.Until(deadline), func() { cmd.Process.Kill() })
 	line, err := bufio.NewReader(stdout).ReadString('\n')
 	timer.Stop()
 	go func() {
@@ -335,15 +333,16 @@ func (w *worker) spawn() error {
 	return nil
 }
 
-// handshake dials w.addr, reads the worker's Join announcement, negotiates
-// the protocol version, and configures the worker with the Hello.
-func (r *Router) handshake(w *worker) error {
-	conn, err := dialAddr(w.addr)
+// handshake dials w.addr, reads the worker's Join announcement, and
+// configures the worker with the Hello, all by deadline. A Join or HelloAck
+// at another protocol version fails with an error naming both versions.
+func (r *Router) handshake(w *worker, deadline time.Time) error {
+	conn, err := dialAddr(w.addr, deadline)
 	if err != nil {
 		return fmt.Errorf("dist: connecting to worker %d at %s: %w", w.shard, w.addr, err)
 	}
 	w.conn, w.cr = conn, &countReader{c: conn}
-	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
+	conn.SetReadDeadline(deadline)
 	defer conn.SetReadDeadline(time.Time{})
 
 	f, err := wire.ReadFrame(w.cr)
@@ -353,16 +352,12 @@ func (r *Router) handshake(w *worker) error {
 	if f.Type != wire.FrameJoin {
 		return fmt.Errorf("dist: worker %d at %s: want a join announcement, got a %v frame", w.shard, w.addr, f.Type)
 	}
-	hs, err := wire.DecodeHandshake(f.Payload)
+	shard, err := wire.DecodeHandshake(f.Payload)
 	if err != nil {
-		return fmt.Errorf("dist: worker %d at %s: join handshake: %v", w.shard, w.addr, err)
+		return fmt.Errorf("dist: worker %d at %s: join handshake: %w", w.shard, w.addr, err)
 	}
-	proto, err := wire.Negotiate(wire.ProtoMin, wire.ProtoMax, hs.Min, hs.Max)
-	if err != nil {
-		return fmt.Errorf("dist: worker %d at %s: %w", w.shard, w.addr, err)
-	}
-	if hs.Shard != wire.AnyShard && hs.Shard != w.shard {
-		return fmt.Errorf("dist: worker at %s is pinned to shard %d, dialed as shard %d", w.addr, hs.Shard, w.shard)
+	if shard != wire.AnyShard && shard != w.shard {
+		return fmt.Errorf("dist: worker at %s is pinned to shard %d, dialed as shard %d", w.addr, shard, w.shard)
 	}
 
 	lo := w.shard * r.cfg.ShardSize
@@ -370,43 +365,33 @@ func (r *Router) handshake(w *worker) error {
 	if hi > r.cfg.N {
 		hi = r.cfg.N
 	}
-	beatMillis := int(r.opts.HeartbeatEvery / time.Millisecond)
-	if beatMillis < 0 {
-		beatMillis = 0
-	}
 	hello := wire.AppendFrame(nil, wire.Frame{
 		Type: wire.FrameHello, Shard: w.shard,
 		Payload: wire.AppendHello(nil, wire.Hello{
-			Proto: proto, N: r.cfg.N, LogN: r.cfg.LogN, Shard: w.shard,
-			Lo: lo, Hi: hi, StrictRecvFactor: r.cfg.StrictRecvFactor,
-			HeartbeatMillis: beatMillis, Cut: r.cfg.Cut,
+			N: r.cfg.N, LogN: r.cfg.LogN, Shard: w.shard,
+			Lo: lo, Hi: hi, StrictRecvFactor: r.cfg.StrictRecvFactor, Cut: r.cfg.Cut,
 		}),
 	})
 	if _, err := conn.Write(hello); err != nil {
 		return fmt.Errorf("dist: sending hello to worker %d: %w", w.shard, err)
 	}
-	for {
-		f, err := wire.ReadFrame(w.cr)
+	if f, err = wire.ReadFrame(w.cr); err != nil {
+		return fmt.Errorf("dist: hello ack from worker %d: %w", w.shard, err)
+	}
+	switch f.Type {
+	case wire.FrameHelloAck:
+		shard, err := wire.DecodeHandshake(f.Payload)
 		if err != nil {
 			return fmt.Errorf("dist: hello ack from worker %d: %w", w.shard, err)
 		}
-		switch f.Type {
-		case wire.FrameHeartbeat:
-			w.lastBeat.Store(time.Now().UnixNano())
-		case wire.FrameHelloAck:
-			hs, err := wire.DecodeHandshake(f.Payload)
-			if err != nil {
-				return fmt.Errorf("dist: hello ack from worker %d: %w", w.shard, err)
-			}
-			if hs.Shard != w.shard && hs.Shard != wire.AnyShard {
-				return fmt.Errorf("dist: worker %d acked the hello as shard %d", w.shard, hs.Shard)
-			}
-			return nil
-		case wire.FrameError:
-			return fmt.Errorf("dist: worker %d rejected hello: %s", w.shard, f.Payload)
-		default:
-			return fmt.Errorf("dist: unexpected %v frame during handshake with worker %d", f.Type, w.shard)
+		if shard != w.shard && shard != wire.AnyShard {
+			return fmt.Errorf("dist: worker %d acked the hello as shard %d", w.shard, shard)
 		}
+		return nil
+	case wire.FrameError:
+		return fmt.Errorf("dist: worker %d rejected hello: %s", w.shard, f.Payload)
+	default:
+		return fmt.Errorf("dist: unexpected %v frame during handshake with worker %d", f.Type, w.shard)
 	}
 }
 
@@ -416,8 +401,8 @@ func (r *Router) handshake(w *worker) error {
 // slot's mu.
 func (r *Router) respawnLocked(k int, req []byte) (*worker, error) {
 	sl := r.slots[k]
-	if max := int64(r.opts.MaxRespawns); max > 0 && r.respawns.Load() >= max {
-		return nil, fmt.Errorf("dist: worker %d: respawn budget (%d) exhausted (worker flapping)", k, r.opts.MaxRespawns)
+	if r.respawns.Load() >= maxRespawns {
+		return nil, fmt.Errorf("dist: worker %d: respawn budget (%d) exhausted (worker flapping)", k, maxRespawns)
 	}
 	sl.w.Load().stop()
 	r.respawns.Add(1)
@@ -440,58 +425,6 @@ func (r *Router) respawnLocked(k int, req []byte) (*worker, error) {
 // re-dialed).
 func (r *Router) Respawns() int64 { return r.respawns.Load() }
 
-// LastHeartbeat reports when shard's worker last beat (zero time: never).
-// Lock-free: safe to call while a faulted round is mid-respawn.
-func (r *Router) LastHeartbeat(shard int) time.Time {
-	w := r.slots[shard].w.Load()
-	if w == nil {
-		return time.Time{}
-	}
-	ns := w.lastBeat.Load()
-	if ns == 0 {
-		return time.Time{}
-	}
-	return time.Unix(0, ns)
-}
-
-// Ping sends a heartbeat to shard's worker and waits for any heartbeat
-// back within the frame timeout. It serializes with the shard's round
-// trips on the slot lock, so a ping can never interleave reads with a
-// reply wait — a round reply read here is the stale duplicate a retransmit
-// left behind, and is skipped. A protocol-error frame fails the ping.
-func (r *Router) Ping(shard int) error {
-	sl := r.slots[shard]
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	w := sl.w.Load()
-	if w == nil {
-		return fmt.Errorf("dist: shard %d has no live worker", shard)
-	}
-	frame := wire.AppendFrame(nil, wire.Frame{Type: wire.FrameHeartbeat, Shard: shard})
-	if _, err := w.conn.Write(frame); err != nil {
-		return err
-	}
-	w.conn.SetReadDeadline(time.Now().Add(r.opts.FrameTimeout))
-	defer w.conn.SetReadDeadline(time.Time{})
-	for {
-		f, err := wire.ReadFrame(w.cr)
-		if err != nil {
-			return err
-		}
-		switch f.Type {
-		case wire.FrameHeartbeat:
-			w.lastBeat.Store(time.Now().UnixNano())
-			return nil
-		case wire.FrameRoundReply:
-			// Stale duplicate: skipped.
-		case wire.FrameError:
-			return fmt.Errorf("dist: worker %d reported during ping: %s", shard, f.Payload)
-		default:
-			return fmt.Errorf("dist: unexpected %v frame from worker %d during ping", f.Type, shard)
-		}
-	}
-}
-
 // RouteRound implements sim.DistRouter: every shard's request batch makes
 // one round trip to its worker, all shards in parallel, and the sorted
 // replies merge in shard order. An empty batch still makes the trip; the
@@ -501,9 +434,6 @@ func (r *Router) Ping(shard int) error {
 func (r *Router) RouteRound(round int, outgoing [][]sim.GlobalMsg) ([][]sim.GlobalMsg, sim.DistRoundStats, error) {
 	if r.closed.Load() {
 		return nil, sim.DistRoundStats{}, errors.New("dist: router is closed")
-	}
-	if err := r.deadlineExceeded(); err != nil {
-		return nil, sim.DistRoundStats{}, err
 	}
 	nw := len(r.slots)
 	if len(outgoing) != nw {
@@ -547,7 +477,10 @@ func (r *Router) RouteRound(round int, outgoing [][]sim.GlobalMsg) ([][]sim.Glob
 // roundTrip sends shard k's request for round and awaits the reply,
 // surviving timeouts (resend) and connection loss (respawn or re-dial +
 // replay) within the bounded attempt budget. The encoded request is kept
-// until the reply is in, so every resend and replay is byte-identical.
+// until the reply is in, so every resend and replay is byte-identical. Each
+// attempt first checks the run's context, and every wait ends by its
+// deadline, so an ended run is seen within one FrameTimeout (by its deadline
+// when it has one).
 func (r *Router) roundTrip(k, round int, out []sim.GlobalMsg) ([]sim.GlobalMsg, wire.RoundStats, error) {
 	sl := r.slots[k]
 	sl.mu.Lock()
@@ -560,16 +493,16 @@ func (r *Router) roundTrip(k, round int, out []sim.GlobalMsg) ([]sim.GlobalMsg, 
 	})
 	w := sl.w.Load()
 	var lastErr error
-	for attempt := 1; attempt <= r.opts.Retries; attempt++ {
-		if err := r.deadlineExceeded(); err != nil {
-			return nil, wire.RoundStats{}, err
+	for attempt := 1; attempt <= retries; attempt++ {
+		if err := r.ctxErr(); err != nil {
+			return nil, wire.RoundStats{}, fmt.Errorf("dist: worker %d: round %d abandoned: %w", k, round, err)
 		}
 		if attempt > 1 {
-			time.Sleep(backoffDelay(r.opts.Backoff, attempt-1))
+			r.sleep(backoffDelay(backoff, attempt-1))
 		}
 		act := r.opts.Faults.onSend(k, round)
 		if act.delay > 0 {
-			time.Sleep(act.delay)
+			r.sleep(act.delay)
 		}
 		if act.kill {
 			w.stop()
@@ -609,7 +542,7 @@ func (r *Router) roundTrip(k, round int, out []sim.GlobalMsg) ([]sim.GlobalMsg, 
 		}
 	}
 	return nil, wire.RoundStats{}, fmt.Errorf("dist: worker %d: round %d failed after %d attempts: %w",
-		k, round, r.opts.Retries, lastErr)
+		k, round, retries, lastErr)
 }
 
 // protocolError marks worker-reported or structural protocol failures
@@ -619,12 +552,11 @@ type protocolError struct{ msg string }
 func (e *protocolError) Error() string { return e.msg }
 
 // awaitReply reads frames until the reply for round arrives or the
-// attempt deadline passes. Heartbeats are recorded and skipped — they
-// deliberately do NOT extend the deadline, otherwise a lost request to a
-// healthy (still-beating) worker would never time out. A stale reply to
-// an earlier round (a retransmit raced a late reply) is skipped.
+// attempt deadline — FrameTimeout, or the run context's deadline when that
+// comes first — passes. A stale reply to an earlier round (a retransmit
+// raced a late reply) is skipped.
 func (r *Router) awaitReply(w *worker, round int) (wire.Frame, error) {
-	w.conn.SetReadDeadline(time.Now().Add(r.opts.FrameTimeout))
+	w.conn.SetReadDeadline(r.deadline(r.opts.FrameTimeout))
 	defer w.conn.SetReadDeadline(time.Time{})
 	for {
 		before := w.cr.n
@@ -639,8 +571,6 @@ func (r *Router) awaitReply(w *worker, round int) (wire.Frame, error) {
 			return wire.Frame{}, err
 		}
 		switch f.Type {
-		case wire.FrameHeartbeat:
-			w.lastBeat.Store(time.Now().UnixNano())
 		case wire.FrameRoundReply:
 			if f.Round == round {
 				return f, nil

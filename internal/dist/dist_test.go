@@ -90,7 +90,7 @@ func TestDistFrameTimeoutRetry(t *testing.T) {
 	wantOut, wantM := runChatter(t, g, sim.Config{Seed: 9, Engine: sim.EngineLegacy})
 
 	faults := NewFaults().DropFrames(1, 3, 2).DropFrames(0, 5, 1)
-	opts := &Options{Faults: faults, FrameTimeout: 100 * time.Millisecond, Retries: 5}
+	opts := &Options{Faults: faults, FrameTimeout: 100 * time.Millisecond}
 	out, m := runChatter(t, g, sim.Config{
 		Seed: 9, Engine: sim.EngineDist, DistWorkers: 2, DistOpts: opts,
 	})
@@ -115,7 +115,7 @@ func TestDistFrameTimeoutRetry(t *testing.T) {
 func TestDistRetryExhaustion(t *testing.T) {
 	g := graph.Path(12)
 	faults := NewFaults().DropFrames(0, 2, 10)
-	opts := &Options{Faults: faults, FrameTimeout: 50 * time.Millisecond, Retries: 3}
+	opts := &Options{Faults: faults, FrameTimeout: 50 * time.Millisecond}
 	out := make([]int64, g.N())
 	_, err := sim.RunStep(g, sim.Config{
 		Seed: 3, Engine: sim.EngineDist, DistWorkers: 1, DistOpts: opts,
@@ -123,7 +123,7 @@ func TestDistRetryExhaustion(t *testing.T) {
 	if err == nil {
 		t.Fatal("want retry-exhaustion error, got success")
 	}
-	if !strings.Contains(err.Error(), "failed after 3 attempts") {
+	if !strings.Contains(err.Error(), "failed after 4 attempts") {
 		t.Fatalf("err = %v, want bounded-attempts failure", err)
 	}
 }
@@ -177,50 +177,6 @@ func TestDistStrictRecvViolation(t *testing.T) {
 	}
 }
 
-// TestRouterHeartbeatAndPing drives a Router directly: workers beat on
-// their own, Ping round-trips, and a round handed all-empty batches still
-// makes a real trip (the engine, not the router, leaves such rounds out).
-func TestRouterHeartbeatAndPing(t *testing.T) {
-	r, err := New(sim.DistRouterConfig{
-		N: 8, LogN: 3, Workers: 2, ShardSize: 4,
-		Opts: &Options{HeartbeatEvery: 20 * time.Millisecond, FrameTimeout: 2 * time.Second},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	for k := 0; k < 2; k++ {
-		if err := r.Ping(k); err != nil {
-			t.Fatalf("ping worker %d: %v", k, err)
-		}
-		if r.LastHeartbeat(k).IsZero() {
-			t.Fatalf("worker %d: no heartbeat recorded after ping", k)
-		}
-	}
-	streams, stats, err := r.RouteRound(1, [][]sim.GlobalMsg{nil, nil})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.GlobalMsgs != 0 || len(streams) != 2 || len(streams[0]) != 0 || len(streams[1]) != 0 {
-		t.Fatalf("empty round returned %+v / %+v", streams, stats)
-	}
-	// The unsolicited beat must eventually advance the liveness clock
-	// even without traffic: wait for a fresh beat via Ping.
-	time.Sleep(50 * time.Millisecond)
-	if err := r.Ping(0); err != nil {
-		t.Fatal(err)
-	}
-	if r.Respawns() != 0 {
-		t.Fatalf("respawns = %d, want 0", r.Respawns())
-	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := r.RouteRound(2, [][]sim.GlobalMsg{nil, nil}); err == nil {
-		t.Fatal("RouteRound after Close must fail")
-	}
-}
-
 // serveConnPair starts the production worker loop over an in-process
 // pipe, where coverage and the race detector can see it.
 func serveConnPair(t *testing.T) (client net.Conn, done chan error) {
@@ -251,13 +207,10 @@ func readFrame(t *testing.T, c net.Conn) wire.Frame {
 
 // TestServeConnProtocol walks the worker loop through the full protocol:
 // hello/ack, a round with out-of-order traffic, a duplicate-round
-// retransmit answered from the reply cache, ping/pong, shutdown.
+// retransmit answered from the reply cache, shutdown.
 func TestServeConnProtocol(t *testing.T) {
 	client, done := serveConnPair(t)
-	hello := wire.Hello{
-		Proto: wire.ProtoV1, N: 8, LogN: 3, Shard: 1, Lo: 4, Hi: 8,
-		StrictRecvFactor: 0, HeartbeatMillis: 0,
-	}
+	hello := wire.Hello{N: 8, LogN: 3, Shard: 1, Lo: 4, Hi: 8}
 	sendFrame(t, client, wire.Frame{Type: wire.FrameHello, Shard: 1, Payload: wire.AppendHello(nil, hello)})
 	ack := readFrame(t, client)
 	if ack.Type != wire.FrameHelloAck {
@@ -301,11 +254,6 @@ func TestServeConnProtocol(t *testing.T) {
 		t.Fatalf("cached retransmit reply differs: %+v vs %+v", again, reply)
 	}
 
-	sendFrame(t, client, wire.Frame{Type: wire.FrameHeartbeat, Shard: 1})
-	if pong := readFrame(t, client); pong.Type != wire.FrameHeartbeat {
-		t.Fatalf("ping answered with %v", pong.Type)
-	}
-
 	sendFrame(t, client, wire.Frame{Type: wire.FrameShutdown, Shard: 1})
 	if err := <-done; err != nil {
 		t.Fatalf("ServeConn returned %v after shutdown", err)
@@ -326,7 +274,7 @@ func TestServeConnErrors(t *testing.T) {
 	})
 	t.Run("corrupt batch", func(t *testing.T) {
 		client, _ := serveConnPair(t)
-		hello := wire.Hello{Proto: wire.ProtoV1, N: 8, LogN: 3, Shard: 0, Lo: 0, Hi: 8}
+		hello := wire.Hello{N: 8, LogN: 3, Shard: 0, Lo: 0, Hi: 8}
 		sendFrame(t, client, wire.Frame{Type: wire.FrameHello, Payload: wire.AppendHello(nil, hello)})
 		readFrame(t, client) // ack
 		sendFrame(t, client, wire.Frame{Type: wire.FrameRound, Round: 1, Payload: []byte{0xff, 0xff}})
@@ -337,7 +285,7 @@ func TestServeConnErrors(t *testing.T) {
 	})
 	t.Run("destination outside shard", func(t *testing.T) {
 		client, _ := serveConnPair(t)
-		hello := wire.Hello{Proto: wire.ProtoV1, N: 8, LogN: 3, Shard: 0, Lo: 0, Hi: 4}
+		hello := wire.Hello{N: 8, LogN: 3, Shard: 0, Lo: 0, Hi: 4}
 		sendFrame(t, client, wire.Frame{Type: wire.FrameHello, Payload: wire.AppendHello(nil, hello)})
 		readFrame(t, client) // ack
 		bad := wire.AppendMsgs(nil, []sim.GlobalMsg{{Src: 0, Dst: 6}})
@@ -349,10 +297,9 @@ func TestServeConnErrors(t *testing.T) {
 	})
 	t.Run("proto mismatch", func(t *testing.T) {
 		client, done := serveConnPair(t)
-		hello := wire.Hello{Proto: wire.ProtoMax + 1, N: 8, LogN: 3, Shard: 0, Lo: 0, Hi: 8}
-		sendFrame(t, client, wire.Frame{Type: wire.FrameHello, Payload: wire.AppendHello(nil, hello)})
+		sendFrame(t, client, wire.Frame{Type: wire.FrameHello, Payload: helloAt(wire.Version + 1)})
 		f := readFrame(t, client)
-		if f.Type != wire.FrameError || !strings.Contains(string(f.Payload), "worker speaks") {
+		if f.Type != wire.FrameError || !strings.Contains(string(f.Payload), "version 4, this build speaks 3") {
 			t.Fatalf("version mismatch answered with %v %q", f.Type, f.Payload)
 		}
 		if err := <-done; err == nil {
@@ -380,15 +327,15 @@ func TestProcessRoundCutAccounting(t *testing.T) {
 	}
 }
 
-// TestResolveOptions pins the defaults and the accepted DistOpts types.
+// TestResolveOptions pins the default and the accepted DistOpts types.
 func TestResolveOptions(t *testing.T) {
 	o, err := resolveOptions(nil)
-	if err != nil || o.FrameTimeout != defaultFrameTimeout || o.Retries != defaultRetries {
+	if err != nil || o.FrameTimeout != defaultFrameTimeout {
 		t.Fatalf("nil opts resolved to %+v, %v", o, err)
 	}
 	f := NewFaults()
 	o, err = resolveOptions(WithFaults(f))
-	if err != nil || o.Faults != f || o.MaxRespawns != defaultMaxRespawns {
+	if err != nil || o.Faults != f || o.FrameTimeout != defaultFrameTimeout {
 		t.Fatalf("WithFaults opts resolved to %+v, %v", o, err)
 	}
 	for _, bad := range []any{42, f, Options{}} {
@@ -396,84 +343,38 @@ func TestResolveOptions(t *testing.T) {
 			t.Fatalf("want error for unsupported DistOpts type %T", bad)
 		}
 	}
-	o, err = resolveOptions(&Options{HeartbeatEvery: -1})
-	if err != nil || o.HeartbeatEvery != -1 {
-		t.Fatalf("negative heartbeat must survive resolution, got %+v, %v", o, err)
-	}
 }
 
 // TestDistRespawnBudgetExhausted kills the worker at every round so each
-// respawned process is killed again on its next send: with a budget of 2
-// the run must abort with the flapping error instead of respawning
-// forever.
+// respawned process is killed again on its next send: past the budget of
+// maxRespawns the run must abort with the flapping error instead of
+// respawning forever.
 func TestDistRespawnBudgetExhausted(t *testing.T) {
-	g := graph.Path(12)
 	faults := NewFaults()
-	for round := 0; round < 40; round++ {
+	for round := 0; round <= maxRespawns; round++ {
 		faults.KillWorker(0, round)
 	}
-	opts := &Options{Faults: faults, FrameTimeout: 50 * time.Millisecond, Retries: 8, MaxRespawns: 2}
-	out := make([]int64, g.N())
-	_, err := sim.RunStep(g, sim.Config{
-		Seed: 3, Engine: sim.EngineDist, DistWorkers: 1, DistOpts: opts,
-	}, chatter(out))
+	r, err := New(sim.DistRouterConfig{
+		N: 8, LogN: 3, Workers: 1, ShardSize: 8,
+		Opts: &Options{Faults: faults, FrameTimeout: 50 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for round := 0; round <= maxRespawns; round++ {
+		_, _, err = r.RouteRound(round, [][]sim.GlobalMsg{{{Src: 1, Dst: 2}}})
+		if err != nil {
+			break
+		}
+	}
 	if err == nil {
 		t.Fatal("want respawn-budget error, got success")
 	}
-	if !strings.Contains(err.Error(), "respawn budget (2) exhausted") {
+	if !strings.Contains(err.Error(), "respawn budget (8) exhausted") {
 		t.Fatalf("err = %v, want respawn-budget exhaustion", err)
 	}
-	if st := faults.Stats(); st.Respawns != 2 {
-		t.Fatalf("plan reports %d respawns, want exactly the budget of 2", st.Respawns)
-	}
-}
-
-// TestDistRespawnBudgetUnlimited pins the negative-means-unlimited
-// contract: a plan with more kills than the default budget still
-// completes byte-identically when MaxRespawns is negative.
-func TestDistRespawnBudgetUnlimited(t *testing.T) {
-	g := graph.Path(10)
-	wantOut, wantM := runChatter(t, g, sim.Config{Seed: 5, Engine: sim.EngineLegacy})
-
-	faults := NewFaults().KillWorker(0, 2).KillWorker(0, 4).KillWorker(0, 6)
-	opts := &Options{Faults: faults, MaxRespawns: -1}
-	out, m := runChatter(t, g, sim.Config{
-		Seed: 5, Engine: sim.EngineDist, DistWorkers: 1, DistOpts: opts,
-	})
-	if !reflect.DeepEqual(wantOut, out) {
-		t.Fatal("results differ from clean run under repeated kills")
-	}
-	if wantM != m {
-		t.Fatalf("metrics differ under repeated kills:\nlegacy %+v\ndist   %+v", wantM, m)
-	}
-	if st := faults.Stats(); st.Respawns != 3 {
-		t.Fatalf("plan reports %d respawns, want 3", st.Respawns)
-	}
-}
-
-// TestDistRunDeadline pins the overall run deadline: an already-expired
-// deadline aborts the first round non-retryably, and a generous one
-// leaves a clean run byte-identical.
-func TestDistRunDeadline(t *testing.T) {
-	g := graph.Path(10)
-	out := make([]int64, g.N())
-	_, err := sim.RunStep(g, sim.Config{
-		Seed: 5, Engine: sim.EngineDist, DistWorkers: 1,
-		DistOpts: &Options{RunTimeout: time.Nanosecond},
-	}, chatter(out))
-	if err == nil {
-		t.Fatal("want run-deadline error, got success")
-	}
-	if !strings.Contains(err.Error(), "run deadline") {
-		t.Fatalf("err = %v, want run-deadline failure", err)
-	}
-
-	wantOut, wantM := runChatter(t, g, sim.Config{Seed: 5, Engine: sim.EngineLegacy})
-	got, m := runChatter(t, g, sim.Config{
-		Seed: 5, Engine: sim.EngineDist, DistWorkers: 1,
-		DistOpts: &Options{RunTimeout: 5 * time.Minute},
-	})
-	if !reflect.DeepEqual(wantOut, got) || wantM != m {
-		t.Fatal("generous deadline perturbed a clean run")
+	if st := faults.Stats(); st.Respawns != maxRespawns {
+		t.Fatalf("plan reports %d respawns, want exactly the budget of %d", st.Respawns, maxRespawns)
 	}
 }

@@ -13,8 +13,6 @@ import (
 // sockets for the children a coordinator starts on its own box, TCP for
 // workers on other machines.
 
-const dialTimeout = 5 * time.Second
-
 // advertiseTCP turns a TCP listener's bound address into the
 // scheme-prefixed address the worker announces. A wildcard bind
 // ("0.0.0.0:9100", ":9100") is not dialable as written, so it is announced
@@ -51,13 +49,15 @@ func listenSpec(spec string) (net.Listener, string, error) {
 	}
 }
 
-// dialAddr connects a coordinator to a scheme-prefixed worker address.
-func dialAddr(addr string) (net.Conn, error) {
+// dialAddr connects a coordinator to a scheme-prefixed worker address,
+// giving up at deadline.
+func dialAddr(addr string, deadline time.Time) (net.Conn, error) {
+	d := net.Dialer{Deadline: deadline}
 	switch {
 	case strings.HasPrefix(addr, "unix:"):
-		return net.DialTimeout("unix", strings.TrimPrefix(addr, "unix:"), dialTimeout)
+		return d.Dial("unix", strings.TrimPrefix(addr, "unix:"))
 	case strings.HasPrefix(addr, "tcp:"):
-		return net.DialTimeout("tcp", strings.TrimPrefix(addr, "tcp:"), dialTimeout)
+		return d.Dial("tcp", strings.TrimPrefix(addr, "tcp:"))
 	default:
 		return nil, fmt.Errorf("dist: address %q has no transport prefix", addr)
 	}

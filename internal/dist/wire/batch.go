@@ -154,30 +154,26 @@ func DecodeReply(data []byte) ([]sim.GlobalMsg, RoundStats, error) {
 
 // Hello is the coordinator's per-connection configuration handshake: the
 // static facts a worker needs to sort and validate every round of its
-// shard. HeartbeatMillis <= 0 disables the worker's liveness beacon.
-// Proto is the version negotiated from the Join's advertised range.
+// shard.
 type Hello struct {
-	Proto            int
 	N                int
 	LogN             int
 	Shard            int
-	Lo, Hi           int // the shard's node range [Lo, Hi)
-	StrictRecvFactor int // 0: no receive cap enforcement
-	HeartbeatMillis  int
+	Lo, Hi           int    // the shard's node range [Lo, Hi)
+	StrictRecvFactor int    // 0: no receive cap enforcement
 	Cut              []bool // global-edge cut marks, nil when unused
 }
 
-// AppendHello appends the Hello payload: a fixed section of 9 ints plus an
-// optional PackSorted section listing the true indices of Cut.
+// AppendHello appends the Hello payload: a fixed section of 8 ints, Version
+// first, plus an optional PackSorted section listing the true indices of Cut.
 func AppendHello(dst []byte, h Hello) []byte {
 	hasCut := int64(0)
 	if h.Cut != nil {
 		hasCut = 1
 	}
 	ints := []int64{
-		int64(h.Proto), int64(h.N), int64(h.LogN), int64(h.Shard),
-		int64(h.Lo), int64(h.Hi), int64(h.StrictRecvFactor),
-		int64(h.HeartbeatMillis), hasCut,
+		Version, int64(h.N), int64(h.LogN), int64(h.Shard),
+		int64(h.Lo), int64(h.Hi), int64(h.StrictRecvFactor), hasCut,
 	}
 	dst = appendSection(dst, persist.PackInt64s(ints))
 	if h.Cut != nil {
@@ -194,29 +190,25 @@ func AppendHello(dst []byte, h Hello) []byte {
 
 // DecodeHello decodes a full Hello payload.
 func DecodeHello(data []byte) (Hello, error) {
-	sec, pos, err := nextSection(data, 0)
+	vals, pos, err := versionedSection(data, 8, "hello")
 	if err != nil {
 		return Hello{}, err
 	}
-	vals, err := persist.UnpackInt64s(sec)
-	if err != nil || len(vals) != 9 {
-		return Hello{}, fmt.Errorf("%w: bad hello section", ErrMalformed)
-	}
-	for i, v := range vals[:8] {
+	for i, v := range vals[1:7] {
 		if v < 0 || v > maxNodeID {
-			return Hello{}, fmt.Errorf("%w: hello field %d out of range (%d)", ErrMalformed, i, v)
+			return Hello{}, fmt.Errorf("%w: hello field %d out of range (%d)", ErrMalformed, i+1, v)
 		}
 	}
 	h := Hello{
-		Proto: int(vals[0]), N: int(vals[1]), LogN: int(vals[2]), Shard: int(vals[3]),
+		N: int(vals[1]), LogN: int(vals[2]), Shard: int(vals[3]),
 		Lo: int(vals[4]), Hi: int(vals[5]), StrictRecvFactor: int(vals[6]),
-		HeartbeatMillis: int(vals[7]),
 	}
-	if vals[8] != 0 {
-		sec, pos, err = nextSection(data, pos)
+	if vals[7] != 0 {
+		sec, next, err := nextSection(data, pos)
 		if err != nil {
 			return Hello{}, err
 		}
+		pos = next
 		idx, err := persist.UnpackSorted(sec)
 		if err != nil {
 			return Hello{}, fmt.Errorf("%w: bad hello cut section: %v", ErrMalformed, err)
@@ -240,54 +232,47 @@ func DecodeHello(data []byte) (Hello, error) {
 // connection serves.
 const AnyShard = -1
 
-// Handshake is a decoded Join / HelloAck payload: the version range the
-// peer speaks and the shard it claims (AnyShard: unpinned).
-type Handshake struct {
-	Min, Max int
-	Shard    int
-}
-
-// AppendHandshake appends the legacy single-version Join / HelloAck
-// payload a version-1 peer emits: [ProtoV1, shard].
+// AppendHandshake appends the Join / HelloAck payload: [Version, shard],
+// the shard being AnyShard for an unpinned worker's Join.
 func AppendHandshake(dst []byte, shard int) []byte {
-	return appendSection(dst, persist.PackInt64s([]int64{ProtoV1, int64(shard)}))
+	return appendSection(dst, persist.PackInt64s([]int64{Version, int64(shard)}))
 }
 
-// AppendHandshakeRange appends the versioned Join / HelloAck payload:
-// [min, max, shard], advertising the whole range the sender speaks so the
-// receiver can negotiate the highest common version.
-func AppendHandshakeRange(dst []byte, min, max, shard int) []byte {
-	return appendSection(dst, persist.PackInt64s([]int64{int64(min), int64(max), int64(shard)}))
-}
-
-// DecodeHandshake decodes a Join / HelloAck payload. The two-value legacy
-// form decodes as Min == Max == the announced version, so old and new
-// peers negotiate through the same path.
-func DecodeHandshake(data []byte) (Handshake, error) {
-	sec, pos, err := nextSection(data, 0)
+// DecodeHandshake decodes a Join / HelloAck payload and returns the shard
+// it claims.
+func DecodeHandshake(data []byte) (int, error) {
+	vals, pos, err := versionedSection(data, 2, "handshake")
 	if err != nil {
-		return Handshake{}, err
-	}
-	vals, err := persist.UnpackInt64s(sec)
-	if err != nil || (len(vals) != 2 && len(vals) != 3) {
-		return Handshake{}, fmt.Errorf("%w: bad handshake section", ErrMalformed)
+		return 0, err
 	}
 	if pos != len(data) {
-		return Handshake{}, fmt.Errorf("%w: trailing bytes after handshake", ErrMalformed)
+		return 0, fmt.Errorf("%w: trailing bytes after handshake", ErrMalformed)
 	}
-	var h Handshake
-	if len(vals) == 2 {
-		h = Handshake{Min: int(vals[0]), Max: int(vals[0]), Shard: int(vals[1])}
-	} else {
-		h = Handshake{Min: int(vals[0]), Max: int(vals[1]), Shard: int(vals[2])}
+	if vals[1] < AnyShard || vals[1] > maxNodeID {
+		return 0, fmt.Errorf("%w: handshake shard %d out of range", ErrMalformed, vals[1])
 	}
-	if h.Min < 1 || h.Min > maxNodeID || h.Max < h.Min || h.Max > maxNodeID {
-		return Handshake{}, fmt.Errorf("%w: handshake version range [%d,%d] out of range", ErrMalformed, h.Min, h.Max)
+	return int(vals[1]), nil
+}
+
+// versionedSection decodes the leading section of a Join, HelloAck or Hello
+// payload: n ints, Version first. The layout is the version's, so another
+// version is refused, naming both, before the length is checked.
+func versionedSection(data []byte, n int, what string) ([]int64, int, error) {
+	sec, pos, err := nextSection(data, 0)
+	if err != nil {
+		return nil, 0, err
 	}
-	if h.Shard < AnyShard || h.Shard > maxNodeID {
-		return Handshake{}, fmt.Errorf("%w: handshake shard %d out of range", ErrMalformed, h.Shard)
+	vals, err := persist.UnpackInt64s(sec)
+	if err != nil || len(vals) == 0 {
+		return nil, 0, fmt.Errorf("%w: bad %s section", ErrMalformed, what)
 	}
-	return h, nil
+	if vals[0] != Version {
+		return nil, 0, fmt.Errorf("wire: %s at protocol version %d, this build speaks %d", what, vals[0], Version)
+	}
+	if len(vals) != n {
+		return nil, 0, fmt.Errorf("%w: bad %s section", ErrMalformed, what)
+	}
+	return vals, pos, nil
 }
 
 // appendSection appends one uvarint-length-prefixed byte section.

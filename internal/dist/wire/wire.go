@@ -31,38 +31,13 @@ import (
 	"io"
 )
 
-// The protocol version. A connection speaks exactly one, negotiated during
-// the Join/Hello handshake: each peer advertises the [min, max] range its
-// build supports and the pair settles on the highest version common to both
-// ranges, so a build that speaks more still interoperates with this one and
-// truly incompatible pairs fail with an explicit range error instead of
-// silent garbage. ProtoV1 is the lockstep protocol: one round in flight per
-// worker, a one-reply cache, 9-field Hello.
-const (
-	ProtoV1 = 1
-
-	// ProtoMin and ProtoMax bound the versions this build speaks.
-	ProtoMin = ProtoV1
-	ProtoMax = ProtoV1
-)
-
-// Negotiate returns the highest protocol version inside both peers'
-// advertised [min, max] ranges, or an error naming both ranges when they
-// do not intersect.
-func Negotiate(aMin, aMax, bMin, bMax int) (int, error) {
-	hi := aMax
-	if bMax < hi {
-		hi = bMax
-	}
-	lo := aMin
-	if bMin > lo {
-		lo = bMin
-	}
-	if hi < lo {
-		return 0, fmt.Errorf("wire: no common protocol version: [%d,%d] vs [%d,%d]", aMin, aMax, bMin, bMax)
-	}
-	return hi, nil
-}
+// Version is the one protocol version this build speaks: the lockstep
+// protocol (one round in flight per worker, a one-reply cache) with an 8-int
+// Hello. The Join, Hello and HelloAck payloads each lead with it, and their
+// decoders refuse any other version, naming both, before reading the rest.
+// Older builds spoke 1 (a 9-int Hello carrying a liveness-beacon period)
+// and advertised the range [1,2]; both are refused.
+const Version = 3
 
 // MaxFrameLen bounds the length prefix: no frame body may exceed 64 MiB,
 // compressed or decompressed. The bound exists so length validation can
@@ -89,25 +64,24 @@ const flagCompressed = 0x01
 type FrameType uint8
 
 // The protocol's frame types. Join is the worker's first frame on an
-// accepted connection (its protocol range and shard pinning); Hello/HelloAck is
-// the per-connection configuration handshake; Round/RoundReply carry one
-// round's staged message batches; Heartbeat is both the worker's periodic
-// liveness beacon and the coordinator's ping (a worker echoes one back);
-// Shutdown ends a worker; Error reports a worker-side protocol failure.
+// accepted connection (its protocol version and shard pinning);
+// Hello/HelloAck is the per-connection configuration handshake; Round/
+// RoundReply carry one round's staged message batches; Shutdown ends a
+// worker; Error reports a worker-side protocol failure. Type 6 is retired
+// (it was a liveness beacon), so the others keep their values.
 const (
 	FrameJoin FrameType = 1 + iota
 	FrameHello
 	FrameHelloAck
 	FrameRound
 	FrameRoundReply
-	FrameHeartbeat
+	_
 	FrameShutdown
 	FrameError
 )
 
 var frameNames = [...]string{FrameJoin: "join", FrameHello: "hello", FrameHelloAck: "hello-ack",
-	FrameRound: "round", FrameRoundReply: "round-reply", FrameHeartbeat: "heartbeat",
-	FrameShutdown: "shutdown", FrameError: "error"}
+	FrameRound: "round", FrameRoundReply: "round-reply", FrameShutdown: "shutdown", FrameError: "error"}
 
 // String names the frame type for error messages.
 func (t FrameType) String() string {

@@ -34,7 +34,7 @@ func roundTripFrame(t *testing.T, f Frame) Frame {
 
 func TestFrameRoundTrip(t *testing.T) {
 	cases := []Frame{
-		{Type: FrameHeartbeat},
+		{Type: FrameShutdown},
 		{Type: FrameJoin, Shard: 3, Payload: AppendHandshake(nil, 3)},
 		{Type: FrameRound, Round: 12345, Shard: 7, Payload: []byte("hello")},
 		{Type: FrameError, Payload: []byte("boom")},
@@ -215,8 +215,8 @@ func TestReplyRoundTrip(t *testing.T) {
 
 func TestHelloRoundTrip(t *testing.T) {
 	cases := []Hello{
-		{Proto: ProtoV1, N: 100, LogN: 7, Shard: 2, Lo: 50, Hi: 75, StrictRecvFactor: 2, HeartbeatMillis: 500},
-		{Proto: ProtoV1, N: 4, LogN: 2, Shard: 0, Lo: 0, Hi: 4, Cut: []bool{true, false, false, true}},
+		{N: 100, LogN: 7, Shard: 2, Lo: 50, Hi: 75, StrictRecvFactor: 2},
+		{N: 4, LogN: 2, Shard: 0, Lo: 0, Hi: 4, Cut: []bool{true, false, false, true}},
 	}
 	for i, h := range cases {
 		got, err := DecodeHello(AppendHello(nil, h))
@@ -230,68 +230,50 @@ func TestHelloRoundTrip(t *testing.T) {
 	if _, err := DecodeHello([]byte{0xff}); !errors.Is(err, ErrMalformed) {
 		t.Fatal("garbage hello accepted")
 	}
-	// The 10-int hello of the retired pipelining protocol (a peer that
-	// ignored the negotiated version) is malformed, not misread.
-	if _, err := DecodeHello(windowedHello); !errors.Is(err, ErrMalformed) {
-		t.Fatalf("10-int hello accepted: %v", err)
+	if _, err := DecodeHello(ints(Version, 8, 3, 0, 0, 8, 0)); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("7-int hello at this version accepted: %v", err)
+	}
+	// The hellos of older builds are refused by their version, whatever
+	// their length: version 1's 9 ints, the retired version 2's 10.
+	for _, old := range [][]byte{v1Hello, windowedHello} {
+		_, err := DecodeHello(old)
+		if err == nil || !strings.Contains(err.Error(), "this build speaks 3") {
+			t.Fatalf("older build's hello: %v, want a version refusal", err)
+		}
 	}
 }
 
+// ints is a payload of one section holding vals, the way every handshake
+// and hello section is laid out.
+func ints(vals ...int64) []byte { return appendSection(nil, persist.PackInt64s(vals)) }
+
+// v1Hello is version 1's hello: a ninth int, the liveness-beacon period,
+// before the cut marker.
+var v1Hello = ints(1, 8, 3, 0, 0, 8, 0, 500, 0)
+
 // windowedHello is the hello payload of the retired version 2: a tenth int,
 // the pipelining window, before the cut marker.
-var windowedHello = appendSection(nil, persist.PackInt64s([]int64{2, 8, 3, 0, 0, 8, 0, 0, 4, 0}))
+var windowedHello = ints(2, 8, 3, 0, 0, 8, 0, 0, 4, 0)
 
 func TestHandshakeRoundTrip(t *testing.T) {
-	// Legacy 2-value form: decodes as a single-version range.
-	hs, err := DecodeHandshake(AppendHandshake(nil, 5))
-	if err != nil || hs.Min != ProtoV1 || hs.Max != ProtoV1 || hs.Shard != 5 {
-		t.Fatalf("legacy handshake round trip: %+v %v", hs, err)
-	}
-	// Versioned 3-value form, including an unpinned (AnyShard) worker.
-	for _, c := range []Handshake{
-		{Min: ProtoMin, Max: ProtoMax, Shard: 3},
-		{Min: 1, Max: 1, Shard: 0},
-		{Min: 2, Max: 9, Shard: AnyShard},
-	} {
-		got, err := DecodeHandshake(AppendHandshakeRange(nil, c.Min, c.Max, c.Shard))
-		if err != nil || got != c {
-			t.Fatalf("handshake range round trip: %+v -> %+v %v", c, got, err)
+	for _, shard := range []int{0, 3, AnyShard} {
+		got, err := DecodeHandshake(AppendHandshake(nil, shard))
+		if err != nil || got != shard {
+			t.Fatalf("handshake round trip: %d -> %d %v", shard, got, err)
 		}
 	}
 	if _, err := DecodeHandshake([]byte{3, 1}); err == nil {
 		t.Fatal("garbage handshake accepted")
 	}
-	// Inverted range and out-of-range shard are rejected.
-	if _, err := DecodeHandshake(AppendHandshakeRange(nil, 3, 2, 0)); err == nil {
-		t.Fatal("inverted version range accepted")
-	}
-	if _, err := DecodeHandshake(AppendHandshakeRange(nil, 1, 2, -7)); err == nil {
+	if _, err := DecodeHandshake(ints(Version, -7)); err == nil {
 		t.Fatal("negative non-AnyShard shard accepted")
 	}
-}
-
-func TestNegotiate(t *testing.T) {
-	cases := []struct {
-		aMin, aMax, bMin, bMax int
-		want                   int
-		wantErr                bool
-	}{
-		{1, 1, 1, 1, 1, false}, // this build on both sides
-		{1, 2, 1, 2, 2, false}, // highest common version wins
-		{1, 1, 1, 2, 1, false}, // this coordinator, a worker that speaks more
-		{1, 2, 1, 1, 1, false}, // and the reverse
-		{1, 2, 2, 3, 2, false}, // overlapping ranges
-		{1, 1, 2, 3, 0, true},  // disjoint: incompatible builds
-		{3, 4, 1, 2, 0, true},  // disjoint the other way
-		{2, 2, 1, 3, 2, false}, // pinned version inside the peer's range
-	}
-	for i, c := range cases {
-		got, err := Negotiate(c.aMin, c.aMax, c.bMin, c.bMax)
-		if (err != nil) != c.wantErr || got != c.want {
-			t.Fatalf("case %d: Negotiate(%d,%d,%d,%d) = %d, %v", i, c.aMin, c.aMax, c.bMin, c.bMax, got, err)
-		}
-		if c.wantErr && !strings.Contains(err.Error(), "no common protocol version") {
-			t.Fatalf("case %d: error %q does not name the version conflict", i, err)
+	// Another version is refused naming both: the [1,2] range of older
+	// builds (three ints) and a later version's two.
+	for _, old := range [][]byte{ints(1, 2, 0), ints(Version+1, 0)} {
+		_, err := DecodeHandshake(old)
+		if err == nil || !strings.Contains(err.Error(), "this build speaks 3") {
+			t.Fatalf("handshake %v: %v, want a version refusal", old, err)
 		}
 	}
 }
@@ -300,10 +282,10 @@ func TestNegotiate(t *testing.T) {
 // (none may panic or over-allocate) and, when a frame does decode,
 // re-encodes and re-decodes it to assert the codec round-trips.
 func FuzzDistWire(f *testing.F) {
-	f.Add(AppendFrame(nil, Frame{Type: FrameHeartbeat}))
+	f.Add(AppendFrame(nil, Frame{Type: FrameShutdown}))
 	f.Add(AppendFrame(nil, Frame{Type: FrameJoin, Shard: 1, Payload: AppendHandshake(nil, 1)}))
-	f.Add(AppendFrame(nil, Frame{Type: FrameJoin, Shard: 1, Payload: AppendHandshakeRange(nil, ProtoMin, ProtoMax, 1)}))
-	f.Add(AppendFrame(nil, Frame{Type: FrameJoin, Shard: 0, Payload: AppendHandshakeRange(nil, ProtoMin, ProtoMax, AnyShard)}))
+	f.Add(AppendFrame(nil, Frame{Type: FrameJoin, Shard: 0, Payload: AppendHandshake(nil, AnyShard)}))
+	f.Add(AppendFrame(nil, Frame{Type: FrameJoin, Shard: 0, Payload: ints(1, 2, 0)}))
 	f.Add(AppendFrame(nil, Frame{
 		Type: FrameRound, Round: 3, Shard: 0,
 		Payload: AppendMsgs(nil, []sim.GlobalMsg{{Src: 1, Dst: 2, Kind: 3, F0: -9}}),
@@ -314,9 +296,10 @@ func FuzzDistWire(f *testing.F) {
 	}))
 	f.Add(AppendFrame(nil, Frame{
 		Type:    FrameHello,
-		Payload: AppendHello(nil, Hello{Proto: ProtoV1, N: 8, LogN: 3, Hi: 8, Cut: []bool{true, false, true, false, true, false, true, false}}),
+		Payload: AppendHello(nil, Hello{N: 8, LogN: 3, Hi: 8, Cut: []bool{true, false, true, false, true, false, true, false}}),
 	}))
 	f.Add(AppendFrame(nil, Frame{Type: FrameHello, Payload: windowedHello}))
+	f.Add(AppendFrame(nil, Frame{Type: FrameHello, Payload: v1Hello}))
 	f.Add([]byte{0xff, 0xff, 0xff, 0x03}) // huge length prefix, no body
 	f.Fuzz(func(t *testing.T, data []byte) {
 		frame, n, err := DecodeFrame(data)

@@ -8,7 +8,6 @@ import (
 	"os"
 	"sort"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -73,7 +72,7 @@ func init() {
 
 // ListenWorker is a worker waiting for coordinators, serving them one at a
 // time. Each accepted connection is announced with a Join frame carrying
-// the protocol range this build speaks and the worker's shard pinning, then
+// the protocol version this build speaks and the worker's shard pinning, then
 // served with the normal protocol loop; when a connection ends (shutdown,
 // coordinator death, kill fault) a resident worker goes back to accepting,
 // which is what makes coordinator-side re-dial recovery work.
@@ -144,7 +143,7 @@ func (lw *ListenWorker) serveOne(conn net.Conn) {
 	join := wire.AppendFrame(nil, wire.Frame{
 		Type:    wire.FrameJoin,
 		Shard:   frameShard,
-		Payload: wire.AppendHandshakeRange(nil, wire.ProtoMin, wire.ProtoMax, lw.shard),
+		Payload: wire.AppendHandshake(nil, lw.shard),
 	})
 	if _, err := conn.Write(join); err != nil {
 		fmt.Fprintf(os.Stderr, "hybrid dist worker: sending join: %v\n", err)
@@ -180,32 +179,10 @@ type workerState struct {
 // ServeConn runs the worker protocol loop over one coordinator
 // connection until a Shutdown frame, EOF, or an unrecoverable error. It
 // is exported so tests can drive the exact production loop in-process
-// (over net.Pipe), where coverage and the race detector see it.
+// (over net.Pipe), where coverage and the race detector see it. Only this
+// goroutine writes to conn.
 func ServeConn(conn net.Conn) error {
-	var (
-		writeMu  sync.Mutex
-		st       *workerState
-		beatStop chan struct{}
-		beatOnce bool
-	)
-	send := func(f wire.Frame) error {
-		writeMu.Lock()
-		defer writeMu.Unlock()
-		_, err := conn.Write(wire.AppendFrame(nil, f))
-		return err
-	}
-	sendRaw := func(b []byte) error {
-		writeMu.Lock()
-		defer writeMu.Unlock()
-		_, err := conn.Write(b)
-		return err
-	}
-	defer func() {
-		if beatStop != nil {
-			close(beatStop)
-		}
-	}()
-
+	var st *workerState
 	for {
 		f, err := wire.ReadFrame(conn)
 		if err != nil {
@@ -214,103 +191,70 @@ func ServeConn(conn net.Conn) error {
 			}
 			return err
 		}
+		var out []byte
 		switch f.Type {
 		case wire.FrameHello:
 			h, err := wire.DecodeHello(f.Payload)
 			if err != nil {
-				return err
-			}
-			if h.Proto < wire.ProtoMin || h.Proto > wire.ProtoMax {
-				send(wire.Frame{Type: wire.FrameError,
-					Payload: []byte(fmt.Sprintf("protocol version %d, worker speaks [%d,%d]", h.Proto, wire.ProtoMin, wire.ProtoMax))})
-				return fmt.Errorf("dist: protocol version mismatch: coordinator %d, worker [%d,%d]", h.Proto, wire.ProtoMin, wire.ProtoMax)
+				// Best effort: the connection ends with the error either way.
+				conn.Write(errorFrame(err.Error()))
+				return fmt.Errorf("dist: refusing hello: %w", err)
 			}
 			st = &workerState{
 				shard: h.Shard, lo: h.Lo, hi: h.Hi, logN: h.LogN,
 				strict: h.StrictRecvFactor, cut: h.Cut,
 				counts: make([]int, h.Hi-h.Lo),
 			}
-			if err := send(wire.Frame{Type: wire.FrameHelloAck, Shard: h.Shard,
-				Payload: wire.AppendHandshake(nil, h.Shard)}); err != nil {
-				return err
-			}
-			if h.HeartbeatMillis > 0 && !beatOnce {
-				beatOnce = true
-				beatStop = make(chan struct{})
-				go heartbeatLoop(send, h.Shard, time.Duration(h.HeartbeatMillis)*time.Millisecond, beatStop)
-			}
+			out = wire.AppendFrame(nil, wire.Frame{Type: wire.FrameHelloAck, Shard: h.Shard,
+				Payload: wire.AppendHandshake(nil, h.Shard)})
 		case wire.FrameRound:
 			if st == nil {
-				if err := send(wire.Frame{Type: wire.FrameError,
-					Payload: []byte("round before hello")}); err != nil {
-					return err
-				}
-				continue
-			}
-			if st.lastReply != nil && f.Round == st.lastRound {
-				// Duplicate of the round just served: the coordinator's
-				// retry path resent after a lost or late reply. Answer
-				// from the cache — recomputing would be byte-identical,
-				// resending is cheaper.
-				if err := sendRaw(st.lastReply); err != nil {
-					return err
-				}
-				continue
-			}
-			msgs, err := wire.DecodeMsgs(f.Payload)
-			if err != nil {
-				if serr := send(wire.Frame{Type: wire.FrameError,
-					Payload: []byte(fmt.Sprintf("round %d: %v", f.Round, err))}); serr != nil {
-					return serr
-				}
-				continue
-			}
-			sorted, stats, err := st.processRound(msgs)
-			if err != nil {
-				if serr := send(wire.Frame{Type: wire.FrameError,
-					Payload: []byte(fmt.Sprintf("round %d: %v", f.Round, err))}); serr != nil {
-					return serr
-				}
-				continue
-			}
-			reply := wire.AppendFrame(nil, wire.Frame{
-				Type:    wire.FrameRoundReply,
-				Round:   f.Round,
-				Shard:   st.shard,
-				Payload: wire.AppendReply(nil, sorted, stats),
-			})
-			st.lastRound, st.lastReply = f.Round, reply
-			if err := sendRaw(reply); err != nil {
-				return err
-			}
-		case wire.FrameHeartbeat:
-			// Coordinator ping: echo one back.
-			if err := send(wire.Frame{Type: wire.FrameHeartbeat, Shard: f.Shard}); err != nil {
-				return err
+				out = errorFrame("round before hello")
+			} else {
+				out = st.reply(f)
 			}
 		case wire.FrameShutdown:
 			return nil
 		default:
 			return fmt.Errorf("dist: worker received unexpected %v frame", f.Type)
 		}
+		if _, err := conn.Write(out); err != nil {
+			return err
+		}
 	}
 }
 
-// heartbeatLoop emits unsolicited liveness beacons until stopped or the
-// connection dies.
-func heartbeatLoop(send func(wire.Frame) error, shard int, every time.Duration, stop chan struct{}) {
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			if send(wire.Frame{Type: wire.FrameHeartbeat, Shard: shard}) != nil {
-				return
-			}
-		}
+// errorFrame encodes a worker-side protocol failure for the coordinator.
+func errorFrame(msg string) []byte {
+	return wire.AppendFrame(nil, wire.Frame{Type: wire.FrameError, Payload: []byte(msg)})
+}
+
+// reply answers one round request. A duplicate of the round just served —
+// the coordinator's retry path resent after a lost or late reply — is
+// answered from the cache: recomputing would be byte-identical, resending is
+// cheaper. A batch that does not decode or belong to the shard is answered
+// with an error frame.
+func (st *workerState) reply(f wire.Frame) []byte {
+	if st.lastReply != nil && f.Round == st.lastRound {
+		return st.lastReply
 	}
+	msgs, err := wire.DecodeMsgs(f.Payload)
+	var sorted []sim.GlobalMsg
+	var stats wire.RoundStats
+	if err == nil {
+		sorted, stats, err = st.processRound(msgs)
+	}
+	if err != nil {
+		return errorFrame(fmt.Sprintf("round %d: %v", f.Round, err))
+	}
+	st.lastRound = f.Round
+	st.lastReply = wire.AppendFrame(nil, wire.Frame{
+		Type:    wire.FrameRoundReply,
+		Round:   f.Round,
+		Shard:   st.shard,
+		Payload: wire.AppendReply(nil, sorted, stats),
+	})
+	return st.lastReply
 }
 
 // processRound sorts one round's batch into delivery order and computes

@@ -138,42 +138,6 @@ func (s *Set) Has(k uint64) bool {
 	}
 }
 
-// Del removes k and reports whether it was present, compacting the probe
-// chain by backward shifting (no tombstones, so lookup cost never decays).
-func (s *Set) Del(k uint64) bool {
-	if s.used == 0 {
-		return false
-	}
-	v := k + 1
-	mask := uint64(len(s.tab) - 1)
-	i := Hash(k) & mask
-	for s.tab[i] != v {
-		if s.tab[i] == 0 {
-			return false
-		}
-		i = (i + 1) & mask
-	}
-	s.tab[i] = 0
-	j := i
-	for {
-		j = (j + 1) & mask
-		w := s.tab[j]
-		if w == 0 {
-			break
-		}
-		// Move w back into the hole iff its home slot is cyclically
-		// outside (i, j] — the standard backward-shift condition.
-		h := Hash(w-1) & mask
-		if (j-h)&mask >= (j-i)&mask {
-			s.tab[i] = w
-			s.tab[j] = 0
-			i = j
-		}
-	}
-	s.used--
-	return true
-}
-
 // AppendSortedKeys appends the live keys to dst in ascending order and
 // returns the extended slice. The canonical drain for callers whose
 // downstream logic must not depend on insertion history.
@@ -306,44 +270,6 @@ func (m *Map[V]) Has(k uint64) bool {
 		}
 		i = (i + 1) & mask
 	}
-}
-
-// Del removes k and reports whether it was present (backward-shift
-// compaction, like Set.Del). The vacated value slot is zeroed.
-func (m *Map[V]) Del(k uint64) bool {
-	if m.used == 0 {
-		return false
-	}
-	v := k + 1
-	mask := uint64(len(m.keys) - 1)
-	i := Hash(k) & mask
-	for m.keys[i] != v {
-		if m.keys[i] == 0 {
-			return false
-		}
-		i = (i + 1) & mask
-	}
-	var zero V
-	m.keys[i] = 0
-	m.vals[i] = zero
-	j := i
-	for {
-		j = (j + 1) & mask
-		w := m.keys[j]
-		if w == 0 {
-			break
-		}
-		h := Hash(w-1) & mask
-		if (j-h)&mask >= (j-i)&mask {
-			m.keys[i] = w
-			m.vals[i] = m.vals[j]
-			m.keys[j] = 0
-			m.vals[j] = zero
-			i = j
-		}
-	}
-	m.used--
-	return true
 }
 
 // AppendSortedKeys appends the live keys to dst in ascending order and

@@ -118,15 +118,6 @@ func APSP(g *Graph) [][]int64 {
 	return out
 }
 
-// HopAPSP returns the full hop-distance matrix via BFS from every source.
-func HopAPSP(g *Graph) [][]int64 {
-	out := make([][]int64, g.N())
-	for u := 0; u < g.N(); u++ {
-		out[u] = BFS(g, u)
-	}
-	return out
-}
-
 // HopDiameter returns D(G) := max_{u,v} hop(u,v), the paper's diameter
 // (§1.3 defines the diameter over hop distances, even on weighted graphs).
 // It returns Inf for disconnected graphs and 0 for graphs with fewer than

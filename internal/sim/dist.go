@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"sync"
 )
@@ -36,6 +37,10 @@ type DistRouterConfig struct {
 	StrictRecvFactor int
 	Cut              []bool
 	Opts             any // Config.DistOpts, passed through opaquely
+	// Ctx is Config.Ctx (nil: context.Background()). The router ends every
+	// wait inside a round trip by its deadline and abandons a round trip
+	// once it is done, with an error wrapping ctx.Err().
+	Ctx context.Context
 }
 
 // DistRoundStats is the merged per-round accounting the router returns:
@@ -94,6 +99,7 @@ func (e *engine) startDist() error {
 		StrictRecvFactor: e.cfg.StrictRecvFactor,
 		Cut:              e.cfg.Cut,
 		Opts:             e.cfg.DistOpts,
+		Ctx:              e.cfg.Ctx,
 	})
 	if err != nil {
 		return fmt.Errorf("sim: starting dist router: %w", err)
