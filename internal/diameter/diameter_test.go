@@ -128,3 +128,27 @@ func TestDiameterDeterminism(t *testing.T) {
 		t.Fatalf("identical runs diverged")
 	}
 }
+
+// TestPlanPinned freezes what Algorithm 9 derives from each corollary's
+// spec: the skeleton exponent x = 2/(3+2δ), the exploration depth h and the
+// ηh exploration rounds (clamped to n).
+func TestPlanPinned(t *testing.T) {
+	for _, tt := range []struct {
+		name         string
+		spec         AlgSpec
+		n            int
+		x            float64
+		h, etaRounds int
+	}{
+		{"cor52 n=64", Corollary52(0.5, 0), 64, 2.0 / 3.0, 34, 64},
+		{"cor52 n=1024", Corollary52(0.25, 0), 1024, 2.0 / 3.0, 140, 560},
+		{"cor53 n=400", Corollary53(0.5, 0), 400, 0.6034456748031258, 129, 258},
+		{"mm n=400", RealMM(2), 400, 0.5454545454545455, 183, 366},
+		{"mm n=30", RealMM(2), 30, 0.5454545454545455, 30, 30},
+	} {
+		sp, h, eta := tt.spec.plan(Params{}, tt.n)
+		if sp.X != tt.x || h != tt.h || eta != tt.etaRounds {
+			t.Errorf("%s: plan = (x %v, h %d, ηh %d), want (x %v, h %d, ηh %d)", tt.name, sp.X, h, eta, tt.x, tt.h, tt.etaRounds)
+		}
+	}
+}
