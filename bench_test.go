@@ -1,8 +1,8 @@
-// Benchmark harness: one target per experiment of the per-experiment index
-// in DESIGN.md (E1-E11). Each benchmark executes the experiment, prints its
-// table once, reports the headline metric, and fails on any guarantee
-// violation — so `go test -bench=. -benchmem` regenerates every evaluable
-// artifact of the paper in one run. Use -short for the quick sweeps.
+// Benchmark harness: one target per experiment (E1-E11, the index is
+// experiments.All) and ablation (A1-A4). Each benchmark executes the
+// experiment, prints its table once, reports the headline metric, and fails
+// on any guarantee violation — so `go test -bench=. -benchmem` regenerates
+// every evaluable artifact of the paper in one run. Use -short for the quick sweeps.
 package hybrid_test
 
 import (

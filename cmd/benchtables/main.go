@@ -1,6 +1,6 @@
 // Command benchtables regenerates every experiment table of the
-// reproduction (E1-E11, the per-experiment index in DESIGN.md) and prints
-// them. Exit status 1 if any guarantee check failed.
+// reproduction (E1-E11, the per-experiment index is experiments.All) and
+// prints them. Exit status 1 if any guarantee check failed.
 //
 // Usage:
 //

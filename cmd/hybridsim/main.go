@@ -43,7 +43,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	nf := netflags.Register(fs, 100)
 	algo := fs.String("algo", "apsp", "algorithm: apsp|apsp-baseline|sssp|kssp|diameter")
-	variant := fs.String("variant", "cor52", "variant for kssp (cor46|cor47|cor48|mm) / diameter (cor52|cor53|mm)")
+	variant := fs.String("variant", "", "variant for kssp (cor46|cor47|cor48|mm; default cor47) / diameter (cor52|cor53|mm; default cor52)")
 	source := fs.Int("source", 0, "source node for sssp")
 	k := fs.Int("k", 3, "number of sources for kssp")
 	eps := fs.Float64("eps", 0.5, "epsilon for approximation variants")
@@ -143,6 +143,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			"cor46": hybrid.Cor46(*eps), "cor47": hybrid.Cor47(*eps),
 			"cor48": hybrid.Cor48(*eps), "mm": hybrid.KSSPRealMM(1 / *eps),
 		}
+		if *variant == "" {
+			*variant = "cor47" // the k-SSP variant that allows any k
+		}
 		spec, ok := specs[*variant]
 		if !ok {
 			return fatalf("unknown kssp variant %q", *variant)
@@ -170,6 +173,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "diameter":
 		specs := map[string]hybrid.DiameterSpec{
 			"cor52": hybrid.DiamCor52(*eps), "cor53": hybrid.DiamCor53(*eps), "mm": hybrid.DiamRealMM(1 / *eps),
+		}
+		if *variant == "" {
+			*variant = "cor52"
 		}
 		spec, ok := specs[*variant]
 		if !ok {

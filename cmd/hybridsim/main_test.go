@@ -273,3 +273,21 @@ func TestRunTreeGraph(t *testing.T) {
 		t.Errorf("tree sssp not exact:\n%s", stdout)
 	}
 }
+
+// TestRunDefaultVariant pins -variant's per-algorithm default: with no
+// -variant, kssp runs Corollary 4.7 (the one that allows any k) and
+// diameter Corollary 5.2.
+func TestRunDefaultVariant(t *testing.T) {
+	for _, c := range []struct{ algo, want string }{
+		{"kssp", "algorithm: Cor4.7(ε=0.5)"},
+		{"diameter", "algorithm: Cor5.2(ε=0.5)"},
+	} {
+		code, stdout, stderr := runCLI("-graph", "grid", "-n", "49", "-algo", c.algo)
+		if code != 0 {
+			t.Fatalf("-algo %s: exit %d, stderr:\n%s", c.algo, code, stderr)
+		}
+		if !strings.Contains(stdout, c.want) {
+			t.Errorf("-algo %s: missing %q:\n%s", c.algo, c.want, stdout)
+		}
+	}
+}

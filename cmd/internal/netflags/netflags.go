@@ -66,8 +66,12 @@ func (f *Flags) Options() ([]hybrid.Option, error) {
 
 // BuildGraph generates the graph -graph, -n and -maxw describe from a
 // source seeded with -seed, and returns the source too: a caller that draws
-// more from it (hybridsim's kssp sources) continues the same stream.
+// more from it (hybridsim's kssp sources) continues the same stream. An -n
+// below 1, or below what the kind can build, is an error.
 func (f *Flags) BuildGraph() (*hybrid.Graph, *rand.Rand, error) {
+	if f.N < 1 {
+		return nil, nil, fmt.Errorf("-n %d: a graph needs at least 1 node", f.N)
+	}
 	rng := rand.New(rand.NewSource(f.Seed))
 	var g *hybrid.Graph
 	switch f.Graph {
@@ -88,6 +92,9 @@ func (f *Flags) BuildGraph() (*hybrid.Graph, *rand.Rand, error) {
 	case "geometric":
 		g = hybrid.GeometricGraph(f.N, 0.15, rng)
 	case "barbell":
+		if f.N < 3 {
+			return nil, nil, fmt.Errorf("-n %d: a barbell needs at least 3 nodes", f.N)
+		}
 		g = hybrid.BarbellGraph(f.N/3, f.N/3)
 	default:
 		return nil, nil, fmt.Errorf("unknown graph kind %q", f.Graph)

@@ -2,6 +2,7 @@ package netflags
 
 import (
 	"flag"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -71,5 +72,27 @@ func TestFlags(t *testing.T) {
 				t.Fatalf("ran on %d nodes, want %d", len(res.Dist), c.nodes)
 			}
 		})
+	}
+}
+
+// TestBuildGraphSmallN runs every graph kind at the smallest node counts:
+// each must return a non-empty graph or an error naming -n, never panic,
+// and n < 1 is an error for every kind.
+func TestBuildGraphSmallN(t *testing.T) {
+	for _, kind := range []string{"grid", "path", "cycle", "tree", "sparse", "geometric", "barbell"} {
+		for _, n := range []int{-3, 0, 1, 2, 3} {
+			t.Run(fmt.Sprintf("%s n=%d", kind, n), func(t *testing.T) {
+				f := &Flags{Graph: kind, N: n, Seed: 1, MaxW: 3}
+				g, _, err := f.BuildGraph()
+				switch {
+				case n < 1 && err == nil:
+					t.Fatalf("built a %d-node graph for -n %d", g.N(), n)
+				case err == nil && g.N() < 1:
+					t.Fatalf("built an empty graph for -n %d", n)
+				case err != nil && !strings.Contains(err.Error(), "-n"):
+					t.Fatalf("error %q does not name -n", err)
+				}
+			})
+		}
 	}
 }

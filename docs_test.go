@@ -46,6 +46,49 @@ func TestDocsLinksResolve(t *testing.T) {
 	}
 }
 
+// walkGo calls fn for every Go file of the repository, skipping hidden
+// directories (.git, and the build cache a benchmark run leaves in
+// .bench_build).
+func walkGo(t *testing.T, fn func(path string) error) {
+	t.Helper()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if d != nil && d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
+		}
+		return fn(path)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+var mdName = regexp.MustCompile(`[\w./-]+\.md\b`)
+
+// TestGoCommentsNameExistingDocs: a markdown file a Go comment names must
+// exist, beside the Go file or at the repository root — a comment that
+// sends the reader to a missing document is a broken link too.
+func TestGoCommentsNameExistingDocs(t *testing.T) {
+	walkGo(t, func(path string) error {
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		for _, cg := range f.Comments {
+			for _, name := range mdName.FindAllString(cg.Text(), -1) {
+				_, errHere := os.Stat(filepath.Join(filepath.Dir(path), name))
+				_, errRoot := os.Stat(name)
+				if errHere != nil && errRoot != nil {
+					t.Errorf("%s: a comment names %s, which does not exist", path, name)
+				}
+			}
+		}
+		return nil
+	})
+}
+
 // TestEveryInternalPackageIsImported: every package under internal/ is
 // imported by a non-test file outside its own directory — or, for the test
 // harnesses, by a test file.
@@ -53,13 +96,7 @@ func TestEveryInternalPackageIsImported(t *testing.T) {
 	harness := map[string]bool{"internal/simtest": true, "internal/chaos": true}
 	packages := map[string]bool{} // directories under internal/ holding Go files
 	imported := map[string]bool{}
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if d != nil && d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
-			return filepath.SkipDir // .git, and the build cache a benchmark run leaves in .bench_build
-		}
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
-			return err
-		}
+	walkGo(t, func(path string) error {
 		dir := filepath.ToSlash(filepath.Dir(path))
 		if strings.HasPrefix(dir, "internal/") {
 			packages[dir] = true
@@ -77,9 +114,6 @@ func TestEveryInternalPackageIsImported(t *testing.T) {
 		}
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for pkg := range packages {
 		if !imported[pkg] {
 			t.Errorf("%s is imported by no file outside itself: delete it or use it", pkg)

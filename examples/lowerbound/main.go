@@ -12,6 +12,7 @@ import (
 	"math/rand"
 
 	"repro/internal/diameter"
+	"repro/internal/kssp"
 	"repro/internal/lowerbound"
 	"repro/internal/sim"
 )
@@ -52,7 +53,7 @@ func main() {
 			log.Fatal(err)
 		}
 		est, m, err := sim.RunPipeline(gm.G, sim.Config{Seed: 5, Cut: gm.AliceCut()},
-			diameter.Pipeline(diameter.Corollary52(0.5, 0), diameter.Params{}))
+			diameter.Pipeline(diameter.Corollary52(0.5, 0), kssp.Params{}))
 		if err != nil {
 			log.Fatal(err)
 		}

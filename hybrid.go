@@ -144,12 +144,6 @@ func WithEngine(e Engine) Option {
 	return func(nw *Network) { nw.cfg.Engine = e }
 }
 
-// WithGlobalSendFactor scales the global-mode cap: each node may send
-// factor*ceil(log2 n) messages per round (default 1, the model's O(log n)).
-func WithGlobalSendFactor(factor int) Option {
-	return func(nw *Network) { nw.cfg.GlobalSendFactor = factor }
-}
-
 // WithShards overrides the step engine's shard count (default:
 // autotuned from the CPU count and graph size). Results are independent of
 // the value; it exists for tuning and determinism tests.
@@ -187,11 +181,6 @@ func WithDistConnect(addrs ...string) Option {
 		nw.cfg.DistOpts = &o
 		nw.cfg.DistWorkers = len(addrs)
 	}
-}
-
-// WithMaxRounds overrides the runaway-guard round limit.
-func WithMaxRounds(r int) Option {
-	return func(nw *Network) { nw.cfg.MaxRounds = r }
 }
 
 // WithCut marks a node bipartition whose crossing global traffic is counted
@@ -490,7 +479,7 @@ func (nw *Network) SSSP(source int) (*SSSPResult, error) {
 type DiameterSpec struct {
 	name      string
 	guarantee string
-	alg       diameter.AlgSpec
+	alg       kssp.AlgSpec
 	valid     bool
 }
 
@@ -558,7 +547,7 @@ func (nw *Network) Diameter(spec DiameterSpec) (*DiameterResult, error) {
 	if !spec.valid {
 		return nil, fmt.Errorf("hybrid: invalid diameter spec (use DiamCor52, DiamCor53 or DiamRealMM)")
 	}
-	out, m, err := run(nw, diameter.Pipeline(spec.alg, diameter.Params{Routing: nw.routingParams(), SkeletonCache: nw.skeletons}))
+	out, m, err := run(nw, diameter.Pipeline(spec.alg, nw.ksspParams()))
 	if err != nil {
 		return nil, err
 	}

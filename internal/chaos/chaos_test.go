@@ -107,7 +107,7 @@ func TestFaultFSShortWrite(t *testing.T) {
 	defer restore()
 
 	path := filepath.Join(t.TempDir(), "cache.hybc")
-	if err := persist.Save(path, 1, []int{1, 2, 3}); err != nil {
+	if err := persist.SaveCompressed(path, 1, []int{1, 2, 3}); err != nil {
 		t.Fatalf("short write surfaced an error: %v", err)
 	}
 	st, err := os.Stat(path)
@@ -118,15 +118,15 @@ func TestFaultFSShortWrite(t *testing.T) {
 		t.Errorf("torn file is %d bytes, want 10", st.Size())
 	}
 	var out []int
-	if err := persist.Load(path, 1, &out); !errors.Is(err, persist.ErrCorrupt) {
+	if err := persist.LoadCompressed(path, 1, &out); !errors.Is(err, persist.ErrCorrupt) {
 		t.Errorf("loading torn file: got %v, want ErrCorrupt", err)
 	}
 
 	// The rule is consumed: the next save is clean and loads back.
-	if err := persist.Save(path, 1, []int{1, 2, 3}); err != nil {
+	if err := persist.SaveCompressed(path, 1, []int{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	if err := persist.Load(path, 1, &out); err != nil {
+	if err := persist.LoadCompressed(path, 1, &out); err != nil {
 		t.Fatal(err)
 	}
 	if s := p.Stats(); s.ShortWrites != 1 {
@@ -146,7 +146,7 @@ func TestFaultFSFailures(t *testing.T) {
 	defer restore()
 
 	for i := 0; i < 3; i++ {
-		if err := persist.Save(path, 1, []int{i}); !errors.Is(err, ErrInjectedWrite) {
+		if err := persist.SaveCompressed(path, 1, []int{i}); !errors.Is(err, ErrInjectedWrite) {
 			t.Fatalf("save %d: got %v, want ErrInjectedWrite", i, err)
 		}
 		if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
@@ -157,7 +157,7 @@ func TestFaultFSFailures(t *testing.T) {
 	if _, err := os.Stat(path); err != nil {
 		t.Errorf("fail-sync removed the installed file: %v", err)
 	}
-	if err := persist.Save(path, 1, []int{9}); err != nil {
+	if err := persist.SaveCompressed(path, 1, []int{9}); err != nil {
 		t.Fatalf("exhausted plan still failing: %v", err)
 	}
 	s := p.Stats()

@@ -23,8 +23,8 @@ import (
 // to stress the framework's error compounding end to end.
 //
 // This is the one deliberately non-distributed component of the repository
-// (inputs are pooled across the oracle's nodes); DESIGN.md documents the
-// substitution.
+// (inputs are pooled across the oracle's nodes); the kssp and diameter
+// corollaries that plug it in name the published algorithm it stands for.
 type Oracle struct {
 	q       int
 	rounds  int

@@ -8,12 +8,13 @@
 //   - Corollary 5.3: (1+ε)-approximation in O~(n^0.397/ε) via the
 //     ρ-exponent APSP of [8].
 //
-// Algorithm 9: build a skeleton with x = 2/(3+2δ); simulate A on it to get
-// D~(S); explore the local graph for ηh+1 rounds, which (I) spreads D~(S)
-// to everyone and (II) lets each node measure h_v, the largest hop distance
-// it sees; aggregate ĥ = max_v h_v over the global network (Lemma B.2);
-// output D~ = ĥ if ĥ <= ηh (the diameter was small enough to measure
-// exactly), else D~(S) + 2h (Equation 3).
+// Algorithm 9 shares Algorithm 5's framework, so it runs on kssp's AlgSpec,
+// Params, Plan and CliqueFactory: build a skeleton with x = 2/(3+2δ);
+// simulate A on it to get D~(S); explore the local graph for ηh+1 rounds,
+// which (I) spreads D~(S) to everyone and (II) lets each node measure h_v,
+// the largest hop distance it sees; aggregate ĥ = max_v h_v over the global
+// network (Lemma B.2); output D~ = ĥ if ĥ <= ηh (the diameter was small
+// enough to measure exactly), else D~(S) + 2h (Equation 3).
 package diameter
 
 import (
@@ -22,37 +23,11 @@ import (
 	"repro/internal/clique"
 	"repro/internal/cliquesim"
 	"repro/internal/graph"
+	"repro/internal/kssp"
 	"repro/internal/ncc"
-	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/skeleton"
 )
-
-// AlgSpec characterizes the CLIQUE diameter algorithm A (Theorem 5.1's
-// (α, β)-approximation with runtime O~(η q^δ)).
-type AlgSpec struct {
-	// Delta is A's runtime exponent δ (sets x = 2/(3+2δ)).
-	Delta float64
-	// Eta is A's runtime scale η >= 1; also the local exploration depth ηh.
-	Eta float64
-	// Factory builds A for a skeleton of size q. The algorithm's nodes must
-	// implement clique.DiameterNode.
-	Factory func(q int) clique.Algorithm
-}
-
-// Params tunes the run; the zero value follows the paper.
-type Params struct {
-	// XOverride replaces x = 2/(3+2δ) when in (0, 1).
-	XOverride float64
-	// HFactor forwards to skeleton.Params.
-	HFactor float64
-	// Routing tunes the CLIQUE simulation's token routing.
-	Routing routing.Params
-	// SkeletonCache, if non-nil, reuses skeleton construction results
-	// across runs with matching parameters and membership draws (see
-	// skeleton.ResultCache); the facade threads the Network's cache here.
-	SkeletonCache *skeleton.ResultCache
-}
 
 // diamFlood carries D~(S) from skeleton nodes through the local network.
 type diamFlood struct {
@@ -64,35 +39,6 @@ type diamFlood struct {
 type hopWave struct {
 	Source int
 	Hops   int
-}
-
-// plan resolves the derived parameters: skeleton params at x = 2/(3+2δ),
-// exploration depth h, and the ηh local exploration rounds.
-func (spec AlgSpec) plan(params Params, n int) (sp skeleton.Params, h, etaRounds int) {
-	x := params.XOverride
-	if x <= 0 || x >= 1 {
-		x = 2 / (3 + 2*spec.Delta)
-	}
-	sp = skeleton.Params{X: x, HFactor: params.HFactor, Cache: params.SkeletonCache}
-	h = sp.H(n)
-	etaRounds = int(math.Ceil(spec.Eta * float64(h)))
-	if etaRounds < h {
-		etaRounds = h
-	}
-	if etaRounds > n {
-		etaRounds = n
-	}
-	return sp, h, etaRounds
-}
-
-// cliqueFactory wraps spec.Factory as the run-scoped shared instance the
-// CLIQUE simulation needs (identical at every node; pooled for the
-// declared-cost oracle).
-func cliqueFactory(env *sim.Env, spec AlgSpec) cliquesim.Factory {
-	return func(q int, members []int) clique.Algorithm {
-		v := env.SharedOnce("diameter.alg", func() interface{} { return spec.Factory(q) })
-		return v.(clique.Algorithm)
-	}
 }
 
 // skeletonDiameter reads D~(S) out of a member's finished CLIQUE node
@@ -174,9 +120,9 @@ func (m *diamExploreMachine) Step(env *sim.Env) bool { return m.loop.Step(env) }
 // done receives this node's diameter estimate D~ with
 // D <= D~ <= (α + 2/η + β/T_B)·D w.h.p. on unweighted graphs (Theorem 5.1)
 // when the machine finishes.
-func NewComputeMachine(env *sim.Env, spec AlgSpec, params Params, done func(int64)) sim.StepProgram {
+func NewComputeMachine(env *sim.Env, spec kssp.AlgSpec, params kssp.Params, done func(int64)) sim.StepProgram {
 	n := env.N()
-	sp, h, etaRounds := spec.plan(params, n)
+	sp, h, etaRounds := spec.Plan(params, n)
 
 	var skelM *skeleton.ComputeMachine
 	var simRes cliquesim.Result
@@ -192,7 +138,7 @@ func NewComputeMachine(env *sim.Env, spec AlgSpec, params Params, done func(int6
 		},
 		func(env *sim.Env) sim.StepProgram {
 			return cliquesim.NewSimulateMachine(env, skelM.Res, sp.SampleProb(n),
-				cliqueFactory(env, spec), params.Routing,
+				kssp.CliqueFactory(env, spec, nil), params.Routing,
 				func(r cliquesim.Result) { simRes = r })
 		},
 		// Local exploration for ηh+1 rounds: flood D~(S) (every node has a
@@ -230,7 +176,7 @@ func NewComputeMachine(env *sim.Env, spec AlgSpec, params Params, done func(int6
 // Pipeline returns Algorithm 9 as a sim.Pipeline; the per-node result is
 // the node's diameter estimate (all nodes agree on consistent runs, which
 // the facade checks).
-func Pipeline(spec AlgSpec, params Params) sim.Pipeline[int64] {
+func Pipeline(spec kssp.AlgSpec, params kssp.Params) sim.Pipeline[int64] {
 	return func(env *sim.Env, done func(int64)) sim.StepProgram {
 		return NewComputeMachine(env, spec, params, done)
 	}
@@ -241,11 +187,11 @@ func Pipeline(spec AlgSpec, params Params) sim.Pipeline[int64] {
 // δ = 0. The declared-cost oracle emits the exact skeleton diameter, which
 // satisfies the (3/2+ε, W) envelope; perturbSeed != 0 stresses the
 // envelope's worst case.
-func Corollary52(eps float64, perturbSeed int64) AlgSpec {
-	return AlgSpec{
+func Corollary52(eps float64, perturbSeed int64) kssp.AlgSpec {
+	return kssp.AlgSpec{
 		Delta: 0,
 		Eta:   math.Max(1, 1/eps),
-		Factory: func(q int) clique.Algorithm {
+		Factory: func(q int, _ []int) clique.Algorithm {
 			return clique.NewOracle(q, nil,
 				clique.CostModel{Delta: 0, Eta: 1 / eps},
 				clique.Quality{Alpha: 1.5 + eps, PerturbSeed: perturbSeed}, true)
@@ -255,13 +201,13 @@ func Corollary52(eps float64, perturbSeed int64) AlgSpec {
 
 // Corollary53 returns the spec reproducing the (1+ε)-approximation in
 // O~(n^0.397/ε) via [8]'s ρ-exponent APSP (α = 1+o(1), β = 0).
-func Corollary53(eps float64, perturbSeed int64) AlgSpec {
-	return AlgSpec{
-		Delta: 0.15715,
+func Corollary53(eps float64, perturbSeed int64) kssp.AlgSpec {
+	return kssp.AlgSpec{
+		Delta: kssp.Rho,
 		Eta:   math.Max(1, 1/eps),
-		Factory: func(q int) clique.Algorithm {
+		Factory: func(q int, _ []int) clique.Algorithm {
 			return clique.NewOracle(q, nil,
-				clique.CostModel{Delta: 0.15715, Eta: 1},
+				clique.CostModel{Delta: kssp.Rho, Eta: 1},
 				clique.Quality{Alpha: 1 + eps, PerturbSeed: perturbSeed}, true)
 		},
 	}
@@ -270,11 +216,11 @@ func Corollary53(eps float64, perturbSeed int64) AlgSpec {
 // RealMM returns a fully message-passing instantiation: exact skeleton
 // diameter via semiring MM APSP plus a max-broadcast round (δ = 1/3,
 // α = 1), giving a (1 + 2/η)-approximation end to end.
-func RealMM(eta float64) AlgSpec {
-	return AlgSpec{
+func RealMM(eta float64) kssp.AlgSpec {
+	return kssp.AlgSpec{
 		Delta: 1.0 / 3.0,
 		Eta:   math.Max(1, eta),
-		Factory: func(q int) clique.Algorithm {
+		Factory: func(q int, _ []int) clique.Algorithm {
 			return clique.NewMM(q, true)
 		},
 	}

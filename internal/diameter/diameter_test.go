@@ -5,10 +5,11 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/kssp"
 	"repro/internal/sim"
 )
 
-func runDiameter(t *testing.T, g *graph.Graph, spec AlgSpec, params Params, seed int64) ([]int64, sim.Metrics) {
+func runDiameter(t *testing.T, g *graph.Graph, spec kssp.AlgSpec, params kssp.Params, seed int64) ([]int64, sim.Metrics) {
 	t.Helper()
 	out, m, err := sim.RunPipeline(g, sim.Config{Seed: seed}, Pipeline(spec, params))
 	if err != nil {
@@ -50,7 +51,7 @@ func TestSmallDiameterExact(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got, _ := runDiameter(t, tt.g, Corollary52(0.5, 0), Params{}, 3)
+			got, _ := runDiameter(t, tt.g, Corollary52(0.5, 0), kssp.Params{}, 3)
 			want := graph.HopDiameter(tt.g)
 			for v, est := range got {
 				if est != want {
@@ -67,7 +68,7 @@ func TestLargeDiameterWithinBound(t *testing.T) {
 	tests := []struct {
 		name  string
 		g     *graph.Graph
-		spec  AlgSpec
+		spec  kssp.AlgSpec
 		bound float64
 	}{
 		{"path cor52", graph.Path(150), Corollary52(0.5, 0), 1.5 + 0.5 + 2*0.5},
@@ -76,7 +77,7 @@ func TestLargeDiameterWithinBound(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got, _ := runDiameter(t, tt.g, tt.spec, Params{}, 5)
+			got, _ := runDiameter(t, tt.g, tt.spec, kssp.Params{}, 5)
 			checkAll(t, tt.g, got, tt.bound)
 		})
 	}
@@ -88,7 +89,7 @@ func TestPerturbedOracleStillWithinTheoremBound(t *testing.T) {
 	// skeletons is folded in by the corollary's analysis, adding 2ε.
 	g := graph.Path(160)
 	eps := 0.25
-	got, _ := runDiameter(t, g, Corollary52(eps, 77), Params{}, 7)
+	got, _ := runDiameter(t, g, Corollary52(eps, 77), kssp.Params{}, 7)
 	bound := 1.5 + eps + 2*eps + 2*eps + 0.2 // Corollary 5.2's (3/2 + 4ε) plus small-n slack
 	checkAll(t, g, got, bound)
 }
@@ -97,7 +98,7 @@ func TestRealMMDiameter(t *testing.T) {
 	// Fully message-passing: exact skeleton diameter via MM; (1+2/η) bound.
 	rng := rand.New(rand.NewSource(9))
 	g := graph.SparseConnected(90, 0.3, rng)
-	got, _ := runDiameter(t, g, RealMM(2), Params{}, 11)
+	got, _ := runDiameter(t, g, RealMM(2), kssp.Params{}, 11)
 	checkAll(t, g, got, 2.0)
 }
 
@@ -122,8 +123,8 @@ func TestCheckEstimate(t *testing.T) {
 
 func TestDiameterDeterminism(t *testing.T) {
 	g := graph.Grid(6, 8)
-	a, m1 := runDiameter(t, g, Corollary52(0.5, 0), Params{}, 13)
-	b, m2 := runDiameter(t, g, Corollary52(0.5, 0), Params{}, 13)
+	a, m1 := runDiameter(t, g, Corollary52(0.5, 0), kssp.Params{}, 13)
+	b, m2 := runDiameter(t, g, Corollary52(0.5, 0), kssp.Params{}, 13)
 	if m1.Rounds != m2.Rounds || a[0] != b[0] {
 		t.Fatalf("identical runs diverged")
 	}
@@ -135,7 +136,7 @@ func TestDiameterDeterminism(t *testing.T) {
 func TestPlanPinned(t *testing.T) {
 	for _, tt := range []struct {
 		name         string
-		spec         AlgSpec
+		spec         kssp.AlgSpec
 		n            int
 		x            float64
 		h, etaRounds int
@@ -146,7 +147,7 @@ func TestPlanPinned(t *testing.T) {
 		{"mm n=400", RealMM(2), 400, 0.5454545454545455, 183, 366},
 		{"mm n=30", RealMM(2), 30, 0.5454545454545455, 30, 30},
 	} {
-		sp, h, eta := tt.spec.plan(Params{}, tt.n)
+		sp, h, eta := tt.spec.Plan(kssp.Params{}, tt.n)
 		if sp.X != tt.x || h != tt.h || eta != tt.etaRounds {
 			t.Errorf("%s: plan = (x %v, h %d, ηh %d), want (x %v, h %d, ηh %d)", tt.name, sp.X, h, eta, tt.x, tt.h, tt.etaRounds)
 		}

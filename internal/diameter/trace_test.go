@@ -30,9 +30,9 @@ func pinnedDiameter(t *testing.T, g *graph.Graph, seed int64, pin simtest.Pin, d
 	}
 }
 
-func pinnedHopDiameter(t *testing.T, g *graph.Graph, spec AlgSpec, seed int64, bound float64, pin simtest.Pin) {
+func pinnedHopDiameter(t *testing.T, g *graph.Graph, spec kssp.AlgSpec, seed int64, bound float64, pin simtest.Pin) {
 	t.Helper()
-	pinnedDiameter(t, g, seed, pin, graph.HopDiameter(g), bound, Pipeline(spec, Params{}))
+	pinnedDiameter(t, g, seed, pin, graph.HopDiameter(g), bound, Pipeline(spec, kssp.Params{}))
 }
 
 // TestComputeMachineMatchesOracle covers the declared-cost oracle path

@@ -12,8 +12,9 @@ import (
 	"repro/internal/skeleton"
 )
 
-// Ablations for the design choices DESIGN.md documents as deviations or
-// tunings of the paper's constants. Each shows why the default was chosen.
+// Ablations for the design choices the package godoc of skeleton, helpers,
+// routing and sim documents as deviations or tunings of the paper's
+// constants. Each shows why the default was chosen.
 
 // A1HelperQBoost ablates the helper-sampling boost (paper: q = 2µ/|C|;
 // default here: QBoost=2, i.e. q = 4µ/|C|, plus the deterministic

@@ -272,7 +272,7 @@ func E7Diameter(cfg Config) Table {
 	}
 	variants := []struct {
 		name  string
-		spec  diameter.AlgSpec
+		spec  kssp.AlgSpec
 		bound float64
 	}{
 		{"Cor5.2 (3/2+eps)", diameter.Corollary52(eps, 0), 1.5 + 3*eps},
@@ -300,8 +300,8 @@ func E7Diameter(cfg Config) Table {
 	return t
 }
 
-func runDiameterVariant(g *graph.Graph, spec diameter.AlgSpec, seed int64) (int64, int, error) {
-	out, m, err := sim.RunPipeline(g, sim.Config{Seed: seed}, diameter.Pipeline(spec, diameter.Params{}))
+func runDiameterVariant(g *graph.Graph, spec kssp.AlgSpec, seed int64) (int64, int, error) {
+	out, m, err := sim.RunPipeline(g, sim.Config{Seed: seed}, diameter.Pipeline(spec, kssp.Params{}))
 	if err != nil {
 		return 0, 0, err
 	}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/diameter"
 	"repro/internal/graph"
 	"repro/internal/hybridapsp"
+	"repro/internal/kssp"
 	"repro/internal/lowerbound"
 	"repro/internal/ncc"
 	"repro/internal/sim"
@@ -65,7 +66,7 @@ func E9DiameterLowerBound(cfg Config) Table {
 	a, b := lowerbound.RandomInstance(p.Bits(), 0.3, false, rng)
 	gm, err := lowerbound.BuildGamma(p, a, b)
 	if err == nil {
-		_, m, runErr := sim.RunPipeline(gm.G, sim.Config{Seed: cfg.Seed, Cut: gm.AliceCut()}, diameter.Pipeline(diameter.Corollary52(0.5, 0), diameter.Params{}))
+		_, m, runErr := sim.RunPipeline(gm.G, sim.Config{Seed: cfg.Seed, Cut: gm.AliceCut()}, diameter.Pipeline(diameter.Corollary52(0.5, 0), kssp.Params{}))
 		if runErr == nil {
 			t.Notef("instrumented diameter run on Gamma (k=%d, l=%d, n=%d): %d global bits crossed the Alice/Bob cut; k^2 = %d bits of DISJ input",
 				k, l, gm.G.N(), m.CutGlobalBits, k*k)

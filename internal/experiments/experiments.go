@@ -1,6 +1,5 @@
 // Package experiments regenerates every evaluable artifact of the paper
-// (the per-experiment index lives in DESIGN.md; the recorded outcomes in
-// EXPERIMENTS.md). Each experiment returns a Table whose rows are the
+// (All is the per-experiment index). Each experiment returns a Table whose rows are the
 // series the paper's theorems predict; the bench harness (bench_test.go)
 // and cmd/benchtables both render them.
 package experiments

@@ -17,7 +17,7 @@ import (
 func TestAgreedPublishSharesSkeletonAPSP(t *testing.T) {
 	g := graph.Grid(16, 16)
 	n := g.N()
-	sp := Params{}.skeletonParams()
+	sp := Params{}.skeletonParams(theorem11X)
 	for _, shards := range []int{1, 4} {
 		pubs := make([]*publishMachine, n)
 		_, err := sim.RunStep(g, sim.Config{Seed: 3, Shards: shards}, func(env *sim.Env) sim.StepProgram {
@@ -25,7 +25,7 @@ func TestAgreedPublishSharesSkeletonAPSP(t *testing.T) {
 			return sim.Sequence(
 				func(*sim.Env) sim.StepProgram { return skelM },
 				func(env *sim.Env) sim.StepProgram {
-					pubs[env.ID()] = newPublishMachine(env, skelM.Res, ncc.DisseminateParams{})
+					pubs[env.ID()] = newPublishMachine(env, skelM.Res)
 					return pubs[env.ID()]
 				})
 		})

@@ -36,29 +36,26 @@ import (
 	"repro/internal/skeleton"
 )
 
-// Params tunes the APSP run. The zero value reproduces Theorem 1.1.
+// Params tunes the APSP run. The zero value reproduces the paper.
 type Params struct {
-	// X is the skeleton exponent: sampling probability n^(X-1). Theorem 1.1
-	// uses X = 0.5; the [3] baseline uses X = 1/3. Zero means 0.5.
-	X float64
-	// HFactor forwards to skeleton.Params.
-	HFactor float64
 	// Routing tunes the token routing protocol.
 	Routing routing.Params
-	// Dissemination tunes the token dissemination runs.
-	Dissemination ncc.DisseminateParams
 	// SkeletonCache, if non-nil, reuses skeleton construction results
 	// across runs with matching parameters and membership draws (see
 	// skeleton.ResultCache); the facade threads the Network's cache here.
 	SkeletonCache *skeleton.ResultCache
 }
 
-func (p Params) skeletonParams() skeleton.Params {
-	x := p.X
-	if x <= 0 || x >= 1 {
-		x = 0.5
-	}
-	return skeleton.Params{X: x, HFactor: p.HFactor, Cache: p.SkeletonCache}
+// The skeleton exponents: sampling probability n^(x-1). Theorem 1.1
+// balances x against n/x at x = 1/2; the [3] baseline's label broadcast
+// balances at x = 1/3.
+const (
+	theorem11X = 0.5
+	baselineX  = 1.0 / 3.0
+)
+
+func (p Params) skeletonParams(x float64) skeleton.Params {
+	return skeleton.Params{X: x, Cache: p.SkeletonCache}
 }
 
 // NewComputeMachine runs the Theorem 1.1 algorithm collectively (see
@@ -66,7 +63,7 @@ func (p Params) skeletonParams() skeleton.Params {
 // receives this node's exact distances to every node (graph.Inf for
 // unreachable) when the machine finishes.
 func NewComputeMachine(env *sim.Env, params Params, done func([]int64)) sim.StepProgram {
-	sp := params.skeletonParams()
+	sp := params.skeletonParams(theorem11X)
 	n := env.N()
 	h := sp.H(n)
 
@@ -95,7 +92,7 @@ func NewComputeMachine(env *sim.Env, params Params, done func([]int64)) sim.Step
 		// Phase 2: make E_S public knowledge, solve APSP on S locally.
 		func(env *sim.Env) sim.StepProgram {
 			local = exploreM.Near
-			pub = newPublishMachine(env, skel, params.Dissemination)
+			pub = newPublishMachine(env, skel)
 			return pub
 		},
 		// Phase 3: token routing — every node sends d(v, s), the best route
@@ -191,7 +188,7 @@ type (
 	labelMatrixKey  struct{}
 )
 
-func newPublishMachine(env *sim.Env, skel skeleton.Result, dp ncc.DisseminateParams) *publishMachine {
+func newPublishMachine(env *sim.Env, skel skeleton.Result) *publishMachine {
 	pm := &publishMachine{}
 	// Edge tokens: the smaller-ID endpoint owns the edge so the published
 	// estimate is consistent everywhere (the two endpoints' sandwich
@@ -221,7 +218,7 @@ func newPublishMachine(env *sim.Env, skel skeleton.Result, dp ncc.DisseminatePar
 			return aggSum
 		},
 		func(env *sim.Env) sim.StepProgram {
-			diss = ncc.NewDisseminateMachine(env, mine, int(aggSum.Out), int(aggMax.Out), dp)
+			diss = ncc.NewDisseminateMachine(env, mine, int(aggSum.Out), int(aggMax.Out), ncc.DisseminateParams{})
 			return diss
 		},
 		sim.Finish(func(env *sim.Env) {
@@ -292,10 +289,7 @@ func satAdd(a, b int64) int64 {
 // dissemination — Θ(n²/x) tokens, hence Θ~(n/sqrt(x)) rounds, optimized at
 // x = n^(2/3).
 func NewBaselineComputeMachine(env *sim.Env, params Params, done func([]int64)) sim.StepProgram {
-	if params.X <= 0 || params.X >= 1 {
-		params.X = 1.0 / 3.0
-	}
-	sp := params.skeletonParams()
+	sp := params.skeletonParams(baselineX)
 	n := env.N()
 	h := sp.H(n)
 
@@ -320,7 +314,7 @@ func NewBaselineComputeMachine(env *sim.Env, params Params, done func([]int64)) 
 		},
 		func(env *sim.Env) sim.StepProgram {
 			local = exploreM.Near
-			pub = newPublishMachine(env, skel, params.Dissemination)
+			pub = newPublishMachine(env, skel)
 			return pub
 		},
 		// Broadcast every dd(v, s) label — the [3] bottleneck step.
@@ -337,7 +331,7 @@ func NewBaselineComputeMachine(env *sim.Env, params Params, done func([]int64)) 
 			return aggSum
 		},
 		func(env *sim.Env) sim.StepProgram {
-			diss = ncc.NewDisseminateMachine(env, mine, int(aggSum.Out), int(aggMax.Out), params.Dissemination)
+			diss = ncc.NewDisseminateMachine(env, mine, int(aggSum.Out), int(aggMax.Out), ncc.DisseminateParams{})
 			return diss
 		},
 		sim.Finish(func(env *sim.Env) {

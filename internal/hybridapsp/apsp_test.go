@@ -88,7 +88,7 @@ func TestLocalBaselineNeedsDiameterRounds(t *testing.T) {
 
 func TestTheorem11SqrtScaling(t *testing.T) {
 	// Theorem 1.1 claims O~(sqrt(n)) rounds. At laptop-scale n the polylog
-	// factors dominate constants (EXPERIMENTS.md reports the absolute
+	// factors dominate constants (experiment E3 prints the absolute
 	// numbers), so the meaningful assertions are (a) an absolute O~ bound
 	// with a generous constant and (b) sqrt-like growth: quadrupling n must
 	// far less than quadruple the rounds, while the Θ(D) LOCAL baseline

@@ -33,7 +33,8 @@ import (
 )
 
 // AlgSpec characterizes the CLIQUE algorithm A plugged into the framework,
-// in the terms of Theorem 4.1.
+// in the terms of Theorem 4.1; Theorem 5.1's diameter algorithms (package
+// diameter) are specs of the same shape.
 type AlgSpec struct {
 	// Delta is A's runtime exponent δ (sets x = 2/(3+2δ)).
 	Delta float64
@@ -44,17 +45,12 @@ type AlgSpec struct {
 	// (Lemma 4.5) and no representative detour occurs.
 	SingleSource bool
 	// Factory builds A for a skeleton of size q whose source indices (in
-	// clique index space) are srcIdx. Use cliquesim.SharedFactory semantics
-	// internally when the algorithm requires instance sharing.
+	// clique index space) are srcIdx; CliqueFactory calls it once per run.
 	Factory func(q int, srcIdx []int) clique.Algorithm
 }
 
 // Params tunes the framework run; the zero value follows the paper.
 type Params struct {
-	// XOverride replaces x = 2/(3+2δ) when in (0, 1).
-	XOverride float64
-	// HFactor forwards to skeleton.Params.
-	HFactor float64
 	// Routing tunes the token routing sessions of the CLIQUE simulation.
 	Routing routing.Params
 	// MaxEtaRounds caps the ηh local exploration (0 = n).
@@ -71,15 +67,12 @@ type SourceDist struct {
 	Dist   int64
 }
 
-// plan resolves the framework's derived parameters: the skeleton params at
+// Plan resolves the framework's derived parameters: the skeleton params at
 // x = 2/(3+2δ), the exploration depth h, and the ηh local exploration
-// rounds (clamped per Params).
-func (spec AlgSpec) plan(params Params, n int) (sp skeleton.Params, h, etaRounds int) {
-	x := params.XOverride
-	if x <= 0 || x >= 1 {
-		x = 2 / (3 + 2*spec.Delta)
-	}
-	sp = skeleton.Params{X: x, HFactor: params.HFactor, Cache: params.SkeletonCache}
+// rounds (clamped to n and to params.MaxEtaRounds). Algorithm 9 (package
+// diameter) runs on the same plan.
+func (spec AlgSpec) Plan(params Params, n int) (sp skeleton.Params, h, etaRounds int) {
+	sp = skeleton.Params{X: 2 / (3 + 2*spec.Delta), Cache: params.SkeletonCache}
 	h = sp.H(n)
 	etaRounds = int(math.Ceil(spec.Eta * float64(h)))
 	if etaRounds < h {
@@ -94,13 +87,14 @@ func (spec AlgSpec) plan(params Params, n int) (sp skeleton.Params, h, etaRounds
 	return sp, h, etaRounds
 }
 
-// cliqueFactory builds the CLIQUE-simulation factory for Algorithm 5. The
-// sources of the simulated problem are the representatives, translated to
-// clique indices inside the factory once members are known. The algorithm
-// instance is run-scoped (env.SharedOnce): every node would construct the
-// identical object from public knowledge, and the declared-cost oracle
-// additionally requires a single pooled instance.
-func cliqueFactory(env *sim.Env, spec AlgSpec, reps []skeleton.RepInfo) cliquesim.Factory {
+// CliqueFactory wraps spec.Factory as the CLIQUE-simulation factory. The
+// sources of the simulated problem are the representatives reps (nil for
+// Algorithm 9, whose algorithm has none), translated to clique indices
+// inside the factory once members are known. The algorithm instance is
+// run-scoped (env.SharedOnce): every node would construct the identical
+// object from public knowledge, and the declared-cost oracle additionally
+// requires a single pooled instance.
+func CliqueFactory(env *sim.Env, spec AlgSpec, reps []skeleton.RepInfo) cliquesim.Factory {
 	return func(q int, members []int) clique.Algorithm {
 		v := env.SharedOnce("kssp.alg", func() interface{} {
 			rank := make(map[int]int, len(members))
@@ -129,7 +123,7 @@ func cliqueFactory(env *sim.Env, spec AlgSpec, reps []skeleton.RepInfo) cliquesi
 // finishes.
 func NewComputeMachine(env *sim.Env, isSource bool, kBound int, spec AlgSpec, params Params, done func([]SourceDist)) sim.StepProgram {
 	n := env.N()
-	sp, h, etaRounds := spec.plan(params, n)
+	sp, h, etaRounds := spec.Plan(params, n)
 
 	var skelM *skeleton.ComputeMachine
 	var repsM *skeleton.RepresentativesMachine
@@ -152,7 +146,7 @@ func NewComputeMachine(env *sim.Env, isSource bool, kBound int, spec AlgSpec, pa
 		// CLIQUE simulation on the skeleton (Algorithm 8 / Corollary 4.1).
 		func(env *sim.Env) sim.StepProgram {
 			return cliquesim.NewSimulateMachine(env, skelM.Res, sp.SampleProb(n),
-				cliqueFactory(env, spec, repsM.Out), params.Routing,
+				CliqueFactory(env, spec, repsM.Out), params.Routing,
 				func(r cliquesim.Result) { simRes = r })
 		},
 		// Local exploration to depth ηh with the sources as origins gives

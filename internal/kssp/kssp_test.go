@@ -188,29 +188,6 @@ func TestXDerivation(t *testing.T) {
 	}
 }
 
-func TestParamsXOverrideAndEtaCap(t *testing.T) {
-	// XOverride changes the skeleton density; MaxEtaRounds caps the local
-	// exploration. Both must preserve correctness (the framework is exact
-	// for a single summoned source regardless of x).
-	g := graph.Path(50)
-	got, m1 := runKSSP(t, g, []int{0}, Corollary49(), Params{XOverride: 0.5}, 41)
-	checkApprox(t, g, []int{0}, got, 1, 0)
-	got2, m2 := runKSSP(t, g, []int{0}, Corollary49(), Params{XOverride: 0.8}, 41)
-	checkApprox(t, g, []int{0}, got2, 1, 0)
-	if m1.Rounds == m2.Rounds {
-		t.Fatalf("different x gave identical round counts (%d); override ignored?", m1.Rounds)
-	}
-}
-
-func TestHFactorParamForwarded(t *testing.T) {
-	g := graph.Grid(6, 6)
-	_, m1 := runKSSP(t, g, []int{0}, Corollary49(), Params{HFactor: 1}, 43)
-	_, m2 := runKSSP(t, g, []int{0}, Corollary49(), Params{HFactor: 3}, 43)
-	if m2.Rounds <= m1.Rounds {
-		t.Fatalf("HFactor=3 (%d rounds) not costlier than HFactor=1 (%d)", m2.Rounds, m1.Rounds)
-	}
-}
-
 func TestSourceDistOutputSorted(t *testing.T) {
 	g := graph.Grid(5, 5)
 	sources := []int{20, 3, 11}

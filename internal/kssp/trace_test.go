@@ -88,13 +88,13 @@ func TestComputeMachineMatchesShortEta(t *testing.T) {
 
 // TestEtaExploreMachineMatches pins the ηh exploration as NewComputeMachine
 // runs it on shortEta (the sparse form, the sources as origins, etaRounds
-// from plan): each node's estimate per node ID, graph.Inf where unheard —
+// from Plan): each node's estimate per node ID, graph.Inf where unheard —
 // the dense vector the exploration was pinned as — checked against
 // sequential hop-limited Bellman-Ford.
 func TestEtaExploreMachineMatches(t *testing.T) {
 	g, sources, params := shortEta()
 	n := g.N()
-	_, _, etaRounds := Corollary47(0.5, 0).plan(params, n)
+	_, _, etaRounds := Corollary47(0.5, 0).Plan(params, n)
 	isSource := make([]bool, n)
 	for _, s := range sources {
 		isSource[s] = true

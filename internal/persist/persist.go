@@ -1,5 +1,5 @@
 // Package persist implements the on-disk codec of the warm-start cache: a
-// gob payload behind a fixed binary integrity header. The header carries a
+// flate-compressed gob payload behind a fixed binary integrity header. The header carries a
 // magic tag, a format version, and the payload's length and FNV-64a
 // checksum, so a reader can reject foreign files, files written by an
 // incompatible release, and bit-rotted or truncated files *before* feeding
@@ -139,22 +139,10 @@ var ErrCorrupt = errors.New("persist: corrupt cache file")
 // different format version.
 var ErrVersion = errors.New("persist: cache format version mismatch")
 
-// Save gob-encodes payload and writes it to path behind the integrity
-// header, atomically (temp file + rename). Parent directories are created
-// as needed.
-func Save(path string, version uint32, payload interface{}) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(payload); err != nil {
-		return fmt.Errorf("persist: encoding cache payload: %w", err)
-	}
-	return writeFile(path, version, buf.Bytes())
-}
-
-// SaveCompressed is Save with a flate-compressed body: the gob stream is
-// deflated before the header is computed, so the length and checksum cover
-// the bytes actually on disk. Readers must use LoadCompressed; the caller's
-// version constant is what tells the two body encodings apart (the v2 cache
-// format is compressed, v1 was not).
+// SaveCompressed gob-encodes payload, deflates the stream, and writes it to
+// path behind the integrity header, atomically (temp file + rename). The
+// header is computed after compression, so the length and checksum cover
+// the bytes actually on disk. Parent directories are created as needed.
 func SaveCompressed(path string, version uint32, payload interface{}) error {
 	var buf bytes.Buffer
 	zw, err := flate.NewWriter(&buf, flate.BestSpeed)
@@ -204,29 +192,15 @@ func writeFile(path string, version uint32, body []byte) error {
 	return nil
 }
 
-// Load reads path, validates the integrity header against version, and
-// gob-decodes the payload into out. A missing file returns the underlying
-// fs error (test with os.IsNotExist / errors.Is(err, fs.ErrNotExist));
-// every malformed-content condition returns an error wrapping ErrCorrupt
-// or ErrVersion. On error out may be partially written (gob decodes in
-// place), so callers must decode into a scratch value and only adopt it on
-// success.
-func Load(path string, version uint32, out interface{}) error {
-	body, err := readBody(path, version)
-	if err != nil {
-		return err
-	}
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(out); err != nil {
-		return fmt.Errorf("%w: %s: %v", ErrCorrupt, path, err)
-	}
-	return nil
-}
-
-// LoadCompressed is Load for files written by SaveCompressed: the verified
-// body is inflated before gob decoding. A flate stream that fails to
-// decompress — e.g. a payload truncated before compression, which the
-// checksum cannot catch — is reported as ErrCorrupt like any other
-// malformed content.
+// LoadCompressed reads a file written by SaveCompressed, validates the
+// integrity header against version, inflates the body, and gob-decodes it
+// into out. A missing file returns the underlying fs error (test with
+// os.IsNotExist / errors.Is(err, fs.ErrNotExist)); every malformed-content
+// condition returns an error wrapping ErrCorrupt or ErrVersion — including
+// a flate stream that fails to decompress (e.g. a payload truncated before
+// compression, which the checksum cannot catch). On error out may be
+// partially written (gob decodes in place), so callers must decode into a
+// scratch value and only adopt it on success.
 func LoadCompressed(path string, version uint32, out interface{}) error {
 	body, err := readBody(path, version)
 	if err != nil {
@@ -246,7 +220,7 @@ func LoadCompressed(path string, version uint32, out interface{}) error {
 }
 
 // readBody reads path and validates the integrity header against version,
-// returning the raw (possibly compressed) body bytes.
+// returning the raw (compressed) body bytes.
 func readBody(path string, version uint32) ([]byte, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -276,8 +250,7 @@ func readBody(path string, version uint32) ([]byte, error) {
 type Info struct {
 	// Version is the format version recorded in the header.
 	Version uint32
-	// PayloadBytes is the body length recorded in the header (compressed
-	// size for compressed formats).
+	// PayloadBytes is the (compressed) body length recorded in the header.
 	PayloadBytes int64
 	// FileBytes is the total on-disk size including the header.
 	FileBytes int64

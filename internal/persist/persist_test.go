@@ -1,7 +1,9 @@
 package persist
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"os"
 	"path/filepath"
@@ -26,11 +28,11 @@ func samplePayload() payload {
 func TestSaveLoadRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sub", "cache.hybc")
 	want := samplePayload()
-	if err := Save(path, 3, want); err != nil {
+	if err := SaveCompressed(path, 3, want); err != nil {
 		t.Fatal(err)
 	}
 	var got payload
-	if err := Load(path, 3, &got); err != nil {
+	if err := LoadCompressed(path, 3, &got); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
@@ -44,7 +46,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 func TestLoadMissingFile(t *testing.T) {
 	var got payload
-	err := Load(filepath.Join(t.TempDir(), "absent.hybc"), 1, &got)
+	err := LoadCompressed(filepath.Join(t.TempDir(), "absent.hybc"), 1, &got)
 	if !os.IsNotExist(err) {
 		t.Errorf("missing file: got %v, want IsNotExist", err)
 	}
@@ -52,11 +54,11 @@ func TestLoadMissingFile(t *testing.T) {
 
 func TestLoadVersionMismatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.hybc")
-	if err := Save(path, 1, samplePayload()); err != nil {
+	if err := SaveCompressed(path, 1, samplePayload()); err != nil {
 		t.Fatal(err)
 	}
 	var got payload
-	err := Load(path, 2, &got)
+	err := LoadCompressed(path, 2, &got)
 	if !errors.Is(err, ErrVersion) {
 		t.Errorf("version mismatch: got %v, want ErrVersion", err)
 	}
@@ -67,7 +69,7 @@ func TestLoadVersionMismatch(t *testing.T) {
 func TestLoadCorruptions(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "cache.hybc")
-	if err := Save(path, 1, samplePayload()); err != nil {
+	if err := SaveCompressed(path, 1, samplePayload()); err != nil {
 		t.Fatal(err)
 	}
 	valid, err := os.ReadFile(path)
@@ -92,7 +94,7 @@ func TestLoadCorruptions(t *testing.T) {
 			t.Fatal(err)
 		}
 		var got payload
-		if err := Load(p, 1, &got); !errors.Is(err, ErrCorrupt) {
+		if err := LoadCompressed(p, 1, &got); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: got %v, want ErrCorrupt", name, err)
 		}
 	}
@@ -102,14 +104,14 @@ func TestLoadCorruptions(t *testing.T) {
 // existing file replaces it and the new contents load cleanly.
 func TestSaveOverwritesAtomically(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.hybc")
-	if err := Save(path, 1, payload{Name: "old"}); err != nil {
+	if err := SaveCompressed(path, 1, payload{Name: "old"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := Save(path, 1, payload{Name: "new"}); err != nil {
+	if err := SaveCompressed(path, 1, payload{Name: "new"}); err != nil {
 		t.Fatal(err)
 	}
 	var got payload
-	if err := Load(path, 1, &got); err != nil {
+	if err := LoadCompressed(path, 1, &got); err != nil {
 		t.Fatal(err)
 	}
 	if got.Name != "new" {
@@ -117,21 +119,16 @@ func TestSaveOverwritesAtomically(t *testing.T) {
 	}
 }
 
-// TestCompressedRoundTrip pins the v2 codec: a compressed save loads back
-// identically, is actually smaller than the raw save for repetitive
-// payloads, and Probe reports its header without decoding.
+// TestCompressedRoundTrip pins the codec on a repetitive payload: it loads
+// back identically, the file is smaller than the bare gob encoding, and
+// Probe reports its header without decoding.
 func TestCompressedRoundTrip(t *testing.T) {
-	dir := t.TempDir()
 	big := payload{Name: "big", Table: map[int][]int{}}
 	for i := 0; i < 2000; i++ {
 		big.Vals = append(big.Vals, int64(i%7))
 		big.Table[i] = []int{1, 2, 3, 4, 5}
 	}
-	raw := filepath.Join(dir, "raw.hybc")
-	packed := filepath.Join(dir, "packed.hybc")
-	if err := Save(raw, 2, big); err != nil {
-		t.Fatal(err)
-	}
+	packed := filepath.Join(t.TempDir(), "packed.hybc")
 	if err := SaveCompressed(packed, 2, big); err != nil {
 		t.Fatal(err)
 	}
@@ -142,16 +139,16 @@ func TestCompressedRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, big) {
 		t.Error("compressed round trip diverged")
 	}
-	rawInfo, err := Probe(raw)
-	if err != nil {
+	var raw bytes.Buffer
+	if err := gob.NewEncoder(&raw).Encode(big); err != nil {
 		t.Fatal(err)
 	}
 	packedInfo, err := Probe(packed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if packedInfo.FileBytes >= rawInfo.FileBytes {
-		t.Errorf("compression grew the file: %d vs raw %d", packedInfo.FileBytes, rawInfo.FileBytes)
+	if packedInfo.PayloadBytes >= int64(raw.Len()) {
+		t.Errorf("compression grew the payload: %d vs gob %d", packedInfo.PayloadBytes, raw.Len())
 	}
 	if packedInfo.Version != 2 || packedInfo.PayloadBytes != packedInfo.FileBytes-int64(headerLen) {
 		t.Errorf("probe reported %+v", packedInfo)
@@ -370,7 +367,7 @@ func TestWriteFileDurabilityOrder(t *testing.T) {
 	defer restore()
 
 	path := filepath.Join(t.TempDir(), "sub", "cache.hybc")
-	if err := Save(path, 1, samplePayload()); err != nil {
+	if err := SaveCompressed(path, 1, samplePayload()); err != nil {
 		t.Fatal(err)
 	}
 	want := []string{"mkdir:sub", "write:cache.hybc.tmp", "rename:cache.hybc.tmp->cache.hybc", "syncdir:sub"}
@@ -378,7 +375,7 @@ func TestWriteFileDurabilityOrder(t *testing.T) {
 		t.Errorf("write sequence:\n got %v\nwant %v", calls, want)
 	}
 	var got payload
-	if err := Load(path, 1, &got); err != nil {
+	if err := LoadCompressed(path, 1, &got); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -395,10 +392,10 @@ func TestWriteFileFaultCleanup(t *testing.T) {
 		var calls []string
 		restore := SetFS(recordFS{calls: &calls, fail: fail})
 		path := filepath.Join(t.TempDir(), "sub", "cache.hybc")
-		err := Save(path, 1, samplePayload())
+		err := SaveCompressed(path, 1, samplePayload())
 		restore()
 		if err == nil {
-			t.Errorf("fail %s: Save succeeded", fail)
+			t.Errorf("fail %s: SaveCompressed succeeded", fail)
 			continue
 		}
 		if _, serr := os.Stat(path + ".tmp"); !os.IsNotExist(serr) {
@@ -414,14 +411,14 @@ func TestSetFSRestore(t *testing.T) {
 	restore := SetFS(recordFS{calls: &calls})
 	restore2 := SetFS(nil)
 	path := filepath.Join(t.TempDir(), "cache.hybc")
-	if err := Save(path, 1, samplePayload()); err != nil {
+	if err := SaveCompressed(path, 1, samplePayload()); err != nil {
 		t.Fatal(err)
 	}
 	if len(calls) != 0 {
 		t.Errorf("SetFS(nil) still routed through the recording FS: %v", calls)
 	}
 	restore2()
-	if err := Save(path, 1, samplePayload()); err != nil {
+	if err := SaveCompressed(path, 1, samplePayload()); err != nil {
 		t.Fatal(err)
 	}
 	if len(calls) == 0 {

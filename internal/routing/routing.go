@@ -19,11 +19,10 @@
 //  4. Receivers collect their tokens from their helpers by cluster-local
 //     flooding.
 //
-// Deviations from the paper, all constant-factor and documented in
-// DESIGN.md: phase lengths that the paper states as w.h.p. bounds are
-// computed exactly with O(log n)-round global max-aggregations (Lemma B.2),
-// which keeps every run correct (never truncated) while preserving the
-// asymptotic round complexity.
+// Deviations from the paper, all constant-factor: phase lengths that the
+// paper states as w.h.p. bounds are computed exactly with O(log n)-round
+// global max-aggregations (Lemma B.2), which keeps every run correct (never
+// truncated) while preserving the asymptotic round complexity.
 package routing
 
 import (

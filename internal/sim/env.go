@@ -154,8 +154,8 @@ func (env *Env) SleepUntil(round int) {
 //     — which it sets on presenting the full entry or on a message from a
 //     neighbour that holds it. The i-th-call rule is what gives two instances
 //     of one run two tables;
-//   - the declared-cost CLIQUE oracles (kssp.alg, diameter.alg, experiments'
-//     e4.alg): one algorithm object whose per-node handles pool their inputs,
+//   - the declared-cost CLIQUE oracles (kssp.alg, which Algorithm 9 shares,
+//     and experiments' e4.alg): one algorithm object whose per-node handles pool their inputs,
 //     the cost being declared rather than simulated;
 //   - warm.Store's per-run entry, which every node stores its own slot into.
 func (env *Env) SharedOnce(prefix string, fn func() interface{}) interface{} {

@@ -40,8 +40,8 @@ func NewResultCache() *ResultCache {
 
 // cacheKey is the globally known identity of a skeleton construction: the
 // resolved sampling probability and exploration depth, which together fully
-// determine ComputeMachine's behavior for a fixed graph and seed. (X, HFactor and
-// MaxH only act through these two values.)
+// determine ComputeMachine's behavior for a fixed graph and seed. (X and
+// HFactor only act through these two values.)
 type cacheKey struct {
 	prob float64
 	h    int

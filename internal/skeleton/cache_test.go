@@ -3,6 +3,7 @@ package skeleton
 import (
 	"bytes"
 	"encoding/gob"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -163,9 +164,19 @@ func TestResultCacheEviction(t *testing.T) {
 	g := graph.Grid(5, 5)
 	n := g.N()
 	cache := NewResultCache()
-	// Distinct MaxH values below the natural h produce distinct keys.
+	// Distinct depths below the natural h produce distinct keys: ξ is
+	// chosen so that h = ceil(ξ·sqrt(n)·ln n) comes out at each depth.
+	depth := func(h int) Params {
+		p := Params{X: 0.5, HFactor: (float64(h) - 0.5) / (math.Sqrt(float64(n)) * math.Log(float64(n)))}
+		if got := p.H(n); got != h {
+			t.Fatalf("ξ = %v gives h = %d, want %d", p.HFactor, got, h)
+		}
+		return p
+	}
 	for h := 1; h <= warm.MaxEntries+2; h++ {
-		out, _ := computePipeline(t, g, Params{X: 0.5, MaxH: h, Cache: cache}, nil, sim.EngineLegacy, 11)
+		p := depth(h)
+		p.Cache = cache
+		out, _ := computePipeline(t, g, p, nil, sim.EngineLegacy, 11)
 		if len(out) != n {
 			t.Fatalf("h=%d: %d results", h, len(out))
 		}
@@ -174,8 +185,10 @@ func TestResultCacheEviction(t *testing.T) {
 		t.Fatalf("cache holds %d entries, cap %d", got, warm.MaxEntries)
 	}
 	// The first key was evicted: rerunning it must rebuild, not bind.
-	_, baseM := computePipeline(t, g, Params{X: 0.5, MaxH: 1}, nil, sim.EngineLegacy, 11)
-	_, m := computePipeline(t, g, Params{X: 0.5, MaxH: 1, Cache: cache}, nil, sim.EngineLegacy, 11)
+	first := depth(1)
+	_, baseM := computePipeline(t, g, first, nil, sim.EngineLegacy, 11)
+	first.Cache = cache
+	_, m := computePipeline(t, g, first, nil, sim.EngineLegacy, 11)
 	if m.Rounds != baseM.Rounds+2*sim.Log2Ceil(n) {
 		t.Errorf("evicted key reran in %d rounds, want rebuild %d + agreement %d",
 			m.Rounds, baseM.Rounds, 2*sim.Log2Ceil(n))

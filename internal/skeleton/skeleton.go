@@ -36,8 +36,6 @@ type Params struct {
 	// coverage events of Lemma C.1 to hold reliably (ξ = 1 fails with
 	// constant probability — observed in testing on paths and cycles).
 	HFactor float64
-	// MaxH caps h (0 = no cap beyond n).
-	MaxH int
 	// Cache, if non-nil, reuses per-node skeleton results across
 	// constructions with matching resolved parameters and membership draws,
 	// paying one 2·ceil(log2 n)-round collective agreement instead of the h
@@ -61,9 +59,6 @@ func (p Params) H(n int) int {
 	}
 	if h > n {
 		h = n
-	}
-	if p.MaxH > 0 && h > p.MaxH {
-		h = p.MaxH
 	}
 	return h
 }

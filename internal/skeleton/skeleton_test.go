@@ -33,8 +33,10 @@ func TestHFormula(t *testing.T) {
 	if h := p.H(64); h < 8 || h > 64 {
 		t.Fatalf("H(64) = %d out of sane range", h)
 	}
-	if h := (Params{X: 0.5, MaxH: 5}).H(1000); h != 5 {
-		t.Fatalf("MaxH cap violated: %d", h)
+	// HFactor is ξ: at n = 1000, x = 1/2 the paper's ξ = 2 gives
+	// ceil(2·sqrt(1000)·ln 1000) = 437, and ξ = 1 half of it, rounded up.
+	if h, h1 := (Params{X: 0.5}).H(1000), (Params{X: 0.5, HFactor: 1}).H(1000); h != 437 || h1 != 219 {
+		t.Fatalf("H(1000) = %d at ξ = 2 and %d at ξ = 1, want 437 and 219", h, h1)
 	}
 	if h := (Params{X: 1.0}).H(100); h < 1 {
 		t.Fatalf("H must be >= 1, got %d", h)

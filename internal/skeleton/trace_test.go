@@ -144,7 +144,7 @@ func TestFloodVectorsMachineMatches(t *testing.T) {
 func TestComputeMachineMatchesShortH(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := graph.WithRandomWeights(graph.Grid(8, 8), 9, rng)
-	p := Params{X: 0.6, MaxH: 4}
+	p := Params{X: 0.6, HFactor: 0.15} // h = ceil(0.15·64^0.4·ln 64) = 4
 	h := p.H(g.N())
 	pin := simtest.Pin{Metrics: sim.Metrics{Rounds: 4, LocalMsgs: 604, LocalBits: 20340}, Sum: 0xd222b1c438b3cda0}
 	results := make([]Result, g.N())

@@ -283,7 +283,7 @@ func TestCorruptCacheFallsBackCold(t *testing.T) {
 			// no structural file. It must be rejected with a clean version
 			// error (not misread, not misreported as a missing sibling).
 			net := hybrid.New(g, hybrid.WithSeed(seed), hybrid.WithCacheDir(dir))
-			if err := persist.Save(net.CachePath(), 1, struct{ Legacy string }{"v1 payload"}); err != nil {
+			if err := persist.SaveCompressed(net.CachePath(), 1, struct{ Legacy string }{"v1 payload"}); err != nil {
 				t.Fatal(err)
 			}
 		},
