@@ -116,8 +116,9 @@ func newDiamExploreMachine(env *sim.Env, rounds int, initial []interface{}) *dia
 // Step implements sim.StepProgram.
 func (m *diamExploreMachine) Step(env *sim.Env) bool { return m.loop.Step(env) }
 
-// NewComputeMachine runs Algorithm 9 collectively (see sim.StepProgram).
-// done receives this node's diameter estimate D~ with
+// NewComputeMachine runs Algorithm 9 collectively (see sim.StepProgram);
+// the nodes of the algorithm spec.Factory builds must implement
+// clique.DiameterNode (its srcIdx argument is empty). done receives this node's diameter estimate D~ with
 // D <= D~ <= (α + 2/η + β/T_B)·D w.h.p. on unweighted graphs (Theorem 5.1)
 // when the machine finishes.
 func NewComputeMachine(env *sim.Env, spec kssp.AlgSpec, params kssp.Params, done func(int64)) sim.StepProgram {

@@ -36,7 +36,8 @@ import (
 	"repro/internal/skeleton"
 )
 
-// Params tunes the APSP run. The zero value reproduces the paper.
+// Params tunes the APSP run. The zero value reproduces Theorem 1.1 and, for
+// the baseline, [3].
 type Params struct {
 	// Routing tunes the token routing protocol.
 	Routing routing.Params

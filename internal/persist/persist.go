@@ -1,13 +1,13 @@
 // Package persist implements the on-disk codec of the warm-start cache: a
-// flate-compressed gob payload behind a fixed binary integrity header. The header carries a
-// magic tag, a format version, and the payload's length and FNV-64a
-// checksum, so a reader can reject foreign files, files written by an
-// incompatible release, and bit-rotted or truncated files *before* feeding
-// bytes to gob. Writes go through a temp file, an fsync of that file, an
-// atomic rename, and an fsync of the parent directory, so a crashed
-// writer never leaves a half-written cache behind and a crashed *machine*
-// cannot rename a file whose bytes never reached the disk — at worst the
-// old file survives.
+// flate-compressed gob payload behind a fixed binary integrity header. The
+// header carries a magic tag, a format version, and the payload's length
+// and FNV-64a checksum, so a reader can reject foreign files, files written
+// by an incompatible release, and bit-rotted or truncated files *before*
+// feeding bytes to the decompressor. Writes go through a temp file, an
+// fsync of that file, an atomic rename, and an fsync of the parent
+// directory, so a crashed writer never leaves a half-written cache behind
+// and a crashed *machine* cannot rename a file whose bytes never reached
+// the disk — at worst the old file survives.
 //
 // All filesystem access goes through the FS seam (SetFS), so the chaos
 // test layer can inject torn writes, failed renames, and failed fsyncs;
