@@ -135,21 +135,27 @@ func goldenRow(name string, seed int64, mode string, m hybrid.Metrics, flat []in
 	return fmt.Sprintf("%s seed=%d %s sum=%016x metrics=%+v\n", name, seed, mode, h.Sum64(), m)
 }
 
-// goldenBody runs the whole matrix on one engine and renders it.
-func goldenBody(t *testing.T, eng hybrid.Engine) string {
-	t.Helper()
+// goldenCase is one fixture instance: an algorithm family on a graph.
+type goldenCase struct {
+	name string
+	g    *hybrid.Graph
+	run  goldenRun
+}
+
+// goldenRealMMSources are the sources of the kssp-realmm case.
+var goldenRealMMSources = []int{0, 7, 19, 33}
+
+// goldenCases returns the fixture's instances in row order; every call draws
+// the same graphs.
+func goldenCases() []goldenCase {
 	rng := rand.New(rand.NewSource(11))
 	weighted := hybrid.WithRandomWeights(hybrid.GridGraph(6, 6), 9, rng)
-	cases := []struct {
-		name string
-		g    *hybrid.Graph
-		run  goldenRun
-	}{
+	return []goldenCase{
 		{"apsp/grid7x7", hybrid.GridGraph(7, 7), goldenAPSP},
 		{"apsp/geometric48", hybrid.GeometricGraph(48, 0.3, rng), goldenAPSP},
 		{"apsp/tree40", hybrid.RandomTreeGraph(40, rng), goldenAPSP},
 		{"kssp-realmm/sparse40", hybrid.WithRandomWeights(hybrid.SparseGraph(40, 1.2, rng), 100, rng),
-			goldenKSSP([]int{0, 7, 19, 33}, hybrid.KSSPRealMM(2))},
+			goldenKSSP(goldenRealMMSources, hybrid.KSSPRealMM(2))},
 		{"kssp-cor46/wgrid6x6", weighted, goldenKSSP([]int{1, 20}, hybrid.Cor46(0.5))},
 		{"sssp/wgrid6x6", weighted, goldenSSSP},
 		{"diameter-cor52/grid6x6", hybrid.GridGraph(6, 6), goldenDiameterSpec(hybrid.DiamCor52(0.5))},
@@ -165,8 +171,13 @@ func goldenBody(t *testing.T, eng hybrid.Engine) string {
 		{"wdiameter/wgrid6x6", weighted, goldenDiameter((*hybrid.Network).WeightedDiameterApprox)},
 		{"routing/grid6x6", hybrid.GridGraph(6, 6), goldenRouting},
 	}
+}
+
+// goldenBody runs the whole matrix on one engine and renders it.
+func goldenBody(t *testing.T, eng hybrid.Engine) string {
+	t.Helper()
 	var b strings.Builder
-	for _, c := range cases {
+	for _, c := range goldenCases() {
 		for _, seed := range []int64{1, 2} {
 			nw := hybrid.New(c.g, hybrid.WithSeed(seed), hybrid.WithEngine(eng))
 			for _, mode := range []string{"cold", "warm"} {
