@@ -112,7 +112,8 @@ func TestDistConnectProcessWorkers(t *testing.T) {
 
 // TestDistConnectRemoteKillRedial is the connect-mode kill-replay: the
 // KillWorker fault severs the connection to a remote worker process
-// mid-run. The process itself survives and keeps listening, so the
+// mid-run, at round 80 of the run's first stretch of global rounds
+// (73–115). The process itself survives and keeps listening, so the
 // coordinator must re-dial it, replay the pending request, and finish
 // byte-identical to the oracle.
 func TestDistConnectRemoteKillRedial(t *testing.T) {
@@ -124,7 +125,7 @@ func TestDistConnectRemoteKillRedial(t *testing.T) {
 
 	addr0, _ := startWorkerProc(t, 0)
 	addr1, _ := startWorkerProc(t, 1)
-	faults := dist.NewFaults().KillWorker(1, 12)
+	faults := dist.NewFaults().KillWorker(1, 80)
 	opts := dist.WithFaults(faults)
 	res, err := hybrid.New(g, hybrid.WithSeed(42), hybrid.WithEngine(hybrid.EngineDist),
 		hybrid.WithDistOptions(opts), hybrid.WithDistConnect(addr0, addr1)).APSP()
@@ -159,7 +160,7 @@ func TestDistConnectWorkerProcessGone(t *testing.T) {
 	addr1, proc1 := startWorkerProc(t, 1)
 	// Sever the connection at a mid-run round AND take the process down,
 	// so the re-dial path finds a dead address.
-	faults := dist.NewFaults().KillWorker(1, 12)
+	faults := dist.NewFaults().KillWorker(1, 80)
 	opts := dist.WithFaults(faults)
 	opts.FrameTimeout = 2 * time.Second
 	go func() {

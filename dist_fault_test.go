@@ -21,11 +21,13 @@ import (
 // TestDistWorkerKillReplay kills one worker process at a drawn round in the
 // middle of an APSP run. The coordinator must respawn it, replay the round,
 // and finish with distances and metrics byte-identical to both a clean
-// EngineDist run and the legacy oracle.
+// EngineDist run and the legacy oracle. The kill round is drawn from 73–92,
+// inside the run's first stretch of global rounds (73–115); a round with
+// no global message reaches no worker.
 func TestDistWorkerKillReplay(t *testing.T) {
 	g := hybrid.GridGraph(6, 6)
 	rng := rand.New(rand.NewSource(1))
-	killRound := 10 + rng.Intn(20)
+	killRound := 73 + rng.Intn(20)
 
 	oracle, err := hybrid.New(g, hybrid.WithSeed(42), hybrid.WithEngine(hybrid.EngineLegacy)).APSP()
 	if err != nil {
@@ -67,7 +69,8 @@ func TestDistWorkerKillReplay(t *testing.T) {
 
 // TestDistFrameDropRetry injects transient frame drops into an SSSP run and
 // checks the bounded-retry path delivers a result identical to the legacy
-// oracle, with the drops actually consumed.
+// oracle, with the drops actually consumed. Rounds 28 and 32 lie in the
+// run's first stretch of global rounds (28–34).
 func TestDistFrameDropRetry(t *testing.T) {
 	g := hybrid.PathGraph(30)
 	oracle, err := hybrid.New(g, hybrid.WithSeed(7), hybrid.WithEngine(hybrid.EngineLegacy)).SSSP(0)
@@ -75,7 +78,7 @@ func TestDistFrameDropRetry(t *testing.T) {
 		t.Fatalf("legacy: %v", err)
 	}
 
-	faults := dist.NewFaults().DropFrames(0, 2, 1).DropFrames(1, 6, 2)
+	faults := dist.NewFaults().DropFrames(0, 28, 1).DropFrames(1, 32, 2)
 	opts := dist.WithFaults(faults)
 	opts.FrameTimeout = 200 * time.Millisecond // keep retries quick under test
 	res, err := hybrid.New(g, hybrid.WithSeed(7), hybrid.WithEngine(hybrid.EngineDist),
@@ -95,16 +98,17 @@ func TestDistFrameDropRetry(t *testing.T) {
 }
 
 // TestDistRoundTripHonoursContext: the run's context bounds a round trip,
-// not only the round boundary. Shard 0 loses every request of round 2; at
-// the default 3 s frame timeout the retry loop alone would take 12 s, but
-// the run ends by the context's 300 ms deadline with an error for which
-// errors.Is(err, context.DeadlineExceeded) holds. A far-off deadline leaves
-// a clean run identical to the legacy oracle.
+// not only the round boundary. Shard 0 loses every request of round 28,
+// the run's first global round; at the default 3 s frame timeout the retry
+// loop alone would take 12 s, but the run ends by the context's 300 ms
+// deadline with an error for which errors.Is(err, context.DeadlineExceeded)
+// holds. A far-off deadline leaves a clean run identical to the legacy
+// oracle.
 func TestDistRoundTripHonoursContext(t *testing.T) {
 	g := hybrid.PathGraph(30)
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancel()
-	faults := dist.NewFaults().DropFrames(0, 2, 100)
+	faults := dist.NewFaults().DropFrames(0, 28, 100)
 	start := time.Now()
 	_, err := hybrid.New(g, hybrid.WithSeed(7), hybrid.WithEngine(hybrid.EngineDist), hybrid.WithWorkers(2),
 		hybrid.WithDistOptions(dist.WithFaults(faults)), hybrid.WithContext(ctx)).SSSP(0)

@@ -86,11 +86,13 @@ type routedPin struct {
 	Heads, Full uint64
 }
 
-// TestDistRoutedTrafficPin holds one APSP and one k-SSP run on EngineDist to
-// the routed traffic recorded before the engine stopped routing empty rounds
-// (175 and 113 of them on these two runs), and requires that it has stopped.
-// The SSSP, diameter and [3] baseline runs are held to traffic recorded
-// after that, so that no pipeline's messages can change unnoticed.
+// TestDistRoutedTrafficPin holds an APSP, a k-SSP, an SSSP, a diameter and
+// a [3] baseline run on EngineDist to their recorded routed traffic, so that
+// no pipeline's messages can change unnoticed, and requires that no round
+// without a global message is routed. The pins were last recorded when the
+// skeleton's cache agreement left every run: each lost its first 12 routed
+// rounds and one aggregation's 2(n-1) messages, every other Metrics field
+// stayed, and the hashes moved with the round numbers they cover.
 func TestDistRoutedTrafficPin(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	sparse := hybrid.WithRandomWeights(hybrid.SparseGraph(40, 1.3, rng), 9, rng)
@@ -106,35 +108,35 @@ func TestDistRoutedTrafficPin(t *testing.T) {
 				return hybrid.Metrics{}, err
 			}
 			return res.Metrics, nil
-		}, routedPin{Metrics: hybrid.Metrics{Rounds: 1371, GlobalMsgs: 2335, GlobalBits: 121420, LocalMsgs: 9020, LocalBits: 2232768, MaxGlobalSend: 6, MaxGlobalRecv: 10}, Routed: 152, Heads: 0x603e962e6402834a, Full: 0x8068ebeb9a9171d}},
+		}, routedPin{Metrics: hybrid.Metrics{Rounds: 1359, GlobalMsgs: 2265, GlobalBits: 117780, LocalMsgs: 9020, LocalBits: 2232768, MaxGlobalSend: 6, MaxGlobalRecv: 10}, Routed: 140, Heads: 0x55b59d26b310162f, Full: 0x8c1b5fb170870df0}},
 		{"kssp sparse 40", sparse, func(nw *hybrid.Network) (hybrid.Metrics, error) {
 			res, err := nw.KSSP([]int{3, 17, 31}, hybrid.Cor47(0.5))
 			if err != nil {
 				return hybrid.Metrics{}, err
 			}
 			return res.Metrics, nil
-		}, routedPin{Metrics: hybrid.Metrics{Rounds: 1742, GlobalMsgs: 1822, GlobalBits: 94744, LocalMsgs: 6931, LocalBits: 1178550, MaxGlobalSend: 6, MaxGlobalRecv: 6}, Routed: 185, Heads: 0xf428c8f6b51c1e98, Full: 0x42a2645ac98f579b}},
+		}, routedPin{Metrics: hybrid.Metrics{Rounds: 1730, GlobalMsgs: 1744, GlobalBits: 90688, LocalMsgs: 6931, LocalBits: 1178550, MaxGlobalSend: 6, MaxGlobalRecv: 6}, Routed: 173, Heads: 0x33c6869d46782237, Full: 0x9f8e65cc1a039a4}},
 		{"sssp sparse 40", sparse, func(nw *hybrid.Network) (hybrid.Metrics, error) {
 			res, err := nw.SSSP(3)
 			if err != nil {
 				return hybrid.Metrics{}, err
 			}
 			return res.Metrics, nil
-		}, routedPin{Metrics: hybrid.Metrics{Rounds: 2013, GlobalMsgs: 1617, GlobalBits: 84084, LocalMsgs: 6370, LocalBits: 1033698, MaxGlobalSend: 6, MaxGlobalRecv: 6}, Routed: 185, Heads: 0xe7506a5d69f09cdb, Full: 0x5382a864f179e92d}},
+		}, routedPin{Metrics: hybrid.Metrics{Rounds: 2001, GlobalMsgs: 1539, GlobalBits: 80028, LocalMsgs: 6370, LocalBits: 1033698, MaxGlobalSend: 6, MaxGlobalRecv: 6}, Routed: 173, Heads: 0x67c0708f1537ba1f, Full: 0x259eda0919d6df59}},
 		{"diameter cor52 grid 6x6", hybrid.GridGraph(6, 6), func(nw *hybrid.Network) (hybrid.Metrics, error) {
 			res, err := nw.Diameter(hybrid.DiamCor52(0.5))
 			if err != nil {
 				return hybrid.Metrics{}, err
 			}
 			return res.Metrics, nil
-		}, routedPin{Metrics: hybrid.Metrics{Rounds: 1354, GlobalMsgs: 1630, GlobalBits: 84760, LocalMsgs: 9059, LocalBits: 406092, MaxGlobalSend: 6, MaxGlobalRecv: 6}, Routed: 199, Heads: 0x1a5674bdbddaa64, Full: 0xb760aceca5aa49b3}},
+		}, routedPin{Metrics: hybrid.Metrics{Rounds: 1342, GlobalMsgs: 1560, GlobalBits: 81120, LocalMsgs: 9059, LocalBits: 406092, MaxGlobalSend: 6, MaxGlobalRecv: 6}, Routed: 187, Heads: 0x158cbd2bac7cc6e9, Full: 0x26c2d5c3708692a6}},
 		{"apsp baseline grid 6x6", hybrid.GridGraph(6, 6), func(nw *hybrid.Network) (hybrid.Metrics, error) {
 			res, err := nw.APSPBaseline()
 			if err != nil {
 				return hybrid.Metrics{}, err
 			}
 			return res.Metrics, nil
-		}, routedPin{Metrics: hybrid.Metrics{Rounds: 760, GlobalMsgs: 6665, GlobalBits: 346580, LocalMsgs: 2142, LocalBits: 509760, MaxGlobalSend: 6, MaxGlobalRecv: 15}, Routed: 126, Heads: 0x657d15f7a68dea5c, Full: 0xa6609fe8f051cd9d}},
+		}, routedPin{Metrics: hybrid.Metrics{Rounds: 748, GlobalMsgs: 6595, GlobalBits: 342940, LocalMsgs: 2142, LocalBits: 509760, MaxGlobalSend: 6, MaxGlobalRecv: 15}, Routed: 114, Heads: 0xeca90c48d33ab145, Full: 0x716f61418fd57ba0}},
 	}
 	defer sim.RegisterDistRouter(func(cfg sim.DistRouterConfig) (sim.DistRouter, error) { return dist.New(cfg) })
 	for _, c := range cases {

@@ -31,11 +31,11 @@ func TestGuardCostsOneAggregation(t *testing.T) {
 		events int
 		run    bareRun
 	}{
-		"apsp/grid7x7": {2, func(g *hybrid.Graph, cfg sim.Config, rp routing.Params) (hybrid.Metrics, []int64, error) {
+		"apsp/grid7x7": {1, func(g *hybrid.Graph, cfg sim.Config, rp routing.Params) (hybrid.Metrics, []int64, error) {
 			out, m, err := sim.RunPipeline(g, cfg, hybridapsp.Pipeline(hybridapsp.Params{Routing: rp}))
 			return m, slices.Concat(out...), err
 		}},
-		"kssp-realmm/sparse40": {2, func(g *hybrid.Graph, cfg sim.Config, rp routing.Params) (hybrid.Metrics, []int64, error) {
+		"kssp-realmm/sparse40": {1, func(g *hybrid.Graph, cfg sim.Config, rp routing.Params) (hybrid.Metrics, []int64, error) {
 			isSource := make([]bool, g.N())
 			for _, s := range goldenRealMMSources {
 				isSource[s] = true
@@ -51,7 +51,7 @@ func TestGuardCostsOneAggregation(t *testing.T) {
 			}
 			return m, flat, err
 		}},
-		"diameter-cor52/grid6x6": {2, func(g *hybrid.Graph, cfg sim.Config, rp routing.Params) (hybrid.Metrics, []int64, error) {
+		"diameter-cor52/grid6x6": {1, func(g *hybrid.Graph, cfg sim.Config, rp routing.Params) (hybrid.Metrics, []int64, error) {
 			out, m, err := sim.RunPipeline(g, cfg, diameter.Pipeline(diameter.Corollary52(0.5, 0), kssp.Params{Routing: rp}))
 			if err != nil {
 				return m, nil, err

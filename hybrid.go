@@ -73,7 +73,6 @@ import (
 	"repro/internal/persist"
 	"repro/internal/routing"
 	"repro/internal/sim"
-	"repro/internal/skeleton"
 )
 
 // Metrics is the per-run cost report (rounds, message counts, peak loads).
@@ -120,12 +119,11 @@ type DistOptions = dist.Options
 // Network must be sequential; create separate Networks for concurrent
 // workloads.
 type Network struct {
-	g         *graph.Graph
-	cfg       sim.Config
-	sessions  *routing.SessionCache
-	skeletons *skeleton.ResultCache
-	clusters  *helpers.ClusterCache
-	cacheDir  string
+	g        *graph.Graph
+	cfg      sim.Config
+	sessions *routing.SessionCache
+	clusters *helpers.ClusterCache
+	cacheDir string
 }
 
 // Option configures a Network.
@@ -212,7 +210,7 @@ func WithProgress(fn func(round int)) Option {
 }
 
 // WithCacheDir selects the directory used by SaveCache/LoadCache for the
-// persistent warm-start cache (routing sessions + skeleton results). The
+// persistent warm-start cache (cluster structures + routing sessions). The
 // directory is created on first save. Cache files are keyed by the graph's
 // fingerprint and the seed, so one directory can serve many instances. The
 // option only records the location; call LoadCache/SaveCache (or use
@@ -222,14 +220,13 @@ func WithCacheDir(dir string) Option {
 }
 
 // WithCacheTrace installs a cache-event hook on both warm-start caches: fn
-// receives one line per collective cache agreement ("skeleton …: hit",
+// receives one line per collective cache agreement ("clusters µ=…: hit",
 // "session …: rebuild"). The sequence is deterministic for a fixed seed and
 // identical on every engine; the golden round-trace test pins it, and it is
 // useful for verifying that a warm-started run skipped construction.
 func WithCacheTrace(fn func(event string)) Option {
 	return func(nw *Network) {
 		nw.sessions.SetTrace(fn)
-		nw.skeletons.SetTrace(fn)
 		nw.clusters.SetTrace(fn)
 	}
 }
@@ -239,10 +236,9 @@ func WithCacheTrace(fn func(event string)) Option {
 // must not be mutated during runs.
 func New(g *graph.Graph, opts ...Option) *Network {
 	nw := &Network{
-		g:         g,
-		sessions:  routing.NewSessionCache(),
-		skeletons: skeleton.NewResultCache(),
-		clusters:  helpers.NewClusterCache(),
+		g:        g,
+		sessions: routing.NewSessionCache(),
+		clusters: helpers.NewClusterCache(),
 	}
 	for _, o := range opts {
 		o(nw)
@@ -300,7 +296,7 @@ func (nw *Network) APSPLocalOnly(rounds int) (*APSPResult, error) {
 }
 
 func (nw *Network) apspParams() hybridapsp.Params {
-	return hybridapsp.Params{Routing: nw.routingParams(), SkeletonCache: nw.skeletons}
+	return hybridapsp.Params{Routing: nw.routingParams()}
 }
 
 func (nw *Network) apsp(p sim.Pipeline[[]int64]) (*APSPResult, error) {
@@ -438,7 +434,7 @@ func (nw *Network) KSSP(sources []int, spec KSSPSpec) (*KSSPResult, error) {
 }
 
 func (nw *Network) ksspParams() kssp.Params {
-	return kssp.Params{Routing: nw.routingParams(), SkeletonCache: nw.skeletons}
+	return kssp.Params{Routing: nw.routingParams()}
 }
 
 // SSSPResult holds per-node exact distances to the single source.
@@ -648,19 +644,19 @@ type structPayload struct {
 	Clusters    helpers.ClusterSnapshot
 }
 
-// seedPayload is the on-disk seed section: the session and skeleton
-// snapshots (both seed-dependent) plus the full instance identity. Session
-// entries reference cluster structures by (µ, ruler); resolving them needs
-// the structural section, so a seed file is only usable together with its
-// graph's structural file. The identity is redundant with the file name
-// but is validated on load, so a file renamed or copied across instances
-// is rejected instead of trusted.
+// seedPayload is the on-disk seed section: the (seed-dependent) session
+// snapshot plus the full instance identity. Session entries reference
+// cluster structures by (µ, ruler); resolving them needs the structural
+// section, so a seed file is only usable together with its graph's
+// structural file. The identity is redundant with the file name but is
+// validated on load, so a file renamed or copied across instances is
+// rejected instead of trusted. Seed files that also carry skeleton results
+// (written before those left the cache) still load: gob skips the field.
 type seedPayload struct {
 	N           int
 	Seed        int64
 	Fingerprint uint64
 	Sessions    routing.CacheSnapshot
-	Skeletons   skeleton.CacheSnapshot
 }
 
 // CachePath returns the file the network's seed-specific cache section
@@ -689,12 +685,12 @@ func (nw *Network) StructCachePath() string {
 
 // SaveCache persists the network's warm-start caches to the configured
 // cache directory, atomically: the seed-independent cluster structures to
-// StructCachePath (shared across seeds) and the session + skeleton
-// snapshots to CachePath. A later Network over the same graph and seed can
-// LoadCache both and skip session and skeleton construction entirely; one
-// over the same graph and a different seed loads the structural section
-// alone and still skips the ruling-set and cluster-formation rounds. Must
-// not be called while a run is in flight.
+// StructCachePath (shared across seeds) and the session snapshot to
+// CachePath. A later Network over the same graph and seed can LoadCache
+// both and skip session construction entirely; one over the same graph and
+// a different seed loads the structural section alone and still skips the
+// ruling-set and cluster-formation rounds. Must not be called while a run
+// is in flight.
 func (nw *Network) SaveCache() error {
 	if nw.cacheDir == "" {
 		return fmt.Errorf("hybrid: no cache directory configured (use WithCacheDir)")
@@ -716,7 +712,6 @@ func (nw *Network) SaveCache() error {
 		Seed:        nw.cfg.Seed,
 		Fingerprint: nw.g.Fingerprint(),
 		Sessions:    sessions,
-		Skeletons:   nw.skeletons.Snapshot(),
 	}
 	return persist.SaveCompressed(nw.CachePath(), cacheFormatVersion, pl)
 }
@@ -727,8 +722,8 @@ type CacheLoadStatus struct {
 	// Structural reports that the seed-independent section (cluster
 	// structures) was restored.
 	Structural bool
-	// Seed reports that the seed-specific section (routing sessions and
-	// skeleton results) was restored.
+	// Seed reports that the seed-specific section (routing sessions) was
+	// restored.
 	Seed bool
 }
 
@@ -759,9 +754,6 @@ func (nw *Network) LoadCache() (CacheLoadStatus, error) {
 		}
 		if cerr := nw.sessions.Restore(routing.CacheSnapshot{}, n, nw.clusters); cerr != nil {
 			return CacheLoadStatus{}, fmt.Errorf("%w (and clearing sessions: %v)", err, cerr)
-		}
-		if cerr := nw.skeletons.Restore(skeleton.CacheSnapshot{}, n); cerr != nil {
-			return CacheLoadStatus{}, fmt.Errorf("%w (and clearing skeletons: %v)", err, cerr)
 		}
 		return CacheLoadStatus{}, err
 	}
@@ -823,9 +815,6 @@ func (nw *Network) loadCacheSections() (CacheLoadStatus, error) {
 	if pl.N != n || pl.Seed != nw.cfg.Seed || pl.Fingerprint != nw.g.Fingerprint() {
 		return status, fmt.Errorf("hybrid: rejecting warm-start cache %s: recorded for n=%d seed=%d graph %016x, this network is n=%d seed=%d graph %016x",
 			seedPath, pl.N, pl.Seed, pl.Fingerprint, n, nw.cfg.Seed, nw.g.Fingerprint())
-	}
-	if err := nw.skeletons.Restore(pl.Skeletons, n); err != nil {
-		return status, fmt.Errorf("hybrid: rejecting warm-start cache %s: %w", seedPath, err)
 	}
 	if err := nw.sessions.Restore(pl.Sessions, n, nw.clusters); err != nil {
 		return status, fmt.Errorf("hybrid: rejecting warm-start cache %s: %w", seedPath, err)

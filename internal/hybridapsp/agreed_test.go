@@ -17,7 +17,7 @@ import (
 func TestAgreedPublishSharesSkeletonAPSP(t *testing.T) {
 	g := graph.Grid(16, 16)
 	n := g.N()
-	sp := Params{}.skeletonParams(theorem11X)
+	sp := skeleton.Params{X: theorem11X}
 	for _, shards := range []int{1, 4} {
 		pubs := make([]*publishMachine, n)
 		_, err := sim.RunStep(g, sim.Config{Seed: 3, Shards: shards}, func(env *sim.Env) sim.StepProgram {

@@ -41,10 +41,6 @@ import (
 type Params struct {
 	// Routing tunes the token routing protocol.
 	Routing routing.Params
-	// SkeletonCache, if non-nil, reuses skeleton construction results
-	// across runs with matching parameters and membership draws (see
-	// skeleton.ResultCache); the facade threads the Network's cache here.
-	SkeletonCache *skeleton.ResultCache
 }
 
 // The skeleton exponents: sampling probability n^(x-1). Theorem 1.1
@@ -55,16 +51,12 @@ const (
 	baselineX  = 1.0 / 3.0
 )
 
-func (p Params) skeletonParams(x float64) skeleton.Params {
-	return skeleton.Params{X: x, Cache: p.SkeletonCache}
-}
-
 // NewComputeMachine runs the Theorem 1.1 algorithm collectively (see
 // sim.StepProgram), composed from the skeleton/ncc/routing machines. done
 // receives this node's exact distances to every node (graph.Inf for
 // unreachable) when the machine finishes.
 func NewComputeMachine(env *sim.Env, params Params, done func([]int64)) sim.StepProgram {
-	sp := params.skeletonParams(theorem11X)
+	sp := skeleton.Params{X: theorem11X}
 	n := env.N()
 	h := sp.H(n)
 
@@ -290,7 +282,7 @@ func satAdd(a, b int64) int64 {
 // dissemination — Θ(n²/x) tokens, hence Θ~(n/sqrt(x)) rounds, optimized at
 // x = n^(2/3).
 func NewBaselineComputeMachine(env *sim.Env, params Params, done func([]int64)) sim.StepProgram {
-	sp := params.skeletonParams(baselineX)
+	sp := skeleton.Params{X: baselineX}
 	n := env.N()
 	h := sp.H(n)
 

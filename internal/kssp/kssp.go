@@ -55,10 +55,6 @@ type Params struct {
 	Routing routing.Params
 	// MaxEtaRounds caps the ηh local exploration (0 = n).
 	MaxEtaRounds int
-	// SkeletonCache, if non-nil, reuses skeleton construction results
-	// across runs with matching parameters and membership draws (see
-	// skeleton.ResultCache); the facade threads the Network's cache here.
-	SkeletonCache *skeleton.ResultCache
 }
 
 // SourceDist is one output entry: the estimated distance to a source.
@@ -72,7 +68,7 @@ type SourceDist struct {
 // rounds (clamped to n and to params.MaxEtaRounds). Algorithm 9 (package
 // diameter) runs on the same plan.
 func (spec AlgSpec) Plan(params Params, n int) (sp skeleton.Params, h, etaRounds int) {
-	sp = skeleton.Params{X: 2 / (3 + 2*spec.Delta), Cache: params.SkeletonCache}
+	sp = skeleton.Params{X: 2 / (3 + 2*spec.Delta)}
 	h = sp.H(n)
 	etaRounds = int(math.Ceil(spec.Eta * float64(h)))
 	if etaRounds < h {

@@ -36,11 +36,6 @@ type Params struct {
 	// coverage events of Lemma C.1 to hold reliably (ξ = 1 fails with
 	// constant probability — observed in testing on paths and cycles).
 	HFactor float64
-	// Cache, if non-nil, reuses per-node skeleton results across
-	// constructions with matching resolved parameters and membership draws,
-	// paying one 2·ceil(log2 n)-round collective agreement instead of the h
-	// exploration rounds on a hit. See ResultCache.
-	Cache *ResultCache
 }
 
 // H returns the exploration depth for a given n.
@@ -106,37 +101,16 @@ type ComputeMachine struct {
 
 // NewComputeMachine builds the collective Algorithm 6 machine; all nodes
 // must start it in the same round with the same params. It takes exactly
-// Params.H(n) rounds. With p.Cache set it is the cached construction
-// (warm.Guard): a hit binds the cached result in zero rounds, a miss is the
-// full exploration. Membership is sampled
-// at construction, before the cache is consulted, so the node's random
-// stream position afterwards is hit/miss independent.
+// Params.H(n) rounds: the sparse exploration, whose ID-sorted slots become
+// Res.Near. Membership is drawn from the node's random stream here, at
+// construction, which is where every later phase's draws start from.
 func NewComputeMachine(env *sim.Env, p Params, forceInclude bool) *ComputeMachine {
 	n := env.N()
 	h := p.H(n)
 	inS := forceInclude || env.Rand().Float64() < p.SampleProb(n)
 	m := &ComputeMachine{}
-	if p.Cache == nil {
-		m.prog = newExploreResultProg(env, m, inS, h)
-		return m
-	}
-	m.prog = p.Cache.Guard(keyOf(p, n),
-		func(e *cacheEntry) bool { return e.stale(env.ID(), forceInclude, inS) },
-		func(env *sim.Env, e *cacheEntry) sim.StepProgram {
-			m.Res = e.res[env.ID()] // shared with the cache: must not be mutated
-			return nil
-		},
-		func(env *sim.Env) sim.StepProgram { return newExploreResultProg(env, m, inS, h) },
-		func(env *sim.Env, e *cacheEntry) { e.store(env.ID(), forceInclude, m.Res) },
-	)
-	return m
-}
-
-// newExploreResultProg is the uncached construction: the h-round sparse
-// exploration, whose ID-sorted slots become m.Res.Near.
-func newExploreResultProg(env *sim.Env, m *ComputeMachine, inS bool, h int) sim.StepProgram {
 	var explore *ExploreMachine
-	return sim.Sequence(
+	m.prog = sim.Sequence(
 		func(env *sim.Env) sim.StepProgram {
 			explore = NewSparseExploreMachine(env, inS, h)
 			return explore
@@ -145,6 +119,7 @@ func newExploreResultProg(env *sim.Env, m *ComputeMachine, inS bool, h int) sim.
 			m.Res = Result{InSkeleton: inS, H: h, Near: explore.Heard}
 		}),
 	)
+	return m
 }
 
 // Step implements sim.StepProgram.

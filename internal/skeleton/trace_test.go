@@ -184,15 +184,10 @@ func TestComputeMachineMatchesShortH(t *testing.T) {
 }
 
 // TestComputeMachineMatches covers Algorithm 6 including the membership
-// sampling — uncached, populating a result cache, and bound from it — and
-// Algorithm 7 on the skeleton it builds.
+// sampling, and Algorithm 7 on the skeleton it builds.
 func TestComputeMachineMatches(t *testing.T) {
 	g := graph.Path(40)
-	pins := map[string]simtest.Pin{
-		"uncached":   {Metrics: sim.Metrics{Rounds: 387, GlobalMsgs: 246, GlobalBits: 12792, LocalMsgs: 912, LocalBits: 22464, MaxGlobalSend: 6, MaxGlobalRecv: 5}, Sum: 0xa2ee772423a6e725},
-		"cache miss": {Metrics: sim.Metrics{Rounds: 399, GlobalMsgs: 324, GlobalBits: 16848, LocalMsgs: 912, LocalBits: 22464, MaxGlobalSend: 6, MaxGlobalRecv: 5}, Sum: 0xa2ee772423a6e725},
-		"cache hit":  {Metrics: sim.Metrics{Rounds: 359, GlobalMsgs: 324, GlobalBits: 16848, LocalMsgs: 174, LocalBits: 8424, MaxGlobalSend: 6, MaxGlobalRecv: 5}, Sum: 0xa2ee772423a6e725},
-	}
+	pin := simtest.Pin{Metrics: sim.Metrics{Rounds: 387, GlobalMsgs: 246, GlobalBits: 12792, LocalMsgs: 912, LocalBits: 22464, MaxGlobalSend: 6, MaxGlobalRecv: 5}, Sum: 0xa2ee772423a6e725}
 	isSource := func(id int) bool { return id%7 == 3 }
 	repWords := func(reps []RepInfo) []int64 {
 		w := []int64{int64(len(reps))}
@@ -203,30 +198,25 @@ func TestComputeMachineMatches(t *testing.T) {
 	}
 
 	results := make([]Result, g.N())
-	machine := func(p Params) simtest.Factory {
-		return func(env *sim.Env, emit func(...int64)) sim.StepProgram {
-			var skelM *ComputeMachine
-			var repsM *RepresentativesMachine
-			return sim.Sequence(
-				func(env *sim.Env) sim.StepProgram {
-					skelM = NewComputeMachine(env, p, env.ID() == 0)
-					return skelM
-				},
-				func(env *sim.Env) sim.StepProgram {
-					results[env.ID()] = skelM.Res
-					emit(skelM.Res.words()...)
-					repsM = NewRepresentativesMachine(env, skelM.Res, isSource(env.ID()), 6)
-					return repsM
-				},
-				sim.Finish(func(*sim.Env) { emit(repWords(repsM.Out)...) }),
-			)
-		}
+	machine := func(env *sim.Env, emit func(...int64)) sim.StepProgram {
+		var skelM *ComputeMachine
+		var repsM *RepresentativesMachine
+		return sim.Sequence(
+			func(env *sim.Env) sim.StepProgram {
+				skelM = NewComputeMachine(env, Params{X: 0.5}, env.ID() == 0)
+				return skelM
+			},
+			func(env *sim.Env) sim.StepProgram {
+				results[env.ID()] = skelM.Res
+				emit(skelM.Res.words()...)
+				repsM = NewRepresentativesMachine(env, skelM.Res, isSource(env.ID()), 6)
+				return repsM
+			},
+			sim.Finish(func(*sim.Env) { emit(repWords(repsM.Out)...) }),
+		)
 	}
 	for _, eng := range simtest.Engines {
-		simtest.Run(t, "uncached", g, eng, 15, pins["uncached"], machine(Params{X: 0.5}))
-		cached := Params{X: 0.5, Cache: NewResultCache()}
-		simtest.Run(t, "cache miss", g, eng, 15, pins["cache miss"], machine(cached))
-		simtest.Run(t, "cache hit", g, eng, 15, pins["cache hit"], machine(cached))
+		simtest.Run(t, "uncached", g, eng, 15, pin, machine)
 		if err := CheckCoverage(results); err != nil {
 			t.Errorf("%s: %v", eng, err)
 		}

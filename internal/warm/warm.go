@@ -1,13 +1,14 @@
-// Package warm is the warm-start guard the three cross-run caches share:
+// Package warm is the warm-start guard the two cross-run caches share:
 // routing.SessionCache (Algorithm 1's helper families and the session
-// hash), helpers.ClusterCache (the seed-independent cluster structure) and
-// skeleton.ResultCache (Algorithm 6's per-node results). The paper's cost
-// accounting already reuses those structures across the routing instances
-// of one run — they depend on S, R, µ and the sample, not on the tokens —
-// and a Store extends the reuse across runs, with every reuse guarded by
-// one collective agreement (Guard). A cache package keeps only what really
-// differs: its key and trace label, what a slot holds, its stale, store and
-// bind predicates, and its snapshot codec.
+// hash) and helpers.ClusterCache (the seed-independent cluster structure).
+// The paper's cost accounting already reuses those structures across the
+// routing instances of one run — they depend on S, R, µ and the sample,
+// not on the tokens — and a Store extends the reuse across runs, with
+// every reuse guarded by one collective agreement (Guard). A cache package
+// keeps only what really differs: its key and trace label, what a slot
+// holds, its stale, store and bind predicates, and its snapshot codec.
+// Algorithm 6's skeleton has no cache: its h exploration rounds are
+// local-only, and skipping them on a warm start saved no measurable time.
 package warm
 
 import (

@@ -1,7 +1,7 @@
 // Tests of the persistent warm-start cache at facade level: a warm-started
 // run (in-memory or from disk) must produce byte-identical results to a
-// cold run on every engine, while skipping session and skeleton
-// construction — which the golden round trace pins as exact round counts
+// cold run on every engine, while skipping session construction — which
+// the golden round trace pins as exact round counts
 // and an exact cache-agreement event sequence, so any persistence
 // regression surfaces as a one-line diff.
 package hybrid_test
@@ -423,12 +423,13 @@ func TestLoadCacheNoFileIsCold(t *testing.T) {
 
 // TestParentCacheFilesLoad is the on-disk compatibility gate. The two files
 // under testdata/warmcache were written by SaveCache after one cold APSP on
-// the 7x7 grid (seed 1) at the commit before the three caches moved onto
+// the 7x7 grid (seed 1) at the commit before the caches moved onto
 // internal/warm — the instance whose warm row testdata/model_costs.golden
-// already pins. They must still load as a full warm start, the run they warm
+// already pins. Their seed file also carries the skeleton results the cache
+// held then. They must still load as a full warm start, the run they warm
 // must cost that golden row on every engine, and SaveCache must still write
-// the same bytes, so files cross the refactor in both directions.
-// Regenerate (only with a cacheFormatVersion bump) with:
+// the same structural file, so structural files cross both changes in both
+// directions. Regenerate (only with a cacheFormatVersion bump) with:
 // go test -run TestParentCacheFilesLoad -update .
 func TestParentCacheFilesLoad(t *testing.T) {
 	g := hybrid.GridGraph(7, 7)
@@ -462,6 +463,9 @@ func TestParentCacheFilesLoad(t *testing.T) {
 	sameAsFrozen := func(what, dir string) {
 		t.Helper()
 		for name, frozenBytes := range want {
+			if !strings.HasSuffix(name, "-struct.hybc") {
+				continue
+			}
 			got, err := os.ReadFile(filepath.Join(dir, name))
 			if err != nil {
 				t.Fatalf("%s: %v", what, err)
@@ -497,8 +501,9 @@ func TestParentCacheFilesLoad(t *testing.T) {
 		if row := goldenRow("apsp/grid7x7", 1, "warm", m, flat); !strings.Contains(string(golden), row) {
 			t.Errorf("%s: the run warmed from the frozen files is not the golden warm row:\n%s", eng, row)
 		}
-		// Restore then Snapshot loses nothing: the restored caches, after
-		// three guard hits, save back to the bytes they were loaded from.
+		// Restore then Snapshot loses nothing: the restored cluster cache,
+		// after the session's guard hit, saves back to the bytes it was
+		// loaded from.
 		if err := nw.SaveCache(); err != nil {
 			t.Fatalf("%s: %v", eng, err)
 		}
