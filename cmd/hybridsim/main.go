@@ -12,7 +12,7 @@
 //
 // With -cache-dir the run warm-starts from (and re-saves) the persistent
 // warm-start cache: a second invocation with the same graph, seed, and
-// parameters skips routing session and skeleton construction entirely. A
+// parameters skips routing session construction entirely. A
 // corrupt or incompatible cache file is rejected with a warning and the run
 // proceeds cold. -timeout bounds the run's wall clock; -progress n prints a
 // live round ticker to stderr every n rounds.
@@ -24,6 +24,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 
@@ -135,10 +136,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		printMetrics(stdout, res.Metrics)
 	case "kssp":
-		sources := make([]int, 0, *k)
-		for len(sources) < *k {
-			sources = append(sources, rng.Intn(g.N()))
+		if *k < 1 || *k > g.N() {
+			return fatalf("-k %d: need 1 <= k <= n = %d sources", *k, g.N())
 		}
+		sources := drawSources(rng, g.N(), *k)
 		specs := map[string]hybrid.KSSPSpec{
 			"cor46": hybrid.Cor46(*eps), "cor47": hybrid.Cor47(*eps),
 			"cor48": hybrid.Cor48(*eps), "mm": hybrid.KSSPRealMM(1 / *eps),
@@ -210,9 +211,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
+// drawSources draws k distinct source nodes out of n, 1 <= k <= n.
+func drawSources(rng *rand.Rand, n, k int) []int {
+	sources := make([]int, 0, k)
+	seen := make([]bool, n)
+	for len(sources) < k {
+		if s := rng.Intn(n); !seen[s] {
+			seen[s] = true
+			sources = append(sources, s)
+		}
+	}
+	return sources
+}
+
 // printCacheSummary reports the on-disk cache sections in the run summary:
 // which sections this run warm-started from (structural = seed-independent
-// cluster structures, seed = sessions + skeleton results) and each file's
+// cluster structures, seed = routing sessions) and each file's
 // format version and size after the post-run save.
 func printCacheSummary(w io.Writer, net *hybrid.Network, status hybrid.CacheLoadStatus) {
 	verdict := func(hit bool) string {

@@ -5,9 +5,11 @@ package main
 
 import (
 	"bytes"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -235,6 +237,26 @@ func TestRunBadFlags(t *testing.T) {
 	code, _, stderr := runCLI("-engine", "sharded")
 	if code == 0 || !strings.Contains(stderr, `unknown engine "sharded"`) {
 		t.Errorf("-engine sharded: exit %d, stderr %q", code, stderr)
+	}
+}
+
+// TestRunKSSPSourceCount pins -k's range for -algo kssp: a count below 1 or
+// above n exits 1 with an error naming -k (not a panic, not repeated
+// sources), and k = n draws every node once.
+func TestRunKSSPSourceCount(t *testing.T) {
+	for _, k := range []string{"-2", "0", "17", "40"} {
+		code, _, stderr := runCLI("-graph", "grid", "-n", "16", "-algo", "kssp", "-k", k)
+		if code != 1 || !strings.Contains(stderr, "-k "+k) {
+			t.Errorf("-k %s on 16 nodes: exit %d, stderr %q; want exit 1 naming -k", k, code, stderr)
+		}
+	}
+	code, stdout, stderr := runCLI("-graph", "grid", "-n", "16", "-algo", "kssp", "-k", "16")
+	if code != 0 || !strings.Contains(stdout, "with k=16:") {
+		t.Fatalf("-k 16 on 16 nodes: exit %d, stdout:\n%s\nstderr:\n%s", code, stdout, stderr)
+	}
+	sources := drawSources(rand.New(rand.NewSource(1)), 16, 16)
+	if slices.Sort(sources); !slices.Equal(sources, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}) {
+		t.Errorf("k = n drew %v, want every node once", sources)
 	}
 }
 
