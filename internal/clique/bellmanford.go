@@ -99,7 +99,7 @@ func (n *bfNode) Recv(r int, in []Incoming) {
 		if !isNeighbor {
 			continue // non-neighbors cannot relax us
 		}
-		if nd := satAdd(m.Val.F0, w); nd < n.dist[sIdx] {
+		if nd := graph.SatAdd(m.Val.F0, w); nd < n.dist[sIdx] {
 			n.dist[sIdx] = nd
 		}
 	}

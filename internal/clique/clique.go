@@ -166,14 +166,6 @@ func less(a, b Incoming) bool {
 	return a.Tag < b.Tag
 }
 
-// satAdd adds distances with saturation at graph.Inf.
-func satAdd(a, b int64) int64 {
-	if a >= graph.Inf || b >= graph.Inf {
-		return graph.Inf
-	}
-	return a + b
-}
-
 // AdjacencyInputs builds the per-node inputs of a CLIQUE run from a graph.
 func AdjacencyInputs(g *graph.Graph) [][]graph.Neighbor {
 	out := make([][]graph.Neighbor, g.N())

@@ -352,7 +352,7 @@ func (n *mmNode) partial(c, i, j int) int64 {
 	lo, hi := n.alg.group(c)
 	best := graph.Inf
 	for k := lo; k < hi; k++ {
-		if v := satAdd(n.getEntry(n.xEnt, i, k), n.getEntry(n.yEnt, k, j)); v < best {
+		if v := graph.SatAdd(n.getEntry(n.xEnt, i, k), n.getEntry(n.yEnt, k, j)); v < best {
 			best = v
 		}
 	}

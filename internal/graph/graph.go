@@ -22,6 +22,16 @@ import (
 // wraps around.
 const Inf int64 = math.MaxInt64 / 4
 
+// SatAdd adds two distances, saturating at Inf: an operand at or past Inf
+// makes the sum Inf. Two finite operands add exactly; both are below
+// Inf = MaxInt64/4, so their sum cannot overflow.
+func SatAdd(a, b int64) int64 {
+	if a >= Inf || b >= Inf {
+		return Inf
+	}
+	return a + b
+}
+
 // Edge is a weighted undirected edge between two nodes.
 type Edge struct {
 	U, V int

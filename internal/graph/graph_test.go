@@ -273,3 +273,24 @@ func TestQuickRandomGraphInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSatAdd is SatAdd's boundary table: zero, a finite distance plus Inf,
+// Inf plus Inf, and the largest finite sums, which stay exact.
+func TestSatAdd(t *testing.T) {
+	for _, c := range []struct{ a, b, want int64 }{
+		{0, 0, 0},
+		{0, 7, 7},
+		{5, Inf, Inf},
+		{Inf, 5, Inf},
+		{0, Inf, Inf},
+		{Inf, Inf, Inf},
+		{Inf + 1, 0, Inf},
+		{Inf - 1, 1, Inf},
+		{Inf - 1, Inf - 1, 2*Inf - 2},
+		{2*Inf - 2, Inf - 1, Inf},
+	} {
+		if got := SatAdd(c.a, c.b); got != c.want {
+			t.Errorf("SatAdd(%d, %d) = %d, want %d", c.a, c.b, got, c.want)
+		}
+	}
+}

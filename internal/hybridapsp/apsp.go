@@ -142,7 +142,7 @@ func NewComputeMachine(env *sim.Env, params Params, done func([]int64)) sim.Step
 				}
 				for v := 0; v < n; v++ {
 					if dv := vec[v]; dv >= 0 {
-						if cand := satAdd(s.Dist, dv); cand < out[v] {
+						if cand := graph.SatAdd(s.Dist, dv); cand < out[v] {
 							out[v] = cand
 						}
 					}
@@ -261,18 +261,11 @@ func bestViaSkeleton(skel skeleton.Result, rank map[int]int, dS [][]int64, targe
 		if !ok {
 			continue
 		}
-		if cand := satAdd(s1.Dist, dS[i][target]); cand < best {
+		if cand := graph.SatAdd(s1.Dist, dS[i][target]); cand < best {
 			best = cand
 		}
 	}
 	return best
-}
-
-func satAdd(a, b int64) int64 {
-	if a >= graph.Inf || b >= graph.Inf {
-		return graph.Inf
-	}
-	return a + b
 }
 
 // NewBaselineComputeMachine runs the O~(n^(2/3)) APSP of [3] (the algorithm
@@ -344,13 +337,13 @@ func NewBaselineComputeMachine(env *sim.Env, params Params, done func([]int64)) 
 				}
 				for j := range members {
 					row := lab[j*n : (j+1)*n]
-					base := satAdd(s1.Dist, dS[i][j])
+					base := graph.SatAdd(s1.Dist, dS[i][j])
 					if base >= graph.Inf {
 						continue
 					}
 					for v := 0; v < n; v++ {
 						if dv := row[v]; dv >= 0 {
-							if cand := satAdd(base, dv); cand < out[v] {
+							if cand := graph.SatAdd(base, dv); cand < out[v] {
 								out[v] = cand
 							}
 						}

@@ -239,7 +239,7 @@ func combineEstimates(skel skeleton.Result, reps []skeleton.RepInfo, simRes cliq
 					continue
 				}
 				if dv := vec[oi]; dv >= 0 {
-					if cand := satAdd(u.Dist, satAdd(dv, ri.Dist)); cand < best {
+					if cand := graph.SatAdd(u.Dist, graph.SatAdd(dv, ri.Dist)); cand < best {
 						best = cand
 					}
 				}
@@ -259,11 +259,4 @@ func orderedSourceIndex(simRes cliquesim.Result, reps []skeleton.RepInfo) map[in
 		}
 	}
 	return out
-}
-
-func satAdd(a, b int64) int64 {
-	if a >= graph.Inf || b >= graph.Inf {
-		return graph.Inf
-	}
-	return a + b
 }
