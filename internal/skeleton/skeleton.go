@@ -102,8 +102,8 @@ type ComputeMachine struct {
 // NewComputeMachine builds the collective Algorithm 6 machine; all nodes
 // must start it in the same round with the same params. It takes exactly
 // Params.H(n) rounds: the sparse exploration, whose ID-sorted slots become
-// Res.Near. Membership is drawn from the node's random stream here, at
-// construction, which is where every later phase's draws start from.
+// Res.Near. Membership is drawn from the node's random stream at
+// construction; every later randomized phase draws after it.
 func NewComputeMachine(env *sim.Env, p Params, forceInclude bool) *ComputeMachine {
 	n := env.N()
 	h := p.H(n)
