@@ -63,6 +63,32 @@ func TestEnginesAgreeAPSP(t *testing.T) {
 	}
 }
 
+// TestEnginesAgreeCut: the cut counters are part of the Metrics every engine
+// must agree on, and APSP on a grid split into two halves crosses the cut.
+func TestEnginesAgreeCut(t *testing.T) {
+	g := hybrid.GridGraph(6, 6)
+	cut := make([]bool, g.N())
+	for v := 0; v < g.N()/2; v++ {
+		cut[v] = true
+	}
+	var oracle hybrid.Metrics
+	for i, eng := range allEngines {
+		res, err := hybrid.New(g, hybrid.WithSeed(101), hybrid.WithEngine(eng), hybrid.WithCut(cut)).APSP()
+		if err != nil {
+			t.Fatalf("%s: %v", eng, err)
+		}
+		m := res.Metrics
+		if m.CutGlobalMsgs == 0 || m.CutGlobalBits == 0 {
+			t.Errorf("%s: no global message crossed the cut: %+v", eng, m)
+		}
+		if i == 0 {
+			oracle = m
+		} else if m != oracle {
+			t.Errorf("cut metrics differ: legacy %+v %s %+v", oracle, eng, m)
+		}
+	}
+}
+
 func TestEnginesAgreeAPSPBaseline(t *testing.T) {
 	g := hybrid.GridGraph(6, 6)
 	oracle, err := engineNet(g, 707, hybrid.EngineLegacy).APSPBaseline()

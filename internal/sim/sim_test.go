@@ -11,13 +11,13 @@ import (
 )
 
 // The tests of this file pin the model contract — delivery, caps,
-// violations, accounting, randomness — on the default engine and on the
-// reference engine alike.
+// violations, accounting, randomness — on every engine alike.
 
-// onEngines runs f once per in-process engine.
+// onEngines runs f once per engine; EngineDist routes through the in-process
+// sortingRouter (dist_test.go).
 func onEngines(t *testing.T, f func(t *testing.T, eng Engine)) {
 	t.Helper()
-	for _, eng := range []Engine{EngineStep, EngineLegacy} {
+	for _, eng := range []Engine{EngineStep, EngineLegacy, EngineDist} {
 		t.Run(eng.String(), func(t *testing.T) { f(t, eng) })
 	}
 }

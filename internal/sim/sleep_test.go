@@ -17,6 +17,10 @@ import (
 // twice — once declaring their schedule through Loop.NextSend, once not —
 // and requires the two runs to be indistinguishable from outside.
 
+// stepLoopEngines are the engines that run the step loop, and so sleep and
+// fast-forward.
+var stepLoopEngines = []Engine{EngineStep, EngineDist}
+
 // never is a Send that stages nothing: it keeps a Loop from sleeping (a nil
 // Send would opt it in) without changing what the Loop does.
 func never(*Env, int) {}
@@ -148,6 +152,8 @@ func TestSleepingChangesNothing(t *testing.T) {
 		{Engine: EngineStep, Shards: 1},
 		{Engine: EngineStep, Shards: 4},
 		{Engine: EngineStep, Shards: 3},
+		{Engine: EngineDist, DistWorkers: 1},
+		{Engine: EngineDist, DistWorkers: 3},
 		{Engine: EngineLegacy},
 	} {
 		out, m, ticks := run(cfg, true)
@@ -168,9 +174,10 @@ func TestSleepingChangesNothing(t *testing.T) {
 // index — a run without sleeping reads it in.
 func TestSleeperWokenInTheRoundItWouldHaveRead(t *testing.T) {
 	g := graph.Path(3)
-	run := func(sleepy bool) []string {
+	run := func(eng Engine, sleepy bool) []string {
 		var seen []string
-		_, err := RunStep(g, Config{Engine: EngineStep}, func(env *Env) StepProgram {
+		// One shard: every node appends to seen.
+		_, err := RunStep(g, Config{Engine: eng, DistWorkers: 1}, func(env *Env) StepProgram {
 			if env.ID() == 0 {
 				return &Loop{
 					Rounds:   40,
@@ -202,11 +209,13 @@ func TestSleeperWokenInTheRoundItWouldHaveRead(t *testing.T) {
 		"node 1 round 24 index 23 local 23", "node 2 round 24 index 23 global 23",
 		"node 1 round 37 index 36 local 36", "node 2 round 37 index 36 global 36",
 	}
-	if got := run(false); !reflect.DeepEqual(got, want) {
-		t.Fatalf("without sleeping: %q, want %q", got, want)
-	}
-	if got := run(true); !reflect.DeepEqual(got, want) {
-		t.Errorf("with sleeping: %q, want %q", got, want)
+	for _, eng := range stepLoopEngines {
+		if got := run(eng, false); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v without sleeping: %q, want %q", eng, got, want)
+		}
+		if got := run(eng, true); !reflect.DeepEqual(got, want) {
+			t.Errorf("%v with sleeping: %q, want %q", eng, got, want)
+		}
 	}
 }
 
@@ -218,9 +227,13 @@ func TestSleeperWokenInTheRoundItWouldHaveRead(t *testing.T) {
 // must read an empty inbox, not those.
 func TestSleeperWakesToEmptyInbox(t *testing.T) {
 	g := graph.Path(2)
-	for _, wake := range []int{10, 11} {
+	for _, tc := range []struct {
+		eng  Engine
+		wake int
+	}{{EngineStep, 10}, {EngineStep, 11}, {EngineDist, 10}, {EngineDist, 11}} {
+		wake := tc.wake
 		var reads []string
-		_, err := RunStep(g, Config{Engine: EngineStep}, func(env *Env) StepProgram {
+		_, err := RunStep(g, Config{Engine: tc.eng}, func(env *Env) StepProgram {
 			if env.ID() == 0 {
 				return &Loop{
 					Rounds: 30,
@@ -255,7 +268,7 @@ func TestSleeperWakesToEmptyInbox(t *testing.T) {
 			want = append(want, fmt.Sprintf("round %d: 0 local 0 global", r))
 		}
 		if !reflect.DeepEqual(reads, want) {
-			t.Errorf("wake-up at round %d read %q, want %q", wake, reads, want)
+			t.Errorf("%v: wake-up at round %d read %q, want %q", tc.eng, wake, reads, want)
 		}
 	}
 }
@@ -266,11 +279,11 @@ func TestSleeperWakesToEmptyInbox(t *testing.T) {
 // in a run that executes every round.
 func TestFastForwardHonoursMaxRoundsAndCtx(t *testing.T) {
 	g := graph.Grid(3, 3)
-	run := func(sleepy, cancelAt20 bool) (Metrics, error, int) {
+	run := func(eng Engine, sleepy, cancelAt20 bool) (Metrics, error, int) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		last := 0
-		cfg := Config{Engine: EngineStep, Ctx: ctx, OnRound: func(r int) {
+		cfg := Config{Engine: eng, Ctx: ctx, OnRound: func(r int) {
 			last = r
 			if cancelAt20 && r == 20 {
 				cancel()
@@ -282,22 +295,24 @@ func TestFastForwardHonoursMaxRoundsAndCtx(t *testing.T) {
 		m, err := RunStep(g, cfg, func(env *Env) StepProgram { return idleLoop(100, sleepy, nil) })
 		return m, err, last
 	}
-	for _, cancelAt20 := range []bool{false, true} {
-		wantM, wantErr, wantLast := run(false, cancelAt20)
-		gotM, gotErr, gotLast := run(true, cancelAt20)
-		target := error(ErrTooManyRounds)
-		if cancelAt20 {
-			target = context.Canceled
-		}
-		if !errors.Is(wantErr, target) || !errors.Is(gotErr, target) {
-			t.Fatalf("cancel=%v: errors %v / %v, want both to wrap %v", cancelAt20, wantErr, gotErr, target)
-		}
-		if gotErr.Error() != wantErr.Error() {
-			t.Errorf("cancel=%v: error %q, want %q", cancelAt20, gotErr, wantErr)
-		}
-		if gotM != wantM || gotLast != wantLast {
-			t.Errorf("cancel=%v: skipped run stopped at metrics %+v tick %d, executed run at %+v tick %d",
-				cancelAt20, gotM, gotLast, wantM, wantLast)
+	for _, eng := range stepLoopEngines {
+		for _, cancelAt20 := range []bool{false, true} {
+			wantM, wantErr, wantLast := run(eng, false, cancelAt20)
+			gotM, gotErr, gotLast := run(eng, true, cancelAt20)
+			target := error(ErrTooManyRounds)
+			if cancelAt20 {
+				target = context.Canceled
+			}
+			if !errors.Is(wantErr, target) || !errors.Is(gotErr, target) {
+				t.Fatalf("%v cancel=%v: errors %v / %v, want both to wrap %v", eng, cancelAt20, wantErr, gotErr, target)
+			}
+			if gotErr.Error() != wantErr.Error() {
+				t.Errorf("%v cancel=%v: error %q, want %q", eng, cancelAt20, gotErr, wantErr)
+			}
+			if gotM != wantM || gotLast != wantLast {
+				t.Errorf("%v cancel=%v: skipped run stopped at metrics %+v tick %d, executed run at %+v tick %d",
+					eng, cancelAt20, gotM, gotLast, wantM, wantLast)
+			}
 		}
 	}
 }
