@@ -74,7 +74,7 @@ func TestRunListenMode(t *testing.T) {
 	if shard, err := wire.DecodeHandshake(join.Payload); err != nil || shard != wire.AnyShard {
 		t.Fatalf("join handshake = %d, %v", shard, err)
 	}
-	hello := wire.AppendHello(nil, wire.Hello{N: 8, LogN: 3, Shard: 1, Lo: 4, Hi: 8})
+	hello := wire.AppendHello(nil, wire.Hello{N: 8, Shard: 1, Lo: 4, Hi: 8})
 	if _, err := conn.Write(wire.AppendFrame(nil, wire.Frame{Type: wire.FrameHello, Shard: 1, Payload: hello})); err != nil {
 		t.Fatal(err)
 	}

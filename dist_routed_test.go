@@ -30,7 +30,7 @@ import (
 )
 
 // recordingRouter is the worker contract in-process: per shard, a stable
-// sort by destination and the receive accounting.
+// sort by destination.
 type recordingRouter struct {
 	heads, full hash.Hash64
 	routed      int // calls carrying at least one message
@@ -50,7 +50,7 @@ func (r *recordingRouter) put(payload bool, vs ...int64) {
 }
 
 func (r *recordingRouter) RouteRound(round int, outgoing [][]sim.GlobalMsg) ([][]sim.GlobalMsg, sim.DistRoundStats, error) {
-	stats := sim.DistRoundStats{ViolDst: -1}
+	var stats sim.DistRoundStats
 	for _, batch := range outgoing {
 		stats.GlobalMsgs += int64(len(batch))
 	}
@@ -61,15 +61,11 @@ func (r *recordingRouter) RouteRound(round int, outgoing [][]sim.GlobalMsg) ([][
 	r.routed++
 	r.put(false, int64(round))
 	streams := make([][]sim.GlobalMsg, len(outgoing))
-	recv := make(map[int]int)
 	for k, batch := range outgoing {
 		r.put(false, int64(k), int64(len(batch)))
 		for _, m := range batch {
 			r.put(false, int64(m.Src), int64(m.Dst), int64(m.Kind))
 			r.put(true, m.F0, m.F1, m.F2, m.F3)
-			if recv[m.Dst]++; recv[m.Dst] > stats.MaxRecv {
-				stats.MaxRecv = recv[m.Dst]
-			}
 		}
 		streams[k] = append([]sim.GlobalMsg(nil), batch...)
 		sort.SliceStable(streams[k], func(i, j int) bool { return streams[k][i].Dst < streams[k][j].Dst })

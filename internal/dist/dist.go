@@ -367,10 +367,7 @@ func (r *Router) handshake(w *worker, deadline time.Time) error {
 	}
 	hello := wire.AppendFrame(nil, wire.Frame{
 		Type: wire.FrameHello, Shard: w.shard,
-		Payload: wire.AppendHello(nil, wire.Hello{
-			N: r.cfg.N, LogN: r.cfg.LogN, Shard: w.shard,
-			Lo: lo, Hi: hi, StrictRecvFactor: r.cfg.StrictRecvFactor, Cut: r.cfg.Cut,
-		}),
+		Payload: wire.AppendHello(nil, wire.Hello{N: r.cfg.N, Shard: w.shard, Lo: lo, Hi: hi}),
 	})
 	if _, err := conn.Write(hello); err != nil {
 		return fmt.Errorf("dist: sending hello to worker %d: %w", w.shard, err)
@@ -427,7 +424,7 @@ func (r *Router) Respawns() int64 { return r.respawns.Load() }
 
 // RouteRound implements sim.DistRouter: every shard's request batch makes
 // one round trip to its worker, all shards in parallel, and the sorted
-// replies merge in shard order. An empty batch still makes the trip; the
+// replies come back in shard order. An empty batch still makes the trip; the
 // engine is what leaves a round with no global message unrouted. Rounds
 // must be routed in ascending order (the engine's round loop guarantees
 // this), not necessarily consecutive.
@@ -440,36 +437,26 @@ func (r *Router) RouteRound(round int, outgoing [][]sim.GlobalMsg) ([][]sim.Glob
 		return nil, sim.DistRoundStats{}, fmt.Errorf("dist: %d request batches for %d workers", len(outgoing), nw)
 	}
 	results := make([][]sim.GlobalMsg, nw)
-	stats := make([]wire.RoundStats, nw)
 	errs := make([]error, nw)
 	if nw == 1 {
-		results[0], stats[0], errs[0] = r.roundTrip(0, round, outgoing[0])
+		results[0], errs[0] = r.roundTrip(0, round, outgoing[0])
 	} else {
 		var wg sync.WaitGroup
 		for k := 0; k < nw; k++ {
 			wg.Add(1)
 			go func(k int) {
 				defer wg.Done()
-				results[k], stats[k], errs[k] = r.roundTrip(k, round, outgoing[k])
+				results[k], errs[k] = r.roundTrip(k, round, outgoing[k])
 			}(k)
 		}
 		wg.Wait()
 	}
-	total := sim.DistRoundStats{ViolDst: -1}
+	var total sim.DistRoundStats
 	for k := 0; k < nw; k++ {
 		if errs[k] != nil {
 			return nil, sim.DistRoundStats{}, errs[k]
 		}
-		st := stats[k]
-		total.GlobalMsgs += st.Msgs
-		total.CutMsgs += st.CutMsgs
-		if int(st.MaxRecv) > total.MaxRecv {
-			total.MaxRecv = int(st.MaxRecv)
-		}
-		if st.ViolDst >= 0 && (total.ViolDst < 0 || int(st.ViolDst) < total.ViolDst) {
-			total.ViolDst = int(st.ViolDst)
-			total.ViolCount = int(st.ViolCount)
-		}
+		total.GlobalMsgs += int64(len(results[k]))
 	}
 	return results, total, nil
 }
@@ -481,7 +468,7 @@ func (r *Router) RouteRound(round int, outgoing [][]sim.GlobalMsg) ([][]sim.Glob
 // attempt first checks the run's context, and every wait ends by its
 // deadline, so an ended run is seen within one FrameTimeout (by its deadline
 // when it has one).
-func (r *Router) roundTrip(k, round int, out []sim.GlobalMsg) ([]sim.GlobalMsg, wire.RoundStats, error) {
+func (r *Router) roundTrip(k, round int, out []sim.GlobalMsg) ([]sim.GlobalMsg, error) {
 	sl := r.slots[k]
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
@@ -495,7 +482,7 @@ func (r *Router) roundTrip(k, round int, out []sim.GlobalMsg) ([]sim.GlobalMsg, 
 	var lastErr error
 	for attempt := 1; attempt <= retries; attempt++ {
 		if err := r.ctxErr(); err != nil {
-			return nil, wire.RoundStats{}, fmt.Errorf("dist: worker %d: round %d abandoned: %w", k, round, err)
+			return nil, fmt.Errorf("dist: worker %d: round %d abandoned: %w", k, round, err)
 		}
 		if attempt > 1 {
 			r.sleep(backoffDelay(backoff, attempt-1))
@@ -512,17 +499,17 @@ func (r *Router) roundTrip(k, round int, out []sim.GlobalMsg) ([]sim.GlobalMsg, 
 		if !act.drop {
 			if _, err := w.conn.Write(req); err != nil {
 				if w, err = r.respawnLocked(k, req); err != nil {
-					return nil, wire.RoundStats{}, err
+					return nil, err
 				}
 			}
 		}
 		f, err := r.awaitReply(w, round)
 		if err == nil {
-			msgs, st, derr := wire.DecodeReply(f.Payload)
+			msgs, derr := wire.DecodeMsgs(f.Payload)
 			if derr != nil {
-				return nil, wire.RoundStats{}, fmt.Errorf("dist: worker %d round %d reply: %w", k, round, derr)
+				return nil, fmt.Errorf("dist: worker %d round %d reply: %w", k, round, derr)
 			}
-			return msgs, st, nil
+			return msgs, nil
 		}
 		lastErr = err
 		if isTimeout(err) {
@@ -533,15 +520,15 @@ func (r *Router) roundTrip(k, round int, out []sim.GlobalMsg) ([]sim.GlobalMsg, 
 		}
 		var perr *protocolError
 		if errors.As(err, &perr) {
-			return nil, wire.RoundStats{}, err
+			return nil, err
 		}
 		// Connection-level failure (EOF from a killed worker, reset,
 		// desynced stream): replace the worker and replay the request.
 		if w, err = r.respawnLocked(k, req); err != nil {
-			return nil, wire.RoundStats{}, err
+			return nil, err
 		}
 	}
-	return nil, wire.RoundStats{}, fmt.Errorf("dist: worker %d: round %d failed after %d attempts: %w",
+	return nil, fmt.Errorf("dist: worker %d: round %d failed after %d attempts: %w",
 		k, round, retries, lastErr)
 }
 

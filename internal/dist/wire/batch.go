@@ -28,7 +28,8 @@ const maxNodeID = 1 << 31
 
 // AppendMsgs appends the column-wise encoding of ms to dst: seven
 // sections (Src, Dst, Kind, F0..F3), each a length-prefixed PackInt64s
-// stream.
+// stream. It is the payload of a Round frame (the shard's batch in staging
+// order) and of its RoundReply (the same batch in delivery order).
 func AppendMsgs(dst []byte, ms []sim.GlobalMsg) []byte {
 	col := make([]int64, len(ms))
 	for c := 0; c < 7; c++ {
@@ -57,9 +58,41 @@ func AppendMsgs(dst []byte, ms []sim.GlobalMsg) []byte {
 
 // DecodeMsgs decodes a full-buffer message batch written by AppendMsgs.
 func DecodeMsgs(data []byte) ([]sim.GlobalMsg, error) {
-	ms, pos, err := decodeMsgSections(data, 0)
-	if err != nil {
-		return nil, err
+	var cols [7][]int64
+	pos := 0
+	for c := range cols {
+		sec, next, err := nextSection(data, pos)
+		if err != nil {
+			return nil, err
+		}
+		cols[c], err = persist.UnpackInt64s(sec)
+		if err != nil {
+			return nil, fmt.Errorf("%w: message column %d: %v", ErrMalformed, c, err)
+		}
+		if len(cols[c]) != len(cols[0]) {
+			return nil, fmt.Errorf("%w: message column %d has %d entries, want %d",
+				ErrMalformed, c, len(cols[c]), len(cols[0]))
+		}
+		pos = next
+	}
+	n := len(cols[0])
+	if n > maxBatchMsgs {
+		return nil, fmt.Errorf("%w: message batch of %d exceeds bound", ErrMalformed, n)
+	}
+	ms := make([]sim.GlobalMsg, n)
+	for i := range ms {
+		src, dstID, kind := cols[0][i], cols[1][i], cols[2][i]
+		if src < 0 || src > maxNodeID || dstID < 0 || dstID > maxNodeID {
+			return nil, fmt.Errorf("%w: message %d has endpoint out of range (src %d, dst %d)",
+				ErrMalformed, i, src, dstID)
+		}
+		if kind < 0 || kind > int64(^uint16(0)) {
+			return nil, fmt.Errorf("%w: message %d kind %d outside uint16", ErrMalformed, i, kind)
+		}
+		ms[i] = sim.GlobalMsg{
+			Src: int(src), Dst: int(dstID), Kind: sim.Kind(kind),
+			F0: cols[3][i], F1: cols[4][i], F2: cols[5][i], F3: cols[6][i],
+		}
 	}
 	if pos != len(data) {
 		return nil, fmt.Errorf("%w: %d trailing bytes after message batch", ErrMalformed, len(data)-pos)
@@ -67,159 +100,37 @@ func DecodeMsgs(data []byte) ([]sim.GlobalMsg, error) {
 	return ms, nil
 }
 
-// decodeMsgSections decodes the seven message columns starting at pos and
-// returns the batch plus the position after it.
-func decodeMsgSections(data []byte, pos int) ([]sim.GlobalMsg, int, error) {
-	var cols [7][]int64
-	for c := range cols {
-		sec, next, err := nextSection(data, pos)
-		if err != nil {
-			return nil, 0, err
-		}
-		cols[c], err = persist.UnpackInt64s(sec)
-		if err != nil {
-			return nil, 0, fmt.Errorf("%w: message column %d: %v", ErrMalformed, c, err)
-		}
-		if len(cols[c]) != len(cols[0]) {
-			return nil, 0, fmt.Errorf("%w: message column %d has %d entries, want %d",
-				ErrMalformed, c, len(cols[c]), len(cols[0]))
-		}
-		pos = next
-	}
-	n := len(cols[0])
-	if n > maxBatchMsgs {
-		return nil, 0, fmt.Errorf("%w: message batch of %d exceeds bound", ErrMalformed, n)
-	}
-	ms := make([]sim.GlobalMsg, n)
-	for i := range ms {
-		src, dstID, kind := cols[0][i], cols[1][i], cols[2][i]
-		if src < 0 || src > maxNodeID || dstID < 0 || dstID > maxNodeID {
-			return nil, 0, fmt.Errorf("%w: message %d has endpoint out of range (src %d, dst %d)",
-				ErrMalformed, i, src, dstID)
-		}
-		if kind < 0 || kind > int64(^uint16(0)) {
-			return nil, 0, fmt.Errorf("%w: message %d kind %d outside uint16", ErrMalformed, i, kind)
-		}
-		ms[i] = sim.GlobalMsg{
-			Src: int(src), Dst: int(dstID), Kind: sim.Kind(kind),
-			F0: cols[3][i], F1: cols[4][i], F2: cols[5][i], F3: cols[6][i],
-		}
-	}
-	return ms, pos, nil
-}
-
-// RoundStats is the per-shard accounting a worker computes while sorting
-// one round's batch; the coordinator folds it into sim.DistRoundStats.
-// ViolDst is -1 when no destination exceeded the strict receive cap.
-type RoundStats struct {
-	Msgs      int64
-	CutMsgs   int64
-	MaxRecv   int64
-	ViolDst   int64
-	ViolCount int64
-}
-
-// AppendReply appends a RoundReply payload: the stats section followed by
-// the delivery-ordered message columns.
-func AppendReply(dst []byte, ms []sim.GlobalMsg, st RoundStats) []byte {
-	stats := persist.PackInt64s([]int64{st.Msgs, st.CutMsgs, st.MaxRecv, st.ViolDst, st.ViolCount})
-	dst = appendSection(dst, stats)
-	return AppendMsgs(dst, ms)
-}
-
-// DecodeReply decodes a full RoundReply payload.
-func DecodeReply(data []byte) ([]sim.GlobalMsg, RoundStats, error) {
-	sec, pos, err := nextSection(data, 0)
-	if err != nil {
-		return nil, RoundStats{}, err
-	}
-	vals, err := persist.UnpackInt64s(sec)
-	if err != nil || len(vals) != 5 {
-		return nil, RoundStats{}, fmt.Errorf("%w: bad reply stats section", ErrMalformed)
-	}
-	st := RoundStats{Msgs: vals[0], CutMsgs: vals[1], MaxRecv: vals[2], ViolDst: vals[3], ViolCount: vals[4]}
-	ms, pos, err := decodeMsgSections(data, pos)
-	if err != nil {
-		return nil, RoundStats{}, err
-	}
-	if pos != len(data) {
-		return nil, RoundStats{}, fmt.Errorf("%w: %d trailing bytes after reply", ErrMalformed, len(data)-pos)
-	}
-	if st.Msgs != int64(len(ms)) {
-		return nil, RoundStats{}, fmt.Errorf("%w: reply stats claim %d messages, batch has %d",
-			ErrMalformed, st.Msgs, len(ms))
-	}
-	return ms, st, nil
-}
-
 // Hello is the coordinator's per-connection configuration handshake: the
-// static facts a worker needs to sort and validate every round of its
-// shard.
+// shard a worker serves and its node range, against which every round's
+// destinations are checked.
 type Hello struct {
-	N                int
-	LogN             int
-	Shard            int
-	Lo, Hi           int    // the shard's node range [Lo, Hi)
-	StrictRecvFactor int    // 0: no receive cap enforcement
-	Cut              []bool // global-edge cut marks, nil when unused
+	N      int
+	Shard  int
+	Lo, Hi int // the shard's node range [Lo, Hi)
 }
 
-// AppendHello appends the Hello payload: a fixed section of 8 ints, Version
-// first, plus an optional PackSorted section listing the true indices of Cut.
+// AppendHello appends the Hello payload: one section of 5 ints, Version
+// first.
 func AppendHello(dst []byte, h Hello) []byte {
-	hasCut := int64(0)
-	if h.Cut != nil {
-		hasCut = 1
-	}
-	ints := []int64{
-		Version, int64(h.N), int64(h.LogN), int64(h.Shard),
-		int64(h.Lo), int64(h.Hi), int64(h.StrictRecvFactor), hasCut,
-	}
-	dst = appendSection(dst, persist.PackInt64s(ints))
-	if h.Cut != nil {
-		idx := make([]int, 0, len(h.Cut))
-		for i, c := range h.Cut {
-			if c {
-				idx = append(idx, i)
-			}
-		}
-		dst = appendSection(dst, persist.PackSorted(idx))
-	}
-	return dst
+	ints := []int64{Version, int64(h.N), int64(h.Shard), int64(h.Lo), int64(h.Hi)}
+	return appendSection(dst, persist.PackInt64s(ints))
 }
 
-// DecodeHello decodes a full Hello payload.
+// DecodeHello decodes a full Hello payload. A node range outside
+// 0 <= Lo <= Hi <= N is malformed.
 func DecodeHello(data []byte) (Hello, error) {
-	vals, pos, err := versionedSection(data, 8, "hello")
+	vals, pos, err := versionedSection(data, 5, "hello")
 	if err != nil {
 		return Hello{}, err
 	}
-	for i, v := range vals[1:7] {
+	for i, v := range vals[1:] {
 		if v < 0 || v > maxNodeID {
 			return Hello{}, fmt.Errorf("%w: hello field %d out of range (%d)", ErrMalformed, i+1, v)
 		}
 	}
-	h := Hello{
-		N: int(vals[1]), LogN: int(vals[2]), Shard: int(vals[3]),
-		Lo: int(vals[4]), Hi: int(vals[5]), StrictRecvFactor: int(vals[6]),
-	}
-	if vals[7] != 0 {
-		sec, next, err := nextSection(data, pos)
-		if err != nil {
-			return Hello{}, err
-		}
-		pos = next
-		idx, err := persist.UnpackSorted(sec)
-		if err != nil {
-			return Hello{}, fmt.Errorf("%w: bad hello cut section: %v", ErrMalformed, err)
-		}
-		h.Cut = make([]bool, h.N)
-		for _, i := range idx {
-			if i < 0 || i >= h.N {
-				return Hello{}, fmt.Errorf("%w: cut index %d outside n=%d", ErrMalformed, i, h.N)
-			}
-			h.Cut[i] = true
-		}
+	h := Hello{N: int(vals[1]), Shard: int(vals[2]), Lo: int(vals[3]), Hi: int(vals[4])}
+	if h.Lo > h.Hi || h.Hi > h.N {
+		return Hello{}, fmt.Errorf("%w: hello node range [%d,%d) outside n=%d", ErrMalformed, h.Lo, h.Hi, h.N)
 	}
 	if pos != len(data) {
 		return Hello{}, fmt.Errorf("%w: %d trailing bytes after hello", ErrMalformed, len(data)-pos)

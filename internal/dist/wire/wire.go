@@ -32,12 +32,14 @@ import (
 )
 
 // Version is the one protocol version this build speaks: the lockstep
-// protocol (one round in flight per worker, a one-reply cache) with an 8-int
-// Hello. The Join, Hello and HelloAck payloads each lead with it, and their
-// decoders refuse any other version, naming both, before reading the rest.
-// Older builds spoke 1 (a 9-int Hello carrying a liveness-beacon period)
-// and advertised the range [1,2]; both are refused.
-const Version = 3
+// protocol (one round in flight per worker, a one-reply cache) with a 5-int
+// Hello and a reply that is the sorted batch alone. The Join, Hello and
+// HelloAck payloads each lead with it, and their decoders refuse any other
+// version, naming both, before reading the rest. Older builds spoke 3 (an
+// 8-int Hello carrying a receive cap and a cut, a reply leading with the
+// worker's counts) and 1 (a 9-int Hello carrying a liveness-beacon period),
+// and advertised the range [1,2]; all are refused.
+const Version = 4
 
 // MaxFrameLen bounds the length prefix: no frame body may exceed 64 MiB,
 // compressed or decompressed. The bound exists so length validation can

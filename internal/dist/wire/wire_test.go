@@ -195,49 +195,51 @@ func TestMsgsRejectsMalformed(t *testing.T) {
 	})
 }
 
+// TestReplyRoundTrip: a RoundReply carries the shard's batch in delivery
+// order and nothing else, so a version-3 reply, which led with a section of
+// the worker's counts, does not decode.
 func TestReplyRoundTrip(t *testing.T) {
-	msgs := []sim.GlobalMsg{{Src: 3, Dst: 1, Kind: 2, F0: 9}}
-	st := RoundStats{Msgs: 1, CutMsgs: 1, MaxRecv: 1, ViolDst: -1}
-	enc := AppendReply(nil, msgs, st)
-	gotMsgs, gotSt, err := DecodeReply(enc)
-	if err != nil {
-		t.Fatal(err)
+	msgs := []sim.GlobalMsg{{Src: 3, Dst: 1, Kind: 2, F0: 9}, {Src: 0, Dst: 2}}
+	f := roundTripFrame(t, Frame{Type: FrameRoundReply, Round: 4, Shard: 1, Payload: AppendMsgs(nil, msgs)})
+	got, err := DecodeMsgs(f.Payload)
+	if err != nil || !reflect.DeepEqual(got, msgs) {
+		t.Fatalf("reply round trip: %+v %v", got, err)
 	}
-	if gotSt != st || len(gotMsgs) != 1 || gotMsgs[0] != msgs[0] {
-		t.Fatalf("reply round trip: %+v %+v", gotMsgs, gotSt)
-	}
-	// Stats/batch disagreement is rejected.
-	bad := AppendReply(nil, msgs, RoundStats{Msgs: 2, ViolDst: -1})
-	if _, _, err := DecodeReply(bad); !errors.Is(err, ErrMalformed) {
-		t.Fatal("stats/batch count mismatch accepted")
+	v3 := append(ints(int64(len(msgs)), 0, 1, -1, 0), AppendMsgs(nil, msgs)...)
+	if _, err := DecodeMsgs(v3); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("version-3 reply decoded: %v", err)
 	}
 }
 
 func TestHelloRoundTrip(t *testing.T) {
-	cases := []Hello{
-		{N: 100, LogN: 7, Shard: 2, Lo: 50, Hi: 75, StrictRecvFactor: 2},
-		{N: 4, LogN: 2, Shard: 0, Lo: 0, Hi: 4, Cut: []bool{true, false, false, true}},
-	}
-	for i, h := range cases {
+	for i, h := range []Hello{{N: 100, Shard: 2, Lo: 50, Hi: 75}, {N: 4, Lo: 0, Hi: 4}, {N: 4, Shard: 3, Lo: 4, Hi: 4}} {
 		got, err := DecodeHello(AppendHello(nil, h))
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
-		if !reflect.DeepEqual(got, h) {
+		if got != h {
 			t.Fatalf("case %d: %+v != %+v", i, got, h)
 		}
 	}
 	if _, err := DecodeHello([]byte{0xff}); !errors.Is(err, ErrMalformed) {
 		t.Fatal("garbage hello accepted")
 	}
-	if _, err := DecodeHello(ints(Version, 8, 3, 0, 0, 8, 0)); !errors.Is(err, ErrMalformed) {
-		t.Fatalf("7-int hello at this version accepted: %v", err)
+	if _, err := DecodeHello(ints(Version, 8, 0, 0)); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("4-int hello at this version accepted: %v", err)
+	}
+	// A node range that is not one inside [0, N) is malformed: the worker
+	// would check every destination against it.
+	for _, bad := range []Hello{{N: 8, Lo: 6, Hi: 2}, {N: 8, Lo: 0, Hi: 9}, {N: 8, Lo: 9, Hi: 9}} {
+		if _, err := DecodeHello(AppendHello(nil, bad)); !errors.Is(err, ErrMalformed) {
+			t.Fatalf("hello %+v: %v, want ErrMalformed", bad, err)
+		}
 	}
 	// The hellos of older builds are refused by their version, whatever
-	// their length: version 1's 9 ints, the retired version 2's 10.
-	for _, old := range [][]byte{v1Hello, windowedHello} {
+	// their length: version 1's 9 ints, the retired version 2's 10,
+	// version 3's 8.
+	for _, old := range [][]byte{v1Hello, windowedHello, v3Hello} {
 		_, err := DecodeHello(old)
-		if err == nil || !strings.Contains(err.Error(), "this build speaks 3") {
+		if err == nil || !strings.Contains(err.Error(), "this build speaks 4") {
 			t.Fatalf("older build's hello: %v, want a version refusal", err)
 		}
 	}
@@ -255,6 +257,10 @@ var v1Hello = ints(1, 8, 3, 0, 0, 8, 0, 500, 0)
 // the pipelining window, before the cut marker.
 var windowedHello = ints(2, 8, 3, 0, 0, 8, 0, 0, 4, 0)
 
+// v3Hello is version 3's hello: N, log n, shard, range, receive cap, and a
+// cut marker.
+var v3Hello = ints(3, 8, 3, 0, 0, 8, 0, 0)
+
 func TestHandshakeRoundTrip(t *testing.T) {
 	for _, shard := range []int{0, 3, AnyShard} {
 		got, err := DecodeHandshake(AppendHandshake(nil, shard))
@@ -269,10 +275,10 @@ func TestHandshakeRoundTrip(t *testing.T) {
 		t.Fatal("negative non-AnyShard shard accepted")
 	}
 	// Another version is refused naming both: the [1,2] range of older
-	// builds (three ints) and a later version's two.
-	for _, old := range [][]byte{ints(1, 2, 0), ints(Version+1, 0)} {
+	// builds (three ints), version 3's two ints and a later version's.
+	for _, old := range [][]byte{ints(1, 2, 0), ints(3, 0), ints(Version+1, 0)} {
 		_, err := DecodeHandshake(old)
-		if err == nil || !strings.Contains(err.Error(), "this build speaks 3") {
+		if err == nil || !strings.Contains(err.Error(), "this build speaks 4") {
 			t.Fatalf("handshake %v: %v, want a version refusal", old, err)
 		}
 	}
@@ -292,14 +298,15 @@ func FuzzDistWire(f *testing.F) {
 	}))
 	f.Add(AppendFrame(nil, Frame{
 		Type: FrameRoundReply, Round: 3, Shard: 0,
-		Payload: AppendReply(nil, []sim.GlobalMsg{{Src: 1, Dst: 2}}, RoundStats{Msgs: 1, ViolDst: -1}),
+		Payload: AppendMsgs(nil, []sim.GlobalMsg{{Src: 1, Dst: 2}}),
 	}))
 	f.Add(AppendFrame(nil, Frame{
 		Type:    FrameHello,
-		Payload: AppendHello(nil, Hello{N: 8, LogN: 3, Hi: 8, Cut: []bool{true, false, true, false, true, false, true, false}}),
+		Payload: AppendHello(nil, Hello{N: 8, Shard: 1, Lo: 4, Hi: 8}),
 	}))
 	f.Add(AppendFrame(nil, Frame{Type: FrameHello, Payload: windowedHello}))
 	f.Add(AppendFrame(nil, Frame{Type: FrameHello, Payload: v1Hello}))
+	f.Add(AppendFrame(nil, Frame{Type: FrameHello, Payload: v3Hello}))
 	f.Add([]byte{0xff, 0xff, 0xff, 0x03}) // huge length prefix, no body
 	f.Fuzz(func(t *testing.T, data []byte) {
 		frame, n, err := DecodeFrame(data)
@@ -319,7 +326,6 @@ func FuzzDistWire(f *testing.F) {
 		}
 		// The payload decoders must never panic on arbitrary bytes.
 		DecodeMsgs(data)
-		DecodeReply(data)
 		DecodeHello(data)
 		DecodeHandshake(data)
 		ReadFrame(bytes.NewReader(data))

@@ -17,15 +17,15 @@ import (
 
 // The worker side of the distributed engine. A worker serves one shard:
 // each round it receives the shard's staged global messages (in sender
-// order), counting-sorts them into delivery order (per destination:
-// ascending sender ID, then send order — stable sort by destination
-// preserves exactly that), computes the shard's receive accounting, and
-// sends the sorted stream back. The worker is a pure function of (Hello,
-// round batch) plus a one-reply cache, which is what makes
-// kill/respawn/replay byte-identical: a respawned worker replays the round
-// from the retransmitted request and necessarily produces the same bytes,
-// and a duplicate request (retransmit after a lost reply) is answered from
-// the cache without recomputation.
+// order), checks that every destination is in the shard, sorts them into
+// delivery order (per destination: ascending sender ID, then send order —
+// stable sort by destination preserves exactly that), and sends the sorted
+// stream back; the coordinator counts everything else. The worker is a
+// pure function of (Hello, round batch) plus a one-reply cache, which is
+// what makes kill/respawn/replay byte-identical: a respawned worker replays
+// the round from the retransmitted request and necessarily produces the
+// same bytes, and a duplicate request (retransmit after a lost reply) is
+// answered from the cache without recomputation.
 //
 // Workers listen and coordinators dial. A resident worker is
 // cmd/hybridworker -listen (StartListenWorker + Serve); the children a
@@ -165,11 +165,6 @@ func (lw *ListenWorker) Close() error {
 type workerState struct {
 	shard  int
 	lo, hi int
-	logN   int
-	strict int
-	cut    []bool
-
-	counts []int // per-node receive counts, indexed by Dst-lo
 	// The last round served and its encoded reply frame, kept so a
 	// retransmit is answered byte-identically without recomputation.
 	lastRound int
@@ -200,11 +195,7 @@ func ServeConn(conn net.Conn) error {
 				conn.Write(errorFrame(err.Error()))
 				return fmt.Errorf("dist: refusing hello: %w", err)
 			}
-			st = &workerState{
-				shard: h.Shard, lo: h.Lo, hi: h.Hi, logN: h.LogN,
-				strict: h.StrictRecvFactor, cut: h.Cut,
-				counts: make([]int, h.Hi-h.Lo),
-			}
+			st = &workerState{shard: h.Shard, lo: h.Lo, hi: h.Hi}
 			out = wire.AppendFrame(nil, wire.Frame{Type: wire.FrameHelloAck, Shard: h.Shard,
 				Payload: wire.AppendHandshake(nil, h.Shard)})
 		case wire.FrameRound:
@@ -239,10 +230,8 @@ func (st *workerState) reply(f wire.Frame) []byte {
 		return st.lastReply
 	}
 	msgs, err := wire.DecodeMsgs(f.Payload)
-	var sorted []sim.GlobalMsg
-	var stats wire.RoundStats
 	if err == nil {
-		sorted, stats, err = st.processRound(msgs)
+		err = st.sortRound(msgs)
 	}
 	if err != nil {
 		return errorFrame(fmt.Sprintf("round %d: %v", f.Round, err))
@@ -252,53 +241,21 @@ func (st *workerState) reply(f wire.Frame) []byte {
 		Type:    wire.FrameRoundReply,
 		Round:   f.Round,
 		Shard:   st.shard,
-		Payload: wire.AppendReply(nil, sorted, stats),
+		Payload: wire.AppendMsgs(nil, msgs),
 	})
 	return st.lastReply
 }
 
-// processRound sorts one round's batch into delivery order and computes
-// the shard's receive accounting (mirroring runShard's tallies).
-func (st *workerState) processRound(msgs []sim.GlobalMsg) ([]sim.GlobalMsg, wire.RoundStats, error) {
-	for i := range st.counts {
-		st.counts[i] = 0
-	}
-	stats := wire.RoundStats{Msgs: int64(len(msgs)), ViolDst: -1}
+// sortRound checks that every message of the batch is for the shard and
+// stable-sorts the batch by destination in place: within a destination the
+// request order (ascending sender, then send order) survives, which is
+// exactly the engine's inbox contract.
+func (st *workerState) sortRound(msgs []sim.GlobalMsg) error {
 	for _, m := range msgs {
 		if m.Dst < st.lo || m.Dst >= st.hi {
-			return nil, wire.RoundStats{}, fmt.Errorf("message for node %d outside shard range [%d,%d)", m.Dst, st.lo, st.hi)
-		}
-		st.counts[m.Dst-st.lo]++
-		if st.cut != nil {
-			if m.Src < 0 || m.Src >= len(st.cut) {
-				return nil, wire.RoundStats{}, fmt.Errorf("message from node %d outside graph of %d nodes", m.Src, len(st.cut))
-			}
-			if st.cut[m.Src] != st.cut[m.Dst] {
-				stats.CutMsgs++
-			}
+			return fmt.Errorf("message for node %d outside shard range [%d,%d)", m.Dst, st.lo, st.hi)
 		}
 	}
-	// Stable sort by destination: within a destination the request order
-	// (ascending sender, then send order) survives, which is exactly the
-	// engine's inbox contract.
-	sorted := make([]sim.GlobalMsg, len(msgs))
-	copy(sorted, msgs)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Dst < sorted[j].Dst })
-
-	if len(msgs) > 0 {
-		for d := range st.counts {
-			c := st.counts[d]
-			if c == 0 {
-				continue
-			}
-			if int64(c) > stats.MaxRecv {
-				stats.MaxRecv = int64(c)
-			}
-			if st.strict > 0 && c > st.strict*st.logN && stats.ViolDst < 0 {
-				stats.ViolDst = int64(st.lo + d)
-				stats.ViolCount = int64(c)
-			}
-		}
-	}
-	return sorted, stats, nil
+	sort.SliceStable(msgs, func(i, j int) bool { return msgs[i].Dst < msgs[j].Dst })
+	return nil
 }

@@ -5,35 +5,22 @@ import "sort"
 // The package's tests run EngineDist's round boundary without worker
 // processes: sortingRouter does in-process what a worker does for its shard.
 func init() {
-	RegisterDistRouter(func(cfg DistRouterConfig) (DistRouter, error) { return &sortingRouter{cfg: cfg}, nil })
+	RegisterDistRouter(func(DistRouterConfig) (DistRouter, error) { return sortingRouter{}, nil })
 }
 
-// sortingRouter stable-sorts each shard's batch by destination — the
-// delivery order a worker returns — and computes the receive accounting.
-type sortingRouter struct{ cfg DistRouterConfig }
+// sortingRouter stable-sorts each shard's batch by destination: the
+// delivery order a worker returns.
+type sortingRouter struct{}
 
-func (r *sortingRouter) RouteRound(_ int, outgoing [][]GlobalMsg) ([][]GlobalMsg, DistRoundStats, error) {
-	stats := DistRoundStats{ViolDst: -1}
+func (sortingRouter) RouteRound(_ int, outgoing [][]GlobalMsg) ([][]GlobalMsg, DistRoundStats, error) {
+	var stats DistRoundStats
 	streams := make([][]GlobalMsg, len(outgoing))
-	recv := make([]int, r.cfg.N)
 	for k, batch := range outgoing {
 		stats.GlobalMsgs += int64(len(batch))
-		for _, m := range batch {
-			recv[m.Dst]++
-			if r.cfg.Cut != nil && r.cfg.Cut[m.Src] != r.cfg.Cut[m.Dst] {
-				stats.CutMsgs++
-			}
-		}
 		streams[k] = append([]GlobalMsg(nil), batch...)
 		sort.SliceStable(streams[k], func(i, j int) bool { return streams[k][i].Dst < streams[k][j].Dst })
-	}
-	for d, c := range recv {
-		stats.MaxRecv = max(stats.MaxRecv, c)
-		if f := r.cfg.StrictRecvFactor; f > 0 && c > f*r.cfg.LogN && stats.ViolDst < 0 {
-			stats.ViolDst, stats.ViolCount = d, c
-		}
 	}
 	return streams, stats, nil
 }
 
-func (r *sortingRouter) Close() error { return nil }
+func (sortingRouter) Close() error { return nil }

@@ -126,29 +126,6 @@ func TestShardedInboxReuseSafe(t *testing.T) {
 	}
 }
 
-// TestShardedViolationsDeterministic: when several nodes exceed the strict
-// receive cap in the same round, the engine must report the lowest-ID
-// violator regardless of shard count and worker scheduling.
-func TestShardedViolationsDeterministic(t *testing.T) {
-	g := graph.Path(64)
-	for _, shards := range []int{1, 4, 16} {
-		_, err := RunStep(g, Config{StrictRecvFactor: 1, Shards: shards}, oneRound(func(env *Env) {
-			// Everyone floods both node 5 and node 50.
-			if env.ID() != 5 && env.ID() != 50 {
-				env.SendGlobal(5, 0, 0, 0, 0, 0)
-				env.SendGlobal(50, 0, 0, 0, 0, 0)
-			}
-		}, nil))
-		if err == nil {
-			t.Fatalf("shards=%d: want strict-recv violation", shards)
-		}
-		const want = "sim: node 5 received"
-		if got := err.Error(); len(got) < len(want) || got[:len(want)] != want {
-			t.Fatalf("shards=%d: err = %q, want prefix %q", shards, got, want)
-		}
-	}
-}
-
 // TestEngineString pins the flag/benchmark labels, and that a value outside
 // the set is an error to run, not an alias of some engine.
 func TestEngineString(t *testing.T) {

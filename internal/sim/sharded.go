@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"runtime"
-)
+import "runtime"
 
 // This file is the step engine's staging and delivery, everything the
 // engine itself does per round besides calling the machines:
@@ -17,9 +14,10 @@ import (
 //   - Delivery runs on a persistent worker pool (one worker per shard, at
 //     most GOMAXPROCS shards). Workers touch disjoint state: shard k's
 //     worker writes only the inboxes and receive counters of shard k's
-//     nodes and the k-buckets of the senders, so the merge of the per-shard
-//     metric deltas is the only cross-shard step, and it is a sum/max merge
-//     that is independent of completion order.
+//     nodes, the k-buckets of the senders and, under EngineDist, shard k's
+//     request batch, so the merge of the per-shard metric deltas is the
+//     only cross-shard step, and it is a sum/max merge that is independent
+//     of completion order.
 //   - Inboxes are preallocated and double-buffered: the buffer delivered at
 //     round r is reused at round r+2, so steady-state rounds allocate
 //     nothing. (Incoming's contract — the slices are the node's until its
@@ -57,8 +55,6 @@ type shardResult struct {
 	cutBits    int64
 	maxSend    int
 	maxRecv    int
-	violDst    int // lowest node ID violating StrictRecvFactor, -1 if none
-	violCount  int
 }
 
 // minShardNodes is the autotune floor on nodes per shard: below it the
@@ -137,7 +133,6 @@ func (e *engine) shardOf(v int) int { return v / e.shardSize }
 func (e *engine) deliverSharded() int {
 	e.generation++
 	var total shardResult
-	total.violDst = -1
 	if e.nShards == 1 {
 		total = e.runShard(0)
 	} else {
@@ -160,10 +155,6 @@ func (e *engine) deliverSharded() int {
 			if r.maxRecv > total.maxRecv {
 				total.maxRecv = r.maxRecv
 			}
-			if r.violDst >= 0 && (total.violDst < 0 || r.violDst < total.violDst) {
-				total.violDst = r.violDst
-				total.violCount = r.violCount
-			}
 		}
 	}
 	e.woke = total.woke
@@ -179,20 +170,17 @@ func (e *engine) deliverSharded() int {
 	if total.maxRecv > e.metrics.MaxGlobalRecv {
 		e.metrics.MaxGlobalRecv = total.maxRecv
 	}
-	if total.violDst >= 0 {
-		f := e.cfg.StrictRecvFactor
-		e.fail(fmt.Errorf("sim: node %d received %d global messages in generation %d, cap %d",
-			total.violDst, total.violCount, e.generation, f*e.logN))
-	}
 	return total.finished
 }
 
 // runShard performs one round of delivery for shard k: reset the shard's
 // inbox buffers and account for its senders, drain every dirty sender's
 // k-bucket in ascending sender ID (preserving per-destination send order),
-// and tally the shard's receive loads.
+// and tally the shard's receive loads. Under EngineDist the global messages
+// are counted all the same but go to the shard's request batch, not to the
+// inboxes: routeRound (dist.go) delivers them once the worker sorted them.
 func (e *engine) runShard(k int) shardResult {
-	r := shardResult{violDst: -1}
+	var r shardResult
 	lo := k * e.shardSize
 	hi := lo + e.shardSize
 	if hi > e.n {
@@ -239,10 +227,14 @@ func (e *engine) runShard(k int) shardResult {
 		}
 		env.outLocalSh[k] = env.outLocalSh[k][:0]
 		for _, gm := range env.outGlobalSh[k] {
-			dst := e.envs[gm.Dst]
-			dst.inGlobalBuf[gen] = append(dst.inGlobalBuf[gen], gm)
-			if dst.wake != 0 {
-				dst.wake, r.woke = 0, true
+			if e.distMode {
+				e.distReqs[k] = append(e.distReqs[k], gm)
+			} else {
+				dst := e.envs[gm.Dst]
+				dst.inGlobalBuf[gen] = append(dst.inGlobalBuf[gen], gm)
+				if dst.wake != 0 {
+					dst.wake, r.woke = 0, true
+				}
 			}
 			e.recvCount[gm.Dst]++
 			r.globalMsgs++
@@ -259,7 +251,6 @@ func (e *engine) runShard(k int) shardResult {
 	// reset as they are read), so a round that delivered no global messages
 	// to this shard can skip the scan.
 	if r.globalMsgs > 0 {
-		f := e.cfg.StrictRecvFactor
 		for d := lo; d < hi; d++ {
 			c := e.recvCount[d]
 			if c == 0 {
@@ -268,10 +259,6 @@ func (e *engine) runShard(k int) shardResult {
 			e.recvCount[d] = 0
 			if c > r.maxRecv {
 				r.maxRecv = c
-			}
-			if f > 0 && c > f*e.logN && r.violDst < 0 {
-				r.violDst = d
-				r.violCount = c
 			}
 		}
 	}

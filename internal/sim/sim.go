@@ -59,8 +59,7 @@
 // is a bug, reported as a run error), as are local sends to non-neighbors
 // and out-of-range global destinations. Global receive load is recorded,
 // not enforced, because bounding it is a w.h.p. *claim* of the paper's
-// protocols (Lemma D.2) that the test suite verifies empirically;
-// Config.StrictRecvFactor opts into treating overload as an error.
+// protocols (Lemma D.2) that the test suite verifies empirically.
 package sim
 
 import (
@@ -205,11 +204,6 @@ type Config struct {
 	// MaxRounds aborts runs that exceed this many rounds (guards against
 	// non-terminating programs). Zero means DefaultMaxRounds.
 	MaxRounds int
-
-	// StrictRecvFactor, if positive, aborts the run when a node receives
-	// more than StrictRecvFactor*ceil(log2 n) global messages in one round.
-	// Zero disables enforcement (load is still recorded in Metrics).
-	StrictRecvFactor int
 
 	// Cut, if non-nil, marks a node bipartition (true = "Alice" side). The
 	// engine counts global messages and bits crossing the cut; the

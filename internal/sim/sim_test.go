@@ -314,17 +314,6 @@ var floodNode0 = oneRound(func(env *Env) {
 	}
 }, nil)
 
-func TestStrictRecvEnforcement(t *testing.T) {
-	// Receive load n-1 exceeds any log factor for n = 64.
-	g := graph.Path(64)
-	onEngines(t, func(t *testing.T, eng Engine) {
-		_, err := RunStep(g, Config{StrictRecvFactor: 1, Engine: eng}, floodNode0)
-		if err == nil || !strings.Contains(err.Error(), "received") {
-			t.Fatalf("err = %v, want recv violation", err)
-		}
-	})
-}
-
 func TestRecvLoadRecordedWithoutStrict(t *testing.T) {
 	g := graph.Path(64)
 	onEngines(t, func(t *testing.T, eng Engine) {
