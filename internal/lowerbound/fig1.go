@@ -114,17 +114,6 @@ func PathCapacityBits(l, n, sendFactor int) float64 {
 	return float64(l) * float64(sendFactor) * logn * logn
 }
 
-// Fig1Sizing picks (K, L, PathLen) for a target n: L = ceil(sqrt(k)),
-// path of ~n/2 edges, k = n/2 sources.
-func Fig1Sizing(n int) Fig1Params {
-	k := n / 2
-	if k < 1 {
-		k = 1
-	}
-	l := int(math.Ceil(math.Sqrt(float64(k))))
-	return Fig1Params{K: k, L: l, PathLen: n - 1 - k}
-}
-
 // AliceCutFig1 marks the Figure 1 bottleneck cut: b and the first L path
 // nodes on one side, everything else (the graph body holding the secret)
 // on the other.

@@ -247,11 +247,3 @@ func DiameterRoundLB(n int) float64 {
 	logn := math.Log2(math.Max(float64(n), 2))
 	return math.Cbrt(float64(n) / (logn * logn))
 }
-
-// KSSPRoundLB evaluates the Theorem 1.5 bound Ω~(sqrt k): with L = sqrt(k),
-// the Ω(k) bits of source-assignment entropy must cross a path whose global
-// receive capacity is O(L·log²n) bits per round.
-func KSSPRoundLB(k, n int) float64 {
-	logn := math.Log2(math.Max(float64(n), 2))
-	return math.Sqrt(float64(k)) / (logn * logn)
-}
