@@ -1,8 +1,11 @@
-// Benchmark harness: one target per experiment (E1-E11, the index is
-// experiments.All) and ablation (A1-A4). Each benchmark executes the
-// experiment, prints its table once, reports the headline metric, and fails
-// on any guarantee violation — so `go test -bench=. -benchmem` regenerates
-// every evaluable artifact of the paper in one run. Use -short for the quick sweeps.
+// Benchmark harness: BenchmarkExperiments runs every experiment and
+// ablation table (experiments.Index: E1–E11, then A1–A4) as a sub-benchmark
+// named by its ID. Each prints its table once, reports the headline metric,
+// and fails on any guarantee violation — so
+// `go test -run '^$' -bench Experiments -benchtime 1x .` regenerates every
+// evaluable artifact of the paper in one run. Use -short for the quick
+// sweeps, -bench Experiments/E3 for one table, and HYBRID_BENCH_XL=1 to
+// extend the E3/E6 scaling tables to n ∈ {1024, 4096}.
 package hybrid_test
 
 import (
@@ -21,21 +24,24 @@ const benchSeed = 20200615 // the paper's arXiv date
 
 var printOnce sync.Map
 
-func runExperiment(b *testing.B, id string, f func(experiments.Config) experiments.Table) {
-	b.Helper()
-	cfg := experiments.Config{Seed: benchSeed, Quick: testing.Short()}
-	var table experiments.Table
-	for i := 0; i < b.N; i++ {
-		table = f(cfg)
-	}
-	if _, done := printOnce.LoadOrStore(id, true); !done {
-		fmt.Println(table.String())
-	}
-	for _, fail := range table.Failures {
-		b.Errorf("%s: %s", id, fail)
-	}
-	if rounds := lastRounds(table); rounds > 0 {
-		b.ReportMetric(rounds, "rounds")
+func BenchmarkExperiments(b *testing.B) {
+	cfg := experiments.Config{Seed: benchSeed, Quick: testing.Short(), XL: os.Getenv("HYBRID_BENCH_XL") != ""}
+	for _, e := range experiments.Index {
+		b.Run(e.ID, func(b *testing.B) {
+			var table experiments.Table
+			for i := 0; i < b.N; i++ {
+				table = e.Run(cfg)
+			}
+			if _, done := printOnce.LoadOrStore(e.ID, true); !done {
+				fmt.Println(table.String())
+			}
+			for _, fail := range table.Failures {
+				b.Errorf("%s: %s", e.ID, fail)
+			}
+			if rounds := lastRounds(table); rounds > 0 {
+				b.ReportMetric(rounds, "rounds")
+			}
+		})
 	}
 }
 
@@ -56,66 +62,6 @@ func lastRounds(t experiments.Table) float64 {
 		}
 	}
 	return 0
-}
-
-func BenchmarkE1TokenRouting(b *testing.B) {
-	runExperiment(b, "E1", experiments.E1TokenRouting)
-}
-
-func BenchmarkE2HelperSets(b *testing.B) {
-	runExperiment(b, "E2", experiments.E2HelperSets)
-}
-
-func BenchmarkE3APSP(b *testing.B) {
-	runExperiment(b, "E3", experiments.E3APSP)
-}
-
-func BenchmarkE4CliqueSim(b *testing.B) {
-	runExperiment(b, "E4", experiments.E4CliqueSim)
-}
-
-func BenchmarkE5KSSP(b *testing.B) {
-	runExperiment(b, "E5", experiments.E5KSSP)
-}
-
-func BenchmarkE6SSSP(b *testing.B) {
-	runExperiment(b, "E6", experiments.E6SSSP)
-}
-
-func BenchmarkE7Diameter(b *testing.B) {
-	runExperiment(b, "E7", experiments.E7Diameter)
-}
-
-func BenchmarkE8KSSPLowerBound(b *testing.B) {
-	runExperiment(b, "E8", experiments.E8KSSPLowerBound)
-}
-
-func BenchmarkE9DiameterLowerBound(b *testing.B) {
-	runExperiment(b, "E9", experiments.E9DiameterLowerBound)
-}
-
-func BenchmarkE10RecvLoad(b *testing.B) {
-	runExperiment(b, "E10", experiments.E10RecvLoad)
-}
-
-func BenchmarkE11ModeComparison(b *testing.B) {
-	runExperiment(b, "E11", experiments.E11ModeComparison)
-}
-
-func BenchmarkA1HelperQBoost(b *testing.B) {
-	runExperiment(b, "A1", experiments.A1HelperQBoost)
-}
-
-func BenchmarkA2GlobalSendFactor(b *testing.B) {
-	runExperiment(b, "A2", experiments.A2GlobalSendFactor)
-}
-
-func BenchmarkA3SkeletonHFactor(b *testing.B) {
-	runExperiment(b, "A3", experiments.A3SkeletonHFactor)
-}
-
-func BenchmarkA4HashIndependence(b *testing.B) {
-	runExperiment(b, "A4", experiments.A4HashIndependence)
 }
 
 // BenchmarkEngineAPSP compares the step engine with the legacy reference on

@@ -296,6 +296,18 @@ func TestRunTreeGraph(t *testing.T) {
 	}
 }
 
+// TestRunSingleNodeDiameter: on one node the true diameter is 0, so the
+// verify line has no ratio to print (it used to divide by zero: "ratio NaN").
+func TestRunSingleNodeDiameter(t *testing.T) {
+	code, stdout, stderr := runCLI("-graph", "grid", "-n", "1", "-algo", "diameter")
+	if code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, stderr)
+	}
+	if !strings.Contains(stdout, "diameter cor52: estimate 0, true 0\n") || strings.Contains(stdout, "ratio") {
+		t.Errorf("single-node diameter line:\n%s", stdout)
+	}
+}
+
 // TestRunDefaultVariant pins -variant's per-algorithm default: with no
 // -variant, kssp runs Corollary 4.7 (the one that allows any k) and
 // diameter Corollary 5.2.

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	hybrid "repro"
+	"repro/internal/chaos"
 	"repro/internal/dist"
 )
 
@@ -125,7 +126,7 @@ func TestDistConnectRemoteKillRedial(t *testing.T) {
 
 	addr0, _ := startWorkerProc(t, 0)
 	addr1, _ := startWorkerProc(t, 1)
-	faults := dist.NewFaults().KillWorker(1, 80)
+	faults := chaos.NewPlan().KillWorker(1, 80)
 	opts := dist.WithFaults(faults)
 	res, err := hybrid.New(g, hybrid.WithSeed(42), hybrid.WithEngine(hybrid.EngineDist),
 		hybrid.WithDistOptions(opts), hybrid.WithDistConnect(addr0, addr1)).APSP()
@@ -160,7 +161,7 @@ func TestDistConnectWorkerProcessGone(t *testing.T) {
 	addr1, proc1 := startWorkerProc(t, 1)
 	// Sever the connection at a mid-run round AND take the process down,
 	// so the re-dial path finds a dead address.
-	faults := dist.NewFaults().KillWorker(1, 80)
+	faults := chaos.NewPlan().KillWorker(1, 80)
 	opts := dist.WithFaults(faults)
 	opts.FrameTimeout = 2 * time.Second
 	go func() {

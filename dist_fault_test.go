@@ -15,6 +15,7 @@ import (
 	"time"
 
 	hybrid "repro"
+	"repro/internal/chaos"
 	"repro/internal/dist"
 )
 
@@ -39,7 +40,7 @@ func TestDistWorkerKillReplay(t *testing.T) {
 		t.Fatalf("clean dist: %v", err)
 	}
 
-	faults := dist.NewFaults().KillWorker(1, killRound)
+	faults := chaos.NewPlan().KillWorker(1, killRound)
 	faulty, err := hybrid.New(g, hybrid.WithSeed(42), hybrid.WithEngine(hybrid.EngineDist),
 		hybrid.WithWorkers(2), hybrid.WithDistOptions(dist.WithFaults(faults))).APSP()
 	if err != nil {
@@ -78,7 +79,7 @@ func TestDistFrameDropRetry(t *testing.T) {
 		t.Fatalf("legacy: %v", err)
 	}
 
-	faults := dist.NewFaults().DropFrames(0, 28, 1).DropFrames(1, 32, 2)
+	faults := chaos.NewPlan().DropFrames(0, 28, 1).DropFrames(1, 32, 2)
 	opts := dist.WithFaults(faults)
 	opts.FrameTimeout = 200 * time.Millisecond // keep retries quick under test
 	res, err := hybrid.New(g, hybrid.WithSeed(7), hybrid.WithEngine(hybrid.EngineDist),
@@ -108,7 +109,7 @@ func TestDistRoundTripHonoursContext(t *testing.T) {
 	g := hybrid.PathGraph(30)
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancel()
-	faults := dist.NewFaults().DropFrames(0, 28, 100)
+	faults := chaos.NewPlan().DropFrames(0, 28, 100)
 	start := time.Now()
 	_, err := hybrid.New(g, hybrid.WithSeed(7), hybrid.WithEngine(hybrid.EngineDist), hybrid.WithWorkers(2),
 		hybrid.WithDistOptions(dist.WithFaults(faults)), hybrid.WithContext(ctx)).SSSP(0)

@@ -46,6 +46,25 @@ func TestDocsLinksResolve(t *testing.T) {
 	}
 }
 
+var cmdName = regexp.MustCompile(`\bcmd/([\w-]+)`)
+
+// TestDocsNameExistingCommands: every cmd/<dir> the README, ARCHITECTURE or
+// the verify notes name must exist — a doc that tells the reader to run a
+// deleted command is a broken link too.
+func TestDocsNameExistingCommands(t *testing.T) {
+	for _, doc := range []string{"README.md", "ARCHITECTURE.md", ".claude/skills/verify/SKILL.md"} {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatalf("%s: %v", doc, err)
+		}
+		for _, m := range cmdName.FindAllStringSubmatch(string(data), -1) {
+			if st, err := os.Stat(filepath.Join("cmd", m[1])); err != nil || !st.IsDir() {
+				t.Errorf("%s names %s, which is not a directory", doc, m[0])
+			}
+		}
+	}
+}
+
 // walkGo calls fn for every Go file of the repository, skipping hidden
 // directories (.git, and the build cache a benchmark run leaves in
 // .bench_build).
@@ -93,7 +112,7 @@ func TestGoCommentsNameExistingDocs(t *testing.T) {
 // imported by a non-test file outside its own directory — or, for the test
 // harnesses, by a test file.
 func TestEveryInternalPackageIsImported(t *testing.T) {
-	harness := map[string]bool{"internal/simtest": true, "internal/chaos": true}
+	harness := map[string]bool{"internal/simtest": true, "internal/chaos": true, "internal/experiments": true}
 	packages := map[string]bool{} // directories under internal/ holding Go files
 	imported := map[string]bool{}
 	walkGo(t, func(path string) error {

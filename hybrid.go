@@ -111,7 +111,8 @@ const (
 // DistOptions sets EngineDist's frame timeout and fault injection and names
 // pre-started workers; it is an alias for the dist package's Options. The
 // retry, backoff and respawn budgets are fixed, and the run's deadline is
-// WithContext's. Tests inject faults via WithDistOptions(dist.WithFaults(...)).
+// WithContext's. Tests inject frame faults through its Faults seam, a
+// dist.FaultHook: WithDistOptions(dist.WithFaults(chaos.NewPlan().KillWorker(…))).
 type DistOptions = dist.Options
 
 // Network wraps a local communication graph with run configuration and the

@@ -1,20 +1,20 @@
 // Package chaos is the stack-wide fault injector: one seeded, scriptable,
 // mutex-protected Plan that can hurt every layer of the serving stack at
-// once — drop/delay/kill dist frames (via the embedded dist.Faults),
-// inject handler latency, connection resets, and panics into the HTTP
-// serving layer, force table rebuilds to fail, and tear or fail cache
-// writes through the persist FS seam.
+// once — drop/delay/kill dist frames, inject handler latency, connection
+// resets, and panics into the HTTP serving layer, force table rebuilds to
+// fail, and tear or fail cache writes through the persist FS seam.
 //
 // A Plan is wired in three places, none of which import this package:
 //
-//   - dist: pass Plan.Dist() as Options.Faults (or hybrid.WithDistOptions)
+//   - dist: pass the Plan itself as Options.Faults (dist.WithFaults, or
+//     hybrid.WithDistOptions) — Plan satisfies dist.FaultHook structurally
 //   - serve: pass the Plan itself to Server.SetChaos — Plan satisfies
 //     serve.ChaosHook structurally
 //   - persist: install Plan.FS() with persist.SetFS
 //
-// Stats() reports what actually fired, merging the dist counters into one
-// ChaosStats shape, so a soak harness can cross-check observed symptoms
-// (429s, 500s, resets, cold rebuilds) against the injected causes.
+// Stats() reports what actually fired in one ChaosStats shape, so a soak
+// harness can cross-check observed symptoms (429s, 500s, resets, cold
+// rebuilds, respawns) against the injected causes.
 // Randomized-but-reproducible plans come from Draw: the same seed draws
 // the same plan, so a failing soak iteration is replayable from its seed
 // alone.
@@ -27,16 +27,8 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/dist"
 	"repro/internal/persist"
 )
-
-// DistFaults re-exports the dist-layer fault plan, so chaos-aware callers
-// need one import for the whole stack's fault surface.
-type DistFaults = dist.Faults
-
-// DistStats re-exports the dist-layer fault counters.
-type DistStats = dist.FaultStats
 
 // ErrInjectedRebuild is the error a forced rebuild failure surfaces:
 // serve.Reload reports it (wrapped) and enters degraded mode.
@@ -45,6 +37,16 @@ var ErrInjectedRebuild = errors.New("chaos: injected rebuild failure")
 // ErrInjectedWrite is the base error of injected FS write/rename/sync
 // failures.
 var ErrInjectedWrite = errors.New("chaos: injected filesystem failure")
+
+// frameRule is one scripted dist frame fault: request frames sent to shard
+// at round are dropped, delayed, or preceded by a worker kill until
+// remaining hits zero.
+type frameRule struct {
+	shard, round int
+	remaining    int
+	delay        time.Duration
+	drop, kill   bool
+}
 
 // httpRule is one scripted HTTP-layer fault: requests whose URL path
 // contains pathSub suffer the action until remaining hits zero.
@@ -75,11 +77,13 @@ type fsRule struct {
 	remaining int
 }
 
-// ChaosStats reports what a plan actually injected, across every layer.
-// The Dist sub-struct is the dist.Faults counters verbatim, so existing
-// dist fault tests and stack-wide plans share one reporting shape.
+// ChaosStats reports what a plan actually injected, across every layer,
+// and (Respawns) how many workers the dist router replaced in answer.
 type ChaosStats struct {
-	Dist DistStats
+	Dropped  int
+	Delayed  int
+	Killed   int
+	Respawns int
 
 	HTTPDelays int
 	Resets     int
@@ -96,7 +100,7 @@ type ChaosStats struct {
 // Total is the number of faults that fired across all layers (respawns
 // are a recovery action, not a fault, and are not counted).
 func (s ChaosStats) Total() int {
-	return s.Dist.Dropped + s.Dist.Delayed + s.Dist.Killed +
+	return s.Dropped + s.Delayed + s.Killed +
 		s.HTTPDelays + s.Resets + s.Panics + s.RebuildFails +
 		s.ShortWrites + s.FailedWrites + s.FailedRenames + s.FailedSyncs
 }
@@ -111,16 +115,20 @@ func (s ChaosStats) Total() int {
 //		ShortWrites(".hybc", 10, 1)
 //
 // All methods are safe for concurrent use: the serving layer consults the
-// plan from parallel request goroutines while the coordinator consults
-// the embedded dist plan from parallel shard goroutines.
+// plan from parallel request goroutines while the dist coordinator
+// consults it from parallel shard goroutines.
 type Plan struct {
-	mu   sync.Mutex
-	dist *DistFaults
+	mu sync.Mutex
 
+	frameRules   []frameRule
 	httpRules    []httpRule
 	rebuildFails int
 	fsRules      []fsRule
 
+	dropped       int
+	delayed       int
+	killed        int
+	respawns      int
 	httpDelays    int
 	resets        int
 	panics        int
@@ -132,33 +140,32 @@ type Plan struct {
 }
 
 // NewPlan returns an empty plan.
-func NewPlan() *Plan { return &Plan{dist: dist.NewFaults()} }
+func NewPlan() *Plan { return &Plan{} }
 
-// Dist exposes the embedded dist-layer plan for dist.Options.Faults.
-// Safe on a nil plan (returns nil, which dist treats as no faults).
-func (p *Plan) Dist() *DistFaults {
-	if p == nil {
-		return nil
-	}
-	return p.dist
-}
-
-// DropFrames forwards to dist.Faults.DropFrames: suppress the next count
-// request frames to shard at round.
+// DropFrames suppresses the next count request frames sent to shard at
+// round: the coordinator skips the write, so its reply wait times out and
+// the retry path resends.
 func (p *Plan) DropFrames(shard, round, count int) *Plan {
-	p.dist.DropFrames(shard, round, count)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.frameRules = append(p.frameRules, frameRule{shard: shard, round: round, remaining: count, drop: true})
 	return p
 }
 
-// DelayFrame forwards to dist.Faults.DelayFrame.
+// DelayFrame sleeps d before the next request frame sent to shard at round.
 func (p *Plan) DelayFrame(shard, round int, d time.Duration) *Plan {
-	p.dist.DelayFrame(shard, round, d)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.frameRules = append(p.frameRules, frameRule{shard: shard, round: round, remaining: 1, delay: d})
 	return p
 }
 
-// KillWorker forwards to dist.Faults.KillWorker.
+// KillWorker kills shard's worker immediately before the request for round
+// is sent, exercising the respawn + replay path.
 func (p *Plan) KillWorker(shard, round int) *Plan {
-	p.dist.KillWorker(shard, round)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.frameRules = append(p.frameRules, frameRule{shard: shard, round: round, remaining: 1, kill: true})
 	return p
 }
 
@@ -234,6 +241,48 @@ func (p *Plan) FailSyncs(pathSub string, count int) *Plan {
 	defer p.mu.Unlock()
 	p.fsRules = append(p.fsRules, fsRule{kind: fsFailSync, pathSub: pathSub, remaining: count})
 	return p
+}
+
+// FrameFault is consulted by the dist coordinator at every request-send
+// attempt (it satisfies dist.FaultHook structurally). It consumes every
+// rule matching (shard, round): drops and kills flag the attempt, delays
+// add up. Safe on a nil plan.
+func (p *Plan) FrameFault(shard, round int) (drop, kill bool, delay time.Duration) {
+	if p == nil {
+		return false, false, 0
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for i := range p.frameRules {
+		r := &p.frameRules[i]
+		if r.remaining == 0 || r.shard != shard || r.round != round {
+			continue
+		}
+		r.remaining--
+		switch {
+		case r.drop:
+			drop = true
+			p.dropped++
+		case r.kill:
+			kill = true
+			p.killed++
+		default:
+			delay += r.delay
+			p.delayed++
+		}
+	}
+	return drop, kill, delay
+}
+
+// Respawned counts one worker the dist coordinator replaced (the other
+// half of dist.FaultHook). Safe on a nil plan.
+func (p *Plan) Respawned() {
+	if p == nil {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.respawns++
 }
 
 // HTTPFault is consulted by the serving layer once per request (it
@@ -325,7 +374,12 @@ func (p *Plan) Stats() ChaosStats {
 		return ChaosStats{}
 	}
 	p.mu.Lock()
-	s := ChaosStats{
+	defer p.mu.Unlock()
+	return ChaosStats{
+		Dropped:       p.dropped,
+		Delayed:       p.delayed,
+		Killed:        p.killed,
+		Respawns:      p.respawns,
 		HTTPDelays:    p.httpDelays,
 		Resets:        p.resets,
 		Panics:        p.panics,
@@ -335,9 +389,6 @@ func (p *Plan) Stats() ChaosStats {
 		FailedRenames: p.failedRenames,
 		FailedSyncs:   p.failedSyncs,
 	}
-	p.mu.Unlock()
-	s.Dist = p.dist.Stats() // dist has its own lock; don't hold both
-	return s
 }
 
 // Space bounds what Draw may put into a random plan. Zero fields disable

@@ -59,10 +59,11 @@ func TestNilPlanIsInert(t *testing.T) {
 	if fired, _ := p.onFS(fsShortWrite, "x"); fired {
 		t.Error("nil plan injected an FS fault")
 	}
-	if p.Dist() != nil {
-		t.Error("nil plan returned a dist plan")
+	if drop, kill, delay := p.FrameFault(0, 0); drop || kill || delay != 0 {
+		t.Error("nil plan injected a frame fault")
 	}
-	if s := p.Stats(); s.Total() != 0 {
+	p.Respawned()
+	if s := p.Stats(); s != (ChaosStats{}) {
 		t.Errorf("nil plan stats %+v", s)
 	}
 }
@@ -84,17 +85,43 @@ func TestRebuildFaultBudget(t *testing.T) {
 	}
 }
 
-// TestDistForwarding pins that the chainable dist builders land in the
-// embedded dist.Faults and its stats surface through ChaosStats.
-func TestDistForwarding(t *testing.T) {
-	p := NewPlan().DropFrames(1, 3, 2).DelayFrame(0, 1, time.Millisecond).KillWorker(0, 7)
-	if p.Dist() == nil {
-		t.Fatal("no embedded dist plan")
+// TestFrameFaultRules pins the frame-fault rule semantics through a
+// scripted sequence of send attempts: every rule matching an attempt fires
+// (drops and kills flag it, delays add up), a counted rule fires exactly
+// that many times, and Stats counts what fired plus the respawns reported.
+func TestFrameFaultRules(t *testing.T) {
+	p := NewPlan().
+		DropFrames(1, 3, 2).
+		DelayFrame(1, 3, time.Millisecond).
+		DelayFrame(0, 5, 2*time.Millisecond).
+		DelayFrame(0, 5, 3*time.Millisecond).
+		KillWorker(0, 7)
+	type action struct {
+		drop, kill bool
+		delay      time.Duration
 	}
-	// Stats merge: nothing fired yet, but the plumbing must not panic and
-	// the dist sub-struct must be the dist.Faults counters verbatim.
-	if s := p.Stats(); s.Dist != p.Dist().Stats() {
-		t.Errorf("dist stats diverged: %+v vs %+v", s.Dist, p.Dist().Stats())
+	steps := []struct {
+		shard, round int
+		want         action
+	}{
+		{1, 3, action{drop: true, delay: time.Millisecond}}, // two rules match one attempt
+		{1, 3, action{drop: true}},                          // the count-2 drop fires again
+		{1, 3, action{}},                                    // and is spent
+		{0, 5, action{delay: 5 * time.Millisecond}},         // two delays add up
+		{0, 7, action{kill: true}},
+		{0, 7, action{}},
+		{2, 3, action{}}, // no rule matches
+	}
+	for i, s := range steps {
+		var got action
+		got.drop, got.kill, got.delay = p.FrameFault(s.shard, s.round)
+		if got != s.want {
+			t.Errorf("attempt %d (shard %d, round %d): %+v, want %+v", i, s.shard, s.round, got, s.want)
+		}
+	}
+	p.Respawned()
+	if got, want := p.Stats(), (ChaosStats{Dropped: 2, Delayed: 3, Killed: 1, Respawns: 1}); got != want {
+		t.Errorf("stats %+v, want %+v", got, want)
 	}
 }
 

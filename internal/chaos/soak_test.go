@@ -159,7 +159,7 @@ func soakOnce(t *testing.T, g *hybrid.Graph, oracle *hybrid.APSPResult, seed int
 	buildCtx, cancelBuild := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancelBuild()
 	buildNet := hybrid.New(g, hybrid.WithSeed(42), hybrid.WithEngine(hybrid.EngineDist),
-		hybrid.WithWorkers(2), hybrid.WithDistOptions(dist.WithFaults(plan.Dist())),
+		hybrid.WithWorkers(2), hybrid.WithDistOptions(dist.WithFaults(plan)),
 		hybrid.WithCacheDir(cacheDir), hybrid.WithContext(buildCtx))
 	res, err := buildNet.APSP()
 	if err != nil {
@@ -310,8 +310,8 @@ func soakOnce(t *testing.T, g *hybrid.Graph, oracle *hybrid.APSPResult, seed int
 		t.Error("no query ever got a well-formed 200")
 	}
 	cs := plan.Stats()
-	t.Logf("seed %d: faults fired=%d (dist %+v) ok=%d shed=%d timeouts=%d panic500=%d transport=%d",
-		seed, cs.Total(), cs.Dist, ok, shed, timeouts, panics500, transport)
+	t.Logf("seed %d: faults fired=%d (dist dropped=%d delayed=%d killed=%d respawns=%d) ok=%d shed=%d timeouts=%d panic500=%d transport=%d",
+		seed, cs.Total(), cs.Dropped, cs.Delayed, cs.Killed, cs.Respawns, ok, shed, timeouts, panics500, transport)
 
 	// Phase 6: graceful drain — Shutdown completes and Serve reports the
 	// sanctioned closure.

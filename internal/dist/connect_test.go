@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/dist/wire"
 	"repro/internal/graph"
 	"repro/internal/persist"
@@ -71,7 +72,7 @@ func TestDistConnectKillRedialReplay(t *testing.T) {
 	wantOut, wantM := runChatter(t, g, sim.Config{Seed: 17, Engine: sim.EngineLegacy})
 
 	addrs, _ := startListenWorkers(t, 2)
-	faults := NewFaults().KillWorker(1, 4)
+	faults := chaos.NewPlan().KillWorker(1, 4)
 	out, m := runChatter(t, g, sim.Config{
 		Seed: 17, Engine: sim.EngineDist, DistWorkers: 2,
 		DistOpts: &Options{Connect: addrs, Faults: faults},
@@ -96,7 +97,7 @@ func TestDistConnectWorkerGoneAbort(t *testing.T) {
 		N: 8, Workers: 2, ShardSize: 4,
 		Opts: &Options{
 			Connect:      nil, // filled below
-			Faults:       NewFaults().KillWorker(1, 0),
+			Faults:       chaos.NewPlan().KillWorker(1, 0),
 			FrameTimeout: 200 * time.Millisecond,
 		},
 	}
@@ -281,7 +282,7 @@ func TestHandshakeErrors(t *testing.T) {
 // non-empty round comes back in worker-sorted delivery order, and a closed
 // router routes nothing.
 func TestRouterDropRetriedNotRespawned(t *testing.T) {
-	faults := NewFaults().DropFrames(0, 1, 1)
+	faults := chaos.NewPlan().DropFrames(0, 1, 1)
 	r, err := New(sim.DistRouterConfig{
 		N: 8, Workers: 2, ShardSize: 4,
 		Opts: &Options{Faults: faults, FrameTimeout: 300 * time.Millisecond},
@@ -322,8 +323,8 @@ func TestRouterDropRetriedNotRespawned(t *testing.T) {
 	if got := faults.Stats().Dropped; got != 1 {
 		t.Fatalf("consumed %d injected drops, want 1", got)
 	}
-	if r.Respawns() != 0 {
-		t.Fatalf("respawns = %d, want 0 (drops must be retried, not respawned)", r.Respawns())
+	if got := faults.Stats().Respawns; got != 0 {
+		t.Fatalf("respawns = %d, want 0 (drops must be retried, not respawned)", got)
 	}
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
@@ -359,9 +360,10 @@ func TestSpawnedChildrenLeaveNothingBehind(t *testing.T) {
 	abandoned.stop()
 	gone("abandoned before the dial", abandoned)
 
+	faults := chaos.NewPlan().KillWorker(1, 1)
 	r, err := New(sim.DistRouterConfig{
 		N: 8, Workers: 2, ShardSize: 4,
-		Opts: WithFaults(NewFaults().KillWorker(1, 1)),
+		Opts: WithFaults(faults),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -372,8 +374,8 @@ func TestSpawnedChildrenLeaveNothingBehind(t *testing.T) {
 		t.Fatal(err)
 	}
 	replacement := r.slots[1].w.Load()
-	if replacement == first[1] || r.Respawns() != 1 {
-		t.Fatalf("kill fault did not respawn shard 1 (respawns %d)", r.Respawns())
+	if replacement == first[1] || faults.Stats().Respawns != 1 {
+		t.Fatalf("kill fault did not respawn shard 1 (respawns %d)", faults.Stats().Respawns)
 	}
 	gone("after the respawn", first[1])
 	if _, err := os.Stat(replacement.dir); err != nil {
@@ -471,7 +473,7 @@ func TestRouterRoundGaps(t *testing.T) {
 		Streams [][]sim.GlobalMsg
 		Stats   sim.DistRoundStats
 	}
-	route := func(faults *Faults) []result {
+	route := func(faults *chaos.Plan) []result {
 		t.Helper()
 		r, err := New(sim.DistRouterConfig{
 			N: 8, Workers: 2, ShardSize: 4,
@@ -496,9 +498,9 @@ func TestRouterRoundGaps(t *testing.T) {
 		return results
 	}
 
-	clean := route(NewFaults())
+	clean := route(chaos.NewPlan())
 	// Rounds 20, 96 and 4000 are never routed; round 5000 is.
-	faults := NewFaults().DropFrames(1, 20, 5).KillWorker(1, 96).DelayFrame(0, 4000, time.Hour).KillWorker(0, 5000)
+	faults := chaos.NewPlan().DropFrames(1, 20, 5).KillWorker(1, 96).DelayFrame(0, 4000, time.Hour).KillWorker(0, 5000)
 	faulty := route(faults)
 	if !reflect.DeepEqual(clean, faulty) {
 		t.Fatalf("gapped sequence diverged under faults:\nclean  %+v\nfaulty %+v", clean, faulty)

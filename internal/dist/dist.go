@@ -3,7 +3,8 @@
 // speaks the internal/dist/wire frame protocol to it, and routes each
 // round's staged global-message batches through the workers with per-frame
 // timeouts, bounded retry/backoff, and kill/respawn/replay — all of it
-// drivable from tests via the Faults injection hook. The run's context
+// drivable from tests through the FaultHook seam (internal/chaos's Plan
+// implements it, without this package importing chaos). The run's context
 // (sim.DistRouterConfig.Ctx) bounds every wait inside a round trip, so a
 // cancelled or timed-out run is not held up by the retry loop.
 //
@@ -48,11 +49,22 @@ func init() {
 	})
 }
 
+// FaultHook is the seam tests inject frame faults through. FrameFault is
+// consulted at every request-send attempt to shard for round: drop skips
+// the write (the reply wait times out and the bounded retry resends), kill
+// stops the worker first (the connection error triggers respawn + replay),
+// and delay sleeps before the send. Respawned reports each worker the
+// router replaced. Both are called from parallel shard goroutines.
+type FaultHook interface {
+	FrameFault(shard, round int) (drop, kill bool, delay time.Duration)
+	Respawned()
+}
+
 // Options names pre-started workers and carries the test-facing knobs.
 // The zero value of every field means its default.
 type Options struct {
-	// Faults is the test-driven fault-injection plan (nil: none).
-	Faults *Faults
+	// Faults is the test-driven fault-injection hook (nil: none).
+	Faults FaultHook
 	// FrameTimeout bounds one reply wait per attempt (default 3s); the
 	// run's context deadline, when earlier, ends the wait instead.
 	FrameTimeout time.Duration
@@ -65,9 +77,9 @@ type Options struct {
 	Connect []string
 }
 
-// WithFaults returns an Options carrying the given fault plan — the
-// hook tests hand to hybrid.WithDistOptions.
-func WithFaults(f *Faults) *Options { return &Options{Faults: f} }
+// WithFaults returns an Options carrying the given fault hook — what tests
+// hand to hybrid.WithDistOptions.
+func WithFaults(f FaultHook) *Options { return &Options{Faults: f} }
 
 const (
 	defaultFrameTimeout = 3 * time.Second
@@ -403,7 +415,9 @@ func (r *Router) respawnLocked(k int, req []byte) (*worker, error) {
 	}
 	sl.w.Load().stop()
 	r.respawns.Add(1)
-	r.opts.Faults.noteRespawn()
+	if r.opts.Faults != nil {
+		r.opts.Faults.Respawned()
+	}
 	w, err := r.startWorker(k)
 	if err != nil {
 		if len(r.opts.Connect) > 0 {
@@ -417,10 +431,6 @@ func (r *Router) respawnLocked(k int, req []byte) (*worker, error) {
 	}
 	return w, nil
 }
-
-// Respawns reports how many workers the router has replaced (respawned or
-// re-dialed).
-func (r *Router) Respawns() int64 { return r.respawns.Load() }
 
 // RouteRound implements sim.DistRouter: every shard's request batch makes
 // one round trip to its worker, all shards in parallel, and the sorted
@@ -487,16 +497,20 @@ func (r *Router) roundTrip(k, round int, out []sim.GlobalMsg) ([]sim.GlobalMsg, 
 		if attempt > 1 {
 			r.sleep(backoffDelay(backoff, attempt-1))
 		}
-		act := r.opts.Faults.onSend(k, round)
-		if act.delay > 0 {
-			r.sleep(act.delay)
+		var drop, kill bool
+		var delay time.Duration
+		if r.opts.Faults != nil {
+			drop, kill, delay = r.opts.Faults.FrameFault(k, round)
 		}
-		if act.kill {
+		if delay > 0 {
+			r.sleep(delay)
+		}
+		if kill {
 			w.stop()
 		}
 		// A dropped frame (fault injection) is simply not written: the
 		// reply wait times out and the next attempt resends it.
-		if !act.drop {
+		if !drop {
 			if _, err := w.conn.Write(req); err != nil {
 				if w, err = r.respawnLocked(k, req); err != nil {
 					return nil, err

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/dist/wire"
 	"repro/internal/graph"
 	"repro/internal/sim"
@@ -89,7 +90,7 @@ func TestDistFrameTimeoutRetry(t *testing.T) {
 	g := graph.Grid(5, 6)
 	wantOut, wantM := runChatter(t, g, sim.Config{Seed: 9, Engine: sim.EngineLegacy})
 
-	faults := NewFaults().DropFrames(1, 3, 2).DropFrames(0, 5, 1)
+	faults := chaos.NewPlan().DropFrames(1, 3, 2).DropFrames(0, 5, 1)
 	opts := &Options{Faults: faults, FrameTimeout: 100 * time.Millisecond}
 	out, m := runChatter(t, g, sim.Config{
 		Seed: 9, Engine: sim.EngineDist, DistWorkers: 2, DistOpts: opts,
@@ -114,7 +115,7 @@ func TestDistFrameTimeoutRetry(t *testing.T) {
 // hanging.
 func TestDistRetryExhaustion(t *testing.T) {
 	g := graph.Path(12)
-	faults := NewFaults().DropFrames(0, 2, 10)
+	faults := chaos.NewPlan().DropFrames(0, 2, 10)
 	opts := &Options{Faults: faults, FrameTimeout: 50 * time.Millisecond}
 	out := make([]int64, g.N())
 	_, err := sim.RunStep(g, sim.Config{
@@ -135,7 +136,7 @@ func TestDistKillRespawnReplay(t *testing.T) {
 	g := graph.Grid(5, 6)
 	wantOut, wantM := runChatter(t, g, sim.Config{Seed: 17, Engine: sim.EngineLegacy})
 
-	faults := NewFaults().KillWorker(1, 4)
+	faults := chaos.NewPlan().KillWorker(1, 4)
 	out, m := runChatter(t, g, sim.Config{
 		Seed: 17, Engine: sim.EngineDist, DistWorkers: 2, DistOpts: WithFaults(faults),
 	})
@@ -346,7 +347,7 @@ func TestResolveOptions(t *testing.T) {
 	if err != nil || o.FrameTimeout != defaultFrameTimeout {
 		t.Fatalf("nil opts resolved to %+v, %v", o, err)
 	}
-	f := NewFaults()
+	f := chaos.NewPlan()
 	o, err = resolveOptions(WithFaults(f))
 	if err != nil || o.Faults != f || o.FrameTimeout != defaultFrameTimeout {
 		t.Fatalf("WithFaults opts resolved to %+v, %v", o, err)
@@ -363,7 +364,7 @@ func TestResolveOptions(t *testing.T) {
 // maxRespawns the run must abort with the flapping error instead of
 // respawning forever.
 func TestDistRespawnBudgetExhausted(t *testing.T) {
-	faults := NewFaults()
+	faults := chaos.NewPlan()
 	for round := 0; round <= maxRespawns; round++ {
 		faults.KillWorker(0, round)
 	}

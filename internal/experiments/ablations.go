@@ -239,13 +239,3 @@ func A4HashIndependence(cfg Config) Table {
 	t.Notef("the load bound is insensitive to raising k beyond Θ(log n), as Remark A.1 predicts")
 	return t
 }
-
-// Ablations runs all ablation tables.
-func Ablations(cfg Config) []Table {
-	return []Table{
-		A1HelperQBoost(cfg),
-		A2GlobalSendFactor(cfg),
-		A3SkeletonHFactor(cfg),
-		A4HashIndependence(cfg),
-	}
-}

@@ -258,13 +258,13 @@ func E3APSP(cfg Config) Table {
 	return t
 }
 
-// runAPSPVariant executes one APSP machine on cfg.Engine and checks
+// runAPSPVariant executes one APSP machine on the default engine and checks
 // exactness.
 func runAPSPVariant(g *graph.Graph, cfg Config, want [][]int64,
 	mf func(*sim.Env, func([]int64)) sim.StepProgram) (int, bool) {
 	n := g.N()
 	out := make([][]int64, n)
-	m, err := sim.RunStep(g, sim.Config{Seed: cfg.Seed, Engine: cfg.Engine}, func(env *sim.Env) sim.StepProgram {
+	m, err := sim.RunStep(g, sim.Config{Seed: cfg.Seed}, func(env *sim.Env) sim.StepProgram {
 		id := env.ID()
 		return mf(env, func(res []int64) { out[id] = res })
 	})

@@ -207,7 +207,7 @@ func runSSSPTheorem(g *graph.Graph, src int, cfg Config, want []int64) (int, boo
 	n := g.N()
 	isSource := make([]bool, n)
 	isSource[src] = true
-	out, m, err := sim.RunPipeline(g, sim.Config{Seed: cfg.Seed, Engine: cfg.Engine}, kssp.Pipeline(isSource, 1, kssp.Corollary49(), kssp.Params{}))
+	out, m, err := sim.RunPipeline(g, sim.Config{Seed: cfg.Seed}, kssp.Pipeline(isSource, 1, kssp.Corollary49(), kssp.Params{}))
 	if err != nil {
 		return 0, false
 	}
@@ -226,7 +226,7 @@ func runSSSPTheorem(g *graph.Graph, src int, cfg Config, want []int64) (int, boo
 func runSSSPLocal(g *graph.Graph, src, rounds int, cfg Config, want []int64, t *Table) int {
 	n := g.N()
 	out := make([]int64, n)
-	m, err := sim.RunStep(g, sim.Config{Seed: cfg.Seed, Engine: cfg.Engine}, func(env *sim.Env) sim.StepProgram {
+	m, err := sim.RunStep(g, sim.Config{Seed: cfg.Seed}, func(env *sim.Env) sim.StepProgram {
 		id := env.ID()
 		explore := skeleton.NewSparseExploreMachine(env, id == src, rounds)
 		return sim.Then(explore, func(*sim.Env) {

@@ -1,15 +1,14 @@
-// Package experiments regenerates every evaluable artifact of the paper
-// (All is the per-experiment index). Each experiment returns a Table whose rows are the
-// series the paper's theorems predict; the bench harness (bench_test.go)
-// and cmd/benchtables both render them.
+// Package experiments regenerates every evaluable artifact of the paper.
+// Index lists the tables, E1–E11 then the A1–A4 ablations; each returns a
+// Table whose rows are the series the paper's theorems predict. The one
+// runner is BenchmarkExperiments in the root bench_test.go, a sub-benchmark
+// per ID; the quick tests here run the same index.
 package experiments
 
 import (
 	"fmt"
 	"math"
 	"strings"
-
-	"repro/internal/sim"
 )
 
 // Config scales the experiment sweeps.
@@ -22,9 +21,6 @@ type Config struct {
 	// when Quick is set.
 	// Expect minutes, not seconds; see the README's experiments section.
 	XL bool
-	// Engine selects the round engine the experiments run on (default
-	// EngineStep). Results are engine-independent.
-	Engine sim.Engine
 }
 
 // xlSizes appends the XL scaling sizes when enabled.
@@ -119,19 +115,28 @@ func FitExponent(xs []float64, ys []float64) float64 {
 	return (n*sxy - sx*sy) / den
 }
 
-// All runs every experiment.
-func All(cfg Config) []Table {
-	return []Table{
-		E1TokenRouting(cfg),
-		E2HelperSets(cfg),
-		E3APSP(cfg),
-		E4CliqueSim(cfg),
-		E5KSSP(cfg),
-		E6SSSP(cfg),
-		E7Diameter(cfg),
-		E8KSSPLowerBound(cfg),
-		E9DiameterLowerBound(cfg),
-		E10RecvLoad(cfg),
-		E11ModeComparison(cfg),
-	}
+// Experiment is one Index entry: a table's ID and the function that builds
+// it.
+type Experiment struct {
+	ID  string
+	Run func(Config) Table
+}
+
+// Index is every experiment in report order: E1–E11, then A1–A4.
+var Index = []Experiment{
+	{"E1", E1TokenRouting},
+	{"E2", E2HelperSets},
+	{"E3", E3APSP},
+	{"E4", E4CliqueSim},
+	{"E5", E5KSSP},
+	{"E6", E6SSSP},
+	{"E7", E7Diameter},
+	{"E8", E8KSSPLowerBound},
+	{"E9", E9DiameterLowerBound},
+	{"E10", E10RecvLoad},
+	{"E11", E11ModeComparison},
+	{"A1", A1HelperQBoost},
+	{"A2", A2GlobalSendFactor},
+	{"A3", A3SkeletonHFactor},
+	{"A4", A4HashIndependence},
 }

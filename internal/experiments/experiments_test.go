@@ -8,18 +8,31 @@ import (
 // TestAllExperimentsQuick runs every experiment at quick scale and fails on
 // any recorded guarantee violation. This is the repository's end-to-end
 // regression: every theorem's claim is re-checked.
-func TestAllExperimentsQuick(t *testing.T) {
-	for _, table := range All(Config{Seed: 1, Quick: true}) {
-		table := table
-		t.Run(table.ID, func(t *testing.T) {
+func TestAllExperimentsQuick(t *testing.T) { runQuick(t, "E", 1) }
+
+// TestAblationsQuick runs the A1-A4 ablations at quick scale.
+func TestAblationsQuick(t *testing.T) { runQuick(t, "A", 2) }
+
+// runQuick runs the Index entries whose ID starts with prefix at quick
+// scale under seed: each must fill its table, carry its entry's ID, and
+// record no guarantee violation.
+func runQuick(t *testing.T, prefix string, seed int64) {
+	for _, e := range Index {
+		if !strings.HasPrefix(e.ID, prefix) {
+			continue
+		}
+		t.Run(e.ID, func(t *testing.T) {
+			table := e.Run(Config{Seed: seed, Quick: true})
+			if table.ID != e.ID {
+				t.Fatalf("Index entry %s built table %q", e.ID, table.ID)
+			}
 			if len(table.Rows) == 0 {
 				t.Fatalf("%s produced no rows", table.ID)
 			}
 			for _, f := range table.Failures {
 				t.Errorf("%s: %s", table.ID, f)
 			}
-			s := table.String()
-			if !strings.Contains(s, table.ID) {
+			if !strings.Contains(table.String(), table.ID) {
 				t.Fatalf("rendering broken")
 			}
 		})
@@ -51,20 +64,5 @@ func TestTableRendering(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Fatalf("rendering missing %q in:\n%s", want, s)
 		}
-	}
-}
-
-// TestAblationsQuick runs the A1-A4 ablations at quick scale.
-func TestAblationsQuick(t *testing.T) {
-	for _, table := range Ablations(Config{Seed: 2, Quick: true}) {
-		table := table
-		t.Run(table.ID, func(t *testing.T) {
-			if len(table.Rows) == 0 {
-				t.Fatalf("%s produced no rows", table.ID)
-			}
-			for _, f := range table.Failures {
-				t.Errorf("%s: %s", table.ID, f)
-			}
-		})
 	}
 }

@@ -117,8 +117,8 @@ type Server struct {
 
 // ChaosHook is the seam the chaos test layer injects faults through. It
 // is deliberately a tuple-of-primitives interface so internal/chaos can
-// satisfy it structurally without this package importing it (chaos
-// already imports dist and persist; a serve import would tangle the
+// satisfy it structurally without this package importing it, as it does
+// dist.FaultHook (chaos imports persist; a serve import would tangle the
 // graph). HTTPFault is consulted once per request with the URL path and
 // reports injected latency, a forced connection reset, and a forced
 // handler panic; RebuildFault is consulted by Reload before the real
