@@ -125,7 +125,7 @@ func TestDistRoutedTrafficPin(t *testing.T) {
 				return hybrid.Metrics{}, err
 			}
 			return res.Metrics, nil
-		}, routedPin{Metrics: hybrid.Metrics{Rounds: 1342, GlobalMsgs: 1560, GlobalBits: 81120, LocalMsgs: 9059, LocalBits: 406092, MaxGlobalSend: 6, MaxGlobalRecv: 6}, Routed: 187, Heads: 0x158cbd2bac7cc6e9, Full: 0x26c2d5c3708692a6}},
+		}, routedPin{Metrics: hybrid.Metrics{Rounds: 1342, GlobalMsgs: 1560, GlobalBits: 81120, LocalMsgs: 5641, LocalBits: 457008, MaxGlobalSend: 6, MaxGlobalRecv: 6}, Routed: 187, Heads: 0x158cbd2bac7cc6e9, Full: 0x9c6f1dcdde71c9c6}},
 		{"apsp baseline grid 6x6", hybrid.GridGraph(6, 6), func(nw *hybrid.Network) (hybrid.Metrics, error) {
 			res, err := nw.APSPBaseline()
 			if err != nil {

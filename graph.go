@@ -35,9 +35,6 @@ func CycleGraph(n int) *Graph { return graph.Cycle(n) }
 // GridGraph returns the rows x cols grid.
 func GridGraph(rows, cols int) *Graph { return graph.Grid(rows, cols) }
 
-// CompleteGraph returns K_n.
-func CompleteGraph(n int) *Graph { return graph.Complete(n) }
-
 // GNPGraph returns a connected Erdős–Rényi graph (spanning tree overlaid).
 func GNPGraph(n int, p float64, rng *rand.Rand) *Graph { return graph.GNP(n, p, rng) }
 

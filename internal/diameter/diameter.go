@@ -10,15 +10,17 @@
 //
 // Algorithm 9 shares Algorithm 5's framework, so it runs on kssp's AlgSpec,
 // Params, Plan and CliqueFactory: build a skeleton with x = 2/(3+2δ);
-// simulate A on it to get D~(S); explore the local graph for ηh+1 rounds,
-// which (I) spreads D~(S) to everyone and (II) lets each node measure h_v,
-// the largest hop distance it sees; aggregate ĥ = max_v h_v over the global
-// network (Lemma B.2); output D~ = ĥ if ĥ <= ηh (the diameter was small
+// simulate A on it to get D~(S) at the skeleton nodes; explore the local
+// graph for ηh+1 rounds from every node (skeleton.ExploreMachine), so each
+// node measures h_v, the largest hop distance it sees; aggregate ĥ = max_v
+// h_v and D~(S) over the global network (Lemma B.2), which is how D~(S)
+// reaches every node; output D~ = ĥ if ĥ <= ηh (the diameter was small
 // enough to measure exactly), else D~(S) + 2h (Equation 3).
 package diameter
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/clique"
 	"repro/internal/cliquesim"
@@ -28,18 +30,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/skeleton"
 )
-
-// diamFlood carries D~(S) from skeleton nodes through the local network.
-type diamFlood struct {
-	Value int64
-	TTL   int
-}
-
-// hopWave is the all-sources BFS payload of the h_v measurement.
-type hopWave struct {
-	Source int
-	Hops   int
-}
 
 // skeletonDiameter reads D~(S) out of a member's finished CLIQUE node
 // (-1 for non-members).
@@ -61,61 +51,6 @@ func estimate(hHat, dSGlobal int64, h, etaRounds int) int64 {
 	return dSGlobal + 2*int64(h)
 }
 
-// diamExploreMachine runs `rounds` rounds of local flooding that both
-// measures the largest hop distance seen (h_v, via an all-sources BFS wave)
-// and spreads the skeleton's diameter estimate with a TTL. MyDS (the best
-// D~(S) heard) and Hv are valid once Step returned true.
-type diamExploreMachine struct {
-	MyDS int64
-	Hv   int
-
-	loop   sim.Loop
-	seen   map[int]int
-	outbox []interface{}
-}
-
-func newDiamExploreMachine(env *sim.Env, rounds int, initial []interface{}) *diamExploreMachine {
-	m := &diamExploreMachine{MyDS: -1, seen: map[int]int{env.ID(): 0}}
-	m.outbox = append(m.outbox, initial...)
-	m.outbox = append(m.outbox, hopWave{Source: env.ID(), Hops: 0})
-	m.loop = sim.Loop{
-		Rounds:   rounds,
-		NextSend: sim.Reactive,
-		Send: func(env *sim.Env, i int) {
-			for _, p := range m.outbox {
-				env.BroadcastLocal(p)
-			}
-		},
-		Recv: func(env *sim.Env, in sim.Inbox, i int) {
-			var next []interface{}
-			for _, lm := range in.Local {
-				switch msg := lm.Payload.(type) {
-				case hopWave:
-					if _, ok := m.seen[msg.Source]; !ok {
-						m.seen[msg.Source] = msg.Hops + 1
-						if msg.Hops+1 > m.Hv {
-							m.Hv = msg.Hops + 1
-						}
-						next = append(next, hopWave{Source: msg.Source, Hops: msg.Hops + 1})
-					}
-				case diamFlood:
-					if msg.Value > m.MyDS {
-						m.MyDS = msg.Value
-						if msg.TTL > 1 {
-							next = append(next, diamFlood{Value: msg.Value, TTL: msg.TTL - 1})
-						}
-					}
-				}
-			}
-			m.outbox = next
-		},
-	}
-	return m
-}
-
-// Step implements sim.StepProgram.
-func (m *diamExploreMachine) Step(env *sim.Env) bool { return m.loop.Step(env) }
-
 // NewComputeMachine runs Algorithm 9 collectively (see sim.StepProgram);
 // the nodes of the algorithm spec.Factory builds must implement
 // clique.DiameterNode (its srcIdx argument is empty). done receives this node's diameter estimate D~ with
@@ -126,9 +61,8 @@ func NewComputeMachine(env *sim.Env, spec kssp.AlgSpec, params kssp.Params, done
 	sp, h, etaRounds := spec.Plan(params, n)
 
 	var skelM *skeleton.ComputeMachine
-	var simRes cliquesim.Result
-	var explore *diamExploreMachine
-	var myDS int64
+	var dS int64
+	var hv int32
 	var aggH, aggDS *ncc.AggregateMachine
 
 	return sim.Sequence(
@@ -140,32 +74,24 @@ func NewComputeMachine(env *sim.Env, spec kssp.AlgSpec, params kssp.Params, done
 		func(env *sim.Env) sim.StepProgram {
 			return cliquesim.NewSimulateMachine(env, skelM.Res, sp.SampleProb(n),
 				kssp.CliqueFactory(env, spec, nil), params.Routing,
-				func(r cliquesim.Result) { simRes = r })
+				func(r cliquesim.Result) { dS = skeletonDiameter(r) })
 		},
-		// Local exploration for ηh+1 rounds: flood D~(S) (every node has a
-		// skeleton node within h <= ηh hops w.h.p.) and measure h_v, the
-		// largest hop distance seen in the (ηh+1)-neighborhood. Both ride
-		// the same exploration: the all-sources wave yields hop distances,
-		// and the skeleton nodes' D~(S) flood is piggybacked with a TTL.
+		// Local exploration from every node for ηh+1 rounds: h_v, the
+		// largest hop distance at which this node first heard a source, is
+		// its hop eccentricity capped at ηh+1.
 		func(env *sim.Env) sim.StepProgram {
-			rounds := etaRounds + 1
-			var diamMsgs []interface{}
-			if dS := skeletonDiameter(simRes); dS >= 0 {
-				diamMsgs = append(diamMsgs, diamFlood{Value: dS, TTL: rounds})
-			}
-			explore = newDiamExploreMachine(env, rounds, diamMsgs)
-			return explore
+			m := skeleton.NewExploreMachine(env, true, etaRounds+1)
+			return sim.Then(m, func(*sim.Env) { hv = slices.Max(m.Hops) })
 		},
-		// ĥ = max_v h_v via the Lemma B.2 aggregation, and the final rule of
-		// Equation (3). D~(S) is also aggregated (max) so that nodes that
-		// missed the flood (coverage failure) still answer consistently.
+		// ĥ = max_v h_v via the Lemma B.2 aggregation, then D~(S), which
+		// only the members hold, by the same max (the others bring -1), and
+		// the final rule of Equation (3).
 		func(env *sim.Env) sim.StepProgram {
-			myDS = explore.MyDS
-			aggH = ncc.NewAggregateMachine(env, int64(explore.Hv), ncc.AggMax)
+			aggH = ncc.NewAggregateMachine(env, int64(hv), ncc.AggMax)
 			return aggH
 		},
 		func(env *sim.Env) sim.StepProgram {
-			aggDS = ncc.NewAggregateMachine(env, myDS, ncc.AggMax)
+			aggDS = ncc.NewAggregateMachine(env, dS, ncc.AggMax)
 			return aggDS
 		},
 		sim.Finish(func(env *sim.Env) {
@@ -228,7 +154,7 @@ func RealMM(eta float64) kssp.AlgSpec {
 }
 
 // CheckEstimate verifies D <= D~ <= bound*D (+slack for tiny diameters)
-// against the sequential ground truth; used by tests and the harness.
+// against the sequential ground truth; used by tests.
 func CheckEstimate(g *graph.Graph, estimate int64, bound float64) (int64, bool) {
 	d := graph.HopDiameter(g)
 	if d == 0 {

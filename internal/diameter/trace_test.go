@@ -11,8 +11,10 @@ import (
 )
 
 // pinnedDiameter holds a diameter machine, on every engine, to the trace
-// recorded from the blocking form it replaced: every node's estimate,
-// hashed, and the common estimate within [d, bound·d] of the true diameter d.
+// recorded from the blocking form it replaced (Algorithm 9's LOCAL figures
+// since re-recorded on the shared exploration kernel): every node's
+// estimate, hashed, and the common estimate within [d, bound·d] of the true
+// diameter d.
 func pinnedDiameter(t *testing.T, g *graph.Graph, seed int64, pin simtest.Pin, d int64, bound float64, machine sim.Pipeline[int64]) {
 	t.Helper()
 	var est int64
@@ -39,14 +41,14 @@ func pinnedHopDiameter(t *testing.T, g *graph.Graph, spec kssp.AlgSpec, seed int
 // (Corollary 5.2: 3/2+ε, plus the 2/η exploration slack).
 func TestComputeMachineMatchesOracle(t *testing.T) {
 	pinnedHopDiameter(t, graph.Grid(6, 6), Corollary52(0.5, 0), 43, 3,
-		simtest.Pin{Metrics: sim.Metrics{Rounds: 1378, GlobalMsgs: 1313, GlobalBits: 68276, LocalMsgs: 10314, LocalBits: 363396, MaxGlobalSend: 6, MaxGlobalRecv: 6}, Sum: 0x4dc5d298fe5428a5})
+		simtest.Pin{Metrics: sim.Metrics{Rounds: 1378, GlobalMsgs: 1313, GlobalBits: 68276, LocalMsgs: 6900, LocalBits: 414336, MaxGlobalSend: 6, MaxGlobalRecv: 6}, Sum: 0x4dc5d298fe5428a5})
 }
 
 // TestComputeMachineMatchesRealMM covers the real-message exact skeleton
 // diameter (δ = 1/3: 1+2/η at η = 2).
 func TestComputeMachineMatchesRealMM(t *testing.T) {
 	pinnedHopDiameter(t, graph.Cycle(30), RealMM(2), 47, 2,
-		simtest.Pin{Metrics: sim.Metrics{Rounds: 1747, GlobalMsgs: 2282, GlobalBits: 104972, LocalMsgs: 5042, LocalBits: 123470, MaxGlobalSend: 5, MaxGlobalRecv: 5}, Sum: 0xfc0c753f685d8f65})
+		simtest.Pin{Metrics: sim.Metrics{Rounds: 1747, GlobalMsgs: 2282, GlobalBits: 104972, LocalMsgs: 4136, LocalBits: 141140, MaxGlobalSend: 5, MaxGlobalRecv: 5}, Sum: 0xfc0c753f685d8f65})
 }
 
 // TestWeightedApproxMachineMatches covers the weighted factor-2 estimate.
