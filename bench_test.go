@@ -196,3 +196,30 @@ func BenchmarkFacadeAPSPRepeated(b *testing.B) {
 	b.ReportMetric(float64(first), "rounds-first")
 	b.ReportMetric(float64(second), "rounds-cached")
 }
+
+// BenchmarkFacadeKSSPRealMM is the k-SSP workload of cmd/bench's
+// kssp_mm_sparse_400 through the facade: Theorem 1.2 with real-message
+// CLIQUE simulation (Algorithm 8, one token-routing instance per simulated
+// round) from 16 evenly spaced sources on a randomly weighted sparse graph
+// of 400 nodes, graph and algorithm seed 1, on EngineStep. It reports
+// allocations, so `go test -run '^$' -bench FacadeKSSPRealMM -benchmem .`
+// shows what a simulated round costs in memory without building cmd/bench.
+func BenchmarkFacadeKSSPRealMM(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	g := hybrid.WithRandomWeights(hybrid.SparseGraph(400, 1.2, rng), 100, rng)
+	const k = 16
+	sources := make([]int, k)
+	for i := range sources {
+		sources[i] = i * g.N() / k
+	}
+	b.ReportAllocs()
+	var rounds int
+	for i := 0; i < b.N; i++ {
+		res, err := hybrid.New(g, hybrid.WithSeed(1), hybrid.WithEngine(hybrid.EngineStep)).KSSP(sources, hybrid.KSSPRealMM(0))
+		if err != nil {
+			b.Fatal(err)
+		}
+		rounds = res.Metrics.Rounds
+	}
+	b.ReportMetric(float64(rounds), "rounds")
+}

@@ -49,7 +49,9 @@ type Incoming struct {
 
 // Node is the per-node state of a running CLIQUE algorithm. Send must
 // return exactly one Value per slot of Algorithm.Schedule(r, self), in
-// order. Recv delivers the round's messages (sorted by (Src, Tag)).
+// order. Recv delivers the round's messages (sorted by (Src, Tag)); in is
+// valid only during the call — the HYBRID simulation reuses its storage for
+// the next round — so Recv copies what it keeps.
 type Node interface {
 	Send(r int) []Value
 	Recv(r int, in []Incoming)

@@ -69,9 +69,9 @@ type Result struct {
 // min(sqrt(k), 1/p) of the routing session); rparams tunes the routing
 // sessions (and carries the optional session cache). Its core is the
 // RouteMachine-per-simulated-round driver: one SessionMachine computes the
-// helper families once, then every CLIQUE round chains a fresh RouteMachine
-// over the shared session. done receives the node's Result when the machine
-// finishes.
+// helper families once, then every CLIQUE round re-arms the session's
+// RouteMachine with that round's instance, built in buffers the rounds
+// share. done receives the node's Result when the machine finishes.
 func NewSimulateMachine(env *sim.Env, skel skeleton.Result, sampleProb float64, factory Factory, rparams routing.Params, done func(Result)) sim.StepProgram {
 	var agg *ncc.AggregateMachine
 	var diss *ncc.DisseminateMachine
@@ -132,18 +132,16 @@ func NewSimulateMachine(env *sim.Env, skel skeleton.Result, sampleProb float64, 
 			rounds := alg.Rounds()
 			r := 0
 			var routeM *routing.RouteMachine
-			var selfIn []clique.Incoming
+			var b roundBuffers
 			return sim.Chain(func(env *sim.Env) sim.StepProgram {
 				if routeM != nil && index >= 0 {
-					res.Node.Recv(r-1, assemble(routeM.Out, members, selfIn))
+					res.Node.Recv(r-1, b.assemble(routeM.Out, members))
 				}
 				if r >= rounds {
 					return nil
 				}
-				var send []routing.Token
-				var expect []routing.Label
-				send, expect, selfIn = roundInstance(env.ID(), alg, res.Node, members, q, index, r)
-				routeM = routing.NewRouteMachine(sessM.Out, send, expect)
+				b.instance(env.ID(), alg, res.Node, members, q, index, r)
+				routeM = routing.NewRouteMachine(sessM.Out, b.send, b.expect)
 				r++
 				return routeM
 			})
@@ -186,93 +184,86 @@ func cliqueAdjacency(me int, skel skeleton.Result, members []int) []graph.Neighb
 	return adj
 }
 
-// roundInstance builds one node's routing instance for CLIQUE round r from
-// the public schedule: the tokens to send (self-addressed ones filtered
-// into selfIn, skipping the network), and the labels to expect. Pure;
-// non-members send and expect nothing but still serve as helpers.
-func roundInstance(me int, alg clique.Algorithm, node clique.Node, members []int, q, index, r int) (send []routing.Token, expect []routing.Label, selfIn []clique.Incoming) {
-	if index >= 0 {
-		slots := alg.Schedule(r, index)
-		vals := node.Send(r)
-		send = make([]routing.Token, 0, 2*len(slots))
-		for si, s := range slots {
-			dst := members[s.Dst]
-			send = append(send,
-				routing.Token{Label: routing.Label{S: me, R: dst, I: s.Tag * 2}, Value: vals[si].F0},
-				routing.Token{Label: routing.Label{S: me, R: dst, I: s.Tag*2 + 1}, Value: vals[si].F1},
-			)
-		}
-		// Receivers compute their expected labels from the public
-		// schedule of every sender.
-		for jp := 0; jp < q; jp++ {
-			if jp == index {
-				// Self-slots short-circuit below.
-				continue
-			}
-			for _, s := range alg.Schedule(r, jp) {
-				if s.Dst != index {
-					continue
-				}
-				src := members[jp]
-				expect = append(expect,
-					routing.Label{S: src, R: me, I: s.Tag * 2},
-					routing.Label{S: src, R: me, I: s.Tag*2 + 1},
-				)
-			}
-		}
+// roundBuffers is one node's per-round scratch of the simulation, reused
+// from one CLIQUE round to the next: NewRouteMachine copies send and expect,
+// and a clique.Node reads its inbox only during Recv.
+type roundBuffers struct {
+	send   []routing.Token
+	expect []routing.Label
+	selfIn []clique.Incoming // the round's self-addressed messages
+	in     []clique.Incoming // the inbox assemble hands to Recv
+}
+
+// instance builds one node's routing instance for CLIQUE round r from the
+// public schedule: the tokens to send (self-addressed messages go to
+// b.selfIn instead, skipping the network), and the labels to expect.
+// Non-members send and expect nothing but still serve as helpers.
+func (b *roundBuffers) instance(me int, alg clique.Algorithm, node clique.Node, members []int, q, index, r int) {
+	b.send, b.expect, b.selfIn = b.send[:0], b.expect[:0], b.selfIn[:0]
+	if index < 0 {
+		return
 	}
-	// Self-addressed messages skip the network.
-	filtered := send[:0]
-	for _, t := range send {
-		if t.R == me {
-			if t.I%2 == 0 {
-				selfIn = append(selfIn, clique.Incoming{Src: index, Tag: t.I / 2, Val: clique.Value{F0: t.Value}})
-			} else if len(selfIn) > 0 {
-				selfIn[len(selfIn)-1].Val.F1 = t.Value
-			}
+	vals := node.Send(r)
+	for si, s := range alg.Schedule(r, index) {
+		dst := members[s.Dst]
+		if dst == me {
+			b.selfIn = append(b.selfIn, clique.Incoming{Src: index, Tag: s.Tag, Val: vals[si]})
 			continue
 		}
-		filtered = append(filtered, t)
+		b.send = append(b.send,
+			routing.Token{Label: routing.Label{S: me, R: dst, I: s.Tag * 2}, Value: vals[si].F0},
+			routing.Token{Label: routing.Label{S: me, R: dst, I: s.Tag*2 + 1}, Value: vals[si].F1},
+		)
 	}
-	return filtered, expect, selfIn
+	// Receivers compute their expected labels from the public schedule of
+	// every sender.
+	for jp := 0; jp < q; jp++ {
+		if jp == index {
+			// Self-slots short-circuit above.
+			continue
+		}
+		for _, s := range alg.Schedule(r, jp) {
+			if s.Dst != index {
+				continue
+			}
+			src := members[jp]
+			b.expect = append(b.expect,
+				routing.Label{S: src, R: me, I: s.Tag * 2},
+				routing.Label{S: src, R: me, I: s.Tag*2 + 1},
+			)
+		}
+	}
 }
 
 // assemble pairs the two word-tokens of each message back into
-// clique.Incoming values, sorted by (Src, Tag). A sender's clique index is its
-// position in the sorted member list.
-func assemble(got []routing.Token, members []int, selfIn []clique.Incoming) []clique.Incoming {
-	type key struct {
-		src int
-		tag int64
-	}
-	vals := map[key]*clique.Value{}
+// clique.Incoming values and adds the round's self-addressed messages,
+// sorted by (Src, Tag). A sender's clique index is its position in the
+// sorted member list. got is sorted by (S, I) — a RouteMachine's Out at its
+// receiver — so a message's two tokens are adjacent. The result lives in
+// b.in until the next call.
+func (b *roundBuffers) assemble(got []routing.Token, members []int) []clique.Incoming {
+	in := b.in[:0]
 	for _, t := range got {
 		src, ok := slices.BinarySearch(members, t.S)
 		if !ok {
 			continue
 		}
-		k := key{src: src, tag: t.I / 2}
-		v := vals[k]
-		if v == nil {
-			v = &clique.Value{}
-			vals[k] = v
+		if k := len(in) - 1; k < 0 || in[k].Src != src || in[k].Tag != t.I/2 {
+			in = append(in, clique.Incoming{Src: src, Tag: t.I / 2})
 		}
-		if t.I%2 == 0 {
+		if v := &in[len(in)-1].Val; t.I%2 == 0 {
 			v.F0 = t.Value
 		} else {
 			v.F1 = t.Value
 		}
 	}
-	in := make([]clique.Incoming, 0, len(vals)+len(selfIn))
-	for k, v := range vals {
-		in = append(in, clique.Incoming{Src: k.src, Tag: k.tag, Val: *v})
-	}
-	in = append(in, selfIn...)
+	in = append(in, b.selfIn...)
 	slices.SortFunc(in, func(a, b clique.Incoming) int {
 		if c := cmp.Compare(a.Src, b.Src); c != 0 {
 			return c
 		}
 		return cmp.Compare(a.Tag, b.Tag)
 	})
+	b.in = in
 	return in
 }

@@ -257,13 +257,30 @@ func New(cfg sim.DistRouterConfig) (*Router, error) {
 	for k := range r.slots {
 		r.slots[k] = &slot{}
 	}
-	for k := range r.slots {
-		w, err := r.startWorker(k)
+	// The workers come up concurrently: a start-up is mostly waiting (for a
+	// child to announce itself, for a handshake reply), and startWorker only
+	// reads the router's configuration. On failure every worker that did
+	// start is closed, and the error of the lowest failing shard returned.
+	errs := make([]error, len(r.slots))
+	var wg sync.WaitGroup
+	for k, sl := range r.slots {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w, err := r.startWorker(k)
+			if err != nil {
+				errs[k] = err
+				return
+			}
+			sl.w.Store(w)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
 			r.Close()
 			return nil, err
 		}
-		r.slots[k].w.Store(w)
 	}
 	return r, nil
 }

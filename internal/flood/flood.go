@@ -61,7 +61,9 @@ func (d *delta[P]) PayloadWords() int64 { return d.words }
 
 // State is one node's side of a flood: the dedup bitset, the rotated delta
 // buffers and the loop. The zero value is ready for Start; a State may be
-// started again once its flood has finished, and then reuses its memory.
+// started again once its flood has finished, and then reuses its memory and
+// the loop callbacks its first Start bound to it — so a started State must
+// not be copied.
 type State[P any] struct {
 	scope int
 	words func(P) int64
@@ -89,7 +91,10 @@ func (s *State[P]) Start(env *sim.Env, scope, rounds int, words func(P) int64, f
 	}
 	s.base += s.loop.Rounds // the buffer the last iteration did not send
 	s.reset(s.buf(0))
-	s.loop = sim.Loop{Rounds: rounds, NextSend: sim.Reactive, Send: s.send, Recv: s.recv}
+	if s.loop.Send == nil {
+		s.loop = sim.Loop{Send: s.send, Recv: s.recv}
+	}
+	s.loop = sim.Loop{Rounds: rounds, NextSend: sim.Reactive, Send: s.loop.Send, Recv: s.loop.Recv}
 }
 
 // Inject enters this node's own record into the flood; it goes out with the

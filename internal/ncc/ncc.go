@@ -15,7 +15,10 @@
 // All three are collective machines (sim.StepProgram): every node must
 // start them in the same round, and they finish after a deterministic number
 // of rounds computed from parameters every node knows (n, k, ell), so
-// lockstep is preserved.
+// lockstep is preserved. An AggregateMachine can also be embedded by value
+// in a machine that aggregates repeatedly (routing's RouteMachine runs four
+// kinds per instance): AggregateMachine.Start re-arms it in place once its
+// previous aggregation finished.
 package ncc
 
 import (
@@ -83,9 +86,22 @@ type AggregateMachine struct {
 // NewAggregateMachine builds the collective aggregation machine; all nodes
 // must start it in the same round with the same op.
 func NewAggregateMachine(env *sim.Env, value int64, op AggOp) *AggregateMachine {
-	m := &AggregateMachine{Out: value, op: op, logN: sim.Log2Ceil(env.N()), n: env.N(), id: env.ID()}
-	m.loop = sim.Loop{Rounds: 2 * m.logN, Send: m.send, Recv: m.recv, NextSend: m.nextSend}
+	m := new(AggregateMachine)
+	m.Start(env, value, op)
 	return m
+}
+
+// Start re-arms m, in place, for a new aggregation of value under op, with
+// the contract of NewAggregateMachine; m's previous aggregation must have
+// finished. The loop's callbacks are bound on the first Start only, so a
+// machine embedded in a longer-lived one aggregates again without
+// allocating.
+func (m *AggregateMachine) Start(env *sim.Env, value int64, op AggOp) {
+	m.Out, m.op, m.logN, m.n, m.id = value, op, sim.Log2Ceil(env.N()), env.N(), env.ID()
+	if m.loop.Send == nil {
+		m.loop = sim.Loop{Send: m.send, Recv: m.recv, NextSend: m.nextSend}
+	}
+	m.loop = sim.Loop{Rounds: 2 * m.logN, Send: m.loop.Send, Recv: m.loop.Recv, NextSend: m.loop.NextSend}
 }
 
 // Step implements sim.StepProgram.

@@ -2,6 +2,7 @@ package routing
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/graph"
@@ -28,46 +29,10 @@ func TestRouteFloodRoundsZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	const routes, measured = 3, 10
-
-	// program routes the instance `routes` times over one session, noting
-	// (at node 0) the rounds the last Route starts and ends in.
-	var lastStart, lastEnd, collectRounds int
-	program := func(outs [][][]Token) sim.StepFactory {
-		return func(env *sim.Env) sim.StepProgram {
-			id := env.ID()
-			sp := specs[id]
-			var sm *SessionMachine
-			var rm *RouteMachine
-			phases := []func(*sim.Env) sim.StepProgram{func(env *sim.Env) sim.StepProgram {
-				sm = NewSessionMachine(env, sp.InS, sp.InR, sp.KS, sp.KR, sp.PS, sp.PR, Params{})
-				return sm
-			}}
-			for r := 0; r < routes; r++ {
-				phases = append(phases, func(env *sim.Env) sim.StepProgram {
-					if id == 0 {
-						lastStart = env.Round()
-						collectRounds = 4 * sm.Out.famR.mu * sim.Log2Ceil(env.N())
-					}
-					rm = NewRouteMachine(sm.Out, sp.Send, sp.Expect)
-					return rm
-				}, sim.Finish(func(env *sim.Env) {
-					outs[r][id] = rm.Out
-					lastEnd = env.Round()
-				}))
-			}
-			return sim.Sequence(phases...)
-		}
-	}
-	newOuts := func() [][][]Token {
-		outs := make([][][]Token, routes)
-		for r := range outs {
-			outs[r] = make([][]Token, g.N())
-		}
-		return outs
-	}
+	var last routeSpan
 	cfg := sim.Config{Engine: sim.EngineStep, Shards: 1, Seed: 9}
-	outs := newOuts()
-	if _, err := sim.RunStep(g, cfg, program(outs)); err != nil {
+	outs := newRouteOuts(routes, g.N())
+	if _, err := sim.RunStep(g, cfg, repeatRoutes(specs, outs, &last)); err != nil {
 		t.Fatal(err)
 	}
 	for r := 1; r < routes; r++ {
@@ -75,12 +40,12 @@ func TestRouteFloodRoundsZeroAlloc(t *testing.T) {
 			t.Fatalf("Route %d on the reused session delivered other tokens than the first", r+1)
 		}
 	}
-	start, collectStart := lastStart, lastEnd-collectRounds
+	start, collectStart := last.start, last.end-last.collectRounds
 	if start <= 0 || collectStart <= start+measured {
-		t.Fatalf("third Route spans rounds %d..%d with a %d-round collect flood; no window to measure", start, lastEnd, collectRounds)
+		t.Fatalf("third Route spans rounds %d..%d with a %d-round collect flood; no window to measure", start, last.end, last.collectRounds)
 	}
 
-	st, err := sim.NewStepper(g, cfg, program(newOuts()))
+	st, err := sim.NewStepper(g, cfg, repeatRoutes(specs, newRouteOuts(routes, g.N()), &routeSpan{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,6 +66,101 @@ func TestRouteFloodRoundsZeroAlloc(t *testing.T) {
 			t.Errorf("%s flood: got %v allocs/round in rounds %d..%d of the third Route, want 0",
 				window.name, allocs, window.round-start, at-start)
 		}
+	}
+	if _, err := st.Finish(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// routeSpan is where, at node 0, the last of a run's routes starts and ends,
+// and how long its collect flood is.
+type routeSpan struct{ start, end, collectRounds int }
+
+// newRouteOuts makes room for every node's Out of every route.
+func newRouteOuts(routes, n int) [][][]Token {
+	outs := make([][][]Token, routes)
+	for r := range outs {
+		outs[r] = make([][]Token, n)
+	}
+	return outs
+}
+
+// repeatRoutes builds one session and routes the instance specs over it
+// len(outs) times, keeping every route's Out in outs and noting the last
+// route's span in last.
+func repeatRoutes(specs []Spec, outs [][][]Token, last *routeSpan) sim.StepFactory {
+	return func(env *sim.Env) sim.StepProgram {
+		id := env.ID()
+		sp := specs[id]
+		var sm *SessionMachine
+		var rm *RouteMachine
+		phases := []func(*sim.Env) sim.StepProgram{func(env *sim.Env) sim.StepProgram {
+			sm = NewSessionMachine(env, sp.InS, sp.InR, sp.KS, sp.KR, sp.PS, sp.PR, Params{})
+			return sm
+		}}
+		for r := range outs {
+			phases = append(phases, func(env *sim.Env) sim.StepProgram {
+				if id == 0 {
+					last.start = env.Round()
+					last.collectRounds = 4 * sm.Out.famR.mu * sim.Log2Ceil(env.N())
+				}
+				rm = NewRouteMachine(sm.Out, sp.Send, sp.Expect)
+				return rm
+			}, sim.Finish(func(env *sim.Env) {
+				outs[r][id] = rm.Out
+				last.end = env.Round()
+			}))
+		}
+		return sim.Sequence(phases...)
+	}
+}
+
+// TestRouteInstanceZeroAlloc is the gate of the session-owned RouteMachine:
+// once a Session has routed an instance twice, every round of the third —
+// the spreads, the aggregations, the push, request and drain loops, the
+// collect flood and the round segments that hand one phase to the next —
+// allocates nothing, but for its first round (where the caller arms it) and
+// its last, which allocates at most each node's fresh Out. The machine, its
+// loops and aggregation, the token batches, helper shares, reply queue and
+// gathered answers are the session's and are re-armed, not rebuilt.
+func TestRouteInstanceZeroAlloc(t *testing.T) {
+	g := graph.Grid(8, 8)
+	n := g.N()
+	specs := buildInstance(n, 0.5, 0.5, 3, 4)
+	const routes = 3
+	cfg := sim.Config{Engine: sim.EngineStep, Shards: 1, Seed: 9}
+	var last routeSpan
+	if _, err := sim.RunStep(g, cfg, repeatRoutes(specs, newRouteOuts(routes, n), &last)); err != nil {
+		t.Fatal(err)
+	}
+	if last.start <= 0 || last.end <= last.start+1 {
+		t.Fatalf("third Route spans rounds %d..%d; no window to measure", last.start, last.end)
+	}
+
+	st, err := sim.NewStepper(g, cfg, repeatRoutes(specs, newRouteOuts(routes, n), &routeSpan{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The engine runs the machines on this goroutine (one shard); keep the
+	// runtime's own goroutines off the count, as testing.AllocsPerRun does.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	advance := func() uint64 {
+		runtime.ReadMemStats(&before)
+		st.Advance(1)
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	if st.Advance(last.start + 1) {
+		t.Fatal("run finished before the third Route")
+	}
+	for round := last.start + 1; round < last.end; round++ {
+		if allocs := advance(); allocs != 0 {
+			t.Errorf("round %d of the third Route (rounds %d..%d): %d allocs, want 0", round-last.start, 0, last.end-last.start, allocs)
+		}
+	}
+	if allocs := advance(); allocs > uint64(n) {
+		t.Errorf("the third Route's last round: %d allocs, want at most one per node (%d)", allocs, n)
 	}
 	if _, err := st.Finish(); err != nil {
 		t.Fatal(err)

@@ -2,8 +2,10 @@ package routing
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bitrand"
+	"repro/internal/flatmap"
 	"repro/internal/flood"
 	"repro/internal/helpers"
 	"repro/internal/ncc"
@@ -126,175 +128,280 @@ func (m *SessionMachine) Step(env *sim.Env) bool { return m.prog.Step(env) }
 // RouteMachine runs one routing instance over a computed session:
 // Algorithm 3's token spreading, Algorithm 4's hash-routed forwarding with
 // the aggregated phase lengths, the reply drain, and the final
-// cluster-local collection.
+// cluster-local collection. A Session owns exactly one: NewRouteMachine
+// re-arms it for the next instance, so a session routes one instance at a
+// time, and the per-instance scratch — token batches, helper shares, the
+// intermediate store, reply queue and gathered answers, the collect flood —
+// is reset, not reallocated, from one instance to the next.
 type RouteMachine struct {
 	// Out is this node's received tokens (sorted); valid once Step returned
-	// true.
+	// true. Every instance's Out is a fresh slice, which later instances
+	// leave alone.
 	Out []Token
 
-	prog sim.StepProgram
+	s      *Session
+	me     int
+	budget int // the per-round global send cap
+	armed  int // the round the running instance was armed in
+
+	phase     routePhase
+	cur       sim.StepProgram // the running phase's machine
+	expecting bool
+
+	// The phases' machines. The three loop templates are bound to this
+	// machine once per session and copied, callbacks and all, into loop.
+	agg                  ncc.AggregateMachine
+	loop                 sim.Loop
+	push, request, drain sim.Loop
+	requests             int // the aggregated maximum of labelJobs
+
+	tokenJobs, labelJobs []Token // this node's helper shares (family.share)
+	got                  []Token // answers to this node's requests
+	replies              []reply // answers this node owes as an intermediate
+	ji, li, rq           int     // cursors into tokenJobs, labelJobs, replies
+
+	// inter parks tokens at this node in its intermediate role, keyed by
+	// Label.pack() — injective under the package invariants (IDs < 2^14,
+	// I < 2^30; see Label.pack and clique.Slot's tag contract). flatmap's
+	// shrink-on-reset policy keeps one giant instance from pinning its peak
+	// capacity for the session lifetime.
+	inter flatmap.Map[int64]
+
+	// The final collection flood (see startCollect) and the tokens addressed
+	// to this node, gathered in arrival order; keep is the flood's
+	// first-arrival hook, bound once.
+	collect   flood.State[[]Token]
+	collected []Token
+	keep      func(int, []Token)
 }
 
-// NewRouteMachine builds the collective routing machine over s; every node
-// must start it in the same round with consistent instance inputs. Out is
-// the node's expect set with values filled in when the instance is
-// consistent.
+// routePhase is the phase a RouteMachine is in; the phases run in the order
+// declared, the drain repeating (aggregate, burst) until nothing is left.
+type routePhase uint8
+
+const (
+	routeIdle         routePhase = iota // no instance armed
+	routeArmed                          // armed, first Step to come
+	routeSpreadTokens                   // Algorithm 3: send batches to the sender clusters
+	routeSpreadLabels                   // Algorithm 3: expect batches to the receiver clusters
+	routeAggPush                        // max tokens one sender-helper forwards
+	routePush                           // Algorithm 4: tokens to intermediates
+	routeAggRequests                    // max labels one receiver-helper requests
+	routeAggHeld                        // max tokens parked at one intermediate
+	routeRequest                        // Algorithm 4: requests and paced answers
+	routeAggLeft                        // max answers still queued at one intermediate
+	routeDrain                          // a burst answering them
+	routeCollect                        // final loop of Algorithm 4
+)
+
+// NewRouteMachine arms s's routing machine for one instance and returns it;
+// every node must start it in the same round with consistent instance
+// inputs. Out is the node's expect set with values filled in when the
+// instance is consistent. send and expect are copied: the caller may reuse
+// them once NewRouteMachine returned. The session's previous instance must
+// have finished; arming it while one is still routing panics (a run error).
 func NewRouteMachine(s *Session, send []Token, expect []Label) *RouteMachine {
-	env := s.env
-	budget := env.GlobalCap()
-	hash := s.hash
-	inter := &s.inter
-
-	m := &RouteMachine{}
-	var aggSend, aggReq, aggHeld *ncc.AggregateMachine
-	var myTokenJobs, myLabelJobs []Token
-	var gotTokens []Token
-	var replyQueue []reply
-	ji, li, rq := 0, 0, 0
-
-	// answerSend and answerRecv are shared by the request loop and the
-	// drain bursts: pace queued replies at the cap, collect answers.
-	answerSend := func(env *sim.Env, sent int) int {
-		for ; sent < budget && rq < len(replyQueue); sent++ {
-			r := replyQueue[rq]
-			rq++
-			env.SendGlobal(r.to, kindAnswer, int64(r.tok.S), int64(r.tok.R), r.tok.I, r.tok.Value)
-		}
-		return sent
+	m := &s.route
+	if m.s == nil {
+		m.bind(s)
 	}
-	answerRecv := func(in sim.Inbox) {
-		for _, gm := range in.Global {
-			if gm.Kind == kindAnswer {
-				gotTokens = append(gotTokens, Token{
-					Label: Label{S: int(gm.F0), R: int(gm.F1), I: gm.F2},
-					Value: gm.F3,
-				})
-			}
-		}
+	if m.phase != routeIdle {
+		panic(fmt.Errorf("routing: node %d's session is still routing the instance armed in round %d; a session routes one instance at a time", m.me, m.armed))
 	}
-
-	m.prog = sim.Sequence(
-		// Algorithm 3, second loop: flood tokens and expected labels to the
-		// clusters; helpers pick their balanced share by rank.
-		func(env *sim.Env) sim.StepProgram {
-			return startSpread(env, &s.famS, canonicalTokens(send))
-		},
-		func(env *sim.Env) sim.StepProgram {
-			myTokenJobs = s.famS.myShare(env.ID())
-			expectTokens := make([]Token, len(expect))
-			for i, l := range expect {
-				expectTokens[i] = Token{Label: l}
-			}
-			return startSpread(env, &s.famR, canonicalTokens(expectTokens))
-		},
-		// Algorithm 4: forward tokens to intermediates; the phase length is
-		// the exact global maximum load.
-		func(env *sim.Env) sim.StepProgram {
-			myLabelJobs = s.famR.myShare(env.ID())
-			aggSend = ncc.NewAggregateMachine(env, int64(len(myTokenJobs)), ncc.AggMax)
-			return aggSend
-		},
-		func(env *sim.Env) sim.StepProgram {
-			inter.Reset()
-			return &sim.Loop{
-				Rounds:   ceilDiv(int(aggSend.Out), budget),
-				NextSend: sim.Pending(func() bool { return ji < len(myTokenJobs) }),
-				Send: func(env *sim.Env, i int) {
-					for c := 0; c < budget && ji < len(myTokenJobs); c++ {
-						t := myTokenJobs[ji]
-						ji++
-						env.SendGlobal(hash.Hash(t.pack()), kindToken, int64(t.S), int64(t.R), t.I, t.Value)
-					}
-				},
-				Recv: func(env *sim.Env, in sim.Inbox, i int) {
-					for _, gm := range in.Global {
-						if gm.Kind == kindToken {
-							inter.Put(Label{S: int(gm.F0), R: int(gm.F1), I: gm.F2}.pack(), gm.F3)
-						}
-					}
-				},
-			}
-		},
-		// Algorithm 4: receiver-helpers request their labels; intermediates
-		// answer, pacing replies at the cap. Drain time is bounded by the
-		// max number of tokens parked at one intermediate.
-		func(env *sim.Env) sim.StepProgram {
-			aggReq = ncc.NewAggregateMachine(env, int64(len(myLabelJobs)), ncc.AggMax)
-			return aggReq
-		},
-		func(env *sim.Env) sim.StepProgram {
-			aggHeld = ncc.NewAggregateMachine(env, int64(inter.Len()), ncc.AggMax)
-			return aggHeld
-		},
-		func(env *sim.Env) sim.StepProgram {
-			replyQueue = s.replyQueue[:0]
-			return &sim.Loop{
-				Rounds:   ceilDiv(int(aggReq.Out), budget) + ceilDiv(int(aggHeld.Out), budget) + 1,
-				NextSend: sim.Pending(func() bool { return li < len(myLabelJobs) || rq < len(replyQueue) }),
-				Send: func(env *sim.Env, i int) {
-					sent := 0
-					for ; sent < budget && li < len(myLabelJobs); sent++ {
-						l := myLabelJobs[li].Label
-						li++
-						env.SendGlobal(hash.Hash(l.pack()), kindRequest, int64(l.S), int64(l.R), l.I, 0)
-					}
-					// Remaining budget answers queued requests.
-					answerSend(env, sent)
-				},
-				Recv: func(env *sim.Env, in sim.Inbox, i int) {
-					for _, gm := range in.Global {
-						switch gm.Kind {
-						case kindRequest:
-							l := Label{S: int(gm.F0), R: int(gm.F1), I: gm.F2}
-							if v, ok := inter.Get(l.pack()); ok {
-								replyQueue = append(replyQueue, reply{to: gm.Src, tok: Token{Label: l, Value: v}})
-							}
-						case kindAnswer:
-							gotTokens = append(gotTokens, Token{
-								Label: Label{S: int(gm.F0), R: int(gm.F1), I: gm.F2},
-								Value: gm.F3,
-							})
-						}
-					}
-				},
-			}
-		},
-		// Flush any replies still queued (possible when requests bunched up
-		// in the final rounds): aggregate the remaining max and drain in
-		// bursts until it reaches zero.
-		func(env *sim.Env) sim.StepProgram {
-			var agg *ncc.AggregateMachine
-			return sim.Chain(func(env *sim.Env) sim.StepProgram {
-				if agg != nil {
-					left := int(agg.Out)
-					agg = nil
-					if left == 0 {
-						return nil
-					}
-					return &sim.Loop{
-						Rounds:   ceilDiv(left, budget),
-						NextSend: sim.Pending(func() bool { return rq < len(replyQueue) }),
-						Send:     func(env *sim.Env, i int) { answerSend(env, 0) },
-						Recv:     func(env *sim.Env, in sim.Inbox, i int) { answerRecv(in) },
-					}
-				}
-				agg = ncc.NewAggregateMachine(env, int64(len(replyQueue)-rq), ncc.AggMax)
-				return agg
-			})
-		},
-		// Receivers collect tokens from their helpers (final loop of
-		// Algorithm 4).
-		func(env *sim.Env) sim.StepProgram {
-			s.replyQueue = replyQueue
-			return startCollect(env, s, gotTokens, len(expect) > 0)
-		},
-		sim.Finish(func(env *sim.Env) { m.Out = canonicalTokens(s.collected) }),
-	)
+	m.phase, m.armed = routeArmed, s.env.Round()
+	m.Out = nil
+	m.expecting = len(expect) > 0
+	m.ji, m.li, m.rq = 0, 0, 0
+	m.got, m.replies = m.got[:0], m.replies[:0]
+	// The batches this node injects into the two spreads. Cluster nodes
+	// read them until the spread's last round, so their buffers are rewritten
+	// here only, at the next instance's start (see startSpread).
+	s.famS.batch = canonicalTokens(append(s.famS.batch[:0], send...))
+	batch := s.famR.batch[:0]
+	for _, l := range expect {
+		batch = append(batch, Token{Label: l})
+	}
+	s.famR.batch = canonicalTokens(batch)
 	return m
 }
 
-// Step implements sim.StepProgram.
-func (m *RouteMachine) Step(env *sim.Env) bool { return m.prog.Step(env) }
+// bind ties m to its session, once: the callbacks of the loop templates,
+// the collect flood's hook and the spreads' hooks become method values
+// here, so that no later instance allocates them again.
+func (m *RouteMachine) bind(s *Session) {
+	m.s, m.me, m.budget = s, s.env.ID(), s.env.GlobalCap()
+	m.push = sim.Loop{Send: m.pushSend, Recv: m.pushRecv, NextSend: sim.Pending(m.pushing)}
+	m.request = sim.Loop{Send: m.requestSend, Recv: m.requestRecv, NextSend: sim.Pending(m.requesting)}
+	m.drain = sim.Loop{Send: m.drainSend, Recv: m.drainRecv, NextSend: sim.Pending(m.answering)}
+	m.keep = m.keepMine
+	s.famS.put = s.famS.putBatch
+	s.famR.put = s.famR.putBatch
+}
+
+// Step implements sim.StepProgram: it steps the running phase and, in the
+// round segment that phase finishes in, starts the next.
+func (m *RouteMachine) Step(env *sim.Env) bool {
+	for {
+		if m.cur != nil {
+			if !m.cur.Step(env) {
+				return false
+			}
+			m.cur = nil
+		}
+		if m.cur = m.next(env); m.cur == nil {
+			return true
+		}
+	}
+}
+
+// next ends the phase that just finished (the armed state included) and
+// starts its successor, which it returns; nil once the instance is done.
+func (m *RouteMachine) next(env *sim.Env) sim.StepProgram {
+	s := m.s
+	switch m.phase {
+	case routeArmed:
+		// Algorithm 3, second loop: flood tokens and expected labels to the
+		// clusters; helpers pick their balanced share by rank.
+		m.phase = routeSpreadTokens
+		return startSpread(env, &s.famS)
+	case routeSpreadTokens:
+		m.tokenJobs = s.famS.myShare(m.me)
+		m.phase = routeSpreadLabels
+		return startSpread(env, &s.famR)
+	case routeSpreadLabels:
+		// Algorithm 4: forward tokens to intermediates; the phase length is
+		// the exact global maximum load.
+		m.labelJobs = s.famR.myShare(m.me)
+		m.phase = routeAggPush
+		m.agg.Start(env, int64(len(m.tokenJobs)), ncc.AggMax)
+		return &m.agg
+	case routeAggPush:
+		m.inter.Reset()
+		m.phase = routePush
+		return m.startLoop(&m.push, ceilDiv(int(m.agg.Out), m.budget))
+	case routePush:
+		// Algorithm 4: receiver-helpers request their labels; intermediates
+		// answer, pacing replies at the cap. Drain time is bounded by the
+		// max number of tokens parked at one intermediate.
+		m.phase = routeAggRequests
+		m.agg.Start(env, int64(len(m.labelJobs)), ncc.AggMax)
+		return &m.agg
+	case routeAggRequests:
+		m.requests = int(m.agg.Out)
+		m.phase = routeAggHeld
+		m.agg.Start(env, int64(m.inter.Len()), ncc.AggMax)
+		return &m.agg
+	case routeAggHeld:
+		m.phase = routeRequest
+		return m.startLoop(&m.request, ceilDiv(m.requests, m.budget)+ceilDiv(int(m.agg.Out), m.budget)+1)
+	case routeRequest, routeDrain:
+		// Flush any replies still queued (possible when requests bunched up
+		// in the final rounds): aggregate the remaining max and drain in
+		// bursts until it reaches zero.
+		m.phase = routeAggLeft
+		m.agg.Start(env, int64(len(m.replies)-m.rq), ncc.AggMax)
+		return &m.agg
+	case routeAggLeft:
+		if left := int(m.agg.Out); left > 0 {
+			m.phase = routeDrain
+			return m.startLoop(&m.drain, ceilDiv(left, m.budget))
+		}
+		// Receivers collect tokens from their helpers (final loop of
+		// Algorithm 4).
+		m.phase = routeCollect
+		return m.startCollect(env)
+	case routeCollect:
+		if out := canonicalTokens(m.collected); len(out) > 0 {
+			m.Out = slices.Clone(out)
+		}
+		m.phase = routeIdle
+		return nil
+	}
+	panic(fmt.Errorf("routing: node %d stepped a RouteMachine with no instance armed", m.me))
+}
+
+// startLoop arms loop as a copy of template running for rounds iterations.
+func (m *RouteMachine) startLoop(template *sim.Loop, rounds int) *sim.Loop {
+	m.loop = *template
+	m.loop.Rounds = rounds
+	return &m.loop
+}
+
+// The push loop: sender-helpers forward their share to the intermediates
+// the shared hash picks, at the cap; intermediates park what arrives.
+func (m *RouteMachine) pushing() bool { return m.ji < len(m.tokenJobs) }
+
+func (m *RouteMachine) pushSend(env *sim.Env, _ int) {
+	for c := 0; c < m.budget && m.ji < len(m.tokenJobs); c++ {
+		t := m.tokenJobs[m.ji]
+		m.ji++
+		env.SendGlobal(m.s.hash.Hash(t.pack()), kindToken, int64(t.S), int64(t.R), t.I, t.Value)
+	}
+}
+
+func (m *RouteMachine) pushRecv(_ *sim.Env, in sim.Inbox, _ int) {
+	for _, gm := range in.Global {
+		if gm.Kind == kindToken {
+			m.inter.Put(Label{S: int(gm.F0), R: int(gm.F1), I: gm.F2}.pack(), gm.F3)
+		}
+	}
+}
+
+// The request loop: receiver-helpers request their share's labels from the
+// intermediates, which queue answers; the budget a node's requests leave
+// over answers queued requests.
+func (m *RouteMachine) requesting() bool { return m.li < len(m.labelJobs) || m.answering() }
+
+func (m *RouteMachine) requestSend(env *sim.Env, _ int) {
+	sent := 0
+	for ; sent < m.budget && m.li < len(m.labelJobs); sent++ {
+		l := m.labelJobs[m.li].Label
+		m.li++
+		env.SendGlobal(m.s.hash.Hash(l.pack()), kindRequest, int64(l.S), int64(l.R), l.I, 0)
+	}
+	m.answer(env, sent)
+}
+
+func (m *RouteMachine) requestRecv(_ *sim.Env, in sim.Inbox, _ int) {
+	for _, gm := range in.Global {
+		switch gm.Kind {
+		case kindRequest:
+			l := Label{S: int(gm.F0), R: int(gm.F1), I: gm.F2}
+			if v, ok := m.inter.Get(l.pack()); ok {
+				m.replies = append(m.replies, reply{to: gm.Src, tok: Token{Label: l, Value: v}})
+			}
+		case kindAnswer:
+			m.gather(gm)
+		}
+	}
+}
+
+// The drain bursts answer what the request loop left queued.
+func (m *RouteMachine) answering() bool { return m.rq < len(m.replies) }
+
+func (m *RouteMachine) drainSend(env *sim.Env, _ int) { m.answer(env, 0) }
+
+func (m *RouteMachine) drainRecv(_ *sim.Env, in sim.Inbox, _ int) {
+	for _, gm := range in.Global {
+		if gm.Kind == kindAnswer {
+			m.gather(gm)
+		}
+	}
+}
+
+// answer paces queued replies at the cap, sent messages already counted.
+func (m *RouteMachine) answer(env *sim.Env, sent int) {
+	for ; sent < m.budget && m.rq < len(m.replies); sent++ {
+		r := m.replies[m.rq]
+		m.rq++
+		env.SendGlobal(r.to, kindAnswer, int64(r.tok.S), int64(r.tok.R), r.tok.I, r.tok.Value)
+	}
+}
+
+// gather keeps an answer to one of this node's requests.
+func (m *RouteMachine) gather(gm sim.GlobalMsg) {
+	m.got = append(m.got, Token{Label: Label{S: int(gm.F0), R: int(gm.F1), I: gm.F2}, Value: gm.F3})
+}
 
 // NewRouteProgram runs the full token routing protocol (Theorem 2.2): session
 // construction followed by one routing instance, handing the received
@@ -329,9 +436,10 @@ func Pipeline(specs []Spec, params Params) sim.Pipeline[[]Token] {
 // (which owns the rotated delta buffers, the dedup bitset and their memory
 // discipline; see ARCHITECTURE.md, "Memory discipline"), 2β rounds each,
 // β = 2µ⌈log n⌉, scoped to the node's cluster. spread's and collect's state
-// lives in the Session and is reset, not reallocated, per RouteMachine, so
-// the rounds of a flood allocate nothing once the session has routed an
-// instance of the same shape.
+// lives in the Session (collect's in its one RouteMachine) and is reset, not
+// reallocated, per instance, so — like every other round of an instance but
+// its first and last — the rounds of a flood allocate nothing once the
+// session has routed an instance of the same shape.
 func floodRounds(env *sim.Env, mu int) int { return 4 * mu * sim.Log2Ceil(env.N()) }
 
 // announceMachine floods helper memberships within clusters so that all
@@ -441,19 +549,21 @@ func (a *announceMachine) buildDirectory() *directory {
 // origin plus four words per item (label and value).
 func batchWords(items []Token) int64 { return 2 + 4*int64(len(items)) }
 
-// startSpread floods each owner's item batch (its tokens, or its expected
-// labels with Value ignored) through its cluster; afterwards f.myShare picks
-// the items this node is responsible for as a helper. An owner's items enter
-// the flood together and travel in lockstep, so one shared batch per owner is
-// message-for-message identical to flooding the records individually.
-// myItems must be canonical (sorted, deduplicated) and is shared with the
-// cluster, so the caller must not mutate it afterwards.
-func startSpread(env *sim.Env, f *family, myItems []Token) sim.StepProgram {
+// startSpread floods each owner's item batch f.batch (its tokens, or its
+// expected labels with Value ignored) through its cluster; afterwards
+// f.myShare picks the items this node is responsible for as a helper. An
+// owner's items enter the flood together and travel in lockstep, so one
+// shared batch per owner is message-for-message identical to flooding the
+// records individually. The batch is canonical (sorted, deduplicated) and
+// read by the cluster's nodes until the flood's last round: its buffer is
+// rewritten only by the next NewRouteMachine, after every node's last read —
+// the ownership rule of announceTable's records, with the instance boundary
+// for the round barrier.
+func startSpread(env *sim.Env, f *family) sim.StepProgram {
 	f.items.Reset()
-	f.spread.Start(env, f.res.Ruler, floodRounds(env, f.mu), batchWords,
-		func(owner int, items []Token) { f.items.Put(uint64(owner), items) })
-	if len(myItems) > 0 {
-		f.spread.Inject(env.ID(), myItems)
+	f.spread.Start(env, f.res.Ruler, floodRounds(env, f.mu), batchWords, f.put)
+	if len(f.batch) > 0 {
+		f.spread.Inject(env.ID(), f.batch)
 	}
 	return &f.spread
 }
@@ -462,27 +572,33 @@ func startSpread(env *sim.Env, f *family, myItems []Token) sim.StepProgram {
 // the receiver clusters (final loop of Algorithm 4). Helpers hold disjoint
 // label sets and inject exactly once, so per-injector dedup is equivalent to
 // per-label dedup. The tokens addressed to this node gather, in arrival
-// order, in s.collected — at a node that expects any: a token is answered
+// order, in m.collected — at a node that expects any: a token is answered
 // only because some node listed its label, and a consistent instance lists
 // it at its receiver, so a node that expects nothing forwards batches without
 // looking inside (the receiver-only rule; an inconsistent instance that
-// addresses a token to such a node loses it there).
-func startCollect(env *sim.Env, s *Session, gotTokens []Token, expecting bool) sim.StepProgram {
-	me := env.ID()
-	s.collected = s.collected[:0]
+// addresses a token to such a node loses it there). The injected batch, m.got,
+// is read by the cluster until the flood's last round and appended to again
+// only in the next instance's request loop.
+func (m *RouteMachine) startCollect(env *sim.Env) sim.StepProgram {
+	m.collected = m.collected[:0]
 	var keep func(int, []Token)
-	if expecting {
-		keep = func(_ int, items []Token) {
-			for _, t := range items {
-				if t.R == me {
-					s.collected = append(s.collected, t)
-				}
-			}
+	if m.expecting {
+		keep = m.keep
+	}
+	famR := &m.s.famR
+	m.collect.Start(env, famR.res.Ruler, floodRounds(env, famR.mu), batchWords, keep)
+	if len(m.got) > 0 {
+		m.collect.Inject(m.me, m.got)
+	}
+	return &m.collect
+}
+
+// keepMine is the collect flood's first-arrival hook at a node that expects
+// tokens: it keeps the batch's tokens addressed to this node.
+func (m *RouteMachine) keepMine(_ int, items []Token) {
+	for _, t := range items {
+		if t.R == m.me {
+			m.collected = append(m.collected, t)
 		}
 	}
-	s.collect.Start(env, s.famR.res.Ruler, floodRounds(env, s.famR.mu), batchWords, keep)
-	if len(gotTokens) > 0 {
-		s.collect.Inject(me, gotTokens)
-	}
-	return &s.collect
 }

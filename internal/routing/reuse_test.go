@@ -2,6 +2,7 @@ package routing
 
 import (
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -110,6 +111,39 @@ func TestRouteMachineReuseAcrossShapes(t *testing.T) {
 		}
 		if m != want {
 			t.Errorf("%s: Metrics over the shared session\n got %+v\nwant %+v (the session, plus each instance alone)", eng, m, want)
+		}
+	}
+}
+
+// TestRouteMachineOverlapIsRunError: a Session owns one RouteMachine, so
+// arming a second instance while the first is still routing is a caller's
+// error, and the run reports it.
+func TestRouteMachineOverlapIsRunError(t *testing.T) {
+	g := graph.Grid(4, 4)
+	specs := buildInstance(g.N(), 0.5, 0.5, 2, 3)
+	for _, eng := range []sim.Engine{sim.EngineStep, sim.EngineLegacy} {
+		_, err := sim.RunStep(g, sim.Config{Seed: 1, Engine: eng}, func(env *sim.Env) sim.StepProgram {
+			sp := specs[env.ID()]
+			var sm *SessionMachine
+			return sim.Sequence(
+				func(env *sim.Env) sim.StepProgram {
+					sm = NewSessionMachine(env, sp.InS, sp.InR, sp.KS, sp.KR, sp.PS, sp.PR, Params{})
+					return sm
+				},
+				func(env *sim.Env) sim.StepProgram {
+					first := NewRouteMachine(sm.Out, sp.Send, sp.Expect)
+					steps := 0
+					return sim.StepFunc(func(env *sim.Env) bool {
+						if steps++; steps == 3 {
+							NewRouteMachine(sm.Out, sp.Send, sp.Expect)
+						}
+						return first.Step(env)
+					})
+				},
+			)
+		})
+		if err == nil || !strings.Contains(err.Error(), "still routing the instance armed in round") {
+			t.Errorf("%s: overlapping instances on one session: got error %v", eng, err)
 		}
 	}
 }

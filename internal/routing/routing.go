@@ -145,16 +145,20 @@ func mu(k int, prob float64) int {
 }
 
 // family bundles one helper family (Algorithm 1 output) with its
-// cluster-local directory and the scratch of the current spread call: the
-// per-owner batch directory and the flood state, reset (not reallocated) per
-// RouteMachine.
+// cluster-local directory and the scratch of the current spread: the batch
+// this node injects, the per-owner batch directory, the flood state and its
+// first-arrival hook (put, bound once by RouteMachine.bind), and the buffer
+// myShare fills — all reset, not reallocated, per instance.
 type family struct {
 	res        helpers.Result
 	mu         int
 	helperSets map[int][]int
 	myOwners   []int // owners whose helper set contains this node, sorted
+	batch      []Token
 	items      flatmap.Map[[]Token]
 	spread     flood.State[[]Token]
+	put        func(owner int, items []Token)
+	share      []Token
 }
 
 // Session holds the token-independent state of the protocol, computed by a
@@ -162,27 +166,16 @@ type family struct {
 // and the shared hash function. Algorithm 8 (the CLIQUE simulation) runs one routing instance
 // per simulated round over the same sender/receiver sets; reusing the
 // session re-uses Algorithm 1's output, which the paper's cost accounting
-// permits (helper sets depend only on S, R and µ, not on the tokens).
+// permits (helper sets depend only on S, R and µ, not on the tokens). The
+// session owns the one RouteMachine that routes its instances, and with it
+// every instance's scratch.
 type Session struct {
 	env    *sim.Env
 	params Params
 	famS   family
 	famR   family
 	hash   *bitrand.KWiseHash
-
-	// inter parks tokens at this node in its intermediate role, keyed by
-	// Label.pack() — injective under the package invariants (IDs < 2^14,
-	// I < 2^30; see Label.pack and clique.Slot's tag contract). Reused
-	// across RouteMachines; flatmap's shrink-on-reset policy keeps one giant
-	// instance from pinning its peak capacity for the session lifetime.
-	inter      flatmap.Map[int64]
-	replyQueue []reply
-
-	// Scratch of the final collection flood (see startCollect), reset per
-	// RouteMachine like inter: the flood state and the tokens addressed to
-	// this node, gathered in arrival order.
-	collect   flood.State[[]Token]
-	collected []Token
+	route  RouteMachine
 }
 
 // reply is one queued intermediate-to-receiver-helper answer.
@@ -191,12 +184,16 @@ type reply struct {
 	tok Token
 }
 
+// putBatch is a spread's first-arrival hook: it files an owner's batch.
+func (f *family) putBatch(owner int, items []Token) { f.items.Put(uint64(owner), items) }
+
 // myShare picks, after a spread flood, the items node me is responsible
 // for: for every owner it helps, the items at its rank in the sorted helper
 // set. Batches are canonical already (the owner floods its canonicalTokens
-// output), so rank selection reads them directly.
+// output), so rank selection reads them directly. The result lives in
+// f.share until the next instance's spread.
 func (f *family) myShare(me int) []Token {
-	var mine []Token
+	mine := f.share[:0]
 	for _, w := range f.myOwners {
 		hs := f.helperSets[w]
 		rank := sort.SearchInts(hs, me)
@@ -205,7 +202,8 @@ func (f *family) myShare(me int) []Token {
 			mine = append(mine, toks[j])
 		}
 	}
-	return canonicalTokens(mine)
+	f.share = canonicalTokens(mine)
+	return f.share
 }
 
 // helpersOf lists the owners w whose helper set contains node id, sorted.
@@ -221,25 +219,28 @@ func helpersOf(id int, helperSets map[int][]int) []int {
 	return out
 }
 
-// canonicalTokens sorts tokens by (S, R, I) and drops duplicates.
+// canonicalTokens sorts ts in place by (S, R, I) and returns it with
+// duplicate labels dropped.
 func canonicalTokens(ts []Token) []Token {
-	out := append([]Token(nil), ts...)
-	slices.SortFunc(out, func(a, b Token) int {
-		if c := cmp.Compare(a.S, b.S); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.R, b.R); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.I, b.I)
-	})
-	dedup := out[:0]
-	for i, t := range out {
-		if i == 0 || t.Label != out[i-1].Label {
+	slices.SortFunc(ts, compareLabels)
+	dedup := ts[:0]
+	for i, t := range ts {
+		if i == 0 || t.Label != ts[i-1].Label {
 			dedup = append(dedup, t)
 		}
 	}
 	return dedup
+}
+
+// compareLabels orders tokens by (S, R, I).
+func compareLabels(a, b Token) int {
+	if c := cmp.Compare(a.S, b.S); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.R, b.R); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.I, b.I)
 }
 
 // ceilDiv returns ceil(a/b) for positive b.
