@@ -142,23 +142,25 @@ type RouteMachine struct {
 	s      *Session
 	me     int
 	budget int // the per-round global send cap
-	armed  int // the round the running instance was armed in
 
-	phase     routePhase
-	cur       sim.StepProgram // the running phase's machine
-	expecting bool
+	phase routePhase
+	cur   sim.StepProgram // the running phase's machine
 
 	// The phases' machines. The three loop templates are bound to this
 	// machine once per session and copied, callbacks and all, into loop.
 	agg                  ncc.AggregateMachine
 	loop                 sim.Loop
 	push, request, drain sim.Loop
-	requests             int // the aggregated maximum of labelJobs
+	requests             int // the aggregated maximum of the label jobs
 
-	tokenJobs, labelJobs []Token // this node's helper shares (family.share)
-	got                  []Token // answers to this node's requests
-	replies              []reply // answers this node owes as an intermediate
-	ji, li, rq           int     // cursors into tokenJobs, labelJobs, replies
+	// jobs is this node's helper share of the tokens to push, then of the
+	// labels to request: each is read before the other is picked (from the
+	// family's batch directory, which stays put until the next instance),
+	// so one buffer holds both.
+	jobs    []Token
+	got     []Token // answers to this node's requests
+	replies []reply // answers this node owes as an intermediate
+	job, rq int     // cursors into jobs and replies
 
 	// inter parks tokens at this node in its intermediate role, keyed by
 	// Label.pack() — injective under the package invariants (IDs < 2^14,
@@ -206,18 +208,15 @@ func NewRouteMachine(s *Session, send []Token, expect []Label) *RouteMachine {
 		m.bind(s)
 	}
 	if m.phase != routeIdle {
-		panic(fmt.Errorf("routing: node %d's session is still routing the instance armed in round %d; a session routes one instance at a time", m.me, m.armed))
+		panic(fmt.Errorf("routing: node %d's session armed for an instance while its previous one is still routing", m.me))
 	}
-	m.phase, m.armed = routeArmed, s.env.Round()
-	m.Out = nil
-	m.expecting = len(expect) > 0
-	m.ji, m.li, m.rq = 0, 0, 0
+	m.phase, m.Out = routeArmed, nil
+	m.rq = 0
 	m.got, m.replies = m.got[:0], m.replies[:0]
-	// The batches this node injects into the two spreads. Cluster nodes
-	// read them until the spread's last round, so their buffers are rewritten
-	// here only, at the next instance's start (see startSpread).
+	// The batches this node injects into the two spreads, rewritten only
+	// here (see announceTable for why).
 	s.famS.batch = canonicalTokens(append(s.famS.batch[:0], send...))
-	batch := s.famR.batch[:0]
+	batch := reuse(s.famR.batch, len(expect))
 	for _, l := range expect {
 		batch = append(batch, Token{Label: l})
 	}
@@ -265,15 +264,14 @@ func (m *RouteMachine) next(env *sim.Env) sim.StepProgram {
 		m.phase = routeSpreadTokens
 		return startSpread(env, &s.famS)
 	case routeSpreadTokens:
-		m.tokenJobs = s.famS.myShare(m.me)
 		m.phase = routeSpreadLabels
 		return startSpread(env, &s.famR)
 	case routeSpreadLabels:
 		// Algorithm 4: forward tokens to intermediates; the phase length is
 		// the exact global maximum load.
-		m.labelJobs = s.famR.myShare(m.me)
+		m.jobs, m.job = s.famS.myShare(m.me, m.jobs), 0
 		m.phase = routeAggPush
-		m.agg.Start(env, int64(len(m.tokenJobs)), ncc.AggMax)
+		m.agg.Start(env, int64(len(m.jobs)), ncc.AggMax)
 		return &m.agg
 	case routeAggPush:
 		m.inter.Reset()
@@ -283,8 +281,9 @@ func (m *RouteMachine) next(env *sim.Env) sim.StepProgram {
 		// Algorithm 4: receiver-helpers request their labels; intermediates
 		// answer, pacing replies at the cap. Drain time is bounded by the
 		// max number of tokens parked at one intermediate.
+		m.jobs, m.job = s.famR.myShare(m.me, m.jobs), 0
 		m.phase = routeAggRequests
-		m.agg.Start(env, int64(len(m.labelJobs)), ncc.AggMax)
+		m.agg.Start(env, int64(len(m.jobs)), ncc.AggMax)
 		return &m.agg
 	case routeAggRequests:
 		m.requests = int(m.agg.Out)
@@ -329,12 +328,12 @@ func (m *RouteMachine) startLoop(template *sim.Loop, rounds int) *sim.Loop {
 
 // The push loop: sender-helpers forward their share to the intermediates
 // the shared hash picks, at the cap; intermediates park what arrives.
-func (m *RouteMachine) pushing() bool { return m.ji < len(m.tokenJobs) }
+func (m *RouteMachine) pushing() bool { return m.job < len(m.jobs) }
 
 func (m *RouteMachine) pushSend(env *sim.Env, _ int) {
-	for c := 0; c < m.budget && m.ji < len(m.tokenJobs); c++ {
-		t := m.tokenJobs[m.ji]
-		m.ji++
+	for c := 0; c < m.budget && m.job < len(m.jobs); c++ {
+		t := m.jobs[m.job]
+		m.job++
 		env.SendGlobal(m.s.hash.Hash(t.pack()), kindToken, int64(t.S), int64(t.R), t.I, t.Value)
 	}
 }
@@ -350,13 +349,13 @@ func (m *RouteMachine) pushRecv(_ *sim.Env, in sim.Inbox, _ int) {
 // The request loop: receiver-helpers request their share's labels from the
 // intermediates, which queue answers; the budget a node's requests leave
 // over answers queued requests.
-func (m *RouteMachine) requesting() bool { return m.li < len(m.labelJobs) || m.answering() }
+func (m *RouteMachine) requesting() bool { return m.job < len(m.jobs) || m.answering() }
 
 func (m *RouteMachine) requestSend(env *sim.Env, _ int) {
 	sent := 0
-	for ; sent < m.budget && m.li < len(m.labelJobs); sent++ {
-		l := m.labelJobs[m.li].Label
-		m.li++
+	for ; sent < m.budget && m.job < len(m.jobs); sent++ {
+		l := m.jobs[m.job].Label
+		m.job++
 		env.SendGlobal(m.s.hash.Hash(l.pack()), kindRequest, int64(l.S), int64(l.R), l.I, 0)
 	}
 	m.answer(env, sent)
@@ -471,6 +470,16 @@ type announceMachine struct {
 // the round barrier orders the two and the table needs no lock. Every flood of
 // a run has its own table (sim.Env.SharedOnce), so a record of one session is
 // never read as another's.
+//
+// The batches a RouteMachine injects into its spread and collect floods are
+// records of this kind in buffers the session reuses. The cluster's nodes
+// read a batch in place until the flood's last round segment, which all of
+// them reach together, so a buffer is rewritten only in a later instance,
+// by a phase that starts after that segment: the family batches when
+// NewRouteMachine arms the next instance (their spreads ended long before),
+// the gathered answers in the next request loop (the collect flood that
+// reads them may end in the very segment the next instance is armed in).
+// That is also why a session routes one instance at a time.
 type announceTable struct{ owners [][]int }
 
 // directoryKey is the sim.Agreed slot of a cluster's helper directory: for a
@@ -554,11 +563,8 @@ func batchWords(items []Token) int64 { return 2 + 4*int64(len(items)) }
 // f.myShare picks the items this node is responsible for as a helper. An
 // owner's items enter the flood together and travel in lockstep, so one
 // shared batch per owner is message-for-message identical to flooding the
-// records individually. The batch is canonical (sorted, deduplicated) and
-// read by the cluster's nodes until the flood's last round: its buffer is
-// rewritten only by the next NewRouteMachine, after every node's last read —
-// the ownership rule of announceTable's records, with the instance boundary
-// for the round barrier.
+// records individually. The batch is canonical (sorted, deduplicated), and
+// the cluster reads it in place (see announceTable).
 func startSpread(env *sim.Env, f *family) sim.StepProgram {
 	f.items.Reset()
 	f.spread.Start(env, f.res.Ruler, floodRounds(env, f.mu), batchWords, f.put)
@@ -576,13 +582,13 @@ func startSpread(env *sim.Env, f *family) sim.StepProgram {
 // only because some node listed its label, and a consistent instance lists
 // it at its receiver, so a node that expects nothing forwards batches without
 // looking inside (the receiver-only rule; an inconsistent instance that
-// addresses a token to such a node loses it there). The injected batch, m.got,
-// is read by the cluster until the flood's last round and appended to again
-// only in the next instance's request loop.
+// addresses a token to such a node loses it there). The injected batch is
+// m.got, which the next instance appends to in its request loop only (see
+// announceTable).
 func (m *RouteMachine) startCollect(env *sim.Env) sim.StepProgram {
 	m.collected = m.collected[:0]
 	var keep func(int, []Token)
-	if m.expecting {
+	if len(m.s.famR.batch) > 0 { // this node expects tokens
 		keep = m.keep
 	}
 	famR := &m.s.famR

@@ -142,7 +142,7 @@ func TestRouteMachineOverlapIsRunError(t *testing.T) {
 				},
 			)
 		})
-		if err == nil || !strings.Contains(err.Error(), "still routing the instance armed in round") {
+		if err == nil || !strings.Contains(err.Error(), "while its previous one is still routing") {
 			t.Errorf("%s: overlapping instances on one session: got error %v", eng, err)
 		}
 	}

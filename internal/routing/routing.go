@@ -146,9 +146,9 @@ func mu(k int, prob float64) int {
 
 // family bundles one helper family (Algorithm 1 output) with its
 // cluster-local directory and the scratch of the current spread: the batch
-// this node injects, the per-owner batch directory, the flood state and its
-// first-arrival hook (put, bound once by RouteMachine.bind), and the buffer
-// myShare fills — all reset, not reallocated, per instance.
+// this node injects, the per-owner batch directory, and the flood state and
+// its first-arrival hook (put, bound once by RouteMachine.bind) — all reset,
+// not reallocated, per instance.
 type family struct {
 	res        helpers.Result
 	mu         int
@@ -158,7 +158,6 @@ type family struct {
 	items      flatmap.Map[[]Token]
 	spread     flood.State[[]Token]
 	put        func(owner int, items []Token)
-	share      []Token
 }
 
 // Session holds the token-independent state of the protocol, computed by a
@@ -190,10 +189,15 @@ func (f *family) putBatch(owner int, items []Token) { f.items.Put(uint64(owner),
 // myShare picks, after a spread flood, the items node me is responsible
 // for: for every owner it helps, the items at its rank in the sorted helper
 // set. Batches are canonical already (the owner floods its canonicalTokens
-// output), so rank selection reads them directly. The result lives in
-// f.share until the next instance's spread.
-func (f *family) myShare(me int) []Token {
-	mine := f.share[:0]
+// output), so rank selection reads them directly. The result reuses dst.
+func (f *family) myShare(me int, dst []Token) []Token {
+	n := 0
+	for _, w := range f.myOwners {
+		hs := f.helperSets[w]
+		toks, _ := f.items.Get(uint64(w))
+		n += ceilDiv(len(toks)-sort.SearchInts(hs, me), len(hs))
+	}
+	mine := reuse(dst, n)
 	for _, w := range f.myOwners {
 		hs := f.helperSets[w]
 		rank := sort.SearchInts(hs, me)
@@ -202,8 +206,17 @@ func (f *family) myShare(me int) []Token {
 			mine = append(mine, toks[j])
 		}
 	}
-	f.share = canonicalTokens(mine)
-	return f.share
+	return canonicalTokens(mine)
+}
+
+// reuse returns buf emptied, with room for n items: buf's own storage when
+// it has the room, else a new slice of exactly that capacity — a session
+// keeps its buffers, so growth by doubling would keep the slack too.
+func reuse[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, 0, n)
+	}
+	return buf[:0]
 }
 
 // helpersOf lists the owners w whose helper set contains node id, sorted.
