@@ -215,7 +215,7 @@ func NewRouteMachine(s *Session, send []Token, expect []Label) *RouteMachine {
 	m.got, m.replies = m.got[:0], m.replies[:0]
 	// The batches this node injects into the two spreads, rewritten only
 	// here (see announceTable for why).
-	s.famS.batch = canonicalTokens(append(s.famS.batch[:0], send...))
+	s.famS.batch = canonicalTokens(append(reuse(s.famS.batch, len(send)), send...))
 	batch := reuse(s.famR.batch, len(expect))
 	for _, l := range expect {
 		batch = append(batch, Token{Label: l})

@@ -212,9 +212,9 @@ func (f *family) myShare(me int, dst []Token) []Token {
 // reuse returns buf emptied, with room for n items: buf's own storage when
 // it has the room, else a new slice of exactly that capacity — a session
 // keeps its buffers, so growth by doubling would keep the slack too.
-func reuse[T any](buf []T, n int) []T {
+func reuse(buf []Token, n int) []Token {
 	if cap(buf) < n {
-		return make([]T, 0, n)
+		return make([]Token, 0, n)
 	}
 	return buf[:0]
 }
@@ -235,7 +235,15 @@ func helpersOf(id int, helperSets map[int][]int) []int {
 // canonicalTokens sorts ts in place by (S, R, I) and returns it with
 // duplicate labels dropped.
 func canonicalTokens(ts []Token) []Token {
-	slices.SortFunc(ts, compareLabels)
+	slices.SortFunc(ts, func(a, b Token) int {
+		if c := cmp.Compare(a.S, b.S); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.R, b.R); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.I, b.I)
+	})
 	dedup := ts[:0]
 	for i, t := range ts {
 		if i == 0 || t.Label != ts[i-1].Label {
@@ -243,17 +251,6 @@ func canonicalTokens(ts []Token) []Token {
 		}
 	}
 	return dedup
-}
-
-// compareLabels orders tokens by (S, R, I).
-func compareLabels(a, b Token) int {
-	if c := cmp.Compare(a.S, b.S); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(a.R, b.R); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.I, b.I)
 }
 
 // ceilDiv returns ceil(a/b) for positive b.
