@@ -49,8 +49,8 @@ func TestRouteFloodRoundsZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The round a flood starts in builds its machine (and allocates); the
-	// window opens on the round after.
+	// The round a flood starts in is a phase hand-off (TestRouteInstanceZeroAlloc
+	// covers those); the window opens on the round after.
 	at := 0
 	for _, window := range []struct {
 		name  string
