@@ -32,7 +32,7 @@ func TestRouteFloodRoundsZeroAlloc(t *testing.T) {
 	var last routeSpan
 	cfg := sim.Config{Engine: sim.EngineStep, Shards: 1, Seed: 9}
 	outs := newRouteOuts(routes, g.N())
-	if _, err := sim.RunStep(g, cfg, repeatRoutes(specs, outs, &last)); err != nil {
+	if _, err := sim.RunStep(g, cfg, routeOver(specs, repeat(specs, routes), outs, &last)); err != nil {
 		t.Fatal(err)
 	}
 	for r := 1; r < routes; r++ {
@@ -45,7 +45,7 @@ func TestRouteFloodRoundsZeroAlloc(t *testing.T) {
 		t.Fatalf("third Route spans rounds %d..%d with a %d-round collect flood; no window to measure", start, last.end, last.collectRounds)
 	}
 
-	st, err := sim.NewStepper(g, cfg, repeatRoutes(specs, newRouteOuts(routes, g.N()), &routeSpan{}))
+	st, err := sim.NewStepper(g, cfg, routeOver(specs, repeat(specs, routes), newRouteOuts(routes, g.N()), nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,30 +85,41 @@ func newRouteOuts(routes, n int) [][][]Token {
 	return outs
 }
 
-// repeatRoutes builds one session and routes the instance specs over it
-// len(outs) times, keeping every route's Out in outs and noting the last
-// route's span in last.
-func repeatRoutes(specs []Spec, outs [][][]Token, last *routeSpan) sim.StepFactory {
+// repeat lists one instance k times.
+func repeat(specs []Spec, k int) [][]Spec {
+	insts := make([][]Spec, k)
+	for i := range insts {
+		insts[i] = specs
+	}
+	return insts
+}
+
+// routeOver builds one session for the sender and receiver sets of session
+// and routes the instances over it, one after another, keeping each one's
+// Out in outs and, if last is non-nil, noting the last one's span there.
+func routeOver(session []Spec, insts [][]Spec, outs [][][]Token, last *routeSpan) sim.StepFactory {
 	return func(env *sim.Env) sim.StepProgram {
 		id := env.ID()
-		sp := specs[id]
+		sp := session[id]
 		var sm *SessionMachine
 		var rm *RouteMachine
 		phases := []func(*sim.Env) sim.StepProgram{func(env *sim.Env) sim.StepProgram {
 			sm = NewSessionMachine(env, sp.InS, sp.InR, sp.KS, sp.KR, sp.PS, sp.PR, Params{})
 			return sm
 		}}
-		for r := range outs {
+		for k, inst := range insts {
 			phases = append(phases, func(env *sim.Env) sim.StepProgram {
-				if id == 0 {
+				if id == 0 && last != nil {
 					last.start = env.Round()
 					last.collectRounds = 4 * sm.Out.famR.mu * sim.Log2Ceil(env.N())
 				}
-				rm = NewRouteMachine(sm.Out, sp.Send, sp.Expect)
+				rm = NewRouteMachine(sm.Out, inst[id].Send, inst[id].Expect)
 				return rm
 			}, sim.Finish(func(env *sim.Env) {
-				outs[r][id] = rm.Out
-				last.end = env.Round()
+				outs[k][id] = rm.Out
+				if id == 0 && last != nil {
+					last.end = env.Round()
+				}
 			}))
 		}
 		return sim.Sequence(phases...)
@@ -130,14 +141,14 @@ func TestRouteInstanceZeroAlloc(t *testing.T) {
 	const routes = 3
 	cfg := sim.Config{Engine: sim.EngineStep, Shards: 1, Seed: 9}
 	var last routeSpan
-	if _, err := sim.RunStep(g, cfg, repeatRoutes(specs, newRouteOuts(routes, n), &last)); err != nil {
+	if _, err := sim.RunStep(g, cfg, routeOver(specs, repeat(specs, routes), newRouteOuts(routes, n), &last)); err != nil {
 		t.Fatal(err)
 	}
 	if last.start <= 0 || last.end <= last.start+1 {
 		t.Fatalf("third Route spans rounds %d..%d; no window to measure", last.start, last.end)
 	}
 
-	st, err := sim.NewStepper(g, cfg, repeatRoutes(specs, newRouteOuts(routes, n), &routeSpan{}))
+	st, err := sim.NewStepper(g, cfg, routeOver(specs, repeat(specs, routes), newRouteOuts(routes, n), nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,31 +50,12 @@ func TestRouteMachineReuseAcrossShapes(t *testing.T) {
 	}
 	instances := [][]Spec{full, empty, small, full}
 
-	// route runs one session and then the given instances over it, recording
-	// every instance's Out per node.
+	// route runs one session and then the given instances over it,
+	// recording every instance's Out per node.
 	route := func(eng sim.Engine, insts [][]Spec) ([][][]Token, sim.Metrics) {
 		t.Helper()
-		outs := make([][][]Token, len(insts))
-		for k := range outs {
-			outs[k] = make([][]Token, n)
-		}
-		m, err := sim.RunStep(g, sim.Config{Seed: 5, Engine: eng}, func(env *sim.Env) sim.StepProgram {
-			id := env.ID()
-			sp := full[id]
-			var sm *SessionMachine
-			var rm *RouteMachine
-			phases := []func(*sim.Env) sim.StepProgram{func(env *sim.Env) sim.StepProgram {
-				sm = NewSessionMachine(env, sp.InS, sp.InR, sp.KS, sp.KR, sp.PS, sp.PR, Params{})
-				return sm
-			}}
-			for k, inst := range insts {
-				phases = append(phases, func(env *sim.Env) sim.StepProgram {
-					rm = NewRouteMachine(sm.Out, inst[id].Send, inst[id].Expect)
-					return rm
-				}, sim.Finish(func(*sim.Env) { outs[k][id] = rm.Out }))
-			}
-			return sim.Sequence(phases...)
-		})
+		outs := newRouteOuts(len(insts), n)
+		m, err := sim.RunStep(g, sim.Config{Seed: 5, Engine: eng}, routeOver(full, insts, outs, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
