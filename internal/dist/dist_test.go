@@ -311,6 +311,13 @@ func FuzzServeConn(f *testing.F) {
 	batch := wire.AppendMsgs(nil, []sim.GlobalMsg{{Src: 0, Dst: 7, F0: 10}, {Src: 0, Dst: 4}, {Src: 2, Dst: 7}, {Src: 3, Dst: 4}})
 	f.Add(wire.AppendHello(nil, wire.Hello{N: 8, Shard: 1, Lo: 4, Hi: 8}), batch)
 	f.Add(wire.AppendHello(nil, wire.Hello{N: 8, Lo: 6, Hi: 2}), batch)
+	// A large round: 600 messages with wide F-values, over 4 KiB encoded.
+	wide := make([]sim.GlobalMsg, 600)
+	for i := range wide {
+		f := int64(i) << 33
+		wide[i] = sim.GlobalMsg{Src: i % 8, Dst: 4 + i%4, Kind: sim.Kind(i % 5), F0: f, F1: -f, F2: f + 1, F3: int64(i) - 300}
+	}
+	f.Add(wire.AppendHello(nil, wire.Hello{N: 8, Shard: 1, Lo: 4, Hi: 8}), wire.AppendMsgs(nil, wide))
 	f.Fuzz(func(t *testing.T, hello, round []byte) {
 		client, done := serveConnPair(t)
 		client.SetDeadline(time.Now().Add(5 * time.Second))

@@ -284,6 +284,17 @@ func TestHandshakeRoundTrip(t *testing.T) {
 	}
 }
 
+// wideBatch is a large round: 600 messages among 8 nodes with wide
+// F-values, over 4 KiB encoded.
+func wideBatch() []sim.GlobalMsg {
+	ms := make([]sim.GlobalMsg, 600)
+	for i := range ms {
+		f := int64(i) << 33
+		ms[i] = sim.GlobalMsg{Src: i % 8, Dst: 7 - i%8, Kind: sim.Kind(i % 5), F0: f, F1: -f, F2: f + 1, F3: int64(i) - 300}
+	}
+	return ms
+}
+
 // FuzzDistWire feeds arbitrary bytes to every decoder in the package
 // (none may panic or over-allocate) and, when a frame does decode,
 // re-encodes and re-decodes it to assert the codec round-trips.
@@ -300,6 +311,7 @@ func FuzzDistWire(f *testing.F) {
 		Type: FrameRoundReply, Round: 3, Shard: 0,
 		Payload: AppendMsgs(nil, []sim.GlobalMsg{{Src: 1, Dst: 2}}),
 	}))
+	f.Add(AppendFrame(nil, Frame{Type: FrameRound, Round: 4, Payload: AppendMsgs(nil, wideBatch())}))
 	f.Add(AppendFrame(nil, Frame{
 		Type:    FrameHello,
 		Payload: AppendHello(nil, Hello{N: 8, Shard: 1, Lo: 4, Hi: 8}),
