@@ -202,10 +202,11 @@ func dialAs(t *testing.T, addr string, hello []byte) wire.Frame {
 	return readFrame(t, conn)
 }
 
-// TestDistHandshakeNegotiation pairs this build (it speaks version 4 only)
+// TestDistHandshakeNegotiation pairs this build (it speaks version 5 only)
 // with peers at other versions, both ways: each side refuses the other with
-// an error naming both versions instead of running — version 3's Join and
-// 8-int Hello, the builds just before it, included.
+// an error naming both versions instead of running — version 4's Join and
+// Hello (laid out as this build's), and version 3's Join and 8-int Hello,
+// included.
 func TestDistHandshakeNegotiation(t *testing.T) {
 	refused := func(t *testing.T, join []byte, want string) {
 		t.Helper()
@@ -227,16 +228,22 @@ func TestDistHandshakeNegotiation(t *testing.T) {
 	}
 
 	t.Run("old worker, new coordinator", func(t *testing.T) {
-		refused(t, section(3, 0), "join handshake: wire: handshake at protocol version 3, this build speaks 4")
+		refused(t, section(3, 0), "join handshake: wire: handshake at protocol version 3, this build speaks 5")
 	})
 	t.Run("new worker, old coordinator", func(t *testing.T) {
-		answered(t, section(3, 8, 3, 0, 0, 8, 0, 0), "hello at protocol version 3, this build speaks 4")
+		answered(t, section(3, 8, 3, 0, 0, 8, 0, 0), "hello at protocol version 3, this build speaks 5")
+	})
+	t.Run("version-4 worker, new coordinator", func(t *testing.T) {
+		refused(t, section(4, 0), "join handshake: wire: handshake at protocol version 4, this build speaks 5")
+	})
+	t.Run("new worker, version-4 coordinator", func(t *testing.T) {
+		answered(t, helloAt(4), "hello at protocol version 4, this build speaks 5")
 	})
 	t.Run("incompatible pair", func(t *testing.T) {
-		refused(t, section(wire.Version+1, 0), "handshake at protocol version 5, this build speaks 4")
+		refused(t, section(wire.Version+1, 0), "handshake at protocol version 6, this build speaks 5")
 	})
 	t.Run("incompatible pair, coordinator newer", func(t *testing.T) {
-		answered(t, helloAt(wire.Version+1), "hello at protocol version 5, this build speaks 4")
+		answered(t, helloAt(wire.Version+1), "hello at protocol version 6, this build speaks 5")
 	})
 }
 

@@ -282,7 +282,7 @@ func TestServeConnErrors(t *testing.T) {
 		client, done := serveConnPair(t)
 		sendFrame(t, client, wire.Frame{Type: wire.FrameHello, Payload: helloAt(wire.Version + 1)})
 		f := readFrame(t, client)
-		if f.Type != wire.FrameError || !strings.Contains(string(f.Payload), "version 5, this build speaks 4") {
+		if f.Type != wire.FrameError || !strings.Contains(string(f.Payload), "version 6, this build speaks 5") {
 			t.Fatalf("version mismatch answered with %v %q", f.Type, f.Payload)
 		}
 		if err := <-done; err == nil {

@@ -1,11 +1,10 @@
 // Frame payload codecs: the type-specific bodies carried inside the
-// frames of wire.go. Every multi-part payload is a sequence of
-// uvarint-length-prefixed sections, each holding one persist varint
-// stream (PackInt64s / PackSorted), because the persist decoders demand
-// exact buffer consumption — the prefix lets each section be sliced to
-// precisely its own bytes. Message batches are encoded column-wise (all
-// Src values, then all Dst values, ...) so the zigzag varints see runs of
-// small, similar numbers.
+// frames of wire.go. A message batch is a uvarint count followed by one row
+// per message: Src, Dst and Kind as uvarints, F0..F3 as zigzag varints. The
+// handshake payloads (Join, Hello, HelloAck) are one uvarint-length-prefixed
+// section holding a persist varint stream, Version first, because that
+// layout is shared with every older build, which must still be refused by
+// version.
 package wire
 
 import (
@@ -16,83 +15,71 @@ import (
 	"repro/internal/sim"
 )
 
-// maxBatchMsgs bounds a decoded batch; with 7 columns of one varint byte
-// minimum this is far beyond what a MaxFrameLen frame can carry, so it
-// only guards against pathological decoded column lengths.
-const maxBatchMsgs = 1 << 28
+// minMsgLen is the fewest bytes a message row takes: seven one-byte
+// varints.
+const minMsgLen = 7
 
 // maxNodeID bounds decoded Src/Dst values. Receivers re-validate against
 // the actual shard range; this bound only keeps corrupt values from
 // overflowing downstream int arithmetic.
 const maxNodeID = 1 << 31
 
-// AppendMsgs appends the column-wise encoding of ms to dst: seven
-// sections (Src, Dst, Kind, F0..F3), each a length-prefixed PackInt64s
-// stream. It is the payload of a Round frame (the shard's batch in staging
+// AppendMsgs appends the row-wise encoding of ms to dst: a uvarint count,
+// then each message's Src, Dst and Kind as uvarints and F0..F3 as zigzag
+// varints. It is the payload of a Round frame (the shard's batch in staging
 // order) and of its RoundReply (the same batch in delivery order).
 func AppendMsgs(dst []byte, ms []sim.GlobalMsg) []byte {
-	col := make([]int64, len(ms))
-	for c := 0; c < 7; c++ {
-		for i, m := range ms {
-			switch c {
-			case 0:
-				col[i] = int64(m.Src)
-			case 1:
-				col[i] = int64(m.Dst)
-			case 2:
-				col[i] = int64(m.Kind)
-			case 3:
-				col[i] = m.F0
-			case 4:
-				col[i] = m.F1
-			case 5:
-				col[i] = m.F2
-			default:
-				col[i] = m.F3
-			}
-		}
-		dst = appendSection(dst, persist.PackInt64s(col))
+	dst = binary.AppendUvarint(dst, uint64(len(ms)))
+	for _, m := range ms {
+		dst = binary.AppendUvarint(dst, uint64(m.Src))
+		dst = binary.AppendUvarint(dst, uint64(m.Dst))
+		dst = binary.AppendUvarint(dst, uint64(m.Kind))
+		dst = binary.AppendVarint(dst, m.F0)
+		dst = binary.AppendVarint(dst, m.F1)
+		dst = binary.AppendVarint(dst, m.F2)
+		dst = binary.AppendVarint(dst, m.F3)
 	}
 	return dst
 }
 
-// DecodeMsgs decodes a full-buffer message batch written by AppendMsgs.
+// DecodeMsgs decodes a full-buffer message batch written by AppendMsgs. A
+// count the remaining bytes cannot hold is refused before the batch is
+// allocated.
 func DecodeMsgs(data []byte) ([]sim.GlobalMsg, error) {
-	var cols [7][]int64
-	pos := 0
-	for c := range cols {
-		sec, next, err := nextSection(data, pos)
-		if err != nil {
-			return nil, err
-		}
-		cols[c], err = persist.UnpackInt64s(sec)
-		if err != nil {
-			return nil, fmt.Errorf("%w: message column %d: %v", ErrMalformed, c, err)
-		}
-		if len(cols[c]) != len(cols[0]) {
-			return nil, fmt.Errorf("%w: message column %d has %d entries, want %d",
-				ErrMalformed, c, len(cols[c]), len(cols[0]))
-		}
-		pos = next
+	n, pos := binary.Uvarint(data)
+	if pos <= 0 {
+		return nil, fmt.Errorf("%w: bad message count", ErrMalformed)
 	}
-	n := len(cols[0])
-	if n > maxBatchMsgs {
-		return nil, fmt.Errorf("%w: message batch of %d exceeds bound", ErrMalformed, n)
+	if n > uint64(len(data)-pos)/minMsgLen {
+		return nil, fmt.Errorf("%w: %d messages cannot fit in %d bytes", ErrMalformed, n, len(data)-pos)
 	}
 	ms := make([]sim.GlobalMsg, n)
 	for i := range ms {
-		src, dstID, kind := cols[0][i], cols[1][i], cols[2][i]
-		if src < 0 || src > maxNodeID || dstID < 0 || dstID > maxNodeID {
+		var ends [3]uint64
+		for j := range ends {
+			v, k := binary.Uvarint(data[pos:])
+			if k <= 0 {
+				return nil, fmt.Errorf("%w: message %d truncated", ErrMalformed, i)
+			}
+			ends[j], pos = v, pos+k
+		}
+		var fs [4]int64
+		for j := range fs {
+			v, k := binary.Varint(data[pos:])
+			if k <= 0 {
+				return nil, fmt.Errorf("%w: message %d truncated", ErrMalformed, i)
+			}
+			fs[j], pos = v, pos+k
+		}
+		src, dstID, kind := ends[0], ends[1], ends[2]
+		if src > maxNodeID || dstID > maxNodeID {
 			return nil, fmt.Errorf("%w: message %d has endpoint out of range (src %d, dst %d)",
 				ErrMalformed, i, src, dstID)
 		}
-		if kind < 0 || kind > int64(^uint16(0)) {
+		if kind > uint64(^uint16(0)) {
 			return nil, fmt.Errorf("%w: message %d kind %d outside uint16", ErrMalformed, i, kind)
 		}
-		ms[i] = sim.GlobalMsg{
-			Src: int(src), Dst: int(dstID), Kind: sim.Kind(kind),
-			F0: cols[3][i], F1: cols[4][i], F2: cols[5][i], F3: cols[6][i],
-		}
+		ms[i] = sim.GlobalMsg{Src: int(src), Dst: int(dstID), Kind: sim.Kind(kind), F0: fs[0], F1: fs[1], F2: fs[2], F3: fs[3]}
 	}
 	if pos != len(data) {
 		return nil, fmt.Errorf("%w: %d trailing bytes after message batch", ErrMalformed, len(data)-pos)

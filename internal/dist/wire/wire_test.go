@@ -38,7 +38,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		{Type: FrameJoin, Shard: 3, Payload: AppendHandshake(nil, 3)},
 		{Type: FrameRound, Round: 12345, Shard: 7, Payload: []byte("hello")},
 		{Type: FrameError, Payload: []byte("boom")},
-		{Type: FrameRound, Round: 1, Payload: bytes.Repeat([]byte("abcdefgh"), 2048)}, // compressible, > threshold
+		{Type: FrameRound, Round: 1, Payload: bytes.Repeat([]byte("abcdefgh"), 2048)},
 	}
 	for i, f := range cases {
 		got := roundTripFrame(t, f)
@@ -48,21 +48,18 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFrameCompression(t *testing.T) {
-	// Highly repetitive payload over the threshold must shrink on the wire.
-	f := Frame{Type: FrameRound, Round: 2, Payload: bytes.Repeat([]byte{42}, 100_000)}
+// TestFrameIsRaw: a payload of any size travels verbatim behind the header
+// (length, checksum, type, flags, a three-byte round, a one-byte shard).
+func TestFrameIsRaw(t *testing.T) {
+	f := Frame{Type: FrameRound, Round: 100_000, Payload: bytes.Repeat([]byte{42}, 100_000)}
 	enc := AppendFrame(nil, f)
-	if len(enc) >= len(f.Payload) {
-		t.Fatalf("encoded %d bytes for a %d-byte compressible payload", len(enc), len(f.Payload))
+	const header = 4 + 8 + 1 + 1 + 3 + 1
+	if len(enc) != header+len(f.Payload) || !bytes.Equal(enc[header:], f.Payload) {
+		t.Fatalf("encoded %d bytes for a %d-byte payload, want the %d-byte header and the payload verbatim",
+			len(enc), len(f.Payload), header)
 	}
-	got := roundTripFrame(t, f)
-	if !bytes.Equal(got.Payload, f.Payload) {
-		t.Fatal("compressed payload corrupted in round trip")
-	}
-	// Incompressible small payloads stay raw.
-	small := Frame{Type: FrameRound, Round: 3, Payload: []byte{1, 2, 3}}
-	if enc := AppendFrame(nil, small); enc[4+8+1]&0x01 != 0 {
-		t.Fatal("small payload unexpectedly compressed")
+	if got := roundTripFrame(t, f); !bytes.Equal(got.Payload, f.Payload) {
+		t.Fatal("payload corrupted in round trip")
 	}
 }
 
@@ -119,12 +116,14 @@ func TestFrameRejectsMalformed(t *testing.T) {
 		}
 		_ = bad
 	})
-	t.Run("bad compressed payload", func(t *testing.T) {
-		enc := AppendFrame(nil, Frame{Type: FrameRound, Round: 1, Payload: []byte("xx")})
-		enc[4+8+1] = 0x01 // claim compression over garbage
-		fixChecksum(enc)
-		if _, _, err := DecodeFrame(enc); !errors.Is(err, ErrMalformed) {
-			t.Fatalf("err = %v", err)
+	t.Run("reserved byte set", func(t *testing.T) {
+		for _, flags := range []byte{0x01, 0x80} {
+			enc := AppendFrame(nil, Frame{Type: FrameRound, Round: 1, Payload: []byte("xx")})
+			enc[4+8+1] = flags
+			fixChecksum(enc)
+			if _, _, err := DecodeFrame(enc); !errors.Is(err, ErrMalformed) {
+				t.Fatalf("flags %#02x: err = %v", flags, err)
+			}
 		}
 	})
 }
@@ -174,11 +173,12 @@ func TestMsgsRejectsMalformed(t *testing.T) {
 			t.Fatal("trailing bytes accepted")
 		}
 	})
-	t.Run("section exceeds buffer", func(t *testing.T) {
-		// uvarint section length claiming far more than remains.
+	t.Run("count exceeds buffer", func(t *testing.T) {
+		// A message count claiming far more rows than remain: refused
+		// before the batch is allocated.
 		bad := binary.AppendUvarint(nil, 1<<40)
 		if _, err := DecodeMsgs(bad); !errors.Is(err, ErrMalformed) {
-			t.Fatal("oversized section length accepted")
+			t.Fatal("oversized message count accepted")
 		}
 	})
 	t.Run("truncated", func(t *testing.T) {
@@ -187,7 +187,7 @@ func TestMsgsRejectsMalformed(t *testing.T) {
 		}
 	})
 	t.Run("negative endpoint", func(t *testing.T) {
-		// A raw column set with Src = -1.
+		// A batch with Src = -1.
 		enc := AppendMsgs(nil, []sim.GlobalMsg{{Src: -1, Dst: 2}})
 		if _, err := DecodeMsgs(enc); !errors.Is(err, ErrMalformed) {
 			t.Fatal("negative src accepted")
@@ -236,10 +236,10 @@ func TestHelloRoundTrip(t *testing.T) {
 	}
 	// The hellos of older builds are refused by their version, whatever
 	// their length: version 1's 9 ints, the retired version 2's 10,
-	// version 3's 8.
-	for _, old := range [][]byte{v1Hello, windowedHello, v3Hello} {
+	// version 3's 8, version 4's 5.
+	for _, old := range [][]byte{v1Hello, windowedHello, v3Hello, v4Hello} {
 		_, err := DecodeHello(old)
-		if err == nil || !strings.Contains(err.Error(), "this build speaks 4") {
+		if err == nil || !strings.Contains(err.Error(), "this build speaks 5") {
 			t.Fatalf("older build's hello: %v, want a version refusal", err)
 		}
 	}
@@ -261,6 +261,9 @@ var windowedHello = ints(2, 8, 3, 0, 0, 8, 0, 0, 4, 0)
 // cut marker.
 var v3Hello = ints(3, 8, 3, 0, 0, 8, 0, 0)
 
+// v4Hello is version 4's hello, laid out as this build's: N, shard, range.
+var v4Hello = ints(4, 8, 1, 4, 8)
+
 func TestHandshakeRoundTrip(t *testing.T) {
 	for _, shard := range []int{0, 3, AnyShard} {
 		got, err := DecodeHandshake(AppendHandshake(nil, shard))
@@ -275,10 +278,11 @@ func TestHandshakeRoundTrip(t *testing.T) {
 		t.Fatal("negative non-AnyShard shard accepted")
 	}
 	// Another version is refused naming both: the [1,2] range of older
-	// builds (three ints), version 3's two ints and a later version's.
-	for _, old := range [][]byte{ints(1, 2, 0), ints(3, 0), ints(Version+1, 0)} {
+	// builds (three ints), version 3's and version 4's two ints and a later
+	// version's.
+	for _, old := range [][]byte{ints(1, 2, 0), ints(3, 0), ints(4, 1), ints(Version+1, 0)} {
 		_, err := DecodeHandshake(old)
-		if err == nil || !strings.Contains(err.Error(), "this build speaks 4") {
+		if err == nil || !strings.Contains(err.Error(), "this build speaks 5") {
 			t.Fatalf("handshake %v: %v, want a version refusal", old, err)
 		}
 	}
@@ -319,6 +323,7 @@ func FuzzDistWire(f *testing.F) {
 	f.Add(AppendFrame(nil, Frame{Type: FrameHello, Payload: windowedHello}))
 	f.Add(AppendFrame(nil, Frame{Type: FrameHello, Payload: v1Hello}))
 	f.Add(AppendFrame(nil, Frame{Type: FrameHello, Payload: v3Hello}))
+	f.Add(AppendFrame(nil, Frame{Type: FrameHello, Payload: v4Hello}))
 	f.Add([]byte{0xff, 0xff, 0xff, 0x03}) // huge length prefix, no body
 	f.Fuzz(func(t *testing.T, data []byte) {
 		frame, n, err := DecodeFrame(data)
