@@ -15,7 +15,9 @@
 // The length prefix is validated against MaxFrameLen — and, when decoding
 // from a buffer, against the bytes actually present — BEFORE any
 // allocation, so a corrupt or hostile prefix can never drive a huge
-// allocation. The payload travels as it is; the checksum covers it.
+// allocation. The payload travels as it is; the checksum covers it. The
+// flags byte stays in the layout, reserved, so an older build's Join or
+// Hello still parses far enough to be refused by its version.
 package wire
 
 import (
