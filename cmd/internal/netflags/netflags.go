@@ -67,7 +67,8 @@ func (f *Flags) Options() ([]hybrid.Option, error) {
 // BuildGraph generates the graph -graph, -n and -maxw describe from a
 // source seeded with -seed, and returns the source too: a caller that draws
 // more from it (hybridsim's kssp sources) continues the same stream. An -n
-// below 1, or below what the kind can build, is an error.
+// below 1, or below what the kind can build, is an error, and so is a -maxw
+// above the graph's WeightLimit.
 func (f *Flags) BuildGraph() (*hybrid.Graph, *rand.Rand, error) {
 	if f.N < 1 {
 		return nil, nil, fmt.Errorf("-n %d: a graph needs at least 1 node", f.N)
@@ -98,6 +99,9 @@ func (f *Flags) BuildGraph() (*hybrid.Graph, *rand.Rand, error) {
 		g = hybrid.BarbellGraph(f.N/3, f.N/3)
 	default:
 		return nil, nil, fmt.Errorf("unknown graph kind %q", f.Graph)
+	}
+	if f.MaxW > g.WeightLimit() {
+		return nil, nil, fmt.Errorf("-maxw %d: above %d, the largest weight a %d-node graph allows", f.MaxW, g.WeightLimit(), g.N())
 	}
 	if f.MaxW > 1 {
 		g = hybrid.WithRandomWeights(g, f.MaxW, rng)

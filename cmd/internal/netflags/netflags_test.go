@@ -35,6 +35,9 @@ func TestFlags(t *testing.T) {
 	}{
 		{"defaults", nil, "", 16},
 		{"node count and weights", []string{"-graph", "cycle", "-n", "9", "-maxw", "5"}, "", 9},
+		{"-maxw at the weight limit", []string{"-graph", "cycle", "-n", "9", "-maxw", fmt.Sprint((hybrid.Inf - 1) / 8)}, "", 9},
+		{"-maxw above the weight limit", []string{"-graph", "cycle", "-n", "9", "-maxw", fmt.Sprint((hybrid.Inf-1)/8 + 1)},
+			fmt.Sprintf("-maxw %d: above %d", (hybrid.Inf-1)/8+1, (hybrid.Inf-1)/8), 0},
 		{"unknown engine", []string{"-engine", "warp"}, `unknown engine "warp"`, 0},
 		{"unknown graph", []string{"-graph", "torus"}, `unknown graph kind "torus"`, 0},
 		{"-workers on the default engine", []string{"-workers", "4"}, needsDist, 0},

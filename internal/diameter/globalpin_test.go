@@ -62,6 +62,8 @@ func TestDiameterMachinesMatchGlobalPin(t *testing.T) {
 		instance{"mm/path90", graph.Path(90), RealMM(2), false},
 		instance{"mm/grid6x6", graph.Grid(6, 6), RealMM(2), false})
 
+	// The (instance, seed) cases share nothing but read-only graphs, so
+	// they run as parallel subtests; each still runs every engine.
 	for _, in := range instances {
 		engines := []sim.Engine{sim.EngineStep, sim.EngineLegacy}
 		if in.dist {
@@ -69,21 +71,24 @@ func TestDiameterMachinesMatchGlobalPin(t *testing.T) {
 		}
 		for seed := int64(1); seed <= 3; seed++ {
 			key := fmt.Sprintf("%s/seed%d", in.name, seed)
-			for _, eng := range engines {
-				out, m, err := sim.RunPipeline(in.g, sim.Config{Seed: seed, Engine: eng}, Pipeline(in.spec, kssp.Params{}))
-				if err != nil {
-					t.Fatalf("%s on %v: %v", key, eng, err)
-				}
-				for v := range out {
-					if out[v] != out[0] {
-						t.Fatalf("%s on %v: node %d estimates %d, node 0 %d", key, eng, v, out[v], out[0])
+			t.Run(key, func(t *testing.T) {
+				t.Parallel()
+				for _, eng := range engines {
+					out, m, err := sim.RunPipeline(in.g, sim.Config{Seed: seed, Engine: eng}, Pipeline(in.spec, kssp.Params{}))
+					if err != nil {
+						t.Fatalf("on %v: %v", eng, err)
+					}
+					for v := range out {
+						if out[v] != out[0] {
+							t.Fatalf("on %v: node %d estimates %d, node 0 %d", eng, v, out[v], out[0])
+						}
+					}
+					got := globalPin{out[0], m.Rounds, m.GlobalMsgs, m.GlobalBits, m.MaxGlobalSend, m.MaxGlobalRecv}
+					if want, ok := diameterGlobalPins[key]; !ok || got != want {
+						t.Errorf("on %v: got %+v, want %+v", eng, got, want)
 					}
 				}
-				got := globalPin{out[0], m.Rounds, m.GlobalMsgs, m.GlobalBits, m.MaxGlobalSend, m.MaxGlobalRecv}
-				if want, ok := diameterGlobalPins[key]; !ok || got != want {
-					t.Errorf("%s on %v: got %+v, want %+v", key, eng, got, want)
-				}
-			}
+			})
 		}
 	}
 }

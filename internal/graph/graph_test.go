@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -57,6 +58,43 @@ func TestAddEdgeErrors(t *testing.T) {
 	}
 	if g.M() != 2 {
 		t.Fatalf("M() = %d, want 2", g.M())
+	}
+}
+
+// TestAddEdgeWeightLimit pins the weight bound: a weight that would let a
+// simple path sum to Inf is refused, and a path at the limit everywhere
+// stays finite end to end under Dijkstra and APSP.
+func TestAddEdgeWeightLimit(t *testing.T) {
+	g := New(3)
+	if err := g.AddEdge(0, 1, math.MaxInt64/2); err == nil {
+		t.Fatal("AddEdge accepted MaxInt64/2 on a 3-node graph")
+	}
+	if err := g.AddEdge(1, 2, (Inf-1)/2+1); err == nil {
+		t.Fatalf("AddEdge accepted %d, one above the limit %d", (Inf-1)/2+1, g.WeightLimit())
+	}
+	if g.M() != 0 {
+		t.Fatalf("M() = %d after refused edges, want 0", g.M())
+	}
+
+	for _, n := range []int{2, 3, 17} {
+		p := New(n)
+		lim := p.WeightLimit()
+		if lim != (Inf-1)/int64(n-1) {
+			t.Fatalf("n=%d: WeightLimit() = %d, want %d", n, lim, (Inf-1)/int64(n-1))
+		}
+		for v := 0; v+1 < n; v++ {
+			p.MustAddEdge(v, v+1, lim)
+		}
+		want := int64(n-1) * lim
+		if d := Dijkstra(p, 0)[n-1]; d != want || d >= Inf {
+			t.Fatalf("n=%d: Dijkstra end to end = %d, want %d < Inf", n, d, want)
+		}
+		if d := APSP(p)[n-1][0]; d != want {
+			t.Fatalf("n=%d: APSP end to end = %d, want %d", n, d, want)
+		}
+	}
+	if New(1).WeightLimit() != Inf-1 || New(0).WeightLimit() != Inf-1 {
+		t.Fatal("a graph with no possible edge should report Inf-1")
 	}
 }
 

@@ -37,21 +37,25 @@ func NextHops(g *Graph, dist [][]int64) [][]int {
 // FollowRoute walks the forwarding tables from s toward t and returns the
 // node sequence, or nil if forwarding fails (loop or dead end). On tables
 // from exact APSP the walk always realizes a shortest path.
-func FollowRoute(tables [][]int, s, t int) []int {
-	path := []int{s}
-	cur := s
-	for cur != t {
-		if len(path) > len(tables) {
+func FollowRoute(tables [][]int, s, t int) []int { return AppendRoute(nil, tables, s, t) }
+
+// AppendRoute is FollowRoute appending the walk to dst, so a caller that
+// keeps dst's backing array (the server's request path) walks without
+// allocating. It returns the extended slice, or nil if forwarding fails.
+func AppendRoute(dst []int, tables [][]int, s, t int) []int {
+	start := len(dst)
+	dst = append(dst, s)
+	for cur := s; cur != t; {
+		if len(dst)-start > len(tables) {
 			return nil // loop guard
 		}
-		next := tables[cur][t]
-		if next < 0 {
+		cur = tables[cur][t]
+		if cur < 0 {
 			return nil
 		}
-		path = append(path, next)
-		cur = next
+		dst = append(dst, cur)
 	}
-	return path
+	return dst
 }
 
 // PathWeight sums the edge weights along the node sequence path in g. It

@@ -1,6 +1,6 @@
 // Reply-level tests of the query path: every /distance and /route body is
 // byte-for-byte what json.NewEncoder(w).Encode(resp) writes for the reply
-// value.
+// value, and a 200 query allocates nothing in the server's own code.
 package serve_test
 
 import (
@@ -132,4 +132,51 @@ func TestServeRepliesByteIdentical(t *testing.T) {
 		[]byte(`{"s":0,"t":3,"hops":0,"weight":0,"unreachable":false,"error":"forwarding walk failed on published tables"}`+"\n"))
 	checkReply(t, ts.URL+"/route?s=1&t=2", http.StatusInternalServerError,
 		[]byte(`{"s":1,"t":2,"hops":0,"weight":0,"unreachable":false,"error":"forwarding walk left the graph's edge set"}`+"\n"))
+}
+
+// raceEnabled is set under -race (race_test.go).
+var raceEnabled bool
+
+// recorder is a reusable http.ResponseWriter: its header map and body
+// buffer are kept across requests, so what a request allocates is the
+// server's own.
+type recorder struct {
+	header http.Header
+	status int
+	body   bytes.Buffer
+}
+
+func (r *recorder) Header() http.Header         { return r.header }
+func (r *recorder) WriteHeader(code int)        { r.status = code }
+func (r *recorder) Write(b []byte) (int, error) { return r.body.Write(b) }
+
+// TestServeQueryZeroAlloc is the allocation gate of the query path: a 200
+// /distance or /route through the full Handler chain allocates nothing
+// once the pools are warm — no url.Values, no encoder, no boxed reply, no
+// path slice. What net/http allocates per request (the Request, its
+// header map) is outside this measurement.
+func TestServeQueryZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime drops sync.Pool puts at random, so pooled buffers are reallocated")
+	}
+	h := serve.New(buildTables(t, twoComponents(), serve.BuildInfo{})).Handler()
+	rec := &recorder{header: http.Header{}}
+	for _, target := range []string{
+		"/distance?s=0&t=3", "/distance?s=0&t=5", "/distance?s=2&t=2",
+		"/route?s=0&t=3", "/route?s=3&t=0", "/route?s=0&t=5", "/route?s=2&t=2",
+	} {
+		req := httptest.NewRequest(http.MethodGet, target, nil)
+		serveOnce := func() {
+			rec.body.Reset()
+			rec.status = 0
+			h.ServeHTTP(rec, req)
+		}
+		serveOnce()
+		if rec.status != http.StatusOK || rec.body.Len() == 0 {
+			t.Fatalf("%s: status %d body %q", target, rec.status, rec.body.Bytes())
+		}
+		if got := testing.AllocsPerRun(200, serveOnce); got != 0 {
+			t.Errorf("%s: %.1f allocations per request, want 0", target, got)
+		}
+	}
 }

@@ -15,11 +15,14 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -450,11 +453,36 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
+// jsonContentType is every reply's Content-Type value, shared so that
+// setting it allocates nothing; nothing in net/http writes into a header's
+// value slice.
+var jsonContentType = []string{"application/json"}
+
+// encoder is one pooled reply encoder: the body is encoded into buf and
+// written with a single Write.
+type encoder struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+// encoders pools reply encoders. A buffer keeps the capacity of the largest
+// reply it has held: at most one /route walk, n nodes long.
+var encoders = sync.Pool{New: func() any {
+	e := new(encoder)
+	e.enc = json.NewEncoder(&e.buf)
+	return e
+}}
+
+// writeJSON writes body as the reply with the given status; every reply
+// the server sends goes through it.
 func writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
+	e := encoders.Get().(*encoder)
+	defer encoders.Put(e)
+	e.buf.Reset()
+	_ = e.enc.Encode(body) // reply types always encode
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(body)
+	_, _ = w.Write(e.buf.Bytes()) // a failed write is the client gone; nothing to tell it
 }
 
 func (s *Server) writeError(w http.ResponseWriter, status int, format string, a ...any) {
@@ -471,8 +499,7 @@ func (s *Server) queryPair(w http.ResponseWriter, r *http.Request) (tb *Tables, 
 		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "tables not published yet"})
 		return nil, 0, 0
 	}
-	parse := func(name string) (int, bool) {
-		raw := r.URL.Query().Get(name)
+	parse := func(name, raw string) (int, bool) {
 		if raw == "" {
 			s.writeError(w, http.StatusBadRequest, "missing query parameter %q", name)
 			return 0, false
@@ -488,16 +515,62 @@ func (s *Server) queryPair(w http.ResponseWriter, r *http.Request) (tb *Tables, 
 		}
 		return v, true
 	}
-	from, ok := parse("s")
+	rawS, rawT := queryST(r.URL.RawQuery)
+	from, ok := parse("s", rawS)
 	if !ok {
 		return nil, 0, 0
 	}
-	to, ok = parse("t")
+	to, ok = parse("t", rawT)
 	if !ok {
 		return nil, 0, 0
 	}
 	return tb, from, to
 }
+
+// queryST returns the first values of the s and t parameters of a raw
+// query, "" for an absent one, exactly as url.ParseQuery(raw).Get would
+// return them, without building url.Values: pairs split on '&'; a pair
+// containing ';' is skipped; so is a pair whose key or value fails
+// url.QueryUnescape, which returns a string without '%' or '+' as it is.
+// On a query with no escapes it allocates nothing.
+func queryST(raw string) (s, t string) {
+	var haveS, haveT bool
+	for raw != "" && !(haveS && haveT) {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		key, value, _ := strings.Cut(pair, "=")
+		key, err := url.QueryUnescape(key)
+		if err != nil {
+			continue
+		}
+		if first := key == "s" && !haveS || key == "t" && !haveT; !first {
+			continue
+		}
+		if value, err = url.QueryUnescape(value); err != nil {
+			continue
+		}
+		if key == "s" {
+			s, haveS = value, true
+		} else {
+			t, haveT = value, true
+		}
+	}
+	return s, t
+}
+
+// queryScratch is one query's reply and walk buffer. writeJSON's argument
+// escapes, so a reply on the stack would move to the heap on every request;
+// pooling it keeps the 200 paths free of allocations of their own.
+type queryScratch struct {
+	dist  DistanceResponse
+	route RouteResponse
+	walk  []int
+}
+
+var scratches = sync.Pool{New: func() any { return new(queryScratch) }}
 
 func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request) {
 	tb, from, to := s.queryPair(w, r)
@@ -505,7 +578,10 @@ func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.distanceQueries.Add(1)
-	resp := DistanceResponse{S: from, T: to}
+	sc := scratches.Get().(*queryScratch)
+	defer scratches.Put(sc)
+	resp := &sc.dist
+	*resp = DistanceResponse{S: from, T: to}
 	if d := tb.Dist[from][to]; d >= graph.Inf {
 		s.unreachable.Add(1)
 		resp.Unreachable = true
@@ -521,27 +597,29 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.routeQueries.Add(1)
-	resp := RouteResponse{S: from, T: to}
+	sc := scratches.Get().(*queryScratch)
+	defer scratches.Put(sc)
+	resp := &sc.route
+	*resp = RouteResponse{S: from, T: to}
 	if tb.Dist[from][to] >= graph.Inf {
 		s.unreachable.Add(1)
 		resp.Unreachable = true
 		writeJSON(w, http.StatusOK, resp)
 		return
 	}
-	path := graph.FollowRoute(tb.Next, from, to)
+	path := graph.AppendRoute(sc.walk[:0], tb.Next, from, to)
 	if path == nil {
 		// Exact-APSP tables cannot dead-end on a reachable pair; a nil
 		// walk means the published generation is internally inconsistent.
-		writeJSON(w, http.StatusInternalServerError, RouteResponse{
-			S: from, T: to, Error: "forwarding walk failed on published tables",
-		})
+		resp.Error = "forwarding walk failed on published tables"
+		writeJSON(w, http.StatusInternalServerError, resp)
 		return
 	}
+	sc.walk = path
 	weight, ok := graph.PathWeight(tb.G, path)
 	if !ok {
-		writeJSON(w, http.StatusInternalServerError, RouteResponse{
-			S: from, T: to, Error: "forwarding walk left the graph's edge set",
-		})
+		resp.Error = "forwarding walk left the graph's edge set"
+		writeJSON(w, http.StatusInternalServerError, resp)
 		return
 	}
 	resp.Path = path
