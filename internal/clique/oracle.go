@@ -157,9 +157,14 @@ func (a *Oracle) solve() {
 			row := make([]int64, len(a.sources))
 			for si := range a.sources {
 				d := exact[si][p]
-				if d >= graph.Inf {
+				switch {
+				case d >= graph.Inf:
 					row[si] = graph.Inf
-				} else {
+				case factors[si] == 1:
+					// Exact: float64 holds only 53 bits, so a distance
+					// past 2^53 would not survive the product.
+					row[si] = d + addends[si]
+				default:
 					row[si] = int64(math.Floor(float64(d)*factors[si])) + addends[si]
 				}
 			}

@@ -67,8 +67,8 @@ func (g *Graph) N() int { return g.n }
 func (g *Graph) M() int { return g.m }
 
 // AddEdge inserts the undirected edge {u, v} with weight w. It returns an
-// error if the endpoints are out of range, equal, the weight is
-// non-positive or above WeightLimit, or if the edge already exists.
+// error if the endpoints are out of range, equal, non-positive weight, or if
+// the edge already exists.
 func (g *Graph) AddEdge(u, v int, w int64) error {
 	switch {
 	case u < 0 || u >= g.n || v < 0 || v >= g.n:
@@ -77,8 +77,6 @@ func (g *Graph) AddEdge(u, v int, w int64) error {
 		return fmt.Errorf("graph: self-loop at %d", u)
 	case w <= 0:
 		return fmt.Errorf("graph: non-positive weight %d on {%d,%d}", w, u, v)
-	case w > g.WeightLimit():
-		return fmt.Errorf("graph: weight %d on {%d,%d} above %d, the limit on %d nodes", w, u, v, g.WeightLimit(), g.n)
 	}
 	if g.HasEdge(u, v) {
 		return fmt.Errorf("graph: duplicate edge {%d,%d}", u, v)
@@ -89,9 +87,14 @@ func (g *Graph) AddEdge(u, v int, w int64) error {
 	return nil
 }
 
-// WeightLimit is the largest edge weight the graph accepts: (Inf-1)/(n-1),
-// so that no simple path, at most n-1 edges, sums to Inf and reads as
-// unreachable.
+// WeightLimit is the largest edge weight an input graph on n nodes may
+// carry: (Inf-1)/(n-1), so that no simple path, at most n-1 edges, sums to
+// Inf and reads as unreachable. AddEdge does not enforce it: the graphs the
+// algorithms build over a subset of nodes (skeleton graphs, the CLIQUE
+// oracle's graph) weigh their edges with multi-hop distances of the input,
+// which are below Inf but may exceed their own graph's limit. Code that
+// takes weights from outside checks them against it, as netflags does for
+// -maxw.
 func (g *Graph) WeightLimit() int64 { return (Inf - 1) / int64(max(1, g.n-1)) }
 
 // MustAddEdge is AddEdge for construction code where an error indicates a

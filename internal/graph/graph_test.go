@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -61,21 +60,11 @@ func TestAddEdgeErrors(t *testing.T) {
 	}
 }
 
-// TestAddEdgeWeightLimit pins the weight bound: a weight that would let a
-// simple path sum to Inf is refused, and a path at the limit everywhere
-// stays finite end to end under Dijkstra and APSP.
-func TestAddEdgeWeightLimit(t *testing.T) {
-	g := New(3)
-	if err := g.AddEdge(0, 1, math.MaxInt64/2); err == nil {
-		t.Fatal("AddEdge accepted MaxInt64/2 on a 3-node graph")
-	}
-	if err := g.AddEdge(1, 2, (Inf-1)/2+1); err == nil {
-		t.Fatalf("AddEdge accepted %d, one above the limit %d", (Inf-1)/2+1, g.WeightLimit())
-	}
-	if g.M() != 0 {
-		t.Fatalf("M() = %d after refused edges, want 0", g.M())
-	}
-
+// TestWeightLimit pins the input-graph weight bound: a path with every
+// edge at WeightLimit stays finite end to end under Dijkstra and APSP, and
+// AddEdge itself does not enforce the bound, since derived graphs carry
+// multi-hop distances above their own limit.
+func TestWeightLimit(t *testing.T) {
 	for _, n := range []int{2, 3, 17} {
 		p := New(n)
 		lim := p.WeightLimit()
@@ -95,6 +84,10 @@ func TestAddEdgeWeightLimit(t *testing.T) {
 	}
 	if New(1).WeightLimit() != Inf-1 || New(0).WeightLimit() != Inf-1 {
 		t.Fatal("a graph with no possible edge should report Inf-1")
+	}
+	g := New(3)
+	if err := g.AddEdge(0, 1, g.WeightLimit()+1); err != nil {
+		t.Fatalf("AddEdge refused a weight above the input limit: %v", err)
 	}
 }
 

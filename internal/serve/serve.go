@@ -15,7 +15,6 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -458,31 +457,13 @@ type errorResponse struct {
 // value slice.
 var jsonContentType = []string{"application/json"}
 
-// encoder is one pooled reply encoder: the body is encoded into buf and
-// written with a single Write.
-type encoder struct {
-	buf bytes.Buffer
-	enc *json.Encoder
-}
-
-// encoders pools reply encoders. A buffer keeps the capacity of the largest
-// reply it has held: at most one /route walk, n nodes long.
-var encoders = sync.Pool{New: func() any {
-	e := new(encoder)
-	e.enc = json.NewEncoder(&e.buf)
-	return e
-}}
-
 // writeJSON writes body as the reply with the given status; every reply
-// the server sends goes through it.
+// the server sends goes through it. Encode marshals into encoding/json's
+// own pooled buffer and makes one Write, and the Encoder stays on the stack.
 func writeJSON(w http.ResponseWriter, status int, body any) {
-	e := encoders.Get().(*encoder)
-	defer encoders.Put(e)
-	e.buf.Reset()
-	_ = e.enc.Encode(body) // reply types always encode
 	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
-	_, _ = w.Write(e.buf.Bytes()) // a failed write is the client gone; nothing to tell it
+	_ = json.NewEncoder(w).Encode(body) // a failed write is the client gone; nothing to tell it
 }
 
 func (s *Server) writeError(w http.ResponseWriter, status int, format string, a ...any) {
