@@ -1,6 +1,7 @@
 package flood
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -47,7 +48,7 @@ type refRec struct {
 
 type refDelta []refRec
 
-func (d refDelta) PayloadWords() (w int64) {
+func (d refDelta) words() (w int64) {
 	for _, r := range d {
 		w += vecWords(r.Val)
 	}
@@ -73,14 +74,14 @@ func refFlood(env *sim.Env, scope, rounds int, mine []int64, tr *trace) sim.Step
 		Rounds: rounds,
 		Send: func(env *sim.Env, i int) {
 			if len(next) > 0 {
-				env.BroadcastLocal(next)
+				env.BroadcastLocalWords(next, next.words())
 			}
 		},
 		Recv: func(env *sim.Env, in sim.Inbox, i int) {
 			next = nil
 			for _, lm := range in.Local {
 				d := lm.Payload.(refDelta)
-				h := heard{Round: env.Round(), From: lm.From, Words: d.PayloadWords()}
+				h := heard{Round: env.Round(), From: lm.From, Words: d.words()}
 				for _, r := range d {
 					h.Origins = append(h.Origins, r.Origin)
 				}
@@ -126,13 +127,13 @@ func (in *instance) run(t *testing.T, eng sim.Engine, ref bool) ([]trace, sim.Me
 						if env.Round() == began {
 							break
 						}
-						d := lm.Payload.(*delta[[]int64])
+						d := lm.Payload.(*delta)
 						if d.scope != in.scope[lm.From] {
 							t.Errorf("node %d sent a delta of scope %d, its own is %d", lm.From, d.scope, in.scope[lm.From])
 						}
-						h := heard{Round: env.Round(), From: lm.From, Words: d.PayloadWords()}
-						for _, r := range d.recs {
-							h.Origins = append(h.Origins, r.Origin)
+						h := heard{Round: env.Round(), From: lm.From, Words: d.words}
+						for _, o := range d.origins {
+							h.Origins = append(h.Origins, int(o))
 						}
 						tr.Heard = append(tr.Heard, h)
 					}
@@ -265,6 +266,93 @@ func TestAppendOrigins(t *testing.T) {
 	}
 }
 
+// TestHeardReadsOnlyWhatWasHeard: the value table is shared by the whole
+// flood, but Heard answers from it only at origins this node heard — not at
+// an origin of another scope, nor at one of its own scope that has not
+// reached it yet, although both have written their slots.
+func TestHeardReadsOnlyWhatWasHeard(t *testing.T) {
+	g := graph.Path(6)
+	scope := func(id int) int { return id / 3 } // {0,1,2} and {3,4,5}
+	states := make([]*State[int], g.N())
+	st, err := sim.NewStepper(g, sim.Config{Engine: sim.EngineStep, Shards: 1}, func(env *sim.Env) sim.StepProgram {
+		s := &State[int]{}
+		states[env.ID()] = s
+		s.Start(env, scope(env.ID()), 4, func(int) int64 { return 1 }, nil)
+		s.Inject(env.ID(), 10+env.ID())
+		return s
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := states[0]
+	heard := func(o int) string {
+		v, ok := s.Heard(o)
+		return fmt.Sprint(v, ok)
+	}
+	// Every node has injected; no delta has been sent.
+	if got := heard(0); got != "10 true" {
+		t.Errorf("before the first round, node 0's own record: Heard(0) = %s, want 10 true", got)
+	}
+	if got := heard(1); got != "0 false" || s.tabs[s.cur][1] != 11 {
+		t.Errorf("before the first round: Heard(1) = %s (table slot %d), want 0 false (slot 11)", got, s.tabs[s.cur][1])
+	}
+	if _, err := st.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	for o, want := range []string{"10 true", "11 true", "12 true", "0 false", "0 false", "0 false"} {
+		if got := heard(o); got != want {
+			t.Errorf("after the flood: node 0's Heard(%d) = %s (table slot %d), want %s", o, got, s.tabs[s.cur][o], want)
+		}
+	}
+	for _, o := range []int{-1, 6, 64} {
+		if got := heard(o); got != "0 false" {
+			t.Errorf("Heard(%d) = %s, want 0 false", o, got)
+		}
+	}
+}
+
+// TestHeardOutlivesNeighbourRestart: a flood's values stay readable through
+// Heard in the round segment it finished in, after neighbours have already
+// started the State's next flood and injected into it. One shard steps the
+// nodes in ID order, so every node but node 0 reads after node 0 injected;
+// with one value table per role it would read flood 2's value there.
+func TestHeardOutlivesNeighbourRestart(t *testing.T) {
+	g := graph.Path(8)
+	const rounds = 8 // past the diameter: every node hears every origin
+	restarted, late := 0, 0
+	_, err := sim.RunStep(g, sim.Config{Engine: sim.EngineStep, Shards: 1}, func(env *sim.Env) sim.StepProgram {
+		id := env.ID()
+		s := &State[int]{}
+		flood := func(k int) func(*sim.Env) sim.StepProgram {
+			return func(env *sim.Env) sim.StepProgram {
+				s.Start(env, 0, rounds, func(int) int64 { return 1 }, nil)
+				s.Inject(id, 100*k+id)
+				if k == 2 {
+					restarted++
+				}
+				return s
+			}
+		}
+		read := sim.Finish(func(env *sim.Env) {
+			if restarted > 0 {
+				late++
+			}
+			for o := range env.N() {
+				if v, ok := s.Heard(o); !ok || v != 100+o {
+					t.Errorf("node %d after flood 1 (%d nodes restarted): Heard(%d) = %d %v, want %d true", id, restarted, o, v, ok, 100+o)
+				}
+			}
+		})
+		return sim.Sequence(flood(1), read, flood(2))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if late != g.N()-1 {
+		t.Fatalf("%d nodes read flood 1 after a neighbour restarted, want %d", late, g.N()-1)
+	}
+}
+
 // TestFloodRoundsZeroAlloc is the kernel's memory-discipline gate: on a
 // State that has run one flood, the rounds of the next flood of the same
 // shape allocate nothing — whatever the payload type. The six shapes are the
@@ -312,10 +400,10 @@ func zeroAllocFlood[P any](t *testing.T, val func(id int) P, words func(P) int64
 	st, err := sim.NewStepper(g, sim.Config{Engine: sim.EngineStep, Shards: 1}, func(env *sim.Env) sim.StepProgram {
 		id := env.ID()
 		s := &State[P]{}
-		var got []Rec[P]
+		var got []P
 		flood := func(env *sim.Env) sim.StepProgram {
 			got = got[:0]
-			s.Start(env, id/32, rounds, words, func(o int, v P) { got = append(got, Rec[P]{o, v}) })
+			s.Start(env, id/32, rounds, words, func(_ int, v P) { got = append(got, v) })
 			s.Inject(id, mine[id])
 			return s
 		}

@@ -30,15 +30,12 @@ import (
 	"repro/internal/sim"
 )
 
-// clusterWave announces a ruler through the local network.
+// clusterWave announces a ruler through the local network: two words, a
+// ruler ID and a hop distance.
 type clusterWave struct {
 	Ruler int
 	Dist  int
 }
-
-// PayloadWords implements sim.WordSized: a cluster wave carries a ruler ID
-// and a hop distance.
-func (clusterWave) PayloadWords() int64 { return 2 }
 
 // Result is what one node knows after Machine finishes.
 type Result struct {
@@ -178,7 +175,7 @@ func newColdProg(env *sim.Env, m *Machine, inW bool, mu int, p Params) sim.StepP
 				Send: func(env *sim.Env, i int) {
 					if improved {
 						waveBuf[i&1] = clusterWave{Ruler: bestRuler, Dist: bestDist}
-						env.BroadcastLocal(&waveBuf[i&1])
+						env.BroadcastLocalWords(&waveBuf[i&1], 2)
 						improved = false
 					}
 				},

@@ -447,7 +447,7 @@ func NewDisseminateMachine(env *sim.Env, mine []Token, k, ell int, params Dissem
 				NextSend: sim.Reactive,
 				Send: func(env *sim.Env, i int) {
 					if len(bufs[i&1]) > 0 {
-						env.BroadcastLocal(&bufs[i&1])
+						env.BroadcastLocalWords(&bufs[i&1], 3*int64(len(bufs[i&1])))
 					}
 				},
 				Recv: func(env *sim.Env, in sim.Inbox, i int) {
@@ -476,11 +476,9 @@ func NewDisseminateMachine(env *sim.Env, mine []Token, k, ell int, params Dissem
 func (m *DisseminateMachine) Step(env *sim.Env) bool { return m.prog.Step(env) }
 
 // tokenBatch is the local-mode payload of the dissemination flood: a batch
-// of tokens, each named by its index in the instance's table.
+// of tokens, each named by its index in the instance's table and charged as
+// the token's three words.
 type tokenBatch []int32
-
-// PayloadWords implements sim.WordSized: each token is three words.
-func (b tokenBatch) PayloadWords() int64 { return 3 * int64(len(b)) }
 
 // agreedOut is a finished collective's sorted output with the knowledge it
 // was sorted from.

@@ -214,7 +214,7 @@ func NewRouteMachine(s *Session, send []Token, expect []Label) *RouteMachine {
 	m.rq = 0
 	m.got, m.replies = m.got[:0], m.replies[:0]
 	// The batches this node injects into the two spreads, rewritten only
-	// here (see announceTable for why).
+	// here (see startSpread for why).
 	s.famS.batch = canonicalTokens(append(reuse(s.famS.batch, len(send)), send...))
 	batch := reuse(s.famR.batch, len(expect))
 	for _, l := range expect {
@@ -224,17 +224,15 @@ func NewRouteMachine(s *Session, send []Token, expect []Label) *RouteMachine {
 	return m
 }
 
-// bind ties m to its session, once: the callbacks of the loop templates,
-// the collect flood's hook and the spreads' hooks become method values
-// here, so that no later instance allocates them again.
+// bind ties m to its session, once: the callbacks of the loop templates and
+// the collect flood's hook become method values here, so that no later
+// instance allocates them again.
 func (m *RouteMachine) bind(s *Session) {
 	m.s, m.me, m.budget = s, s.env.ID(), s.env.GlobalCap()
 	m.push = sim.Loop{Send: m.pushSend, Recv: m.pushRecv, NextSend: sim.Pending(m.pushing)}
 	m.request = sim.Loop{Send: m.requestSend, Recv: m.requestRecv, NextSend: sim.Pending(m.requesting)}
 	m.drain = sim.Loop{Send: m.drainSend, Recv: m.drainRecv, NextSend: sim.Pending(m.answering)}
 	m.keep = m.keepMine
-	s.famS.put = s.famS.putBatch
-	s.famR.put = s.famR.putBatch
 }
 
 // Step implements sim.StepProgram: it steps the running phase and, in the
@@ -448,10 +446,7 @@ func floodRounds(env *sim.Env, mu int) int { return 4 * mu * sim.Log2Ceil(env.N(
 // first-arrival forwarding, so they provably travel in lockstep, and flooding
 // them as one shared slice is message-for-message identical to flooding the
 // pairs individually, charged as the (ruler, owner, helper) triples it stands
-// for. What a node heard is not stored a second time: the records live once,
-// in the flood's announceTable, the flood itself carries only each record's
-// length — all a forwarder needs to charge it — and its first-arrival bitset
-// says which records this node may read.
+// for. The records live once, in the flood's table, read at the bits heard.
 type announceMachine struct {
 	// Sets is the helper directory of this node's cluster (w -> sorted
 	// helper IDs); valid once Step returned true. The cluster's members
@@ -459,28 +454,8 @@ type announceMachine struct {
 	Sets map[int][]int
 
 	key   directoryKey
-	tab   *announceTable
-	flood flood.State[int] // helper -> how many owners it announced
+	flood flood.State[[]int] // helper -> the owners it announced
 }
-
-// announceTable is the pooled record table of one announce flood (of all its
-// clusters): owners[h] is the owner list helper h injected. Only h writes
-// owners[h], once, before the flood's first round; a node reads it only at the
-// helpers it heard, and hearing one takes a message sent after the write, so
-// the round barrier orders the two and the table needs no lock. Every flood of
-// a run has its own table (sim.Env.SharedOnce), so a record of one session is
-// never read as another's.
-//
-// The batches a RouteMachine injects into its spread and collect floods are
-// records of this kind in buffers the session reuses. The cluster's nodes
-// read a batch in place until the flood's last round segment, which all of
-// them reach together, so a buffer is rewritten only in a later instance,
-// by a phase that starts after that segment: the family batches when
-// NewRouteMachine arms the next instance (their spreads ended long before),
-// the gathered answers in the next request loop (the collect flood that
-// reads them may end in the very segment the next instance is armed in).
-// That is also why a session routes one instance at a time.
-type announceTable struct{ owners [][]int }
 
 // directoryKey is the sim.Agreed slot of a cluster's helper directory: for a
 // fixed graph the clustering is a function of µ, so (µ, ruler) names the
@@ -489,25 +464,20 @@ type announceTable struct{ owners [][]int }
 type directoryKey struct{ mu, ruler int }
 
 // directory is a cluster's helper directory with what it was built from: the
-// helpers heard, ascending, and the table their records were read from.
+// helpers heard, ascending, and the flood table their records were read from.
 type directory struct {
-	tab     *announceTable
+	table   any
 	helpers []int
 	sets    map[int][]int
 }
 
 func newAnnounceMachine(env *sim.Env, res helpers.Result, mu int) *announceMachine {
-	n := env.N()
 	a := &announceMachine{key: directoryKey{mu, res.Ruler}}
-	a.tab = env.SharedOnce("routing.announceTable", func() interface{} {
-		return &announceTable{owners: make([][]int, n)}
-	}).(*announceTable)
 	a.flood.Start(env, res.Ruler, floodRounds(env, mu),
-		func(owners int) int64 { return 3 * int64(owners) }, nil)
+		func(owners []int) int64 { return 3 * int64(len(owners)) }, nil)
 	// Only members of the cluster announce in it.
 	if len(res.Helps) > 0 {
-		a.tab.owners[env.ID()] = res.Helps
-		a.flood.Inject(env.ID(), len(res.Helps))
+		a.flood.Inject(env.ID(), res.Helps)
 	}
 	return a
 }
@@ -525,20 +495,21 @@ func (a *announceMachine) Step(env *sim.Env) bool {
 // heard: the records of the same flood, and of exactly the same helpers. The
 // helper set alone would not do — two sessions of one run can have the same
 // helpers announce different owners in the same cluster — but they do so in
-// two floods, hence two tables, and a table's records never change.
+// two floods, hence two tables, and a flood's State is started only once.
 func (a *announceMachine) heardExactly(d *directory) bool {
-	return d.tab == a.tab && a.flood.OriginsAre(d.helpers)
+	return d.table == a.flood.Table() && a.flood.OriginsAre(d.helpers)
 }
 
-// buildDirectory inverts the announcements this node heard, reading the table
-// at those helpers only. Helpers are visited in ascending ID order, so every
-// H_w is built sorted; a counting pass first sizes each H_w exactly, because
-// the directory lives as long as the session (and the session cache).
+// buildDirectory inverts the announcements this node heard. Helpers are
+// visited in ascending ID order, so every H_w is built sorted; a counting
+// pass first sizes each H_w exactly, because the directory lives as long as
+// the session (and the session cache).
 func (a *announceMachine) buildDirectory() *directory {
 	heard := a.flood.AppendOrigins(nil)
 	size := map[int]int{}
 	for _, h := range heard {
-		for _, w := range a.tab.owners[h] {
+		owners, _ := a.flood.Heard(h)
+		for _, w := range owners {
 			size[w]++
 		}
 	}
@@ -547,11 +518,12 @@ func (a *announceMachine) buildDirectory() *directory {
 		sets[w] = make([]int, 0, k)
 	}
 	for _, h := range heard {
-		for _, w := range a.tab.owners[h] {
+		owners, _ := a.flood.Heard(h)
+		for _, w := range owners {
 			sets[w] = append(sets[w], h)
 		}
 	}
-	return &directory{tab: a.tab, helpers: heard, sets: sets}
+	return &directory{table: a.flood.Table(), helpers: heard, sets: sets}
 }
 
 // batchWords charges one owner's (or injector's) token batch: its ruler and
@@ -563,11 +535,17 @@ func batchWords(items []Token) int64 { return 2 + 4*int64(len(items)) }
 // f.myShare picks the items this node is responsible for as a helper. An
 // owner's items enter the flood together and travel in lockstep, so one
 // shared batch per owner is message-for-message identical to flooding the
-// records individually. The batch is canonical (sorted, deduplicated), and
-// the cluster reads it in place (see announceTable).
+// records individually. The batch is canonical (sorted, deduplicated).
+//
+// The spread and collect batches are session buffers that the cluster reads
+// in place, through the flood's table, until the flood's last round segment.
+// So a buffer is rewritten only by a later instance's phase that starts after
+// it: the family batches when NewRouteMachine arms the next instance, the
+// gathered answers in the next request loop (the collect flood that reads
+// them may end in the very segment the next instance is armed in). That is
+// also why a session routes one instance at a time.
 func startSpread(env *sim.Env, f *family) sim.StepProgram {
-	f.items.Reset()
-	f.spread.Start(env, f.res.Ruler, floodRounds(env, f.mu), batchWords, f.put)
+	f.spread.Start(env, f.res.Ruler, floodRounds(env, f.mu), batchWords, nil)
 	if len(f.batch) > 0 {
 		f.spread.Inject(env.ID(), f.batch)
 	}
@@ -584,7 +562,7 @@ func startSpread(env *sim.Env, f *family) sim.StepProgram {
 // looking inside (the receiver-only rule; an inconsistent instance that
 // addresses a token to such a node loses it there). The injected batch is
 // m.got, which the next instance appends to in its request loop only (see
-// announceTable).
+// startSpread).
 func (m *RouteMachine) startCollect(env *sim.Env) sim.StepProgram {
 	m.collected = m.collected[:0]
 	var keep func(int, []Token)

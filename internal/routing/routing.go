@@ -33,7 +33,6 @@ import (
 	"sort"
 
 	"repro/internal/bitrand"
-	"repro/internal/flatmap"
 	"repro/internal/flood"
 	"repro/internal/helpers"
 	"repro/internal/sim"
@@ -145,19 +144,15 @@ func mu(k int, prob float64) int {
 }
 
 // family bundles one helper family (Algorithm 1 output) with its
-// cluster-local directory and the scratch of the current spread: the batch
-// this node injects, the per-owner batch directory, and the flood state and
-// its first-arrival hook (put, bound once by RouteMachine.bind) — all reset,
-// not reallocated, per instance.
+// cluster-local directory and its spread: the batch this node injects and the
+// flood, whose table holds every owner's batch, both reused per instance.
 type family struct {
 	res        helpers.Result
 	mu         int
 	helperSets map[int][]int
 	myOwners   []int // owners whose helper set contains this node, sorted
 	batch      []Token
-	items      flatmap.Map[[]Token]
 	spread     flood.State[[]Token]
-	put        func(owner int, items []Token)
 }
 
 // Session holds the token-independent state of the protocol, computed by a
@@ -183,9 +178,6 @@ type reply struct {
 	tok Token
 }
 
-// putBatch is a spread's first-arrival hook: it files an owner's batch.
-func (f *family) putBatch(owner int, items []Token) { f.items.Put(uint64(owner), items) }
-
 // myShare picks, after a spread flood, the items node me is responsible
 // for: for every owner it helps, the items at its rank in the sorted helper
 // set. Batches are canonical already (the owner floods its canonicalTokens
@@ -194,14 +186,14 @@ func (f *family) myShare(me int, dst []Token) []Token {
 	n := 0
 	for _, w := range f.myOwners {
 		hs := f.helperSets[w]
-		toks, _ := f.items.Get(uint64(w))
+		toks, _ := f.spread.Heard(w)
 		n += ceilDiv(len(toks)-sort.SearchInts(hs, me), len(hs))
 	}
 	mine := reuse(dst, n)
 	for _, w := range f.myOwners {
 		hs := f.helperSets[w]
 		rank := sort.SearchInts(hs, me)
-		toks, _ := f.items.Get(uint64(w))
+		toks, _ := f.spread.Heard(w)
 		for j := rank; j < len(toks); j += len(hs) {
 			mine = append(mine, toks[j])
 		}

@@ -20,14 +20,11 @@ import (
 	"repro/internal/sim"
 )
 
-// waveMsg is the local-mode payload of the elimination wave: a zero-bit
-// candidate announces itself with a time-to-live.
+// waveMsg is the local-mode payload of the elimination wave, one word: a
+// zero-bit candidate announces itself with a time-to-live.
 type waveMsg struct {
 	TTL int
 }
-
-// PayloadWords implements sim.WordSized: a wave message is one word.
-func (waveMsg) PayloadWords() int64 { return 1 }
 
 // Machine is the collective ruling-set protocol (see sim.StepProgram). After
 // it finishes, InSet reports whether this node ended up in the ruling set,

@@ -47,14 +47,15 @@ func (env *Env) PublicRand(label string) *rand.Rand {
 	return bitrand.NewSource(env.eng.cfg.Seed).Named("public:" + label)
 }
 
-// SendLocal stages a local-mode message to a neighbor in G. Local messages
-// may carry arbitrarily large payloads (LOCAL model). Sending to a
-// non-neighbor is a model violation and aborts the run.
+// SendLocal stages a local-mode message to a neighbor in G, charged one
+// word in Metrics.LocalBits. Local messages may carry arbitrarily large
+// payloads (LOCAL model). Sending to a non-neighbor is a model violation and
+// aborts the run.
 func (env *Env) SendLocal(to int, payload interface{}) {
 	if !env.eng.g.HasEdge(env.id, to) {
 		env.violate(fmt.Errorf("sim: node %d sent local message to non-neighbor %d", env.id, to))
 	}
-	env.stageLocal(localOut{to: to, words: payloadWords(payload), payload: payload})
+	env.stageLocal(localOut{to: to, words: 1, payload: payload})
 }
 
 // stageLocal appends one local message to the engine-appropriate staging
@@ -70,10 +71,16 @@ func (env *Env) stageLocal(out localOut) {
 	env.outLocal = append(env.outLocal, out)
 }
 
-// BroadcastLocal stages the payload to every neighbor in G; its word charge
-// is computed once for the whole broadcast.
-func (env *Env) BroadcastLocal(payload interface{}) {
-	out := localOut{words: payloadWords(payload), payload: payload}
+// BroadcastLocal stages the payload to every neighbor in G, each copy
+// charged one word.
+func (env *Env) BroadcastLocal(payload interface{}) { env.BroadcastLocalWords(payload, 1) }
+
+// BroadcastLocalWords is BroadcastLocal for a payload of the given size in
+// O(log n)-bit words (the unit all of the paper's bandwidth statements use),
+// which is what Metrics.LocalBits charges each copy. The sender states the
+// size: the simulator never inspects a payload.
+func (env *Env) BroadcastLocalWords(payload interface{}, words int64) {
+	out := localOut{words: words, payload: payload}
 	for _, nb := range env.Neighbors() {
 		out.to = nb.To
 		env.stageLocal(out)
@@ -147,13 +154,15 @@ func (env *Env) SleepUntil(round int) {
 // keeps each of them honest:
 //
 //   - the pooled tables of a collective instance, ncc's token table (one per
-//     DisseminateMachine / PipelinedBroadcastMachine run) and routing's
-//     announce table (one per announce flood): append-only, entries immutable
-//     once written, written under the table's own lock or into the writer's
-//     own slot, and read by a node only at the indices set in its own bitset
-//     — which it sets on presenting the full entry or on a message from a
-//     neighbour that holds it. The i-th-call rule is what gives two instances
-//     of one run two tables;
+//     DisseminateMachine / PipelinedBroadcastMachine run) and package flood's
+//     value tables (a pair per flood role, which every flood's instantiation
+//     uses — routing's announce, spread and collect floods among them):
+//     entries written under the table's own lock or into the writer's own
+//     slot, never changed while a reader may look (a flood slot is rewritten
+//     two restarts later), and read by a node only at the indices set in its
+//     own bitset — which it sets on presenting the full entry or on a message
+//     from a neighbour that holds it. The i-th-call rule is what gives two
+//     instances of one run two tables;
 //   - the declared-cost CLIQUE oracles (kssp.alg, which Algorithm 9 shares,
 //     and experiments' e4.alg): one algorithm object whose per-node handles pool their inputs,
 //     the cost being declared rather than simulated;
@@ -162,14 +171,13 @@ func (env *Env) SharedOnce(prefix string, fn func() interface{}) interface{} {
 	if env.sharedSeq == nil {
 		env.sharedSeq = map[string]int{}
 	}
-	idx := env.sharedSeq[prefix]
+	key := sharedKey{prefix, env.sharedSeq[prefix]}
 	env.sharedSeq[prefix]++
-	key := fmt.Sprintf("%s#%d", prefix, idx)
 	e := env.eng
 	e.sharedMu.Lock()
 	defer e.sharedMu.Unlock()
 	if e.shared == nil {
-		e.shared = map[string]interface{}{}
+		e.shared = map[sharedKey]interface{}{}
 	}
 	if v, ok := e.shared[key]; ok {
 		return v
@@ -177,6 +185,12 @@ func (env *Env) SharedOnce(prefix string, fn func() interface{}) interface{} {
 	v := fn()
 	e.shared[key] = v
 	return v
+}
+
+// sharedKey names a SharedOnce object: the idx-th call with prefix.
+type sharedKey struct {
+	prefix string
+	idx    int
 }
 
 // Agreed returns a value that this node derives locally from knowledge the

@@ -96,26 +96,6 @@ type LocalMsg struct {
 	Payload interface{}
 }
 
-// WordSized is implemented by local-mode payload types that want accurate
-// accounting in Metrics.LocalBits: PayloadWords reports the payload's size
-// in O(log n)-bit words (the unit all of the paper's bandwidth statements
-// use). Payloads that do not implement it are charged one word. The method
-// must not mutate the payload. It is called once per SendLocal or
-// BroadcastLocal, when the payload is staged; every delivered copy is charged
-// that value, so a payload must not change between staging and delivery
-// (the rotation rule of package flood guarantees more than that).
-type WordSized interface {
-	PayloadWords() int64
-}
-
-// payloadWords returns the LocalBits word charge for one payload.
-func payloadWords(p interface{}) int64 {
-	if ws, ok := p.(WordSized); ok {
-		return ws.PayloadWords()
-	}
-	return 1
-}
-
 // Inbox holds everything a node received in the round that just ended.
 // Local messages are ordered by sender ID, then send order; global messages
 // by sender ID, then send order. The ordering is deterministic.
@@ -243,10 +223,11 @@ type Metrics struct {
 	// LocalMsgs is the total number of local-mode messages delivered.
 	LocalMsgs int64
 	// LocalBits is the payload bit volume of local-mode messages: the sum
-	// over delivered local messages of the payload's word count (the
-	// WordSized contract; unknown payloads count as one word) scaled by the
-	// ceil(log2 n)-bit word size. Batch and vector payloads make per-message
-	// size very uneven, so LocalMsgs alone understates LOCAL-mode traffic.
+	// over delivered local messages of the word count their sender stated
+	// (BroadcastLocalWords; one word for SendLocal and BroadcastLocal),
+	// scaled by the ceil(log2 n)-bit word size. Batch and vector payloads
+	// make per-message size very uneven, so LocalMsgs alone understates
+	// LOCAL-mode traffic.
 	LocalBits int64
 	// MaxGlobalSend is the maximum number of global messages any node sent
 	// in a single round (never exceeds the cap, which is enforced).
@@ -308,7 +289,7 @@ type engine struct {
 	err     error
 
 	sharedMu sync.Mutex
-	shared   map[string]interface{}
+	shared   map[sharedKey]interface{}
 	agreed   map[any]any // Agreed's slots: the value built last, per key
 
 	generation int
@@ -377,8 +358,7 @@ type Env struct {
 	sharedSeq           map[string]int
 }
 
-// localOut is one staged local message; words is payloadWords(payload),
-// taken at staging.
+// localOut is one staged local message; words is its sender's word count.
 type localOut struct {
 	to      int
 	words   int64

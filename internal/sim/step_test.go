@@ -322,34 +322,33 @@ func TestStepUnevenFinish(t *testing.T) {
 	}
 }
 
-// TestLocalBitsAccounting pins the LocalBits metric: payloads implementing
-// WordSized are charged their word count, others one word, scaled by logN
-// bits, identically on every engine.
+// TestLocalBitsAccounting pins the LocalBits metric: each copy of a payload
+// sent with BroadcastLocalWords is charged the words its sender stated, one
+// sent with SendLocal one word, scaled by logN bits, identically on every
+// engine.
 func TestLocalBitsAccounting(t *testing.T) {
 	g := graph.Path(4)
 	logN := int64(Log2Ceil(g.N()))
 	for _, eng := range []Engine{EngineLegacy, EngineStep} {
 		m, err := RunStep(g, Config{Seed: 1, Engine: eng}, oneRound(func(env *Env) {
 			if env.ID() == 1 {
-				env.SendLocal(0, fourWordPayload{}) // 4 words
-				env.SendLocal(2, "opaque")          // default: 1 word
+				env.BroadcastLocalWords("four words", 4) // to 0 and 2
+			}
+			if env.ID() == 2 {
+				env.SendLocal(3, "opaque") // default: 1 word
 			}
 		}, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := 5 * logN; m.LocalBits != want {
+		if want := 9 * logN; m.LocalBits != want {
 			t.Fatalf("engine %s: LocalBits = %d, want %d", eng, m.LocalBits, want)
 		}
-		if m.LocalMsgs != 2 {
-			t.Fatalf("engine %s: LocalMsgs = %d, want 2", eng, m.LocalMsgs)
+		if m.LocalMsgs != 3 {
+			t.Fatalf("engine %s: LocalMsgs = %d, want 3", eng, m.LocalMsgs)
 		}
 	}
 }
-
-type fourWordPayload struct{}
-
-func (fourWordPayload) PayloadWords() int64 { return 4 }
 
 func benchStepEngineRounds(b *testing.B, eng Engine, traffic bool) {
 	g := graph.Grid(32, 32)

@@ -154,7 +154,7 @@ func (m *ExploreMachine) Step(env *sim.Env) bool {
 
 func (m *ExploreMachine) send(env *sim.Env, i int) {
 	if len(m.bufs[i&1]) > 0 {
-		env.BroadcastLocal(&m.bufs[i&1])
+		env.BroadcastLocalWords(&m.bufs[i&1], 3*int64(len(m.bufs[i&1])))
 	}
 }
 
@@ -205,12 +205,9 @@ type distUpdate struct {
 }
 
 // distUpdates is the local-mode payload of the Bellman-Ford wave: a batch
-// of distance updates.
+// of distance updates, each charged as the paper's message, a source ID, a
+// distance, and a hop count.
 type distUpdates []distUpdate
-
-// PayloadWords implements sim.WordSized: each update is charged as the
-// paper's message, a source ID, a distance, and a hop count.
-func (d distUpdates) PayloadWords() int64 { return 3 * int64(len(d)) }
 
 // Labels is the result of FloodVectorsMachine: the heard label vectors keyed by
 // origin node ID, a flat open-addressed map written once per first arrival
