@@ -32,6 +32,15 @@ func runQuick(t *testing.T, prefix string, seed int64) {
 			for _, f := range table.Failures {
 				t.Errorf("%s: %s", table.ID, f)
 			}
+			// The tables of the exact algorithms (E3, E6, E11, A2) end in
+			// an "exact" column, which must read true on every row.
+			if last := len(table.Header) - 1; table.Header[last] == "exact" {
+				for _, row := range table.Rows {
+					if row[last] != "true" {
+						t.Errorf("%s row %v: exact = %q", table.ID, row, row[last])
+					}
+				}
+			}
 			if !strings.Contains(table.String(), table.ID) {
 				t.Fatalf("rendering broken")
 			}
