@@ -48,7 +48,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	source := fs.Int("source", 0, "source node for sssp")
 	k := fs.Int("k", 3, "number of sources for kssp")
 	eps := fs.Float64("eps", 0.5, "epsilon for approximation variants")
-	verify := fs.Bool("verify", true, "check results against sequential ground truth")
+	verify := fs.Bool("verify", true, "certify apsp/sssp distances exact; check kssp/diameter estimates against sequential ground truth")
 	timeout := fs.Duration("timeout", 0, "abort the run after this wall-clock duration (0 = no limit)")
 	progress := fs.Int("progress", 0, "print a live round ticker to stderr every n rounds (0 = off)")
 	if err := fs.Parse(args); err != nil {
@@ -116,7 +116,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return check(err)
 		}
 		if *verify {
-			verifyAPSP(stdout, g, res)
+			for s, row := range res.Dist {
+				if err := hybrid.Certify(g, s, row); err != nil {
+					return fatalf("apsp: %v", err)
+				}
+			}
+			fmt.Fprintf(stdout, "apsp: %d/%d pair distances exact\n", g.N()*g.N(), g.N()*g.N())
 		}
 		printMetrics(stdout, res.Metrics)
 	case "sssp":
@@ -125,14 +130,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return check(err)
 		}
 		if *verify {
-			want := hybrid.Dijkstra(g, *source)
-			bad := 0
-			for v := range res.Dist {
-				if res.Dist[v] != want[v] {
-					bad++
-				}
+			if err := hybrid.Certify(g, *source, res.Dist); err != nil {
+				return fatalf("sssp: %v", err)
 			}
-			fmt.Fprintf(stdout, "sssp from %d: %d/%d distances exact\n", *source, g.N()-bad, g.N())
+			fmt.Fprintf(stdout, "sssp from %d: %d/%d distances exact\n", *source, g.N(), g.N())
 		}
 		printMetrics(stdout, res.Metrics)
 	case "kssp":
@@ -157,18 +158,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stdout, "algorithm: %s — %s\n", res.Algorithm, res.Guarantee)
 		if *verify {
-			worst := 1.0
-			for _, s := range sources {
-				want := hybrid.Dijkstra(g, s)
-				for u := 0; u < g.N(); u++ {
-					if want[u] > 0 {
-						if r := float64(res.Dist[u][s]) / float64(want[u]); r > worst {
-							worst = r
-						}
-					}
-				}
-			}
+			worst, err := verifyKSSP(g, sources, res.Dist)
 			fmt.Fprintf(stdout, "kssp %s with k=%d: worst approximation ratio %.3f\n", *variant, *k, worst)
+			if err != nil {
+				return fatalf("kssp %s: %v", *variant, err)
+			}
 		}
 		printMetrics(stdout, res.Metrics)
 	case "diameter":
@@ -194,8 +188,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if d > 0 { // one node: D = 0, no ratio
 				fmt.Fprintf(stdout, ", ratio %.3f", float64(res.Estimate)/float64(d))
 			}
+			err = verifyDiameter(res.Estimate, d)
 		}
 		fmt.Fprintln(stdout)
+		if err != nil {
+			return fatalf("diameter %s: %v", *variant, err)
+		}
 		printMetrics(stdout, res.Metrics)
 	default:
 		return fatalf("unknown algorithm %q", *algo)
@@ -253,19 +251,40 @@ func printCacheSummary(w io.Writer, net *hybrid.Network, status hybrid.CacheLoad
 	}
 }
 
-// verifyAPSP compares res row by row against one Dijkstra per source, so
-// it never holds a second n×n matrix (2 GB at n = 16384).
-func verifyAPSP(w io.Writer, g *hybrid.Graph, res *hybrid.APSPResult) {
-	bad := 0
-	for u := 0; u < g.N(); u++ {
-		want := hybrid.Dijkstra(g, u)
-		for v := 0; v < g.N(); v++ {
-			if res.Dist[u][v] != want[v] {
-				bad++
+// verifyKSSP compares every estimate dist[u][s] with Dijkstra from s. It
+// returns the worst ratio d~(u,s)/d(u,s), and an error when any estimate
+// lies below d(u,s): every k-SSP guarantee is an upper factor over the
+// truth, so such an estimate is wrong however good the worst ratio looks.
+func verifyKSSP(g *hybrid.Graph, sources []int, dist []map[int]int64) (float64, error) {
+	worst, low, first := 1.0, 0, ""
+	for _, s := range sources {
+		want := hybrid.Dijkstra(g, s)
+		for u, d := range want {
+			got := dist[u][s]
+			if got < d {
+				if low == 0 {
+					first = fmt.Sprintf("d~(%d,%d) = %d < d = %d", u, s, got, d)
+				}
+				low++
+			}
+			if d > 0 {
+				worst = max(worst, float64(got)/float64(d))
 			}
 		}
 	}
-	fmt.Fprintf(w, "apsp: %d/%d pair distances exact\n", g.N()*g.N()-bad, g.N()*g.N())
+	if low > 0 {
+		return worst, fmt.Errorf("%d/%d estimates below the true distance, first %s", low, len(sources)*g.N(), first)
+	}
+	return worst, nil
+}
+
+// verifyDiameter returns an error when the estimate lies below the true
+// diameter d, which every diameter guarantee forbids.
+func verifyDiameter(est, d int64) error {
+	if est < d {
+		return fmt.Errorf("estimate %d below the true diameter %d", est, d)
+	}
+	return nil
 }
 
 func printMetrics(w io.Writer, m hybrid.Metrics) {

@@ -3,6 +3,8 @@ package main
 import (
 	"strings"
 	"testing"
+
+	hybrid "repro"
 )
 
 // TestVerifyLines pins what -verify prints on a correct run of each
@@ -33,5 +35,35 @@ func TestVerifyLines(t *testing.T) {
 		if !strings.Contains(stdout, c.want) {
 			t.Errorf("%v: missing %q:\n%s", c.args, c.want, stdout)
 		}
+	}
+}
+
+// TestVerifyFlagsUnderestimates feeds the k-SSP and diameter checks one
+// estimate below the truth: its ratio is under 1, so the worst ratio alone
+// would pass it, and the check must name it instead.
+func TestVerifyFlagsUnderestimates(t *testing.T) {
+	g := hybrid.PathGraph(4)
+	sources := []int{0, 3}
+	dist := make([]map[int]int64, g.N())
+	for u := range dist {
+		dist[u] = map[int]int64{0: int64(u), 3: int64(3 - u)}
+	}
+	if worst, err := verifyKSSP(g, sources, dist); err != nil || worst != 1 {
+		t.Fatalf("exact estimates: worst %v, err %v", worst, err)
+	}
+	dist[1][3] = 1 // d(1,3) = 2
+	worst, err := verifyKSSP(g, sources, dist)
+	if err == nil || err.Error() != "1/8 estimates below the true distance, first d~(1,3) = 1 < d = 2" {
+		t.Errorf("one underestimate: err %v", err)
+	}
+	if worst != 1 {
+		t.Errorf("one underestimate: worst ratio %v, want 1", worst)
+	}
+
+	if err := verifyDiameter(3, 3); err != nil {
+		t.Errorf("exact diameter: %v", err)
+	}
+	if err := verifyDiameter(2, 3); err == nil || err.Error() != "estimate 2 below the true diameter 3" {
+		t.Errorf("diameter underestimate: err %v", err)
 	}
 }

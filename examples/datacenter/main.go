@@ -63,11 +63,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	want := hybrid.Dijkstra(g, 0)
-	for v := range mon.Dist {
-		if mon.Dist[v] != want[v] {
-			log.Fatalf("monitor distance to %d wrong", v)
-		}
+	if err := hybrid.Certify(g, 0, mon.Dist); err != nil {
+		log.Fatalf("monitor distances: %v", err)
 	}
 	var worst int64
 	worstRack := 0

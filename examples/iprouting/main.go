@@ -49,12 +49,7 @@ func main() {
 			if path == nil || int64(len(path)-1) > res.Dist[s][t] {
 				log.Fatalf("routing failure from %d to %d", s, t)
 			}
-			var w int64
-			for i := 1; i < len(path); i++ {
-				ew, _ := g.Weight(path[i-1], path[i])
-				w += ew
-			}
-			if w != res.Dist[s][t] {
+			if w, ok := hybrid.PathWeight(g, path); !ok || w != res.Dist[s][t] {
 				log.Fatalf("route %d->%d is a detour", s, t)
 			}
 			checked++

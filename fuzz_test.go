@@ -174,15 +174,28 @@ func TestRandomizedEnginesAgree(t *testing.T) {
 	if testing.Short() {
 		iters = 3
 	}
-	rng := rand.New(rand.NewSource(20200615))
-	for i := 0; i < iters; i++ {
-		seed := rng.Int63()
-		graphKind := uint8(rng.Intn(4))
-		size := uint8(rng.Intn(256))
-		algo := uint8(rng.Intn(5))
-		weighted := rng.Intn(3) == 0
+	for _, d := range randomizedDraws(iters) {
 		t.Run("", func(t *testing.T) {
-			checkEnginesAgree(t, seed, graphKind, size, algo, weighted)
+			checkEnginesAgree(t, d.seed, d.graphKind, d.size, d.algo, d.weighted)
 		})
 	}
+}
+
+// randomDraw is one instance of the quick-check sweep, in
+// checkEnginesAgree's arguments.
+type randomDraw struct {
+	seed                  int64
+	graphKind, size, algo uint8
+	weighted              bool
+}
+
+// randomizedDraws returns the first iters instances of the sweep, drawn
+// from one fixed seed.
+func randomizedDraws(iters int) []randomDraw {
+	rng := rand.New(rand.NewSource(20200615))
+	draws := make([]randomDraw, iters)
+	for i := range draws {
+		draws[i] = randomDraw{rng.Int63(), uint8(rng.Intn(4)), uint8(rng.Intn(256)), uint8(rng.Intn(5)), rng.Intn(3) == 0}
+	}
+	return draws
 }

@@ -66,6 +66,13 @@ func WithRandomWeights(g *Graph, maxW int64, rng *rand.Rand) *Graph {
 // Dijkstra returns exact single-source distances (sequential ground truth).
 func Dijkstra(g *Graph, src int) []int64 { return graph.Dijkstra(g, src) }
 
+// Certify checks that d is exactly the distance vector from src, in one
+// O(m) pass without computing distances: d[src] = 0, no edge relaxes, and
+// every other finite entry has a neighbour it is tight through. An APSP
+// answer is exact iff every row passes with its own source. The error
+// names src, the first bad node and the rule it breaks.
+func Certify(g *Graph, src int, d []int64) error { return graph.Certify(g, src, d) }
+
 // ExactAPSP returns the exact distance matrix (sequential ground truth).
 func ExactAPSP(g *Graph) [][]int64 { return graph.APSP(g) }
 

@@ -99,7 +99,6 @@ func A2GlobalSendFactor(cfg Config) Table {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed + 47))
 	g := graph.SparseConnected(n, 1.2, rng)
-	want := graph.APSP(g)
 	base := 0
 	for _, factor := range []int{1, 2, 4} {
 		out, m, err := sim.RunPipeline(g, sim.Config{Seed: cfg.Seed, GlobalSendFactor: factor}, hybridapsp.Pipeline(hybridapsp.Params{}))
@@ -107,7 +106,7 @@ func A2GlobalSendFactor(cfg Config) Table {
 			t.Failf("factor=%d: %v", factor, err)
 			continue
 		}
-		exact := matches(out, want)
+		exact := exactAPSP(g, out)
 		if factor == 1 {
 			base = m.Rounds
 		}
@@ -122,17 +121,6 @@ func A2GlobalSendFactor(cfg Config) Table {
 	}
 	t.Notef("sub-linear speedup shows the run is dominated by the local exploration and ruling-set phases, not global bandwidth, at these n")
 	return t
-}
-
-func matches(out, want [][]int64) bool {
-	for u := range want {
-		for v := range want[u] {
-			if out[u][v] != want[u][v] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // A3SkeletonHFactor ablates the Lemma C.1 constant ξ (h = ξ·n^(1-x)·ln n):

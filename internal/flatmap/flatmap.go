@@ -1,9 +1,9 @@
 // Package flatmap provides the open-addressed flat hash containers used by
 // the per-round hot loops of the protocol packages (routing, skeleton,
-// helpers, ncc). The flood dedup sets and per-phase scratch maps are the
-// protocols' hottest data structures — every record is checked once per
-// neighbor arrival, and the containers are cleared and refilled to a
-// similar size every phase — so a reusable flat table with a
+// ncc) wherever keys are not node IDs: routing's intermediate store, the
+// exploration's source slots, the label directory and the pipelined
+// broadcast's slot map. They are probed on every arrival and cleared and
+// refilled to a similar size every phase, so a reusable flat table with a
 // multiplicative hash beats the generic Go map by a large constant factor
 // and, crucially, stops allocating after warm-up: Reset clears in place
 // instead of reallocating, which is what makes steady-state rounds
@@ -67,119 +67,41 @@ func shrunkSize(used, cap int) int {
 	return size
 }
 
-// Set is a linear-probe set of uint64 keys. Keys are stored offset by one
-// so the zero word means "empty"; callers' keys must stay below 2^64-1 so
-// the offset cannot wrap (every key in this module is either a node ID or
-// a packed label below 2^58).
-//
-// The zero value is an empty set ready for use.
-type Set struct {
-	tab  []uint64
-	used int
-}
+// Set is a set of uint64 keys: a Map with empty values, so it has Map's
+// storage scheme, key bound and shrink policy. The zero value is an empty
+// set ready for use.
+type Set struct{ m Map[struct{}] }
 
 // Reset empties the set in place, keeping capacity unless the shrink
 // policy fires (see the package comment).
-func (s *Set) Reset() {
-	if size := shrunkSize(s.used, len(s.tab)); size > 0 {
-		s.tab = make([]uint64, size)
-		s.used = 0
-		return
-	}
-	if s.used > 0 {
-		clear(s.tab)
-		s.used = 0
-	}
-}
+func (s *Set) Reset() { s.m.Reset() }
 
 // Len reports the number of live keys.
-func (s *Set) Len() int { return s.used }
+func (s *Set) Len() int { return s.m.Len() }
 
 // Cap reports the current table capacity (for tests and diagnostics).
-func (s *Set) Cap() int { return len(s.tab) }
+func (s *Set) Cap() int { return s.m.Cap() }
 
 // Add inserts k and reports whether it was absent.
 func (s *Set) Add(k uint64) bool {
-	if s.used*4 >= len(s.tab)*3 {
-		s.grow()
-	}
-	v := k + 1
-	mask := uint64(len(s.tab) - 1)
-	i := Hash(k) & mask
-	for {
-		switch s.tab[i] {
-		case 0:
-			s.tab[i] = v
-			s.used++
-			return true
-		case v:
-			return false
-		}
-		i = (i + 1) & mask
-	}
+	n := s.m.Len()
+	s.m.Put(k, struct{}{})
+	return s.m.Len() > n
 }
 
 // Has reports whether k is present.
-func (s *Set) Has(k uint64) bool {
-	if s.used == 0 {
-		return false
-	}
-	v := k + 1
-	mask := uint64(len(s.tab) - 1)
-	i := Hash(k) & mask
-	for {
-		switch s.tab[i] {
-		case 0:
-			return false
-		case v:
-			return true
-		}
-		i = (i + 1) & mask
-	}
-}
+func (s *Set) Has(k uint64) bool { return s.m.Has(k) }
 
 // AppendSortedKeys appends the live keys to dst in ascending order and
-// returns the extended slice. The canonical drain for callers whose
-// downstream logic must not depend on insertion history.
-func (s *Set) AppendSortedKeys(dst []uint64) []uint64 {
-	start := len(dst)
-	for _, v := range s.tab {
-		if v != 0 {
-			dst = append(dst, v-1)
-		}
-	}
-	slices.Sort(dst[start:])
-	return dst
-}
+// returns the extended slice (see Map.AppendSortedKeys).
+func (s *Set) AppendSortedKeys(dst []uint64) []uint64 { return s.m.AppendSortedKeys(dst) }
 
-func (s *Set) grow() {
-	old := s.tab
-	size := minTableSize
-	if len(old) > 0 {
-		size = len(old) * 2
-	}
-	s.tab = make([]uint64, size)
-	s.used = 0
-	for _, v := range old {
-		if v != 0 {
-			s.reinsert(v)
-		}
-	}
-}
-
-func (s *Set) reinsert(v uint64) {
-	mask := uint64(len(s.tab) - 1)
-	i := Hash(v-1) & mask
-	for s.tab[i] != 0 {
-		i = (i + 1) & mask
-	}
-	s.tab[i] = v
-	s.used++
-}
-
-// Map is a linear-probe map from uint64 keys to values of any type, with
-// the same storage scheme and shrink policy as Set. The zero value is an
-// empty map ready for use.
+// Map is a linear-probe map from uint64 keys to values of any type. Keys
+// are stored offset by one so the zero word means "empty"; callers' keys
+// must stay below 2^64-1 so the offset cannot wrap (every key in this
+// module is either a node ID or a packed label below 2^58).
+//
+// The zero value is an empty map ready for use.
 type Map[V any] struct {
 	keys []uint64
 	vals []V
@@ -273,7 +195,8 @@ func (m *Map[V]) Has(k uint64) bool {
 }
 
 // AppendSortedKeys appends the live keys to dst in ascending order and
-// returns the extended slice (see Set.AppendSortedKeys).
+// returns the extended slice. The canonical drain for callers whose
+// downstream logic must not depend on insertion history.
 func (m *Map[V]) AppendSortedKeys(dst []uint64) []uint64 {
 	start := len(dst)
 	for _, v := range m.keys {

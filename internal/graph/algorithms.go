@@ -2,9 +2,12 @@ package graph
 
 // This file holds the exact sequential reference algorithms. They define
 // ground truth for every distributed algorithm in the repository: a HYBRID
-// APSP run is correct iff it matches Dijkstra from every source, a diameter
-// approximation D~ is valid iff D <= D~ <= alpha*D + beta with D computed
-// here, and so on (paper §1.3 problem definitions).
+// APSP run is correct iff Certify accepts its row of every source (which
+// holds iff the row matches Dijkstra), a diameter approximation D~ is valid
+// iff D <= D~ <= alpha*D + beta with D computed here, and so on (paper §1.3
+// problem definitions).
+
+import "fmt"
 
 // distHeap is a hand-rolled binary min-heap of (node, dist) pairs for
 // Dijkstra; avoiding container/heap keeps the hot loop allocation-free.
@@ -81,6 +84,55 @@ func Dijkstra(g *Graph, src int) []int64 {
 		}
 	}
 	return dist
+}
+
+// Certify checks that d is exactly Dijkstra(g, src), in one O(m) pass and
+// without computing distances. Weights are at least 1 (AddEdge rejects the
+// rest), so d passes iff len(d) == n, d[src] == 0, no entry lies above Inf,
+// and for every node v:
+//
+//   - no edge relaxes: d[v] <= w(v,u) + d[u] for every neighbour u, which
+//     also rules out an Inf entry next to a finite one;
+//   - v != src with d[v] < Inf has a tight neighbour: d[v] == w(v,u) + d[u].
+//
+// The first rule gives d <= the true distances along every shortest path
+// from src. By the second, a finite d[v] is the weight of a walk along tight
+// neighbours, on which d strictly falls and which can only end at src, so
+// d[v] is at least the true distance. The error names src, the first bad v
+// and the rule it breaks; malformed input gets an error, never a panic.
+func Certify(g *Graph, src int, d []int64) error {
+	n := g.N()
+	switch {
+	case src < 0 || src >= n:
+		return fmt.Errorf("graph: certify: source %d out of range [0,%d)", src, n)
+	case len(d) != n:
+		return fmt.Errorf("graph: certify source %d: %d entries for %d nodes", src, len(d), n)
+	}
+	for v, dv := range d {
+		if dv > Inf {
+			return fmt.Errorf("graph: certify source %d: node %d: d = %d is above Inf", src, v, dv)
+		}
+	}
+	if d[src] != 0 {
+		return fmt.Errorf("graph: certify source %d: d[source] = %d, want 0", src, d[src])
+	}
+	for v, dv := range d {
+		tight := v == src || dv == Inf
+		for _, nb := range g.Neighbors(v) {
+			via := SatAdd(nb.W, d[nb.To])
+			if dv > via {
+				return fmt.Errorf("graph: certify source %d: node %d: edge to %d relaxes it, %d > %d + %d",
+					src, v, nb.To, dv, nb.W, d[nb.To])
+			}
+			if dv == via {
+				tight = true
+			}
+		}
+		if !tight {
+			return fmt.Errorf("graph: certify source %d: node %d: no tight neighbour for d = %d", src, v, dv)
+		}
+	}
+	return nil
 }
 
 // BFS returns hop(src, v) for all v, with Inf for unreachable nodes. This is

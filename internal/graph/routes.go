@@ -6,6 +6,10 @@ package graph
 // (internal/serve) keeps these tables resident and answers point-to-point
 // queries from them, so the functions here are shared between the facade
 // (hybrid.NextHops / hybrid.FollowRoute) and the server's request path.
+// The distances they start from are checked by Certify (algorithms.go),
+// which serve.NewTables runs on every row: on a certified matrix every
+// node but the destination has a tight neighbour, so NextHops writes -1
+// only for t == v and unreachable pairs.
 
 // NextHops derives per-destination forwarding tables from an exact
 // distance matrix. Entry [v][t] is the neighbor v forwards to on a

@@ -115,8 +115,9 @@ func TestServeRepliesByteIdentical(t *testing.T) {
 		}
 	}
 
-	// Inconsistent tables (NewTables checks shape only): a dead end, then a
-	// hop along a non-edge, each a 500 in RouteResponse's shape.
+	// Inconsistent tables (NewTables certifies the distances, not the next
+	// hops): a dead end, then a hop along a non-edge, each a 500 in
+	// RouteResponse's shape.
 	broken := make([][]int, len(next))
 	for v := range next {
 		broken[v] = append([]int(nil), next[v]...)

@@ -62,9 +62,11 @@ type Tables struct {
 	Info BuildInfo
 }
 
-// NewTables validates the shape of a generation (square n×n tables over
-// g's node set) so a malformed publish fails at build time, not on a
-// request path.
+// NewTables validates a generation before anything can serve it: the
+// tables must be square n×n over g's node set, and graph.Certify must
+// accept every distance row with its own source, so a malformed or
+// non-exact build fails here, not on a request path (a failed Reload keeps
+// the last good generation).
 func NewTables(g *graph.Graph, dist [][]int64, next [][]int, info BuildInfo) (*Tables, error) {
 	n := g.N()
 	if len(dist) != n || len(next) != n {
@@ -73,6 +75,11 @@ func NewTables(g *graph.Graph, dist [][]int64, next [][]int, info BuildInfo) (*T
 	for v := 0; v < n; v++ {
 		if len(dist[v]) != n || len(next[v]) != n {
 			return nil, fmt.Errorf("serve: row %d is %d×%d, want %d×%d", v, len(dist[v]), len(next[v]), n, n)
+		}
+	}
+	for s, row := range dist {
+		if err := graph.Certify(g, s, row); err != nil {
+			return nil, fmt.Errorf("serve: %w", err)
 		}
 	}
 	info.N, info.M = n, g.M()

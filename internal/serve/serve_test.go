@@ -266,6 +266,53 @@ func TestServeNewTablesRejectsMalformed(t *testing.T) {
 	if _, err := serve.NewTables(g, [][]int64{{0}, {0}, {0}}, next, serve.BuildInfo{}); err == nil {
 		t.Error("ragged dist accepted")
 	}
+	inexact := [][]int64{{0, 1, 2}, {1, 0, 1}, {2, 1, 0}}
+	inexact[2][0] = 3
+	if _, err := serve.NewTables(g, inexact, next, serve.BuildInfo{}); err == nil || !strings.Contains(err.Error(), "certify source 2") {
+		t.Errorf("non-exact dist: err %v, want a certificate failure for source 2", err)
+	}
+}
+
+// TestServeNeverServesCorruptedRebuild: a rebuild whose distances are
+// wrong in one cell fails in NewTables, so Reload fails naming the broken
+// rule, /healthz reports degraded, and /distance keeps answering from the
+// last good tables.
+func TestServeNeverServesCorruptedRebuild(t *testing.T) {
+	g := lineGraph() // 0 -2- 1 -3- 2 -5- 3
+	for _, c := range []struct {
+		name  string
+		value int64 // d(0,3) is 10
+		rule  string
+	}{
+		{"cell +1", 11, "node 3: edge to 2 relaxes it"},
+		{"cell -1", 9, "node 3: no tight neighbour"},
+		{"Inf in a reachable cell", hybrid.Inf, "node 3: edge to 2 relaxes it"},
+	} {
+		srv := serve.New(buildTables(t, g, serve.BuildInfo{Rounds: 1}))
+		srv.SetRebuild(func() (*serve.Tables, error) {
+			dist := hybrid.ExactAPSP(g)
+			next := hybrid.NextHops(g, dist)
+			dist[0][3] = c.value
+			return serve.NewTables(g, dist, next, serve.BuildInfo{Rounds: 2})
+		})
+		ts := httptest.NewServer(srv.Handler())
+		if _, err := srv.Reload(); err == nil || !strings.Contains(err.Error(), c.rule) {
+			t.Errorf("%s: Reload error %v, want one naming %q", c.name, err, c.rule)
+		}
+		var health map[string]string
+		if getJSON(t, ts.URL+"/healthz", &health); health["status"] != "degraded" || !strings.Contains(health["error"], c.rule) {
+			t.Errorf("%s: /healthz %+v, want degraded naming %q", c.name, health, c.rule)
+		}
+		var dist serve.DistanceResponse
+		if status := getJSON(t, ts.URL+"/distance?s=0&t=3", &dist); status != http.StatusOK || dist.Distance != 10 {
+			t.Errorf("%s: /distance 0->3: status %d %+v, want 10 from the last good tables", c.name, status, dist)
+		}
+		var stats serve.StatsResponse
+		if getJSON(t, ts.URL+"/stats", &stats); stats.Rounds != 1 || stats.Reloads != 0 {
+			t.Errorf("%s: stats %+v, want the first generation still published", c.name, stats)
+		}
+		ts.Close()
+	}
 }
 
 // TestReloadRaceConsistency is the atomic-swap contract under fire: N
