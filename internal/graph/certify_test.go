@@ -136,7 +136,7 @@ func BenchmarkCertifyAPSP(b *testing.B) {
 	g := Grid(32, 32)
 	dist := APSP(g)
 	b.Run("certify", func(b *testing.B) {
-		for range b.N {
+		for b.Loop() {
 			for s, row := range dist {
 				if err := Certify(g, s, row); err != nil {
 					b.Fatal(err)
@@ -145,7 +145,7 @@ func BenchmarkCertifyAPSP(b *testing.B) {
 		}
 	})
 	b.Run("apsp", func(b *testing.B) {
-		for range b.N {
+		for b.Loop() {
 			APSP(g)
 		}
 	})
