@@ -92,6 +92,7 @@ func TestCertifyRejectsEveryOneCellCorruption(t *testing.T) {
 func FuzzCertify(f *testing.F) {
 	f.Add([]byte{6, 0, 1, 3, 1, 2, 4, 2, 3, 1, 3, 4, 7, 4, 5, 2, 0, 5, 9}, uint8(0), uint8(3), uint8(0), int64(0))
 	f.Add([]byte{6, 0, 1, 3, 1, 2, 4, 2, 3, 1, 3, 4, 7, 4, 5, 2, 0, 5, 9}, uint8(2), uint8(5), uint8(1), int64(0))
+	f.Add([]byte{6, 0, 1, 3, 1, 2, 4, 2, 3, 1, 3, 4, 7, 4, 5, 2, 0, 5, 9}, uint8(0), uint8(3), uint8(3), int64(0))
 	f.Add([]byte{5, 0, 1, 1, 2, 3, 5}, uint8(1), uint8(4), uint8(2), int64(0))
 	f.Add([]byte{5, 0, 1, 1, 2, 3, 5}, uint8(0), uint8(3), uint8(3), int64(0))
 	f.Add([]byte{9, 0, 4, 2, 4, 8, 2, 8, 1, 6, 1, 0, 1}, uint8(4), uint8(8), uint8(4), int64(-7))
