@@ -11,13 +11,20 @@ import "runtime"
 //     bucket k of every sender in ascending sender ID, which reproduces the
 //     engine contract (inboxes ordered by sender ID, then send order)
 //     independently of the shard count.
-//   - Delivery runs on a persistent worker pool (one worker per shard, at
-//     most GOMAXPROCS shards). Workers touch disjoint state: shard k's
-//     worker writes only the inboxes and receive counters of shard k's
-//     nodes, the k-buckets of the senders and, under EngineDist, shard k's
-//     request batch, so the merge of the per-shard metric deltas is the
-//     only cross-shard step, and it is a sum/max merge that is independent
-//     of completion order.
+//   - Stepping and delivery fan out over the shards once per round each
+//     (fanOut). The coordinator runs shard 0 itself and a persistent pool of
+//     nShards-1 goroutines takes the others, so the default shard count
+//     (one per CPU) puts exactly one runnable goroutine on every P. Tasks
+//     and results travel through buffered channels, and a goroutine that
+//     waits for one polls briefly before it parks (recvPoll): the phases
+//     of a round follow each other within microseconds, so the next task
+//     or result usually arrives during the poll and a hand-off wakes no
+//     parked goroutine. Workers touch disjoint state: shard k's worker
+//     writes only the inboxes and receive counters of shard k's nodes, the
+//     k-buckets of the senders and, under EngineDist, shard k's request
+//     batch, so the merge of the per-shard results is the only cross-shard
+//     step, and it is a sum/max/min/or merge that is independent of
+//     completion order.
 //   - Inboxes are preallocated and double-buffered: the buffer delivered at
 //     round r is reused at round r+2, so steady-state rounds allocate
 //     nothing. (Incoming's contract — the slices are the node's until its
@@ -39,7 +46,7 @@ type shardTask struct {
 	step bool
 }
 
-// shardResult is one worker's metric delta for one round (or, for a step
+// shardResult is one shard's metric delta for one round (or, for a step
 // task, only minWake). Merging the results is commutative (sums, maxes, a
 // min and an or), so the aggregate Metrics do not depend on worker
 // scheduling.
@@ -57,16 +64,46 @@ type shardResult struct {
 	maxRecv    int
 }
 
+// merge adds r into t.
+func (t *shardResult) merge(r shardResult) {
+	t.finished += r.finished
+	t.woke = t.woke || r.woke
+	t.minWake = min(t.minWake, r.minWake)
+	t.localMsgs += r.localMsgs
+	t.localBits += r.localBits
+	t.globalMsgs += r.globalMsgs
+	t.globalBits += r.globalBits
+	t.cutMsgs += r.cutMsgs
+	t.cutBits += r.cutBits
+	t.maxSend = max(t.maxSend, r.maxSend)
+	t.maxRecv = max(t.maxRecv, r.maxRecv)
+}
+
 // minShardNodes is the autotune floor on nodes per shard: below it the
 // per-round fan-out/merge overhead of another worker outweighs the stepping
 // and delivery work it takes over (measured on the grid APSP workload).
 const minShardNodes = 64
 
-// initSharded switches the engine to step mode: it sizes the shards and
-// preallocates the per-env staging state. Shards <= 0 autotunes: one shard per available CPU, capped so every
-// shard keeps at least minShardNodes nodes. The shard count never changes
-// results (the differential tests pin shard-count invariance), only the
-// parallel grain.
+// pollSpins bounds how long a goroutine of the pool, or the coordinator,
+// polls its channel before it parks on it: 4 000 non-blocking receives with
+// a yield every pollYield of them, a few tens of microseconds. A round's
+// phases hand over to each other within that, so in a busy run nobody
+// parks; an idle pool (the coordinator between runs, or fast-forwarding)
+// falls back to a blocking receive and costs nothing.
+const (
+	pollSpins = 4000
+	pollYield = 128
+)
+
+// initSharded switches the engine to step mode: it sizes the shards,
+// preallocates the per-env staging state and starts the pool of nShards-1
+// goroutines that take shards 1.. of every fanOut (the coordinator takes
+// shard 0). Shards <= 0 autotunes: one shard per available CPU, capped so
+// every shard keeps at least minShardNodes nodes. The shard count never
+// changes results (the differential tests pin shard-count invariance), only
+// the parallel grain. Waiting goroutines poll only if the pool and the
+// coordinator fit in GOMAXPROCS: with fewer Ps than shards, a poller would
+// spin on the P the goroutine it waits for needs.
 func (e *engine) initSharded() {
 	e.stepMode = true
 	s := e.cfg.Shards
@@ -103,16 +140,17 @@ func (e *engine) initSharded() {
 		env.outGlobalSh = make([][]GlobalMsg, e.nShards)
 	}
 	if e.nShards > 1 {
-		e.workCh = make(chan shardTask)
-		e.resCh = make(chan shardResult)
-		for w := 0; w < e.nShards; w++ {
+		e.poll = e.nShards <= runtime.GOMAXPROCS(0)
+		e.workCh = make(chan shardTask, e.nShards)
+		e.resCh = make(chan shardResult, e.nShards)
+		for w := 1; w < e.nShards; w++ {
 			go func() {
-				for t := range e.workCh {
-					if t.step {
-						e.resCh <- shardResult{minWake: e.stepShard(t.k)}
-					} else {
-						e.resCh <- e.runShard(t.k)
+				for {
+					t, ok := recvPoll(e.workCh, e.poll)
+					if !ok {
+						return
 					}
+					e.resCh <- e.runTask(t)
 				}
 			}()
 		}
@@ -126,37 +164,56 @@ func (e *engine) stopSharded() {
 	}
 }
 
-func (e *engine) shardOf(v int) int { return v / e.shardSize }
-
-// deliverSharded is the in-process round boundary: fan the shards out to the
-// workers, merge their metric deltas, and return how many nodes finished.
-func (e *engine) deliverSharded() int {
-	e.generation++
-	var total shardResult
-	if e.nShards == 1 {
-		total = e.runShard(0)
-	} else {
-		for k := 0; k < e.nShards; k++ {
-			e.workCh <- shardTask{k: k}
-		}
-		for k := 0; k < e.nShards; k++ {
-			r := <-e.resCh
-			total.finished += r.finished
-			total.woke = total.woke || r.woke
-			total.localMsgs += r.localMsgs
-			total.localBits += r.localBits
-			total.globalMsgs += r.globalMsgs
-			total.globalBits += r.globalBits
-			total.cutMsgs += r.cutMsgs
-			total.cutBits += r.cutBits
-			if r.maxSend > total.maxSend {
-				total.maxSend = r.maxSend
+// recvPoll receives from ch. With poll set it first tries pollSpins
+// non-blocking receives, yielding the P every pollYield of them, and only
+// then blocks; ok is false once ch is closed and drained.
+func recvPoll[T any](ch chan T, poll bool) (v T, ok bool) {
+	if poll {
+		for i := 1; i <= pollSpins; i++ {
+			select {
+			case v, ok = <-ch:
+				return v, ok
+			default:
 			}
-			if r.maxRecv > total.maxRecv {
-				total.maxRecv = r.maxRecv
+			if i%pollYield == 0 {
+				runtime.Gosched()
 			}
 		}
 	}
+	v, ok = <-ch
+	return v, ok
+}
+
+func (e *engine) shardOf(v int) int { return v / e.shardSize }
+
+// runTask executes one task on the calling goroutine.
+func (e *engine) runTask(t shardTask) shardResult {
+	if t.step {
+		return shardResult{minWake: e.stepShard(t.k)}
+	}
+	return e.runShard(t.k)
+}
+
+// fanOut runs one phase of the round on every shard — shards 1.. on the
+// pool, shard 0 on the calling coordinator meanwhile — and returns the
+// merged result. With one shard it is a plain call.
+func (e *engine) fanOut(step bool) shardResult {
+	for k := 1; k < e.nShards; k++ {
+		e.workCh <- shardTask{k: k, step: step}
+	}
+	total := e.runTask(shardTask{step: step})
+	for k := 1; k < e.nShards; k++ {
+		r, _ := recvPoll(e.resCh, e.poll)
+		total.merge(r)
+	}
+	return total
+}
+
+// deliverSharded is the in-process round boundary: deliver every shard,
+// merge their metric deltas, and return how many nodes finished.
+func (e *engine) deliverSharded() int {
+	e.generation++
+	total := e.fanOut(false)
 	e.woke = total.woke
 	e.metrics.LocalMsgs += total.localMsgs
 	e.metrics.LocalBits += total.localBits
@@ -164,12 +221,8 @@ func (e *engine) deliverSharded() int {
 	e.metrics.GlobalBits += total.globalBits
 	e.metrics.CutGlobalMsgs += total.cutMsgs
 	e.metrics.CutGlobalBits += total.cutBits
-	if total.maxSend > e.metrics.MaxGlobalSend {
-		e.metrics.MaxGlobalSend = total.maxSend
-	}
-	if total.maxRecv > e.metrics.MaxGlobalRecv {
-		e.metrics.MaxGlobalRecv = total.maxRecv
-	}
+	e.metrics.MaxGlobalSend = max(e.metrics.MaxGlobalSend, total.maxSend)
+	e.metrics.MaxGlobalRecv = max(e.metrics.MaxGlobalRecv, total.maxRecv)
 	return total.finished
 }
 

@@ -306,9 +306,10 @@ type engine struct {
 	nShards    int
 	shardSize  int
 	recvCount  []int
-	dirty      [][]bool // [shard][sender]: sender staged something for shard
-	workCh     chan shardTask
-	resCh      chan shardResult
+	dirty      [][]bool         // [shard][sender]: sender staged something for shard
+	workCh     chan shardTask   // shards 1.. of a fanOut, to the pool
+	resCh      chan shardResult // their results, back to the coordinator
+	poll       bool             // waiters poll before parking (recvPoll)
 	progs      []StepProgram
 	stepActive int  // unfinished nodes in the current step run
 	woke       bool // the last delivery reached a sleeping node

@@ -429,17 +429,7 @@ func (e *engine) buildProg(factory StepFactory, env *Env) (sp StepProgram) {
 // earliest round in which any unfinished node needs its next call (at most
 // the next round unless every one of them sleeps; MaxInt if none is left).
 func (e *engine) stepGeneration() (minWake int) {
-	if e.nShards == 1 {
-		return e.stepShard(0)
-	}
-	for k := 0; k < e.nShards; k++ {
-		e.workCh <- shardTask{k: k, step: true}
-	}
-	minWake = math.MaxInt
-	for k := 0; k < e.nShards; k++ {
-		minWake = min(minWake, (<-e.resCh).minWake)
-	}
-	return minWake
+	return e.fanOut(true).minWake
 }
 
 // stepShard runs one round segment for the nodes of shard k that are awake:
