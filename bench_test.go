@@ -64,17 +64,27 @@ func lastRounds(t experiments.Table) float64 {
 	return 0
 }
 
+// shardSettings is the shards dimension of the step-engine benchmarks: one
+// shard against the autotune (WithShards(0): one shard per CPU, at least
+// 64 nodes each), the pair that says whether sharding pays on the machine
+// at hand.
+var shardSettings = []struct {
+	name   string
+	shards int
+}{{"1", 1}, {"auto", 0}}
+
 // BenchmarkEngineAPSP compares the step engine with the legacy reference on
 // grid-graph APSP (Theorem 1.1) across sizes, on both unweighted grids and
 // weighted grids (WithRandomWeights; the Corollary 4.6/4.8 weighted
-// regime's local topology). Both run the same machines and produce
+// regime's local topology), and the step engine on one shard with its
+// autotuned shard count. All run the same machines and produce
 // byte-identical results (engines_test.go); what this measures is pure
 // engine wall-clock. (cmd/bench is the committed benchmark.) Sizes above
 // 1024 are opt-in via HYBRID_BENCH_XL=1 (pass -timeout 0: the n=16384
 // instance runs for a long time; see also cmd/hybridsim for one-off XL
 // runs).
 func BenchmarkEngineAPSP(b *testing.B) {
-	for _, n := range []int{256, 1024, 4096, 16384} {
+	for _, n := range []int{64, 128, 256, 1024, 4096, 16384} {
 		side := 1
 		for side*side < n {
 			side++
@@ -85,25 +95,33 @@ func BenchmarkEngineAPSP(b *testing.B) {
 				graphName = "wgrid"
 			}
 			for _, eng := range []hybrid.Engine{hybrid.EngineLegacy, hybrid.EngineStep} {
-				b.Run(fmt.Sprintf("graph=%s/n=%d/engine=%s", graphName, n, eng), func(b *testing.B) {
-					if n > 1024 && os.Getenv("HYBRID_BENCH_XL") == "" {
-						b.Skip("set HYBRID_BENCH_XL=1 (and -timeout 0) for sizes above 1024")
+				for _, sh := range shardSettings {
+					name := fmt.Sprintf("graph=%s/n=%d/engine=%s", graphName, n, eng)
+					if eng == hybrid.EngineStep {
+						name += "/shards=" + sh.name
+					} else if sh.shards != 0 {
+						continue // the legacy engine has no shards
 					}
-					g := hybrid.GridGraph(side, side)
-					if weighted {
-						wrng := rand.New(rand.NewSource(benchSeed + int64(n)))
-						g = hybrid.WithRandomWeights(g, 8, wrng)
-					}
-					var rounds int
-					for i := 0; i < b.N; i++ {
-						res, err := hybrid.New(g, hybrid.WithSeed(benchSeed), hybrid.WithEngine(eng)).APSP()
-						if err != nil {
-							b.Fatal(err)
+					b.Run(name, func(b *testing.B) {
+						if n > 1024 && os.Getenv("HYBRID_BENCH_XL") == "" {
+							b.Skip("set HYBRID_BENCH_XL=1 (and -timeout 0) for sizes above 1024")
 						}
-						rounds = res.Metrics.Rounds
-					}
-					b.ReportMetric(float64(rounds), "rounds")
-				})
+						g := hybrid.GridGraph(side, side)
+						if weighted {
+							wrng := rand.New(rand.NewSource(benchSeed + int64(n)))
+							g = hybrid.WithRandomWeights(g, 8, wrng)
+						}
+						var rounds int
+						for i := 0; i < b.N; i++ {
+							res, err := hybrid.New(g, hybrid.WithSeed(benchSeed), hybrid.WithEngine(eng), hybrid.WithShards(sh.shards)).APSP()
+							if err != nil {
+								b.Fatal(err)
+							}
+							rounds = res.Metrics.Rounds
+						}
+						b.ReportMetric(float64(rounds), "rounds")
+					})
+				}
 			}
 		}
 	}
@@ -201,7 +219,8 @@ func BenchmarkFacadeAPSPRepeated(b *testing.B) {
 // kssp_mm_sparse_400 through the facade: Theorem 1.2 with real-message
 // CLIQUE simulation (Algorithm 8, one token-routing instance per simulated
 // round) from 16 evenly spaced sources on a randomly weighted sparse graph
-// of 400 nodes, graph and algorithm seed 1, on EngineStep. It reports
+// of 400 nodes, graph and algorithm seed 1, on EngineStep, on one shard and
+// on the autotuned count (shards=auto is what cmd/bench runs). It reports
 // allocations, so `go test -run '^$' -bench FacadeKSSPRealMM -benchmem .`
 // shows what a simulated round costs in memory without building cmd/bench.
 func BenchmarkFacadeKSSPRealMM(b *testing.B) {
@@ -212,14 +231,19 @@ func BenchmarkFacadeKSSPRealMM(b *testing.B) {
 	for i := range sources {
 		sources[i] = i * g.N() / k
 	}
-	b.ReportAllocs()
-	var rounds int
-	for i := 0; i < b.N; i++ {
-		res, err := hybrid.New(g, hybrid.WithSeed(1), hybrid.WithEngine(hybrid.EngineStep)).KSSP(sources, hybrid.KSSPRealMM(0))
-		if err != nil {
-			b.Fatal(err)
-		}
-		rounds = res.Metrics.Rounds
+	for _, sh := range shardSettings {
+		b.Run("shards="+sh.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var rounds int
+			for i := 0; i < b.N; i++ {
+				nw := hybrid.New(g, hybrid.WithSeed(1), hybrid.WithEngine(hybrid.EngineStep), hybrid.WithShards(sh.shards))
+				res, err := nw.KSSP(sources, hybrid.KSSPRealMM(0))
+				if err != nil {
+					b.Fatal(err)
+				}
+				rounds = res.Metrics.Rounds
+			}
+			b.ReportMetric(float64(rounds), "rounds")
+		})
 	}
-	b.ReportMetric(float64(rounds), "rounds")
 }

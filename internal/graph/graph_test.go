@@ -325,3 +325,63 @@ func TestSatAdd(t *testing.T) {
 		}
 	}
 }
+
+// FuzzGraphBuild drives New and AddEdge with the fuzzer's bytes: a node
+// count (negative and zero included), then (u, v, w) triples, endpoints
+// out of range, equal or repeated and weights zero or negative among them.
+// No input may panic. AddEdge must reject exactly the out-of-range,
+// self-loop, non-positive and duplicate edges, and a rejected edge must
+// leave M and Fingerprint as they were. The built graph must pass Validate,
+// and its Clone must hash the same.
+func FuzzGraphBuild(f *testing.F) {
+	f.Add([]byte{5, 0, 1, 3, 1, 2, 1, 2, 3, 7, 3, 4, 2})
+	f.Add([]byte{4, 0, 1, 1, 1, 0, 1, 0, 0, 1, 0, 2, 0, 0, 3, 0x80})
+	f.Add([]byte{3, 0xff, 1, 1, 0, 3, 1, 2, 0x7f, 1, 1, 2, 5})
+	f.Add([]byte{0xfe, 0, 1, 1})
+	f.Add([]byte{0})
+	f.Add([]byte{1, 0, 0, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		// int8 values give negative counts, endpoints and weights; the
+		// modulus keeps most endpoints in range and n..n+2 just past it.
+		n := int(int8(data[0])) % 32
+		g := New(n)
+		if g.N() != max(n, 0) || g.M() != 0 {
+			t.Fatalf("New(%d): N %d, M %d", n, g.N(), g.M())
+		}
+		has := map[[2]int]bool{}
+		for i := 1; i+2 < len(data); i += 3 {
+			u := int(int8(data[i])) % (g.N() + 3)
+			v := int(int8(data[i+1])) % (g.N() + 3)
+			w := int64(int8(data[i+2]))
+			m, fp := g.M(), g.Fingerprint()
+			key := [2]int{min(u, v), max(u, v)}
+			valid := u >= 0 && u < g.N() && v >= 0 && v < g.N() && u != v && w > 0 && !has[key]
+			err := g.AddEdge(u, v, w)
+			if (err == nil) != valid {
+				t.Fatalf("AddEdge(%d, %d, %d) on n=%d: err %v, want accepted %v", u, v, w, g.N(), err, valid)
+			}
+			if err != nil {
+				if g.M() != m || g.Fingerprint() != fp {
+					t.Fatalf("rejected AddEdge(%d, %d, %d) changed the graph: M %d -> %d", u, v, w, m, g.M())
+				}
+				continue
+			}
+			has[key] = true
+			if g.M() != m+1 || !g.HasEdge(u, v) || !g.HasEdge(v, u) {
+				t.Fatalf("accepted AddEdge(%d, %d, %d): M %d -> %d, HasEdge %v/%v", u, v, w, m, g.M(), g.HasEdge(u, v), g.HasEdge(v, u))
+			}
+			if got, _ := g.Weight(v, u); got != w {
+				t.Fatalf("Weight(%d, %d) = %d, want %d", v, u, got, w)
+			}
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("built graph fails Validate: %v", err)
+		}
+		if c := g.Clone(); c.Fingerprint() != g.Fingerprint() || c.M() != g.M() {
+			t.Fatalf("Clone: fingerprint %x, M %d; original %x, M %d", c.Fingerprint(), c.M(), g.Fingerprint(), g.M())
+		}
+	})
+}

@@ -111,3 +111,23 @@ func TestShardCountInvarianceOversubscribed(t *testing.T) {
 			gotM, wantM, reflect.DeepEqual(gotOut, wantOut))
 	}
 }
+
+// TestShardCountInvariancePollsOnlyWithSpareP: the pool and the coordinator
+// poll only when every one of them has a P to itself.
+func TestShardCountInvariancePollsOnlyWithSpareP(t *testing.T) {
+	g := graph.Grid(5, 8)
+	for _, c := range []struct{ procs, shards int }{{1, 7}, {1, 2}, {2, 2}, {2, 3}, {4, 4}, {4, 1}} {
+		prev := runtime.GOMAXPROCS(c.procs)
+		st, err := NewStepper(g, Config{Shards: c.shards}, func(*Env) StepProgram { return &Loop{Rounds: 3} })
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := c.shards > 1 && c.shards <= c.procs; st.eng.poll != want {
+			t.Errorf("GOMAXPROCS %d, Shards %d: poll %v, want %v", c.procs, c.shards, st.eng.poll, want)
+		}
+		if _, err := st.Finish(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

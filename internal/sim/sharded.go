@@ -85,11 +85,10 @@ func (t *shardResult) merge(r shardResult) {
 const minShardNodes = 64
 
 // pollSpins bounds how long a goroutine of the pool, or the coordinator,
-// polls its channel before it parks on it: 4 000 non-blocking receives with
-// a yield every pollYield of them, a few tens of microseconds. A round's
-// phases hand over to each other within that, so in a busy run nobody
-// parks; an idle pool (the coordinator between runs, or fast-forwarding)
-// falls back to a blocking receive and costs nothing.
+// polls its channel before it parks on it (recvPoll): 4 000 non-blocking
+// receives with a yield every pollYield of them, a few tens of
+// microseconds. A busy run's phases hand over to each other within that;
+// an idle pool (between runs, or while the loop fast-forwards) parks.
 const (
 	pollSpins = 4000
 	pollYield = 128
@@ -141,8 +140,9 @@ func (e *engine) initSharded() {
 	}
 	if e.nShards > 1 {
 		e.poll = e.nShards <= runtime.GOMAXPROCS(0)
-		e.workCh = make(chan shardTask, e.nShards)
-		e.resCh = make(chan shardResult, e.nShards)
+		// Room for one phase's tasks and results: no send ever blocks.
+		e.workCh = make(chan shardTask, e.nShards-1)
+		e.resCh = make(chan shardResult, e.nShards-1)
 		for w := 1; w < e.nShards; w++ {
 			go func() {
 				for {
@@ -164,6 +164,8 @@ func (e *engine) stopSharded() {
 	}
 }
 
+func (e *engine) shardOf(v int) int { return v / e.shardSize }
+
 // recvPoll receives from ch. With poll set it first tries pollSpins
 // non-blocking receives, yielding the P every pollYield of them, and only
 // then blocks; ok is false once ch is closed and drained.
@@ -183,8 +185,6 @@ func recvPoll[T any](ch chan T, poll bool) (v T, ok bool) {
 	v, ok = <-ch
 	return v, ok
 }
-
-func (e *engine) shardOf(v int) int { return v / e.shardSize }
 
 // runTask executes one task on the calling goroutine.
 func (e *engine) runTask(t shardTask) shardResult {

@@ -326,7 +326,9 @@ func (e *engine) stepInit(factory StepFactory) {
 // node done, or aborted). It is the unit Stepper.Advance exposes;
 // runStepLoop is nothing but stepInit plus stepAdvance-until-true.
 func (e *engine) stepAdvance(limit int) bool {
-	minWake := e.stepGeneration()
+	// The earliest round any unfinished node needs its next call in (at most
+	// the next round unless every one of them sleeps; MaxInt if none is left).
+	minWake := e.fanOut(true).minWake
 	e.stepActive -= e.deliverRound()
 	e.roundBoundary()
 	if e.stepActive > 0 && !e.woke {
@@ -422,14 +424,6 @@ func (e *engine) buildProg(factory StepFactory, env *Env) (sp StepProgram) {
 		}
 	}()
 	return factory(env)
-}
-
-// stepGeneration advances every unfinished node that is awake by one round
-// segment, shard-parallel when the worker pool exists, and returns the
-// earliest round in which any unfinished node needs its next call (at most
-// the next round unless every one of them sleeps; MaxInt if none is left).
-func (e *engine) stepGeneration() (minWake int) {
-	return e.fanOut(true).minWake
 }
 
 // stepShard runs one round segment for the nodes of shard k that are awake:
