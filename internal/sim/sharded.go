@@ -80,8 +80,11 @@ func (t *shardResult) merge(r shardResult) {
 }
 
 // minShardNodes is the autotune floor on nodes per shard: below it the
-// per-round fan-out/merge overhead of another worker outweighs the stepping
-// and delivery work it takes over (measured on the grid APSP workload).
+// hand-off to another shard costs more than the stepping and delivery work
+// it takes over. In BenchmarkEngineAPSP (unweighted grid, 2-core VM,
+// medians of ten runs) two shards of 64 nodes at n = 128 about break even
+// with one (28.9 against 31.4 ms, quartiles overlapping), two of 128 at
+// n = 256 are 1.11× faster and two of 512 at n = 1024 1.30×.
 const minShardNodes = 64
 
 // pollSpins bounds how long a goroutine of the pool, or the coordinator,
