@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"hash/fnv"
 	"reflect"
 	"testing"
 
@@ -91,6 +92,136 @@ func TestShardCountInvariance(t *testing.T) {
 			if m != baseM {
 				t.Fatalf("%s shards=%d: metrics differ: %+v vs %+v", name, shards, m, baseM)
 			}
+		}
+	}
+}
+
+// inboxDigest hashes everything an inbox holds, in order; an empty inbox
+// hashes to 0 and a non-empty one never does.
+func inboxDigest(in Inbox) uint64 {
+	if len(in.Local) == 0 && len(in.Global) == 0 {
+		return 0
+	}
+	h := fnv.New64a()
+	var buf [8]byte
+	word := func(x int64) {
+		for i := range buf {
+			buf[i] = byte(x >> (8 * i))
+		}
+		h.Write(buf[:])
+	}
+	word(int64(len(in.Local)))
+	for _, lm := range in.Local {
+		word(int64(lm.From))
+		p, _ := lm.Payload.(int64)
+		word(p)
+	}
+	word(int64(len(in.Global)))
+	for _, gm := range in.Global {
+		word(int64(gm.Src))
+		word(int64(gm.Dst))
+		word(int64(gm.Kind))
+		word(gm.F0)
+		word(gm.F1)
+		word(gm.F2)
+		word(gm.F3)
+	}
+	return h.Sum64() | 1
+}
+
+// inboxMix is the machine of TestInboxDigestShardCountInvariance. Node id
+// sends in every (skip+1)-th round, skip = 1 + id%3, and sleeps through the
+// skip rounds between, woken early by any message; nobody sends in the
+// rounds of quiet, so the step loop fast-forwards over part of them; nodes
+// finish at four different rounds while the others keep addressing them.
+// It records, per round it is called in, the digest of what Incoming
+// returned (a round it is not called in reads as empty).
+func inboxMix(env *Env, digests [][]uint64, called [][]bool) StepProgram {
+	const quietFrom, quietTo = 10, 19
+	id, n := env.ID(), env.N()
+	skip := 1 + id%3
+	last := len(digests[id]) - 1 - 4*(id%4)
+	sends := func(r int) bool { return r%(skip+1) == 0 && (r < quietFrom || r >= quietTo) }
+	return StepFunc(func(env *Env) bool {
+		r := env.Round()
+		called[id][r] = true
+		digests[id][r] = inboxDigest(env.Incoming())
+		if r == last {
+			return true
+		}
+		if sends(r) {
+			for _, nb := range env.Neighbors() {
+				if (nb.To+r)%3 != 0 {
+					env.SendLocal(nb.To, int64(id*1000+r))
+				}
+			}
+			env.SendGlobal((id*7+r)%n, Kind(r%5), int64(id), int64(r), int64(skip), 0)
+		}
+		next := r + 1
+		for next < last && !sends(next) {
+			next++
+		}
+		env.SleepUntil(next)
+		return false
+	})
+}
+
+// TestInboxDigestShardCountInvariance: what Incoming returns — per node and
+// per round, digested — is the same on every engine and shard count,
+// including for sleepers woken after one, two and three skipped rounds, for
+// the wake-up after a fast-forward, and around nodes that finished while
+// messages are still addressed to them.
+func TestInboxDigestShardCountInvariance(t *testing.T) {
+	g := graph.Grid(4, 5)
+	const rounds = 40
+	run := func(cfg Config) ([][]uint64, [][]bool, Metrics) {
+		t.Helper()
+		digests := make([][]uint64, g.N())
+		called := make([][]bool, g.N())
+		for v := range digests {
+			digests[v] = make([]uint64, rounds+1)
+			called[v] = make([]bool, rounds+1)
+		}
+		cfg.Seed = 3
+		m, err := RunStep(g, cfg, func(env *Env) StepProgram { return inboxMix(env, digests, called) })
+		if err != nil {
+			t.Fatalf("%+v: %v", cfg, err)
+		}
+		return digests, called, m
+	}
+	want, called, wantM := run(Config{Engine: EngineStep, Shards: 1})
+	if wantM.Rounds != rounds {
+		t.Fatalf("run took %d rounds, want %d", wantM.Rounds, rounds)
+	}
+	skipped := 0
+	for r := 1; r < rounds; r++ {
+		any := false
+		for v := range called {
+			any = any || called[v][r]
+		}
+		if !any {
+			skipped++
+		}
+	}
+	if skipped == 0 {
+		t.Fatal("the step loop called some machine in every round: nothing was fast-forwarded")
+	}
+	for _, cfg := range []Config{
+		{Engine: EngineStep, Shards: 2},
+		{Engine: EngineStep, Shards: 4},
+		{Engine: EngineDist, DistWorkers: 2},
+		{Engine: EngineLegacy},
+	} {
+		got, _, m := run(cfg)
+		for v := range want {
+			for r := range want[v] {
+				if got[v][r] != want[v][r] {
+					t.Errorf("%+v: node %d round %d read inbox %#x, want %#x", cfg, v, r, got[v][r], want[v][r])
+				}
+			}
+		}
+		if m != wantM {
+			t.Errorf("%+v: metrics %+v, want %+v", cfg, m, wantM)
 		}
 	}
 }
