@@ -28,10 +28,11 @@
 // 54.8 to 30.9 MB and peak_rss_mb from 39.5 to 26.8 MB.
 //
 // The delta a node forwards rotates through two buffers: the one broadcast,
-// by pointer, at loop iteration i is read by the neighbors during iteration i
-// and rewritten no earlier than iteration i+2 — by then every reader has
-// passed the barrier of i+1, the same ownership window as the engine's
-// double-buffered inboxes. Start continues the rotation where the previous
+// by pointer, at loop iteration i is read by the neighbors during iteration
+// i+1, in the same step phase in which its sender builds the delta of i+1 —
+// one buffer would be rewritten under its readers — and it is rewritten no
+// earlier than iteration i+2, when every reader has passed the barrier that
+// ends that phase. Start continues the rotation where the previous
 // flood left it, so a State may be started again in the very round segment
 // its last flood finished in, while the neighbors still read that flood's
 // last delta. The value tables rotate in step: a Start after a flood that ran

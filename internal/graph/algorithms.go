@@ -200,17 +200,6 @@ func WeightedDiameter(g *Graph) int64 {
 	return d
 }
 
-// Eccentricity returns e(v) := max_u d(v, u) over weighted distances.
-func Eccentricity(g *Graph, v int) int64 {
-	var e int64
-	for _, x := range Dijkstra(g, v) {
-		if x > e {
-			e = x
-		}
-	}
-	return e
-}
-
 // LimitedDistance returns the h-limited distance d_h(src, v) for all v: the
 // weight of the lightest src-v path using at most h edges, Inf if none
 // exists (paper §1.3). Implemented as h rounds of Bellman-Ford relaxation.

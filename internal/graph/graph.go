@@ -185,32 +185,6 @@ func (g *Graph) Clone() *Graph {
 	return c
 }
 
-// MaxWeight returns the largest edge weight (1 for edgeless graphs, so that
-// unweighted graphs report W = 1 per the paper's convention).
-func (g *Graph) MaxWeight() int64 {
-	var max int64 = 1
-	for u := 0; u < g.n; u++ {
-		for _, nb := range g.adj[u] {
-			if nb.W > max {
-				max = nb.W
-			}
-		}
-	}
-	return max
-}
-
-// IsUnweighted reports whether every edge has weight 1 (W = 1, paper §1.3).
-func (g *Graph) IsUnweighted() bool {
-	for u := 0; u < g.n; u++ {
-		for _, nb := range g.adj[u] {
-			if nb.W != 1 {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // Connected reports whether the graph is connected (vacuously true for
 // n <= 1).
 func (g *Graph) Connected() bool {

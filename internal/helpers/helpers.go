@@ -146,9 +146,9 @@ func newColdProg(env *sim.Env, m *Machine, inW bool, mu int, p Params) sim.StepP
 	// lexicographically smallest (dist, rulerID) it has heard and forwards
 	// improvements. β rounds reach every node (domination radius). Waves
 	// broadcast as pointers into a rotated pair so the hot loop stages no
-	// fresh interface payloads; the slot sent at round r is not rewritten
-	// before r+2 (see the delta-buffer comment on skeleton.ExploreMachine
-	// for the ownership argument).
+	// fresh interface payloads; neighbours read the slot sent at round r
+	// while this node fills the one of r+1, so it is not rewritten before
+	// r+2 (see the delta-buffer comment on skeleton.ExploreMachine).
 	bestDist, bestRuler := n+1, -1
 	improved := false
 	var waveBuf [2]clusterWave

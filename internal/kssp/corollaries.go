@@ -95,17 +95,3 @@ func RealMM(eta float64) AlgSpec {
 		},
 	}
 }
-
-// RealBFSingleSource returns a fully message-passing exact SSSP
-// instantiation via clique Bellman-Ford (δ = 1 worst case; fast when the
-// skeleton hop diameter is small).
-func RealBFSingleSource() AlgSpec {
-	return AlgSpec{
-		Delta:        1,
-		Eta:          1,
-		SingleSource: true,
-		Factory: func(q int, srcIdx []int) clique.Algorithm {
-			return clique.NewBellmanFord(q, srcIdx, 0)
-		},
-	}
-}

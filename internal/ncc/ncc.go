@@ -273,26 +273,21 @@ type Token struct {
 	A, B, C int64
 }
 
-// DisseminateParams tunes the w.h.p. constants of the protocol. Zero values
-// select defaults that hold at the scales the test suite exercises.
-type DisseminateParams struct {
-	// ReplicationFactor scales m = ReplicationFactor * n * logN / r, the
-	// number of random copies placed per token. Default 2.
-	ReplicationFactor int
-	// FloodSlack scales the local flood radius r beyond ceil(sqrt(k)).
-	// Default 1 (radius max(sqrt(k), 2 logN)).
-	FloodSlack int
-}
+// The w.h.p. constants of the dissemination protocol, which hold at the
+// scales the test suite exercises.
+const (
+	// replicationFactor scales m = replicationFactor * n * logN / r, the
+	// number of random copies placed per token.
+	replicationFactor = 2
+	// floodSlack scales the local flood radius r beyond ceil(sqrt(k)):
+	// radius max(sqrt(k), 2 * floodSlack * logN).
+	floodSlack = 1
+)
 
-func (p DisseminateParams) withDefaults() DisseminateParams {
-	if p.ReplicationFactor <= 0 {
-		p.ReplicationFactor = 2
-	}
-	if p.FloodSlack <= 0 {
-		p.FloodSlack = 1
-	}
-	return p
-}
+// DisseminateParams is NewDisseminateMachine's parameter type. It has no
+// fields: the protocol's constants are replicationFactor and floodSlack.
+// It stays because cmd/bench's probe passes DisseminateParams{}.
+type DisseminateParams struct{}
 
 // DisseminateMachine implements the token dissemination protocol of [3]
 // (Lemma B.1): all k tokens become known to every node. The protocol takes
@@ -329,8 +324,7 @@ type replicateJob struct {
 // nodes must start it in the same round with the same k, ell and params.
 // mine holds this node's initial tokens; k and ell are globally known upper
 // bounds on the total token count and the per-node count.
-func NewDisseminateMachine(env *sim.Env, mine []Token, k, ell int, params DisseminateParams) *DisseminateMachine {
-	p := params.withDefaults()
+func NewDisseminateMachine(env *sim.Env, mine []Token, k, ell int, _ DisseminateParams) *DisseminateMachine {
 	n := env.N()
 	logN := sim.Log2Ceil(n)
 	budget := env.GlobalCap()
@@ -347,10 +341,10 @@ func NewDisseminateMachine(env *sim.Env, mine []Token, k, ell int, params Dissem
 
 	// The deterministic schedule, identical at every node.
 	r := isqrt(k)
-	if min := 2 * logN * p.FloodSlack; r < min {
+	if min := 2 * logN * floodSlack; r < min {
 		r = min
 	}
-	copies := (p.ReplicationFactor*n*logN + r - 1) / r
+	copies := (replicationFactor*n*logN + r - 1) / r
 	if copies > n {
 		copies = n
 	}
@@ -362,9 +356,10 @@ func NewDisseminateMachine(env *sim.Env, mine []Token, k, ell int, params Dissem
 	idx := 0
 	var jobs []replicateJob
 	ji := 0
-	// Phase 3 delta buffers. They rotate (see skeleton.ExploreMachine for the
-	// ownership argument), so a staged batch is rewritten only after every
-	// reader has taken the next barrier and steady-state flood rounds are
+	// Phase 3 delta buffers. They rotate because neighbours read a staged
+	// batch in the same step phase in which its sender builds the next one
+	// (see skeleton.ExploreMachine), so a batch is rewritten only after every
+	// reader has taken the next barrier, and steady-state flood rounds are
 	// allocation-free. A batch names its tokens by table index, so the flood
 	// costs a bit test per token heard and never touches the table.
 	var bufs [2]tokenBatch

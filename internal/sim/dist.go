@@ -10,13 +10,13 @@ import (
 // step engine's (node machines step in the coordinator process, local
 // messages — arbitrary Go values — deliver in-process), but every
 // global-mode message makes a real trip through its destination shard's
-// worker process. runShard is the round boundary of both engines: it counts
-// every Metrics field alike, and under EngineDist it stages each shard's
-// global messages into a request batch instead of the inboxes. routeRound
-// hands the batches to a DistRouter, whose workers sort each one into
-// delivery order (per destination: ascending sender ID, then send order —
-// the engine contract) and nothing else, and folds the returned streams
-// into the same inbox buffers the step engine fills. Byte-identity with
+// worker process. deliverRound (sharded.go) is the round boundary of both
+// engines: runShard counts every Metrics field alike, and under EngineDist
+// it stages each shard's global messages into a request batch instead of
+// the inboxes. routeRound hands the batches to a DistRouter, whose workers
+// sort each one into delivery order (per destination: ascending sender ID,
+// then send order — the engine contract) and nothing else, and folds the
+// returned streams into the same inboxes the step engine fills. Byte-identity with
 // EngineLegacy/EngineStep follows because the sorted stream the worker
 // returns is exactly the order runShard delivers in.
 //
@@ -100,21 +100,6 @@ func (e *engine) startDist() error {
 	return nil
 }
 
-// deliverRound is the round boundary used by the step loop: sharded
-// delivery, plus the routed delivery of the global messages under
-// EngineDist.
-func (e *engine) deliverRound() int {
-	if !e.distMode {
-		return e.deliverSharded()
-	}
-	for k := range e.distReqs {
-		e.distReqs[k] = e.distReqs[k][:0]
-	}
-	finished := e.deliverSharded()
-	e.routeRound()
-	return finished
-}
-
 // routeRound routes the request batches runShard staged and appends the
 // sorted streams to the inboxes, checking that every message lands in its
 // own shard and that each shard returns as many messages as it was sent. A
@@ -140,7 +125,6 @@ func (e *engine) routeRound() {
 		e.fail(fmt.Errorf("sim: dist delivery failed in generation %d: %w", e.generation, err))
 		return
 	}
-	gen := e.generation & 1
 	for k, stream := range streams {
 		if len(stream) != len(e.distReqs[k]) {
 			e.fail(fmt.Errorf("sim: dist router returned %d messages for shard %d, sent %d",
@@ -156,7 +140,7 @@ func (e *engine) routeRound() {
 				return
 			}
 			env := e.envs[m.Dst]
-			env.inGlobalBuf[gen] = append(env.inGlobalBuf[gen], m)
+			env.inGlobal = append(env.inGlobal, m)
 			if env.wake != 0 {
 				env.wake, e.woke = 0, true
 			}

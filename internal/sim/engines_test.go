@@ -226,6 +226,55 @@ func TestInboxDigestShardCountInvariance(t *testing.T) {
 	}
 }
 
+// TestStaleInboxReadDiverges: Incoming's slices are valid only during the
+// Step call that reads them. A machine that reads the previous round's
+// inbox in its next call sees that round's slots refilled on the step
+// engine and poisoned on the legacy one, so the engines disagree on its
+// result — the differential check reports the violation — while the same
+// machine reading only the current inbox agrees.
+func TestStaleInboxReadDiverges(t *testing.T) {
+	g := graph.Path(6)
+	run := func(eng Engine, stale bool) []int64 {
+		t.Helper()
+		out := make([]int64, g.N())
+		_, err := RunStep(g, Config{Seed: 1, Engine: eng}, func(env *Env) StepProgram {
+			var prev Inbox
+			r := 0
+			return StepFunc(func(env *Env) bool {
+				in := env.Incoming()
+				if stale {
+					in, prev = prev, in
+				}
+				for _, lm := range in.Local {
+					p, _ := lm.Payload.(int64)
+					out[env.ID()] = out[env.ID()]*31 + int64(lm.From)*3 + p
+				}
+				for _, gm := range in.Global {
+					out[env.ID()] = out[env.ID()]*31 + int64(gm.Src)*7 + int64(gm.Dst)
+				}
+				if r++; r > 5 {
+					return true
+				}
+				// The same traffic every round: a stale slot holds what a
+				// fresh one would, unless the engine poisons it.
+				env.BroadcastLocal(int64(1))
+				env.SendGlobal((env.ID()+1)%env.N(), 0, 0, 0, 0, 0)
+				return false
+			})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	if step, legacy := run(EngineStep, false), run(EngineLegacy, false); !reflect.DeepEqual(step, legacy) {
+		t.Fatalf("reading the current inbox: step %v, legacy %v", step, legacy)
+	}
+	if step, legacy := run(EngineStep, true), run(EngineLegacy, true); reflect.DeepEqual(step, legacy) {
+		t.Fatalf("reading the previous round's inbox went unnoticed: both engines gave %v", step)
+	}
+}
+
 // TestShardedInboxReuseSafe: the inbox Incoming returns is the node's for
 // the whole round segment even though delivery recycles buffers. A machine
 // that reads its inbox as late as legally possible — after staging its own

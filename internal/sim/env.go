@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/bitrand"
 	"repro/internal/graph"
 )
 
@@ -39,14 +38,6 @@ func (env *Env) Degree() int { return env.eng.g.Degree(env.id) }
 // Rand returns this node's private deterministic random stream.
 func (env *Env) Rand() *rand.Rand { return env.rng }
 
-// PublicRand returns a random stream shared by all nodes for the given
-// label. It models public randomness: per Lemma B.1 an O(log^2 n)-bit seed
-// can be broadcast in O~(1) rounds, so protocols account its cost as
-// polylog. The ncc package also implements the broadcast explicitly.
-func (env *Env) PublicRand(label string) *rand.Rand {
-	return bitrand.NewSource(env.eng.cfg.Seed).Named("public:" + label)
-}
-
 // SendLocal stages a local-mode message to a neighbor in G, charged one
 // word in Metrics.LocalBits. Local messages may carry arbitrarily large
 // payloads (LOCAL model). Sending to a non-neighbor is a model violation and
@@ -58,17 +49,12 @@ func (env *Env) SendLocal(to int, payload interface{}) {
 	env.stageLocal(localOut{to: to, words: 1, payload: payload})
 }
 
-// stageLocal appends one local message to the engine-appropriate staging
-// area: the destination shard's bucket (step) or the flat outbox (legacy).
+// stageLocal appends one local message to its destination shard's bucket.
 func (env *Env) stageLocal(out localOut) {
 	env.staged++
-	if env.eng.stepMode {
-		k := env.eng.shardOf(out.to)
-		env.eng.dirty[k][env.id] = true
-		env.outLocalSh[k] = append(env.outLocalSh[k], out)
-		return
-	}
-	env.outLocal = append(env.outLocal, out)
+	k := env.eng.shardOf(out.to)
+	env.eng.dirty[k][env.id] = true
+	env.outLocalSh[k] = append(env.outLocalSh[k], out)
 }
 
 // BroadcastLocal stages the payload to every neighbor in G, each copy
@@ -100,25 +86,16 @@ func (env *Env) SendGlobal(dst int, kind Kind, f0, f1, f2, f3 int64) {
 	}
 	env.globalSentThisRound++
 	env.staged++
-	m := GlobalMsg{Src: env.id, Dst: dst, Kind: kind, F0: f0, F1: f1, F2: f2, F3: f3}
-	if env.eng.stepMode {
-		k := env.eng.shardOf(dst)
-		env.eng.dirty[k][env.id] = true
-		env.outGlobalSh[k] = append(env.outGlobalSh[k], m)
-		return
-	}
-	env.outGlobal = append(env.outGlobal, m)
+	k := env.eng.shardOf(dst)
+	env.eng.dirty[k][env.id] = true
+	env.outGlobalSh[k] = append(env.outGlobalSh[k], GlobalMsg{Src: env.id, Dst: dst, Kind: kind, F0: f0, F1: f1, F2: f2, F3: f3})
 }
-
-// GlobalBudget returns how many more global messages this node may send in
-// the current round.
-func (env *Env) GlobalBudget() int { return env.eng.sendCap - env.globalSentThisRound }
 
 // Incoming returns the inbox delivered for the round currently being
 // executed (empty in a node's first round). It is the read side of the
-// StepProgram contract (see step.go); the slices are owned by the node
-// until its next round and must not be retained across rounds — the step
-// engine reuses them.
+// StepProgram contract (see step.go); the slices are valid only during the
+// Step call that reads them — the step loop refills them in the round's
+// delivery, the legacy engine poisons them at the node's next barrier.
 func (env *Env) Incoming() Inbox { return env.curInbox }
 
 // SleepUntil declares, from inside a StepProgram's Step call, that the
@@ -126,17 +103,13 @@ func (env *Env) Incoming() Inbox { return env.curInbox }
 // unless a message arrives for the node first: the step engine then skips
 // the node in its round loop until that round or the first round whose
 // inbox is non-empty, whichever comes first, and fast-forwards over rounds
-// in which every unfinished node sleeps (see "Sleeping nodes" in step.go).
-// Only the declaration made by the node's latest Step call counts. The
-// legacy engine ignores it and keeps calling the machine every round — so a
-// machine must behave identically whether or not the calls it declared
-// unnecessary happen. Machines built from Loop never call this directly;
-// Loop.NextSend does.
-func (env *Env) SleepUntil(round int) {
-	if env.eng.stepMode {
-		env.wake = round
-	}
-}
+// in which every unfinished node sleeps (see "Sleeping nodes" in step.go);
+// a sleeper wakes to an empty inbox. Only the declaration made by the
+// node's latest Step call counts. The legacy engine ignores it and keeps
+// calling the machine every round — so a machine must behave identically
+// whether or not the calls it declared unnecessary happen. Machines built
+// from Loop never call this directly; Loop.NextSend does.
+func (env *Env) SleepUntil(round int) { env.wake = round }
 
 // SharedOnce returns a run-scoped pooled object: the i-th call with a given
 // prefix (counted per node) resolves to the same object at every node, with

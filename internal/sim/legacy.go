@@ -14,20 +14,21 @@ import (
 // env.barrier, and a single coordinator delivers once all have arrived.
 // RunStep reaches it with driveProgram as the program, so the legacy engine
 // executes the same machines as the step engine — one call per node per
-// round, whatever the machine declared about sleeping. The package's own
-// tests also hand it hand-written blocking programs: they are the oracle for
-// what Loop and Sequence mean.
+// round, whatever the machine declared about sleeping, and poisons every
+// inbox at the barrier that ends its round, so a machine that reads an
+// inbox after its Step call diverges here. The package's own tests also hand
+// it hand-written blocking programs: they are the oracle for what Loop and
+// Sequence mean.
 
 // program is a node's code in blocking form: between two env.barrier calls
 // lies one round segment.
 type program func(env *Env)
 
-// driveProgram is a machine's blocking form: install the inbox, run one
-// round segment, take the barrier.
+// driveProgram is a machine's blocking form: run one round segment, take
+// the barrier (which installs the next inbox).
 func driveProgram(env *Env, sp StepProgram) {
-	env.curInbox = Inbox{}
 	for !sp.Step(env) {
-		env.curInbox = env.barrier()
+		env.barrier()
 	}
 }
 
@@ -38,6 +39,7 @@ func runLegacy(g *graph.Graph, cfg Config, prog program) (Metrics, error) {
 	if eng == nil {
 		return Metrics{}, err
 	}
+	eng.initStaging(1)
 	var wg sync.WaitGroup
 	wg.Add(eng.n)
 	for _, env := range eng.envs {
@@ -62,11 +64,20 @@ func runLegacy(g *graph.Graph, cfg Config, prog program) (Metrics, error) {
 
 // barrier ends the node's round: all staged messages are handed to the
 // engine, and the call blocks until every node has ended the round. It
-// returns the inbox of messages delivered for the next round; the slices
-// are the caller's until its next barrier.
+// installs and returns the inbox of messages delivered for the next round;
+// the slices are the caller's until its next barrier, which poisons them
+// (From = -1 and a nil Payload, Src = Dst = -1): they were allocated for
+// this node alone, and a machine that still reads them diverges from the
+// step loop, which refills its inboxes in place.
 func (env *Env) barrier() Inbox {
-	if env.eng.stepMode {
+	if env.eng.progs != nil {
 		panic(fmt.Errorf("sim: node %d took the legacy barrier from a StepProgram; use Incoming", env.id))
+	}
+	for i := range env.curInbox.Local {
+		env.curInbox.Local[i] = LocalMsg{From: -1}
+	}
+	for i := range env.curInbox.Global {
+		env.curInbox.Global[i].Src, env.curInbox.Global[i].Dst = -1, -1
 	}
 	if env.eng.aborted.Load() {
 		panic(errAbort)
@@ -78,10 +89,9 @@ func (env *Env) barrier() Inbox {
 		panic(errAbort)
 	}
 	env.round++
-	in := Inbox{Local: env.inLocal, Global: env.inGlobal}
-	env.inLocal = nil
-	env.inGlobal = nil
-	return in
+	env.curInbox = Inbox{Local: env.inLocal, Global: env.inGlobal}
+	env.inLocal, env.inGlobal = nil, nil
+	return env.curInbox
 }
 
 // arrive signals the barrier; the last arriver wakes the coordinator.
@@ -124,8 +134,10 @@ func (e *engine) currentRelease() chan struct{} {
 	return e.release.Load().(chan struct{})
 }
 
-// deliver moves every staged outbox into the destination inboxes, updates
-// metrics, and returns how many nodes finished during this round.
+// deliver drains every sender's bucket 0 (legacy runs one shard), in
+// node-ID order, into the destination inboxes, updates metrics, and returns
+// how many nodes finished during this round. It shares nothing with the step
+// loop's runShard but the staging: it is the reference delivery.
 func (e *engine) deliver() int {
 	e.generation++
 	finished := 0
@@ -137,15 +149,15 @@ func (e *engine) deliver() int {
 		}
 		env.globalSentThisRound = 0
 
-		for _, out := range env.outLocal {
+		for _, out := range env.outLocalSh[0] {
 			dst := e.envs[out.to]
 			dst.inLocal = append(dst.inLocal, LocalMsg{From: env.id, Payload: out.payload})
 			e.metrics.LocalMsgs++
 			e.metrics.LocalBits += out.words * int64(e.logN)
 		}
-		env.outLocal = env.outLocal[:0]
+		env.outLocalSh[0] = env.outLocalSh[0][:0]
 
-		for _, m := range env.outGlobal {
+		for _, m := range env.outGlobalSh[0] {
 			dst := e.envs[m.Dst]
 			dst.inGlobal = append(dst.inGlobal, m)
 			recvCount[m.Dst]++
@@ -156,7 +168,7 @@ func (e *engine) deliver() int {
 				e.metrics.CutGlobalBits += e.msgBits
 			}
 		}
-		env.outGlobal = env.outGlobal[:0]
+		env.outGlobalSh[0] = env.outGlobalSh[0][:0]
 
 		if env.finished && !env.countedFinished {
 			env.countedFinished = true

@@ -2,15 +2,16 @@ package sim
 
 import "runtime"
 
-// This file is the step engine's staging and delivery, everything the
-// engine itself does per round besides calling the machines:
+// This file is the engines' staging and the step loop's delivery, everything
+// the engine itself does per round besides calling the machines:
 //
 //   - The node set is split into contiguous shards. Every sender stages its
-//     outgoing messages into per-destination-shard buckets at send time, so
-//     round delivery never sorts or locks: the worker owning shard k drains
-//     bucket k of every sender in ascending sender ID, which reproduces the
-//     engine contract (inboxes ordered by sender ID, then send order)
-//     independently of the shard count.
+//     outgoing messages into per-destination-shard buckets at send time, on
+//     every engine (EngineLegacy runs one shard), so round delivery never
+//     sorts or locks: the worker owning shard k drains bucket k of every
+//     sender in ascending sender ID, which reproduces the engine contract
+//     (inboxes ordered by sender ID, then send order) independently of the
+//     shard count.
 //   - Stepping and delivery fan out over the shards once per round each
 //     (fanOut). The coordinator runs shard 0 itself and a persistent pool of
 //     nShards-1 goroutines takes the others, so the default shard count
@@ -25,11 +26,11 @@ import "runtime"
 //     batch, so the merge of the per-shard results is the only cross-shard
 //     step, and it is a sum/max/min/or merge that is independent of
 //     completion order.
-//   - Inboxes are preallocated and double-buffered: the buffer delivered at
-//     round r is reused at round r+2, so steady-state rounds allocate
-//     nothing. (Incoming's contract — the slices are the node's until its
-//     next round segment — grants one round of ownership; the double buffer
-//     leaves an extra round of slack.)
+//   - Every node has one inbox, reset and refilled by each round's delivery
+//     of its shard, so steady-state rounds allocate nothing. Delivery runs
+//     after every machine of the round was called, which is what Incoming's
+//     contract asks: the slices are valid only during the Step call that
+//     reads them.
 //   - Senders that staged nothing for a shard are skipped via a dirty flag,
 //     so sparse rounds (the common case in delta-style flooding protocols)
 //     cost O(n) flag reads instead of O(n) slice scans per shard.
@@ -97,17 +98,15 @@ const (
 	pollYield = 128
 )
 
-// initSharded switches the engine to step mode: it sizes the shards,
-// preallocates the per-env staging state and starts the pool of nShards-1
-// goroutines that take shards 1.. of every fanOut (the coordinator takes
-// shard 0). Shards <= 0 autotunes: one shard per available CPU, capped so
+// initSharded prepares the step loop: it sizes the shards (initStaging) and
+// starts the pool of nShards-1 goroutines that take shards 1.. of every
+// fanOut (the coordinator takes shard 0). Shards <= 0 autotunes: one shard per available CPU, capped so
 // every shard keeps at least minShardNodes nodes. The shard count never
 // changes results (the differential tests pin shard-count invariance), only
 // the parallel grain. Waiting goroutines poll only if the pool and the
 // coordinator fit in GOMAXPROCS: with fewer Ps than shards, a poller would
 // spin on the P the goroutine it waits for needs.
 func (e *engine) initSharded() {
-	e.stepMode = true
 	s := e.cfg.Shards
 	if e.distMode {
 		// One worker process per shard: under EngineDist the shard count IS
@@ -127,20 +126,7 @@ func (e *engine) initSharded() {
 			s = 1
 		}
 	}
-	if s > e.n {
-		s = e.n
-	}
-	e.shardSize = (e.n + s - 1) / s
-	e.nShards = (e.n + e.shardSize - 1) / e.shardSize
-	e.recvCount = make([]int, e.n)
-	e.dirty = make([][]bool, e.nShards)
-	for k := range e.dirty {
-		e.dirty[k] = make([]bool, e.n)
-	}
-	for _, env := range e.envs {
-		env.outLocalSh = make([][]localOut, e.nShards)
-		env.outGlobalSh = make([][]GlobalMsg, e.nShards)
-	}
+	e.initStaging(s)
 	if e.nShards > 1 {
 		e.poll = e.nShards <= runtime.GOMAXPROCS(0)
 		// Room for one phase's tasks and results: no send ever blocks.
@@ -157,6 +143,24 @@ func (e *engine) initSharded() {
 				}
 			}()
 		}
+	}
+}
+
+// initStaging splits the nodes into at most s shards (s >= 1) and
+// preallocates the staging state every engine sends through: the
+// per-destination-shard buckets, their dirty flags and the receive counters.
+func (e *engine) initStaging(s int) {
+	s = min(s, e.n)
+	e.shardSize = (e.n + s - 1) / s
+	e.nShards = (e.n + e.shardSize - 1) / e.shardSize
+	e.recvCount = make([]int, e.n)
+	e.dirty = make([][]bool, e.nShards)
+	for k := range e.dirty {
+		e.dirty[k] = make([]bool, e.n)
+	}
+	for _, env := range e.envs {
+		env.outLocalSh = make([][]localOut, e.nShards)
+		env.outGlobalSh = make([][]GlobalMsg, e.nShards)
 	}
 }
 
@@ -212,10 +216,14 @@ func (e *engine) fanOut(step bool) shardResult {
 	return total
 }
 
-// deliverSharded is the in-process round boundary: deliver every shard,
-// merge their metric deltas, and return how many nodes finished.
-func (e *engine) deliverSharded() int {
+// deliverRound is the step loop's round boundary: deliver every shard, merge
+// their metric deltas and, under EngineDist, route the round's global
+// messages (routeRound); it returns how many nodes finished.
+func (e *engine) deliverRound() int {
 	e.generation++
+	for k := range e.distReqs {
+		e.distReqs[k] = e.distReqs[k][:0]
+	}
 	total := e.fanOut(false)
 	e.woke = total.woke
 	e.metrics.LocalMsgs += total.localMsgs
@@ -226,11 +234,14 @@ func (e *engine) deliverSharded() int {
 	e.metrics.CutGlobalBits += total.cutBits
 	e.metrics.MaxGlobalSend = max(e.metrics.MaxGlobalSend, total.maxSend)
 	e.metrics.MaxGlobalRecv = max(e.metrics.MaxGlobalRecv, total.maxRecv)
+	if e.distMode {
+		e.routeRound()
+	}
 	return total.finished
 }
 
 // runShard performs one round of delivery for shard k: reset the shard's
-// inbox buffers and account for its senders, drain every dirty sender's
+// inboxes and account for its senders, drain every dirty sender's
 // k-bucket in ascending sender ID (preserving per-destination send order),
 // and tally the shard's receive loads. Under EngineDist the global messages
 // are counted all the same but go to the shard's request batch, not to the
@@ -242,15 +253,14 @@ func (e *engine) runShard(k int) shardResult {
 	if hi > e.n {
 		hi = e.n
 	}
-	gen := e.generation & 1
 
 	for v := lo; v < hi; v++ {
 		env := e.envs[v]
-		if len(env.inLocalBuf[gen]) > 0 {
-			env.inLocalBuf[gen] = env.inLocalBuf[gen][:0]
+		if len(env.inLocal) > 0 {
+			env.inLocal = env.inLocal[:0]
 		}
-		if len(env.inGlobalBuf[gen]) > 0 {
-			env.inGlobalBuf[gen] = env.inGlobalBuf[gen][:0]
+		if len(env.inGlobal) > 0 {
+			env.inGlobal = env.inGlobal[:0]
 		}
 		if env.finished && !env.countedFinished {
 			env.countedFinished = true
@@ -274,7 +284,7 @@ func (e *engine) runShard(k int) shardResult {
 		env := e.envs[s]
 		for _, out := range env.outLocalSh[k] {
 			dst := e.envs[out.to]
-			dst.inLocalBuf[gen] = append(dst.inLocalBuf[gen], LocalMsg{From: s, Payload: out.payload})
+			dst.inLocal = append(dst.inLocal, LocalMsg{From: s, Payload: out.payload})
 			if dst.wake != 0 {
 				dst.wake, r.woke = 0, true
 			}
@@ -287,7 +297,7 @@ func (e *engine) runShard(k int) shardResult {
 				e.distReqs[k] = append(e.distReqs[k], gm)
 			} else {
 				dst := e.envs[gm.Dst]
-				dst.inGlobalBuf[gen] = append(dst.inGlobalBuf[gen], gm)
+				dst.inGlobal = append(dst.inGlobal, gm)
 				if dst.wake != 0 {
 					dst.wake, r.woke = 0, true
 				}

@@ -27,10 +27,10 @@
 // senders stage outgoing messages into per-destination-shard buckets as
 // they send, and a persistent worker pool drains the buckets shard by
 // shard, each worker owning the inboxes, receive counters and metric deltas
-// of exactly one shard. Inboxes are preallocated and double-buffered so
-// steady-state rounds allocate nothing, senders that staged nothing are
-// skipped via dirty flags, and nodes that declared themselves idle are not
-// called at all. See step.go and sharded.go.
+// of exactly one shard. Every node has one inbox, reset and refilled by each
+// round's delivery, so steady-state rounds allocate nothing; senders that
+// staged nothing are skipped via dirty flags, and nodes that declared
+// themselves idle are not called at all. See step.go and sharded.go.
 //
 // EngineDist is EngineStep with global-mode delivery routed through worker
 // OS processes. See dist.go.
@@ -38,10 +38,11 @@
 // EngineLegacy is the reference implementation of the round-barrier
 // contract: one goroutine per node driving the node's machine and blocking
 // at a barrier between round segments, and a single coordinator that drains
-// every node's flat outbox in node-ID order into freshly allocated inboxes.
-// It calls every machine in every round, whatever the machine declared, so
-// it is what the differential tests, the golden fixture and Loop's
-// sleep-contract check hold the other two against. See legacy.go.
+// every node's staging buckets (legacy runs one shard) in node-ID order into
+// freshly allocated inboxes. It calls every machine in every round, whatever
+// the machine declared, and poisons an inbox once its round is over, so it
+// is what the differential tests, the golden fixture, Loop's sleep-contract
+// check and the inbox contract hold the other two against. See legacy.go.
 //
 // # Determinism
 //
@@ -300,13 +301,14 @@ type engine struct {
 	remaining int32
 	ready     chan struct{} // signaled when remaining hits zero
 
-	// Step-engine state (zero under EngineLegacy): the sharded delivery of
-	// sharded.go and the round loop of step.go.
-	stepMode   bool
-	nShards    int
-	shardSize  int
-	recvCount  []int
-	dirty      [][]bool         // [shard][sender]: sender staged something for shard
+	// Staging, on every engine (sharded.go; EngineLegacy runs one shard).
+	nShards   int
+	shardSize int
+	recvCount []int
+	dirty     [][]bool // [shard][sender]: sender staged something for shard
+
+	// Step-loop state (zero under EngineLegacy): the pool of sharded.go and
+	// the round loop of step.go.
 	workCh     chan shardTask   // shards 1.. of a fanOut, to the pool
 	resCh      chan shardResult // their results, back to the coordinator
 	poll       bool             // waiters poll before parking (recvPoll)
@@ -330,19 +332,15 @@ type Env struct {
 	round    int
 	finished bool
 
-	// Legacy-engine staging: flat outboxes, fresh inboxes each round.
-	outLocal  []localOut
-	outGlobal []GlobalMsg
-
-	inLocal  []LocalMsg
-	inGlobal []GlobalMsg
-
-	// Step-engine staging: per-destination-shard buckets and
-	// double-buffered reused inboxes (see sharded.go).
+	// Staging: per-destination-shard buckets (see sharded.go).
 	outLocalSh  [][]localOut
 	outGlobalSh [][]GlobalMsg
-	inLocalBuf  [2][]LocalMsg
-	inGlobalBuf [2][]GlobalMsg
+
+	// The inbox delivery fills for the node's next round: reset and refilled
+	// in place by the step loop, replaced by a fresh one at every legacy
+	// barrier.
+	inLocal  []LocalMsg
+	inGlobal []GlobalMsg
 
 	// curInbox is the inbox of the round being executed, set by the engine
 	// before each StepProgram.Step call; wake is the round before which the

@@ -228,19 +228,23 @@ func TestGlobalSendCapFactor(t *testing.T) {
 	})
 }
 
+// globalBudget is how many more global messages env may send in the
+// current round.
+func globalBudget(env *Env) int { return env.eng.sendCap - env.globalSentThisRound }
+
 func TestGlobalBudget(t *testing.T) {
 	g := graph.Path(4)
 	onEngines(t, func(t *testing.T, eng Engine) {
 		_, err := RunStep(g, Config{Seed: 1, Engine: eng}, oneRound(
 			func(env *Env) {
-				cap0 := env.GlobalBudget()
+				cap0 := globalBudget(env)
 				env.SendGlobal(0, 0, 0, 0, 0, 0)
-				if env.GlobalBudget() != cap0-1 {
+				if globalBudget(env) != cap0-1 {
 					t.Errorf("budget did not decrease")
 				}
 			},
 			func(env *Env, _ Inbox) {
-				if env.GlobalBudget() != env.GlobalCap() {
+				if globalBudget(env) != env.GlobalCap() {
 					t.Errorf("budget did not reset after the barrier")
 				}
 			}))
@@ -393,25 +397,6 @@ func TestDeterminism(t *testing.T) {
 		for i := range a {
 			if a[i] != b[i] {
 				t.Fatalf("node %d diverged between identical runs: %d vs %d", i, a[i], b[i])
-			}
-		}
-	})
-}
-
-func TestPublicRandShared(t *testing.T) {
-	g := graph.Path(6)
-	onEngines(t, func(t *testing.T, eng Engine) {
-		vals := make([]uint64, 6)
-		_, err := RunStep(g, Config{Seed: 5, Engine: eng}, func(env *Env) StepProgram {
-			vals[env.ID()] = env.PublicRand("coin").Uint64()
-			return idle(0)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 1; i < 6; i++ {
-			if vals[i] != vals[0] {
-				t.Fatalf("public randomness differs between nodes: %d vs %d", vals[i], vals[0])
 			}
 		}
 	})

@@ -219,12 +219,10 @@ func TestSleeperWokenInTheRoundItWouldHaveRead(t *testing.T) {
 	}
 }
 
-// TestSleeperWakesToEmptyInbox is the double-buffer parity hazard: the
-// inboxes are double-buffered by round parity and delivery recycles only
-// the parity it delivers, so after a fast-forward one of the two buffers
-// still holds the messages of the round before the skip. A sleeper woken by
-// its schedule — after an odd and after an even number of skipped rounds —
-// must read an empty inbox, not those.
+// TestSleeperWakesToEmptyInbox: a sleeper woken by its schedule — after an
+// odd and after an even number of skipped rounds — reads an empty inbox, not
+// the messages of the rounds before the skip. (An engine that kept more than
+// one inbox buffer per node, recycling by round parity, would hand it those.)
 func TestSleeperWakesToEmptyInbox(t *testing.T) {
 	g := graph.Path(2)
 	for _, tc := range []struct {
@@ -244,7 +242,7 @@ func TestSleeperWakesToEmptyInbox(t *testing.T) {
 						return 30
 					},
 					Send: func(env *Env, i int) {
-						if i < 2 { // one message into each inbox parity
+						if i < 2 { // one message in each of rounds 0 and 1
 							env.SendLocal(1, int64(i))
 							env.SendGlobal(1, Kind(1), int64(i), 0, 0, 0)
 						}

@@ -30,8 +30,9 @@ import (
 // consecutive round barriers:
 //
 //   - Read the round's inbox with Env.Incoming (empty on the first call).
-//     The slices are owned by the node until its next round segment and
-//     must not be retained.
+//     The slices are valid only during the Step call that reads them and
+//     must not be retained: the engine refills them with the next round's
+//     messages.
 //   - Stage sends with SendLocal / BroadcastLocal / SendGlobal.
 //   - Return false to take the round barrier, true when the node is done.
 //     Returning true consumes no further rounds; the node's staged messages
@@ -284,47 +285,18 @@ func RunStep(g *graph.Graph, cfg Config, factory StepFactory) (Metrics, error) {
 	default:
 		return Metrics{}, fmt.Errorf("sim: unknown engine %v", cfg.Engine)
 	}
-	eng, err := newEngine(g, cfg)
-	if eng == nil {
+	s, err := NewStepper(g, cfg, factory)
+	if s == nil {
 		return Metrics{}, err
 	}
-	eng.distMode = cfg.Engine == EngineDist
-	eng.initSharded()
-	defer eng.stopSharded()
-	if eng.distMode {
-		if err := eng.startDist(); err != nil {
-			return Metrics{}, err
-		}
-		defer eng.distRouter.Close()
-	}
-	eng.runStepLoop(factory)
-	return eng.results()
-}
-
-// runStepLoop is the EngineStep main loop: construct the machines, then
-// alternate round segments with sharded delivery until every node is done.
-func (e *engine) runStepLoop(factory StepFactory) {
-	e.stepInit(factory)
-	for !e.stepAdvance(math.MaxInt) {
-	}
-}
-
-// stepInit constructs the machines and arms the step loop's progress
-// counter; it runs before round 0, exactly once per run.
-func (e *engine) stepInit(factory StepFactory) {
-	e.progs = make([]StepProgram, e.n)
-	for i, env := range e.envs {
-		e.progs[i] = e.buildProg(factory, env)
-	}
-	e.stepActive = e.n
+	return s.Finish()
 }
 
 // stepAdvance executes one iteration of the step loop — one round segment
 // for every unfinished node that is awake, delivery, and, if that leaves
 // every unfinished node asleep, a fast-forward to the earliest wake-up round
 // (but not past round limit) — and reports whether the run is over (every
-// node done, or aborted). It is the unit Stepper.Advance exposes;
-// runStepLoop is nothing but stepInit plus stepAdvance-until-true.
+// node done, or aborted). It is the unit Stepper.Advance exposes.
 func (e *engine) stepAdvance(limit int) bool {
 	// The earliest round any unfinished node needs its next call in (at most
 	// the next round unless every one of them sleeps; MaxInt if none is left).
@@ -341,20 +313,10 @@ func (e *engine) stepAdvance(limit int) bool {
 // node being asleep and nothing being in flight, no machine would be called
 // and no message delivered: per skipped round it does what an idle
 // stepAdvance would have left behind — the round counted, OnRound ticked,
-// MaxRounds and Ctx checked — and nothing else. Both inbox parities are
-// emptied first: delivery recycles only the parity of the round it
-// delivers, so a sleeper woken an odd number of rounds later would
-// otherwise read the buffer of the round before the skip.
+// MaxRounds and Ctx checked — and nothing else. Nothing needs emptying: the
+// delivery before the skip reset every inbox and woke nobody, so a sleeper
+// wakes to an empty inbox.
 func (e *engine) fastForward(to int) {
-	if to <= e.generation {
-		return
-	}
-	for _, env := range e.envs {
-		for p := range env.inLocalBuf {
-			env.inLocalBuf[p] = env.inLocalBuf[p][:0]
-			env.inGlobalBuf[p] = env.inGlobalBuf[p][:0]
-		}
-	}
 	for e.generation < to && !e.aborted.Load() {
 		// The sleepers sat through the segment of round e.generation: it
 		// counts toward Metrics.Rounds like a segment that was executed.
@@ -364,31 +326,44 @@ func (e *engine) fastForward(to int) {
 	}
 }
 
-// Stepper exposes the EngineStep main loop one delivered round at a time,
-// for harnesses that interleave measurement with the engine's progress —
-// the allocation-regression tests advance through a run's warmup and then
-// assert that further rounds allocate nothing. Only EngineStep is
-// supported: EngineLegacy has no externally steppable loop.
+// Stepper is the step loop, the one main loop of EngineStep and EngineDist:
+// RunStep drives it to the end at once, and harnesses that interleave
+// measurement with the engine's progress advance it one delivered round at
+// a time — the allocation-regression tests advance through a run's warmup
+// and then assert that further rounds allocate nothing. EngineLegacy has no
+// externally steppable loop.
 //
-// A Stepper must be finished exactly once (Finish stops the worker pool);
-// Advance after the run completed is a no-op.
+// A Stepper must be finished exactly once (Finish stops the worker pool and
+// closes the dist router); Advance after the run completed is a no-op.
 type Stepper struct {
 	eng  *engine
 	done bool
 }
 
-// NewStepper builds the engine and the per-node machines (round 0 has not
-// run yet) and returns the paused run.
+// NewStepper builds the engine, starts its worker pool (and, under
+// EngineDist, its router) and constructs the per-node machines; round 0 has
+// not run yet. A nil Stepper with a nil error means the run is empty.
 func NewStepper(g *graph.Graph, cfg Config, factory StepFactory) (*Stepper, error) {
-	if cfg.Engine != EngineStep {
-		return nil, fmt.Errorf("sim: Stepper requires EngineStep, got %v", cfg.Engine)
+	if cfg.Engine != EngineStep && cfg.Engine != EngineDist {
+		return nil, fmt.Errorf("sim: Stepper requires EngineStep or EngineDist, got %v", cfg.Engine)
 	}
 	eng, err := newEngine(g, cfg)
 	if eng == nil {
 		return nil, err
 	}
+	eng.distMode = cfg.Engine == EngineDist
 	eng.initSharded()
-	eng.stepInit(factory)
+	if eng.distMode {
+		if err := eng.startDist(); err != nil {
+			eng.stopSharded()
+			return nil, err
+		}
+	}
+	eng.progs = make([]StepProgram, eng.n)
+	for i, env := range eng.envs {
+		eng.progs[i] = eng.buildProg(factory, env)
+	}
+	eng.stepActive = eng.n
 	return &Stepper{eng: eng}, nil
 }
 
@@ -402,13 +377,17 @@ func (s *Stepper) Advance(rounds int) bool {
 	return s.done
 }
 
-// Finish drives the run to completion, stops the worker pool, and returns
-// the collected metrics with the engines' shared error contract.
+// Finish drives the run to completion, stops the worker pool, closes the
+// dist router, and returns the collected metrics with the engines' shared
+// error contract.
 func (s *Stepper) Finish() (Metrics, error) {
+	defer s.eng.stopSharded()
+	if r := s.eng.distRouter; r != nil {
+		defer r.Close()
+	}
 	for !s.done {
 		s.done = s.eng.stepAdvance(math.MaxInt)
 	}
-	s.eng.stopSharded()
 	return s.eng.results()
 }
 
@@ -427,8 +406,7 @@ func (e *engine) buildProg(factory StepFactory, env *Env) (sp StepProgram) {
 }
 
 // stepShard runs one round segment for the nodes of shard k that are awake:
-// install each node's inbox for the generation being executed and call its
-// machine. It returns the earliest round any unfinished one of them needs
+// install each node's inbox and call its machine. It returns the earliest round any unfinished one of them needs
 // its next call in (its SleepUntil declaration, or 0 for "the next round").
 // Workers touch disjoint node state, and sends stage into per-sender
 // buckets, so concurrent shards need no locks (the same disjointness
@@ -437,7 +415,6 @@ func (e *engine) stepShard(k int) (minWake int) {
 	lo := k * e.shardSize
 	hi := min(lo+e.shardSize, e.n)
 	gen := e.generation
-	p := gen & 1
 	minWake = math.MaxInt
 	for v := lo; v < hi; v++ {
 		env := e.envs[v]
@@ -447,11 +424,7 @@ func (e *engine) stepShard(k int) (minWake int) {
 		if env.wake <= gen {
 			env.wake = 0
 			env.round = gen
-			if gen > 0 {
-				env.curInbox = Inbox{Local: env.inLocalBuf[p], Global: env.inGlobalBuf[p]}
-			} else {
-				env.curInbox = Inbox{}
-			}
+			env.curInbox = Inbox{Local: env.inLocal, Global: env.inGlobal}
 			e.stepNode(env, v)
 			if env.finished {
 				continue

@@ -50,10 +50,11 @@ type ExploreMachine struct {
 	slot   flatmap.Map[int32]
 
 	loop sim.Loop
-	// The delta buffers rotate: bufs[i&1] is broadcast at loop index i, read
-	// by neighbors while they process round i, and not written again before
-	// round i+2, when every reader has long taken the i+1 barrier — the
-	// same ownership window as the engine's double-buffered inboxes. The
+	// The delta buffers rotate: bufs[i&1] is broadcast at loop index i and
+	// read by neighbors while they process round i — in the same step phase
+	// in which this node builds the delta of index i+1, so one buffer would
+	// be rewritten under its readers. It is not written again before round
+	// i+2, when every reader has taken the barrier that ends that phase. The
 	// rotation is what makes steady-state rounds allocation-free: after the
 	// wave's peak, both buffers hold enough capacity for every later round.
 	bufs [2]distUpdates
