@@ -16,9 +16,9 @@ import (
 // the inboxes. routeRound hands the batches to a DistRouter, whose workers
 // sort each one into delivery order (per destination: ascending sender ID,
 // then send order — the engine contract) and nothing else, and folds the
-// returned streams into the same inboxes the step engine fills. Byte-identity with
-// EngineLegacy/EngineStep follows because the sorted stream the worker
-// returns is exactly the order runShard delivers in.
+// returned streams into the same inboxes the step engine fills.
+// Byte-identity with EngineLegacy/EngineStep follows because the sorted
+// stream the worker returns is exactly the order runShard delivers in.
 //
 // The router implementation lives in repro/internal/dist and registers
 // itself here via RegisterDistRouter, keeping this package free of any

@@ -88,7 +88,8 @@ func (env *Env) SendGlobal(dst int, kind Kind, f0, f1, f2, f3 int64) {
 	env.staged++
 	k := env.eng.shardOf(dst)
 	env.eng.dirty[k][env.id] = true
-	env.outGlobalSh[k] = append(env.outGlobalSh[k], GlobalMsg{Src: env.id, Dst: dst, Kind: kind, F0: f0, F1: f1, F2: f2, F3: f3})
+	env.outGlobalSh[k] = append(env.outGlobalSh[k],
+		GlobalMsg{Src: env.id, Dst: dst, Kind: kind, F0: f0, F1: f1, F2: f2, F3: f3})
 }
 
 // Incoming returns the inbox delivered for the round currently being

@@ -100,8 +100,9 @@ const (
 
 // initSharded prepares the step loop: it sizes the shards (initStaging) and
 // starts the pool of nShards-1 goroutines that take shards 1.. of every
-// fanOut (the coordinator takes shard 0). Shards <= 0 autotunes: one shard per available CPU, capped so
-// every shard keeps at least minShardNodes nodes. The shard count never
+// fanOut (the coordinator takes shard 0). Shards <= 0 autotunes: one shard
+// per available CPU, capped so every shard keeps at least minShardNodes
+// nodes. The shard count never
 // changes results (the differential tests pin shard-count invariance), only
 // the parallel grain. Waiting goroutines poll only if the pool and the
 // coordinator fit in GOMAXPROCS: with fewer Ps than shards, a poller would

@@ -305,7 +305,7 @@ type engine struct {
 	nShards   int
 	shardSize int
 	recvCount []int
-	dirty     [][]bool // [shard][sender]: sender staged something for shard
+	dirty     [][]bool // [shard][sender]: sender staged something for shard (runShard clears it)
 
 	// Step-loop state (zero under EngineLegacy): the pool of sharded.go and
 	// the round loop of step.go.

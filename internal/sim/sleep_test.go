@@ -221,8 +221,7 @@ func TestSleeperWokenInTheRoundItWouldHaveRead(t *testing.T) {
 
 // TestSleeperWakesToEmptyInbox: a sleeper woken by its schedule — after an
 // odd and after an even number of skipped rounds — reads an empty inbox, not
-// the messages of the rounds before the skip. (An engine that kept more than
-// one inbox buffer per node, recycling by round parity, would hand it those.)
+// the messages of the rounds before the skip.
 func TestSleeperWakesToEmptyInbox(t *testing.T) {
 	g := graph.Path(2)
 	for _, tc := range []struct {
