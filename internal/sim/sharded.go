@@ -128,6 +128,7 @@ func (e *engine) initSharded() {
 		}
 	}
 	e.initStaging(s)
+	e.recvCount = make([]int, e.n)
 	if e.nShards > 1 {
 		e.poll = e.nShards <= runtime.GOMAXPROCS(0)
 		// Room for one phase's tasks and results: no send ever blocks.
@@ -149,12 +150,11 @@ func (e *engine) initSharded() {
 
 // initStaging splits the nodes into at most s shards (s >= 1) and
 // preallocates the staging state every engine sends through: the
-// per-destination-shard buckets, their dirty flags and the receive counters.
+// per-destination-shard buckets and their dirty flags.
 func (e *engine) initStaging(s int) {
 	s = min(s, e.n)
 	e.shardSize = (e.n + s - 1) / s
 	e.nShards = (e.n + e.shardSize - 1) / e.shardSize
-	e.recvCount = make([]int, e.n)
 	e.dirty = make([][]bool, e.nShards)
 	for k := range e.dirty {
 		e.dirty[k] = make([]bool, e.n)

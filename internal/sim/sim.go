@@ -304,11 +304,11 @@ type engine struct {
 	// Staging, on every engine (sharded.go; EngineLegacy runs one shard).
 	nShards   int
 	shardSize int
-	recvCount []int
 	dirty     [][]bool // [shard][sender]: sender staged something for shard (runShard clears it)
 
-	// Step-loop state (zero under EngineLegacy): the pool of sharded.go and
-	// the round loop of step.go.
+	// Step-loop state (zero under EngineLegacy): runShard's receive
+	// counters, the pool of sharded.go and the round loop of step.go.
+	recvCount  []int
 	workCh     chan shardTask   // shards 1.. of a fanOut, to the pool
 	resCh      chan shardResult // their results, back to the coordinator
 	poll       bool             // waiters poll before parking (recvPoll)
