@@ -10,6 +10,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/persist"
 	"repro/internal/sim"
@@ -42,24 +43,37 @@ func AppendMsgs(dst []byte, ms []sim.GlobalMsg) []byte {
 	return dst
 }
 
-// DecodeMsgs decodes a full-buffer message batch written by AppendMsgs. A
-// count the remaining bytes cannot hold is refused before the batch is
-// allocated.
+// DecodeMsgs decodes a full-buffer message batch written by AppendMsgs
+// into a slice of its own; see AppendDecodedMsgs.
 func DecodeMsgs(data []byte) ([]sim.GlobalMsg, error) {
+	ms, err := AppendDecodedMsgs(nil, data)
+	if err != nil {
+		return nil, err
+	}
+	return ms, nil
+}
+
+// AppendDecodedMsgs decodes a full-buffer message batch written by
+// AppendMsgs and appends its messages to dst, returning the extended slice;
+// on error it returns dst at its original length. A count the remaining
+// bytes cannot hold is refused before dst grows.
+func AppendDecodedMsgs(dst []sim.GlobalMsg, data []byte) ([]sim.GlobalMsg, error) {
 	n, pos := binary.Uvarint(data)
 	if pos <= 0 {
-		return nil, fmt.Errorf("%w: bad message count", ErrMalformed)
+		return dst, fmt.Errorf("%w: bad message count", ErrMalformed)
 	}
 	if n > uint64(len(data)-pos)/minMsgLen {
-		return nil, fmt.Errorf("%w: %d messages cannot fit in %d bytes", ErrMalformed, n, len(data)-pos)
+		return dst, fmt.Errorf("%w: %d messages cannot fit in %d bytes", ErrMalformed, n, len(data)-pos)
 	}
-	ms := make([]sim.GlobalMsg, n)
+	start := len(dst)
+	dst = slices.Grow(dst, int(n))[:start+int(n)]
+	ms := dst[start:]
 	for i := range ms {
 		var ends [3]uint64
 		for j := range ends {
 			v, k := binary.Uvarint(data[pos:])
 			if k <= 0 {
-				return nil, fmt.Errorf("%w: message %d truncated", ErrMalformed, i)
+				return dst[:start], fmt.Errorf("%w: message %d truncated", ErrMalformed, i)
 			}
 			ends[j], pos = v, pos+k
 		}
@@ -67,24 +81,24 @@ func DecodeMsgs(data []byte) ([]sim.GlobalMsg, error) {
 		for j := range fs {
 			v, k := binary.Varint(data[pos:])
 			if k <= 0 {
-				return nil, fmt.Errorf("%w: message %d truncated", ErrMalformed, i)
+				return dst[:start], fmt.Errorf("%w: message %d truncated", ErrMalformed, i)
 			}
 			fs[j], pos = v, pos+k
 		}
 		src, dstID, kind := ends[0], ends[1], ends[2]
 		if src > maxNodeID || dstID > maxNodeID {
-			return nil, fmt.Errorf("%w: message %d has endpoint out of range (src %d, dst %d)",
+			return dst[:start], fmt.Errorf("%w: message %d has endpoint out of range (src %d, dst %d)",
 				ErrMalformed, i, src, dstID)
 		}
 		if kind > uint64(^uint16(0)) {
-			return nil, fmt.Errorf("%w: message %d kind %d outside uint16", ErrMalformed, i, kind)
+			return dst[:start], fmt.Errorf("%w: message %d kind %d outside uint16", ErrMalformed, i, kind)
 		}
 		ms[i] = sim.GlobalMsg{Src: int(src), Dst: int(dstID), Kind: sim.Kind(kind), F0: fs[0], F1: fs[1], F2: fs[2], F3: fs[3]}
 	}
 	if pos != len(data) {
-		return nil, fmt.Errorf("%w: %d trailing bytes after message batch", ErrMalformed, len(data)-pos)
+		return dst[:start], fmt.Errorf("%w: %d trailing bytes after message batch", ErrMalformed, len(data)-pos)
 	}
-	return ms, nil
+	return dst, nil
 }
 
 // Hello is the coordinator's per-connection configuration handshake: the

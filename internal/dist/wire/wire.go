@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"slices"
 )
 
 // Version is the one protocol version this build speaks: the lockstep
@@ -125,26 +126,35 @@ func AppendFrame(dst []byte, f Frame) []byte {
 	return dst
 }
 
-// ReadFrame reads exactly one frame from r. The length prefix is bounded
-// by MaxFrameLen before the body is allocated; the frame's payload is a
-// slice of that body. Reads are plain (no buffering beyond the frame), so a
-// caller alternating frames with other readers of the same stream stays in
-// sync.
+// ReadFrame reads exactly one frame from r into a buffer of its own; see
+// ReadFrameInto.
 func ReadFrame(r io.Reader) (Frame, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return Frame{}, err
+	f, _, err := ReadFrameInto(r, nil)
+	return f, err
+}
+
+// ReadFrameInto reads exactly one frame from r into buf, growing it as
+// needed, and returns the frame and the buffer for the next call. The length
+// prefix is bounded by MaxFrameLen before the buffer grows; the frame's
+// payload is a slice of buf, valid until buf is read into again. Reads are
+// plain (no buffering beyond the frame), so a caller alternating frames with
+// other readers of the same stream stays in sync.
+func ReadFrameInto(r io.Reader, buf []byte) (Frame, []byte, error) {
+	buf = slices.Grow(buf[:0], 4)[:4]
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return Frame{}, buf, err
 	}
-	bodyLen := binary.LittleEndian.Uint32(lenBuf[:])
+	bodyLen := binary.LittleEndian.Uint32(buf)
 	if bodyLen < minFrameLen || bodyLen > MaxFrameLen {
-		return Frame{}, fmt.Errorf("%w: length prefix %d outside [%d, %d]",
+		return Frame{}, buf, fmt.Errorf("%w: length prefix %d outside [%d, %d]",
 			ErrMalformed, bodyLen, minFrameLen, MaxFrameLen)
 	}
-	body := make([]byte, bodyLen)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return Frame{}, fmt.Errorf("%w: truncated body: %v", ErrMalformed, err)
+	buf = slices.Grow(buf[:0], int(bodyLen))[:bodyLen]
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return Frame{}, buf, fmt.Errorf("%w: truncated body: %v", ErrMalformed, err)
 	}
-	return parseBody(body)
+	f, err := parseBody(buf)
+	return f, buf, err
 }
 
 // DecodeFrame decodes one frame from the front of data, returning the
