@@ -516,3 +516,51 @@ func TestRouterRoundGaps(t *testing.T) {
 		t.Fatalf("fault stats %+v, want exactly the round-5000 kill (and its respawn) to have fired", st)
 	}
 }
+
+// TestDistRoundAllocsFlat is the allocation gate of a routed round: with
+// the coordinator and its listen workers in one process, a warm RouteRound
+// allocates as often at 1 024 messages per shard as at 8 — the request,
+// the frames, the decoded batches, the sort's scratch and the streams are
+// buffers both sides reuse, so no allocation grows with the batch.
+func TestDistRoundAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime instruments allocations")
+	}
+	const workers, shardSize = 2, 32
+	addrs, _ := startListenWorkers(t, workers)
+	r, err := New(sim.DistRouterConfig{
+		N: workers * shardSize, Workers: workers, ShardSize: shardSize,
+		Opts: &Options{Connect: addrs},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	batches := func(per int) [][]sim.GlobalMsg {
+		out := make([][]sim.GlobalMsg, workers)
+		for k := range out {
+			for i := 0; i < per; i++ {
+				out[k] = append(out[k], sim.GlobalMsg{
+					Src: (i * 7) % (workers * shardSize), Dst: k*shardSize + (i*13)%shardSize,
+					Kind: sim.Kind(i % 4), F0: int64(i) << 20, F1: -int64(i), F2: int64(k), F3: 1,
+				})
+			}
+		}
+		return out
+	}
+	round := 0
+	route := func(batch [][]sim.GlobalMsg) {
+		round++
+		if _, _, err := r.RouteRound(round, batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	small, large := batches(8), batches(1024)
+	route(large) // warm-up: the buffers grow to the largest batch
+	allocs := func(batch [][]sim.GlobalMsg) float64 {
+		return testing.AllocsPerRun(100, func() { route(batch) })
+	}
+	if a8, a1024 := allocs(small), allocs(large); a8 != a1024 {
+		t.Fatalf("a RouteRound allocates %v times at 8 messages per shard and %v at 1024", a8, a1024)
+	}
+}

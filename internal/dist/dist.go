@@ -195,10 +195,16 @@ func (w *worker) stop() {
 // slot is one shard's coordinator-side state. The worker handle is an
 // atomic pointer so Close, its lock-free reader, never races the respawn
 // path, and mu serializes everything that touches the connection: round
-// trips, respawn + replay.
+// trips, respawn + replay. The buffers are reused by every round trip: the
+// encoded request batch and frame, the reply frame read off the connection,
+// and the decoded reply — the stream RouteRound hands out, valid until the
+// next round trip.
 type slot struct {
 	mu sync.Mutex
 	w  atomic.Pointer[worker]
+
+	payload, req, body []byte
+	stream             []sim.GlobalMsg
 }
 
 // Router is the coordinator: it owns the worker connections and the
@@ -211,6 +217,10 @@ type Router struct {
 
 	respawns atomic.Int64
 	closed   atomic.Bool
+
+	// streams and errs are RouteRound's per-shard results, reused every round.
+	streams [][]sim.GlobalMsg
+	errs    []error
 }
 
 // deadline is the end of a wait of d: now + d, or the run context's
@@ -250,7 +260,8 @@ func New(cfg sim.DistRouterConfig) (*Router, error) {
 		return nil, fmt.Errorf("dist: %d connect addresses for %d workers (one per shard required)",
 			len(opts.Connect), cfg.Workers)
 	}
-	r := &Router{cfg: cfg, ctx: cfg.Ctx, opts: opts, slots: make([]*slot, cfg.Workers)}
+	r := &Router{cfg: cfg, ctx: cfg.Ctx, opts: opts, slots: make([]*slot, cfg.Workers),
+		streams: make([][]sim.GlobalMsg, cfg.Workers), errs: make([]error, cfg.Workers)}
 	if r.ctx == nil {
 		r.ctx = context.Background()
 	}
@@ -454,7 +465,8 @@ func (r *Router) respawnLocked(k int, req []byte) (*worker, error) {
 // replies come back in shard order. An empty batch still makes the trip; the
 // engine is what leaves a round with no global message unrouted. Rounds
 // must be routed in ascending order (the engine's round loop guarantees
-// this), not necessarily consecutive.
+// this), not necessarily consecutive, and one at a time. The streams are the
+// Router's buffers: they are valid until the next RouteRound.
 func (r *Router) RouteRound(round int, outgoing [][]sim.GlobalMsg) ([][]sim.GlobalMsg, sim.DistRoundStats, error) {
 	if r.closed.Load() {
 		return nil, sim.DistRoundStats{}, errors.New("dist: router is closed")
@@ -463,17 +475,16 @@ func (r *Router) RouteRound(round int, outgoing [][]sim.GlobalMsg) ([][]sim.Glob
 	if len(outgoing) != nw {
 		return nil, sim.DistRoundStats{}, fmt.Errorf("dist: %d request batches for %d workers", len(outgoing), nw)
 	}
-	results := make([][]sim.GlobalMsg, nw)
-	errs := make([]error, nw)
+	streams, errs := r.streams, r.errs
 	if nw == 1 {
-		results[0], errs[0] = r.roundTrip(0, round, outgoing[0])
+		streams[0], errs[0] = r.roundTrip(0, round, outgoing[0])
 	} else {
 		var wg sync.WaitGroup
 		for k := 0; k < nw; k++ {
 			wg.Add(1)
 			go func(k int) {
 				defer wg.Done()
-				results[k], errs[k] = r.roundTrip(k, round, outgoing[k])
+				streams[k], errs[k] = r.roundTrip(k, round, outgoing[k])
 			}(k)
 		}
 		wg.Wait()
@@ -483,9 +494,9 @@ func (r *Router) RouteRound(round int, outgoing [][]sim.GlobalMsg) ([][]sim.Glob
 		if errs[k] != nil {
 			return nil, sim.DistRoundStats{}, errs[k]
 		}
-		total.GlobalMsgs += int64(len(results[k]))
+		total.GlobalMsgs += int64(len(streams[k]))
 	}
-	return results, total, nil
+	return streams, total, nil
 }
 
 // roundTrip sends shard k's request for round and awaits the reply,
@@ -494,17 +505,20 @@ func (r *Router) RouteRound(round int, outgoing [][]sim.GlobalMsg) ([][]sim.Glob
 // until the reply is in, so every resend and replay is byte-identical. Each
 // attempt first checks the run's context, and every wait ends by its
 // deadline, so an ended run is seen within one FrameTimeout (by its deadline
-// when it has one).
+// when it has one). The request, the reply and the returned stream live in
+// the slot's buffers.
 func (r *Router) roundTrip(k, round int, out []sim.GlobalMsg) ([]sim.GlobalMsg, error) {
 	sl := r.slots[k]
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
-	req := wire.AppendFrame(nil, wire.Frame{
+	sl.payload = wire.AppendMsgs(sl.payload[:0], out)
+	sl.req = wire.AppendFrame(sl.req[:0], wire.Frame{
 		Type:    wire.FrameRound,
 		Round:   round,
 		Shard:   k,
-		Payload: wire.AppendMsgs(nil, out),
+		Payload: sl.payload,
 	})
+	req := sl.req
 	w := sl.w.Load()
 	var lastErr error
 	for attempt := 1; attempt <= retries; attempt++ {
@@ -534,13 +548,13 @@ func (r *Router) roundTrip(k, round int, out []sim.GlobalMsg) ([]sim.GlobalMsg, 
 				}
 			}
 		}
-		f, err := r.awaitReply(w, round)
+		f, err := r.awaitReply(sl, w, round)
 		if err == nil {
-			msgs, derr := wire.DecodeMsgs(f.Payload)
-			if derr != nil {
+			var derr error
+			if sl.stream, derr = wire.AppendDecodedMsgs(sl.stream[:0], f.Payload); derr != nil {
 				return nil, fmt.Errorf("dist: worker %d round %d reply: %w", k, round, derr)
 			}
-			return msgs, nil
+			return sl.stream, nil
 		}
 		lastErr = err
 		if isTimeout(err) {
@@ -569,16 +583,18 @@ type protocolError struct{ msg string }
 
 func (e *protocolError) Error() string { return e.msg }
 
-// awaitReply reads frames until the reply for round arrives or the
-// attempt deadline — FrameTimeout, or the run context's deadline when that
-// comes first — passes. A stale reply to an earlier round (a retransmit
-// raced a late reply) is skipped.
-func (r *Router) awaitReply(w *worker, round int) (wire.Frame, error) {
+// awaitReply reads frames into the slot's body buffer until the reply for
+// round arrives or the attempt deadline — FrameTimeout, or the run context's
+// deadline when that comes first — passes. A stale reply to an earlier round
+// (a retransmit raced a late reply) is skipped.
+func (r *Router) awaitReply(sl *slot, w *worker, round int) (wire.Frame, error) {
 	w.conn.SetReadDeadline(r.deadline(r.opts.FrameTimeout))
 	defer w.conn.SetReadDeadline(time.Time{})
 	for {
 		before := w.cr.n
-		f, err := wire.ReadFrame(w.cr)
+		var f wire.Frame
+		var err error
+		f, sl.body, err = wire.ReadFrameInto(w.cr, sl.body)
 		if err != nil {
 			if isTimeout(err) && w.cr.n != before {
 				// The deadline fired mid-frame: the stream is desynced,

@@ -304,9 +304,12 @@ func TestServeConnErrors(t *testing.T) {
 }
 
 // FuzzServeConn drives the production worker loop with a Hello frame and
-// a Round frame around fuzzed payloads. No input may panic it, and a worker
-// that acked the Hello answers the round with its batch in delivery order
-// or with an error frame.
+// a Round frame around fuzzed payloads, then — on the same connection, so
+// through the buffers the first round left behind — a second round built
+// from the fuzzed bytes and a retransmit of it. No input may panic the
+// loop; a worker that acked the Hello answers every round with an error
+// frame or with its request stable-sorted by destination, and answers the
+// retransmit with the very reply it repeats.
 func FuzzServeConn(f *testing.F) {
 	batch := wire.AppendMsgs(nil, []sim.GlobalMsg{{Src: 0, Dst: 7, F0: 10}, {Src: 0, Dst: 4}, {Src: 2, Dst: 7}, {Src: 3, Dst: 4}})
 	f.Add(wire.AppendHello(nil, wire.Hello{N: 8, Shard: 1, Lo: 4, Hi: 8}), batch)
@@ -318,6 +321,9 @@ func FuzzServeConn(f *testing.F) {
 		wide[i] = sim.GlobalMsg{Src: i % 8, Dst: 4 + i%4, Kind: sim.Kind(i % 5), F0: f, F1: -f, F2: f + 1, F3: int64(i) - 300}
 	}
 	f.Add(wire.AppendHello(nil, wire.Hello{N: 8, Shard: 1, Lo: 4, Hi: 8}), wire.AppendMsgs(nil, wide))
+	// A shard of 2^31−1 nodes: the sort's passes follow the keys, not the range.
+	f.Add(wire.AppendHello(nil, wire.Hello{N: 1<<31 - 1, Lo: 0, Hi: 1<<31 - 1}),
+		wire.AppendMsgs(nil, []sim.GlobalMsg{{Src: 1, Dst: 1<<31 - 2}, {Src: 2, Dst: 0}, {Src: 3, Dst: 1 << 20}}))
 	f.Fuzz(func(t *testing.T, hello, round []byte) {
 		client, done := serveConnPair(t)
 		client.SetDeadline(time.Now().Add(5 * time.Second))
@@ -325,22 +331,68 @@ func FuzzServeConn(f *testing.F) {
 			_, err := client.Write(wire.AppendFrame(nil, fr))
 			return err == nil
 		}
-		if send(wire.Frame{Type: wire.FrameHello, Payload: hello}) {
-			ack, err := wire.ReadFrame(client)
-			if err == nil && ack.Type == wire.FrameHelloAck && send(wire.Frame{Type: wire.FrameRound, Round: 1, Payload: round}) {
-				reply, err := wire.ReadFrame(client)
-				if err != nil {
-					t.Fatalf("round after an acked hello: %v", err)
+		// check reads the reply to a request for round r: an error frame if
+		// the request is not a batch for the shard, else a reply for r that
+		// holds msgs stable-sorted by destination.
+		check := func(r int, msgs []sim.GlobalMsg, valid bool) wire.Frame {
+			reply, err := wire.ReadFrame(client)
+			if err != nil {
+				t.Fatalf("round %d after an acked hello: %v", r, err)
+			}
+			if !valid {
+				if reply.Type != wire.FrameError {
+					t.Fatalf("round %d, not a batch for the shard, answered with a %v frame", r, reply.Type)
 				}
-				switch reply.Type {
-				case wire.FrameRoundReply:
-					if _, err := wire.DecodeMsgs(reply.Payload); err != nil {
-						t.Fatalf("round reply does not decode: %v", err)
-					}
-				case wire.FrameError:
-				default:
-					t.Fatalf("round answered with a %v frame", reply.Type)
+				return reply
+			}
+			if reply.Type != wire.FrameRoundReply || reply.Round != r {
+				t.Fatalf("round %d answered with a %v frame for round %d: %q", r, reply.Type, reply.Round, reply.Payload)
+			}
+			got, err := wire.DecodeMsgs(reply.Payload)
+			if err != nil {
+				t.Fatalf("round %d reply does not decode: %v", r, err)
+			}
+			if want := stableByDst(msgs); len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+				t.Fatalf("round %d reply\n%v\nis not the stable sort of its request\n%v", r, got, want)
+			}
+			return reply
+		}
+		if !send(wire.Frame{Type: wire.FrameHello, Payload: hello}) {
+			t.Fatal("sending the hello")
+		}
+		ack, err := wire.ReadFrame(client)
+		if err == nil && ack.Type == wire.FrameHelloAck {
+			h, err := wire.DecodeHello(hello)
+			if err != nil {
+				t.Fatalf("worker acked a hello that does not decode: %v", err)
+			}
+			msgs, err := wire.DecodeMsgs(round)
+			valid := err == nil
+			for _, m := range msgs {
+				valid = valid && m.Dst >= h.Lo && m.Dst < h.Hi
+			}
+			if !send(wire.Frame{Type: wire.FrameRound, Round: 1, Payload: round}) {
+				t.Fatal("sending round 1")
+			}
+			check(1, msgs, valid)
+			// Round 2: a message per fuzzed byte (at most 512), each for a
+			// node of the shard.
+			var second []sim.GlobalMsg
+			for i, b := range round[:min(len(round), 512)] {
+				if h.Hi > h.Lo {
+					second = append(second, sim.GlobalMsg{Src: i, Dst: h.Lo + int(b)*(i+1)%(h.Hi-h.Lo), Kind: sim.Kind(b), F0: int64(i)})
 				}
+			}
+			req := wire.Frame{Type: wire.FrameRound, Round: 2, Shard: h.Shard, Payload: wire.AppendMsgs(nil, second)}
+			if !send(req) {
+				t.Fatal("sending round 2")
+			}
+			reply := check(2, second, true)
+			if !send(req) {
+				t.Fatal("retransmitting round 2")
+			}
+			if again := check(2, second, true); !reflect.DeepEqual(again, reply) {
+				t.Fatalf("retransmit of round 2 answered %+v, the round was answered %+v", again, reply)
 			}
 		}
 		client.Close()

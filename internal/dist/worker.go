@@ -6,7 +6,7 @@ import (
 	"io"
 	"net"
 	"os"
-	"sort"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -161,7 +161,8 @@ func (lw *ListenWorker) Close() error {
 }
 
 // workerState is the per-connection round-serving state, configured by
-// the Hello frame.
+// the Hello frame. Its buffers are reused by every round, so a routed round
+// allocates nothing in the steady state.
 type workerState struct {
 	shard  int
 	lo, hi int
@@ -169,17 +170,26 @@ type workerState struct {
 	// retransmit is answered byte-identically without recomputation.
 	lastRound int
 	lastReply []byte
+	// batch is the decoded request, scratch sortRound's second buffer (the
+	// sorted stream ends in either), payload the encoded sorted stream.
+	batch, scratch []sim.GlobalMsg
+	payload        []byte
 }
 
 // ServeConn runs the worker protocol loop over one coordinator
 // connection until a Shutdown frame, EOF, or an unrecoverable error. It
 // is exported so tests can drive the exact production loop in-process
 // (over net.Pipe), where coverage and the race detector see it. Only this
-// goroutine writes to conn.
+// goroutine writes to conn. One frame buffer serves every read and the
+// workerState's buffers every round, so a round costs time linear in its
+// batch and no allocation once the buffers have grown to the largest batch.
 func ServeConn(conn net.Conn) error {
 	var st *workerState
+	var buf []byte
 	for {
-		f, err := wire.ReadFrame(conn)
+		var f wire.Frame
+		var err error
+		f, buf, err = wire.ReadFrameInto(conn, buf)
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				return nil
@@ -224,38 +234,72 @@ func errorFrame(msg string) []byte {
 // the coordinator's retry path resent after a lost or late reply — is
 // answered from the cache: recomputing would be byte-identical, resending is
 // cheaper. A batch that does not decode or belong to the shard is answered
-// with an error frame.
+// with an error frame, and the cache keeps the last round served.
 func (st *workerState) reply(f wire.Frame) []byte {
 	if st.lastReply != nil && f.Round == st.lastRound {
 		return st.lastReply
 	}
-	msgs, err := wire.DecodeMsgs(f.Payload)
+	var sorted []sim.GlobalMsg
+	var err error
+	st.batch, err = wire.AppendDecodedMsgs(st.batch[:0], f.Payload)
 	if err == nil {
-		err = st.sortRound(msgs)
+		sorted, err = st.sortRound(st.batch)
 	}
 	if err != nil {
 		return errorFrame(fmt.Sprintf("round %d: %v", f.Round, err))
 	}
+	st.payload = wire.AppendMsgs(st.payload[:0], sorted)
 	st.lastRound = f.Round
-	st.lastReply = wire.AppendFrame(nil, wire.Frame{
+	st.lastReply = wire.AppendFrame(st.lastReply[:0], wire.Frame{
 		Type:    wire.FrameRoundReply,
 		Round:   f.Round,
 		Shard:   st.shard,
-		Payload: wire.AppendMsgs(nil, msgs),
+		Payload: st.payload,
 	})
 	return st.lastReply
 }
 
 // sortRound checks that every message of the batch is for the shard and
-// stable-sorts the batch by destination in place: within a destination the
+// returns the batch stable-sorted by destination: within a destination the
 // request order (ascending sender, then send order) survives, which is
-// exactly the engine's inbox contract.
-func (st *workerState) sortRound(msgs []sim.GlobalMsg) error {
+// exactly the engine's inbox contract. It is an LSD radix sort on the key
+// Dst−Lo, one byte per pass with 256 buckets, over as many bytes as the
+// largest key present needs; a pass whose byte is the same for every message
+// is skipped. Each pass scatters between msgs and st.scratch, so the result
+// is one of the two. The work is linear in the batch, and the scratch is as
+// long as the batch: the shard range the Hello declared (up to 2^31 nodes)
+// sizes nothing.
+func (st *workerState) sortRound(msgs []sim.GlobalMsg) ([]sim.GlobalMsg, error) {
+	var keys uint // the OR of every key: its highest set bit bounds the passes
 	for _, m := range msgs {
 		if m.Dst < st.lo || m.Dst >= st.hi {
-			return fmt.Errorf("message for node %d outside shard range [%d,%d)", m.Dst, st.lo, st.hi)
+			return nil, fmt.Errorf("message for node %d outside shard range [%d,%d)", m.Dst, st.lo, st.hi)
 		}
+		keys |= uint(m.Dst - st.lo)
 	}
-	sort.SliceStable(msgs, func(i, j int) bool { return msgs[i].Dst < msgs[j].Dst })
-	return nil
+	if keys == 0 {
+		return msgs, nil // every message is for node Lo, or there is none
+	}
+	st.scratch = slices.Grow(st.scratch[:0], len(msgs))[:len(msgs)]
+	src, dst := msgs, st.scratch
+	for shift := uint(0); keys>>shift != 0; shift += 8 {
+		var start [256]int
+		for i := range src {
+			start[byte(uint(src[i].Dst-st.lo)>>shift)]++
+		}
+		if start[byte(uint(src[0].Dst-st.lo)>>shift)] == len(src) {
+			continue
+		}
+		sum := 0
+		for b, c := range start {
+			start[b], sum = sum, sum+c
+		}
+		for _, m := range src {
+			b := byte(uint(m.Dst-st.lo) >> shift)
+			dst[start[b]] = m
+			start[b]++
+		}
+		src, dst = dst, src
+	}
+	return src, nil
 }

@@ -53,10 +53,12 @@ type DistRoundStats struct {
 // every message destined for shard k, in staging order: ascending sender
 // ID, then send order) and returns the per-shard delivery streams sorted
 // by destination, with their message count. The engine routes only rounds
-// that stage at least one global message, in ascending round order. The
-// router owns retries, respawns, and replay; an error means a shard could
-// not be served within the robustness budget and aborts the run. Close
-// releases the workers; it must be idempotent.
+// that stage at least one global message, one at a time, in ascending round
+// order. The streams may be the router's own buffers: they are valid only
+// until the next RouteRound, so the engine copies them into the inboxes at
+// once (routeRound). The router owns retries, respawns, and replay; an error
+// means a shard could not be served within the robustness budget and aborts
+// the run. Close releases the workers; it must be idempotent.
 type DistRouter interface {
 	RouteRound(round int, outgoing [][]GlobalMsg) ([][]GlobalMsg, DistRoundStats, error)
 	Close() error
