@@ -76,6 +76,44 @@ func TestEnginesAgree(t *testing.T) {
 	}
 }
 
+// TestFinishedNodeInboxStaysEmpty: node 0 finishes in round 0 while node 1
+// sends it one local and one global message per round for 1 000 rounds.
+// Every engine counts those messages alike, and the legacy engine keeps none
+// of them: a finished node never takes another barrier to hand them off.
+func TestFinishedNodeInboxStaysEmpty(t *testing.T) {
+	const rounds = 1000
+	g := graph.Path(2)
+	var want Metrics
+	for i, eng := range []Engine{EngineLegacy, EngineStep, EngineDist} {
+		var node0 *Env
+		m, err := RunStep(g, Config{Engine: eng}, func(env *Env) StepProgram {
+			if env.ID() == 0 {
+				node0 = env
+				return StepFunc(func(*Env) bool { return true })
+			}
+			return &Loop{Rounds: rounds, Send: func(env *Env, r int) {
+				env.SendLocal(0, int64(r))
+				env.SendGlobal(0, 1, int64(r), 0, 0, 0)
+			}}
+		})
+		if err != nil {
+			t.Fatalf("%v: %v", eng, err)
+		}
+		if m.GlobalMsgs != rounds || m.LocalMsgs != rounds {
+			t.Fatalf("%v: counted %d global and %d local messages, want %d each", eng, m.GlobalMsgs, m.LocalMsgs, rounds)
+		}
+		if i == 0 {
+			want = m
+			if len(node0.inLocal)+len(node0.inGlobal) != 0 {
+				t.Fatalf("legacy: finished node 0 holds %d local and %d global messages, want none",
+					len(node0.inLocal), len(node0.inGlobal))
+			}
+		} else if m != want {
+			t.Fatalf("%v: metrics differ from legacy:\nlegacy %+v\n%v %+v", eng, want, eng, m)
+		}
+	}
+}
+
 // TestShardCountInvariance: results must not depend on the shard count
 // (delivery order is (sender ID, send order) by construction, whatever the
 // sharding) — on a topology whose local traffic crosses every shard boundary

@@ -137,7 +137,9 @@ func (e *engine) currentRelease() chan struct{} {
 // deliver drains every sender's bucket 0 (legacy runs one shard), in
 // node-ID order, into the destination inboxes, updates metrics, and returns
 // how many nodes finished during this round. It shares nothing with the step
-// loop's runShard but the staging: it is the reference delivery.
+// loop's runShard but the staging: it is the reference delivery. A message
+// for a finished node is counted like any other but not kept: no barrier
+// would ever hand it off.
 func (e *engine) deliver() int {
 	e.generation++
 	finished := 0
@@ -150,16 +152,18 @@ func (e *engine) deliver() int {
 		env.globalSentThisRound = 0
 
 		for _, out := range env.outLocalSh[0] {
-			dst := e.envs[out.to]
-			dst.inLocal = append(dst.inLocal, LocalMsg{From: env.id, Payload: out.payload})
+			if dst := e.envs[out.to]; !dst.finished {
+				dst.inLocal = append(dst.inLocal, LocalMsg{From: env.id, Payload: out.payload})
+			}
 			e.metrics.LocalMsgs++
 			e.metrics.LocalBits += out.words * int64(e.logN)
 		}
 		env.outLocalSh[0] = env.outLocalSh[0][:0]
 
 		for _, m := range env.outGlobalSh[0] {
-			dst := e.envs[m.Dst]
-			dst.inGlobal = append(dst.inGlobal, m)
+			if dst := e.envs[m.Dst]; !dst.finished {
+				dst.inGlobal = append(dst.inGlobal, m)
+			}
 			recvCount[m.Dst]++
 			e.metrics.GlobalMsgs++
 			e.metrics.GlobalBits += e.msgBits
