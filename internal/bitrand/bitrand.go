@@ -150,15 +150,6 @@ func (h *KWiseHash) Hash(key uint64) int {
 // from.
 func (h *KWiseHash) K() int { return len(h.coeff) }
 
-// Range returns m, the size of the output range.
-func (h *KWiseHash) Range() int { return int(h.m) }
-
-// SeedBits returns the number of random bits that define this function:
-// k coefficients of 61 bits each. For k = Θ(log n) this is the O(log^2 n)
-// seed of Lemma 2.3 / Lemma D.1 that the protocol broadcasts in O~(1)
-// rounds.
-func (h *KWiseHash) SeedBits() int { return len(h.coeff) * 61 }
-
 // Seed returns the coefficient vector; the token routing protocol treats it
 // as the publicly broadcast seed. The slice is shared; callers must not
 // modify it.

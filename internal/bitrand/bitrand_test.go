@@ -8,6 +8,17 @@ import (
 	"testing/quick"
 )
 
+// The package's tests use two accessors nothing else calls.
+
+// Range returns m, the size of the output range.
+func (h *KWiseHash) Range() int { return int(h.m) }
+
+// SeedBits returns the number of random bits that define this function:
+// k coefficients of 61 bits each. For k = Θ(log n) this is the O(log^2 n)
+// seed of Lemma 2.3 / Lemma D.1 that the protocol broadcasts in O~(1)
+// rounds.
+func (h *KWiseHash) SeedBits() int { return len(h.coeff) * 61 }
+
 func TestSourceDeterminism(t *testing.T) {
 	a := NewSource(42).Named("phase", 3)
 	b := NewSource(42).Named("phase", 3)

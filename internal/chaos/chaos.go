@@ -97,14 +97,6 @@ type ChaosStats struct {
 	FailedSyncs   int
 }
 
-// Total is the number of faults that fired across all layers (respawns
-// are a recovery action, not a fault, and are not counted).
-func (s ChaosStats) Total() int {
-	return s.Dropped + s.Delayed + s.Killed +
-		s.HTTPDelays + s.Resets + s.Panics + s.RebuildFails +
-		s.ShortWrites + s.FailedWrites + s.FailedRenames + s.FailedSyncs
-}
-
 // Plan is a stack-wide scripted fault plan. The zero value (and a nil
 // *Plan) injects nothing; builders are chainable:
 //
@@ -222,15 +214,6 @@ func (p *Plan) FailWrites(pathSub string, count int) *Plan {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.fsRules = append(p.fsRules, fsRule{kind: fsFailWrite, pathSub: pathSub, remaining: count})
-	return p
-}
-
-// FailRenames fails the next count cache-file renames on paths containing
-// pathSub with ErrInjectedWrite.
-func (p *Plan) FailRenames(pathSub string, count int) *Plan {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.fsRules = append(p.fsRules, fsRule{kind: fsFailRename, pathSub: pathSub, remaining: count})
 	return p
 }
 

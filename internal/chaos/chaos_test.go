@@ -11,6 +11,25 @@ import (
 	"repro/internal/persist"
 )
 
+// The package's tests use two helpers nothing else calls.
+
+// Total is the number of faults that fired across all layers (respawns
+// are a recovery action, not a fault, and are not counted).
+func (s ChaosStats) Total() int {
+	return s.Dropped + s.Delayed + s.Killed +
+		s.HTTPDelays + s.Resets + s.Panics + s.RebuildFails +
+		s.ShortWrites + s.FailedWrites + s.FailedRenames + s.FailedSyncs
+}
+
+// FailRenames fails the next count cache-file renames on paths containing
+// pathSub with ErrInjectedWrite.
+func (p *Plan) FailRenames(pathSub string, count int) *Plan {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.fsRules = append(p.fsRules, fsRule{kind: fsFailRename, pathSub: pathSub, remaining: count})
+	return p
+}
+
 // TestHTTPFaultConsumesRules pins the HTTP rule semantics: path-substring
 // matching, bounded counts, additive delays, and the stats counters.
 func TestHTTPFaultConsumesRules(t *testing.T) {
