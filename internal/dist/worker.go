@@ -161,8 +161,8 @@ func (lw *ListenWorker) Close() error {
 }
 
 // workerState is the per-connection round-serving state, configured by
-// the Hello frame. Its buffers are reused by every round, so a routed round
-// allocates nothing in the steady state.
+// the Hello frame. Its buffers are reused by every round, so no allocation
+// grows with the batch.
 type workerState struct {
 	shard  int
 	lo, hi int
@@ -182,7 +182,7 @@ type workerState struct {
 // (over net.Pipe), where coverage and the race detector see it. Only this
 // goroutine writes to conn. One frame buffer serves every read and the
 // workerState's buffers every round, so a round costs time linear in its
-// batch and no allocation once the buffers have grown to the largest batch.
+// batch and allocates nothing that grows with it.
 func ServeConn(conn net.Conn) error {
 	var st *workerState
 	var buf []byte
@@ -264,11 +264,11 @@ func (st *workerState) reply(f wire.Frame) []byte {
 // request order (ascending sender, then send order) survives, which is
 // exactly the engine's inbox contract. It is an LSD radix sort on the key
 // Dst−Lo, one byte per pass with 256 buckets, over as many bytes as the
-// largest key present needs; a pass whose byte is the same for every message
-// is skipped. Each pass scatters between msgs and st.scratch, so the result
-// is one of the two. The work is linear in the batch, and the scratch is as
-// long as the batch: the shard range the Hello declared (up to 2^31 nodes)
-// sizes nothing.
+// largest key present needs (one pass for a shard of up to 256 nodes). Each
+// pass scatters between msgs and st.scratch, so the result is one of the
+// two. The work is linear in the batch, and the scratch is as long as the
+// batch: the shard range the Hello declared (up to 2^31 nodes) sizes
+// nothing.
 func (st *workerState) sortRound(msgs []sim.GlobalMsg) ([]sim.GlobalMsg, error) {
 	var keys uint // the OR of every key: its highest set bit bounds the passes
 	for _, m := range msgs {
@@ -277,18 +277,12 @@ func (st *workerState) sortRound(msgs []sim.GlobalMsg) ([]sim.GlobalMsg, error) 
 		}
 		keys |= uint(m.Dst - st.lo)
 	}
-	if keys == 0 {
-		return msgs, nil // every message is for node Lo, or there is none
-	}
 	st.scratch = slices.Grow(st.scratch[:0], len(msgs))[:len(msgs)]
 	src, dst := msgs, st.scratch
 	for shift := uint(0); keys>>shift != 0; shift += 8 {
 		var start [256]int
 		for i := range src {
 			start[byte(uint(src[i].Dst-st.lo)>>shift)]++
-		}
-		if start[byte(uint(src[0].Dst-st.lo)>>shift)] == len(src) {
-			continue
 		}
 		sum := 0
 		for b, c := range start {
