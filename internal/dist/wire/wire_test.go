@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -163,6 +164,50 @@ func TestMsgsRoundTrip(t *testing.T) {
 				t.Fatalf("msg %d: %+v != %+v", i, got[i], batch[i])
 			}
 		}
+	}
+}
+
+// TestReusingForms: ReadFrameInto reads a stream of frames through one
+// buffer, each frame equal to what ReadFrame returns, and
+// AppendDecodedMsgs appends after what dst holds, leaving dst at its
+// length when the batch is malformed.
+func TestReusingForms(t *testing.T) {
+	big := AppendMsgs(nil, make([]sim.GlobalMsg, 300))
+	frames := []Frame{
+		{Type: FrameRound, Round: 1, Shard: 2, Payload: big},
+		{Type: FrameRoundReply, Round: 2, Payload: []byte("short")},
+		{Type: FrameShutdown},
+	}
+	var stream []byte
+	for _, f := range frames {
+		stream = AppendFrame(stream, f)
+	}
+	r := bytes.NewReader(stream)
+	var buf []byte
+	for i, want := range frames {
+		got, next, err := ReadFrameInto(r, buf)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if i > 0 && cap(next) != cap(buf) {
+			t.Fatalf("frame %d: the buffer grew from %d to %d bytes for a smaller frame", i, cap(buf), cap(next))
+		}
+		if got.Type != want.Type || got.Round != want.Round || got.Shard != want.Shard || !bytes.Equal(got.Payload, want.Payload) {
+			t.Fatalf("frame %d: read %+v, want %+v", i, got, want)
+		}
+		buf = next
+	}
+
+	prefix := []sim.GlobalMsg{{Src: 1, Dst: 2, Kind: 3}}
+	msgs := []sim.GlobalMsg{{Src: 4, Dst: 5, F0: -6}, {Src: 7, Dst: 8, F3: 9}}
+	got, err := AppendDecodedMsgs(slices.Clone(prefix), AppendMsgs(nil, msgs))
+	if err != nil || !reflect.DeepEqual(got, append(slices.Clone(prefix), msgs...)) {
+		t.Fatalf("appended %+v, %v; want the prefix then the batch", got, err)
+	}
+	bad := AppendMsgs(nil, msgs)
+	got, err = AppendDecodedMsgs(slices.Clone(prefix), bad[:len(bad)-1])
+	if !errors.Is(err, ErrMalformed) || !reflect.DeepEqual(got, prefix) {
+		t.Fatalf("truncated batch: %+v, %v; want the prefix alone and ErrMalformed", got, err)
 	}
 }
 
