@@ -1,8 +1,11 @@
 package dist
 
 import (
+	"flag"
 	"net"
+	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +15,28 @@ import (
 	"repro/internal/graph"
 	"repro/internal/sim"
 )
+
+// TestMain gives a fuzzing run a minimization budget of 2 s per input unless
+// -fuzzminimizetime is set. The go command's default is a minute, and it
+// goes to every new interesting input, crashers and coverage finds alike.
+// FuzzServeConn's inputs reach kilobytes (the 600-message seed and its
+// mutants), an execution costs about a millisecond under coverage
+// instrumentation, and the minimizer's subset pass is quadratic in the
+// input's length, so one such input kept a worker minimizing for the whole
+// minute. The coordinator counts a minimization's executions only when it
+// returns: with both workers minimizing, a 25 s run printed 0 execs/s from
+// its third second on, though no single execution took over 25 ms.
+func TestMain(m *testing.M) {
+	flag.Parse()
+	set := false
+	flag.Visit(func(f *flag.Flag) { set = set || f.Name == "test.fuzzminimizetime" })
+	if !set {
+		// Set fails only if package testing drops the flag; the go
+		// command's default then stands.
+		_ = flag.Set("test.fuzzminimizetime", "2s")
+	}
+	os.Exit(m.Run())
+}
 
 // chatter is the same deliberately messy differential workload the sim
 // package uses: random local and global traffic, uneven finishing times,
@@ -352,7 +377,7 @@ func FuzzServeConn(f *testing.F) {
 			if err != nil {
 				t.Fatalf("round %d reply does not decode: %v", r, err)
 			}
-			if want := stableByDst(msgs); len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+			if want := stableByDst(msgs); !slices.Equal(got, want) {
 				t.Fatalf("round %d reply\n%v\nis not the stable sort of its request\n%v", r, got, want)
 			}
 			return reply

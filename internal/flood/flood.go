@@ -27,24 +27,30 @@
 // orders the two. On kssp_mm_sparse_400 this took cmd/bench's alloc_mb from
 // 54.8 to 30.9 MB and peak_rss_mb from 39.5 to 26.8 MB.
 //
-// The delta a node forwards rotates through two buffers: the one broadcast,
-// by pointer, at loop iteration i is read by the neighbors during iteration
-// i+1, in the same step phase in which its sender builds the delta of i+1 —
-// one buffer would be rewritten under its readers — and it is rewritten no
-// earlier than iteration i+2, when every reader has passed the barrier that
-// ends that phase. Start continues the rotation where the previous
-// flood left it, so a State may be started again in the very round segment
-// its last flood finished in, while the neighbors still read that flood's
-// last delta. The value tables rotate in step: a Start after a flood that ran
-// rounds switches tables, so it never overwrites a value the last flood's
-// readers still look up. Once both buffers have seen their peak occupancy a
-// flood round allocates nothing; a State that outlives its flood (routing
-// keeps its three in the Session) is warm from the first round of the next
-// one. Record payloads (slices, typically) are shared by every node that
-// hears them and must never be mutated.
+// A node's floods share one pair of delta buffers, kept in its
+// sim.Env.Scratch slot: the delta it sends in round r is the pair's slot
+// r&1, built in round r, broadcast by pointer, read by the neighbors in round
+// r+1 — while the node builds the delta of r+1 in the other slot — and
+// rebuilt no earlier than round r+2, when every reader has passed the
+// barrier that ends r+1. Two rules make the absolute rounds safe. A node
+// runs one flood at a time: Start fails the run if the node's last flood has
+// rounds left, and a flood's closing segment reads its last inbox without
+// staging a delta, so the next flood may start in that very segment while
+// the neighbors still read the last delta sent. And a flood's first Step
+// comes in its Start round, where Inject wrote the slot that round sends
+// (a later first Step fails the run). The pair grows to the largest delta
+// any of the node's floods staged, once per node and run rather than once
+// per flood role; after that a flood round allocates nothing, from the
+// first flood of a fresh State on. On kssp_mm_sparse_400 sharing the pair
+// took alloc_mb from 30.2 to 24.7 MB. The value tables rotate per State: a
+// Start after a flood that ran rounds switches tables, so it never
+// overwrites a value the last flood's readers still look up. Record
+// payloads (slices, typically) are shared by every node that hears them and
+// must never be mutated.
 package flood
 
 import (
+	"fmt"
 	"math/bits"
 
 	"repro/internal/sim"
@@ -59,11 +65,30 @@ type delta struct {
 	origins []int32
 }
 
+// pair is a node's two delta buffers, shared by all of its floods: the delta
+// sent in round r is bufs[r&1]. end is the round in which the node's latest
+// flood has its closing segment; no other flood may start before it.
+type pair struct {
+	bufs [2]delta
+	end  int
+}
+
+// pairOf returns env's node's pair, made on the node's first Start.
+func pairOf(env *sim.Env) *pair {
+	slot := env.Scratch()
+	p, _ := (*slot).(*pair)
+	if p == nil {
+		p = &pair{}
+		*slot = p
+	}
+	return p
+}
+
 // State is one node's side of a flood: the dedup bitset, the role's value
-// tables, the rotated delta buffers and the loop. The zero value is ready for
-// Start; a State may be started again once its flood has finished, and then
-// reuses its memory and the loop callbacks its first Start bound to it — so a
-// started State must not be copied.
+// tables and the loop; the delta buffers are the node's (see pair). The zero
+// value is ready for Start; a State may be started again once its flood has
+// finished, and then reuses its memory and the loop callbacks its first
+// Start bound to it — so a started State must not be copied.
 type State[P any] struct {
 	scope int
 	words func(P) int64
@@ -71,8 +96,8 @@ type State[P any] struct {
 	seen  []uint64
 	tabs  *[2][]P // the role's value tables, shared by every node's State
 	cur   int     // the current flood's table is tabs[cur]
-	bufs  [2]delta
-	base  int // iteration i broadcasts bufs[(base+i)&1]
+	pair  *pair
+	start int // the round Start ran in, which is the first send's
 	loop  sim.Loop
 }
 
@@ -83,8 +108,17 @@ type State[P any] struct {
 // Start names the role). words is the charge of one record in O(log n)-bit
 // words, as if it travelled alone; first, if non-nil, is called exactly once
 // per origin this node hears (its own included), in the round it hears it.
-// Inject this node's own record, if it has one, before the first Step.
+// Inject this node's own record, if it has one, before the first Step, and
+// take that Step in the round of Start. Start fails the run if the node's
+// last flood, of any State, has rounds left.
 func (s *State[P]) Start(env *sim.Env, scope, rounds int, words func(P) int64, first func(origin int, val P)) {
+	r := env.Round()
+	s.pair = pairOf(env)
+	if r < s.pair.end {
+		panic(fmt.Errorf("flood: node %d starts a flood in round %d, before its running flood ends in round %d",
+			env.ID(), r, s.pair.end))
+	}
+	s.start, s.pair.end = r, r+rounds
 	s.scope, s.words, s.first = scope, words, first
 	n := env.N()
 	if nw := (n + 63) / 64; len(s.seen) != nw {
@@ -99,8 +133,7 @@ func (s *State[P]) Start(env *sim.Env, scope, rounds int, words func(P) int64, f
 	} else if s.loop.Rounds > 0 {
 		s.cur ^= 1 // the table the last flood's readers do not read
 	}
-	s.base += s.loop.Rounds // the buffer the last iteration did not send
-	s.reset(s.buf(0))
+	s.reset(r)
 	if s.loop.Send == nil {
 		s.loop = sim.Loop{Send: s.send, Recv: s.recv}
 	}
@@ -111,7 +144,7 @@ func (s *State[P]) Start(env *sim.Env, scope, rounds int, words func(P) int64, f
 // shared table (so only origin's node may); it goes out with the first round.
 func (s *State[P]) Inject(origin int, val P) {
 	s.tabs[s.cur][origin] = val
-	s.accept(s.buf(0), origin)
+	s.accept(&s.pair.bufs[s.start&1], origin)
 }
 
 // Step implements sim.StepProgram.
@@ -163,33 +196,47 @@ func (s *State[P]) has(o int) bool {
 	return o >= 0 && o>>6 < len(s.seen) && s.seen[o>>6]&(1<<(o&63)) != 0
 }
 
-func (s *State[P]) buf(i int) *delta { return &s.bufs[(s.base+i)&1] }
+// reset empties the delta sent in round r for this flood's scope.
+func (s *State[P]) reset(r int) *delta {
+	d := &s.pair.bufs[r&1]
+	d.scope, d.words, d.origins = s.scope, 0, d.origins[:0]
+	return d
+}
 
-func (s *State[P]) reset(d *delta) { d.scope, d.words, d.origins = s.scope, 0, d.origins[:0] }
-
-// accept marks origin heard and stages it into next; the caller has checked
-// that this is its first arrival.
+// accept marks origin heard and stages it into next, if the flood sends
+// again; the caller has checked that this is its first arrival.
 func (s *State[P]) accept(next *delta, origin int) {
 	s.seen[origin>>6] |= 1 << (origin & 63)
 	val := s.tabs[s.cur][origin]
-	next.origins = append(next.origins, int32(origin))
-	next.words += s.words(val)
+	if next != nil {
+		next.origins = append(next.origins, int32(origin))
+		next.words += s.words(val)
+	}
 	if s.first != nil {
 		s.first(origin, val)
 	}
 }
 
 func (s *State[P]) send(env *sim.Env, i int) {
-	if d := s.buf(i); len(d.origins) > 0 {
+	r := env.Round()
+	if i == 0 && r != s.start {
+		panic(fmt.Errorf("flood: node %d started a flood in round %d but first stepped it in round %d",
+			env.ID(), s.start, r))
+	}
+	if d := &s.pair.bufs[r&1]; len(d.origins) > 0 {
 		env.BroadcastLocalWords(d, d.words)
 	}
 }
 
 func (s *State[P]) recv(env *sim.Env, in sim.Inbox, i int) {
-	// Rebuild the delta the NEXT send broadcasts; the one sent last round is
-	// still being read by the neighbors this round.
-	next := s.buf(i + 1)
-	s.reset(next)
+	// Rebuild the delta this round's send broadcasts; the one sent last round
+	// is still being read by the neighbors this round. The closing segment
+	// (no send follows) stages nothing, so the node's next flood may start in
+	// it.
+	var next *delta
+	if i+1 < s.loop.Rounds {
+		next = s.reset(env.Round())
+	}
 	for _, lm := range in.Local {
 		d, ok := lm.Payload.(*delta)
 		if !ok || d.scope != s.scope {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -94,13 +95,23 @@ func refFlood(env *sim.Env, scope, rounds int, mine []int64, tr *trace) sim.Step
 	}
 }
 
+// runMode is how run floods the instance: the reference, or the kernel with
+// one State per node started once per flood (like a routing Session's) or a
+// fresh State, hence a new role, per flood.
+type runMode int
+
+const (
+	reference runMode = iota
+	restarted
+	freshRoles
+)
+
 // run floods the instance's floods one after another and returns every
-// node's trace. With ref it runs the reference; otherwise the kernel, one
-// State per node started once per flood, like a routing Session's — but in
-// the very round segment the flood before finished in, while neighbours in
-// the other shards still read its last delta (go test -race sees a Start that
-// resets it).
-func (in *instance) run(t *testing.T, eng sim.Engine, ref bool) ([]trace, sim.Metrics) {
+// node's trace. The kernel starts each flood in the very round segment the
+// flood before finished in, while neighbours in the other shards still read
+// its last delta from the node's pair (go test -race sees a Start that
+// resets that slot).
+func (in *instance) run(t *testing.T, eng sim.Engine, mode runMode) ([]trace, sim.Metrics) {
 	t.Helper()
 	traces := make([]trace, in.g.N())
 	m, err := sim.RunStep(in.g, sim.Config{Engine: eng, Seed: 1, Shards: 3}, func(env *sim.Env) sim.StepProgram {
@@ -110,8 +121,11 @@ func (in *instance) run(t *testing.T, eng sim.Engine, ref bool) ([]trace, sim.Me
 		var phases []func(*sim.Env) sim.StepProgram
 		for _, vals := range in.vals {
 			phases = append(phases, func(env *sim.Env) sim.StepProgram {
-				if ref {
+				switch mode {
+				case reference:
 					return refFlood(env, in.scope[id], in.rounds, vals[id], tr)
+				case freshRoles:
+					st = &State[[]int64]{}
 				}
 				st.Start(env, in.scope[id], in.rounds, vecWords, func(origin int, val []int64) {
 					tr.First = append(tr.First, first{env.Round(), origin, val[0]})
@@ -144,7 +158,7 @@ func (in *instance) run(t *testing.T, eng sim.Engine, ref bool) ([]trace, sim.Me
 		return sim.Sequence(phases...)
 	})
 	if err != nil {
-		t.Fatalf("%v (ref=%v): %v", eng, ref, err)
+		t.Fatalf("%v (mode %d): %v", eng, mode, err)
 	}
 	return traces, m
 }
@@ -189,13 +203,20 @@ func randomInstance(rng *rand.Rand, n, clusters, rounds int) *instance {
 // origin first in the same round, and the run costs the same Metrics. Each
 // node's State runs two floods with different origins, so a bitset that was
 // not cleared by Start would suppress the second flood's first arrivals.
-func TestFloodMatchesMapReference(t *testing.T) {
+func TestFloodMatchesMapReference(t *testing.T) { matchesMapReference(t, restarted) }
+
+// TestFloodMatchesMapReferenceAcrossRoles is the same check with a fresh State
+// per flood: two States of one node, each of its own role, chained in one
+// round segment, which share the node's delta pair and nothing else.
+func TestFloodMatchesMapReferenceAcrossRoles(t *testing.T) { matchesMapReference(t, freshRoles) }
+
+func matchesMapReference(t *testing.T, mode runMode) {
 	rng := rand.New(rand.NewSource(5))
 	cut := 0 // trials in which the radius kept an origin from a node of its scope
 	for trial := 0; trial < 8; trial++ {
 		n := 30 + rng.Intn(70)
 		in := randomInstance(rng, n, 1+rng.Intn(5), 2+rng.Intn(5))
-		want, wantM := in.run(t, sim.EngineLegacy, true)
+		want, wantM := in.run(t, sim.EngineLegacy, reference)
 		arrivals, reachable := 0, 0
 		for v, tr := range want {
 			arrivals += len(tr.First)
@@ -211,7 +232,7 @@ func TestFloodMatchesMapReference(t *testing.T) {
 			cut++
 		}
 		for _, eng := range []sim.Engine{sim.EngineStep, sim.EngineLegacy} {
-			got, gotM := in.run(t, eng, false)
+			got, gotM := in.run(t, eng, mode)
 			if gotM != wantM {
 				t.Errorf("trial %d on %v: Metrics %+v, reference %+v", trial, eng, gotM, wantM)
 			}
@@ -423,5 +444,96 @@ func zeroAllocFlood[P any](t *testing.T, val func(id int) P, words func(P) int64
 	}
 	if _, err := st.Finish(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFloodSecondRoleZeroAlloc: a node's floods share its delta pair, so a
+// fresh State of a second role (its own payload type, value tables and
+// bitset) floods without allocating once the node's first role has peaked.
+// Both floods have the same scopes, origins and even length, so each delta
+// of the second is as long as the first's in the same slot.
+func TestFloodSecondRoleZeroAlloc(t *testing.T) {
+	g := graph.Grid(8, 8)
+	const rounds, measured = 12, 8
+	st, err := sim.NewStepper(g, sim.Config{Engine: sim.EngineStep, Shards: 1}, func(env *sim.Env) sim.StepProgram {
+		id := env.ID()
+		vec := make([]int64, 8)
+		return sim.Sequence(
+			func(env *sim.Env) sim.StepProgram {
+				s := &State[bool]{}
+				s.Start(env, id/32, rounds, func(bool) int64 { return 2 }, nil)
+				s.Inject(id, id%2 == 0)
+				return s
+			},
+			func(env *sim.Env) sim.StepProgram {
+				s := &State[[]int64]{}
+				s.Start(env, id/32, rounds, vecWords, nil)
+				s.Inject(id, vec)
+				return s
+			},
+		)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The second flood starts, and arms its State, in round `rounds`; the
+	// window opens on the round after.
+	if st.Advance(rounds + 1) {
+		t.Fatal("run finished before the second flood")
+	}
+	if allocs := testing.AllocsPerRun(measured-1, func() { st.Advance(1) }); allocs != 0 {
+		t.Errorf("got %v allocs/round in rounds 2..%d of a second role's first flood, want 0", allocs, measured+1)
+	}
+	if _, err := st.Finish(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFloodRefusesOverlap: two floods of one node in overlapping rounds
+// would write one slot of its pair for two different deltas, so the second
+// Start fails the run, naming the node and the round.
+func TestFloodRefusesOverlap(t *testing.T) {
+	for _, eng := range []sim.Engine{sim.EngineStep, sim.EngineLegacy} {
+		_, err := sim.RunStep(graph.Path(4), sim.Config{Engine: eng}, func(env *sim.Env) sim.StepProgram {
+			a, b := &State[int]{}, &State[int]{}
+			a.Start(env, 0, 6, func(int) int64 { return 1 }, nil)
+			a.Inject(env.ID(), env.ID())
+			return sim.StepFunc(func(env *sim.Env) bool {
+				// Every node hears its neighbours in round 1.
+				if env.ID() == 1 && env.Round() == 1 {
+					b.Start(env, 0, 6, func(int) int64 { return 1 }, nil)
+				}
+				return a.Step(env)
+			})
+		})
+		const want = "node 1 panicked: flood: node 1 starts a flood in round 1, before its running flood ends in round 6"
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%v: err = %v, want it to contain %q", eng, err, want)
+		}
+	}
+}
+
+// TestFloodRefusesLateFirstStep: Inject stages the origin in the slot of the
+// Start round, so a flood first stepped in a later round fails the run rather
+// than send a delta without it.
+func TestFloodRefusesLateFirstStep(t *testing.T) {
+	for _, eng := range []sim.Engine{sim.EngineStep, sim.EngineLegacy} {
+		_, err := sim.RunStep(graph.Path(4), sim.Config{Engine: eng}, func(env *sim.Env) sim.StepProgram {
+			s := &State[int]{}
+			s.Start(env, 0, 4, func(int) int64 { return 1 }, nil)
+			s.Inject(env.ID(), env.ID())
+			late := env.ID() == 1
+			return sim.StepFunc(func(env *sim.Env) bool {
+				if late {
+					late = false
+					return false
+				}
+				return s.Step(env)
+			})
+		})
+		const want = "node 1 panicked: flood: node 1 started a flood in round 0 but first stepped it in round 1"
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%v: err = %v, want it to contain %q", eng, err, want)
+		}
 	}
 }

@@ -352,7 +352,8 @@ func NewDisseminateMachine(env *sim.Env, mine []Token, k, ell int, _ Disseminate
 	balanceRounds := (ell + budget - 1) / budget
 	replicateRounds := (heldBound*copies + budget - 1) / budget
 
-	held := make([]Token, 0, heldBound)
+	// Sized by what arrives: most nodes hold 0-2 tokens, far below heldBound.
+	var held []Token
 	idx := 0
 	var jobs []replicateJob
 	ji := 0

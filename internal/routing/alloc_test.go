@@ -14,8 +14,8 @@ import (
 // cluster floods (the routing counterpart of hybridapsp's
 // TestSteadyStateRoundZeroAlloc): once a Session has routed an instance
 // twice, the rounds inside the third Route's spread and collect floods
-// allocate nothing — the flood states (flood.State: rotated delta buffers,
-// dedup bitset), the batch directories and the collected-token storage are
+// allocate nothing — the flood states (flood.State: dedup bitset; the
+// node's delta pair), the batch directories and the collected-token storage are
 // the session's and are reset, not reallocated. A per-round map, a delta
 // slice grown from nil or a payload boxed by value would show up here as a
 // nonzero count.

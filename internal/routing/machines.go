@@ -430,8 +430,8 @@ func Pipeline(specs []Spec, params Params) sim.Pipeline[[]Token] {
 }
 
 // The three cluster floods of this file are instantiations of flood.State
-// (which owns the rotated delta buffers, the dedup bitset and their memory
-// discipline; see ARCHITECTURE.md, "Memory discipline"), 2β rounds each,
+// (which owns the dedup bitset, uses the node's delta pair and states their
+// memory discipline; see ARCHITECTURE.md, "Memory discipline"), 2β rounds each,
 // β = 2µ⌈log n⌉, scoped to the node's cluster. spread's and collect's state
 // lives in the Session (collect's in its one RouteMachine) and is reset, not
 // reallocated, per instance, so — like every other round of an instance but

@@ -161,6 +161,12 @@ func (env *Env) SharedOnce(prefix string, fn func() interface{}) interface{} {
 	return v
 }
 
+// Scratch returns this node's scratch slot: one value per node that lives as
+// long as the run, for node state that outlives every machine using it.
+// Package flood keeps there the pair of delta buffers all of a node's floods
+// share, and is the slot's only user.
+func (env *Env) Scratch() *any { return &env.scratch }
+
 // sharedKey names a SharedOnce object: the idx-th call with prefix.
 type sharedKey struct {
 	prefix string

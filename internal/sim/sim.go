@@ -355,6 +355,7 @@ type Env struct {
 	globalSentThisRound int
 	countedFinished     bool
 	sharedSeq           map[string]int
+	scratch             any // see Scratch
 }
 
 // localOut is one staged local message; words is its sender's word count.
