@@ -20,12 +20,23 @@
 // A record's value is stored once per flood, not once per node that hears
 // it: every node's State of one flood role (the i-th State a node starts, in
 // the collective order all nodes share) takes the same pair of n-slot value
-// tables from sim.Env.SharedOnce, and a delta carries origin IDs, 4 bytes a
-// record where a copied record took 16 to 32. Inject writes the origin's
-// slot before the flood's first round; a node reads a slot only at an origin
-// it heard, which takes a message sent after the write, so the round barrier
-// orders the two. On kssp_mm_sparse_400 this took cmd/bench's alloc_mb from
-// 54.8 to 30.9 MB and peak_rss_mb from 39.5 to 26.8 MB.
+// tables from sim.Env.SharedOnce, and a delta carries only which origins it
+// holds. Inject writes the origin's slot before the flood's first round; a
+// node reads a slot only at an origin it heard, which takes a message sent
+// after the write, so the round barrier orders the two. On
+// kssp_mm_sparse_400 this took cmd/bench's alloc_mb from 54.8 to 30.9 MB and
+// peak_rss_mb from 39.5 to 26.8 MB.
+//
+// A delta is the ascending list of the nonzero 64-origin words of its
+// origins' bitset, as (word index, bits) pairs of 16 bytes, so a receiver
+// takes a whole word's first arrivals with one and-not against its dedup
+// bitset instead of one bit test per origin. It gathers them in an
+// accumulator kept in the node's pair: n/64 words of origin bits plus n/4096
+// words with a bit per nonzero word, about n/8 bytes per node — 2 MB for all
+// nodes at n = 4 096, 32 MB at n = 16 384 — allocated once per node and run,
+// at its first Start. Draining it in word order stages the next delta, and
+// calls the first-arrival hooks, in ascending origin order without a sort,
+// and leaves it zero for the next round.
 //
 // A node's floods share one pair of delta buffers, kept in its
 // sim.Env.Scratch slot: the delta it sends in round r is the pair's slot
@@ -50,27 +61,40 @@
 package flood
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/sim"
 )
 
 // delta is the local-mode payload of a flood: the origins a node heard first
 // in the previous round, of its scope, so a receiver of another scope skips
-// the delta with one compare; the word charge grows as origins are appended.
+// the delta with one compare; the word charge grows as origins are added.
 type delta struct {
-	scope   int
-	words   int64
-	origins []int32
+	scope int
+	words int64
+	sets  []originWord // ascending by w, no zero bits
+}
+
+// originWord is the origins w<<6 + b for every set bit b of bits.
+type originWord struct {
+	w    int
+	bits uint64
 }
 
 // pair is a node's two delta buffers, shared by all of its floods: the delta
 // sent in round r is bufs[r&1]. end is the round in which the node's latest
-// flood has its closing segment; no other flood may start before it.
+// flood has its closing segment; no other flood may start before it. acc
+// gathers the first arrivals of the round being received, by 64-origin word,
+// and touched has a bit per nonzero word of acc; both are zero between
+// rounds.
 type pair struct {
-	bufs [2]delta
-	end  int
+	bufs    [2]delta
+	end     int
+	acc     []uint64
+	touched []uint64
 }
 
 // pairOf returns env's node's pair, made on the node's first Start.
@@ -78,7 +102,8 @@ func pairOf(env *sim.Env) *pair {
 	slot := env.Scratch()
 	p, _ := (*slot).(*pair)
 	if p == nil {
-		p = &pair{}
+		nw := (env.N() + 63) / 64
+		p = &pair{acc: make([]uint64, nw), touched: make([]uint64, (nw+63)/64)}
 		*slot = p
 	}
 	return p
@@ -107,7 +132,9 @@ type State[P any] struct {
 // round with the same round count, and its States in the same order (a first
 // Start names the role). words is the charge of one record in O(log n)-bit
 // words, as if it travelled alone; first, if non-nil, is called exactly once
-// per origin this node hears (its own included), in the round it hears it.
+// per origin this node hears (its own included), in the round it hears it:
+// at Inject for an injected origin, and in ascending origin order for the
+// origins first heard in one round.
 // Inject this node's own record, if it has one, before the first Step, and
 // take that Step in the round of Start. Start fails the run if the node's
 // last flood, of any State, has rounds left.
@@ -144,7 +171,16 @@ func (s *State[P]) Start(env *sim.Env, scope, rounds int, words func(P) int64, f
 // shared table (so only origin's node may); it goes out with the first round.
 func (s *State[P]) Inject(origin int, val P) {
 	s.tabs[s.cur][origin] = val
-	s.accept(&s.pair.bufs[s.start&1], origin)
+	w, bit := origin>>6, uint64(1)<<(origin&63)
+	s.seen[w] |= bit
+	d := &s.pair.bufs[s.start&1]
+	j, found := slices.BinarySearchFunc(d.sets, w, func(ow originWord, w int) int { return cmp.Compare(ow.w, w) })
+	if found {
+		d.sets[j].bits |= bit
+	} else {
+		d.sets = slices.Insert(d.sets, j, originWord{w, bit})
+	}
+	s.accept(d, origin)
 }
 
 // Step implements sim.StepProgram.
@@ -199,17 +235,15 @@ func (s *State[P]) has(o int) bool {
 // reset empties the delta sent in round r for this flood's scope.
 func (s *State[P]) reset(r int) *delta {
 	d := &s.pair.bufs[r&1]
-	d.scope, d.words, d.origins = s.scope, 0, d.origins[:0]
+	d.scope, d.words, d.sets = s.scope, 0, d.sets[:0]
 	return d
 }
 
-// accept marks origin heard and stages it into next, if the flood sends
-// again; the caller has checked that this is its first arrival.
+// accept charges a first arrival to next, if the flood sends again, and
+// hands it to the hook; origin is already marked heard, and in next's sets.
 func (s *State[P]) accept(next *delta, origin int) {
-	s.seen[origin>>6] |= 1 << (origin & 63)
 	val := s.tabs[s.cur][origin]
 	if next != nil {
-		next.origins = append(next.origins, int32(origin))
 		next.words += s.words(val)
 	}
 	if s.first != nil {
@@ -223,7 +257,7 @@ func (s *State[P]) send(env *sim.Env, i int) {
 		panic(fmt.Errorf("flood: node %d started a flood in round %d but first stepped it in round %d",
 			env.ID(), s.start, r))
 	}
-	if d := &s.pair.bufs[r&1]; len(d.origins) > 0 {
+	if d := &s.pair.bufs[r&1]; len(d.sets) > 0 {
 		env.BroadcastLocalWords(d, d.words)
 	}
 }
@@ -237,14 +271,39 @@ func (s *State[P]) recv(env *sim.Env, in sim.Inbox, i int) {
 	if i+1 < s.loop.Rounds {
 		next = s.reset(env.Round())
 	}
+	acc, touched := s.pair.acc, s.pair.touched
 	for _, lm := range in.Local {
 		d, ok := lm.Payload.(*delta)
 		if !ok || d.scope != s.scope {
 			continue
 		}
-		for _, o := range d.origins {
-			if s.seen[o>>6]&(1<<(o&63)) == 0 {
-				s.accept(next, int(o))
+		for _, ow := range d.sets {
+			fresh := ow.bits &^ s.seen[ow.w]
+			if fresh == 0 {
+				continue
+			}
+			s.seen[ow.w] |= fresh
+			if acc[ow.w] == 0 {
+				touched[ow.w>>6] |= 1 << (ow.w & 63)
+			}
+			acc[ow.w] |= fresh
+		}
+	}
+	// Drain the round's first arrivals in ascending origin order.
+	for tw, t := range touched {
+		if t == 0 {
+			continue
+		}
+		touched[tw] = 0
+		for ; t != 0; t &= t - 1 {
+			w := tw<<6 + bits.TrailingZeros64(t)
+			word := acc[w]
+			acc[w] = 0
+			if next != nil {
+				next.sets = append(next.sets, originWord{w, word})
+			}
+			for ; word != 0; word &= word - 1 {
+				s.accept(next, w<<6+bits.TrailingZeros64(word))
 			}
 		}
 	}

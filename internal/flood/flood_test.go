@@ -1,9 +1,12 @@
 package flood
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -57,7 +60,9 @@ func (d refDelta) words() (w int64) {
 }
 
 // refFlood is the map-based reference: a fresh seen-map per flood, a fresh
-// delta per round, the scope compared per record, called every round.
+// delta per round, the scope compared per record, called every round. A
+// round's first arrivals are sorted by origin before they are kept and sent,
+// which is the kernel's wire order.
 func refFlood(env *sim.Env, scope, rounds int, mine []int64, tr *trace) sim.StepProgram {
 	seen := map[int]bool{}
 	var next refDelta
@@ -65,11 +70,17 @@ func refFlood(env *sim.Env, scope, rounds int, mine []int64, tr *trace) sim.Step
 		if r.Scope == scope && !seen[r.Origin] {
 			seen[r.Origin] = true
 			next = append(next, r)
+		}
+	}
+	keep := func() {
+		slices.SortFunc(next, func(a, b refRec) int { return cmp.Compare(a.Origin, b.Origin) })
+		for _, r := range next {
 			tr.First = append(tr.First, first{env.Round(), r.Origin, r.Val[0]})
 		}
 	}
 	if mine != nil {
 		hear(refRec{scope, env.ID(), mine})
+		keep()
 	}
 	return &sim.Loop{
 		Rounds: rounds,
@@ -91,6 +102,7 @@ func refFlood(env *sim.Env, scope, rounds int, mine []int64, tr *trace) sim.Step
 					hear(r)
 				}
 			}
+			keep()
 		},
 	}
 }
@@ -110,7 +122,9 @@ const (
 // node's trace. The kernel starts each flood in the very round segment the
 // flood before finished in, while neighbours in the other shards still read
 // its last delta from the node's pair (go test -race sees a Start that
-// resets that slot).
+// resets that slot). It fails the test on a delta whose origin words are
+// not strictly ascending and nonzero, and on a node whose accumulator is
+// not all zero after its Step.
 func (in *instance) run(t *testing.T, eng sim.Engine, mode runMode) ([]trace, sim.Metrics) {
 	t.Helper()
 	traces := make([]trace, in.g.N())
@@ -146,12 +160,21 @@ func (in *instance) run(t *testing.T, eng sim.Engine, mode runMode) ([]trace, si
 							t.Errorf("node %d sent a delta of scope %d, its own is %d", lm.From, d.scope, in.scope[lm.From])
 						}
 						h := heard{Round: env.Round(), From: lm.From, Words: d.words}
-						for _, o := range d.origins {
-							h.Origins = append(h.Origins, int(o))
+						for j, ow := range d.sets {
+							if ow.bits == 0 || j > 0 && ow.w <= d.sets[j-1].w {
+								t.Errorf("node %d sent a delta whose words are not ascending and nonzero: %+v", lm.From, d.sets)
+							}
+							for b := ow.bits; b != 0; b &= b - 1 {
+								h.Origins = append(h.Origins, ow.w<<6+bits.TrailingZeros64(b))
+							}
 						}
 						tr.Heard = append(tr.Heard, h)
 					}
-					return st.Step(env)
+					done := st.Step(env)
+					if p := st.pair; slices.Max(p.acc)|slices.Max(p.touched) != 0 {
+						t.Errorf("node %d round %d: accumulator not cleared: acc %x, touched %x", id, env.Round(), p.acc, p.touched)
+					}
+					return done
 				})
 			})
 		}
@@ -250,6 +273,39 @@ func matchesMapReference(t *testing.T, mode runMode) {
 	}
 	if cut == 0 {
 		t.Error("no trial's radius was below its scopes' diameter")
+	}
+}
+
+// TestFloodDeltaWords: on networks of several 64-origin words, every delta
+// lists its origins strictly ascending (run checks each one), its word
+// charge and origins equal the reference's, and every node's accumulator is
+// all zero after every round (run checks that too), across two floods with
+// different origins chained in one round segment.
+func TestFloodDeltaWords(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, n := range []int{130, 300} {
+		in := randomInstance(rng, n, 2, 8)
+		want, _ := in.run(t, sim.EngineLegacy, reference)
+		multi := 0 // deltas spanning more than one word
+		for _, tr := range want {
+			for _, h := range tr.Heard {
+				if h.Origins[0]>>6 != h.Origins[len(h.Origins)-1]>>6 {
+					multi++
+				}
+			}
+		}
+		if multi == 0 {
+			t.Fatalf("n = %d: no delta spans two words", n)
+		}
+		for _, eng := range []sim.Engine{sim.EngineStep, sim.EngineLegacy} {
+			got, _ := in.run(t, eng, restarted)
+			for v := range want {
+				if !reflect.DeepEqual(got[v].Heard, want[v].Heard) {
+					t.Fatalf("n = %d on %v: deltas heard by node %d diverge from the reference:\n got %+v\nwant %+v",
+						n, eng, v, got[v].Heard, want[v].Heard)
+				}
+			}
+		}
 	}
 }
 

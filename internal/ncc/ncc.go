@@ -425,7 +425,7 @@ func NewDisseminateMachine(env *sim.Env, mine []Token, k, ell int, _ Disseminate
 				Recv: func(env *sim.Env, in sim.Inbox, i int) {
 					for _, gm := range in.Global {
 						if gm.Kind == kindReplicate {
-							known.add(Token{A: gm.F0, B: gm.F1, C: gm.F2})
+							known.addPresented(Token{A: gm.F0, B: gm.F1, C: gm.F2})
 						}
 					}
 				},
@@ -435,7 +435,7 @@ func NewDisseminateMachine(env *sim.Env, mine []Token, k, ell int, _ Disseminate
 		// held also count as known.
 		func(env *sim.Env) sim.StepProgram {
 			for _, j := range jobs {
-				known.add(j.t)
+				known.addPresented(j.t)
 			}
 			bufs[0] = known.appendIndices(nil)
 			return &sim.Loop{

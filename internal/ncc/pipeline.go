@@ -112,6 +112,6 @@ func (m *PipelinedBroadcastMachine) recv(env *sim.Env, in sim.Inbox, r int) {
 		}
 		tok := Token{A: gm.F0, B: gm.F1, C: gm.F2}
 		m.haveSlot.Put(uint64(gm.F3), tok)
-		m.known.add(tok)
+		m.known.addPresented(tok)
 	}
 }

@@ -2,6 +2,7 @@ package ncc
 
 import (
 	"cmp"
+	"fmt"
 	"math/bits"
 	"slices"
 	"sync"
@@ -36,7 +37,8 @@ func tableOf(env *sim.Env) *tokenTable {
 	}).(*tokenTable)
 }
 
-// intern returns t's index, appending t if no node presented it before.
+// intern returns t's index, appending t if no node presented it before. It
+// is for construction, where nodes present their own tokens concurrently.
 func (tab *tokenTable) intern(t Token) int32 {
 	tab.mu.Lock()
 	defer tab.mu.Unlock()
@@ -49,6 +51,19 @@ func (tab *tokenTable) intern(t Token) int32 {
 	return i
 }
 
+// lookup returns the index of t, which a node presented (intern) in an
+// earlier round than this one: the instance's nodes intern only while they
+// construct it, all in one round, and the round barrier orders those writes
+// before every later read, so lookup takes no lock. It panics on a token no
+// node presented.
+func (tab *tokenTable) lookup(t Token) int32 {
+	i, ok := tab.index[t]
+	if !ok {
+		panic(fmt.Errorf("ncc: token %+v was never presented to its table", t))
+	}
+	return i
+}
+
 // tokenSet is what one node knows: the set bits index its table.
 type tokenSet struct {
 	tab  *tokenTable
@@ -57,6 +72,10 @@ type tokenSet struct {
 
 // add makes a token this node holds in full known to it.
 func (s *tokenSet) add(t Token) { s.learn(s.tab.intern(t)) }
+
+// addPresented is add for a token a node presented in an earlier round
+// (lookup): every token received after the construction round.
+func (s *tokenSet) addPresented(t Token) { s.learn(s.tab.lookup(t)) }
 
 // learn marks the token of index i known and reports whether it was not.
 func (s *tokenSet) learn(i int32) bool {

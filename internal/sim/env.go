@@ -46,15 +46,15 @@ func (env *Env) SendLocal(to int, payload interface{}) {
 	if !env.eng.g.HasEdge(env.id, to) {
 		env.violate(fmt.Errorf("sim: node %d sent local message to non-neighbor %d", env.id, to))
 	}
-	env.stageLocal(localOut{to: to, words: 1, payload: payload})
+	env.stageLocal(localOut{to: int32(to), words: 1, payload: payload})
 }
 
 // stageLocal appends one local message to its destination shard's bucket.
 func (env *Env) stageLocal(out localOut) {
 	env.staged++
-	k := env.eng.shardOf(out.to)
-	env.eng.dirty[k][env.id] = true
-	env.outLocalSh[k] = append(env.outLocalSh[k], out)
+	out.from = int32(env.id)
+	b := &env.out[env.eng.shardOf(int(out.to))]
+	b.local = append(b.local, out)
 }
 
 // BroadcastLocal stages the payload to every neighbor in G, each copy
@@ -68,7 +68,7 @@ func (env *Env) BroadcastLocal(payload interface{}) { env.BroadcastLocalWords(pa
 func (env *Env) BroadcastLocalWords(payload interface{}, words int64) {
 	out := localOut{words: words, payload: payload}
 	for _, nb := range env.Neighbors() {
-		out.to = nb.To
+		out.to = int32(nb.To)
 		env.stageLocal(out)
 	}
 }
@@ -86,10 +86,8 @@ func (env *Env) SendGlobal(dst int, kind Kind, f0, f1, f2, f3 int64) {
 	}
 	env.globalSentThisRound++
 	env.staged++
-	k := env.eng.shardOf(dst)
-	env.eng.dirty[k][env.id] = true
-	env.outGlobalSh[k] = append(env.outGlobalSh[k],
-		GlobalMsg{Src: env.id, Dst: dst, Kind: kind, F0: f0, F1: f1, F2: f2, F3: f3})
+	b := &env.out[env.eng.shardOf(dst)]
+	b.global = append(b.global, GlobalMsg{Src: env.id, Dst: dst, Kind: kind, F0: f0, F1: f1, F2: f2, F3: f3})
 }
 
 // Incoming returns the inbox delivered for the round currently being

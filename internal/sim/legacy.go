@@ -39,7 +39,7 @@ func runLegacy(g *graph.Graph, cfg Config, prog program) (Metrics, error) {
 	if eng == nil {
 		return Metrics{}, err
 	}
-	eng.initStaging(1)
+	eng.initStaging(1, true)
 	var wg sync.WaitGroup
 	wg.Add(eng.n)
 	for _, env := range eng.envs {
@@ -134,8 +134,8 @@ func (e *engine) currentRelease() chan struct{} {
 	return e.release.Load().(chan struct{})
 }
 
-// deliver drains every sender's bucket 0 (legacy runs one shard), in
-// node-ID order, into the destination inboxes, updates metrics, and returns
+// deliver drains every sender's bucket (legacy runs one shard and stages per
+// node), in node-ID order, into the destination inboxes, updates metrics, and returns
 // how many nodes finished during this round. It shares nothing with the step
 // loop's runShard but the staging: it is the reference delivery. A message
 // for a finished node is counted like any other but not kept: no barrier
@@ -151,16 +151,17 @@ func (e *engine) deliver() int {
 		}
 		env.globalSentThisRound = 0
 
-		for _, out := range env.outLocalSh[0] {
+		b := &env.out[0]
+		for _, out := range b.local {
 			if dst := e.envs[out.to]; !dst.finished {
 				dst.inLocal = append(dst.inLocal, LocalMsg{From: env.id, Payload: out.payload})
 			}
 			e.metrics.LocalMsgs++
 			e.metrics.LocalBits += out.words * int64(e.logN)
 		}
-		env.outLocalSh[0] = env.outLocalSh[0][:0]
+		b.local = b.local[:0]
 
-		for _, m := range env.outGlobalSh[0] {
+		for _, m := range b.global {
 			if dst := e.envs[m.Dst]; !dst.finished {
 				dst.inGlobal = append(dst.inGlobal, m)
 			}
@@ -172,7 +173,7 @@ func (e *engine) deliver() int {
 				e.metrics.CutGlobalBits += e.msgBits
 			}
 		}
-		env.outGlobalSh[0] = env.outGlobalSh[0][:0]
+		b.global = b.global[:0]
 
 		if env.finished && !env.countedFinished {
 			env.countedFinished = true

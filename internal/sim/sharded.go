@@ -5,13 +5,18 @@ import "runtime"
 // This file is the engines' staging and the step loop's delivery, everything
 // the engine itself does per round besides calling the machines:
 //
-//   - The node set is split into contiguous shards. Every sender stages its
-//     outgoing messages into per-destination-shard buckets at send time, on
-//     every engine (EngineLegacy runs one shard), so round delivery never
-//     sorts or locks: the worker owning shard k drains bucket k of every
-//     sender in ascending sender ID, which reproduces the engine contract
-//     (inboxes ordered by sender ID, then send order) independently of the
-//     shard count.
+//   - The node set is split into contiguous shards, and into staging
+//     groups of consecutive nodes: on the step loop (and EngineDist) a group
+//     is a shard, on EngineLegacy, whose goroutines send concurrently, a
+//     node. A sender stages each message at send time into its group's
+//     bucket for the destination's shard, so round delivery never sorts or
+//     locks: the worker owning shard k drains bucket k of every group, in
+//     ascending group order. A shard's nodes step in ascending ID, so each
+//     bucket holds its messages by ascending sender, then send order, and
+//     the drain reproduces the engine contract (inboxes ordered by sender
+//     ID, then send order) independently of the shard count. It reads one
+//     bucket per shard pair, so it costs work in the messages that moved,
+//     not in n.
 //   - Stepping and delivery fan out over the shards once per round each
 //     (fanOut). The coordinator runs shard 0 itself and a persistent pool of
 //     nShards-1 goroutines takes the others, so the default shard count
@@ -20,10 +25,12 @@ import "runtime"
 //     waits for one polls briefly before it parks (recvPoll): the phases
 //     of a round follow each other within microseconds, so the next task
 //     or result usually arrives during the poll and a hand-off wakes no
-//     parked goroutine. Workers touch disjoint state: shard k's worker
-//     writes only the inboxes and receive counters of shard k's nodes, the
-//     k-buckets of the senders and, under EngineDist, shard k's request
-//     batch, so the merge of the per-shard results is the only cross-shard
+//     parked goroutine. Workers touch disjoint state: stepping shard k
+//     writes only its own group's buckets; delivering shard k writes only
+//     the inboxes and receive counters of shard k's nodes, the k-buckets of
+//     the groups and, under EngineDist, shard k's request batch. Buckets are
+//     padded to a cache line, so neither phase bounces a line between
+//     workers. The merge of the per-shard results is the only cross-shard
 //     step, and it is a sum/max/min/or merge that is independent of
 //     completion order.
 //   - Every node has one inbox, reset and refilled by each round's delivery
@@ -31,9 +38,6 @@ import "runtime"
 //     after every machine of the round was called, which is what Incoming's
 //     contract asks: the slices are valid only during the Step call that
 //     reads them.
-//   - Senders that staged nothing for a shard are skipped via a dirty flag,
-//     so sparse rounds (the common case in delta-style flooding protocols)
-//     cost O(n) flag reads instead of O(n) slice scans per shard.
 //
 // The legacy engine's deliver (legacy.go) is the reference: for any machine
 // and seed, both must produce byte-identical results and Metrics.
@@ -127,7 +131,7 @@ func (e *engine) initSharded() {
 			s = 1
 		}
 	}
-	e.initStaging(s)
+	e.initStaging(s, false)
 	e.recvCount = make([]int, e.n)
 	if e.nShards > 1 {
 		e.poll = e.nShards <= runtime.GOMAXPROCS(0)
@@ -148,20 +152,24 @@ func (e *engine) initSharded() {
 	}
 }
 
-// initStaging splits the nodes into at most s shards (s >= 1) and
-// preallocates the staging state every engine sends through: the
-// per-destination-shard buckets and their dirty flags.
-func (e *engine) initStaging(s int) {
+// initStaging splits the nodes into at most s shards (s >= 1) and sets up
+// the staging every engine sends through: one bucket per staging group and
+// destination shard, where a group is a shard, or a node if perNode is set
+// (EngineLegacy, whose nodes stage concurrently). Every node stages into its
+// group's row of buckets.
+func (e *engine) initStaging(s int, perNode bool) {
 	s = min(s, e.n)
 	e.shardSize = (e.n + s - 1) / s
 	e.nShards = (e.n + e.shardSize - 1) / e.shardSize
-	e.dirty = make([][]bool, e.nShards)
-	for k := range e.dirty {
-		e.dirty[k] = make([]bool, e.n)
+	groupSize := e.shardSize
+	if perNode {
+		groupSize = 1
 	}
-	for _, env := range e.envs {
-		env.outLocalSh = make([][]localOut, e.nShards)
-		env.outGlobalSh = make([][]GlobalMsg, e.nShards)
+	groups := (e.n + groupSize - 1) / groupSize
+	e.stage = make([]bucket, groups*e.nShards)
+	for v, env := range e.envs {
+		g := v / groupSize
+		env.out = e.stage[g*e.nShards : (g+1)*e.nShards]
 	}
 }
 
@@ -242,8 +250,8 @@ func (e *engine) deliverRound() int {
 }
 
 // runShard performs one round of delivery for shard k: reset the shard's
-// inboxes and account for its senders, drain every dirty sender's
-// k-bucket in ascending sender ID (preserving per-destination send order),
+// inboxes and account for its senders, drain the k-bucket of every staging
+// group in ascending group order — ascending sender ID, then send order —
 // and tally the shard's receive loads. Under EngineDist the global messages
 // are counted all the same but go to the shard's request batch, not to the
 // inboxes: routeRound (dist.go) delivers them once the worker sorted them.
@@ -276,24 +284,19 @@ func (e *engine) runShard(k int) shardResult {
 	}
 
 	cut := e.cfg.Cut
-	dirty := e.dirty[k]
-	for s := 0; s < e.n; s++ {
-		if !dirty[s] {
-			continue
-		}
-		dirty[s] = false
-		env := e.envs[s]
-		for _, out := range env.outLocalSh[k] {
+	for i := k; i < len(e.stage); i += e.nShards {
+		b := &e.stage[i]
+		for _, out := range b.local {
 			dst := e.envs[out.to]
-			dst.inLocal = append(dst.inLocal, LocalMsg{From: s, Payload: out.payload})
+			dst.inLocal = append(dst.inLocal, LocalMsg{From: int(out.from), Payload: out.payload})
 			if dst.wake != 0 {
 				dst.wake, r.woke = 0, true
 			}
 			r.localMsgs++
 			r.localBits += out.words * int64(e.logN)
 		}
-		env.outLocalSh[k] = env.outLocalSh[k][:0]
-		for _, gm := range env.outGlobalSh[k] {
+		b.local = b.local[:0]
+		for _, gm := range b.global {
 			if e.distMode {
 				e.distReqs[k] = append(e.distReqs[k], gm)
 			} else {
@@ -311,7 +314,7 @@ func (e *engine) runShard(k int) shardResult {
 				r.cutBits += e.msgBits
 			}
 		}
-		env.outGlobalSh[k] = env.outGlobalSh[k][:0]
+		b.global = b.global[:0]
 	}
 
 	// Receive loads: every nonzero count was written this round (counts are

@@ -24,13 +24,14 @@
 // round loop iterates them in shard-parallel batches and then delivers — the
 // loop IS the barrier, so rounds cost zero scheduler wake/park cycles. The
 // node set is split into contiguous shards, at most GOMAXPROCS of them;
-// senders stage outgoing messages into per-destination-shard buckets as
-// they send, and a persistent worker pool drains the buckets shard by
-// shard, each worker owning the inboxes, receive counters and metric deltas
-// of exactly one shard. Every node has one inbox, reset and refilled by each
-// round's delivery, so steady-state rounds allocate nothing; senders that
-// staged nothing are skipped via dirty flags, and nodes that declared
-// themselves idle are not called at all. See step.go and sharded.go.
+// senders stage outgoing messages, as they send, into their own shard's
+// bucket for the destination's shard, and a persistent worker pool drains
+// the buckets shard by shard, each worker owning the inboxes, receive
+// counters and metric deltas of exactly one shard. Every node has one
+// inbox, reset and refilled by each round's delivery, so steady-state
+// rounds allocate nothing; delivery reads one bucket per shard pair, so a
+// round costs work in what was sent, and nodes that declared themselves
+// idle are not called at all. See step.go and sharded.go.
 //
 // EngineDist is EngineStep with global-mode delivery routed through worker
 // OS processes. See dist.go.
@@ -38,8 +39,9 @@
 // EngineLegacy is the reference implementation of the round-barrier
 // contract: one goroutine per node driving the node's machine and blocking
 // at a barrier between round segments, and a single coordinator that drains
-// every node's staging buckets (legacy runs one shard) in node-ID order into
-// freshly allocated inboxes. It calls every machine in every round, whatever
+// every node's staging bucket (legacy runs one shard, and stages per node,
+// since its goroutines send concurrently) in node-ID order into freshly
+// allocated inboxes. It calls every machine in every round, whatever
 // the machine declared, and poisons an inbox once its round is over, so it
 // is what the differential tests, the golden fixture, Loop's sleep-contract
 // check and the inbox contract hold the other two against. See legacy.go.
@@ -304,7 +306,7 @@ type engine struct {
 	// Staging, on every engine (sharded.go; EngineLegacy runs one shard).
 	nShards   int
 	shardSize int
-	dirty     [][]bool // [shard][sender]: sender staged something for shard (runShard clears it)
+	stage     []bucket // [group*nShards + destination shard]; see initStaging
 
 	// Step-loop state (zero under EngineLegacy): runShard's receive
 	// counters, the pool of sharded.go and the round loop of step.go.
@@ -332,9 +334,9 @@ type Env struct {
 	round    int
 	finished bool
 
-	// Staging: per-destination-shard buckets (see sharded.go).
-	outLocalSh  [][]localOut
-	outGlobalSh [][]GlobalMsg
+	// Staging: the node's staging group's buckets, one per destination
+	// shard (see sharded.go).
+	out []bucket
 
 	// The inbox delivery fills for the node's next round: reset and refilled
 	// in place by the step loop, replaced by a fresh one at every legacy
@@ -360,9 +362,18 @@ type Env struct {
 
 // localOut is one staged local message; words is its sender's word count.
 type localOut struct {
-	to      int
-	words   int64
-	payload interface{}
+	from, to int32
+	words    int64
+	payload  interface{}
+}
+
+// bucket is one staging group's messages for one destination shard, in
+// staging order. The padding keeps two groups' buckets, written by two
+// workers, off one cache line.
+type bucket struct {
+	local  []localOut
+	global []GlobalMsg
+	_      [16]byte
 }
 
 // newEngine validates cfg, applies defaults, and builds the engine and the

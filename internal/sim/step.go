@@ -408,7 +408,7 @@ func (e *engine) buildProg(factory StepFactory, env *Env) (sp StepProgram) {
 // stepShard runs one round segment for the nodes of shard k that are awake:
 // install each node's inbox and call its machine. It returns the earliest round any unfinished one of them needs
 // its next call in (its SleepUntil declaration, or 0 for "the next round").
-// Workers touch disjoint node state, and sends stage into per-sender
+// Workers touch disjoint node state, and sends stage into the shard's own
 // buckets, so concurrent shards need no locks (the same disjointness
 // argument as runShard).
 func (e *engine) stepShard(k int) (minWake int) {
