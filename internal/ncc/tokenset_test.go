@@ -163,3 +163,27 @@ func TestTokenSetTablePerInstance(t *testing.T) {
 		}
 	}
 }
+
+// TestTokenSetAddPresented: a token some node interned is learned through
+// the lock-free lookup at the index intern gave it, and one no node
+// presented panics rather than extend the table unlocked.
+func TestTokenSetAddPresented(t *testing.T) {
+	tab := &tokenTable{index: map[Token]int32{}}
+	owner, other := &tokenSet{tab: tab}, &tokenSet{tab: tab}
+	held := Token{A: 1, B: 2, C: 3}
+	owner.add(Token{A: 9})
+	owner.add(held)
+	other.addPresented(held)
+	if got := other.appendIndices(nil); !slices.Equal(got, []int32{tab.index[held]}) {
+		t.Fatalf("addPresented(held) knows indices %v, want [%d]", got, tab.index[held])
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("addPresented of a token no node presented did not panic")
+		}
+		if len(tab.toks) != 2 {
+			t.Errorf("table holds %d tokens after the refused lookup, want 2", len(tab.toks))
+		}
+	}()
+	other.addPresented(Token{A: 4})
+}
