@@ -252,8 +252,19 @@ func (nw *Network) N() int { return nw.g.N() }
 
 // run executes one algorithm pipeline under the network's configuration. It
 // is the single execution path behind every facade entry point. (A
-// package-level function because Go methods cannot be generic.)
+// package-level function because Go methods cannot be generic.) A graph
+// with an edge above Graph.WeightLimit is refused: its path sums could reach
+// Inf, which the algorithms read as unreachable.
 func run[T any](nw *Network, p sim.Pipeline[T]) ([]T, Metrics, error) {
+	lim := nw.g.WeightLimit()
+	for u := range nw.g.N() {
+		for _, nb := range nw.g.Neighbors(u) {
+			if nb.W > lim {
+				return nil, Metrics{}, fmt.Errorf("hybrid: edge {%d,%d} weighs %d, above %d, the largest weight a %d-node graph allows (Graph.WeightLimit)",
+					u, nb.To, nb.W, lim, nw.g.N())
+			}
+		}
+	}
 	return sim.RunPipeline(nw.g, nw.cfg, p)
 }
 

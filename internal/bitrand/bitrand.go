@@ -61,12 +61,6 @@ func (s *Source) Named(name string, idx ...int) *rand.Rand {
 	return s.Stream(labels...)
 }
 
-// Split returns a child source so subsystems can derive their own streams
-// without coordinating label namespaces.
-func (s *Source) Split(label uint64) *Source {
-	return &Source{seed: s.mix([]uint64{label})}
-}
-
 // Mersenne61 is the prime p = 2^61 - 1 over which the hash family operates.
 // Keys must be < Mersenne61; token labels (s, r, i) packed as s*n^2 + r*n + i
 // stay below 2^60 for all n <= 2^20, comfortably inside the field.
@@ -145,10 +139,6 @@ func (h *KWiseHash) Hash(key uint64) int {
 	}
 	return int(acc % h.m)
 }
-
-// K returns the independence parameter of the family the function was drawn
-// from.
-func (h *KWiseHash) K() int { return len(h.coeff) }
 
 // Seed returns the coefficient vector; the token routing protocol treats it
 // as the publicly broadcast seed. The slice is shared; callers must not

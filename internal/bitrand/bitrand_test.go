@@ -38,7 +38,6 @@ func TestSourceStreamsDiffer(t *testing.T) {
 		{"different names", s.Named("a"), s.Named("b")},
 		{"different indices", s.Named("x", 1), s.Named("x", 2)},
 		{"different label count", s.Stream(1), s.Stream(1, 0)},
-		{"split vs direct", s.Split(9).Stream(1), s.Stream(1)},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -203,8 +202,8 @@ func TestKWiseHashPairwiseIndependenceEmpirical(t *testing.T) {
 func TestKWiseHashDegenerateParams(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	h := NewKWiseHash(0, 0, rng)
-	if h.K() != 1 || h.Range() != 1 {
-		t.Fatalf("degenerate params: K=%d Range=%d, want 1,1", h.K(), h.Range())
+	if len(h.Seed()) != 1 || h.Range() != 1 {
+		t.Fatalf("degenerate params: k=%d Range=%d, want 1,1", len(h.Seed()), h.Range())
 	}
 	if v := h.Hash(55); v != 0 {
 		t.Fatalf("range-1 hash returned %d, want 0", v)

@@ -14,8 +14,8 @@
 // data. This is required by the HYBRID simulation: the token routing
 // protocol of §2 assumes receivers know the labels of the tokens they must
 // receive, which Corollary 4.1 obtains by making the traffic pattern public
-// knowledge. All our algorithms (Bellman-Ford iterations, block matrix
-// multiplication, max-broadcast) are naturally oblivious.
+// knowledge. Our algorithms (block matrix multiplication, max-broadcast)
+// are naturally oblivious.
 package clique
 
 import (

@@ -34,67 +34,6 @@ func checkKSSP(t *testing.T, g *graph.Graph, sources []int, got [][]int64) {
 	}
 }
 
-func TestBellmanFordSSSP(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	tests := []struct {
-		name string
-		g    *graph.Graph
-	}{
-		{"path", graph.Path(12)},
-		{"cycle", graph.Cycle(9)},
-		{"weighted sparse", graph.WithRandomWeights(graph.SparseConnected(20, 1, rng), 9, rng)},
-		{"complete", graph.Complete(8)},
-		{"two nodes", graph.Path(2)},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			alg := NewBellmanFord(tt.g.N(), []int{0}, 0)
-			nodes, err := Run(alg, AdjacencyInputs(tt.g))
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkKSSP(t, tt.g, []int{0}, distancesOf(t, nodes))
-		})
-	}
-}
-
-func TestBellmanFordMultiSource(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	g := graph.WithRandomWeights(graph.SparseConnected(16, 1.5, rng), 7, rng)
-	sources := []int{0, 5, 11}
-	alg := NewBellmanFord(g.N(), sources, 0)
-	if alg.Rounds() != 3*(g.N()-1) {
-		t.Fatalf("Rounds = %d, want %d", alg.Rounds(), 3*(g.N()-1))
-	}
-	nodes, err := Run(alg, AdjacencyInputs(g))
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkKSSP(t, g, sources, distancesOf(t, nodes))
-}
-
-func TestBellmanFordLimitedIters(t *testing.T) {
-	// With iters < hop diameter the result upper-bounds the h-limited
-	// distance; with iters >= diameter it is exact.
-	g := graph.Path(10)
-	alg := NewBellmanFord(g.N(), []int{0}, 3)
-	nodes, err := Run(alg, AdjacencyInputs(g))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := distancesOf(t, nodes)
-	for v := 0; v <= 3; v++ {
-		if d[v][0] != int64(v) {
-			t.Fatalf("node %d = %d, want %d", v, d[v][0], v)
-		}
-	}
-	for v := 4; v < 10; v++ {
-		if d[v][0] != graph.Inf {
-			t.Fatalf("node %d = %d, want Inf after 3 iters", v, d[v][0])
-		}
-	}
-}
-
 func TestMMAPSPExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	tests := []struct {
@@ -115,7 +54,7 @@ func TestMMAPSPExact(t *testing.T) {
 		{"grid 4x4", graph.Grid(4, 4)},
 		{"weighted sparse 17", graph.WithRandomWeights(graph.SparseConnected(17, 1.5, rng), 12, rng)},
 		{"weighted sparse 40", graph.WithRandomWeights(graph.SparseConnected(40, 2, rng), 25, rng)},
-		{"star 13", graph.Star(13)},
+		{"star 13", star(13)},
 		{"disconnected", func() *graph.Graph {
 			g := graph.New(6)
 			g.MustAddEdge(0, 1, 2)
@@ -265,7 +204,7 @@ func TestOracleDiameter(t *testing.T) {
 func TestRunRejectsBadAlgorithms(t *testing.T) {
 	g := graph.Path(4)
 	t.Run("wrong input count", func(t *testing.T) {
-		alg := NewBellmanFord(5, []int{0}, 1)
+		alg := NewMM(5, false)
 		if _, err := Run(alg, AdjacencyInputs(g)); err == nil {
 			t.Fatal("Run accepted mismatched input count")
 		}
@@ -363,7 +302,6 @@ func TestScheduleObliviousness(t *testing.T) {
 		mk   func() Algorithm
 	}{
 		{"mm", func() Algorithm { return NewMM(20, true) }},
-		{"bf", func() Algorithm { return NewBellmanFord(20, []int{3, 7}, 5) }},
 		{"oracle", func() Algorithm {
 			return NewOracle(20, nil, CostModel{Eta: 3}, Quality{Alpha: 1}, false)
 		}},
@@ -411,4 +349,13 @@ func TestMMTagsFitRoutingLabels(t *testing.T) {
 			}
 		}
 	}
+}
+
+// star returns the star graph with center 0 and unit weights.
+func star(n int) *graph.Graph {
+	g := graph.New(n)
+	for v := 1; v < n; v++ {
+		g.MustAddEdge(0, v, 1)
+	}
+	return g
 }

@@ -50,7 +50,9 @@ func runSim(t *testing.T, g *graph.Graph, sp skeleton.Params, factory Factory, s
 func TestMembersAgree(t *testing.T) {
 	g := graph.Grid(8, 8)
 	results, skels, _ := runSim(t, g, skeleton.Params{X: 0.5},
-		SharedFactory(func(q int, _ []int) clique.Algorithm { return clique.NewBellmanFord(q, []int{0}, 1) }), 3)
+		SharedFactory(func(q int, _ []int) clique.Algorithm {
+			return clique.NewOracle(q, nil, clique.CostModel{Eta: 1}, clique.Quality{Alpha: 1}, false)
+		}), 3)
 	want := results[0].Members
 	if len(want) == 0 {
 		t.Fatal("empty skeleton")
@@ -103,22 +105,6 @@ func TestSimulatedMMMatchesGroundTruth(t *testing.T) {
 				t.Fatalf("simulated d(%d,%d) = %d, want %d (member indices %d,%d)",
 					id, jd, got[j], want[jd], i, j)
 			}
-		}
-	}
-}
-
-func TestSimulatedBellmanFordSSSP(t *testing.T) {
-	g := graph.Grid(7, 7)
-	sp := skeleton.Params{X: 0.6}
-	results, _, _ := runSim(t, g, sp,
-		SharedFactory(func(q int, _ []int) clique.Algorithm { return clique.NewBellmanFord(q, []int{0}, 0) }), 11)
-	members := results[0].Members
-	src := members[0]
-	want := graph.Dijkstra(g, src)
-	for j, jd := range members {
-		got := results[jd].Node.(clique.DistanceNode).Distances()
-		if got[0] != want[jd] {
-			t.Fatalf("simulated SSSP d(%d,%d) = %d, want %d (index %d)", src, jd, got[0], want[jd], j)
 		}
 	}
 }
@@ -178,7 +164,7 @@ func TestSharedFactoryReturnsSameInstance(t *testing.T) {
 	calls := 0
 	f := SharedFactory(func(q int, _ []int) clique.Algorithm {
 		calls++
-		return clique.NewBellmanFord(q, []int{0}, 1)
+		return clique.NewMM(q, false)
 	})
 	a := f(5, nil)
 	b := f(5, nil)

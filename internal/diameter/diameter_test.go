@@ -45,8 +45,8 @@ func TestSmallDiameterExact(t *testing.T) {
 		g    *graph.Graph
 	}{
 		{"grid 7x7", graph.Grid(7, 7)},
-		{"star", graph.Star(40)},
-		{"complete", graph.Complete(30)},
+		{"star", star(40)},
+		{"complete", complete(30)},
 		{"barbell short bridge", graph.Barbell(15, 4)},
 	}
 	for _, tt := range tests {
@@ -152,4 +152,24 @@ func TestPlanPinned(t *testing.T) {
 			t.Errorf("%s: plan = (x %v, h %d, ηh %d), want (x %v, h %d, ηh %d)", tt.name, sp.X, h, eta, tt.x, tt.h, tt.etaRounds)
 		}
 	}
+}
+
+// complete returns the complete graph K_n with unit weights.
+func complete(n int) *graph.Graph {
+	g := graph.New(n)
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			g.MustAddEdge(u, v, 1)
+		}
+	}
+	return g
+}
+
+// star returns the star graph with center 0 and unit weights.
+func star(n int) *graph.Graph {
+	g := graph.New(n)
+	for v := 1; v < n; v++ {
+		g.MustAddEdge(0, v, 1)
+	}
+	return g
 }

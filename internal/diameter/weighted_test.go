@@ -48,7 +48,7 @@ func TestWeightedApproxTightOnStar(t *testing.T) {
 	// On a star the eccentricity of the center is 1 and D = 2: the doubled
 	// eccentricity from a leaf gives between D and 2D regardless of which
 	// node is the SSSP source (we use node 0 = center here).
-	g := graph.Star(20)
+	g := star(20)
 	out, _, err := sim.RunPipeline(g, sim.Config{Seed: 9}, WeightedApproxPipeline(kssp.Corollary49(), kssp.Params{}))
 	if err != nil {
 		t.Fatal(err)

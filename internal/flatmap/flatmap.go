@@ -14,9 +14,8 @@
 // The engines' byte-identity discipline forbids any iteration order that
 // depends on Go's randomized map seeds. These containers have no such
 // randomness: probe positions are a pure function of the key, so the table
-// layout is a deterministic function of the insertion history. Callers that
-// need a canonical order independent of history sort the drained keys
-// (AppendSortedKeys); callers that only dedup or look up need no order at all.
+// layout is a deterministic function of the insertion history. Callers only
+// dedup and look up, so no order reaches them at all.
 //
 // # Shrink on reset
 //
@@ -29,8 +28,6 @@
 // shrinkMinCap never shrink: reallocating them saves nothing measurable,
 // and the no-shrink floor keeps steady-state workloads allocation-free.
 package flatmap
-
-import "slices"
 
 // Hash spreads a uint64 key over the table. The table index is taken from
 // the LOW bits of the result, and packed keys (e.g. routing labels) vary
@@ -72,15 +69,8 @@ func shrunkSize(used, cap int) int {
 // set ready for use.
 type Set struct{ m Map[struct{}] }
 
-// Reset empties the set in place, keeping capacity unless the shrink
-// policy fires (see the package comment).
-func (s *Set) Reset() { s.m.Reset() }
-
 // Len reports the number of live keys.
 func (s *Set) Len() int { return s.m.Len() }
-
-// Cap reports the current table capacity (for tests and diagnostics).
-func (s *Set) Cap() int { return s.m.Cap() }
 
 // Add inserts k and reports whether it was absent.
 func (s *Set) Add(k uint64) bool {
@@ -91,10 +81,6 @@ func (s *Set) Add(k uint64) bool {
 
 // Has reports whether k is present.
 func (s *Set) Has(k uint64) bool { return s.m.Has(k) }
-
-// AppendSortedKeys appends the live keys to dst in ascending order and
-// returns the extended slice (see Map.AppendSortedKeys).
-func (s *Set) AppendSortedKeys(dst []uint64) []uint64 { return s.m.AppendSortedKeys(dst) }
 
 // Map is a linear-probe map from uint64 keys to values of any type. Keys
 // are stored offset by one so the zero word means "empty"; callers' keys
@@ -127,9 +113,6 @@ func (m *Map[V]) Reset() {
 
 // Len reports the number of live entries.
 func (m *Map[V]) Len() int { return m.used }
-
-// Cap reports the current table capacity (for tests and diagnostics).
-func (m *Map[V]) Cap() int { return len(m.keys) }
 
 // Put inserts or overwrites k.
 func (m *Map[V]) Put(k uint64, val V) {
@@ -192,20 +175,6 @@ func (m *Map[V]) Has(k uint64) bool {
 		}
 		i = (i + 1) & mask
 	}
-}
-
-// AppendSortedKeys appends the live keys to dst in ascending order and
-// returns the extended slice. The canonical drain for callers whose
-// downstream logic must not depend on insertion history.
-func (m *Map[V]) AppendSortedKeys(dst []uint64) []uint64 {
-	start := len(dst)
-	for _, v := range m.keys {
-		if v != 0 {
-			dst = append(dst, v-1)
-		}
-	}
-	slices.Sort(dst[start:])
-	return dst
 }
 
 func (m *Map[V]) grow() {

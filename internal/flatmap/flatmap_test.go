@@ -2,6 +2,7 @@ package flatmap
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -16,28 +17,28 @@ func TestHashTableShrinkOnReset(t *testing.T) {
 	for i := uint64(0); i < big; i++ {
 		s.Add(i * 3)
 	}
-	peak := s.Cap()
+	peak := s.m.Cap()
 	if peak < big {
 		t.Fatalf("peak capacity %d below fill %d", peak, big)
 	}
 	// The reset right after the giant fill keeps capacity (the table was
 	// genuinely full); the reset after the next small fill is what detects
 	// the overprovisioning and shrinks.
-	s.Reset()
-	if s.Cap() != peak {
-		t.Errorf("reset after a full table resized it: %d -> %d", peak, s.Cap())
+	s.m.Reset()
+	if s.m.Cap() != peak {
+		t.Errorf("reset after a full table resized it: %d -> %d", peak, s.m.Cap())
 	}
 	for i := uint64(0); i < 1000; i++ {
 		if !s.Add(i) {
 			t.Fatalf("key %d reported present in an empty table", i)
 		}
 	}
-	s.Reset()
-	if s.Cap() >= peak {
-		t.Errorf("reset after a small fill kept capacity %d (peak %d)", s.Cap(), peak)
+	s.m.Reset()
+	if s.m.Cap() >= peak {
+		t.Errorf("reset after a small fill kept capacity %d (peak %d)", s.m.Cap(), peak)
 	}
-	if s.Cap() < minTableSize {
-		t.Errorf("shrunk below the minimum table size: %d", s.Cap())
+	if s.m.Cap() < minTableSize {
+		t.Errorf("shrunk below the minimum table size: %d", s.m.Cap())
 	}
 	// The shrunk table still works and grows back on demand.
 	for i := uint64(0); i < 1000; i++ {
@@ -132,7 +133,7 @@ func TestSetMatchesMapOracle(t *testing.T) {
 			if s.Len() != len(oracle) {
 				t.Fatalf("mode %d: len %d, oracle %d", mode, s.Len(), len(oracle))
 			}
-			keys := s.AppendSortedKeys(nil)
+			keys := s.m.AppendSortedKeys(nil)
 			if len(keys) != len(oracle) {
 				t.Fatalf("mode %d: drained %d keys, oracle %d", mode, len(keys), len(oracle))
 			}
@@ -160,7 +161,7 @@ func TestSetMatchesMapOracle(t *testing.T) {
 			default:
 				if rng.Intn(50) == 0 { // rare: resets clear all progress
 					checkDrain()
-					s.Reset()
+					s.m.Reset()
 					oracle = map[uint64]bool{}
 				}
 			}
@@ -228,8 +229,8 @@ func TestDrainOrderDeterministic(t *testing.T) {
 		a.Add(k)
 		b.Add(k)
 	}
-	da := a.AppendSortedKeys(nil)
-	db := b.AppendSortedKeys(nil)
+	da := a.m.AppendSortedKeys(nil)
+	db := b.m.AppendSortedKeys(nil)
 	if len(da) != len(db) {
 		t.Fatalf("drain lengths diverged: %d vs %d", len(da), len(db))
 	}
@@ -243,7 +244,7 @@ func TestDrainOrderDeterministic(t *testing.T) {
 	for i := len(keys) - 1; i >= 0; i-- {
 		c.Add(keys[i])
 	}
-	dc := c.AppendSortedKeys(nil)
+	dc := c.m.AppendSortedKeys(nil)
 	for i := range da {
 		if da[i] != dc[i] {
 			t.Fatalf("sorted drain depends on insertion order at %d", i)
@@ -258,7 +259,7 @@ func TestZeroValueContainers(t *testing.T) {
 	if s.Has(1) || s.Len() != 0 {
 		t.Fatal("zero Set not empty-safe")
 	}
-	s.Reset()
+	s.m.Reset()
 	var m Map[[]int64]
 	if _, ok := m.Get(1); ok || m.Has(1) {
 		t.Fatal("zero Map not empty-safe")
@@ -313,7 +314,7 @@ func FuzzFlatmap(f *testing.F) {
 				}
 			default:
 				if val < 16 { // occasional reset
-					s.Reset()
+					s.m.Reset()
 					m.Reset()
 					sOracle = map[uint64]bool{}
 					mOracle = map[uint64]int64{}
@@ -324,7 +325,7 @@ func FuzzFlatmap(f *testing.F) {
 					s.Len(), len(sOracle), m.Len(), len(mOracle))
 			}
 		}
-		for _, k := range s.AppendSortedKeys(nil) {
+		for _, k := range s.m.AppendSortedKeys(nil) {
 			if !sOracle[k] {
 				t.Fatalf("drained key %d not in oracle", k)
 			}
@@ -336,4 +337,21 @@ func FuzzFlatmap(f *testing.F) {
 			}
 		}
 	})
+}
+
+// Cap reports the current table capacity (for tests and diagnostics).
+func (m *Map[V]) Cap() int { return len(m.keys) }
+
+// AppendSortedKeys appends the live keys to dst in ascending order and
+// returns the extended slice. The canonical drain for callers whose
+// downstream logic must not depend on insertion history.
+func (m *Map[V]) AppendSortedKeys(dst []uint64) []uint64 {
+	start := len(dst)
+	for _, v := range m.keys {
+		if v != 0 {
+			dst = append(dst, v-1)
+		}
+	}
+	slices.Sort(dst[start:])
+	return dst
 }

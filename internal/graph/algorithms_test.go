@@ -74,8 +74,8 @@ func TestHopDiameterKnown(t *testing.T) {
 	}{
 		{"path10", Path(10), 9},
 		{"cycle8", Cycle(8), 4},
-		{"complete6", Complete(6), 1},
-		{"star9", Star(9), 2},
+		{"complete6", complete(6), 1},
+		{"star9", star(9), 2},
 		{"grid3x3", Grid(3, 3), 4},
 		{"single", New(1), 0},
 	}
@@ -150,7 +150,7 @@ func TestSPDPathAndClique(t *testing.T) {
 	if spd := SPD(Path(10)); spd != 9 {
 		t.Fatalf("SPD(path10) = %d, want 9", spd)
 	}
-	if spd := SPD(Complete(8)); spd != 1 {
+	if spd := SPD(complete(8)); spd != 1 {
 		t.Fatalf("SPD(K8) = %d, want 1", spd)
 	}
 }

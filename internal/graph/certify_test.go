@@ -88,7 +88,10 @@ func TestCertifyRejectsEveryOneCellCorruption(t *testing.T) {
 // FuzzCertify holds Certify to Dijkstra: the fuzzer's bytes build a small
 // weighted graph, possibly disconnected, and pick a source, one cell and a
 // mutation of it. The verdict must be "certified" exactly when the mutated
-// row equals Dijkstra's.
+// row equals Dijkstra's. With op's top bit set the weights are heavy,
+// WeightLimit minus a byte, so path sums come close to Inf: Dijkstra must
+// still give every reachable node a distance in [0, Inf), and the route the
+// next-hop tables take to it must weigh exactly that.
 func FuzzCertify(f *testing.F) {
 	f.Add([]byte{6, 0, 1, 3, 1, 2, 4, 2, 3, 1, 3, 4, 7, 4, 5, 2, 0, 5, 9}, uint8(0), uint8(3), uint8(0), int64(0))
 	f.Add([]byte{6, 0, 1, 3, 1, 2, 4, 2, 3, 1, 3, 4, 7, 4, 5, 2, 0, 5, 9}, uint8(2), uint8(5), uint8(1), int64(0))
@@ -98,20 +101,39 @@ func FuzzCertify(f *testing.F) {
 	f.Add([]byte{9, 0, 4, 2, 4, 8, 2, 8, 1, 6, 1, 0, 1}, uint8(4), uint8(8), uint8(4), int64(-7))
 	f.Add([]byte{3, 0, 1, 1, 1, 2, 1}, uint8(2), uint8(1), uint8(4), int64(Inf+1))
 	f.Add([]byte{1}, uint8(0), uint8(0), uint8(0), int64(0))
+	f.Add([]byte{6, 0, 1, 0, 1, 2, 0, 2, 3, 0, 3, 4, 0, 4, 5, 0}, uint8(0), uint8(5), uint8(128), int64(0))
+	f.Add([]byte{6, 0, 1, 3, 1, 2, 4, 2, 3, 1, 3, 4, 7, 4, 5, 2, 0, 5, 9}, uint8(0), uint8(4), uint8(129), int64(0))
+	f.Add([]byte{16, 0, 1, 0, 1, 2, 0, 2, 3, 0, 3, 4, 0, 4, 5, 0, 5, 6, 0, 6, 7, 0, 7, 8, 0, 8, 9, 0, 9, 10, 0, 10, 11, 0, 11, 12, 0, 12, 13, 0, 13, 14, 0, 14, 15, 0}, uint8(0), uint8(15), uint8(131), int64(0))
+	f.Add([]byte{2, 0, 1, 0}, uint8(1), uint8(0), uint8(132), int64(Inf-1))
 	f.Fuzz(func(t *testing.T, shape []byte, src, cell, op uint8, val int64) {
 		if len(shape) == 0 {
 			return
 		}
 		n := 1 + int(shape[0])%16
 		g := New(n)
+		heavy := op&0x80 != 0
 		for i := 1; i+2 < len(shape); i += 3 {
 			u, v, w := int(shape[i])%n, int(shape[i+1])%n, 1+int64(shape[i+2])%32
+			if heavy {
+				w = g.WeightLimit() - int64(shape[i+2])
+			}
 			if u != v && !g.HasEdge(u, v) {
 				g.MustAddEdge(u, v, w)
 			}
 		}
 		s := int(src) % n
 		want := Dijkstra(g, s)
+		hops, tables := BFS(g, s), NextHops(g, APSP(g))
+		for v, dv := range want {
+			if reachable := hops[v] < Inf; reachable != (dv >= 0 && dv < Inf) {
+				t.Fatalf("d(%d,%d) = %d, reachable %v", s, v, dv, reachable)
+			}
+			if dv < Inf {
+				if w, ok := PathWeight(g, FollowRoute(tables, s, v)); !ok || w != dv {
+					t.Fatalf("route %d->%d weighs %d (a path: %v), distance %d", s, v, w, ok, dv)
+				}
+			}
+		}
 		d := slices.Clone(want)
 		c := int(cell) % n
 		switch op % 5 {

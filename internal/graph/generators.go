@@ -48,26 +48,6 @@ func Grid(rows, cols int) *Graph {
 	return g
 }
 
-// Complete returns the complete graph K_n with unit weights.
-func Complete(n int) *Graph {
-	g := New(n)
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			g.MustAddEdge(u, v, 1)
-		}
-	}
-	return g
-}
-
-// Star returns the star graph with center 0 and unit weights.
-func Star(n int) *Graph {
-	g := New(n)
-	for v := 1; v < n; v++ {
-		g.MustAddEdge(0, v, 1)
-	}
-	return g
-}
-
 // RandomTree returns a uniformly-shaped random spanning tree on n nodes with
 // unit weights: node i > 0 attaches to a uniform node in [0, i).
 func RandomTree(n int, rng *rand.Rand) *Graph {
@@ -214,24 +194,6 @@ func Barbell(k, bridgeLen int) *Graph {
 		prev = k + i
 	}
 	g.MustAddEdge(prev, base, 1)
-	return g
-}
-
-// Caterpillar returns a path of spineLen nodes where every spine node has
-// legs pendant neighbors. Caterpillars combine a long backbone with local
-// bulk, a worst case for cluster formation around ruling sets.
-func Caterpillar(spineLen, legs int) *Graph {
-	g := New(spineLen * (1 + legs))
-	for i := 0; i+1 < spineLen; i++ {
-		g.MustAddEdge(i, i+1, 1)
-	}
-	next := spineLen
-	for i := 0; i < spineLen; i++ {
-		for l := 0; l < legs; l++ {
-			g.MustAddEdge(i, next, 1)
-			next++
-		}
-	}
 	return g
 }
 

@@ -10,7 +10,6 @@ package graph
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -142,9 +141,6 @@ func (g *Graph) Weight(u, v int) (int64, bool) {
 // with the graph and must not be modified.
 func (g *Graph) Neighbors(u int) []Neighbor { return g.adj[u] }
 
-// Degree returns the number of edges incident to u.
-func (g *Graph) Degree(u int) int { return len(g.adj[u]) }
-
 // MaxDegree returns the maximum degree over all nodes (0 for empty graphs).
 func (g *Graph) MaxDegree() int {
 	max := 0
@@ -175,16 +171,6 @@ func (g *Graph) Edges() []Edge {
 	return edges
 }
 
-// Clone returns a deep copy of g.
-func (g *Graph) Clone() *Graph {
-	c := New(g.n)
-	c.m = g.m
-	for u := 0; u < g.n; u++ {
-		c.adj[u] = append([]Neighbor(nil), g.adj[u]...)
-	}
-	return c
-}
-
 // Connected reports whether the graph is connected (vacuously true for
 // n <= 1).
 func (g *Graph) Connected() bool {
@@ -207,48 +193,6 @@ func (g *Graph) Connected() bool {
 		}
 	}
 	return count == g.n
-}
-
-// Validate checks structural invariants: adjacency symmetry, weight
-// positivity, no self loops, no duplicate edges. It is used by generator
-// tests and property-based tests.
-func (g *Graph) Validate() error {
-	type key struct{ u, v int }
-	seen := make(map[key]int64, 2*g.m)
-	degSum := 0
-	for u := 0; u < g.n; u++ {
-		local := make(map[int]bool, len(g.adj[u]))
-		for _, nb := range g.adj[u] {
-			if nb.To < 0 || nb.To >= g.n {
-				return fmt.Errorf("graph: node %d has out-of-range neighbor %d", u, nb.To)
-			}
-			if nb.To == u {
-				return fmt.Errorf("graph: self-loop at %d", u)
-			}
-			if nb.W <= 0 {
-				return fmt.Errorf("graph: non-positive weight %d on {%d,%d}", nb.W, u, nb.To)
-			}
-			if local[nb.To] {
-				return fmt.Errorf("graph: duplicate adjacency %d->%d", u, nb.To)
-			}
-			local[nb.To] = true
-			seen[key{u, nb.To}] = nb.W
-			degSum++
-		}
-	}
-	for k, w := range seen {
-		w2, ok := seen[key{k.v, k.u}]
-		if !ok {
-			return fmt.Errorf("graph: asymmetric edge %d->%d", k.u, k.v)
-		}
-		if w != w2 {
-			return fmt.Errorf("graph: weight mismatch on {%d,%d}: %d vs %d", k.u, k.v, w, w2)
-		}
-	}
-	if degSum != 2*g.m {
-		return errors.New("graph: edge count out of sync with adjacency lists")
-	}
-	return nil
 }
 
 // Reweight returns a copy of g in which every edge weight is replaced by

@@ -89,9 +89,6 @@ func (e *clusterEntry) bind(id int) (ruler, dist int, members []int) {
 	return ruler, int(e.dist[id]), members
 }
 
-// clusterBeta is the β = 2µ·ceil(log2 n) phase length of Algorithm 1.
-func clusterBeta(n, mu int) int { return 2 * mu * sim.Log2Ceil(n) }
-
 // newWFlood floods W membership inside clusters for `rounds` rounds;
 // afterwards its origins are the sorted W members of this node's cluster. It
 // is the structural-hit replacement of phase 3: only W nodes inject records

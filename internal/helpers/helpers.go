@@ -77,16 +77,9 @@ func (p Params) withDefaults() Params {
 	return p
 }
 
-// Rounds returns the exact round count of an uncached Machine for given n
-// and µ: the ruling set plus β rounds of cluster formation plus 2β rounds
-// of member flooding, β = 2µ⌈log n⌉ (matching Algorithm 1's loop bounds).
-func Rounds(n, mu int) int {
-	if mu < 1 {
-		mu = 1
-	}
-	beta := 2 * mu * sim.Log2Ceil(n)
-	return ruling.Rounds(n, mu) + beta + 2*beta
-}
+// clusterBeta is the β = 2µ⌈log₂ n⌉ phase length of Algorithm 1: cluster
+// formation takes β rounds, member flooding 2β.
+func clusterBeta(n, mu int) int { return 2 * mu * sim.Log2Ceil(n) }
 
 // Machine is Algorithm 1 as a collective machine (sim.StepProgram), built
 // from the ruling-set machine and two flood loops. After it finishes, Res
@@ -100,11 +93,11 @@ type Machine struct {
 
 // NewMachine builds the collective Algorithm 1 machine; all nodes must
 // start it in the same round with the same µ and params. Without a cluster
-// cache it takes exactly Rounds(n, µ) rounds and uses only the local
-// network. With params.Clusters set it is the cluster-cached construction
-// (warm.Guard): a hit is the structural shortcut (cached ruler assignment
-// and member directory, the 2β-round W flood, fresh helper sampling), a miss
-// the full build (see ClusterCache).
+// cache it takes exactly the ruling set's rounds plus 3β and uses only the
+// local network. With params.Clusters set it is the cluster-cached
+// construction (warm.Guard): a hit is the structural shortcut (cached ruler
+// assignment and member directory, the 2β-round W flood, fresh helper
+// sampling), a miss the full build (see ClusterCache).
 func NewMachine(env *sim.Env, inW bool, mu int, params Params) *Machine {
 	p := params.withDefaults()
 	if mu < 1 {
@@ -139,7 +132,7 @@ func NewMachine(env *sim.Env, inW bool, mu int, params Params) *Machine {
 // finished result to m.Res.
 func newColdProg(env *sim.Env, m *Machine, inW bool, mu int, p Params) sim.StepProgram {
 	n := env.N()
-	beta := 2 * mu * sim.Log2Ceil(n)
+	beta := clusterBeta(n, mu)
 
 	var rule *ruling.Machine
 	// Phase 2, cluster formation: rulers start waves; every node tracks the

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/ruling"
 	"repro/internal/sim"
 	"repro/internal/simtest"
 )
@@ -168,6 +169,14 @@ func TestHelpersAreClusterLocal(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Rounds returns the exact round count of an uncached Machine for given n
+// and µ: the ruling set, then β rounds of cluster formation and 2β of member
+// flooding.
+func Rounds(n, mu int) int {
+	mu = max(mu, 1)
+	return ruling.Rounds(n, mu) + 3*clusterBeta(n, mu)
 }
 
 func TestRoundsFormula(t *testing.T) {

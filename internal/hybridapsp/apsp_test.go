@@ -40,7 +40,7 @@ func TestTheorem11Exact(t *testing.T) {
 		{"cycle 64", graph.Cycle(64)},
 		{"path 50", graph.Path(50)},
 		{"barbell", graph.Barbell(20, 14)},
-		{"caterpillar", graph.Caterpillar(12, 3)},
+		{"caterpillar", caterpillar(12, 3)},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -138,4 +138,22 @@ func TestRecvLoadLemmaD2(t *testing.T) {
 	if m.MaxGlobalRecv > 10*logN {
 		t.Fatalf("max global receive load %d exceeds 10 log n = %d", m.MaxGlobalRecv, 10*logN)
 	}
+}
+
+// caterpillar returns a path of spineLen nodes where every spine node has
+// legs pendant neighbours: a long backbone with local bulk, a worst case for
+// cluster formation around ruling sets.
+func caterpillar(spineLen, legs int) *graph.Graph {
+	g := graph.New(spineLen * (1 + legs))
+	for i := 0; i+1 < spineLen; i++ {
+		g.MustAddEdge(i, i+1, 1)
+	}
+	next := spineLen
+	for i := 0; i < spineLen; i++ {
+		for l := 0; l < legs; l++ {
+			g.MustAddEdge(i, next, 1)
+			next++
+		}
+	}
+	return g
 }

@@ -10,8 +10,7 @@ import (
 // AlgSpec of the CLIQUE algorithm the corollary plugs into Theorem 4.1.
 // Published algorithms we did not reimplement (fast matrix multiplication,
 // hopset-based SSSP) are represented by the declared-cost oracle at their
-// published (δ, η, α, β); the semiring MM and Bellman-Ford variants run
-// with real messages.
+// published (δ, η, α, β); the semiring MM variant runs with real messages.
 
 // Rho is the distributed matrix multiplication exponent bound ρ < 0.15715
 // of Censor-Hillel et al. [8] (via ω < 2.3728639).

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/clique"
 	"repro/internal/graph"
 	"repro/internal/sim"
 )
@@ -73,24 +72,6 @@ func TestSSSPExactOracle(t *testing.T) {
 			checkApprox(t, tt.g, []int{tt.src}, got, 1, 0)
 		})
 	}
-}
-
-// TestSSSPExactRealBellmanFord runs the framework on a fully message-passing
-// exact SSSP instantiation, clique Bellman-Ford (δ = 1 worst case; fast when
-// the skeleton hop diameter is small).
-func TestSSSPExactRealBellmanFord(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	g := graph.WithRandomWeights(graph.Grid(6, 6), 7, rng)
-	realBF := AlgSpec{
-		Delta:        1,
-		Eta:          1,
-		SingleSource: true,
-		Factory: func(q int, srcIdx []int) clique.Algorithm {
-			return clique.NewBellmanFord(q, srcIdx, 0)
-		},
-	}
-	got, _ := runKSSP(t, g, []int{10}, realBF, Params{}, 7)
-	checkApprox(t, g, []int{10}, got, 1, 0)
 }
 
 func TestKSSPWeightedBoundExactAPSPOracle(t *testing.T) {

@@ -20,9 +20,6 @@ func TestGammaStructure(t *testing.T) {
 	if gm.G.N() != p.N() {
 		t.Fatalf("N = %d, want %d", gm.G.N(), p.N())
 	}
-	if err := gm.G.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	if !gm.G.Connected() {
 		t.Fatal("Gamma must be connected")
 	}
@@ -168,9 +165,6 @@ func TestFig1StructureAndVerify(t *testing.T) {
 	}
 	f, err := BuildFig1(p, inS1)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.G.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if f.G.N() != p.N() {

@@ -49,7 +49,7 @@ func NewMachine(env *sim.Env, mu int) *Machine {
 	}
 	m := &Machine{alpha: 2 * mu, candidate: true}
 	m.loop = sim.Loop{
-		Rounds: sim.Log2Ceil(env.N()) * m.alpha,
+		Rounds: Rounds(env.N(), mu),
 		Send:   m.send,
 		Recv:   m.recv,
 		// Between messages a node acts only at bit-stage boundaries: the

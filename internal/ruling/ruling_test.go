@@ -44,8 +44,8 @@ func TestRulingSetProperties(t *testing.T) {
 		{"cycle mu=2", graph.Cycle(50), 2},
 		{"grid mu=1", graph.Grid(7, 8), 1},
 		{"grid mu=2", graph.Grid(9, 9), 2},
-		{"complete mu=2", graph.Complete(20), 2},
-		{"star mu=1", graph.Star(30), 1},
+		{"complete mu=2", complete(20), 2},
+		{"star mu=1", star(30), 1},
 		{"sparse mu=2", graph.SparseConnected(70, 1, rng), 2},
 		{"barbell mu=2", graph.Barbell(15, 12), 2},
 		{"tree mu=3", graph.RandomTree(80, rng), 3},
@@ -67,7 +67,7 @@ func TestRulingSetProperties(t *testing.T) {
 func TestCompleteGraphSingleRuler(t *testing.T) {
 	// In K_n any two nodes are 1 hop apart, so a (2µ+1 >= 3)-separated
 	// ruling set has exactly one member.
-	g := graph.Complete(16)
+	g := complete(16)
 	rulers := computeRulers(t, g, 1)
 	count := 0
 	for _, r := range rulers {
@@ -161,4 +161,24 @@ func TestQuickRulingSetAlwaysValid(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// complete returns the complete graph K_n with unit weights.
+func complete(n int) *graph.Graph {
+	g := graph.New(n)
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			g.MustAddEdge(u, v, 1)
+		}
+	}
+	return g
+}
+
+// star returns the star graph with center 0 and unit weights.
+func star(n int) *graph.Graph {
+	g := graph.New(n)
+	for v := 1; v < n; v++ {
+		g.MustAddEdge(0, v, 1)
+	}
+	return g
 }

@@ -163,10 +163,6 @@ func (s *Server) SetMaxInflight(n int) { s.maxInflight.Store(int64(n)) }
 // length of an APSP build).
 func (s *Server) SetRequestTimeout(d time.Duration) { s.requestTimeout.Store(int64(d)) }
 
-// Degraded reports whether the last reload failed (the server still
-// answers from the last-good tables).
-func (s *Server) Degraded() bool { return s.degraded.Load() }
-
 func (s *Server) lastReloadError() string {
 	if v := s.lastReloadErr.Load(); v != nil {
 		return v.(string)
@@ -201,9 +197,6 @@ func (s *Server) Publish(t *Tables) {
 	}
 	s.tables.Store(t)
 }
-
-// Tables returns the current generation (nil before the first Publish).
-func (s *Server) Tables() *Tables { return s.tables.Load() }
 
 // SetRebuild registers the function Reload uses to compute a fresh
 // generation. The owner (cmd/hybridserve) typically closes over the graph

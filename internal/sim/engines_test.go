@@ -60,7 +60,7 @@ func TestEnginesAgree(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"grid":     graph.Grid(6, 7),
 		"path":     graph.Path(33),
-		"complete": graph.Complete(17),
+		"complete": complete(17),
 	}
 	for name, g := range graphs {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -120,7 +120,7 @@ func TestFinishedNodeInboxStaysEmpty(t *testing.T) {
 // and on one where it crosses only adjacent ones. TestStepShardCountInvariance
 // covers the grid.
 func TestShardCountInvariance(t *testing.T) {
-	for name, g := range map[string]*graph.Graph{"complete": graph.Complete(40), "path": graph.Path(40)} {
+	for name, g := range map[string]*graph.Graph{"complete": complete(40), "path": graph.Path(40)} {
 		baseOut, baseM := runChatter(t, g, Config{Seed: 11, Shards: 1})
 		for _, shards := range []int{2, 3, 7, 16, 40, 1000} {
 			out, m := runChatter(t, g, Config{Seed: 11, Shards: shards})
@@ -356,4 +356,15 @@ func TestEngineString(t *testing.T) {
 	if _, err := RunStep(graph.Path(2), Config{Engine: Engine(3)}, func(*Env) StepProgram { return idle(1) }); err == nil {
 		t.Fatal("an Engine outside the set ran")
 	}
+}
+
+// complete returns the complete graph K_n with unit weights.
+func complete(n int) *graph.Graph {
+	g := graph.New(n)
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			g.MustAddEdge(u, v, 1)
+		}
+	}
+	return g
 }

@@ -13,9 +13,6 @@ func (env *Env) ID() int { return env.id }
 // N returns the total number of nodes.
 func (env *Env) N() int { return env.eng.n }
 
-// LogN returns ceil(log2 n), the unit in which the model's caps are stated.
-func (env *Env) LogN() int { return env.eng.logN }
-
 // GlobalCap returns the number of global messages this node may send per
 // round.
 func (env *Env) GlobalCap() int { return env.eng.sendCap }
@@ -31,9 +28,6 @@ func (env *Env) Graph() *graph.Graph { return env.eng.g }
 
 // Neighbors returns this node's adjacency list in G.
 func (env *Env) Neighbors() []graph.Neighbor { return env.eng.g.Neighbors(env.id) }
-
-// Degree returns this node's degree in G.
-func (env *Env) Degree() int { return env.eng.g.Degree(env.id) }
 
 // Rand returns this node's private deterministic random stream.
 func (env *Env) Rand() *rand.Rand { return env.rng }

@@ -424,7 +424,7 @@ func TestPerNodeRandDiffers(t *testing.T) {
 func TestEarlyFinishersDoNotBlock(t *testing.T) {
 	// Half the nodes finish immediately; the others exchange messages for
 	// several rounds. The run must terminate and deliver correctly.
-	g := graph.Complete(10)
+	g := complete(10)
 	onEngines(t, func(t *testing.T, eng Engine) {
 		var survived int32
 		_, err := RunStep(g, Config{Seed: 8, Engine: eng}, func(env *Env) StepProgram {

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"testing"
-
-	"repro/internal/graph"
-)
+import "testing"
 
 // crossShardTraffic is the machine of the staging tests: in every one of its
 // rounds each node sends a local message to every neighbour and two more to
@@ -43,7 +39,7 @@ func crossShardTraffic(env *Env, rounds int, payload func(r, j int) any, record 
 // legacy engine's, whose staging groups are single nodes, on the step loop
 // at 1, 2, 3 and 7 shards (a group per shard) and on EngineDist.
 func TestStagingShardCountInvariance(t *testing.T) {
-	g := graph.Complete(42)
+	g := complete(42)
 	const rounds = 5
 	run := func(cfg Config) ([][]uint64, Metrics) {
 		t.Helper()
@@ -93,7 +89,7 @@ func TestStagingShardCountInvariance(t *testing.T) {
 // warm, a step-loop round in which every node sends into every shard, over
 // three shards, allocates nothing.
 func TestStagingCrossShardRoundZeroAlloc(t *testing.T) {
-	g := graph.Complete(42)
+	g := complete(42)
 	st, err := NewStepper(g, Config{Engine: EngineStep, Shards: 3, GlobalSendFactor: 2}, func(env *Env) StepProgram {
 		p := new(int64)
 		return crossShardTraffic(env, 1000, func(int, int) any { return p }, nil)

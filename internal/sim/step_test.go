@@ -277,7 +277,7 @@ func TestStepEnginePanicCaptured(t *testing.T) {
 // produce the blocking program's round accounting (a finisher's last sends
 // are delivered; Metrics.Rounds is the max over nodes).
 func TestStepUnevenFinish(t *testing.T) {
-	g := graph.Complete(9)
+	g := complete(9)
 	oracle := make([]int64, g.N())
 	oracleM, err := runLegacy(g, Config{Seed: 3}, func(env *Env) {
 		total := int64(0)

@@ -125,9 +125,10 @@ func TestFloodVectorsMachineMatches(t *testing.T) {
 	pin := simtest.Pin{Metrics: sim.Metrics{Rounds: 4, LocalMsgs: 224, LocalBits: 57240}, Sum: 0x6b15523765496004}
 	labelWords := func(l *Labels) []int64 {
 		var w []int64
-		for _, k := range l.AppendSortedKeys(nil) {
-			v, _ := l.Get(k)
-			w = append(append(w, int64(k)), v...)
+		for k := range uint64(g.N()) {
+			if v, ok := l.Get(k); ok {
+				w = append(append(w, int64(k)), v...)
+			}
 		}
 		return w
 	}

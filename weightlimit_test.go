@@ -1,6 +1,8 @@
 package hybrid_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	hybrid "repro"
@@ -72,5 +74,28 @@ func TestPipelinesAtWeightLimit(t *testing.T) {
 	}
 	if dw := exact[0][n-1]; diam.Estimate < dw || diam.Estimate > 2*dw {
 		t.Fatalf("WeightedDiameterApprox = %d, want in [%d, %d]", diam.Estimate, dw, 2*dw)
+	}
+
+	// One edge at WeightLimit+1: every entry point refuses the graph, naming
+	// the edge and the limit, instead of answering with Inf distances.
+	heavy := hybrid.New(base.Reweight(func(u, _ int, _ int64) int64 {
+		if u == n/2 {
+			return lim + 1
+		}
+		return lim
+	}), hybrid.WithSeed(3))
+	want := fmt.Sprintf("edge {%d,%d} weighs %d, above %d,", n/2, n/2+1, lim+1, lim)
+	for name, run := range map[string]func() error{
+		"APSP":                   func() error { _, err := heavy.APSP(); return err },
+		"APSPBaseline":           func() error { _, err := heavy.APSPBaseline(); return err },
+		"APSPLocalOnly":          func() error { _, err := heavy.APSPLocalOnly(n); return err },
+		"SSSP":                   func() error { _, err := heavy.SSSP(0); return err },
+		"KSSP":                   func() error { _, err := heavy.KSSP(sources, hybrid.Cor46(0.5)); return err },
+		"Diameter":               func() error { _, err := heavy.Diameter(hybrid.DiamCor52(0.5)); return err },
+		"WeightedDiameterApprox": func() error { _, err := heavy.WeightedDiameterApprox(); return err },
+	} {
+		if err := run(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s at WeightLimit+1: err %v, want one containing %q", name, err, want)
+		}
 	}
 }
