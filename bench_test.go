@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
@@ -176,6 +177,46 @@ func BenchmarkFacadeAPSP(b *testing.B) {
 		rounds = res.Metrics.Rounds
 	}
 	b.ReportMetric(float64(rounds), "rounds")
+}
+
+// BenchmarkFacadeAPSPGrid is cmd/bench's apsp_grid_1024 ("cold") and
+// apsp_grid_1024_warm ("warm") through the facade: Theorem 1.1 on the 32×32
+// grid, algorithm seed 1, EngineStep with autotuned shards. A warm operation
+// is LoadCache and APSP on a fresh Network, over a cache that one cold run
+// saved before the timer starts. It reports allocations, so
+// `go test -run '^$' -bench FacadeAPSPGrid -benchmem .` rechecks both
+// workloads' time and memory without building cmd/bench.
+func BenchmarkFacadeAPSPGrid(b *testing.B) {
+	g := hybrid.GridGraph(32, 32)
+	opts := []hybrid.Option{hybrid.WithSeed(1), hybrid.WithEngine(hybrid.EngineStep)}
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := hybrid.New(g, opts...).APSP(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("warm", func(b *testing.B) {
+		warm := append(slices.Clone(opts), hybrid.WithCacheDir(b.TempDir()))
+		nw := hybrid.New(g, warm...)
+		if _, err := nw.APSP(); err != nil {
+			b.Fatal(err)
+		}
+		if err := nw.SaveCache(); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		for b.Loop() {
+			nw := hybrid.New(g, warm...)
+			if status, err := nw.LoadCache(); err != nil || !status.Structural || !status.Seed {
+				b.Fatalf("LoadCache restored %+v (%v), want both cache sections", status, err)
+			}
+			if _, err := nw.APSP(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkFacadeDiameter measures the (3/2+eps) diameter pipeline.

@@ -58,7 +58,8 @@ func GeometricGraph(n int, radius float64, rng *rand.Rand) *Graph {
 // BarbellGraph returns two k-cliques joined by a bridgeLen-edge path.
 func BarbellGraph(k, bridgeLen int) *Graph { return graph.Barbell(k, bridgeLen) }
 
-// WithRandomWeights copies g with weights drawn uniformly from [1, maxW].
+// WithRandomWeights copies g with weights drawn uniformly from [1, maxW]. It
+// panics if maxW < 1 or maxW > g.WeightLimit().
 func WithRandomWeights(g *Graph, maxW int64, rng *rand.Rand) *Graph {
 	return graph.WithRandomWeights(g, maxW, rng)
 }
@@ -70,7 +71,8 @@ func Dijkstra(g *Graph, src int) []int64 { return graph.Dijkstra(g, src) }
 // O(m) pass without computing distances: d[src] = 0, no edge relaxes, and
 // every other finite entry has a neighbour it is tight through. An APSP
 // answer is exact iff every row passes with its own source. The error
-// names src, the first bad node and the rule it breaks.
+// names src, the first bad node and the rule it breaks, or an edge above
+// g.WeightLimit(), which no input graph may carry.
 func Certify(g *Graph, src int, d []int64) error { return graph.Certify(g, src, d) }
 
 // ExactAPSP returns the exact distance matrix (sequential ground truth).

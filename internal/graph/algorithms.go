@@ -88,8 +88,10 @@ func Dijkstra(g *Graph, src int) []int64 {
 
 // Certify checks that d is exactly Dijkstra(g, src), in one O(m) pass and
 // without computing distances. Weights are at least 1 (AddEdge rejects the
-// rest), so d passes iff len(d) == n, d[src] == 0, no entry lies above Inf,
-// and for every node v:
+// rest) and must be at most g.WeightLimit() — a heavier edge is an error,
+// since it can make a path sum to Inf, which reads as unreachable, and a row
+// of Infs then passes the rules below. So d passes iff len(d) == n, d[src]
+// == 0, no entry lies above Inf, and for every node v:
 //
 //   - no edge relaxes: d[v] <= w(v,u) + d[u] for every neighbour u, which
 //     also rules out an Inf entry next to a finite one;
@@ -116,9 +118,14 @@ func Certify(g *Graph, src int, d []int64) error {
 	if d[src] != 0 {
 		return fmt.Errorf("graph: certify source %d: d[source] = %d, want 0", src, d[src])
 	}
+	limit := g.WeightLimit()
 	for v, dv := range d {
 		tight := v == src || dv == Inf
 		for _, nb := range g.Neighbors(v) {
+			if nb.W > limit {
+				return fmt.Errorf("graph: certify source %d: edge {%d,%d} weighs %d, above the weight limit %d",
+					src, v, nb.To, nb.W, limit)
+			}
 			via := SatAdd(nb.W, d[nb.To])
 			if dv > via {
 				return fmt.Errorf("graph: certify source %d: node %d: edge to %d relaxes it, %d > %d + %d",

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
@@ -81,6 +82,35 @@ func TestCertifyRejectsEveryOneCellCorruption(t *testing.T) {
 				}
 				d[v] = dv
 			}
+		}
+	}
+}
+
+// TestCertifyRejectsOverweightEdge: an edge above WeightLimit can make a
+// path sum to Inf, so the row APSP gives for a connected path reads
+// "unreachable" past it — a row the relax and tight rules accept. Certify
+// must refuse it, and Dijkstra's row too, naming the edge and the limit; at
+// the limit itself the exact row passes.
+func TestCertifyRejectsOverweightEdge(t *testing.T) {
+	lim := Path(4).WeightLimit()
+	at := Path(4).Reweight(func(_, _ int, _ int64) int64 { return lim })
+	if err := Certify(at, 0, Dijkstra(at, 0)); err != nil {
+		t.Fatalf("a path at the weight limit: %v", err)
+	}
+	heavy := Path(4).Reweight(func(u, _ int, _ int64) int64 {
+		if u == 1 {
+			return 4 * lim
+		}
+		return 1
+	})
+	want := fmt.Sprintf("edge {1,2} weighs %d, above the weight limit %d", 4*lim, lim)
+	if row := APSP(heavy)[0]; row[2] != Inf {
+		t.Fatalf("APSP over the overweight edge gave %v; the case needs an Inf past it", row)
+	}
+	for _, d := range [][]int64{APSP(heavy)[0], Dijkstra(heavy, 0)} {
+		err := Certify(heavy, 0, d)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("row %v: Certify = %v, want an error containing %q", d, err, want)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 )
@@ -199,8 +200,12 @@ func Barbell(k, bridgeLen int) *Graph {
 
 // WithRandomWeights returns a copy of g with integer weights drawn uniformly
 // from [1, maxW]. Used to build the weighted variants of every workload
-// (the paper allows W polynomial in n).
+// (the paper allows W polynomial in n). It panics if maxW < 1 or maxW >
+// g.WeightLimit().
 func WithRandomWeights(g *Graph, maxW int64, rng *rand.Rand) *Graph {
+	if lim := g.WeightLimit(); maxW > lim {
+		panic(fmt.Sprintf("graph: WithRandomWeights: maxW %d is above the weight limit %d", maxW, lim))
+	}
 	return g.Reweight(func(u, v int, w int64) int64 {
 		return 1 + rng.Int63n(maxW)
 	})

@@ -93,7 +93,7 @@ func (g *Graph) AddEdge(u, v int, w int64) error {
 // oracle's graph) weigh their edges with multi-hop distances of the input,
 // which are below Inf but may exceed their own graph's limit. Code that
 // takes weights from outside checks them against it, as netflags does for
-// -maxw.
+// -maxw, WithRandomWeights for maxW and Certify for every edge.
 func (g *Graph) WeightLimit() int64 { return (Inf - 1) / int64(max(1, g.n-1)) }
 
 // MustAddEdge is AddEdge for construction code where an error indicates a

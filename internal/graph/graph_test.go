@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -88,6 +89,25 @@ func TestWeightLimit(t *testing.T) {
 	if err := g.AddEdge(0, 1, g.WeightLimit()+1); err != nil {
 		t.Fatalf("AddEdge refused a weight above the input limit: %v", err)
 	}
+}
+
+// TestWithRandomWeightsLimit: WithRandomWeights draws up to maxW at
+// WeightLimit, and panics above it with both values in the message.
+func TestWithRandomWeightsLimit(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	lim := Path(4).WeightLimit()
+	if lo, hi := weightRange(WithRandomWeights(Path(4), lim, rng)); lo < 1 || hi > lim {
+		t.Fatalf("maxW at the limit gave weights in [%d, %d], outside [1, %d]", lo, hi, lim)
+	}
+	defer func() {
+		msg := fmt.Sprint(recover())
+		for _, v := range []int64{4 * lim, lim} {
+			if !strings.Contains(msg, fmt.Sprint(v)) {
+				t.Fatalf("panic %q does not name %d", msg, v)
+			}
+		}
+	}()
+	WithRandomWeights(Path(4), 4*lim, rng)
 }
 
 func TestWeightLookup(t *testing.T) {

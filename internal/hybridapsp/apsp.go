@@ -70,6 +70,7 @@ func NewComputeMachine(env *sim.Env, params Params, done func([]int64)) sim.Step
 	var local []int64
 	var send []routing.Token
 	var expect []routing.Label
+	var complete []bool
 
 	return sim.Sequence(
 		// Phase 1: skeleton + the all-sources exploration for close pairs.
@@ -92,12 +93,11 @@ func NewComputeMachine(env *sim.Env, params Params, done func([]int64)) sim.Step
 		// via a nearby skeleton node, to each s ∈ V_S.
 		func(env *sim.Env) sim.StepProgram {
 			members := pub.Members
-			send = make([]routing.Token, 0, len(members))
+			var buf [viaBuf]via
+			vias := pub.viaSet(buf[:0], skel.Near, nil, nil)
+			send = make([]routing.Token, len(members))
 			for i, s := range members {
-				send = append(send, routing.Token{
-					Label: routing.Label{S: env.ID(), R: s, I: 0},
-					Value: bestViaSkeleton(skel, pub.Rank, pub.DS, i),
-				})
+				send[i] = routing.Token{Label: routing.Label{S: env.ID(), R: s, I: 0}, Value: pub.armed(vias, i)}
 			}
 			if skel.InSkeleton {
 				expect = make([]routing.Label, 0, n)
@@ -126,6 +126,13 @@ func NewComputeMachine(env *sim.Env, params Params, done func([]int64)) sim.Step
 					mine[t.S] = t.Value
 				}
 			}
+			// Whether each origin's vector has no hole, written by the
+			// origin and read where the vector was heard (viaSet lets only
+			// a complete vector dominate; see sim.Env.SharedOnce).
+			complete = env.SharedOnce("hybridapsp.complete", func() interface{} {
+				return make([]bool, n)
+			}).([]bool)
+			complete[env.ID()] = mine != nil && !slices.Contains(mine, -1)
 			floodM = skeleton.NewFloodVectorsMachine(env, mine, h)
 			return floodM
 		},
@@ -133,21 +140,9 @@ func NewComputeMachine(env *sim.Env, params Params, done func([]int64)) sim.Step
 		// The dense exploration vector already holds Inf for unreached
 		// nodes, so it doubles as the output accumulator.
 		sim.Finish(func(env *sim.Env) {
-			labels := &floodM.Known
+			var buf [viaBuf]via
 			out := local
-			for _, s := range skel.Near {
-				vec, ok := labels.Get(uint64(s.ID))
-				if !ok {
-					continue
-				}
-				for v := 0; v < n; v++ {
-					if dv := vec[v]; dv >= 0 {
-						if cand := graph.SatAdd(s.Dist, dv); cand < out[v] {
-							out[v] = cand
-						}
-					}
-				}
-			}
+			combine(out, pub.viaSet(buf[:0], skel.Near, &floodM.Known, complete))
 			done(out)
 		}),
 	)
@@ -253,20 +248,138 @@ func skeletonAPSPFromTokens(all []ncc.Token) *skeletonAPSP {
 	return &skeletonAPSP{Members: members, Rank: rank, DS: graph.APSP(s)}
 }
 
-// bestViaSkeleton returns min over nearby skeleton s1 of dd(v,s1)+d_S(s1,s).
-func bestViaSkeleton(skel skeleton.Result, rank map[int]int, dS [][]int64, target int) int64 {
-	best := graph.Inf
-	for _, s1 := range skel.Near {
-		i, ok := rank[int(s1.ID)]
-		if !ok {
+// via is a nearby skeleton node as a way on to other nodes: its rank in the
+// published member list (-1 if it is not in it), this node's distance
+// estimate to it and, in the final combine, its flooded label vector.
+// dominant marks an entry that may stand in for others (see viaSet).
+type via struct {
+	dist     int64
+	vec      []int64
+	rank     int32
+	dominant bool
+}
+
+// viaBuf is the via-set capacity a caller keeps on its stack: above it,
+// viaSet's appends allocate.
+const viaBuf = 64
+
+// viaSet appends to dst the entries of near, this node's nearby skeleton
+// nodes, that no other entry dominates, and returns the result. The three
+// minimums over nearby skeleton nodes s — the phase 3 arming,
+// min_s dd(v,s) + d_S(s,x) per skeleton target x; the [3] baseline's combine,
+// which is that arming followed by labels; and the final combine,
+// min_s dd(v,s) + vec_s[u] per node u — take only these entries.
+//
+// t dominates s when t.dist + d_S(t,s) <= s.dist. d_S is the exact APSP of
+// one skeleton graph, so it obeys the triangle inequality and, for every
+// target x,
+//
+//	t.dist + d_S(t,x) <= t.dist + d_S(t,s) + d_S(s,x) <= s.dist + d_S(s,x):
+//
+// dropping s leaves the arming's minimum, and the baseline's, as it was.
+// In the final combine vec_s[u] is u's armed value
+// min_{s1 near u} dd(u,s1) + d_S(s1,s) under the same d_S, so vec_t[u] <=
+// d_S(t,s) + vec_s[u] by the same inequality — but only where vec_t has a
+// label. There labels is the flooded vectors: an entry needs its vector
+// heard, and it may dominate only if complete marks that vector as having
+// no hole (-1); with labels nil every member entry may dominate. Domination
+// is transitive and strict in dist (two members are at least one apart in
+// S), so a dominated entry has an undominated dominator nearer than itself:
+// keeping the nearest remaining entry and dropping what it dominates, until
+// none remains, keeps exactly the undominated entries — never none, if
+// there was one. An entry outside the member list (a node that missed the
+// publication) has no d_S row: it is kept in the combine, never dominating
+// nor dominated, and skipped elsewhere. The result is in ascending dist.
+func (sk *skeletonAPSP) viaSet(dst []via, near []skeleton.Heard, labels *skeleton.Labels, complete []bool) []via {
+	start := len(dst)
+	for _, s := range near {
+		e := via{dist: s.Dist, rank: -1, dominant: true}
+		if labels != nil {
+			var ok bool
+			if e.vec, ok = labels.Get(uint64(s.ID)); !ok {
+				continue
+			}
+			e.dominant = complete[s.ID]
+		}
+		if r, ok := sk.Rank[int(s.ID)]; ok {
+			e.rank = int32(r)
+		} else if labels == nil {
 			continue
 		}
-		if cand := graph.SatAdd(s1.Dist, dS[i][target]); cand < best {
-			best = cand
+		dst = append(dst, e)
+	}
+	// Keep the nearest remaining entry and drop what it dominates, until
+	// none remains.
+	kept := start
+	for rest := dst[start:]; len(rest) > 0; {
+		m := 0
+		for i := range rest {
+			if rest[i].dist < rest[m].dist {
+				m = i
+			}
 		}
+		t := rest[m]
+		rest[m] = rest[0]
+		rest = rest[1:]
+		dst[kept] = t
+		kept++
+		if !t.dominant || t.rank < 0 {
+			continue
+		}
+		row, j := sk.DS[t.rank], 0
+		for _, s := range rest {
+			if s.rank < 0 || graph.SatAdd(t.dist, row[s.rank]) > s.dist {
+				rest[j] = s
+				j++
+			}
+		}
+		rest = rest[:j]
+	}
+	return dst[:kept]
+}
+
+// armed returns min over vias of dist + d_S(·, x) for the member of rank x:
+// the phase 3 arming's value for x, Inf if no via reaches it.
+func (sk *skeletonAPSP) armed(vias []via, x int) int64 {
+	best := graph.Inf
+	for _, e := range vias {
+		best = min(best, graph.SatAdd(e.dist, sk.DS[e.rank][x]))
 	}
 	return best
 }
+
+// combine lowers out[u] to min over vias of dist + vec[u] for every node u:
+// Theorem 1.1's final combine, vias from viaSet with the flooded vectors.
+func combine(out []int64, vias []via) {
+	for _, e := range vias {
+		for u, du := range e.vec[:len(out)] {
+			out[u] = min(out[u], e.dist+noHole(du))
+		}
+	}
+}
+
+// combineLabels lowers out[u] to min over members s and vias t of dist_t +
+// d_S(t,s) + lab_s[u] for every node u, lab being the [3] baseline's label
+// matrix (rows by member rank, -1 = no label): the arming's value for s
+// once per s, then its row.
+func (sk *skeletonAPSP) combineLabels(out []int64, vias []via, lab []int64) {
+	n := len(out)
+	for s := range sk.Members {
+		base := sk.armed(vias, s)
+		if base >= graph.Inf {
+			continue
+		}
+		for u, du := range lab[s*n : (s+1)*n] {
+			out[u] = min(out[u], base+noHole(du))
+		}
+	}
+}
+
+// noHole returns a label read as a distance: a hole (-1), above Inf as an
+// unsigned number, reads as Inf, as does anything above Inf. Added to a
+// finite distance and taken the minimum with an entry at most Inf, it never
+// wins — the branch of "skip holes" without the branch.
+func noHole(d int64) int64 { return int64(min(uint64(d), uint64(graph.Inf))) }
 
 // NewBaselineComputeMachine runs the O~(n^(2/3)) APSP of [3] (the algorithm
 // Theorem 1.1 improves on): identical skeleton machinery at x = n^(2/3)
@@ -321,35 +434,16 @@ func NewBaselineComputeMachine(env *sim.Env, params Params, done func([]int64)) 
 			return diss
 		},
 		sim.Finish(func(env *sim.Env) {
-			members, rank, dS := pub.Members, pub.Rank, pub.DS
+			members := pub.Members
 			lab := sim.Agreed(env, labelMatrixKey{},
 				func(m *labelMatrix) bool {
 					return slices.Equal(m.members, members) && ncc.SameTokens(m.tokens, diss.Out)
 				},
 				func() *labelMatrix { return newLabelMatrix(pub.skeletonAPSP, diss.Out, n) }).lab
-			// min over s1 near me, s2 near v of dd(me,s1)+d_S(s1,s2)+dd(v,s2);
-			// the dense exploration vector doubles as the accumulator.
+			// The dense exploration vector doubles as the accumulator.
+			var buf [viaBuf]via
 			out := local
-			for _, s1 := range skel.Near {
-				i, ok := rank[int(s1.ID)]
-				if !ok {
-					continue
-				}
-				for j := range members {
-					row := lab[j*n : (j+1)*n]
-					base := graph.SatAdd(s1.Dist, dS[i][j])
-					if base >= graph.Inf {
-						continue
-					}
-					for v := 0; v < n; v++ {
-						if dv := row[v]; dv >= 0 {
-							if cand := graph.SatAdd(base, dv); cand < out[v] {
-								out[v] = cand
-							}
-						}
-					}
-				}
-			}
+			pub.combineLabels(out, pub.viaSet(buf[:0], skel.Near, nil, nil), lab)
 			done(out)
 		}),
 	)

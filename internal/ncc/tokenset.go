@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sync"
 
+	"repro/internal/flatmap"
 	"repro/internal/sim"
 )
 
@@ -21,10 +22,15 @@ import (
 // presenting the full triple it legitimately holds (intern) or from a
 // neighbour's flood delta, where it stands for the three words the message is
 // charged for. Entries are immutable once appended.
+//
+// The index from token to position is open addressing over toks: slots holds
+// position+1 (0 is empty) at the first free slot from the token's hash on,
+// and is kept at most half full. A map keyed by the 24-byte token hashed it
+// through the runtime's generic path, which was most of lookup's cost.
 type tokenTable struct {
 	mu    sync.Mutex
 	toks  []Token
-	index map[Token]int32
+	slots []int32 // power-of-two length
 }
 
 // tableOf returns the token table of the collective instance this node is
@@ -33,7 +39,7 @@ type tokenTable struct {
 // indices.
 func tableOf(env *sim.Env) *tokenTable {
 	return env.SharedOnce("ncc.tokenTable", func() interface{} {
-		return &tokenTable{index: map[Token]int32{}}
+		return &tokenTable{}
 	}).(*tokenTable)
 }
 
@@ -42,12 +48,15 @@ func tableOf(env *sim.Env) *tokenTable {
 func (tab *tokenTable) intern(t Token) int32 {
 	tab.mu.Lock()
 	defer tab.mu.Unlock()
-	i, ok := tab.index[t]
-	if !ok {
-		i = int32(len(tab.toks))
-		tab.toks = append(tab.toks, t)
-		tab.index[t] = i
+	if i, ok := tab.find(t); ok {
+		return i
 	}
+	if 2*(len(tab.toks)+1) > len(tab.slots) {
+		tab.grow()
+	}
+	i := int32(len(tab.toks))
+	tab.toks = append(tab.toks, t)
+	tab.place(t, i)
 	return i
 }
 
@@ -57,11 +66,52 @@ func (tab *tokenTable) intern(t Token) int32 {
 // before every later read, so lookup takes no lock. It panics on a token no
 // node presented.
 func (tab *tokenTable) lookup(t Token) int32 {
-	i, ok := tab.index[t]
+	i, ok := tab.find(t)
 	if !ok {
 		panic(fmt.Errorf("ncc: token %+v was never presented to its table", t))
 	}
 	return i
+}
+
+// find probes for t from its hash slot to the first empty one.
+func (tab *tokenTable) find(t Token) (int32, bool) {
+	if len(tab.slots) == 0 {
+		return 0, false
+	}
+	mask := uint64(len(tab.slots) - 1)
+	for h := hashToken(t); ; h++ {
+		p := tab.slots[h&mask]
+		if p == 0 {
+			return 0, false
+		}
+		if tab.toks[p-1] == t {
+			return p - 1, true
+		}
+	}
+}
+
+// place stores index i of t, which is not in the index, in its first free
+// slot.
+func (tab *tokenTable) place(t Token, i int32) {
+	mask := uint64(len(tab.slots) - 1)
+	h := hashToken(t)
+	for tab.slots[h&mask] != 0 {
+		h++
+	}
+	tab.slots[h&mask] = i + 1
+}
+
+// grow doubles the slots (16 at first) and places every token again.
+func (tab *tokenTable) grow() {
+	tab.slots = make([]int32, max(16, 2*len(tab.slots)))
+	for i, t := range tab.toks {
+		tab.place(t, int32(i))
+	}
+}
+
+// hashToken mixes a token's three words into a slot hash.
+func hashToken(t Token) uint64 {
+	return flatmap.Hash(flatmap.Hash(flatmap.Hash(uint64(t.A))^uint64(t.B)) ^ uint64(t.C))
 }
 
 // tokenSet is what one node knows: the set bits index its table.

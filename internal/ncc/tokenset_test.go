@@ -19,7 +19,7 @@ import (
 // another table.
 func TestTokenSetMatchesMapOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(3000))
-	shared, other := &tokenTable{index: map[Token]int32{}}, &tokenTable{index: map[Token]int32{}}
+	shared, other := &tokenTable{}, &tokenTable{}
 	sets := []*tokenSet{{tab: shared}, {tab: shared, bits: make([]uint64, 2)}, {tab: other}}
 	oracles := []map[Token]bool{{}, {}, {}}
 	randomToken := func() Token {
@@ -84,14 +84,21 @@ func TestTokenSetMatchesMapOracle(t *testing.T) {
 		}
 	}
 	check(-1)
-	// The table is append-only and holds each presented token once.
+	// The table is append-only and holds each presented token once, and its
+	// index has one slot per entry, at most half full.
 	for _, tab := range []*tokenTable{shared, other} {
-		if len(tab.toks) != len(tab.index) {
-			t.Fatalf("table holds %d entries for %d distinct tokens", len(tab.toks), len(tab.index))
+		used := 0
+		for _, p := range tab.slots {
+			if p != 0 {
+				used++
+			}
+		}
+		if used != len(tab.toks) || 2*used > len(tab.slots) {
+			t.Fatalf("table holds %d entries in %d of %d index slots", len(tab.toks), used, len(tab.slots))
 		}
 		for idx, tok := range tab.toks {
-			if tab.index[tok] != int32(idx) {
-				t.Fatalf("entry %d = %v is indexed as %d", idx, tok, tab.index[tok])
+			if got := tab.lookup(tok); got != int32(idx) {
+				t.Fatalf("entry %d = %v is indexed as %d", idx, tok, got)
 			}
 		}
 	}
@@ -168,14 +175,14 @@ func TestTokenSetTablePerInstance(t *testing.T) {
 // the lock-free lookup at the index intern gave it, and one no node
 // presented panics rather than extend the table unlocked.
 func TestTokenSetAddPresented(t *testing.T) {
-	tab := &tokenTable{index: map[Token]int32{}}
+	tab := &tokenTable{}
 	owner, other := &tokenSet{tab: tab}, &tokenSet{tab: tab}
 	held := Token{A: 1, B: 2, C: 3}
 	owner.add(Token{A: 9})
 	owner.add(held)
 	other.addPresented(held)
-	if got := other.appendIndices(nil); !slices.Equal(got, []int32{tab.index[held]}) {
-		t.Fatalf("addPresented(held) knows indices %v, want [%d]", got, tab.index[held])
+	if got := other.appendIndices(nil); !slices.Equal(got, []int32{1}) {
+		t.Fatalf("addPresented(held) knows indices %v, want [1]", got)
 	}
 	defer func() {
 		if recover() == nil {

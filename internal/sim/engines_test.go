@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/bitrand"
 	"repro/internal/graph"
 )
 
@@ -367,4 +368,50 @@ func complete(n int) *graph.Graph {
 		}
 	}
 	return g
+}
+
+// randDraws draws from its node's stream in rounds id%3 to 4 — so the
+// streams are first used in different rounds, after other nodes have drawn
+// — and finishes after round 4.
+type randDraws struct{ draws *[]int64 }
+
+func (r randDraws) Step(env *Env) bool {
+	if env.Round() >= env.ID()%3 {
+		*r.draws = append(*r.draws, env.Rand().Int63())
+	}
+	return env.Round() >= 4
+}
+
+// TestEnvRandShardCountInvariance: a node's stream is seeded where the node
+// first asks for it, in whatever shard steps it, yet every node draws the
+// same numbers on legacy and on step at 1, 2, 3 and 7 shards — those of its
+// (seed, "node", ID) sub-stream.
+func TestEnvRandShardCountInvariance(t *testing.T) {
+	g := graph.Grid(6, 7)
+	n := g.N()
+	run := func(cfg Config) [][]int64 {
+		draws := make([][]int64, n)
+		if _, err := RunStep(g, cfg, func(env *Env) StepProgram { return randDraws{&draws[env.ID()]} }); err != nil {
+			t.Fatal(err)
+		}
+		return draws
+	}
+	want := make([][]int64, n)
+	for id := range want {
+		r := bitrand.NewSource(13).Named("node", id)
+		for range 5 - id%3 {
+			want[id] = append(want[id], r.Int63())
+		}
+	}
+	for _, cfg := range []Config{
+		{Seed: 13, Engine: EngineLegacy},
+		{Seed: 13, Engine: EngineStep, Shards: 1},
+		{Seed: 13, Engine: EngineStep, Shards: 2},
+		{Seed: 13, Engine: EngineStep, Shards: 3},
+		{Seed: 13, Engine: EngineStep, Shards: 7},
+	} {
+		if got := run(cfg); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v, %d shards: draws %v, want the (seed, \"node\", ID) streams' %v", cfg.Engine, cfg.Shards, got, want)
+		}
+	}
 }

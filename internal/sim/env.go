@@ -29,8 +29,16 @@ func (env *Env) Graph() *graph.Graph { return env.eng.g }
 // Neighbors returns this node's adjacency list in G.
 func (env *Env) Neighbors() []graph.Neighbor { return env.eng.g.Neighbors(env.id) }
 
-// Rand returns this node's private deterministic random stream.
-func (env *Env) Rand() *rand.Rand { return env.rng }
+// Rand returns this node's private deterministic random stream, the
+// sub-stream (Config.Seed, "node", ID). It is seeded on the first call, in
+// the node's own Step, so the seeding of n streams runs where the nodes do
+// rather than on the engine's set-up path.
+func (env *Env) Rand() *rand.Rand {
+	if env.rng == nil {
+		env.rng = env.eng.src.Named("node", env.id)
+	}
+	return env.rng
+}
 
 // SendLocal stages a local-mode message to a neighbor in G, charged one
 // word in Metrics.LocalBits. Local messages may carry arbitrarily large
@@ -132,7 +140,12 @@ func (env *Env) SleepUntil(round int) { env.wake = round }
 //   - the declared-cost CLIQUE oracles (kssp.alg, which Algorithm 9 shares,
 //     and experiments' e4.alg): one algorithm object whose per-node handles pool their inputs,
 //     the cost being declared rather than simulated;
-//   - warm.Store's per-run entry, which every node stores its own slot into.
+//   - warm.Store's per-run entry, which every node stores its own slot into;
+//   - hybridapsp's flags for the label vectors of one APSP run, "this vector
+//     has no hole": an origin writes its own flag before its vector's flood
+//     starts, and a node reads only the flags of vectors it heard — a fact
+//     about a vector it holds in full, computed once instead of at every
+//     node that holds it.
 func (env *Env) SharedOnce(prefix string, fn func() interface{}) interface{} {
 	if env.sharedSeq == nil {
 		env.sharedSeq = map[string]int{}

@@ -284,6 +284,7 @@ type engine struct {
 	logN    int
 	sendCap int
 	msgBits int64
+	src     *bitrand.Source // roots the per-node streams (Env.Rand)
 
 	envs []*Env
 
@@ -330,7 +331,7 @@ type Env struct {
 	eng *engine
 	id  int
 
-	rng      *rand.Rand
+	rng      *rand.Rand // made by the first Rand call
 	round    int
 	finished bool
 
@@ -401,17 +402,13 @@ func newEngine(g *graph.Graph, cfg Config) (*engine, error) {
 		sendCap: cfg.GlobalSendFactor * logN,
 		// src + dst + kind + four fields, all O(log n)-bit quantities.
 		msgBits: int64(6*logN + 16),
+		src:     bitrand.NewSource(cfg.Seed),
 		ready:   make(chan struct{}, 1),
 	}
 	eng.release.Store(make(chan struct{}))
-	src := bitrand.NewSource(cfg.Seed)
 	eng.envs = make([]*Env, n)
 	for i := 0; i < n; i++ {
-		eng.envs[i] = &Env{
-			eng: eng,
-			id:  i,
-			rng: src.Named("node", i),
-		}
+		eng.envs[i] = &Env{eng: eng, id: i}
 	}
 	atomic.StoreInt32(&eng.remaining, int32(n))
 	return eng, nil

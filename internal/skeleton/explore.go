@@ -180,21 +180,27 @@ func (m *ExploreMachine) recv(env *sim.Env, in sim.Inbox, i int) {
 				if m.hop[s] < 0 {
 					m.hop[s] = hop
 				}
-				next = append(next, distUpdate{Source: up.Source, Dist: nd})
+				// Staged by slot; the pass below puts the source back.
+				next = append(next, distUpdate{Source: s, Dist: nd})
 			}
 		}
 	}
 	// A source improved more than once this round staged one update per
-	// improvement, each strictly lighter than the one before: forward the
-	// lightest, which is the estimate kept.
-	slices.SortFunc(next, func(a, b distUpdate) int {
-		if c := cmp.Compare(a.Source, b.Source); c != 0 {
-			return c
+	// improvement, each strictly lighter than the one before, so the last
+	// is the only one at the estimate kept: forward exactly those, in the
+	// order of each source's last improvement. Receivers take a minimum per
+	// source and set a first-arrival hop once per round, so the order
+	// reaches no result.
+	kept := next[:0]
+	for _, up := range next {
+		if s := up.Source; up.Dist == m.dist[s] {
+			if m.sparse {
+				up.Source = int(m.ids[s])
+			}
+			kept = append(kept, up)
 		}
-		return cmp.Compare(a.Dist, b.Dist)
-	})
-	next = slices.CompactFunc(next, func(a, b distUpdate) bool { return a.Source == b.Source })
-	m.bufs[(i+1)&1] = next
+	}
+	m.bufs[(i+1)&1] = kept
 }
 
 // distUpdate is one relaxation of the wave. The hop count the paper's

@@ -255,8 +255,11 @@ func TestSkeletonDeterminism(t *testing.T) {
 // forwards that one alone, whichever arrived first. The diamonds force both
 // arrival orders at node 3 (the heavier estimate first: two improvements in
 // one round; the lighter first: one); the weighted grid has such meetings at
-// most nodes. Checked against sequential hop-limited Bellman-Ford and BFS, on
-// every engine and for every source.
+// most nodes, and every case has some source fall twice in one round at some
+// node (counted on the dense form). Both forms run on every engine: every
+// delta a node receives names each source once, and the dense Near/Hops and
+// the sparse Heard equal sequential hop-limited Bellman-Ford and BFS for
+// every source.
 func TestExploreMergesSameRoundImprovements(t *testing.T) {
 	diamond := func(w01, w02 int64) *graph.Graph {
 		g := graph.New(5)
@@ -279,34 +282,90 @@ func TestExploreMergesSameRoundImprovements(t *testing.T) {
 	for _, tc := range tests {
 		n := tc.g.N()
 		for _, eng := range simtest.Engines {
-			near, hops := make([][]int64, n), make([][]int64, n)
-			_, err := sim.RunStep(tc.g, sim.Config{Seed: 1, Engine: eng}, func(env *sim.Env) sim.StepProgram {
-				m := NewExploreMachine(env, true, tc.rounds)
-				return sim.Then(m, func(env *sim.Env) {
-					near[env.ID()] = m.Near
-					for _, h := range m.Hops {
-						hops[env.ID()] = append(hops[env.ID()], int64(h))
+			for _, sparse := range []bool{false, true} {
+				name := fmt.Sprintf("%s on %s, sparse %v", tc.name, eng, sparse)
+				near, hops := make([][]int64, n), make([][]int32, n)
+				twice := make([]int, n)
+				_, err := sim.RunStep(tc.g, sim.Config{Seed: 1, Engine: eng}, func(env *sim.Env) sim.StepProgram {
+					id := env.ID()
+					var m *ExploreMachine
+					if sparse {
+						m = NewSparseExploreMachine(env, true, tc.rounds)
+					} else {
+						m = NewExploreMachine(env, true, tc.rounds)
 					}
+					check := &deltaChecker{t: t, name: name, m: m, twice: &twice[id]}
+					return sim.Then(check, func(env *sim.Env) {
+						if sparse {
+							near[id], hops[id] = densify(m.Heard, n)
+						} else {
+							near[id], hops[id] = m.Near, m.Hops
+						}
+					})
 				})
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for s := 0; s < n; s++ {
-				want, bfs := graph.LimitedDistance(tc.g, s, tc.rounds), graph.BFS(tc.g, s)
-				for v := 0; v < n; v++ {
-					wantHops := bfs[v]
-					if wantHops > int64(tc.rounds) {
-						wantHops = -1
-					}
-					if near[v][s] != want[v] || hops[v][s] != wantHops {
-						t.Fatalf("%s on %s: node %d has source %d at (%d, %d hops), want (%d, %d hops)",
-							tc.name, eng, v, s, near[v][s], hops[v][s], want[v], wantHops)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sparse && slices.Max(twice) == 0 {
+					t.Errorf("%s: no source improved twice in one round at any node", name)
+				}
+				for s := 0; s < n; s++ {
+					want, bfs := graph.LimitedDistance(tc.g, s, tc.rounds), graph.BFS(tc.g, s)
+					for v := 0; v < n; v++ {
+						wantHops := int32(bfs[v])
+						if bfs[v] > int64(tc.rounds) {
+							wantHops = -1
+						}
+						if near[v][s] != want[v] || hops[v][s] != wantHops {
+							t.Fatalf("%s: node %d has source %d at (%d, %d hops), want (%d, %d hops)",
+								name, v, s, near[v][s], hops[v][s], want[v], wantHops)
+						}
 					}
 				}
 			}
 		}
 	}
+}
+
+// deltaChecker steps an exploration after checking the deltas in the node's
+// inbox: each must name a source at most once. For the dense form it also
+// counts, in *twice, the rounds in which a source's estimate at this node
+// falls more than once — the staged updates the delta must merge.
+type deltaChecker struct {
+	t     *testing.T
+	name  string
+	m     *ExploreMachine
+	twice *int
+}
+
+func (c *deltaChecker) Step(env *sim.Env) bool {
+	est := slices.Clone(c.m.Near)
+	falls := map[int]int{}
+	for _, lm := range env.Incoming().Local {
+		ups, ok := lm.Payload.(*distUpdates)
+		if !ok {
+			continue
+		}
+		w, _ := env.Graph().Weight(env.ID(), lm.From)
+		seen := map[int]bool{}
+		for _, up := range *ups {
+			if seen[up.Source] {
+				c.t.Errorf("%s: node %d got a delta from %d naming source %d twice: %v", c.name, env.ID(), lm.From, up.Source, *ups)
+			}
+			seen[up.Source] = true
+			if est != nil && up.Dist+w < est[up.Source] {
+				est[up.Source] = up.Dist + w
+				falls[up.Source]++
+			}
+		}
+	}
+	for _, f := range falls {
+		if f > 1 {
+			*c.twice++
+			break
+		}
+	}
+	return c.m.Step(env)
 }
 
 // TestSparseExploreMachineMatchesDense runs both forms of the exploration on
