@@ -69,3 +69,44 @@ func TestDisseminateMachineMatches(t *testing.T) {
 		return sim.Then(m, func(*sim.Env) { emit(tokenWords(m.Out)...) })
 	})
 }
+
+// TestDisseminateMachineMatchesLocalTrace freezes the local flood of two
+// disseminations in a row round by round, whatever its payload type: every
+// node's output is the (round, sender) of each local message it received,
+// then its tokens. k is large against log² n, so Phase 2 leaves about half
+// the nodes without a given token and the flood carries tokens several hops,
+// in deltas over more than one 64-token word.
+func TestDisseminateMachineMatchesLocalTrace(t *testing.T) {
+	g := graph.Path(24)
+	const ell = 16
+	mineOf := func(id, run int) []Token {
+		ts := make([]Token, ell)
+		for j := range ts {
+			ts[j] = Token{A: int64(id), B: int64(run), C: int64(j)}
+		}
+		return ts
+	}
+	pin := simtest.Pin{Metrics: sim.Metrics{Rounds: 394, GlobalMsgs: 9984, GlobalBits: 459264, LocalMsgs: 534, LocalBits: 529920, MaxGlobalSend: 5, MaxGlobalRecv: 14}, Sum: 0x26d0cdf523397c9f}
+	simtest.Machines(t, "disseminate twice", g, 3, pin, func(env *sim.Env, emit func(...int64)) sim.StepProgram {
+		var outs [2]*DisseminateMachine
+		run := func(i int) func(*sim.Env) sim.StepProgram {
+			return func(env *sim.Env) sim.StepProgram {
+				outs[i] = NewDisseminateMachine(env, mineOf(env.ID(), i), g.N()*ell, ell, DisseminateParams{})
+				return outs[i]
+			}
+		}
+		inner := sim.Sequence(run(0), run(1))
+		return sim.StepFunc(func(env *sim.Env) bool {
+			for _, lm := range env.Incoming().Local {
+				emit(int64(env.Round()), int64(lm.From))
+			}
+			if !inner.Step(env) {
+				return false
+			}
+			for _, m := range outs {
+				emit(tokenWords(m.Out)...)
+			}
+			return true
+		})
+	})
+}
