@@ -1,16 +1,19 @@
 // Package flood is the one flood the paper's protocols keep repeating:
 // "flood inside the cluster / to radius h, forward on first arrival". Every
-// origin injects one record at its own node; a node that hears an origin for
-// the first time keeps the record and forwards it in the next round, and
-// hears it from then on for nothing. Algorithm 1's member and W floods
-// (package helpers), Algorithm 3's helper announcements and token spreading
-// and Algorithm 4's final collection (package routing), and Theorem 1.1's
-// label-vector flood (package skeleton) are instantiations: a payload type, a
+// origin injects one record at a node that holds it; a node that hears an
+// origin for the first time keeps the record and forwards it in the next
+// round, and hears it from then on for nothing. Algorithm 1's member and W
+// floods (package helpers), Algorithm 3's helper announcements and token
+// spreading and Algorithm 4's final collection (package routing), Theorem
+// 1.1's label-vector flood (package skeleton) and Phase 3 of Lemma B.1's
+// token dissemination (package ncc) are instantiations: a payload type, a
 // word charge per record, and what to do with a first arrival.
 //
-// Origins are node IDs, so first-arrival dedup is one bit per node of the
-// network in a dense bitset — no hashing, no probing, cleared (not
-// reallocated) when the state is started again. That is n/8 bytes per node
+// Origins are the integers [0, K) for the origin count K every node passes
+// to Start: node IDs (K = n) for the node floods, the indices of the
+// instance's token table for the dissemination. First-arrival dedup is one
+// bit per origin in a dense bitset — no hashing, no probing, cleared (not
+// reallocated) when the state is started again. That is K/8 bytes per node
 // and live flood: 2 KB at routing's n = 2^14 limit (Label.pack), where a
 // session keeps three floods' state per node. What a node learned is that
 // bitset over the flood's value table, which Heard reads.
@@ -19,11 +22,13 @@
 //
 // A record's value is stored once per flood, not once per node that hears
 // it: every node's State of one flood role (the i-th State a node starts, in
-// the collective order all nodes share) takes the same pair of n-slot value
+// the collective order all nodes share) takes the same pair of K-slot value
 // tables from sim.Env.SharedOnce, and a delta carries only which origins it
 // holds. Inject writes the origin's slot before the flood's first round; a
 // node reads a slot only at an origin it heard, which takes a message sent
-// after the write, so the round barrier orders the two. On
+// after the write, so the round barrier orders the two. Several nodes may
+// inject one origin only where the payload has size zero and a slot holds
+// nothing, as in the dissemination, whose tokens have several holders. On
 // kssp_mm_sparse_400 this took cmd/bench's alloc_mb from 54.8 to 30.9 MB and
 // peak_rss_mb from 39.5 to 26.8 MB.
 //
@@ -31,28 +36,39 @@
 // origins' bitset, as (word index, bits) pairs of 16 bytes, so a receiver
 // takes a whole word's first arrivals with one and-not against its dedup
 // bitset instead of one bit test per origin. It gathers them in an
-// accumulator kept in the node's pair: n/64 words of origin bits plus n/4096
-// words with a bit per nonzero word, about n/8 bytes per node — 2 MB for all
-// nodes at n = 4 096, 32 MB at n = 16 384 — allocated once per node and run,
-// at its first Start. Draining it in word order stages the next delta, and
+// accumulator kept in the node's pair: K/64 words of origin bits plus K/4096
+// words with a bit per nonzero word, about K/8 bytes per node — 2 MB for all
+// nodes at n = 4 096, 32 MB at n = 16 384 for the node floods — grown at a
+// Start to the largest K the node has flooded, so allocated once per node
+// and run when K is n. Draining it in word order stages the next delta, and
 // calls the first-arrival hooks, in ascending origin order without a sort,
 // and leaves it zero for the next round.
 //
-// A node's floods share one pair of delta buffers, kept in its
-// sim.Env.Scratch slot: the delta it sends in round r is the pair's slot
-// r&1, built in round r, broadcast by pointer, read by the neighbors in round
-// r+1 — while the node builds the delta of r+1 in the other slot — and
-// rebuilt no earlier than round r+2, when every reader has passed the
-// barrier that ends r+1. Two rules make the absolute rounds safe. A node
-// runs one flood at a time: Start fails the run if the node's last flood has
-// rounds left, and a flood's closing segment reads its last inbox without
-// staging a delta, so the next flood may start in that very segment while
-// the neighbors still read the last delta sent. And a flood's first Step
-// comes in its Start round, where Inject wrote the slot that round sends
-// (a later first Step fails the run). The pair grows to the largest delta
-// any of the node's floods staged, once per node and run rather than once
-// per flood role; after that a flood round allocates nothing, from the
-// first flood of a fresh State on. On kssp_mm_sparse_400 sharing the pair
+// # The rotation rule
+//
+// A delta is broadcast by pointer, so its buffer must not be rewritten while
+// a neighbour may read it. A delta built in round r is read by the neighbours
+// in round r+1, in the same step phase in which its sender builds the delta
+// of r+1; so a sender keeps a pair of buffers, builds r+1's in the other one,
+// and rebuilds the first no earlier than round r+2, when every reader has
+// passed the barrier that ends r+1. Once a wave has peaked both buffers have
+// the capacity every later round needs, and a round allocates nothing. This
+// is the rule's one statement: skeleton.ExploreMachine's relaxation and
+// helpers' cluster wave, the two local delta loops that are not
+// first-arrival floods, keep a pair of their own under it.
+//
+// A node's floods share one pair, kept in its sim.Env.Scratch slot and
+// indexed by absolute round: the delta sent in round r is slot r&1. Two
+// rules make the absolute rounds safe. A node runs one flood at a time:
+// Start fails the run if the node's last flood has rounds left, and a
+// flood's closing segment reads its last inbox without staging a delta, so
+// the next flood may start in that very segment while the neighbors still
+// read the last delta sent. And a flood's first Step comes in its Start
+// round, where Inject wrote the slot that round sends (a later first Step
+// fails the run). The pair grows to the largest delta any of the node's
+// floods staged, once per node and run rather than once per flood role;
+// after that a flood round allocates nothing, from the first flood of a
+// fresh State on. On kssp_mm_sparse_400 sharing the pair
 // took alloc_mb from 30.2 to 24.7 MB. The value tables rotate per State: a
 // Start after a flood that ran rounds switches tables, so it never
 // overwrites a value the last flood's readers still look up. Record
@@ -97,14 +113,18 @@ type pair struct {
 	touched []uint64
 }
 
-// pairOf returns env's node's pair, made on the node's first Start.
-func pairOf(env *sim.Env) *pair {
+// pairOf returns env's node's pair, made on the node's first Start, with an
+// accumulator for `origins` origins at least. It grows only at a Start, when
+// the accumulator is all zero.
+func pairOf(env *sim.Env, origins int) *pair {
 	slot := env.Scratch()
 	p, _ := (*slot).(*pair)
 	if p == nil {
-		nw := (env.N() + 63) / 64
-		p = &pair{acc: make([]uint64, nw), touched: make([]uint64, (nw+63)/64)}
+		p = new(pair)
 		*slot = p
+	}
+	if nw := (origins + 63) / 64; len(p.acc) < nw {
+		p.acc, p.touched = make([]uint64, nw), make([]uint64, (nw+63)/64)
 	}
 	return p
 }
@@ -126,11 +146,12 @@ type State[P any] struct {
 	loop  sim.Loop
 }
 
-// Start arms the flood: `rounds` rounds of first-arrival forwarding among the
-// nodes that pass the same scope (a cluster's ruler; any constant for a
-// flood bounded by its radius only). Every node must start it in the same
-// round with the same round count, and its States in the same order (a first
-// Start names the role). words is the charge of one record in O(log n)-bit
+// Start arms the flood: `rounds` rounds of first-arrival forwarding of the
+// origins [0, origins) among the nodes that pass the same scope (a cluster's
+// ruler; any constant for a flood bounded by its radius only). Every node
+// must start it in the same round with the same origin and round counts, and
+// its States in the same order (a first Start names the role and sizes its
+// value tables, so a State's later Starts pass the same origin count). words is the charge of one record in O(log n)-bit
 // words, as if it travelled alone; first, if non-nil, is called exactly once
 // per origin this node hears (its own included), in the round it hears it:
 // at Inject for an injected origin, and in ascending origin order for the
@@ -138,24 +159,23 @@ type State[P any] struct {
 // Inject this node's own record, if it has one, before the first Step, and
 // take that Step in the round of Start. Start fails the run if the node's
 // last flood, of any State, has rounds left.
-func (s *State[P]) Start(env *sim.Env, scope, rounds int, words func(P) int64, first func(origin int, val P)) {
+func (s *State[P]) Start(env *sim.Env, origins, scope, rounds int, words func(P) int64, first func(origin int, val P)) {
 	r := env.Round()
-	s.pair = pairOf(env)
+	s.pair = pairOf(env, origins)
 	if r < s.pair.end {
 		panic(fmt.Errorf("flood: node %d starts a flood in round %d, before its running flood ends in round %d",
 			env.ID(), r, s.pair.end))
 	}
 	s.start, s.pair.end = r, r+rounds
 	s.scope, s.words, s.first = scope, words, first
-	n := env.N()
-	if nw := (n + 63) / 64; len(s.seen) != nw {
+	if nw := (origins + 63) / 64; len(s.seen) != nw {
 		s.seen = make([]uint64, nw)
 	} else {
 		clear(s.seen)
 	}
 	if s.tabs == nil {
 		s.tabs = env.SharedOnce("flood.tables", func() interface{} {
-			return &[2][]P{make([]P, n), make([]P, n)}
+			return &[2][]P{make([]P, origins), make([]P, origins)}
 		}).(*[2][]P)
 	} else if s.loop.Rounds > 0 {
 		s.cur ^= 1 // the table the last flood's readers do not read
@@ -168,7 +188,8 @@ func (s *State[P]) Start(env *sim.Env, scope, rounds int, words func(P) int64, f
 }
 
 // Inject enters origin's record into the flood, writing origin's slot of the
-// shared table (so only origin's node may); it goes out with the first round.
+// shared table (so only one node may, unless P has size zero); it goes out
+// with the first round.
 func (s *State[P]) Inject(origin int, val P) {
 	s.tabs[s.cur][origin] = val
 	w, bit := origin>>6, uint64(1)<<(origin&63)
@@ -210,7 +231,7 @@ func (s *State[P]) AppendOrigins(dst []int) []int {
 }
 
 // OriginsAre reports whether the origins heard so far are exactly ids, an
-// ascending list of distinct node IDs — that is, whether AppendOrigins would
+// ascending list of distinct origins — that is, whether AppendOrigins would
 // return ids.
 func (s *State[P]) OriginsAre(ids []int) bool {
 	heard := 0

@@ -32,13 +32,21 @@ type trace struct {
 	First []first
 }
 
-// instance is a flood problem: every node's scope, and per flood the value
-// each origin injects (nil: the node injects nothing).
+// instance is a flood problem: every node's scope, and per flood its origin
+// count and what each node injects, in ascending origin order (nothing, for
+// about a third of the nodes of a node-ID flood).
 type instance struct {
-	g      *graph.Graph
-	scope  []int
-	rounds int
-	vals   [][][]int64 // [flood][node]
+	g       *graph.Graph
+	scope   []int
+	rounds  int
+	origins []int           // [flood]
+	inj     [][][]injection // [flood][node]
+}
+
+// injection is one record a node injects.
+type injection struct {
+	origin int
+	val    []int64
 }
 
 func vecWords(v []int64) int64 { return 2 + int64(len(v)) }
@@ -63,7 +71,7 @@ func (d refDelta) words() (w int64) {
 // delta per round, the scope compared per record, called every round. A
 // round's first arrivals are sorted by origin before they are kept and sent,
 // which is the kernel's wire order.
-func refFlood(env *sim.Env, scope, rounds int, mine []int64, tr *trace) sim.StepProgram {
+func refFlood(env *sim.Env, scope, rounds int, mine []injection, tr *trace) sim.StepProgram {
 	seen := map[int]bool{}
 	var next refDelta
 	hear := func(r refRec) {
@@ -78,10 +86,10 @@ func refFlood(env *sim.Env, scope, rounds int, mine []int64, tr *trace) sim.Step
 			tr.First = append(tr.First, first{env.Round(), r.Origin, r.Val[0]})
 		}
 	}
-	if mine != nil {
-		hear(refRec{scope, env.ID(), mine})
-		keep()
+	for _, j := range mine {
+		hear(refRec{scope, j.origin, j.val})
 	}
+	keep()
 	return &sim.Loop{
 		Rounds: rounds,
 		Send: func(env *sim.Env, i int) {
@@ -133,19 +141,19 @@ func (in *instance) run(t *testing.T, eng sim.Engine, mode runMode) ([]trace, si
 		tr := &traces[id]
 		st := &State[[]int64]{}
 		var phases []func(*sim.Env) sim.StepProgram
-		for _, vals := range in.vals {
+		for f, inj := range in.inj {
 			phases = append(phases, func(env *sim.Env) sim.StepProgram {
 				switch mode {
 				case reference:
-					return refFlood(env, in.scope[id], in.rounds, vals[id], tr)
+					return refFlood(env, in.scope[id], in.rounds, inj[id], tr)
 				case freshRoles:
 					st = &State[[]int64]{}
 				}
-				st.Start(env, in.scope[id], in.rounds, vecWords, func(origin int, val []int64) {
+				st.Start(env, in.origins[f], in.scope[id], in.rounds, vecWords, func(origin int, val []int64) {
 					tr.First = append(tr.First, first{env.Round(), origin, val[0]})
 				})
-				if vals[id] != nil {
-					st.Inject(id, vals[id])
+				for _, j := range inj[id] {
+					st.Inject(j.origin, j.val)
 				}
 				// The flood's first segment only sends: the inbox it finds
 				// there is the last one of the flood before.
@@ -187,8 +195,9 @@ func (in *instance) run(t *testing.T, eng sim.Engine, mode runMode) ([]trace, si
 }
 
 // randomInstance draws a sparse graph split into `clusters` scopes by
-// nearest centre (so scopes border each other), two floods with different
-// origin sets (about a third of the nodes inject nothing), and a radius.
+// nearest centre (so scopes border each other), two node-ID floods with
+// different origin sets (about a third of the nodes inject nothing), and a
+// radius.
 func randomInstance(rng *rand.Rand, n, clusters, rounds int) *instance {
 	in := &instance{g: graph.SparseConnected(n, 1.3, rng), scope: make([]int, n), rounds: rounds}
 	centres := rng.Perm(n)[:clusters]
@@ -206,14 +215,39 @@ func randomInstance(rng *rand.Rand, n, clusters, rounds int) *instance {
 		in.scope[v] = centres[best]
 	}
 	for f := 0; f < 2; f++ {
-		vals := make([][]int64, n)
-		for v := range vals {
+		inj := make([][]injection, n)
+		for v := range inj {
 			if rng.Intn(3) > 0 {
-				vals[v] = make([]int64, 1+rng.Intn(4))
-				vals[v][0] = rng.Int63()
+				inj[v] = []injection{{v, randomVal(rng)}}
 			}
 		}
-		in.vals = append(in.vals, vals)
+		in.origins, in.inj = append(in.origins, n), append(in.inj, inj)
+	}
+	return in
+}
+
+func randomVal(rng *rand.Rand) []int64 {
+	val := make([]int64, 1+rng.Intn(4))
+	val[0] = rng.Int63()
+	return val
+}
+
+// withOrigins replaces in's floods by one flood per count: about two thirds
+// of its origins are injected, each at one node drawn from a fifth of the
+// nodes, so a node injects several.
+func (in *instance) withOrigins(rng *rand.Rand, counts ...int) *instance {
+	n := in.g.N()
+	hosts := rng.Perm(n)[:max(1, n/5)]
+	in.origins, in.inj = counts, nil
+	for _, k := range counts {
+		inj := make([][]injection, n)
+		for o := range k {
+			if rng.Intn(3) > 0 {
+				v := hosts[rng.Intn(len(hosts))]
+				inj[v] = append(inj[v], injection{o, randomVal(rng)})
+			}
+		}
+		in.inj = append(in.inj, inj)
 	}
 	return in
 }
@@ -243,9 +277,9 @@ func matchesMapReference(t *testing.T, mode runMode) {
 		arrivals, reachable := 0, 0
 		for v, tr := range want {
 			arrivals += len(tr.First)
-			for _, vals := range in.vals {
-				for o := range vals {
-					if vals[o] != nil && in.scope[o] == in.scope[v] {
+			for _, inj := range in.inj {
+				for o := range inj {
+					if inj[o] != nil && in.scope[o] == in.scope[v] {
 						reachable++
 					}
 				}
@@ -273,6 +307,45 @@ func matchesMapReference(t *testing.T, mode runMode) {
 	}
 	if cut == 0 {
 		t.Error("no trial's radius was below its scopes' diameter")
+	}
+}
+
+// TestFloodMatchesMapReferenceOverOriginCounts holds the kernel to the
+// reference on floods whose origins are not the node IDs, as dissemination's
+// token indices are not: fewer origins than nodes and more (several words of
+// them), each injected at one of a few nodes, so a node injects several. The
+// chained case starts a node's floods at 0.6n, 2.5n and n origins in one
+// segment each, on fresh States: the node's accumulator grows at the second
+// Start and serves the third as it is, and every role's value tables have
+// its own count.
+func TestFloodMatchesMapReferenceOverOriginCounts(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, c := range []struct {
+		name string
+		mode runMode
+		k    func(n int) []int
+	}{
+		{"fewer", restarted, func(n int) []int { return []int{n * 3 / 5, n * 3 / 5} }},
+		{"more", restarted, func(n int) []int { return []int{n*5/2 + 7, n*5/2 + 7} }},
+		{"chained", freshRoles, func(n int) []int { return []int{n * 3 / 5, n*5/2 + 7, n} }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			for trial := 0; trial < 4; trial++ {
+				n := 40 + rng.Intn(60)
+				in := randomInstance(rng, n, 1+rng.Intn(3), 3+rng.Intn(4))
+				in.withOrigins(rng, c.k(n)...)
+				want, wantM := in.run(t, sim.EngineLegacy, reference)
+				for _, eng := range []sim.Engine{sim.EngineStep, sim.EngineLegacy} {
+					got, gotM := in.run(t, eng, c.mode)
+					if gotM != wantM {
+						t.Errorf("trial %d on %v: Metrics %+v, reference %+v", trial, eng, gotM, wantM)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("trial %d on %v: traces diverge from the reference", trial, eng)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -319,7 +392,7 @@ func TestAppendOrigins(t *testing.T) {
 	}
 	_, err := sim.RunStep(graph.Path(200), sim.Config{}, func(env *sim.Env) sim.StepProgram {
 		st := &State[struct{}]{}
-		st.Start(env, 0, 0, func(struct{}) int64 { return 1 }, nil)
+		st.Start(env, env.N(), 0, 0, func(struct{}) int64 { return 1 }, nil)
 		if env.ID() == 0 {
 			for _, o := range []int{128, 0, 199, 64, 63, 127} {
 				st.Inject(o, struct{}{})
@@ -354,7 +427,7 @@ func TestHeardReadsOnlyWhatWasHeard(t *testing.T) {
 	st, err := sim.NewStepper(g, sim.Config{Engine: sim.EngineStep, Shards: 1}, func(env *sim.Env) sim.StepProgram {
 		s := &State[int]{}
 		states[env.ID()] = s
-		s.Start(env, scope(env.ID()), 4, func(int) int64 { return 1 }, nil)
+		s.Start(env, env.N(), scope(env.ID()), 4, func(int) int64 { return 1 }, nil)
 		s.Inject(env.ID(), 10+env.ID())
 		return s
 	})
@@ -402,7 +475,7 @@ func TestHeardOutlivesNeighbourRestart(t *testing.T) {
 		s := &State[int]{}
 		flood := func(k int) func(*sim.Env) sim.StepProgram {
 			return func(env *sim.Env) sim.StepProgram {
-				s.Start(env, 0, rounds, func(int) int64 { return 1 }, nil)
+				s.Start(env, env.N(), 0, rounds, func(int) int64 { return 1 }, nil)
 				s.Inject(id, 100*k+id)
 				if k == 2 {
 					restarted++
@@ -480,7 +553,7 @@ func zeroAllocFlood[P any](t *testing.T, val func(id int) P, words func(P) int64
 		var got []P
 		flood := func(env *sim.Env) sim.StepProgram {
 			got = got[:0]
-			s.Start(env, id/32, rounds, words, func(_ int, v P) { got = append(got, v) })
+			s.Start(env, env.N(), id/32, rounds, words, func(_ int, v P) { got = append(got, v) })
 			s.Inject(id, mine[id])
 			return s
 		}
@@ -517,13 +590,13 @@ func TestFloodSecondRoleZeroAlloc(t *testing.T) {
 		return sim.Sequence(
 			func(env *sim.Env) sim.StepProgram {
 				s := &State[bool]{}
-				s.Start(env, id/32, rounds, func(bool) int64 { return 2 }, nil)
+				s.Start(env, env.N(), id/32, rounds, func(bool) int64 { return 2 }, nil)
 				s.Inject(id, id%2 == 0)
 				return s
 			},
 			func(env *sim.Env) sim.StepProgram {
 				s := &State[[]int64]{}
-				s.Start(env, id/32, rounds, vecWords, nil)
+				s.Start(env, env.N(), id/32, rounds, vecWords, nil)
 				s.Inject(id, vec)
 				return s
 			},
@@ -552,12 +625,12 @@ func TestFloodRefusesOverlap(t *testing.T) {
 	for _, eng := range []sim.Engine{sim.EngineStep, sim.EngineLegacy} {
 		_, err := sim.RunStep(graph.Path(4), sim.Config{Engine: eng}, func(env *sim.Env) sim.StepProgram {
 			a, b := &State[int]{}, &State[int]{}
-			a.Start(env, 0, 6, func(int) int64 { return 1 }, nil)
+			a.Start(env, env.N(), 0, 6, func(int) int64 { return 1 }, nil)
 			a.Inject(env.ID(), env.ID())
 			return sim.StepFunc(func(env *sim.Env) bool {
 				// Every node hears its neighbours in round 1.
 				if env.ID() == 1 && env.Round() == 1 {
-					b.Start(env, 0, 6, func(int) int64 { return 1 }, nil)
+					b.Start(env, env.N(), 0, 6, func(int) int64 { return 1 }, nil)
 				}
 				return a.Step(env)
 			})
@@ -576,7 +649,7 @@ func TestFloodRefusesLateFirstStep(t *testing.T) {
 	for _, eng := range []sim.Engine{sim.EngineStep, sim.EngineLegacy} {
 		_, err := sim.RunStep(graph.Path(4), sim.Config{Engine: eng}, func(env *sim.Env) sim.StepProgram {
 			s := &State[int]{}
-			s.Start(env, 0, 4, func(int) int64 { return 1 }, nil)
+			s.Start(env, env.N(), 0, 4, func(int) int64 { return 1 }, nil)
 			s.Inject(env.ID(), env.ID())
 			late := env.ID() == 1
 			return sim.StepFunc(func(env *sim.Env) bool {

@@ -98,7 +98,7 @@ func (e *clusterEntry) bind(id int) (ruler, dist int, members []int) {
 // WMembers list is byte-identical to the cold one.
 func newWFlood(env *sim.Env, inW bool, ruler int, rounds int) *flood.State[struct{}] {
 	w := &flood.State[struct{}]{}
-	w.Start(env, ruler, rounds, recWords, nil)
+	w.Start(env, env.N(), ruler, rounds, recWords, nil)
 	if inW {
 		w.Inject(env.ID(), struct{}{})
 	}

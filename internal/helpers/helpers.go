@@ -138,10 +138,8 @@ func newColdProg(env *sim.Env, m *Machine, inW bool, mu int, p Params) sim.StepP
 	// Phase 2, cluster formation: rulers start waves; every node tracks the
 	// lexicographically smallest (dist, rulerID) it has heard and forwards
 	// improvements. β rounds reach every node (domination radius). Waves
-	// broadcast as pointers into a rotated pair so the hot loop stages no
-	// fresh interface payloads; neighbours read the slot sent at round r
-	// while this node fills the one of r+1, so it is not rewritten before
-	// r+2 (see the delta-buffer comment on skeleton.ExploreMachine).
+	// broadcast as pointers into a pair rotated under package flood's rule,
+	// so the hot loop stages no fresh interface payloads.
 	bestDist, bestRuler := n+1, -1
 	improved := false
 	var waveBuf [2]clusterWave
@@ -188,7 +186,7 @@ func newColdProg(env *sim.Env, m *Machine, inW bool, mu int, p Params) sim.StepP
 			}
 		},
 		func(env *sim.Env) sim.StepProgram {
-			members.Start(env, bestRuler, 2*beta, recWords, func(id int, w bool) {
+			members.Start(env, env.N(), bestRuler, 2*beta, recWords, func(id int, w bool) {
 				if w {
 					wMembers = append(wMembers, id)
 				}

@@ -25,6 +25,7 @@ import (
 	"math"
 	"slices"
 
+	"repro/internal/flood"
 	"repro/internal/sim"
 )
 
@@ -300,8 +301,10 @@ type DisseminateParams struct{}
 //     uniformly random nodes, paced at the cap. Since every radius-r ball
 //     of a connected graph contains more than r nodes, every ball then
 //     holds a copy of every token w.h.p.
-//  3. Local flooding: r rounds of delta-flooding over G deliver every token
-//     to every node.
+//  3. Local flooding: r rounds of first-arrival flooding over G (a
+//     flood.State whose origins are the instance's token-table indices,
+//     each charged as the token's three words) deliver every token to every
+//     node.
 //
 // With r = Theta(sqrt(k)) the total is O~(ell + k/r + r) = O~(sqrt(k)+ell).
 type DisseminateMachine struct {
@@ -357,13 +360,7 @@ func NewDisseminateMachine(env *sim.Env, mine []Token, k, ell int, _ Disseminate
 	idx := 0
 	var jobs []replicateJob
 	ji := 0
-	// Phase 3 delta buffers. They rotate because neighbours read a staged
-	// batch in the same step phase in which its sender builds the next one
-	// (see skeleton.ExploreMachine), so a batch is rewritten only after every
-	// reader has taken the next barrier, and steady-state flood rounds are
-	// allocation-free. A batch names its tokens by table index, so the flood
-	// costs a bit test per token heard and never touches the table.
-	var bufs [2]tokenBatch
+	var spread flood.State[struct{}]
 
 	m.prog = sim.Sequence(
 		// Phase 1: balancing.
@@ -431,37 +428,19 @@ func NewDisseminateMachine(env *sim.Env, mine []Token, k, ell int, _ Disseminate
 				},
 			}
 		},
-		// Phase 3: delta flooding over the local network. Tokens this node
-		// held also count as known.
+		// Phase 3: flooding over the local network. Tokens this node held
+		// also count as known. Every node interned its tokens in the
+		// construction round, so the table's length is the same everywhere.
 		func(env *sim.Env) sim.StepProgram {
 			for _, j := range jobs {
 				known.addPresented(j.t)
 			}
-			bufs[0] = known.appendIndices(nil)
-			return &sim.Loop{
-				Rounds:   r,
-				NextSend: sim.Reactive,
-				Send: func(env *sim.Env, i int) {
-					if len(bufs[i&1]) > 0 {
-						env.BroadcastLocalWords(&bufs[i&1], 3*int64(len(bufs[i&1])))
-					}
-				},
-				Recv: func(env *sim.Env, in sim.Inbox, i int) {
-					next := bufs[(i+1)&1][:0]
-					for _, lm := range in.Local {
-						ts, ok := lm.Payload.(*tokenBatch)
-						if !ok {
-							continue
-						}
-						for _, i := range *ts {
-							if known.learn(i) {
-								next = append(next, i)
-							}
-						}
-					}
-					bufs[(i+1)&1] = next
-				},
+			spread.Start(env, len(known.tab.toks), 0, r, func(struct{}) int64 { return 3 },
+				func(i int, _ struct{}) { known.learn(int32(i)) })
+			for _, i := range known.appendIndices(nil) {
+				spread.Inject(int(i), struct{}{})
 			}
+			return &spread
 		},
 		sim.Finish(func(env *sim.Env) { m.Out = agreedTokens(env, known) }),
 	)
@@ -470,11 +449,6 @@ func NewDisseminateMachine(env *sim.Env, mine []Token, k, ell int, _ Disseminate
 
 // Step implements sim.StepProgram.
 func (m *DisseminateMachine) Step(env *sim.Env) bool { return m.prog.Step(env) }
-
-// tokenBatch is the local-mode payload of the dissemination flood: a batch
-// of tokens, each named by its index in the instance's table and charged as
-// the token's three words.
-type tokenBatch []int32
 
 // agreedOut is a finished collective's sorted output with the knowledge it
 // was sorted from.

@@ -79,19 +79,12 @@ func TestDisseminateMachineMatches(t *testing.T) {
 func TestDisseminateMachineMatchesLocalTrace(t *testing.T) {
 	g := graph.Path(24)
 	const ell = 16
-	mineOf := func(id, run int) []Token {
-		ts := make([]Token, ell)
-		for j := range ts {
-			ts[j] = Token{A: int64(id), B: int64(run), C: int64(j)}
-		}
-		return ts
-	}
 	pin := simtest.Pin{Metrics: sim.Metrics{Rounds: 394, GlobalMsgs: 9984, GlobalBits: 459264, LocalMsgs: 534, LocalBits: 529920, MaxGlobalSend: 5, MaxGlobalRecv: 14}, Sum: 0x26d0cdf523397c9f}
 	simtest.Machines(t, "disseminate twice", g, 3, pin, func(env *sim.Env, emit func(...int64)) sim.StepProgram {
 		var outs [2]*DisseminateMachine
 		run := func(i int) func(*sim.Env) sim.StepProgram {
 			return func(env *sim.Env) sim.StepProgram {
-				outs[i] = NewDisseminateMachine(env, mineOf(env.ID(), i), g.N()*ell, ell, DisseminateParams{})
+				outs[i] = NewDisseminateMachine(env, runTokens(env.ID(), i, ell), g.N()*ell, ell, DisseminateParams{})
 				return outs[i]
 			}
 		}
@@ -109,4 +102,14 @@ func TestDisseminateMachineMatchesLocalTrace(t *testing.T) {
 			return true
 		})
 	})
+}
+
+// runTokens is node id's ell tokens for the run-th dissemination of a run,
+// distinct across nodes and runs.
+func runTokens(id, run, ell int) []Token {
+	ts := make([]Token, ell)
+	for j := range ts {
+		ts[j] = Token{A: int64(id), B: int64(run), C: int64(j)}
+	}
+	return ts
 }

@@ -473,7 +473,7 @@ type directory struct {
 
 func newAnnounceMachine(env *sim.Env, res helpers.Result, mu int) *announceMachine {
 	a := &announceMachine{key: directoryKey{mu, res.Ruler}}
-	a.flood.Start(env, res.Ruler, floodRounds(env, mu),
+	a.flood.Start(env, env.N(), res.Ruler, floodRounds(env, mu),
 		func(owners []int) int64 { return 3 * int64(len(owners)) }, nil)
 	// Only members of the cluster announce in it.
 	if len(res.Helps) > 0 {
@@ -545,7 +545,7 @@ func batchWords(items []Token) int64 { return 2 + 4*int64(len(items)) }
 // them may end in the very segment the next instance is armed in). That is
 // also why a session routes one instance at a time.
 func startSpread(env *sim.Env, f *family) sim.StepProgram {
-	f.spread.Start(env, f.res.Ruler, floodRounds(env, f.mu), batchWords, nil)
+	f.spread.Start(env, env.N(), f.res.Ruler, floodRounds(env, f.mu), batchWords, nil)
 	if len(f.batch) > 0 {
 		f.spread.Inject(env.ID(), f.batch)
 	}
@@ -570,7 +570,7 @@ func (m *RouteMachine) startCollect(env *sim.Env) sim.StepProgram {
 		keep = m.keep
 	}
 	famR := &m.s.famR
-	m.collect.Start(env, famR.res.Ruler, floodRounds(env, famR.mu), batchWords, keep)
+	m.collect.Start(env, env.N(), famR.res.Ruler, floodRounds(env, famR.mu), batchWords, keep)
 	if len(m.got) > 0 {
 		m.collect.Inject(m.me, m.got)
 	}

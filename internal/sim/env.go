@@ -130,7 +130,8 @@ func (env *Env) SleepUntil(round int) { env.wake = round }
 //   - the pooled tables of a collective instance, ncc's token table (one per
 //     DisseminateMachine / PipelinedBroadcastMachine run) and package flood's
 //     value tables (a pair per flood role, which every flood's instantiation
-//     uses — routing's announce, spread and collect floods among them):
+//     uses — routing's announce, spread and collect floods and the
+//     dissemination's Phase 3 among them; the last has empty slots):
 //     entries written under the table's own lock or into the writer's own
 //     slot, never changed while a reader may look (a flood slot is rewritten
 //     two restarts later), and read by a node only at the indices set in its
@@ -169,7 +170,8 @@ func (env *Env) SharedOnce(prefix string, fn func() interface{}) interface{} {
 // Scratch returns this node's scratch slot: one value per node that lives as
 // long as the run, for node state that outlives every machine using it.
 // Package flood keeps there the pair of delta buffers all of a node's floods
-// share, and is the slot's only user.
+// share — the node-ID floods and the dissemination's token-index flood
+// alike — and is the slot's only user.
 func (env *Env) Scratch() *any { return &env.scratch }
 
 // sharedKey names a SharedOnce object: the idx-th call with prefix.

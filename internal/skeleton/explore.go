@@ -50,13 +50,9 @@ type ExploreMachine struct {
 	slot   flatmap.Map[int32]
 
 	loop sim.Loop
-	// The delta buffers rotate: bufs[i&1] is broadcast at loop index i and
-	// read by neighbors while they process round i — in the same step phase
-	// in which this node builds the delta of index i+1, so one buffer would
-	// be rewritten under its readers. It is not written again before round
-	// i+2, when every reader has taken the barrier that ends that phase. The
-	// rotation is what makes steady-state rounds allocation-free: after the
-	// wave's peak, both buffers hold enough capacity for every later round.
+	// The delta pair: bufs[i&1] is broadcast at loop index i, under the
+	// rotation rule of package flood's doc. It is the machine's own, not the
+	// node's: a per-node pair raised apsp_grid_1024's peak RSS.
 	bufs [2]distUpdates
 }
 
@@ -253,7 +249,7 @@ func NewFloodVectorsMachine(env *sim.Env, mine []int64, radius int) *FloodVector
 	// The vectors are shared across the whole flood, but every local
 	// transmission carries their full contents, so the wire charge counts
 	// them in full: origin, TTL, and one word per subject.
-	m.flood.Start(env, 0, radius,
+	m.flood.Start(env, env.N(), 0, radius,
 		func(values []int64) int64 { return 2 + int64(len(values)) },
 		func(origin int, values []int64) { m.Known.Put(uint64(origin), values) })
 	if mine != nil {
