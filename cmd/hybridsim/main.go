@@ -24,6 +24,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -57,15 +58,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
-	if *eps <= 0 {
-		// The spec constructors default ε themselves, but the mm variants
-		// derive η = 1/ε here, so the defaulting must happen first.
-		*eps = 0.5
-	}
-
 	fatalf := func(format string, a ...interface{}) int {
 		fmt.Fprintf(stderr, format+"\n", a...)
 		return 1
+	}
+	switch {
+	case math.IsNaN(*eps) || math.IsInf(*eps, 0):
+		return fatalf("-eps %g: need a finite epsilon", *eps)
+	case *eps <= 0:
+		// The spec constructors default ε themselves, but the mm variants
+		// derive η = 1/ε here, so the defaulting must happen first.
+		*eps = 0.5
 	}
 
 	opts, err := nf.Options()

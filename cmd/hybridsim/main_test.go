@@ -260,6 +260,17 @@ func TestRunKSSPSourceCount(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNonFiniteEps: a NaN or infinite -eps is an error naming the
+// flag (exit 1), where it used to name the specs "ε=NaN" and run.
+func TestRunRejectsNonFiniteEps(t *testing.T) {
+	for _, eps := range []string{"NaN", "+Inf", "-Inf"} {
+		code, _, stderr := runCLI("-graph", "grid", "-n", "16", "-algo", "kssp", "-eps", eps)
+		if code != 1 || !strings.Contains(stderr, "-eps "+eps) {
+			t.Errorf("-eps %s: exit %d, stderr %q; want exit 1 naming -eps", eps, code, stderr)
+		}
+	}
+}
+
 // TestRunDistConnectCLI runs the full CLI in connect mode against
 // pre-started in-process listen workers and checks the run verifies
 // against ground truth like any other engine.

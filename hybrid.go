@@ -336,18 +336,20 @@ func (s KSSPSpec) Name() string { return s.name }
 // Guarantee states the approximation and round guarantee the spec carries.
 func (s KSSPSpec) Guarantee() string { return s.guarantee }
 
-func defaultEps(eps float64) float64 {
-	if eps <= 0 {
-		return 0.5
+// positiveOr returns x if it lies in (0, +Inf), else def: NaN, ±Inf, zero
+// and negative parameters take the default.
+func positiveOr(x, def float64) float64 {
+	if !(x > 0) || math.IsInf(x, 1) {
+		return def
 	}
-	return eps
+	return x
 }
 
 // Cor46 is Corollary 4.6: (3+ε) weighted / (1+ε) unweighted approximation
 // in O~(n^(1/3)/ε) rounds for up to n^(1/3) sources (declared-cost
-// oracle). eps <= 0 defaults to 0.5.
+// oracle). eps outside (0, +Inf) defaults to 0.5.
 func Cor46(eps float64) KSSPSpec {
-	eps = defaultEps(eps)
+	eps = positiveOr(eps, 0.5)
 	return KSSPSpec{
 		name:      fmt.Sprintf("Cor4.6(ε=%g)", eps),
 		guarantee: fmt.Sprintf("(3+ε) weighted / (1+ε) unweighted, O~(n^(1/3)/ε) rounds, k <= n^(1/3) sources, ε=%g", eps),
@@ -358,9 +360,9 @@ func Cor46(eps float64) KSSPSpec {
 
 // Cor47 is Corollary 4.7: (7+ε) weighted / (2+ε) unweighted approximation
 // in O~(n^(1/3)/ε + sqrt k) rounds for arbitrary k (declared-cost oracle).
-// eps <= 0 defaults to 0.5.
+// eps outside (0, +Inf) defaults to 0.5.
 func Cor47(eps float64) KSSPSpec {
-	eps = defaultEps(eps)
+	eps = positiveOr(eps, 0.5)
 	return KSSPSpec{
 		name:      fmt.Sprintf("Cor4.7(ε=%g)", eps),
 		guarantee: fmt.Sprintf("(7+ε) weighted / (2+ε) unweighted, O~(n^(1/3)/ε + sqrt k) rounds, arbitrary k, ε=%g", eps),
@@ -371,9 +373,9 @@ func Cor47(eps float64) KSSPSpec {
 
 // Cor48 is Corollary 4.8: (3+o(1)) weighted / (1+ε) unweighted
 // approximation in O~(n^0.397 + sqrt k) rounds (declared-cost oracle at
-// δ = ρ). eps <= 0 defaults to 0.5.
+// δ = ρ). eps outside (0, +Inf) defaults to 0.5.
 func Cor48(eps float64) KSSPSpec {
-	eps = defaultEps(eps)
+	eps = positiveOr(eps, 0.5)
 	return KSSPSpec{
 		name:      fmt.Sprintf("Cor4.8(ε=%g)", eps),
 		guarantee: fmt.Sprintf("(3+o(1)) weighted / (1+ε) unweighted, O~(n^0.397 + sqrt k) rounds, ε=%g", eps),
@@ -384,11 +386,10 @@ func Cor48(eps float64) KSSPSpec {
 
 // KSSPRealMM runs the semiring matrix-multiplication APSP with real
 // messages (δ = 1/3, exact on the skeleton): factor 3 weighted / (1+2/η)
-// unweighted. eta outside (0, +Inf) defaults to 2.
+// unweighted. eta outside (0, +Inf) defaults to 2, and an eta below 1
+// runs, and is named, as 1.
 func KSSPRealMM(eta float64) KSSPSpec {
-	if !(eta > 0) || math.IsInf(eta, 1) {
-		eta = 2
-	}
+	eta = max(1, positiveOr(eta, 2))
 	return KSSPSpec{
 		name:      fmt.Sprintf("RealMM(η=%g)", eta),
 		guarantee: fmt.Sprintf("factor 3 weighted / (1+2/η) unweighted via real-message semiring MM (δ=1/3), η=%g", eta),
@@ -499,9 +500,9 @@ func (s DiameterSpec) Guarantee() string { return s.guarantee }
 
 // DiamCor52 is Corollary 5.2: a (3/2+ε)-approximation (plus the 2/η
 // exploration slack of Theorem 5.1) in O~(n^(1/3)/ε) rounds
-// (declared-cost oracle). eps <= 0 defaults to 0.5.
+// (declared-cost oracle). eps outside (0, +Inf) defaults to 0.5.
 func DiamCor52(eps float64) DiameterSpec {
-	eps = defaultEps(eps)
+	eps = positiveOr(eps, 0.5)
 	return DiameterSpec{
 		name:      fmt.Sprintf("Cor5.2(ε=%g)", eps),
 		guarantee: fmt.Sprintf("D <= D~ <= (3/2+ε+2/η)·D, O~(n^(1/3)/ε) rounds, ε=%g", eps),
@@ -511,9 +512,10 @@ func DiamCor52(eps float64) DiameterSpec {
 }
 
 // DiamCor53 is Corollary 5.3: a (1+ε)-approximation in O~(n^0.397/ε)
-// rounds (declared-cost oracle at δ = ρ). eps <= 0 defaults to 0.5.
+// rounds (declared-cost oracle at δ = ρ). eps outside (0, +Inf) defaults
+// to 0.5.
 func DiamCor53(eps float64) DiameterSpec {
-	eps = defaultEps(eps)
+	eps = positiveOr(eps, 0.5)
 	return DiameterSpec{
 		name:      fmt.Sprintf("Cor5.3(ε=%g)", eps),
 		guarantee: fmt.Sprintf("D <= D~ <= (1+ε+2/η)·D, O~(n^0.397/ε) rounds, ε=%g", eps),
@@ -524,11 +526,9 @@ func DiamCor53(eps float64) DiameterSpec {
 
 // DiamRealMM computes the exact skeleton diameter with real messages
 // (δ = 1/3): a (1+2/η)-approximation end to end. eta outside (0, +Inf)
-// defaults to 2.
+// defaults to 2, and an eta below 1 runs, and is named, as 1.
 func DiamRealMM(eta float64) DiameterSpec {
-	if !(eta > 0) || math.IsInf(eta, 1) {
-		eta = 2
-	}
+	eta = max(1, positiveOr(eta, 2))
 	return DiameterSpec{
 		name:      fmt.Sprintf("RealMM(η=%g)", eta),
 		guarantee: fmt.Sprintf("D <= D~ <= (1+2/η)·D via exact skeleton diameter (real messages, δ=1/3), η=%g", eta),

@@ -1,6 +1,7 @@
 package hybrid_test
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -107,6 +108,68 @@ func TestFacadeKSSPUnknownVariant(t *testing.T) {
 	}
 	if _, err := net.Diameter(hybrid.DiameterSpec{}); err == nil {
 		t.Fatal("expected error for zero-value diameter spec")
+	}
+}
+
+// TestFacadeSpecDefaultsOutOfRangeEps: an ε outside (0, +Inf) is the
+// default 0.5 in every ε constructor, in its name and guarantee and in what
+// runs (checked on one k-SSP and one diameter spec at NaN, whose ηh and
+// declared cost went through int(NaN) before). The RealMM constructors run
+// an η below 1 as 1 and name it so.
+func TestFacadeSpecDefaultsOutOfRangeEps(t *testing.T) {
+	type named interface {
+		Name() string
+		Guarantee() string
+	}
+	ctors := map[string]func(float64) named{
+		"Cor46":     func(e float64) named { return hybrid.Cor46(e) },
+		"Cor47":     func(e float64) named { return hybrid.Cor47(e) },
+		"Cor48":     func(e float64) named { return hybrid.Cor48(e) },
+		"DiamCor52": func(e float64) named { return hybrid.DiamCor52(e) },
+		"DiamCor53": func(e float64) named { return hybrid.DiamCor53(e) },
+	}
+	for name, ctor := range ctors {
+		want := ctor(0.5)
+		for _, eps := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1} {
+			if got := ctor(eps); got.Name() != want.Name() || got.Guarantee() != want.Guarantee() {
+				t.Errorf("%s(%v) = %q, %q; want the default's %q, %q", name, eps, got.Name(), got.Guarantee(), want.Name(), want.Guarantee())
+			}
+		}
+	}
+	g := hybrid.GridGraph(5, 5)
+	kssp := func(s hybrid.KSSPSpec) hybrid.Metrics {
+		res, err := hybrid.New(g, hybrid.WithSeed(2)).KSSP([]int{0, 12}, s)
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name(), err)
+		}
+		return res.Metrics
+	}
+	diam := func(s hybrid.DiameterSpec) hybrid.Metrics {
+		res, err := hybrid.New(g, hybrid.WithSeed(2)).Diameter(s)
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name(), err)
+		}
+		return res.Metrics
+	}
+	if got, want := kssp(hybrid.Cor46(math.NaN())), kssp(hybrid.Cor46(0.5)); got != want {
+		t.Errorf("Cor46(NaN) ran %+v, Cor46(0.5) %+v", got, want)
+	}
+	if got, want := diam(hybrid.DiamCor52(math.NaN())), diam(hybrid.DiamCor52(0.5)); got != want {
+		t.Errorf("DiamCor52(NaN) ran %+v, DiamCor52(0.5) %+v", got, want)
+	}
+	for _, c := range []struct {
+		s    named
+		want string
+	}{
+		{hybrid.KSSPRealMM(0.5), "RealMM(η=1)"},
+		{hybrid.KSSPRealMM(0), "RealMM(η=2)"},
+		{hybrid.KSSPRealMM(math.NaN()), "RealMM(η=2)"},
+		{hybrid.DiamRealMM(0.25), "RealMM(η=1)"},
+		{hybrid.DiamRealMM(math.Inf(1)), "RealMM(η=2)"},
+	} {
+		if c.s.Name() != c.want {
+			t.Errorf("Name() = %q, want %q", c.s.Name(), c.want)
+		}
 	}
 }
 
