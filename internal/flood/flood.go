@@ -151,12 +151,13 @@ type State[P any] struct {
 // ruler; any constant for a flood bounded by its radius only). Every node
 // must start it in the same round with the same origin and round counts, and
 // its States in the same order (a first Start names the role and sizes its
-// value tables, so a State's later Starts pass the same origin count). words is the charge of one record in O(log n)-bit
-// words, as if it travelled alone; first, if non-nil, is called exactly once
-// per origin this node hears (its own included), in the round it hears it:
-// at Inject for an injected origin, and in ascending origin order for the
-// origins first heard in one round.
-// Inject this node's own record, if it has one, before the first Step, and
+// value tables, so a State's later Starts pass the same origin count). words
+// is the charge of one record in O(log n)-bit words, as if it travelled
+// alone; first, if non-nil, is called exactly once per origin this node
+// hears (its injected ones included), in the round it hears it: at Inject
+// for an injected origin, and in ascending origin order for the origins
+// first heard in one round.
+// Inject this node's own records, if it has any, before the first Step, and
 // take that Step in the round of Start. Start fails the run if the node's
 // last flood, of any State, has rounds left.
 func (s *State[P]) Start(env *sim.Env, origins, scope, rounds int, words func(P) int64, first func(origin int, val P)) {

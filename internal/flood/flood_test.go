@@ -235,7 +235,7 @@ func randomVal(rng *rand.Rand) []int64 {
 // withOrigins replaces in's floods by one flood per count: about two thirds
 // of its origins are injected, each at one node drawn from a fifth of the
 // nodes, so a node injects several.
-func (in *instance) withOrigins(rng *rand.Rand, counts ...int) *instance {
+func (in *instance) withOrigins(rng *rand.Rand, counts ...int) {
 	n := in.g.N()
 	hosts := rng.Perm(n)[:max(1, n/5)]
 	in.origins, in.inj = counts, nil
@@ -249,7 +249,6 @@ func (in *instance) withOrigins(rng *rand.Rand, counts ...int) *instance {
 		}
 		in.inj = append(in.inj, inj)
 	}
-	return in
 }
 
 // TestFloodMatchesMapReference holds the kernel to the 20-line flood it
@@ -314,10 +313,10 @@ func matchesMapReference(t *testing.T, mode runMode) {
 // reference on floods whose origins are not the node IDs, as dissemination's
 // token indices are not: fewer origins than nodes and more (several words of
 // them), each injected at one of a few nodes, so a node injects several. The
-// chained case starts a node's floods at 0.6n, 2.5n and n origins in one
-// segment each, on fresh States: the node's accumulator grows at the second
-// Start and serves the third as it is, and every role's value tables have
-// its own count.
+// chained case runs floods of about 0.6n, 2.5n and n origins on fresh
+// States, each started in the segment the last one ended in: the node's
+// accumulator grows at the second Start and serves the third as it is, and
+// every role's value tables have its own count.
 func TestFloodMatchesMapReferenceOverOriginCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, c := range []struct {
