@@ -69,6 +69,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// The spec constructors default ε themselves, but the mm variants
 		// derive η = 1/ε here, so the defaulting must happen first.
 		*eps = 0.5
+	case math.IsInf(1 / *eps, 0):
+		// A positive ε below 1/MaxFloat64 passes the checks above, and its
+		// η = +Inf would be defaulted by the spec constructors.
+		return fatalf("-eps %g: 1/ε overflows; need a larger epsilon", *eps)
 	}
 
 	opts, err := nf.Options()

@@ -118,7 +118,7 @@ func TestRunWarmStartCLI(t *testing.T) {
 	if !strings.Contains(warmOut, "cache: structural=hit seed=hit") {
 		t.Errorf("warm run summary missing section hit report:\n%s", warmOut)
 	}
-	for _, want := range []string{"cache structural file: warm-", "cache seed file: warm-", "format=v2 size="} {
+	for _, want := range []string{"cache structural file: warm-", "cache seed file: warm-", "format=v3 size="} {
 		if !strings.Contains(warmOut, want) {
 			t.Errorf("warm run summary missing %q:\n%s", want, warmOut)
 		}
@@ -267,6 +267,18 @@ func TestRunRejectsNonFiniteEps(t *testing.T) {
 		code, _, stderr := runCLI("-graph", "grid", "-n", "16", "-algo", "kssp", "-eps", eps)
 		if code != 1 || !strings.Contains(stderr, "-eps "+eps) {
 			t.Errorf("-eps %s: exit %d, stderr %q; want exit 1 naming -eps", eps, code, stderr)
+		}
+	}
+}
+
+// TestRunRejectsEpsWithInfiniteInverse: a positive -eps whose inverse
+// overflows is an error naming the flag (exit 1), where -variant mm used to
+// run with η = 1/ε = +Inf defaulted to 2 and exit 0.
+func TestRunRejectsEpsWithInfiniteInverse(t *testing.T) {
+	for _, algo := range []string{"kssp", "diameter"} {
+		code, _, stderr := runCLI("-graph", "grid", "-n", "16", "-algo", algo, "-variant", "mm", "-eps", "1e-309")
+		if code != 1 || !strings.Contains(stderr, "-eps 1e-309") {
+			t.Errorf("%s -eps 1e-309: exit %d, stderr %q; want exit 1 naming -eps", algo, code, stderr)
 		}
 	}
 }

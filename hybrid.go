@@ -642,8 +642,13 @@ var _ clique.Algorithm = (*clique.MM)(nil)
 // then rejected (clean cold start), never migrated. v2 split the cache
 // into a seed-independent structural file and a seed-specific file,
 // deduplicated per-cluster state, and flate-compressed the payloads; v1
-// files are rejected with persist.ErrVersion.
-const cacheFormatVersion = 2
+// files are rejected with persist.ErrVersion. v3 keeps v2's layout and
+// changes what it means: the seed file holds drawn results (each
+// session's sampled W sets, helper directories and broadcast hash seed),
+// and v3 files are the first drawn from bitrand's SplitMix64 node streams.
+// A v2 file would warm a run with draws that no cold run of this build
+// makes, so it is rejected like any other version mismatch.
+const cacheFormatVersion = 3
 
 // structPayload is the on-disk structural section: the seed-independent
 // cluster structures (ruling sets, ruler assignments, member directories)
@@ -842,7 +847,7 @@ type CacheFileInfo struct {
 	Path string
 	// Exists reports whether a well-formed cache header was found there.
 	Exists bool
-	// Version is the format version the file claims (compare against 2;
+	// Version is the format version the file claims (compare against 3;
 	// a v1 file is reported as Version 1, not an error).
 	Version uint32
 	// Bytes is the total file size on disk.

@@ -11,10 +11,13 @@ import (
 	"math/rand"
 )
 
+// golden is SplitMix64's increment, 2⁶⁴/φ rounded to odd.
+const golden = 0x9e3779b97f4a7c15
+
 // splitmix64 is the SplitMix64 mixing function; it turns any sequence of
 // 64-bit labels into a well-distributed stream seed.
 func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
+	x += golden
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
@@ -40,10 +43,26 @@ func (s *Source) mix(labels []uint64) uint64 {
 
 // Stream returns a *rand.Rand for the sub-stream identified by the labels.
 // The same (seed, labels) always yields the same stream; distinct labels
-// yield streams that are independent for all practical purposes.
+// yield streams that are independent for all practical purposes. The
+// stream's generator is SplitMix64 started at the mixed seed, so a node
+// that draws a handful of numbers holds 8 bytes of state, not math/rand's
+// 607-word source that takes about 1 900 steps to seed.
 func (s *Source) Stream(labels ...uint64) *rand.Rand {
-	return rand.New(rand.NewSource(int64(s.mix(labels))))
+	return rand.New(&splitMix{s.mix(labels)})
 }
+
+// splitMix is SplitMix64 as a rand.Source64: each draw is splitmix64 of
+// the current state, which then advances by golden.
+type splitMix struct{ x uint64 }
+
+func (g *splitMix) Uint64() uint64 {
+	v := splitmix64(g.x)
+	g.x += golden
+	return v
+}
+
+func (g *splitMix) Int63() int64    { return int64(g.Uint64() >> 1) }
+func (g *splitMix) Seed(seed int64) { g.x = uint64(seed) }
 
 // Named returns a sub-stream identified by a protocol-phase name and integer
 // indices (typically a node ID). It hashes the name bytes into a label.

@@ -4,9 +4,14 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"testing/quick"
 )
+
+// raceEnabled is set under -race (race_test.go).
+var raceEnabled bool
 
 // The package's tests use two accessors nothing else calls.
 
@@ -26,6 +31,70 @@ func TestSourceDeterminism(t *testing.T) {
 		if a.Uint64() != b.Uint64() {
 			t.Fatalf("streams diverged at draw %d", i)
 		}
+	}
+}
+
+// TestSplitMixReferenceVector holds the stream generator to the published
+// SplitMix64 output for seed 1234567.
+func TestSplitMixReferenceVector(t *testing.T) {
+	g := &splitMix{1234567}
+	for i, want := range []uint64{6457827717110365317, 3203168211198807973, 9817491932198370423, 4593380528125082431, 16408922859458223821} {
+		if got := g.Uint64(); got != want {
+			t.Fatalf("draw %d = %d, want %d", i, got, want)
+		}
+	}
+}
+
+// TestStreamKnownAnswers pins the first draws of node streams and of
+// streams with zero, one and many labels. Every protocol's randomness comes
+// from these streams, so a change of generator or of label mixing fails
+// here once, before it fails every downstream trace pin.
+func TestStreamKnownAnswers(t *testing.T) {
+	s := NewSource(1)
+	tests := []struct {
+		name string
+		r    *rand.Rand
+		want [3]uint64
+	}{
+		{"node 0", s.Named("node", 0), [3]uint64{0x7652f50c3cf9b6e1, 0x7c1f1684cfe2c687, 0x786f99736b2adb96}},
+		{"node 1", s.Named("node", 1), [3]uint64{0x4498796b901f1cb6, 0x81de9262a31cb74d, 0x84b3a715ed04a447}},
+		{"node 2", s.Named("node", 2), [3]uint64{0x1ac66e68f9d4970e, 0x81808575d85cb63c, 0xd4bb94f438f84cda}},
+		{"no labels", s.Stream(), [3]uint64{0x5e41ab087439611e, 0xf18d6ce93d6cf1ee, 0x0b95f66d327e8d78}},
+		{"one label", s.Stream(7), [3]uint64{0xf7a96fa7e40e81b5, 0xddcd50e4079da4c6, 0xc956cce099004b64}},
+		{"five labels", s.Stream(1, 2, 3, 4, 5), [3]uint64{0xfa5280c52125c983, 0xd20a649e2e9ce519, 0xa88b2a492b2b4632}},
+	}
+	for _, tt := range tests {
+		for i, want := range tt.want {
+			if got := tt.r.Uint64(); got != want {
+				t.Errorf("%s: draw %d = %#x, want %#x", tt.name, i, got, want)
+			}
+		}
+	}
+}
+
+// TestStreamBytes bounds what one node stream costs: Named, as sim.Env.Rand
+// calls it, plus its first draw. The rand.Rand, the 8-byte generator and the
+// label slice come to 72 B; math/rand's own source costs 5 440 B. Not under
+// -race, which instruments allocations.
+func TestStreamBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime instruments allocations")
+	}
+	const runs, limit = 1000, 128
+	s := NewSource(1)
+	// MemStats counts the whole process: hold the collector and the other
+	// Ps off, as testing.AllocsPerRun does.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var sink uint64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		sink += s.Named("node", i).Uint64()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > limit {
+		t.Fatalf("a node stream and its first draw allocate %d B, want at most %d (sink %d)", per, limit, sink)
 	}
 }
 

@@ -12,7 +12,8 @@ import (
 
 // pinnedDiameter holds a diameter machine, on every engine, to the trace
 // recorded from the blocking form it replaced (Algorithm 9's LOCAL figures
-// since re-recorded on the shared exploration kernel): every node's
+// since re-recorded on the shared exploration kernel, and all of it when
+// the node streams became SplitMix64): every node's
 // estimate, hashed, and the common estimate within [d, bound·d] of the true
 // diameter d.
 func pinnedDiameter(t *testing.T, g *graph.Graph, seed int64, pin simtest.Pin, d int64, bound float64, machine sim.Pipeline[int64]) {
@@ -41,20 +42,20 @@ func pinnedHopDiameter(t *testing.T, g *graph.Graph, spec kssp.AlgSpec, seed int
 // (Corollary 5.2: 3/2+ε, plus the 2/η exploration slack).
 func TestComputeMachineMatchesOracle(t *testing.T) {
 	pinnedHopDiameter(t, graph.Grid(6, 6), Corollary52(0.5, 0), 43, 3,
-		simtest.Pin{Metrics: sim.Metrics{Rounds: 1378, GlobalMsgs: 1313, GlobalBits: 68276, LocalMsgs: 6900, LocalBits: 414336, MaxGlobalSend: 6, MaxGlobalRecv: 6}, Sum: 0x4dc5d298fe5428a5})
+		simtest.Pin{Metrics: sim.Metrics{Rounds: 1378, GlobalMsgs: 1276, GlobalBits: 66352, LocalMsgs: 6754, LocalBits: 387120, MaxGlobalSend: 6, MaxGlobalRecv: 6}, Sum: 0x4dc5d298fe5428a5})
 }
 
 // TestComputeMachineMatchesRealMM covers the real-message exact skeleton
 // diameter (δ = 1/3: 1+2/η at η = 2).
 func TestComputeMachineMatchesRealMM(t *testing.T) {
 	pinnedHopDiameter(t, graph.Cycle(30), RealMM(2), 47, 2,
-		simtest.Pin{Metrics: sim.Metrics{Rounds: 1747, GlobalMsgs: 2282, GlobalBits: 104972, LocalMsgs: 4136, LocalBits: 141140, MaxGlobalSend: 5, MaxGlobalRecv: 5}, Sum: 0xfc0c753f685d8f65})
+		simtest.Pin{Metrics: sim.Metrics{Rounds: 8872, GlobalMsgs: 16598, GlobalBits: 763508, LocalMsgs: 36076, LocalBits: 6385600, MaxGlobalSend: 5, MaxGlobalRecv: 13}, Sum: 0xfc0c753f685d8f65})
 }
 
 // TestWeightedApproxMachineMatches covers the weighted factor-2 estimate.
 func TestWeightedApproxMachineMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := graph.WithRandomWeights(graph.Grid(5, 5), 5, rng)
-	pin := simtest.Pin{Metrics: sim.Metrics{Rounds: 1101, GlobalMsgs: 730, GlobalBits: 33580, LocalMsgs: 3982, LocalBits: 141655, MaxGlobalSend: 5, MaxGlobalRecv: 5}, Sum: 0x899e3a5e10cae7fa}
+	pin := simtest.Pin{Metrics: sim.Metrics{Rounds: 1341, GlobalMsgs: 990, GlobalBits: 45540, LocalMsgs: 4647, LocalBits: 529095, MaxGlobalSend: 5, MaxGlobalRecv: 6}, Sum: 0x899e3a5e10cae7fa}
 	pinnedDiameter(t, g, 53, pin, graph.WeightedDiameter(g), 2, WeightedApproxPipeline(kssp.Corollary49(), kssp.Params{}))
 }

@@ -49,7 +49,8 @@ func tokenWords(ts []Token) []int64 {
 }
 
 // TestRouteProgramMatchesPin holds the protocol's machines, on every
-// engine, to the trace pinned from the blocking Route they replaced:
+// engine, to the trace pinned from the blocking Route they replaced
+// (re-pinned when the node streams became SplitMix64):
 // session and route without a cache, populating a session cache, bound from
 // it, and two instances routed over one session (the scratch a Session keeps
 // between instances is reset, not reallocated).
@@ -61,10 +62,10 @@ func TestRouteProgramMatchesPin(t *testing.T) {
 		t.Fatal(err)
 	}
 	pins := map[string]simtest.Pin{
-		"uncached":      {Metrics: sim.Metrics{Rounds: 275, GlobalMsgs: 666, GlobalBits: 34632, LocalMsgs: 6487, LocalBits: 602958, MaxGlobalSend: 6, MaxGlobalRecv: 6}, Sum: 0x27037dde48667d7d},
-		"cache miss":    {Metrics: sim.Metrics{Rounds: 287, GlobalMsgs: 744, GlobalBits: 38688, LocalMsgs: 6487, LocalBits: 602958, MaxGlobalSend: 6, MaxGlobalRecv: 6}, Sum: 0x27037dde48667d7d},
-		"cache hit":     {Metrics: sim.Metrics{Rounds: 137, GlobalMsgs: 510, GlobalBits: 26520, LocalMsgs: 1871, LocalBits: 227508, MaxGlobalSend: 6, MaxGlobalRecv: 5}, Sum: 0x27037dde48667d7d},
-		"session reuse": {Metrics: sim.Metrics{Rounds: 400, GlobalMsgs: 1098, GlobalBits: 57096, LocalMsgs: 8358, LocalBits: 830466, MaxGlobalSend: 6, MaxGlobalRecv: 6}, Sum: 0xa33e56f9cc33b92},
+		"uncached":      {Metrics: sim.Metrics{Rounds: 275, GlobalMsgs: 666, GlobalBits: 34632, LocalMsgs: 6520, LocalBits: 615456, MaxGlobalSend: 6, MaxGlobalRecv: 6}, Sum: 0x27037dde48667d7d},
+		"cache miss":    {Metrics: sim.Metrics{Rounds: 287, GlobalMsgs: 744, GlobalBits: 38688, LocalMsgs: 6520, LocalBits: 615456, MaxGlobalSend: 6, MaxGlobalRecv: 6}, Sum: 0x27037dde48667d7d},
+		"cache hit":     {Metrics: sim.Metrics{Rounds: 137, GlobalMsgs: 510, GlobalBits: 26520, LocalMsgs: 1902, LocalBits: 227856, MaxGlobalSend: 6, MaxGlobalRecv: 6}, Sum: 0x27037dde48667d7d},
+		"session reuse": {Metrics: sim.Metrics{Rounds: 400, GlobalMsgs: 1098, GlobalBits: 57096, LocalMsgs: 8422, LocalBits: 843312, MaxGlobalSend: 6, MaxGlobalRecv: 6}, Sum: 0xa33e56f9cc33b92},
 	}
 	// The second instance over the shared session: the same pairs, other
 	// values.
@@ -172,9 +173,9 @@ func TestSessionDirectoriesMatchPin(t *testing.T) {
 			in.inS[v], in.inR[v] = sp.InS, sp.InR
 		}
 		in.pins = map[string]simtest.Pin{
-			"uncached":   {Metrics: sim.Metrics{Rounds: 150, GlobalMsgs: 234, GlobalBits: 12168, LocalMsgs: 4616, LocalBits: 375450, MaxGlobalSend: 6, MaxGlobalRecv: 6}, Sum: 0x26974cecfb4a66e3},
-			"cache miss": {Metrics: sim.Metrics{Rounds: 162, GlobalMsgs: 468, GlobalBits: 24336, LocalMsgs: 3621, LocalBits: 359094, MaxGlobalSend: 6, MaxGlobalRecv: 6}, Sum: 0x26974cecfb4a66e3},
-			"cache hit":  {Metrics: sim.Metrics{Rounds: 12, GlobalMsgs: 78, GlobalBits: 4056, MaxGlobalSend: 1, MaxGlobalRecv: 1}, Sum: 0x26974cecfb4a66e3},
+			"uncached":   {Metrics: sim.Metrics{Rounds: 150, GlobalMsgs: 234, GlobalBits: 12168, LocalMsgs: 4618, LocalBits: 387600, MaxGlobalSend: 6, MaxGlobalRecv: 6}, Sum: 0xb3f2a1c32d70e97b},
+			"cache miss": {Metrics: sim.Metrics{Rounds: 162, GlobalMsgs: 468, GlobalBits: 24336, LocalMsgs: 3623, LocalBits: 371244, MaxGlobalSend: 6, MaxGlobalRecv: 6}, Sum: 0xb3f2a1c32d70e97b},
+			"cache hit":  {Metrics: sim.Metrics{Rounds: 12, GlobalMsgs: 78, GlobalBits: 4056, MaxGlobalSend: 1, MaxGlobalRecv: 1}, Sum: 0xb3f2a1c32d70e97b},
 		}
 		instances = append(instances, in)
 	}
@@ -188,9 +189,9 @@ func TestSessionDirectoriesMatchPin(t *testing.T) {
 			in.inR[v] = v%3 == 0
 		}
 		in.pins = map[string]simtest.Pin{
-			"uncached":   {Metrics: sim.Metrics{Rounds: 294, GlobalMsgs: 354, GlobalBits: 18408, LocalMsgs: 8076, LocalBits: 1588236, MaxGlobalSend: 6, MaxGlobalRecv: 6}, Sum: 0x653fee58b143256},
-			"cache miss": {Metrics: sim.Metrics{Rounds: 330, GlobalMsgs: 708, GlobalBits: 36816, LocalMsgs: 8076, LocalBits: 1588236, MaxGlobalSend: 6, MaxGlobalRecv: 6}, Sum: 0x653fee58b143256},
-			"cache hit":  {Metrics: sim.Metrics{Rounds: 12, GlobalMsgs: 118, GlobalBits: 6136, MaxGlobalSend: 1, MaxGlobalRecv: 1}, Sum: 0x653fee58b143256},
+			"uncached":   {Metrics: sim.Metrics{Rounds: 294, GlobalMsgs: 354, GlobalBits: 18408, LocalMsgs: 7961, LocalBits: 1693806, MaxGlobalSend: 6, MaxGlobalRecv: 6}, Sum: 0x5eb1f74cb96bc11},
+			"cache miss": {Metrics: sim.Metrics{Rounds: 330, GlobalMsgs: 708, GlobalBits: 36816, LocalMsgs: 7961, LocalBits: 1693806, MaxGlobalSend: 6, MaxGlobalRecv: 6}, Sum: 0x5eb1f74cb96bc11},
+			"cache hit":  {Metrics: sim.Metrics{Rounds: 12, GlobalMsgs: 118, GlobalBits: 6136, MaxGlobalSend: 1, MaxGlobalRecv: 1}, Sum: 0x5eb1f74cb96bc11},
 		}
 		instances = append(instances, in)
 	}

@@ -10,8 +10,8 @@ import (
 )
 
 // The tests of this file hold each machine, on every engine, to the trace
-// recorded from the blocking collective it replaced: Metrics and every node's
-// output.
+// recorded from the blocking collective it replaced (re-recorded when the
+// node streams became SplitMix64): Metrics and every node's output.
 
 // words flattens a Result for the pinned hash, Near in ascending ID order.
 func (r Result) words() []int64 {
@@ -147,7 +147,7 @@ func TestComputeMachineMatchesShortH(t *testing.T) {
 	g := graph.WithRandomWeights(graph.Grid(8, 8), 9, rng)
 	p := Params{X: 0.6, HFactor: 0.15} // h = ceil(0.15·64^0.4·ln 64) = 4
 	h := p.H(g.N())
-	pin := simtest.Pin{Metrics: sim.Metrics{Rounds: 4, LocalMsgs: 604, LocalBits: 20340}, Sum: 0xd222b1c438b3cda0}
+	pin := simtest.Pin{Metrics: sim.Metrics{Rounds: 4, LocalMsgs: 392, LocalBits: 9612}, Sum: 0x6a7cc96536df4937}
 	results := make([]Result, g.N())
 	simtest.Machines(t, "short h", g, 17, pin, func(env *sim.Env, emit func(...int64)) sim.StepProgram {
 		m := NewComputeMachine(env, p, false)
@@ -188,7 +188,7 @@ func TestComputeMachineMatchesShortH(t *testing.T) {
 // sampling, and Algorithm 7 on the skeleton it builds.
 func TestComputeMachineMatches(t *testing.T) {
 	g := graph.Path(40)
-	pin := simtest.Pin{Metrics: sim.Metrics{Rounds: 387, GlobalMsgs: 246, GlobalBits: 12792, LocalMsgs: 912, LocalBits: 22464, MaxGlobalSend: 6, MaxGlobalRecv: 5}, Sum: 0xa2ee772423a6e725}
+	pin := simtest.Pin{Metrics: sim.Metrics{Rounds: 387, GlobalMsgs: 246, GlobalBits: 12792, LocalMsgs: 613, LocalBits: 16848, MaxGlobalSend: 6, MaxGlobalRecv: 5}, Sum: 0xb664a1a1d775725}
 	isSource := func(id int) bool { return id%7 == 3 }
 	repWords := func(reps []RepInfo) []int64 {
 		w := []int64{int64(len(reps))}

@@ -295,7 +295,7 @@ func TestCorruptCacheFallsBackCold(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			reframed := reframe(data[24:len(data)-20], 2)
+			reframed := reframe(data[24:len(data)-20], binary.LittleEndian.Uint32(data[4:8]))
 			if err := os.WriteFile(path, reframed, 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -400,6 +400,59 @@ func reframe(body []byte, version uint32) []byte {
 	return append(out, body...)
 }
 
+// TestPreviousFormatCacheFallsBackCold holds LoadCache to a cache set, or
+// either file of it, whose header carries the previous format version: the
+// files of the previous version hold results drawn by the previous node
+// streams. LoadCache must reject them with persist.ErrVersion and restore
+// nothing, and the APSP that follows on the same Network must cost exactly
+// the golden cold row.
+func TestPreviousFormatCacheFallsBackCold(t *testing.T) {
+	g := hybrid.GridGraph(7, 7)
+	golden, err := os.ReadFile(filepath.Join("testdata", "model_costs.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, which := range []string{"both", "structural", "seed"} {
+		t.Run(which, func(t *testing.T) {
+			dir := t.TempDir()
+			saved := hybrid.New(g, hybrid.WithSeed(1), hybrid.WithCacheDir(dir))
+			if _, err := saved.APSP(); err != nil {
+				t.Fatal(err)
+			}
+			if err := saved.SaveCache(); err != nil {
+				t.Fatal(err)
+			}
+			structInfo, seedInfo := saved.CacheFiles()
+			files := map[string][]hybrid.CacheFileInfo{
+				"both":       {structInfo, seedInfo},
+				"structural": {structInfo},
+				"seed":       {seedInfo},
+			}[which]
+			for _, f := range files {
+				data, err := os.ReadFile(f.Path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(f.Path, reframe(data[24:], f.Version-1), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			nw := hybrid.New(g, hybrid.WithSeed(1), hybrid.WithCacheDir(dir))
+			status, err := nw.LoadCache()
+			if !errors.Is(err, persist.ErrVersion) || status.Any() {
+				t.Fatalf("LoadCache = %+v, %v; want nothing restored and an error wrapping persist.ErrVersion", status, err)
+			}
+			m, flat, err := goldenAPSP(nw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if row := goldenRow("apsp/grid7x7", 1, "cold", m, flat); !strings.Contains(string(golden), row) {
+				t.Errorf("the run after the rejected cache is not the golden cold row:\n%s", row)
+			}
+		})
+	}
+}
+
 // TestLoadCacheNoFileIsCold pins the (false, nil) contract for a missing
 // file and the explicit error when no directory was configured.
 func TestLoadCacheNoFileIsCold(t *testing.T) {
@@ -423,13 +476,12 @@ func TestLoadCacheNoFileIsCold(t *testing.T) {
 
 // TestParentCacheFilesLoad is the on-disk compatibility gate. The two files
 // under testdata/warmcache were written by SaveCache after one cold APSP on
-// the 7x7 grid (seed 1) at the commit before the caches moved onto
-// internal/warm — the instance whose warm row testdata/model_costs.golden
-// already pins. Their seed file also carries the skeleton results the cache
-// held then. They must still load as a full warm start, the run they warm
-// must cost that golden row on every engine, and SaveCache must still write
-// the same structural file, so structural files cross both changes in both
-// directions. Regenerate (only with a cacheFormatVersion bump) with:
+// the 7x7 grid (seed 1) when cacheFormatVersion became 3 — the instance
+// whose warm row testdata/model_costs.golden already pins. They must still
+// load as a full warm start, the run they warm must cost that golden row on
+// every engine, and SaveCache must still write the same structural file, so
+// structural files cross later changes in both directions. Regenerate (only
+// with a cacheFormatVersion bump) with:
 // go test -run TestParentCacheFilesLoad -update .
 func TestParentCacheFilesLoad(t *testing.T) {
 	g := hybrid.GridGraph(7, 7)
