@@ -28,6 +28,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"syscall"
 
 	hybrid "repro"
 	"repro/cmd/internal/netflags"
@@ -294,7 +295,14 @@ func verifyDiameter(est, d int64) error {
 	return nil
 }
 
+// printMetrics prints the run's metrics line and, on a line of its own, the
+// process's peak resident set size so far (getrusage's ru_maxrss, in KiB on
+// Linux).
 func printMetrics(w io.Writer, m hybrid.Metrics) {
 	fmt.Fprintf(w, "rounds=%d globalMsgs=%d globalBits=%d localMsgs=%d localBits=%d maxSend=%d maxRecv=%d\n",
 		m.Rounds, m.GlobalMsgs, m.GlobalBits, m.LocalMsgs, m.LocalBits, m.MaxGlobalSend, m.MaxGlobalRecv)
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err == nil {
+		fmt.Fprintf(w, "peak RSS: %.1f MB\n", float64(ru.Maxrss)/1024)
+	}
 }

@@ -331,6 +331,38 @@ func TestRunSingleNodeDiameter(t *testing.T) {
 	}
 }
 
+// TestRunWeightedDiameterFails: -algo diameter estimates the hop diameter of
+// an unweighted graph, so -maxw is an error naming a weighted edge (exit 1),
+// where a weighted path used to print an estimate 5.5 times its true
+// diameter and exit 0.
+func TestRunWeightedDiameterFails(t *testing.T) {
+	code, stdout, stderr := runCLI("-graph", "path", "-n", "64", "-algo", "diameter", "-maxw", "10", "-seed", "1")
+	if code != 1 || !strings.Contains(stderr, "Diameter takes an unweighted graph, but edge {") {
+		t.Errorf("weighted diameter: exit %d, stderr %q; want exit 1 naming a weighted edge", code, stderr)
+	}
+	if strings.Contains(stdout, "estimate") {
+		t.Errorf("weighted diameter printed an estimate:\n%s", stdout)
+	}
+}
+
+var peakRSSRe = regexp.MustCompile(`(?m)^rounds=.*\npeak RSS: ([0-9.]+) MB$`)
+
+// TestRunReportsPeakRSS: the line after the metrics line is the process's
+// peak resident set size, a positive number of MB.
+func TestRunReportsPeakRSS(t *testing.T) {
+	code, stdout, stderr := runCLI("-graph", "grid", "-n", "49", "-algo", "diameter", "-seed", "1")
+	if code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, stderr)
+	}
+	m := peakRSSRe.FindStringSubmatch(stdout)
+	if m == nil {
+		t.Fatalf("no peak RSS line after the metrics line:\n%s", stdout)
+	}
+	if mb, err := strconv.ParseFloat(m[1], 64); err != nil || mb <= 0 {
+		t.Errorf("peak RSS %q: want a positive number of MB", m[1])
+	}
+}
+
 // TestRunDefaultVariant pins -variant's per-algorithm default: with no
 // -variant, kssp runs Corollary 4.7 (the one that allows any k) and
 // diameter Corollary 5.2.

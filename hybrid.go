@@ -256,16 +256,33 @@ func (nw *Network) N() int { return nw.g.N() }
 // with an edge above Graph.WeightLimit is refused: its path sums could reach
 // Inf, which the algorithms read as unreachable.
 func run[T any](nw *Network, p sim.Pipeline[T]) ([]T, Metrics, error) {
+	if err := nw.checkWeightLimit(); err != nil {
+		return nil, Metrics{}, err
+	}
+	return sim.RunPipeline(nw.g, nw.cfg, p)
+}
+
+// checkWeightLimit is run's refusal of an edge above Graph.WeightLimit.
+func (nw *Network) checkWeightLimit() error {
 	lim := nw.g.WeightLimit()
-	for u := range nw.g.N() {
-		for _, nb := range nw.g.Neighbors(u) {
-			if nb.W > lim {
-				return nil, Metrics{}, fmt.Errorf("hybrid: edge {%d,%d} weighs %d, above %d, the largest weight a %d-node graph allows (Graph.WeightLimit)",
-					u, nb.To, nb.W, lim, nw.g.N())
+	if u, v, w, ok := firstEdge(nw.g, func(w int64) bool { return w > lim }); ok {
+		return fmt.Errorf("hybrid: edge {%d,%d} weighs %d, above %d, the largest weight a %d-node graph allows (Graph.WeightLimit)",
+			u, v, w, lim, nw.g.N())
+	}
+	return nil
+}
+
+// firstEdge returns the first edge {u,v} of g, by u and then adjacency
+// order, whose weight w has bad(w).
+func firstEdge(g *Graph, bad func(int64) bool) (u, v int, w int64, ok bool) {
+	for u := range g.N() {
+		for _, nb := range g.Neighbors(u) {
+			if bad(nb.W) {
+				return u, nb.To, nb.W, true
 			}
 		}
 	}
-	return sim.RunPipeline(nw.g, nw.cfg, p)
+	return 0, 0, 0, false
 }
 
 // routingParams is the routing configuration every facade run shares: the
@@ -550,10 +567,18 @@ type DiameterResult struct {
 // Diameter estimates the hop diameter D(G) (Theorem 1.4) on unweighted
 // graphs with the chosen spec value, e.g.
 // net.Diameter(hybrid.DiamCor52(0.25)): D <= Estimate per the spec's
-// guarantee.
+// guarantee. A graph with an edge whose weight is not 1 is an error naming
+// the first such edge, after run's WeightLimit refusal:
+// WeightedDiameterApprox estimates a weighted diameter.
 func (nw *Network) Diameter(spec DiameterSpec) (*DiameterResult, error) {
 	if !spec.valid {
 		return nil, fmt.Errorf("hybrid: invalid diameter spec (use DiamCor52, DiamCor53 or DiamRealMM)")
+	}
+	if err := nw.checkWeightLimit(); err != nil {
+		return nil, err
+	}
+	if u, v, w, ok := firstEdge(nw.g, func(w int64) bool { return w != 1 }); ok {
+		return nil, fmt.Errorf("hybrid: Diameter takes an unweighted graph, but edge {%d,%d} weighs %d (WeightedDiameterApprox estimates a weighted diameter)", u, v, w)
 	}
 	out, m, err := run(nw, diameter.Pipeline(spec.alg, nw.ksspParams()))
 	if err != nil {

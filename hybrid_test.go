@@ -3,6 +3,7 @@ package hybrid_test
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	hybrid "repro"
@@ -108,6 +109,28 @@ func TestFacadeKSSPUnknownVariant(t *testing.T) {
 	}
 	if _, err := net.Diameter(hybrid.DiameterSpec{}); err == nil {
 		t.Fatal("expected error for zero-value diameter spec")
+	}
+}
+
+// TestFacadeDiameterRefusesWeightedGraph: Diameter estimates the hop
+// diameter of an unweighted graph, so an edge whose weight is not 1 is an
+// error naming the first such edge, where a weighted path used to get an
+// estimate far above its spec's bound. WeightedDiameterApprox still answers.
+func TestFacadeDiameterRefusesWeightedGraph(t *testing.T) {
+	g := hybrid.PathGraph(8).Reweight(func(u, _ int, w int64) int64 {
+		if u == 3 || u == 5 {
+			return 4
+		}
+		return w
+	})
+	net := hybrid.New(g, hybrid.WithSeed(1))
+	for _, spec := range []hybrid.DiameterSpec{hybrid.DiamCor52(0.5), hybrid.DiamCor53(0.5), hybrid.DiamRealMM(2)} {
+		if _, err := net.Diameter(spec); err == nil || !strings.Contains(err.Error(), "edge {3,4} weighs 4") {
+			t.Errorf("%s on a weighted path: err %v, want one naming edge {3,4}", spec.Name(), err)
+		}
+	}
+	if _, err := net.WeightedDiameterApprox(); err != nil {
+		t.Errorf("WeightedDiameterApprox: %v", err)
 	}
 }
 

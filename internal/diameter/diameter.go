@@ -10,20 +10,20 @@
 //
 // Algorithm 9 shares Algorithm 5's framework, so it runs on kssp's AlgSpec,
 // Params, Plan and CliqueFactory: build a skeleton with x = 2/(3+2δ);
-// simulate A on it to get D~(S) at the skeleton nodes; explore the local
-// graph for ηh+1 rounds from every node (skeleton.ExploreMachine), so each
-// node measures h_v, the largest hop distance it sees; aggregate ĥ = max_v
-// h_v and D~(S) over the global network (Lemma B.2), which is how D~(S)
-// reaches every node; output D~ = ĥ if ĥ <= ηh (the diameter was small
-// enough to measure exactly), else D~(S) + 2h (Equation 3).
+// simulate A on it to get D~(S) at the skeleton nodes; flood every node's ID
+// for ηh+1 rounds (package flood), so each node measures h_v, the largest
+// hop distance at which it first hears an ID; aggregate ĥ = max_v h_v and
+// D~(S) over the global network (Lemma B.2), which is how D~(S) reaches
+// every node; output D~ = ĥ if ĥ <= ηh (the diameter was small enough to
+// measure exactly), else D~(S) + 2h (Equation 3).
 package diameter
 
 import (
 	"math"
-	"slices"
 
 	"repro/internal/clique"
 	"repro/internal/cliquesim"
+	"repro/internal/flood"
 	"repro/internal/graph"
 	"repro/internal/kssp"
 	"repro/internal/ncc"
@@ -51,6 +51,18 @@ func estimate(hHat, dSGlobal int64, h, etaRounds int) int64 {
 	return dSGlobal + 2*int64(h)
 }
 
+// newHopFlood is Algorithm 9's exploration from every node for `rounds`
+// rounds, a first-arrival flood of the node IDs charged as the exploration's
+// record (source, distance, hop count). Once it finishes, *hv is the hop of
+// this node's last first arrival: its hop eccentricity capped at rounds.
+func newHopFlood(env *sim.Env, rounds int, hv *int32) sim.StepProgram {
+	f, start := new(flood.State[struct{}]), env.Round()
+	f.Start(env, env.N(), 0, rounds, func(struct{}) int64 { return 3 },
+		func(int, struct{}) { *hv = int32(env.Round() - start) })
+	f.Inject(env.ID(), struct{}{})
+	return f
+}
+
 // NewComputeMachine runs Algorithm 9 collectively (see sim.StepProgram);
 // the nodes of the algorithm spec.Factory builds must implement
 // clique.DiameterNode (its srcIdx argument is empty). done receives this node's diameter estimate D~ with
@@ -76,13 +88,7 @@ func NewComputeMachine(env *sim.Env, spec kssp.AlgSpec, params kssp.Params, done
 				kssp.CliqueFactory(env, spec, nil), params.Routing,
 				func(r cliquesim.Result) { dS = skeletonDiameter(r) })
 		},
-		// Local exploration from every node for ηh+1 rounds: h_v, the
-		// largest hop distance at which this node first heard a source, is
-		// its hop eccentricity capped at ηh+1.
-		func(env *sim.Env) sim.StepProgram {
-			m := skeleton.NewExploreMachine(env, true, etaRounds+1)
-			return sim.Then(m, func(*sim.Env) { hv = slices.Max(m.Hops) })
-		},
+		func(env *sim.Env) sim.StepProgram { return newHopFlood(env, etaRounds+1, &hv) },
 		// ĥ = max_v h_v via the Lemma B.2 aggregation, then D~(S), which
 		// only the members hold, by the same max (the others bring -1), and
 		// the final rule of Equation (3).

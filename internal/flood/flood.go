@@ -5,9 +5,10 @@
 // round, and hears it from then on for nothing. Algorithm 1's member and W
 // floods (package helpers), Algorithm 3's helper announcements and token
 // spreading and Algorithm 4's final collection (package routing), Theorem
-// 1.1's label-vector flood (package skeleton) and Phase 3 of Lemma B.1's
-// token dissemination (package ncc) are instantiations: a payload type, a
-// word charge per record, and what to do with a first arrival.
+// 1.1's label-vector flood (package skeleton), Algorithm 9's h_v
+// exploration (package diameter) and Phase 3 of Lemma B.1's token
+// dissemination (package ncc) are instantiations: a payload type, a word
+// charge per record, and what to do with a first arrival.
 //
 // Origins are the integers [0, K) for the origin count K every node passes
 // to Start: node IDs (K = n) for the node floods, the indices of the

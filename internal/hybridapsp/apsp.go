@@ -60,52 +60,32 @@ func NewComputeMachine(env *sim.Env, params Params, done func([]int64)) sim.Step
 	n := env.N()
 	h := sp.H(n)
 
-	var skelM *skeleton.ComputeMachine
-	var exploreM *skeleton.ExploreMachine
-	var pub *publishMachine
+	fe := new(frontEnd)
 	var sessM *routing.SessionMachine
 	var routeM *routing.RouteMachine
 	var floodM *skeleton.FloodVectorsMachine
-	var skel skeleton.Result
-	var local []int64
 	var send []routing.Token
 	var expect []routing.Label
 	var complete []bool
 
-	return sim.Sequence(
-		// Phase 1: skeleton + the all-sources exploration for close pairs.
-		func(env *sim.Env) sim.StepProgram {
-			skelM = skeleton.NewComputeMachine(env, sp, false)
-			return skelM
-		},
-		func(env *sim.Env) sim.StepProgram {
-			skel = skelM.Res
-			exploreM = skeleton.NewExploreMachine(env, true, h)
-			return exploreM
-		},
-		// Phase 2: make E_S public knowledge, solve APSP on S locally.
-		func(env *sim.Env) sim.StepProgram {
-			local = exploreM.Near
-			pub = newPublishMachine(env, skel)
-			return pub
-		},
+	return sim.Sequence(fe.phases(sp,
 		// Phase 3: token routing — every node sends d(v, s), the best route
 		// via a nearby skeleton node, to each s ∈ V_S.
 		func(env *sim.Env) sim.StepProgram {
-			members := pub.Members
+			members := fe.pub.Members
 			var buf [viaBuf]via
-			vias := pub.viaSet(buf[:0], skel.Near, nil, nil)
+			vias := fe.pub.viaSet(buf[:0], fe.skel.Near, nil, nil)
 			send = make([]routing.Token, len(members))
 			for i, s := range members {
-				send[i] = routing.Token{Label: routing.Label{S: env.ID(), R: s, I: 0}, Value: pub.armed(vias, i)}
+				send[i] = routing.Token{Label: routing.Label{S: env.ID(), R: s, I: 0}, Value: fe.pub.armed(vias, i)}
 			}
-			if skel.InSkeleton {
+			if fe.skel.InSkeleton {
 				expect = make([]routing.Label, 0, n)
 				for v := 0; v < n; v++ {
 					expect = append(expect, routing.Label{S: v, R: env.ID(), I: 0})
 				}
 			}
-			sessM = routing.NewSessionMachine(env, true, skel.InSkeleton,
+			sessM = routing.NewSessionMachine(env, true, fe.skel.InSkeleton,
 				len(members), n, 1.0, sp.SampleProb(n), params.Routing)
 			return sessM
 		},
@@ -117,7 +97,7 @@ func NewComputeMachine(env *sim.Env, params Params, done func([]int64)) sim.Step
 		func(env *sim.Env) sim.StepProgram {
 			got := routeM.Out
 			var mine []int64
-			if skel.InSkeleton && len(got) > 0 {
+			if fe.skel.InSkeleton && len(got) > 0 {
 				mine = make([]int64, n)
 				for v := range mine {
 					mine[v] = -1
@@ -137,15 +117,78 @@ func NewComputeMachine(env *sim.Env, params Params, done func([]int64)) sim.Step
 			return floodM
 		},
 		// Final combine: local estimate vs routes through nearby skeletons.
-		// The dense exploration vector already holds Inf for unreached
-		// nodes, so it doubles as the output accumulator.
 		sim.Finish(func(env *sim.Env) {
 			var buf [viaBuf]via
-			out := local
-			combine(out, pub.viaSet(buf[:0], skel.Near, &floodM.Known, complete))
+			out := fe.local
+			combine(out, fe.pub.viaSet(buf[:0], fe.skel.Near, &floodM.Known, complete))
 			done(out)
 		}),
-	)
+	)...)
+}
+
+// phase is one entry of a sim.Sequence.
+type phase = func(*sim.Env) sim.StepProgram
+
+// frontEnd is what Theorem 1.1 and the [3] baseline share, phases 1 and 2:
+// the skeleton, the all-sources exploration to its radius h, which solves
+// close pairs exactly, and the published skeleton. Each field is valid once
+// the phase that sets it has run.
+type frontEnd struct {
+	skel skeleton.Result
+	// The exploration's dense vector: it holds Inf for unreached nodes, so
+	// it doubles as the output accumulator.
+	local []int64
+	pub   *publishMachine
+}
+
+// phases returns the front end's phases followed by rest, the caller's: one
+// flat list for sim.Sequence, since a nested Sequence costs allocations per
+// node.
+func (fe *frontEnd) phases(sp skeleton.Params, rest ...phase) []phase {
+	var skelM *skeleton.ComputeMachine
+	var exploreM *skeleton.ExploreMachine
+	ps := append(make([]phase, 0, 3+len(rest)),
+		func(env *sim.Env) sim.StepProgram {
+			skelM = skeleton.NewComputeMachine(env, sp, false)
+			return skelM
+		},
+		func(env *sim.Env) sim.StepProgram {
+			fe.skel = skelM.Res
+			exploreM = skeleton.NewExploreMachine(env, true, sp.H(env.N()))
+			return exploreM
+		},
+		// Make E_S public knowledge, solve APSP on S locally.
+		func(env *sim.Env) sim.StepProgram {
+			fe.local = exploreM.Near
+			fe.pub = newPublishMachine(env, fe.skel)
+			return fe.pub
+		})
+	return append(ps, rest...)
+}
+
+// disseminate returns the phases of one sized token dissemination followed
+// by rest, one flat list for sim.Sequence: Lemma B.2's aggregations of the
+// token counts, the largest and the total, then Lemma B.1's dissemination of
+// the node's tokens, which tokens returns in the first phase, sized by them
+// and left in *diss.
+func disseminate(tokens func(env *sim.Env) []ncc.Token, diss **ncc.DisseminateMachine, rest ...phase) []phase {
+	var mine []ncc.Token
+	var aggMax, aggSum *ncc.AggregateMachine
+	ps := append(make([]phase, 0, 3+len(rest)),
+		func(env *sim.Env) sim.StepProgram {
+			mine = tokens(env)
+			aggMax = ncc.NewAggregateMachine(env, int64(len(mine)), ncc.AggMax)
+			return aggMax
+		},
+		func(env *sim.Env) sim.StepProgram {
+			aggSum = ncc.NewAggregateMachine(env, int64(len(mine)), ncc.AggSum)
+			return aggSum
+		},
+		func(env *sim.Env) sim.StepProgram {
+			*diss = ncc.NewDisseminateMachine(env, mine, int(aggSum.Out), int(aggMax.Out), ncc.DisseminateParams{})
+			return *diss
+		})
+	return append(ps, rest...)
 }
 
 // publishMachine makes V_S and E_S public knowledge (token dissemination
@@ -178,41 +221,25 @@ type (
 
 func newPublishMachine(env *sim.Env, skel skeleton.Result) *publishMachine {
 	pm := &publishMachine{}
-	// Edge tokens: the smaller-ID endpoint owns the edge so the published
-	// estimate is consistent everywhere (the two endpoints' sandwich
-	// estimates may differ; either is valid, one must be chosen). A
-	// self-loop marker announces membership for isolated skeleton nodes.
-	// Near is in ID order, so the tokens are too.
-	var mine []ncc.Token
-	myEdges := 0
-	if skel.InSkeleton {
-		mine = append(mine, ncc.Token{A: int64(env.ID()), B: int64(env.ID()), C: 0}) // member marker
-		for _, s := range skel.Near {
-			if int(s.ID) > env.ID() {
-				mine = append(mine, ncc.Token{A: int64(env.ID()), B: int64(s.ID), C: s.Dist})
+	var diss *ncc.DisseminateMachine
+	pm.prog = sim.Sequence(disseminate(func(env *sim.Env) (mine []ncc.Token) {
+		// Edge tokens: the smaller-ID endpoint owns the edge so the
+		// published estimate is consistent everywhere (the two endpoints'
+		// sandwich estimates may differ; either is valid, one must be
+		// chosen). A self-loop marker announces membership for isolated
+		// skeleton nodes. Near is in ID order, so the tokens are too.
+		if skel.InSkeleton {
+			mine = append(mine, ncc.Token{A: int64(env.ID()), B: int64(env.ID()), C: 0}) // member marker
+			for _, s := range skel.Near {
+				if int(s.ID) > env.ID() {
+					mine = append(mine, ncc.Token{A: int64(env.ID()), B: int64(s.ID), C: s.Dist})
+				}
 			}
 		}
-		myEdges = len(mine)
-	}
-	var aggMax, aggSum *ncc.AggregateMachine
-	var diss *ncc.DisseminateMachine
-	pm.prog = sim.Sequence(
-		func(env *sim.Env) sim.StepProgram {
-			aggMax = ncc.NewAggregateMachine(env, int64(myEdges), ncc.AggMax)
-			return aggMax
-		},
-		func(env *sim.Env) sim.StepProgram {
-			aggSum = ncc.NewAggregateMachine(env, int64(myEdges), ncc.AggSum)
-			return aggSum
-		},
-		func(env *sim.Env) sim.StepProgram {
-			diss = ncc.NewDisseminateMachine(env, mine, int(aggSum.Out), int(aggMax.Out), ncc.DisseminateParams{})
-			return diss
-		},
-		sim.Finish(func(env *sim.Env) {
-			pm.skeletonAPSP = ncc.Derived(env, skeletonAPSPKey{}, diss.Out, skeletonAPSPFromTokens)
-		}),
-	)
+		return mine
+	}, &diss, sim.Finish(func(env *sim.Env) {
+		pm.skeletonAPSP = ncc.Derived(env, skeletonAPSPKey{}, diss.Out, skeletonAPSPFromTokens)
+	}))...)
 	return pm
 }
 
@@ -388,65 +415,27 @@ func noHole(d int64) int64 { return int64(min(uint64(d), uint64(graph.Inf))) }
 // dissemination — Θ(n²/x) tokens, hence Θ~(n/sqrt(x)) rounds, optimized at
 // x = n^(2/3).
 func NewBaselineComputeMachine(env *sim.Env, params Params, done func([]int64)) sim.StepProgram {
-	sp := skeleton.Params{X: baselineX}
-	n := env.N()
-	h := sp.H(n)
-
-	var skelM *skeleton.ComputeMachine
-	var exploreM *skeleton.ExploreMachine
-	var pub *publishMachine
-	var aggMax, aggSum *ncc.AggregateMachine
+	fe := new(frontEnd)
 	var diss *ncc.DisseminateMachine
-	var skel skeleton.Result
-	var local []int64
-	var mine []ncc.Token
-
-	return sim.Sequence(
-		func(env *sim.Env) sim.StepProgram {
-			skelM = skeleton.NewComputeMachine(env, sp, false)
-			return skelM
-		},
-		func(env *sim.Env) sim.StepProgram {
-			skel = skelM.Res
-			exploreM = skeleton.NewExploreMachine(env, true, h)
-			return exploreM
-		},
-		func(env *sim.Env) sim.StepProgram {
-			local = exploreM.Near
-			pub = newPublishMachine(env, skel)
-			return pub
-		},
+	return sim.Sequence(fe.phases(skeleton.Params{X: baselineX},
 		// Broadcast every dd(v, s) label — the [3] bottleneck step.
-		func(env *sim.Env) sim.StepProgram {
-			mine = make([]ncc.Token, 0, len(skel.Near))
-			for _, s := range skel.Near {
+		disseminate(func(env *sim.Env) []ncc.Token {
+			mine := make([]ncc.Token, 0, len(fe.skel.Near))
+			for _, s := range fe.skel.Near {
 				mine = append(mine, ncc.Token{A: int64(s.ID), B: int64(env.ID()), C: s.Dist})
 			}
-			aggMax = ncc.NewAggregateMachine(env, int64(len(mine)), ncc.AggMax)
-			return aggMax
-		},
-		func(env *sim.Env) sim.StepProgram {
-			aggSum = ncc.NewAggregateMachine(env, int64(len(mine)), ncc.AggSum)
-			return aggSum
-		},
-		func(env *sim.Env) sim.StepProgram {
-			diss = ncc.NewDisseminateMachine(env, mine, int(aggSum.Out), int(aggMax.Out), ncc.DisseminateParams{})
-			return diss
-		},
-		sim.Finish(func(env *sim.Env) {
-			members := pub.Members
+			return mine
+		}, &diss, sim.Finish(func(env *sim.Env) {
 			lab := sim.Agreed(env, labelMatrixKey{},
 				func(m *labelMatrix) bool {
-					return slices.Equal(m.members, members) && ncc.SameTokens(m.tokens, diss.Out)
+					return slices.Equal(m.members, fe.pub.Members) && ncc.SameTokens(m.tokens, diss.Out)
 				},
-				func() *labelMatrix { return newLabelMatrix(pub.skeletonAPSP, diss.Out, n) }).lab
-			// The dense exploration vector doubles as the accumulator.
+				func() *labelMatrix { return newLabelMatrix(fe.pub.skeletonAPSP, diss.Out, env.N()) }).lab
 			var buf [viaBuf]via
-			out := local
-			pub.combineLabels(out, pub.viaSet(buf[:0], skel.Near, nil, nil), lab)
+			out := fe.local
+			fe.pub.combineLabels(out, fe.pub.viaSet(buf[:0], fe.skel.Near, nil, nil), lab)
 			done(out)
-		}),
-	)
+		}))...)...)
 }
 
 // labelMatrix is the [3] baseline's view of the disseminated labels: dd(v, s)
